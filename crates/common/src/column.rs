@@ -256,6 +256,24 @@ impl Column {
         }
     }
 
+    /// [`Column::push`] for a borrowed cell: numbers are copied, a string
+    /// is interned by reference (no allocation when the pool already has
+    /// it), and only the `Values` fallback clones.
+    fn push_ref(&mut self, v: &Value, pool: &mut StringPool) {
+        match (&self.data, v) {
+            // The first cell fixes the variant: `push` decides.
+            _ if self.len() == 0 => self.push(v.clone(), pool),
+            (ColumnData::Int(_), Value::Int(x)) => self.push_int(*x),
+            (ColumnData::Double(_), Value::Double(x)) => self.push_double(*x),
+            (ColumnData::Str(_), Value::Str(s)) => {
+                let id = pool.intern(s);
+                self.push_str_id(id);
+            }
+            // Mixed types and NULLs: demotion or the `Values` fallback.
+            _ => self.push(v.clone(), pool),
+        }
+    }
+
     /// Materialize the cell at `row` as a [`Value`].
     fn value_at(&self, row: usize, pool: &StringPool) -> Value {
         match &self.data {
@@ -442,8 +460,9 @@ impl ColumnarBatch {
 
     /// Build a batch from plain tuples sharing one tag (the scan-emission
     /// seam: freshly scanned rows all carry the scanning node's tag).
-    /// Rows shorter than `arity` are padded with NULLs.
-    pub fn from_tuples<I>(
+    /// The tuples are borrowed — a scan columnarizes straight out of the
+    /// store.  Rows shorter than `arity` are padded with NULLs.
+    pub fn from_tuples<'a, I>(
         arity: usize,
         tuples: I,
         sign: i8,
@@ -451,13 +470,11 @@ impl ColumnarBatch {
         phase: u32,
     ) -> Self
     where
-        I: IntoIterator<Item = Tuple>,
+        I: IntoIterator<Item = &'a Tuple>,
     {
         let mut batch = ColumnarBatch::new(arity);
         for t in tuples {
-            let mut values = t.into_values();
-            values.resize(arity, Value::Null);
-            batch.push_row_owned(values, sign, provenance, phase);
+            batch.push_row_padded(t.values(), sign, provenance, phase);
         }
         batch
     }
@@ -520,15 +537,28 @@ impl ColumnarBatch {
         self.signs.is_empty()
     }
 
-    /// Append one row, cloning the cells.  Panics if `values` does not
+    /// Append one row from borrowed cells (a string already in the pool
+    /// is not copied).  Panics if `values` does not
     /// match the batch arity — ragged rows cannot exist column-wise; pad
     /// them (e.g. with [`Value::Null`]) before pushing.
     pub fn push_row(&mut self, values: &[Value], sign: i8, provenance: NodeSet, phase: u32) {
         assert_eq!(values.len(), self.arity(), "row arity mismatch");
         for (col, v) in self.columns.iter_mut().zip(values) {
-            col.push(v.clone(), &mut self.pool);
+            col.push_ref(v, &mut self.pool);
         }
         self.push_tag_row(sign, provenance, phase);
+    }
+
+    /// [`Self::push_row`] for a row that may be ragged: it is padded with
+    /// NULLs (or cut) to the batch arity.
+    pub fn push_row_padded(&mut self, values: &[Value], sign: i8, provenance: NodeSet, phase: u32) {
+        if values.len() == self.arity() {
+            self.push_row(values, sign, provenance, phase);
+        } else {
+            let mut padded = values.to_vec();
+            padded.resize(self.arity(), Value::Null);
+            self.push_row_owned(padded, sign, provenance, phase);
+        }
     }
 
     /// Append one row, consuming the cells (no string copies for new

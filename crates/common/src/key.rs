@@ -19,7 +19,7 @@
 //! which is how both the substrate (node ownership ranges) and the storage
 //! layer (index-page key ranges) describe responsibility.
 
-use crate::sha1::{sha1, DIGEST_LEN};
+use crate::sha1::{sha1, Sha1, DIGEST_LEN};
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -94,12 +94,12 @@ impl Key160 {
     /// component is length-prefixed so that `("ab","c")` and `("a","bc")`
     /// hash differently.
     pub fn hash_parts(parts: &[&[u8]]) -> Self {
-        let mut buf = Vec::new();
+        let mut hasher = Sha1::new();
         for p in parts {
-            buf.extend_from_slice(&(p.len() as u64).to_be_bytes());
-            buf.extend_from_slice(p);
+            hasher.update(&(p.len() as u64).to_be_bytes());
+            hasher.update(p);
         }
-        Key160::hash(&buf)
+        Key160::from_bytes(&hasher.finish())
     }
 
     /// Construct from a `u128` (useful in tests and doc examples).

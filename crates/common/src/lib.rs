@@ -50,5 +50,5 @@ pub use fingerprint::QueryFingerprint;
 pub use key::{Key160, KeyRange};
 pub use node::{NodeId, NodeSet};
 pub use schema::{ColumnType, Relation, Schema};
-pub use tuple::{Epoch, Tuple, TupleId};
+pub use tuple::{Epoch, PageEntry, Tuple, TupleId};
 pub use value::Value;

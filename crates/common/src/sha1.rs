@@ -10,6 +10,115 @@
 /// Output size of SHA-1 in bytes (160 bits).
 pub const DIGEST_LEN: usize = 20;
 
+/// An incremental SHA-1 state: feed it byte slices with [`Sha1::update`]
+/// and read the digest with [`Sha1::finish`].  Nothing is heap-allocated
+/// — callers hashing a composite key (several values, several parts)
+/// stream the pieces in instead of concatenating them into a buffer
+/// first.
+pub(crate) struct Sha1 {
+    state: [u32; 5],
+    /// Bytes of the current, not yet complete 64-byte block.
+    block: [u8; 64],
+    /// Total number of message bytes fed so far.
+    len: u64,
+}
+
+impl Sha1 {
+    /// A fresh hasher.
+    pub(crate) fn new() -> Sha1 {
+        Sha1 {
+            state: [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0],
+            block: [0; 64],
+            len: 0,
+        }
+    }
+
+    /// Append `data` to the message.
+    pub(crate) fn update(&mut self, mut data: &[u8]) {
+        let filled = (self.len % 64) as usize;
+        self.len += data.len() as u64;
+        if filled > 0 {
+            let take = data.len().min(64 - filled);
+            self.block[filled..filled + take].copy_from_slice(&data[..take]);
+            data = &data[take..];
+            if filled + take < 64 {
+                return;
+            }
+            compress(&mut self.state, &self.block);
+        }
+        let mut blocks = data.chunks_exact(64);
+        for block in &mut blocks {
+            compress(
+                &mut self.state,
+                block.try_into().expect("chunks_exact(64) yields 64 bytes"),
+            );
+        }
+        let rest = blocks.remainder();
+        self.block[..rest.len()].copy_from_slice(rest);
+    }
+
+    /// Pad the message and return its digest.
+    pub(crate) fn finish(mut self) -> [u8; DIGEST_LEN] {
+        // Message padding: append 0x80, zeros, then the 64-bit big-endian
+        // bit length, so that the total is a whole number of blocks.
+        let bit_len = self.len.wrapping_mul(8);
+        let filled = (self.len % 64) as usize;
+        self.block[filled] = 0x80;
+        self.block[filled + 1..].fill(0);
+        if filled + 1 > 56 {
+            compress(&mut self.state, &self.block);
+            self.block.fill(0);
+        }
+        self.block[56..].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.state, &self.block);
+
+        let mut out = [0u8; DIGEST_LEN];
+        for (i, s) in self.state.iter().enumerate() {
+            out[i * 4..i * 4 + 4].copy_from_slice(&s.to_be_bytes());
+        }
+        out
+    }
+}
+
+/// Fold one 64-byte block into `state`.
+fn compress(state: &mut [u32; 5], block: &[u8; 64]) {
+    let mut w = [0u32; 80];
+    for (i, word) in block.chunks_exact(4).enumerate() {
+        w[i] = u32::from_be_bytes([word[0], word[1], word[2], word[3]]);
+    }
+    for i in 16..80 {
+        w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
+    }
+
+    let (mut a, mut b, mut c, mut d, mut e) = (state[0], state[1], state[2], state[3], state[4]);
+
+    for (i, &wi) in w.iter().enumerate() {
+        let (f, k) = match i {
+            0..=19 => ((b & c) | ((!b) & d), 0x5A827999),
+            20..=39 => (b ^ c ^ d, 0x6ED9EBA1),
+            40..=59 => ((b & c) | (b & d) | (c & d), 0x8F1BBCDC),
+            _ => (b ^ c ^ d, 0xCA62C1D6),
+        };
+        let temp = a
+            .rotate_left(5)
+            .wrapping_add(f)
+            .wrapping_add(e)
+            .wrapping_add(k)
+            .wrapping_add(wi);
+        e = d;
+        d = c;
+        c = b.rotate_left(30);
+        b = a;
+        a = temp;
+    }
+
+    state[0] = state[0].wrapping_add(a);
+    state[1] = state[1].wrapping_add(b);
+    state[2] = state[2].wrapping_add(c);
+    state[3] = state[3].wrapping_add(d);
+    state[4] = state[4].wrapping_add(e);
+}
+
 /// Compute the SHA-1 digest of `data`.
 ///
 /// ```
@@ -19,62 +128,9 @@ pub const DIGEST_LEN: usize = 20;
 /// assert_eq!(d.len(), 20);
 /// ```
 pub fn sha1(data: &[u8]) -> [u8; DIGEST_LEN] {
-    let mut state: [u32; 5] = [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0];
-
-    // Message padding: append 0x80, zeros, then the 64-bit big-endian bit length.
-    let bit_len = (data.len() as u64).wrapping_mul(8);
-    let mut msg = Vec::with_capacity(data.len() + 72);
-    msg.extend_from_slice(data);
-    msg.push(0x80);
-    while msg.len() % 64 != 56 {
-        msg.push(0);
-    }
-    msg.extend_from_slice(&bit_len.to_be_bytes());
-
-    let mut w = [0u32; 80];
-    for block in msg.chunks_exact(64) {
-        for (i, word) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([word[0], word[1], word[2], word[3]]);
-        }
-        for i in 16..80 {
-            w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
-        }
-
-        let (mut a, mut b, mut c, mut d, mut e) =
-            (state[0], state[1], state[2], state[3], state[4]);
-
-        for (i, &wi) in w.iter().enumerate() {
-            let (f, k) = match i {
-                0..=19 => ((b & c) | ((!b) & d), 0x5A827999),
-                20..=39 => (b ^ c ^ d, 0x6ED9EBA1),
-                40..=59 => ((b & c) | (b & d) | (c & d), 0x8F1BBCDC),
-                _ => (b ^ c ^ d, 0xCA62C1D6),
-            };
-            let temp = a
-                .rotate_left(5)
-                .wrapping_add(f)
-                .wrapping_add(e)
-                .wrapping_add(k)
-                .wrapping_add(wi);
-            e = d;
-            d = c;
-            c = b.rotate_left(30);
-            b = a;
-            a = temp;
-        }
-
-        state[0] = state[0].wrapping_add(a);
-        state[1] = state[1].wrapping_add(b);
-        state[2] = state[2].wrapping_add(c);
-        state[3] = state[3].wrapping_add(d);
-        state[4] = state[4].wrapping_add(e);
-    }
-
-    let mut out = [0u8; DIGEST_LEN];
-    for (i, s) in state.iter().enumerate() {
-        out[i * 4..i * 4 + 4].copy_from_slice(&s.to_be_bytes());
-    }
-    out
+    let mut hasher = Sha1::new();
+    hasher.update(data);
+    hasher.finish()
 }
 
 /// Hexadecimal rendering of a SHA-1 digest, handy for debugging and tests.
@@ -134,6 +190,23 @@ mod tests {
             to_hex(&sha1(&data)),
             "0098ba824b5c16427bd7a1122a5a442a25ec644d"
         );
+    }
+
+    #[test]
+    fn streaming_in_any_chunking_matches_one_shot() {
+        // Lengths around the 55/56/64-byte padding edges, fed in pieces
+        // of every size, must agree with the one-shot digest.
+        let data: Vec<u8> = (0..200u8).collect();
+        for len in [0, 1, 54, 55, 56, 57, 63, 64, 65, 119, 120, 128, 200] {
+            let expected = sha1(&data[..len]);
+            for piece in [1, 3, 7, 64, 65] {
+                let mut h = Sha1::new();
+                for chunk in data[..len].chunks(piece) {
+                    h.update(chunk);
+                }
+                assert_eq!(h.finish(), expected, "len {len}, pieces of {piece}");
+            }
+        }
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //!   engine, with serialized-size accounting and key/hash extraction.
 
 use crate::key::Key160;
+use crate::sha1::Sha1;
 use crate::value::Value;
 use std::fmt;
 
@@ -82,15 +83,50 @@ impl fmt::Display for TupleId {
     }
 }
 
-/// Hash a slice of values onto the key ring.  This is the hash used for
+/// One entry of an index page: the ID of a tuple version together with
+/// the ring position of its key.
+///
+/// The position is a pure function of `id.key`, but computing it costs a
+/// SHA-1, and the read path needs it for every listed tuple (range
+/// filter, data-node lookup).  It is therefore computed **once**, when
+/// the version is published — publication hashes the key anyway to pick
+/// the partition — and then travels with the ID: into every later
+/// version of the page, into epoch deltas, to every replica.  Readers
+/// never hash.
+#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct PageEntry {
+    /// The tuple version listed.
+    pub id: TupleId,
+    /// `id.hash_key()`, cached.
+    pub position: Key160,
+}
+
+impl PageEntry {
+    /// List `id` at the ring position the caller already computed for
+    /// its key.
+    pub fn new(id: TupleId, position: Key160) -> PageEntry {
+        debug_assert_eq!(position, id.hash_key(), "cached position of {id}");
+        PageEntry { id, position }
+    }
+
+    /// List `id`, hashing its key to find the position.  For callers
+    /// that have no position at hand (tests, tools); publication and
+    /// page versioning use [`PageEntry::new`] and carry positions forward.
+    pub fn hashed(id: TupleId) -> PageEntry {
+        let position = id.hash_key();
+        PageEntry { id, position }
+    }
+}
+
+/// Hash a sequence of values onto the key ring.  This is the hash used for
 /// data partitioning, for rehash (exchange) routing, and for locating
 /// tuples by key.
-pub fn hash_values(values: &[Value]) -> Key160 {
-    let mut buf = Vec::with_capacity(16 * values.len());
+pub fn hash_values<'a>(values: impl IntoIterator<Item = &'a Value>) -> Key160 {
+    let mut hasher = Sha1::new();
     for v in values {
-        v.encode_to(&mut buf);
+        v.encode_with(|bytes| hasher.update(bytes));
     }
-    Key160::hash(&buf)
+    Key160::from_bytes(&hasher.finish())
 }
 
 /// A relational tuple: an ordered row of values.
@@ -144,8 +180,7 @@ impl Tuple {
     /// the rehash operator, which partitions "by hashing on some subset of
     /// the tuples' attributes".
     pub fn hash_columns(&self, columns: &[usize]) -> Key160 {
-        let projected: Vec<Value> = columns.iter().map(|c| self.values[*c].clone()).collect();
-        hash_values(&projected)
+        hash_values(columns.iter().map(|c| &self.values[*c]))
     }
 
     /// Tuple ID for this tuple at `epoch`, with the first `key_len`

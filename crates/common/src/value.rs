@@ -83,20 +83,27 @@ impl Value {
     /// real data shipping in the simulator and for computing stable hash
     /// keys of composite tuple keys.
     pub fn encode_to(&self, out: &mut Vec<u8>) {
+        self.encode_with(|bytes| out.extend_from_slice(bytes));
+    }
+
+    /// Hand the wire encoding of this value to `sink`, piece by piece —
+    /// [`Value::encode_to`] for consumers that do not want a buffer (key
+    /// hashing streams the pieces straight into SHA-1).
+    pub(crate) fn encode_with(&self, mut sink: impl FnMut(&[u8])) {
         match self {
-            Value::Null => out.push(0),
+            Value::Null => sink(&[0]),
             Value::Int(v) => {
-                out.push(1);
-                out.extend_from_slice(&v.to_be_bytes());
+                sink(&[1]);
+                sink(&v.to_be_bytes());
             }
             Value::Double(v) => {
-                out.push(2);
-                out.extend_from_slice(&v.to_be_bytes());
+                sink(&[2]);
+                sink(&v.to_be_bytes());
             }
             Value::Str(s) => {
-                out.push(3);
-                out.extend_from_slice(&(s.len() as u32).to_be_bytes());
-                out.extend_from_slice(s.as_bytes());
+                sink(&[3]);
+                sink(&(s.len() as u32).to_be_bytes());
+                sink(s.as_bytes());
             }
         }
     }

@@ -13,12 +13,11 @@ use super::pipeline::{Runtime, WC_SCAN};
 use crate::batch::TupleBatch;
 use crate::expr::Predicate;
 use crate::plan::{OpId, OperatorKind};
-use crate::provenance::TaggedTuple;
+use crate::provenance::{Phase, TaggedTuple};
 use orchestra_common::{
     ColumnarBatch, Epoch, KeyRange, NodeId, NodeSet, OrchestraError, Result, Tuple, Value,
 };
 use orchestra_simnet::SimTime;
-use orchestra_storage::CoordinatorKey;
 use std::time::Instant;
 
 use super::exchange::Payload;
@@ -33,6 +32,11 @@ impl Runtime<'_> {
         // or replace it with a signed delta scan over an epoch interval.
         let epoch = self.overrides.epoch_of(op).unwrap_or(self.epoch);
         let delta = self.overrides.delta_of(op);
+        let emit = Emit {
+            node,
+            phase: self.phase,
+            legacy_row_path: self.config.legacy_row_path,
+        };
         if delta.is_some() && !matches!(kind, OperatorKind::DistributedScan { .. }) {
             return Err(OrchestraError::Execution(format!(
                 "operator {} has no delta scan path",
@@ -52,7 +56,7 @@ impl Runtime<'_> {
                     let scan = self
                         .storage
                         .get()
-                        .delta_partition(relation, from, to, node, &ranges)?;
+                        .delta_partition_ref(relation, from, to, node, &ranges)?;
                     self.stats.pages_read += scan.pages_read;
                     self.stats.tuples_scanned += scan.tuples_read;
                     self.stats.remote_lookups += scan.remote_lookups;
@@ -69,13 +73,15 @@ impl Runtime<'_> {
                     // The scan predicate applies to both signs: a removed
                     // version only ever contributed if it passed, and an
                     // added version only contributes if it passes.
-                    let rows = self.emit_delta(scan.rows, predicate, node);
+                    let wall = Instant::now();
+                    let rows = emit_delta(&scan.rows, predicate, emit);
+                    self.record_wall(WC_SCAN, rows.len(), wall);
                     return Ok((rows, duration));
                 }
                 let scan = self
                     .storage
                     .get()
-                    .scan_partition(relation, epoch, node, &ranges)?;
+                    .scan_partition_ref(relation, epoch, node, &ranges)?;
                 self.stats.pages_read += scan.pages_read;
                 self.stats.tuples_scanned += scan.tuples_read;
                 self.stats.remote_lookups += scan.remote_lookups;
@@ -92,7 +98,9 @@ impl Runtime<'_> {
                         duration = duration.max(arrival.saturating_sub(now));
                     }
                 }
-                let rows = self.emit_scanned(scan.tuples, predicate, node);
+                let wall = Instant::now();
+                let rows = emit_scanned(&scan.tuples, predicate, emit);
+                self.record_wall(WC_SCAN, rows.len(), wall);
                 Ok((rows, duration))
             }
             OperatorKind::ReplicatedScan {
@@ -105,7 +113,9 @@ impl Runtime<'_> {
                 let tuples = self.storage.get().scan_replicated(relation, epoch, node)?;
                 self.stats.tuples_scanned += tuples.len();
                 let duration = profile.scan_time(tuples.len(), 1);
-                let rows = self.emit_scanned(tuples, predicate, node);
+                let wall = Instant::now();
+                let rows = emit_scanned(&tuples, predicate, emit);
+                self.record_wall(WC_SCAN, rows.len(), wall);
                 Ok((rows, duration))
             }
             OperatorKind::CoveringIndexScan {
@@ -119,7 +129,10 @@ impl Runtime<'_> {
                 let (tuples, pages) = self.covering_scan(relation, epoch, &ranges)?;
                 self.stats.pages_read += pages;
                 let duration = profile.scan_time(tuples.len(), pages);
-                let rows = self.emit_scanned(tuples, predicate, node);
+                let tuples: Vec<&Tuple> = tuples.iter().collect();
+                let wall = Instant::now();
+                let rows = emit_scanned(&tuples, predicate, emit);
+                self.record_wall(WC_SCAN, rows.len(), wall);
                 Ok((rows, duration))
             }
             other => Err(OrchestraError::Execution(format!(
@@ -137,25 +150,21 @@ impl Runtime<'_> {
         epoch: Epoch,
         ranges: &[KeyRange],
     ) -> Result<(Vec<Tuple>, usize)> {
-        let Some(version_epoch) = self.storage.get().version_at(relation, epoch) else {
+        let storage = self.storage.get();
+        let Some(version) = storage.version_record(relation, epoch)? else {
             return Ok((Vec::new(), 0));
         };
-        let version = self
-            .storage
-            .get()
-            .lookup_coordinator(&CoordinatorKey::new(relation, version_epoch))?
-            .clone();
         let mut out = Vec::new();
         let mut pages = 0;
         for descriptor in &version.pages {
             if !ranges.iter().any(|r| r.overlaps(&descriptor.range)) {
                 continue;
             }
-            let page = self.storage.get().lookup_index_page(descriptor)?;
+            let page = storage.lookup_index_page(descriptor)?;
             pages += 1;
-            for id in &page.tuple_ids {
-                if ranges.iter().any(|r| r.contains(id.hash_key())) {
-                    out.push(Tuple::new(id.key.clone()));
+            for entry in &page.entries {
+                if ranges.iter().any(|r| r.contains(entry.position)) {
+                    out.push(Tuple::new(entry.id.key.clone()));
                 }
             }
         }
@@ -163,94 +172,80 @@ impl Runtime<'_> {
     }
 }
 
-impl Runtime<'_> {
-    /// Turn freshly scanned tuples into the scan operator's output batch,
-    /// tagged with the scanning node's provenance.  The scan predicate
-    /// filters the tuple stream *before* the batch is built (late
-    /// materialization: a dropped row is never interned or accounted), so
-    /// only surviving rows pay columnarization.  On the legacy row path
-    /// each survivor becomes an individual tagged row object, exactly as
-    /// the engine worked before the columnar refactor, and only then is
-    /// packed for the wire.  Only this emission work is on the wall
-    /// clock — the storage fetch above it is identical on both paths.
-    fn emit_scanned(
-        &mut self,
-        tuples: Vec<Tuple>,
-        predicate: &Option<Predicate>,
-        node: NodeId,
-    ) -> TupleBatch {
-        let wall = Instant::now();
-        let arity = tuples.iter().map(|t| t.arity()).max().unwrap_or(0);
-        let tuples = filter_scanned(tuples, predicate);
-        let batch = if self.config.legacy_row_path {
-            let phase = self.phase;
-            let rows: Vec<TaggedTuple> = tuples
-                .into_iter()
-                .map(|t| TaggedTuple::scanned(pad_to(t, arity), node, phase))
-                .collect();
-            TupleBatch::from_rows(rows)
-        } else {
-            let batch =
-                ColumnarBatch::from_tuples(arity, tuples, 1, NodeSet::singleton(node), self.phase);
-            TupleBatch::from_columnar(batch)
-        };
-        self.record_wall(WC_SCAN, batch.len(), wall);
-        batch
-    }
+/// What scan emission needs to know besides the rows: whose provenance
+/// tag and which phase the rows get, and which data path they take.
+#[derive(Clone, Copy)]
+struct Emit {
+    node: NodeId,
+    phase: Phase,
+    legacy_row_path: bool,
+}
 
-    /// [`Runtime::emit_scanned`] for signed delta scans: every row carries
-    /// its own `+1`/`-1` sign from the epoch interval.
-    fn emit_delta(
-        &mut self,
-        signed: Vec<(Tuple, i8)>,
-        predicate: &Option<Predicate>,
-        node: NodeId,
-    ) -> TupleBatch {
-        let wall = Instant::now();
-        let arity = signed.iter().map(|(t, _)| t.arity()).max().unwrap_or(0);
-        let phase = self.phase;
-        let prov = NodeSet::singleton(node);
-        let signed: Vec<(Tuple, i8)> = match predicate {
-            Some(p) => signed.into_iter().filter(|(t, _)| p.eval(t)).collect(),
-            None => signed,
-        };
-        let batch = if self.config.legacy_row_path {
-            let rows: Vec<TaggedTuple> = signed
-                .into_iter()
-                .map(|(t, sign)| TaggedTuple {
-                    tuple: pad_to(t, arity),
-                    provenance: prov,
-                    phase,
-                    sign,
-                })
-                .collect();
-            TupleBatch::from_rows(rows)
-        } else {
-            let mut batch = ColumnarBatch::new(arity);
-            for (t, sign) in signed {
-                let mut values = t.into_values();
-                values.resize(arity, Value::Null);
-                batch.push_row_owned(values, sign, prov, phase);
-            }
-            TupleBatch::from_columnar(batch)
-        };
-        self.record_wall(WC_SCAN, batch.len(), wall);
-        batch
+/// Turn freshly scanned tuples — borrowed from the store — into the scan
+/// operator's output batch, tagged with the scanning node's provenance.
+/// The scan predicate is evaluated on the borrowed tuple *before* the
+/// batch is built (late materialization: a dropped row is never copied,
+/// interned or accounted), and survivors are columnarized straight out of
+/// the store.  On the legacy row path each survivor becomes an individual
+/// tagged row object, exactly as the engine worked before the columnar
+/// refactor, and only then is packed for the wire.  Only this emission
+/// work is on the wall clock — the storage fetch above it is identical on
+/// both paths.
+fn emit_scanned(tuples: &[&Tuple], predicate: &Option<Predicate>, emit: Emit) -> TupleBatch {
+    // The pre-filter maximum, so filtered and unfiltered scans agree on
+    // the batch shape.
+    let arity = tuples.iter().map(|t| t.arity()).max().unwrap_or(0);
+    let survivors = tuples
+        .iter()
+        .copied()
+        .filter(|t| predicate.as_ref().is_none_or(|p| p.eval(t)));
+    if emit.legacy_row_path {
+        let rows: Vec<TaggedTuple> = survivors
+            .map(|t| TaggedTuple::scanned(padded(t, arity), emit.node, emit.phase))
+            .collect();
+        TupleBatch::from_rows(rows)
+    } else {
+        TupleBatch::from_columnar(ColumnarBatch::from_tuples(
+            arity,
+            survivors,
+            1,
+            NodeSet::singleton(emit.node),
+            emit.phase,
+        ))
     }
 }
 
-/// Keep only the tuples satisfying the scan predicate.
-fn filter_scanned(tuples: Vec<Tuple>, predicate: &Option<Predicate>) -> Vec<Tuple> {
-    match predicate {
-        Some(p) => tuples.into_iter().filter(|t| p.eval(t)).collect(),
-        None => tuples,
+/// [`emit_scanned`] for signed delta scans: every row carries its own
+/// `+1`/`-1` sign from the epoch interval.
+fn emit_delta(signed: &[(&Tuple, i8)], predicate: &Option<Predicate>, emit: Emit) -> TupleBatch {
+    let arity = signed.iter().map(|(t, _)| t.arity()).max().unwrap_or(0);
+    let provenance = NodeSet::singleton(emit.node);
+    let survivors = signed
+        .iter()
+        .copied()
+        .filter(|(t, _)| predicate.as_ref().is_none_or(|p| p.eval(t)));
+    if emit.legacy_row_path {
+        let rows: Vec<TaggedTuple> = survivors
+            .map(|(t, sign)| TaggedTuple {
+                tuple: padded(t, arity),
+                provenance,
+                phase: emit.phase,
+                sign,
+            })
+            .collect();
+        TupleBatch::from_rows(rows)
+    } else {
+        let mut batch = ColumnarBatch::new(arity);
+        for (t, sign) in survivors {
+            batch.push_row_padded(t.values(), sign, provenance, emit.phase);
+        }
+        TupleBatch::from_columnar(batch)
     }
 }
 
-/// Pad `t` with NULLs up to `arity` (the pre-filter maximum, so filtered
-/// and unfiltered scans agree on the batch shape).
-fn pad_to(t: Tuple, arity: usize) -> Tuple {
-    let mut values = t.into_values();
+/// An owned copy of `t`, padded with NULLs up to `arity`.
+fn padded(t: &Tuple, arity: usize) -> Tuple {
+    let mut values = t.values().to_vec();
     values.resize(arity, Value::Null);
     Tuple::new(values)
 }

@@ -604,7 +604,7 @@ mod tests {
                 Value::Double(2.0),
             ]),
         ];
-        let batch = ColumnarBatch::from_tuples(4, rows.clone(), 1, NodeSet::default(), 0);
+        let batch = ColumnarBatch::from_tuples(4, &rows, 1, NodeSet::default(), 0);
         let preds = [
             Predicate::cmp(0, CmpOp::Ge, 2i64),
             Predicate::cmp(0, CmpOp::Lt, 2.5f64),

@@ -103,7 +103,7 @@ impl JoinState {
             sign,
         } = row;
         let arity = tuple.arity();
-        let batch = ColumnarBatch::from_tuples(arity, [tuple], sign, provenance, phase);
+        let batch = ColumnarBatch::from_tuples(arity, [&tuple], sign, provenance, phase);
         let out = self.process_batch(input, &batch, left_keys, right_keys, node);
         (0..out.len())
             .map(|i| TaggedTuple {
@@ -1029,14 +1029,14 @@ mod tests {
         let mut batch_join = JoinState::new();
         let left_batch = ColumnarBatch::from_tuples(
             2,
-            lefts.iter().map(|t| t.tuple.clone()),
+            lefts.iter().map(|t| &t.tuple),
             1,
             NodeSet::singleton(NodeId(0)),
             0,
         );
         let right_batch = ColumnarBatch::from_tuples(
             2,
-            rights.iter().map(|t| t.tuple.clone()),
+            rights.iter().map(|t| &t.tuple),
             1,
             NodeSet::singleton(NodeId(1)),
             0,

@@ -166,11 +166,10 @@ fn anti_entropy_restores_scan_colocation_after_a_membership_change() {
             .collect();
         let mut min = usize::MAX;
         for node in &live {
-            for (relation, hash, id, _) in storage.store(*node).tuples_with_relation() {
-                let degree = live
-                    .iter()
-                    .filter(|holder| storage.store(**holder).tuple(relation, *hash, id).is_some())
-                    .count();
+            for (relation, position, version) in storage.store(*node).tuples_with_relation() {
+                let holds =
+                    |holder: NodeId| storage.store(holder).tuple(relation, position, &version.id);
+                let degree = live.iter().filter(|h| holds(**h).is_some()).count();
                 min = min.min(degree);
             }
         }

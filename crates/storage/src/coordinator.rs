@@ -75,7 +75,7 @@ impl RelationVersion {
 mod tests {
     use super::*;
     use crate::page::{partition_range, IndexPage, PageId};
-    use orchestra_common::{TupleId, Value};
+    use orchestra_common::{PageEntry, TupleId, Value};
 
     #[test]
     fn coordinator_key_hash_varies_with_epoch_and_name() {
@@ -94,7 +94,7 @@ mod tests {
                 PageId::new("R", Epoch(0), part),
                 partition_range(part, 4),
                 (0..n)
-                    .map(|i| TupleId::new(vec![Value::Int(i as i64)], Epoch(0)))
+                    .map(|i| PageEntry::hashed(TupleId::new(vec![Value::Int(i as i64)], Epoch(0))))
                     .collect(),
             )
             .descriptor()

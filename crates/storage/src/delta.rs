@@ -24,11 +24,11 @@
 //!   partition scan so the simulation charges remote lookups to the
 //!   network.  A modification appears as its `-old`/`+new` pair.
 
-use crate::coordinator::CoordinatorKey;
-use crate::distributed::DistributedStorage;
+use crate::distributed::{charge_remote, DistributedStorage};
 use crate::page::PageDescriptor;
-use orchestra_common::{Epoch, KeyRange, NodeId, OrchestraError, Result, Tuple, TupleId};
+use orchestra_common::{Epoch, KeyRange, NodeId, OrchestraError, PageEntry, Result, Tuple};
 use std::cell::{Cell, RefCell};
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -92,13 +92,15 @@ impl RelationDelta {
 }
 
 /// Result of a signed delta scan executed on behalf of one node — the
-/// delta-reading counterpart of [`crate::distributed::PartitionScan`].
-#[derive(Clone, Debug, Default)]
-pub struct DeltaPartitionScan {
+/// delta-reading counterpart of [`crate::distributed::PartitionScan`],
+/// and like it over borrowed (`DeltaPartitionScan<&Tuple>`) or owned
+/// tuples.
+#[derive(Clone, Debug)]
+pub struct DeltaPartitionScan<T = Tuple> {
     /// The signed tuples of the delta whose key hashes fall in the
     /// requested ranges: `+1` for versions the interval added, `-1` for
     /// versions it removed.
-    pub rows: Vec<(Tuple, i8)>,
+    pub rows: Vec<(T, i8)>,
     /// Index pages consulted (both versions of every diffed page).
     pub pages_read: usize,
     /// Tuple versions fetched.
@@ -109,16 +111,56 @@ pub struct DeltaPartitionScan {
     pub remote_transfers: Vec<(NodeId, usize)>,
 }
 
+impl<T> Default for DeltaPartitionScan<T> {
+    fn default() -> Self {
+        DeltaPartitionScan {
+            rows: Vec::new(),
+            pages_read: 0,
+            tuples_read: 0,
+            remote_lookups: 0,
+            remote_transfers: Vec::new(),
+        }
+    }
+}
+
 /// One partition whose page version differs between the two epochs:
-/// the tuple IDs removed by the interval and the tuple IDs added by it.
+/// the page entries (tuple IDs with their cached ring positions, so a
+/// delta scan hashes nothing) removed by the interval and added by it,
+/// each list in ID order.
 #[derive(Clone)]
 struct PartitionChange {
     partition: u32,
     /// Index pages consulted to diff this partition (1 when only one
     /// version has a page, 2 otherwise).
     pages_read: usize,
-    removed: Vec<TupleId>,
-    added: Vec<TupleId>,
+    removed: Vec<PageEntry>,
+    added: Vec<PageEntry>,
+}
+
+/// Diff two ID-sorted entry lists in one two-pointer walk: the entries
+/// only in `old` and the entries only in `new`, each still sorted.
+fn diff_sorted(old: &[PageEntry], new: &[PageEntry]) -> (Vec<PageEntry>, Vec<PageEntry>) {
+    let (mut removed, mut added) = (Vec::new(), Vec::new());
+    let (mut o, mut n) = (0, 0);
+    while o < old.len() && n < new.len() {
+        match old[o].id.cmp(&new[n].id) {
+            Ordering::Less => {
+                removed.push(old[o].clone());
+                o += 1;
+            }
+            Ordering::Greater => {
+                added.push(new[n].clone());
+                n += 1;
+            }
+            Ordering::Equal => {
+                o += 1;
+                n += 1;
+            }
+        }
+    }
+    removed.extend_from_slice(&old[o..]);
+    added.extend_from_slice(&new[n..]);
+    (removed, added)
 }
 
 /// The derived page diff of one `(relation, from, to)` interval: the
@@ -149,16 +191,12 @@ impl DeltaMemo {
 }
 
 impl DistributedStorage {
-    /// The page descriptors of `relation`'s version visible at `epoch`
-    /// (empty when the relation has no version yet).
-    fn pages_at(&self, relation: &str, epoch: Epoch) -> Result<Vec<PageDescriptor>> {
-        let Some(version_epoch) = self.version_at(relation, epoch) else {
-            return Ok(Vec::new());
-        };
+    /// The page descriptors of `relation`'s version visible at `epoch`,
+    /// ordered by partition (empty when the relation has no version yet).
+    fn pages_at(&self, relation: &str, epoch: Epoch) -> Result<&[PageDescriptor]> {
         Ok(self
-            .lookup_coordinator(&CoordinatorKey::new(relation, version_epoch))?
-            .pages
-            .clone())
+            .version_record(relation, epoch)?
+            .map_or(&[], |version| version.pages.as_slice()))
     }
 
     /// Diff the two versions' page lists, memoized per `(relation, from,
@@ -204,9 +242,11 @@ impl DistributedStorage {
 
     /// The un-memoized derivation behind [`Self::changed_partitions`]:
     /// partitions whose page ID is identical in both versions are shared
-    /// and skipped; the rest are diffed tuple-ID list against tuple-ID
-    /// list.  Returns the changed partitions in partition order plus the
-    /// (shared, diffed) page counts.
+    /// and skipped; the rest are diffed entry list against entry list.
+    /// Both descriptor lists are ordered by partition and both entry
+    /// lists by ID, so everything is a two-pointer walk over borrowed
+    /// slices.  Returns the changed partitions in partition order plus
+    /// the (shared, diffed) page counts.
     fn derive_changed_partitions(
         &self,
         relation: &str,
@@ -217,54 +257,42 @@ impl DistributedStorage {
         let new_pages = self.pages_at(relation, to)?;
         let mut shared = 0;
         let mut changes = Vec::new();
-        for new_desc in &new_pages {
-            let old_desc = old_pages
-                .iter()
-                .find(|d| d.id.partition == new_desc.id.partition);
-            if old_desc.map(|d| &d.id) == Some(&new_desc.id) {
+        let (mut o, mut n) = (0, 0);
+        while o < old_pages.len() || n < new_pages.len() {
+            // The next partition on either side: both descriptors when
+            // both versions have it.  Pages never disappear across
+            // versions (an untouched page is carried forward), but stay
+            // defensive: a partition only the old version has is
+            // all-removed.
+            let (old_desc, new_desc) = match (old_pages.get(o), new_pages.get(n)) {
+                (Some(old), Some(new)) => match old.id.partition.cmp(&new.id.partition) {
+                    Ordering::Less => (Some(old), None),
+                    Ordering::Greater => (None, Some(new)),
+                    Ordering::Equal => (Some(old), Some(new)),
+                },
+                one_sided => one_sided,
+            };
+            o += usize::from(old_desc.is_some());
+            n += usize::from(new_desc.is_some());
+            if old_desc.map(|d| &d.id) == new_desc.map(|d| &d.id) {
                 shared += 1;
                 continue;
             }
-            let old_ids: Vec<TupleId> = match old_desc {
-                Some(d) => self.lookup_index_page(d)?.tuple_ids.clone(),
-                None => Vec::new(),
+            let entries_of = |desc: Option<&PageDescriptor>| -> Result<&[PageEntry]> {
+                Ok(match desc {
+                    Some(d) => &self.lookup_index_page(d)?.entries,
+                    None => &[],
+                })
             };
-            let new_ids = self.lookup_index_page(new_desc)?.tuple_ids.clone();
-            let removed: Vec<TupleId> = old_ids
-                .iter()
-                .filter(|id| new_ids.binary_search(id).is_err())
-                .cloned()
-                .collect();
-            let added: Vec<TupleId> = new_ids
-                .iter()
-                .filter(|id| old_ids.binary_search(id).is_err())
-                .cloned()
-                .collect();
+            let (removed, added) = diff_sorted(entries_of(old_desc)?, entries_of(new_desc)?);
+            let described = old_desc.or(new_desc).expect("one side is present");
             changes.push(PartitionChange {
-                partition: new_desc.id.partition,
-                pages_read: if old_desc.is_some() { 2 } else { 1 },
+                partition: described.id.partition,
+                pages_read: usize::from(old_desc.is_some()) + usize::from(new_desc.is_some()),
                 removed,
                 added,
             });
         }
-        // Pages never disappear across versions (an untouched page is
-        // carried forward), but stay defensive: a partition present only
-        // in the old version is all-removed.
-        for old_desc in &old_pages {
-            if new_pages
-                .iter()
-                .any(|d| d.id.partition == old_desc.id.partition)
-            {
-                continue;
-            }
-            changes.push(PartitionChange {
-                partition: old_desc.id.partition,
-                pages_read: 1,
-                removed: self.lookup_index_page(old_desc)?.tuple_ids.clone(),
-                added: Vec::new(),
-            });
-        }
-        changes.sort_by_key(|c| c.partition);
         let diffed = changes.len();
         Ok((changes, shared, diffed))
     }
@@ -285,17 +313,18 @@ impl DistributedStorage {
                 partition: change.partition,
                 ..PartitionDelta::default()
             };
-            let fetch =
-                |id: &TupleId| -> Result<Tuple> { Ok(self.lookup_tuple(relation, id, None)?.0) };
+            let fetch = |entry: &PageEntry| -> Result<Tuple> {
+                Ok(self.lookup_tuple(relation, entry, None)?.0.clone())
+            };
             let (mut r, mut a) = (0, 0);
             while r < change.removed.len() || a < change.added.len() {
                 match (change.removed.get(r), change.added.get(a)) {
-                    (Some(old), Some(new)) if old.key == new.key => {
+                    (Some(old), Some(new)) if old.id.key == new.id.key => {
                         delta.modifies.push((fetch(old)?, fetch(new)?));
                         r += 1;
                         a += 1;
                     }
-                    (Some(old), Some(new)) if old.key < new.key => {
+                    (Some(old), Some(new)) if old.id.key < new.id.key => {
                         delta.deletes.push(fetch(old)?);
                         r += 1;
                     }
@@ -348,7 +377,41 @@ impl DistributedStorage {
     /// removed by it with sign `-1`; old versions are still resolvable
     /// because the store is log-structured, so the scan (like a full
     /// partition scan) can be deterministically re-run over inherited
-    /// ranges during failure recovery.
+    /// ranges during failure recovery.  Like
+    /// [`DistributedStorage::scan_partition_ref`] it filters by cached
+    /// ring position and borrows the tuples.
+    pub fn delta_partition_ref(
+        &self,
+        relation: &str,
+        from: Epoch,
+        to: Epoch,
+        node: NodeId,
+        ranges: &[KeyRange],
+    ) -> Result<DeltaPartitionScan<&Tuple>> {
+        let mut scan = DeltaPartitionScan::default();
+        let derived = self.changed_partitions(relation, from, to)?;
+        for change in &derived.0 {
+            scan.pages_read += change.pages_read;
+            for (entries, sign) in [(&change.removed, -1i8), (&change.added, 1i8)] {
+                for entry in entries {
+                    if !ranges.iter().any(|r| r.contains(entry.position)) {
+                        continue;
+                    }
+                    let (tuple, remote) = self.lookup_tuple(relation, entry, Some(node))?;
+                    scan.tuples_read += 1;
+                    if let Some(src) = remote {
+                        scan.remote_lookups += 1;
+                        charge_remote(&mut scan.remote_transfers, src, tuple.serialized_size());
+                    }
+                    scan.rows.push((tuple, sign));
+                }
+            }
+        }
+        Ok(scan)
+    }
+
+    /// [`Self::delta_partition_ref`] for callers that want to own the
+    /// tuples: the same scan, cloned out of the store.
     pub fn delta_partition(
         &self,
         relation: &str,
@@ -357,31 +420,14 @@ impl DistributedStorage {
         node: NodeId,
         ranges: &[KeyRange],
     ) -> Result<DeltaPartitionScan> {
-        let mut scan = DeltaPartitionScan::default();
-        let derived = self.changed_partitions(relation, from, to)?;
-        for change in &derived.0 {
-            scan.pages_read += change.pages_read;
-            for (ids, sign) in [(&change.removed, -1i8), (&change.added, 1i8)] {
-                for id in ids.iter() {
-                    let hash = id.hash_key();
-                    if !ranges.iter().any(|r| r.contains(hash)) {
-                        continue;
-                    }
-                    let (tuple, remote) = self.lookup_tuple(relation, id, Some(node))?;
-                    scan.tuples_read += 1;
-                    if let Some(src) = remote {
-                        scan.remote_lookups += 1;
-                        let bytes = tuple.serialized_size();
-                        match scan.remote_transfers.iter_mut().find(|(n, _)| *n == src) {
-                            Some((_, b)) => *b += bytes,
-                            None => scan.remote_transfers.push((src, bytes)),
-                        }
-                    }
-                    scan.rows.push((tuple, sign));
-                }
-            }
-        }
-        Ok(scan)
+        let scan = self.delta_partition_ref(relation, from, to, node, ranges)?;
+        Ok(DeltaPartitionScan {
+            rows: scan.rows.into_iter().map(|(t, s)| (t.clone(), s)).collect(),
+            pages_read: scan.pages_read,
+            tuples_read: scan.tuples_read,
+            remote_lookups: scan.remote_lookups,
+            remote_transfers: scan.remote_transfers,
+        })
     }
 }
 

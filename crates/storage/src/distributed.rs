@@ -12,19 +12,44 @@
 //! [`UpdateBatch`] as a new epoch, creating new versions only of the index
 //! pages actually touched and sharing all others with the previous
 //! version.  Retrieval ([`DistributedStorage::retrieve`]) implements
-//! Algorithm 1; [`DistributedStorage::scan_partition`] is the same access
-//! path restricted to the ranges owned by one executing node, which is how
-//! the query engine's distributed scans consume storage.
+//! Algorithm 1; [`DistributedStorage::scan_partition_ref`] is the same
+//! access path restricted to the ranges owned by one executing node, which
+//! is how the query engine's distributed scans consume storage.
+//!
+//! ## Epochs are physically immutable and shared
+//!
+//! What an epoch publishes never changes, so it is built once and
+//! *pointed to*: publication wraps each new coordinator record, page
+//! version and tuple version in an `Arc` and hands the owner and every
+//! replica a clone of the pointer; anti-entropy repairs a placement by
+//! copying pointers; and the per-node stores themselves sit behind `Arc`s
+//! that are copied on first write, so cloning the whole cluster (the
+//! engine does, to fail a node in a scratch copy) costs one pointer per
+//! node and a clone that is then published to, failed or cleared leaves
+//! the original exactly as it was.
+//!
+//! ## The read path neither hashes nor copies
+//!
+//! A tuple key is hashed onto the ring exactly once, by the publication
+//! that creates the version; the position is stored beside the tuple ID
+//! in the index page ([`orchestra_common::PageEntry`]) and carried into
+//! every later page version.  Scans, delta scans and retrieval filter and
+//! locate tuples by that cached position and *borrow* the coordinator
+//! record, the page and the tuples from the store —
+//! [`DistributedStorage::scan_partition`] is a thin wrapper that clones
+//! the borrowed result for callers that want to own it.
 
 use crate::coordinator::{CoordinatorKey, RelationVersion};
-use crate::node_store::NodeStore;
+use crate::node_store::{NodeStore, TupleVersion};
 use crate::page::{partition_of, partition_range, IndexPage, PageDescriptor, PageId};
 use crate::update::{Update, UpdateBatch};
 use orchestra_common::{
-    Epoch, Key160, KeyRange, NodeId, NodeSet, OrchestraError, Relation, Result, Tuple, TupleId,
+    Epoch, Key160, KeyRange, NodeId, NodeSet, OrchestraError, PageEntry, Relation, Result, Tuple,
+    TupleId,
 };
 use orchestra_substrate::RoutingTable;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Configuration of the storage layer.
 #[derive(Clone, Copy, Debug)]
@@ -45,12 +70,14 @@ impl Default for StorageConfig {
     }
 }
 
-/// Result of a partition scan executed on behalf of one node.
-#[derive(Clone, Debug, Default)]
-pub struct PartitionScan {
+/// Result of a partition scan executed on behalf of one node: of
+/// borrowed tuples (`PartitionScan<&Tuple>`, what
+/// [`DistributedStorage::scan_partition_ref`] returns) or of owned ones.
+#[derive(Clone, Debug)]
+pub struct PartitionScan<T = Tuple> {
     /// The tuples of the requested version whose key hashes fall in the
-    /// requested ranges.
-    pub tuples: Vec<Tuple>,
+    /// requested ranges, in page order and, within a page, ID order.
+    pub tuples: Vec<T>,
     /// Index pages consulted.
     pub pages_read: usize,
     /// Tuple versions fetched.
@@ -62,6 +89,27 @@ pub struct PartitionScan {
     /// Bytes fetched from each remote holder, aggregated per source node
     /// — the transfers the simulation must charge to the network.
     pub remote_transfers: Vec<(NodeId, usize)>,
+}
+
+impl<T> Default for PartitionScan<T> {
+    fn default() -> Self {
+        PartitionScan {
+            tuples: Vec::new(),
+            pages_read: 0,
+            tuples_read: 0,
+            remote_lookups: 0,
+            remote_transfers: Vec::new(),
+        }
+    }
+}
+
+/// Account for one tuple that had to be fetched from the remote holder
+/// `src`: transfers are aggregated per source node, in first-use order.
+pub(crate) fn charge_remote(transfers: &mut Vec<(NodeId, usize)>, src: NodeId, bytes: usize) {
+    match transfers.iter_mut().find(|(n, _)| *n == src) {
+        Some((_, b)) => *b += bytes,
+        None => transfers.push((src, bytes)),
+    }
 }
 
 /// Result of a full Algorithm 1 retrieval.
@@ -78,14 +126,16 @@ pub struct RetrievalResult {
 
 /// The distributed, replicated, versioned storage layer.
 ///
-/// `Clone` duplicates the entire simulated cluster state; the query
-/// engine uses this to run failure experiments against a scratch copy
-/// without disturbing the caller's store.
+/// `Clone` is cheap — one pointer per node; the clone and the original
+/// share every node's store until one of them writes to it — and
+/// isolating: the query engine fails nodes in a scratch clone without
+/// disturbing the caller's store.
 #[derive(Clone)]
 pub struct DistributedStorage {
     config: StorageConfig,
     routing: RoutingTable,
-    stores: Vec<NodeStore>,
+    /// Copy-on-write: written through [`Arc::make_mut`] only.
+    stores: Vec<Arc<NodeStore>>,
     failed: NodeSet,
     catalog: HashMap<String, Relation>,
     relation_epochs: HashMap<String, Vec<Epoch>>,
@@ -106,7 +156,7 @@ impl DistributedStorage {
             .max()
             .expect("routing table has at least one node");
         let stores = (0..=max_index as u16)
-            .map(|i| NodeStore::new(NodeId(i)))
+            .map(|i| Arc::new(NodeStore::new(NodeId(i))))
             .collect();
         DistributedStorage {
             config,
@@ -138,7 +188,7 @@ impl DistributedStorage {
         let max_index = routing.nodes().iter().map(|n| n.index()).max().unwrap_or(0);
         while self.stores.len() <= max_index {
             self.stores
-                .push(NodeStore::new(NodeId(self.stores.len() as u16)));
+                .push(Arc::new(NodeStore::new(NodeId(self.stores.len() as u16))));
         }
         self.routing = routing;
     }
@@ -191,9 +241,10 @@ impl DistributedStorage {
     }
 
     /// Mutable access to one node's local store (anti-entropy, failure
-    /// injection).
+    /// injection).  If a clone of this storage still shares the store, it
+    /// is unshared first (its maps of pointers are copied, not the data).
     pub fn store_mut(&mut self, node: NodeId) -> &mut NodeStore {
-        &mut self.stores[node.index()]
+        Arc::make_mut(&mut self.stores[node.index()])
     }
 
     // ------------------------------------------------------------------
@@ -217,14 +268,11 @@ impl DistributedStorage {
     }
 
     fn publish_relation(&mut self, name: &str, epoch: Epoch, updates: &[Update]) -> Result<()> {
-        let relation = self
-            .catalog
-            .get(name)
-            .ok_or_else(|| {
-                OrchestraError::StorageInvalid(format!("relation {name} is not registered"))
-            })?
-            .clone();
+        let relation = self.catalog.get(name).ok_or_else(|| {
+            OrchestraError::StorageInvalid(format!("relation {name} is not registered"))
+        })?;
         let key_len = relation.schema().key_len();
+        let replicated = relation.is_replicated();
         let parts = self.config.partitions_per_relation;
 
         // Previous version of the relation, if any.
@@ -232,16 +280,17 @@ impl DistributedStorage {
             .relation_epochs
             .get(name)
             .and_then(|v| v.last().copied());
-        let prev_version: Option<RelationVersion> = match prev_epoch {
-            Some(e) => Some(
-                self.lookup_coordinator(&CoordinatorKey::new(name, e))?
-                    .clone(),
-            ),
+        let prev_version: Option<Arc<RelationVersion>> = match prev_epoch {
+            Some(e) => Some(Arc::clone(
+                self.lookup_coordinator(&CoordinatorKey::new(name, e))?,
+            )),
             None => None,
         };
 
-        // Group the updates by index-page partition.
-        let mut by_partition: HashMap<u32, Vec<&Update>> = HashMap::new();
+        // Group the updates by index-page partition.  This is the one
+        // place a tuple key is hashed: the position picks the partition
+        // here, then rides along into the page entry and the data nodes.
+        let mut by_partition: HashMap<u32, Vec<(&Update, Key160)>> = HashMap::new();
         for up in updates {
             let key = up.key(key_len);
             if key.len() < key_len {
@@ -250,11 +299,11 @@ impl DistributedStorage {
                     key.len()
                 )));
             }
-            let hash = orchestra_common::tuple::hash_values(key);
+            let position = orchestra_common::tuple::hash_values(key);
             by_partition
-                .entry(partition_of(hash, parts))
+                .entry(partition_of(position, parts))
                 .or_default()
-                .push(up);
+                .push((up, position));
         }
 
         // Start from the previous version's descriptors for untouched pages.
@@ -273,70 +322,64 @@ impl DistributedStorage {
         touched.sort_unstable();
         for partition in touched {
             let ups = &by_partition[&partition];
-            let range = partition_range(partition, parts);
-            let prev_page: Option<IndexPage> = prev_version
+            let prev_page: Option<Arc<IndexPage>> = prev_version
                 .as_ref()
-                .and_then(|v| v.pages.iter().find(|d| d.id.partition == partition))
-                .map(|d| self.lookup_index_page(d).cloned())
+                .and_then(|v| {
+                    // Descriptors are ordered by partition.
+                    let at = v
+                        .pages
+                        .binary_search_by_key(&partition, |d| d.id.partition)
+                        .ok()?;
+                    Some(self.lookup_index_page(&v.pages[at]).map(Arc::clone))
+                })
                 .transpose()?;
 
-            let mut removes: Vec<TupleId> = Vec::new();
-            let mut adds: Vec<TupleId> = Vec::new();
-            let mut new_tuples: Vec<(TupleId, Tuple)> = Vec::new();
-            for up in ups {
-                let key = up.key(key_len).to_vec();
-                match up {
-                    Update::Insert(t) => {
-                        let id = TupleId::new(key, epoch);
-                        adds.push(id.clone());
-                        new_tuples.push((id, t.clone()));
-                    }
-                    Update::Modify(t) => {
-                        if let Some(prev) = prev_page
-                            .as_ref()
-                            .and_then(|p| p.tuple_ids.iter().find(|i| i.key == key))
-                        {
-                            removes.push(prev.clone());
-                        }
-                        let id = TupleId::new(key, epoch);
-                        adds.push(id.clone());
-                        new_tuples.push((id, t.clone()));
-                    }
-                    Update::Delete(_) => {
-                        if let Some(prev) = prev_page
-                            .as_ref()
-                            .and_then(|p| p.tuple_ids.iter().find(|i| i.key == key))
-                        {
-                            removes.push(prev.clone());
-                        }
+            // The superseded versions are found in (and borrowed from) the
+            // key-sorted previous page by binary search.
+            let mut removes: Vec<&TupleId> = Vec::new();
+            let mut new_tuples: Vec<(Key160, Arc<TupleVersion>)> = Vec::new();
+            for (up, position) in ups {
+                let key = up.key(key_len);
+                if !up.is_insert() {
+                    if let Some(prev) = prev_page.as_ref().and_then(|p| p.current_version_of(key)) {
+                        removes.push(&prev.id);
                     }
                 }
+                if let Update::Insert(t) | Update::Modify(t) = up {
+                    let id = TupleId::new(key.to_vec(), epoch);
+                    let tuple = t.clone();
+                    new_tuples.push((*position, Arc::new(TupleVersion { id, tuple })));
+                }
             }
+            // The page's copies of the IDs are made in a pass of their
+            // own, so they sit together in memory rather than strewn
+            // among the tuple bodies: page walks read them in sequence.
+            let adds: Vec<PageEntry> = new_tuples
+                .iter()
+                .map(|(position, version)| PageEntry::new(version.id.clone(), *position))
+                .collect();
 
-            let new_page = match prev_page {
-                Some(p) => p.next_version(epoch, &removes, adds),
-                None => IndexPage::new(PageId::new(name, epoch, partition), range, adds),
-            };
+            let new_page = Arc::new(match &prev_page {
+                Some(p) => p.next_version(epoch, removes, adds),
+                None => IndexPage::new(
+                    PageId::new(name, epoch, partition),
+                    partition_range(partition, parts),
+                    adds,
+                ),
+            });
 
             // Write the tuples to their data storage nodes (+ replicas), or
-            // to every node for replicated relations.
-            for (id, tuple) in new_tuples {
-                let hash = id.hash_key();
-                if relation.is_replicated() {
-                    for node in self.routing.nodes() {
-                        if !self.failed.contains(node) {
-                            self.stores[node.index()].put_tuple(
-                                name,
-                                hash,
-                                id.clone(),
-                                tuple.clone(),
-                            );
-                        }
-                    }
+            // to every node for replicated relations.  Every holder gets a
+            // pointer to the one allocation.
+            for (position, version) in new_tuples {
+                let holders: Vec<NodeId> = if replicated {
+                    self.live_nodes().collect()
                 } else {
-                    for node in self.live_replicas(hash) {
-                        self.stores[node.index()].put_tuple(name, hash, id.clone(), tuple.clone());
-                    }
+                    self.live_replicas(position)
+                };
+                for node in holders {
+                    self.store_mut(node)
+                        .put_tuple(name, position, Arc::clone(&version));
                 }
             }
 
@@ -344,17 +387,19 @@ impl DistributedStorage {
             // range (+ replicas) and refresh the inverse entries.
             let descriptor = new_page.descriptor();
             for node in self.live_replicas(descriptor.storage_key) {
-                self.stores[node.index()].put_index_page(new_page.clone());
-                self.stores[node.index()].put_inverse(name, partition, new_page.id.clone());
+                let store = self.store_mut(node);
+                store.put_index_page(Arc::clone(&new_page));
+                store.put_inverse(name, partition, new_page.id.clone());
             }
             descriptors.push(descriptor);
         }
 
         // Write the coordinator record for the new version.
         let coord_key = CoordinatorKey::new(name, epoch);
-        let version = RelationVersion::new(coord_key.clone(), descriptors);
-        for node in self.live_replicas(coord_key.hash()) {
-            self.stores[node.index()].put_coordinator(version.clone());
+        let coord_position = coord_key.hash();
+        let version = Arc::new(RelationVersion::new(coord_key, descriptors));
+        for node in self.live_replicas(coord_position) {
+            self.store_mut(node).put_coordinator(Arc::clone(&version));
         }
 
         self.relation_epochs
@@ -390,12 +435,10 @@ impl DistributedStorage {
     /// Cardinality of `relation` at `epoch` (from coordinator metadata —
     /// the statistic the optimizer uses).
     pub fn relation_cardinality(&self, relation: &str, epoch: Epoch) -> usize {
-        let Some(e) = self.version_at(relation, epoch) else {
-            return 0;
-        };
-        self.lookup_coordinator(&CoordinatorKey::new(relation, e))
-            .map(|v| v.tuple_count())
-            .unwrap_or(0)
+        match self.version_record(relation, epoch) {
+            Ok(Some(version)) => version.tuple_count(),
+            _ => 0,
+        }
     }
 
     // ------------------------------------------------------------------
@@ -419,7 +462,7 @@ impl DistributedStorage {
 
     /// Find the coordinator record for `key`, trying the owner, then the
     /// replicas, then every live node.
-    pub fn lookup_coordinator(&self, key: &CoordinatorKey) -> Result<&RelationVersion> {
+    pub fn lookup_coordinator(&self, key: &CoordinatorKey) -> Result<&Arc<RelationVersion>> {
         let hash = key.hash();
         for node in self.live_replicas(hash) {
             if let Some(v) = self.stores[node.index()].coordinator(key) {
@@ -437,9 +480,21 @@ impl DistributedStorage {
         )))
     }
 
+    /// The coordinator record of the version of `relation` visible at
+    /// `epoch`, or `None` when the relation has no version yet.
+    pub fn version_record(
+        &self,
+        relation: &str,
+        epoch: Epoch,
+    ) -> Result<Option<&Arc<RelationVersion>>> {
+        self.version_at(relation, epoch)
+            .map(|e| self.lookup_coordinator(&CoordinatorKey::new(relation, e)))
+            .transpose()
+    }
+
     /// Find an index page, trying its storage position's owner, replicas,
     /// then every live node.
-    pub fn lookup_index_page(&self, descriptor: &PageDescriptor) -> Result<&IndexPage> {
+    pub fn lookup_index_page(&self, descriptor: &PageDescriptor) -> Result<&Arc<IndexPage>> {
         for node in self.live_replicas(descriptor.storage_key) {
             if let Some(p) = self.stores[node.index()].index_page(&descriptor.id) {
                 return Ok(p);
@@ -456,34 +511,35 @@ impl DistributedStorage {
         )))
     }
 
-    /// Find a tuple version by ID, trying the data storage owner, its
-    /// replicas, then every live node.  `preferred` (the scanning node) is
-    /// consulted first; the second element of the result is the remote
-    /// node that served the lookup, or `None` when it was served locally.
+    /// Find the tuple version a page entry lists, trying the data storage
+    /// owner, its replicas, then every live node.  `preferred` (the
+    /// scanning node) is consulted first; the second element of the result
+    /// is the remote node that served the lookup, or `None` when it was
+    /// served locally.  The tuple is borrowed from the store that holds it.
     pub fn lookup_tuple(
         &self,
         relation: &str,
-        id: &TupleId,
+        entry: &PageEntry,
         preferred: Option<NodeId>,
-    ) -> Result<(Tuple, Option<NodeId>)> {
-        let hash = id.hash_key();
+    ) -> Result<(&Tuple, Option<NodeId>)> {
+        let PageEntry { id, position } = entry;
         if let Some(node) = preferred {
             if !self.failed.contains(node) {
-                if let Some(t) = self.stores[node.index()].tuple(relation, hash, id) {
-                    return Ok((t.clone(), None));
+                if let Some(t) = self.stores[node.index()].tuple(relation, *position, id) {
+                    return Ok((t, None));
                 }
             }
         }
-        for node in self.live_replicas(hash) {
-            if let Some(t) = self.stores[node.index()].tuple(relation, hash, id) {
+        for node in self.live_replicas(*position) {
+            if let Some(t) = self.stores[node.index()].tuple(relation, *position, id) {
                 let remote = (preferred != Some(node)).then_some(node);
-                return Ok((t.clone(), remote));
+                return Ok((t, remote));
             }
         }
         for node in self.live_nodes() {
-            if let Some(t) = self.stores[node.index()].tuple(relation, hash, id) {
+            if let Some(t) = self.stores[node.index()].tuple(relation, *position, id) {
                 let remote = (preferred != Some(node)).then_some(node);
-                return Ok((t.clone(), remote));
+                return Ok((t, remote));
             }
         }
         Err(OrchestraError::StorageMissing(format!(
@@ -500,9 +556,45 @@ impl DistributedStorage {
     ///
     /// This is the storage half of the engine's *distributed scan*
     /// operator: the index pages overlapping the ranges are read, their
-    /// tuple IDs filtered to the ranges, and the tuple versions fetched —
-    /// from `node`'s local store when co-location holds, from replicas
-    /// otherwise.
+    /// entries filtered to the ranges by cached ring position, and the
+    /// tuple versions located — in `node`'s local store when co-location
+    /// holds, at replicas otherwise.  Nothing is hashed and nothing is
+    /// copied: the result borrows the tuples from the stores holding them.
+    pub fn scan_partition_ref(
+        &self,
+        relation: &str,
+        epoch: Epoch,
+        node: NodeId,
+        ranges: &[KeyRange],
+    ) -> Result<PartitionScan<&Tuple>> {
+        let mut scan = PartitionScan::default();
+        let Some(version) = self.version_record(relation, epoch)? else {
+            return Ok(scan);
+        };
+        for descriptor in &version.pages {
+            if !ranges.iter().any(|r| r.overlaps(&descriptor.range)) {
+                continue;
+            }
+            let page = self.lookup_index_page(descriptor)?;
+            scan.pages_read += 1;
+            for entry in &page.entries {
+                if !ranges.iter().any(|r| r.contains(entry.position)) {
+                    continue;
+                }
+                let (tuple, remote) = self.lookup_tuple(relation, entry, Some(node))?;
+                scan.tuples_read += 1;
+                if let Some(src) = remote {
+                    scan.remote_lookups += 1;
+                    charge_remote(&mut scan.remote_transfers, src, tuple.serialized_size());
+                }
+                scan.tuples.push(tuple);
+            }
+        }
+        Ok(scan)
+    }
+
+    /// [`Self::scan_partition_ref`] for callers that want to own the
+    /// tuples: the same scan, cloned out of the store.
     pub fn scan_partition(
         &self,
         relation: &str,
@@ -510,38 +602,14 @@ impl DistributedStorage {
         node: NodeId,
         ranges: &[KeyRange],
     ) -> Result<PartitionScan> {
-        let mut scan = PartitionScan::default();
-        let Some(version_epoch) = self.version_at(relation, epoch) else {
-            return Ok(scan);
-        };
-        let version = self
-            .lookup_coordinator(&CoordinatorKey::new(relation, version_epoch))?
-            .clone();
-        for descriptor in &version.pages {
-            if !ranges.iter().any(|r| r.overlaps(&descriptor.range)) {
-                continue;
-            }
-            let page = self.lookup_index_page(descriptor)?.clone();
-            scan.pages_read += 1;
-            for id in &page.tuple_ids {
-                let hash = id.hash_key();
-                if !ranges.iter().any(|r| r.contains(hash)) {
-                    continue;
-                }
-                let (tuple, remote) = self.lookup_tuple(relation, id, Some(node))?;
-                scan.tuples_read += 1;
-                if let Some(src) = remote {
-                    scan.remote_lookups += 1;
-                    let bytes = tuple.serialized_size();
-                    match scan.remote_transfers.iter_mut().find(|(n, _)| *n == src) {
-                        Some((_, b)) => *b += bytes,
-                        None => scan.remote_transfers.push((src, bytes)),
-                    }
-                }
-                scan.tuples.push(tuple);
-            }
-        }
-        Ok(scan)
+        let scan = self.scan_partition_ref(relation, epoch, node, ranges)?;
+        Ok(PartitionScan {
+            tuples: scan.tuples.into_iter().cloned().collect(),
+            pages_read: scan.pages_read,
+            tuples_read: scan.tuples_read,
+            remote_lookups: scan.remote_lookups,
+            remote_transfers: scan.remote_transfers,
+        })
     }
 
     /// Read the full contents of a *replicated* relation from `node`'s
@@ -551,7 +619,7 @@ impl DistributedStorage {
         relation: &str,
         epoch: Epoch,
         node: NodeId,
-    ) -> Result<Vec<Tuple>> {
+    ) -> Result<Vec<&Tuple>> {
         let rel = self.catalog.get(relation).ok_or_else(|| {
             OrchestraError::StorageInvalid(format!("relation {relation} is not registered"))
         })?;
@@ -560,8 +628,8 @@ impl DistributedStorage {
                 "relation {relation} is partitioned; use scan_partition"
             )));
         }
-        let mut scan = self.scan_partition(relation, epoch, node, &[KeyRange::full()])?;
-        Ok(std::mem::take(&mut scan.tuples))
+        let scan = self.scan_partition_ref(relation, epoch, node, &[KeyRange::full()])?;
+        Ok(scan.tuples)
     }
 
     /// Full Algorithm 1 retrieval: find all tuples of `relation` at
@@ -584,7 +652,7 @@ impl DistributedStorage {
             .first()
             .copied()
             .ok_or_else(|| OrchestraError::Substrate("no live coordinator owner".into()))?;
-        let version = self.lookup_coordinator(&coord_key)?.clone();
+        let version = self.lookup_coordinator(&coord_key)?;
         // Request to the coordinator and its reply (the page list).
         result.messages.push((requester, coord_node, 64));
         result
@@ -601,12 +669,12 @@ impl DistributedStorage {
             result.messages.push((requester, index_node, 96));
             let page = self.lookup_index_page(descriptor)?;
             result.pages_scanned += 1;
-            for id in &page.tuple_ids {
-                if !filter(&id.key) {
+            for entry in &page.entries {
+                if !filter(&entry.id.key) {
                     continue;
                 }
                 let data_node = self
-                    .live_replicas(id.hash_key())
+                    .live_replicas(entry.position)
                     .first()
                     .copied()
                     .unwrap_or(index_node);
@@ -615,13 +683,13 @@ impl DistributedStorage {
                     // page and the data are not co-located (Example 4.2).
                     result
                         .messages
-                        .push((index_node, data_node, id.serialized_size()));
+                        .push((index_node, data_node, entry.id.serialized_size()));
                 }
-                let (tuple, _) = self.lookup_tuple(relation, id, Some(data_node))?;
+                let (tuple, _) = self.lookup_tuple(relation, entry, Some(data_node))?;
                 result
                     .messages
                     .push((data_node, requester, tuple.serialized_size()));
-                result.tuples.push(tuple);
+                result.tuples.push(tuple.clone());
             }
         }
         Ok(result)
@@ -755,6 +823,70 @@ mod tests {
         assert_eq!(now.tuples, vec![r("b", "2")]);
         let before = s.retrieve("R", Epoch(0), NodeId(0), &|_| true).unwrap();
         assert_eq!(before.tuples.len(), 2);
+    }
+
+    #[test]
+    fn many_modifies_and_deletes_landing_in_one_page() {
+        // One partition, so every update of the batch rewrites the same
+        // page: superseded versions are found by binary search and dropped
+        // in one merge with the new entries.
+        let routing = RoutingTable::build(
+            &(0..3).map(NodeId).collect::<Vec<_>>(),
+            AllocationScheme::Balanced,
+            3,
+        );
+        let mut s = DistributedStorage::new(
+            routing,
+            StorageConfig {
+                partitions_per_relation: 1,
+            },
+        );
+        s.register_relation(Relation::partitioned("R", schema()));
+        let key = |i: usize| format!("k{i:02}");
+        let mut b0 = UpdateBatch::new();
+        for i in 0..30 {
+            b0.insert("R", r(&key(i), "old"));
+        }
+        let e0 = s.publish(&b0).unwrap();
+
+        let (modified, deleted) = ([2, 9, 17, 28], [0, 10, 18, 29]);
+        let mut b1 = UpdateBatch::new();
+        // Interleaved and out of key order, plus a delete and a modify of
+        // keys that do not exist (no version to supersede).
+        b1.delete("R", vec![Value::str(key(deleted[3]))])
+            .modify("R", r(&key(modified[2]), "new"))
+            .delete("R", vec![Value::str(key(deleted[0]))])
+            .insert("R", r("k99", "fresh"))
+            .modify("R", r(&key(modified[0]), "new"))
+            .delete("R", vec![Value::str("absent")])
+            .delete("R", vec![Value::str(key(deleted[2]))])
+            .modify("R", r(&key(modified[3]), "new"))
+            .modify("R", r(&key(modified[1]), "new"))
+            .delete("R", vec![Value::str(key(deleted[1]))])
+            .modify("R", r("k98", "upsert"));
+        let e1 = s.publish(&b1).unwrap();
+
+        let mut expected: Vec<Tuple> = (0..30)
+            .filter(|i| !deleted.contains(i))
+            .map(|i| r(&key(i), if modified.contains(&i) { "new" } else { "old" }))
+            .chain([r("k98", "upsert"), r("k99", "fresh")])
+            .collect();
+        expected.sort();
+        let mut now = s.retrieve("R", e1, NodeId(0), &|_| true).unwrap().tuples;
+        now.sort();
+        assert_eq!(now, expected);
+        assert_eq!(s.relation_cardinality("R", e1), 30 - 4 + 2);
+
+        // The previous version is untouched.
+        let before = s.retrieve("R", e0, NodeId(0), &|_| true).unwrap().tuples;
+        assert_eq!(before.len(), 30);
+        assert!(before.iter().all(|t| t.value(1) == &Value::str("old")));
+
+        // The page lists its entries in ID order, positions intact.
+        let version = s.version_record("R", e1).unwrap().unwrap();
+        let page = s.lookup_index_page(&version.pages[0]).unwrap();
+        assert!(page.entries.is_sorted());
+        assert!(page.entries.iter().all(|e| e.position == e.id.hash_key()));
     }
 
     #[test]

@@ -7,28 +7,67 @@
 //! ordered map per relation, which preserves the access pattern the cost
 //! model charges for (point lookups by tuple ID, range scans by tuple-key
 //! hash).
+//!
+//! ## Shared, immutable contents
+//!
+//! Everything published is immutable — a coordinator record, a page
+//! version and a tuple version never change after the epoch that created
+//! them — so a store holds `Arc`s, not bodies.  Writing an item to its
+//! owner and its replicas (publication, anti-entropy) hands each of them
+//! a pointer to the *same* allocation: a replication-3 cluster holds one
+//! copy of every page and tuple, referenced three times.  Cloning a store
+//! copies the maps of pointers, never the data behind them, and a clone
+//! that is later written to (or [`NodeStore::clear`]ed) cannot disturb
+//! the store it was cloned from.
+//!
+//! Tuple versions are indexed by ring position alone — a `Key160` is
+//! `Copy`, so a lookup builds no composite key and clones no tuple ID —
+//! with the few versions of the keys at that position in a short list
+//! sorted by ID.
 
 use crate::coordinator::{CoordinatorKey, RelationVersion};
 use crate::page::{IndexPage, PageId};
 use orchestra_common::{Key160, KeyRange, NodeId, Tuple, TupleId};
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
+
+/// One stored tuple version: the tuple and the ID it is found by.
+/// Immutable once published; every replica shares one allocation.
+#[derive(Debug, PartialEq, Eq)]
+pub struct TupleVersion {
+    /// The version's ID (key attribute values and creation epoch).
+    pub id: TupleId,
+    /// The full tuple.
+    pub tuple: Tuple,
+}
+
+/// The tuple versions of one relation: ring position -> versions of the
+/// keys hashing there, sorted by ID.  Ordered by position so partition
+/// scans walk a contiguous range, as the paper's on-disk layout does
+/// ("tuples from each index page are stored nearby on disk, and are
+/// retrieved in a single pass through the hash ID range for that page").
+type RelationData = BTreeMap<Key160, Vec<Arc<TupleVersion>>>;
 
 /// The state stored locally at a single node.
 #[derive(Clone, Debug, Default)]
 pub struct NodeStore {
     node: Option<NodeId>,
-    coordinators: HashMap<CoordinatorKey, RelationVersion>,
-    index_pages: HashMap<PageId, IndexPage>,
-    /// Per relation: `(tuple-key hash, tuple ID) -> tuple`.  Ordered by
-    /// hash so partition scans walk a contiguous range, as the paper's
-    /// on-disk layout does ("tuples from each index page are stored nearby
-    /// on disk, and are retrieved in a single pass through the hash ID
-    /// range for that page").
-    data: HashMap<String, BTreeMap<(Key160, TupleId), Tuple>>,
-    /// Latest page version per (relation, partition) — the inverse-node
+    coordinators: HashMap<CoordinatorKey, Arc<RelationVersion>>,
+    index_pages: HashMap<PageId, Arc<IndexPage>>,
+    data: HashMap<String, RelationData>,
+    /// Latest page version per relation and partition — the inverse-node
     /// state used to find the page that lists the current version of a
     /// tuple when applying a modification.
-    inverse: HashMap<(String, u32), PageId>,
+    inverse: HashMap<String, HashMap<u32, PageId>>,
+}
+
+/// `map[name]`, created on first use — without allocating a `String`
+/// for a name the map already has.
+fn entry_by_name<'a, V: Default>(map: &'a mut HashMap<String, V>, name: &str) -> &'a mut V {
+    if !map.contains_key(name) {
+        map.insert(name.to_string(), V::default());
+    }
+    map.get_mut(name).expect("present or just inserted")
 }
 
 impl NodeStore {
@@ -48,40 +87,60 @@ impl NodeStore {
     // ----- relation coordinator state -------------------------------------
 
     /// Store a relation-version record.
-    pub fn put_coordinator(&mut self, version: RelationVersion) {
+    pub fn put_coordinator(&mut self, version: Arc<RelationVersion>) {
         self.coordinators.insert(version.key.clone(), version);
     }
 
     /// Fetch a relation-version record.
-    pub fn coordinator(&self, key: &CoordinatorKey) -> Option<&RelationVersion> {
+    pub fn coordinator(&self, key: &CoordinatorKey) -> Option<&Arc<RelationVersion>> {
         self.coordinators.get(key)
     }
 
     // ----- index node state ------------------------------------------------
 
     /// Store an index page body.
-    pub fn put_index_page(&mut self, page: IndexPage) {
+    pub fn put_index_page(&mut self, page: Arc<IndexPage>) {
         self.index_pages.insert(page.id.clone(), page);
     }
 
     /// Fetch an index page body.
-    pub fn index_page(&self, id: &PageId) -> Option<&IndexPage> {
+    pub fn index_page(&self, id: &PageId) -> Option<&Arc<IndexPage>> {
         self.index_pages.get(id)
     }
 
     // ----- data storage node state ------------------------------------------
 
-    /// Store a tuple version under its ID.
-    pub fn put_tuple(&mut self, relation: &str, hash: Key160, id: TupleId, tuple: Tuple) {
-        self.data
-            .entry(relation.to_string())
-            .or_default()
-            .insert((hash, id), tuple);
+    /// Store a tuple version at the ring position of its key (replacing
+    /// a version with the same ID).
+    pub fn put_tuple(&mut self, relation: &str, position: Key160, version: Arc<TupleVersion>) {
+        let versions = entry_by_name(&mut self.data, relation)
+            .entry(position)
+            .or_default();
+        match versions.binary_search_by(|v| v.id.cmp(&version.id)) {
+            Ok(at) => versions[at] = version,
+            Err(at) => versions.insert(at, version),
+        }
     }
 
-    /// Fetch a tuple version by its ID (and pre-computed key hash).
-    pub fn tuple(&self, relation: &str, hash: Key160, id: &TupleId) -> Option<&Tuple> {
-        self.data.get(relation)?.get(&(hash, id.clone()))
+    /// Fetch a tuple version by its ID and the ring position of its key.
+    pub fn tuple_version(
+        &self,
+        relation: &str,
+        position: Key160,
+        id: &TupleId,
+    ) -> Option<&Arc<TupleVersion>> {
+        // A position holds the versions of one key (of two only if SHA-1
+        // collides), so the list is a handful long: scan it.
+        self.data
+            .get(relation)?
+            .get(&position)?
+            .iter()
+            .find(|v| v.id == *id)
+    }
+
+    /// Fetch a tuple by its version ID and the ring position of its key.
+    pub fn tuple(&self, relation: &str, position: Key160, id: &TupleId) -> Option<&Tuple> {
+        self.tuple_version(relation, position, id).map(|v| &v.tuple)
     }
 
     /// Iterate over all tuple versions of `relation` whose key hash falls
@@ -91,39 +150,31 @@ impl NodeStore {
         &'a self,
         relation: &str,
         range: &KeyRange,
-    ) -> Box<dyn Iterator<Item = (&'a Key160, &'a TupleId, &'a Tuple)> + 'a> {
-        let Some(map) = self.data.get(relation) else {
-            return Box::new(std::iter::empty());
-        };
+    ) -> impl Iterator<Item = (&'a Key160, &'a TupleVersion)> + 'a {
         let range = *range;
-        Box::new(
+        self.data.get(relation).into_iter().flat_map(move |map| {
             map.iter()
-                .filter(move |((h, _), _)| range.contains(*h))
-                .map(|((h, id), t)| (h, id, t)),
-        )
+                .filter(move |(position, _)| range.contains(**position))
+                .flat_map(|(position, versions)| versions.iter().map(move |v| (position, &**v)))
+        })
     }
 
     /// All tuple versions of `relation` stored locally.
-    pub fn all_tuples<'a>(
-        &'a self,
-        relation: &str,
-    ) -> Box<dyn Iterator<Item = (&'a TupleId, &'a Tuple)> + 'a> {
-        let Some(map) = self.data.get(relation) else {
-            return Box::new(std::iter::empty());
-        };
-        Box::new(map.iter().map(|((_, id), t)| (id, t)))
+    pub fn all_tuples<'a>(&'a self, relation: &str) -> impl Iterator<Item = &'a TupleVersion> + 'a {
+        self.scan_hash_range(relation, &KeyRange::full())
+            .map(|(_, v)| v)
     }
 
     // ----- inverse node state -----------------------------------------------
 
     /// Record that `page` is the latest version of `(relation, partition)`.
     pub fn put_inverse(&mut self, relation: &str, partition: u32, page: PageId) {
-        self.inverse.insert((relation.to_string(), partition), page);
+        entry_by_name(&mut self.inverse, relation).insert(partition, page);
     }
 
     /// The latest page version of `(relation, partition)` known here.
     pub fn inverse(&self, relation: &str, partition: u32) -> Option<&PageId> {
-        self.inverse.get(&(relation.to_string(), partition))
+        self.inverse.get(relation)?.get(&partition)
     }
 
     // ----- bookkeeping --------------------------------------------------------
@@ -140,7 +191,11 @@ impl NodeStore {
 
     /// Number of tuple versions held (across all relations).
     pub fn tuple_count(&self) -> usize {
-        self.data.values().map(BTreeMap::len).sum()
+        self.data
+            .values()
+            .flat_map(BTreeMap::values)
+            .map(Vec::len)
+            .sum()
     }
 
     /// Drop everything — used to model the permanent loss of a failed
@@ -154,21 +209,23 @@ impl NodeStore {
 
     /// Iterate over every coordinator record (used by anti-entropy
     /// replication).
-    pub fn coordinators(&self) -> impl Iterator<Item = &RelationVersion> {
+    pub fn coordinators(&self) -> impl Iterator<Item = &Arc<RelationVersion>> {
         self.coordinators.values()
     }
 
     /// Iterate over every index page (used by anti-entropy replication).
-    pub fn index_pages(&self) -> impl Iterator<Item = &IndexPage> {
+    pub fn index_pages(&self) -> impl Iterator<Item = &Arc<IndexPage>> {
         self.index_pages.values()
     }
 
-    /// Iterate over every stored tuple with its relation, hash and ID
-    /// (used by anti-entropy replication).
-    pub fn tuples_with_relation(&self) -> impl Iterator<Item = (&str, &Key160, &TupleId, &Tuple)> {
-        self.data
-            .iter()
-            .flat_map(|(rel, map)| map.iter().map(move |((h, id), t)| (rel.as_str(), h, id, t)))
+    /// Iterate over every stored tuple version with its relation and ring
+    /// position (used by anti-entropy replication).
+    pub fn tuples_with_relation(&self) -> impl Iterator<Item = (&str, Key160, &Arc<TupleVersion>)> {
+        self.data.iter().flat_map(|(rel, map)| {
+            map.iter().flat_map(move |(position, versions)| {
+                versions.iter().map(move |v| (rel.as_str(), *position, v))
+            })
+        })
     }
 }
 
@@ -178,22 +235,41 @@ mod tests {
     use crate::page::{partition_range, PageId};
     use orchestra_common::{Epoch, Value};
 
-    fn tuple(k: i64) -> (Key160, TupleId, Tuple) {
-        let t = Tuple::new(vec![Value::Int(k), Value::str(format!("v{k}"))]);
-        let id = t.id(1, Epoch(0));
-        (id.hash_key(), id, t)
+    fn version(k: i64, epoch: u64) -> (Key160, Arc<TupleVersion>) {
+        let tuple = Tuple::new(vec![Value::Int(k), Value::str(format!("v{k}@{epoch}"))]);
+        let id = tuple.id(1, Epoch(epoch));
+        (id.hash_key(), Arc::new(TupleVersion { id, tuple }))
     }
 
     #[test]
     fn tuple_storage_and_lookup() {
         let mut s = NodeStore::new(NodeId(0));
-        let (h, id, t) = tuple(5);
-        s.put_tuple("R", h, id.clone(), t.clone());
-        assert_eq!(s.tuple("R", h, &id), Some(&t));
-        assert_eq!(s.tuple("S", h, &id), None);
+        let (h, v) = version(5, 0);
+        s.put_tuple("R", h, Arc::clone(&v));
+        assert_eq!(s.tuple("R", h, &v.id), Some(&v.tuple));
+        assert_eq!(s.tuple("S", h, &v.id), None);
         assert_eq!(s.tuple_count(), 1);
         let missing = TupleId::new(vec![Value::Int(6)], Epoch(0));
         assert_eq!(s.tuple("R", missing.hash_key(), &missing), None);
+    }
+
+    #[test]
+    fn versions_of_one_key_share_a_position_and_stay_sorted() {
+        let mut s = NodeStore::new(NodeId(0));
+        // Out of order, with one version written twice.
+        for epoch in [2, 0, 3, 0, 1] {
+            let (h, v) = version(5, epoch);
+            s.put_tuple("R", h, v);
+        }
+        assert_eq!(s.tuple_count(), 4);
+        let epochs: Vec<u64> = s.all_tuples("R").map(|v| v.id.epoch.0).collect();
+        assert_eq!(epochs, vec![0, 1, 2, 3]);
+        for epoch in 0..4 {
+            let (h, v) = version(5, epoch);
+            assert_eq!(s.tuple("R", h, &v.id), Some(&v.tuple));
+        }
+        let (h, absent) = version(5, 9);
+        assert_eq!(s.tuple("R", h, &absent.id), None);
     }
 
     #[test]
@@ -202,11 +278,11 @@ mod tests {
         let mut inside = 0;
         let range = partition_range(0, 2);
         for k in 0..50 {
-            let (h, id, t) = tuple(k);
+            let (h, v) = version(k, 0);
             if range.contains(h) {
                 inside += 1;
             }
-            s.put_tuple("R", h, id, t);
+            s.put_tuple("R", h, v);
         }
         let scanned = s.scan_hash_range("R", &range).count();
         assert_eq!(scanned, inside);
@@ -218,15 +294,23 @@ mod tests {
     fn coordinator_index_and_inverse_round_trip() {
         let mut s = NodeStore::new(NodeId(1));
         let key = CoordinatorKey::new("R", Epoch(0));
-        let page = IndexPage::new(PageId::new("R", Epoch(0), 0), partition_range(0, 4), vec![]);
-        s.put_coordinator(RelationVersion::new(key.clone(), vec![page.descriptor()]));
-        s.put_index_page(page.clone());
+        let page = Arc::new(IndexPage::new(
+            PageId::new("R", Epoch(0), 0),
+            partition_range(0, 4),
+            vec![],
+        ));
+        s.put_coordinator(Arc::new(RelationVersion::new(
+            key.clone(),
+            vec![page.descriptor()],
+        )));
+        s.put_index_page(Arc::clone(&page));
         s.put_inverse("R", 0, page.id.clone());
         assert!(s.coordinator(&key).is_some());
         assert!(s.coordinator(&CoordinatorKey::new("R", Epoch(1))).is_none());
         assert_eq!(s.index_page(&page.id), Some(&page));
         assert_eq!(s.inverse("R", 0), Some(&page.id));
         assert_eq!(s.inverse("R", 1), None);
+        assert_eq!(s.inverse("S", 0), None);
         assert_eq!(s.coordinator_count(), 1);
         assert_eq!(s.index_page_count(), 1);
     }
@@ -234,16 +318,29 @@ mod tests {
     #[test]
     fn clear_wipes_everything() {
         let mut s = NodeStore::new(NodeId(0));
-        let (h, id, t) = tuple(1);
-        s.put_tuple("R", h, id, t);
-        s.put_index_page(IndexPage::new(
+        let (h, v) = version(1, 0);
+        s.put_tuple("R", h, v);
+        s.put_index_page(Arc::new(IndexPage::new(
             PageId::new("R", Epoch(0), 0),
             partition_range(0, 1),
             vec![],
-        ));
+        )));
         s.clear();
         assert_eq!(s.tuple_count(), 0);
         assert_eq!(s.index_page_count(), 0);
         assert_eq!(s.coordinator_count(), 0);
+    }
+
+    #[test]
+    fn a_cloned_store_shares_contents_but_not_fate() {
+        let mut s = NodeStore::new(NodeId(0));
+        let (h, v) = version(1, 0);
+        s.put_tuple("R", h, Arc::clone(&v));
+        let mut copy = s.clone();
+        // One allocation, referenced by the test, the store and its clone.
+        assert_eq!(Arc::strong_count(&v), 3);
+        copy.clear();
+        assert_eq!(Arc::strong_count(&v), 2);
+        assert_eq!(s.tuple("R", h, &v.id), Some(&v.tuple));
     }
 }

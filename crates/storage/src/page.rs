@@ -5,16 +5,29 @@
 //! (Section IV).  A [`PageId`] names one *version* of one such partition:
 //! the relation, the epoch in which the page was last modified, and the
 //! partition's ordinal within the relation.  The [`IndexPage`] is the page
-//! body — the list of tuple IDs present in that partition in that version
-//! — and a [`PageDescriptor`] is the coordinator-side summary (ID, hash
-//! range, storage position, cardinality).
+//! body — the list of tuple IDs present in that partition in that version,
+//! each with the ring position of its key — and a [`PageDescriptor`] is the
+//! coordinator-side summary (ID, hash range, storage position,
+//! cardinality).
 //!
 //! The page is *stored* at the midpoint of the hash range it covers, so
 //! that with contiguous per-node ranges the page and the majority of the
 //! tuples it references live on the same node ("the vast majority of tuple
 //! keys are never sent over the network").
+//!
+//! ## Immutable, shared, hash-free
+//!
+//! A page version never changes once built, so the store keeps one
+//! `Arc<IndexPage>` per version and every replica holds a pointer to it.
+//! Its entries are [`PageEntry`]s: the ring position of a tuple's key is
+//! hashed once, when that tuple version is published, and
+//! [`IndexPage::next_version`] *carries the entries forward* — a page
+//! rewritten in epoch 40 still holds the positions computed in epoch 0.
+//! Entries are sorted by tuple ID (key first), which makes "the version of
+//! key `k` listed here" a binary search ([`IndexPage::current_version_of`])
+//! and the next version a sorted merge.
 
-use orchestra_common::{Epoch, Key160, KeyRange, TupleId};
+use orchestra_common::{Epoch, Key160, KeyRange, PageEntry, TupleId, Value};
 use std::fmt;
 
 /// Identifier of one version of one index page.
@@ -93,73 +106,95 @@ impl PageDescriptor {
     }
 }
 
-/// The body of one page version: the tuple IDs present in the partition.
+/// The body of one page version: the tuple IDs present in the partition,
+/// each with its cached ring position.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct IndexPage {
     /// Which page version this is.
     pub id: PageId,
     /// The tuple-key hash range the partition covers.
     pub range: KeyRange,
-    /// Tuple IDs in the partition for this version, sorted for
-    /// deterministic iteration and efficient membership tests.
-    pub tuple_ids: Vec<TupleId>,
+    /// The tuple versions in the partition for this version, sorted by
+    /// tuple ID for deterministic iteration and binary-search lookups.
+    pub entries: Vec<PageEntry>,
 }
 
 impl IndexPage {
-    /// Create a page body, sorting the IDs.
-    pub fn new(id: PageId, range: KeyRange, mut tuple_ids: Vec<TupleId>) -> IndexPage {
-        tuple_ids.sort();
-        IndexPage {
-            id,
-            range,
-            tuple_ids,
-        }
+    /// Create a page body, sorting the entries.
+    pub fn new(id: PageId, range: KeyRange, mut entries: Vec<PageEntry>) -> IndexPage {
+        entries.sort();
+        IndexPage { id, range, entries }
     }
 
     /// Number of tuple IDs listed.
     pub fn len(&self) -> usize {
-        self.tuple_ids.len()
+        self.entries.len()
     }
 
     /// Is the page empty?
     pub fn is_empty(&self) -> bool {
-        self.tuple_ids.is_empty()
+        self.entries.is_empty()
     }
 
     /// Does the page list this exact tuple version?
     pub fn contains(&self, id: &TupleId) -> bool {
-        self.tuple_ids.binary_search(id).is_ok()
+        self.entries.binary_search_by(|e| e.id.cmp(id)).is_ok()
+    }
+
+    /// The (oldest) version of the tuple with key `key` this page lists,
+    /// found by binary search: entries order by key first.
+    pub fn current_version_of(&self, key: &[Value]) -> Option<&PageEntry> {
+        let at = self.entries.partition_point(|e| e.id.key.as_slice() < key);
+        self.entries.get(at).filter(|e| e.id.key == key)
     }
 
     /// The descriptor summarising this page version.
     pub fn descriptor(&self) -> PageDescriptor {
-        PageDescriptor::new(self.id.clone(), self.range, self.tuple_ids.len())
+        PageDescriptor::new(self.id.clone(), self.range, self.entries.len())
     }
 
-    /// Derive the next version of this page at `epoch`: remove the IDs in
-    /// `remove` (superseded or deleted versions) and add the IDs in `add`.
-    pub fn next_version(&self, epoch: Epoch, remove: &[TupleId], add: Vec<TupleId>) -> IndexPage {
-        let mut ids: Vec<TupleId> = self
-            .tuple_ids
-            .iter()
-            .filter(|t| !remove.contains(t))
-            .cloned()
-            .collect();
-        ids.extend(add);
-        IndexPage::new(
-            PageId::new(self.id.relation.clone(), epoch, self.id.partition),
-            self.range,
-            ids,
-        )
+    /// Derive the next version of this page at `epoch`: drop the IDs in
+    /// `remove` (superseded or deleted versions) and list the entries in
+    /// `add`.  Both are sorted, then merged with this page's sorted
+    /// entries in one pass; surviving entries are carried forward with
+    /// the positions they were published with, so no key is hashed.
+    pub fn next_version(
+        &self,
+        epoch: Epoch,
+        mut remove: Vec<&TupleId>,
+        mut add: Vec<PageEntry>,
+    ) -> IndexPage {
+        remove.sort_unstable();
+        add.sort();
+        let mut entries = Vec::with_capacity(self.entries.len() + add.len());
+        let mut remove = remove.into_iter().peekable();
+        let mut add = add.into_iter().peekable();
+        for entry in &self.entries {
+            // A remove that names nothing here is skipped, not an error.
+            while remove.next_if(|r| **r < entry.id).is_some() {}
+            if remove.next_if(|r| **r == entry.id).is_some() {
+                continue;
+            }
+            while let Some(new) = add.next_if(|a| a.id < entry.id) {
+                entries.push(new);
+            }
+            entries.push(entry.clone());
+        }
+        entries.extend(add);
+        IndexPage {
+            id: PageId::new(self.id.relation.clone(), epoch, self.id.partition),
+            range: self.range,
+            entries,
+        }
     }
 
     /// Approximate wire size of the page body (what an index node ships
     /// when asked for the page's tuple IDs).
     pub fn serialized_size(&self) -> usize {
         64 + self
-            .tuple_ids
+            .entries
             .iter()
-            .map(TupleId::serialized_size)
+            .map(|e| e.id.serialized_size())
             .sum::<usize>()
     }
 }
@@ -214,6 +249,10 @@ mod tests {
         TupleId::new(vec![Value::Int(k)], Epoch(e))
     }
 
+    fn entry(k: i64, e: u64) -> PageEntry {
+        PageEntry::hashed(tid(k, e))
+    }
+
     #[test]
     fn page_id_display_and_hash() {
         let id = PageId::new("R", Epoch(2), 0);
@@ -228,14 +267,14 @@ mod tests {
         let page = IndexPage::new(
             PageId::new("R", Epoch(0), 0),
             range,
-            vec![tid(1, 0), tid(2, 0)],
+            vec![entry(1, 0), entry(2, 0)],
         );
         assert_eq!(page.len(), 2);
         assert!(page.contains(&tid(1, 0)));
         assert!(!page.contains(&tid(1, 1)));
 
         // Epoch 1 replaces tuple 1 with a new version and adds tuple 3.
-        let next = page.next_version(Epoch(1), &[tid(1, 0)], vec![tid(1, 1), tid(3, 1)]);
+        let next = page.next_version(Epoch(1), vec![&tid(1, 0)], vec![entry(1, 1), entry(3, 1)]);
         assert_eq!(next.id, PageId::new("R", Epoch(1), 0));
         assert_eq!(next.len(), 3);
         assert!(next.contains(&tid(1, 1)));
@@ -246,9 +285,48 @@ mod tests {
     }
 
     #[test]
+    fn next_version_merges_sorted_and_carries_positions_forward() {
+        let range = partition_range(0, 1);
+        let page = IndexPage::new(
+            PageId::new("R", Epoch(0), 0),
+            range,
+            (0..20).step_by(2).map(|k| entry(k, 0)).collect(),
+        );
+        // Drop three versions (one of them not listed at all), add new
+        // versions before, between and after the survivors — unsorted.
+        let (gone_a, gone_b, absent) = (tid(4, 0), tid(10, 0), tid(11, 0));
+        let add = vec![entry(25, 3), entry(4, 3), entry(-1, 3), entry(7, 3)];
+        let next = page.next_version(Epoch(3), vec![&absent, &gone_b, &gone_a], add.clone());
+
+        // Same contents as the definition: filter, extend, sort.
+        let mut expected: Vec<PageEntry> = page
+            .entries
+            .iter()
+            .filter(|e| e.id != gone_a && e.id != gone_b)
+            .cloned()
+            .chain(add)
+            .collect();
+        expected.sort();
+        assert_eq!(next.entries, expected);
+        assert_eq!(next.len(), 10 - 2 + 4);
+        assert!(next.entries.iter().all(|e| e.position == e.id.hash_key()));
+
+        assert_eq!(
+            next.current_version_of(&[Value::Int(4)]).unwrap().id,
+            tid(4, 3)
+        );
+        assert_eq!(
+            next.current_version_of(&[Value::Int(6)]).unwrap().id,
+            tid(6, 0)
+        );
+        assert!(next.current_version_of(&[Value::Int(10)]).is_none());
+        assert!(next.current_version_of(&[Value::Int(99)]).is_none());
+    }
+
+    #[test]
     fn descriptor_summarises_page() {
         let range = partition_range(1, 4);
-        let page = IndexPage::new(PageId::new("R", Epoch(0), 1), range, vec![tid(7, 0)]);
+        let page = IndexPage::new(PageId::new("R", Epoch(0), 1), range, vec![entry(7, 0)]);
         let d = page.descriptor();
         assert_eq!(d.id, page.id);
         assert_eq!(d.tuple_count, 1);

@@ -12,6 +12,7 @@
 
 use crate::distributed::DistributedStorage;
 use orchestra_common::{NodeId, Result};
+use std::sync::Arc;
 
 /// Statistics of one anti-entropy pass.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -26,7 +27,8 @@ pub struct ReplicationReport {
 
 /// Run one anti-entropy pass over `storage`, copying every item to its
 /// owner and replicas under the current routing table.  Items already in
-/// place are left untouched; failed nodes are never written to.
+/// place are left untouched; failed nodes are never written to.  A "copy"
+/// is a pointer: the destination comes to share the source's allocation.
 pub fn anti_entropy(storage: &mut DistributedStorage) -> Result<ReplicationReport> {
     let mut report = ReplicationReport::default();
     let failed = storage.failed_nodes();
@@ -45,30 +47,34 @@ pub fn anti_entropy(storage: &mut DistributedStorage) -> Result<ReplicationRepor
 
     for src in &live {
         let store = storage.store(*src);
-        for (relation, hash, id, tuple) in store.tuples_with_relation() {
-            let replicated = storage
-                .relation(relation)
-                .map(|r| r.is_replicated())
-                .unwrap_or(false);
+        // Tuples arrive grouped by relation: name and placement rule are
+        // resolved once per group, not once per tuple.
+        let mut name: Arc<str> = Arc::from("");
+        let mut replicated = false;
+        for (relation, position, version) in store.tuples_with_relation() {
+            if *name != *relation {
+                name = Arc::from(relation);
+                replicated = storage
+                    .relation(relation)
+                    .is_some_and(|r| r.is_replicated());
+            }
             let targets: Vec<NodeId> = if replicated {
                 live.clone()
             } else {
                 storage
                     .routing()
-                    .replicas_of(*hash)
+                    .replicas_of(position)
                     .into_iter()
                     .filter(|n| !failed.contains(*n))
                     .collect()
             };
             for dst in targets {
-                if storage.store(dst).tuple(relation, *hash, id).is_none() {
-                    tuple_copies.push((
-                        dst,
-                        relation.to_string(),
-                        *hash,
-                        id.clone(),
-                        tuple.clone(),
-                    ));
+                if storage
+                    .store(dst)
+                    .tuple_version(relation, position, &version.id)
+                    .is_none()
+                {
+                    tuple_copies.push((dst, Arc::clone(&name), position, Arc::clone(version)));
                 }
             }
         }
@@ -79,7 +85,7 @@ pub fn anti_entropy(storage: &mut DistributedStorage) -> Result<ReplicationRepor
                     continue;
                 }
                 if storage.store(dst).index_page(&page.id).is_none() {
-                    page_copies.push((dst, page.clone()));
+                    page_copies.push((dst, Arc::clone(page)));
                 }
             }
         }
@@ -90,14 +96,16 @@ pub fn anti_entropy(storage: &mut DistributedStorage) -> Result<ReplicationRepor
                     continue;
                 }
                 if storage.store(dst).coordinator(&version.key).is_none() {
-                    coordinator_copies.push((dst, version.clone()));
+                    coordinator_copies.push((dst, Arc::clone(version)));
                 }
             }
         }
     }
 
-    for (dst, relation, hash, id, tuple) in tuple_copies {
-        storage.store_mut(dst).put_tuple(&relation, hash, id, tuple);
+    for (dst, relation, position, version) in tuple_copies {
+        storage
+            .store_mut(dst)
+            .put_tuple(&relation, position, version);
         report.tuples_copied += 1;
     }
     for (dst, page) in page_copies {
@@ -190,10 +198,11 @@ mod tests {
         anti_entropy(&mut s).unwrap();
         // Every tuple version now has a copy in every zone.
         for src in s.routing().nodes() {
-            for (relation, hash, id, _) in s.store(src).tuples_with_relation() {
+            for (relation, position, version) in s.store(src).tuples_with_relation() {
+                let id = &version.id;
                 let mut zones_covered = [false; 3];
                 for holder in s.routing().nodes() {
-                    if s.store(holder).tuple(relation, *hash, id).is_some() {
+                    if s.store(holder).tuple(relation, position, id).is_some() {
                         zones_covered[zone_of(holder, 3)] = true;
                     }
                 }
