@@ -139,6 +139,10 @@ struct PartitionChange {
 
 /// Diff two ID-sorted entry lists in one two-pointer walk: the entries
 /// only in `old` and the entries only in `new`, each still sorted.
+/// Copies of an ID pair up one to one: a page that lists an ID twice (a
+/// batch touched the key twice) hands both copies to its next version or
+/// neither ([`IndexPage::next_version`]), so versions never disagree on
+/// the count.
 fn diff_sorted(old: &[PageEntry], new: &[PageEntry]) -> (Vec<PageEntry>, Vec<PageEntry>) {
     let (mut removed, mut added) = (Vec::new(), Vec::new());
     let (mut o, mut n) = (0, 0);

@@ -129,13 +129,9 @@ impl NodeStore {
         position: Key160,
         id: &TupleId,
     ) -> Option<&Arc<TupleVersion>> {
-        // A position holds the versions of one key (of two only if SHA-1
-        // collides), so the list is a handful long: scan it.
-        self.data
-            .get(relation)?
-            .get(&position)?
-            .iter()
-            .find(|v| v.id == *id)
+        let versions = self.data.get(relation)?.get(&position)?;
+        let at = versions.binary_search_by(|v| v.id.cmp(id)).ok()?;
+        Some(&versions[at])
     }
 
     /// Fetch a tuple by its version ID and the ring position of its key.

@@ -171,8 +171,11 @@ impl IndexPage {
         let mut add = add.into_iter().peekable();
         for entry in &self.entries {
             // A remove that names nothing here is skipped, not an error.
+            // A matching remove is left in place: it drops *every* entry
+            // equal to it (a batch touching one key twice lists the same
+            // ID twice), and may itself be listed more than once.
             while remove.next_if(|r| **r < entry.id).is_some() {}
-            if remove.next_if(|r| **r == entry.id).is_some() {
+            if remove.peek().is_some_and(|r| **r == entry.id) {
                 continue;
             }
             while let Some(new) = add.next_if(|a| a.id < entry.id) {
@@ -321,6 +324,20 @@ mod tests {
         );
         assert!(next.current_version_of(&[Value::Int(10)]).is_none());
         assert!(next.current_version_of(&[Value::Int(99)]).is_none());
+    }
+
+    #[test]
+    fn next_version_drops_every_copy_of_a_removed_id() {
+        // A page can list one ID twice, and a remove list can name one ID
+        // twice; either way every copy goes and nothing else does.
+        let page = IndexPage::new(
+            PageId::new("R", Epoch(0), 0),
+            partition_range(0, 1),
+            vec![entry(1, 0), entry(1, 0), entry(2, 0), entry(3, 0)],
+        );
+        let (one, three) = (tid(1, 0), tid(3, 0));
+        let next = page.next_version(Epoch(1), vec![&three, &one, &three], vec![entry(1, 1)]);
+        assert_eq!(next.entries, vec![entry(1, 1), entry(2, 0)]);
     }
 
     #[test]
