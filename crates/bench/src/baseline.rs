@@ -1,21 +1,14 @@
 //! The CI baseline-regression gate.
 //!
 //! CI commits a `BENCH_BASELINE.json` — the bench binary's
-//! `--experiment baseline` output (the `plan_quality` and `maintenance`
-//! experiments) at a known-good commit — and the checks here compare a
-//! fresh run against it: every estimated plan cost, every measured
-//! traffic figure ([`check_plan_quality_baseline`]), every
-//! maintenance shipped-bytes total ([`check_maintenance_baseline`]),
-//! every serving point's shipped bytes and cache hit rate
-//! ([`check_serving_baseline`]), every subscriptions sweep's shared
-//! shipped-bytes and delta-derivation totals
-//! ([`check_subscriptions_baseline`]), every gossip convergence
-//! point's rounds and rumor bytes ([`check_churn_baseline`]), and every
-//! adaptivity workload's calibrated predicted-vs-actual error and
-//! drift-recompilation count ([`check_adaptivity_baseline`]) must stay
-//! within `tolerance` (CI uses 5%) of the baseline.  A value moving in the *good* direction —
-//! lower cost/bytes, higher hit rate — always passes; the gate only
-//! catches regressions.
+//! `--experiment baseline` output at a known-good commit — and
+//! [`check_baseline`] compares a fresh run against it: every figure the
+//! [`GATES`] table names must stay within `tolerance` (CI uses 5%) of
+//! the baseline.  A value moving in its *good* direction — lower
+//! cost/bytes/rounds/error, higher hit rate — always passes; the gate
+//! only catches regressions.  An experiment belongs to the `baseline`
+//! set exactly when the table has a gate over its output, so gating one
+//! more figure is one more table entry.
 //!
 //! Refreshing the baseline after an intentional change is one line:
 //!
@@ -25,882 +18,375 @@
 
 use crate::json::Json;
 
-/// The `plan_quality` fields gated against the baseline: estimated
-/// optimizer cost and measured traffic, for both the compiled and the
-/// hand-built plan.
-const GATED_FIELDS: [&str; 4] = [
-    "optimized_estimated_bytes",
-    "hand_estimated_bytes",
-    "optimized_bytes",
-    "hand_bytes",
+/// The direction in which a gated figure may move freely.
+#[derive(Clone, Copy, Debug)]
+enum Better {
+    Lower,
+    Higher,
+}
+use Better::{Higher, Lower};
+
+/// One gated figure of a row: its field name, its good direction, and an
+/// absolute allowance on top of the relative tolerance (so an
+/// exactly-zero baseline does not gate on floating-point dust).
+type Field = (&'static str, Better, f64);
+
+/// One family of gated rows in the bench document.
+#[derive(Debug)]
+pub struct Gate {
+    /// The experiment whose output holds the rows.
+    pub section: &'static str,
+    /// Object keys from the document root down to a row; a step ending
+    /// in `[]` fans out over an array.
+    path: &'static [&'static str],
+    /// What names a row among its siblings: `(field, label)` pairs, each
+    /// field read off the innermost object on the path that has it.
+    key: &'static [(&'static str, &'static str)],
+    fields: &'static [Field],
+}
+
+/// Every gated figure.  All but the cache hit rate gate *upward*: a
+/// costlier plan, more shipped maintenance/serving/rumor bytes, more
+/// delta derivations per epoch (O(views) creep in the fan-out sharing),
+/// more rounds to converge, a worse calibrated cardinality error or a
+/// trigger-happy drift monitor (each recompile pays a dissemination
+/// epoch) than the committed baseline is a regression.
+pub static GATES: &[Gate] = &[
+    Gate {
+        section: "plan_quality",
+        path: &["experiments[]", "plan_quality"],
+        key: &[("workload", "")],
+        fields: &[
+            ("optimized_estimated_bytes", Lower, 0.0),
+            ("hand_estimated_bytes", Lower, 0.0),
+            ("optimized_bytes", Lower, 0.0),
+            ("hand_bytes", Lower, 0.0),
+        ],
+    },
+    Gate {
+        section: "maintenance",
+        path: &["experiments[]", "maintenance", "sweeps[]"],
+        key: &[("workload", ""), ("label", "")],
+        fields: &[
+            ("total_incremental_bytes", Lower, 0.0),
+            ("total_recompute_bytes", Lower, 0.0),
+        ],
+    },
+    Gate {
+        section: "serving",
+        path: &["serving", "points[]"],
+        key: &[
+            ("zipf_exponent", "skew="),
+            ("load_factor", "load="),
+            ("cache_capacity", "cap="),
+        ],
+        fields: &[("total_bytes", Lower, 0.0), ("cache_hit_rate", Higher, 0.0)],
+    },
+    Gate {
+        section: "subscriptions",
+        path: &["subscriptions", "sweeps[]"],
+        key: &[("label", ""), ("subscribers", "subs=")],
+        fields: &[
+            ("total_shared_bytes", Lower, 0.0),
+            ("total_shared_derivations", Lower, 0.0),
+        ],
+    },
+    Gate {
+        section: "churn",
+        path: &["churn", "convergence[]"],
+        key: &[("nodes", "n=")],
+        fields: &[("rounds", Lower, 0.0), ("rumor_bytes", Lower, 0.0)],
+    },
+    // The experiment-wide totals, which also cover the sustained
+    // scenario's epochs: one row, named by its section alone.
+    Gate {
+        section: "churn",
+        path: &["churn"],
+        key: &[],
+        fields: &[
+            ("total_convergence_rounds", Lower, 0.0),
+            ("total_rumor_bytes", Lower, 0.0),
+        ],
+    },
+    Gate {
+        section: "adaptivity",
+        path: &["adaptivity", "workloads[]"],
+        key: &[("workload", "")],
+        fields: &[
+            ("final_cardinality_error", Lower, 1e-9),
+            ("recompiles", Lower, 1e-9),
+        ],
+    },
 ];
 
+impl Gate {
+    /// The gate's `(row key, row object)` pairs in `doc`; an error if the
+    /// document lacks the path, a key field, or has no rows at all.
+    fn rows<'a>(&self, doc: &'a Json) -> Result<Vec<(String, &'a Json)>, String> {
+        let at = self.path.join(".");
+        // Each trail lists the objects from the root down to one row.
+        let mut trails = vec![vec![doc]];
+        for step in self.path {
+            let name = step.trim_end_matches("[]");
+            let mut longer = Vec::new();
+            for trail in trails {
+                let child = trail[trail.len() - 1]
+                    .get(name)
+                    .ok_or_else(|| format!("no \"{name}\" on the way to {at}"))?;
+                let children = match step.ends_with("[]") {
+                    true => child
+                        .items()
+                        .ok_or_else(|| format!("\"{name}\" is not an array"))?,
+                    false => std::slice::from_ref(child),
+                };
+                longer.extend(children.iter().map(|c| [&trail[..], &[c]].concat()));
+            }
+            trails = longer;
+        }
+        if trails.is_empty() {
+            return Err(format!("no {} rows at {at}", self.section));
+        }
+        let keyed = |trail: Vec<&'a Json>| Ok((self.key_of(&trail)?, trail[trail.len() - 1]));
+        trails.into_iter().map(keyed).collect()
+    }
+
+    fn key_of(&self, trail: &[&Json]) -> Result<String, String> {
+        let part = |(field, label): &(&str, &str)| {
+            let value = trail.iter().rev().find_map(|object| object.get(field));
+            match value.map(|v| (v.as_str_val(), v.as_f64())) {
+                Some((Some(text), _)) => Ok(format!("{label}{text}")),
+                Some((_, Some(number))) => Ok(format!("{label}{number}")),
+                _ => Err(format!("{} row without a scalar \"{field}\"", self.section)),
+            }
+        };
+        let parts: Result<Vec<String>, String> = self.key.iter().map(part).collect();
+        Ok(parts?.join("/"))
+    }
+}
+
 /// Compare `current` against `baseline` (both in the bench binary's
-/// document shape).  Returns the per-field log lines on success, or the
-/// list of violations if any gated field regressed beyond `tolerance`
-/// (a fraction: 0.05 allows +5%), a workload disappeared, or either
-/// document is malformed.
-pub fn check_plan_quality_baseline(
+/// document shape) over every gate of [`GATES`].  Returns the per-field
+/// log lines on success, or the list of violations — each naming
+/// section, row and field — if any gated figure regressed beyond
+/// `tolerance` (a fraction: 0.05 allows 5%), a baseline row or field is
+/// missing from the current run, or either document is malformed.
+pub fn check_baseline(
     current: &Json,
     baseline: &Json,
     tolerance: f64,
 ) -> Result<Vec<String>, Vec<String>> {
     let mut passed = Vec::new();
     let mut violations = Vec::new();
-
-    let baseline_workloads = match workloads_of(baseline) {
-        Ok(w) => w,
-        Err(e) => return Err(vec![format!("baseline document: {e}")]),
-    };
-    let current_workloads = match workloads_of(current) {
-        Ok(w) => w,
-        Err(e) => return Err(vec![format!("current document: {e}")]),
-    };
-
-    for (name, base_quality) in &baseline_workloads {
-        let Some(cur_quality) = current_workloads
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, q)| q)
-        else {
-            violations.push(format!(
-                "workload {name} present in the baseline but missing from the current run"
-            ));
-            continue;
+    let percent = tolerance * 100.0;
+    for gate in GATES {
+        let rows = |doc, side| gate.rows(doc).map_err(|e| format!("{side} document: {e}"));
+        let (base_rows, cur_rows) = match (rows(baseline, "baseline"), rows(current, "current")) {
+            (Ok(base), Ok(cur)) => (base, cur),
+            (Err(malformed), _) | (_, Err(malformed)) => {
+                violations.push(malformed);
+                continue;
+            }
         };
-        for field in GATED_FIELDS {
-            let (Some(base), Some(cur)) = (
-                base_quality.get(field).and_then(Json::as_f64),
-                cur_quality.get(field).and_then(Json::as_f64),
-            ) else {
-                violations.push(format!("workload {name}: field {field} missing"));
+        for (key, base_row) in &base_rows {
+            let row = format!("{} {key}", gate.section);
+            let row = row.trim_end();
+            let Some((_, cur_row)) = cur_rows.iter().find(|(k, _)| k == key) else {
+                violations.push(format!("{row}: in the baseline, not in the current run"));
                 continue;
             };
-            let limit = base * (1.0 + tolerance);
-            if cur > limit {
-                violations.push(format!(
-                    "workload {name}: {field} regressed {cur:.0} > {base:.0} (+{:.1}% \
-                     exceeds the {:.0}% tolerance)",
-                    (cur / base - 1.0) * 100.0,
-                    tolerance * 100.0
-                ));
-            } else {
-                passed.push(format!(
-                    "workload {name}: {field} {cur:.0} within {base:.0} +{:.0}%",
-                    tolerance * 100.0
-                ));
+            for &(name, better, slack) in gate.fields {
+                let figure = |row: &Json| row.get(name).and_then(Json::as_f64);
+                let (Some(base), Some(cur)) = (figure(base_row), figure(cur_row)) else {
+                    violations.push(format!("{row}: field {name} missing"));
+                    continue;
+                };
+                let regressed = match better {
+                    Lower => cur > base * (1.0 + tolerance) + slack,
+                    Higher => cur < base * (1.0 - tolerance) - slack,
+                };
+                if regressed {
+                    let moved = (cur / base - 1.0) * 100.0;
+                    violations.push(format!(
+                        "{row}: {name} regressed {cur} vs {base} ({moved:+.1}% exceeds the \
+                         {percent:.0}% tolerance)"
+                    ));
+                } else {
+                    passed.push(format!("{row}: {name} {cur} within {base} ±{percent:.0}%"));
+                }
             }
         }
     }
-
     if violations.is_empty() {
         Ok(passed)
     } else {
         Err(violations)
     }
-}
-
-/// The `maintenance` fields gated per (workload, sweep): the measured
-/// shipped-byte totals of both refresh strategies.
-const GATED_MAINTENANCE_FIELDS: [&str; 2] = ["total_incremental_bytes", "total_recompute_bytes"];
-
-/// Compare the `maintenance` sections of `current` against `baseline`:
-/// per workload and sweep label, both measured shipped-bytes totals must
-/// stay within `tolerance` of the baseline (lower is always fine).
-pub fn check_maintenance_baseline(
-    current: &Json,
-    baseline: &Json,
-    tolerance: f64,
-) -> Result<Vec<String>, Vec<String>> {
-    let mut passed = Vec::new();
-    let mut violations = Vec::new();
-
-    let baseline_sweeps = match maintenance_sweeps_of(baseline) {
-        Ok(s) => s,
-        Err(e) => return Err(vec![format!("baseline document: {e}")]),
-    };
-    let current_sweeps = match maintenance_sweeps_of(current) {
-        Ok(s) => s,
-        Err(e) => return Err(vec![format!("current document: {e}")]),
-    };
-
-    for (key, base_sweep) in &baseline_sweeps {
-        let Some(cur_sweep) = current_sweeps
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, s)| s)
-        else {
-            violations.push(format!(
-                "maintenance sweep {key} present in the baseline but missing from the \
-                 current run"
-            ));
-            continue;
-        };
-        for field in GATED_MAINTENANCE_FIELDS {
-            let (Some(base), Some(cur)) = (
-                base_sweep.get(field).and_then(Json::as_f64),
-                cur_sweep.get(field).and_then(Json::as_f64),
-            ) else {
-                violations.push(format!("maintenance sweep {key}: field {field} missing"));
-                continue;
-            };
-            if cur > base * (1.0 + tolerance) {
-                violations.push(format!(
-                    "maintenance sweep {key}: {field} regressed {cur:.0} > {base:.0} \
-                     (+{:.1}% exceeds the {:.0}% tolerance)",
-                    (cur / base - 1.0) * 100.0,
-                    tolerance * 100.0
-                ));
-            } else {
-                passed.push(format!(
-                    "maintenance sweep {key}: {field} {cur:.0} within {base:.0} +{:.0}%",
-                    tolerance * 100.0
-                ));
-            }
-        }
-    }
-
-    if violations.is_empty() {
-        Ok(passed)
-    } else {
-        Err(violations)
-    }
-}
-
-/// Compare the top-level `serving` sections of `current` against
-/// `baseline`: per (skew, load, capacity) point, total shipped bytes
-/// must not rise beyond `tolerance`, and — the direction is inverted,
-/// because higher is better — the cache hit rate must not *fall* below
-/// `baseline × (1 − tolerance)`.  Fewer bytes or more hits always pass.
-pub fn check_serving_baseline(
-    current: &Json,
-    baseline: &Json,
-    tolerance: f64,
-) -> Result<Vec<String>, Vec<String>> {
-    let mut passed = Vec::new();
-    let mut violations = Vec::new();
-
-    let baseline_points = match serving_points_of(baseline) {
-        Ok(p) => p,
-        Err(e) => return Err(vec![format!("baseline document: {e}")]),
-    };
-    let current_points = match serving_points_of(current) {
-        Ok(p) => p,
-        Err(e) => return Err(vec![format!("current document: {e}")]),
-    };
-
-    for (key, base_point) in &baseline_points {
-        let Some(cur_point) = current_points
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, p)| p)
-        else {
-            violations.push(format!(
-                "serving point {key} present in the baseline but missing from the current run"
-            ));
-            continue;
-        };
-        for (field, higher_is_better) in [("total_bytes", false), ("cache_hit_rate", true)] {
-            let (Some(base), Some(cur)) = (
-                base_point.get(field).and_then(Json::as_f64),
-                cur_point.get(field).and_then(Json::as_f64),
-            ) else {
-                violations.push(format!("serving point {key}: field {field} missing"));
-                continue;
-            };
-            let regressed = if higher_is_better {
-                cur < base * (1.0 - tolerance)
-            } else {
-                cur > base * (1.0 + tolerance)
-            };
-            if regressed {
-                violations.push(format!(
-                    "serving point {key}: {field} regressed {cur:.3} vs {base:.3} \
-                     ({:+.1}% exceeds the {:.0}% tolerance)",
-                    (cur / base.max(f64::MIN_POSITIVE) - 1.0) * 100.0,
-                    tolerance * 100.0
-                ));
-            } else {
-                passed.push(format!(
-                    "serving point {key}: {field} {cur:.3} within {base:.3} ±{:.0}%",
-                    tolerance * 100.0
-                ));
-            }
-        }
-    }
-
-    if violations.is_empty() {
-        Ok(passed)
-    } else {
-        Err(violations)
-    }
-}
-
-/// The `subscriptions` fields gated per (churn label, subscriber
-/// count): the shared path's shipped-byte and delta-derivation totals.
-/// Both gate *upward* — shipping more maintenance bytes or deriving
-/// more deltas per epoch than the committed baseline is a regression of
-/// the fan-out sharing machinery; fewer of either always passes.
-const GATED_SUBSCRIPTION_FIELDS: [&str; 2] = ["total_shared_bytes", "total_shared_derivations"];
-
-/// Compare the top-level `subscriptions` sections of `current` against
-/// `baseline`: per (churn label, subscriber count) sweep, the shared
-/// maintenance shipped-byte total and the shared delta-derivation total
-/// must not rise beyond `tolerance` (lower is always fine).
-pub fn check_subscriptions_baseline(
-    current: &Json,
-    baseline: &Json,
-    tolerance: f64,
-) -> Result<Vec<String>, Vec<String>> {
-    let mut passed = Vec::new();
-    let mut violations = Vec::new();
-
-    let baseline_sweeps = match subscription_sweeps_of(baseline) {
-        Ok(s) => s,
-        Err(e) => return Err(vec![format!("baseline document: {e}")]),
-    };
-    let current_sweeps = match subscription_sweeps_of(current) {
-        Ok(s) => s,
-        Err(e) => return Err(vec![format!("current document: {e}")]),
-    };
-
-    for (key, base_sweep) in &baseline_sweeps {
-        let Some(cur_sweep) = current_sweeps
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, s)| s)
-        else {
-            violations.push(format!(
-                "subscriptions sweep {key} present in the baseline but missing from the \
-                 current run"
-            ));
-            continue;
-        };
-        for field in GATED_SUBSCRIPTION_FIELDS {
-            let (Some(base), Some(cur)) = (
-                base_sweep.get(field).and_then(Json::as_f64),
-                cur_sweep.get(field).and_then(Json::as_f64),
-            ) else {
-                violations.push(format!("subscriptions sweep {key}: field {field} missing"));
-                continue;
-            };
-            if cur > base * (1.0 + tolerance) {
-                violations.push(format!(
-                    "subscriptions sweep {key}: {field} regressed {cur:.0} > {base:.0} \
-                     (+{:.1}% exceeds the {:.0}% tolerance)",
-                    (cur / base.max(f64::MIN_POSITIVE) - 1.0) * 100.0,
-                    tolerance * 100.0
-                ));
-            } else {
-                passed.push(format!(
-                    "subscriptions sweep {key}: {field} {cur:.0} within {base:.0} +{:.0}%",
-                    tolerance * 100.0
-                ));
-            }
-        }
-    }
-
-    if violations.is_empty() {
-        Ok(passed)
-    } else {
-        Err(violations)
-    }
-}
-
-/// The `churn` fields gated per convergence point — rounds to uniform
-/// membership and rumor bytes spent getting there — plus the
-/// experiment-wide totals.  All gate *upward*: more rounds or more
-/// gossip traffic than the committed baseline is a dissemination
-/// regression; converging faster or cheaper always passes.
-const GATED_CHURN_FIELDS: [&str; 2] = ["rounds", "rumor_bytes"];
-const GATED_CHURN_TOTALS: [&str; 2] = ["total_convergence_rounds", "total_rumor_bytes"];
-
-/// Compare the top-level `churn` sections of `current` against
-/// `baseline`: per convergence point (keyed by cluster size), rounds
-/// and rumor bytes must not rise beyond `tolerance`, and the same holds
-/// for the experiment-wide totals (which also cover the sustained
-/// scenario's epochs).
-pub fn check_churn_baseline(
-    current: &Json,
-    baseline: &Json,
-    tolerance: f64,
-) -> Result<Vec<String>, Vec<String>> {
-    let mut passed = Vec::new();
-    let mut violations = Vec::new();
-
-    let baseline_points = match churn_points_of(baseline) {
-        Ok(p) => p,
-        Err(e) => return Err(vec![format!("baseline document: {e}")]),
-    };
-    let current_points = match churn_points_of(current) {
-        Ok(p) => p,
-        Err(e) => return Err(vec![format!("current document: {e}")]),
-    };
-
-    for (key, base_point) in &baseline_points {
-        let Some(cur_point) = current_points
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, p)| p)
-        else {
-            violations.push(format!(
-                "churn point {key} present in the baseline but missing from the current run"
-            ));
-            continue;
-        };
-        let fields: &[&str] = if key == "totals" {
-            &GATED_CHURN_TOTALS
-        } else {
-            &GATED_CHURN_FIELDS
-        };
-        for field in fields {
-            let (Some(base), Some(cur)) = (
-                base_point.get(field).and_then(Json::as_f64),
-                cur_point.get(field).and_then(Json::as_f64),
-            ) else {
-                violations.push(format!("churn point {key}: field {field} missing"));
-                continue;
-            };
-            if cur > base * (1.0 + tolerance) {
-                violations.push(format!(
-                    "churn point {key}: {field} regressed {cur:.0} > {base:.0} \
-                     (+{:.1}% exceeds the {:.0}% tolerance)",
-                    (cur / base.max(f64::MIN_POSITIVE) - 1.0) * 100.0,
-                    tolerance * 100.0
-                ));
-            } else {
-                passed.push(format!(
-                    "churn point {key}: {field} {cur:.0} within {base:.0} +{:.0}%",
-                    tolerance * 100.0
-                ));
-            }
-        }
-    }
-
-    if violations.is_empty() {
-        Ok(passed)
-    } else {
-        Err(violations)
-    }
-}
-
-/// The `adaptivity` fields gated per workload.  Both gate *upward*: a
-/// higher calibrated predicted-vs-actual cardinality error means the
-/// feedback loop learns less from the same stream, and more drift
-/// recompilations than the committed baseline means the monitor became
-/// trigger-happy (each recompile pays a dissemination epoch).  Lower is
-/// always fine.
-const GATED_ADAPTIVITY_FIELDS: [&str; 2] = ["final_cardinality_error", "recompiles"];
-
-/// Compare the top-level `adaptivity` sections of `current` against
-/// `baseline`: per workload, the end-of-stream cardinality error and
-/// the drift-recompilation count must not rise beyond `tolerance`
-/// (plus a tiny absolute slack so an exactly-zero baseline error does
-/// not gate on floating-point dust).
-pub fn check_adaptivity_baseline(
-    current: &Json,
-    baseline: &Json,
-    tolerance: f64,
-) -> Result<Vec<String>, Vec<String>> {
-    let mut passed = Vec::new();
-    let mut violations = Vec::new();
-
-    let baseline_workloads = match adaptivity_workloads_of(baseline) {
-        Ok(w) => w,
-        Err(e) => return Err(vec![format!("baseline document: {e}")]),
-    };
-    let current_workloads = match adaptivity_workloads_of(current) {
-        Ok(w) => w,
-        Err(e) => return Err(vec![format!("current document: {e}")]),
-    };
-
-    for (name, base_entry) in &baseline_workloads {
-        let Some(cur_entry) = current_workloads
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, e)| e)
-        else {
-            violations.push(format!(
-                "adaptivity workload {name} present in the baseline but missing from the \
-                 current run"
-            ));
-            continue;
-        };
-        for field in GATED_ADAPTIVITY_FIELDS {
-            let (Some(base), Some(cur)) = (
-                base_entry.get(field).and_then(Json::as_f64),
-                cur_entry.get(field).and_then(Json::as_f64),
-            ) else {
-                violations.push(format!("adaptivity workload {name}: field {field} missing"));
-                continue;
-            };
-            if cur > base * (1.0 + tolerance) + 1e-9 {
-                violations.push(format!(
-                    "adaptivity workload {name}: {field} regressed {cur:.4} > {base:.4} \
-                     (+{:.1}% exceeds the {:.0}% tolerance)",
-                    (cur / base.max(f64::MIN_POSITIVE) - 1.0) * 100.0,
-                    tolerance * 100.0
-                ));
-            } else {
-                passed.push(format!(
-                    "adaptivity workload {name}: {field} {cur:.4} within {base:.4} +{:.0}%",
-                    tolerance * 100.0
-                ));
-            }
-        }
-    }
-
-    if violations.is_empty() {
-        Ok(passed)
-    } else {
-        Err(violations)
-    }
-}
-
-/// Extract `(workload name, workload entry)` pairs from a bench
-/// document's top-level `adaptivity` section.
-fn adaptivity_workloads_of(doc: &Json) -> Result<Vec<(String, &Json)>, String> {
-    let workloads = doc
-        .get("adaptivity")
-        .ok_or("no \"adaptivity\" section")?
-        .get("workloads")
-        .and_then(Json::items)
-        .ok_or("adaptivity section has no \"workloads\" array")?;
-    let mut out = Vec::with_capacity(workloads.len());
-    for entry in workloads {
-        let name = entry
-            .get("workload")
-            .and_then(Json::as_str_val)
-            .ok_or("adaptivity workload entry without a \"workload\" name")?;
-        out.push((name.to_string(), entry));
-    }
-    if out.is_empty() {
-        return Err("empty adaptivity \"workloads\" array".into());
-    }
-    Ok(out)
-}
-
-/// Extract `("n=<size>", point)` pairs from a bench document's
-/// top-level `churn` section, plus a synthetic `("totals", churn
-/// object)` entry carrying the experiment-wide totals.
-fn churn_points_of(doc: &Json) -> Result<Vec<(String, &Json)>, String> {
-    let churn = doc.get("churn").ok_or("no \"churn\" section")?;
-    let points = churn
-        .get("convergence")
-        .and_then(Json::items)
-        .ok_or("churn section has no \"convergence\" array")?;
-    let mut out = Vec::with_capacity(points.len() + 1);
-    for point in points {
-        let nodes = point
-            .get("nodes")
-            .and_then(Json::as_f64)
-            .ok_or("churn convergence point without a \"nodes\" count")?;
-        out.push((format!("n={nodes:.0}"), point));
-    }
-    if out.is_empty() {
-        return Err("empty churn \"convergence\" array".into());
-    }
-    out.push(("totals".to_string(), churn));
-    Ok(out)
-}
-
-/// Extract `("label/subs=N", sweep object)` pairs from a bench
-/// document's top-level `subscriptions` section.
-fn subscription_sweeps_of(doc: &Json) -> Result<Vec<(String, &Json)>, String> {
-    let sweeps = doc
-        .get("subscriptions")
-        .ok_or("no \"subscriptions\" section")?
-        .get("sweeps")
-        .and_then(Json::items)
-        .ok_or("subscriptions section has no \"sweeps\" array")?;
-    let mut out = Vec::with_capacity(sweeps.len());
-    for sweep in sweeps {
-        let label = sweep
-            .get("label")
-            .and_then(Json::as_str_val)
-            .ok_or("subscriptions sweep without a \"label\"")?;
-        let subs = sweep
-            .get("subscribers")
-            .and_then(Json::as_f64)
-            .ok_or("subscriptions sweep without a \"subscribers\" count")?;
-        out.push((format!("{label}/subs={subs:.0}"), sweep));
-    }
-    if out.is_empty() {
-        return Err("empty subscriptions \"sweeps\" array".into());
-    }
-    Ok(out)
-}
-
-/// Extract `("skew=… load=… cap=…", point object)` pairs from a bench
-/// document's top-level `serving` section.
-fn serving_points_of(doc: &Json) -> Result<Vec<(String, &Json)>, String> {
-    let points = doc
-        .get("serving")
-        .ok_or("no \"serving\" section")?
-        .get("points")
-        .and_then(Json::items)
-        .ok_or("serving section has no \"points\" array")?;
-    let mut out = Vec::with_capacity(points.len());
-    for point in points {
-        let skew = point
-            .get("zipf_exponent")
-            .and_then(Json::as_f64)
-            .ok_or("serving point without a \"zipf_exponent\"")?;
-        let load = point
-            .get("load_factor")
-            .and_then(Json::as_f64)
-            .ok_or("serving point without a \"load_factor\"")?;
-        let cap = point
-            .get("cache_capacity")
-            .and_then(Json::as_f64)
-            .ok_or("serving point without a \"cache_capacity\"")?;
-        out.push((format!("skew={skew:.2} load={load:.2} cap={cap:.0}"), point));
-    }
-    if out.is_empty() {
-        return Err("empty serving \"points\" array".into());
-    }
-    Ok(out)
-}
-
-/// Extract `("workload/sweep-label", sweep object)` pairs from a bench
-/// document's per-workload `maintenance` sections.
-fn maintenance_sweeps_of(doc: &Json) -> Result<Vec<(String, &Json)>, String> {
-    let experiments = doc
-        .get("experiments")
-        .and_then(Json::items)
-        .ok_or("no \"experiments\" array")?;
-    let mut out = Vec::new();
-    for entry in experiments {
-        let name = entry
-            .get("workload")
-            .and_then(Json::as_str_val)
-            .ok_or("experiment entry without a \"workload\" name")?;
-        let maintenance = entry
-            .get("maintenance")
-            .ok_or_else(|| format!("workload {name} has no \"maintenance\" section"))?;
-        let sweeps = maintenance
-            .get("sweeps")
-            .and_then(Json::items)
-            .ok_or_else(|| format!("workload {name}: maintenance has no \"sweeps\" array"))?;
-        for sweep in sweeps {
-            let label = sweep
-                .get("label")
-                .and_then(Json::as_str_val)
-                .ok_or_else(|| format!("workload {name}: maintenance sweep without a label"))?;
-            out.push((format!("{name}/{label}"), sweep));
-        }
-    }
-    if out.is_empty() {
-        return Err("no maintenance sweeps".into());
-    }
-    Ok(out)
-}
-
-/// Extract `(workload name, plan_quality object)` pairs from a bench
-/// document.
-fn workloads_of(doc: &Json) -> Result<Vec<(String, &Json)>, String> {
-    let experiments = doc
-        .get("experiments")
-        .and_then(Json::items)
-        .ok_or("no \"experiments\" array")?;
-    let mut out = Vec::with_capacity(experiments.len());
-    for entry in experiments {
-        let name = entry
-            .get("workload")
-            .and_then(Json::as_str_val)
-            .ok_or("experiment entry without a \"workload\" name")?;
-        let quality = entry
-            .get("plan_quality")
-            .ok_or_else(|| format!("workload {name} has no \"plan_quality\" section"))?;
-        out.push((name.to_string(), quality));
-    }
-    if out.is_empty() {
-        return Err("empty \"experiments\" array".into());
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn doc(optimized_bytes: f64) -> Json {
-        Json::object(vec![(
-            "experiments",
-            Json::Array(vec![Json::object(vec![
-                ("workload", Json::str("tpch-q3")),
-                (
-                    "plan_quality",
-                    Json::object(vec![
-                        ("optimized_estimated_bytes", Json::Float(1000.0)),
-                        ("hand_estimated_bytes", Json::Float(2000.0)),
-                        ("optimized_bytes", Json::Float(optimized_bytes)),
-                        ("hand_bytes", Json::Float(3000.0)),
-                    ]),
-                ),
-            ])]),
-        )])
+    /// A minimal document with one row per gate (every gated field name
+    /// is unique across it).
+    const DOC: &str = r#"{
+        "experiments": [{
+            "workload": "tpch-q3",
+            "plan_quality": {"optimized_estimated_bytes": 1000, "hand_estimated_bytes": 2000,
+                             "optimized_bytes": 1000, "hand_bytes": 3000},
+            "maintenance": {"sweeps": [{"label": "small-delta",
+                "total_incremental_bytes": 1000, "total_recompute_bytes": 9000}]}
+        }],
+        "serving": {"points": [{"zipf_exponent": 1.2, "load_factor": 2.0, "cache_capacity": 5,
+                                "total_bytes": 10000, "cache_hit_rate": 0.8}]},
+        "subscriptions": {"sweeps": [{"label": "small-delta", "subscribers": 64,
+            "total_shared_bytes": 10000, "total_shared_derivations": 5}]},
+        "churn": {"convergence": [{"nodes": 100, "rounds": 10, "rumor_bytes": 40000}],
+                  "total_convergence_rounds": 30, "total_rumor_bytes": 100000},
+        "adaptivity": {"workloads": [{"workload": "tpch-q3",
+            "final_cardinality_error": 0.5, "recompiles": 1}]}
+    }"#;
+
+    /// `json` with every object member called `key` replaced by `value`,
+    /// or dropped when there is none.
+    fn edit(json: Json, key: &str, value: &Option<Json>) -> Json {
+        match json {
+            Json::Object(pairs) => Json::Object(
+                pairs
+                    .into_iter()
+                    .filter(|(k, _)| k != key || value.is_some())
+                    .map(|(k, v)| match value {
+                        Some(value) if k == key => (k, value.clone()),
+                        _ => (k, edit(v, key, value)),
+                    })
+                    .collect(),
+            ),
+            Json::Array(items) => {
+                Json::Array(items.into_iter().map(|v| edit(v, key, value)).collect())
+            }
+            other => other,
+        }
+    }
+
+    /// [`DOC`] with the named figures overridden.
+    fn doc(set: &[(&str, f64)]) -> Json {
+        let set_one = |json, (key, v): &(&str, f64)| edit(json, key, &Some(Json::Float(*v)));
+        set.iter().fold(Json::parse(DOC).unwrap(), set_one)
+    }
+
+    /// [`DOC`] without the member (section, row array or field) `key`.
+    fn without(key: &str) -> Json {
+        edit(doc(&[]), key, &None)
+    }
+
+    const FIGURES: usize = 16;
+
+    #[test]
+    fn moves_within_tolerance_or_in_the_good_direction_pass() {
+        let baseline = doc(&[]);
+        for current in [
+            vec![],
+            // +4.9% on a cost, −3.75% on the hit rate.
+            vec![("optimized_bytes", 1049.0), ("cache_hit_rate", 0.77)],
+            vec![("total_rumor_bytes", 104_000.0)],
+            vec![("final_cardinality_error", 0.52)],
+            // Improvements of any size.
+            vec![("optimized_bytes", 10.0), ("total_bytes", 5_000.0)],
+            vec![("cache_hit_rate", 0.95), ("total_shared_derivations", 1.0)],
+            vec![("rounds", 8.0), ("recompiles", 0.0)],
+        ] {
+            let passed = check_baseline(&doc(&current), &baseline, 0.05)
+                .unwrap_or_else(|v| panic!("{current:?}: {v:?}"));
+            assert_eq!(passed.len(), FIGURES, "{current:?}");
+        }
     }
 
     #[test]
-    fn within_tolerance_passes() {
-        let baseline = doc(1000.0);
-        let current = doc(1049.0); // +4.9%
-        let passed = check_plan_quality_baseline(&current, &baseline, 0.05).unwrap();
-        assert_eq!(passed.len(), 4);
-        // Improvements always pass.
-        assert!(check_plan_quality_baseline(&doc(10.0), &baseline, 0.05).is_ok());
+    fn each_regression_is_one_violation_naming_section_row_and_field() {
+        let baseline = doc(&[]);
+        let (serving, subs) = (
+            "serving skew=1.2/load=2/cap=5:",
+            "subscriptions small-delta/subs=64:",
+        );
+        for (field, value, row) in [
+            ("optimized_bytes", 1051.0, "plan_quality tpch-q3:"),
+            (
+                "total_incremental_bytes",
+                1100.0,
+                "maintenance tpch-q3/small-delta:",
+            ),
+            ("total_bytes", 11_000.0, serving),
+            // Inverted direction: a *falling* hit rate regresses.
+            ("cache_hit_rate", 0.70, serving),
+            ("total_shared_bytes", 11_000.0, subs),
+            ("total_shared_derivations", 7.0, subs),
+            ("rounds", 11.0, "churn n=100:"),
+            ("total_rumor_bytes", 111_000.0, "churn:"),
+            ("final_cardinality_error", 0.60, "adaptivity tpch-q3:"),
+            ("recompiles", 2.0, "adaptivity tpch-q3:"),
+        ] {
+            let violations = check_baseline(&doc(&[(field, value)]), &baseline, 0.05).unwrap_err();
+            assert_eq!(violations.len(), 1, "{violations:?}");
+            let expected = format!("{row} {field} regressed");
+            assert!(violations[0].starts_with(&expected), "{violations:?}");
+        }
     }
 
     #[test]
-    fn regressions_beyond_tolerance_fail_with_the_offending_field() {
-        let baseline = doc(1000.0);
-        let current = doc(1051.0); // +5.1%
-        let violations = check_plan_quality_baseline(&current, &baseline, 0.05).unwrap_err();
-        assert_eq!(violations.len(), 1);
-        assert!(violations[0].contains("optimized_bytes"), "{violations:?}");
-        assert!(violations[0].contains("tpch-q3"), "{violations:?}");
-    }
-
-    fn maintenance_doc(incremental: f64) -> Json {
-        Json::object(vec![(
-            "experiments",
-            Json::Array(vec![Json::object(vec![
-                ("workload", Json::str("tpch-q1")),
-                (
-                    "maintenance",
-                    Json::object(vec![(
-                        "sweeps",
-                        Json::Array(vec![Json::object(vec![
-                            ("label", Json::str("small-delta")),
-                            ("total_incremental_bytes", Json::Float(incremental)),
-                            ("total_recompute_bytes", Json::Float(9000.0)),
-                        ])]),
-                    )]),
-                ),
-            ])]),
-        )])
+    fn zero_baselines_gate_on_real_rises_only() {
+        // The slack absorbs floating-point dust on a zero baseline error…
+        let zero = doc(&[("final_cardinality_error", 0.0)]);
+        assert!(check_baseline(&zero, &zero, 0.05).is_ok());
+        let dust = doc(&[("final_cardinality_error", 1e-12)]);
+        assert!(check_baseline(&dust, &zero, 0.05).is_ok());
+        let risen = doc(&[("final_cardinality_error", 0.01)]);
+        assert!(check_baseline(&risen, &zero, 0.05).is_err());
+        // …and fields without slack treat any rise from zero as one.
+        let none = doc(&[("total_shared_derivations", 0.0)]);
+        assert!(check_baseline(&none, &none, 0.05).is_ok());
+        assert!(check_baseline(&doc(&[]), &none, 0.05).is_err());
     }
 
     #[test]
-    fn maintenance_totals_are_gated_per_sweep() {
-        let baseline = maintenance_doc(1000.0);
-        let ok = check_maintenance_baseline(&maintenance_doc(1040.0), &baseline, 0.05).unwrap();
-        assert_eq!(ok.len(), 2);
-        let violations =
-            check_maintenance_baseline(&maintenance_doc(1100.0), &baseline, 0.05).unwrap_err();
-        assert_eq!(violations.len(), 1);
-        assert!(
-            violations[0].contains("tpch-q1/small-delta"),
-            "{violations:?}"
-        );
-        // A document without maintenance sections is malformed.
-        let bare = Json::object(vec![(
-            "experiments",
-            Json::Array(vec![Json::object(vec![("workload", Json::str("x"))])]),
-        )]);
-        assert!(check_maintenance_baseline(&bare, &baseline, 0.05).is_err());
-    }
-
-    fn serving_doc(total_bytes: u64, hit_rate: f64) -> Json {
-        Json::object(vec![(
-            "serving",
-            Json::object(vec![(
-                "points",
-                Json::Array(vec![Json::object(vec![
-                    ("zipf_exponent", Json::Float(1.2)),
-                    ("load_factor", Json::Float(2.0)),
-                    ("cache_capacity", Json::UInt(5)),
-                    ("total_bytes", Json::UInt(total_bytes)),
-                    ("cache_hit_rate", Json::Float(hit_rate)),
-                ])]),
-            )]),
-        )])
+    fn malformed_documents_fail() {
+        let baseline = doc(&[]);
+        // A document without a gated section or a key field, or with an
+        // empty row array, is malformed — whichever side it is.
+        let bare = GATES.iter().map(|gate| without(gate.section));
+        let empty = edit(doc(&[]), "points", &Some(Json::Array(vec![])));
+        let first =
+            |cur: &Json, base: &Json| check_baseline(cur, base, 0.05).unwrap_err().remove(0);
+        for broken in bare.chain([without("label"), empty]) {
+            assert!(first(&broken, &baseline).starts_with("current document:"));
+            assert!(first(&baseline, &broken).starts_with("baseline document:"));
+        }
     }
 
     #[test]
-    fn serving_points_gate_bytes_up_and_hit_rate_down() {
-        let baseline = serving_doc(10_000, 0.80);
-        // Within tolerance both ways.
-        let ok = check_serving_baseline(&serving_doc(10_400, 0.77), &baseline, 0.05).unwrap();
-        assert_eq!(ok.len(), 2);
-        // Better in both directions always passes.
-        assert!(check_serving_baseline(&serving_doc(5_000, 0.95), &baseline, 0.05).is_ok());
-        // More bytes shipped is a regression…
-        let violations =
-            check_serving_baseline(&serving_doc(11_000, 0.80), &baseline, 0.05).unwrap_err();
-        assert_eq!(violations.len(), 1);
-        assert!(violations[0].contains("total_bytes"), "{violations:?}");
-        assert!(
-            violations[0].contains("skew=1.20 load=2.00 cap=5"),
-            "{violations:?}"
-        );
-        // …and so is a *falling* hit rate.
-        let violations =
-            check_serving_baseline(&serving_doc(10_000, 0.70), &baseline, 0.05).unwrap_err();
-        assert_eq!(violations.len(), 1);
-        assert!(violations[0].contains("cache_hit_rate"), "{violations:?}");
-        // A document without a serving section is malformed.
-        let bare = Json::object(vec![("experiments", Json::Array(vec![]))]);
-        assert!(check_serving_baseline(&bare, &baseline, 0.05).is_err());
-    }
-
-    fn subscriptions_doc(shared_bytes: u64, derivations: u64) -> Json {
-        Json::object(vec![(
-            "subscriptions",
-            Json::object(vec![(
-                "sweeps",
-                Json::Array(vec![Json::object(vec![
-                    ("label", Json::str("small-delta")),
-                    ("subscribers", Json::UInt(64)),
-                    ("total_shared_bytes", Json::UInt(shared_bytes)),
-                    ("total_shared_derivations", Json::UInt(derivations)),
-                ])]),
-            )]),
-        )])
+    fn missing_rows_and_fields_fail() {
+        // A baseline row the current run no longer produces…
+        let baseline = doc(&[]);
+        let renamed = edit(doc(&[]), "subscribers", &Some(Json::UInt(8)));
+        let violations = check_baseline(&renamed, &baseline, 0.05).unwrap_err();
+        let expected = "subscriptions small-delta/subs=64: in the baseline, not in the current run";
+        assert_eq!(violations, [expected]);
+        // …and a gated field the current row lost.
+        let violations = check_baseline(&without("hand_bytes"), &baseline, 0.05).unwrap_err();
+        let expected = "plan_quality tpch-q3: field hand_bytes missing";
+        assert_eq!(violations, [expected]);
     }
 
     #[test]
-    fn subscription_sweeps_gate_shared_bytes_and_derivations_upward() {
-        let baseline = subscriptions_doc(10_000, 5);
-        // Within tolerance, and improvements, pass.
-        let ok =
-            check_subscriptions_baseline(&subscriptions_doc(10_400, 5), &baseline, 0.05).unwrap();
-        assert_eq!(ok.len(), 2);
-        assert!(
-            check_subscriptions_baseline(&subscriptions_doc(4_000, 1), &baseline, 0.05).is_ok()
-        );
-        // Shipping more shared-maintenance bytes is a regression…
-        let violations =
-            check_subscriptions_baseline(&subscriptions_doc(11_000, 5), &baseline, 0.05)
-                .unwrap_err();
-        assert_eq!(violations.len(), 1);
-        assert!(
-            violations[0].contains("total_shared_bytes"),
-            "{violations:?}"
-        );
-        assert!(
-            violations[0].contains("small-delta/subs=64"),
-            "{violations:?}"
-        );
-        // …and so is deriving more deltas per epoch (O(views) creep).
-        let violations =
-            check_subscriptions_baseline(&subscriptions_doc(10_000, 7), &baseline, 0.05)
-                .unwrap_err();
-        assert_eq!(violations.len(), 1);
-        assert!(
-            violations[0].contains("total_shared_derivations"),
-            "{violations:?}"
-        );
-        // A document without a subscriptions section is malformed.
-        let bare = Json::object(vec![("experiments", Json::Array(vec![]))]);
-        assert!(check_subscriptions_baseline(&bare, &baseline, 0.05).is_err());
-    }
-
-    fn churn_doc(rounds: u64, total_bytes: u64) -> Json {
-        Json::object(vec![(
-            "churn",
-            Json::object(vec![
-                (
-                    "convergence",
-                    Json::Array(vec![Json::object(vec![
-                        ("nodes", Json::UInt(100)),
-                        ("rounds", Json::UInt(rounds)),
-                        ("rumor_bytes", Json::UInt(40_000)),
-                    ])]),
-                ),
-                ("total_convergence_rounds", Json::UInt(rounds + 20)),
-                ("total_rumor_bytes", Json::UInt(total_bytes)),
-            ]),
-        )])
-    }
-
-    #[test]
-    fn churn_points_gate_rounds_and_bytes_upward() {
-        let baseline = churn_doc(10, 100_000);
-        // Within tolerance, and improvements, pass.
-        let ok = check_churn_baseline(&churn_doc(10, 104_000), &baseline, 0.05).unwrap();
-        assert_eq!(ok.len(), 4);
-        assert!(check_churn_baseline(&churn_doc(8, 60_000), &baseline, 0.05).is_ok());
-        // Needing more rounds to converge is a regression…
-        let violations =
-            check_churn_baseline(&churn_doc(11, 100_000), &baseline, 0.05).unwrap_err();
-        assert!(
-            violations.iter().any(|v| v.contains("n=100")),
-            "{violations:?}"
-        );
-        assert!(
-            violations.iter().any(|v| v.contains("rounds")),
-            "{violations:?}"
-        );
-        // …and so is spending more rumor bytes overall.
-        let violations =
-            check_churn_baseline(&churn_doc(10, 111_000), &baseline, 0.05).unwrap_err();
-        assert_eq!(violations.len(), 1);
-        assert!(
-            violations[0].contains("total_rumor_bytes"),
-            "{violations:?}"
-        );
-        assert!(violations[0].contains("totals"), "{violations:?}");
-        // A document without a churn section is malformed.
-        let bare = Json::object(vec![("experiments", Json::Array(vec![]))]);
-        assert!(check_churn_baseline(&bare, &baseline, 0.05).is_err());
-    }
-
-    fn adaptivity_doc(final_error: f64, recompiles: u64) -> Json {
-        Json::object(vec![(
-            "adaptivity",
-            Json::object(vec![(
-                "workloads",
-                Json::Array(vec![Json::object(vec![
-                    ("workload", Json::str("tpch-q3")),
-                    ("final_cardinality_error", Json::Float(final_error)),
-                    ("recompiles", Json::UInt(recompiles)),
-                ])]),
-            )]),
-        )])
-    }
-
-    #[test]
-    fn adaptivity_workloads_gate_error_and_recompiles_upward() {
-        let baseline = adaptivity_doc(0.50, 1);
-        // Within tolerance, and improvements, pass.
-        let ok = check_adaptivity_baseline(&adaptivity_doc(0.52, 1), &baseline, 0.05).unwrap();
-        assert_eq!(ok.len(), 2);
-        assert!(check_adaptivity_baseline(&adaptivity_doc(0.10, 0), &baseline, 0.05).is_ok());
-        // A worse calibrated error is a regression of the feedback loop…
-        let violations =
-            check_adaptivity_baseline(&adaptivity_doc(0.60, 1), &baseline, 0.05).unwrap_err();
-        assert_eq!(violations.len(), 1);
-        assert!(
-            violations[0].contains("final_cardinality_error"),
-            "{violations:?}"
-        );
-        assert!(violations[0].contains("tpch-q3"), "{violations:?}");
-        // …and so is a trigger-happy drift monitor.
-        let violations =
-            check_adaptivity_baseline(&adaptivity_doc(0.50, 2), &baseline, 0.05).unwrap_err();
-        assert_eq!(violations.len(), 1);
-        assert!(violations[0].contains("recompiles"), "{violations:?}");
-        // An exactly-zero baseline error tolerates floating-point dust
-        // but not a real rise.
-        let zero = adaptivity_doc(0.0, 1);
-        assert!(check_adaptivity_baseline(&adaptivity_doc(0.0, 1), &zero, 0.05).is_ok());
-        assert!(check_adaptivity_baseline(&adaptivity_doc(0.01, 1), &zero, 0.05).is_err());
-        // A document without an adaptivity section is malformed.
-        let bare = Json::object(vec![("experiments", Json::Array(vec![]))]);
-        assert!(check_adaptivity_baseline(&bare, &baseline, 0.05).is_err());
-    }
-
-    #[test]
-    fn missing_workloads_and_fields_fail() {
-        let baseline = doc(1000.0);
-        let empty = Json::object(vec![("experiments", Json::Array(vec![]))]);
-        assert!(check_plan_quality_baseline(&empty, &baseline, 0.05).is_err());
-        let no_section = Json::object(vec![(
-            "experiments",
-            Json::Array(vec![Json::object(vec![("workload", Json::str("other"))])]),
-        )]);
-        assert!(check_plan_quality_baseline(&no_section, &baseline, 0.05).is_err());
+    fn the_committed_baseline_matches_the_gate_table() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_BASELINE.json");
+        let committed = Json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+        // Every gate resolves to rows in the committed document, so table
+        // and document cannot drift apart silently…
+        for gate in GATES {
+            assert!(!gate.rows(&committed).unwrap().is_empty(), "{gate:?}");
+        }
+        // …and the document passes the gate against itself.
+        let passed = check_baseline(&committed, &committed, 0.05).unwrap();
+        assert!(passed.len() > FIGURES);
     }
 }

@@ -1,12 +1,14 @@
 //! Data-path equivalence fingerprints.
 //!
-//! The columnar data-path refactor must leave every *simulated* figure —
-//! answers, per-link traffic (and therefore every batch's wire size),
-//! running time, recovery work — bit-identical to the row-at-a-time
-//! seed implementation.  [`fingerprint_lines`] condenses one workload's
-//! runs (failure-free plus a mid-query failure under both recovery
-//! strategies) into short, stable text lines; the recorded seed lines
-//! are committed in `tests/columnar_equivalence.rs` and regenerated with
+//! Every *simulated* figure — answers, per-link traffic (and therefore
+//! every batch's wire size), running time, recovery work — must stay
+//! bit-identical to what the row-at-a-time seed implementation produced.
+//! That engine is gone; its recorded fingerprints are the reference any
+//! change to the (only) data path is held to.  [`fingerprint_lines`]
+//! condenses one workload's runs (failure-free plus a mid-query failure
+//! under both recovery strategies) into short, stable text lines; the
+//! recorded seed lines are committed in `tests/columnar_equivalence.rs`
+//! and regenerated with
 //!
 //! ```sh
 //! cargo run --release -p orchestra-bench --example record_equiv

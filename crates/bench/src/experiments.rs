@@ -25,48 +25,13 @@
 use crate::failure_sweep_points;
 use crate::json::Json;
 use orchestra_common::{NodeId, OrchestraError, Result};
-use orchestra_engine::{EngineConfig, FailureSpec, QueryExecutor, RecoveryStrategy, WallClock};
+use orchestra_engine::{EngineConfig, FailureSpec, QueryExecutor, RecoveryStrategy};
 use orchestra_optimizer::{estimate_plan_cost, Statistics};
 use orchestra_simnet::SimTime;
 use orchestra_workloads::{compiled_plan, deploy, Workload};
 
 /// Every experiment initiates queries from node 0.
 pub const INITIATOR: NodeId = NodeId(0);
-
-/// Render an engine [`WallClock`] as the bench's `"wall_clock"` JSON
-/// object: aggregate rows/sec plus per-operator rows and CPU time.
-///
-/// These figures measure the host machine, not the simulation: they are
-/// nondeterministic and must never appear in output that a byte-exact
-/// determinism gate compares (the bench binary omits them under
-/// `--no-wall-clock`).
-pub fn wall_clock_json(w: &WallClock) -> Json {
-    let mut ops = Vec::new();
-    for (i, name) in WallClock::NAMES.iter().enumerate() {
-        if w.op_rows[i] == 0 && w.op_nanos[i] == 0 {
-            continue;
-        }
-        ops.push(Json::object(vec![
-            ("op", Json::str(*name)),
-            ("rows", Json::UInt(w.op_rows[i])),
-            ("cpu_nanos", Json::UInt(w.op_nanos[i])),
-        ]));
-    }
-    Json::object(vec![
-        ("rows_per_sec", Json::Float(w.rows_per_sec())),
-        ("total_rows", Json::UInt(w.total_rows())),
-        ("total_cpu_nanos", Json::UInt(w.total_nanos())),
-        ("operators", Json::Array(ops)),
-    ])
-}
-
-/// Sum `w` into `acc`, slot by slot.
-pub fn wall_clock_add(acc: &mut WallClock, w: &WallClock) {
-    for i in 0..WallClock::NAMES.len() {
-        acc.op_rows[i] += w.op_rows[i];
-        acc.op_nanos[i] += w.op_nanos[i];
-    }
-}
 
 /// One cluster size of a scale-out experiment.
 #[derive(Clone, Debug)]
@@ -81,37 +46,27 @@ pub struct ScaleOutPoint {
     pub total_messages: u64,
     /// Tuple versions fetched by all scans.
     pub tuples_scanned: usize,
-    /// Host wall-clock operator costs (`None` when suppressed for
-    /// byte-exact determinism comparison).
-    pub wall_clock: Option<WallClock>,
 }
 
 impl ScaleOutPoint {
     /// Render as a JSON object.
     pub fn to_json(&self) -> Json {
-        let mut fields = vec![
+        Json::object(vec![
             ("nodes", Json::UInt(self.nodes as u64)),
             ("running_time_us", Json::UInt(self.running_time.as_micros())),
             ("total_bytes", Json::UInt(self.total_bytes)),
             ("total_messages", Json::UInt(self.total_messages)),
             ("tuples_scanned", Json::UInt(self.tuples_scanned as u64)),
-        ];
-        if let Some(w) = &self.wall_clock {
-            fields.push(("wall_clock", wall_clock_json(w)));
-        }
-        Json::object(fields)
+        ])
     }
 }
 
 /// Scale-out: run the workload failure-free on each cluster size and
-/// record running time and traffic (Figures 7–12).  `wall_clock` adds
-/// the host-machine rows/sec axis to each point; leave it off for
-/// byte-exact determinism comparisons.
+/// record running time and traffic (Figures 7–12).
 pub fn run_scale_out(
     workload: &dyn Workload,
     node_counts: &[u16],
     config: &EngineConfig,
-    wall_clock: bool,
 ) -> Result<Vec<ScaleOutPoint>> {
     let expected = workload.reference();
     let mut points = Vec::with_capacity(node_counts.len());
@@ -134,120 +89,9 @@ pub fn run_scale_out(
             total_bytes: report.total_bytes,
             total_messages: report.total_messages,
             tuples_scanned: report.tuples_scanned,
-            wall_clock: wall_clock.then_some(report.wall_clock),
         });
     }
     Ok(points)
-}
-
-/// The columnar batch path measured against the legacy row-at-a-time
-/// path on the same workload, plan and cluster.  Both runs must produce
-/// identical simulated figures — the data path is a host-side
-/// implementation detail — so the struct also records that the
-/// cross-check held.
-#[derive(Clone, Debug)]
-pub struct WallClockComparison {
-    /// Cluster size.
-    pub nodes: u16,
-    /// Host wall-clock costs of the columnar batch path.
-    pub columnar: WallClock,
-    /// Host wall-clock costs of the legacy row-at-a-time path.
-    pub legacy: WallClock,
-}
-
-impl WallClockComparison {
-    /// Columnar rows/sec over legacy rows/sec.
-    pub fn speedup(&self) -> f64 {
-        let legacy = self.legacy.rows_per_sec();
-        if legacy == 0.0 {
-            0.0
-        } else {
-            self.columnar.rows_per_sec() / legacy
-        }
-    }
-
-    /// Render as a JSON object.
-    pub fn to_json(&self) -> Json {
-        Json::object(vec![
-            ("nodes", Json::UInt(self.nodes as u64)),
-            ("columnar", wall_clock_json(&self.columnar)),
-            ("legacy", wall_clock_json(&self.legacy)),
-            ("speedup", Json::Float(self.speedup())),
-        ])
-    }
-}
-
-/// Measured repetitions per data path in [`run_wall_clock`].  Each
-/// path reports its *minimum* cost over the repetitions — the standard
-/// microbenchmark noise filter, since host scheduling can only ever add
-/// time to a run, never remove it.
-const WALL_CLOCK_REPS: usize = 5;
-
-/// Wall-clock comparison: run the workload through the columnar batch
-/// path and through `legacy_row_path` (several repetitions each, keeping
-/// the per-path minimum), verify every simulated figure is identical
-/// across the two (answer, running time, traffic, per-link bytes), and
-/// report the host-side operator costs of both.
-pub fn run_wall_clock(
-    workload: &dyn Workload,
-    nodes: u16,
-    config: &EngineConfig,
-) -> Result<WallClockComparison> {
-    let (storage, epoch) = deploy(workload, nodes)?;
-    let plan = compiled_plan(workload, &storage, epoch)?;
-    let expected = workload.reference();
-    // best[0] is the cheapest columnar report, best[1] the cheapest
-    // legacy one.  Paths alternate within each repetition so drift in
-    // host load spreads evenly across both.
-    let mut best: [Option<orchestra_engine::QueryReport>; 2] = [None, None];
-    for _ in 0..WALL_CLOCK_REPS {
-        for (slot, legacy_row_path) in [(0usize, false), (1usize, true)] {
-            let run_config = EngineConfig {
-                legacy_row_path,
-                ..config.clone()
-            };
-            let report =
-                QueryExecutor::new(&storage, run_config).execute(&plan, epoch, INITIATOR)?;
-            if report.rows != expected {
-                return Err(OrchestraError::Execution(format!(
-                    "wall-clock run of {} (legacy_row_path={legacy_row_path}) returned a wrong answer",
-                    workload.name()
-                )));
-            }
-            let cheaper = best[slot]
-                .as_ref()
-                .map(|b| report.wall_clock.total_nanos() < b.wall_clock.total_nanos())
-                .unwrap_or(true);
-            if cheaper {
-                best[slot] = Some(report);
-            }
-        }
-    }
-    let [columnar, legacy] = best;
-    let columnar = columnar.expect("at least one columnar repetition");
-    let legacy = legacy.expect("at least one legacy repetition");
-    if columnar.running_time != legacy.running_time
-        || columnar.total_bytes != legacy.total_bytes
-        || columnar.total_messages != legacy.total_messages
-        || columnar.link_traffic != legacy.link_traffic
-    {
-        return Err(OrchestraError::Execution(format!(
-            "the data paths diverged on simulated figures for {}: columnar \
-             ({}, {} bytes, {} msgs) vs legacy ({}, {} bytes, {} msgs)",
-            workload.name(),
-            columnar.running_time,
-            columnar.total_bytes,
-            columnar.total_messages,
-            legacy.running_time,
-            legacy.total_bytes,
-            legacy.total_messages,
-        )));
-    }
-    Ok(WallClockComparison {
-        nodes,
-        columnar: columnar.wall_clock,
-        legacy: legacy.wall_clock,
-    })
 }
 
 /// One (failure instant, strategy) cell of a recovery-cost sweep.
@@ -565,38 +409,14 @@ mod tests {
     #[test]
     fn scale_out_covers_every_cluster_size() {
         let w = CopyScenario { seed: 3, rows: 120 };
-        let points = run_scale_out(&w, &[4, 6, 8], &EngineConfig::default(), false).unwrap();
+        let points = run_scale_out(&w, &[4, 6, 8], &EngineConfig::default()).unwrap();
         assert_eq!(points.len(), 3);
         assert!(points.iter().all(|p| p.total_bytes > 0));
         assert!(points.iter().all(|p| p.running_time > SimTime::ZERO));
         let json = points[0].to_json().render();
         assert!(json.contains("\"nodes\":4"), "{json}");
-        // Suppressed wall clock stays out of the deterministic output.
+        // Host time never enters the byte-compared output.
         assert!(!json.contains("wall_clock"), "{json}");
-    }
-
-    #[test]
-    fn scale_out_wall_clock_axis_renders_rows_per_sec() {
-        let w = CopyScenario { seed: 3, rows: 120 };
-        let points = run_scale_out(&w, &[4], &EngineConfig::default(), true).unwrap();
-        let w = points[0].wall_clock.as_ref().expect("wall clock requested");
-        assert!(w.total_rows() > 0, "operators processed rows");
-        let json = points[0].to_json().render();
-        assert!(json.contains("\"wall_clock\""), "{json}");
-        assert!(json.contains("\"rows_per_sec\""), "{json}");
-    }
-
-    #[test]
-    fn wall_clock_comparison_keeps_simulated_figures_identical() {
-        // The cross-check inside run_wall_clock fails the run if the two
-        // data paths diverge on any simulated figure; both paths also
-        // actually process rows.
-        let w = TpchWorkload::scaled(TpchQuery::Q1, 5, 160);
-        let cmp = run_wall_clock(&w, 4, &EngineConfig::default()).unwrap();
-        assert!(cmp.columnar.total_rows() > 0);
-        assert_eq!(cmp.columnar.total_rows(), cmp.legacy.total_rows());
-        let json = cmp.to_json().render();
-        assert!(json.contains("\"speedup\""), "{json}");
     }
 
     #[test]

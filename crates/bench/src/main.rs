@@ -16,17 +16,13 @@
 //! subsets CI's smoke and determinism gates use.  An unknown name lists
 //! the valid set and exits non-zero; `--list-experiments` prints the
 //! valid set (one name per line) and exits zero, the machine-readable
-//! form CI's loops iterate.  The pseudo-experiment `baseline` runs
-//! exactly the gated set (`plan_quality` + `maintenance` + `serving` +
-//! `subscriptions` + `churn` + `adaptivity`); its output is what
-//! `BENCH_BASELINE.json` commits.  `--check-baseline <path>` runs that
-//! set and fails (exit 1) if any estimated cost, measured traffic,
-//! maintenance shipped-bytes total, serving shipped-bytes total,
-//! serving cache hit rate, shared-maintenance shipped-bytes total,
-//! shared delta-derivation count, gossip convergence-rounds total,
-//! rumor-bytes total, adaptive calibrated predicted-vs-actual error, or
-//! drift-recompilation count regressed more than 5% versus the
-//! committed baseline; refresh it with
+//! form CI's loops iterate.  All of it derives from one table,
+//! [`EXPERIMENTS`]: `all` runs every entry, and the pseudo-experiment
+//! `baseline` runs exactly the entries the gate table
+//! ([`orchestra_bench::baseline::GATES`]) has a gate over; its output is
+//! what `BENCH_BASELINE.json` commits.  `--check-baseline <path>` runs
+//! that set and fails (exit 1) if any gated figure regressed more than
+//! 5% versus the committed baseline; refresh it with
 //! `cargo run --release -p orchestra-bench -- --experiment baseline > BENCH_BASELINE.json`.
 //! `--heavy` adds the slow scale points (a thousands-of-sessions
 //! serving run, a 256-subscriber fan-out sweep, a 1000-node
@@ -34,23 +30,30 @@
 //! explicitly selected runs; the committed-baseline set never includes
 //! them.
 //!
+//! Every figure printed is simulated, so the output is byte-for-byte
+//! deterministic — CI compares two runs of everything.  Host time is
+//! measured in exactly one place, the `benchmark/` package.
+//!
 //! Exit status is non-zero (with a message on stderr) if any experiment
 //! fails — including any distributed or *maintained* answer that
 //! disagrees with its workload's single-node reference.
 
+use orchestra_bench::baseline::GATES;
 use orchestra_bench::{
-    check_adaptivity_baseline, check_churn_baseline, check_maintenance_baseline,
-    check_plan_quality_baseline, check_serving_baseline, check_subscriptions_baseline,
-    run_adaptivity, run_churn, run_maintenance, run_plan_quality, run_recovery_sweep,
-    run_scale_out, run_serving_experiment, run_subscriptions, run_tagging_overhead, run_throughput,
-    run_wall_clock, AdaptivitySpec, ChurnBenchSpec, Json, MaintenanceSweepSpec, ServingSpec,
-    SubscriptionsSpec,
+    check_baseline, run_adaptivity, run_churn, run_maintenance, run_plan_quality,
+    run_recovery_sweep, run_scale_out, run_serving_experiment, run_subscriptions,
+    run_tagging_overhead, run_throughput, AdaptivitySpec, ChurnBenchSpec, Json,
+    MaintenanceSweepSpec, ServingSpec, SubscriptionsSpec,
 };
-use orchestra_common::{NodeId, Result};
+use orchestra_common::{NodeId, OrchestraError, Result};
 use orchestra_engine::{AdmissionPolicy, EngineConfig, EvictionPolicy};
 use orchestra_optimizer::DriftConfig;
 use orchestra_workloads::{CopyScenario, EpochSpec, TpchQuery, TpchWorkload, Workload};
 
+/// Seed of the three-query catalogue the per-workload experiments run.
+const CATALOGUE_SEED: u64 = 42;
+/// Rows per workload in the ad-hoc per-workload experiments.
+const CATALOGUE_ROWS: usize = 240;
 /// Cluster sizes of the scale-out experiment.
 const SCALE_OUT_NODES: [u16; 3] = [4, 6, 8];
 /// Cluster size of the recovery sweep and tagging-overhead runs.
@@ -96,11 +99,6 @@ const MAINTENANCE_SEED: u64 = 42;
 /// epoch parameters per leg) don't drown the delta-vs-full contrast the
 /// sweep measures.
 const MAINTENANCE_ROWS: usize = 600;
-/// Rows in the wall-clock throughput comparison.  Larger still: host
-/// rows/sec is a steady-state figure, so the dataset must be big enough
-/// that per-query fixed costs (plan setup, channel creation) vanish
-/// against per-row work on both data paths.
-const WALL_CLOCK_ROWS: usize = 6000;
 /// Requests of the extra thousands-of-sessions serving point that
 /// `--heavy` adds (the ROADMAP's serving follow-on; far too slow for
 /// the default CI gates).
@@ -210,33 +208,234 @@ const MAINTENANCE_SWEEPS: [MaintenanceSweepSpec; 2] = [
     },
 ];
 
-/// The selectable experiments, in documentation order.  `baseline` is
-/// the committed-baseline subset: exactly `plan_quality`,
-/// `maintenance`, `serving`, `subscriptions`, `churn` and `adaptivity`,
-/// the experiments `--check-baseline` gates.
-/// `wall_clock` (the columnar-vs-legacy host-throughput comparison) runs
-/// only when selected explicitly: its figures measure the host machine
-/// and are inherently nondeterministic.
-const EXPERIMENTS: [&str; 13] = [
-    "all",
-    "scale_out",
-    "recovery_sweep",
-    "tagging_overhead",
-    "plan_quality",
-    "maintenance",
-    "throughput",
-    "serving",
-    "subscriptions",
-    "churn",
-    "adaptivity",
-    "wall_clock",
-    "baseline",
+/// The three queries the per-workload experiments run, at `rows` rows.
+fn catalogue(seed: u64, rows: usize) -> [Box<dyn Workload>; 3] {
+    [
+        Box::new(TpchWorkload::scaled(TpchQuery::Q1, seed, rows)),
+        Box::new(TpchWorkload::scaled(TpchQuery::Q3, seed, rows)),
+        Box::new(CopyScenario { seed, rows }),
+    ]
+}
+
+/// The document fields an experiment contributes.
+type Fields = Vec<(&'static str, Json)>;
+
+/// How an experiment runs, which fixes where its output lands.
+enum Run {
+    /// Once per catalogue workload, over datasets of the given row
+    /// count; the result nests under `experiments[i].<name>`.
+    PerWorkload(usize, fn(&dyn Workload, &EngineConfig) -> Result<Json>),
+    /// Once, appending its own top-level section(s); the flag is
+    /// `--heavy`.
+    Cluster(fn(bool, &EngineConfig, &mut Fields) -> Result<()>),
+}
+
+/// One selectable experiment.
+struct Experiment {
+    name: &'static str,
+    run: Run,
+}
+
+impl Experiment {
+    /// Does `selection` (an experiment name, `all` or `baseline`) run
+    /// this experiment?  `baseline` is exactly the experiments the gate
+    /// table has a gate over.
+    fn selected_by(&self, selection: &str) -> bool {
+        match selection {
+            "all" => true,
+            "baseline" => GATES.iter().any(|gate| gate.section == self.name),
+            name => name == self.name,
+        }
+    }
+}
+
+/// Every experiment, in output order.  `--list-experiments`, `all`,
+/// `baseline` and `--check-baseline` all derive from this table.
+static EXPERIMENTS: [Experiment; 10] = [
+    Experiment {
+        name: "scale_out",
+        run: Run::PerWorkload(CATALOGUE_ROWS, |workload, config| {
+            let points = run_scale_out(workload, &SCALE_OUT_NODES, config)?;
+            Ok(Json::Array(points.iter().map(|p| p.to_json()).collect()))
+        }),
+    },
+    Experiment {
+        name: "recovery_sweep",
+        run: Run::PerWorkload(CATALOGUE_ROWS, |workload, config| {
+            run_recovery_sweep(workload, SWEEP_NODES, SWEEP_VICTIM, SWEEP_POINTS, config)
+                .map(|sweep| sweep.to_json())
+        }),
+    },
+    Experiment {
+        name: "tagging_overhead",
+        run: Run::PerWorkload(CATALOGUE_ROWS, |workload, config| {
+            run_tagging_overhead(workload, SWEEP_NODES, config).map(|t| t.to_json())
+        }),
+    },
+    Experiment {
+        name: "plan_quality",
+        run: Run::PerWorkload(CATALOGUE_ROWS, |workload, config| {
+            run_plan_quality(workload, SWEEP_NODES, config).map(|q| q.to_json())
+        }),
+    },
+    Experiment {
+        name: "maintenance",
+        run: Run::PerWorkload(MAINTENANCE_ROWS, |workload, config| {
+            let sweeps = &MAINTENANCE_SWEEPS;
+            run_maintenance(workload, SWEEP_NODES, MAINTENANCE_SEED, sweeps, config)
+                .map(|m| m.to_json())
+        }),
+    },
+    Experiment {
+        name: "throughput",
+        run: Run::Cluster(throughput),
+    },
+    Experiment {
+        name: "serving",
+        run: Run::Cluster(serving),
+    },
+    Experiment {
+        name: "churn",
+        run: Run::Cluster(|heavy, _, doc| {
+            let report = run_churn(&ChurnBenchSpec {
+                // The nightly's 1000-node sustained stream; the convergence
+                // points at 100 and 1000 run (and are enforced) everywhere.
+                heavy_nodes: if heavy { CHURN_HEAVY_NODES } else { 0 },
+                ..ChurnBenchSpec::default()
+            })?;
+            doc.push(("churn", report.to_json()));
+            Ok(())
+        }),
+    },
+    Experiment {
+        name: "adaptivity",
+        run: Run::Cluster(adaptivity),
+    },
+    Experiment {
+        name: "subscriptions",
+        run: Run::Cluster(|heavy, config, doc| {
+            let counts: &[usize] = if heavy {
+                &HEAVY_SUBSCRIBER_COUNTS
+            } else {
+                &SUBSCRIBER_COUNTS
+            };
+            let report = run_subscriptions(
+                &SubscriptionsSpec {
+                    seed: SUBSCRIPTIONS_SEED,
+                    rows: SUBSCRIPTIONS_ROWS,
+                    nodes: SUBSCRIPTIONS_NODES,
+                    subscriber_counts: counts,
+                    sweeps: &SUBSCRIPTION_SWEEPS,
+                },
+                config,
+            )?;
+            doc.push(("subscriptions", report.to_json()));
+            Ok(())
+        }),
+    },
 ];
+
+fn throughput(_heavy: bool, config: &EngineConfig, doc: &mut Fields) -> Result<()> {
+    let mut policies = Vec::new();
+    for policy in [AdmissionPolicy::Fifo, AdmissionPolicy::ShortestCostFirst] {
+        let sweep = run_throughput(
+            THROUGHPUT_SEED,
+            THROUGHPUT_ROWS,
+            THROUGHPUT_COPIES,
+            THROUGHPUT_NODES,
+            &THROUGHPUT_LEVELS,
+            policy,
+            config,
+        )?;
+        policies.push(sweep.to_json());
+    }
+    doc.push((
+        "throughput",
+        Json::object(vec![
+            ("nodes", Json::UInt(THROUGHPUT_NODES as u64)),
+            (
+                "levels",
+                Json::Array(
+                    THROUGHPUT_LEVELS
+                        .iter()
+                        .map(|l| Json::UInt(*l as u64))
+                        .collect(),
+                ),
+            ),
+            ("policies", Json::Array(policies)),
+        ]),
+    ));
+    Ok(())
+}
+
+fn serving(heavy: bool, config: &EngineConfig, doc: &mut Fields) -> Result<()> {
+    let spec = ServingSpec {
+        seed: SERVING_SEED,
+        rows: SERVING_ROWS,
+        nodes: SERVING_NODES,
+        requests: SERVING_REQUESTS,
+        load_factors: &SERVING_LOADS,
+        zipf_exponents: &SERVING_SKEWS,
+        cache_capacities: &SERVING_CAPACITIES,
+        eviction: EvictionPolicy::Lru,
+    };
+    doc.push(("serving", run_serving_experiment(&spec, config)?.to_json()));
+    // The ROADMAP's serving follow-on, behind `--heavy` so the default
+    // gates stay fast: one thousands-of-sessions point at the skewed,
+    // overloaded corner where the result cache matters most.
+    if heavy {
+        let heavy_spec = ServingSpec {
+            requests: SERVING_HEAVY_REQUESTS,
+            load_factors: &[2.0],
+            zipf_exponents: &[1.2],
+            cache_capacities: &[0, 6],
+            ..spec
+        };
+        let sweep = run_serving_experiment(&heavy_spec, config)?;
+        doc.push(("serving_heavy", sweep.to_json()));
+    }
+    Ok(())
+}
+
+fn adaptivity(heavy: bool, config: &EngineConfig, doc: &mut Fields) -> Result<()> {
+    // The same trio at the adaptivity experiment's own scale.
+    let workloads = catalogue(ADAPTIVITY_SEED, ADAPTIVITY_ROWS);
+    let workloads: Vec<&dyn Workload> = workloads.iter().map(|w| w.as_ref()).collect();
+    let report = run_adaptivity(
+        &workloads,
+        &AdaptivitySpec {
+            seed: ADAPTIVITY_SEED,
+            rows: ADAPTIVITY_ROWS,
+            nodes: ADAPTIVITY_NODES,
+            feedback_epochs: ADAPTIVITY_FEEDBACK_EPOCHS,
+            feedback_churn: ADAPTIVITY_FEEDBACK_CHURN,
+            drift: DriftConfig::default(),
+            drift_churn: ADAPTIVITY_DRIFT_CHURN,
+            drift_epochs: ADAPTIVITY_DRIFT_EPOCHS,
+            delta_fractions: &ADAPTIVITY_FRACTIONS,
+            crossover_epochs: ADAPTIVITY_CROSSOVER_EPOCHS,
+            // The long calibration stream is nightly-only.
+            heavy_epochs: if heavy { ADAPTIVITY_HEAVY_EPOCHS } else { 0 },
+        },
+        config,
+    )?;
+    doc.push(("adaptivity", report.to_json()));
+    Ok(())
+}
+
+/// The names `--experiment` accepts and `--list-experiments` prints:
+/// `all`, every table entry in order, `baseline`.
+fn selections() -> Vec<&'static str> {
+    let mut names = vec!["all"];
+    names.extend(EXPERIMENTS.iter().map(|e| e.name));
+    names.push("baseline");
+    names
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match parse_args(&args) {
-        Ok(Mode::Run(options)) => match run(&options) {
+        Ok(Mode::Run { selection, heavy }) => match run(&selection, heavy) {
             Ok(doc) => println!("{doc}"),
             Err(e) => {
                 eprintln!("orchestra-bench failed: {e}");
@@ -244,45 +443,37 @@ fn main() {
             }
         },
         Ok(Mode::CheckBaseline(path)) => {
-            if let Err(e) = check_baseline(&path) {
+            if let Err(e) = check(&path) {
                 eprintln!("baseline gate failed: {e}");
                 std::process::exit(1);
             }
         }
         Ok(Mode::ListExperiments) => {
-            for name in EXPERIMENTS {
+            for name in selections() {
                 println!("{name}");
             }
         }
         Err(message) => {
             eprintln!("{message}");
-            eprintln!("valid experiments: {}", EXPERIMENTS.join(", "));
+            eprintln!("valid experiments: {}", selections().join(", "));
             eprintln!(
-                "usage: orchestra-bench [--experiment <name>] [--list-experiments] \
-                 [--no-wall-clock] [--legacy-row-path] [--heavy] [--check-baseline <path>]"
+                "usage: orchestra-bench [--experiment <name>] [--list-experiments] [--heavy] \
+                 [--check-baseline <path>]"
             );
             std::process::exit(2);
         }
     }
 }
 
-/// A `Mode::Run` invocation's options.
-struct RunOptions {
-    experiment: String,
-    /// Emit the host wall-clock axis in scale-out and maintenance
-    /// output.  Off under `--no-wall-clock`, the form the byte-exact
-    /// determinism gate compares.
-    wall_clock: bool,
-    /// Run every experiment through the legacy row-at-a-time data path.
-    legacy_row_path: bool,
-    /// Add the slow scale points: the thousands-of-sessions serving run
-    /// and the 256-subscriber fan-out sweep.  Never part of the
-    /// committed-baseline output, which must stay fast and fixed-shape.
-    heavy: bool,
-}
-
+#[derive(Debug, PartialEq)]
 enum Mode {
-    Run(RunOptions),
+    Run {
+        selection: String,
+        /// Add the slow scale points.  Never part of the
+        /// committed-baseline output, which must stay fast and
+        /// fixed-shape.
+        heavy: bool,
+    },
     CheckBaseline(String),
     /// Print the selectable experiment names, one per line — the
     /// machine-readable list CI's loops iterate instead of hard-coding
@@ -290,10 +481,9 @@ enum Mode {
     ListExperiments,
 }
 
+/// Parse the command line; an `Err` is a usage error (exit 2).
 fn parse_args(args: &[String]) -> std::result::Result<Mode, String> {
-    let mut experiment = "all".to_string();
-    let mut wall_clock = true;
-    let mut legacy_row_path = false;
+    let mut selection = "all".to_string();
     let mut heavy = false;
     let mut list = false;
     let mut baseline_path: Option<String> = None;
@@ -304,19 +494,11 @@ fn parse_args(args: &[String]) -> std::result::Result<Mode, String> {
                 let name = args
                     .get(i + 1)
                     .ok_or_else(|| "--experiment requires a name".to_string())?;
-                if !EXPERIMENTS.contains(&name.as_str()) {
+                if !selections().contains(&name.as_str()) {
                     return Err(format!("unknown experiment \"{name}\""));
                 }
-                experiment = name.clone();
+                selection = name.clone();
                 i += 2;
-            }
-            "--no-wall-clock" => {
-                wall_clock = false;
-                i += 1;
-            }
-            "--legacy-row-path" => {
-                legacy_row_path = true;
-                i += 1;
             }
             "--heavy" => {
                 heavy = true;
@@ -341,290 +523,143 @@ fn parse_args(args: &[String]) -> std::result::Result<Mode, String> {
     }
     match baseline_path {
         Some(path) => Ok(Mode::CheckBaseline(path)),
-        None => Ok(Mode::Run(RunOptions {
-            experiment,
-            wall_clock,
-            legacy_row_path,
-            heavy,
-        })),
+        None => Ok(Mode::Run { selection, heavy }),
     }
 }
 
-fn run(options: &RunOptions) -> Result<Json> {
-    let experiment = options.experiment.as_str();
-    let tpch = TpchWorkload::scaled(TpchQuery::Q1, 42, 240);
-    let tpch_joins = TpchWorkload::scaled(TpchQuery::Q3, 42, 240);
-    let stbenchmark = CopyScenario {
-        seed: 42,
-        rows: 240,
-    };
-    let workloads: [&dyn Workload; 3] = [&tpch, &tpch_joins, &stbenchmark];
-    // The maintenance experiment maintains the same three queries over
-    // its own larger datasets (see `MAINTENANCE_ROWS`).
-    let m_tpch = TpchWorkload::scaled(TpchQuery::Q1, 42, MAINTENANCE_ROWS);
-    let m_tpch_joins = TpchWorkload::scaled(TpchQuery::Q3, 42, MAINTENANCE_ROWS);
-    let m_stbenchmark = CopyScenario {
-        seed: 42,
-        rows: MAINTENANCE_ROWS,
-    };
-    let maintenance_workloads: [&dyn Workload; 3] = [&m_tpch, &m_tpch_joins, &m_stbenchmark];
-    // The adaptivity experiment runs the same trio at its own scale.
-    let a_tpch = TpchWorkload::scaled(TpchQuery::Q1, ADAPTIVITY_SEED, ADAPTIVITY_ROWS);
-    let a_tpch_joins = TpchWorkload::scaled(TpchQuery::Q3, ADAPTIVITY_SEED, ADAPTIVITY_ROWS);
-    let a_stbenchmark = CopyScenario {
-        seed: ADAPTIVITY_SEED,
-        rows: ADAPTIVITY_ROWS,
-    };
-    let adaptivity_workloads: [&dyn Workload; 3] = [&a_tpch, &a_tpch_joins, &a_stbenchmark];
-    let all = experiment == "all";
-
-    let config = EngineConfig {
-        legacy_row_path: options.legacy_row_path,
-        ..EngineConfig::default()
-    };
+fn run(selection: &str, heavy: bool) -> Result<Json> {
+    let config = EngineConfig::default();
+    // The committed baseline document stays fast and fixed-shape.
+    let heavy = heavy && selection != "baseline";
+    let selected = || EXPERIMENTS.iter().filter(|e| e.selected_by(selection));
     let mut doc = vec![
         ("benchmark", Json::str("orchestra")),
-        ("experiment", Json::str(experiment)),
+        ("experiment", Json::str(selection)),
     ];
 
-    let baseline = experiment == "baseline";
-    // The committed baseline document must stay deterministic, so it
-    // never carries the host wall-clock axis regardless of flags.
-    let wall_clock = options.wall_clock && !baseline;
-    let per_workload = all
-        || baseline
-        || matches!(
-            experiment,
-            "scale_out" | "recovery_sweep" | "tagging_overhead" | "plan_quality" | "maintenance"
-        );
-    if per_workload {
+    let per_workload: Vec<_> = selected()
+        .filter_map(|e| match e.run {
+            Run::PerWorkload(rows, f) => Some((e.name, catalogue(CATALOGUE_SEED, rows), f)),
+            Run::Cluster(_) => None,
+        })
+        .collect();
+    if let Some((_, first, _)) = per_workload.first() {
         let mut experiments = Vec::new();
-        for (i, workload) in workloads.into_iter().enumerate() {
-            let mut entry = vec![("workload", Json::str(workload.name()))];
-            if all || experiment == "scale_out" {
-                let points = run_scale_out(workload, &SCALE_OUT_NODES, &config, wall_clock)?;
-                entry.push((
-                    "scale_out",
-                    Json::Array(points.iter().map(|p| p.to_json()).collect()),
-                ));
-            }
-            if all || experiment == "recovery_sweep" {
-                let sweep =
-                    run_recovery_sweep(workload, SWEEP_NODES, SWEEP_VICTIM, SWEEP_POINTS, &config)?;
-                entry.push(("recovery_sweep", sweep.to_json()));
-            }
-            if all || experiment == "tagging_overhead" {
-                let tagging = run_tagging_overhead(workload, SWEEP_NODES, &config)?;
-                entry.push(("tagging_overhead", tagging.to_json()));
-            }
-            if all || baseline || experiment == "plan_quality" {
-                let quality = run_plan_quality(workload, SWEEP_NODES, &config)?;
-                entry.push(("plan_quality", quality.to_json()));
-            }
-            if all || baseline || experiment == "maintenance" {
-                let maintenance = run_maintenance(
-                    maintenance_workloads[i],
-                    SWEEP_NODES,
-                    MAINTENANCE_SEED,
-                    &MAINTENANCE_SWEEPS,
-                    &config,
-                    wall_clock,
-                )?;
-                entry.push(("maintenance", maintenance.to_json()));
+        for i in 0..first.len() {
+            let mut entry = vec![("workload", Json::str(first[i].name()))];
+            for (name, workloads, f) in &per_workload {
+                entry.push((*name, f(workloads[i].as_ref(), &config)?));
             }
             experiments.push(Json::object(entry));
         }
         doc.push(("experiments", Json::Array(experiments)));
     }
-
-    // Explicit selection only: host-throughput figures are inherently
-    // nondeterministic, so they never enter the byte-compared full run.
-    if experiment == "wall_clock" {
-        let wc_tpch = TpchWorkload::scaled(TpchQuery::Q1, 42, WALL_CLOCK_ROWS);
-        let comparison = run_wall_clock(&wc_tpch, SWEEP_NODES, &config)?;
-        doc.push((
-            "wall_clock",
-            Json::object(vec![
-                ("workload", Json::str(wc_tpch.name())),
-                ("rows", Json::UInt(WALL_CLOCK_ROWS as u64)),
-                ("comparison", comparison.to_json()),
-            ]),
-        ));
-    }
-
-    if all || experiment == "throughput" {
-        let mut policies = Vec::new();
-        for policy in [AdmissionPolicy::Fifo, AdmissionPolicy::ShortestCostFirst] {
-            let sweep = run_throughput(
-                THROUGHPUT_SEED,
-                THROUGHPUT_ROWS,
-                THROUGHPUT_COPIES,
-                THROUGHPUT_NODES,
-                &THROUGHPUT_LEVELS,
-                policy,
-                &config,
-            )?;
-            policies.push(sweep.to_json());
-        }
-        doc.push((
-            "throughput",
-            Json::object(vec![
-                ("nodes", Json::UInt(THROUGHPUT_NODES as u64)),
-                (
-                    "levels",
-                    Json::Array(
-                        THROUGHPUT_LEVELS
-                            .iter()
-                            .map(|l| Json::UInt(*l as u64))
-                            .collect(),
-                    ),
-                ),
-                ("policies", Json::Array(policies)),
-            ]),
-        ));
-    }
-
-    if all || baseline || experiment == "serving" {
-        let sweep = run_serving_experiment(
-            &ServingSpec {
-                seed: SERVING_SEED,
-                rows: SERVING_ROWS,
-                nodes: SERVING_NODES,
-                requests: SERVING_REQUESTS,
-                load_factors: &SERVING_LOADS,
-                zipf_exponents: &SERVING_SKEWS,
-                cache_capacities: &SERVING_CAPACITIES,
-                eviction: EvictionPolicy::Lru,
-            },
-            &config,
-        )?;
-        doc.push(("serving", sweep.to_json()));
-        // The ROADMAP's serving follow-on, behind `--heavy` so the
-        // default gates stay fast: one thousands-of-sessions point at
-        // the skewed, overloaded corner where the result cache matters
-        // most.  Never part of the fixed-shape baseline document.
-        if options.heavy && !baseline {
-            let heavy_sweep = run_serving_experiment(
-                &ServingSpec {
-                    seed: SERVING_SEED,
-                    rows: SERVING_ROWS,
-                    nodes: SERVING_NODES,
-                    requests: SERVING_HEAVY_REQUESTS,
-                    load_factors: &[2.0],
-                    zipf_exponents: &[1.2],
-                    cache_capacities: &[0, 6],
-                    eviction: EvictionPolicy::Lru,
-                },
-                &config,
-            )?;
-            doc.push(("serving_heavy", heavy_sweep.to_json()));
+    for experiment in selected() {
+        if let Run::Cluster(f) = experiment.run {
+            f(heavy, &config, &mut doc)?;
         }
     }
-
-    if all || baseline || experiment == "churn" {
-        let report = run_churn(&ChurnBenchSpec {
-            // The nightly's 1000-node sustained stream; the convergence
-            // points at 100 and 1000 run (and are enforced) everywhere.
-            heavy_nodes: if options.heavy && !baseline {
-                CHURN_HEAVY_NODES
-            } else {
-                0
-            },
-            ..ChurnBenchSpec::default()
-        })?;
-        doc.push(("churn", report.to_json()));
-    }
-
-    if all || baseline || experiment == "adaptivity" {
-        let report = run_adaptivity(
-            &adaptivity_workloads,
-            &AdaptivitySpec {
-                seed: ADAPTIVITY_SEED,
-                rows: ADAPTIVITY_ROWS,
-                nodes: ADAPTIVITY_NODES,
-                feedback_epochs: ADAPTIVITY_FEEDBACK_EPOCHS,
-                feedback_churn: ADAPTIVITY_FEEDBACK_CHURN,
-                drift: DriftConfig::default(),
-                drift_churn: ADAPTIVITY_DRIFT_CHURN,
-                drift_epochs: ADAPTIVITY_DRIFT_EPOCHS,
-                delta_fractions: &ADAPTIVITY_FRACTIONS,
-                crossover_epochs: ADAPTIVITY_CROSSOVER_EPOCHS,
-                // The long calibration stream is nightly-only; the
-                // committed baseline document stays fast and fixed-shape.
-                heavy_epochs: if options.heavy && !baseline {
-                    ADAPTIVITY_HEAVY_EPOCHS
-                } else {
-                    0
-                },
-            },
-            &config,
-        )?;
-        doc.push(("adaptivity", report.to_json()));
-    }
-
-    if all || baseline || experiment == "subscriptions" {
-        let counts: &[usize] = if options.heavy && !baseline {
-            &HEAVY_SUBSCRIBER_COUNTS
-        } else {
-            &SUBSCRIBER_COUNTS
-        };
-        let report = run_subscriptions(
-            &SubscriptionsSpec {
-                seed: SUBSCRIPTIONS_SEED,
-                rows: SUBSCRIPTIONS_ROWS,
-                nodes: SUBSCRIPTIONS_NODES,
-                subscriber_counts: counts,
-                sweeps: &SUBSCRIPTION_SWEEPS,
-            },
-            &config,
-        )?;
-        doc.push(("subscriptions", report.to_json()));
-    }
-
     Ok(Json::object(doc))
 }
 
-fn check_baseline(path: &str) -> Result<()> {
-    use orchestra_common::OrchestraError;
+fn check(path: &str) -> Result<()> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| OrchestraError::Execution(format!("cannot read {path}: {e}")))?;
     let baseline = Json::parse(&text)
         .map_err(|e| OrchestraError::Execution(format!("cannot parse {path}: {e}")))?;
-    let current = run(&RunOptions {
-        experiment: "baseline".into(),
-        wall_clock: false,
-        legacy_row_path: false,
-        heavy: false,
-    })?;
-    let mut violations = Vec::new();
-    for result in [
-        check_plan_quality_baseline(&current, &baseline, BASELINE_TOLERANCE),
-        check_maintenance_baseline(&current, &baseline, BASELINE_TOLERANCE),
-        check_serving_baseline(&current, &baseline, BASELINE_TOLERANCE),
-        check_subscriptions_baseline(&current, &baseline, BASELINE_TOLERANCE),
-        check_churn_baseline(&current, &baseline, BASELINE_TOLERANCE),
-        check_adaptivity_baseline(&current, &baseline, BASELINE_TOLERANCE),
-    ] {
-        match result {
-            Ok(passed) => {
-                for line in passed {
-                    eprintln!("ok: {line}");
-                }
+    let current = run("baseline", false)?;
+    match check_baseline(&current, &baseline, BASELINE_TOLERANCE) {
+        Ok(passed) => {
+            for line in passed {
+                eprintln!("ok: {line}");
             }
-            Err(lines) => violations.extend(lines),
+            Ok(())
+        }
+        Err(violations) => {
+            for line in &violations {
+                eprintln!("REGRESSION: {line}");
+            }
+            Err(OrchestraError::Execution(format!(
+                "{} baseline figure(s) regressed beyond {:.0}% of {path}; refresh with \
+                 `cargo run --release -p orchestra-bench -- --experiment baseline > {path}` \
+                 after an intentional change",
+                violations.len(),
+                BASELINE_TOLERANCE * 100.0
+            )))
         }
     }
-    if violations.is_empty() {
-        return Ok(());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(words: &[&str]) -> Vec<String> {
+        words.iter().map(|w| w.to_string()).collect()
     }
-    for line in &violations {
-        eprintln!("REGRESSION: {line}");
+
+    #[test]
+    fn list_experiments_prints_the_table_in_order() {
+        assert_eq!(
+            parse_args(&args(&["--list-experiments"])),
+            Ok(Mode::ListExperiments)
+        );
+        let table: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+        let listed = selections();
+        assert_eq!(listed.first(), Some(&"all"));
+        assert_eq!(listed.last(), Some(&"baseline"));
+        assert_eq!(listed[1..listed.len() - 1], table[..]);
+        // Every listed name parses; the four flags compose.
+        for name in listed {
+            assert_eq!(
+                parse_args(&args(&["--heavy", "--experiment", name])),
+                Ok(Mode::Run {
+                    selection: name.to_string(),
+                    heavy: true
+                })
+            );
+        }
+        assert_eq!(
+            parse_args(&args(&["--check-baseline", "b.json"])),
+            Ok(Mode::CheckBaseline("b.json".into()))
+        );
     }
-    Err(OrchestraError::Execution(format!(
-        "{} baseline figure(s) regressed beyond {:.0}% of {path}; refresh with \
-         `cargo run --release -p orchestra-bench -- --experiment baseline > {path}` \
-         after an intentional change",
-        violations.len(),
-        BASELINE_TOLERANCE * 100.0
-    )))
+
+    #[test]
+    fn unknown_flags_and_experiments_are_usage_errors() {
+        for bad in [
+            &["--no-such-flag"][..],
+            &["--experiment", "no_such_experiment"],
+            &["--experiment"],
+            &["--check-baseline"],
+        ] {
+            assert!(parse_args(&args(bad)).is_err(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn the_baseline_set_is_the_gated_experiments_the_committed_document_holds() {
+        let baseline: Vec<&str> = EXPERIMENTS
+            .iter()
+            .filter(|e| e.selected_by("baseline"))
+            .map(|e| e.name)
+            .collect();
+        // No gate names an experiment the table lacks.
+        for gate in GATES {
+            assert!(baseline.contains(&gate.section), "{gate:?}");
+        }
+        // The committed document holds exactly those sections: at the top
+        // level, or per workload inside `experiments`.
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_BASELINE.json");
+        let committed = Json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+        let entry = &committed.get("experiments").unwrap().items().unwrap()[0];
+        for experiment in &EXPERIMENTS {
+            let present = match experiment.run {
+                Run::PerWorkload(..) => entry.get(experiment.name).is_some(),
+                Run::Cluster(_) => committed.get(experiment.name).is_some(),
+            };
+            let name = experiment.name;
+            assert_eq!(experiment.selected_by("baseline"), present, "{name}");
+        }
+    }
 }

@@ -7,9 +7,10 @@
 //! mid-query failure under both recovery strategies — must keep its
 //! answer rows, per-link traffic (and therefore every batch's wire
 //! size), simulated running time and recovery counters byte-identical.
-//! A diverging field means the columnar path changed an observable of
-//! the simulation, not just its CPU cost, and the failing line names
-//! the exact run.
+//! The seed engine no longer exists in the tree, so these lines are the
+//! reference: a diverging field means a change to the data path altered
+//! an observable of the simulation, not just its CPU cost, and the
+//! failing line names the exact run.
 
 use orchestra_bench::equiv::{equivalence_workloads, fingerprint_lines};
 

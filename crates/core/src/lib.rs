@@ -99,7 +99,7 @@ mod tests {
         // An experiment is one `use orchestra_core::*` away: deploy a
         // catalogue workload and sweep a failure-free scale-out.
         let workload = CopyScenario { seed: 5, rows: 60 };
-        let points = run_scale_out(&workload, &[4], &EngineConfig::default(), false).unwrap();
+        let points = run_scale_out(&workload, &[4], &EngineConfig::default()).unwrap();
         assert_eq!(points.len(), 1);
         assert!(points[0].total_bytes > 0);
         let (storage, epoch) = deploy(&workload, 4).unwrap();

@@ -71,25 +71,11 @@ impl TupleBatch {
         let arity = rows.iter().map(|r| r.tuple.arity()).max().unwrap_or(0);
         let mut batch = ColumnarBatch::new(arity);
         for row in rows {
-            Self::push_into(&mut batch, row, arity);
+            let mut values = row.tuple.into_values();
+            values.resize(arity, Value::Null);
+            batch.push_row_owned(values, row.sign, row.provenance, row.phase);
         }
         TupleBatch { batch }
-    }
-
-    fn push_into(batch: &mut ColumnarBatch, row: TaggedTuple, arity: usize) {
-        let mut values = row.tuple.into_values();
-        values.resize(arity, Value::Null);
-        batch.push_row_owned(values, row.sign, row.provenance, row.phase);
-    }
-
-    /// Append one row, widening the batch with NULL columns if the row is
-    /// wider than the rows seen so far.
-    pub fn push(&mut self, row: TaggedTuple) {
-        if row.tuple.arity() > self.batch.arity() {
-            self.batch.pad_to_arity(row.tuple.arity());
-        }
-        let arity = self.batch.arity();
-        Self::push_into(&mut self.batch, row, arity);
     }
 
     /// Append row `row` of a columnar batch without materializing it
@@ -147,8 +133,8 @@ impl TupleBatch {
         }
     }
 
-    /// Materialize every row (used only at the remaining row seams:
-    /// operator unit tests and the legacy row-at-a-time path).
+    /// Materialize every row (a row seam for tests; the engine itself
+    /// never leaves the columnar form between operators).
     pub fn rows(&self) -> Vec<TaggedTuple> {
         (0..self.len()).map(|i| self.row_at(i)).collect()
     }

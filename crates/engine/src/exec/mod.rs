@@ -142,11 +142,6 @@ pub struct EngineConfig {
     pub strategy: RecoveryStrategy,
     /// Upper bound on recovery rounds before the query is abandoned.
     pub max_recovery_rounds: u32,
-    /// Run operators through the legacy row-at-a-time data path instead
-    /// of the columnar batch path.  Simulated figures are identical on
-    /// both paths; this exists as the baseline axis of the wall-clock
-    /// rows/sec benchmark.
-    pub legacy_row_path: bool,
 }
 
 impl Default for EngineConfig {
@@ -158,7 +153,6 @@ impl Default for EngineConfig {
             recovery: true,
             strategy: RecoveryStrategy::Incremental,
             max_recovery_rounds: 4,
-            legacy_row_path: false,
         }
     }
 }

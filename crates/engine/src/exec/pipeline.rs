@@ -21,9 +21,7 @@ use crate::expr::ScalarExpr;
 use crate::ops::{AggState, JoinState};
 use crate::plan::{AggMode, OpId, OperatorKind, PhysicalPlan};
 use crate::provenance::{Phase, TaggedTuple};
-use orchestra_common::{
-    Column, ColumnarBatch, Epoch, KeyRange, NodeId, OrchestraError, Result, Tuple,
-};
+use orchestra_common::{Column, ColumnarBatch, Epoch, KeyRange, NodeId, OrchestraError, Result};
 use orchestra_simnet::{Delivery, SimTime};
 use orchestra_substrate::RoutingTable;
 use std::collections::{HashMap, HashSet};
@@ -324,11 +322,10 @@ impl<'a> Runtime<'a> {
         Ok(self.sim.cpu_free_at(node).max(time))
     }
 
-    /// Row seam of [`Runtime::push_up`]: materialized rows (blocking
-    /// emission, legacy arms) re-enter the batch pipeline here.  The cost
-    /// of rebuilding the columnar batch is billed to the producing
-    /// operator's wall-clock slot — it is part of the price of working on
-    /// row objects.
+    /// Row seam of [`Runtime::push_up`]: the rows a blocking aggregate
+    /// emits re-enter the batch pipeline here.  The cost of building the
+    /// columnar batch is billed to the producing operator's wall-clock
+    /// slot.
     pub(super) fn push_up_rows(
         &mut self,
         node: NodeId,
@@ -345,7 +342,7 @@ impl<'a> Runtime<'a> {
     /// Fold an operator's wall-clock cost into the report counters.  Only
     /// the operator's own compute is on the clock: callers stop it before
     /// recursing into `push_up`, so parent work is never double-billed.
-    /// Row/batch conversion costs are billed with `rows == 0` — they add
+    /// The row seam's conversion cost is billed with `rows == 0` — it adds
     /// time to the slot without re-counting rows the operator arm already
     /// counted.
     pub(super) fn record_wall(&mut self, slot: usize, rows: usize, started: Instant) {
@@ -353,18 +350,16 @@ impl<'a> Runtime<'a> {
         self.stats.op_nanos[slot] += started.elapsed().as_nanos() as u64;
     }
 
-    /// Process a batch arriving at operator `op` on `node` via `input`.
-    ///
-    /// Simulated cost is charged identically on both data paths — one
-    /// `cpu_time(len)` per arriving batch — so the choice of path is
-    /// invisible to every simulated figure; only the host wall-clock
-    /// counters differ.
+    /// Process a batch arriving at operator `op` on `node` via `input`:
+    /// charge one `cpu_time(len)` of simulated CPU for the arrival, then
+    /// run the operator over the whole batch — operators consume and
+    /// produce typed column vectors, never row objects.
     pub(super) fn process_at(
         &mut self,
         node: NodeId,
         op: OpId,
         input: usize,
-        batch: TupleBatch,
+        mut batch: TupleBatch,
         time: SimTime,
     ) -> Result<()> {
         if batch.is_empty() {
@@ -372,28 +367,6 @@ impl<'a> Runtime<'a> {
         }
         let cpu = self.config.profile.node.cpu_time(batch.len());
         let ready = self.sim.charge_cpu(node, time, cpu);
-        if self.config.legacy_row_path {
-            // Materializing row objects out of the arriving batch is the
-            // row path's own cost: bill it to the consuming operator.
-            let wall = Instant::now();
-            let rows = batch.rows();
-            self.record_wall(wc_slot(&self.plan.op(op).kind), 0, wall);
-            self.process_rows_at(node, op, input, rows, ready)
-        } else {
-            self.process_batch_at(node, op, input, batch, ready)
-        }
-    }
-
-    /// The columnar data path: operators consume and produce whole
-    /// batches, touching typed column vectors instead of row objects.
-    fn process_batch_at(
-        &mut self,
-        node: NodeId,
-        op: OpId,
-        input: usize,
-        mut batch: TupleBatch,
-        ready: SimTime,
-    ) -> Result<()> {
         // `plan` is an independent `&'a` borrow, so the kind can be read
         // by reference without cloning predicate/expression trees on
         // every delivered batch.
@@ -507,138 +480,6 @@ impl<'a> Runtime<'a> {
                 let wall = Instant::now();
                 self.output.append_batch(&batch);
                 self.record_wall(WC_OUTPUT, batch.len(), wall);
-                self.finish_time = self.finish_time.max(ready);
-            }
-            OperatorKind::DistributedScan { .. }
-            | OperatorKind::CoveringIndexScan { .. }
-            | OperatorKind::ReplicatedScan { .. } => {
-                return Err(OrchestraError::Execution(
-                    "scan operators take no pipeline input".into(),
-                ))
-            }
-        }
-        Ok(())
-    }
-
-    /// The legacy row-at-a-time data path (`EngineConfig::legacy_row_path`):
-    /// batches are materialized into row objects at every operator, exactly
-    /// as the engine worked before the columnar refactor.  Kept as the
-    /// baseline axis of the wall-clock benchmark; simulated behaviour is
-    /// identical to the batch path.
-    fn process_rows_at(
-        &mut self,
-        node: NodeId,
-        op: OpId,
-        input: usize,
-        rows: Vec<TaggedTuple>,
-        ready: SimTime,
-    ) -> Result<()> {
-        let kind = &self.plan.op(op).kind;
-        match kind {
-            OperatorKind::Select { predicate } => {
-                let wall = Instant::now();
-                let n = rows.len();
-                let kept: Vec<TaggedTuple> = rows
-                    .into_iter()
-                    .filter(|r| predicate.eval(&r.tuple))
-                    .collect();
-                self.record_wall(WC_SELECT, n, wall);
-                if !kept.is_empty() {
-                    self.push_up_rows(node, op, kept, ready)?;
-                }
-            }
-            OperatorKind::Project { columns } => {
-                let wall = Instant::now();
-                let out: Vec<TaggedTuple> = rows
-                    .into_iter()
-                    .map(|r| {
-                        let t = r.tuple.project(columns);
-                        r.with_tuple(t)
-                    })
-                    .collect();
-                self.record_wall(WC_PROJECT, out.len(), wall);
-                self.push_up_rows(node, op, out, ready)?;
-            }
-            OperatorKind::ComputeFunction { exprs } => {
-                let wall = Instant::now();
-                let out: Vec<TaggedTuple> = rows
-                    .into_iter()
-                    .map(|r| {
-                        let vals = exprs.iter().map(|e| e.eval(&r.tuple)).collect();
-                        r.with_tuple(Tuple::new(vals))
-                    })
-                    .collect();
-                self.record_wall(WC_COMPUTE, out.len(), wall);
-                self.push_up_rows(node, op, out, ready)?;
-            }
-            OperatorKind::HashJoin {
-                left_keys,
-                right_keys,
-            } => {
-                let wall = Instant::now();
-                let n = rows.len();
-                let state = self.joins.entry((node, op)).or_default();
-                let mut out = Vec::new();
-                for row in rows {
-                    out.extend(state.process(input, row, left_keys, right_keys, node));
-                }
-                self.record_wall(WC_JOIN, n, wall);
-                if !out.is_empty() {
-                    self.push_up_rows(node, op, out, ready)?;
-                }
-            }
-            OperatorKind::Aggregate {
-                group_by,
-                aggs,
-                mode,
-            } => {
-                let wall = Instant::now();
-                let state = self.aggs.entry((node, op)).or_default();
-                for row in &rows {
-                    match mode {
-                        AggMode::Single | AggMode::Partial => state.update_raw(row, group_by, aggs),
-                        AggMode::Final => state.update_partial(row, group_by, aggs),
-                    }
-                }
-                self.record_wall(WC_AGGREGATE, rows.len(), wall);
-            }
-            OperatorKind::Rehash { columns } => {
-                let wall = Instant::now();
-                let n = rows.len();
-                for row in rows {
-                    let dest = self.table.owner_of(row.tuple.hash_columns(columns));
-                    self.buffer_exchange(node, op, dest, row, ready);
-                }
-                self.record_wall(WC_EXCHANGE, n, wall);
-            }
-            OperatorKind::Broadcast => {
-                let wall = Instant::now();
-                let n = rows.len();
-                let dests = self.participants.clone();
-                for row in rows {
-                    for &dest in &dests {
-                        self.buffer_exchange(node, op, dest, row.clone(), ready);
-                    }
-                }
-                self.record_wall(WC_EXCHANGE, n, wall);
-            }
-            OperatorKind::Ship => {
-                let wall = Instant::now();
-                let n = rows.len();
-                let dest = self.initiator;
-                for row in rows {
-                    self.buffer_exchange(node, op, dest, row, ready);
-                }
-                self.record_wall(WC_EXCHANGE, n, wall);
-            }
-            OperatorKind::Output => {
-                debug_assert_eq!(node, self.initiator);
-                let wall = Instant::now();
-                let n = rows.len();
-                for row in rows {
-                    self.output.push(row);
-                }
-                self.record_wall(WC_OUTPUT, n, wall);
                 self.finish_time = self.finish_time.max(ready);
             }
             OperatorKind::DistributedScan { .. }

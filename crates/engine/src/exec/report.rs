@@ -36,8 +36,8 @@ pub(super) struct RunStats {
 /// Unlike every other figure in [`QueryReport`], these measure the real
 /// machine the simulation ran on — compute time inside the engine's
 /// operators, excluding the simulated network.  They are nondeterministic
-/// by nature and therefore excluded from the byte-exact determinism
-/// gates (the bench binary omits them under `--no-wall-clock`).
+/// by nature, so `orchestra-bench` — whose output is byte-compared —
+/// never prints them; the host-time benchmark (`benchmark/`) reads them.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct WallClock {
     /// Rows processed per operator class, indexed as [`WallClock::NAMES`].
@@ -58,26 +58,6 @@ impl WallClock {
         "scan",
         "output",
     ];
-
-    /// Total rows processed across all operator classes.
-    pub fn total_rows(&self) -> u64 {
-        self.op_rows.iter().sum()
-    }
-
-    /// Total operator compute time in nanoseconds.
-    pub fn total_nanos(&self) -> u64 {
-        self.op_nanos.iter().sum()
-    }
-
-    /// Aggregate operator throughput in rows per second of host time.
-    pub fn rows_per_sec(&self) -> f64 {
-        let nanos = self.total_nanos();
-        if nanos == 0 {
-            0.0
-        } else {
-            self.total_rows() as f64 * 1e9 / nanos as f64
-        }
-    }
 }
 
 /// The answer set and execution measurements of one query run.
@@ -145,8 +125,8 @@ impl Runtime<'_> {
             .map(|i| (out.tuple_at(i), out.sign_at(i)))
             .collect();
         signed_rows.sort();
-        let mut rows: Vec<Tuple> = signed_rows.iter().map(|(t, _)| t.clone()).collect();
-        rows.sort();
+        // Sorted by (tuple, sign), so the projection is already sorted.
+        let rows: Vec<Tuple> = signed_rows.iter().map(|(t, _)| t.clone()).collect();
         let stats = self.sim.stats();
         QueryReport {
             rows,

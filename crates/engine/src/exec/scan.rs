@@ -13,9 +13,9 @@ use super::pipeline::{Runtime, WC_SCAN};
 use crate::batch::TupleBatch;
 use crate::expr::Predicate;
 use crate::plan::{OpId, OperatorKind};
-use crate::provenance::{Phase, TaggedTuple};
+use crate::provenance::Phase;
 use orchestra_common::{
-    ColumnarBatch, Epoch, KeyRange, NodeId, NodeSet, OrchestraError, Result, Tuple, Value,
+    ColumnarBatch, Epoch, KeyRange, NodeId, NodeSet, OrchestraError, Result, Tuple,
 };
 use orchestra_simnet::SimTime;
 use std::time::Instant;
@@ -35,7 +35,6 @@ impl Runtime<'_> {
         let emit = Emit {
             node,
             phase: self.phase,
-            legacy_row_path: self.config.legacy_row_path,
         };
         if delta.is_some() && !matches!(kind, OperatorKind::DistributedScan { .. }) {
             return Err(OrchestraError::Execution(format!(
@@ -173,12 +172,11 @@ impl Runtime<'_> {
 }
 
 /// What scan emission needs to know besides the rows: whose provenance
-/// tag and which phase the rows get, and which data path they take.
+/// tag and which phase the rows get.
 #[derive(Clone, Copy)]
 struct Emit {
     node: NodeId,
     phase: Phase,
-    legacy_row_path: bool,
 }
 
 /// Turn freshly scanned tuples — borrowed from the store — into the scan
@@ -186,11 +184,8 @@ struct Emit {
 /// The scan predicate is evaluated on the borrowed tuple *before* the
 /// batch is built (late materialization: a dropped row is never copied,
 /// interned or accounted), and survivors are columnarized straight out of
-/// the store.  On the legacy row path each survivor becomes an individual
-/// tagged row object, exactly as the engine worked before the columnar
-/// refactor, and only then is packed for the wire.  Only this emission
-/// work is on the wall clock — the storage fetch above it is identical on
-/// both paths.
+/// the store.  Only this emission work is on the wall clock, not the
+/// storage fetch above it.
 fn emit_scanned(tuples: &[&Tuple], predicate: &Option<Predicate>, emit: Emit) -> TupleBatch {
     // The pre-filter maximum, so filtered and unfiltered scans agree on
     // the batch shape.
@@ -199,20 +194,13 @@ fn emit_scanned(tuples: &[&Tuple], predicate: &Option<Predicate>, emit: Emit) ->
         .iter()
         .copied()
         .filter(|t| predicate.as_ref().is_none_or(|p| p.eval(t)));
-    if emit.legacy_row_path {
-        let rows: Vec<TaggedTuple> = survivors
-            .map(|t| TaggedTuple::scanned(padded(t, arity), emit.node, emit.phase))
-            .collect();
-        TupleBatch::from_rows(rows)
-    } else {
-        TupleBatch::from_columnar(ColumnarBatch::from_tuples(
-            arity,
-            survivors,
-            1,
-            NodeSet::singleton(emit.node),
-            emit.phase,
-        ))
-    }
+    TupleBatch::from_columnar(ColumnarBatch::from_tuples(
+        arity,
+        survivors,
+        1,
+        NodeSet::singleton(emit.node),
+        emit.phase,
+    ))
 }
 
 /// [`emit_scanned`] for signed delta scans: every row carries its own
@@ -220,32 +208,11 @@ fn emit_scanned(tuples: &[&Tuple], predicate: &Option<Predicate>, emit: Emit) ->
 fn emit_delta(signed: &[(&Tuple, i8)], predicate: &Option<Predicate>, emit: Emit) -> TupleBatch {
     let arity = signed.iter().map(|(t, _)| t.arity()).max().unwrap_or(0);
     let provenance = NodeSet::singleton(emit.node);
-    let survivors = signed
-        .iter()
-        .copied()
-        .filter(|(t, _)| predicate.as_ref().is_none_or(|p| p.eval(t)));
-    if emit.legacy_row_path {
-        let rows: Vec<TaggedTuple> = survivors
-            .map(|(t, sign)| TaggedTuple {
-                tuple: padded(t, arity),
-                provenance,
-                phase: emit.phase,
-                sign,
-            })
-            .collect();
-        TupleBatch::from_rows(rows)
-    } else {
-        let mut batch = ColumnarBatch::new(arity);
-        for (t, sign) in survivors {
-            batch.push_row_padded(t.values(), sign, provenance, emit.phase);
+    let mut batch = ColumnarBatch::new(arity);
+    for (t, sign) in signed {
+        if predicate.as_ref().is_none_or(|p| p.eval(t)) {
+            batch.push_row_padded(t.values(), *sign, provenance, emit.phase);
         }
-        TupleBatch::from_columnar(batch)
     }
-}
-
-/// An owned copy of `t`, padded with NULLs up to `arity`.
-fn padded(t: &Tuple, arity: usize) -> Tuple {
-    let mut values = t.values().to_vec();
-    values.resize(arity, Value::Null);
-    Tuple::new(values)
+    TupleBatch::from_columnar(batch)
 }

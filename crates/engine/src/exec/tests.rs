@@ -200,6 +200,26 @@ fn execution_is_deterministic() {
 }
 
 #[test]
+fn operator_row_counts_are_a_function_of_the_data_alone() {
+    let mut s = cluster(5);
+    publish_r(&mut s, 80);
+    let exec = QueryExecutor::new(&s, EngineConfig::default());
+    let a = exec
+        .execute(&scan_ship_plan(), Epoch(0), NodeId(0))
+        .unwrap();
+    let b = exec
+        .execute(&scan_ship_plan(), Epoch(0), NodeId(0))
+        .unwrap();
+    // Every row passes the scan, the ship exchange and the output once;
+    // no other operator class runs.
+    for (name, rows) in WallClock::NAMES.iter().zip(a.operator_rows()) {
+        let expected = u64::from(matches!(*name, "scan" | "exchange" | "output")) * 80;
+        assert_eq!(*rows, expected, "{name}");
+    }
+    assert_eq!(a.operator_rows(), b.operator_rows());
+}
+
+#[test]
 fn incremental_without_recovery_support_is_rejected() {
     let mut s = cluster(4);
     publish_r(&mut s, 50);

@@ -24,11 +24,10 @@
 //! Between operators the data path is columnar: batches travel as typed
 //! column vectors with interned strings and parallel sign / provenance /
 //! phase tag columns, and the operators are vectorized over that layout.
-//! [`exec::EngineConfig::legacy_row_path`] switches a run back to the
-//! row-at-a-time path (every batch materialized into tagged row objects
-//! and re-packed afterwards) — the two paths produce bit-identical
-//! simulated figures and differ only in host CPU cost, which
-//! [`exec::QueryReport::wall_clock`] exposes per operator class.
+//! Row objects appear at exactly one seam: a blocking aggregate emits its
+//! sub-groups as tagged rows, which re-enter the pipeline as a batch.
+//! [`exec::QueryReport::wall_clock`] exposes the host CPU cost per
+//! operator class.
 //!
 //! ## Reliability
 //!

@@ -84,43 +84,13 @@ impl JoinState {
         self.len() == 0
     }
 
-    /// Process one input row arriving on `input` (0 = left, 1 = right):
-    /// insert it into its side's table, probe the other side, and return
-    /// the join results (left columns then right columns), tagged with the
-    /// union of the parents' provenance plus `node`.
-    pub fn process(
-        &mut self,
-        input: usize,
-        row: TaggedTuple,
-        left_keys: &[usize],
-        right_keys: &[usize],
-        node: NodeId,
-    ) -> Vec<TaggedTuple> {
-        let TaggedTuple {
-            tuple,
-            provenance,
-            phase,
-            sign,
-        } = row;
-        let arity = tuple.arity();
-        let batch = ColumnarBatch::from_tuples(arity, [&tuple], sign, provenance, phase);
-        let out = self.process_batch(input, &batch, left_keys, right_keys, node);
-        (0..out.len())
-            .map(|i| TaggedTuple {
-                tuple: out.tuple_at(i),
-                provenance: out.provenance_at(i),
-                phase: out.phase_at(i),
-                sign: out.sign_at(i),
-            })
-            .collect()
-    }
-
-    /// Batch entry point: insert every row of `batch` into the `input`
-    /// side and probe the other side, producing the join output as one
-    /// columnar batch.  Rows are processed in batch order and matches are
-    /// emitted in build-insertion order, exactly like the row-at-a-time
-    /// path; only the representation differs (cells are copied column to
-    /// column, strings re-interned via per-call pool memos).
+    /// Insert every row of `batch` into the `input` side (0 = left,
+    /// 1 = right) and probe the other side, producing the join output
+    /// (left columns then right columns, tagged with the union of the
+    /// parents' provenance plus `node`) as one columnar batch.  Rows are
+    /// processed in batch order and matches are emitted in
+    /// build-insertion order; cells are copied column to column, strings
+    /// re-interned via per-call pool memos.
     pub fn process_batch(
         &mut self,
         input: usize,
@@ -542,47 +512,11 @@ impl AggState {
         i
     }
 
-    /// Fold one raw input row (modes `Single` and `Partial`), honouring
-    /// the row's delta sign — a retraction inverts its contribution.
-    pub fn update_raw(&mut self, row: &TaggedTuple, group_by: &[usize], aggs: &[(AggFunc, usize)]) {
-        let key: Vec<Value> = group_by
-            .iter()
-            .map(|c| row.tuple.value(*c).clone())
-            .collect();
-        let i = self.subgroup_at((key, row.provenance, row.phase), aggs);
-        let group = &mut self.subgroups[i];
-        for (j, (_, col)) in aggs.iter().enumerate() {
-            group.accumulators[j].update_signed(row.tuple.value(*col), row.sign as i64);
-        }
-    }
-
-    /// Fold one partial-state row (mode `Final`): `aggs[i].1` is the
-    /// column at which the i-th aggregate's partial state begins.
-    pub fn update_partial(
-        &mut self,
-        row: &TaggedTuple,
-        group_by: &[usize],
-        aggs: &[(AggFunc, usize)],
-    ) {
-        let key: Vec<Value> = group_by
-            .iter()
-            .map(|c| row.tuple.value(*c).clone())
-            .collect();
-        let i = self.subgroup_at((key, row.provenance, row.phase), aggs);
-        let group = &mut self.subgroups[i];
-        for (j, (f, col)) in aggs.iter().enumerate() {
-            let width = f.partial_width();
-            let state: Vec<Value> = (0..width)
-                .map(|k| row.tuple.value(col + k).clone())
-                .collect();
-            group.accumulators[j].merge_partial_signed(&state, row.sign as i64);
-        }
-    }
-
     /// Fold a whole columnar batch of raw input rows (modes `Single` and
-    /// `Partial`).  Equivalent to [`Self::update_raw`] on every row in
-    /// order; typed group columns resolve their sub-group through a
-    /// per-batch signature cache instead of re-materializing the key.
+    /// `Partial`) in order, honouring each row's delta sign — a
+    /// retraction inverts its contribution.  Typed group columns resolve
+    /// their sub-group through a per-batch signature cache instead of
+    /// re-materializing the key.
     pub fn update_raw_batch(
         &mut self,
         batch: &ColumnarBatch,
@@ -592,7 +526,9 @@ impl AggState {
         self.update_batch(batch, group_by, aggs, false);
     }
 
-    /// Fold a whole columnar batch of partial-state rows (mode `Final`).
+    /// Fold a whole columnar batch of partial-state rows (mode `Final`):
+    /// `aggs[i].1` is the column at which the i-th aggregate's partial
+    /// state begins.
     pub fn update_partial_batch(
         &mut self,
         batch: &ColumnarBatch,
@@ -795,19 +731,9 @@ impl RehashState {
         }
     }
 
-    /// Append a row destined for `dest`, returning the buffer length after
-    /// insertion (the executor flushes when this reaches the batch size).
-    pub fn buffer(&mut self, dest: NodeId, row: TaggedTuple) -> usize {
-        if self.cache_enabled {
-            self.cache.entry(dest).or_default().push(row.clone());
-        }
-        let buf = self.buffers.entry(dest).or_default();
-        buf.push(row);
-        buf.len()
-    }
-
     /// Append row `row` of a columnar batch destined for `dest` without
-    /// materializing it, returning the buffer length after insertion.
+    /// materializing it, returning the buffer length after insertion (the
+    /// executor flushes when this reaches the batch size).
     pub fn buffer_from(&mut self, dest: NodeId, src: &ColumnarBatch, row: usize) -> usize {
         if self.cache_enabled {
             self.cache.entry(dest).or_default().push_row_from(src, row);
@@ -815,11 +741,6 @@ impl RehashState {
         let buf = self.buffers.entry(dest).or_default();
         buf.push_row_from(src, row);
         buf.len()
-    }
-
-    /// Take (and clear) the pending buffer for `dest`.
-    pub fn take_buffer(&mut self, dest: NodeId) -> Vec<TaggedTuple> {
-        self.take_buffer_batch(dest).rows()
     }
 
     /// Take (and clear) the pending buffer for `dest` as a batch.
@@ -840,17 +761,12 @@ impl RehashState {
     }
 
     /// Remove and return the untainted rows cached as having been sent to
-    /// `dest` — exactly the rows recovery stage 4 must re-transmit.  The
+    /// `dest` — exactly the rows recovery stage 4 must re-transmit;
+    /// tainted rows for `dest` stay cached until purged.  The returned
     /// entries are *consumed*: re-buffering re-caches each row under its
     /// new destination, and a later recovery round must not find (and
     /// duplicate) the stale entries still keyed to the failed node, so no
     /// non-consuming variant is offered.
-    pub fn take_cached_for(&mut self, dest: NodeId, failed: &NodeSet) -> Vec<TaggedTuple> {
-        self.take_cached_batch_for(dest, failed).rows()
-    }
-
-    /// Batch variant of [`Self::take_cached_for`]: tainted rows for
-    /// `dest` stay cached (until purged), untainted ones are returned.
     pub fn take_cached_batch_for(&mut self, dest: NodeId, failed: &NodeSet) -> TupleBatch {
         let Some(batch) = self.cache.remove(&dest) else {
             return TupleBatch::new();
@@ -921,30 +837,37 @@ mod tests {
         TaggedTuple::scanned(Tuple::new(vals), NodeId(node), 0)
     }
 
+    /// `row` as a one-row batch, so a test can drive the batch entry
+    /// points one row at a time.
+    fn one(row: TaggedTuple) -> ColumnarBatch {
+        let arity = row.tuple.arity();
+        ColumnarBatch::from_tuples(arity, [&row.tuple], row.sign, row.provenance, row.phase)
+    }
+
     #[test]
     fn symmetric_join_finds_matches_in_either_arrival_order() {
         let mut j = JoinState::new();
         let node = NodeId(9);
         // Left arrives first: no match yet.
-        let out = j.process(
+        let out = j.process_batch(
             0,
-            tagged(vec![Value::Int(1), Value::str("a")], 0),
+            &one(tagged(vec![Value::Int(1), Value::str("a")], 0)),
             &[0],
             &[0],
             node,
         );
         assert!(out.is_empty());
         // Matching right arrives: one result.
-        let out = j.process(
+        let out = j.process_batch(
             1,
-            tagged(vec![Value::Int(1), Value::str("x")], 1),
+            &one(tagged(vec![Value::Int(1), Value::str("x")], 1)),
             &[0],
             &[0],
             node,
         );
         assert_eq!(out.len(), 1);
         assert_eq!(
-            out[0].tuple.values(),
+            out.tuple_at(0).values(),
             &[
                 Value::Int(1),
                 Value::str("a"),
@@ -952,13 +875,13 @@ mod tests {
                 Value::str("x")
             ]
         );
-        assert!(out[0].provenance.contains(NodeId(0)));
-        assert!(out[0].provenance.contains(NodeId(1)));
-        assert!(out[0].provenance.contains(node));
+        assert!(out.provenance_at(0).contains(NodeId(0)));
+        assert!(out.provenance_at(0).contains(NodeId(1)));
+        assert!(out.provenance_at(0).contains(node));
         // A second left with the same key joins against the stored right.
-        let out = j.process(
+        let out = j.process_batch(
             0,
-            tagged(vec![Value::Int(1), Value::str("b")], 2),
+            &one(tagged(vec![Value::Int(1), Value::str("b")], 2)),
             &[0],
             &[0],
             node,
@@ -971,9 +894,9 @@ mod tests {
     fn join_purge_drops_only_tainted_rows() {
         let mut j = JoinState::new();
         let node = NodeId(9);
-        j.process(0, tagged(vec![Value::Int(1)], 0), &[0], &[0], node);
-        j.process(0, tagged(vec![Value::Int(2)], 5), &[0], &[0], node);
-        j.process(1, tagged(vec![Value::Int(3)], 5), &[0], &[0], node);
+        j.process_batch(0, &one(tagged(vec![Value::Int(1)], 0)), &[0], &[0], node);
+        j.process_batch(0, &one(tagged(vec![Value::Int(2)], 5)), &[0], &[0], node);
+        j.process_batch(1, &one(tagged(vec![Value::Int(3)], 5)), &[0], &[0], node);
         let dropped = j.purge_tainted(&NodeSet::singleton(NodeId(5)));
         assert_eq!(dropped, 2);
         assert_eq!(j.len(), 1);
@@ -985,71 +908,24 @@ mod tests {
         // Tombstoned rows must be invisible to later probes.
         let mut j = JoinState::new();
         let node = NodeId(9);
-        j.process(
+        j.process_batch(
             0,
-            tagged(vec![Value::Int(1), Value::str("dead")], 5),
+            &one(tagged(vec![Value::Int(1), Value::str("dead")], 5)),
             &[0],
             &[0],
             node,
         );
-        j.process(
+        j.process_batch(
             0,
-            tagged(vec![Value::Int(1), Value::str("live")], 0),
+            &one(tagged(vec![Value::Int(1), Value::str("live")], 0)),
             &[0],
             &[0],
             node,
         );
         j.purge_tainted(&NodeSet::singleton(NodeId(5)));
-        let out = j.process(1, tagged(vec![Value::Int(1)], 1), &[0], &[0], node);
+        let out = j.process_batch(1, &one(tagged(vec![Value::Int(1)], 1)), &[0], &[0], node);
         assert_eq!(out.len(), 1);
-        assert_eq!(out[0].tuple.value(1), &Value::str("live"));
-    }
-
-    #[test]
-    fn join_batch_path_matches_row_path() {
-        // Feed the same rows through the row API and the batch API and
-        // compare outputs and state sizes.
-        let node = NodeId(9);
-        let lefts: Vec<TaggedTuple> = (0..6)
-            .map(|i| tagged(vec![Value::Int(i % 3), Value::str(format!("l{i}"))], 0))
-            .collect();
-        let rights: Vec<TaggedTuple> = (0..4)
-            .map(|i| tagged(vec![Value::str(format!("r{i}")), Value::Int(i % 2)], 1))
-            .collect();
-
-        let mut row_join = JoinState::new();
-        let mut row_out = Vec::new();
-        for l in &lefts {
-            row_out.extend(row_join.process(0, l.clone(), &[0], &[1], node));
-        }
-        for r in &rights {
-            row_out.extend(row_join.process(1, r.clone(), &[0], &[1], node));
-        }
-
-        let mut batch_join = JoinState::new();
-        let left_batch = ColumnarBatch::from_tuples(
-            2,
-            lefts.iter().map(|t| &t.tuple),
-            1,
-            NodeSet::singleton(NodeId(0)),
-            0,
-        );
-        let right_batch = ColumnarBatch::from_tuples(
-            2,
-            rights.iter().map(|t| &t.tuple),
-            1,
-            NodeSet::singleton(NodeId(1)),
-            0,
-        );
-        let mut batch_out = Vec::new();
-        let out = batch_join.process_batch(0, &left_batch, &[0], &[1], node);
-        batch_out.extend((0..out.len()).map(|i| out.tuple_at(i)));
-        let out = batch_join.process_batch(1, &right_batch, &[0], &[1], node);
-        batch_out.extend((0..out.len()).map(|i| out.tuple_at(i)));
-
-        let row_tuples: Vec<Tuple> = row_out.iter().map(|t| t.tuple.clone()).collect();
-        assert_eq!(row_tuples, batch_out);
-        assert_eq!(row_join.len(), batch_join.len());
+        assert_eq!(out.value_at(0, 1), Value::str("live"));
     }
 
     #[test]
@@ -1146,13 +1022,13 @@ mod tests {
     fn agg_state_folds_row_signs() {
         let mut agg = AggState::new();
         let aggs = [(AggFunc::Sum, 1), (AggFunc::Count, 1)];
-        agg.update_raw(
-            &tagged(vec![Value::str("g"), Value::Int(10)], 0),
+        agg.update_raw_batch(
+            &one(tagged(vec![Value::str("g"), Value::Int(10)], 0)),
             &[0],
             &aggs,
         );
-        agg.update_raw(
-            &tagged(vec![Value::str("g"), Value::Int(4)], 0).with_sign(-1),
+        agg.update_raw_batch(
+            &one(tagged(vec![Value::str("g"), Value::Int(4)], 0).with_sign(-1)),
             &[0],
             &aggs,
         );
@@ -1169,13 +1045,13 @@ mod tests {
         let aggs = [(AggFunc::Sum, 1)];
         // Two rows in the same group but with different provenance → two
         // sub-groups.
-        agg.update_raw(
-            &tagged(vec![Value::str("g"), Value::Int(10)], 0),
+        agg.update_raw_batch(
+            &one(tagged(vec![Value::str("g"), Value::Int(10)], 0)),
             &[0],
             &aggs,
         );
-        agg.update_raw(
-            &tagged(vec![Value::str("g"), Value::Int(5)], 1),
+        agg.update_raw_batch(
+            &one(tagged(vec![Value::str("g"), Value::Int(5)], 1)),
             &[0],
             &aggs,
         );
@@ -1188,7 +1064,7 @@ mod tests {
         // and only that one is emitted next time.
         let mut late = tagged(vec![Value::str("g"), Value::Int(1)], 2);
         late.phase = 1;
-        agg.update_raw(&late, &[0], &aggs);
+        agg.update_raw_batch(&one(late), &[0], &aggs);
         let emitted = agg.emit_unemitted(true, NodeId(7), 1);
         assert_eq!(emitted.len(), 1);
         assert_eq!(emitted[0].phase, 1);
@@ -1198,8 +1074,8 @@ mod tests {
     fn agg_purge_drops_tainted_subgroups() {
         let mut agg = AggState::new();
         let aggs = [(AggFunc::Count, 0)];
-        agg.update_raw(&tagged(vec![Value::str("a")], 0), &[0], &aggs);
-        agg.update_raw(&tagged(vec![Value::str("b")], 3), &[0], &aggs);
+        agg.update_raw_batch(&one(tagged(vec![Value::str("a")], 0)), &[0], &aggs);
+        agg.update_raw_batch(&one(tagged(vec![Value::str("b")], 3)), &[0], &aggs);
         assert_eq!(agg.purge_tainted(&NodeSet::singleton(NodeId(3))), 1);
         assert_eq!(agg.subgroup_count(), 1);
     }
@@ -1208,18 +1084,18 @@ mod tests {
     fn collapsed_final_merges_across_subgroups() {
         let mut agg = AggState::new();
         let aggs = [(AggFunc::Sum, 1), (AggFunc::Count, 1)];
-        agg.update_raw(
-            &tagged(vec![Value::str("g"), Value::Int(10)], 0),
+        agg.update_raw_batch(
+            &one(tagged(vec![Value::str("g"), Value::Int(10)], 0)),
             &[0],
             &aggs,
         );
-        agg.update_raw(
-            &tagged(vec![Value::str("g"), Value::Int(5)], 1),
+        agg.update_raw_batch(
+            &one(tagged(vec![Value::str("g"), Value::Int(5)], 1)),
             &[0],
             &aggs,
         );
-        agg.update_raw(
-            &tagged(vec![Value::str("h"), Value::Int(2)], 1),
+        agg.update_raw_batch(
+            &one(tagged(vec![Value::str("h"), Value::Int(2)], 1)),
             &[0],
             &aggs,
         );
@@ -1236,9 +1112,11 @@ mod tests {
     }
 
     #[test]
-    fn agg_batch_path_matches_row_path() {
-        // The batch fold (with its signature cache) must land in exactly
-        // the same sub-groups as row-at-a-time folding.
+    fn agg_signature_cache_matches_per_row_fallback() {
+        // The same mixed-sign, mixed-provenance rows folded from typed
+        // group columns (signature-cache fast path) and from group
+        // columns demoted to `ColumnData::Values` (full key lookup per
+        // row) must land in exactly the same sub-groups.
         let aggs = [(AggFunc::Sum, 2), (AggFunc::Avg, 2), (AggFunc::Count, 0)];
         let rows: Vec<TaggedTuple> = (0..40)
             .map(|i| {
@@ -1253,26 +1131,37 @@ mod tests {
                 .with_sign(if i % 7 == 0 { -1 } else { 1 })
             })
             .collect();
-        let mut by_row = AggState::new();
-        for r in &rows {
-            by_row.update_raw(r, &[0, 1], &aggs);
-        }
-        let mut by_batch = AggState::new();
+        let mut fast = AggState::new();
+        let mut fallback = AggState::new();
         for chunk in rows.chunks(16) {
-            let mut batch = ColumnarBatch::new(3);
+            let mut typed = ColumnarBatch::new(3);
+            // A leading NULL row demotes the group columns; dropping it
+            // again leaves the same rows in untyped cells.
+            let mut untyped = ColumnarBatch::new(3);
+            untyped.push_row(
+                &[Value::Null, Value::Null, Value::Null],
+                1,
+                NodeSet::empty(),
+                0,
+            );
             for r in chunk {
-                batch.push_row(r.tuple.values(), r.sign, r.provenance, r.phase);
+                typed.push_row(r.tuple.values(), r.sign, r.provenance, r.phase);
+                untyped.push_row(r.tuple.values(), r.sign, r.provenance, r.phase);
             }
-            by_batch.update_raw_batch(&batch, &[0, 1], &aggs);
+            let keep: Vec<bool> = (0..untyped.len()).map(|i| i > 0).collect();
+            untyped.retain(&keep);
+            for c in [0, 1] {
+                assert!(!matches!(typed.column(c).data(), ColumnData::Values(_)));
+                assert!(matches!(untyped.column(c).data(), ColumnData::Values(_)));
+            }
+            fast.update_raw_batch(&typed, &[0, 1], &aggs);
+            fallback.update_raw_batch(&untyped, &[0, 1], &aggs);
         }
-        assert_eq!(by_row.subgroup_count(), by_batch.subgroup_count());
+        assert_eq!(fast.subgroup_count(), fallback.subgroup_count());
+        assert_eq!(fast.collapsed_final(&aggs), fallback.collapsed_final(&aggs));
         assert_eq!(
-            by_row.collapsed_final(&aggs),
-            by_batch.collapsed_final(&aggs)
-        );
-        assert_eq!(
-            by_row.emit_unemitted(true, NodeId(7), 0),
-            by_batch.emit_unemitted(true, NodeId(7), 0)
+            fast.emit_unemitted(true, NodeId(7), 0),
+            fallback.emit_unemitted(true, NodeId(7), 0)
         );
     }
 
@@ -1280,21 +1169,21 @@ mod tests {
     fn rehash_buffers_and_cache() {
         let mut r = RehashState::new(true);
         for i in 0..5 {
-            let len = r.buffer(NodeId(1), tagged(vec![Value::Int(i)], 0));
+            let len = r.buffer_from(NodeId(1), &one(tagged(vec![Value::Int(i)], 0)), 0);
             assert_eq!(len, i as usize + 1);
         }
-        r.buffer(NodeId(2), tagged(vec![Value::Int(99)], 3));
+        r.buffer_from(NodeId(2), &one(tagged(vec![Value::Int(99)], 3)), 0);
         assert_eq!(r.pending_destinations(), vec![NodeId(1), NodeId(2)]);
-        assert_eq!(r.take_buffer(NodeId(1)).len(), 5);
-        assert!(r.take_buffer(NodeId(1)).is_empty());
+        assert_eq!(r.take_buffer_batch(NodeId(1)).len(), 5);
+        assert!(r.take_buffer_batch(NodeId(1)).is_empty());
         assert_eq!(r.cache_len(), 6);
 
         // Stage-4 retransmission: cached rows for a failed destination,
         // excluding tainted ones.
         let failed = NodeSet::singleton(NodeId(3));
-        let resend = r.take_cached_for(NodeId(2), &failed);
+        let resend = r.take_cached_batch_for(NodeId(2), &failed);
         assert!(resend.is_empty(), "row destined to n2 is itself tainted");
-        let resend = r.take_cached_for(NodeId(1), &failed);
+        let resend = r.take_cached_batch_for(NodeId(1), &failed);
         assert_eq!(resend.len(), 5);
         // The consumed entries are gone; the tainted n2 row remains until
         // purged.
@@ -1306,26 +1195,26 @@ mod tests {
     #[test]
     fn rehash_without_cache_keeps_nothing() {
         let mut r = RehashState::new(false);
-        r.buffer(NodeId(1), tagged(vec![Value::Int(1)], 0));
+        r.buffer_from(NodeId(1), &one(tagged(vec![Value::Int(1)], 0)), 0);
         assert_eq!(r.cache_len(), 0);
     }
 
     #[test]
-    fn take_cached_for_consumes_entries() {
+    fn take_cached_batch_for_consumes_entries() {
         // Regression: retransmission must consume the cache entries keyed
         // to the failed destination, or a second recovery round would
         // re-send (and duplicate) them.
         let mut r = RehashState::new(true);
-        r.buffer(NodeId(1), tagged(vec![Value::Int(1)], 0));
-        r.buffer(NodeId(1), tagged(vec![Value::Int(2)], 5));
-        r.buffer(NodeId(2), tagged(vec![Value::Int(3)], 0));
+        r.buffer_from(NodeId(1), &one(tagged(vec![Value::Int(1)], 0)), 0);
+        r.buffer_from(NodeId(1), &one(tagged(vec![Value::Int(2)], 5)), 0);
+        r.buffer_from(NodeId(2), &one(tagged(vec![Value::Int(3)], 0)), 0);
         let failed = NodeSet::singleton(NodeId(5));
-        let taken = r.take_cached_for(NodeId(1), &failed);
+        let taken = r.take_cached_batch_for(NodeId(1), &failed);
         assert_eq!(taken.len(), 1, "only the untainted row for n1");
         // A second call finds nothing left for that destination.
-        assert!(r.take_cached_for(NodeId(1), &failed).is_empty());
+        assert!(r.take_cached_batch_for(NodeId(1), &failed).is_empty());
         // Entries for other destinations are untouched.
-        assert_eq!(r.take_cached_for(NodeId(2), &failed).len(), 1);
+        assert_eq!(r.take_cached_batch_for(NodeId(2), &failed).len(), 1);
     }
 
     #[test]
@@ -1333,18 +1222,18 @@ mod tests {
         // Regression: a tainted row that is both cached and still pending
         // in a buffer must be counted as ONE dropped row, not two.
         let mut r = RehashState::new(true);
-        r.buffer(NodeId(1), tagged(vec![Value::Int(1)], 7));
+        r.buffer_from(NodeId(1), &one(tagged(vec![Value::Int(1)], 7)), 0);
         let failed = NodeSet::singleton(NodeId(7));
         assert_eq!(r.purge_tainted(&failed), 1);
         assert_eq!(r.cache_len(), 0);
-        assert!(r.take_buffer(NodeId(1)).is_empty());
+        assert!(r.take_buffer_batch(NodeId(1)).is_empty());
 
         // Without a cache, pending-buffer drops are what gets counted.
         let mut r = RehashState::new(false);
-        r.buffer(NodeId(1), tagged(vec![Value::Int(1)], 7));
-        r.buffer(NodeId(2), tagged(vec![Value::Int(2)], 0));
+        r.buffer_from(NodeId(1), &one(tagged(vec![Value::Int(1)], 7)), 0);
+        r.buffer_from(NodeId(2), &one(tagged(vec![Value::Int(2)], 0)), 0);
         assert_eq!(r.purge_tainted(&failed), 1);
-        assert_eq!(r.take_buffer(NodeId(2)).len(), 1);
+        assert_eq!(r.take_buffer_batch(NodeId(2)).len(), 1);
     }
 
     #[test]
@@ -1423,27 +1312,25 @@ mod tests {
     }
 
     #[test]
-    fn buffer_from_matches_row_buffering() {
-        // buffer_from on a columnar source must leave the same buffers and
-        // cache as pushing the materialized rows.
+    fn buffer_from_copies_the_source_rows_into_buffer_and_cache() {
+        // buffer_from on a columnar source must leave each destination's
+        // buffer — and the cache — holding exactly the rows routed to it.
         let rows: Vec<TaggedTuple> = (0..6)
             .map(|i| tagged(vec![Value::Int(i), Value::str(format!("s{}", i % 2))], 0))
             .collect();
-        let mut batch = ColumnarBatch::new(2);
-        for r in &rows {
-            batch.push_row(r.tuple.values(), r.sign, r.provenance, r.phase);
+        let batch = TupleBatch::from_rows(rows.clone());
+        let mut r = RehashState::new(true);
+        for i in 0..rows.len() {
+            let len = r.buffer_from(NodeId((i % 2) as u16), batch.columnar(), i);
+            assert_eq!(len, i / 2 + 1);
         }
-        let mut by_row = RehashState::new(true);
-        let mut by_batch = RehashState::new(true);
-        for (i, r) in rows.iter().enumerate() {
-            let dest = NodeId((i % 2) as u16);
-            let a = by_row.buffer(dest, r.clone());
-            let b = by_batch.buffer_from(dest, &batch, i);
-            assert_eq!(a, b);
+        assert_eq!(r.cache_len(), rows.len());
+        for dest in [0usize, 1] {
+            let expected: Vec<TaggedTuple> = rows.iter().skip(dest).step_by(2).cloned().collect();
+            let buffered = r.take_buffer_batch(NodeId(dest as u16));
+            assert_eq!(buffered.rows(), expected);
+            let cached = r.take_cached_batch_for(NodeId(dest as u16), &NodeSet::empty());
+            assert_eq!(cached.rows(), expected);
         }
-        for dest in [NodeId(0), NodeId(1)] {
-            assert_eq!(by_row.take_buffer(dest), by_batch.take_buffer(dest));
-        }
-        assert_eq!(by_row.cache_len(), by_batch.cache_len());
     }
 }

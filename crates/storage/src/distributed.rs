@@ -257,20 +257,38 @@ impl DistributedStorage {
     /// shares all untouched pages with its previous version; tuples, index
     /// pages and coordinator records are written to their owners and
     /// replicas under the current routing table.
+    ///
+    /// The whole batch is validated before the first write, so an invalid
+    /// relation cannot leave the ones before it in node stores under an
+    /// epoch that was never committed.
     pub fn publish(&mut self, batch: &UpdateBatch) -> Result<Epoch> {
+        for name in batch.relations() {
+            let relation = self.catalog.get(name).ok_or_else(|| {
+                OrchestraError::StorageInvalid(format!("relation {name} is not registered"))
+            })?;
+            let key_len = relation.schema().key_len();
+            if let Some(up) = batch
+                .updates_for(name)
+                .iter()
+                .find(|up| up.key(key_len).len() < key_len)
+            {
+                return Err(OrchestraError::StorageInvalid(format!(
+                    "update to {name} has {} key values, schema requires {key_len}",
+                    up.key(key_len).len()
+                )));
+            }
+        }
         let epoch = Epoch(self.published);
-        let relations: Vec<String> = batch.relations().map(str::to_string).collect();
-        for name in &relations {
+        for name in batch.relations() {
             self.publish_relation(name, epoch, batch.updates_for(name))?;
         }
         self.published += 1;
         Ok(epoch)
     }
 
+    /// Write one relation's share of a batch [`Self::publish`] validated.
     fn publish_relation(&mut self, name: &str, epoch: Epoch, updates: &[Update]) -> Result<()> {
-        let relation = self.catalog.get(name).ok_or_else(|| {
-            OrchestraError::StorageInvalid(format!("relation {name} is not registered"))
-        })?;
+        let relation = &self.catalog[name];
         let key_len = relation.schema().key_len();
         let replicated = relation.is_replicated();
         let parts = self.config.partitions_per_relation;
@@ -292,14 +310,7 @@ impl DistributedStorage {
         // here, then rides along into the page entry and the data nodes.
         let mut by_partition: HashMap<u32, Vec<(&Update, Key160)>> = HashMap::new();
         for up in updates {
-            let key = up.key(key_len);
-            if key.len() < key_len {
-                return Err(OrchestraError::StorageInvalid(format!(
-                    "update to {name} has {} key values, schema requires {key_len}",
-                    key.len()
-                )));
-            }
-            let position = orchestra_common::tuple::hash_values(key);
+            let position = orchestra_common::tuple::hash_values(up.key(key_len));
             by_partition
                 .entry(partition_of(position, parts))
                 .or_default()
@@ -936,6 +947,59 @@ mod tests {
         let mut b = UpdateBatch::new();
         b.insert("Unknown", r("a", "b"));
         assert!(s.publish(&b).is_err());
+    }
+
+    #[test]
+    fn an_invalid_relation_leaves_the_rest_of_its_batch_unpublished() {
+        // Regression: relations used to be written one by one, so an
+        // error on the second left the first in node stores under an
+        // epoch that was never committed.
+        let mut s = storage(3);
+        s.register_relation(Relation::partitioned("S", schema()));
+        let mut b0 = UpdateBatch::new();
+        b0.insert("R", r("a", "1"));
+        let e0 = s.publish(&b0).unwrap();
+
+        let snapshot = |s: &DistributedStorage| {
+            let counts: Vec<[usize; 3]> = (0..3)
+                .map(|n| s.store(NodeId(n)))
+                .map(|st| {
+                    [
+                        st.coordinator_count(),
+                        st.index_page_count(),
+                        st.tuple_count(),
+                    ]
+                })
+                .collect();
+            let full = [KeyRange::full()];
+            let scan = s.scan_partition("R", e0, NodeId(0), &full).unwrap();
+            (
+                counts,
+                scan.tuples,
+                s.latest_epoch(),
+                s.version_history("R").to_vec(),
+            )
+        };
+        let before = snapshot(&s);
+
+        // "R" sorts first and is valid; the relation after it is not.
+        let mut unregistered = UpdateBatch::new();
+        unregistered
+            .insert("R", r("b", "2"))
+            .insert("Z", r("x", "y"));
+        let mut short_key = UpdateBatch::new();
+        short_key.insert("R", r("b", "2")).delete("S", vec![]);
+        for bad in [&unregistered, &short_key] {
+            let err = s.publish(bad).unwrap_err();
+            assert!(matches!(err, OrchestraError::StorageInvalid(_)), "{err}");
+            assert_eq!(snapshot(&s), before);
+        }
+
+        // The epoch number the failed batches would have taken is free.
+        let mut b1 = UpdateBatch::new();
+        b1.insert("R", r("b", "2"));
+        assert_eq!(s.publish(&b1).unwrap(), Epoch(1));
+        assert_eq!(s.relation_cardinality("R", Epoch(1)), 2);
     }
 
     #[test]
