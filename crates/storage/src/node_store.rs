@@ -29,6 +29,7 @@ use crate::coordinator::{CoordinatorKey, RelationVersion};
 use crate::page::{IndexPage, PageId};
 use orchestra_common::{Key160, KeyRange, NodeId, Tuple, TupleId};
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Bound;
 use std::sync::Arc;
 
 /// One stored tuple version: the tuple and the ID it is found by.
@@ -113,12 +114,23 @@ impl NodeStore {
     /// Store a tuple version at the ring position of its key (replacing
     /// a version with the same ID).
     pub fn put_tuple(&mut self, relation: &str, position: Key160, version: Arc<TupleVersion>) {
-        let versions = entry_by_name(&mut self.data, relation)
-            .entry(position)
-            .or_default();
-        match versions.binary_search_by(|v| v.id.cmp(&version.id)) {
-            Ok(at) => versions[at] = version,
-            Err(at) => versions.insert(at, version),
+        self.put_tuples(relation, [(position, version)]);
+    }
+
+    /// [`NodeStore::put_tuple`] for many versions of one relation, which
+    /// is looked up by name once.
+    pub(crate) fn put_tuples(
+        &mut self,
+        relation: &str,
+        versions: impl IntoIterator<Item = (Key160, Arc<TupleVersion>)>,
+    ) {
+        let data = entry_by_name(&mut self.data, relation);
+        for (position, version) in versions {
+            let held = data.entry(position).or_default();
+            match held.binary_search_by(|v| v.id.cmp(&version.id)) {
+                Ok(at) => held[at] = version,
+                Err(at) => held.insert(at, version),
+            }
         }
     }
 
@@ -215,13 +227,36 @@ impl NodeStore {
     }
 
     /// Iterate over every stored tuple version with its relation and ring
-    /// position (used by anti-entropy replication).
+    /// position.
     pub fn tuples_with_relation(&self) -> impl Iterator<Item = (&str, Key160, &Arc<TupleVersion>)> {
         self.data.iter().flat_map(|(rel, map)| {
             map.iter().flat_map(move |(position, versions)| {
                 versions.iter().map(move |v| (rel.as_str(), *position, v))
             })
         })
+    }
+
+    /// The names of the relations this store holds tuple versions of, in
+    /// no particular order.
+    pub fn relation_names(&self) -> impl Iterator<Item = &str> {
+        self.data.keys().map(String::as_str)
+    }
+
+    /// The tuple versions of `relation` at the ring positions within
+    /// `span`, in position order: each occupied position with the
+    /// versions of the keys hashing there, sorted by ID.  Two stores'
+    /// holdings over one arc can be compared by merging these (used by
+    /// anti-entropy replication).
+    pub fn versions_in(
+        &self,
+        relation: &str,
+        span: (Bound<Key160>, Bound<Key160>),
+    ) -> impl Iterator<Item = (Key160, &[Arc<TupleVersion>])> + Clone {
+        self.data
+            .get(relation)
+            .into_iter()
+            .flat_map(move |map| map.range(span))
+            .map(|(position, versions)| (*position, versions.as_slice()))
     }
 }
 
@@ -284,6 +319,47 @@ mod tests {
         assert_eq!(scanned, inside);
         assert_eq!(s.all_tuples("R").count(), 50);
         assert_eq!(s.scan_hash_range("T", &range).count(), 0);
+    }
+
+    #[test]
+    fn versions_in_walks_a_span_in_position_order() {
+        let mut s = NodeStore::new(NodeId(0));
+        let mut positions = Vec::new();
+        for k in 0..40 {
+            let (h, v) = version(k, 0);
+            positions.push(h);
+            s.put_tuple("R", h, v);
+        }
+        let (h, second) = version(7, 3);
+        s.put_tuple("R", h, second);
+        s.put_tuple("S", h, version(7, 0).1);
+        positions.sort_unstable();
+        let mut names: Vec<&str> = s.relation_names().collect();
+        names.sort_unstable();
+        assert_eq!(names, ["R", "S"]);
+
+        let everything = (Bound::Unbounded, Bound::Unbounded);
+        let walked: Vec<Key160> = s.versions_in("R", everything).map(|(p, _)| p).collect();
+        assert_eq!(walked, positions);
+        let held: usize = s.versions_in("R", everything).map(|(_, v)| v.len()).sum();
+        assert_eq!(held, 41);
+        let (_, at_h) = s
+            .versions_in("R", everything)
+            .find(|(p, _)| *p == h)
+            .unwrap();
+        assert_eq!(
+            at_h.iter().map(|v| v.id.epoch.0).collect::<Vec<_>>(),
+            [0, 3]
+        );
+
+        // Start inclusive, end exclusive, as an arc of the ring is.
+        let span = (
+            Bound::Included(positions[10]),
+            Bound::Excluded(positions[20]),
+        );
+        let inside: Vec<Key160> = s.versions_in("R", span).map(|(p, _)| p).collect();
+        assert_eq!(inside, positions[10..20]);
+        assert_eq!(s.versions_in("T", everything).count(), 0);
     }
 
     #[test]

@@ -1,0 +1,229 @@
+//! Anti-entropy's observable behaviour, pinned.
+//!
+//! What a repair pass reports and where every item ends up must not depend
+//! on how the pass finds the missing copies.  The figures below were
+//! recorded at the commit before the pass walked stores range-wise
+//! (`bc24ee4`); this file uses only API that exists on both sides of that
+//! change, so it can be re-recorded there.  `tuples_copied` counts a copy
+//! once per source that proposed it — the figures include that double
+//! count.
+
+mod common;
+
+use common::{routing_over, seeded_store, NODES};
+use orchestra_common::{Key160, NodeId, NodeSet};
+use orchestra_storage::{anti_entropy, DistributedStorage, ReplicationReport};
+use orchestra_substrate::{AllocationScheme, ReplicationPolicy, RoutingTable};
+use std::sync::Arc;
+
+/// Stores the scenario ever addresses: the eight seeded nodes and one
+/// that joins.
+const STORES: u16 = NODES + 1;
+
+/// `(tuples, pages, coordinators)` — copied by a pass, or held by a node.
+type Triple = (usize, usize, usize);
+
+fn ids(nodes: impl IntoIterator<Item = u16>) -> Vec<NodeId> {
+    nodes.into_iter().map(NodeId).collect()
+}
+
+fn holdings(s: &DistributedStorage) -> Vec<Triple> {
+    (0..STORES)
+        .map(|n| {
+            let store = s.store(NodeId(n));
+            (
+                store.tuple_count(),
+                store.index_page_count(),
+                store.coordinator_count(),
+            )
+        })
+        .collect()
+}
+
+/// Every stored version is one allocation, referenced once per holder.
+fn assert_versions_are_shared(s: &DistributedStorage) {
+    let mut sampled = 0;
+    for (relation, position, version) in s.store(NodeId(0)).tuples_with_relation().step_by(7) {
+        let holders = (0..STORES)
+            .filter(|n| {
+                s.store(NodeId(*n))
+                    .tuple(relation, position, &version.id)
+                    .is_some()
+            })
+            .count();
+        assert_eq!(
+            Arc::strong_count(version),
+            holders,
+            "{relation} {:?} is held {holders} times",
+            version.id
+        );
+        sampled += 1;
+    }
+    assert!(sampled > 20, "sampled only {sampled} versions");
+}
+
+/// One repair: the pass's report and every node's holdings after it.  A
+/// second pass must find nothing to do.
+fn repair(s: &mut DistributedStorage) -> (Triple, Vec<Triple>) {
+    let report = anti_entropy(s).unwrap();
+    assert_eq!(
+        anti_entropy(s).unwrap(),
+        ReplicationReport::default(),
+        "a second pass found work"
+    );
+    assert_versions_are_shared(s);
+    (
+        (
+            report.tuples_copied,
+            report.pages_copied,
+            report.coordinators_copied,
+        ),
+        holdings(s),
+    )
+}
+
+#[test]
+fn repair_reports_and_placement_are_pinned() {
+    let (mut s, _) = seeded_store();
+
+    // The fixture bites: some key holds several versions at one position.
+    let mut positions: Vec<Key160> = s
+        .store(NodeId(0))
+        .tuples_with_relation()
+        .filter(|(relation, _, _)| *relation == "R")
+        .map(|(_, position, _)| position)
+        .collect();
+    let versions = positions.len();
+    positions.dedup();
+    assert!(positions.len() < versions, "no key has a second version");
+
+    // Under the table the data was placed by there is nothing to repair.
+    s.set_routing(routing_over(NODES));
+    assert_eq!(anti_entropy(&mut s).unwrap(), ReplicationReport::default());
+
+    // A ninth node joins and placement moves to nearest-hash arcs, one of
+    // which wraps past the top of the ring; node 5 has crashed but is
+    // still routed to, so it is a replica target that must not be written.
+    s.set_routing(RoutingTable::build(
+        &ids(0..STORES),
+        AllocationScheme::PastryStyle,
+        3,
+    ));
+    let wrapping = (s.routing().entries().iter())
+        .map(|e| e.range)
+        .find(|r| r.start > r.end && r.end != Key160::ZERO)
+        .expect("nearest-hash placement has a wrapping arc");
+    let stored: Vec<Key160> = (0..STORES)
+        .flat_map(|n| s.store(NodeId(n)).tuples_with_relation())
+        .map(|(_, position, _)| position)
+        .collect();
+    assert!(stored.iter().any(|p| *p >= wrapping.start));
+    assert!(stored.iter().any(|p| *p < wrapping.end));
+    let crashed = NodeId(5);
+    assert!(stored
+        .iter()
+        .any(|p| s.routing().replicas_of(*p).contains(&crashed)));
+    s.mark_failed(crashed);
+    let before = holdings(&s)[crashed.index()];
+    let join = repair(&mut s);
+    assert_eq!(holdings(&s)[crashed.index()], before);
+    assert_eq!(
+        join,
+        (
+            (1356, 111, 6),
+            vec![
+                (341, 31, 2),
+                (303, 32, 4),
+                (368, 33, 0),
+                (376, 34, 3),
+                (344, 32, 2),
+                (318, 32, 3),
+                (328, 32, 1),
+                (411, 37, 3),
+                (311, 32, 2)
+            ]
+        ),
+        "join"
+    );
+
+    // The crashed node is given up: its arcs are split among its heirs.
+    let recovery = s
+        .routing()
+        .reassign_failed(&NodeSet::singleton(crashed))
+        .unwrap();
+    s.set_routing(recovery);
+    let departure = repair(&mut s);
+    assert_eq!(
+        departure,
+        (
+            (776, 79, 9),
+            vec![
+                (341, 31, 2),
+                (427, 43, 4),
+                (417, 39, 2),
+                (507, 49, 4),
+                (344, 32, 2),
+                (318, 32, 3),
+                (375, 37, 2),
+                (411, 37, 3),
+                (311, 32, 2)
+            ]
+        ),
+        "departure"
+    );
+
+    // Operations hands down new placement policies.
+    let survivors = ids((0..STORES).filter(|n| *n != crashed.0));
+    s.set_routing(RoutingTable::build_with_policy(
+        &survivors,
+        AllocationScheme::Balanced,
+        ReplicationPolicy::GeoSpread {
+            zones: 3,
+            copies_per_zone: 1,
+        },
+    ));
+    let geo = repair(&mut s);
+    assert_eq!(
+        geo,
+        (
+            (3609, 368, 31),
+            vec![
+                (452, 42, 3),
+                (536, 55, 4),
+                (635, 60, 4),
+                (595, 59, 4),
+                (344, 32, 2),
+                (318, 32, 3),
+                (419, 43, 4),
+                (502, 47, 3),
+                (676, 69, 6)
+            ]
+        ),
+        "geo-spread"
+    );
+
+    s.set_routing(RoutingTable::build_with_policy(
+        &survivors,
+        AllocationScheme::PastryStyle,
+        ReplicationPolicy::PercentageOfNodes(0.5),
+    ));
+    let percentage = repair(&mut s);
+    assert_eq!(
+        percentage,
+        (
+            (4697, 471, 34),
+            vec![
+                (561, 54, 3),
+                (677, 66, 4),
+                (813, 80, 6),
+                (649, 65, 4),
+                (565, 54, 5),
+                (318, 32, 3),
+                (674, 69, 6),
+                (518, 52, 3),
+                (719, 69, 6)
+            ]
+        ),
+        "percentage"
+    );
+}

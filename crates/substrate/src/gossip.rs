@@ -38,6 +38,26 @@
 //! sync round** whenever the hot path goes quiet while views still
 //! disagree.
 //!
+//! ## Cost
+//!
+//! A round costs O(live nodes + messages), not O(live × universe).  A view
+//! is a dense table indexed by node id — 16 bytes × universe per view, an
+//! `(incarnation, state)` record per id, empty until first heard of — next
+//! to the ascending list of the ids it believes alive, which
+//! [`MemberView::apply`] keeps current.  So `state_of` is an index, the
+//! *i*-th peer of a node is the *i*-th id of that list stepping over the
+//! node's own (no peer vector is built per round), one fan-out's rumor
+//! batch is a single allocation shared by its destinations, and
+//! convergence compares each view's alive list with the truth's.
+//!
+//! The fan-out's targets are drawn by index from the peer list *as it
+//! stood before the round's probe*.  The probe may evict its target from
+//! the list, and indexing the shortened list would pick other peers: a
+//! different, equally valid protocol, but every simulated membership
+//! figure (rounds, rumor bytes, dropped messages) is pinned to this one by
+//! `tests/gossip_fingerprint.rs`.  Only the rare evicting probe pays for a
+//! copy of the list.
+//!
 //! ## Derived membership
 //!
 //! Nothing here is authoritative.  A node's [`MemberView`] *derives* a
@@ -56,7 +76,7 @@ use crate::routing::RoutingSnapshot;
 use orchestra_common::rng::{self, StdRng};
 use orchestra_common::{NodeId, OrchestraError, Result};
 use orchestra_simnet::{ClusterProfile, SimTime, Simulator};
-use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Wire size of one serialized rumor: 2 bytes subject id, 8 bytes
 /// incarnation, 1 byte state tag.
@@ -108,7 +128,12 @@ impl Rumor {
 /// [`Membership::history`]).
 #[derive(Clone, Debug)]
 pub struct MemberView {
-    records: BTreeMap<NodeId, (u64, PeerState)>,
+    /// Indexed by node id; `None` for a node never heard about.  Grown
+    /// when a rumor names an id beyond the end.
+    records: Vec<Option<(u64, PeerState)>>,
+    /// The ids whose record says `Alive`, ascending — kept current by
+    /// [`MemberView::apply`], the only writer of `records`.
+    alive: Vec<NodeId>,
     /// Rumors this node is still retransmitting, with remaining rounds.
     hot: Vec<(Rumor, u32)>,
     history: Vec<MembershipChange>,
@@ -119,11 +144,16 @@ impl MemberView {
     /// A view that already knows `alive` members at incarnation 1 — the
     /// bootstrap state of a node that joined a settled cluster.
     pub fn seeded(alive: impl IntoIterator<Item = NodeId>) -> MemberView {
+        let mut alive: Vec<NodeId> = alive.into_iter().collect();
+        alive.sort_unstable();
+        alive.dedup();
+        let mut records = vec![None; alive.last().map_or(0, |n| n.index() + 1)];
+        for n in &alive {
+            records[n.index()] = Some((1, PeerState::Alive));
+        }
         MemberView {
-            records: alive
-                .into_iter()
-                .map(|n| (n, (1, PeerState::Alive)))
-                .collect(),
+            records,
+            alive,
             hot: Vec::new(),
             history: Vec::new(),
             version: 0,
@@ -134,13 +164,25 @@ impl MemberView {
     /// (and is now hot for `budget` more rounds); stale and duplicate
     /// rumors are ignored.
     pub fn apply(&mut self, rumor: Rumor, budget: u32) -> bool {
-        if let Some(&(inc, state)) = self.records.get(&rumor.subject) {
-            if !rumor.supersedes(inc, state) {
-                return false;
+        let slot = rumor.subject.index();
+        if slot >= self.records.len() {
+            self.records.resize(slot + 1, None);
+        }
+        let was_alive = match self.records[slot] {
+            Some((inc, state)) if !rumor.supersedes(inc, state) => return false,
+            record => matches!(record, Some((_, PeerState::Alive))),
+        };
+        self.records[slot] = Some((rumor.incarnation, rumor.state));
+        if was_alive != (rumor.state == PeerState::Alive) {
+            // `alive` mirrors `records`: the subject is listed iff it was
+            // alive, so the search says which way it crosses.
+            match self.alive.binary_search(&rumor.subject) {
+                Ok(at) => {
+                    self.alive.remove(at);
+                }
+                Err(at) => self.alive.insert(at, rumor.subject),
             }
         }
-        self.records
-            .insert(rumor.subject, (rumor.incarnation, rumor.state));
         // A newer assertion refutes any older hot rumor about the subject.
         self.hot.retain(|(r, _)| r.subject != rumor.subject);
         if budget > 0 {
@@ -167,17 +209,23 @@ impl MemberView {
         out
     }
 
-    /// Every record of this view as a rumor — the payload of a
-    /// full-state anti-entropy push ([`Gossip::run_sync_round`]).
+    /// Every record of this view as a rumor, ascending by subject — the
+    /// payload of a full-state anti-entropy push
+    /// ([`Gossip::run_sync_round`]).
     pub fn all_rumors(&self) -> Vec<Rumor> {
-        self.records
-            .iter()
-            .map(|(n, (incarnation, state))| Rumor {
-                subject: *n,
-                incarnation: *incarnation,
-                state: *state,
+        self.rumors().collect()
+    }
+
+    /// Every record as a rumor, ascending by subject.
+    fn rumors(&self) -> impl Iterator<Item = Rumor> + '_ {
+        self.records.iter().enumerate().filter_map(|(id, record)| {
+            let (incarnation, state) = (*record)?;
+            Some(Rumor {
+                subject: NodeId(id as u16),
+                incarnation,
+                state,
             })
-            .collect()
+        })
     }
 
     /// Monotone counter bumped on every accepted rumor: two views with
@@ -188,21 +236,17 @@ impl MemberView {
 
     /// The latest accepted record about `node`, if any.
     pub fn state_of(&self, node: NodeId) -> Option<(u64, PeerState)> {
-        self.records.get(&node).copied()
+        self.records.get(node.index()).copied().flatten()
     }
 
     /// Does this view believe `node` is currently alive?
     pub fn believes_alive(&self, node: NodeId) -> bool {
-        matches!(self.records.get(&node), Some((_, PeerState::Alive)))
+        matches!(self.state_of(node), Some((_, PeerState::Alive)))
     }
 
     /// All nodes this view believes alive, sorted by id.
     pub fn alive_nodes(&self) -> Vec<NodeId> {
-        self.records
-            .iter()
-            .filter(|(_, (_, s))| *s == PeerState::Alive)
-            .map(|(n, _)| *n)
-            .collect()
+        self.alive.clone()
     }
 
     /// Derive a [`Membership`] from this view: the believed-alive set,
@@ -210,10 +254,9 @@ impl MemberView {
     /// stale by construction.
     pub fn membership(&self, scheme: AllocationScheme, policy: ReplicationPolicy) -> Membership {
         let failed = self
-            .records
-            .iter()
-            .filter(|(_, (_, s))| *s == PeerState::Failed)
-            .map(|(n, _)| *n);
+            .rumors()
+            .filter(|r| r.state == PeerState::Failed)
+            .map(|r| r.subject);
         Membership::derived(
             self.alive_nodes(),
             failed,
@@ -267,7 +310,9 @@ impl Default for GossipConfig {
 pub struct Gossip {
     cfg: GossipConfig,
     push_budget: u32,
-    sim: Simulator<Vec<Rumor>>,
+    /// One fan-out's rumor batch is one allocation shared by every
+    /// destination.
+    sim: Simulator<Arc<[Rumor]>>,
     /// `Some` iff the node currently participates in gossip.
     views: Vec<Option<MemberView>>,
     /// Ground truth: the latest incarnation and state of every node that
@@ -298,15 +343,11 @@ impl Gossip {
         } else {
             cfg.push_rounds
         };
-        let members: Vec<NodeId> = (0..initial as u16).map(NodeId).collect();
+        let settled = MemberView::seeded((0..initial as u16).map(NodeId));
         let mut views = vec![None; universe];
-        for n in &members {
-            views[n.index()] = Some(MemberView::seeded(members.iter().copied()));
-        }
+        views[..initial].fill(Some(settled));
         let mut truth = vec![None; universe];
-        for n in &members {
-            truth[n.index()] = Some((1, PeerState::Alive));
-        }
+        truth[..initial].fill(Some((1, PeerState::Alive)));
         Gossip {
             cfg,
             push_budget,
@@ -424,27 +465,35 @@ impl Gossip {
         // choices are independent of how callers interleave inject() with
         // run_round() — determinism depends only on the event sequence.
         let mut rng = self.round_rng();
+        let mut chosen: Vec<NodeId> = Vec::with_capacity(self.cfg.fanout);
         for id in 0..self.views.len() {
             let node = NodeId(id as u16);
             let Some(view) = self.views[id].as_mut() else {
                 continue;
             };
-            let peers: Vec<NodeId> = view
-                .alive_nodes()
-                .into_iter()
-                .filter(|p| *p != node)
-                .collect();
-            if peers.is_empty() {
+            // The peers are the believed-alive ids other than `node`, in
+            // id order: the `i`-th peer is the `i`-th alive id, stepping
+            // over the node's own.
+            let own = view.alive.binary_search(&node).ok();
+            let peer_count = view.alive.len() - usize::from(own.is_some());
+            if peer_count == 0 {
                 continue;
             }
+            let peer =
+                |alive: &[NodeId], i: usize| alive[i + usize::from(own.is_some_and(|o| i >= o))];
             // The probe: without it, knowledge of a failure can vanish
             // entirely (the one-shot detector departs before its rumor
             // spreads) and no view could ever re-learn it.  Ping/ack
             // bytes are noise next to rumor payloads and are not part
             // of the byte accounting.
-            let probe = peers[rng.random_range(0..peers.len())];
+            let probe = peer(&view.alive, rng.random_range(0..peer_count));
+            // The fan-out below draws from the peers as they stood before
+            // the probe, so the rare probe that evicts its target keeps a
+            // copy of that list.
+            let mut before_probe: Option<Vec<NodeId>> = None;
             if let Some((incarnation, state)) = self.truth[probe.index()] {
                 if state != PeerState::Alive {
+                    before_probe = Some(view.alive.clone());
                     view.apply(
                         Rumor {
                             subject: probe,
@@ -464,18 +513,20 @@ impl Gossip {
                 continue;
             }
             let bytes = GOSSIP_HEADER_BYTES + RUMOR_WIRE_BYTES * rumors.len();
-            let k = self.cfg.fanout.min(peers.len());
-            let mut chosen: Vec<NodeId> = Vec::with_capacity(k);
+            let rumors: Arc<[Rumor]> = rumors.into();
+            let peers = before_probe.as_deref().unwrap_or(&view.alive);
+            let k = self.cfg.fanout.min(peer_count);
+            chosen.clear();
             while chosen.len() < k {
-                let cand = peers[rng.random_range(0..peers.len())];
+                let cand = peer(peers, rng.random_range(0..peer_count));
                 if !chosen.contains(&cand) {
                     chosen.push(cand);
                 }
             }
-            for dst in chosen {
+            for dst in &chosen {
                 if self
                     .sim
-                    .send(node, dst, bytes, start, rumors.clone())
+                    .send(node, *dst, bytes, start, Arc::clone(&rumors))
                     .is_some()
                 {
                     self.messages_sent += 1;
@@ -484,8 +535,8 @@ impl Gossip {
         }
         while let Some(d) = self.sim.next() {
             if let Some(view) = self.views[d.to.index()].as_mut() {
-                for rumor in d.payload {
-                    view.apply(rumor, self.push_budget);
+                for rumor in d.payload.iter() {
+                    view.apply(*rumor, self.push_budget);
                 }
             }
         }
@@ -525,14 +576,11 @@ impl Gossip {
 
     /// Do all live views agree with the ground truth about who is alive?
     pub fn converged(&self) -> bool {
-        let truth_alive: Vec<bool> = self
-            .truth
+        let truth_alive = self.live_nodes();
+        self.views
             .iter()
-            .map(|t| matches!(t, Some((_, PeerState::Alive))))
-            .collect();
-        self.views.iter().flatten().all(|view| {
-            (0..truth_alive.len()).all(|u| view.believes_alive(NodeId(u as u16)) == truth_alive[u])
-        })
+            .flatten()
+            .all(|view| view.alive == truth_alive)
     }
 
     /// How many of `viewer`'s records lag the ground truth — the
@@ -609,10 +657,13 @@ impl Gossip {
     /// The failure detector for `x`: the next live node by id (wrapping),
     /// a deterministic stand-in for the ping neighbour of Section V-C.
     fn detector_of(&self, x: NodeId) -> Option<NodeId> {
-        let n = self.views.len() as u16;
+        // In `usize`: `x + step` passes `u16::MAX` in a universe above
+        // 32,768 ids.
+        let n = self.views.len();
         (1..n)
-            .map(|step| NodeId((x.0 + step) % n))
-            .find(|cand| self.views[cand.index()].is_some())
+            .map(|step| (x.index() + step) % n)
+            .find(|cand| self.views[*cand].is_some())
+            .map(|cand| NodeId(cand as u16))
     }
 
     fn apply_at(&mut self, node: NodeId, rumor: Rumor) {
@@ -867,6 +918,111 @@ mod tests {
         }
         g.run_until_converged(64).unwrap();
         assert!(g.converged());
+    }
+
+    /// `alive_nodes()` as the records define it: the ids whose latest
+    /// accepted state is `Alive`.
+    fn alive_by_records(view: &MemberView, universe: u16) -> Vec<NodeId> {
+        (0..universe)
+            .map(NodeId)
+            .filter(|n| matches!(view.state_of(*n), Some((_, PeerState::Alive))))
+            .collect()
+    }
+
+    #[test]
+    fn alive_list_tracks_the_records_through_random_rumors() {
+        const UNIVERSE: u16 = 40;
+        let mut r = rng::seeded(0xa11e);
+        let mut view = MemberView::seeded((0..12).map(NodeId));
+        let mut accepted = 0;
+        for _ in 0..2_000 {
+            let rumor = Rumor {
+                subject: NodeId(r.random_range(0..UNIVERSE)),
+                incarnation: r.random_range(1..6u64),
+                state: [PeerState::Alive, PeerState::Left, PeerState::Failed]
+                    [r.random_range(0..3usize)],
+            };
+            accepted += u64::from(view.apply(rumor, r.random_range(0..3u32)));
+            assert_eq!(view.alive_nodes(), alive_by_records(&view, UNIVERSE));
+        }
+        assert_eq!(view.version(), accepted);
+        assert!(accepted > 100, "only {accepted} rumors carried news");
+        let all = view.all_rumors();
+        assert!(all.windows(2).all(|w| w[0].subject < w[1].subject));
+        for rumor in &all {
+            assert_eq!(
+                view.state_of(rumor.subject),
+                Some((rumor.incarnation, rumor.state))
+            );
+        }
+        assert_eq!(
+            all.len(),
+            (0..UNIVERSE)
+                .filter(|n| view.state_of(NodeId(*n)).is_some())
+                .count()
+        );
+        assert_eq!(view.state_of(NodeId(UNIVERSE)), None);
+        assert!(!view.believes_alive(NodeId(u16::MAX)));
+    }
+
+    #[test]
+    fn seeded_accepts_unsorted_and_duplicate_ids() {
+        let view = MemberView::seeded([7, 2, 9, 2, 0, 7].map(NodeId));
+        assert_eq!(view.alive_nodes(), [0, 2, 7, 9].map(NodeId));
+        assert_eq!(view.all_rumors().len(), 4);
+        assert_eq!(view.state_of(NodeId(2)), Some((1, PeerState::Alive)));
+        assert_eq!(view.state_of(NodeId(1)), None);
+        assert_eq!(view.state_of(NodeId(10)), None);
+        assert!(MemberView::seeded([]).alive_nodes().is_empty());
+    }
+
+    #[test]
+    fn converged_means_every_view_matches_the_truth_id_by_id() {
+        let by_id = |g: &Gossip| {
+            let truth = g.live_nodes();
+            g.live_nodes().iter().all(|viewer| {
+                (0..g.views.len() as u16).all(|u| {
+                    g.view(*viewer).unwrap().believes_alive(NodeId(u)) == truth.contains(&NodeId(u))
+                })
+            })
+        };
+        let mut g = cluster(24);
+        let mut rounds_disagreeing = 0;
+        for change in [
+            MembershipChange::Failed(NodeId(7)),
+            MembershipChange::Joined(NodeId(30)),
+            MembershipChange::Left(NodeId(12)),
+            MembershipChange::Joined(NodeId(7)),
+        ] {
+            g.inject(change).unwrap();
+            for _ in 0..40 {
+                assert_eq!(g.converged(), by_id(&g));
+                rounds_disagreeing += u32::from(!g.converged());
+                g.run_round();
+            }
+            assert!(g.converged());
+        }
+        assert!(rounds_disagreeing > 8);
+    }
+
+    #[test]
+    fn detector_lookup_does_not_overflow_in_a_large_universe() {
+        let mut g = Gossip::new(
+            1,
+            60_000,
+            GossipConfig::default(),
+            ClusterProfile::wan_metro(),
+        );
+        g.inject(MembershipChange::Joined(NodeId(50_000))).unwrap();
+        g.inject(MembershipChange::Joined(NodeId(20_000))).unwrap();
+        g.inject(MembershipChange::Left(NodeId(0))).unwrap();
+        // The detector of 50,000 is found by wrapping past id 65,535.
+        g.inject(MembershipChange::Failed(NodeId(50_000))).unwrap();
+        g.run_until_converged(64).unwrap();
+        assert!(!g
+            .view(NodeId(20_000))
+            .unwrap()
+            .believes_alive(NodeId(50_000)));
     }
 
     #[test]

@@ -1,0 +1,139 @@
+#!/bin/sh
+# Host-time trajectory: runs the BENCHMARK.json command for every workload
+# and prints ONE JSON record on stdout,
+#
+#   {"label", "commit", "seed", "runs", "traced_runs", "smoke",
+#    "workloads": {<workload>: {"attempted", "failed",
+#                               "metrics": {<metric>: {"median", "q1", "q3"}},
+#                               "layers":  {<metric>: {"median", "q1", "q3"}}}}}
+#
+# built from the `metric <name> <value> ...` lines the runs print:
+# "metrics" holds the end-to-end metrics over the untraced runs, "layers"
+# every metric of the traced runs (empty without --traced).  BENCH_HOST.json
+# at the root of the repository is an array of such records, one per
+# measured commit; append the record by hand.
+#
+#   sh scripts/bench_host.sh [--label TEXT] [--seed N] [--runs N] [--traced N]
+#   sh scripts/bench_host.sh --smoke      # one 1/50-size run per workload, < 5 s
+#
+# A run takes about 30 s, so the default (3 untraced runs of 4 workloads)
+# takes about six minutes.  POSIX sh and awk only; run from anywhere inside
+# the repository.
+set -eu
+
+cd "$(dirname "$0")/.."
+
+label=""
+seed=42
+runs=3
+traced=0
+smoke=0
+while [ $# -gt 0 ]; do
+    case "$1" in
+        --label) label=$2; shift 2 ;;
+        --seed) seed=$2; shift 2 ;;
+        --runs) runs=$2; shift 2 ;;
+        --traced) traced=$2; shift 2 ;;
+        --smoke) smoke=1; runs=1; traced=0; shift ;;
+        *) echo "bench_host.sh: unknown argument $1" >&2; exit 2 ;;
+    esac
+done
+
+# The contract: the command (a JSON array of strings on one line), the run
+# length, and the workloads (the entries that carry a "why").
+command=$(awk '/"command"/ {
+    sub(/^[^[]*\[/, ""); sub(/\].*$/, ""); gsub(/[",]/, " "); print; exit }' BENCHMARK.json)
+seconds=$(awk -F: '/"run_seconds"/ { gsub(/[ ,]/, "", $2); print $2; exit }' BENCHMARK.json)
+workloads=$(awk '/"why"/ { sub(/^.*"name": *"/, ""); sub(/".*$/, ""); printf "%s ", $0 }' BENCHMARK.json)
+if [ -z "$command" ] || [ -z "$seconds" ] || [ -z "$workloads" ]; then
+    echo "bench_host.sh: cannot read command, run_seconds and workloads from BENCHMARK.json" >&2
+    exit 2
+fi
+commit=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
+if [ -n "$(git status --porcelain 2>/dev/null)" ]; then
+    commit="$commit+dirty"
+fi
+
+lines=$(mktemp)
+trap 'rm -f "$lines"' EXIT
+
+# Every run's output, each line prefixed with its workload and kind.
+run() { # <workload> <trace: 0|1>
+    extra=""
+    if [ "$smoke" = 1 ]; then extra="--smoke"; fi
+    # shellcheck disable=SC2086  # the command and the flag are word lists
+    $command --workload "$1" --seed "$seed" --seconds "$seconds" --trace "$2" $extra |
+        awk -v w="$1" -v kind="$2" '{ print w, kind, $0 }' >>"$lines"
+}
+
+for w in $workloads; do
+    i=0
+    while [ "$i" -lt "$runs" ]; do
+        echo "bench_host.sh: $w, run $((i + 1)) of $runs" >&2
+        run "$w" 0
+        i=$((i + 1))
+    done
+    i=0
+    while [ "$i" -lt "$traced" ]; do
+        echo "bench_host.sh: $w, traced run $((i + 1)) of $traced" >&2
+        run "$w" 1
+        i=$((i + 1))
+    done
+done
+
+awk -v label="$label" -v commit="$commit" -v seed="$seed" -v runs="$runs" \
+    -v traced="$traced" -v smoke="$smoke" -v workloads="$workloads" '
+# The value a fraction p of the way through the sorted samples v[1..n],
+# interpolated between neighbours.
+function quantile(v, n, p,    at, low, frac) {
+    at = (n - 1) * p + 1
+    low = int(at)
+    frac = at - low
+    if (low >= n) return v[n]
+    return v[low] + frac * (v[low + 1] - v[low])
+}
+function summary(key,    n, i, j, t, v) {
+    n = count[key]
+    for (i = 1; i <= n; i++) v[i] = sample[key, i]
+    for (i = 2; i <= n; i++)
+        for (j = i; j > 1 && v[j - 1] > v[j]; j--) { t = v[j]; v[j] = v[j - 1]; v[j - 1] = t }
+    return sprintf("{\"median\": %.9g, \"q1\": %.9g, \"q3\": %.9g}",
+                   quantile(v, n, 0.5), quantile(v, n, 0.25), quantile(v, n, 0.75))
+}
+function block(w, kind,    i, out, sep) {
+    out = ""; sep = ""
+    for (i = 1; i <= names[w, kind]; i++) {
+        out = out sep "\"" name[w, kind, i] "\": " summary(w SUBSEP kind SUBSEP name[w, kind, i])
+        sep = ", "
+    }
+    return "{" out "}"
+}
+$3 == "metric" {
+    key = $1 SUBSEP $2 SUBSEP $4
+    if (!(key in count)) name[$1, $2, ++names[$1, $2]] = $4
+    sample[key, ++count[key]] = $5
+}
+# The last line of a run: {"correct": ..., "attempted": N, "failed": N, ...
+$3 ~ /^\{"correct"/ {
+    line = $0
+    sub(/^.*"attempted": */, "", line); attempted[$1] += line + 0
+    line = $0
+    sub(/^.*"failed": */, "", line); failed[$1] += line + 0
+    finished[$1]++
+}
+END {
+    n = split(workloads, order, " ")
+    printf("{\"label\": \"%s\", \"commit\": \"%s\", \"seed\": %d, \"runs\": %d, \"traced_runs\": %d, \"smoke\": %s, \"workloads\": {",
+        label, commit, seed, runs, traced, smoke ? "true" : "false")
+    for (i = 1; i <= n; i++) {
+        w = order[i]
+        if (finished[w] != runs + traced) {
+            printf("bench_host.sh: %s finished %d of %d runs\n", w, finished[w], runs + traced) >"/dev/stderr"
+            bad = 1
+        }
+        printf("%s\"%s\": {\"attempted\": %d, \"failed\": %d, \"metrics\": %s, \"layers\": %s}",
+            (i > 1 ? ", " : ""), w, attempted[w], failed[w], block(w, 0), block(w, 1))
+    }
+    print "}}"
+    exit bad
+}' "$lines"
