@@ -56,7 +56,8 @@
 //! reports itself recompute-only.
 
 use super::scheduler::{
-    AdmissionPolicy, QuerySession, SchedulerConfig, SessionReport, SessionScheduler,
+    AdmissionPolicy, QuerySession, SchedulerConfig, SessionReport, SessionScheduler, Submission,
+    WorkloadReport,
 };
 use super::{EngineConfig, FailureSpec};
 use crate::expr::AggFunc;
@@ -747,25 +748,9 @@ impl MaterializedView {
     }
 
     /// Throw the state away (the recompute path's clean slate).
-    pub(super) fn reset(&mut self) {
+    fn reset(&mut self) {
         self.groups.clear();
         self.multiset.clear();
-    }
-
-    /// Is the base (recompute) dataflow already resident at the
-    /// participants?
-    pub(super) fn base_installed(&self) -> bool {
-        self.installed_base
-    }
-
-    /// Mark the base dataflow resident (a recompute run completed).
-    pub(super) fn mark_base_installed(&mut self) {
-        self.installed_base = true;
-    }
-
-    /// Mark `relation`'s delta-leg dataflow resident (its leg completed).
-    pub(super) fn mark_leg_installed(&mut self, relation: &str) {
-        self.installed_legs.insert(relation.to_string());
     }
 
     /// Advance the epoch the state reflects (the caller has folded every
@@ -776,7 +761,7 @@ impl MaterializedView {
 
     /// Fold one session's signed answer rows into the state, under the
     /// fold mode of the plan that session ran.
-    pub(super) fn fold(&mut self, fold: &FoldMode, rows: &[(Tuple, i8)]) {
+    fn fold(&mut self, fold: &FoldMode, rows: &[(Tuple, i8)]) {
         match fold.clone() {
             FoldMode::Multiset => {
                 for (tuple, sign) in rows {
@@ -923,26 +908,8 @@ pub fn refresh_view(
     initiator: NodeId,
     failure: Option<FailureSpec>,
 ) -> Result<MaintenanceRun> {
-    // Relations whose delta legs this refresh executes (empty for a
-    // recompute) — the flows marked installed once the run succeeds.
-    let mut ran_legs: Vec<String> = Vec::new();
-    let sessions: Vec<(QuerySession, FoldMode)> = match mode {
-        MaintenanceMode::Recompute => vec![(
-            QuerySession {
-                name: format!("{}/recompute@{to_epoch}", view.name),
-                plan: view.maintenance.plan.clone(),
-                epoch: to_epoch,
-                initiator,
-                arrival: SimTime::ZERO,
-                // Maintenance answers are folded into view state, not
-                // served to clients — never cached.
-                fingerprint: None,
-                estimated_cost: 0.0,
-                overrides: ScanOverrides::new(),
-                plan_resident: view.installed_base,
-            },
-            view.maintenance.fold.clone(),
-        )],
+    let demanded = match mode {
+        MaintenanceMode::Recompute => vec![recompute_session(view, to_epoch, initiator)],
         MaintenanceMode::Incremental => {
             let Some(from) = view.epoch else {
                 return Err(OrchestraError::Execution(format!(
@@ -962,16 +929,16 @@ pub fn refresh_view(
                     view.name
                 )));
             }
-            let legs = delta_legs(view, storage, from, to_epoch, initiator)?;
-            ran_legs = legs
-                .iter()
-                .map(|(_, _, relation)| relation.clone())
-                .collect();
-            legs.into_iter()
-                .map(|(session, fold, _)| (session, fold))
-                .collect()
+            delta_legs(view, storage, from, to_epoch, initiator)?
         }
     };
+    let sessions: Vec<SharedSession> = demanded
+        .into_iter()
+        .map(|(session, fold, contribution)| SharedSession {
+            session,
+            members: vec![(0, fold, contribution)],
+        })
+        .collect();
 
     let mut run = MaintenanceRun {
         mode,
@@ -992,42 +959,18 @@ pub fn refresh_view(
         return Ok(run);
     }
 
-    let scheduler = SessionScheduler::new(SchedulerConfig {
-        max_concurrent: sessions.len(),
-        queue_capacity: sessions.len(),
-        policy: AdmissionPolicy::Fifo,
-        slo: None,
-    });
-    let submitted: Vec<QuerySession> = sessions.iter().map(|(s, _)| s.clone()).collect();
-    let report = match failure {
-        Some(f) => scheduler.run_with_failure(storage, engine, &submitted, f)?,
-        None => scheduler.run(storage, engine, &submitted)?,
-    };
-
-    // The run completed: whatever dataflows it disseminated are now
-    // resident at the participants, so later runs of the same flows
-    // ship parameters + snapshot only — the continuous-query property
-    // that keeps a small delta's refresh traffic proportional to the
-    // delta.  (A failed refresh returns above without marking anything
-    // installed.)
-    match mode {
-        MaintenanceMode::Recompute => view.installed_base = true,
-        MaintenanceMode::Incremental => {
-            for leg in &ran_legs {
-                view.installed_legs.insert(leg.clone());
-            }
-        }
-    }
-
-    if mode == MaintenanceMode::Recompute {
-        view.reset();
-    }
-    for (session, (_, fold)) in report.sessions.iter().zip(&sessions) {
+    let report = run_shared(
+        std::slice::from_mut(view),
+        storage,
+        engine,
+        &sessions,
+        failure,
+    )?;
+    view.epoch = Some(to_epoch);
+    for session in &report.sessions {
         run.rows_folded += session.report.signed_rows.len();
         run.recovered |= session.report.recovered;
-        view.fold(fold, &session.report.signed_rows);
     }
-    view.epoch = Some(to_epoch);
     run.shipped_bytes = report.total_bytes;
     run.shipped_messages = report.total_messages;
     run.makespan = report.makespan;
@@ -1070,7 +1013,7 @@ pub(super) fn delta_legs(
     from: Epoch,
     to: Epoch,
     initiator: NodeId,
-) -> Result<Vec<(QuerySession, FoldMode, String)>> {
+) -> Result<Vec<(QuerySession, FoldMode, Contribution)>> {
     let order: Vec<&str> = view
         .maintenance
         .legs
@@ -1111,8 +1054,97 @@ pub(super) fn delta_legs(
                 plan_resident: view.installed_legs.contains(&leg.relation),
             },
             leg.fold.clone(),
-            leg.relation.clone(),
+            Contribution::Leg(leg.relation.clone()),
         ));
     }
     Ok(sessions)
+}
+
+/// The recompute session of `view` at `to`: the whole maintenance plan
+/// with every scan at the target epoch.
+pub(super) fn recompute_session(
+    view: &MaterializedView,
+    to: Epoch,
+    initiator: NodeId,
+) -> (QuerySession, FoldMode, Contribution) {
+    (
+        QuerySession {
+            name: format!("{}/recompute@{to}", view.name),
+            plan: view.maintenance.plan.clone(),
+            epoch: to,
+            initiator,
+            arrival: SimTime::ZERO,
+            // Maintenance answers are folded into view state, not
+            // served to clients — never cached.
+            fingerprint: None,
+            estimated_cost: 0.0,
+            overrides: ScanOverrides::new(),
+            plan_resident: view.installed_base,
+        },
+        view.maintenance.fold.clone(),
+        Contribution::Recompute,
+    )
+}
+
+/// What a maintenance session contributes to a view it feeds.
+#[derive(Clone, Debug)]
+pub(super) enum Contribution {
+    /// The session recomputes the view from scratch (initial
+    /// materialization, a recompute-only view, a sketch fallback).
+    Recompute,
+    /// The session is the delta leg pivoting on this relation.
+    Leg(String),
+}
+
+/// One maintenance session and the views it feeds, by index into the
+/// slice handed to [`run_shared`] (one view for [`refresh_view`]; every
+/// view whose session collided on a fingerprint for the registry).
+pub(super) struct SharedSession {
+    pub(super) session: QuerySession,
+    pub(super) members: Vec<(usize, FoldMode, Contribution)>,
+}
+
+/// Run `shared` as one scheduler workload wide enough to admit every
+/// session at once, then fork each session's signed rows into its member
+/// views.  A completed session also marks its dataflow resident at the
+/// participants, so the next run of it ships parameters + snapshot only
+/// — the continuous-query property that keeps a small delta's refresh
+/// traffic proportional to the delta.  (A failed run returns before
+/// folding or marking anything.)
+pub(super) fn run_shared(
+    views: &mut [MaterializedView],
+    storage: &DistributedStorage,
+    engine: &EngineConfig,
+    shared: &[SharedSession],
+    failure: Option<FailureSpec>,
+) -> Result<WorkloadReport> {
+    let scheduler = SessionScheduler::new(SchedulerConfig {
+        max_concurrent: shared.len(),
+        queue_capacity: shared.len(),
+        policy: AdmissionPolicy::Fifo,
+        slo: None,
+    });
+    let submitted: Vec<Submission> = shared
+        .iter()
+        .map(|g| Submission::from(&g.session))
+        .collect();
+    let report = scheduler.run_inner(storage, engine, &submitted, failure.as_slice(), None)?;
+    for (session, group) in report.sessions.iter().zip(shared) {
+        let rows = &session.report.signed_rows;
+        for (id, fold, contribution) in &group.members {
+            let view = &mut views[*id];
+            match contribution {
+                Contribution::Recompute => {
+                    view.reset();
+                    view.fold(fold, rows);
+                    view.installed_base = true;
+                }
+                Contribution::Leg(relation) => {
+                    view.fold(fold, rows);
+                    view.installed_legs.insert(relation.clone());
+                }
+            }
+        }
+    }
+    Ok(report)
 }

@@ -44,25 +44,27 @@
 //!
 //! ## Module layout
 //!
-//! This module is the thin driver: configuration ([`EngineConfig`],
-//! [`FailureSpec`], [`RecoveryStrategy`]) and the [`QueryExecutor`] entry
-//! points.  The layers underneath have one file each, with the `Runtime`
-//! state machine (defined in `pipeline`) threading through them:
+//! This module is configuration ([`EngineConfig`], [`FailureSpec`],
+//! [`RecoveryStrategy`]) and the [`QueryExecutor`] entry points, each a
+//! one-session submission to the scheduler's event loop — the engine has
+//! no other.  The layers underneath have one file each, with the
+//! `Runtime` state machine (defined in `pipeline`) threading through them:
 //!
 //! * `pipeline` — per-node operator pipeline instantiation, the
-//!   push loop, and the end-of-stream segment-closure cascade;
+//!   push-based event handler, and the end-of-stream segment-closure
+//!   cascade;
 //! * `scan` — leaf scans over the versioned store (distributed,
 //!   replicated and covering-index);
 //! * `exchange` — rehash/ship batching, routing-snapshot consultation,
 //!   the recovery output caches (`ExchangeLayer`), and the
 //!   session-tagged wire envelope ([`SessionId`]);
-//! * `session` — the per-session handle onto a simulator shared by
-//!   several concurrent queries (shared-clock multiplexing);
-//! * `scheduler` — the multi-query [`SessionScheduler`]: open-loop
-//!   arrivals, admission control over a bounded run queue with load
-//!   shedding, N runtimes interleaved over one simulator, per-session
-//!   recovery, [`WorkloadReport`] assembly with tail-latency and
-//!   SLO-miss accounting;
+//! * `session` — the per-session handle onto the simulator every
+//!   session of a run shares (shared-clock multiplexing);
+//! * `scheduler` — the [`SessionScheduler`] and the engine's one event
+//!   loop: open-loop arrivals, admission control over a bounded run
+//!   queue with load shedding, N ≥ 1 runtimes interleaved over one
+//!   simulator, the stall → recover step, [`WorkloadReport`] assembly
+//!   with tail-latency and SLO-miss accounting;
 //! * `cache` — the epoch-keyed [`ResultCache`]: complete answers
 //!   memoized under `(fingerprint, epoch)` keys with LRU or cost-aware
 //!   eviction — immutable epochs mean no invalidation logic at all;
@@ -99,8 +101,7 @@ use orchestra_simnet::{ClusterProfile, SimTime};
 use orchestra_storage::DistributedStorage;
 use orchestra_substrate::RoutingTable;
 
-use pipeline::Runtime;
-use session::SessionSim;
+use scheduler::Submission;
 
 pub use cache::{CacheStats, CachedAnswer, EntryStats, EvictionPolicy, ResultCache};
 pub use exchange::SessionId;
@@ -173,24 +174,6 @@ impl FailureSpec {
     }
 }
 
-/// The storage a run executes against: the caller's store for normal
-/// runs, or an owned scratch copy for failure runs so the dead node's
-/// local state can be made unreachable at recovery time without
-/// disturbing the caller.
-enum StorageHandle<'a> {
-    Borrowed(&'a DistributedStorage),
-    Scratch(Box<DistributedStorage>),
-}
-
-impl StorageHandle<'_> {
-    fn get(&self) -> &DistributedStorage {
-        match self {
-            StorageHandle::Borrowed(s) => s,
-            StorageHandle::Scratch(s) => s,
-        }
-    }
-}
-
 /// The reliable distributed query executor.
 pub struct QueryExecutor<'a> {
     storage: &'a DistributedStorage,
@@ -216,24 +199,15 @@ impl<'a> QueryExecutor<'a> {
         epoch: Epoch,
         initiator: NodeId,
     ) -> Result<QueryReport> {
-        let sim = SessionSim::exclusive(self.storage.routing(), self.config.profile);
-        Runtime::new(
-            StorageHandle::Borrowed(self.storage),
-            &self.config,
-            plan,
-            epoch,
-            initiator,
-            sim,
-        )?
-        .run()
+        self.submit(self.storage, plan, epoch, initiator, &[])
     }
 
     /// Execute `plan` while killing `failure.node` at `failure.at`.
     ///
-    /// The caller's storage is not disturbed: the run executes against a
-    /// scratch copy that behaves exactly like the original until the
-    /// failure is detected; recovery then marks the node failed so
-    /// rescans cannot read the dead node's local state.
+    /// The caller's storage is not disturbed: the run reads it until the
+    /// failure stalls the query; recovery then clones it (one pointer per
+    /// node) and marks the node failed in the clone, so rescans cannot
+    /// read the dead node's local state.
     pub fn execute_with_failure(
         &self,
         plan: &PhysicalPlan,
@@ -241,25 +215,7 @@ impl<'a> QueryExecutor<'a> {
         initiator: NodeId,
         failure: FailureSpec,
     ) -> Result<QueryReport> {
-        let table = self.storage.routing();
-        if !table.contains_node(failure.node) {
-            return Err(OrchestraError::Execution(format!(
-                "failure target {} is not a member of the routing table",
-                failure.node
-            )));
-        }
-        let mut sim = SessionSim::exclusive(table, self.config.profile);
-        sim.fail_node(failure.node, failure.at);
-        let scratch = Box::new(self.storage.clone());
-        Runtime::new(
-            StorageHandle::Scratch(scratch),
-            &self.config,
-            plan,
-            epoch,
-            initiator,
-            sim,
-        )?
-        .run()
+        self.submit(self.storage, plan, epoch, initiator, &[failure])
     }
 
     /// Execute `plan` against a possibly **stale** routing snapshot — the
@@ -291,31 +247,51 @@ impl<'a> QueryExecutor<'a> {
                 "initiator {initiator} has departed and cannot run the query"
             )));
         }
-        let mut sim = SessionSim::exclusive(snapshot, self.config.profile);
+        // The routed copy: the caller's data under `snapshot`, with the
+        // departed nodes' local state unreachable from the first instant
+        // (lookups fail over to surviving replicas).
+        let mut routed = self.storage.clone();
+        routed.set_routing(snapshot.clone());
         for node in departed.iter() {
-            // A departed node the snapshot no longer lists cannot be
-            // addressed at all (the simulator is sized to the snapshot's
-            // members), so only snapshot members need killing.
-            if snapshot.contains_node(node) {
-                sim.fail_node(node, SimTime::ZERO);
-            }
+            routed.mark_failed(node);
         }
-        let mut scratch = Box::new(self.storage.clone());
-        scratch.set_routing(snapshot.clone());
-        // The departed nodes' local state is unreachable from the first
-        // instant: storage lookups must fail over to surviving replicas
-        // rather than pretend to read a dead node's disk.
-        for node in departed.iter() {
-            scratch.mark_failed(node);
-        }
-        Runtime::new(
-            StorageHandle::Scratch(scratch),
-            &self.config,
+        // A departed node the snapshot no longer lists cannot be addressed
+        // at all (the simulator is sized to the snapshot's members), so
+        // only snapshot members are killed on the network.
+        let dead: Vec<FailureSpec> = departed
+            .iter()
+            .filter(|n| snapshot.contains_node(*n))
+            .map(|n| FailureSpec::at_time(n, SimTime::ZERO))
+            .collect();
+        self.submit(&routed, plan, epoch, initiator, &dead)
+    }
+
+    /// Run `plan` as the only session of a scheduler workload over
+    /// `storage`, with every node in `dead` failing at its instant.
+    fn submit(
+        &self,
+        storage: &DistributedStorage,
+        plan: &PhysicalPlan,
+        epoch: Epoch,
+        initiator: NodeId,
+        dead: &[FailureSpec],
+    ) -> Result<QueryReport> {
+        let session = Submission {
+            name: "query",
             plan,
             epoch,
             initiator,
-            sim,
-        )?
-        .run()
+            arrival: SimTime::ZERO,
+            fingerprint: None,
+            estimated_cost: 0.0,
+            overrides: &ScanOverrides::new(),
+            plan_resident: false,
+        };
+        let workload =
+            SessionScheduler::default().run_inner(storage, &self.config, &[session], dead, None)?;
+        let only = workload.sessions.into_iter().next();
+        Ok(only
+            .expect("an admitted session completes or errors")
+            .report)
     }
 }

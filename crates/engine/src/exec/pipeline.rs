@@ -1,9 +1,10 @@
 //! Per-node operator pipelines and the push loop.
 //!
 //! `Runtime` is all mutable state of one query execution.  This module
-//! owns the event loop (`run`/`handle`), instantiates the local operator
-//! pipeline on every participant when the plan arrives, pushes rows from
-//! operator to operator (`process_at`), and drives the end-of-stream
+//! owns its event handler (`handle`, fed by the scheduler's loop — the
+//! only one), instantiates the local operator pipeline on every
+//! participant when the plan arrives, pushes rows from operator to
+//! operator (`process_at`), and drives the end-of-stream
 //! segment-closure cascade that completes the query.  Scans, exchange
 //! batching, recovery and report assembly live in the sibling modules —
 //! each reached through an explicit seam: `scan` feeds rows in at the
@@ -14,8 +15,9 @@
 use super::exchange::{ExchangeLayer, Payload, EOS_BYTES};
 use super::ivm::ScanOverrides;
 use super::report::RunStats;
+use super::scheduler::Submission;
 use super::session::SessionSim;
-use super::{EngineConfig, QueryReport, StorageHandle};
+use super::EngineConfig;
 use crate::batch::TupleBatch;
 use crate::expr::ScalarExpr;
 use crate::ops::{AggState, JoinState};
@@ -23,7 +25,9 @@ use crate::plan::{AggMode, OpId, OperatorKind, PhysicalPlan};
 use crate::provenance::{Phase, TaggedTuple};
 use orchestra_common::{Column, ColumnarBatch, Epoch, KeyRange, NodeId, OrchestraError, Result};
 use orchestra_simnet::{Delivery, SimTime};
+use orchestra_storage::DistributedStorage;
 use orchestra_substrate::RoutingTable;
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
@@ -66,13 +70,15 @@ pub(super) struct SegmentSources {
 
 /// All mutable state of one query execution.
 pub(super) struct Runtime<'a> {
-    pub(super) storage: StorageHandle<'a>,
+    /// The caller's store, borrowed until the first recovery round
+    /// clones it to mark the failed nodes unreadable.
+    pub(super) storage: Cow<'a, DistributedStorage>,
     pub(super) config: &'a EngineConfig,
     pub(super) plan: &'a PhysicalPlan,
     pub(super) epoch: Epoch,
     /// Per-scan epoch pins and delta-scan instructions (empty for
     /// ordinary queries; set by maintenance sessions).
-    pub(super) overrides: ScanOverrides,
+    pub(super) overrides: &'a ScanOverrides,
     /// Participants already hold the plan (installed maintenance
     /// dataflow): dissemination ships parameters + snapshot only.
     pub(super) plan_resident: bool,
@@ -112,25 +118,19 @@ pub(super) struct Runtime<'a> {
     pub(super) done: bool,
     pub(super) finish_time: SimTime,
 
-    /// Execution counters folded into the final [`QueryReport`].
+    /// Execution counters folded into the final [`super::QueryReport`].
     pub(super) stats: RunStats,
 }
 
 impl<'a> Runtime<'a> {
     pub(super) fn new(
-        storage: StorageHandle<'a>,
+        storage: &'a DistributedStorage,
         config: &'a EngineConfig,
-        plan: &'a PhysicalPlan,
-        epoch: Epoch,
-        initiator: NodeId,
+        session: &Submission<'a>,
         sim: SessionSim,
-    ) -> Result<Runtime<'a>> {
-        let table = storage.get().routing().clone();
-        if !table.contains_node(initiator) {
-            return Err(OrchestraError::Execution(format!(
-                "initiator {initiator} is not a member of the routing table"
-            )));
-        }
+    ) -> Runtime<'a> {
+        let plan = session.plan;
+        let table = storage.routing().clone();
         let participants = table.nodes();
 
         let segment_roots: Vec<OpId> = plan
@@ -149,14 +149,14 @@ impl<'a> Runtime<'a> {
             .map(|n| (*n, table.ranges_of(*n)))
             .collect();
 
-        Ok(Runtime {
-            storage,
+        Runtime {
+            storage: Cow::Borrowed(storage),
             config,
             plan,
-            epoch,
-            overrides: ScanOverrides::default(),
-            plan_resident: false,
-            initiator,
+            epoch: session.epoch,
+            overrides: session.overrides,
+            plan_resident: session.plan_resident,
+            initiator: session.initiator,
             sim,
             table,
             participants,
@@ -176,13 +176,12 @@ impl<'a> Runtime<'a> {
             done: false,
             finish_time: SimTime::ZERO,
             stats: RunStats::default(),
-        })
+        }
     }
 
-    /// Start the query at virtual time `at`: set up this phase's
-    /// end-of-stream expectations and disseminate plan + snapshot.  The
-    /// stand-alone executor starts at time zero; the scheduler starts
-    /// each session at its admission instant.
+    /// Start the query at virtual time `at` (its admission instant): set
+    /// up this phase's end-of-stream expectations and disseminate plan +
+    /// snapshot.
     pub(super) fn begin(&mut self, at: SimTime) {
         self.reset_eos_counters();
         self.disseminate(at);
@@ -191,35 +190,6 @@ impl<'a> Runtime<'a> {
     /// Has this session exhausted its recovery-round budget?
     pub(super) fn rounds_exhausted(&self) -> bool {
         self.stats.rounds >= self.config.max_recovery_rounds
-    }
-
-    /// Drive the query to completion over an exclusively owned
-    /// simulator.  The multi-query scheduler replaces this loop with its
-    /// own (shared) one, dispatching deliveries by session tag.
-    pub(super) fn run(mut self) -> Result<QueryReport> {
-        self.begin(SimTime::ZERO);
-        loop {
-            while let Some(d) = self.sim.next_own() {
-                self.handle(d)?;
-            }
-            if self.done {
-                break;
-            }
-            let failed = self.sim.failed_nodes_at(self.sim.now());
-            if failed.is_empty() {
-                return Err(OrchestraError::Execution(
-                    "query stalled with no failed node (engine bug)".into(),
-                ));
-            }
-            if self.rounds_exhausted() {
-                return Err(OrchestraError::Execution(format!(
-                    "query did not complete within {} recovery rounds",
-                    self.config.max_recovery_rounds
-                )));
-            }
-            self.recover(&failed)?;
-        }
-        Ok(self.into_report())
     }
 
     // ------------------------------------------------------------------

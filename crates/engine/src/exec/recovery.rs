@@ -1,7 +1,9 @@
 //! The Restart and Incremental recovery strategies (Section V-D).
 //!
-//! When the event queue quiesces with the query incomplete, the driver
-//! loop calls `Runtime::recover` with the failed node set.  **Restart**
+//! When the event queue quiesces with the query incomplete, the
+//! scheduler's loop calls `Runtime::recover` with the failed node set;
+//! its first round clones the session's store (until then borrowed from
+//! the caller) to mark the failed nodes unreadable.  **Restart**
 //! wipes every operator state and re-runs the query on the survivors
 //! under the recovery routing snapshot.  **Incremental** runs the
 //! four-stage protocol: derive the recovery snapshot, purge exactly the
@@ -15,8 +17,6 @@ use crate::plan::OpId;
 use orchestra_common::{KeyRange, NodeId, NodeSet, OrchestraError, Result};
 use orchestra_simnet::SimTime;
 use std::collections::HashMap;
-
-use super::StorageHandle;
 
 impl Runtime<'_> {
     pub(super) fn recover(&mut self, failed: &NodeSet) -> Result<()> {
@@ -33,11 +33,11 @@ impl Runtime<'_> {
         }
 
         // The failed nodes' local stores are gone: storage-level lookups
-        // must fail over to replicas from here on.
-        if let StorageHandle::Scratch(s) = &mut self.storage {
-            for f in failed.iter() {
-                s.mark_failed(f);
-            }
+        // must fail over to replicas from here on — in this session's own
+        // copy, not in the store the caller and other sessions read.
+        let storage = self.storage.to_mut();
+        for f in failed.iter() {
+            storage.mark_failed(f);
         }
 
         // Stage 1: derive the recovery routing snapshot — the failed

@@ -30,16 +30,17 @@
 //!    reported separately from maintenance traffic and from result-cache
 //!    savings, so serving JSON never double-counts.
 //! 4. **One scheduler workload per epoch** — all shared sessions of a
-//!    refresh run under a single [`SessionScheduler`] submission, so
+//!    refresh run under a single [`super::SessionScheduler`] submission, so
 //!    fan-out maintenance multiplexes the same simulated network as
 //!    ad-hoc traffic and inherits admission, shedding and
 //!    failure-recovery semantics unchanged (a [`FailureSpec`] interrupts
 //!    the whole refresh and every session recovers like any query).
 
-use super::ivm::{delta_legs, FoldMode, MaterializedView, ScanOverrides};
-use super::scheduler::{
-    AdmissionPolicy, QuerySession, SchedulerConfig, SessionScheduler, WorkloadReport,
+use super::ivm::{
+    delta_legs, recompute_session, run_shared, Contribution, FoldMode, MaterializedView,
+    SharedSession,
 };
+use super::scheduler::QuerySession;
 use super::{EngineConfig, FailureSpec};
 use crate::plan::PhysicalPlan;
 use orchestra_common::{Epoch, NodeId, OrchestraError, QueryFingerprint, Result, Tuple};
@@ -47,22 +48,6 @@ use orchestra_simnet::SimTime;
 use orchestra_storage::DistributedStorage;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-
-/// What a shared session contributes to one member view.
-#[derive(Clone, Debug)]
-enum Contribution {
-    /// The session recomputes the view from scratch (initial
-    /// materialization, or a recompute-only view): reset, then fold.
-    Recompute,
-    /// The session is the delta leg pivoting on this relation.
-    Leg(String),
-}
-
-/// One shared maintenance session and the views it feeds.
-struct SharedSession {
-    session: QuerySession,
-    members: Vec<(usize, FoldMode, Contribution)>,
-}
 
 /// The signed result diff shipped to one subscriber after a refresh —
 /// the rows to insert into and retract from its last acknowledged
@@ -107,8 +92,9 @@ pub struct RegistryRefresh {
     pub recovered: bool,
     /// Epoch-interval page diffs derived by this refresh — the storage
     /// memo's cache misses, O(changed relations) however many views are
-    /// registered.  (A failure refresh recovers against per-session
-    /// scratch storage whose derivations are invisible here.)
+    /// registered.  (A session that recovered from a failure reads its
+    /// own copy of the store from then on; what it derives there is not
+    /// counted here.)
     pub delta_derivations: u64,
     /// Views whose extremum sketches were exhausted by this refresh's
     /// retractions and that therefore fell back to a recompute (the
@@ -176,7 +162,13 @@ impl ViewRegistry {
     /// [`RegistryRefresh::shipped_bytes`], making the cost of a
     /// re-optimization explicit rather than amortized away.
     pub fn reinstall_legs(&mut self, id: usize, legs: &[(String, PhysicalPlan)]) -> Result<()> {
-        self.views[id].install_leg_plans(legs)?;
+        let Some(view) = self.views.get_mut(id) else {
+            return Err(OrchestraError::Execution(format!(
+                "no subscriber {id}: the registry has {} views",
+                self.views.len()
+            )));
+        };
+        view.install_leg_plans(legs)?;
         self.recompiles += 1;
         Ok(())
     }
@@ -206,15 +198,9 @@ impl ViewRegistry {
             ));
         }
         let derivations_before = storage.delta_derivations();
-        let mut shared: Vec<SharedSession> = Vec::new();
-        let mut by_fingerprint: BTreeMap<QueryFingerprint, usize> = BTreeMap::new();
-        let mut leg_instances = 0usize;
-
+        let mut demanded = Vec::new();
         for (id, view) in self.views.iter().enumerate() {
-            let demanded: Vec<(QuerySession, FoldMode, Contribution)> = match view.epoch() {
-                // Unprimed (or recompute-only) views materialize from a
-                // full run of the maintenance plan at the target epoch.
-                None => vec![recompute_session(view, to_epoch, self.initiator)],
+            let sessions = match view.epoch() {
                 Some(from) if from == to_epoch => Vec::new(),
                 Some(from) if from > to_epoch => {
                     return Err(OrchestraError::Execution(format!(
@@ -222,40 +208,21 @@ impl ViewRegistry {
                         view.name()
                     )));
                 }
-                Some(from) => {
-                    if view.supports_incremental() {
-                        delta_legs(view, storage, from, to_epoch, self.initiator)?
-                            .into_iter()
-                            .map(|(session, fold, relation)| {
-                                (session, fold, Contribution::Leg(relation))
-                            })
-                            .collect()
-                    } else {
-                        vec![recompute_session(view, to_epoch, self.initiator)]
-                    }
+                Some(from) if view.supports_incremental() => {
+                    delta_legs(view, storage, from, to_epoch, self.initiator)?
                 }
+                // Unprimed and recompute-only views materialize from a
+                // full run of the maintenance plan at the target epoch.
+                _ => vec![recompute_session(view, to_epoch, self.initiator)],
             };
-            for (session, fold, contribution) in demanded {
-                leg_instances += 1;
-                let fp = session_fingerprint(&session);
-                match by_fingerprint.get(&fp) {
-                    Some(&slot) => shared[slot].members.push((id, fold, contribution)),
-                    None => {
-                        by_fingerprint.insert(fp, shared.len());
-                        shared.push(SharedSession {
-                            session,
-                            members: vec![(id, fold, contribution)],
-                        });
-                    }
-                }
-            }
+            demanded.extend(sessions.into_iter().map(|s| (id, s)));
         }
 
         let mut refresh = RegistryRefresh {
             epoch: to_epoch,
             views: self.views.len(),
-            leg_instances,
-            sessions_run: shared.len(),
+            leg_instances: 0,
+            sessions_run: 0,
             shipped_bytes: 0,
             shipped_messages: 0,
             diff_bytes: 0,
@@ -265,99 +232,21 @@ impl ViewRegistry {
             sketch_fallbacks: 0,
             diffs: Vec::new(),
         };
-
-        if !shared.is_empty() {
-            let scheduler = SessionScheduler::new(SchedulerConfig {
-                max_concurrent: shared.len(),
-                queue_capacity: shared.len(),
-                policy: AdmissionPolicy::Fifo,
-                slo: None,
-            });
-            let submitted: Vec<QuerySession> = shared.iter().map(|g| g.session.clone()).collect();
-            let report: WorkloadReport = match failure {
-                Some(f) => scheduler.run_with_failure(storage, engine, &submitted, f)?,
-                None => scheduler.run(storage, engine, &submitted)?,
-            };
-
-            // Fork point: each shared session's signed rows fold into
-            // every member view's own local state.  The completed run
-            // also marks the shared dataflows resident, so the next
-            // epoch ships parameters only.
-            for (session_report, group) in report.sessions.iter().zip(&shared) {
-                refresh.recovered |= session_report.report.recovered;
-                for (id, fold, contribution) in &group.members {
-                    let view = &mut self.views[*id];
-                    match contribution {
-                        Contribution::Recompute => {
-                            view.reset();
-                            view.fold(fold, &session_report.report.signed_rows);
-                            view.mark_base_installed();
-                        }
-                        Contribution::Leg(relation) => {
-                            view.fold(fold, &session_report.report.signed_rows);
-                            view.mark_leg_installed(relation);
-                        }
-                    }
-                }
-            }
-            refresh.shipped_bytes = report.total_bytes;
-            refresh.shipped_messages = report.total_messages;
-            refresh.makespan = report.makespan;
-        }
+        self.run_pass(storage, engine, demanded, failure, &mut refresh)?;
 
         // Delete-heavy retractions can exhaust a view's extremum
         // sketches: its MIN/MAX is now among discarded runners-up.  Run
         // one recompute per affected view (deduplicated like any other
         // session) to rebuild the sketches before diffs are shipped.
-        let exhausted: Vec<usize> = self
+        let fallback: Vec<_> = self
             .views
             .iter()
             .enumerate()
             .filter(|(_, v)| v.sketch_exhausted())
-            .map(|(id, _)| id)
+            .map(|(id, v)| (id, recompute_session(v, to_epoch, self.initiator)))
             .collect();
-        if !exhausted.is_empty() {
-            let mut fallback: Vec<SharedSession> = Vec::new();
-            let mut by_fingerprint: BTreeMap<QueryFingerprint, usize> = BTreeMap::new();
-            for &id in &exhausted {
-                let (session, fold, contribution) =
-                    recompute_session(&self.views[id], to_epoch, self.initiator);
-                let fp = session_fingerprint(&session);
-                match by_fingerprint.get(&fp) {
-                    Some(&slot) => fallback[slot].members.push((id, fold, contribution)),
-                    None => {
-                        by_fingerprint.insert(fp, fallback.len());
-                        fallback.push(SharedSession {
-                            session,
-                            members: vec![(id, fold, contribution)],
-                        });
-                    }
-                }
-            }
-            let scheduler = SessionScheduler::new(SchedulerConfig {
-                max_concurrent: fallback.len(),
-                queue_capacity: fallback.len(),
-                policy: AdmissionPolicy::Fifo,
-                slo: None,
-            });
-            let submitted: Vec<QuerySession> = fallback.iter().map(|g| g.session.clone()).collect();
-            let report = scheduler.run(storage, engine, &submitted)?;
-            for (session_report, group) in report.sessions.iter().zip(&fallback) {
-                refresh.recovered |= session_report.report.recovered;
-                for (id, fold, _) in &group.members {
-                    let view = &mut self.views[*id];
-                    view.reset();
-                    view.fold(fold, &session_report.report.signed_rows);
-                    view.mark_base_installed();
-                }
-            }
-            refresh.leg_instances += exhausted.len();
-            refresh.sessions_run += fallback.len();
-            refresh.shipped_bytes += report.total_bytes;
-            refresh.shipped_messages += report.total_messages;
-            refresh.makespan += report.makespan;
-            refresh.sketch_fallbacks = exhausted.len();
-        }
+        refresh.sketch_fallbacks = fallback.len();
+        self.run_pass(storage, engine, fallback, None, &mut refresh)?;
 
         for (id, view) in self.views.iter_mut().enumerate() {
             view.set_epoch(to_epoch);
@@ -381,30 +270,45 @@ impl ViewRegistry {
         refresh.delta_derivations = storage.delta_derivations() - derivations_before;
         Ok(refresh)
     }
-}
 
-/// The recompute session of one view at `to` — shared across views whose
-/// maintenance plans collide, like any other session.
-fn recompute_session(
-    view: &MaterializedView,
-    to: Epoch,
-    initiator: NodeId,
-) -> (QuerySession, FoldMode, Contribution) {
-    (
-        QuerySession {
-            name: format!("{}/recompute@{to}", view.name()),
-            plan: view.maintenance().plan().clone(),
-            epoch: to,
-            initiator,
-            arrival: SimTime::ZERO,
-            fingerprint: None,
-            estimated_cost: 0.0,
-            overrides: ScanOverrides::new(),
-            plan_resident: view.base_installed(),
-        },
-        view.maintenance().fold().clone(),
-        Contribution::Recompute,
-    )
+    /// One maintenance workload of a refresh: the sessions the views
+    /// `demanded`, deduplicated by fingerprint, run together and forked
+    /// into their member views at the initiator; `refresh` accumulates
+    /// the measurements.
+    fn run_pass(
+        &mut self,
+        storage: &DistributedStorage,
+        engine: &EngineConfig,
+        demanded: Vec<(usize, (QuerySession, FoldMode, Contribution))>,
+        failure: Option<FailureSpec>,
+        refresh: &mut RegistryRefresh,
+    ) -> Result<()> {
+        if demanded.is_empty() {
+            return Ok(());
+        }
+        refresh.leg_instances += demanded.len();
+        let mut shared: Vec<SharedSession> = Vec::new();
+        let mut by_fingerprint: BTreeMap<QueryFingerprint, usize> = BTreeMap::new();
+        for (id, (session, fold, contribution)) in demanded {
+            let slot = *by_fingerprint
+                .entry(session_fingerprint(&session))
+                .or_insert(shared.len());
+            match shared.get_mut(slot) {
+                Some(group) => group.members.push((id, fold, contribution)),
+                None => shared.push(SharedSession {
+                    session,
+                    members: vec![(id, fold, contribution)],
+                }),
+            }
+        }
+        let report = run_shared(&mut self.views, storage, engine, &shared, failure)?;
+        refresh.sessions_run += shared.len();
+        refresh.shipped_bytes += report.total_bytes;
+        refresh.shipped_messages += report.total_messages;
+        refresh.makespan += report.makespan;
+        refresh.recovered |= report.sessions.iter().any(|s| s.report.recovered);
+        Ok(())
+    }
 }
 
 /// The canonical fingerprint a maintenance session is deduplicated by:

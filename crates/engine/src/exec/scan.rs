@@ -54,7 +54,6 @@ impl Runtime<'_> {
                 if let Some((from, to)) = delta {
                     let scan = self
                         .storage
-                        .get()
                         .delta_partition_ref(relation, from, to, node, &ranges)?;
                     self.stats.pages_read += scan.pages_read;
                     self.stats.tuples_scanned += scan.tuples_read;
@@ -79,7 +78,6 @@ impl Runtime<'_> {
                 }
                 let scan = self
                     .storage
-                    .get()
                     .scan_partition_ref(relation, epoch, node, &ranges)?;
                 self.stats.pages_read += scan.pages_read;
                 self.stats.tuples_scanned += scan.tuples_read;
@@ -109,7 +107,7 @@ impl Runtime<'_> {
                 if !self.scan_replicated {
                     return Ok((TupleBatch::new(), SimTime::ZERO));
                 }
-                let tuples = self.storage.get().scan_replicated(relation, epoch, node)?;
+                let tuples = self.storage.scan_replicated(relation, epoch, node)?;
                 self.stats.tuples_scanned += tuples.len();
                 let duration = profile.scan_time(tuples.len(), 1);
                 let wall = Instant::now();
@@ -149,7 +147,7 @@ impl Runtime<'_> {
         epoch: Epoch,
         ranges: &[KeyRange],
     ) -> Result<(Vec<Tuple>, usize)> {
-        let storage = self.storage.get();
+        let storage = &*self.storage;
         let Some(version) = storage.version_record(relation, epoch)? else {
             return Ok((Vec::new(), 0));
         };

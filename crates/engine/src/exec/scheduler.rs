@@ -1,11 +1,12 @@
 //! The multi-query session scheduler.
 //!
-//! Every layer below this one runs exactly one query over a dedicated
-//! simulated network.  [`SessionScheduler`] is what turns the executor
-//! into a *serving* system: it drives N query runtimes interleaved over
-//! **one** shared simulator, so batches from different queries contend
+//! This module owns the engine's **one** event loop.  A `Runtime` is one
+//! query's state; [`SessionScheduler`] drives N ≥ 1 of them interleaved
+//! over one shared simulator, so batches from different queries contend
 //! for the same uplinks, downlinks and CPUs, and the clock advances
-//! globally rather than per query.
+//! globally rather than per query.  A stand-alone
+//! [`super::QueryExecutor`] run and a view refresh are submissions to
+//! the same loop (one session; one per maintenance leg).
 //!
 //! ## Arrivals
 //!
@@ -55,10 +56,13 @@
 //! A [`super::FailureSpec`] kills a node *of the shared network*: every
 //! in-flight session loses its deliveries to and from the victim at
 //! once.  When the event queue quiesces with sessions incomplete, the
-//! scheduler runs each stalled session's own recovery (Restart or
+//! loop runs each stalled session's own recovery (Restart or
 //! Incremental, per the engine config) — the per-session wire tags
 //! ([`SessionId`]) are what keep one query's purge/retransmission from
-//! touching another's state.  Sessions admitted after the failure execute on the
+//! touching another's state.  Every session reads the caller's store
+//! until its first recovery round clones it (one pointer per node) to
+//! mark the dead nodes unreadable; a session that never stalls never
+//! clones.  Sessions admitted after the failure execute on the
 //! survivors from the start via the same recovery path.
 //!
 //! ## Reports
@@ -73,9 +77,10 @@
 
 use super::cache::ResultCache;
 use super::exchange::{SessionId, Wire};
+use super::ivm::ScanOverrides;
 use super::pipeline::Runtime;
 use super::session::{shared_sim, SessionSim, SharedSim};
-use super::{CacheStats, EngineConfig, FailureSpec, QueryReport, StorageHandle, WallClock};
+use super::{CacheStats, EngineConfig, FailureSpec, QueryReport, WallClock};
 use crate::plan::PhysicalPlan;
 use orchestra_common::{Epoch, NodeId, OrchestraError, QueryFingerprint, Result};
 use orchestra_simnet::{Delivery, SimTime};
@@ -147,13 +152,47 @@ pub struct QuerySession {
     /// ordinary queries; view-maintenance sessions (`super::ivm`) use
     /// this to pivot individual scans onto other epochs or onto signed
     /// epoch-interval deltas.
-    pub overrides: super::ivm::ScanOverrides,
+    pub overrides: ScanOverrides,
     /// The participants already hold this plan: dissemination ships only
     /// the routing snapshot and the per-scan parameters, not the plan
     /// itself.  Ad-hoc queries leave this `false`; view maintenance
     /// installs its dataflows once at materialization and streams epoch
     /// parameters through them on every later refresh.
     pub plan_resident: bool,
+}
+
+/// A [`QuerySession`] as the driver loop reads it, plan and overrides
+/// borrowed: a stand-alone run submits the caller's plan uncloned.
+pub(super) struct Submission<'a> {
+    pub(super) name: &'a str,
+    pub(super) plan: &'a PhysicalPlan,
+    pub(super) epoch: Epoch,
+    pub(super) initiator: NodeId,
+    pub(super) arrival: SimTime,
+    pub(super) fingerprint: Option<QueryFingerprint>,
+    pub(super) estimated_cost: f64,
+    pub(super) overrides: &'a ScanOverrides,
+    pub(super) plan_resident: bool,
+}
+
+impl<'a> From<&'a QuerySession> for Submission<'a> {
+    fn from(s: &'a QuerySession) -> Submission<'a> {
+        Submission {
+            name: &s.name,
+            plan: &s.plan,
+            epoch: s.epoch,
+            initiator: s.initiator,
+            arrival: s.arrival,
+            fingerprint: s.fingerprint,
+            estimated_cost: s.estimated_cost,
+            overrides: &s.overrides,
+            plan_resident: s.plan_resident,
+        }
+    }
+}
+
+fn borrowed(sessions: &[QuerySession]) -> Vec<Submission<'_>> {
+    sessions.iter().map(Submission::from).collect()
 }
 
 /// One session's outcome within a scheduled workload.
@@ -269,13 +308,13 @@ impl SessionScheduler {
         engine: &EngineConfig,
         sessions: &[QuerySession],
     ) -> Result<WorkloadReport> {
-        self.run_inner(storage, engine, sessions, None, None)
+        self.run_inner(storage, engine, &borrowed(sessions), &[], None)
     }
 
     /// Run `sessions` while killing `failure.node` at `failure.at` on the
     /// shared network — every in-flight session is hit at once.  Each
-    /// session recovers under `engine.strategy` against its own scratch
-    /// copy of the storage, exactly like a stand-alone failure run.
+    /// stalled session recovers under `engine.strategy` against its own
+    /// copy of the storage, cloned at its first recovery round.
     pub fn run_with_failure(
         &self,
         storage: &DistributedStorage,
@@ -283,7 +322,7 @@ impl SessionScheduler {
         sessions: &[QuerySession],
         failure: FailureSpec,
     ) -> Result<WorkloadReport> {
-        self.run_inner(storage, engine, sessions, Some(failure), None)
+        self.run_inner(storage, engine, &borrowed(sessions), &[failure], None)
     }
 
     /// Run `sessions` with `cache` consulted at every arrival and filled
@@ -297,7 +336,7 @@ impl SessionScheduler {
         sessions: &[QuerySession],
         cache: &mut ResultCache,
     ) -> Result<WorkloadReport> {
-        self.run_inner(storage, engine, sessions, None, Some(cache))
+        self.run_inner(storage, engine, &borrowed(sessions), &[], Some(cache))
     }
 
     /// The serving configuration with a node failure injected — cached
@@ -311,15 +350,25 @@ impl SessionScheduler {
         failure: FailureSpec,
         cache: &mut ResultCache,
     ) -> Result<WorkloadReport> {
-        self.run_inner(storage, engine, sessions, Some(failure), Some(cache))
+        self.run_inner(
+            storage,
+            engine,
+            &borrowed(sessions),
+            &[failure],
+            Some(cache),
+        )
     }
 
-    fn run_inner(
+    /// The engine's one event loop: every run — a scheduled workload, a
+    /// stand-alone [`super::QueryExecutor`] query, a view refresh — is a
+    /// submission here.  Each node in `dead` is failed on the shared
+    /// network from its instant on.
+    pub(super) fn run_inner(
         &self,
         storage: &DistributedStorage,
         engine: &EngineConfig,
-        sessions: &[QuerySession],
-        failure: Option<FailureSpec>,
+        sessions: &[Submission<'_>],
+        dead: &[FailureSpec],
         mut cache: Option<&mut ResultCache>,
     ) -> Result<WorkloadReport> {
         if sessions.is_empty() {
@@ -341,17 +390,14 @@ impl SessionScheduler {
                 )));
             }
         }
-        if let Some(f) = failure {
+        let shared: SharedSim = shared_sim(table, engine.profile);
+        for f in dead {
             if !table.contains_node(f.node) {
                 return Err(OrchestraError::Execution(format!(
                     "failure target {} is not a member of the routing table",
                     f.node
                 )));
             }
-        }
-
-        let shared: SharedSim = shared_sim(table, engine.profile);
-        if let Some(f) = failure {
             shared.borrow_mut().fail_node(f.node, f.at);
         }
 
@@ -392,7 +438,7 @@ impl SessionScheduler {
                 if waiting.len() >= self.config.queue_capacity {
                     shed.push(ShedEvent {
                         session: SessionId(idx as u32),
-                        name: session.name.clone(),
+                        name: session.name.to_string(),
                         at: session.arrival,
                     });
                     continue;
@@ -420,26 +466,8 @@ impl SessionScheduler {
                 };
                 let idx = waiting.remove(pos);
                 let now = shared.borrow().now();
-                let session = &sessions[idx];
                 let sim = SessionSim::attach(shared.clone(), SessionId(idx as u32));
-                // A failure run needs a per-session scratch copy so each
-                // session's recovery can mark the dead node unreadable
-                // without disturbing the caller (or the other sessions).
-                let handle = if failure.is_some() {
-                    StorageHandle::Scratch(Box::new(storage.clone()))
-                } else {
-                    StorageHandle::Borrowed(storage)
-                };
-                let mut runtime = Runtime::new(
-                    handle,
-                    engine,
-                    &session.plan,
-                    session.epoch,
-                    session.initiator,
-                    sim,
-                )?;
-                runtime.overrides = session.overrides.clone();
-                runtime.plan_resident = session.plan_resident;
+                let mut runtime = Runtime::new(storage, engine, &sessions[idx], sim);
                 runtime.begin(now);
                 runtimes[idx] = Some(runtime);
                 admitted_at[idx] = now;
@@ -515,7 +543,7 @@ impl SessionScheduler {
                         let finished_at = report.running_time;
                         finished[idx] = Some(SessionReport {
                             session: SessionId(idx as u32),
-                            name: session.name.clone(),
+                            name: session.name.to_string(),
                             arrival,
                             admitted_at: admitted_at[idx],
                             queue_wait: admitted_at[idx].saturating_sub(arrival),
@@ -540,11 +568,6 @@ impl SessionScheduler {
                     }
                     let now = shared.borrow().now();
                     let failed = shared.borrow().failed_nodes_at(now);
-                    if failed.is_empty() {
-                        return Err(OrchestraError::Execution(
-                            "workload stalled with no failed node (engine bug)".into(),
-                        ));
-                    }
                     // Every still-active session stalled on the same
                     // failure; recover each one against its own state,
                     // in session order for determinism.
@@ -552,10 +575,16 @@ impl SessionScheduler {
                         let Some(runtime) = slot.as_mut() else {
                             continue;
                         };
+                        let name = sessions[idx].name;
+                        if failed.is_empty() {
+                            return Err(OrchestraError::Execution(format!(
+                                "session \"{name}\" stalled with no failed node (engine bug)"
+                            )));
+                        }
                         if runtime.rounds_exhausted() {
                             return Err(OrchestraError::Execution(format!(
-                                "session \"{}\" did not complete within {} recovery rounds",
-                                sessions[idx].name, engine.max_recovery_rounds
+                                "session \"{name}\" did not complete within {} recovery rounds",
+                                engine.max_recovery_rounds
                             )));
                         }
                         runtime.recover(&failed)?;
@@ -602,12 +631,12 @@ impl SessionScheduler {
 /// instant: zero latency, zero traffic, no execution phases.
 fn cache_hit_report(
     idx: usize,
-    session: &QuerySession,
+    session: &Submission<'_>,
     hit: super::cache::CachedAnswer,
 ) -> SessionReport {
     SessionReport {
         session: SessionId(idx as u32),
-        name: session.name.clone(),
+        name: session.name.to_string(),
         arrival: session.arrival,
         admitted_at: session.arrival,
         queue_wait: SimTime::ZERO,

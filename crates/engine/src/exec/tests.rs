@@ -451,33 +451,129 @@ fn publish_s_matching(s: &mut DistributedStorage, count: i64) {
     s.publish(&b).unwrap();
 }
 
+/// Every `QueryReport` field that is a function of the simulation (all
+/// but the host nanoseconds in `wall_clock`).
+fn assert_same_figures(a: &QueryReport, b: &QueryReport, what: &str) {
+    assert_eq!(a.rows, b.rows, "{what}: rows");
+    assert_eq!(a.signed_rows, b.signed_rows, "{what}: signed_rows");
+    assert_eq!(a.running_time, b.running_time, "{what}: running_time");
+    assert_eq!(a.total_bytes, b.total_bytes, "{what}: total_bytes");
+    assert_eq!(a.total_messages, b.total_messages, "{what}: messages");
+    assert_eq!(a.link_traffic, b.link_traffic, "{what}: link_traffic");
+    assert_eq!(a.dropped_messages, b.dropped_messages, "{what}: dropped");
+    assert_eq!(a.recovered, b.recovered, "{what}: recovered");
+    assert_eq!(a.phases, b.phases, "{what}: phases");
+    assert_eq!(a.pages_read, b.pages_read, "{what}: pages_read");
+    assert_eq!(a.tuples_scanned, b.tuples_scanned, "{what}: tuples_scanned");
+    assert_eq!(a.remote_lookups, b.remote_lookups, "{what}: remote_lookups");
+    assert_eq!(a.purged, b.purged, "{what}: purged");
+    assert_eq!(a.retransmitted, b.retransmitted, "{what}: retransmitted");
+    assert_eq!(a.operator_rows(), b.operator_rows(), "{what}: op rows");
+}
+
 #[test]
 fn single_session_workload_matches_the_stand_alone_executor() {
-    let mut s = cluster(4);
-    publish_r(&mut s, 100);
+    let mut s = cluster(6);
+    publish_r(&mut s, 120);
+    publish_s_matching(&mut s, 120);
+    let scheduler = SessionScheduler::new(SchedulerConfig::default());
+    let sessions = [session("only", join_plan(), Epoch(1), 1.0)];
+
     let config = EngineConfig::default();
     let stand_alone = QueryExecutor::new(&s, config.clone())
-        .execute(&scan_ship_plan(), Epoch(0), NodeId(0))
+        .execute(&join_plan(), Epoch(1), NodeId(0))
         .unwrap();
-
-    let scheduler = SessionScheduler::new(SchedulerConfig::default());
-    let workload = scheduler
-        .run(
-            &s,
-            &config,
-            &[session("only", scan_ship_plan(), Epoch(0), 1.0)],
-        )
-        .unwrap();
+    let workload = scheduler.run(&s, &config, &sessions).unwrap();
     assert_eq!(workload.sessions.len(), 1);
-    let report = &workload.sessions[0].report;
-    assert_eq!(report.rows, stand_alone.rows);
-    assert_eq!(report.total_bytes, stand_alone.total_bytes);
-    assert_eq!(report.running_time, stand_alone.running_time);
-    assert_eq!(report.link_traffic, stand_alone.link_traffic);
+    assert_same_figures(&workload.sessions[0].report, &stand_alone, "failure-free");
     assert_eq!(workload.makespan, stand_alone.running_time);
     assert_eq!(workload.total_bytes, stand_alone.total_bytes);
     assert_eq!(workload.peak_concurrency, 1);
     assert_eq!(workload.sessions[0].queue_wait, SimTime::ZERO);
+
+    // A mid-query failure, under both strategies.
+    let failure = FailureSpec::at_time(
+        NodeId(4),
+        SimTime::from_micros(stand_alone.running_time.as_micros() / 2),
+    );
+    for strategy in [RecoveryStrategy::Restart, RecoveryStrategy::Incremental] {
+        let config = EngineConfig {
+            strategy,
+            ..EngineConfig::default()
+        };
+        let stand_alone = QueryExecutor::new(&s, config.clone())
+            .execute_with_failure(&join_plan(), Epoch(1), NodeId(0), failure)
+            .unwrap();
+        assert!(stand_alone.recovered, "{strategy:?}");
+        let workload = scheduler
+            .run_with_failure(&s, &config, &sessions, failure)
+            .unwrap();
+        let what = format!("{strategy:?}");
+        assert_same_figures(&workload.sessions[0].report, &stand_alone, &what);
+    }
+}
+
+#[test]
+fn a_failure_run_that_never_stalls_reads_the_callers_store() {
+    // The victim dies after the answer is complete, so no session ever
+    // recovers: each must have read the caller's store throughout —
+    // visible in its delta memo, which a per-session copy would have
+    // left cold — and must not leave anything shared behind.
+    let mut s = cluster(5);
+    publish_r(&mut s, 80);
+    let config = EngineConfig::default();
+    let mut view = MaterializedView::new("copy", &scan_ship_plan()).unwrap();
+    let (recompute, incremental) = (MaintenanceMode::Recompute, MaintenanceMode::Incremental);
+    refresh_view(&mut view, &s, &config, recompute, Epoch(0), NodeId(0), None).unwrap();
+    let mut b = UpdateBatch::new();
+    for k in 200..210 {
+        b.insert("R", r_row(k));
+    }
+    let to = s.publish(&b).unwrap();
+
+    let probe = std::sync::Arc::clone(s.store(NodeId(1)).index_pages().next().unwrap());
+    let holders = std::sync::Arc::strong_count(&probe);
+    let after = SimTime::from_micros(60_000_000);
+    let late = Some(FailureSpec::at_time(NodeId(4), after));
+    let run = refresh_view(&mut view, &s, &config, incremental, to, NodeId(0), late).unwrap();
+    assert!(!run.recovered && run.makespan < after);
+    assert_eq!(view.answer(), full_run(&s, &scan_ship_plan(), Epoch(1)));
+    assert_eq!(
+        s.delta_derivations(),
+        1,
+        "the leg derived on the caller's store"
+    );
+    assert_eq!(std::sync::Arc::strong_count(&probe), holders);
+}
+
+#[test]
+fn a_stall_error_names_the_session() {
+    let mut s = cluster(4);
+    publish_r(&mut s, 40);
+    let config = EngineConfig {
+        max_recovery_rounds: 0,
+        ..EngineConfig::default()
+    };
+    let failure = FailureSpec::at_time(NodeId(2), SimTime::from_micros(1));
+    let err = QueryExecutor::new(&s, config.clone())
+        .execute_with_failure(&scan_ship_plan(), Epoch(0), NodeId(0), failure)
+        .unwrap_err();
+    assert_eq!(
+        err.message(),
+        "session \"query\" did not complete within 0 recovery rounds"
+    );
+    let err = SessionScheduler::new(SchedulerConfig::default())
+        .run_with_failure(
+            &s,
+            &config,
+            &[session("named", scan_ship_plan(), Epoch(0), 1.0)],
+            failure,
+        )
+        .unwrap_err();
+    assert_eq!(
+        err.message(),
+        "session \"named\" did not complete within 0 recovery rounds"
+    );
 }
 
 #[test]
@@ -1461,6 +1557,16 @@ fn registry_shares_sessions_across_views_and_stays_exact() {
     }
     assert_eq!(refresh.diffs[4].shipped_bytes, 0, "agg view is unchanged");
     assert_eq!(refresh.diffs[5].shipped_bytes, 0, "copy view is unchanged");
+}
+
+#[test]
+fn reinstalling_legs_of_an_unknown_subscriber_is_an_error_not_a_panic() {
+    let mut registry = ViewRegistry::new(NodeId(0));
+    registry.register(MaterializedView::new("join", &join_plan()).unwrap());
+    let err = registry.reinstall_legs(1, &[]).unwrap_err();
+    assert_eq!(err.category(), "execution");
+    assert!(err.message().contains("no subscriber 1"), "{err}");
+    assert_eq!(registry.recompiles(), 0);
 }
 
 #[test]

@@ -537,7 +537,7 @@ impl DistributedStorage {
     ) -> Result<(&Tuple, Option<NodeId>)> {
         let PageEntry { id, position } = entry;
         if let Some(node) = preferred {
-            if !self.failed.contains(node) {
+            if !self.failed.contains(node) && node.index() < self.stores.len() {
                 if let Some(t) = self.stores[node.index()].tuple(relation, *position, id) {
                     return Ok((t, None));
                 }

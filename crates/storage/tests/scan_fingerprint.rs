@@ -15,7 +15,7 @@ mod common;
 
 use common::{routing_over, seeded_store, NODES};
 use orchestra_common::sha1::{sha1, to_hex};
-use orchestra_common::{Epoch, NodeId, NodeSet, Tuple};
+use orchestra_common::{Epoch, KeyRange, NodeId, NodeSet, Tuple};
 use orchestra_storage::{anti_entropy, DistributedStorage};
 
 /// Everything the scans returned, serialized in order, plus the number of
@@ -159,4 +159,24 @@ fn scans_and_deltas_match_the_recorded_seed_behaviour() {
     ];
     let got: Vec<(&str, &str)> = got.iter().map(|(k, v)| (*k, v.as_str())).collect();
     assert_eq!(got, recorded);
+}
+
+/// A scanning node the store has no slot for (a joiner the cluster has
+/// not grown to yet) holds nothing locally: the probe of the `preferred`
+/// node must fall through to the replicas, not index past the stores.
+#[test]
+fn a_scanning_node_without_a_store_reads_through_the_replicas() {
+    let (s, _) = seeded_store();
+    let full = [KeyRange::full()];
+    let member = s
+        .scan_partition_ref("R", Epoch(0), NodeId(0), &full)
+        .unwrap();
+    let stranger = s
+        .scan_partition_ref("R", Epoch(0), NodeId(200), &full)
+        .unwrap();
+    assert_eq!(stranger.tuples, member.tuples);
+    assert_eq!(
+        stranger.remote_lookups, stranger.tuples_read,
+        "nothing is local to a node without a store"
+    );
 }
