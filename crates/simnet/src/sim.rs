@@ -13,6 +13,14 @@
 //! delivered in the order they were produced.  Given identical inputs the
 //! simulation is bit-for-bit reproducible.
 //!
+//! Messages between one ordered pair of nodes, the pair (n, n) included,
+//! are delivered in the order they were sent.  Remote sends are ordered
+//! by construction — link reservations are made in call order, so a later
+//! send never clears the uplink or the downlink earlier — and a same-node
+//! send never arrives before that node's previous same-node send.  The
+//! engine's end-of-stream protocol relies on this: a marker must not
+//! overtake a batch sent before it.
+//!
 //! ### Failures
 //!
 //! [`Simulator::fail_node`] marks a node dead from a virtual instant
@@ -81,6 +89,8 @@ pub struct Simulator<M> {
     queue: BinaryHeap<Event<M>>,
     links: Vec<LinkState>,
     cpu_free_at: Vec<SimTime>,
+    /// Arrival time of each node's latest same-node send.
+    local_arrival: Vec<SimTime>,
     failed_at: Vec<Option<SimTime>>,
     profile: ClusterProfile,
     stats: TrafficStats,
@@ -97,6 +107,7 @@ impl<M> Simulator<M> {
             queue: BinaryHeap::new(),
             links: vec![LinkState::idle(); node_count],
             cpu_free_at: vec![SimTime::ZERO; node_count],
+            local_arrival: vec![SimTime::ZERO; node_count],
             failed_at: vec![None; node_count],
             profile,
             stats: TrafficStats::new(),
@@ -225,6 +236,11 @@ impl<M> Simulator<M> {
     /// `ready` with no link cost and no traffic recorded, matching the
     /// paper's engine where co-located operators hand tuples over in
     /// memory.
+    ///
+    /// Messages between one ordered pair of nodes, the pair (n, n)
+    /// included, are delivered in the order they were sent: a same-node
+    /// send whose `ready` precedes the arrival of that node's previous
+    /// same-node send arrives with it, behind it in the queue.
     pub fn send(
         &mut self,
         src: NodeId,
@@ -238,7 +254,9 @@ impl<M> Simulator<M> {
             return None;
         }
         let arrival = if src == dst {
-            ready
+            let latest = &mut self.local_arrival[src.index()];
+            *latest = ready.max(*latest);
+            *latest
         } else {
             self.stats.record(src, dst, bytes);
             let uplink_done = self.links[src.index()].reserve_uplink(ready, bytes, &self.profile);
@@ -408,6 +426,53 @@ mod tests {
             .unwrap();
         assert_eq!(arrival, SimTime::from_millis(3));
         assert_eq!(s.stats().total_bytes(), 0);
+    }
+
+    #[test]
+    fn same_node_sends_pop_in_send_order() {
+        // A backlogged node flushes a batch to itself at its CPU-ready
+        // time, then sends itself an end-of-stream marker stamped with
+        // the (earlier) event time: the marker must not overtake.
+        let mut s = sim(2);
+        let first = s.send(NodeId(1), NodeId(1), 64, SimTime::from_millis(9), "batch");
+        let second = s.send(NodeId(1), NodeId(1), 8, SimTime::from_millis(2), "eos");
+        assert_eq!(first, Some(SimTime::from_millis(9)));
+        assert_eq!(second, Some(SimTime::from_millis(9)));
+        // The other node's self-sends are not held back.
+        let other = s.send(NodeId(0), NodeId(0), 8, SimTime::from_millis(2), "other");
+        assert_eq!(other, Some(SimTime::from_millis(2)));
+        let order: Vec<&str> = std::iter::from_fn(|| s.next().map(|d| d.payload)).collect();
+        assert_eq!(order, vec!["other", "batch", "eos"]);
+    }
+
+    #[test]
+    fn every_ordered_pair_is_delivered_in_send_order() {
+        use orchestra_common::rng::StdRng;
+        const NODES: u64 = 4;
+        for seed in 0..20 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut s: Simulator<usize> =
+                Simulator::new(NODES as usize, ClusterProfile::wan(1000.0, 10.0));
+            for i in 0..200 {
+                let src = NodeId(rng.random_range(0..NODES) as u16);
+                let dst = NodeId(rng.random_range(0..NODES) as u16);
+                let bytes = rng.random_range(0..5000u64) as usize;
+                let ready = SimTime::from_micros(rng.random_range(0..50_000u64));
+                s.send(src, dst, bytes, ready, i).unwrap();
+            }
+            let mut last = std::collections::HashMap::new();
+            while let Some(d) = s.next() {
+                if let Some(prev) = last.insert((d.from, d.to), d.payload) {
+                    assert!(
+                        prev < d.payload,
+                        "seed {seed}: {} -> {} delivered message {} after {prev}",
+                        d.from,
+                        d.to,
+                        d.payload
+                    );
+                }
+            }
+        }
     }
 
     #[test]
