@@ -437,7 +437,7 @@ impl Column {
 /// A block of tuples stored column-wise, with interned strings and
 /// parallel sign / provenance / phase tag columns.  See the module docs
 /// for the layout.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ColumnarBatch {
     columns: Vec<Column>,
     pool: StringPool,
@@ -623,9 +623,11 @@ impl ColumnarBatch {
     /// Append one whole row of `other` without a [`PoolMemo`]: strings
     /// re-intern by content (no allocation when already pooled).  Use when
     /// the destination batch can be replaced between calls, invalidating
-    /// any memo.  If `other` is narrower, the trailing columns get NULLs.
+    /// any memo.  If `other` is narrower, the trailing columns get NULLs;
+    /// if it is wider, this batch is widened first
+    /// ([`Self::pad_to_arity`]).
     pub fn append_row_interned(&mut self, other: &ColumnarBatch, row: usize) {
-        assert!(other.arity() <= self.arity(), "row wider than batch");
+        self.pad_to_arity(other.arity());
         enum Cell {
             Int(i64),
             Double(f64),
@@ -659,6 +661,13 @@ impl ColumnarBatch {
             }
         }
         self.push_tag_row(other.signs[row], other.provenance[row], other.phases[row]);
+    }
+
+    /// Append every row of `other` ([`Self::append_row_interned`] each).
+    pub fn append_batch(&mut self, other: &ColumnarBatch) {
+        for row in 0..other.len() {
+            self.append_row_interned(other, row);
+        }
     }
 
     /// Project onto the given column indices (tags carried through
@@ -940,6 +949,27 @@ mod tests {
         assert_eq!(dst.value_at(2, 0), Value::str("only-src"));
         // "shared" interned once in the destination pool.
         assert_eq!(dst.pool().len(), 2);
+    }
+
+    #[test]
+    fn append_widens_the_batch_and_pads_narrow_rows() {
+        let (sign, prov, phase) = tags();
+        let mut narrow = ColumnarBatch::new(1);
+        narrow.push_row(&[Value::Int(1)], sign, prov, phase);
+        let mut wide = ColumnarBatch::new(2);
+        wide.push_row(&[Value::Int(2), Value::str("x")], -1, prov, 3);
+        let mut dst = ColumnarBatch::new(0);
+        dst.append_batch(&narrow);
+        dst.append_batch(&wide);
+        dst.append_batch(&narrow);
+        assert_eq!((dst.arity(), dst.len()), (2, 3));
+        // The rows that were too short read back padded with NULLs.
+        assert!(dst.value_at(0, 1).is_null());
+        assert_eq!(dst.value_at(1, 1), Value::str("x"));
+        assert!(dst.value_at(2, 1).is_null());
+        assert_eq!(dst.value_at(2, 0), Value::Int(1));
+        // Tags travel with their rows.
+        assert_eq!((dst.sign_at(1), dst.phase_at(1)), (-1, 3));
     }
 
     #[test]

@@ -10,6 +10,16 @@
 //! ([`Payload`]) and plan dissemination, since both exist purely to move
 //! bytes between nodes.
 //!
+//! Buffers, cache entries and wire payloads are all
+//! [`ColumnarBatch`]es: a buffer that reaches `BATCH_ROWS` rows is moved
+//! whole into the [`Payload::Batch`] it travels in, priced by
+//! [`crate::batch::wire_size`].  An end-of-stream marker follows the last
+//! batch its sender flushed to the same receiver, and the protocol
+//! relies on the simulator delivering each ordered pair of nodes —
+//! (n, n) included — in send order; a row that reaches an exchange after
+//! its node sent the marker is an error (`Runtime::process_at`), never a
+//! silently shorter answer.
+//!
 //! Every message on the wire travels inside a [`Wire`] envelope tagged
 //! with the [`SessionId`] of the query that produced it.  A single query
 //! owns its simulator outright and the tag is inert; under the
@@ -19,15 +29,18 @@
 //! failure hits several in-flight queries at once.
 
 use super::pipeline::Runtime;
-use crate::batch::TupleBatch;
+use crate::batch::wire_size;
 use crate::ops::RehashState;
 use crate::plan::OpId;
-use orchestra_common::{NodeId, NodeSet};
+use orchestra_common::{ColumnarBatch, NodeId, NodeSet};
 use orchestra_simnet::SimTime;
 use std::collections::HashMap;
 
 /// Wire size of an end-of-stream marker.
 pub(super) const EOS_BYTES: usize = 8;
+
+/// Rows buffered per destination before a batch is flushed.
+const BATCH_ROWS: usize = 256;
 
 /// Identifies one query session among those multiplexed over a shared
 /// simulated network.  A stand-alone [`super::QueryExecutor`] run is
@@ -59,7 +72,7 @@ pub(super) enum Payload {
     Start,
     /// A batch of rows that crossed exchange operator `op`, travelling in
     /// columnar form end to end.
-    Batch { op: OpId, batch: TupleBatch },
+    Batch { op: OpId, batch: ColumnarBatch },
     /// One sender has finished feeding exchange operator `op`.
     Eos { op: OpId },
     /// A remote tuple fetch performed by a scan; carries no pipeline
@@ -91,7 +104,7 @@ impl ExchangeLayer {
         node: NodeId,
         op: OpId,
         dest: NodeId,
-        src: &orchestra_common::ColumnarBatch,
+        src: &ColumnarBatch,
         row: usize,
         cache: bool,
     ) -> usize {
@@ -102,7 +115,7 @@ impl ExchangeLayer {
     }
 
     /// Take (and clear) the pending buffer of (`node`, `op`) for `dest`.
-    pub(super) fn take_buffer(&mut self, node: NodeId, op: OpId, dest: NodeId) -> TupleBatch {
+    pub(super) fn take_buffer(&mut self, node: NodeId, op: OpId, dest: NodeId) -> ColumnarBatch {
         self.states
             .get_mut(&(node, op))
             .map(|s| s.take_buffer_batch(dest))
@@ -158,14 +171,14 @@ impl ExchangeLayer {
         &mut self,
         node: NodeId,
         failed: &NodeSet,
-    ) -> Vec<(OpId, TupleBatch)> {
+    ) -> Vec<(OpId, ColumnarBatch)> {
         let mut out = Vec::new();
         for (n, op) in self.sorted_keys() {
             if n != node {
                 continue;
             }
             let state = self.states.get_mut(&(n, op)).expect("key exists");
-            let mut resend = TupleBatch::new();
+            let mut resend = ColumnarBatch::new(0);
             for f in failed.iter() {
                 resend.append_batch(&state.take_cached_batch_for(f, failed));
             }
@@ -212,12 +225,12 @@ impl Runtime<'_> {
         node: NodeId,
         op: OpId,
         dest: NodeId,
-        src: &orchestra_common::ColumnarBatch,
+        src: &ColumnarBatch,
         row: usize,
         ready: SimTime,
     ) {
         let cache = self.config.recovery;
-        if self.exchanges.buffer_from(node, op, dest, src, row, cache) >= self.config.batch_size {
+        if self.exchanges.buffer_from(node, op, dest, src, row, cache) >= BATCH_ROWS {
             self.flush_exchange(node, op, dest, ready);
         }
     }
@@ -230,7 +243,7 @@ impl Runtime<'_> {
         if batch.is_empty() {
             return;
         }
-        let bytes = batch.wire_size(self.config.compress, self.config.recovery);
+        let bytes = wire_size(&batch, self.config.recovery);
         self.sim
             .send(node, dest, bytes, ready, Payload::Batch { op, batch });
     }

@@ -11,7 +11,7 @@
 //! 2. Each participant scans its partition of every leaf relation and
 //!    pushes the tuples through its local operator pipeline.  `Rehash` and
 //!    `Ship` buffer rows per destination and flush them as compressed
-//!    batches ([`crate::batch::TupleBatch`]) through the simulator.
+//!    batches (priced by [`crate::batch`]) through the simulator.
 //! 3. Delivered batches continue through the receiving node's pipeline
 //!    above the exchange.  When a node has exhausted every input feeding
 //!    an exchange it closes the segment: blocking aggregates emit their
@@ -131,10 +131,6 @@ pub enum RecoveryStrategy {
 pub struct EngineConfig {
     /// Timing and bandwidth model of the simulated cluster.
     pub profile: ClusterProfile,
-    /// Tuples buffered per destination before a batch is flushed.
-    pub batch_size: usize,
-    /// Dictionary-compress batches before computing their wire size.
-    pub compress: bool,
     /// Recovery support: carry provenance tags on the wire and keep
     /// rehash/ship output caches.  Adds the paper's "at most 2%" traffic
     /// overhead; required for [`RecoveryStrategy::Incremental`].
@@ -149,8 +145,6 @@ impl Default for EngineConfig {
     fn default() -> EngineConfig {
         EngineConfig {
             profile: ClusterProfile::lan_cluster(),
-            batch_size: 256,
-            compress: true,
             recovery: true,
             strategy: RecoveryStrategy::Incremental,
             max_recovery_rounds: 4,

@@ -18,12 +18,13 @@ use super::report::RunStats;
 use super::scheduler::Submission;
 use super::session::SessionSim;
 use super::EngineConfig;
-use crate::batch::TupleBatch;
 use crate::expr::ScalarExpr;
 use crate::ops::{AggState, JoinState};
 use crate::plan::{AggMode, OpId, OperatorKind, PhysicalPlan};
-use crate::provenance::{Phase, TaggedTuple};
-use orchestra_common::{Column, ColumnarBatch, Epoch, KeyRange, NodeId, OrchestraError, Result};
+use crate::provenance::Phase;
+use orchestra_common::{
+    Column, ColumnarBatch, Epoch, KeyRange, NodeId, NodeSet, OrchestraError, Result,
+};
 use orchestra_simnet::{Delivery, SimTime};
 use orchestra_storage::DistributedStorage;
 use orchestra_substrate::RoutingTable;
@@ -41,22 +42,6 @@ const WC_AGGREGATE: usize = 4;
 const WC_EXCHANGE: usize = 5;
 pub(super) const WC_SCAN: usize = 6;
 const WC_OUTPUT: usize = 7;
-
-/// The wall-clock slot that work belonging to `kind` is billed to.
-fn wc_slot(kind: &OperatorKind) -> usize {
-    match kind {
-        OperatorKind::Select { .. } => WC_SELECT,
-        OperatorKind::Project { .. } => WC_PROJECT,
-        OperatorKind::ComputeFunction { .. } => WC_COMPUTE,
-        OperatorKind::HashJoin { .. } => WC_JOIN,
-        OperatorKind::Aggregate { .. } => WC_AGGREGATE,
-        OperatorKind::Rehash { .. } | OperatorKind::Broadcast | OperatorKind::Ship => WC_EXCHANGE,
-        OperatorKind::Output => WC_OUTPUT,
-        OperatorKind::DistributedScan { .. }
-        | OperatorKind::CoveringIndexScan { .. }
-        | OperatorKind::ReplicatedScan { .. } => WC_SCAN,
-    }
-}
 
 /// Sources feeding the segment rooted at one exchange (or `Output`): the
 /// leaf scans inside the segment and the boundary exchanges whose
@@ -114,7 +99,7 @@ pub(super) struct Runtime<'a> {
 
     /// Rows collected at the initiator's `Output`, kept columnar until
     /// the report materializes them.
-    pub(super) output: TupleBatch,
+    pub(super) output: ColumnarBatch,
     pub(super) done: bool,
     pub(super) finish_time: SimTime,
 
@@ -172,7 +157,7 @@ impl<'a> Runtime<'a> {
             scans_done: HashSet::new(),
             segment_roots,
             sources,
-            output: TupleBatch::new(),
+            output: ColumnarBatch::new(0),
             done: false,
             finish_time: SimTime::ZERO,
             stats: RunStats::default(),
@@ -279,7 +264,7 @@ impl<'a> Runtime<'a> {
         &mut self,
         node: NodeId,
         from: OpId,
-        batch: TupleBatch,
+        batch: ColumnarBatch,
         time: SimTime,
     ) -> Result<SimTime> {
         let parent = self
@@ -292,29 +277,12 @@ impl<'a> Runtime<'a> {
         Ok(self.sim.cpu_free_at(node).max(time))
     }
 
-    /// Row seam of [`Runtime::push_up`]: the rows a blocking aggregate
-    /// emits re-enter the batch pipeline here.  The cost of building the
-    /// columnar batch is billed to the producing operator's wall-clock
-    /// slot.
-    pub(super) fn push_up_rows(
-        &mut self,
-        node: NodeId,
-        from: OpId,
-        rows: Vec<TaggedTuple>,
-        time: SimTime,
-    ) -> Result<SimTime> {
-        let wall = Instant::now();
-        let batch = TupleBatch::from_rows(rows);
-        self.record_wall(wc_slot(&self.plan.op(from).kind), 0, wall);
-        self.push_up(node, from, batch, time)
-    }
-
     /// Fold an operator's wall-clock cost into the report counters.  Only
     /// the operator's own compute is on the clock: callers stop it before
     /// recursing into `push_up`, so parent work is never double-billed.
-    /// The row seam's conversion cost is billed with `rows == 0` — it adds
-    /// time to the slot without re-counting rows the operator arm already
-    /// counted.
+    /// A blocking aggregate's emission is billed with `rows == 0` — it
+    /// adds time to the slot without re-counting rows the operator arm
+    /// already counted.
     pub(super) fn record_wall(&mut self, slot: usize, rows: usize, started: Instant) {
         self.stats.op_rows[slot] += rows as u64;
         self.stats.op_nanos[slot] += started.elapsed().as_nanos() as u64;
@@ -329,25 +297,35 @@ impl<'a> Runtime<'a> {
         node: NodeId,
         op: OpId,
         input: usize,
-        mut batch: TupleBatch,
+        mut batch: ColumnarBatch,
         time: SimTime,
     ) -> Result<()> {
         if batch.is_empty() {
             return Ok(());
         }
-        let cpu = self.config.profile.node.cpu_time(batch.len());
-        let ready = self.sim.charge_cpu(node, time, cpu);
         // `plan` is an independent `&'a` borrow, so the kind can be read
         // by reference without cloning predicate/expression trees on
         // every delivered batch.
         let kind = &self.plan.op(op).kind;
+        if kind.is_exchange() && self.fed_closed.contains(&(node, op)) {
+            // The consumers stop listening once every sender's
+            // end-of-stream is in: these rows would sit in the exchange
+            // for ever and the answer come up short.
+            return Err(OrchestraError::Execution(format!(
+                "{} row(s) reached {} operator {op} at {node} after it sent its end-of-stream",
+                batch.len(),
+                kind.name()
+            )));
+        }
+        let cpu = self.config.profile.node.cpu_time(batch.len());
+        let ready = self.sim.charge_cpu(node, time, cpu);
         match kind {
             OperatorKind::Select { predicate } => {
                 let wall = Instant::now();
                 let n = batch.len();
                 let mut mask = Vec::new();
-                predicate.eval_mask(batch.columnar(), &mut mask);
-                batch.columnar_mut().retain(&mask);
+                predicate.eval_mask(&batch, &mut mask);
+                batch.retain(&mask);
                 self.record_wall(WC_SELECT, n, wall);
                 if !batch.is_empty() {
                     self.push_up(node, op, batch, ready)?;
@@ -355,35 +333,34 @@ impl<'a> Runtime<'a> {
             }
             OperatorKind::Project { columns } => {
                 let wall = Instant::now();
-                let out = TupleBatch::from_columnar(batch.columnar().project(columns));
+                let out = batch.project(columns);
                 self.record_wall(WC_PROJECT, out.len(), wall);
                 self.push_up(node, op, out, ready)?;
             }
             OperatorKind::ComputeFunction { exprs } => {
                 let wall = Instant::now();
-                let cb = batch.columnar();
-                let n = cb.len();
+                let n = batch.len();
                 // Passthrough expressions reuse the input column wholesale
                 // (cells, dictionary accounting and string ids — the pool
                 // is cloned, so ids stay valid); only computed expressions
                 // pay per-cell construction.
-                let mut pool = cb.pool().clone();
+                let mut pool = batch.pool().clone();
                 let cols: Vec<Column> = exprs
                     .iter()
                     .map(|e| match e {
-                        ScalarExpr::Column(i) => cb.column(*i).clone(),
-                        _ => Column::from_values(e.eval_column(cb), &mut pool),
+                        ScalarExpr::Column(i) => batch.column(*i).clone(),
+                        _ => Column::from_values(e.eval_column(&batch), &mut pool),
                     })
                     .collect();
                 let out = ColumnarBatch::from_parts(
                     pool,
                     cols,
-                    cb.sign_column().to_vec(),
-                    cb.provenance_column().to_vec(),
-                    cb.phase_column().to_vec(),
+                    batch.sign_column().to_vec(),
+                    batch.provenance_column().to_vec(),
+                    batch.phase_column().to_vec(),
                 );
                 self.record_wall(WC_COMPUTE, n, wall);
-                self.push_up(node, op, TupleBatch::from_columnar(out), ready)?;
+                self.push_up(node, op, out, ready)?;
             }
             OperatorKind::HashJoin {
                 left_keys,
@@ -392,10 +369,10 @@ impl<'a> Runtime<'a> {
                 let wall = Instant::now();
                 let n = batch.len();
                 let state = self.joins.entry((node, op)).or_default();
-                let out = state.process_batch(input, batch.columnar(), left_keys, right_keys, node);
+                let out = state.process_batch(input, &batch, left_keys, right_keys, node);
                 self.record_wall(WC_JOIN, n, wall);
                 if !out.is_empty() {
-                    self.push_up(node, op, TupleBatch::from_columnar(out), ready)?;
+                    self.push_up(node, op, out, ready)?;
                 }
             }
             OperatorKind::Aggregate {
@@ -407,31 +384,29 @@ impl<'a> Runtime<'a> {
                 let state = self.aggs.entry((node, op)).or_default();
                 match mode {
                     AggMode::Single | AggMode::Partial => {
-                        state.update_raw_batch(batch.columnar(), group_by, aggs)
+                        state.update_raw_batch(&batch, group_by, aggs)
                     }
-                    AggMode::Final => state.update_partial_batch(batch.columnar(), group_by, aggs),
+                    AggMode::Final => state.update_partial_batch(&batch, group_by, aggs),
                 }
                 self.record_wall(WC_AGGREGATE, batch.len(), wall);
             }
             OperatorKind::Rehash { columns } => {
                 let wall = Instant::now();
-                let cb = batch.columnar();
                 let mut scratch = Vec::new();
-                for r in 0..cb.len() {
+                for r in 0..batch.len() {
                     let dest = self
                         .table
-                        .owner_of(cb.hash_columns_at(r, columns, &mut scratch));
-                    self.buffer_exchange_from(node, op, dest, cb, r, ready);
+                        .owner_of(batch.hash_columns_at(r, columns, &mut scratch));
+                    self.buffer_exchange_from(node, op, dest, &batch, r, ready);
                 }
                 self.record_wall(WC_EXCHANGE, batch.len(), wall);
             }
             OperatorKind::Broadcast => {
                 let wall = Instant::now();
                 let dests = self.participants.clone();
-                let cb = batch.columnar();
-                for r in 0..cb.len() {
+                for r in 0..batch.len() {
                     for &dest in &dests {
-                        self.buffer_exchange_from(node, op, dest, cb, r, ready);
+                        self.buffer_exchange_from(node, op, dest, &batch, r, ready);
                     }
                 }
                 self.record_wall(WC_EXCHANGE, batch.len(), wall);
@@ -439,9 +414,8 @@ impl<'a> Runtime<'a> {
             OperatorKind::Ship => {
                 let wall = Instant::now();
                 let dest = self.initiator;
-                let cb = batch.columnar();
-                for r in 0..cb.len() {
-                    self.buffer_exchange_from(node, op, dest, cb, r, ready);
+                for r in 0..batch.len() {
+                    self.buffer_exchange_from(node, op, dest, &batch, r, ready);
                 }
                 self.record_wall(WC_EXCHANGE, batch.len(), wall);
             }
@@ -503,7 +477,6 @@ impl<'a> Runtime<'a> {
     /// All inputs of the segment rooted at `root` are exhausted at `node`:
     /// emit blocking state, flush the root's buffers, signal end-of-stream.
     fn close_segment(&mut self, node: NodeId, root: OpId, time: SimTime) -> Result<()> {
-        self.fed_closed.insert((node, root));
         let mut ready = time;
         let is_output = matches!(self.plan.op(root).kind, OperatorKind::Output);
 
@@ -512,35 +485,29 @@ impl<'a> Runtime<'a> {
             else {
                 continue;
             };
-            let emitted: Vec<TaggedTuple> = match mode {
-                AggMode::Partial => self
-                    .aggs
-                    .entry((node, agg_op))
-                    .or_default()
-                    .emit_unemitted(true, node, self.phase),
+            let wall = Instant::now();
+            let state = self.aggs.entry((node, agg_op)).or_default();
+            let emitted = match mode {
+                AggMode::Partial => state.emit_unemitted(true, node, self.phase),
                 AggMode::Single | AggMode::Final if is_output => {
                     // The top-level aggregate merges its sub-groups into
                     // the final answer exactly once, at query completion.
-                    let phase = self.phase;
-                    self.aggs
-                        .entry((node, agg_op))
-                        .or_default()
-                        .collapsed_final(&aggs)
-                        .into_iter()
-                        .map(|t| TaggedTuple::scanned(t, node, phase))
-                        .collect()
+                    let rows = state.collapsed_final(&aggs);
+                    let arity = rows.iter().map(|t| t.arity()).max().unwrap_or(0);
+                    let tag = NodeSet::singleton(node);
+                    ColumnarBatch::from_tuples(arity, &rows, 1, tag, self.phase)
                 }
-                AggMode::Single | AggMode::Final => self
-                    .aggs
-                    .entry((node, agg_op))
-                    .or_default()
-                    .emit_unemitted(false, node, self.phase),
+                AggMode::Single | AggMode::Final => state.emit_unemitted(false, node, self.phase),
             };
+            self.record_wall(WC_AGGREGATE, 0, wall);
             if !emitted.is_empty() {
-                ready = self.push_up_rows(node, agg_op, emitted, ready)?;
+                ready = self.push_up(node, agg_op, emitted, ready)?;
             }
         }
 
+        // The blocking operators' rows were the last to enter the root
+        // legitimately; `process_at` rejects any that follow.
+        self.fed_closed.insert((node, root));
         if is_output {
             self.done = true;
             self.finish_time = self.finish_time.max(ready);

@@ -14,7 +14,7 @@
 use super::pipeline::Runtime;
 use super::RecoveryStrategy;
 use crate::plan::OpId;
-use orchestra_common::{KeyRange, NodeId, NodeSet, OrchestraError, Result};
+use orchestra_common::{ColumnarBatch, KeyRange, NodeId, NodeSet, OrchestraError, Result};
 use orchestra_simnet::SimTime;
 use std::collections::HashMap;
 
@@ -57,7 +57,7 @@ impl Runtime<'_> {
                 self.joins.clear();
                 self.aggs.clear();
                 self.exchanges.clear();
-                self.output = crate::batch::TupleBatch::new();
+                self.output = ColumnarBatch::new(0);
                 self.scan_ranges = survivors
                     .iter()
                     .map(|n| (*n, recovery_table.ranges_of(*n)))
@@ -89,12 +89,11 @@ impl Runtime<'_> {
                 let before = self.output.len();
                 let keep: Vec<bool> = self
                     .output
-                    .columnar()
                     .provenance_column()
                     .iter()
                     .map(|p| !p.intersects(failed))
                     .collect();
-                self.output.columnar_mut().retain(&keep);
+                self.output.retain(&keep);
                 purged += before - self.output.len();
                 self.stats.purged += purged;
 

@@ -120,7 +120,7 @@ impl QueryReport {
 
 impl Runtime<'_> {
     pub(super) fn into_report(self) -> QueryReport {
-        let out = self.output.into_columnar();
+        let out = &self.output;
         let mut signed_rows: Vec<(Tuple, i8)> = (0..out.len())
             .map(|i| (out.tuple_at(i), out.sign_at(i)))
             .collect();

@@ -10,7 +10,6 @@
 //! `RunStats`.
 
 use super::pipeline::{Runtime, WC_SCAN};
-use crate::batch::TupleBatch;
 use crate::expr::Predicate;
 use crate::plan::{OpId, OperatorKind};
 use crate::provenance::Phase;
@@ -25,7 +24,7 @@ use super::exchange::Payload;
 impl Runtime<'_> {
     /// Run one leaf scan on behalf of `node` for the current phase,
     /// returning a tagged columnar batch and the simulated scan duration.
-    pub(super) fn do_scan(&mut self, node: NodeId, op: OpId) -> Result<(TupleBatch, SimTime)> {
+    pub(super) fn do_scan(&mut self, node: NodeId, op: OpId) -> Result<(ColumnarBatch, SimTime)> {
         let kind = &self.plan.op(op).kind;
         let profile = &self.config.profile.node;
         // A maintenance session may pin this scan to a different epoch,
@@ -49,7 +48,7 @@ impl Runtime<'_> {
             } => {
                 let ranges = self.scan_ranges.get(&node).cloned().unwrap_or_default();
                 if ranges.is_empty() {
-                    return Ok((TupleBatch::new(), SimTime::ZERO));
+                    return Ok((ColumnarBatch::new(0), SimTime::ZERO));
                 }
                 if let Some((from, to)) = delta {
                     let scan = self
@@ -105,7 +104,7 @@ impl Runtime<'_> {
                 predicate,
             } => {
                 if !self.scan_replicated {
-                    return Ok((TupleBatch::new(), SimTime::ZERO));
+                    return Ok((ColumnarBatch::new(0), SimTime::ZERO));
                 }
                 let tuples = self.storage.scan_replicated(relation, epoch, node)?;
                 self.stats.tuples_scanned += tuples.len();
@@ -121,7 +120,7 @@ impl Runtime<'_> {
             } => {
                 let ranges = self.scan_ranges.get(&node).cloned().unwrap_or_default();
                 if ranges.is_empty() {
-                    return Ok((TupleBatch::new(), SimTime::ZERO));
+                    return Ok((ColumnarBatch::new(0), SimTime::ZERO));
                 }
                 let (tuples, pages) = self.covering_scan(relation, epoch, &ranges)?;
                 self.stats.pages_read += pages;
@@ -184,7 +183,7 @@ struct Emit {
 /// interned or accounted), and survivors are columnarized straight out of
 /// the store.  Only this emission work is on the wall clock, not the
 /// storage fetch above it.
-fn emit_scanned(tuples: &[&Tuple], predicate: &Option<Predicate>, emit: Emit) -> TupleBatch {
+fn emit_scanned(tuples: &[&Tuple], predicate: &Option<Predicate>, emit: Emit) -> ColumnarBatch {
     // The pre-filter maximum, so filtered and unfiltered scans agree on
     // the batch shape.
     let arity = tuples.iter().map(|t| t.arity()).max().unwrap_or(0);
@@ -192,18 +191,18 @@ fn emit_scanned(tuples: &[&Tuple], predicate: &Option<Predicate>, emit: Emit) ->
         .iter()
         .copied()
         .filter(|t| predicate.as_ref().is_none_or(|p| p.eval(t)));
-    TupleBatch::from_columnar(ColumnarBatch::from_tuples(
+    ColumnarBatch::from_tuples(
         arity,
         survivors,
         1,
         NodeSet::singleton(emit.node),
         emit.phase,
-    ))
+    )
 }
 
 /// [`emit_scanned`] for signed delta scans: every row carries its own
 /// `+1`/`-1` sign from the epoch interval.
-fn emit_delta(signed: &[(&Tuple, i8)], predicate: &Option<Predicate>, emit: Emit) -> TupleBatch {
+fn emit_delta(signed: &[(&Tuple, i8)], predicate: &Option<Predicate>, emit: Emit) -> ColumnarBatch {
     let arity = signed.iter().map(|(t, _)| t.arity()).max().unwrap_or(0);
     let provenance = NodeSet::singleton(emit.node);
     let mut batch = ColumnarBatch::new(arity);
@@ -212,5 +211,5 @@ fn emit_delta(signed: &[(&Tuple, i8)], predicate: &Option<Predicate>, emit: Emit
             batch.push_row_padded(t.values(), *sign, provenance, emit.phase);
         }
     }
-    TupleBatch::from_columnar(batch)
+    batch
 }

@@ -403,6 +403,60 @@ fn incremental_recovery_returns_the_full_answer() {
     assert_eq!(report.rows, baseline.rows);
 }
 
+/// The one test that reaches under the public API: no correct run can
+/// deliver a batch to an exchange behind that exchange's own
+/// end-of-stream, so the check is driven on a `Runtime` by hand.
+#[test]
+fn a_row_behind_its_end_of_stream_is_an_error_not_a_short_answer() {
+    use super::exchange::{SessionId, Wire};
+    use super::pipeline::Runtime;
+    use super::session::{shared_sim, SessionSim};
+    use orchestra_common::{ColumnarBatch, NodeSet};
+    use orchestra_simnet::Delivery;
+
+    let mut s = cluster(2);
+    publish_r(&mut s, 40);
+    let mut pb = PlanBuilder::new();
+    let scan = pb.scan("R", 3, None);
+    let rehash = pb.rehash(scan, vec![2]);
+    let ship = pb.ship(rehash);
+    let query = session("late-row", pb.output(ship), Epoch(0), 0.0);
+    let config = EngineConfig::default();
+    let shared = shared_sim(s.routing(), config.profile);
+    let sim = SessionSim::attach(shared.clone(), SessionId(0));
+    let mut runtime = Runtime::new(&s, &config, &(&query).into(), sim);
+    runtime.begin(SimTime::ZERO);
+    loop {
+        let Some(d) = shared.borrow_mut().next() else {
+            break;
+        };
+        let Wire { payload, .. } = d.payload;
+        runtime
+            .handle(Delivery {
+                time: d.time,
+                from: d.from,
+                to: d.to,
+                payload,
+            })
+            .unwrap();
+    }
+    assert!(runtime.done);
+    assert_eq!(runtime.output.len(), 40);
+
+    // Both nodes have flushed the rehash and sent its end-of-stream: a
+    // row reaching it now would be buffered and never delivered.
+    let late = ColumnarBatch::from_tuples(3, [&r_row(99)], 1, NodeSet::singleton(NodeId(1)), 0);
+    let at = runtime.finish_time;
+    let err = runtime
+        .process_at(NodeId(1), rehash, 0, late, at)
+        .unwrap_err();
+    assert!(
+        err.message()
+            .contains(&format!("Rehash operator {rehash} at n1")),
+        "{err}"
+    );
+}
+
 // ----------------------------------------------------------------------
 // The multi-query session scheduler
 // ----------------------------------------------------------------------

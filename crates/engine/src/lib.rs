@@ -24,8 +24,10 @@
 //! Between operators the data path is columnar: batches travel as typed
 //! column vectors with interned strings and parallel sign / provenance /
 //! phase tag columns, and the operators are vectorized over that layout.
-//! Row objects appear at exactly one seam: a blocking aggregate emits its
-//! sub-groups as tagged rows, which re-enter the pipeline as a batch.
+//! No row object exists between a scan and the report: scans columnarize
+//! straight out of the store, a blocking aggregate emits its sub-groups
+//! as a batch, and the answer is materialized as tuples only when the
+//! report is assembled.
 //! [`exec::QueryReport::wall_clock`] exposes the host CPU cost per
 //! operator class.
 //!
@@ -78,4 +80,4 @@ pub use exec::{
 pub use expr::{AggFunc, CmpOp, Predicate, ScalarExpr};
 pub use ops::{ExtremumKind, ExtremumSketch, EXTREMUM_SKETCH_K};
 pub use plan::{AggMode, OpId, Operator, OperatorKind, PhysicalPlan, PlanBuilder};
-pub use provenance::{Phase, TaggedTuple};
+pub use provenance::Phase;

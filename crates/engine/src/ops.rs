@@ -22,13 +22,12 @@
 //! * [`RehashState`] — per-destination output buffers plus the output
 //!   cache used by recovery stage 4 ("re-create data that was sent to the
 //!   failed nodes' hash key space ranges").  Buffers and cache are
-//!   [`TupleBatch`]es, so a flushed batch already knows its own encoded
-//!   wire size — the flush path reads it off the columns' running
+//!   [`ColumnarBatch`]es, so a flushed batch already knows its own
+//!   encoded wire size — the flush path reads it off the columns' cached
 //!   dictionary accounting instead of re-scanning the rows.
 
-use crate::batch::TupleBatch;
 use crate::expr::AggFunc;
-use crate::provenance::{Phase, TaggedTuple};
+use crate::provenance::Phase;
 use orchestra_common::{ColumnData, ColumnarBatch, NodeId, NodeSet, PoolMemo, Tuple, Value};
 use std::collections::HashMap;
 
@@ -106,9 +105,6 @@ impl JoinState {
         } else {
             (&mut b[0], &a[0])
         };
-        if own.rows.arity() < batch.arity() {
-            own.rows.pad_to_arity(batch.arity());
-        }
         let mut out = ColumnarBatch::new(0);
         let mut memo_in = PoolMemo::new();
         let mut memo_store = PoolMemo::new();
@@ -630,12 +626,7 @@ impl AggState {
     /// emitted.  `partial` selects between the mergeable partial layout
     /// and the final scalar layout.  Output rows are tagged with the
     /// sub-group's provenance plus `node`, at `phase`.
-    pub fn emit_unemitted(
-        &mut self,
-        partial: bool,
-        node: NodeId,
-        phase: Phase,
-    ) -> Vec<TaggedTuple> {
+    pub fn emit_unemitted(&mut self, partial: bool, node: NodeId, phase: Phase) -> ColumnarBatch {
         let mut order: Vec<usize> = (0..self.subgroups.len())
             .filter(|&i| {
                 let g = &self.subgroups[i];
@@ -648,7 +639,7 @@ impl AggState {
             let (ga, gb) = (&self.subgroups[a], &self.subgroups[b]);
             ga.key.cmp(&gb.key).then_with(|| ga.phase.cmp(&gb.phase))
         });
-        let mut out = Vec::with_capacity(order.len());
+        let mut out = ColumnarBatch::new(0);
         for i in order {
             let group = &mut self.subgroups[i];
             group.emitted = true;
@@ -662,14 +653,10 @@ impl AggState {
             }
             let mut provenance = group.provenance;
             provenance.insert(node);
+            out.pad_to_arity(values.len());
             // Emitted states are assertions: any retractions the
             // sub-group absorbed are already folded into its values.
-            out.push(TaggedTuple {
-                tuple: Tuple::new(values),
-                provenance,
-                phase,
-                sign: 1,
-            });
+            out.push_row_owned(values, 1, provenance, phase);
         }
         out
     }
@@ -711,13 +698,13 @@ impl AggState {
 /// State of one `Rehash` or `Ship` operator instance: the per-destination
 /// output buffers awaiting a full batch, and (when recovery support is
 /// enabled) the cache of everything sent, used to re-create data that had
-/// been sent to a failed node.  Both live as [`TupleBatch`]es, so the
-/// wire size of a flushed batch is read off the columns' running
+/// been sent to a failed node.  Both live as [`ColumnarBatch`]es, so the
+/// wire size of a flushed batch is read off the columns' cached
 /// dictionary accounting rather than recomputed from its rows.
 #[derive(Clone, Debug, Default)]
 pub struct RehashState {
-    buffers: HashMap<NodeId, TupleBatch>,
-    cache: HashMap<NodeId, TupleBatch>,
+    buffers: HashMap<NodeId, ColumnarBatch>,
+    cache: HashMap<NodeId, ColumnarBatch>,
     cache_enabled: bool,
 }
 
@@ -736,15 +723,16 @@ impl RehashState {
     /// executor flushes when this reaches the batch size).
     pub fn buffer_from(&mut self, dest: NodeId, src: &ColumnarBatch, row: usize) -> usize {
         if self.cache_enabled {
-            self.cache.entry(dest).or_default().push_row_from(src, row);
+            let cached = self.cache.entry(dest).or_default();
+            cached.append_row_interned(src, row);
         }
         let buf = self.buffers.entry(dest).or_default();
-        buf.push_row_from(src, row);
+        buf.append_row_interned(src, row);
         buf.len()
     }
 
     /// Take (and clear) the pending buffer for `dest` as a batch.
-    pub fn take_buffer_batch(&mut self, dest: NodeId) -> TupleBatch {
+    pub fn take_buffer_batch(&mut self, dest: NodeId) -> ColumnarBatch {
         self.buffers.remove(&dest).unwrap_or_default()
     }
 
@@ -767,12 +755,11 @@ impl RehashState {
     /// new destination, and a later recovery round must not find (and
     /// duplicate) the stale entries still keyed to the failed node, so no
     /// non-consuming variant is offered.
-    pub fn take_cached_batch_for(&mut self, dest: NodeId, failed: &NodeSet) -> TupleBatch {
+    pub fn take_cached_batch_for(&mut self, dest: NodeId, failed: &NodeSet) -> ColumnarBatch {
         let Some(batch) = self.cache.remove(&dest) else {
-            return TupleBatch::new();
+            return ColumnarBatch::new(0);
         };
         let untainted: Vec<bool> = batch
-            .columnar()
             .provenance_column()
             .iter()
             .map(|p| !p.intersects(failed))
@@ -782,12 +769,12 @@ impl RehashState {
         }
         let tainted: Vec<bool> = untainted.iter().map(|u| !*u).collect();
         let mut keep = batch.clone();
-        keep.columnar_mut().retain(&tainted);
+        keep.retain(&tainted);
         if !keep.is_empty() {
             self.cache.insert(dest, keep);
         }
         let mut out = batch;
-        out.columnar_mut().retain(&untainted);
+        out.retain(&untainted);
         out
     }
 
@@ -805,17 +792,16 @@ impl RehashState {
         }
     }
 
-    fn purge_map(map: &mut HashMap<NodeId, TupleBatch>, failed: &NodeSet) -> usize {
+    fn purge_map(map: &mut HashMap<NodeId, ColumnarBatch>, failed: &NodeSet) -> usize {
         let mut dropped = 0;
         for batch in map.values_mut() {
             let keep: Vec<bool> = batch
-                .columnar()
                 .provenance_column()
                 .iter()
                 .map(|p| !p.intersects(failed))
                 .collect();
             let before = batch.len();
-            batch.columnar_mut().retain(&keep);
+            batch.retain(&keep);
             dropped += before - batch.len();
         }
         map.retain(|_, b| !b.is_empty());
@@ -824,7 +810,7 @@ impl RehashState {
 
     /// Number of rows currently cached.
     pub fn cache_len(&self) -> usize {
-        self.cache.values().map(TupleBatch::len).sum()
+        self.cache.values().map(ColumnarBatch::len).sum()
     }
 }
 
@@ -833,15 +819,31 @@ mod tests {
     use super::*;
     use orchestra_common::Value;
 
-    fn tagged(vals: Vec<Value>, node: u16) -> TaggedTuple {
-        TaggedTuple::scanned(Tuple::new(vals), NodeId(node), 0)
+    /// `vals` as a one-row batch carrying the given tags, so a test can
+    /// drive the batch entry points one row at a time.
+    fn one_tagged(vals: Vec<Value>, node: u16, sign: i8, phase: Phase) -> ColumnarBatch {
+        let mut batch = ColumnarBatch::new(vals.len());
+        batch.push_row_owned(vals, sign, NodeSet::singleton(NodeId(node)), phase);
+        batch
     }
 
-    /// `row` as a one-row batch, so a test can drive the batch entry
-    /// points one row at a time.
-    fn one(row: TaggedTuple) -> ColumnarBatch {
-        let arity = row.tuple.arity();
-        ColumnarBatch::from_tuples(arity, [&row.tuple], row.sign, row.provenance, row.phase)
+    /// [`one_tagged`] as a scan at `node` emits it: `+1`, phase 0.
+    fn one(vals: Vec<Value>, node: u16) -> ColumnarBatch {
+        one_tagged(vals, node, 1, 0)
+    }
+
+    /// Every row of `batch` with its tags, for whole-batch comparisons.
+    fn rows_of(batch: &ColumnarBatch) -> Vec<(Tuple, i8, NodeSet, Phase)> {
+        (0..batch.len())
+            .map(|r| {
+                (
+                    batch.tuple_at(r),
+                    batch.sign_at(r),
+                    batch.provenance_at(r),
+                    batch.phase_at(r),
+                )
+            })
+            .collect()
     }
 
     #[test]
@@ -851,7 +853,7 @@ mod tests {
         // Left arrives first: no match yet.
         let out = j.process_batch(
             0,
-            &one(tagged(vec![Value::Int(1), Value::str("a")], 0)),
+            &one(vec![Value::Int(1), Value::str("a")], 0),
             &[0],
             &[0],
             node,
@@ -860,7 +862,7 @@ mod tests {
         // Matching right arrives: one result.
         let out = j.process_batch(
             1,
-            &one(tagged(vec![Value::Int(1), Value::str("x")], 1)),
+            &one(vec![Value::Int(1), Value::str("x")], 1),
             &[0],
             &[0],
             node,
@@ -881,7 +883,7 @@ mod tests {
         // A second left with the same key joins against the stored right.
         let out = j.process_batch(
             0,
-            &one(tagged(vec![Value::Int(1), Value::str("b")], 2)),
+            &one(vec![Value::Int(1), Value::str("b")], 2),
             &[0],
             &[0],
             node,
@@ -894,9 +896,9 @@ mod tests {
     fn join_purge_drops_only_tainted_rows() {
         let mut j = JoinState::new();
         let node = NodeId(9);
-        j.process_batch(0, &one(tagged(vec![Value::Int(1)], 0)), &[0], &[0], node);
-        j.process_batch(0, &one(tagged(vec![Value::Int(2)], 5)), &[0], &[0], node);
-        j.process_batch(1, &one(tagged(vec![Value::Int(3)], 5)), &[0], &[0], node);
+        j.process_batch(0, &one(vec![Value::Int(1)], 0), &[0], &[0], node);
+        j.process_batch(0, &one(vec![Value::Int(2)], 5), &[0], &[0], node);
+        j.process_batch(1, &one(vec![Value::Int(3)], 5), &[0], &[0], node);
         let dropped = j.purge_tainted(&NodeSet::singleton(NodeId(5)));
         assert_eq!(dropped, 2);
         assert_eq!(j.len(), 1);
@@ -910,20 +912,20 @@ mod tests {
         let node = NodeId(9);
         j.process_batch(
             0,
-            &one(tagged(vec![Value::Int(1), Value::str("dead")], 5)),
+            &one(vec![Value::Int(1), Value::str("dead")], 5),
             &[0],
             &[0],
             node,
         );
         j.process_batch(
             0,
-            &one(tagged(vec![Value::Int(1), Value::str("live")], 0)),
+            &one(vec![Value::Int(1), Value::str("live")], 0),
             &[0],
             &[0],
             node,
         );
         j.purge_tainted(&NodeSet::singleton(NodeId(5)));
-        let out = j.process_batch(1, &one(tagged(vec![Value::Int(1)], 1)), &[0], &[0], node);
+        let out = j.process_batch(1, &one(vec![Value::Int(1)], 1), &[0], &[0], node);
         assert_eq!(out.len(), 1);
         assert_eq!(out.value_at(0, 1), Value::str("live"));
     }
@@ -1022,13 +1024,9 @@ mod tests {
     fn agg_state_folds_row_signs() {
         let mut agg = AggState::new();
         let aggs = [(AggFunc::Sum, 1), (AggFunc::Count, 1)];
+        agg.update_raw_batch(&one(vec![Value::str("g"), Value::Int(10)], 0), &[0], &aggs);
         agg.update_raw_batch(
-            &one(tagged(vec![Value::str("g"), Value::Int(10)], 0)),
-            &[0],
-            &aggs,
-        );
-        agg.update_raw_batch(
-            &one(tagged(vec![Value::str("g"), Value::Int(4)], 0).with_sign(-1)),
+            &one_tagged(vec![Value::str("g"), Value::Int(4)], 0, -1, 0),
             &[0],
             &aggs,
         );
@@ -1045,16 +1043,8 @@ mod tests {
         let aggs = [(AggFunc::Sum, 1)];
         // Two rows in the same group but with different provenance → two
         // sub-groups.
-        agg.update_raw_batch(
-            &one(tagged(vec![Value::str("g"), Value::Int(10)], 0)),
-            &[0],
-            &aggs,
-        );
-        agg.update_raw_batch(
-            &one(tagged(vec![Value::str("g"), Value::Int(5)], 1)),
-            &[0],
-            &aggs,
-        );
+        agg.update_raw_batch(&one(vec![Value::str("g"), Value::Int(10)], 0), &[0], &aggs);
+        agg.update_raw_batch(&one(vec![Value::str("g"), Value::Int(5)], 1), &[0], &aggs);
         assert_eq!(agg.subgroup_count(), 2);
         let emitted = agg.emit_unemitted(true, NodeId(7), 0);
         assert_eq!(emitted.len(), 2);
@@ -1062,20 +1052,59 @@ mod tests {
         assert!(agg.emit_unemitted(true, NodeId(7), 0).is_empty());
         // New input after emission creates a fresh sub-group (new phase)
         // and only that one is emitted next time.
-        let mut late = tagged(vec![Value::str("g"), Value::Int(1)], 2);
-        late.phase = 1;
-        agg.update_raw_batch(&one(late), &[0], &aggs);
+        let late = one_tagged(vec![Value::str("g"), Value::Int(1)], 2, 1, 1);
+        agg.update_raw_batch(&late, &[0], &aggs);
         let emitted = agg.emit_unemitted(true, NodeId(7), 1);
         assert_eq!(emitted.len(), 1);
-        assert_eq!(emitted[0].phase, 1);
+        assert_eq!(emitted.phase_at(0), 1);
+    }
+
+    #[test]
+    fn emission_orders_by_key_then_phase_and_tags_with_the_emitter() {
+        let mut agg = AggState::new();
+        let aggs = [(AggFunc::Sum, 1), (AggFunc::Avg, 1)];
+        let row = |g: &str, v: i64| vec![Value::str(g), Value::Int(v)];
+        for batch in [
+            one(row("b", 10), 0),
+            one(row("a", 4), 1),
+            one(row("a", 6), 3),
+            // A second phase, whose retraction folds into its sub-group.
+            one_tagged(row("a", 1), 1, 1, 1),
+            one_tagged(row("a", 2), 1, -1, 1),
+        ] {
+            agg.update_raw_batch(&batch, &[0], &aggs);
+        }
+        assert_eq!(agg.purge_tainted(&NodeSet::singleton(NodeId(3))), 1);
+        // Group key first, then phase; the purged sub-group is absent;
+        // every row is an assertion at the emission phase, tagged with
+        // its sub-group's provenance plus the emitting node.
+        let emitted = agg.emit_unemitted(true, NodeId(7), 1);
+        let tags = |n: u16| [NodeId(n), NodeId(7)].into_iter().collect::<NodeSet>();
+        let partial = |g: &str, sum: i64, count: i64| {
+            Tuple::new(vec![
+                Value::str(g),
+                Value::Int(sum),
+                Value::Int(sum),
+                Value::Int(count),
+            ])
+        };
+        assert_eq!(
+            rows_of(&emitted),
+            vec![
+                (partial("a", 4, 1), 1, tags(1), 1),
+                (partial("a", -1, 0), 1, tags(1), 1),
+                (partial("b", 10, 1), 1, tags(0), 1),
+            ]
+        );
+        assert!(agg.emit_unemitted(true, NodeId(7), 1).is_empty());
     }
 
     #[test]
     fn agg_purge_drops_tainted_subgroups() {
         let mut agg = AggState::new();
         let aggs = [(AggFunc::Count, 0)];
-        agg.update_raw_batch(&one(tagged(vec![Value::str("a")], 0)), &[0], &aggs);
-        agg.update_raw_batch(&one(tagged(vec![Value::str("b")], 3)), &[0], &aggs);
+        agg.update_raw_batch(&one(vec![Value::str("a")], 0), &[0], &aggs);
+        agg.update_raw_batch(&one(vec![Value::str("b")], 3), &[0], &aggs);
         assert_eq!(agg.purge_tainted(&NodeSet::singleton(NodeId(3))), 1);
         assert_eq!(agg.subgroup_count(), 1);
     }
@@ -1084,21 +1113,9 @@ mod tests {
     fn collapsed_final_merges_across_subgroups() {
         let mut agg = AggState::new();
         let aggs = [(AggFunc::Sum, 1), (AggFunc::Count, 1)];
-        agg.update_raw_batch(
-            &one(tagged(vec![Value::str("g"), Value::Int(10)], 0)),
-            &[0],
-            &aggs,
-        );
-        agg.update_raw_batch(
-            &one(tagged(vec![Value::str("g"), Value::Int(5)], 1)),
-            &[0],
-            &aggs,
-        );
-        agg.update_raw_batch(
-            &one(tagged(vec![Value::str("h"), Value::Int(2)], 1)),
-            &[0],
-            &aggs,
-        );
+        agg.update_raw_batch(&one(vec![Value::str("g"), Value::Int(10)], 0), &[0], &aggs);
+        agg.update_raw_batch(&one(vec![Value::str("g"), Value::Int(5)], 1), &[0], &aggs);
+        agg.update_raw_batch(&one(vec![Value::str("h"), Value::Int(2)], 1), &[0], &aggs);
         let rows = agg.collapsed_final(&aggs);
         assert_eq!(rows.len(), 2);
         assert_eq!(
@@ -1118,17 +1135,18 @@ mod tests {
         // columns demoted to `ColumnData::Values` (full key lookup per
         // row) must land in exactly the same sub-groups.
         let aggs = [(AggFunc::Sum, 2), (AggFunc::Avg, 2), (AggFunc::Count, 0)];
-        let rows: Vec<TaggedTuple> = (0..40)
+        // (cells, sign, scanning node) per row.
+        let rows: Vec<(Vec<Value>, i8, NodeSet)> = (0..40)
             .map(|i| {
-                tagged(
+                (
                     vec![
                         Value::str(if i % 2 == 0 { "A" } else { "B" }),
                         Value::Int(i % 3),
                         Value::Double(i as f64 * 0.5),
                     ],
-                    (i % 4) as u16,
+                    if i % 7 == 0 { -1 } else { 1 },
+                    NodeSet::singleton(NodeId((i % 4) as u16)),
                 )
-                .with_sign(if i % 7 == 0 { -1 } else { 1 })
             })
             .collect();
         let mut fast = AggState::new();
@@ -1144,9 +1162,9 @@ mod tests {
                 NodeSet::empty(),
                 0,
             );
-            for r in chunk {
-                typed.push_row(r.tuple.values(), r.sign, r.provenance, r.phase);
-                untyped.push_row(r.tuple.values(), r.sign, r.provenance, r.phase);
+            for (cells, sign, provenance) in chunk {
+                typed.push_row(cells, *sign, *provenance, 0);
+                untyped.push_row(cells, *sign, *provenance, 0);
             }
             let keep: Vec<bool> = (0..untyped.len()).map(|i| i > 0).collect();
             untyped.retain(&keep);
@@ -1160,8 +1178,8 @@ mod tests {
         assert_eq!(fast.subgroup_count(), fallback.subgroup_count());
         assert_eq!(fast.collapsed_final(&aggs), fallback.collapsed_final(&aggs));
         assert_eq!(
-            fast.emit_unemitted(true, NodeId(7), 0),
-            fallback.emit_unemitted(true, NodeId(7), 0)
+            rows_of(&fast.emit_unemitted(true, NodeId(7), 0)),
+            rows_of(&fallback.emit_unemitted(true, NodeId(7), 0))
         );
     }
 
@@ -1169,10 +1187,10 @@ mod tests {
     fn rehash_buffers_and_cache() {
         let mut r = RehashState::new(true);
         for i in 0..5 {
-            let len = r.buffer_from(NodeId(1), &one(tagged(vec![Value::Int(i)], 0)), 0);
+            let len = r.buffer_from(NodeId(1), &one(vec![Value::Int(i)], 0), 0);
             assert_eq!(len, i as usize + 1);
         }
-        r.buffer_from(NodeId(2), &one(tagged(vec![Value::Int(99)], 3)), 0);
+        r.buffer_from(NodeId(2), &one(vec![Value::Int(99)], 3), 0);
         assert_eq!(r.pending_destinations(), vec![NodeId(1), NodeId(2)]);
         assert_eq!(r.take_buffer_batch(NodeId(1)).len(), 5);
         assert!(r.take_buffer_batch(NodeId(1)).is_empty());
@@ -1195,7 +1213,7 @@ mod tests {
     #[test]
     fn rehash_without_cache_keeps_nothing() {
         let mut r = RehashState::new(false);
-        r.buffer_from(NodeId(1), &one(tagged(vec![Value::Int(1)], 0)), 0);
+        r.buffer_from(NodeId(1), &one(vec![Value::Int(1)], 0), 0);
         assert_eq!(r.cache_len(), 0);
     }
 
@@ -1205,9 +1223,9 @@ mod tests {
         // to the failed destination, or a second recovery round would
         // re-send (and duplicate) them.
         let mut r = RehashState::new(true);
-        r.buffer_from(NodeId(1), &one(tagged(vec![Value::Int(1)], 0)), 0);
-        r.buffer_from(NodeId(1), &one(tagged(vec![Value::Int(2)], 5)), 0);
-        r.buffer_from(NodeId(2), &one(tagged(vec![Value::Int(3)], 0)), 0);
+        r.buffer_from(NodeId(1), &one(vec![Value::Int(1)], 0), 0);
+        r.buffer_from(NodeId(1), &one(vec![Value::Int(2)], 5), 0);
+        r.buffer_from(NodeId(2), &one(vec![Value::Int(3)], 0), 0);
         let failed = NodeSet::singleton(NodeId(5));
         let taken = r.take_cached_batch_for(NodeId(1), &failed);
         assert_eq!(taken.len(), 1, "only the untainted row for n1");
@@ -1222,7 +1240,7 @@ mod tests {
         // Regression: a tainted row that is both cached and still pending
         // in a buffer must be counted as ONE dropped row, not two.
         let mut r = RehashState::new(true);
-        r.buffer_from(NodeId(1), &one(tagged(vec![Value::Int(1)], 7)), 0);
+        r.buffer_from(NodeId(1), &one(vec![Value::Int(1)], 7), 0);
         let failed = NodeSet::singleton(NodeId(7));
         assert_eq!(r.purge_tainted(&failed), 1);
         assert_eq!(r.cache_len(), 0);
@@ -1230,8 +1248,8 @@ mod tests {
 
         // Without a cache, pending-buffer drops are what gets counted.
         let mut r = RehashState::new(false);
-        r.buffer_from(NodeId(1), &one(tagged(vec![Value::Int(1)], 7)), 0);
-        r.buffer_from(NodeId(2), &one(tagged(vec![Value::Int(2)], 0)), 0);
+        r.buffer_from(NodeId(1), &one(vec![Value::Int(1)], 7), 0);
+        r.buffer_from(NodeId(2), &one(vec![Value::Int(2)], 0), 0);
         assert_eq!(r.purge_tainted(&failed), 1);
         assert_eq!(r.take_buffer_batch(NodeId(2)).len(), 1);
     }
@@ -1315,22 +1333,23 @@ mod tests {
     fn buffer_from_copies_the_source_rows_into_buffer_and_cache() {
         // buffer_from on a columnar source must leave each destination's
         // buffer — and the cache — holding exactly the rows routed to it.
-        let rows: Vec<TaggedTuple> = (0..6)
-            .map(|i| tagged(vec![Value::Int(i), Value::str(format!("s{}", i % 2))], 0))
+        let tuples: Vec<Tuple> = (0..6)
+            .map(|i| Tuple::new(vec![Value::Int(i), Value::str(format!("s{}", i % 2))]))
             .collect();
-        let batch = TupleBatch::from_rows(rows.clone());
+        let batch = ColumnarBatch::from_tuples(2, &tuples, 1, NodeSet::singleton(NodeId(0)), 0);
+        let rows = rows_of(&batch);
         let mut r = RehashState::new(true);
         for i in 0..rows.len() {
-            let len = r.buffer_from(NodeId((i % 2) as u16), batch.columnar(), i);
+            let len = r.buffer_from(NodeId((i % 2) as u16), &batch, i);
             assert_eq!(len, i / 2 + 1);
         }
         assert_eq!(r.cache_len(), rows.len());
         for dest in [0usize, 1] {
-            let expected: Vec<TaggedTuple> = rows.iter().skip(dest).step_by(2).cloned().collect();
+            let expected: Vec<_> = rows.iter().skip(dest).step_by(2).cloned().collect();
             let buffered = r.take_buffer_batch(NodeId(dest as u16));
-            assert_eq!(buffered.rows(), expected);
+            assert_eq!(rows_of(&buffered), expected);
             let cached = r.take_cached_batch_for(NodeId(dest as u16), &NodeSet::empty());
-            assert_eq!(cached.rows(), expected);
+            assert_eq!(rows_of(&cached), expected);
         }
     }
 }

@@ -7,11 +7,29 @@
 //! so the system can tell old in-flight data from a failed node apart from
 //! freshly recomputed results.
 //!
-//! [`TaggedTuple`] is a tuple plus those two pieces of metadata; it is
-//! what flows between operators and across the (simulated) wire when
-//! recovery support is enabled.
-
-use orchestra_common::{NodeId, NodeSet, Tuple};
+//! The tags are not a row type: every [`orchestra_common::ColumnarBatch`]
+//! carries them as three columns parallel to the data — provenance node
+//! set, phase, and the *sign* that makes a row a delta (`+1` for an
+//! assertion, the only sign ordinary queries ever produce, `-1` for a
+//! retraction flowing through a maintenance pipeline, `exec::ivm`).  The
+//! operators maintain them:
+//!
+//! * a scan tags every row with the scanning node alone, the current
+//!   phase and the row's delta sign;
+//! * select, project and compute-function carry the tags through
+//!   unchanged;
+//! * a join row carries the union of its parents' provenance plus the
+//!   joining node, the larger of their phases and the product of their
+//!   signs (a retraction joined with an assertion retracts the derived
+//!   row);
+//! * an aggregate folds signed rows into sub-groups keyed by (group,
+//!   provenance, phase) and emits each as an assertion tagged with the
+//!   sub-group's provenance plus the emitting node.
+//!
+//! A row is *tainted* by a failure when its provenance intersects the
+//! failed set.  On the wire the provenance and phase cost
+//! [`TAG_WIRE_BYTES`] per row when recovery support is on; the sign rides
+//! inside the per-row framing the batch encoding already charges for.
 
 /// An execution phase: 0 for the initial run, incremented by each
 /// recovery invocation.
@@ -22,157 +40,82 @@ pub type Phase = u32;
 /// "at most 2%" extra network traffic.
 pub const TAG_WIRE_BYTES: usize = 32 + 4;
 
-/// A tuple annotated with its provenance and phase, plus the *sign* that
-/// makes it a delta: `+1` for an assertion (the only sign ordinary
-/// queries ever produce) and `-1` for a retraction flowing through a
-/// maintenance pipeline (`exec::ivm`).  Signs multiply through joins and
-/// are folded by aggregates, so a retracted base tuple cancels exactly
-/// the derived state its original insertion created.  The sign rides
-/// inside the per-tuple framing the batch encoding already charges for,
-/// so it adds no wire bytes.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TaggedTuple {
-    /// The data tuple.
-    pub tuple: Tuple,
-    /// The set of nodes that processed this tuple or any tuple used to
-    /// derive it.
-    pub provenance: NodeSet,
-    /// The phase in which this tuple was (re)produced.
-    pub phase: Phase,
-    /// `+1` for an assertion, `-1` for a retraction.
-    pub sign: i8,
-}
-
-impl TaggedTuple {
-    /// Tag a freshly scanned tuple: it has been processed only by the
-    /// scanning node.
-    pub fn scanned(tuple: Tuple, node: NodeId, phase: Phase) -> TaggedTuple {
-        TaggedTuple {
-            tuple,
-            provenance: NodeSet::singleton(node),
-            phase,
-            sign: 1,
-        }
-    }
-
-    /// Flip or set the sign (delta scans tag removed versions `-1`).
-    pub fn with_sign(mut self, sign: i8) -> TaggedTuple {
-        self.sign = sign;
-        self
-    }
-
-    /// Record that `node` has now processed this tuple.
-    pub fn processed_by(mut self, node: NodeId) -> TaggedTuple {
-        self.provenance.insert(node);
-        self
-    }
-
-    /// Combine two tuples into a derived tuple (e.g. a join result): the
-    /// data is `tuple`, the provenance the union of the parents' plus the
-    /// deriving node, the phase the maximum of the parents', the sign
-    /// the product (a retraction joined with an assertion retracts the
-    /// derived row).
-    pub fn derived(
-        tuple: Tuple,
-        left: &TaggedTuple,
-        right: &TaggedTuple,
-        node: NodeId,
-    ) -> TaggedTuple {
-        let mut provenance = left.provenance.union(&right.provenance);
-        provenance.insert(node);
-        TaggedTuple {
-            tuple,
-            provenance,
-            phase: left.phase.max(right.phase),
-            sign: left.sign * right.sign,
-        }
-    }
-
-    /// Replace the data while keeping the tags (projection, function
-    /// evaluation).
-    pub fn with_tuple(&self, tuple: Tuple) -> TaggedTuple {
-        TaggedTuple {
-            tuple,
-            provenance: self.provenance,
-            phase: self.phase,
-            sign: self.sign,
-        }
-    }
-
-    /// Is this tuple tainted with respect to a set of failed nodes?
-    pub fn is_tainted(&self, failed: &NodeSet) -> bool {
-        self.provenance.intersects(failed)
-    }
-
-    /// Wire size of the tuple including (if `with_tags`) its provenance
-    /// tag.
-    pub fn wire_size(&self, with_tags: bool) -> usize {
-        self.tuple.serialized_size() + if with_tags { TAG_WIRE_BYTES } else { 0 }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use orchestra_common::Value;
+    //! The tagging rules of the module docs, checked on the operators
+    //! that implement them.
 
-    fn t(v: i64) -> Tuple {
-        Tuple::new(vec![Value::Int(v)])
+    use crate::expr::AggFunc;
+    use crate::ops::{AggState, JoinState};
+    use orchestra_common::{ColumnarBatch, NodeId, NodeSet, Value};
+
+    /// A one-row, one-column batch as a scan at `node` would emit it.
+    fn scanned(v: i64, node: u16, phase: u32, sign: i8) -> ColumnarBatch {
+        let mut b = ColumnarBatch::new(1);
+        b.push_row(
+            &[Value::Int(v)],
+            sign,
+            NodeSet::singleton(NodeId(node)),
+            phase,
+        );
+        b
+    }
+
+    /// Join `left` with `right` on column 0 at node 2.
+    fn joined(left: &ColumnarBatch, right: &ColumnarBatch) -> ColumnarBatch {
+        let mut join = JoinState::new();
+        assert!(join
+            .process_batch(0, left, &[0], &[0], NodeId(2))
+            .is_empty());
+        join.process_batch(1, right, &[0], &[0], NodeId(2))
     }
 
     #[test]
     fn scan_and_processing_build_provenance() {
-        let a = TaggedTuple::scanned(t(1), NodeId(3), 0).processed_by(NodeId(5));
-        assert!(a.provenance.contains(NodeId(3)));
-        assert!(a.provenance.contains(NodeId(5)));
-        assert_eq!(a.provenance.len(), 2);
-        assert_eq!(a.phase, 0);
+        let mut agg = AggState::new();
+        let aggs = [(AggFunc::Count, 0)];
+        agg.update_raw_batch(&scanned(1, 3, 0, 1), &[0], &aggs);
+        let out = agg.emit_unemitted(true, NodeId(5), 0);
+        assert_eq!(out.len(), 1);
+        assert!(out.provenance_at(0).contains(NodeId(3)));
+        assert!(out.provenance_at(0).contains(NodeId(5)));
+        assert_eq!(out.provenance_at(0).len(), 2);
+        assert_eq!(out.phase_at(0), 0);
+    }
+
+    #[test]
+    fn projection_keeps_tags() {
+        let x = scanned(1, 2, 3, -1);
+        let y = x.project(&[0, 0]);
+        assert_eq!(y.tuple_at(0).values(), &[Value::Int(1), Value::Int(1)]);
+        assert_eq!(y.provenance_at(0), x.provenance_at(0));
+        assert_eq!((y.phase_at(0), y.sign_at(0)), (3, -1));
     }
 
     #[test]
     fn derived_tuples_union_provenance_and_max_phase() {
-        let l = TaggedTuple::scanned(t(1), NodeId(0), 0);
-        let r = TaggedTuple::scanned(t(2), NodeId(1), 1);
-        let j = TaggedTuple::derived(t(3), &l, &r, NodeId(2));
-        assert_eq!(j.provenance.len(), 3);
-        assert_eq!(j.phase, 1);
-        assert_eq!(j.tuple, t(3));
-    }
-
-    #[test]
-    fn taint_detection() {
-        let x = TaggedTuple::scanned(t(1), NodeId(4), 0).processed_by(NodeId(7));
-        let failed = NodeSet::singleton(NodeId(7));
-        let other = NodeSet::singleton(NodeId(9));
-        assert!(x.is_tainted(&failed));
-        assert!(!x.is_tainted(&other));
-    }
-
-    #[test]
-    fn wire_size_includes_tag_only_when_asked() {
-        let x = TaggedTuple::scanned(t(1), NodeId(0), 0);
-        assert_eq!(x.wire_size(false) + TAG_WIRE_BYTES, x.wire_size(true));
+        let j = joined(&scanned(1, 0, 0, 1), &scanned(1, 1, 1, 1));
+        assert_eq!(j.len(), 1);
+        let expected: NodeSet = [NodeId(0), NodeId(1), NodeId(2)].into_iter().collect();
+        assert_eq!(j.provenance_at(0), expected);
+        assert_eq!(j.phase_at(0), 1);
+        assert_eq!(j.tuple_at(0).values(), &[Value::Int(1), Value::Int(1)]);
     }
 
     #[test]
     fn signs_default_positive_and_multiply_through_derivation() {
-        let assertion = TaggedTuple::scanned(t(1), NodeId(0), 0);
-        assert_eq!(assertion.sign, 1);
-        let retraction = TaggedTuple::scanned(t(2), NodeId(1), 0).with_sign(-1);
-        assert_eq!(retraction.sign, -1);
-        let j = TaggedTuple::derived(t(3), &assertion, &retraction, NodeId(2));
-        assert_eq!(j.sign, -1, "assertion × retraction retracts");
-        let jj = TaggedTuple::derived(t(4), &retraction, &retraction, NodeId(2));
-        assert_eq!(jj.sign, 1, "two retractions assert");
-        assert_eq!(retraction.with_tuple(t(9)).sign, -1);
-    }
-
-    #[test]
-    fn with_tuple_keeps_tags() {
-        let x = TaggedTuple::scanned(t(1), NodeId(2), 3);
-        let y = x.with_tuple(t(9));
-        assert_eq!(y.tuple, t(9));
-        assert_eq!(y.provenance, x.provenance);
-        assert_eq!(y.phase, 3);
+        let assertion = scanned(1, 0, 0, 1);
+        let retraction = scanned(1, 1, 0, -1);
+        assert_eq!(joined(&assertion, &assertion).sign_at(0), 1);
+        assert_eq!(
+            joined(&assertion, &retraction).sign_at(0),
+            -1,
+            "assertion × retraction retracts"
+        );
+        assert_eq!(
+            joined(&retraction, &retraction).sign_at(0),
+            1,
+            "two retractions assert"
+        );
     }
 }

@@ -23,7 +23,7 @@
 //!    only incarnation `i + 1` can overturn it).
 //!
 //! An accepted rumor becomes **hot**: the receiver retransmits it for a
-//! bounded number of rounds (`O(log n)` by default) to `fanout` peers
+//! bounded number of rounds (`⌈log₂ n⌉ + 2`) to `fanout` peers
 //! chosen uniformly from the nodes it currently believes alive, then stops
 //! — classic rumor mongering, which spreads an update to all `n` nodes in
 //! `O(log n)` expected rounds while keeping per-round traffic bounded.
@@ -283,9 +283,6 @@ pub struct GossipConfig {
     pub fanout: usize,
     /// Virtual time between gossip rounds, in milliseconds.
     pub round_ms: u64,
-    /// Rounds a node retransmits a freshly accepted rumor; `0` selects
-    /// `⌈log2 n⌉ + 2` automatically.
-    pub push_rounds: u32,
     /// Seed for peer selection (all gossip randomness flows from here).
     pub seed: u64,
 }
@@ -295,7 +292,6 @@ impl Default for GossipConfig {
         GossipConfig {
             fanout: 2,
             round_ms: 200,
-            push_rounds: 0,
             seed: 0x60551b,
         }
     }
@@ -338,11 +334,7 @@ impl Gossip {
             "need 0 < initial <= universe"
         );
         assert!(universe <= u16::MAX as usize, "node ids are u16");
-        let push_budget = if cfg.push_rounds == 0 {
-            (universe.max(2) as f64).log2().ceil() as u32 + 2
-        } else {
-            cfg.push_rounds
-        };
+        let push_budget = (universe.max(2) as f64).log2().ceil() as u32 + 2;
         let settled = MemberView::seeded((0..initial as u16).map(NodeId));
         let mut views = vec![None; universe];
         views[..initial].fill(Some(settled));
