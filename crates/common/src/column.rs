@@ -21,6 +21,25 @@
 //! * parallel *tag columns* — sign, provenance node-set and phase — the
 //!   execution metadata the engine's recovery machinery carries per row.
 //!
+//! **Strings are shared between pools by pointer.**  A pool keeps its
+//! strings as `Arc<str>`; a string is allocated once, where a scan or an
+//! expression first interns it ([`StringPool::intern`]), and every batch
+//! it is copied into afterwards — an exchange buffer, the recovery cache,
+//! the wire payload, a join's build side, the answer — interns the same
+//! allocation ([`StringPool::intern_shared`], which is what
+//! [`PoolMemo::translate`], [`ColumnarBatch::append_rows`] and
+//! [`ColumnarBatch::append_row_interned`] call).  Cloning a pool, as
+//! [`ColumnarBatch::project`] does, copies no bytes either.
+//!
+//! **Rows move between batches a column at a time.**
+//! [`ColumnarBatch::append_rows`] appends a selection of another batch's
+//! rows — one `extend` per column while the types agree, one pool
+//! translation per distinct string.  Its contract is the row loop it
+//! replaces: the result is what [`ColumnarBatch::append_row_interned`] of
+//! each selected row in turn builds, widening, NULL padding, the variant
+//! an empty column takes from its first cell and demotion mid-run
+//! included.  [`ColumnarBatch::append_batch`] is the same over every row.
+//!
 //! Conversion to and from row form ([`ColumnarBatch::push_row`],
 //! [`ColumnarBatch::tuple_at`]) is lossless: the row seams that remain
 //! in the engine (operator unit tests, the report boundary, the
@@ -32,14 +51,18 @@ use crate::tuple::Tuple;
 use crate::value::Value;
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// An interned-string pool: every distinct string is stored once and
 /// addressed by a dense `u32` id, so two cells are equal iff their ids
-/// are equal.
+/// are equal.  The bytes live behind an [`Arc`], shared by the id table,
+/// the content index and every other pool the string has been copied
+/// into ([`StringPool::intern_shared`]): cloning a pool, or moving a
+/// string from one batch to the next, bumps a reference count.
 #[derive(Clone, Debug, Default)]
 pub struct StringPool {
-    strings: Vec<String>,
-    index: HashMap<String, u32>,
+    strings: Vec<Arc<str>>,
+    index: HashMap<Arc<str>, u32>,
 }
 
 impl StringPool {
@@ -49,29 +72,37 @@ impl StringPool {
     }
 
     /// Intern `s`, returning its id (existing id if already present).
+    /// A new string is allocated here, once.
     pub fn intern(&mut self, s: &str) -> u32 {
-        if let Some(id) = self.index.get(s) {
-            return *id;
+        match self.index.get(s) {
+            Some(id) => *id,
+            None => self.insert_new(Arc::from(s)),
         }
-        let id = self.strings.len() as u32;
-        self.strings.push(s.to_string());
-        self.index.insert(s.to_string(), id);
-        id
     }
 
-    /// Intern an owned string without copying it when it is new.
-    pub fn intern_owned(&mut self, s: String) -> u32 {
-        if let Some(id) = self.index.get(&s) {
-            return *id;
+    /// Intern a string another pool already holds: when it is new to this
+    /// pool the allocation is shared, not copied.
+    pub fn intern_shared(&mut self, s: &Arc<str>) -> u32 {
+        match self.index.get(&**s) {
+            Some(id) => *id,
+            None => self.insert_new(Arc::clone(s)),
         }
+    }
+
+    fn insert_new(&mut self, s: Arc<str>) -> u32 {
         let id = self.strings.len() as u32;
-        self.index.insert(s.clone(), id);
+        self.index.insert(Arc::clone(&s), id);
         self.strings.push(s);
         id
     }
 
     /// The string behind `id`.
     pub fn get(&self, id: u32) -> &str {
+        &self.strings[id as usize]
+    }
+
+    /// The shared allocation behind `id`, for [`Self::intern_shared`].
+    pub fn get_shared(&self, id: u32) -> &Arc<str> {
         &self.strings[id as usize]
     }
 
@@ -89,7 +120,8 @@ impl StringPool {
 /// Translation memo for copying rows between batches: maps string ids of
 /// a *source* pool to ids in a *destination* pool, so appending many rows
 /// from the same source batch interns each distinct string once instead
-/// of hashing its bytes per row.
+/// of hashing its bytes per row, and shares its allocation with the
+/// destination pool instead of copying it.
 #[derive(Debug, Default)]
 pub struct PoolMemo {
     map: Vec<Option<u32>>,
@@ -110,7 +142,7 @@ impl PoolMemo {
         if let Some(mapped) = self.map[i] {
             return mapped;
         }
-        let mapped = dst.intern(src.get(id));
+        let mapped = dst.intern_shared(src.get_shared(id));
         self.map[i] = Some(mapped);
         mapped
     }
@@ -136,7 +168,7 @@ pub enum ColumnData {
 /// `total_cmp` equality); the `Values` fallback uses `Value`'s own
 /// `Hash`/`Eq`, which treats `Int(2)` and `Double(2.0)` as one distinct
 /// value exactly like the row-path dictionary encoder did.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 struct Accounting {
     distinct: usize,
     plain_bytes: usize,
@@ -245,7 +277,7 @@ impl Column {
             (ColumnData::Int(_), Value::Int(x)) => self.push_int(x),
             (ColumnData::Double(_), Value::Double(x)) => self.push_double(x),
             (ColumnData::Str(_), Value::Str(s)) => {
-                let id = pool.intern_owned(s);
+                let id = pool.intern(&s);
                 self.push_str_id(id);
             }
             (ColumnData::Values(_), v) => self.push_value(v),
@@ -272,6 +304,56 @@ impl Column {
             // Mixed types and NULLs: demotion or the `Values` fallback.
             _ => self.push(v.clone(), pool),
         }
+    }
+
+    /// Append the cells of `src` at `rows`, in that order — the cells that
+    /// [`Column::push`] of each in turn would leave, whatever the two
+    /// columns' variants.  While both hold the same type a run of cells
+    /// is one `extend`; a cell that does not fit (a NULL, another type)
+    /// goes through `push`, and the variants are looked at again.
+    fn append_cells(
+        &mut self,
+        src: &Column,
+        rows: &[u32],
+        src_pool: &StringPool,
+        pool: &mut StringPool,
+        memo: &mut PoolMemo,
+    ) {
+        if self.len() == 0 && !rows.is_empty() {
+            // The first cell fixes the variant, and a typed source tells
+            // its type without materializing it (a string would be copied).
+            match &src.data {
+                ColumnData::Int(_) => self.data = ColumnData::Int(Vec::new()),
+                ColumnData::Double(_) => self.data = ColumnData::Double(Vec::new()),
+                ColumnData::Str(_) => self.data = ColumnData::Str(Vec::new()),
+                ColumnData::Values(_) => {}
+            }
+        }
+        let mut rest = rows;
+        while let Some((first, tail)) = rest.split_first() {
+            match (&mut self.data, &src.data) {
+                (ColumnData::Int(d), ColumnData::Int(s)) => {
+                    d.extend(rest.iter().map(|r| s[*r as usize]));
+                    break;
+                }
+                (ColumnData::Double(d), ColumnData::Double(s)) => {
+                    d.extend(rest.iter().map(|r| s[*r as usize]));
+                    break;
+                }
+                (ColumnData::Str(d), ColumnData::Str(s)) => {
+                    d.extend(
+                        rest.iter()
+                            .map(|r| memo.translate(src_pool, pool, s[*r as usize])),
+                    );
+                    break;
+                }
+                _ => {
+                    self.push(src.value_at(*first as usize, src_pool), pool);
+                    rest = tail;
+                }
+            }
+        }
+        self.invalidate();
     }
 
     /// Materialize the cell at `row` as a [`Value`].
@@ -343,61 +425,52 @@ impl Column {
     }
 
     /// The cached accounting, computing it on first demand after a
-    /// mutation: one pass over the cells, one hash insert per cell.
+    /// mutation.  Typed columns count their distinct cells without
+    /// hashing: numbers by sorting a copy, strings by marking pool ids.
     fn acct(&self, pool: &StringPool) -> Accounting {
         if let Some(a) = *self.acct.borrow() {
             return a;
         }
-        let mut plain_bytes = 0;
-        let mut dict_bytes = 0;
-        let distinct = match &self.data {
-            ColumnData::Int(cells) => {
-                let mut seen = HashSet::with_capacity(cells.len());
-                for v in cells {
-                    plain_bytes += 9;
-                    if seen.insert(*v) {
-                        dict_bytes += 9;
-                    }
-                }
-                seen.len()
+        /// Fixed-size numbers, given as their bit patterns.
+        fn numbers(mut bits: Vec<u64>) -> Accounting {
+            let cells = bits.len();
+            bits.sort_unstable();
+            bits.dedup();
+            Accounting {
+                distinct: bits.len(),
+                plain_bytes: 9 * cells,
+                dict_bytes: 9 * bits.len(),
             }
-            ColumnData::Double(cells) => {
-                let mut seen = HashSet::with_capacity(cells.len());
-                for v in cells {
-                    plain_bytes += 9;
-                    if seen.insert(v.to_bits()) {
-                        dict_bytes += 9;
-                    }
-                }
-                seen.len()
-            }
+        }
+        let a = match &self.data {
+            ColumnData::Int(cells) => numbers(cells.iter().map(|v| *v as u64).collect()),
+            ColumnData::Double(cells) => numbers(cells.iter().map(|v| v.to_bits()).collect()),
             ColumnData::Str(cells) => {
-                let mut seen = HashSet::with_capacity(cells.len());
+                let mut a = Accounting::default();
+                let mut seen = vec![false; pool.len()];
                 for id in cells {
                     let size = 5 + pool.get(*id).len();
-                    plain_bytes += size;
-                    if seen.insert(*id) {
-                        dict_bytes += size;
+                    a.plain_bytes += size;
+                    if !std::mem::replace(&mut seen[*id as usize], true) {
+                        a.distinct += 1;
+                        a.dict_bytes += size;
                     }
                 }
-                seen.len()
+                a
             }
             ColumnData::Values(cells) => {
+                let mut a = Accounting::default();
                 let mut seen = HashSet::with_capacity(cells.len());
                 for v in cells {
                     let size = v.serialized_size();
-                    plain_bytes += size;
-                    if seen.insert(v.clone()) {
-                        dict_bytes += size;
+                    a.plain_bytes += size;
+                    if seen.insert(v) {
+                        a.dict_bytes += size;
                     }
                 }
-                seen.len()
+                a.distinct = seen.len();
+                a
             }
-        };
-        let a = Accounting {
-            distinct,
-            plain_bytes,
-            dict_bytes,
         };
         *self.acct.borrow_mut() = Some(a);
         a
@@ -650,7 +723,7 @@ impl ColumnarBatch {
                 Cell::Int(x) => self.columns[i].push_int(x),
                 Cell::Double(x) => self.columns[i].push_double(x),
                 Cell::StrId(src_id) => {
-                    let id = self.pool.intern(other.pool.get(src_id));
+                    let id = self.pool.intern_shared(other.pool.get_shared(src_id));
                     self.columns[i].push_str_id(id);
                 }
                 Cell::Slow => {
@@ -663,11 +736,40 @@ impl ColumnarBatch {
         self.push_tag_row(other.signs[row], other.provenance[row], other.phases[row]);
     }
 
-    /// Append every row of `other` ([`Self::append_row_interned`] each).
-    pub fn append_batch(&mut self, other: &ColumnarBatch) {
-        for row in 0..other.len() {
-            self.append_row_interned(other, row);
+    /// Append the rows of `other` numbered in `rows`, in that order (any
+    /// order, repeats allowed), column by column.  The contract is
+    /// [`Self::append_row_interned`] of each in turn: the batch is widened
+    /// to `other`'s arity first, a narrower `other` pads with NULLs, an
+    /// empty column takes its variant from its first cell and a typed
+    /// column demotes at the first cell that does not fit it — mid-run
+    /// included.  Only the numbering of the pool's strings may differ
+    /// (they are interned a column at a time), which no reader observes.
+    /// An empty `rows` changes nothing.
+    pub fn append_rows(&mut self, other: &ColumnarBatch, rows: &[u32]) {
+        if rows.is_empty() {
+            return;
         }
+        self.pad_to_arity(other.arity());
+        let mut memo = PoolMemo::new();
+        for (i, dst) in self.columns.iter_mut().enumerate() {
+            match other.columns.get(i) {
+                Some(src) => dst.append_cells(src, rows, &other.pool, &mut self.pool, &mut memo),
+                None => rows
+                    .iter()
+                    .for_each(|_| dst.push(Value::Null, &mut self.pool)),
+            }
+        }
+        let rows = rows.iter().map(|r| *r as usize);
+        self.signs.extend(rows.clone().map(|r| other.signs[r]));
+        self.provenance
+            .extend(rows.clone().map(|r| other.provenance[r]));
+        self.phases.extend(rows.map(|r| other.phases[r]));
+    }
+
+    /// Append every row of `other` ([`Self::append_rows`] of all of them).
+    pub fn append_batch(&mut self, other: &ColumnarBatch) {
+        let all: Vec<u32> = (0..other.len() as u32).collect();
+        self.append_rows(other, &all);
     }
 
     /// Project onto the given column indices (tags carried through
@@ -863,29 +965,16 @@ mod tests {
         assert_eq!(b.column(0).distinct_count(b.pool()), 3);
     }
 
-    #[test]
-    fn dictionary_accounting_matches_a_row_scan() {
-        // Oracle: the row path's dictionary size — one copy of each
-        // distinct value (Value equality) plus the plain total.
-        let rows: Vec<Vec<Value>> = (0..100)
-            .map(|i| {
-                vec![
-                    Value::Int(i % 3),
-                    Value::str(if i % 2 == 0 { "even" } else { "odd" }),
-                    Value::str(format!("unique-{i}")),
-                ]
-            })
-            .collect();
-        let mut b = ColumnarBatch::new(3);
-        let (sign, prov, phase) = tags();
-        for r in &rows {
-            b.push_row(r, sign, prov, phase);
-        }
-        for col in 0..3 {
+    /// Check every column's accounting against the row path's oracle:
+    /// one copy of each distinct value ([`Value`] equality) plus the
+    /// plain total, over `rows` — the rows `b` holds.
+    fn assert_accounting(b: &ColumnarBatch, rows: &[Vec<Value>]) {
+        assert_eq!(b.len(), rows.len());
+        for col in 0..b.arity() {
             let mut seen: HashSet<Value> = HashSet::new();
             let mut dict = 0;
             let mut plain = 0;
-            for r in &rows {
+            for r in rows {
                 let v = &r[col];
                 plain += v.serialized_size();
                 if seen.insert(v.clone()) {
@@ -905,6 +994,83 @@ mod tests {
                 "col {col}"
             );
         }
+    }
+
+    #[test]
+    fn dictionary_accounting_matches_a_row_scan() {
+        let (sign, prov, phase) = tags();
+        let batch_of = |rows: &[Vec<Value>]| {
+            let mut b = ColumnarBatch::new(rows[0].len());
+            for r in rows {
+                b.push_row(r, sign, prov, phase);
+            }
+            b
+        };
+        let rows: Vec<Vec<Value>> = (0..100)
+            .map(|i| {
+                vec![
+                    Value::Int(i % 3),
+                    Value::str(if i % 2 == 0 { "even" } else { "odd" }),
+                    Value::str(format!("unique-{i}")),
+                ]
+            })
+            .collect();
+        let mut b = batch_of(&rows);
+        assert_accounting(&b, &rows);
+
+        // After `retain` the pool still holds every string the batch ever
+        // saw — far more than the rows left — and the counts follow the
+        // rows, not the pool.
+        let keep: Vec<bool> = (0..rows.len()).map(|i| i % 9 == 4).collect();
+        b.retain(&keep);
+        let kept: Vec<Vec<Value>> = rows
+            .iter()
+            .zip(&keep)
+            .filter(|(_, k)| **k)
+            .map(|(r, _)| r.clone())
+            .collect();
+        assert!(b.pool().len() > 5 * b.len());
+        assert_accounting(&b, &kept);
+        assert_accounting(&b.project(&[2, 1]), &{
+            let cut = |r: &Vec<Value>| vec![r[2].clone(), r[1].clone()];
+            kept.iter().map(cut).collect::<Vec<_>>()
+        });
+
+        // Typed equality is bit equality: the two zeros and two NaNs of
+        // different payload are four values, and the ends of the integer
+        // range sort where they belong.
+        let nan = |payload: u64| Value::Double(f64::from_bits(0x7ff8_0000_0000_0000 | payload));
+        let numbers: Vec<Vec<Value>> = [
+            (i64::MAX, Value::Double(0.0)),
+            (i64::MIN, Value::Double(-0.0)),
+            (-1, nan(1)),
+            (i64::MAX, nan(2)),
+            (0, Value::Double(0.0)),
+            (i64::MIN, nan(1)),
+            (1, Value::Double(-0.0)),
+        ]
+        .into_iter()
+        .map(|(i, d)| vec![Value::Int(i), d])
+        .collect();
+        let b = batch_of(&numbers);
+        assert!(matches!(b.column(0).data(), ColumnData::Int(_)));
+        assert!(matches!(b.column(1).data(), ColumnData::Double(_)));
+        assert_eq!(b.column(0).distinct_count(b.pool()), 5);
+        assert_eq!(b.column(1).distinct_count(b.pool()), 4);
+        assert_accounting(&b, &numbers);
+
+        // The untyped fallback: `Int(2)` and `Double(2.0)` are one value.
+        let mixed: Vec<Vec<Value>> = [
+            Value::Int(2),
+            Value::Null,
+            Value::Double(2.0),
+            Value::str("2"),
+            Value::Null,
+        ]
+        .into_iter()
+        .map(|v| vec![v])
+        .collect();
+        assert_accounting(&batch_of(&mixed), &mixed);
     }
 
     #[test]
@@ -970,6 +1136,196 @@ mod tests {
         assert_eq!(dst.value_at(2, 0), Value::Int(1));
         // Tags travel with their rows.
         assert_eq!((dst.sign_at(1), dst.phase_at(1)), (-1, 3));
+    }
+
+    /// Everything a reader can see of a batch: rows with their tags, each
+    /// column's storage variant and accounting, and the pool's size.
+    #[allow(clippy::type_complexity)]
+    fn observable(
+        b: &ColumnarBatch,
+    ) -> (
+        Vec<(Tuple, i8, NodeSet, u32)>,
+        Vec<(u8, usize, usize, usize)>,
+        usize,
+    ) {
+        let rows = (0..b.len())
+            .map(|r| {
+                (
+                    b.tuple_at(r),
+                    b.sign_at(r),
+                    b.provenance_at(r),
+                    b.phase_at(r),
+                )
+            })
+            .collect();
+        let columns = (0..b.arity())
+            .map(|c| {
+                let col = b.column(c);
+                let variant = match col.data() {
+                    ColumnData::Int(_) => 0,
+                    ColumnData::Double(_) => 1,
+                    ColumnData::Str(_) => 2,
+                    ColumnData::Values(_) => 3,
+                };
+                (
+                    variant,
+                    col.plain_bytes(b.pool()),
+                    col.dict_bytes(b.pool()),
+                    col.distinct_count(b.pool()),
+                )
+            })
+            .collect();
+        (rows, columns, b.pool().len())
+    }
+
+    /// `append_rows` must build what `append_row_interned` of each row in
+    /// turn builds; returns that batch.
+    fn append_both_ways(dst: &ColumnarBatch, src: &ColumnarBatch, rows: &[u32]) -> ColumnarBatch {
+        let mut by_row = dst.clone();
+        for r in rows {
+            by_row.append_row_interned(src, *r as usize);
+        }
+        let mut by_column = dst.clone();
+        by_column.append_rows(src, rows);
+        assert_eq!(observable(&by_column), observable(&by_row), "rows {rows:?}");
+        by_column
+    }
+
+    /// A batch of the given rows, tags varying by row.
+    fn tagged_batch(arity: usize, rows: &[Vec<Value>]) -> ColumnarBatch {
+        let mut b = ColumnarBatch::new(arity);
+        for (i, r) in rows.iter().enumerate() {
+            let sign = if i % 3 == 0 { -1 } else { 1 };
+            b.push_row(
+                r,
+                sign,
+                NodeSet::singleton(NodeId(i as u16 % 5)),
+                i as u32 % 2,
+            );
+        }
+        b
+    }
+
+    #[test]
+    fn append_rows_matches_appending_row_by_row() {
+        let typed = tagged_batch(
+            3,
+            &(0..6)
+                .map(|i| {
+                    vec![
+                        Value::Int(i),
+                        Value::str(format!("s{}", i % 2)),
+                        Value::Double(i as f64 / 2.0),
+                    ]
+                })
+                .collect::<Vec<_>>(),
+        );
+        let all: Vec<u32> = (0..6).collect();
+
+        // Into an empty destination of no columns yet, and of the right
+        // arity with its variants still open; out of order; a row taken
+        // more than once.
+        for dst in [ColumnarBatch::new(0), ColumnarBatch::new(3)] {
+            let out = append_both_ways(&dst, &typed, &all);
+            assert!(matches!(out.column(1).data(), ColumnData::Str(_)));
+            append_both_ways(&dst, &typed, &[4, 0, 5]);
+            append_both_ways(&dst, &typed, &[1, 1, 0, 1]);
+        }
+        // Onto rows already there, twice over.
+        let once = append_both_ways(&ColumnarBatch::new(0), &typed, &[0, 1]);
+        assert_eq!(append_both_ways(&once, &typed, &[2, 3, 0]).len(), 5);
+
+        // An empty selection changes nothing — not even the arity.
+        let untouched = append_both_ways(&ColumnarBatch::new(0), &typed, &[]);
+        assert_eq!((untouched.arity(), untouched.len()), (0, 0));
+
+        // A wider source widens the destination (NULLs for the rows it
+        // held); a narrower one is padded with NULLs.
+        let narrow = tagged_batch(1, &[vec![Value::Int(7)], vec![Value::Int(8)]]);
+        let widened = append_both_ways(&narrow, &typed, &[5, 2]);
+        assert_eq!(widened.arity(), 3);
+        assert!(widened.value_at(0, 2).is_null());
+        let padded = append_both_ways(&typed, &narrow, &[1, 0, 1]);
+        assert_eq!((padded.arity(), padded.len()), (3, 9));
+        assert!(padded.value_at(8, 1).is_null());
+        assert!(matches!(padded.column(1).data(), ColumnData::Values(_)));
+    }
+
+    #[test]
+    fn append_rows_demotes_where_the_row_loop_would() {
+        // The source column is untyped (a NULL demoted it) but starts
+        // with integers: an empty destination takes `Int` from the first
+        // cell and demotes at the NULL, mid-selection.
+        let cells = [
+            Value::Int(1),
+            Value::Int(2),
+            Value::Null,
+            Value::Int(3),
+            Value::str("x"),
+        ];
+        let rows: Vec<Vec<Value>> = cells.iter().map(|v| vec![v.clone()]).collect();
+        let untyped = tagged_batch(1, &rows);
+        assert!(matches!(untyped.column(0).data(), ColumnData::Values(_)));
+        let all: Vec<u32> = (0..5).collect();
+        let out = append_both_ways(&ColumnarBatch::new(1), &untyped, &all);
+        assert!(matches!(out.column(0).data(), ColumnData::Values(_)));
+        // Integers only: the destination stays typed although the source
+        // is not.
+        let out = append_both_ways(&ColumnarBatch::new(0), &untyped, &[0, 1, 3, 1]);
+        assert!(matches!(out.column(0).data(), ColumnData::Int(_)));
+        // A typed destination meets a cell of another type, first thing
+        // or part-way; an untyped one takes anything.
+        let ints = tagged_batch(1, &[vec![Value::Int(10)], vec![Value::Int(11)]]);
+        let doubles = tagged_batch(1, &[vec![Value::Double(0.5)], vec![Value::Double(1.5)]]);
+        let strs = tagged_batch(1, &[vec![Value::str("x")], vec![Value::str("y")]]);
+        append_both_ways(&ints, &doubles, &[0, 1]);
+        append_both_ways(&strs, &ints, &[1]);
+        append_both_ways(&ints, &untyped, &[0, 1, 4, 3]);
+        append_both_ways(&strs, &untyped, &[4, 4, 2]);
+        append_both_ways(&untyped, &ints, &[1, 0]);
+        append_both_ways(&untyped, &strs, &[0, 1, 0]);
+        append_both_ways(&untyped, &untyped, &all);
+        // A column emptied by `retain` keeps its variant until a cell
+        // that goes through `push` fixes it afresh.
+        let mut emptied = strs.clone();
+        emptied.retain(&[false, false]);
+        append_both_ways(&emptied, &strs, &[1, 0]);
+        append_both_ways(&emptied, &ints, &[0, 1]);
+        append_both_ways(&emptied, &untyped, &all);
+    }
+
+    #[test]
+    fn append_rows_shares_strings_between_pools() {
+        let dst = tagged_batch(
+            2,
+            &[
+                vec![Value::str("shared"), Value::str("only-dst")],
+                vec![Value::str("only-dst"), Value::str("shared")],
+            ],
+        );
+        let src = tagged_batch(
+            2,
+            &[
+                vec![Value::str("only-src"), Value::str("shared")],
+                vec![Value::str("shared"), Value::str("only-src")],
+                vec![Value::str("late"), Value::str("late")],
+            ],
+        );
+        let out = append_both_ways(&dst, &src, &[0, 1, 0, 2]);
+        assert_eq!(out.pool().len(), 4);
+        // A string new to the destination is the source's allocation, not
+        // a copy; one both had keeps the destination's.
+        let find = |b: &ColumnarBatch, s: &str| {
+            let id = (0..b.pool().len() as u32).find(|id| b.pool().get(*id) == s);
+            Arc::clone(b.pool().get_shared(id.expect("interned")))
+        };
+        assert!(Arc::ptr_eq(
+            &find(&out, "only-src"),
+            &find(&src, "only-src")
+        ));
+        assert!(Arc::ptr_eq(&find(&out, "late"), &find(&src, "late")));
+        assert!(Arc::ptr_eq(&find(&out, "shared"), &find(&dst, "shared")));
+        assert!(!Arc::ptr_eq(&find(&out, "shared"), &find(&src, "shared")));
     }
 
     #[test]

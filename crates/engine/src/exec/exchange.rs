@@ -13,7 +13,28 @@
 //! Buffers, cache entries and wire payloads are all
 //! [`ColumnarBatch`]es: a buffer that reaches `BATCH_ROWS` rows is moved
 //! whole into the [`Payload::Batch`] it travels in, priced by
-//! [`crate::batch::wire_size`].  An end-of-stream marker follows the last
+//! [`crate::batch::wire_size`].
+//!
+//! A batch crosses the exchange whole, never a row at a time.  The
+//! operator first works out its *destination vector* — for a `Rehash`,
+//! one hash and one routing lookup per row sorted into a list of row
+//! numbers per destination ([`rehash_routes`]); for a `Ship` or a
+//! `Broadcast`, every row for the initiator or for every participant —
+//! and [`ExchangeLayer::buffer_batch`] then appends each destination's
+//! rows column by column.  *Chunking rule:* a destination's rows are cut
+//! where its pending buffer reaches `BATCH_ROWS` (the first cut after
+//! `BATCH_ROWS - pending` rows, then every `BATCH_ROWS`), each filled
+//! buffer is taken, and the remainder stays pending — the same batches,
+//! row for row, that flushing after every single row would produce.
+//! *Send order:* the filled buffers are sent in ascending order of the
+//! source row that filled them, and where one row fills several (a
+//! `Broadcast` to equally full buffers) in participant order.  The order
+//! matters because all of them are sent at the same `ready` instant and
+//! the sender's uplink carries them one after another in call order, so
+//! it decides when each destination's batch arrives and with it every
+//! simulated running time downstream.
+//!
+//! An end-of-stream marker follows the last
 //! batch its sender flushed to the same receiver, and the protocol
 //! relies on the simulator delivering each ordered pair of nodes —
 //! (n, n) included — in send order; a row that reaches an exchange after
@@ -34,13 +55,14 @@ use crate::ops::RehashState;
 use crate::plan::OpId;
 use orchestra_common::{ColumnarBatch, NodeId, NodeSet};
 use orchestra_simnet::SimTime;
-use std::collections::HashMap;
+use orchestra_substrate::RoutingTable;
+use std::collections::BTreeMap;
 
 /// Wire size of an end-of-stream marker.
 pub(super) const EOS_BYTES: usize = 8;
 
 /// Rows buffered per destination before a batch is flushed.
-const BATCH_ROWS: usize = 256;
+pub(super) const BATCH_ROWS: usize = 256;
 
 /// Identifies one query session among those multiplexed over a shared
 /// simulated network.  A stand-alone [`super::QueryExecutor`] run is
@@ -82,12 +104,37 @@ pub(super) enum Payload {
 }
 
 /// All exchange-operator state of one query run: the per-(node, operator)
-/// `RehashState` instances, addressed uniformly so the recovery layer can
-/// purge, drop and re-transmit without iterating raw maps in
-/// non-deterministic order.
+/// `RehashState` instances, ordered by address so the recovery layer
+/// purges, drops and re-transmits in the same order every run.
 #[derive(Debug, Default)]
 pub(super) struct ExchangeLayer {
-    states: HashMap<(NodeId, OpId), RehashState>,
+    states: BTreeMap<(NodeId, OpId), RehashState>,
+}
+
+/// The destination vector of a `Rehash`: for each destination, in order
+/// of first appearance, the rows of `batch` (ascending) whose `columns`
+/// hash into a range it owns under `table`.
+pub(super) fn rehash_routes(
+    table: &RoutingTable,
+    batch: &ColumnarBatch,
+    columns: &[usize],
+) -> Vec<(NodeId, Vec<u32>)> {
+    let mut routes: Vec<(NodeId, Vec<u32>)> = Vec::new();
+    // Node index -> position in `routes`.
+    let mut slot_of: Vec<Option<usize>> = Vec::new();
+    let mut scratch = Vec::new();
+    for r in 0..batch.len() {
+        let dest = table.owner_of(batch.hash_columns_at(r, columns, &mut scratch));
+        if slot_of.len() <= dest.index() {
+            slot_of.resize(dest.index() + 1, None);
+        }
+        let slot = *slot_of[dest.index()].get_or_insert_with(|| {
+            routes.push((dest, Vec::new()));
+            routes.len() - 1
+        });
+        routes[slot].1.push(r as u32);
+    }
+    routes
 }
 
 impl ExchangeLayer {
@@ -96,22 +143,36 @@ impl ExchangeLayer {
         ExchangeLayer::default()
     }
 
-    /// Buffer row `row` of a columnar batch into (`node`, `op`) for
-    /// `dest` without materializing it, creating the state on first use;
-    /// returns the buffer length after insertion.
-    pub(super) fn buffer_from(
+    /// Buffer a whole batch into (`node`, `op`), creating the state on
+    /// first use: each route names a destination and the rows of `src`
+    /// (ascending) it receives.  Returns the buffers this filled, in the
+    /// order they must be sent — ascending in the source row that filled
+    /// them, rows that filled several (a `Broadcast`) in route order —
+    /// which is the order buffering `src` a row at a time fills them in.
+    pub(super) fn buffer_batch<'r>(
         &mut self,
         node: NodeId,
         op: OpId,
-        dest: NodeId,
         src: &ColumnarBatch,
-        row: usize,
+        routes: impl IntoIterator<Item = (NodeId, &'r [u32])>,
         cache: bool,
-    ) -> usize {
-        self.states
+    ) -> Vec<(NodeId, ColumnarBatch)> {
+        let state = self
+            .states
             .entry((node, op))
-            .or_insert_with(|| RehashState::new(cache))
-            .buffer_from(dest, src, row)
+            .or_insert_with(|| RehashState::new(cache));
+        let mut filled = Vec::new();
+        for (dest, rows) in routes {
+            for (filled_by, batch) in state.buffer_rows(dest, src, rows, BATCH_ROWS) {
+                filled.push((filled_by, dest, batch));
+            }
+        }
+        // Stable: buffers filled by the same row stay in route order.
+        filled.sort_by_key(|(filled_by, ..)| *filled_by);
+        filled
+            .into_iter()
+            .map(|(_, dest, batch)| (dest, batch))
+            .collect()
     }
 
     /// Take (and clear) the pending buffer of (`node`, `op`) for `dest`.
@@ -130,32 +191,19 @@ impl ExchangeLayer {
             .unwrap_or_default()
     }
 
-    /// The (node, operator) addresses held, in deterministic order.
-    fn sorted_keys(&self) -> Vec<(NodeId, OpId)> {
-        let mut keys: Vec<(NodeId, OpId)> = self.states.keys().copied().collect();
-        keys.sort_unstable();
-        keys
-    }
-
     /// Drop tainted rows from every cache and pending buffer; returns the
     /// number of logical rows dropped.
     pub(super) fn purge_tainted(&mut self, failed: &NodeSet) -> usize {
-        let mut purged = 0;
-        for k in self.sorted_keys() {
-            purged += self
-                .states
-                .get_mut(&k)
-                .expect("key exists")
-                .purge_tainted(failed);
-        }
-        purged
+        self.states
+            .values_mut()
+            .map(|state| state.purge_tainted(failed))
+            .sum()
     }
 
     /// Drop the pending buffers destined to any failed node (their rows
     /// are covered by the stage-4 output-cache retransmission).
     pub(super) fn drop_buffers_to(&mut self, failed: &NodeSet) {
-        for k in self.sorted_keys() {
-            let state = self.states.get_mut(&k).expect("key exists");
+        for state in self.states.values_mut() {
             for dest in state.pending_destinations() {
                 if failed.contains(dest) {
                     state.take_buffer_batch(dest);
@@ -165,7 +213,7 @@ impl ExchangeLayer {
     }
 
     /// Consume and return, per exchange operator of `node` in
-    /// deterministic order, the untainted cached rows that had been sent
+    /// operator order, the untainted cached rows that had been sent
     /// to any of the `failed` nodes — recovery stage 4's input.
     pub(super) fn take_cached_for_failed(
         &mut self,
@@ -173,17 +221,14 @@ impl ExchangeLayer {
         failed: &NodeSet,
     ) -> Vec<(OpId, ColumnarBatch)> {
         let mut out = Vec::new();
-        for (n, op) in self.sorted_keys() {
-            if n != node {
-                continue;
-            }
-            let state = self.states.get_mut(&(n, op)).expect("key exists");
+        let of_node = (node, OpId::MIN)..=(node, OpId::MAX);
+        for ((_, op), state) in self.states.range_mut(of_node) {
             let mut resend = ColumnarBatch::new(0);
             for f in failed.iter() {
                 resend.append_batch(&state.take_cached_batch_for(f, failed));
             }
             if !resend.is_empty() {
-                out.push((op, resend));
+                out.push((*op, resend));
             }
         }
         out
@@ -218,31 +263,24 @@ impl Runtime<'_> {
         }
     }
 
-    /// Buffer row `row` of a columnar batch into exchange `op` for
-    /// `dest`, flushing a full batch.
-    pub(super) fn buffer_exchange_from(
+    /// Send the pending buffer of (`node`, `op`) for `dest` as one batch.
+    pub(super) fn flush_exchange(&mut self, node: NodeId, op: OpId, dest: NodeId, ready: SimTime) {
+        let batch = self.exchanges.take_buffer(node, op, dest);
+        if !batch.is_empty() {
+            self.send_batch(node, op, dest, batch, ready);
+        }
+    }
+
+    /// Send one buffer.  It already *is* a columnar batch, so its wire
+    /// size falls out of the columns' dictionary accounting.
+    pub(super) fn send_batch(
         &mut self,
         node: NodeId,
         op: OpId,
         dest: NodeId,
-        src: &ColumnarBatch,
-        row: usize,
+        batch: ColumnarBatch,
         ready: SimTime,
     ) {
-        let cache = self.config.recovery;
-        if self.exchanges.buffer_from(node, op, dest, src, row, cache) >= BATCH_ROWS {
-            self.flush_exchange(node, op, dest, ready);
-        }
-    }
-
-    /// Send the pending buffer of (`node`, `op`) for `dest` as one batch.
-    /// The buffer already *is* a columnar batch, so its wire size falls
-    /// out of the columns' running dictionary accounting.
-    pub(super) fn flush_exchange(&mut self, node: NodeId, op: OpId, dest: NodeId, ready: SimTime) {
-        let batch = self.exchanges.take_buffer(node, op, dest);
-        if batch.is_empty() {
-            return;
-        }
         let bytes = wire_size(&batch, self.config.recovery);
         self.sim
             .send(node, dest, bytes, ready, Payload::Batch { op, batch });

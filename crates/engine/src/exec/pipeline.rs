@@ -12,7 +12,7 @@
 //! boundary, `recovery` rebuilds this struct's per-phase state, and
 //! `report::RunStats` accumulates the measurements.
 
-use super::exchange::{ExchangeLayer, Payload, EOS_BYTES};
+use super::exchange::{rehash_routes, ExchangeLayer, Payload, EOS_BYTES};
 use super::ivm::ScanOverrides;
 use super::report::RunStats;
 use super::scheduler::Submission;
@@ -390,32 +390,25 @@ impl<'a> Runtime<'a> {
                 }
                 self.record_wall(WC_AGGREGATE, batch.len(), wall);
             }
-            OperatorKind::Rehash { columns } => {
+            OperatorKind::Rehash { .. } | OperatorKind::Broadcast | OperatorKind::Ship => {
                 let wall = Instant::now();
-                let mut scratch = Vec::new();
-                for r in 0..batch.len() {
-                    let dest = self
-                        .table
-                        .owner_of(batch.hash_columns_at(r, columns, &mut scratch));
-                    self.buffer_exchange_from(node, op, dest, &batch, r, ready);
-                }
-                self.record_wall(WC_EXCHANGE, batch.len(), wall);
-            }
-            OperatorKind::Broadcast => {
-                let wall = Instant::now();
-                let dests = self.participants.clone();
-                for r in 0..batch.len() {
-                    for &dest in &dests {
-                        self.buffer_exchange_from(node, op, dest, &batch, r, ready);
-                    }
-                }
-                self.record_wall(WC_EXCHANGE, batch.len(), wall);
-            }
-            OperatorKind::Ship => {
-                let wall = Instant::now();
-                let dest = self.initiator;
-                for r in 0..batch.len() {
-                    self.buffer_exchange_from(node, op, dest, &batch, r, ready);
+                let cache = self.config.recovery;
+                let filled = if let OperatorKind::Rehash { columns } = kind {
+                    let routes = rehash_routes(&self.table, &batch, columns);
+                    let routes = routes.iter().map(|(dest, rows)| (*dest, &rows[..]));
+                    self.exchanges.buffer_batch(node, op, &batch, routes, cache)
+                } else {
+                    // Every destination receives the whole batch.
+                    let all: Vec<u32> = (0..batch.len() as u32).collect();
+                    let dests = match kind {
+                        OperatorKind::Ship => std::slice::from_ref(&self.initiator),
+                        _ => &self.participants[..],
+                    };
+                    let routes = dests.iter().map(|dest| (*dest, &all[..]));
+                    self.exchanges.buffer_batch(node, op, &batch, routes, cache)
+                };
+                for (dest, full) in filled {
+                    self.send_batch(node, op, dest, full, ready);
                 }
                 self.record_wall(WC_EXCHANGE, batch.len(), wall);
             }

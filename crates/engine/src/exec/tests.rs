@@ -1670,3 +1670,371 @@ fn registry_refresh_survives_a_mid_maintenance_failure() {
         );
     }
 }
+
+// ---------------------------------------------------------------------
+// The exchange takes a batch at a time; the row loop it replaced is the
+// reference
+// ---------------------------------------------------------------------
+
+mod exchange_by_batch {
+    use super::super::exchange::{Payload, SessionId, BATCH_ROWS};
+    use super::super::ivm::ScanOverrides;
+    use super::super::pipeline::Runtime;
+    use super::super::scheduler::Submission;
+    use super::super::session::{shared_sim, SessionSim, SharedSim};
+    use super::*;
+    use crate::batch::wire_size;
+    use crate::plan::{OpId, OperatorKind, PhysicalPlan};
+    use orchestra_common::rng::{seeded, StdRng};
+    use orchestra_common::{ColumnarBatch, NodeSet};
+    use std::sync::Arc;
+
+    /// Every row of `batch` with its tags.
+    fn rows_of(batch: &ColumnarBatch) -> Vec<(Tuple, i8, NodeSet, u32)> {
+        (0..batch.len())
+            .map(|r| {
+                (
+                    batch.tuple_at(r),
+                    batch.sign_at(r),
+                    batch.provenance_at(r),
+                    batch.phase_at(r),
+                )
+            })
+            .collect()
+    }
+
+    /// A runtime for `plan` over `storage` with a simulator of its own,
+    /// as the scheduler builds one — idle, nothing disseminated.
+    fn runtime<'a>(
+        storage: &'a DistributedStorage,
+        config: &'a EngineConfig,
+        plan: &'a PhysicalPlan,
+        overrides: &'a ScanOverrides,
+        initiator: NodeId,
+    ) -> (Runtime<'a>, SharedSim) {
+        let shared = shared_sim(storage.routing(), config.profile);
+        let submission = Submission {
+            name: "test",
+            plan,
+            epoch: Epoch(0),
+            initiator,
+            arrival: SimTime::ZERO,
+            fingerprint: None,
+            estimated_cost: 0.0,
+            overrides,
+            plan_resident: false,
+        };
+        let sim = SessionSim::attach(shared.clone(), SessionId(0));
+        (Runtime::new(storage, config, &submission, sim), shared)
+    }
+
+    /// The exchange as it ran before it took whole batches: one row at a
+    /// time into the pending buffer and the cache, a send the moment a
+    /// buffer reaches [`BATCH_ROWS`].  The three methods are the deleted
+    /// `RehashState::buffer_from`, `Runtime::buffer_exchange_from` (with
+    /// the flush it called) and exchange arms of `Runtime::process_at`,
+    /// word for word but for where their state lives.
+    struct RowLoopExchange {
+        buffers: HashMap<NodeId, ColumnarBatch>,
+        cache: HashMap<NodeId, ColumnarBatch>,
+        cache_enabled: bool,
+        sim: SessionSim,
+    }
+
+    impl RowLoopExchange {
+        fn buffer_from(&mut self, dest: NodeId, src: &ColumnarBatch, row: usize) -> usize {
+            if self.cache_enabled {
+                let cached = self.cache.entry(dest).or_default();
+                cached.append_row_interned(src, row);
+            }
+            let buf = self.buffers.entry(dest).or_default();
+            buf.append_row_interned(src, row);
+            buf.len()
+        }
+
+        fn buffer_exchange_from(
+            &mut self,
+            node: NodeId,
+            op: OpId,
+            dest: NodeId,
+            src: &ColumnarBatch,
+            row: usize,
+            ready: SimTime,
+        ) {
+            if self.buffer_from(dest, src, row) >= BATCH_ROWS {
+                let batch = self.buffers.remove(&dest).unwrap_or_default();
+                let bytes = wire_size(&batch, self.cache_enabled);
+                self.sim
+                    .send(node, dest, bytes, ready, Payload::Batch { op, batch });
+            }
+        }
+
+        /// `like` lends its plan, routing table, participants, initiator
+        /// and CPU model.
+        fn process_at(
+            &mut self,
+            like: &Runtime<'_>,
+            node: NodeId,
+            op: OpId,
+            batch: &ColumnarBatch,
+            time: SimTime,
+        ) {
+            let cpu = like.config.profile.node.cpu_time(batch.len());
+            let ready = self.sim.charge_cpu(node, time, cpu);
+            match &like.plan.op(op).kind {
+                OperatorKind::Rehash { columns } => {
+                    let mut scratch = Vec::new();
+                    for r in 0..batch.len() {
+                        let dest =
+                            like.table
+                                .owner_of(batch.hash_columns_at(r, columns, &mut scratch));
+                        self.buffer_exchange_from(node, op, dest, batch, r, ready);
+                    }
+                }
+                OperatorKind::Broadcast => {
+                    let dests = like.participants.clone();
+                    for r in 0..batch.len() {
+                        for &dest in &dests {
+                            self.buffer_exchange_from(node, op, dest, batch, r, ready);
+                        }
+                    }
+                }
+                OperatorKind::Ship => {
+                    let dest = like.initiator;
+                    for r in 0..batch.len() {
+                        self.buffer_exchange_from(node, op, dest, batch, r, ready);
+                    }
+                }
+                other => unreachable!("{} is not an exchange", other.name()),
+            }
+        }
+    }
+
+    /// One delivered batch: when and where it arrived, what it held and
+    /// what it cost on the wire.
+    type Sent = (
+        SimTime,
+        NodeId,
+        NodeId,
+        OpId,
+        Vec<(Tuple, i8, NodeSet, u32)>,
+        usize,
+    );
+
+    /// Pop every message off `sim`.  Messages pop in arrival order, and a
+    /// sender's uplink carries its messages in the order it sent them:
+    /// two runs that sent the same batches in a different order differ
+    /// here in their arrival times.
+    fn drain(sim: &SharedSim, with_tags: bool) -> Vec<Sent> {
+        let mut sent = Vec::new();
+        loop {
+            let popped = sim.borrow_mut().next_any();
+            let Some((d, delivered)) = popped else {
+                return sent;
+            };
+            assert!(delivered, "no node fails in this test");
+            let Payload::Batch { op, batch } = d.payload.payload else {
+                panic!("an exchange sends batches only");
+            };
+            let bytes = wire_size(&batch, with_tags);
+            sent.push((d.time, d.from, d.to, op, rows_of(&batch), bytes));
+        }
+    }
+
+    #[derive(Clone, Copy)]
+    enum Cells {
+        Int,
+        Str,
+        Double,
+    }
+
+    /// `rows` random rows of the given column types.  A column holds
+    /// NULLs in some batches and none in others, so one exchange meets
+    /// the same column typed and untyped; tags vary by row.
+    fn random_batch(rng: &mut StdRng, types: &[Cells], rows: usize) -> ColumnarBatch {
+        let null_share: Vec<f64> = types
+            .iter()
+            .map(|_| if rng.random_bool(0.3) { 0.05 } else { 0.0 })
+            .collect();
+        let mut batch = ColumnarBatch::new(types.len());
+        for _ in 0..rows {
+            let cells: Vec<Value> = types
+                .iter()
+                .zip(&null_share)
+                .map(|(cells, nulls)| {
+                    if rng.random_bool(*nulls) {
+                        return Value::Null;
+                    }
+                    match cells {
+                        Cells::Int => Value::Int(rng.random_range(0u32..80) as i64 - 40),
+                        Cells::Double => Value::Double(rng.random_range(0u32..64) as f64 / 4.0),
+                        Cells::Str if rng.random_bool(0.2) => {
+                            Value::str(format!("rare-{}", rng.next_u64() % 10_000))
+                        }
+                        Cells::Str => Value::str(format!("word-{}", rng.random_range(0u32..24))),
+                    }
+                })
+                .collect();
+            // Tagged by nodes outside the cluster, so that no cached row
+            // counts as tainted when the test reads the cache back.
+            let scanned_by = NodeSet::singleton(NodeId(200 + rng.random_range(0u16..8)));
+            let sign = if rng.random_bool(0.2) { -1 } else { 1 };
+            batch.push_row_owned(cells, sign, scanned_by, rng.random_range(0u32..3));
+        }
+        batch
+    }
+
+    /// `Rehash`, `Broadcast` and `Ship` over random batches, against
+    /// [`RowLoopExchange`]: what each run sends (to whom, which rows with
+    /// which tags, how many bytes, arriving when), what it leaves pending
+    /// and what it caches must be the same.  The first batch of a case
+    /// leaves the buffers at whatever fill it happens to; the next ones
+    /// start from there.
+    #[test]
+    fn exchange_sends_what_the_row_loop_sent_in_the_order_it_sent_it() {
+        // A debug build runs a sample on every `cargo test`; CI runs the
+        // full count in release mode.
+        let cases = if cfg!(debug_assertions) { 20 } else { 300 };
+        let mut rng = seeded(0x5e2d_02de);
+        for case in 0..cases {
+            let nodes = rng.random_range(3u16..9);
+            let storage = cluster(nodes);
+            let config = EngineConfig {
+                recovery: rng.random_bool(0.5),
+                ..EngineConfig::default()
+            };
+            let types: Vec<Cells> = (0..rng.random_range(1usize..5))
+                .map(|_| [Cells::Int, Cells::Str, Cells::Double][rng.random_range(0usize..3)])
+                .collect();
+            let mut hashed: Vec<usize> =
+                (0..types.len()).filter(|_| rng.random_bool(0.5)).collect();
+            if hashed.is_empty() {
+                hashed.push(rng.random_range(0..types.len()));
+            }
+            let mut b = PlanBuilder::new();
+            let scan = b.scan("R", types.len(), None);
+            let rehash = b.rehash(scan, hashed);
+            let broadcast = b.broadcast(rehash);
+            let ship = b.ship(broadcast);
+            let plan = b.output(ship);
+            let op = [rehash, broadcast, ship][case % 3];
+
+            let overrides = ScanOverrides::new();
+            let initiator = NodeId(rng.random_range(0..nodes));
+            let (mut rt, sim) = runtime(&storage, &config, &plan, &overrides, initiator);
+            let reference_sim = shared_sim(storage.routing(), config.profile);
+            let mut reference = RowLoopExchange {
+                buffers: HashMap::new(),
+                cache: HashMap::new(),
+                cache_enabled: config.recovery,
+                sim: SessionSim::attach(reference_sim.clone(), SessionId(0)),
+            };
+
+            let node = NodeId(rng.random_range(0..nodes));
+            let sizes = [
+                rng.random_range(0usize..700),
+                rng.random_range(1usize..2001),
+                rng.random_range(1usize..300),
+            ];
+            for (i, rows) in sizes.into_iter().enumerate() {
+                let what = format!("case {case}, batch {i}: {rows} rows through operator {op}");
+                let batch = random_batch(&mut rng, &types, rows);
+                let time = SimTime::from_micros(i as u64 * 50);
+                reference.process_at(&rt, node, op, &batch, time);
+                rt.process_at(node, op, 0, batch, time).unwrap();
+                assert_eq!(
+                    drain(&sim, config.recovery),
+                    drain(&reference_sim, config.recovery),
+                    "{what}"
+                );
+            }
+
+            let mut pending: Vec<NodeId> = reference
+                .buffers
+                .iter()
+                .filter(|(_, b)| !b.is_empty())
+                .map(|(dest, _)| *dest)
+                .collect();
+            pending.sort_unstable();
+            assert_eq!(
+                rt.exchanges.pending_destinations(node, op),
+                pending,
+                "case {case}"
+            );
+            for dest in (0..nodes).map(NodeId) {
+                let what = format!("case {case}, destination {dest}");
+                let buffered = rt.exchanges.take_buffer(node, op, dest);
+                let expected = reference.buffers.remove(&dest).unwrap_or_default();
+                assert_eq!(rows_of(&buffered), rows_of(&expected), "{what}");
+                assert_eq!(
+                    wire_size(&buffered, config.recovery),
+                    wire_size(&expected, config.recovery),
+                    "{what}"
+                );
+                // Everything cached as sent to `dest`, read back the way
+                // recovery would were `dest` to fail.
+                let gone = NodeSet::singleton(dest);
+                let cached = rt.exchanges.take_cached_for_failed(node, &gone);
+                let cached = cached
+                    .into_iter()
+                    .next()
+                    .map(|(_, b)| b)
+                    .unwrap_or_default();
+                let expected = reference.cache.remove(&dest).unwrap_or_default();
+                assert_eq!(rows_of(&cached), rows_of(&expected), "{what}");
+                assert_eq!(cached.is_empty(), !config.recovery || expected.is_empty());
+            }
+        }
+    }
+
+    /// A string is allocated where the scan reads it out of the store
+    /// and nowhere after: the exchange buffer, the recovery cache and the
+    /// answer hold the scan batch's allocation.
+    #[test]
+    fn a_scanned_string_is_one_allocation_from_scan_to_output() {
+        let mut storage = cluster(4);
+        publish_r(&mut storage, 60);
+        let config = EngineConfig::default();
+        let mut b = PlanBuilder::new();
+        let scan = b.scan("R", 3, None);
+        let ship = b.ship(scan);
+        let plan = b.output(ship);
+        let output = plan.root();
+        let overrides = ScanOverrides::new();
+        let (mut rt, _sim) = runtime(&storage, &config, &plan, &overrides, NodeId(0));
+
+        let held = |batch: &ColumnarBatch| {
+            let pool = batch.pool();
+            let id = (0..pool.len() as u32).find(|id| pool.get(*id) == "b");
+            Arc::clone(pool.get_shared(id.expect("some row of the batch has g = \"b\"")))
+        };
+        // Every pool that holds a string holds it twice (by id and by
+        // content); the test's own handle is one more.
+        let holders = |s: &Arc<str>| (Arc::strong_count(s) - 1) / 2;
+
+        let node = NodeId(1);
+        let (scanned, _) = rt.do_scan(node, scan).unwrap();
+        assert!(scanned.len() > 1);
+        let s = held(&scanned);
+        assert_eq!(holders(&s), 1, "the scan batch");
+
+        // Through the exchange, too few rows to flush: they sit in the
+        // pending buffer and in the cache.
+        rt.process_at(node, ship, 0, scanned.project(&[0, 1, 2]), SimTime::ZERO)
+            .unwrap();
+        assert_eq!(holders(&s), 3, "scan batch, pending buffer, cache");
+        let buffered = rt.exchanges.take_buffer(node, ship, NodeId(0));
+        assert_eq!(buffered.len(), scanned.len());
+        assert!(Arc::ptr_eq(&held(&buffered), &s));
+
+        // Delivered to the initiator's `Output`.
+        rt.process_at(NodeId(0), output, 0, buffered, SimTime::ZERO)
+            .unwrap();
+        assert_eq!(rt.output.len(), scanned.len());
+        assert!(Arc::ptr_eq(&held(&rt.output), &s));
+        assert_eq!(holders(&s), 3, "scan batch, cache, answer");
+        let gone = NodeSet::singleton(NodeId(0));
+        let cached = rt.exchanges.take_cached_for_failed(node, &gone);
+        assert!(Arc::ptr_eq(&held(&cached[0].1), &s));
+    }
+}

@@ -24,7 +24,15 @@
 //!   failed nodes' hash key space ranges").  Buffers and cache are
 //!   [`ColumnarBatch`]es, so a flushed batch already knows its own
 //!   encoded wire size — the flush path reads it off the columns' cached
-//!   dictionary accounting instead of re-scanning the rows.
+//!   dictionary accounting instead of re-scanning the rows.  Rows arrive
+//!   a destination's selection at a time (`RehashState::buffer_rows`):
+//!   the whole selection is appended to the cache in one go, and to the
+//!   pending buffer in chunks cut where the buffer reaches the flush
+//!   size, each filled buffer handed back with the number of the source
+//!   row that filled it — the caller (`exec::exchange`) sends them in
+//!   that order, which is the order a row-at-a-time loop fills them in
+//!   and, since same-instant sends queue on the sender's uplink in call
+//!   order, part of every simulated figure.
 
 use crate::expr::AggFunc;
 use crate::provenance::Phase;
@@ -135,11 +143,11 @@ impl JoinState {
                     );
                 }
             }
-            own.rows.append_row_interned(batch, r);
-            own.alive.push(true);
-            let idx = (own.rows.len() - 1) as u32;
+            let idx = (own.rows.len() + r) as u32;
             own.index.entry(key).or_default().push(idx);
         }
+        own.rows.append_batch(batch);
+        own.alive.resize(own.rows.len(), true);
         out
     }
 
@@ -718,17 +726,37 @@ impl RehashState {
         }
     }
 
-    /// Append row `row` of a columnar batch destined for `dest` without
-    /// materializing it, returning the buffer length after insertion (the
-    /// executor flushes when this reaches the batch size).
-    pub fn buffer_from(&mut self, dest: NodeId, src: &ColumnarBatch, row: usize) -> usize {
-        if self.cache_enabled {
-            let cached = self.cache.entry(dest).or_default();
-            cached.append_row_interned(src, row);
+    /// Buffer the rows of `src` numbered in `rows` (ascending) for `dest`,
+    /// column by column: all of them into the cache, and into the pending
+    /// buffer in chunks cut wherever the buffer reaches `flush_at` rows.
+    /// Every buffer so filled is taken and returned, in order, with the
+    /// number of the source row that filled it; what is left stays
+    /// pending.
+    pub(crate) fn buffer_rows(
+        &mut self,
+        dest: NodeId,
+        src: &ColumnarBatch,
+        rows: &[u32],
+        flush_at: usize,
+    ) -> Vec<(u32, ColumnarBatch)> {
+        if self.cache_enabled && !rows.is_empty() {
+            self.cache.entry(dest).or_default().append_rows(src, rows);
         }
-        let buf = self.buffers.entry(dest).or_default();
-        buf.append_row_interned(src, row);
-        buf.len()
+        let mut filled = Vec::new();
+        let mut rest = rows;
+        while !rest.is_empty() {
+            let buf = self.buffers.entry(dest).or_default();
+            // A buffer is flushed by the row that brings it to `flush_at`
+            // (the first one, should it already be there).
+            let room = flush_at.saturating_sub(buf.len()).max(1);
+            let (chunk, tail) = rest.split_at(room.min(rest.len()));
+            buf.append_rows(src, chunk);
+            if buf.len() >= flush_at {
+                filled.push((chunk[chunk.len() - 1], self.take_buffer_batch(dest)));
+            }
+            rest = tail;
+        }
+        filled
     }
 
     /// Take (and clear) the pending buffer for `dest` as a batch.
@@ -830,6 +858,14 @@ mod tests {
     /// [`one_tagged`] as a scan at `node` emits it: `+1`, phase 0.
     fn one(vals: Vec<Value>, node: u16) -> ColumnarBatch {
         one_tagged(vals, node, 1, 0)
+    }
+
+    /// Buffer the whole of `batch` for `dest` with the executor's flush
+    /// size out of reach; returns the pending length afterwards.
+    fn buffer_all(r: &mut RehashState, dest: NodeId, batch: &ColumnarBatch) -> usize {
+        let all: Vec<u32> = (0..batch.len() as u32).collect();
+        assert!(r.buffer_rows(dest, batch, &all, usize::MAX).is_empty());
+        r.buffers.get(&dest).map_or(0, ColumnarBatch::len)
     }
 
     /// Every row of `batch` with its tags, for whole-batch comparisons.
@@ -1187,10 +1223,10 @@ mod tests {
     fn rehash_buffers_and_cache() {
         let mut r = RehashState::new(true);
         for i in 0..5 {
-            let len = r.buffer_from(NodeId(1), &one(vec![Value::Int(i)], 0), 0);
+            let len = buffer_all(&mut r, NodeId(1), &one(vec![Value::Int(i)], 0));
             assert_eq!(len, i as usize + 1);
         }
-        r.buffer_from(NodeId(2), &one(vec![Value::Int(99)], 3), 0);
+        buffer_all(&mut r, NodeId(2), &one(vec![Value::Int(99)], 3));
         assert_eq!(r.pending_destinations(), vec![NodeId(1), NodeId(2)]);
         assert_eq!(r.take_buffer_batch(NodeId(1)).len(), 5);
         assert!(r.take_buffer_batch(NodeId(1)).is_empty());
@@ -1213,7 +1249,7 @@ mod tests {
     #[test]
     fn rehash_without_cache_keeps_nothing() {
         let mut r = RehashState::new(false);
-        r.buffer_from(NodeId(1), &one(vec![Value::Int(1)], 0), 0);
+        buffer_all(&mut r, NodeId(1), &one(vec![Value::Int(1)], 0));
         assert_eq!(r.cache_len(), 0);
     }
 
@@ -1223,9 +1259,9 @@ mod tests {
         // to the failed destination, or a second recovery round would
         // re-send (and duplicate) them.
         let mut r = RehashState::new(true);
-        r.buffer_from(NodeId(1), &one(vec![Value::Int(1)], 0), 0);
-        r.buffer_from(NodeId(1), &one(vec![Value::Int(2)], 5), 0);
-        r.buffer_from(NodeId(2), &one(vec![Value::Int(3)], 0), 0);
+        buffer_all(&mut r, NodeId(1), &one(vec![Value::Int(1)], 0));
+        buffer_all(&mut r, NodeId(1), &one(vec![Value::Int(2)], 5));
+        buffer_all(&mut r, NodeId(2), &one(vec![Value::Int(3)], 0));
         let failed = NodeSet::singleton(NodeId(5));
         let taken = r.take_cached_batch_for(NodeId(1), &failed);
         assert_eq!(taken.len(), 1, "only the untainted row for n1");
@@ -1240,7 +1276,7 @@ mod tests {
         // Regression: a tainted row that is both cached and still pending
         // in a buffer must be counted as ONE dropped row, not two.
         let mut r = RehashState::new(true);
-        r.buffer_from(NodeId(1), &one(vec![Value::Int(1)], 7), 0);
+        buffer_all(&mut r, NodeId(1), &one(vec![Value::Int(1)], 7));
         let failed = NodeSet::singleton(NodeId(7));
         assert_eq!(r.purge_tainted(&failed), 1);
         assert_eq!(r.cache_len(), 0);
@@ -1248,8 +1284,8 @@ mod tests {
 
         // Without a cache, pending-buffer drops are what gets counted.
         let mut r = RehashState::new(false);
-        r.buffer_from(NodeId(1), &one(vec![Value::Int(1)], 7), 0);
-        r.buffer_from(NodeId(2), &one(vec![Value::Int(2)], 0), 0);
+        buffer_all(&mut r, NodeId(1), &one(vec![Value::Int(1)], 7));
+        buffer_all(&mut r, NodeId(2), &one(vec![Value::Int(2)], 0));
         assert_eq!(r.purge_tainted(&failed), 1);
         assert_eq!(r.take_buffer_batch(NodeId(2)).len(), 1);
     }
@@ -1331,25 +1367,37 @@ mod tests {
 
     #[test]
     fn buffer_from_copies_the_source_rows_into_buffer_and_cache() {
-        // buffer_from on a columnar source must leave each destination's
-        // buffer — and the cache — holding exactly the rows routed to it.
+        // Buffering a selection of a columnar source must leave each
+        // destination's buffer — and the cache — holding exactly the rows
+        // routed to it, and hand back a buffer the moment it fills.
         let tuples: Vec<Tuple> = (0..6)
             .map(|i| Tuple::new(vec![Value::Int(i), Value::str(format!("s{}", i % 2))]))
             .collect();
         let batch = ColumnarBatch::from_tuples(2, &tuples, 1, NodeSet::singleton(NodeId(0)), 0);
         let rows = rows_of(&batch);
         let mut r = RehashState::new(true);
-        for i in 0..rows.len() {
-            let len = r.buffer_from(NodeId((i % 2) as u16), &batch, i);
-            assert_eq!(len, i / 2 + 1);
+        for dest in [0u32, 1] {
+            let routed: Vec<u32> = (dest..6).step_by(2).collect();
+            assert!(r
+                .buffer_rows(NodeId(dest as u16), &batch, &routed, 4)
+                .is_empty());
         }
         assert_eq!(r.cache_len(), rows.len());
         for dest in [0usize, 1] {
             let expected: Vec<_> = rows.iter().skip(dest).step_by(2).cloned().collect();
-            let buffered = r.take_buffer_batch(NodeId(dest as u16));
-            assert_eq!(rows_of(&buffered), expected);
             let cached = r.take_cached_batch_for(NodeId(dest as u16), &NodeSet::empty());
             assert_eq!(rows_of(&cached), expected);
         }
+        // Three rows are pending for node 0; five more fill the buffer at
+        // source row 0, again at source row 4, and leave none pending.
+        let filled = r.buffer_rows(NodeId(0), &batch, &[0, 1, 2, 3, 4], 4);
+        let sent: Vec<_> = filled.iter().map(|(by, b)| (*by, rows_of(b))).collect();
+        let pick = |at: &[usize]| at.iter().map(|i| rows[*i].clone()).collect::<Vec<_>>();
+        assert_eq!(
+            sent,
+            vec![(0, pick(&[0, 2, 4, 0])), (4, pick(&[1, 2, 3, 4]))]
+        );
+        assert_eq!(r.pending_destinations(), vec![NodeId(1)]);
+        assert_eq!(rows_of(&r.take_buffer_batch(NodeId(1))), pick(&[1, 3, 5]));
     }
 }

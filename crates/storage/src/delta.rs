@@ -394,6 +394,7 @@ impl DistributedStorage {
     ) -> Result<DeltaPartitionScan<&Tuple>> {
         let mut scan = DeltaPartitionScan::default();
         let derived = self.changed_partitions(relation, from, to)?;
+        let local = self.local_tuples(relation, node);
         for change in &derived.0 {
             scan.pages_read += change.pages_read;
             for (entries, sign) in [(&change.removed, -1i8), (&change.added, 1i8)] {
@@ -401,7 +402,7 @@ impl DistributedStorage {
                     if !ranges.iter().any(|r| r.contains(entry.position)) {
                         continue;
                     }
-                    let (tuple, remote) = self.lookup_tuple(relation, entry, Some(node))?;
+                    let (tuple, remote) = self.lookup_tuple_from(local, relation, entry, node)?;
                     scan.tuples_read += 1;
                     if let Some(src) = remote {
                         scan.remote_lookups += 1;

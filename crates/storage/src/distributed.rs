@@ -40,7 +40,7 @@
 //! the borrowed result for callers that want to own it.
 
 use crate::coordinator::{CoordinatorKey, RelationVersion};
-use crate::node_store::{NodeStore, TupleVersion};
+use crate::node_store::{NodeStore, RelationTuples, TupleVersion};
 use crate::page::{partition_of, partition_range, IndexPage, PageDescriptor, PageId};
 use crate::update::{Update, UpdateBatch};
 use orchestra_common::{
@@ -560,6 +560,32 @@ impl DistributedStorage {
         )))
     }
 
+    /// [`Self::lookup_tuple`] on behalf of a scanning node whose own
+    /// tuples of `relation` were resolved before the scan's page loop
+    /// (`local`, see [`Self::local_tuples`]): an entry the node holds is
+    /// answered from the view, any other goes the whole way.
+    pub(crate) fn lookup_tuple_from<'a>(
+        &'a self,
+        local: Option<RelationTuples<'a>>,
+        relation: &str,
+        entry: &PageEntry,
+        node: NodeId,
+    ) -> Result<(&'a Tuple, Option<NodeId>)> {
+        match local.and_then(|held| held.tuple(entry.position, &entry.id)) {
+            Some(tuple) => Ok((tuple, None)),
+            None => self.lookup_tuple(relation, entry, Some(node)),
+        }
+    }
+
+    /// What `node` itself holds of `relation` — nothing a scan may read
+    /// when the node has failed.
+    pub(crate) fn local_tuples(&self, relation: &str, node: NodeId) -> Option<RelationTuples<'_>> {
+        if self.failed.contains(node) {
+            return None;
+        }
+        self.stores.get(node.index())?.relation_tuples(relation)
+    }
+
     // ------------------------------------------------------------------
     // Scans
     // ------------------------------------------------------------------
@@ -584,6 +610,7 @@ impl DistributedStorage {
         let Some(version) = self.version_record(relation, epoch)? else {
             return Ok(scan);
         };
+        let local = self.local_tuples(relation, node);
         for descriptor in &version.pages {
             if !ranges.iter().any(|r| r.overlaps(&descriptor.range)) {
                 continue;
@@ -594,7 +621,7 @@ impl DistributedStorage {
                 if !ranges.iter().any(|r| r.contains(entry.position)) {
                     continue;
                 }
-                let (tuple, remote) = self.lookup_tuple(relation, entry, Some(node))?;
+                let (tuple, remote) = self.lookup_tuple_from(local, relation, entry, node)?;
                 scan.tuples_read += 1;
                 if let Some(src) = remote {
                     scan.remote_lookups += 1;

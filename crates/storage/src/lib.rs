@@ -57,7 +57,7 @@ pub mod update;
 pub use coordinator::{CoordinatorKey, RelationVersion};
 pub use delta::{DeltaPartitionScan, PartitionDelta, RelationDelta};
 pub use distributed::{DistributedStorage, PartitionScan, RetrievalResult, StorageConfig};
-pub use node_store::{NodeStore, TupleVersion};
+pub use node_store::{NodeStore, RelationTuples, TupleVersion};
 pub use page::{IndexPage, PageDescriptor, PageId};
 pub use replication::{anti_entropy, ReplicationReport};
 pub use update::{Update, UpdateBatch};

@@ -49,6 +49,27 @@ pub struct TupleVersion {
 /// retrieved in a single pass through the hash ID range for that page").
 type RelationData = BTreeMap<Key160, Vec<Arc<TupleVersion>>>;
 
+/// A borrowed view of the tuple versions one node holds of one relation
+/// ([`NodeStore::relation_tuples`]): a scan finds the relation by name
+/// once and then resolves each page entry against the view, instead of
+/// hashing the relation's name again for every tuple.
+#[derive(Clone, Copy, Debug)]
+pub struct RelationTuples<'a>(&'a RelationData);
+
+impl<'a> RelationTuples<'a> {
+    /// Fetch a tuple version by its ID and the ring position of its key.
+    pub fn tuple_version(&self, position: Key160, id: &TupleId) -> Option<&'a Arc<TupleVersion>> {
+        let versions = self.0.get(&position)?;
+        let at = versions.binary_search_by(|v| v.id.cmp(id)).ok()?;
+        Some(&versions[at])
+    }
+
+    /// Fetch a tuple by its version ID and the ring position of its key.
+    pub fn tuple(&self, position: Key160, id: &TupleId) -> Option<&'a Tuple> {
+        self.tuple_version(position, id).map(|v| &v.tuple)
+    }
+}
+
 /// The state stored locally at a single node.
 #[derive(Clone, Debug, Default)]
 pub struct NodeStore {
@@ -134,6 +155,12 @@ impl NodeStore {
         }
     }
 
+    /// The tuple versions held of `relation`, or `None` when the node
+    /// holds none: one lookup by name for any number of tuples.
+    pub fn relation_tuples(&self, relation: &str) -> Option<RelationTuples<'_>> {
+        self.data.get(relation).map(RelationTuples)
+    }
+
     /// Fetch a tuple version by its ID and the ring position of its key.
     pub fn tuple_version(
         &self,
@@ -141,9 +168,7 @@ impl NodeStore {
         position: Key160,
         id: &TupleId,
     ) -> Option<&Arc<TupleVersion>> {
-        let versions = self.data.get(relation)?.get(&position)?;
-        let at = versions.binary_search_by(|v| v.id.cmp(id)).ok()?;
-        Some(&versions[at])
+        self.relation_tuples(relation)?.tuple_version(position, id)
     }
 
     /// Fetch a tuple by its version ID and the ring position of its key.
