@@ -687,12 +687,6 @@ impl ColumnarBatch {
         }
     }
 
-    /// Append one whole row (cells + tags) of `other`.
-    pub fn append_row_from(&mut self, other: &ColumnarBatch, row: usize, memo: &mut PoolMemo) {
-        self.append_cells_from(other, row, 0, memo);
-        self.push_tag_row(other.signs[row], other.provenance[row], other.phases[row]);
-    }
-
     /// Append one whole row of `other` without a [`PoolMemo`]: strings
     /// re-intern by content (no allocation when already pooled).  Use when
     /// the destination batch can be replaced between calls, invalidating
@@ -822,15 +816,6 @@ impl ColumnarBatch {
     /// The whole phase column.
     pub fn phase_column(&self) -> &[u32] {
         &self.phases
-    }
-
-    /// Overwrite every row's tags (scan emission: all rows of a freshly
-    /// scanned partition carry the scanning node's singleton provenance
-    /// and the current phase).
-    pub fn fill_tags(&mut self, sign: i8, provenance: NodeSet, phase: u32) {
-        self.signs.iter_mut().for_each(|s| *s = sign);
-        self.provenance.iter_mut().for_each(|p| *p = provenance);
-        self.phases.iter_mut().for_each(|p| *p = phase);
     }
 
     /// The column at `col`.
@@ -1100,24 +1085,6 @@ mod tests {
     }
 
     #[test]
-    fn append_between_batches_translates_string_ids() {
-        let (sign, prov, phase) = tags();
-        let mut src = ColumnarBatch::new(2);
-        src.push_row(&[Value::str("shared"), Value::Int(1)], sign, prov, phase);
-        src.push_row(&[Value::str("only-src"), Value::Int(2)], sign, prov, phase);
-        let mut dst = ColumnarBatch::new(2);
-        dst.push_row(&[Value::str("shared"), Value::Int(0)], sign, prov, phase);
-        let mut memo = PoolMemo::new();
-        dst.append_row_from(&src, 0, &mut memo);
-        dst.append_row_from(&src, 1, &mut memo);
-        assert_eq!(dst.len(), 3);
-        assert_eq!(dst.value_at(1, 0), Value::str("shared"));
-        assert_eq!(dst.value_at(2, 0), Value::str("only-src"));
-        // "shared" interned once in the destination pool.
-        assert_eq!(dst.pool().len(), 2);
-    }
-
-    #[test]
     fn append_widens_the_batch_and_pads_narrow_rows() {
         let (sign, prov, phase) = tags();
         let mut narrow = ColumnarBatch::new(1);
@@ -1312,6 +1279,9 @@ mod tests {
             ],
         );
         let out = append_both_ways(&dst, &src, &[0, 1, 0, 2]);
+        assert_eq!(out.value_at(2, 0), Value::str("only-src"));
+        assert_eq!(out.value_at(3, 0), Value::str("shared"));
+        // Each string interned once in the destination pool.
         assert_eq!(out.pool().len(), 4);
         // A string new to the destination is the source's allocation, not
         // a copy; one both had keeps the destination's.
@@ -1350,19 +1320,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn fill_tags_overwrites_every_row() {
-        let mut b = ColumnarBatch::new(1);
-        let (sign, prov, phase) = tags();
-        b.push_row(&[Value::Int(1)], sign, prov, phase);
-        b.push_row(&[Value::Int(2)], sign, prov, phase);
-        let new_prov = NodeSet::singleton(NodeId(9));
-        b.fill_tags(-1, new_prov, 4);
-        assert!(b.sign_column().iter().all(|s| *s == -1));
-        assert!(b.provenance_column().iter().all(|p| *p == new_prov));
-        assert!(b.phase_column().iter().all(|p| *p == 4));
     }
 
     #[test]

@@ -1,14 +1,17 @@
 //! The exchange boundary: rehash/ship batching and output caches.
 //!
-//! Rows crossing a `Rehash` or `Ship` operator leave the local pipeline
-//! here.  [`ExchangeLayer`] owns one `RehashState` per (node, operator)
-//! pair — per-destination buffers awaiting a full batch plus, when
-//! recovery support is on, the output cache recovery stage 4 re-transmits
-//! from.  Routing consults the phase's snapshot (`Runtime::table`) at
-//! buffering time, so after a recovery round the same code path sends to
-//! the heirs.  This module also owns the engine's wire payloads
-//! ([`Payload`]) and plan dissemination, since both exist purely to move
-//! bytes between nodes.
+//! Rows crossing a `Rehash`, `Broadcast` or `Ship` operator leave the
+//! local pipeline here.  The state they leave it through — one
+//! `RehashState` per operator instance: per-destination buffers awaiting
+//! a full batch plus, when recovery support is on, the output cache
+//! recovery stage 4 re-transmits from — sits in the runtime's
+//! operator-instance table (`Runtime::nodes`) beside the instance's
+//! end-of-stream bookkeeping; this module is the functions over it
+//! ([`rehash_routes`], [`buffer_batch`], `Runtime::send_batch`).  Routing
+//! consults the phase's snapshot (`Runtime::table`) at buffering time, so
+//! after a recovery round the same code path sends to the heirs.  This
+//! module also owns the engine's wire payloads ([`Payload`]) and plan
+//! dissemination, since both exist purely to move bytes between nodes.
 //!
 //! Buffers, cache entries and wire payloads are all
 //! [`ColumnarBatch`]es: a buffer that reaches `BATCH_ROWS` rows is moved
@@ -20,8 +23,8 @@
 //! one hash and one routing lookup per row sorted into a list of row
 //! numbers per destination ([`rehash_routes`]); for a `Ship` or a
 //! `Broadcast`, every row for the initiator or for every participant —
-//! and [`ExchangeLayer::buffer_batch`] then appends each destination's
-//! rows column by column.  *Chunking rule:* a destination's rows are cut
+//! and [`buffer_batch`] then appends each destination's rows column by
+//! column.  *Chunking rule:* a destination's rows are cut
 //! where its pending buffer reaches `BATCH_ROWS` (the first cut after
 //! `BATCH_ROWS - pending` rows, then every `BATCH_ROWS`), each filled
 //! buffer is taken, and the remainder stays pending — the same batches,
@@ -53,10 +56,9 @@ use super::pipeline::Runtime;
 use crate::batch::wire_size;
 use crate::ops::RehashState;
 use crate::plan::OpId;
-use orchestra_common::{ColumnarBatch, NodeId, NodeSet};
+use orchestra_common::{ColumnarBatch, NodeId};
 use orchestra_simnet::SimTime;
 use orchestra_substrate::RoutingTable;
-use std::collections::BTreeMap;
 
 /// Wire size of an end-of-stream marker.
 pub(super) const EOS_BYTES: usize = 8;
@@ -103,14 +105,6 @@ pub(super) enum Payload {
     StorageFetch,
 }
 
-/// All exchange-operator state of one query run: the per-(node, operator)
-/// `RehashState` instances, ordered by address so the recovery layer
-/// purges, drops and re-transmits in the same order every run.
-#[derive(Debug, Default)]
-pub(super) struct ExchangeLayer {
-    states: BTreeMap<(NodeId, OpId), RehashState>,
-}
-
 /// The destination vector of a `Rehash`: for each destination, in order
 /// of first appearance, the rows of `batch` (ascending) whose `columns`
 /// hash into a range it owns under `table`.
@@ -137,107 +131,29 @@ pub(super) fn rehash_routes(
     routes
 }
 
-impl ExchangeLayer {
-    /// An empty layer.
-    pub(super) fn new() -> ExchangeLayer {
-        ExchangeLayer::default()
-    }
-
-    /// Buffer a whole batch into (`node`, `op`), creating the state on
-    /// first use: each route names a destination and the rows of `src`
-    /// (ascending) it receives.  Returns the buffers this filled, in the
-    /// order they must be sent — ascending in the source row that filled
-    /// them, rows that filled several (a `Broadcast`) in route order —
-    /// which is the order buffering `src` a row at a time fills them in.
-    pub(super) fn buffer_batch<'r>(
-        &mut self,
-        node: NodeId,
-        op: OpId,
-        src: &ColumnarBatch,
-        routes: impl IntoIterator<Item = (NodeId, &'r [u32])>,
-        cache: bool,
-    ) -> Vec<(NodeId, ColumnarBatch)> {
-        let state = self
-            .states
-            .entry((node, op))
-            .or_insert_with(|| RehashState::new(cache));
-        let mut filled = Vec::new();
-        for (dest, rows) in routes {
-            for (filled_by, batch) in state.buffer_rows(dest, src, rows, BATCH_ROWS) {
-                filled.push((filled_by, dest, batch));
-            }
-        }
-        // Stable: buffers filled by the same row stay in route order.
-        filled.sort_by_key(|(filled_by, ..)| *filled_by);
-        filled
-            .into_iter()
-            .map(|(_, dest, batch)| (dest, batch))
-            .collect()
-    }
-
-    /// Take (and clear) the pending buffer of (`node`, `op`) for `dest`.
-    pub(super) fn take_buffer(&mut self, node: NodeId, op: OpId, dest: NodeId) -> ColumnarBatch {
-        self.states
-            .get_mut(&(node, op))
-            .map(|s| s.take_buffer_batch(dest))
-            .unwrap_or_default()
-    }
-
-    /// Destinations of (`node`, `op`) that currently have pending rows.
-    pub(super) fn pending_destinations(&self, node: NodeId, op: OpId) -> Vec<NodeId> {
-        self.states
-            .get(&(node, op))
-            .map(|s| s.pending_destinations())
-            .unwrap_or_default()
-    }
-
-    /// Drop tainted rows from every cache and pending buffer; returns the
-    /// number of logical rows dropped.
-    pub(super) fn purge_tainted(&mut self, failed: &NodeSet) -> usize {
-        self.states
-            .values_mut()
-            .map(|state| state.purge_tainted(failed))
-            .sum()
-    }
-
-    /// Drop the pending buffers destined to any failed node (their rows
-    /// are covered by the stage-4 output-cache retransmission).
-    pub(super) fn drop_buffers_to(&mut self, failed: &NodeSet) {
-        for state in self.states.values_mut() {
-            for dest in state.pending_destinations() {
-                if failed.contains(dest) {
-                    state.take_buffer_batch(dest);
-                }
-            }
+/// Buffer a whole batch into one exchange instance's `state`: each route
+/// names a destination and the rows of `src` (ascending) it receives.
+/// Returns the buffers this filled, in the order they must be sent —
+/// ascending in the source row that filled them, rows that filled several
+/// (a `Broadcast`) in route order — which is the order buffering `src` a
+/// row at a time fills them in.
+pub(super) fn buffer_batch<'r>(
+    state: &mut RehashState,
+    src: &ColumnarBatch,
+    routes: impl IntoIterator<Item = (NodeId, &'r [u32])>,
+) -> Vec<(NodeId, ColumnarBatch)> {
+    let mut filled = Vec::new();
+    for (dest, rows) in routes {
+        for (filled_by, batch) in state.buffer_rows(dest, src, rows, BATCH_ROWS) {
+            filled.push((filled_by, dest, batch));
         }
     }
-
-    /// Consume and return, per exchange operator of `node` in
-    /// operator order, the untainted cached rows that had been sent
-    /// to any of the `failed` nodes — recovery stage 4's input.
-    pub(super) fn take_cached_for_failed(
-        &mut self,
-        node: NodeId,
-        failed: &NodeSet,
-    ) -> Vec<(OpId, ColumnarBatch)> {
-        let mut out = Vec::new();
-        let of_node = (node, OpId::MIN)..=(node, OpId::MAX);
-        for ((_, op), state) in self.states.range_mut(of_node) {
-            let mut resend = ColumnarBatch::new(0);
-            for f in failed.iter() {
-                resend.append_batch(&state.take_cached_batch_for(f, failed));
-            }
-            if !resend.is_empty() {
-                out.push((*op, resend));
-            }
-        }
-        out
-    }
-
-    /// Discard every state (the Restart strategy's clean slate).
-    pub(super) fn clear(&mut self) {
-        self.states.clear();
-    }
+    // Stable: buffers filled by the same row stay in route order.
+    filled.sort_by_key(|(filled_by, ..)| *filled_by);
+    filled
+        .into_iter()
+        .map(|(_, dest, batch)| (dest, batch))
+        .collect()
 }
 
 impl Runtime<'_> {
@@ -253,21 +169,13 @@ impl Runtime<'_> {
         };
         let bytes =
             plan_bytes + 64 + 48 * self.table.entries().len() + 24 * self.participants.len();
-        for &node in &self.participants.clone() {
+        for &node in &self.participants {
             if node == self.initiator {
                 self.sim.schedule(node, at, Payload::Start);
             } else {
                 self.sim
                     .send(self.initiator, node, bytes, at, Payload::Start);
             }
-        }
-    }
-
-    /// Send the pending buffer of (`node`, `op`) for `dest` as one batch.
-    pub(super) fn flush_exchange(&mut self, node: NodeId, op: OpId, dest: NodeId, ready: SimTime) {
-        let batch = self.exchanges.take_buffer(node, op, dest);
-        if !batch.is_empty() {
-            self.send_batch(node, op, dest, batch, ready);
         }
     }
 

@@ -253,7 +253,7 @@ impl MaintenancePlan {
         let shape = strip_shape(original)?;
         let strip_final = matches!(shape.stripped, Some((_, _, AggMode::Final)));
         let mut builder = PlanBuilder::new();
-        let body = rebuild(original, shape.body, &mut builder, strip_final)?;
+        let body = rebuild(original, shape.body, None, &mut builder, strip_final)?;
         let plan = builder.output(body);
 
         let scans: Vec<(OpId, String)> = plan
@@ -359,7 +359,7 @@ fn derive_leg(original: &PhysicalPlan, relation: &str) -> Result<MaintenanceLeg>
             OrchestraError::Execution(format!("leg plan for {relation} scans no such relation"))
         })?;
     let mut builder = PlanBuilder::new();
-    let (body, _) = rebuild_leg(original, shape.body, pivot, &mut builder, strip_final)?;
+    let body = rebuild(original, shape.body, Some(pivot), &mut builder, strip_final)?;
     let plan = builder.output(body);
     let fold = fold_of(&shape.stripped, &plan);
     Ok(MaintenanceLeg {
@@ -382,13 +382,26 @@ fn scan_relation(plan: &PhysicalPlan, op: OpId) -> &str {
 /// Clone the subtree rooted at `op` into `builder`, appending a hidden
 /// support `COUNT` to distributed partial aggregates when the final
 /// aggregate above them was stripped.
+///
+/// With a `pivot` leaf scan the clone is that scan's *delta leg*: at
+/// every join with a pivot-side input, the pivot side crosses a
+/// `Broadcast` (a directly-below alignment `Rehash` is replaced by it)
+/// and a directly-below `Rehash` on the stationary side is spliced out —
+/// the stationary rows are joined in place, which is correct under any
+/// disjoint partitioning because each stationary row exists at exactly
+/// one node.  Everything off the pivot path is cloned verbatim, as is
+/// everything when there is no pivot.
 fn rebuild(
     original: &PhysicalPlan,
     op: OpId,
+    pivot: Option<OpId>,
     builder: &mut PlanBuilder,
     strip_final: bool,
 ) -> Result<OpId> {
     let operator = original.op(op);
+    let input = |i: usize, builder: &mut PlanBuilder| {
+        rebuild(original, operator.children[i], pivot, builder, strip_final)
+    };
     Ok(match &operator.kind {
         OperatorKind::DistributedScan {
             relation,
@@ -403,31 +416,61 @@ fn rebuild(
             predicate,
         } => builder.replicated_scan(relation.clone(), operator.arity, predicate.clone()),
         OperatorKind::Select { predicate } => {
-            let child = rebuild(original, operator.children[0], builder, strip_final)?;
+            let child = input(0, builder)?;
             builder.select(child, predicate.clone())
         }
         OperatorKind::Project { columns } => {
-            let child = rebuild(original, operator.children[0], builder, strip_final)?;
+            let child = input(0, builder)?;
             builder.project(child, columns.clone())
         }
         OperatorKind::ComputeFunction { exprs } => {
-            let child = rebuild(original, operator.children[0], builder, strip_final)?;
+            let child = input(0, builder)?;
             builder.compute(child, exprs.clone())
         }
         OperatorKind::HashJoin {
             left_keys,
             right_keys,
         } => {
-            let left = rebuild(original, operator.children[0], builder, strip_final)?;
-            let right = rebuild(original, operator.children[1], builder, strip_final)?;
-            builder.hash_join(left, right, left_keys.clone(), right_keys.clone())
+            let sides = [operator.children[0], operator.children[1]];
+            let on_pivot_path =
+                sides.map(|c| pivot.is_some_and(|p| subtree_contains(original, c, p)));
+            // A join entirely off the pivot path keeps its alignment.  So
+            // does one that already carries a Broadcast (a leg compiled
+            // by the broadcast-aware planner): it is exchange-correct for
+            // any pivot size, and its sides are walked only to reach
+            // deeper joins.
+            let keep = !on_pivot_path.contains(&true)
+                || sides
+                    .iter()
+                    .any(|c| matches!(original.op(*c).kind, OperatorKind::Broadcast));
+            let mut side = |i: usize| -> Result<OpId> {
+                let child = sides[i];
+                if keep {
+                    return rebuild(original, child, pivot, builder, strip_final);
+                }
+                // Rebuild the pivot input as the broadcast delta stream
+                // (replacing its alignment rehash, if any) and splice
+                // the stationary side's alignment rehash out.
+                let spliced = match &original.op(child).kind {
+                    OperatorKind::Rehash { .. } => original.op(child).children[0],
+                    _ => child,
+                };
+                let inner = rebuild(original, spliced, pivot, builder, strip_final)?;
+                Ok(if on_pivot_path[i] {
+                    builder.broadcast(inner)
+                } else {
+                    inner
+                })
+            };
+            let (l, r) = (side(0)?, side(1)?);
+            builder.hash_join(l, r, left_keys.clone(), right_keys.clone())
         }
         OperatorKind::Aggregate {
             group_by,
             aggs,
             mode: AggMode::Partial,
         } => {
-            let child = rebuild(original, operator.children[0], builder, strip_final)?;
+            let child = input(0, builder)?;
             let mut aggs = aggs.clone();
             if strip_final {
                 // The hidden support count: how many signed raw rows the
@@ -443,15 +486,15 @@ fn rebuild(
             ))
         }
         OperatorKind::Rehash { columns } => {
-            let child = rebuild(original, operator.children[0], builder, strip_final)?;
+            let child = input(0, builder)?;
             builder.rehash(child, columns.clone())
         }
         OperatorKind::Broadcast => {
-            let child = rebuild(original, operator.children[0], builder, strip_final)?;
+            let child = input(0, builder)?;
             builder.broadcast(child)
         }
         OperatorKind::Ship => {
-            let child = rebuild(original, operator.children[0], builder, strip_final)?;
+            let child = input(0, builder)?;
             builder.ship(child)
         }
         OperatorKind::Output => {
@@ -463,7 +506,7 @@ fn rebuild(
 }
 
 /// The leaf scans under `op` in depth-first, left-to-right order — the
-/// order in which [`rebuild`]/[`rebuild_leg`] push them, and therefore
+/// order in which [`rebuild`] pushes them, and therefore
 /// the order of the rewritten plans' [`PhysicalPlan::scans`].
 fn dfs_scans(plan: &PhysicalPlan, op: OpId) -> Vec<OpId> {
     let operator = plan.op(op);
@@ -485,109 +528,6 @@ fn subtree_contains(plan: &PhysicalPlan, op: OpId, pivot: OpId) -> bool {
             .children
             .iter()
             .any(|c| subtree_contains(plan, *c, pivot))
-}
-
-/// Clone the subtree rooted at `op` into a *delta leg* pivoting on the
-/// leaf scan `pivot`: at every join with exactly one pivot-side input,
-/// the pivot side crosses a `Broadcast` (a directly-below alignment
-/// `Rehash` is replaced by it) and a directly-below `Rehash` on the
-/// stationary side is spliced out — the stationary rows are joined in
-/// place, which is correct under any disjoint partitioning because each
-/// stationary row exists at exactly one node.  Everything off the pivot
-/// path is cloned verbatim.  Returns the new op id plus whether the
-/// subtree contains the pivot.
-fn rebuild_leg(
-    original: &PhysicalPlan,
-    op: OpId,
-    pivot: OpId,
-    builder: &mut PlanBuilder,
-    strip_final: bool,
-) -> Result<(OpId, bool)> {
-    let operator = original.op(op);
-    if let OperatorKind::HashJoin {
-        left_keys,
-        right_keys,
-    } = &operator.kind
-    {
-        let (left, right) = (operator.children[0], operator.children[1]);
-        let left_has = subtree_contains(original, left, pivot);
-        let right_has = subtree_contains(original, right, pivot);
-        if left_has || right_has {
-            // A join that already carries a Broadcast (a leg compiled by
-            // the broadcast-aware planner) is exchange-correct for any
-            // pivot size: keep its structure, recursing the pivot side
-            // only to reach deeper joins.
-            let already_broadcast = [left, right]
-                .iter()
-                .any(|c| matches!(original.op(*c).kind, OperatorKind::Broadcast));
-            let mut build_side = |child: OpId, is_pivot: bool| -> Result<OpId> {
-                if already_broadcast {
-                    return Ok(if is_pivot {
-                        rebuild_leg(original, child, pivot, builder, strip_final)?.0
-                    } else {
-                        rebuild(original, child, builder, strip_final)?
-                    });
-                }
-                // Rebuild the pivot input as the broadcast delta stream
-                // (replacing its alignment rehash, if any) and splice
-                // the stationary side's alignment rehash out.
-                let spliced = match &original.op(child).kind {
-                    OperatorKind::Rehash { .. } => original.op(child).children[0],
-                    _ => child,
-                };
-                Ok(if is_pivot {
-                    let (inner, _) = rebuild_leg(original, spliced, pivot, builder, strip_final)?;
-                    builder.broadcast(inner)
-                } else {
-                    rebuild(original, spliced, builder, strip_final)?
-                })
-            };
-            let l = build_side(left, left_has)?;
-            let r = build_side(right, right_has)?;
-            let id = builder.hash_join(l, r, left_keys.clone(), right_keys.clone());
-            return Ok((id, true));
-        }
-        // A join entirely off the pivot path keeps its alignment.
-        let l = rebuild(original, left, builder, strip_final)?;
-        let r = rebuild(original, right, builder, strip_final)?;
-        return Ok((
-            builder.hash_join(l, r, left_keys.clone(), right_keys.clone()),
-            false,
-        ));
-    }
-    if operator.kind.is_scan() {
-        let id = rebuild(original, op, builder, strip_final)?;
-        return Ok((id, op == pivot));
-    }
-    // Unary operators: recurse along the (potential) pivot path.
-    let (child, contains) =
-        rebuild_leg(original, operator.children[0], pivot, builder, strip_final)?;
-    let id = match &operator.kind {
-        OperatorKind::Select { predicate } => builder.select(child, predicate.clone()),
-        OperatorKind::Project { columns } => builder.project(child, columns.clone()),
-        OperatorKind::ComputeFunction { exprs } => builder.compute(child, exprs.clone()),
-        OperatorKind::Aggregate {
-            group_by,
-            aggs,
-            mode: AggMode::Partial,
-        } => {
-            let mut aggs = aggs.clone();
-            if strip_final {
-                aggs.push((AggFunc::Count, 0));
-            }
-            builder.aggregate(child, group_by.clone(), aggs, AggMode::Partial)
-        }
-        OperatorKind::Rehash { columns } => builder.rehash(child, columns.clone()),
-        OperatorKind::Broadcast => builder.broadcast(child),
-        OperatorKind::Ship => builder.ship(child),
-        other => {
-            return Err(OrchestraError::Execution(format!(
-                "maintenance legs cannot express {}",
-                other.name()
-            )))
-        }
-    };
-    Ok((id, contains))
 }
 
 /// Mergeable state of one view group: the accumulators plus the hidden

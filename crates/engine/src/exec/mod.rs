@@ -48,16 +48,23 @@
 //! [`RecoveryStrategy`]) and the [`QueryExecutor`] entry points, each a
 //! one-session submission to the scheduler's event loop — the engine has
 //! no other.  The layers underneath have one file each, with the
-//! `Runtime` state machine (defined in `pipeline`) threading through them:
+//! `Runtime` state machine (defined in `pipeline`) threading through them.
+//! All per-participant state of a run sits in one table the `Runtime`
+//! owns — per node slot, the node's scan assignment and its operator
+//! instances by operator id (join tables, aggregate sub-groups, exchange
+//! buffers and output caches, end-of-stream counts), each created when it
+//! first sees input — and every layer reaches it by the same
+//! `nodes[node][op]` address; the segment topology the cascade follows is
+//! computed once per plan (`PhysicalPlan::segments`), not per session.
 //!
-//! * `pipeline` — per-node operator pipeline instantiation, the
-//!   push-based event handler, and the end-of-stream segment-closure
-//!   cascade;
+//! * `pipeline` — the operator-instance table, the push-based event
+//!   handler, and the end-of-stream segment-closure cascade;
 //! * `scan` — leaf scans over the versioned store (distributed,
 //!   replicated and covering-index);
-//! * `exchange` — rehash/ship batching, routing-snapshot consultation,
-//!   the recovery output caches (`ExchangeLayer`), and the
-//!   session-tagged wire envelope ([`SessionId`]);
+//! * `exchange` — the functions over an exchange instance's buffers
+//!   (destination vectors, batch-at-a-time buffering in send order,
+//!   sending), plan dissemination, and the session-tagged wire envelope
+//!   ([`SessionId`]);
 //! * `session` — the per-session handle onto the simulator every
 //!   session of a run shares (shared-clock multiplexing);
 //! * `scheduler` — the [`SessionScheduler`] and the engine's one event
@@ -77,7 +84,9 @@
 //!   maintenance workload per epoch — deltas derived once per changed
 //!   relation, colliding delta legs executed once and forked at the
 //!   initiator — with per-subscriber signed result diffs;
-//! * `recovery` — the Restart and Incremental strategies;
+//! * `recovery` — the Restart and Incremental strategies, as walks over
+//!   the same table (stage 2 purges every instance, stage 4 re-enters a
+//!   node's exchanges from their output caches);
 //! * `report` — [`QueryReport`] assembly and per-link traffic
 //!   accounting (`RunStats`).
 

@@ -1,26 +1,31 @@
 //! Per-node operator pipelines and the push loop.
 //!
-//! `Runtime` is all mutable state of one query execution.  This module
-//! owns its event handler (`handle`, fed by the scheduler's loop — the
-//! only one), instantiates the local operator pipeline on every
-//! participant when the plan arrives, pushes rows from operator to
-//! operator (`process_at`), and drives the end-of-stream
-//! segment-closure cascade that completes the query.  Scans, exchange
-//! batching, recovery and report assembly live in the sibling modules —
-//! each reached through an explicit seam: `scan` feeds rows in at the
-//! leaves, `exchange::ExchangeLayer` takes rows out at the exchange
-//! boundary, `recovery` rebuilds this struct's per-phase state, and
+//! `Runtime` is all mutable state of one query execution.  What the
+//! paper's executor keeps *per operator instance per participant* — join
+//! tables, sub-grouped aggregates, exchange buffers with their output
+//! caches, end-of-stream counts — lives in one table, `Runtime::nodes`:
+//! a [`NodeState`] per node slot, each holding the node's scan
+//! assignment and its [`OpState`]s by operator id, created when an
+//! instance first sees input.  This module owns the event handler
+//! (`handle`, fed by the scheduler's loop — the only one), pushes rows
+//! from operator to operator (`process_at`), and drives the end-of-stream
+//! segment-closure cascade that completes the query, reading the segment
+//! topology off the plan ([`PhysicalPlan::segments`]).  Scans, exchange
+//! batching, recovery and report assembly live in the sibling modules and
+//! reach the same table: `scan` feeds rows in at the leaves, `exchange`
+//! fills an instance's per-destination buffers and moves the bytes,
+//! `recovery` walks every instance to purge and re-transmit, and
 //! `report::RunStats` accumulates the measurements.
 
-use super::exchange::{rehash_routes, ExchangeLayer, Payload, EOS_BYTES};
+use super::exchange::{buffer_batch, rehash_routes, Payload, EOS_BYTES};
 use super::ivm::ScanOverrides;
 use super::report::RunStats;
 use super::scheduler::Submission;
-use super::session::SessionSim;
+use super::session::{node_slots, SessionSim};
 use super::EngineConfig;
 use crate::expr::ScalarExpr;
-use crate::ops::{AggState, JoinState};
-use crate::plan::{AggMode, OpId, OperatorKind, PhysicalPlan};
+use crate::ops::{AggState, JoinState, RehashState};
+use crate::plan::{AggMode, OpId, OperatorKind, PhysicalPlan, Segment};
 use crate::provenance::Phase;
 use orchestra_common::{
     Column, ColumnarBatch, Epoch, KeyRange, NodeId, NodeSet, OrchestraError, Result,
@@ -29,7 +34,6 @@ use orchestra_simnet::{Delivery, SimTime};
 use orchestra_storage::DistributedStorage;
 use orchestra_substrate::RoutingTable;
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
 // Wall-clock accounting slots (indices into `RunStats::op_rows` /
@@ -43,14 +47,113 @@ const WC_EXCHANGE: usize = 5;
 pub(super) const WC_SCAN: usize = 6;
 const WC_OUTPUT: usize = 7;
 
-/// Sources feeding the segment rooted at one exchange (or `Output`): the
-/// leaf scans inside the segment and the boundary exchanges whose
-/// deliveries enter it from below.
-#[derive(Clone, Debug, Default)]
-pub(super) struct SegmentSources {
-    pub(super) scans: Vec<OpId>,
-    pub(super) exchanges: Vec<OpId>,
-    pub(super) blocking: Vec<OpId>,
+/// One node's share of a query execution.
+#[derive(Default)]
+pub(super) struct NodeState {
+    /// The hash ranges the node scans this phase.
+    pub(super) scan_ranges: Vec<KeyRange>,
+    /// The node has run this phase's scans.
+    pub(super) scans_done: bool,
+    /// The node's operator instances by [`OpId`], grown to the highest
+    /// operator that saw input here.
+    pub(super) ops: Vec<OpState>,
+}
+
+/// The state of one operator instance — one operator at one node.
+#[derive(Default)]
+pub(super) enum OpState {
+    /// Nothing has reached the instance yet, or its operator keeps no
+    /// state.
+    #[default]
+    Idle,
+    Join(Box<JoinState>),
+    Agg(AggState),
+    Exchange(ExchangeState),
+}
+
+/// A segment root at one node: an exchange's two ends, or `Output` at
+/// the initiator (which only ever closes).
+pub(super) struct ExchangeState {
+    /// Sender side: per-destination buffers awaiting a full batch and,
+    /// with recovery support on, the output cache stage 4 re-transmits
+    /// from.
+    pub(super) out: RehashState,
+    /// Receiver side: the end-of-stream markers still to come this
+    /// phase; `None` where the node does not consume the exchange.
+    pub(super) eos_pending: Option<usize>,
+    /// Sender side: the segment below closed here this phase — flushed,
+    /// end-of-stream sent.
+    pub(super) fed_closed: bool,
+}
+
+impl NodeState {
+    /// The instance of `op`, made `fresh` if nothing has reached it yet.
+    fn instance(&mut self, op: OpId, fresh: impl FnOnce() -> OpState) -> &mut OpState {
+        if self.ops.len() <= op {
+            self.ops.resize_with(op + 1, OpState::default);
+        }
+        let slot = &mut self.ops[op];
+        if let OpState::Idle = slot {
+            *slot = fresh();
+        }
+        slot
+    }
+
+    fn join(&mut self, op: OpId) -> Result<&mut JoinState> {
+        match self.instance(op, || OpState::Join(Box::default())) {
+            OpState::Join(state) => Ok(state),
+            _ => Err(wrong_state(op, "join")),
+        }
+    }
+
+    fn agg(&mut self, op: OpId) -> Result<&mut AggState> {
+        match self.instance(op, || OpState::Agg(AggState::new())) {
+            OpState::Agg(state) => Ok(state),
+            _ => Err(wrong_state(op, "aggregate")),
+        }
+    }
+
+    /// The instance of segment root `op`; `cache` says whether a new
+    /// one keeps an output cache.
+    pub(super) fn exchange(&mut self, op: OpId, cache: bool) -> Result<&mut ExchangeState> {
+        let fresh = || ExchangeState {
+            out: RehashState::new(cache),
+            eos_pending: None,
+            fed_closed: false,
+        };
+        match self.instance(op, || OpState::Exchange(fresh())) {
+            OpState::Exchange(state) => Ok(state),
+            _ => Err(wrong_state(op, "exchange")),
+        }
+    }
+
+    /// Has the segment feeding root `op` closed here this phase?
+    fn fed_closed(&self, op: OpId) -> bool {
+        matches!(self.ops.get(op), Some(OpState::Exchange(x)) if x.fed_closed)
+    }
+
+    /// Is every sender's end-of-stream for exchange `op` in?
+    fn recv_closed(&self, op: OpId) -> bool {
+        matches!(self.ops.get(op), Some(OpState::Exchange(x)) if x.eos_pending == Some(0))
+    }
+}
+
+fn wrong_state(op: OpId, wanted: &str) -> OrchestraError {
+    OrchestraError::Execution(format!(
+        "operator {op} holds another operator's state, not {wanted} state"
+    ))
+}
+
+/// The nodes that consume an exchange of the given kind.
+fn consumers<'r>(
+    kind: &OperatorKind,
+    initiator: &'r NodeId,
+    participants: &'r [NodeId],
+) -> &'r [NodeId] {
+    match kind {
+        OperatorKind::Ship => std::slice::from_ref(initiator),
+        _ => participants,
+    }
 }
 
 /// All mutable state of one query execution.
@@ -70,32 +173,21 @@ pub(super) struct Runtime<'a> {
     pub(super) initiator: NodeId,
 
     pub(super) sim: SessionSim,
-    /// The routing table of the current phase (original snapshot, then
-    /// recovery tables).
-    pub(super) table: RoutingTable,
+    /// The routing table of the current phase: the store's own snapshot,
+    /// borrowed, until a recovery round installs its recovery table.
+    pub(super) table: Cow<'a, RoutingTable>,
     pub(super) participants: Vec<NodeId>,
     pub(super) phase: Phase,
 
-    /// Per-phase scan assignment: which hash ranges each node scans.
-    pub(super) scan_ranges: HashMap<NodeId, Vec<KeyRange>>,
+    /// The operator-instance table: per node slot, the node's scan
+    /// assignment, whether its scans have run, and the state of each of
+    /// its operator instances — end-of-stream bookkeeping included.
+    /// Failed nodes keep their slot (and recovery purges it like any
+    /// other); only participants are ever delivered to.
+    pub(super) nodes: Vec<NodeState>,
     /// Whether replicated relations are scanned this phase (full runs
     /// only; incremental recovery re-uses the survivors' earlier scans).
     pub(super) scan_replicated: bool,
-
-    // Operator state, one instance per (participant, operator).
-    pub(super) joins: HashMap<(NodeId, OpId), JoinState>,
-    pub(super) aggs: HashMap<(NodeId, OpId), AggState>,
-    pub(super) exchanges: ExchangeLayer,
-
-    // End-of-stream bookkeeping, reset each phase.
-    pub(super) eos_pending: HashMap<(NodeId, OpId), usize>,
-    pub(super) recv_closed: HashSet<(NodeId, OpId)>,
-    pub(super) fed_closed: HashSet<(NodeId, OpId)>,
-    pub(super) scans_done: HashSet<NodeId>,
-
-    /// Segment structure, precomputed from the plan.
-    pub(super) segment_roots: Vec<OpId>,
-    pub(super) sources: HashMap<OpId, SegmentSources>,
 
     /// Rows collected at the initiator's `Output`, kept columnar until
     /// the report materializes them.
@@ -114,49 +206,28 @@ impl<'a> Runtime<'a> {
         session: &Submission<'a>,
         sim: SessionSim,
     ) -> Runtime<'a> {
-        let plan = session.plan;
-        let table = storage.routing().clone();
+        let table = storage.routing();
         let participants = table.nodes();
-
-        let segment_roots: Vec<OpId> = plan
-            .operators()
-            .iter()
-            .filter(|o| o.kind.is_exchange() || matches!(o.kind, OperatorKind::Output))
-            .map(|o| o.id)
-            .collect();
-        let mut sources = HashMap::new();
-        for &root in &segment_roots {
-            sources.insert(root, segment_sources(plan, root));
+        let mut nodes = Vec::new();
+        nodes.resize_with(node_slots(table), NodeState::default);
+        for node in &participants {
+            nodes[node.index()].scan_ranges = table.ranges_of(*node);
         }
-
-        let scan_ranges = participants
-            .iter()
-            .map(|n| (*n, table.ranges_of(*n)))
-            .collect();
 
         Runtime {
             storage: Cow::Borrowed(storage),
             config,
-            plan,
+            plan: session.plan,
             epoch: session.epoch,
             overrides: session.overrides,
             plan_resident: session.plan_resident,
             initiator: session.initiator,
             sim,
-            table,
+            table: Cow::Borrowed(table),
             participants,
             phase: 0,
-            scan_ranges,
+            nodes,
             scan_replicated: true,
-            joins: HashMap::new(),
-            aggs: HashMap::new(),
-            exchanges: ExchangeLayer::new(),
-            eos_pending: HashMap::new(),
-            recv_closed: HashSet::new(),
-            fed_closed: HashSet::new(),
-            scans_done: HashSet::new(),
-            segment_roots,
-            sources,
             output: ColumnarBatch::new(0),
             done: false,
             finish_time: SimTime::ZERO,
@@ -167,9 +238,10 @@ impl<'a> Runtime<'a> {
     /// Start the query at virtual time `at` (its admission instant): set
     /// up this phase's end-of-stream expectations and disseminate plan +
     /// snapshot.
-    pub(super) fn begin(&mut self, at: SimTime) {
-        self.reset_eos_counters();
+    pub(super) fn begin(&mut self, at: SimTime) -> Result<()> {
+        self.reset_eos_counters()?;
         self.disseminate(at);
+        Ok(())
     }
 
     /// Has this session exhausted its recovery-round budget?
@@ -184,25 +256,29 @@ impl<'a> Runtime<'a> {
     /// Expected end-of-stream counts for the current participant set:
     /// every participant feeds every `Rehash` instance, and every
     /// participant feeds the initiator's `Ship` consumer.
-    pub(super) fn reset_eos_counters(&mut self) {
-        self.eos_pending.clear();
-        self.recv_closed.clear();
-        self.fed_closed.clear();
-        self.scans_done.clear();
-        let n = self.participants.len();
-        for op in self.plan.operators() {
-            match op.kind {
-                OperatorKind::Rehash { .. } | OperatorKind::Broadcast => {
-                    for &node in &self.participants {
-                        self.eos_pending.insert((node, op.id), n);
-                    }
+    pub(super) fn reset_eos_counters(&mut self) -> Result<()> {
+        for state in &mut self.nodes {
+            state.scans_done = false;
+            for instance in &mut state.ops {
+                if let OpState::Exchange(exchange) = instance {
+                    exchange.eos_pending = None;
+                    exchange.fed_closed = false;
                 }
-                OperatorKind::Ship => {
-                    self.eos_pending.insert((self.initiator, op.id), n);
-                }
-                _ => {}
             }
         }
+        let n = self.participants.len();
+        for op in self
+            .plan
+            .operators()
+            .iter()
+            .filter(|o| o.kind.is_exchange())
+        {
+            for node in consumers(&op.kind, &self.initiator, &self.participants) {
+                let exchange = self.nodes[node.index()].exchange(op.id, self.config.recovery)?;
+                exchange.eos_pending = Some(n);
+            }
+        }
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -212,11 +288,7 @@ impl<'a> Runtime<'a> {
     pub(super) fn handle(&mut self, d: Delivery<Payload>) -> Result<()> {
         match d.payload {
             Payload::Start => self.on_start(d.to, d.time),
-            Payload::Batch { op, batch } => {
-                let parent = self.plan.op(op).parent.expect("exchange has a consumer");
-                let input = input_index(self.plan, parent, op);
-                self.process_at(d.to, parent, input, batch, d.time)
-            }
+            Payload::Batch { op, batch } => self.push_up(d.to, op, batch, d.time).map(|_| ()),
             Payload::Eos { op } => self.on_eos(d.to, op, d.time),
             Payload::StorageFetch => Ok(()),
         }
@@ -237,19 +309,22 @@ impl<'a> Runtime<'a> {
                 ready = self.push_up(node, scan_op, batch, ready)?;
             }
         }
-        self.scans_done.insert(node);
+        self.nodes[node.index()].scans_done = true;
         self.try_close_segments(node, ready)
     }
 
     fn on_eos(&mut self, node: NodeId, op: OpId, time: SimTime) -> Result<()> {
-        let pending = self.eos_pending.get_mut(&(node, op)).ok_or_else(|| {
-            OrchestraError::Execution(format!(
+        let Some(OpState::Exchange(ExchangeState {
+            eos_pending: Some(pending),
+            ..
+        })) = self.nodes[node.index()].ops.get_mut(op)
+        else {
+            return Err(OrchestraError::Execution(format!(
                 "unexpected end-of-stream for operator {op} at {node}"
-            ))
-        })?;
+            )));
+        };
         *pending = pending.saturating_sub(1);
         if *pending == 0 {
-            self.recv_closed.insert((node, op));
             self.try_close_segments(node, time)?;
         }
         Ok(())
@@ -267,13 +342,11 @@ impl<'a> Runtime<'a> {
         batch: ColumnarBatch,
         time: SimTime,
     ) -> Result<SimTime> {
-        let parent = self
-            .plan
-            .op(from)
-            .parent
-            .expect("only Output lacks a parent, and Output never produces");
-        let input = input_index(self.plan, parent, from);
-        self.process_at(node, parent, input, batch, time)?;
+        let from = self.plan.op(from);
+        let parent = from.parent.ok_or_else(|| {
+            OrchestraError::Execution(format!("operator {} has no consumer", from.id))
+        })?;
+        self.process_at(node, parent, from.input, batch, time)?;
         Ok(self.sim.cpu_free_at(node).max(time))
     }
 
@@ -307,7 +380,7 @@ impl<'a> Runtime<'a> {
         // by reference without cloning predicate/expression trees on
         // every delivered batch.
         let kind = &self.plan.op(op).kind;
-        if kind.is_exchange() && self.fed_closed.contains(&(node, op)) {
+        if kind.is_exchange() && self.nodes[node.index()].fed_closed(op) {
             // The consumers stop listening once every sender's
             // end-of-stream is in: these rows would sit in the exchange
             // for ever and the answer come up short.
@@ -368,7 +441,7 @@ impl<'a> Runtime<'a> {
             } => {
                 let wall = Instant::now();
                 let n = batch.len();
-                let state = self.joins.entry((node, op)).or_default();
+                let state = self.nodes[node.index()].join(op)?;
                 let out = state.process_batch(input, &batch, left_keys, right_keys, node);
                 self.record_wall(WC_JOIN, n, wall);
                 if !out.is_empty() {
@@ -381,7 +454,7 @@ impl<'a> Runtime<'a> {
                 mode,
             } => {
                 let wall = Instant::now();
-                let state = self.aggs.entry((node, op)).or_default();
+                let state = self.nodes[node.index()].agg(op)?;
                 match mode {
                     AggMode::Single | AggMode::Partial => {
                         state.update_raw_batch(&batch, group_by, aggs)
@@ -392,20 +465,17 @@ impl<'a> Runtime<'a> {
             }
             OperatorKind::Rehash { .. } | OperatorKind::Broadcast | OperatorKind::Ship => {
                 let wall = Instant::now();
-                let cache = self.config.recovery;
+                let exchange = self.nodes[node.index()].exchange(op, self.config.recovery)?;
                 let filled = if let OperatorKind::Rehash { columns } = kind {
                     let routes = rehash_routes(&self.table, &batch, columns);
                     let routes = routes.iter().map(|(dest, rows)| (*dest, &rows[..]));
-                    self.exchanges.buffer_batch(node, op, &batch, routes, cache)
+                    buffer_batch(&mut exchange.out, &batch, routes)
                 } else {
                     // Every destination receives the whole batch.
                     let all: Vec<u32> = (0..batch.len() as u32).collect();
-                    let dests = match kind {
-                        OperatorKind::Ship => std::slice::from_ref(&self.initiator),
-                        _ => &self.participants[..],
-                    };
+                    let dests = consumers(kind, &self.initiator, &self.participants);
                     let routes = dests.iter().map(|dest| (*dest, &all[..]));
-                    self.exchanges.buffer_batch(node, op, &batch, routes, cache)
+                    buffer_batch(&mut exchange.out, &batch, routes)
                 };
                 for (dest, full) in filled {
                     self.send_batch(node, op, dest, full, ready);
@@ -437,28 +507,22 @@ impl<'a> Runtime<'a> {
     /// Close every segment at `node` whose sources have all finished.
     /// Closing one segment can enable the next, so iterate to fixpoint.
     pub(super) fn try_close_segments(&mut self, node: NodeId, time: SimTime) -> Result<()> {
-        if !self.scans_done.contains(&node) {
+        if !self.nodes[node.index()].scans_done {
             return Ok(());
         }
+        let plan = self.plan;
         loop {
             let mut progressed = false;
-            for root in self.segment_roots.clone() {
-                if self.fed_closed.contains(&(node, root)) {
+            for segment in plan.segments() {
+                let state = &self.nodes[node.index()];
+                let is_output = matches!(plan.op(segment.root).kind, OperatorKind::Output);
+                if state.fed_closed(segment.root)
+                    || (is_output && node != self.initiator)
+                    || !segment.exchanges.iter().all(|e| state.recv_closed(*e))
+                {
                     continue;
                 }
-                let is_output = matches!(self.plan.op(root).kind, OperatorKind::Output);
-                if is_output && node != self.initiator {
-                    continue;
-                }
-                let sources = &self.sources[&root];
-                let ready_to_close = sources
-                    .exchanges
-                    .iter()
-                    .all(|e| self.recv_closed.contains(&(node, *e)));
-                if !ready_to_close {
-                    continue;
-                }
-                self.close_segment(node, root, time)?;
+                self.close_segment(node, segment, time)?;
                 progressed = true;
             }
             if !progressed {
@@ -467,30 +531,32 @@ impl<'a> Runtime<'a> {
         }
     }
 
-    /// All inputs of the segment rooted at `root` are exhausted at `node`:
-    /// emit blocking state, flush the root's buffers, signal end-of-stream.
-    fn close_segment(&mut self, node: NodeId, root: OpId, time: SimTime) -> Result<()> {
+    /// All inputs of `segment` are exhausted at `node`: emit blocking
+    /// state, flush the root's buffers, signal end-of-stream.
+    fn close_segment(&mut self, node: NodeId, segment: &Segment, time: SimTime) -> Result<()> {
         let mut ready = time;
-        let is_output = matches!(self.plan.op(root).kind, OperatorKind::Output);
+        let plan = self.plan;
+        let root = &plan.op(segment.root).kind;
+        let is_output = matches!(root, OperatorKind::Output);
 
-        for agg_op in self.sources[&root].blocking.clone() {
-            let OperatorKind::Aggregate { aggs, mode, .. } = self.plan.op(agg_op).kind.clone()
-            else {
+        for &agg_op in &segment.blocking {
+            let OperatorKind::Aggregate { aggs, mode, .. } = &plan.op(agg_op).kind else {
                 continue;
             };
             let wall = Instant::now();
-            let state = self.aggs.entry((node, agg_op)).or_default();
+            let phase = self.phase;
+            let state = self.nodes[node.index()].agg(agg_op)?;
             let emitted = match mode {
-                AggMode::Partial => state.emit_unemitted(true, node, self.phase),
+                AggMode::Partial => state.emit_unemitted(true, node, phase),
                 AggMode::Single | AggMode::Final if is_output => {
                     // The top-level aggregate merges its sub-groups into
                     // the final answer exactly once, at query completion.
-                    let rows = state.collapsed_final(&aggs);
+                    let rows = state.collapsed_final(aggs);
                     let arity = rows.iter().map(|t| t.arity()).max().unwrap_or(0);
                     let tag = NodeSet::singleton(node);
-                    ColumnarBatch::from_tuples(arity, &rows, 1, tag, self.phase)
+                    ColumnarBatch::from_tuples(arity, &rows, 1, tag, phase)
                 }
-                AggMode::Single | AggMode::Final => state.emit_unemitted(false, node, self.phase),
+                AggMode::Single | AggMode::Final => state.emit_unemitted(false, node, phase),
             };
             self.record_wall(WC_AGGREGATE, 0, wall);
             if !emitted.is_empty() {
@@ -500,7 +566,8 @@ impl<'a> Runtime<'a> {
 
         // The blocking operators' rows were the last to enter the root
         // legitimately; `process_at` rejects any that follow.
-        self.fed_closed.insert((node, root));
+        let exchange = self.nodes[node.index()].exchange(segment.root, self.config.recovery)?;
+        exchange.fed_closed = true;
         if is_output {
             self.done = true;
             self.finish_time = self.finish_time.max(ready);
@@ -508,51 +575,19 @@ impl<'a> Runtime<'a> {
         }
 
         // Flush whatever is still buffered, then signal end-of-stream.
-        let pending = self.exchanges.pending_destinations(node, root);
-        for dest in pending {
-            self.flush_exchange(node, root, dest, ready);
+        let out = &mut exchange.out;
+        let flushed: Vec<(NodeId, ColumnarBatch)> = out
+            .pending_destinations()
+            .into_iter()
+            .map(|dest| (dest, out.take_buffer_batch(dest)))
+            .collect();
+        for (dest, batch) in flushed {
+            self.send_batch(node, segment.root, dest, batch, ready);
         }
-        let dests: Vec<NodeId> = match self.plan.op(root).kind {
-            OperatorKind::Ship => vec![self.initiator],
-            _ => self.participants.clone(),
-        };
-        for dest in dests {
-            self.sim
-                .send(node, dest, EOS_BYTES, ready, Payload::Eos { op: root });
+        for &dest in consumers(root, &self.initiator, &self.participants) {
+            let eos = Payload::Eos { op: segment.root };
+            self.sim.send(node, dest, EOS_BYTES, ready, eos);
         }
         Ok(())
     }
-}
-
-/// Position of child `child` among `parent`'s inputs.
-fn input_index(plan: &PhysicalPlan, parent: OpId, child: OpId) -> usize {
-    plan.op(parent)
-        .children
-        .iter()
-        .position(|c| *c == child)
-        .expect("child/parent links are consistent")
-}
-
-/// Find the scans, boundary exchanges and blocking operators of the
-/// segment rooted at `root` (an exchange or `Output`).
-fn segment_sources(plan: &PhysicalPlan, root: OpId) -> SegmentSources {
-    let mut out = SegmentSources::default();
-    let mut stack: Vec<OpId> = plan.op(root).children.clone();
-    while let Some(id) = stack.pop() {
-        let op = plan.op(id);
-        if op.kind.is_exchange() {
-            out.exchanges.push(id);
-        } else if op.kind.is_scan() {
-            out.scans.push(id);
-        } else {
-            if op.kind.is_blocking() {
-                out.blocking.push(id);
-            }
-            stack.extend(op.children.iter().copied());
-        }
-    }
-    out.scans.sort_unstable();
-    out.exchanges.sort_unstable();
-    out.blocking.sort_unstable();
-    out
 }

@@ -11,12 +11,12 @@
 //! and re-transmit the untainted cached output that had been sent to the
 //! failed nodes — re-routed to their heirs.
 
-use super::pipeline::Runtime;
+use super::pipeline::{OpState, Runtime};
 use super::RecoveryStrategy;
-use crate::plan::OpId;
-use orchestra_common::{ColumnarBatch, KeyRange, NodeId, NodeSet, OrchestraError, Result};
+use crate::plan::OperatorKind;
+use orchestra_common::{ColumnarBatch, NodeId, NodeSet, OrchestraError, Result};
 use orchestra_simnet::SimTime;
-use std::collections::HashMap;
+use std::borrow::Cow;
 
 impl Runtime<'_> {
     pub(super) fn recover(&mut self, failed: &NodeSet) -> Result<()> {
@@ -51,41 +51,48 @@ impl Runtime<'_> {
         // distinguishable from pre-failure in-flight data.
         self.phase += 1;
 
+        // This phase's scan assignment is handed out below; a node that
+        // gets none scans nothing.
+        for state in &mut self.nodes {
+            state.scan_ranges.clear();
+        }
         match self.config.strategy {
             RecoveryStrategy::Restart => {
                 // Forget everything and re-run on the survivors.
-                self.joins.clear();
-                self.aggs.clear();
-                self.exchanges.clear();
+                for state in &mut self.nodes {
+                    state.ops.clear();
+                }
                 self.output = ColumnarBatch::new(0);
-                self.scan_ranges = survivors
-                    .iter()
-                    .map(|n| (*n, recovery_table.ranges_of(*n)))
-                    .collect();
+                for node in &survivors {
+                    self.nodes[node.index()].scan_ranges = recovery_table.ranges_of(*node);
+                }
                 self.scan_replicated = true;
             }
             RecoveryStrategy::Incremental => {
-                // Stage 2: purge exactly the tainted state.
+                // Stage 2: purge exactly the tainted state, node by node
+                // and operator by operator.
                 let mut purged = 0;
-                let mut keys: Vec<(NodeId, OpId)> = self.joins.keys().copied().collect();
-                keys.sort_unstable();
-                for k in keys {
-                    purged += self
-                        .joins
-                        .get_mut(&k)
-                        .expect("key exists")
-                        .purge_tainted(failed);
+                for instance in self.nodes.iter_mut().flat_map(|state| &mut state.ops) {
+                    purged += match instance {
+                        OpState::Idle => 0,
+                        OpState::Join(join) => join.purge_tainted(failed),
+                        OpState::Agg(agg) => agg.purge_tainted(failed),
+                        OpState::Exchange(exchange) => {
+                            let out = &mut exchange.out;
+                            let purged = out.purge_tainted(failed);
+                            // Pending buffers destined to a failed node
+                            // must not be flushed there; their rows are
+                            // covered by the stage-4 output-cache
+                            // retransmission, so drop them here.
+                            for dest in out.pending_destinations() {
+                                if failed.contains(dest) {
+                                    out.take_buffer_batch(dest);
+                                }
+                            }
+                            purged
+                        }
+                    };
                 }
-                let mut keys: Vec<(NodeId, OpId)> = self.aggs.keys().copied().collect();
-                keys.sort_unstable();
-                for k in keys {
-                    purged += self
-                        .aggs
-                        .get_mut(&k)
-                        .expect("key exists")
-                        .purge_tainted(failed);
-                }
-                purged += self.exchanges.purge_tainted(failed);
                 let before = self.output.len();
                 let keep: Vec<bool> = self
                     .output
@@ -99,26 +106,16 @@ impl Runtime<'_> {
 
                 // Stage 3 (second half): survivors rescan only the ranges
                 // they inherited from the failed nodes.
-                let mut inherited: HashMap<NodeId, Vec<KeyRange>> = HashMap::new();
                 for (range, _, heir) in &changed {
-                    inherited.entry(*heir).or_default().push(*range);
+                    self.nodes[heir.index()].scan_ranges.push(*range);
                 }
-                self.scan_ranges = survivors
-                    .iter()
-                    .map(|n| (*n, inherited.remove(n).unwrap_or_default()))
-                    .collect();
                 self.scan_replicated = false;
-
-                // Pending buffers destined to a failed node must not be
-                // flushed there; their rows are covered by the stage-4
-                // output-cache retransmission, so drop them here.
-                self.exchanges.drop_buffers_to(failed);
             }
         }
 
-        self.table = recovery_table;
+        self.table = Cow::Owned(recovery_table);
         self.participants = survivors;
-        self.reset_eos_counters();
+        self.reset_eos_counters()?;
 
         // Failure detection (TCP reset in the paper) plus one round trip
         // to disseminate the recovery snapshot.
@@ -132,17 +129,24 @@ impl Runtime<'_> {
     pub(super) fn retransmit_cached(&mut self, node: NodeId, time: SimTime) -> Result<SimTime> {
         let failed = self.sim.failed_nodes_at(time);
         let mut ready = time;
-        // Consume the cache entries: re-buffering re-caches the rows
-        // under their heirs, and a second recovery round must not
-        // re-send (and thereby duplicate) them.
-        for (op, resend) in self.exchanges.take_cached_for_failed(node, &failed) {
+        for op in 0..self.plan.len() {
+            let Some(OpState::Exchange(exchange)) = self.nodes[node.index()].ops.get_mut(op) else {
+                continue;
+            };
+            // Consume the cache entries: re-buffering re-caches the rows
+            // under their heirs, and a second recovery round must not
+            // re-send (and thereby duplicate) them.
+            let mut resend = ColumnarBatch::new(0);
+            for f in failed.iter() {
+                resend.append_batch(&exchange.out.take_cached_batch_for(f, &failed));
+            }
             // Broadcast output needs no re-routing: every survivor
             // already holds its own copy of each row, and the failed
             // node's inherited ranges are covered by the stage-3
             // rescans.  Re-entering the operator would duplicate the
             // rows at every survivor, so the consumed entries are
             // simply dropped.
-            if matches!(self.plan.op(op).kind, crate::plan::OperatorKind::Broadcast) {
+            if resend.is_empty() || matches!(self.plan.op(op).kind, OperatorKind::Broadcast) {
                 continue;
             }
             self.stats.retransmitted += resend.len();

@@ -41,63 +41,46 @@ impl Runtime<'_> {
                 kind.name()
             )));
         }
+        let ranges = &self.nodes[node.index()].scan_ranges;
         match kind {
             OperatorKind::DistributedScan {
                 relation,
                 predicate,
             } => {
-                let ranges = self.scan_ranges.get(&node).cloned().unwrap_or_default();
                 if ranges.is_empty() {
                     return Ok((ColumnarBatch::new(0), SimTime::ZERO));
                 }
                 if let Some((from, to)) = delta {
                     let scan = self
                         .storage
-                        .delta_partition_ref(relation, from, to, node, &ranges)?;
-                    self.stats.pages_read += scan.pages_read;
-                    self.stats.tuples_scanned += scan.tuples_read;
-                    self.stats.remote_lookups += scan.remote_lookups;
-                    let mut duration = profile.scan_time(scan.tuples_read, scan.pages_read);
-                    let now = self.sim.now();
-                    for (src, bytes) in &scan.remote_transfers {
-                        if let Some(arrival) =
-                            self.sim
-                                .send(*src, node, *bytes, now, Payload::StorageFetch)
-                        {
-                            duration = duration.max(arrival.saturating_sub(now));
-                        }
-                    }
+                        .delta_partition_ref(relation, from, to, node, ranges)?;
                     // The scan predicate applies to both signs: a removed
                     // version only ever contributed if it passed, and an
                     // added version only contributes if it passes.
                     let wall = Instant::now();
                     let rows = emit_delta(&scan.rows, predicate, emit);
-                    self.record_wall(WC_SCAN, rows.len(), wall);
-                    return Ok((rows, duration));
+                    let fetch = Fetch {
+                        pages_read: scan.pages_read,
+                        tuples_scanned: scan.tuples_read,
+                        remote_lookups: scan.remote_lookups,
+                        duration: profile.scan_time(scan.tuples_read, scan.pages_read),
+                        remote_transfers: scan.remote_transfers,
+                    };
+                    return Ok(self.emitted(node, fetch, rows, wall));
                 }
                 let scan = self
                     .storage
-                    .scan_partition_ref(relation, epoch, node, &ranges)?;
-                self.stats.pages_read += scan.pages_read;
-                self.stats.tuples_scanned += scan.tuples_read;
-                self.stats.remote_lookups += scan.remote_lookups;
-                let mut duration = profile.scan_time(scan.tuples_read, scan.pages_read);
-                // Tuples that had to come from a replica cross the wire:
-                // charge their bytes and latency to the simulation and
-                // stretch the scan until the last transfer lands.
-                let now = self.sim.now();
-                for (src, bytes) in &scan.remote_transfers {
-                    if let Some(arrival) =
-                        self.sim
-                            .send(*src, node, *bytes, now, Payload::StorageFetch)
-                    {
-                        duration = duration.max(arrival.saturating_sub(now));
-                    }
-                }
+                    .scan_partition_ref(relation, epoch, node, ranges)?;
                 let wall = Instant::now();
                 let rows = emit_scanned(&scan.tuples, predicate, emit);
-                self.record_wall(WC_SCAN, rows.len(), wall);
-                Ok((rows, duration))
+                let fetch = Fetch {
+                    pages_read: scan.pages_read,
+                    tuples_scanned: scan.tuples_read,
+                    remote_lookups: scan.remote_lookups,
+                    duration: profile.scan_time(scan.tuples_read, scan.pages_read),
+                    remote_transfers: scan.remote_transfers,
+                };
+                Ok(self.emitted(node, fetch, rows, wall))
             }
             OperatorKind::ReplicatedScan {
                 relation,
@@ -107,35 +90,65 @@ impl Runtime<'_> {
                     return Ok((ColumnarBatch::new(0), SimTime::ZERO));
                 }
                 let tuples = self.storage.scan_replicated(relation, epoch, node)?;
-                self.stats.tuples_scanned += tuples.len();
-                let duration = profile.scan_time(tuples.len(), 1);
+                let fetch = Fetch {
+                    tuples_scanned: tuples.len(),
+                    duration: profile.scan_time(tuples.len(), 1),
+                    ..Fetch::default()
+                };
                 let wall = Instant::now();
                 let rows = emit_scanned(&tuples, predicate, emit);
-                self.record_wall(WC_SCAN, rows.len(), wall);
-                Ok((rows, duration))
+                Ok(self.emitted(node, fetch, rows, wall))
             }
             OperatorKind::CoveringIndexScan {
                 relation,
                 predicate,
             } => {
-                let ranges = self.scan_ranges.get(&node).cloned().unwrap_or_default();
                 if ranges.is_empty() {
                     return Ok((ColumnarBatch::new(0), SimTime::ZERO));
                 }
-                let (tuples, pages) = self.covering_scan(relation, epoch, &ranges)?;
-                self.stats.pages_read += pages;
-                let duration = profile.scan_time(tuples.len(), pages);
+                let (tuples, pages) = self.covering_scan(relation, epoch, ranges)?;
+                let fetch = Fetch {
+                    pages_read: pages,
+                    duration: profile.scan_time(tuples.len(), pages),
+                    ..Fetch::default()
+                };
                 let tuples: Vec<&Tuple> = tuples.iter().collect();
                 let wall = Instant::now();
                 let rows = emit_scanned(&tuples, predicate, emit);
-                self.record_wall(WC_SCAN, rows.len(), wall);
-                Ok((rows, duration))
+                Ok(self.emitted(node, fetch, rows, wall))
             }
             other => Err(OrchestraError::Execution(format!(
                 "operator {} is not a scan",
                 other.name()
             ))),
         }
+    }
+
+    /// The tail every scan arm shares, called the moment emission ends:
+    /// bill the emission's wall-clock time, count what the fetch read,
+    /// and charge the tuples that had to come from a replica — they
+    /// cross the wire, so their bytes and latency go to the simulation
+    /// and the scan stretches until the last transfer lands.
+    fn emitted(
+        &mut self,
+        node: NodeId,
+        fetch: Fetch,
+        rows: ColumnarBatch,
+        wall: Instant,
+    ) -> (ColumnarBatch, SimTime) {
+        self.record_wall(WC_SCAN, rows.len(), wall);
+        self.stats.pages_read += fetch.pages_read;
+        self.stats.tuples_scanned += fetch.tuples_scanned;
+        self.stats.remote_lookups += fetch.remote_lookups;
+        let mut duration = fetch.duration;
+        let now = self.sim.now();
+        for (src, bytes) in fetch.remote_transfers {
+            let sent = self.sim.send(src, node, bytes, now, Payload::StorageFetch);
+            if let Some(arrival) = sent {
+                duration = duration.max(arrival.saturating_sub(now));
+            }
+        }
+        (rows, duration)
     }
 
     /// Answer a key-only scan from the index pages alone, "bypassing the
@@ -166,6 +179,18 @@ impl Runtime<'_> {
         }
         Ok((out, pages))
     }
+}
+
+/// What a scan arm fetched from the store, for [`Runtime::emitted`] to
+/// account: the counts the report carries, the simulated duration of the
+/// local read, and the `(source, bytes)` of every replica fetch.
+#[derive(Default)]
+struct Fetch {
+    pages_read: usize,
+    tuples_scanned: usize,
+    remote_lookups: usize,
+    duration: SimTime,
+    remote_transfers: Vec<(NodeId, usize)>,
 }
 
 /// What scan emission needs to know besides the rows: whose provenance

@@ -468,7 +468,7 @@ impl SessionScheduler {
                 let now = shared.borrow().now();
                 let sim = SessionSim::attach(shared.clone(), SessionId(idx as u32));
                 let mut runtime = Runtime::new(storage, engine, &sessions[idx], sim);
-                runtime.begin(now);
+                runtime.begin(now)?;
                 runtimes[idx] = Some(runtime);
                 admitted_at[idx] = now;
                 admission_order.push(SessionId(idx as u32));

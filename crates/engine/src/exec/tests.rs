@@ -425,7 +425,7 @@ fn a_row_behind_its_end_of_stream_is_an_error_not_a_short_answer() {
     let shared = shared_sim(s.routing(), config.profile);
     let sim = SessionSim::attach(shared.clone(), SessionId(0));
     let mut runtime = Runtime::new(&s, &config, &(&query).into(), sim);
-    runtime.begin(SimTime::ZERO);
+    runtime.begin(SimTime::ZERO).unwrap();
     loop {
         let Some(d) = shared.borrow_mut().next() else {
             break;
@@ -450,10 +450,9 @@ fn a_row_behind_its_end_of_stream_is_an_error_not_a_short_answer() {
     let err = runtime
         .process_at(NodeId(1), rehash, 0, late, at)
         .unwrap_err();
-    assert!(
-        err.message()
-            .contains(&format!("Rehash operator {rehash} at n1")),
-        "{err}"
+    assert_eq!(
+        err.message(),
+        format!("1 row(s) reached Rehash operator {rehash} at n1 after it sent its end-of-stream")
     );
 }
 
@@ -1148,6 +1147,54 @@ fn maintenance_plan_strips_final_and_appends_support_count() {
     assert!(m.recompute_only().unwrap().contains("runners-up"));
 }
 
+/// The one plan-rewrite walker in its two modes: with no pivot it clones
+/// the plan below the stripped aggregate operator for operator; with one
+/// it broadcasts that scan into its join in place of the alignment
+/// rehash and splices the stationary side's rehash out.
+#[test]
+fn maintenance_rewrite_clones_the_base_plan_and_broadcasts_each_pivot() {
+    let m = MaintenancePlan::derive(&join_plan()).unwrap();
+    // Operators are numbered in the walker's depth-first order.
+    let mut b = PlanBuilder::new();
+    let r = b.scan("R", 3, None);
+    let r_re = b.rehash(r, vec![2]);
+    let s = b.scan("S", 2, None);
+    let s_re = b.rehash(s, vec![1]);
+    let join = b.hash_join(r_re, s_re, vec![2], vec![1]);
+    let ship = b.ship(join);
+    assert_eq!(*m.plan(), b.output(ship));
+
+    let leg = |pivot: &str| {
+        let mut b = PlanBuilder::new();
+        let mut r = b.scan("R", 3, None);
+        if pivot == "R" {
+            r = b.broadcast(r);
+        }
+        let mut s = b.scan("S", 2, None);
+        if pivot == "S" {
+            s = b.broadcast(s);
+        }
+        let join = b.hash_join(r, s, vec![2], vec![1]);
+        let ship = b.ship(join);
+        b.output(ship)
+    };
+    let legs = m.legs();
+    assert_eq!(legs.len(), 2);
+    for l in legs {
+        assert_eq!(l.plan, leg(&l.relation), "leg {}", l.relation);
+        assert_eq!(l.fold, FoldMode::Multiset);
+        // A leg input that already carries a broadcast is kept as it
+        // is, whichever relation it is installed to pivot on.
+        let mut view = MaterializedView::new("join", &join_plan()).unwrap();
+        let inputs: Vec<(String, crate::plan::PhysicalPlan)> = ["R", "S"]
+            .iter()
+            .map(|r| (r.to_string(), leg(&l.relation)))
+            .collect();
+        view.install_leg_plans(&inputs).unwrap();
+        assert_eq!(view.maintenance().legs()[0].plan, l.plan);
+    }
+}
+
 #[test]
 fn multiset_view_tracks_insert_modify_delete_epochs() {
     let mut s = cluster(4);
@@ -1687,6 +1734,7 @@ mod exchange_by_batch {
     use crate::plan::{OpId, OperatorKind, PhysicalPlan};
     use orchestra_common::rng::{seeded, StdRng};
     use orchestra_common::{ColumnarBatch, NodeSet};
+    use orchestra_simnet::Delivery;
     use std::sync::Arc;
 
     /// Every row of `batch` with its tags.
@@ -1956,14 +2004,11 @@ mod exchange_by_batch {
                 .map(|(dest, _)| *dest)
                 .collect();
             pending.sort_unstable();
-            assert_eq!(
-                rt.exchanges.pending_destinations(node, op),
-                pending,
-                "case {case}"
-            );
+            let out = &mut rt.nodes[node.index()].exchange(op, false).unwrap().out;
+            assert_eq!(out.pending_destinations(), pending, "case {case}");
             for dest in (0..nodes).map(NodeId) {
                 let what = format!("case {case}, destination {dest}");
-                let buffered = rt.exchanges.take_buffer(node, op, dest);
+                let buffered = out.take_buffer_batch(dest);
                 let expected = reference.buffers.remove(&dest).unwrap_or_default();
                 assert_eq!(rows_of(&buffered), rows_of(&expected), "{what}");
                 assert_eq!(
@@ -1974,17 +2019,101 @@ mod exchange_by_batch {
                 // Everything cached as sent to `dest`, read back the way
                 // recovery would were `dest` to fail.
                 let gone = NodeSet::singleton(dest);
-                let cached = rt.exchanges.take_cached_for_failed(node, &gone);
-                let cached = cached
-                    .into_iter()
-                    .next()
-                    .map(|(_, b)| b)
-                    .unwrap_or_default();
+                let cached = out.take_cached_batch_for(dest, &gone);
                 let expected = reference.cache.remove(&dest).unwrap_or_default();
                 assert_eq!(rows_of(&cached), rows_of(&expected), "{what}");
                 assert_eq!(cached.is_empty(), !config.recovery || expected.is_empty());
             }
         }
+    }
+
+    /// `scan R → rehash → ship → output`, with the ids of its exchanges.
+    fn rehash_ship_plan() -> (PhysicalPlan, OpId, OpId) {
+        let mut b = PlanBuilder::new();
+        let scan = b.scan("R", 3, None);
+        let rehash = b.rehash(scan, vec![2]);
+        let ship = b.ship(rehash);
+        (b.output(ship), rehash, ship)
+    }
+
+    /// An end-of-stream is counted only where the phase set a count up: a
+    /// `Ship` is consumed at the initiator alone, an operator that is no
+    /// exchange nowhere.
+    #[test]
+    fn an_end_of_stream_nobody_expects_is_an_error_naming_operator_and_node() {
+        let storage = cluster(3);
+        let config = EngineConfig::default();
+        let (plan, rehash, ship) = rehash_ship_plan();
+        let overrides = ScanOverrides::new();
+        let (mut rt, _sim) = runtime(&storage, &config, &plan, &overrides, NodeId(0));
+        let eos = |rt: &mut Runtime<'_>, node: NodeId, op: OpId| {
+            rt.handle(Delivery {
+                time: SimTime::ZERO,
+                from: NodeId(2),
+                to: node,
+                payload: Payload::Eos { op },
+            })
+        };
+        // Before dissemination no instance expects anything.
+        let err = eos(&mut rt, NodeId(0), rehash).unwrap_err();
+        assert_eq!(
+            err.message(),
+            format!("unexpected end-of-stream for operator {rehash} at n0")
+        );
+        rt.begin(SimTime::ZERO).unwrap();
+        eos(&mut rt, NodeId(1), rehash).unwrap();
+        eos(&mut rt, NodeId(0), ship).unwrap();
+        let err = eos(&mut rt, NodeId(1), ship).unwrap_err();
+        assert_eq!(
+            err.message(),
+            format!("unexpected end-of-stream for operator {ship} at n1")
+        );
+        let output = plan.root();
+        let err = eos(&mut rt, NodeId(0), output).unwrap_err();
+        assert_eq!(
+            err.message(),
+            format!("unexpected end-of-stream for operator {output} at n0")
+        );
+    }
+
+    /// A node that ran its scans has closed the segment they feed: the
+    /// rehash is flushed and its end-of-stream sent, so a row pushed into
+    /// it afterwards could never be delivered.
+    #[test]
+    fn a_batch_into_a_closed_segment_is_an_error_naming_operator_and_node() {
+        let mut storage = cluster(3);
+        publish_r(&mut storage, 30);
+        let config = EngineConfig::default();
+        let (plan, rehash, ship) = rehash_ship_plan();
+        let overrides = ScanOverrides::new();
+        let (mut rt, _sim) = runtime(&storage, &config, &plan, &overrides, NodeId(0));
+        rt.begin(SimTime::ZERO).unwrap();
+        let late = || random_batch(&mut seeded(1), &[Cells::Int, Cells::Str, Cells::Int], 2);
+        // Open until the node's plan arrives and its scans run.
+        rt.process_at(NodeId(2), rehash, 0, late(), SimTime::ZERO)
+            .unwrap();
+        rt.handle(Delivery {
+            time: SimTime::ZERO,
+            from: NodeId(0),
+            to: NodeId(2),
+            payload: Payload::Start,
+        })
+        .unwrap();
+        let err = rt
+            .process_at(NodeId(2), rehash, 0, late(), SimTime::ZERO)
+            .unwrap_err();
+        assert_eq!(
+            err.message(),
+            format!(
+                "2 row(s) reached Rehash operator {rehash} at n2 after it sent its end-of-stream"
+            )
+        );
+        // The ship above it still waits for the other senders' markers,
+        // here and at every other node.
+        rt.process_at(NodeId(2), ship, 0, late(), SimTime::ZERO)
+            .unwrap();
+        rt.process_at(NodeId(1), rehash, 0, late(), SimTime::ZERO)
+            .unwrap();
     }
 
     /// A string is allocated where the scan reads it out of the store
@@ -2023,7 +2152,8 @@ mod exchange_by_batch {
         rt.process_at(node, ship, 0, scanned.project(&[0, 1, 2]), SimTime::ZERO)
             .unwrap();
         assert_eq!(holders(&s), 3, "scan batch, pending buffer, cache");
-        let buffered = rt.exchanges.take_buffer(node, ship, NodeId(0));
+        let out = &mut rt.nodes[node.index()].exchange(ship, true).unwrap().out;
+        let buffered = out.take_buffer_batch(NodeId(0));
         assert_eq!(buffered.len(), scanned.len());
         assert!(Arc::ptr_eq(&held(&buffered), &s));
 
@@ -2034,7 +2164,8 @@ mod exchange_by_batch {
         assert!(Arc::ptr_eq(&held(&rt.output), &s));
         assert_eq!(holders(&s), 3, "scan batch, cache, answer");
         let gone = NodeSet::singleton(NodeId(0));
-        let cached = rt.exchanges.take_cached_for_failed(node, &gone);
-        assert!(Arc::ptr_eq(&held(&cached[0].1), &s));
+        let out = &mut rt.nodes[node.index()].exchange(ship, true).unwrap().out;
+        let cached = out.take_cached_batch_for(NodeId(0), &gone);
+        assert!(Arc::ptr_eq(&held(&cached), &s));
     }
 }

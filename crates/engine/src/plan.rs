@@ -177,10 +177,30 @@ pub struct Operator {
     pub children: Vec<OpId>,
     /// Parent operator, `None` only for the root `Output`.
     pub parent: Option<OpId>,
+    /// Position among the parent's inputs (0 for the root).
+    pub(crate) input: usize,
     /// Number of columns in the operator's output rows.
     pub arity: usize,
     /// Where the operator runs.
     pub site: Site,
+}
+
+/// One pipeline segment of a plan: an exchange or `Output` — the
+/// segment's *root* — and what feeds it from below without crossing
+/// another exchange.  A node closes a segment (emits the blocking
+/// operators' state, flushes the root, signals end-of-stream) once its
+/// scans have run and every boundary exchange has delivered its last row.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub(crate) struct Segment {
+    /// The exchange or `Output` the segment feeds.
+    pub(crate) root: OpId,
+    /// The leaf scans inside the segment, ascending.
+    pub(crate) scans: Vec<OpId>,
+    /// The exchanges whose deliveries enter the segment from below,
+    /// ascending.
+    pub(crate) exchanges: Vec<OpId>,
+    /// The blocking operators inside the segment, ascending.
+    pub(crate) blocking: Vec<OpId>,
 }
 
 /// A complete physical plan.
@@ -188,6 +208,9 @@ pub struct Operator {
 pub struct PhysicalPlan {
     operators: Vec<Operator>,
     root: OpId,
+    /// The segment topology — a function of `operators` alone, computed
+    /// once when the plan is finished and read by every session.
+    segments: Vec<Segment>,
 }
 
 impl PhysicalPlan {
@@ -204,6 +227,11 @@ impl PhysicalPlan {
     /// The root (`Output`) operator.
     pub fn root(&self) -> OpId {
         self.root
+    }
+
+    /// The plan's segments, in ascending order of their roots.
+    pub(crate) fn segments(&self) -> &[Segment] {
+        &self.segments
     }
 
     /// Number of operators.
@@ -291,19 +319,21 @@ impl PlanBuilder {
 
     fn push(&mut self, kind: OperatorKind, children: Vec<OpId>, arity: usize) -> OpId {
         let id = self.operators.len();
-        for &c in &children {
+        for (input, &c) in children.iter().enumerate() {
             assert!(c < id, "child {c} does not exist yet");
             assert!(
                 self.operators[c].parent.is_none(),
                 "operator {c} already has a parent"
             );
             self.operators[c].parent = Some(id);
+            self.operators[c].input = input;
         }
         self.operators.push(Operator {
             id,
             kind,
             children,
             parent: None,
+            input: 0,
             arity,
             site: Site::Everywhere,
         });
@@ -511,18 +541,57 @@ impl PlanBuilder {
     }
 
     /// Finish the plan: add the `Output` collector above `child`, assign
-    /// execution sites, and validate the tree.
+    /// execution sites, work out the segment topology, and validate the
+    /// tree.
     pub fn output(mut self, child: OpId) -> PhysicalPlan {
         let arity = self.arity_of(child);
         let root = self.push(OperatorKind::Output, vec![child], arity);
         let mut plan = PhysicalPlan {
             operators: self.operators,
             root,
+            segments: Vec::new(),
         };
         assign_sites(&mut plan);
+        plan.segments = segments_of(&plan);
         validate(&plan);
         plan
     }
+}
+
+/// One segment per exchange and for `Output`: the scans, boundary
+/// exchanges and blocking operators reached from the root's inputs
+/// without crossing an exchange.
+fn segments_of(plan: &PhysicalPlan) -> Vec<Segment> {
+    let roots = plan
+        .operators()
+        .iter()
+        .filter(|o| o.kind.is_exchange() || matches!(o.kind, OperatorKind::Output));
+    roots
+        .map(|root| {
+            let mut segment = Segment {
+                root: root.id,
+                ..Segment::default()
+            };
+            let mut stack = root.children.clone();
+            while let Some(id) = stack.pop() {
+                let op = plan.op(id);
+                if op.kind.is_exchange() {
+                    segment.exchanges.push(id);
+                } else if op.kind.is_scan() {
+                    segment.scans.push(id);
+                } else {
+                    if op.kind.is_blocking() {
+                        segment.blocking.push(id);
+                    }
+                    stack.extend(&op.children);
+                }
+            }
+            segment.scans.sort_unstable();
+            segment.exchanges.sort_unstable();
+            segment.blocking.sort_unstable();
+            segment
+        })
+        .collect()
 }
 
 /// Mark everything strictly above each `Ship` boundary as initiator-only.
@@ -634,6 +703,90 @@ mod tests {
                 _ => assert_eq!(op.site, Site::Everywhere),
             }
         }
+    }
+
+    fn segment(root: OpId, scans: &[OpId], exchanges: &[OpId], blocking: &[OpId]) -> Segment {
+        Segment {
+            root,
+            scans: scans.to_vec(),
+            exchanges: exchanges.to_vec(),
+            blocking: blocking.to_vec(),
+        }
+    }
+
+    fn input_positions(plan: &PhysicalPlan) -> Vec<usize> {
+        plan.operators().iter().map(|o| o.input).collect()
+    }
+
+    /// The values are what the executor's per-session `segment_sources`
+    /// and `input_index` returned for these plans before the topology
+    /// moved into the plan.
+    #[test]
+    fn segment_topology_is_part_of_the_plan() {
+        let plan = example_5_1();
+        assert_eq!(
+            plan.segments(),
+            [
+                segment(2, &[0], &[], &[]),
+                segment(4, &[1], &[2], &[]),
+                segment(6, &[], &[4], &[5]),
+                segment(8, &[], &[6], &[7]),
+            ]
+        );
+        assert_eq!(input_positions(&plan), [0, 1, 0, 0, 0, 0, 0, 0, 0]);
+
+        // The hand-built TPC-H Q3 of the workloads crate.
+        let mut b = PlanBuilder::new();
+        let customer = b.scan(
+            "customer",
+            2,
+            Some(Predicate::cmp(1, CmpOp::Eq, "BUILDING")),
+        );
+        let orders = b.scan("orders", 4, Some(Predicate::cmp(2, CmpOp::Lt, 19950315i64)));
+        let customer_re = b.rehash(customer, vec![0]);
+        let orders_re = b.rehash(orders, vec![1]);
+        let cust_orders = b.hash_join(customer_re, orders_re, vec![0], vec![1]);
+        let lineitem = b.scan(
+            "lineitem",
+            9,
+            Some(Predicate::cmp(8, CmpOp::Gt, 19950315i64)),
+        );
+        let cust_orders_re = b.rehash(cust_orders, vec![2]);
+        let lineitem_re = b.rehash(lineitem, vec![1]);
+        let joined = b.hash_join(cust_orders_re, lineitem_re, vec![2], vec![1]);
+        let revenue = ScalarExpr::Mul(
+            Box::new(ScalarExpr::col(9)),
+            Box::new(ScalarExpr::Sub(
+                Box::new(ScalarExpr::lit(100i64)),
+                Box::new(ScalarExpr::col(10)),
+            )),
+        );
+        let terms = b.compute(
+            joined,
+            vec![
+                ScalarExpr::col(2),
+                ScalarExpr::col(4),
+                ScalarExpr::col(5),
+                revenue,
+            ],
+        );
+        let agg = b.two_phase_aggregate(terms, vec![0, 1, 2], vec![(AggFunc::Sum, 3)]);
+        let plan = b.output(agg);
+        assert_eq!(
+            plan.segments(),
+            [
+                segment(2, &[0], &[], &[]),
+                segment(3, &[1], &[], &[]),
+                segment(6, &[], &[2, 3], &[]),
+                segment(7, &[5], &[], &[]),
+                segment(11, &[], &[6, 7], &[10]),
+                segment(13, &[], &[11], &[12]),
+            ]
+        );
+        assert_eq!(
+            input_positions(&plan),
+            [0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0]
+        );
     }
 
     #[test]
