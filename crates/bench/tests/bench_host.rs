@@ -44,6 +44,9 @@ fn every_record_covers_the_benchmark_contract() {
         let runs = record.get("runs").and_then(Json::as_f64);
         assert!(runs.is_some_and(|n| n >= 1.0), "{label}: runs");
         assert_eq!(record.get("smoke"), Some(&Json::Bool(false)), "{label}");
+        // Records from PR 23 on carry their own yardstick (the SHA-1
+        // probe's median) and restate wall-clock medians in it.
+        let key_hash = record.get("key_hash_ns_p50").and_then(Json::as_f64);
         for workload in &workloads {
             let entry = record.get("workloads").and_then(|w| w.get(workload));
             let entry = entry.unwrap_or_else(|| panic!("{label}: no {workload}"));
@@ -62,6 +65,22 @@ fn every_record_covers_the_benchmark_contract() {
                     q1 <= median && median <= q3,
                     "{label}: {workload} {metric} quartiles {q1} {median} {q3}"
                 );
+                let nanos = match metric.as_str() {
+                    "op_ms_p25" => 1e6,
+                    "setup_s" => 1e9,
+                    _ => continue,
+                };
+                if let Some(key_hash) = key_hash {
+                    let restated = entry.get("in_key_hashes").and_then(|m| m.get(metric));
+                    let restated = restated.and_then(Json::as_f64);
+                    let restated = restated
+                        .unwrap_or_else(|| panic!("{label}: {workload} {metric} in key hashes"));
+                    let expected = median * nanos / key_hash;
+                    assert!(
+                        key_hash > 0.0 && (restated - expected).abs() <= 1e-6 * expected,
+                        "{label}: {workload} {metric} is {restated} key hashes, not {expected}"
+                    );
+                }
             }
         }
     }

@@ -21,14 +21,19 @@
 //! * parallel *tag columns* — sign, provenance node-set and phase — the
 //!   execution metadata the engine's recovery machinery carries per row.
 //!
-//! **Strings are shared between pools by pointer.**  A pool keeps its
-//! strings as `Arc<str>`; a string is allocated once, where a scan or an
-//! expression first interns it ([`StringPool::intern`]), and every batch
-//! it is copied into afterwards — an exchange buffer, the recovery cache,
-//! the wire payload, a join's build side, the answer — interns the same
-//! allocation ([`StringPool::intern_shared`], which is what
-//! [`PoolMemo::translate`], [`ColumnarBatch::append_rows`] and
-//! [`ColumnarBatch::append_row_interned`] call).  Cloning a pool, as
+//! **Strings are shared by pointer — between pools and with the row
+//! form.**  A pool keeps its strings as `Arc<str>`, the payload of a
+//! [`Value::Str`].  A string is allocated once, where it is generated or
+//! computed; interning it ([`StringPool::intern_shared`] — what
+//! [`ColumnarBatch::push_row`] and every other way into a batch call)
+//! shares that allocation, and so does every batch it is copied into
+//! afterwards — an exchange buffer, the recovery cache, the wire payload,
+//! a join's build side, the answer ([`PoolMemo::translate`],
+//! [`ColumnarBatch::append_rows`], [`ColumnarBatch::append_row_interned`]).
+//! Reading a cell back ([`ColumnarBatch::value_at`],
+//! [`ColumnarBatch::tuple_at`]) hands the same allocation out again: a
+//! scan copies no string out of the store, and an answer row costs one
+//! allocation — its `Arc<[Value]>`.  Cloning a pool, as
 //! [`ColumnarBatch::project`] does, copies no bytes either.
 //!
 //! **Rows move between batches a column at a time.**
@@ -56,9 +61,12 @@ use std::sync::Arc;
 /// An interned-string pool: every distinct string is stored once and
 /// addressed by a dense `u32` id, so two cells are equal iff their ids
 /// are equal.  The bytes live behind an [`Arc`], shared by the id table,
-/// the content index and every other pool the string has been copied
-/// into ([`StringPool::intern_shared`]): cloning a pool, or moving a
-/// string from one batch to the next, bumps a reference count.
+/// the content index, every other pool the string has been copied into
+/// and every [`Value::Str`] it came from or was read back as
+/// ([`StringPool::intern_shared`], [`StringPool::get_shared`]): cloning
+/// a pool, moving a string from one batch to the next, or turning a cell
+/// back into a row value bumps a reference count.  A pool never
+/// allocates a string.
 #[derive(Clone, Debug, Default)]
 pub struct StringPool {
     strings: Vec<Arc<str>>,
@@ -71,28 +79,17 @@ impl StringPool {
         StringPool::default()
     }
 
-    /// Intern `s`, returning its id (existing id if already present).
-    /// A new string is allocated here, once.
-    pub fn intern(&mut self, s: &str) -> u32 {
-        match self.index.get(s) {
-            Some(id) => *id,
-            None => self.insert_new(Arc::from(s)),
-        }
-    }
-
-    /// Intern a string another pool already holds: when it is new to this
-    /// pool the allocation is shared, not copied.
+    /// Intern `s` — the payload of a [`Value::Str`] or another pool's
+    /// entry — returning its id (the existing id if its content is
+    /// already present).  When it is new to this pool the allocation is
+    /// shared, not copied.
     pub fn intern_shared(&mut self, s: &Arc<str>) -> u32 {
-        match self.index.get(&**s) {
-            Some(id) => *id,
-            None => self.insert_new(Arc::clone(s)),
+        if let Some(id) = self.index.get(&**s) {
+            return *id;
         }
-    }
-
-    fn insert_new(&mut self, s: Arc<str>) -> u32 {
         let id = self.strings.len() as u32;
-        self.index.insert(Arc::clone(&s), id);
-        self.strings.push(s);
+        self.index.insert(Arc::clone(s), id);
+        self.strings.push(Arc::clone(s));
         id
     }
 
@@ -101,7 +98,8 @@ impl StringPool {
         &self.strings[id as usize]
     }
 
-    /// The shared allocation behind `id`, for [`Self::intern_shared`].
+    /// The shared allocation behind `id`, for [`Self::intern_shared`] and
+    /// for reading a cell back as a [`Value::Str`].
     pub fn get_shared(&self, id: u32) -> &Arc<str> {
         &self.strings[id as usize]
     }
@@ -248,7 +246,10 @@ impl Column {
         let values: Vec<Value> = match &self.data {
             ColumnData::Int(v) => v.iter().map(|x| Value::Int(*x)).collect(),
             ColumnData::Double(v) => v.iter().map(|x| Value::Double(*x)).collect(),
-            ColumnData::Str(v) => v.iter().map(|id| Value::str(pool.get(*id))).collect(),
+            ColumnData::Str(v) => v
+                .iter()
+                .map(|id| Value::Str(Arc::clone(pool.get_shared(*id))))
+                .collect(),
             ColumnData::Values(_) => return,
         };
         self.data = ColumnData::Values(values);
@@ -277,7 +278,7 @@ impl Column {
             (ColumnData::Int(_), Value::Int(x)) => self.push_int(x),
             (ColumnData::Double(_), Value::Double(x)) => self.push_double(x),
             (ColumnData::Str(_), Value::Str(s)) => {
-                let id = pool.intern(&s);
+                let id = pool.intern_shared(&s);
                 self.push_str_id(id);
             }
             (ColumnData::Values(_), v) => self.push_value(v),
@@ -288,9 +289,8 @@ impl Column {
         }
     }
 
-    /// [`Column::push`] for a borrowed cell: numbers are copied, a string
-    /// is interned by reference (no allocation when the pool already has
-    /// it), and only the `Values` fallback clones.
+    /// [`Column::push`] for a borrowed cell: numbers are copied and a
+    /// string is interned by pointer, so no cell allocates.
     fn push_ref(&mut self, v: &Value, pool: &mut StringPool) {
         match (&self.data, v) {
             // The first cell fixes the variant: `push` decides.
@@ -298,7 +298,7 @@ impl Column {
             (ColumnData::Int(_), Value::Int(x)) => self.push_int(*x),
             (ColumnData::Double(_), Value::Double(x)) => self.push_double(*x),
             (ColumnData::Str(_), Value::Str(s)) => {
-                let id = pool.intern(s);
+                let id = pool.intern_shared(s);
                 self.push_str_id(id);
             }
             // Mixed types and NULLs: demotion or the `Values` fallback.
@@ -361,7 +361,7 @@ impl Column {
         match &self.data {
             ColumnData::Int(v) => Value::Int(v[row]),
             ColumnData::Double(v) => Value::Double(v[row]),
-            ColumnData::Str(v) => Value::str(pool.get(v[row])),
+            ColumnData::Str(v) => Value::Str(Arc::clone(pool.get_shared(v[row]))),
             ColumnData::Values(v) => v[row].clone(),
         }
     }
@@ -610,8 +610,8 @@ impl ColumnarBatch {
         self.signs.is_empty()
     }
 
-    /// Append one row from borrowed cells (a string already in the pool
-    /// is not copied).  Panics if `values` does not
+    /// Append one row from borrowed cells (strings are shared with the
+    /// row, not copied).  Panics if `values` does not
     /// match the batch arity — ragged rows cannot exist column-wise; pad
     /// them (e.g. with [`Value::Null`]) before pushing.
     pub fn push_row(&mut self, values: &[Value], sign: i8, provenance: NodeSet, phase: u32) {
@@ -634,8 +634,7 @@ impl ColumnarBatch {
         }
     }
 
-    /// Append one row, consuming the cells (no string copies for new
-    /// strings).
+    /// Append one row, consuming the cells.
     pub fn push_row_owned(
         &mut self,
         values: Vec<Value>,
@@ -688,7 +687,7 @@ impl ColumnarBatch {
     }
 
     /// Append one whole row of `other` without a [`PoolMemo`]: strings
-    /// re-intern by content (no allocation when already pooled).  Use when
+    /// re-intern by content (sharing the allocation when new).  Use when
     /// the destination batch can be replaced between calls, invalidating
     /// any memo.  If `other` is narrower, the trailing columns get NULLs;
     /// if it is wider, this batch is widened first
@@ -785,7 +784,7 @@ impl ColumnarBatch {
 
     /// Materialize the row at `row` as a [`Tuple`].
     pub fn tuple_at(&self, row: usize) -> Tuple {
-        Tuple::new((0..self.arity()).map(|c| self.value_at(row, c)).collect())
+        (0..self.arity()).map(|c| self.value_at(row, c)).collect()
     }
 
     /// The sign of `row` (`+1` assertion, `-1` retraction).

@@ -17,6 +17,7 @@ use crate::key::Key160;
 use crate::sha1::Sha1;
 use crate::value::Value;
 use std::fmt;
+use std::sync::Arc;
 
 /// A logical timestamp that advances each time a participant publishes a
 /// batch of updates (paper Section IV).  Epoch 0 is the first publication.
@@ -134,26 +135,29 @@ pub fn hash_values<'a>(values: impl IntoIterator<Item = &'a Value>) -> Key160 {
 /// Tuples are deliberately plain data — provenance tags, phases and other
 /// execution metadata are carried alongside tuples by the engine rather
 /// than inside them, so the storage layer stores exactly the user data.
+///
+/// A tuple is immutable and its row is shared by pointer
+/// (`Arc<[Value]>`): `clone` bumps one reference count and allocates
+/// nothing, so the row built when an answer leaves its batch is the row
+/// the report, the result cache and every cache hit hand out.  (The one
+/// place that wants a copy with bytes of its own — publication into the
+/// store — builds it explicitly.)
 #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Tuple {
-    values: Vec<Value>,
+    values: Arc<[Value]>,
 }
 
 impl Tuple {
     /// Build a tuple from a row of values.
     pub fn new(values: Vec<Value>) -> Self {
-        Tuple { values }
+        Tuple {
+            values: values.into(),
+        }
     }
 
     /// The values of the tuple.
     pub fn values(&self) -> &[Value] {
         &self.values
-    }
-
-    /// Consume the tuple, yielding its values (no clones — used when
-    /// loading rows into a columnar batch).
-    pub fn into_values(self) -> Vec<Value> {
-        self.values
     }
 
     /// Value at column `i`.
@@ -191,15 +195,12 @@ impl Tuple {
 
     /// Project the tuple onto the given column indices.
     pub fn project(&self, columns: &[usize]) -> Tuple {
-        Tuple::new(columns.iter().map(|c| self.values[*c].clone()).collect())
+        columns.iter().map(|c| self.values[*c].clone()).collect()
     }
 
     /// Concatenate two tuples (used by joins to form output rows).
     pub fn concat(&self, other: &Tuple) -> Tuple {
-        let mut values = Vec::with_capacity(self.arity() + other.arity());
-        values.extend_from_slice(&self.values);
-        values.extend_from_slice(&other.values);
-        Tuple::new(values)
+        self.values.iter().chain(&*other.values).cloned().collect()
     }
 
     /// Wire size of the tuple in the engine's batch format: a 2-byte
@@ -216,7 +217,7 @@ impl Tuple {
     /// Append the wire encoding of the tuple to `out`.
     pub fn encode_to(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&(self.values.len() as u16).to_be_bytes());
-        for v in &self.values {
+        for v in self.values.iter() {
             v.encode_to(out);
         }
     }
@@ -238,6 +239,17 @@ impl fmt::Display for Tuple {
 impl From<Vec<Value>> for Tuple {
     fn from(values: Vec<Value>) -> Self {
         Tuple::new(values)
+    }
+}
+
+/// Collect a row straight into its shared slice: an iterator of known
+/// length (a mapped range or slice — the way a row leaves a batch) fills
+/// the `Arc<[Value]>` in one allocation, with no `Vec` in between.
+impl FromIterator<Value> for Tuple {
+    fn from_iter<I: IntoIterator<Item = Value>>(iter: I) -> Self {
+        Tuple {
+            values: iter.into_iter().collect(),
+        }
     }
 }
 

@@ -12,10 +12,18 @@
 //!   aggregate operator need (concatenation, arithmetic, min/max/sum).
 
 use std::cmp::Ordering;
-use std::fmt;
+use std::fmt::{self, Write};
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// A single field value.
+///
+/// Immutable, and cheap to clone: numbers are copied and a string is
+/// shared by pointer (`Arc<str>`), so a clone bumps a reference count.
+/// A string is allocated once — where it is generated or computed — and
+/// the same allocation then serves the store, the interned-string pool of
+/// every batch it passes through ([`crate::StringPool::intern_shared`]),
+/// the answer, the result cache and every cache hit.
 #[derive(Clone, Debug)]
 pub enum Value {
     /// SQL NULL.
@@ -26,13 +34,13 @@ pub enum Value {
     /// Double-precision float (TPC-H prices, discounts, aggregates).
     Double(f64),
     /// Variable-length string (STBenchmark's 25-character fields, TPC-H
-    /// comments, names, flags).
-    Str(String),
+    /// comments, names, flags).  Shared, never copied, by `clone`.
+    Str(Arc<str>),
 }
 
 impl Value {
     /// Build a string value.
-    pub fn str(s: impl Into<String>) -> Value {
+    pub fn str(s: impl Into<Arc<str>>) -> Value {
         Value::Str(s.into())
     }
 
@@ -149,7 +157,20 @@ impl Value {
     /// three attributes together); non-string operands are rendered with
     /// `Display`.
     pub fn concat(&self, other: &Value) -> Value {
-        Value::Str(format!("{self}{other}"))
+        let mut out = String::new();
+        self.write_to(&mut out);
+        other.write_to(&mut out);
+        Value::str(out)
+    }
+
+    /// Append this value's `Display` rendering to `out` without a
+    /// temporary: a string is `push_str`ed, a number formatted in place.
+    /// Concatenation renders every part of a row into one buffer with it.
+    pub fn write_to(&self, out: &mut String) {
+        match self {
+            Value::Str(s) => out.push_str(s),
+            other => write!(out, "{other}").expect("writing to a String cannot fail"),
+        }
     }
 
     fn type_rank(&self) -> u8 {
@@ -247,13 +268,13 @@ impl From<f64> for Value {
 
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
-        Value::Str(v.to_string())
+        Value::str(v)
     }
 }
 
 impl From<String> for Value {
     fn from(v: String) -> Self {
-        Value::Str(v)
+        Value::str(v)
     }
 }
 

@@ -11,6 +11,12 @@
 //! every stale entry an ordinary miss that capacity pressure eventually
 //! evicts.
 //!
+//! **A hit costs one pointer bump a row.**  An answer's rows are built
+//! once, when they leave the output batch; a [`Tuple`] shares its row by
+//! pointer, so the fill keeps the very rows the first session's report
+//! holds and every hit hands them out again — two `Vec`s of pointers
+//! (rows and signed rows) are allocated per hit, and no row or string.
+//!
 //! The cache is bounded to [`ResultCache::capacity`] entries.  When full,
 //! insertion evicts per [`EvictionPolicy`]:
 //!
@@ -104,7 +110,9 @@ struct Entry {
     last_used: u64,
 }
 
-/// A cached answer as handed to the scheduler on a hit.
+/// A cached answer as handed to the scheduler on a hit: the entry's own
+/// rows, shared by pointer (one reference-count bump a row — see the
+/// module docs), never a copy of their values.
 #[derive(Clone, Debug)]
 pub struct CachedAnswer {
     /// The answer rows, sorted.
@@ -203,8 +211,9 @@ impl ResultCache {
 
     /// Insert the completed answer of `fingerprint` at `epoch`, evicting
     /// per the policy if the cache is full.  Re-inserting an existing key
-    /// replaces the answer (the store is deterministic, so the rows are
-    /// identical) without disturbing the entry's hit count.
+    /// replaces the answer and its sizes (the store is deterministic, so
+    /// in a run the rows are identical) without disturbing the entry's
+    /// hit count.  The rows are moved in, not copied.
     pub fn insert(
         &mut self,
         fingerprint: QueryFingerprint,
@@ -218,9 +227,11 @@ impl ResultCache {
         }
         self.tick += 1;
         let key = (fingerprint, epoch);
+        let answer_bytes: u64 = rows.iter().map(|t| t.serialized_size() as u64).sum();
         if let Some(entry) = self.entries.get_mut(&key) {
             entry.rows = rows;
             entry.signed_rows = signed_rows;
+            entry.answer_bytes = answer_bytes;
             entry.shipped_bytes = shipped_bytes;
             entry.last_used = self.tick;
             return;
@@ -228,7 +239,6 @@ impl ResultCache {
         if self.entries.len() >= self.capacity {
             self.evict_one();
         }
-        let answer_bytes: u64 = rows.iter().map(|t| t.serialized_size() as u64).sum();
         self.entries.insert(
             key,
             Entry {
@@ -360,6 +370,26 @@ mod tests {
         let entry = &cache.entries()[0];
         assert_eq!(entry.hits, 1); // hit count survives the refresh
         assert_eq!(entry.shipped_bytes, 12);
+    }
+
+    #[test]
+    fn reinsertion_resizes_the_answer() {
+        let mut cache = ResultCache::new(2, EvictionPolicy::Lru);
+        let size = |rows: &[Tuple]| rows.iter().map(|t| t.serialized_size() as u64).sum::<u64>();
+        let small = vec![row(1)];
+        let large = vec![
+            Tuple::new(vec![Value::Int(1), Value::str("a longer row")]),
+            Tuple::new(vec![Value::Int(2), Value::str("and a second one")]),
+        ];
+        assert_ne!(size(&small), size(&large));
+        cache.insert(fp("a"), Epoch(1), small.clone(), Vec::new(), 10);
+        assert_eq!(cache.entries()[0].answer_bytes, size(&small));
+        cache.insert(fp("a"), Epoch(1), large.clone(), Vec::new(), 10);
+        assert_eq!(cache.entries()[0].answer_bytes, size(&large));
+        let hit = cache.lookup(fp("a"), Epoch(1)).expect("resident");
+        assert_eq!(hit.rows, large);
+        cache.insert(fp("a"), Epoch(1), small.clone(), Vec::new(), 10);
+        assert_eq!(cache.entries()[0].answer_bytes, size(&small));
     }
 
     #[test]

@@ -126,6 +126,8 @@ impl Runtime<'_> {
             .collect();
         signed_rows.sort();
         // Sorted by (tuple, sign), so the projection is already sorted.
+        // Each row was allocated once, by `tuple_at` above; `rows` shares
+        // them by pointer, as the cache and its hits will after it.
         let rows: Vec<Tuple> = signed_rows.iter().map(|(t, _)| t.clone()).collect();
         let stats = self.sim.stats();
         QueryReport {

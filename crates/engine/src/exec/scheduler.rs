@@ -528,7 +528,8 @@ impl SessionScheduler {
                         // Fill the cache only on completion: a session
                         // interrupted mid-query contributes nothing until
                         // its recovery finishes, so a failure can never
-                        // leave a partial answer behind.
+                        // leave a partial answer behind.  The cache keeps
+                        // the report's own rows (a pointer bump each).
                         if let (Some(cache), Some(fp)) = (cache.as_deref_mut(), session.fingerprint)
                         {
                             cache.insert(

@@ -2116,9 +2116,9 @@ mod exchange_by_batch {
             .unwrap();
     }
 
-    /// A string is allocated where the scan reads it out of the store
-    /// and nowhere after: the exchange buffer, the recovery cache and the
-    /// answer hold the scan batch's allocation.
+    /// A string is allocated where publication stores it and nowhere
+    /// after: the scan batch, the exchange buffer, the recovery cache and
+    /// the answer hold the store's allocation.
     #[test]
     fn a_scanned_string_is_one_allocation_from_scan_to_output() {
         let mut storage = cluster(4);
@@ -2138,8 +2138,12 @@ mod exchange_by_batch {
             Arc::clone(pool.get_shared(id.expect("some row of the batch has g = \"b\"")))
         };
         // Every pool that holds a string holds it twice (by id and by
-        // content); the test's own handle is one more.
-        let holders = |s: &Arc<str>| (Arc::strong_count(s) - 1) / 2;
+        // content); the stored tuple it was scanned from and the test's
+        // own handle are one more each.
+        let holders = |s: &Arc<str>| {
+            assert_eq!(Arc::strong_count(s) % 2, 0);
+            (Arc::strong_count(s) - 2) / 2
+        };
 
         let node = NodeId(1);
         let (scanned, _) = rt.do_scan(node, scan).unwrap();

@@ -249,7 +249,7 @@ fn compare_const(
             let pool = batch.pool();
             for (m, id) in mask.iter_mut().zip(ids) {
                 if *m {
-                    *m = op.eval_ord(pool.get(*id).cmp(s.as_str()));
+                    *m = op.eval_ord(pool.get(*id).cmp(s));
                 }
             }
         }
@@ -263,15 +263,16 @@ fn compare_const(
         // Remaining combinations pit a uniformly-typed column against a
         // constant of a different type rank: the ordering is decided by
         // rank alone and is the same for every row.
-        (ColumnData::Int(_), c) => uniform(op, &Value::Int(0), c, mask),
-        (ColumnData::Double(_), c) => uniform(op, &Value::Double(0.0), c, mask),
-        (ColumnData::Str(_), c) => uniform(op, &Value::Str(String::new()), c, mask),
+        (ColumnData::Int(_) | ColumnData::Double(_), c) => uniform(op, Value::Int(0).cmp(c), mask),
+        // A string outranks every constant that is not one (NULL and the
+        // numbers); no representative `Value::Str` is allocated to ask.
+        (ColumnData::Str(_), _) => uniform(op, Ordering::Greater, mask),
     }
 }
 
 /// AND a row-independent comparison result into the whole mask.
-fn uniform(op: CmpOp, representative: &Value, c: &Value, mask: &mut [bool]) {
-    if !op.eval(representative, c) {
+fn uniform(op: CmpOp, ord: Ordering, mask: &mut [bool]) {
+    if !op.eval_ord(ord) {
         mask.fill(false);
     }
 }
@@ -374,9 +375,9 @@ impl ScalarExpr {
             ScalarExpr::Concat(parts) => {
                 let mut out = String::new();
                 for p in parts {
-                    out.push_str(&p.eval(tuple).to_string());
+                    p.eval(tuple).write_to(&mut out);
                 }
-                Value::Str(out)
+                Value::str(out)
             }
         }
     }
@@ -391,7 +392,7 @@ impl ScalarExpr {
                 ColumnData::Double(v) => v.iter().map(|x| Value::Double(*x)).collect(),
                 ColumnData::Str(ids) => ids
                     .iter()
-                    .map(|id| Value::Str(batch.pool().get(*id).to_string()))
+                    .map(|id| Value::Str(batch.pool().get_shared(*id).clone()))
                     .collect(),
                 ColumnData::Values(v) => v.clone(),
             },
@@ -401,13 +402,17 @@ impl ScalarExpr {
             ScalarExpr::Mul(a, b) => binary_column(a, b, batch, Value::mul),
             ScalarExpr::Concat(parts) => {
                 let cols: Vec<Vec<Value>> = parts.iter().map(|p| p.eval_column(batch)).collect();
+                // One buffer for the whole batch: every part of a row is
+                // written into it, and the row's one allocation is the
+                // shared string cut from it.
+                let mut out = String::new();
                 (0..batch.len())
                     .map(|i| {
-                        let mut out = String::new();
+                        out.clear();
                         for c in &cols {
-                            out.push_str(&c[i].to_string());
+                            c[i].write_to(&mut out);
                         }
-                        Value::Str(out)
+                        Value::str(out.as_str())
                     })
                     .collect()
             }
@@ -611,7 +616,12 @@ mod tests {
             Predicate::cmp(1, CmpOp::Gt, 1i64),
             Predicate::cmp(2, CmpOp::Eq, "a"),
             Predicate::cmp(2, CmpOp::Gt, 1i64), // rank-uniform: Str > numeric
-            Predicate::cmp(3, CmpOp::Eq, "x"),  // demoted column, generic path
+            Predicate::cmp(2, CmpOp::Le, 1.5f64),
+            Predicate::cmp(2, CmpOp::Ne, Value::Null), // ... and Str > NULL
+            Predicate::cmp(0, CmpOp::Lt, "a"),         // numeric < Str, numeric > NULL
+            Predicate::cmp(1, CmpOp::Gt, Value::Null),
+            Predicate::cmp(1, CmpOp::Eq, ""),
+            Predicate::cmp(3, CmpOp::Eq, "x"), // demoted column, generic path
             Predicate::Between {
                 column: 1,
                 low: Value::Double(1.0),

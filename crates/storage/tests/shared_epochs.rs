@@ -6,8 +6,9 @@
 mod common;
 
 use common::{routing_over, seeded_store, NODES};
-use orchestra_common::{Epoch, NodeId, Tuple, Value};
-use orchestra_storage::{anti_entropy, DistributedStorage, UpdateBatch};
+use orchestra_common::{ColumnType, Epoch, NodeId, Relation, Schema, Tuple, Value};
+use orchestra_storage::{anti_entropy, DistributedStorage, StorageConfig, Update, UpdateBatch};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 fn assert_positions_are_key_hashes(s: &DistributedStorage, when: &str) {
@@ -177,4 +178,88 @@ fn replicas_and_clones_share_one_allocation() {
     assert_eq!(Arc::strong_count(&probe), shared + 1);
     drop(copy);
     assert_eq!(Arc::strong_count(&probe), shared);
+}
+
+/// The addresses of a row's own allocations: the row and its strings.
+fn allocations_of(values: &[Value]) -> impl Iterator<Item = *const u8> + '_ {
+    let strings = values.iter().filter_map(|v| match v {
+        Value::Str(s) => Some(Arc::as_ptr(s) as *const u8),
+        _ => None,
+    });
+    std::iter::once(values.as_ptr() as *const u8).chain(strings)
+}
+
+#[test]
+fn the_store_owns_its_bytes() {
+    // Rows share by pointer everywhere else; publication is the one
+    // detaching copy.  String keys, so tuple IDs and page entries hold
+    // strings of their own too; an insert epoch and a modify epoch.
+    let mut s = DistributedStorage::new(routing_over(NODES), StorageConfig::default());
+    s.register_relation(Relation::partitioned(
+        "S",
+        Schema::keyed_on_first(vec![("k", ColumnType::Str), ("v", ColumnType::Str)]),
+    ));
+    let row = |k: i64, generation: u64| {
+        Tuple::new(vec![
+            Value::str(format!("key-{k}")),
+            Value::str(format!("value-{k}-g{generation}")),
+        ])
+    };
+    let mut bulk = UpdateBatch::new();
+    let mut churn = UpdateBatch::new();
+    for k in 0..200 {
+        bulk.insert("S", row(k, 0));
+        if k % 3 == 0 {
+            churn.modify("S", row(k, 1));
+        }
+    }
+    s.publish(&bulk).unwrap();
+    s.publish(&churn).unwrap();
+
+    let mut published: HashSet<*const u8> = HashSet::new();
+    for update in bulk.updates_for("S").iter().chain(churn.updates_for("S")) {
+        let (Update::Insert(t) | Update::Modify(t)) = update else {
+            unreachable!("no deletes were published");
+        };
+        published.extend(allocations_of(t.values()));
+        // Nobody else holds the batch's strings.
+        for v in t.values() {
+            let Value::Str(s) = v else { unreachable!() };
+            assert_eq!(Arc::strong_count(s), 1, "{s} is shared");
+        }
+    }
+
+    let (mut versions, mut entries) = (0, 0);
+    let mut stored: HashSet<*const u8> = HashSet::new();
+    for node in s.routing().nodes() {
+        for (_, _, version) in s.store(node).tuples_with_relation() {
+            let held: Vec<_> = allocations_of(version.tuple.values())
+                .chain(allocations_of(&version.id.key))
+                .collect();
+            assert!(
+                held.iter().all(|a| !published.contains(a)),
+                "{}",
+                version.id
+            );
+            stored.extend(held);
+            versions += 1;
+        }
+    }
+    // A page lists its IDs in allocations of its own, beside each other,
+    // not strewn among the tuple bodies.
+    for node in s.routing().nodes() {
+        for page in s.store(node).index_pages() {
+            for entry in &page.entries {
+                for a in allocations_of(&entry.id.key) {
+                    assert!(
+                        !published.contains(&a) && !stored.contains(&a),
+                        "{}",
+                        entry.id
+                    );
+                }
+                entries += 1;
+            }
+        }
+    }
+    assert!(versions >= 3 * 266 && entries >= 3 * 266);
 }

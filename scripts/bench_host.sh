@@ -3,8 +3,10 @@
 # and prints ONE JSON record on stdout,
 #
 #   {"label", "commit", "seed", "runs", "traced_runs", "smoke",
+#    "key_hash_ns_p50",
 #    "workloads": {<workload>: {"attempted", "failed",
 #                               "metrics": {<metric>: {"median", "q1", "q3"}},
+#                               "in_key_hashes": {<metric>: <median>},
 #                               "layers":  {<metric>: {"median", "q1", "q3"}}}}}
 #
 # built from the `metric <name> <value> ...` lines the runs print:
@@ -12,6 +14,14 @@
 # every metric of the traced runs (empty without --traced).  BENCH_HOST.json
 # at the root of the repository is an array of such records, one per
 # measured commit; append the record by hand.
+#
+# Wall-clock figures drift between sessions on the same tree (ROADMAP item
+# 3), so a record carries its own yardstick: "key_hash_ns_p50" is the median
+# `common.key_hash_ns_p50` of the record's traced runs that ran the probe
+# (a fixed SHA-1 loop no PR touches; `adhoc_read` and `publish_write` run
+# it), and "in_key_hashes" restates each wall-clock end-to-end median
+# (`op_ms_p25`, `setup_s`) as a multiple of it.  Both are null without
+# traced runs.  Compare those across records, milliseconds only within one.
 #
 #   sh scripts/bench_host.sh [--label TEXT] [--seed N] [--runs N] [--traced N]
 #   sh scripts/bench_host.sh --smoke      # one 1/50-size run per workload, < 5 s
@@ -92,13 +102,29 @@ function quantile(v, n, p,    at, low, frac) {
     if (low >= n) return v[n]
     return v[low] + frac * (v[low + 1] - v[low])
 }
-function summary(key,    n, i, j, t, v) {
-    n = count[key]
-    for (i = 1; i <= n; i++) v[i] = sample[key, i]
+function sort(v, n,    i, j, t) {
     for (i = 2; i <= n; i++)
         for (j = i; j > 1 && v[j - 1] > v[j]; j--) { t = v[j]; v[j] = v[j - 1]; v[j - 1] = t }
+}
+# The samples of `key`, sorted into v; returns how many.
+function sorted(key, v,    n, i) {
+    n = count[key]
+    for (i = 1; i <= n; i++) v[i] = sample[key, i]
+    sort(v, n)
+    return n
+}
+function summary(key,    n, v) {
+    n = sorted(key, v)
     return sprintf("{\"median\": %.9g, \"q1\": %.9g, \"q3\": %.9g}",
                    quantile(v, n, 0.5), quantile(v, n, 0.25), quantile(v, n, 0.75))
+}
+# The untraced median of the wall-clock metric `metric` of workload w, in
+# nanoseconds (`per_unit` of them to its unit), as a multiple of one key
+# hash; null when the record has no yardstick or no such metric.
+function in_key_hashes(w, metric, per_unit,    n, v) {
+    n = sorted(w SUBSEP 0 SUBSEP metric, v)
+    if (key_hash == 0 || n == 0) return "null"
+    return sprintf("%.9g", quantile(v, n, 0.5) * per_unit / key_hash)
 }
 function block(w, kind,    i, out, sep) {
     out = ""; sep = ""
@@ -123,16 +149,25 @@ $3 ~ /^\{"correct"/ {
 }
 END {
     n = split(workloads, order, " ")
-    printf("{\"label\": \"%s\", \"commit\": \"%s\", \"seed\": %d, \"runs\": %d, \"traced_runs\": %d, \"smoke\": %s, \"workloads\": {",
-        label, commit, seed, runs, traced, smoke ? "true" : "false")
+    for (i = 1; i <= n; i++) {
+        key = order[i] SUBSEP 1 SUBSEP "common.key_hash_ns_p50"
+        for (j = 1; j <= count[key]; j++)
+            if (sample[key, j] > 0) probes[++probed] = sample[key, j]
+    }
+    sort(probes, probed)
+    key_hash = probed ? quantile(probes, probed, 0.5) : 0
+    printf("{\"label\": \"%s\", \"commit\": \"%s\", \"seed\": %d, \"runs\": %d, \"traced_runs\": %d, \"smoke\": %s, \"key_hash_ns_p50\": %s, \"workloads\": {",
+        label, commit, seed, runs, traced, smoke ? "true" : "false",
+        key_hash ? sprintf("%.9g", key_hash) : "null")
     for (i = 1; i <= n; i++) {
         w = order[i]
         if (finished[w] != runs + traced) {
             printf("bench_host.sh: %s finished %d of %d runs\n", w, finished[w], runs + traced) >"/dev/stderr"
             bad = 1
         }
-        printf("%s\"%s\": {\"attempted\": %d, \"failed\": %d, \"metrics\": %s, \"layers\": %s}",
-            (i > 1 ? ", " : ""), w, attempted[w], failed[w], block(w, 0), block(w, 1))
+        printf("%s\"%s\": {\"attempted\": %d, \"failed\": %d, \"metrics\": %s, \"in_key_hashes\": {\"op_ms_p25\": %s, \"setup_s\": %s}, \"layers\": %s}",
+            (i > 1 ? ", " : ""), w, attempted[w], failed[w], block(w, 0),
+            in_key_hashes(w, "op_ms_p25", 1e6), in_key_hashes(w, "setup_s", 1e9), block(w, 1))
     }
     print "}}"
     exit bad
