@@ -338,8 +338,7 @@ pub struct AdaptivityWorkload {
     pub feedback: Vec<FeedbackPoint>,
     /// The cardinality error after the cold first compile.
     pub initial_cardinality_error: f64,
-    /// The cardinality error after the last calibration epoch — the
-    /// figure the baseline gate watches.
+    /// The cardinality error after the last calibration epoch.
     pub final_cardinality_error: f64,
     /// Was broadcast-join compilation enabled for ad-hoc plans by the
     /// end of the stream?

@@ -31,6 +31,7 @@ use orchestra_common::{
 use orchestra_engine::{EngineConfig, PhysicalPlan, PlanBuilder, QueryExecutor};
 use orchestra_simnet::ClusterProfile;
 use orchestra_storage::{anti_entropy, DistributedStorage, StorageConfig, UpdateBatch};
+use orchestra_substrate::gossip::FANOUT;
 use orchestra_substrate::{
     AllocationScheme, Gossip, GossipConfig, MembershipChange, ReplicationPolicy, RoutingTable,
 };
@@ -201,8 +202,8 @@ pub struct ChurnReport {
 }
 
 impl ChurnReport {
-    /// Gated total: convergence rounds across the default scenarios
-    /// (heavy points are nightly-only and never enter the baseline).
+    /// Convergence rounds across the default scenarios (heavy points are
+    /// nightly-only and never enter the totals).
     pub fn total_convergence_rounds(&self) -> u64 {
         self.convergence.iter().map(|p| p.rounds).sum::<u64>()
             + self
@@ -212,7 +213,7 @@ impl ChurnReport {
                 .sum::<u64>()
     }
 
-    /// Gated total: rumor bytes across the default scenarios.
+    /// Rumor bytes across the default scenarios.
     pub fn total_rumor_bytes(&self) -> u64 {
         self.convergence.iter().map(|p| p.rumor_bytes).sum::<u64>()
             + self.sustained.iter().map(|p| p.rumor_bytes).sum::<u64>()
@@ -284,10 +285,7 @@ fn convergence_point(n: usize, seed: u64) -> Result<ConvergencePoint> {
             "convergence points need at least 8 nodes, got {n}"
         )));
     }
-    let cfg = GossipConfig {
-        seed,
-        ..GossipConfig::default()
-    };
+    let cfg = GossipConfig { seed };
     let mut gossip = Gossip::new(n, n + 8, cfg, ClusterProfile::wan_metro());
     // The burst: three crashes and a graceful leave spread around the id
     // space, plus two fresh joins — every rumor kind at once.
@@ -306,13 +304,12 @@ fn convergence_point(n: usize, seed: u64) -> Result<ConvergencePoint> {
     let rounds = gossip.run_until_converged(round_bound).map_err(|e| {
         OrchestraError::Execution(format!(
             "churn enforcement: n={n} failed the O(log n) convergence bound \
-             of {round_bound} rounds at fanout {}: {e}",
-            cfg.fanout
+             of {round_bound} rounds at fanout {FANOUT}: {e}"
         ))
     })?;
     Ok(ConvergencePoint {
         nodes: n,
-        fanout: cfg.fanout,
+        fanout: FANOUT,
         rounds,
         round_bound,
         rumor_bytes: gossip.total_bytes(),
@@ -351,10 +348,7 @@ fn sustained_with_queries(spec: &ChurnBenchSpec) -> Result<Vec<ChurnEpochPoint>>
     reference.sort();
     let plan = scan_plan();
 
-    let cfg = GossipConfig {
-        seed: spec.seed,
-        ..GossipConfig::default()
-    };
+    let cfg = GossipConfig { seed: spec.seed };
     let mut gossip = Gossip::new(
         spec.initial_nodes,
         spec.universe,
@@ -456,10 +450,7 @@ fn sustained_with_queries(spec: &ChurnBenchSpec) -> Result<Vec<ChurnEpochPoint>>
 /// denser Poisson stream, gossip-layer only.
 fn sustained_gossip_only(nodes: usize, epochs: usize, seed: u64) -> Result<Vec<HeavyEpochPoint>> {
     let universe = nodes + nodes / 10 + 8;
-    let cfg = GossipConfig {
-        seed,
-        ..GossipConfig::default()
-    };
+    let cfg = GossipConfig { seed };
     let mut gossip = Gossip::new(nodes, universe, cfg, ClusterProfile::wan_metro());
     let stream = churn_stream(
         universe,
@@ -542,7 +533,7 @@ mod tests {
         assert_eq!(report.sustained.len(), 3);
         // The stream has churn, so at least one epoch sees staleness or
         // a recovery; every epoch stayed within its bound (enforced
-        // in-run, re-checked here) and the totals feed the gate.
+        // in-run, re-checked here).
         for p in &report.sustained {
             assert!(p.convergence_rounds <= p.round_bound);
         }
@@ -564,7 +555,7 @@ mod tests {
             assert!(p.convergence_rounds <= p.round_bound);
             assert!(p.live_after >= 32);
         }
-        // Heavy points never enter the gated totals.
+        // Heavy points never enter the totals.
         let bytes: u64 = report.sustained.iter().map(|p| p.rumor_bytes).sum();
         assert_eq!(report.total_rumor_bytes(), bytes);
     }

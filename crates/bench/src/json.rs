@@ -5,8 +5,8 @@
 //! JSON value type: enough to render the experiment results as one valid
 //! document (objects keep insertion order; strings are escaped per RFC
 //! 8259; non-finite floats render as `null`), and enough of a parser
-//! ([`Json::parse`]) to read a committed baseline document back for the
-//! CI regression gate.
+//! ([`Json::parse`]) for the tests that read the committed documents
+//! (`BENCH_BASELINE.json`, `BENCH_HOST.json`, `BENCHMARK.json`) back.
 
 use std::fmt;
 

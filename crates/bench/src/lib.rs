@@ -72,7 +72,6 @@
 //! [`run_scale_out`] with WAN [`orchestra_simnet::ClusterProfile`]s.
 
 pub mod adaptivity;
-pub mod baseline;
 pub mod churn;
 pub mod equiv;
 pub mod experiments;
@@ -88,7 +87,6 @@ pub use adaptivity::{
     run_adaptivity, AdaptivityReport, AdaptivitySpec, AdaptivityWorkload, CrossoverPoint,
     CrossoverReport, DriftEpochPoint, DriftReport, FeedbackPoint, HeavyFeedbackPoint,
 };
-pub use baseline::check_baseline;
 pub use churn::{
     run_churn, ChurnBenchSpec, ChurnEpochPoint, ChurnReport, ConvergencePoint, HeavyEpochPoint,
 };

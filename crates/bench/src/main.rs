@@ -9,7 +9,7 @@
 //! ```sh
 //! cargo run --release -p orchestra-bench                      # everything
 //! cargo run --release -p orchestra-bench -- --experiment maintenance
-//! cargo run --release -p orchestra-bench -- --check-baseline BENCH_BASELINE.json
+//! cargo run --release -p orchestra-bench > BENCH_BASELINE.json # refresh the pin
 //! ```
 //!
 //! `--experiment <name>` restricts the run to one experiment — the fast
@@ -17,35 +17,27 @@
 //! the valid set and exits non-zero; `--list-experiments` prints the
 //! valid set (one name per line) and exits zero, the machine-readable
 //! form CI's loops iterate.  All of it derives from one table,
-//! [`EXPERIMENTS`]: `all` runs every entry, and the pseudo-experiment
-//! `baseline` runs exactly the entries the gate table
-//! ([`orchestra_bench::baseline::GATES`]) has a gate over; its output is
-//! what `BENCH_BASELINE.json` commits.  `--check-baseline <path>` runs
-//! that set and fails (exit 1) if any gated figure regressed more than
-//! 5% versus the committed baseline; refresh it with
-//! `cargo run --release -p orchestra-bench -- --experiment baseline > BENCH_BASELINE.json`.
-//! `--heavy` adds the slow scale points (a thousands-of-sessions
-//! serving run, a 256-subscriber fan-out sweep, a 1000-node
-//! sustained-churn stream and a long adaptive-calibration stream) to
-//! explicitly selected runs; the committed-baseline set never includes
-//! them.
+//! [`EXPERIMENTS`]: `all` (the default) runs every entry.  `--heavy`
+//! adds the slow scale points (a thousands-of-sessions serving run, a
+//! 256-subscriber fan-out sweep, a 1000-node sustained-churn stream and
+//! a long adaptive-calibration stream).
 //!
 //! Every figure printed is simulated, so the output is byte-for-byte
-//! deterministic — CI compares two runs of everything.  Host time is
-//! measured in exactly one place, the `benchmark/` package.
+//! deterministic — CI compares two runs of everything, and the no-flag
+//! run `cmp`s equal to the committed `BENCH_BASELINE.json`; a change
+//! that moves a figure on purpose refreshes that file in the same PR.
+//! Host time is measured in exactly one place, the `benchmark/` package.
 //!
 //! Exit status is non-zero (with a message on stderr) if any experiment
 //! fails — including any distributed or *maintained* answer that
 //! disagrees with its workload's single-node reference.
 
-use orchestra_bench::baseline::GATES;
 use orchestra_bench::{
-    check_baseline, run_adaptivity, run_churn, run_maintenance, run_plan_quality,
-    run_recovery_sweep, run_scale_out, run_serving_experiment, run_subscriptions,
-    run_tagging_overhead, run_throughput, AdaptivitySpec, ChurnBenchSpec, Json,
-    MaintenanceSweepSpec, ServingSpec, SubscriptionsSpec,
+    run_adaptivity, run_churn, run_maintenance, run_plan_quality, run_recovery_sweep,
+    run_scale_out, run_serving_experiment, run_subscriptions, run_tagging_overhead, run_throughput,
+    AdaptivitySpec, ChurnBenchSpec, Json, MaintenanceSweepSpec, ServingSpec, SubscriptionsSpec,
 };
-use orchestra_common::{NodeId, OrchestraError, Result};
+use orchestra_common::{NodeId, Result};
 use orchestra_engine::{AdmissionPolicy, EngineConfig, EvictionPolicy};
 use orchestra_optimizer::DriftConfig;
 use orchestra_workloads::{CopyScenario, EpochSpec, TpchQuery, TpchWorkload, Workload};
@@ -90,8 +82,6 @@ const SERVING_SKEWS: [f64; 2] = [0.8, 1.2];
 /// control, a cache smaller than the distinct-query universe (so
 /// eviction churns), and one large enough to hold everything.
 const SERVING_CAPACITIES: [usize; 3] = [0, 2, 6];
-/// Tolerated regression fraction of the baseline gate.
-const BASELINE_TOLERANCE: f64 = 0.05;
 /// Seed of the maintenance experiment's epoch streams.
 const MAINTENANCE_SEED: u64 = 42;
 /// Rows per workload in the maintenance experiment.  Larger than the
@@ -236,21 +226,9 @@ struct Experiment {
     run: Run,
 }
 
-impl Experiment {
-    /// Does `selection` (an experiment name, `all` or `baseline`) run
-    /// this experiment?  `baseline` is exactly the experiments the gate
-    /// table has a gate over.
-    fn selected_by(&self, selection: &str) -> bool {
-        match selection {
-            "all" => true,
-            "baseline" => GATES.iter().any(|gate| gate.section == self.name),
-            name => name == self.name,
-        }
-    }
-}
-
-/// Every experiment, in output order.  `--list-experiments`, `all`,
-/// `baseline` and `--check-baseline` all derive from this table.
+/// Every experiment, in output order.  `--list-experiments` and `all`
+/// derive from this table, and `BENCH_BASELINE.json` holds a section for
+/// each entry.
 static EXPERIMENTS: [Experiment; 10] = [
     Experiment {
         name: "scale_out",
@@ -424,11 +402,10 @@ fn adaptivity(heavy: bool, config: &EngineConfig, doc: &mut Fields) -> Result<()
 }
 
 /// The names `--experiment` accepts and `--list-experiments` prints:
-/// `all`, every table entry in order, `baseline`.
+/// `all`, then every table entry in order.
 fn selections() -> Vec<&'static str> {
     let mut names = vec!["all"];
     names.extend(EXPERIMENTS.iter().map(|e| e.name));
-    names.push("baseline");
     names
 }
 
@@ -442,12 +419,6 @@ fn main() {
                 std::process::exit(1);
             }
         },
-        Ok(Mode::CheckBaseline(path)) => {
-            if let Err(e) = check(&path) {
-                eprintln!("baseline gate failed: {e}");
-                std::process::exit(1);
-            }
-        }
         Ok(Mode::ListExperiments) => {
             for name in selections() {
                 println!("{name}");
@@ -457,8 +428,7 @@ fn main() {
             eprintln!("{message}");
             eprintln!("valid experiments: {}", selections().join(", "));
             eprintln!(
-                "usage: orchestra-bench [--experiment <name>] [--list-experiments] [--heavy] \
-                 [--check-baseline <path>]"
+                "usage: orchestra-bench [--experiment <name>] [--list-experiments] [--heavy]"
             );
             std::process::exit(2);
         }
@@ -469,12 +439,9 @@ fn main() {
 enum Mode {
     Run {
         selection: String,
-        /// Add the slow scale points.  Never part of the
-        /// committed-baseline output, which must stay fast and
-        /// fixed-shape.
+        /// Add the slow scale points.
         heavy: bool,
     },
-    CheckBaseline(String),
     /// Print the selectable experiment names, one per line — the
     /// machine-readable list CI's loops iterate instead of hard-coding
     /// names that drift.
@@ -486,7 +453,6 @@ fn parse_args(args: &[String]) -> std::result::Result<Mode, String> {
     let mut selection = "all".to_string();
     let mut heavy = false;
     let mut list = false;
-    let mut baseline_path: Option<String> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -504,13 +470,6 @@ fn parse_args(args: &[String]) -> std::result::Result<Mode, String> {
                 heavy = true;
                 i += 1;
             }
-            "--check-baseline" => {
-                let path = args
-                    .get(i + 1)
-                    .ok_or_else(|| "--check-baseline requires a path".to_string())?;
-                baseline_path = Some(path.clone());
-                i += 2;
-            }
             "--list-experiments" => {
                 list = true;
                 i += 1;
@@ -521,17 +480,16 @@ fn parse_args(args: &[String]) -> std::result::Result<Mode, String> {
     if list {
         return Ok(Mode::ListExperiments);
     }
-    match baseline_path {
-        Some(path) => Ok(Mode::CheckBaseline(path)),
-        None => Ok(Mode::Run { selection, heavy }),
-    }
+    Ok(Mode::Run { selection, heavy })
 }
 
 fn run(selection: &str, heavy: bool) -> Result<Json> {
     let config = EngineConfig::default();
-    // The committed baseline document stays fast and fixed-shape.
-    let heavy = heavy && selection != "baseline";
-    let selected = || EXPERIMENTS.iter().filter(|e| e.selected_by(selection));
+    let selected = || {
+        EXPERIMENTS
+            .iter()
+            .filter(|e| selection == "all" || selection == e.name)
+    };
     let mut doc = vec![
         ("benchmark", Json::str("orchestra")),
         ("experiment", Json::str(selection)),
@@ -562,34 +520,6 @@ fn run(selection: &str, heavy: bool) -> Result<Json> {
     Ok(Json::object(doc))
 }
 
-fn check(path: &str) -> Result<()> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| OrchestraError::Execution(format!("cannot read {path}: {e}")))?;
-    let baseline = Json::parse(&text)
-        .map_err(|e| OrchestraError::Execution(format!("cannot parse {path}: {e}")))?;
-    let current = run("baseline", false)?;
-    match check_baseline(&current, &baseline, BASELINE_TOLERANCE) {
-        Ok(passed) => {
-            for line in passed {
-                eprintln!("ok: {line}");
-            }
-            Ok(())
-        }
-        Err(violations) => {
-            for line in &violations {
-                eprintln!("REGRESSION: {line}");
-            }
-            Err(OrchestraError::Execution(format!(
-                "{} baseline figure(s) regressed beyond {:.0}% of {path}; refresh with \
-                 `cargo run --release -p orchestra-bench -- --experiment baseline > {path}` \
-                 after an intentional change",
-                violations.len(),
-                BASELINE_TOLERANCE * 100.0
-            )))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -607,9 +537,9 @@ mod tests {
         let table: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
         let listed = selections();
         assert_eq!(listed.first(), Some(&"all"));
-        assert_eq!(listed.last(), Some(&"baseline"));
-        assert_eq!(listed[1..listed.len() - 1], table[..]);
-        // Every listed name parses; the four flags compose.
+        assert_eq!(listed.last(), table.last());
+        assert_eq!(listed[1..], table[..]);
+        // Every listed name parses; the three flags compose.
         for name in listed {
             assert_eq!(
                 parse_args(&args(&["--heavy", "--experiment", name])),
@@ -620,8 +550,8 @@ mod tests {
             );
         }
         assert_eq!(
-            parse_args(&args(&["--check-baseline", "b.json"])),
-            Ok(Mode::CheckBaseline("b.json".into()))
+            parse_args(&args(&["--heavy", "--list-experiments"])),
+            Ok(Mode::ListExperiments)
         );
     }
 
@@ -631,35 +561,30 @@ mod tests {
             &["--no-such-flag"][..],
             &["--experiment", "no_such_experiment"],
             &["--experiment"],
-            &["--check-baseline"],
+            // `baseline` names the committed file, not a selection: every
+            // name but `all` is a table entry.
+            &["--experiment", "baseline"],
         ] {
             assert!(parse_args(&args(bad)).is_err(), "{bad:?}");
         }
     }
 
     #[test]
-    fn the_baseline_set_is_the_gated_experiments_the_committed_document_holds() {
-        let baseline: Vec<&str> = EXPERIMENTS
-            .iter()
-            .filter(|e| e.selected_by("baseline"))
-            .map(|e| e.name)
-            .collect();
-        // No gate names an experiment the table lacks.
-        for gate in GATES {
-            assert!(baseline.contains(&gate.section), "{gate:?}");
-        }
-        // The committed document holds exactly those sections: at the top
-        // level, or per workload inside `experiments`.
+    fn the_committed_document_holds_every_experiment() {
+        // `BENCH_BASELINE.json` is the whole no-flag run: one section per
+        // table entry, at the top level or per workload inside
+        // `experiments`.  An experiment added to the table without
+        // refreshing the file fails here, not only CI's `cmp`.
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_BASELINE.json");
         let committed = Json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+        assert_eq!(committed.get("experiment"), Some(&Json::str("all")));
         let entry = &committed.get("experiments").unwrap().items().unwrap()[0];
         for experiment in &EXPERIMENTS {
-            let present = match experiment.run {
-                Run::PerWorkload(..) => entry.get(experiment.name).is_some(),
-                Run::Cluster(_) => committed.get(experiment.name).is_some(),
+            let section = match experiment.run {
+                Run::PerWorkload(..) => entry.get(experiment.name),
+                Run::Cluster(_) => committed.get(experiment.name),
             };
-            let name = experiment.name;
-            assert_eq!(experiment.selected_by("baseline"), present, "{name}");
+            assert!(section.is_some(), "{}", experiment.name);
         }
     }
 }

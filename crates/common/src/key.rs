@@ -47,13 +47,6 @@ impl Key160 {
         limbs: [u64::MAX, u64::MAX, TOP_MASK],
     };
 
-    /// Construct a key from raw little-endian limbs, masking to 160 bits.
-    pub fn from_limbs(limbs: [u64; 3]) -> Self {
-        Key160 {
-            limbs: [limbs[0], limbs[1], limbs[2] & TOP_MASK],
-        }
-    }
-
     /// Raw little-endian limbs.
     pub fn limbs(&self) -> [u64; 3] {
         self.limbs

@@ -149,11 +149,6 @@ impl Relation {
         &self.schema
     }
 
-    /// Shared handle to the schema (cheap to clone into operators).
-    pub fn schema_arc(&self) -> Arc<Schema> {
-        Arc::clone(&self.schema)
-    }
-
     /// Is this relation replicated at every node?
     pub fn is_replicated(&self) -> bool {
         self.replicated

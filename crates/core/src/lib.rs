@@ -19,6 +19,10 @@
 //! | cost-based optimizer | [`optimizer`] | V (System-R planning) |
 //! | workload catalogue | [`workloads`] | VI-B/VI-C |
 //! | experiment harness | [`bench`](mod@bench) | VI (figures) |
+//!
+//! The flat re-exports are the names the README's end-to-end example and
+//! this crate's tests import; everything else is reached through its
+//! layer's module (`orchestra_core::engine::FailureSpec`, …).
 
 pub use orchestra_bench as bench;
 pub use orchestra_common as common;
@@ -29,34 +33,19 @@ pub use orchestra_storage as storage;
 pub use orchestra_substrate as substrate;
 pub use orchestra_workloads as workloads;
 
-pub use orchestra_bench::{
-    failure_sweep_points, poisson_arrivals, run_adaptivity, run_churn, run_maintenance,
-    run_plan_quality, run_recovery_sweep, run_scale_out, run_serving_experiment, run_subscriptions,
-    run_tagging_overhead, run_throughput, trace_arrivals, AdaptivityReport, AdaptivitySpec,
-    ChurnBenchSpec, ChurnReport, MaintenanceReport, MaintenanceSweepSpec, PlanQuality,
-    RecoverySweep, ScaleOutPoint, ServingPoint, ServingSpec, ServingSweep, SubscriptionSweep,
-    SubscriptionsReport, SubscriptionsSpec, TaggingOverhead, ThroughputPoint, ThroughputSweep,
-};
-pub use orchestra_common::{Epoch, NodeId, QueryFingerprint, Relation, Schema, Tuple, Value};
+pub use orchestra_bench::{failure_sweep_points, run_scale_out};
+pub use orchestra_common::{Epoch, NodeId, Relation, Schema, Tuple, Value};
 pub use orchestra_engine::{
-    refresh_view, AdmissionPolicy, CacheStats, EngineConfig, EvictionPolicy, FailureSpec,
-    MaintenanceMode, MaintenancePlan, MaintenanceRun, MaterializedView, PhysicalPlan, PlanBuilder,
-    QueryExecutor, QueryReport, QuerySession, RecoveryStrategy, RegistryRefresh, ResultCache,
-    ScanOverrides, SchedulerConfig, SessionId, SessionReport, SessionScheduler, ShedEvent,
-    ViewDiff, ViewRegistry, WorkloadReport,
+    refresh_view, AdmissionPolicy, EngineConfig, MaintenanceMode, MaterializedView, PlanBuilder,
+    QueryExecutor, QuerySession, SchedulerConfig, SessionScheduler,
 };
-pub use orchestra_optimizer::{
-    choose_maintenance, compile, compile_delta_legs, estimate_plan_cost, fingerprint, LogicalExpr,
-    LogicalQuery, MaintenanceChoice, MaintenanceDecision, PlanCost, Statistics, TableStats,
-};
-pub use orchestra_simnet::{ClusterProfile, SimTime};
-pub use orchestra_storage::{DistributedStorage, RelationDelta, StorageConfig, UpdateBatch};
-pub use orchestra_substrate::{
-    AllocationScheme, Gossip, GossipConfig, MembershipChange, ReplicationPolicy, RoutingTable,
-};
+pub use orchestra_optimizer::{compile, estimate_plan_cost, fingerprint, Statistics};
+pub use orchestra_simnet::SimTime;
+pub use orchestra_storage::{DistributedStorage, StorageConfig, UpdateBatch};
+pub use orchestra_substrate::{AllocationScheme, RoutingTable};
 pub use orchestra_workloads::{
-    compiled_plan, deploy, deploy_all, epoch_stream, mixed_stream, ConcatenateScenario,
-    CopyScenario, EpochSpec, EpochStream, TpchDataset, TpchQuery, TpchWorkload, Workload,
+    compiled_plan, deploy, deploy_all, epoch_stream, CopyScenario, EpochSpec, TpchQuery,
+    TpchWorkload, Workload,
 };
 
 #[cfg(test)]

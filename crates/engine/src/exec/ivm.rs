@@ -608,8 +608,11 @@ impl MaterializedView {
     /// join order starts from the delta.  Each input is rewritten here
     /// (aggregate stripped, pivot path broadcast, stationary rehashes
     /// spliced).  `legs` must name each scanned relation exactly once;
-    /// its order becomes the telescoping order.  The installed legs must
-    /// fold compatibly with the base plan (same group/aggregate counts).
+    /// its order becomes the telescoping order.  Each leg plan must scan
+    /// exactly the view's relations — a scan of any other has no
+    /// telescoping position, and a leg without one of them folds a delta
+    /// that skipped a join — and fold compatibly with the base plan (same
+    /// group/aggregate counts).
     pub fn install_leg_plans(&mut self, legs: &[(String, PhysicalPlan)]) -> Result<()> {
         if let Some(reason) = self.maintenance.recompute_only() {
             return Err(OrchestraError::Execution(format!(
@@ -635,6 +638,22 @@ impl MaterializedView {
         let mut rewritten = Vec::with_capacity(legs.len());
         for (relation, plan) in legs {
             let leg = derive_leg(plan, relation)?;
+            let scanned: Vec<&str> = leg
+                .plan
+                .scans()
+                .into_iter()
+                .map(|op| scan_relation(&leg.plan, op))
+                .collect();
+            for r in expected.iter().chain(&scanned) {
+                let times = scanned.iter().filter(|s| *s == r).count();
+                if times != 1 || !expected.contains(r) {
+                    return Err(OrchestraError::Execution(format!(
+                        "leg plan for {relation} scans {r} {times} time(s); each leg of view {} \
+                         must scan exactly {expected:?}, once each",
+                        self.name
+                    )));
+                }
+            }
             if leg.fold.shape() != self.maintenance.fold.shape() {
                 return Err(OrchestraError::Execution(format!(
                     "leg plan for {relation} folds {:?}, incompatible with the view's {:?}",
@@ -971,10 +990,12 @@ pub(super) fn delta_legs(
         let mut overrides = ScanOverrides::new();
         for op in leg.plan.scans() {
             let relation = scan_relation(&leg.plan, op);
-            let global = order
-                .iter()
-                .position(|r| *r == relation)
-                .expect("every leg scan has a telescoping position");
+            let global = order.iter().position(|r| *r == relation).ok_or_else(|| {
+                OrchestraError::Execution(format!(
+                    "leg plan for {} scans {relation}, which view {} has no leg for",
+                    leg.relation, view.name
+                ))
+            })?;
             match global.cmp(&pivot) {
                 std::cmp::Ordering::Less => overrides.read_at(op, to),
                 std::cmp::Ordering::Equal => overrides.read_delta(op, from, to),

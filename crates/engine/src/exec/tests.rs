@@ -1195,6 +1195,33 @@ fn maintenance_rewrite_clones_the_base_plan_and_broadcasts_each_pivot() {
     }
 }
 
+/// A leg plan must scan exactly the view's relations: one more has no
+/// telescoping position, one fewer folds a delta that skipped a join.
+#[test]
+fn a_leg_plan_over_the_wrong_relations_is_rejected_at_install() {
+    let mut b = PlanBuilder::new();
+    let r = b.scan("R", 3, None);
+    let s = b.scan("S", 2, None);
+    let rs = b.hash_join(r, s, vec![2], vec![1]);
+    let t = b.scan("T", 2, None);
+    let rst = b.hash_join(rs, t, vec![2], vec![1]);
+    let ship = b.ship(rst);
+    let extra = b.output(ship);
+    for (r_leg, names) in [
+        (extra, "scans T 1 time"),
+        (scan_ship_plan(), "scans S 0 time"),
+    ] {
+        let mut view = MaterializedView::new("join", &join_plan()).unwrap();
+        let legs = [("R".to_string(), r_leg), ("S".to_string(), join_plan())];
+        let err = view.install_leg_plans(&legs).unwrap_err();
+        assert_eq!(err.category(), "execution");
+        assert!(err.message().contains("leg plan for R"), "{err}");
+        assert!(err.message().contains(names), "{err}");
+        // The default legs stay in force.
+        assert_eq!(view.maintenance().legs().len(), 2);
+    }
+}
+
 #[test]
 fn multiset_view_tracks_insert_modify_delete_epochs() {
     let mut s = cluster(4);

@@ -94,9 +94,6 @@ pub struct ClusterProfile {
     pub latency_seconds: f64,
     /// Hardware profile of every node.
     pub node: NodeProfile,
-    /// Background ping period used to detect hung (but not disconnected)
-    /// nodes, in seconds (Section V-C).
-    pub ping_period_seconds: f64,
 }
 
 impl ClusterProfile {
@@ -107,7 +104,6 @@ impl ClusterProfile {
             bandwidth_bytes_per_sec: 117e6,
             latency_seconds: 0.15e-3,
             node: NodeProfile::cluster_xeon(),
-            ping_period_seconds: 1.0,
         }
     }
 
@@ -118,7 +114,6 @@ impl ClusterProfile {
             bandwidth_bytes_per_sec: 60e6,
             latency_seconds: 0.8e-3,
             node: NodeProfile::ec2_large(),
-            ping_period_seconds: 1.0,
         }
     }
 
@@ -130,7 +125,6 @@ impl ClusterProfile {
             bandwidth_bytes_per_sec: per_node_kb_per_sec * 1000.0,
             latency_seconds: latency_ms / 1000.0,
             node: NodeProfile::cluster_xeon(),
-            ping_period_seconds: 1.0,
         }
     }
 
@@ -151,11 +145,6 @@ impl ClusterProfile {
     /// One-way propagation latency.
     pub fn latency(&self) -> SimTime {
         SimTime::from_secs_f64(self.latency_seconds)
-    }
-
-    /// The background ping period.
-    pub fn ping_period(&self) -> SimTime {
-        SimTime::from_secs_f64(self.ping_period_seconds)
     }
 }
 

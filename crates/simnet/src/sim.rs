@@ -142,11 +142,6 @@ impl<M> Simulator<M> {
         self.dropped
     }
 
-    /// Are there pending events?
-    pub fn is_idle(&self) -> bool {
-        self.queue.is_empty()
-    }
-
     /// Delivery instant of the next pending event, without popping it.
     /// `None` means the simulation has quiesced.  Open-loop drivers peek
     /// this to decide whether an external arrival precedes the next

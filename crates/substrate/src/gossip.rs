@@ -23,7 +23,7 @@
 //!    only incarnation `i + 1` can overturn it).
 //!
 //! An accepted rumor becomes **hot**: the receiver retransmits it for a
-//! bounded number of rounds (`⌈log₂ n⌉ + 2`) to `fanout` peers
+//! bounded number of rounds (`⌈log₂ n⌉ + 2`) to [`FANOUT`] peers
 //! chosen uniformly from the nodes it currently believes alive, then stops
 //! — classic rumor mongering, which spreads an update to all `n` nodes in
 //! `O(log n)` expected rounds while keeping per-round traffic bounded.
@@ -85,6 +85,12 @@ pub const RUMOR_WIRE_BYTES: usize = 11;
 /// Fixed per-message overhead: sender id, rumor count, protocol/round
 /// header — the envelope around the rumor batch.
 pub const GOSSIP_HEADER_BYTES: usize = 16;
+
+/// Peers each node pushes its hot rumors to per round.
+pub const FANOUT: usize = 2;
+
+/// Virtual time between gossip rounds, in milliseconds.
+pub const ROUND_MS: u64 = 200;
 
 /// The state a rumor asserts about its subject.
 ///
@@ -279,21 +285,13 @@ impl MemberView {
 /// Configuration of the gossip protocol.
 #[derive(Clone, Copy, Debug)]
 pub struct GossipConfig {
-    /// Peers each node pushes its hot rumors to per round.
-    pub fanout: usize,
-    /// Virtual time between gossip rounds, in milliseconds.
-    pub round_ms: u64,
     /// Seed for peer selection (all gossip randomness flows from here).
     pub seed: u64,
 }
 
 impl Default for GossipConfig {
     fn default() -> Self {
-        GossipConfig {
-            fanout: 2,
-            round_ms: 200,
-            seed: 0x60551b,
-        }
+        GossipConfig { seed: 0x60551b }
     }
 }
 
@@ -431,7 +429,7 @@ impl Gossip {
     /// Run one gossip round: every live node probes one believed-alive
     /// peer (an accurate failure detector — a ping to a peer that has
     /// in truth departed returns no ack, and the prober learns its
-    /// terminal record), then pushes its hot rumors to `fanout` peers
+    /// terminal record), then pushes its hot rumors to [`FANOUT`] peers
     /// drawn from the nodes *it* believes alive, and finally all
     /// resulting deliveries are merged.  Messages to departed nodes drop
     /// in the simulator (and are counted there).
@@ -440,7 +438,7 @@ impl Gossip {
     }
 
     /// One full-state anti-entropy round: every live node pushes its
-    /// *entire* record set, not just its hot rumors, to `fanout` peers.
+    /// *entire* record set, not just its hot rumors, to [`FANOUT`] peers.
     /// Rumor mongering's per-record budgets can die out before a rumor
     /// reaches every member, freezing stale views; epidemic layers
     /// therefore back the hot path with periodic full sync (SWIM's
@@ -451,13 +449,13 @@ impl Gossip {
     }
 
     fn round(&mut self, full_sync: bool) {
-        let start = SimTime::from_millis(self.rounds_run * self.cfg.round_ms);
+        let start = SimTime::from_millis(self.rounds_run * ROUND_MS);
         self.sim.advance_to(start);
         // Peer selection draws from a stream derived per round, so the
         // choices are independent of how callers interleave inject() with
         // run_round() — determinism depends only on the event sequence.
         let mut rng = self.round_rng();
-        let mut chosen: Vec<NodeId> = Vec::with_capacity(self.cfg.fanout);
+        let mut chosen: Vec<NodeId> = Vec::with_capacity(FANOUT);
         for id in 0..self.views.len() {
             let node = NodeId(id as u16);
             let Some(view) = self.views[id].as_mut() else {
@@ -507,7 +505,7 @@ impl Gossip {
             let bytes = GOSSIP_HEADER_BYTES + RUMOR_WIRE_BYTES * rumors.len();
             let rumors: Arc<[Rumor]> = rumors.into();
             let peers = before_probe.as_deref().unwrap_or(&view.alive);
-            let k = self.cfg.fanout.min(peer_count);
+            let k = FANOUT.min(peer_count);
             chosen.clear();
             while chosen.len() < k {
                 let cand = peer(peers, rng.random_range(0..peer_count));

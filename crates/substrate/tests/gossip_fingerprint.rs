@@ -27,10 +27,7 @@ const INITIATOR: NodeId = NodeId(0);
 type Fingerprint = (u64, u64, u64, u64, u64, &'static str);
 
 fn cluster(initial: usize, universe: usize, seed: u64) -> Gossip {
-    let config = GossipConfig {
-        seed,
-        ..GossipConfig::default()
-    };
+    let config = GossipConfig { seed };
     Gossip::new(initial, universe, config, ClusterProfile::wan_metro())
 }
 

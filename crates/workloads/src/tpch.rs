@@ -263,11 +263,6 @@ impl TpchDataset {
         b.output(agg)
     }
 
-    /// Q1 single-node reference answer over the generated data.
-    pub fn q1_reference(&self) -> Vec<Tuple> {
-        q1_reference_from(&self.lineitem_rows())
-    }
-
     // ------------------------------------------------------------------
     // Q3: shipping priority
     // ------------------------------------------------------------------
@@ -348,15 +343,6 @@ impl TpchDataset {
         );
         let agg = b.two_phase_aggregate(terms, vec![0, 1, 2], vec![(AggFunc::Sum, 3)]);
         b.output(agg)
-    }
-
-    /// Q3 single-node reference answer over the generated data.
-    pub fn q3_reference(&self) -> Vec<Tuple> {
-        q3_reference_from(
-            &self.customer_rows(),
-            &self.order_rows(),
-            &self.lineitem_rows(),
-        )
     }
 
     // ------------------------------------------------------------------
