@@ -81,42 +81,59 @@ impl Sha1 {
 }
 
 /// Fold one 64-byte block into `state`.
+///
+/// The 80 rounds run as four loops of 20, one per round function, so no
+/// round dispatches on its index; and the message schedule is a rolling
+/// window of 16 words (word `i` overwrites word `i - 16`, the oldest one
+/// it depends on) instead of an 80-word array filled up front.  Both are
+/// the textbook SHA-1 — the test module keeps the 80-word form and checks
+/// the two agree.
 fn compress(state: &mut [u32; 5], block: &[u8; 64]) {
-    let mut w = [0u32; 80];
-    for (i, word) in block.chunks_exact(4).enumerate() {
-        w[i] = u32::from_be_bytes([word[0], word[1], word[2], word[3]]);
+    let mut w = [0u32; 16];
+    for (wi, word) in w.iter_mut().zip(block.chunks_exact(4)) {
+        *wi = u32::from_be_bytes([word[0], word[1], word[2], word[3]]);
     }
-    for i in 16..80 {
-        w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
+    // Word `i` of the schedule, computed in place from the window.
+    let mut word = |i: usize| {
+        if i >= 16 {
+            w[i % 16] =
+                (w[(i + 13) % 16] ^ w[(i + 8) % 16] ^ w[(i + 2) % 16] ^ w[i % 16]).rotate_left(1);
+        }
+        w[i % 16]
+    };
+
+    let mut v = *state;
+    for i in 0..20 {
+        v = round(v, 0x5A827999, word(i), |b, c, d| (b & c) | (!b & d));
     }
-
-    let (mut a, mut b, mut c, mut d, mut e) = (state[0], state[1], state[2], state[3], state[4]);
-
-    for (i, &wi) in w.iter().enumerate() {
-        let (f, k) = match i {
-            0..=19 => ((b & c) | ((!b) & d), 0x5A827999),
-            20..=39 => (b ^ c ^ d, 0x6ED9EBA1),
-            40..=59 => ((b & c) | (b & d) | (c & d), 0x8F1BBCDC),
-            _ => (b ^ c ^ d, 0xCA62C1D6),
-        };
-        let temp = a
-            .rotate_left(5)
-            .wrapping_add(f)
-            .wrapping_add(e)
-            .wrapping_add(k)
-            .wrapping_add(wi);
-        e = d;
-        d = c;
-        c = b.rotate_left(30);
-        b = a;
-        a = temp;
+    for i in 20..40 {
+        v = round(v, 0x6ED9EBA1, word(i), |b, c, d| b ^ c ^ d);
     }
+    for i in 40..60 {
+        v = round(v, 0x8F1BBCDC, word(i), |b, c, d| {
+            (b & c) | (b & d) | (c & d)
+        });
+    }
+    for i in 60..80 {
+        v = round(v, 0xCA62C1D6, word(i), |b, c, d| b ^ c ^ d);
+    }
+    for (s, v) in state.iter_mut().zip(v) {
+        *s = s.wrapping_add(v);
+    }
+}
 
-    state[0] = state[0].wrapping_add(a);
-    state[1] = state[1].wrapping_add(b);
-    state[2] = state[2].wrapping_add(c);
-    state[3] = state[3].wrapping_add(d);
-    state[4] = state[4].wrapping_add(e);
+/// One SHA-1 round over the working variables `[a, b, c, d, e]`, with
+/// round function `f`, constant `k` and schedule word `wi`.
+#[inline(always)]
+fn round(v: [u32; 5], k: u32, wi: u32, f: impl Fn(u32, u32, u32) -> u32) -> [u32; 5] {
+    let [a, b, c, d, e] = v;
+    let temp = a
+        .rotate_left(5)
+        .wrapping_add(f(b, c, d))
+        .wrapping_add(e)
+        .wrapping_add(k)
+        .wrapping_add(wi);
+    [temp, a, b.rotate_left(30), c, d]
 }
 
 /// Compute the SHA-1 digest of `data`.
@@ -212,5 +229,78 @@ mod tests {
     #[test]
     fn distinct_inputs_distinct_digests() {
         assert_ne!(sha1(b"node-1"), sha1(b"node-2"));
+    }
+
+    /// The block function as FIPS 180-1 writes it: the whole 80-word
+    /// schedule up front, one loop that picks the round function by index.
+    fn compress_reference(state: &mut [u32; 5], block: &[u8; 64]) {
+        let mut w = [0u32; 80];
+        for (i, word) in block.chunks_exact(4).enumerate() {
+            w[i] = u32::from_be_bytes([word[0], word[1], word[2], word[3]]);
+        }
+        for i in 16..80 {
+            w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
+        }
+        let (mut a, mut b, mut c, mut d, mut e) =
+            (state[0], state[1], state[2], state[3], state[4]);
+        for (i, &wi) in w.iter().enumerate() {
+            let (f, k) = match i {
+                0..=19 => ((b & c) | ((!b) & d), 0x5A827999),
+                20..=39 => (b ^ c ^ d, 0x6ED9EBA1),
+                40..=59 => ((b & c) | (b & d) | (c & d), 0x8F1BBCDC),
+                _ => (b ^ c ^ d, 0xCA62C1D6),
+            };
+            let temp = a
+                .rotate_left(5)
+                .wrapping_add(f)
+                .wrapping_add(e)
+                .wrapping_add(k)
+                .wrapping_add(wi);
+            e = d;
+            d = c;
+            c = b.rotate_left(30);
+            b = a;
+            a = temp;
+        }
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e]) {
+            *s = s.wrapping_add(v);
+        }
+    }
+
+    /// A one-shot SHA-1 over [`compress_reference`].
+    fn sha1_reference(data: &[u8]) -> [u8; DIGEST_LEN] {
+        let mut padded = data.to_vec();
+        padded.push(0x80);
+        while padded.len() % 64 != 56 {
+            padded.push(0);
+        }
+        padded.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let mut state = Sha1::new().state;
+        for block in padded.chunks_exact(64) {
+            compress_reference(&mut state, block.try_into().unwrap());
+        }
+        let mut out = [0u8; DIGEST_LEN];
+        for (i, s) in state.iter().enumerate() {
+            out[i * 4..i * 4 + 4].copy_from_slice(&s.to_be_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn rolling_schedule_matches_the_80_word_reference() {
+        let mut r = crate::rng::seeded(0x5ba1);
+        for _ in 0..2_000 {
+            let len = r.random_range(0usize..301);
+            let data: Vec<u8> = (0..len).map(|_| r.next_u64() as u8).collect();
+            let expected = sha1_reference(&data);
+            let mut h = Sha1::new();
+            let mut rest = &data[..];
+            while !rest.is_empty() {
+                let (chunk, tail) = rest.split_at(r.random_range(1..=rest.len()));
+                h.update(chunk);
+                rest = tail;
+            }
+            assert_eq!(h.finish(), expected, "{} bytes", data.len());
+        }
     }
 }

@@ -44,25 +44,35 @@ impl fmt::Display for Epoch {
 
 /// The unique identifier of a tuple version: the tuple's key attribute
 /// values plus the epoch in which that version was created.
+///
+/// The key is shared by pointer (`Arc<[Value]>`), like a [`Tuple`]'s row:
+/// `clone` bumps one reference count.  An ID is copied wherever a version
+/// is listed — every later version of its index page, every epoch delta,
+/// every replica — and all of those hold the one key allocation made when
+/// the version was published.
 #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TupleId {
     /// Values of the partitioning-key attributes.
-    pub key: Vec<Value>,
+    pub key: Arc<[Value]>,
     /// Epoch in which this version of the tuple was last modified.
     pub epoch: Epoch,
 }
 
 impl TupleId {
-    /// Build a tuple ID from key values and an epoch.
-    pub fn new(key: Vec<Value>, epoch: Epoch) -> Self {
-        TupleId { key, epoch }
+    /// Build a tuple ID from key values (a `Vec`, a slice to copy, or a
+    /// shared key) and an epoch.
+    pub fn new(key: impl Into<Arc<[Value]>>, epoch: Epoch) -> Self {
+        TupleId {
+            key: key.into(),
+            epoch,
+        }
     }
 
     /// The ring position of this tuple, derived — as the paper requires —
     /// from the key attributes only, so that every version of the same
     /// logical tuple hashes to the same place and can be found from its ID.
     pub fn hash_key(&self) -> Key160 {
-        hash_values(&self.key)
+        hash_values(self.key.iter())
     }
 
     /// Wire size of the ID (used when index pages list tuple IDs).
@@ -190,7 +200,7 @@ impl Tuple {
     /// Tuple ID for this tuple at `epoch`, with the first `key_len`
     /// columns as the key.
     pub fn id(&self, key_len: usize, epoch: Epoch) -> TupleId {
-        TupleId::new(self.key(key_len).to_vec(), epoch)
+        TupleId::new(self.key(key_len), epoch)
     }
 
     /// Project the tuple onto the given column indices.

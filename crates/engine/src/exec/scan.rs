@@ -173,7 +173,7 @@ impl Runtime<'_> {
             pages += 1;
             for entry in &page.entries {
                 if ranges.iter().any(|r| r.contains(entry.position)) {
-                    out.push(Tuple::new(entry.id.key.clone()));
+                    out.push(entry.id.key.iter().cloned().collect());
                 }
             }
         }

@@ -13,9 +13,13 @@
 //! Hashing is the workspace's own [`orchestra_common::sha1`] over the
 //! value's wire encoding, so the sketch is deterministic across runs and
 //! platforms — a hard requirement for the byte-exact determinism gates.
+//! The encoding is streamed into the hasher ([`hash_values`]), never
+//! written to a buffer.
 
-use orchestra_common::{sha1, Value};
+use orchestra_common::tuple::hash_values;
+use orchestra_common::Value;
 use std::collections::BTreeMap;
+use std::iter;
 
 /// Default number of minimum hashes retained.
 pub const DEFAULT_K: usize = 64;
@@ -32,12 +36,9 @@ pub struct KmvSketch {
 }
 
 /// The 64-bit hash of one value: the first eight bytes of the SHA-1 of
-/// its wire encoding.
+/// its wire encoding — the top 64 bits of its ring key.
 fn hash_value(value: &Value) -> u64 {
-    let mut encoded = Vec::with_capacity(value.serialized_size());
-    value.encode_to(&mut encoded);
-    let digest = sha1::sha1(&encoded);
-    u64::from_be_bytes(digest[..8].try_into().expect("sha1 digest is 20 bytes"))
+    hash_values(iter::once(value)).top64()
 }
 
 impl Default for KmvSketch {
@@ -62,6 +63,16 @@ impl KmvSketch {
             return;
         }
         let h = hash_value(value);
+        // In a full sketch, a hash above the largest tracked one is not
+        // tracked and would not be admitted: only the saturation mark can
+        // change, and the map is not consulted.
+        if self.hashes.len() >= self.k {
+            let (&largest, _) = self.hashes.last_key_value().expect("k >= 2");
+            if h > largest {
+                self.saturated |= sign > 0;
+                return;
+            }
+        }
         if sign > 0 {
             if let Some(count) = self.hashes.get_mut(&h) {
                 *count += sign;
@@ -104,6 +115,80 @@ impl KmvSketch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use orchestra_common::{rng, sha1};
+
+    /// The hash as first written: encode into a buffer, SHA-1 the buffer.
+    fn buffered_hash(value: &Value) -> u64 {
+        let mut encoded = Vec::new();
+        value.encode_to(&mut encoded);
+        u64::from_be_bytes(sha1::sha1(&encoded)[..8].try_into().unwrap())
+    }
+
+    /// [`KmvSketch::update`] without the early-out for hashes above a full
+    /// sketch's largest.
+    fn update_without_early_out(s: &mut KmvSketch, value: &Value, sign: i64) {
+        if value.is_null() {
+            return;
+        }
+        let h = buffered_hash(value);
+        if sign > 0 {
+            if let Some(count) = s.hashes.get_mut(&h) {
+                *count += sign;
+            } else if s.hashes.len() < s.k {
+                s.hashes.insert(h, sign);
+            } else {
+                let largest = *s.hashes.keys().next_back().unwrap();
+                if h < largest {
+                    s.hashes.remove(&largest);
+                    s.hashes.insert(h, sign);
+                }
+                s.saturated = true;
+            }
+        } else if let Some(count) = s.hashes.get_mut(&h) {
+            *count += sign;
+            if *count <= 0 {
+                s.hashes.remove(&h);
+            }
+        }
+    }
+
+    #[test]
+    fn the_hash_is_the_sha1_of_the_encoding_without_a_buffer() {
+        for value in [
+            Value::Null,
+            Value::Int(i64::MIN),
+            Value::Int(i64::MAX),
+            Value::Int(0),
+            Value::Double(-0.0),
+            Value::Double(f64::NAN),
+            Value::Double(1.5),
+            Value::str(""),
+            Value::str("x".repeat(56)),
+            Value::str("a string of well over fifty-five bytes, so it spans two blocks"),
+        ] {
+            assert_eq!(hash_value(&value), buffered_hash(&value), "{value:?}");
+        }
+    }
+
+    #[test]
+    fn the_early_out_changes_nothing_on_a_saturating_signed_stream() {
+        let mut r = rng::seeded(0x4b3f);
+        for k in [2, 8, 64] {
+            let (mut fast, mut reference) = (KmvSketch::new(k), KmvSketch::new(k));
+            for step in 0..5_000 {
+                let value = match r.random_range(0u8..10) {
+                    0 => Value::Null,
+                    1..=3 => Value::str(format!("s{}", r.random_range(0u32..400))),
+                    _ => Value::Int(r.random_range(0u32..1_000).into()),
+                };
+                let sign = if r.random_bool(0.3) { -1 } else { 1 };
+                fast.update(&value, sign);
+                update_without_early_out(&mut reference, &value, sign);
+                assert_eq!(fast, reference, "k = {k}, step {step}");
+            }
+            assert!(fast.is_saturated(), "k = {k}");
+        }
+    }
 
     #[test]
     fn exact_below_k() {

@@ -309,6 +309,8 @@ impl DistributedStorage {
     pub fn delta(&self, relation: &str, from: Epoch, to: Epoch) -> Result<RelationDelta> {
         let derived = self.changed_partitions(relation, from, to)?;
         let (changes, pages_shared, pages_diffed) = &*derived;
+        let lookup = self.tuple_lookup(relation);
+        let fetch = |entry: &PageEntry| -> Result<Tuple> { Ok(lookup(entry)?.clone()) };
         let mut partitions = Vec::with_capacity(changes.len());
         for change in changes {
             // Both lists are key-sorted (tuple IDs order by key first), so
@@ -316,9 +318,6 @@ impl DistributedStorage {
             let mut delta = PartitionDelta {
                 partition: change.partition,
                 ..PartitionDelta::default()
-            };
-            let fetch = |entry: &PageEntry| -> Result<Tuple> {
-                Ok(self.lookup_tuple(relation, entry, None)?.0.clone())
             };
             let (mut r, mut a) = (0, 0);
             while r < change.removed.len() || a < change.added.len() {

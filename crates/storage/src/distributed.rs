@@ -262,6 +262,12 @@ impl DistributedStorage {
     /// relation cannot leave the ones before it in node stores under an
     /// epoch that was never committed.
     pub fn publish(&mut self, batch: &UpdateBatch) -> Result<Epoch> {
+        if self.config.partitions_per_relation == 0 && !batch.is_empty() {
+            return Err(OrchestraError::StorageInvalid(
+                "storage configured with 0 partitions per relation has no page to publish to"
+                    .into(),
+            ));
+        }
         for name in batch.relations() {
             let relation = self.catalog.get(name).ok_or_else(|| {
                 OrchestraError::StorageInvalid(format!("relation {name} is not registered"))
@@ -367,10 +373,11 @@ impl DistributedStorage {
             // tuple bodies.  A walk that reads keys only (`retrieve` under a
             // key filter, 60k rows) takes 1.1 ms this way and 2.2-2.9 ms
             // with the entries built in the loop above; scans cost the same.
+            // Every later version of the page shares these keys.
             let adds: Vec<PageEntry> = new_tuples
                 .iter()
                 .map(|(position, version)| {
-                    let key = detached(&version.id.key).collect();
+                    let key: Arc<[Value]> = detached(&version.id.key).collect();
                     PageEntry::new(TupleId::new(key, epoch), *position)
                 })
                 .collect();
@@ -388,25 +395,19 @@ impl DistributedStorage {
             // to every node for replicated relations.  Every holder gets a
             // pointer to the one allocation.
             for (position, version) in new_tuples {
-                let holders: Vec<NodeId> = if replicated {
-                    self.live_nodes().collect()
-                } else {
-                    self.live_replicas(position)
-                };
-                for node in holders {
-                    self.store_mut(node)
-                        .put_tuple(name, position, Arc::clone(&version));
-                }
+                let at = (!replicated).then_some(position);
+                self.put_at(at, |store| {
+                    store.put_tuple(name, position, Arc::clone(&version))
+                });
             }
 
             // Write the index page to the node owning the middle of its
             // range (+ replicas) and refresh the inverse entries.
             let descriptor = new_page.descriptor();
-            for node in self.live_replicas(descriptor.storage_key) {
-                let store = self.store_mut(node);
+            self.put_at(Some(descriptor.storage_key), |store| {
                 store.put_index_page(Arc::clone(&new_page));
                 store.put_inverse(name, partition, new_page.id.clone());
-            }
+            });
             descriptors.push(descriptor);
         }
 
@@ -414,9 +415,9 @@ impl DistributedStorage {
         let coord_key = CoordinatorKey::new(name, epoch);
         let coord_position = coord_key.hash();
         let version = Arc::new(RelationVersion::new(coord_key, descriptors));
-        for node in self.live_replicas(coord_position) {
-            self.store_mut(node).put_coordinator(Arc::clone(&version));
-        }
+        self.put_at(Some(coord_position), |store| {
+            store.put_coordinator(Arc::clone(&version))
+        });
 
         self.relation_epochs
             .entry(name.to_string())
@@ -461,19 +462,45 @@ impl DistributedStorage {
     // Lookups with fail-over
     // ------------------------------------------------------------------
 
-    fn live_replicas(&self, key: Key160) -> Vec<NodeId> {
+    /// Can `node`'s store be read and written?
+    fn is_live(&self, node: NodeId) -> bool {
+        !self.failed.contains(node) && node.index() < self.stores.len()
+    }
+
+    /// The live members of `key`'s replica set, owner first.
+    fn live_replicas(&self, key: Key160) -> impl Iterator<Item = NodeId> + '_ {
         self.routing
             .replicas_of(key)
-            .into_iter()
-            .filter(|n| !self.failed.contains(*n) && n.index() < self.stores.len())
-            .collect()
+            .iter()
+            .copied()
+            .filter(|n| self.is_live(*n))
     }
 
     fn live_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.routing
             .nodes()
             .into_iter()
-            .filter(|n| !self.failed.contains(*n) && n.index() < self.stores.len())
+            .filter(|n| self.is_live(*n))
+    }
+
+    /// Hand `put` the store of every live holder of what is placed at
+    /// `key` — its replica set, owner first — or, for `None` (a replicated
+    /// relation), of every live node.  A store still shared with a clone
+    /// is unshared first, as by [`Self::store_mut`].
+    fn put_at(&mut self, key: Option<Key160>, mut put: impl FnMut(&mut NodeStore)) {
+        let every_node;
+        let holders = match key {
+            Some(key) => self.routing.replicas_of(key),
+            None => {
+                every_node = self.routing.nodes();
+                &every_node
+            }
+        };
+        for &node in holders {
+            if self.is_live(node) {
+                put(Arc::make_mut(&mut self.stores[node.index()]));
+            }
+        }
     }
 
     /// Find the coordinator record for `key`, trying the owner, then the
@@ -589,6 +616,29 @@ impl DistributedStorage {
         self.stores.get(node.index())?.relation_tuples(relation)
     }
 
+    /// [`Self::lookup_tuple`] with no preferred node, for a pass over
+    /// many versions of `relation`: every node's tuples of it
+    /// ([`Self::local_tuples`]) are found by name once, up front, and a
+    /// version is then read from the first live replica holding it — or,
+    /// when none does, looked up the whole way.
+    pub(crate) fn tuple_lookup<'a>(
+        &'a self,
+        relation: &'a str,
+    ) -> impl Fn(&PageEntry) -> Result<&'a Tuple> + 'a {
+        let held: Vec<Option<RelationTuples<'a>>> = (0..self.stores.len())
+            .map(|i| self.local_tuples(relation, NodeId(i as u16)))
+            .collect();
+        move |entry| {
+            let replica = self
+                .live_replicas(entry.position)
+                .find_map(|node| held[node.index()]?.tuple(entry.position, &entry.id));
+            match replica {
+                Some(tuple) => Ok(tuple),
+                None => Ok(self.lookup_tuple(relation, entry, None)?.0),
+            }
+        }
+    }
+
     // ------------------------------------------------------------------
     // Scans
     // ------------------------------------------------------------------
@@ -692,8 +742,7 @@ impl DistributedStorage {
         let coord_key = CoordinatorKey::new(relation, version_epoch);
         let coord_node = self
             .live_replicas(coord_key.hash())
-            .first()
-            .copied()
+            .next()
             .ok_or_else(|| OrchestraError::Substrate("no live coordinator owner".into()))?;
         let version = self.lookup_coordinator(&coord_key)?;
         // Request to the coordinator and its reply (the page list).
@@ -705,8 +754,7 @@ impl DistributedStorage {
         for descriptor in &version.pages {
             let index_node = self
                 .live_replicas(descriptor.storage_key)
-                .first()
-                .copied()
+                .next()
                 .unwrap_or(coord_node);
             // Scan request to the index node.
             result.messages.push((requester, index_node, 96));
@@ -718,8 +766,7 @@ impl DistributedStorage {
                 }
                 let data_node = self
                     .live_replicas(entry.position)
-                    .first()
-                    .copied()
+                    .next()
                     .unwrap_or(index_node);
                 if data_node != index_node {
                     // The tuple ID crosses the network only when the index
@@ -1050,6 +1097,42 @@ mod tests {
         b1.insert("R", r("b", "2"));
         assert_eq!(s.publish(&b1).unwrap(), Epoch(1));
         assert_eq!(s.relation_cardinality("R", Epoch(1)), 2);
+    }
+
+    #[test]
+    fn zero_partitions_is_an_error_not_a_panic() {
+        // Regression: placing the first key divided the ring by zero.
+        let routing = RoutingTable::build(
+            &(0..3).map(NodeId).collect::<Vec<_>>(),
+            AllocationScheme::Balanced,
+            3,
+        );
+        let mut s = DistributedStorage::new(
+            routing,
+            StorageConfig {
+                partitions_per_relation: 0,
+            },
+        );
+        s.register_relation(Relation::partitioned("R", schema()));
+        let mut b = UpdateBatch::new();
+        b.insert("R", r("a", "1"));
+        let err = s.publish(&b).unwrap_err();
+        assert!(matches!(err, OrchestraError::StorageInvalid(_)), "{err}");
+        assert_eq!(s.latest_epoch(), None);
+        assert!(s.version_history("R").is_empty());
+        for n in 0..3 {
+            let store = s.store(NodeId(n));
+            assert_eq!(
+                [
+                    store.coordinator_count(),
+                    store.index_page_count(),
+                    store.tuple_count()
+                ],
+                [0; 3]
+            );
+        }
+        // A batch with nothing in it needs no page: it still publishes.
+        assert_eq!(s.publish(&UpdateBatch::new()).unwrap(), Epoch(0));
     }
 
     #[test]

@@ -26,6 +26,14 @@
 //! Entries are sorted by tuple ID (key first), which makes "the version of
 //! key `k` listed here" a binary search ([`IndexPage::current_version_of`])
 //! and the next version a sorted merge.
+//!
+//! ## A new page version costs what changed
+//!
+//! Carrying an entry forward copies its position and a pointer: the key
+//! is an `Arc<[Value]>` ([`TupleId`]), allocated once when the version is
+//! published and shared by every page version that lists it after that.
+//! Rewriting a page of `n` entries for `m` changes therefore allocates
+//! the entry list and the `m` new keys — nothing per surviving entry.
 
 use orchestra_common::{Epoch, Key160, KeyRange, PageEntry, TupleId, Value};
 use std::fmt;
@@ -144,8 +152,8 @@ impl IndexPage {
     /// The (oldest) version of the tuple with key `key` this page lists,
     /// found by binary search: entries order by key first.
     pub fn current_version_of(&self, key: &[Value]) -> Option<&PageEntry> {
-        let at = self.entries.partition_point(|e| e.id.key.as_slice() < key);
-        self.entries.get(at).filter(|e| e.id.key == key)
+        let at = self.entries.partition_point(|e| *e.id.key < *key);
+        self.entries.get(at).filter(|e| *e.id.key == *key)
     }
 
     /// The descriptor summarising this page version.
@@ -157,7 +165,8 @@ impl IndexPage {
     /// `remove` (superseded or deleted versions) and list the entries in
     /// `add`.  Both are sorted, then merged with this page's sorted
     /// entries in one pass; surviving entries are carried forward with
-    /// the positions they were published with, so no key is hashed.
+    /// the positions they were published with and their keys shared by
+    /// pointer, so no key is hashed or copied.
     pub fn next_version(
         &self,
         epoch: Epoch,

@@ -70,12 +70,10 @@ impl Arcs {
         let entries = routing.entries();
         Arcs {
             starts: entries.iter().map(|e| e.range.start).collect(),
-            replicas: entries
-                .iter()
-                .map(|e| {
-                    let mut replicas = routing.replicas_of_node(e.owner);
-                    replicas.retain(|n| !failed.contains(*n));
-                    replicas
+            replicas: (0..entries.len())
+                .map(|i| {
+                    let replicas = routing.entry_replicas(i).iter().copied();
+                    replicas.filter(|n| !failed.contains(*n)).collect()
                 })
                 .collect(),
         }
@@ -335,7 +333,7 @@ mod tests {
         let mut checked = 0;
         for src in nodes.iter().filter(|n| **n != down) {
             for (relation, position, version) in s.store(*src).tuples_with_relation() {
-                for dst in s.routing().replicas_of(position) {
+                for &dst in s.routing().replicas_of(position) {
                     assert!(
                         dst == down
                             || s.store(dst)

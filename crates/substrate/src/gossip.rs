@@ -278,7 +278,9 @@ impl MemberView {
         scheme: AllocationScheme,
         policy: ReplicationPolicy,
     ) -> Result<RoutingSnapshot> {
-        Ok(self.membership(scheme, policy).routing_table()?.snapshot())
+        Ok(RoutingSnapshot::new(
+            self.membership(scheme, policy).routing_table()?,
+        ))
     }
 }
 

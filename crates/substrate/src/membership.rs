@@ -200,7 +200,7 @@ impl Membership {
 
     /// Convenience: the current routing table as a shareable snapshot.
     pub fn snapshot(&self) -> Result<RoutingSnapshot> {
-        Ok(self.routing_table()?.snapshot())
+        Ok(RoutingSnapshot::new(self.routing_table()?))
     }
 }
 

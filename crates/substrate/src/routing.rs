@@ -35,6 +35,15 @@ pub struct RangeAssignment {
 ///
 /// Immutable once built; membership changes produce *new* tables (see
 /// [`crate::membership::Membership`]).
+///
+/// Every key of one entry has the same owner and so the same replica
+/// set, and storage asks for a replica set on every write and every
+/// lookup.  The sets are therefore computed once per entry, when the
+/// table is built ([`RoutingTable::build_with_policy`],
+/// [`RoutingTable::reassign_failed`]) — a ring walk of `r` steps per
+/// entry from the owner's ring position, found through an index by node
+/// id — and stored flat, so [`RoutingTable::replicas_of`] is a binary
+/// search and a slice.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RoutingTable {
     /// Range assignments sorted by range start; together they tile the ring.
@@ -49,6 +58,10 @@ pub struct RoutingTable {
     policy: ReplicationPolicy,
     /// The allocation scheme that produced the primary ownership ranges.
     scheme: AllocationScheme,
+    /// The replica sets of all entries, back to back: entry `i`'s set is
+    /// `replicas[bounds[i]..bounds[i + 1]]`, owner first.
+    replicas: Vec<NodeId>,
+    bounds: Vec<u32>,
 }
 
 /// An immutable, cheaply shareable snapshot of a routing table, taken by a
@@ -99,13 +112,53 @@ impl RoutingTable {
             .map(|(owner, range)| RangeAssignment { range, owner })
             .collect();
         entries.sort_by_key(|e| e.range.start);
-        RoutingTable {
+        RoutingTable::with_replica_sets(
             entries,
-            ring: sorted_ring(nodes),
+            sorted_ring(nodes),
             replication_factor,
             policy,
             scheme,
+        )
+    }
+
+    /// Assemble a table and compute the replica set of every entry: the
+    /// owner's ring position comes from an index by node id, so each set
+    /// costs one walk of about `r` ring steps.
+    fn with_replica_sets(
+        entries: Vec<RangeAssignment>,
+        ring: Vec<RingNode>,
+        replication_factor: usize,
+        policy: ReplicationPolicy,
+        scheme: AllocationScheme,
+    ) -> RoutingTable {
+        let mut table = RoutingTable {
+            entries,
+            ring,
+            replication_factor,
+            policy,
+            scheme,
+            replicas: Vec::new(),
+            bounds: Vec::new(),
+        };
+        let slots = table.ring.iter().map(|r| r.node.index() + 1).max();
+        let mut ring_position = vec![None; slots.unwrap_or(0)];
+        for (pos, r) in table.ring.iter().enumerate() {
+            ring_position[r.node.index()] = Some(pos);
         }
+        let degree = replication_factor.min(table.ring.len());
+        let mut replicas = Vec::with_capacity(table.entries.len() * degree);
+        let mut bounds = Vec::with_capacity(table.entries.len() + 1);
+        bounds.push(0);
+        for entry in &table.entries {
+            match ring_position.get(entry.owner.index()).copied().flatten() {
+                Some(pos) => table.walk_replicas(pos, &mut replicas),
+                None => replicas.push(entry.owner),
+            }
+            bounds.push(replicas.len() as u32);
+        }
+        table.replicas = replicas;
+        table.bounds = bounds;
+        table
     }
 
     /// The placement policy this table was built with.
@@ -145,6 +198,11 @@ impl RoutingTable {
 
     /// The node that owns `key` under this table.
     pub fn owner_of(&self, key: Key160) -> NodeId {
+        self.entries[self.entry_of(key)].owner
+    }
+
+    /// The index of the entry whose range holds `key`.
+    fn entry_of(&self, key: Key160) -> usize {
         debug_assert!(!self.entries.is_empty());
         // Entries are sorted by start and tile the ring; the owner is the
         // entry with the greatest start <= key, or (if key precedes every
@@ -154,17 +212,15 @@ impl RoutingTable {
             Err(0) => self.entries.len() - 1,
             Err(i) => i - 1,
         };
-        let entry = &self.entries[idx];
-        if entry.range.contains(key) {
-            entry.owner
+        if self.entries[idx].range.contains(key) {
+            idx
         } else {
             // Fall back to a scan; only reachable if ranges do not tile the
             // ring, which the constructors guarantee against.
             self.entries
                 .iter()
-                .find(|e| e.range.contains(key))
-                .map(|e| e.owner)
-                .unwrap_or(entry.owner)
+                .position(|e| e.range.contains(key))
+                .unwrap_or(idx)
         }
     }
 
@@ -180,78 +236,96 @@ impl RoutingTable {
 
     /// The replica set for `key`: its owner plus ⌊r/2⌋ ring neighbours in
     /// each direction (deduplicated, so small rings yield fewer copies).
-    /// The owner is always the first element.
-    pub fn replicas_of(&self, key: Key160) -> Vec<NodeId> {
-        let owner = self.owner_of(key);
-        self.replicas_of_node(owner)
+    /// The owner is always the first element.  Computed when the table
+    /// was built: this is a lookup, not a walk.
+    pub fn replicas_of(&self, key: Key160) -> &[NodeId] {
+        self.entry_replicas(self.entry_of(key))
     }
 
-    /// The replica set for data owned by `node` (the node itself first).
+    /// The replica set of entry `index` of [`RoutingTable::entries`]
+    /// (its owner's, owner first).
+    pub fn entry_replicas(&self, index: usize) -> &[NodeId] {
+        &self.replicas[self.bounds[index] as usize..self.bounds[index + 1] as usize]
+    }
+
+    /// The replica set for data owned by `node` (the node itself first),
+    /// walked on the ring for this call — what every entry `node` owns
+    /// has as its [`RoutingTable::entry_replicas`].
     ///
     /// Under a geo-spread policy the neighbour walk is zone-aware: a ring
     /// neighbour is skipped while its failure zone already holds
     /// `copies_per_zone` copies, so the set covers `zones` distinct zones
     /// whenever the ring contains them.
     pub fn replicas_of_node(&self, node: NodeId) -> Vec<NodeId> {
-        let n = self.ring.len();
         let Some(pos) = self.ring.iter().position(|r| r.node == node) else {
             return vec![node];
         };
-        if let Some((zones, per_zone)) = self.policy.zone_bound() {
-            return self.zone_aware_replicas(pos, zones, per_zone);
-        }
-        let half = self.replication_factor / 2;
-        let mut out = vec![node];
-        for step in 1..=half {
-            let cw = self.ring[(pos + step) % n].node;
-            if !out.contains(&cw) {
-                out.push(cw);
-            }
-            let ccw = self.ring[(pos + n - (step % n)) % n].node;
-            if !out.contains(&ccw) {
-                out.push(ccw);
-            }
-        }
+        let mut out = Vec::new();
+        self.walk_replicas(pos, &mut out);
         out
     }
 
-    /// Greedy clockwise walk from ring position `pos` that accepts a
-    /// candidate only while its zone holds fewer than `per_zone` copies;
-    /// once every zone present on the ring is saturated the walk falls
-    /// back to the nearest remaining neighbours to reach the configured
-    /// degree.
-    fn zone_aware_replicas(&self, pos: usize, zones: usize, per_zone: usize) -> Vec<NodeId> {
+    /// Append the replica set of the node at ring position `pos` to `out`.
+    fn walk_replicas(&self, pos: usize, out: &mut Vec<NodeId>) {
+        let first = out.len();
+        out.push(self.ring[pos].node);
+        if let Some((zones, per_zone)) = self.policy.zone_bound() {
+            self.zone_aware_replicas(pos, zones, per_zone, out);
+            return;
+        }
         let n = self.ring.len();
-        let target = self.replication_factor.min(n);
-        let owner = self.ring[pos].node;
+        let half = self.replication_factor / 2;
+        for step in 1..=half {
+            let cw = self.ring[(pos + step) % n].node;
+            if !out[first..].contains(&cw) {
+                out.push(cw);
+            }
+            let ccw = self.ring[(pos + n - (step % n)) % n].node;
+            if !out[first..].contains(&ccw) {
+                out.push(ccw);
+            }
+        }
+    }
+
+    /// Greedy clockwise walk from ring position `pos`, whose node is the
+    /// last one in `out` and opens the set, that accepts a candidate only
+    /// while its zone holds fewer than `per_zone` copies; once every zone
+    /// present on the ring is saturated the walk falls back to the
+    /// nearest remaining neighbours to reach the configured degree.
+    fn zone_aware_replicas(
+        &self,
+        pos: usize,
+        zones: usize,
+        per_zone: usize,
+        out: &mut Vec<NodeId>,
+    ) {
+        let first = out.len() - 1;
+        let n = self.ring.len();
+        let target = first + self.replication_factor.min(n);
         let mut counts = vec![0usize; zones];
-        counts[zone_of(owner, zones)] = 1;
-        let mut out = vec![owner];
+        counts[zone_of(self.ring[pos].node, zones)] = 1;
         for step in 1..n {
             if out.len() == target {
                 break;
             }
             let cand = self.ring[(pos + step) % n].node;
             let zone = zone_of(cand, zones);
-            if counts[zone] < per_zone && !out.contains(&cand) {
+            if counts[zone] < per_zone && !out[first..].contains(&cand) {
                 counts[zone] += 1;
                 out.push(cand);
             }
         }
         // The ring may not contain enough distinct zones (or enough nodes
         // per zone) to satisfy the bound; degree still wins over spread.
-        if out.len() < target {
-            for step in 1..n {
-                if out.len() == target {
-                    break;
-                }
-                let cand = self.ring[(pos + step) % n].node;
-                if !out.contains(&cand) {
-                    out.push(cand);
-                }
+        for step in 1..n {
+            if out.len() == target {
+                break;
+            }
+            let cand = self.ring[(pos + step) % n].node;
+            if !out[first..].contains(&cand) {
+                out.push(cand);
             }
         }
-        out
     }
 
     /// Derive the recovery routing table after the nodes in `failed` have
@@ -276,7 +350,7 @@ impl RoutingTable {
         }
 
         let mut new_entries: Vec<RangeAssignment> = Vec::with_capacity(self.entries.len() * 2);
-        for entry in &self.entries {
+        for (index, entry) in self.entries.iter().enumerate() {
             if !failed.contains(entry.owner) {
                 new_entries.push(*entry);
                 continue;
@@ -285,8 +359,9 @@ impl RoutingTable {
             // all survivors if every replica holder failed too (the data may
             // still exist elsewhere via background replication).
             let mut heirs: Vec<NodeId> = self
-                .replicas_of_node(entry.owner)
-                .into_iter()
+                .entry_replicas(index)
+                .iter()
+                .copied()
                 .filter(|n| !failed.contains(*n))
                 .collect();
             if heirs.is_empty() {
@@ -301,16 +376,16 @@ impl RoutingTable {
             }
         }
         new_entries.sort_by_key(|e| e.range.start);
-        Ok(RoutingTable {
-            entries: new_entries,
-            ring: survivors,
-            // The degree was fixed when the table was built; recovery keeps
-            // it (and the policy) so heirs are chosen consistently with the
-            // snapshot the query was planned against.
-            replication_factor: self.replication_factor,
-            policy: self.policy,
-            scheme: self.scheme,
-        })
+        // The degree was fixed when the table was built; recovery keeps it
+        // (and the policy) so heirs are chosen consistently with the
+        // snapshot the query was planned against.
+        Ok(RoutingTable::with_replica_sets(
+            new_entries,
+            survivors,
+            self.replication_factor,
+            self.policy,
+            self.scheme,
+        ))
     }
 
     /// The ranges whose ownership differs between `self` (the original
@@ -393,7 +468,7 @@ mod tests {
         assert_eq!(reps.len(), 3);
         assert_eq!(reps[0], t.owner_of(key));
         // All replicas are distinct nodes.
-        let mut dedup = reps.clone();
+        let mut dedup = reps.to_vec();
         dedup.dedup();
         assert_eq!(dedup.len(), reps.len());
     }
@@ -545,7 +620,7 @@ mod tests {
             let reps = t.replicas_of(key);
             assert_eq!(reps.len(), 6);
             let mut per_zone = [0usize; 3];
-            for r in &reps {
+            for r in reps {
                 per_zone[zone_of(*r, 3)] += 1;
             }
             assert_eq!(per_zone, [2, 2, 2], "zone spread violated for {reps:?}");
@@ -575,6 +650,70 @@ mod tests {
         let t2 = t.reassign_failed(&NodeSet::singleton(NodeId(4))).unwrap();
         assert_eq!(t2.policy(), policy);
         assert_eq!(t2.replication_factor(), t.replication_factor());
+    }
+
+    /// The replica set of the entry holding `key` is the ring walk from
+    /// its owner, for every key probed.
+    fn assert_sets_match_the_walk(t: &RoutingTable, r: &mut rng::StdRng, what: &str) {
+        let entry_keys = t
+            .entries()
+            .iter()
+            .flat_map(|e| [e.range.start, e.range.midpoint()]);
+        let random_keys: Vec<Key160> = (0..20)
+            .map(|_| Key160::hash(&r.next_u64().to_be_bytes()))
+            .collect();
+        for key in entry_keys.chain(random_keys) {
+            assert_eq!(
+                t.replicas_of(key),
+                t.replicas_of_node(t.owner_of(key)),
+                "{what}, key {key}"
+            );
+        }
+    }
+
+    #[test]
+    fn precomputed_replica_sets_match_the_ring_walk() {
+        let mut r = rng::seeded(0x4e91);
+        let policies = [
+            ReplicationPolicy::FixedFactor(1),
+            ReplicationPolicy::FixedFactor(3),
+            ReplicationPolicy::FixedFactor(6),
+            ReplicationPolicy::PercentageOfNodes(0.1),
+            ReplicationPolicy::PercentageOfNodes(0.5),
+            ReplicationPolicy::GeoSpread {
+                zones: 3,
+                copies_per_zone: 2,
+            },
+            ReplicationPolicy::GeoSpread {
+                zones: 4,
+                copies_per_zone: 1,
+            },
+        ];
+        let sizes = [1, 2, 3, 256]
+            .into_iter()
+            .chain((0..24).map(|_| r.random_range(4u16..256)));
+        for n in sizes.collect::<Vec<_>>() {
+            for policy in policies {
+                for scheme in [AllocationScheme::Balanced, AllocationScheme::PastryStyle] {
+                    let t = RoutingTable::build_with_policy(&nodes(n), scheme, policy);
+                    let what = format!("{n} nodes, {policy:?}, {scheme:?}");
+                    assert_sets_match_the_walk(&t, &mut r, &what);
+                    // Again after 1-3 nodes fail, while some survive.
+                    let lost = r.random_range(1u16..=3);
+                    if lost >= n {
+                        continue;
+                    }
+                    let failed =
+                        NodeSet::from_iter((0..lost).map(|_| NodeId(r.random_range(0..n))));
+                    let recovery = t.reassign_failed(&failed).unwrap();
+                    assert_sets_match_the_walk(
+                        &recovery,
+                        &mut r,
+                        &format!("{what}, {failed:?} failed"),
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -18,10 +18,17 @@
 # Wall-clock figures drift between sessions on the same tree (ROADMAP item
 # 3), so a record carries its own yardstick: "key_hash_ns_p50" is the median
 # `common.key_hash_ns_p50` of the record's traced runs that ran the probe
-# (a fixed SHA-1 loop no PR touches; `adhoc_read` and `publish_write` run
-# it), and "in_key_hashes" restates each wall-clock end-to-end median
-# (`op_ms_p25`, `setup_s`) as a multiple of it.  Both are null without
-# traced runs.  Compare those across records, milliseconds only within one.
+# (a fixed loop of SHA-1 ring keys over the same tuple ids; `adhoc_read`
+# and `publish_write` run it), and "in_key_hashes" restates each
+# wall-clock end-to-end median (`op_ms_p25`, `setup_s`) as a multiple of
+# it.  Both are null without traced runs.  Compare those across records,
+# milliseconds only within one.  The probe times the product's own SHA-1,
+# so a change to that kernel moves the yardstick itself: when `compress`
+# (crates/common/src/sha1.rs) became four 20-round loops over a 16-word
+# schedule the probe got about a quarter faster, and "in_key_hashes"
+# compares only between records on the same side of that change (the
+# README's host-time section names the two records, measured in one
+# session, that bracket it).
 #
 #   sh scripts/bench_host.sh [--label TEXT] [--seed N] [--runs N] [--traced N]
 #   sh scripts/bench_host.sh --smoke      # one 1/50-size run per workload, < 5 s
