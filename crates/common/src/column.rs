@@ -52,8 +52,9 @@
 
 use crate::key::Key160;
 use crate::node::NodeSet;
+use crate::sha1::{digest_one_block, Sha1, ONE_BLOCK_MAX};
 use crate::tuple::Tuple;
-use crate::value::Value;
+use crate::value::{integral, Value};
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -375,25 +376,19 @@ impl Column {
         }
     }
 
-    /// Append the wire encoding of the cell at `row` (byte-identical to
-    /// [`Value::encode_to`]).
-    fn encode_cell(&self, row: usize, pool: &StringPool, out: &mut Vec<u8>) {
+    /// Hand the ring-key encoding of the cell at `row` to `sink` — the
+    /// bytes `Value::encode_key_with` gives for the cell's value.
+    fn encode_key_cell(&self, row: usize, pool: &StringPool, mut sink: impl FnMut(&[u8])) {
         match &self.data {
-            ColumnData::Int(v) => {
-                out.push(1);
-                out.extend_from_slice(&v[row].to_be_bytes());
-            }
-            ColumnData::Double(v) => {
-                out.push(2);
-                out.extend_from_slice(&v[row].to_be_bytes());
-            }
+            ColumnData::Int(v) => Value::Int(v[row]).encode_with(sink),
+            ColumnData::Double(v) => Value::Double(v[row]).encode_key_with(sink),
             ColumnData::Str(v) => {
                 let s = pool.get(v[row]);
-                out.push(3);
-                out.extend_from_slice(&(s.len() as u32).to_be_bytes());
-                out.extend_from_slice(s.as_bytes());
+                sink(&[3]);
+                sink(&(s.len() as u32).to_be_bytes());
+                sink(s.as_bytes());
             }
-            ColumnData::Values(v) => v[row].encode_to(out),
+            ColumnData::Values(v) => v[row].encode_key_with(sink),
         }
     }
 
@@ -832,12 +827,6 @@ impl ColumnarBatch {
         self.columns[col].cell_size(row, &self.pool)
     }
 
-    /// Append the wire encoding of the cell at (`row`, `col`)
-    /// (byte-identical to [`Value::encode_to`]).
-    pub fn encode_cell(&self, row: usize, col: usize, out: &mut Vec<u8>) {
-        self.columns[col].encode_cell(row, &self.pool, out)
-    }
-
     /// The dictionary-encoded wire size of one column: one copy of each
     /// distinct value plus a 2-byte code per row, never worse than the
     /// plain encoding.  Identical to the row path's per-flush dictionary
@@ -882,15 +871,76 @@ impl ColumnarBatch {
         });
     }
 
-    /// Hash the projected cells of `row` exactly like
-    /// [`Tuple::hash_columns`]: encode each projected value in order and
-    /// hash the bytes.  `scratch` is a reusable buffer.
-    pub fn hash_columns_at(&self, row: usize, cols: &[usize], scratch: &mut Vec<u8>) -> Key160 {
-        scratch.clear();
-        for &c in cols {
-            self.encode_cell(row, c, scratch);
+    /// Replace the contents of `keys` with the ring key of every row's
+    /// cells in `cols`, in row order: for each row the key
+    /// [`Tuple::hash_columns`] computes over it.
+    ///
+    /// A key of `Int` and `Double` columns only, at most six of them, is
+    /// the common case (integer join keys), and each row's is written
+    /// straight into one padded SHA-1 block — nine bytes a cell, a type
+    /// tag and the number — and hashed with a single compression: no value
+    /// is materialized and no streaming state kept.  Any other key
+    /// (strings, the untyped fallback, more columns) streams its cells'
+    /// encodings through the hasher.
+    pub fn hash_columns(&self, cols: &[usize], keys: &mut Vec<Key160>) {
+        keys.clear();
+        keys.reserve(self.len());
+        let numbers: Option<Vec<Numbers>> = cols
+            .iter()
+            .map(|c| Numbers::of(&self.columns[*c].data))
+            .collect();
+        match numbers {
+            Some(numbers) if 9 * numbers.len() <= ONE_BLOCK_MAX => {
+                let len = 9 * numbers.len();
+                keys.extend((0..self.len()).map(|row| {
+                    let mut block = [0u8; 64];
+                    for (cell, column) in block.chunks_exact_mut(9).zip(&numbers) {
+                        let (tag, bits) = column.key_cell(row);
+                        cell[0] = tag;
+                        cell[1..].copy_from_slice(&bits.to_be_bytes());
+                    }
+                    Key160::from_words(digest_one_block(block, len))
+                }));
+            }
+            _ => keys.extend((0..self.len()).map(|row| {
+                let mut hasher = Sha1::new();
+                for &c in cols {
+                    self.columns[c].encode_key_cell(row, &self.pool, |bytes| hasher.update(bytes));
+                }
+                Key160::from_words(hasher.finish_words())
+            })),
         }
-        Key160::hash(scratch)
+    }
+}
+
+/// A typed numeric column as ring keys read it.
+#[derive(Clone, Copy)]
+enum Numbers<'a> {
+    Int(&'a [i64]),
+    Double(&'a [f64]),
+}
+
+impl Numbers<'_> {
+    fn of(data: &ColumnData) -> Option<Numbers<'_>> {
+        match data {
+            ColumnData::Int(v) => Some(Numbers::Int(v)),
+            ColumnData::Double(v) => Some(Numbers::Double(v)),
+            ColumnData::Str(_) | ColumnData::Values(_) => None,
+        }
+    }
+
+    /// The type tag and the eight big-endian bytes' worth of the cell at
+    /// `row` in its key encoding: an integral double keys as the `Int` it
+    /// equals.
+    #[inline(always)]
+    fn key_cell(self, row: usize) -> (u8, u64) {
+        match self {
+            Numbers::Int(v) => (1, v[row] as u64),
+            Numbers::Double(v) => match integral(v[row]) {
+                Some(i) => (1, i as u64),
+                None => (2, v[row].to_bits()),
+            },
+        }
     }
 }
 
@@ -1297,27 +1347,127 @@ mod tests {
         assert!(!Arc::ptr_eq(&find(&out, "shared"), &find(&src, "shared")));
     }
 
+    /// `hash_columns` over a batch must give, row for row, the key
+    /// [`Tuple::hash_columns`] gives over the row: random batches whose
+    /// columns are typed `Int`, `Double` or `Str`, or untyped (NULLs or a
+    /// mix of types), drawn from the edge cases of every type, with keys
+    /// of one to seven columns whose encodings fall either side of one
+    /// SHA-1 block (55, 56 and 64 bytes).
     #[test]
     fn hash_columns_matches_tuple_hashing() {
-        let (sign, prov, phase) = tags();
-        let rows = vec![
-            vec![Value::Int(7), Value::str("k"), Value::Double(1.25)],
-            vec![Value::Null, Value::str("m"), Value::Int(-3)],
-        ];
-        let mut b = ColumnarBatch::new(3);
-        for r in &rows {
-            b.push_row(r, sign, prov, phase);
-        }
-        let mut scratch = Vec::new();
-        for (i, r) in rows.iter().enumerate() {
-            let t = Tuple::new(r.clone());
-            for cols in [&[0usize][..], &[1, 2][..], &[2, 0, 1][..]] {
-                assert_eq!(
-                    b.hash_columns_at(i, cols, &mut scratch),
-                    t.hash_columns(cols),
-                    "row {i} cols {cols:?}"
-                );
+        // A debug build runs a sample on every `cargo test`; CI runs the
+        // full count in release mode.
+        use crate::rng::StdRng;
+        use std::cmp::Ordering;
+        fn int(rng: &mut StdRng) -> Value {
+            const EDGES: [i64; 8] = [i64::MIN, i64::MAX, 0, -1, 1, 2, 1 << 53, -(1 << 53) - 1];
+            match rng.random_range(0u8..3) {
+                0 => Value::Int(EDGES[rng.random_range(0..EDGES.len())]),
+                _ => Value::Int(rng.next_u64() as i64 >> rng.random_range(0u32..64)),
             }
+        }
+        fn double(rng: &mut StdRng) -> Value {
+            const EDGES: [f64; 14] = [
+                -0.0,
+                0.0,
+                f64::NAN,
+                -f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                2.0,
+                -2.0,
+                1.5,
+                9_007_199_254_740_992.0,     // 2^53
+                9_223_372_036_854_775_808.0, // 2^63, saturates to i64::MAX
+                -9_223_372_036_854_775_808.0,
+                1e300,
+                f64::MIN_POSITIVE,
+            ];
+            match rng.random_range(0u8..3) {
+                0 => Value::Double(EDGES[rng.random_range(0..EDGES.len())]),
+                1 => Value::Double(rng.random_range(0u32..100) as f64 - 50.0),
+                _ => Value::Double(f64::from_bits(rng.next_u64())),
+            }
+        }
+        /// Lengths either side of the block edges once framed.
+        fn string(rng: &mut StdRng) -> Value {
+            Value::str("s".repeat(rng.random_range(0usize..72)))
+        }
+        /// A cell of a column of the given kind.
+        fn cell(rng: &mut StdRng, kind: u8) -> Value {
+            match kind {
+                0 => int(rng),
+                1 => double(rng),
+                2 => string(rng),
+                // Untyped: NULLs among numbers, or any type at all.
+                3 if rng.random_bool(0.3) => Value::Null,
+                3 => int(rng),
+                _ => match rng.random_range(0u8..4) {
+                    0 => Value::Null,
+                    1 => int(rng),
+                    2 => double(rng),
+                    _ => string(rng),
+                },
+            }
+        }
+
+        let cases = if cfg!(debug_assertions) { 300 } else { 20_000 };
+        let mut rng = crate::rng::seeded(0x4a5c_0b1c);
+        let mut seen = HashSet::new();
+        for case in 0..cases {
+            let kinds: Vec<u8> = (0..rng.random_range(1usize..8))
+                .map(|_| rng.random_range(0u8..5))
+                .collect();
+            let rows: Vec<Vec<Value>> = (0..rng.random_range(0usize..12))
+                .map(|_| kinds.iter().map(|k| cell(&mut rng, *k)).collect())
+                .collect();
+            let mut b = ColumnarBatch::new(kinds.len());
+            let (sign, prov, phase) = tags();
+            for r in &rows {
+                b.push_row(r, sign, prov, phase);
+            }
+            let cols: Vec<usize> = (0..rng.random_range(1usize..8))
+                .map(|_| rng.random_range(0..kinds.len()))
+                .collect();
+            let mut keys = vec![Key160::ZERO; 3];
+            b.hash_columns(&cols, &mut keys);
+            assert_eq!(keys.len(), rows.len(), "case {case}");
+            for (i, r) in rows.iter().enumerate() {
+                let t = Tuple::new(r.clone());
+                assert_eq!(
+                    keys[i],
+                    t.hash_columns(&cols),
+                    "case {case} row {i} cols {cols:?}"
+                );
+                let bytes: usize = cols.iter().map(|c| r[*c].serialized_size()).sum();
+                seen.insert((
+                    cols.iter().all(|c| {
+                        matches!(
+                            b.column(*c).data(),
+                            ColumnData::Int(_) | ColumnData::Double(_)
+                        )
+                    }),
+                    bytes.cmp(&55),
+                    bytes.cmp(&64),
+                ));
+            }
+        }
+        // Both paths, each with keys shorter than, at and past a block
+        // (a numeric key is a multiple of nine bytes: 54 then 63).
+        for typed in [true, false] {
+            for (block, whole) in [
+                (Ordering::Less, Ordering::Less),
+                (Ordering::Greater, Ordering::Less),
+            ] {
+                assert!(seen.contains(&(typed, block, whole)), "{typed} {block:?}");
+            }
+        }
+        for (block, whole) in [
+            (Ordering::Equal, Ordering::Less),
+            (Ordering::Greater, Ordering::Equal),
+            (Ordering::Greater, Ordering::Greater),
+        ] {
+            assert!(seen.contains(&(false, block, whole)), "{block:?} {whole:?}");
         }
     }
 

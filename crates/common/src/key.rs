@@ -67,6 +67,16 @@ impl Key160 {
         }
     }
 
+    /// Construct from a SHA-1 digest given as its five big-endian words
+    /// (the first is the most significant) — [`Key160::from_bytes`]
+    /// without the round trip through bytes.
+    pub(crate) fn from_words(w: [u32; 5]) -> Self {
+        let pair = |hi: u32, lo: u32| (u64::from(hi) << 32) | u64::from(lo);
+        Key160 {
+            limbs: [pair(w[3], w[4]), pair(w[1], w[2]), u64::from(w[0])],
+        }
+    }
+
     /// Serialize to a 20-byte big-endian digest.
     pub fn to_bytes(self) -> [u8; DIGEST_LEN] {
         let mut out = [0u8; DIGEST_LEN];

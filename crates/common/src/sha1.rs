@@ -6,9 +6,27 @@
 //! purely as a uniform hash into the ring — so a compact, dependency-free
 //! implementation is sufficient.  It is validated against the FIPS 180-1
 //! test vectors in the unit tests below.
+//!
+//! It is also the largest host cost of routing a row (every row that
+//! crosses a `Rehash` is hashed), so the block function is written for
+//! speed in plain, portable Rust: the 80 rounds are spelled out with
+//! literal indices, which keeps the 16-word schedule in registers.  There
+//! is one path on every platform — no lane kernel, no architecture
+//! intrinsics, no runtime feature detection.  A message short enough to
+//! fit, padded, in one block — a ring key of a few numbers or short
+//! strings — is padded where it lies and compressed once
+//! (`digest_one_block`), which is also how `ColumnarBatch::hash_columns`
+//! hashes a numeric key without any streaming state.
 
 /// Output size of SHA-1 in bytes (160 bits).
 pub const DIGEST_LEN: usize = 20;
+
+/// The longest message that fits, padded, in a single 64-byte block: the
+/// padding takes at least one `0x80` byte and the 8-byte bit length.
+pub(crate) const ONE_BLOCK_MAX: usize = 55;
+
+/// The initial state (FIPS 180-1, section 7).
+const INITIAL: [u32; 5] = [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0];
 
 /// An incremental SHA-1 state: feed it byte slices with [`Sha1::update`]
 /// and read the digest with [`Sha1::finish`].  Nothing is heap-allocated
@@ -27,7 +45,7 @@ impl Sha1 {
     /// A fresh hasher.
     pub(crate) fn new() -> Sha1 {
         Sha1 {
-            state: [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0],
+            state: INITIAL,
             block: [0; 64],
             len: 0,
         }
@@ -58,7 +76,17 @@ impl Sha1 {
     }
 
     /// Pad the message and return its digest.
-    pub(crate) fn finish(mut self) -> [u8; DIGEST_LEN] {
+    pub(crate) fn finish(self) -> [u8; DIGEST_LEN] {
+        digest_bytes(self.finish_words())
+    }
+
+    /// [`Sha1::finish`] as the digest's five big-endian words.  A message
+    /// of at most `ONE_BLOCK_MAX` bytes is still all in the block buffer,
+    /// zero-filled behind it: it is padded there and compressed once.
+    pub(crate) fn finish_words(mut self) -> [u32; 5] {
+        if self.len <= ONE_BLOCK_MAX as u64 {
+            return digest_one_block(self.block, self.len as usize);
+        }
         // Message padding: append 0x80, zeros, then the 64-bit big-endian
         // bit length, so that the total is a whole number of blocks.
         let bit_len = self.len.wrapping_mul(8);
@@ -71,69 +99,122 @@ impl Sha1 {
         }
         self.block[56..].copy_from_slice(&bit_len.to_be_bytes());
         compress(&mut self.state, &self.block);
-
-        let mut out = [0u8; DIGEST_LEN];
-        for (i, s) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&s.to_be_bytes());
-        }
-        out
+        self.state
     }
 }
 
-/// Fold one 64-byte block into `state`.
-///
-/// The 80 rounds run as four loops of 20, one per round function, so no
-/// round dispatches on its index; and the message schedule is a rolling
-/// window of 16 words (word `i` overwrites word `i - 16`, the oldest one
-/// it depends on) instead of an 80-word array filled up front.  Both are
-/// the textbook SHA-1 — the test module keeps the 80-word form and checks
-/// the two agree.
-fn compress(state: &mut [u32; 5], block: &[u8; 64]) {
+/// The digest bytes of a final state.
+fn digest_bytes(state: [u32; 5]) -> [u8; DIGEST_LEN] {
+    let mut out = [0u8; DIGEST_LEN];
+    for (i, s) in state.iter().enumerate() {
+        out[i * 4..i * 4 + 4].copy_from_slice(&s.to_be_bytes());
+    }
+    out
+}
+
+/// The SHA-1 of the `len`-byte message at the start of `block`, as the
+/// five big-endian words of the digest, where `len <= ONE_BLOCK_MAX` and
+/// every byte of `block` after the message is zero.  The message is
+/// padded in place and takes one compression, with no streaming state.
+/// Inlined into its two callers, [`Sha1::finish_words`] and the numeric
+/// key path of `ColumnarBatch::hash_columns`, so that each runs the
+/// rounds on its own block without a call.
+#[inline(always)]
+pub(crate) fn digest_one_block(mut block: [u8; 64], len: usize) -> [u32; 5] {
+    debug_assert!(len <= ONE_BLOCK_MAX, "{len} bytes need more than one block");
+    block[len] = 0x80;
+    block[56..].copy_from_slice(&(len as u64 * 8).to_be_bytes());
+    let mut state = INITIAL;
+    compress_words(&mut state, words(&block));
+    state
+}
+
+/// A block as the sixteen big-endian words the schedule starts from.
+#[inline(always)]
+fn words(block: &[u8; 64]) -> [u32; 16] {
     let mut w = [0u32; 16];
     for (wi, word) in w.iter_mut().zip(block.chunks_exact(4)) {
         *wi = u32::from_be_bytes([word[0], word[1], word[2], word[3]]);
     }
-    // Word `i` of the schedule, computed in place from the window.
-    let mut word = |i: usize| {
-        if i >= 16 {
-            w[i % 16] =
-                (w[(i + 13) % 16] ^ w[(i + 8) % 16] ^ w[(i + 2) % 16] ^ w[i % 16]).rotate_left(1);
-        }
-        w[i % 16]
-    };
+    w
+}
 
-    let mut v = *state;
-    for i in 0..20 {
-        v = round(v, 0x5A827999, word(i), |b, c, d| (b & c) | (!b & d));
+/// Fold one 64-byte block into `state`.
+fn compress(state: &mut [u32; 5], block: &[u8; 64]) {
+    compress_words(state, words(block));
+}
+
+/// The 80 rounds over a block's words, written out one by one.
+///
+/// Every round index is a literal, so every schedule index is a constant:
+/// the 16-word window (word `i` overwrites word `i - 16`, the oldest one
+/// it depends on) lives in registers, and no round loops or dispatches on
+/// its index.  This is the textbook SHA-1 — the test module keeps the
+/// FIPS 180-1 form (an 80-word schedule filled up front, one loop that
+/// picks the round function by index) and checks the two agree.
+#[inline(always)]
+fn compress_words(state: &mut [u32; 5], mut w: [u32; 16]) {
+    let [mut a, mut b, mut c, mut d, mut e] = *state;
+    // One round on schedule word `$w`; the five working variables shift
+    // by one, which the compiler turns into renaming.
+    macro_rules! round {
+        ($f:ident, $k:expr, $w:expr) => {
+            let temp = a
+                .rotate_left(5)
+                .wrapping_add($f(b, c, d))
+                .wrapping_add(e)
+                .wrapping_add($k)
+                .wrapping_add($w);
+            e = d;
+            d = c;
+            c = b.rotate_left(30);
+            b = a;
+            a = temp;
+        };
     }
-    for i in 20..40 {
-        v = round(v, 0x6ED9EBA1, word(i), |b, c, d| b ^ c ^ d);
+    // Rounds 0-15 read the block's own words.
+    macro_rules! rounds {
+        ($f:ident, $k:expr; $($i:literal)+) => {
+            $( round!($f, $k, w[$i]); )+
+        };
     }
-    for i in 40..60 {
-        v = round(v, 0x8F1BBCDC, word(i), |b, c, d| {
-            (b & c) | (b & d) | (c & d)
-        });
+    // Rounds 16-79 first extend the schedule into the window slot of the
+    // word sixteen rounds back.
+    macro_rules! expanded {
+        ($f:ident, $k:expr; $($i:literal)+) => {
+            $(
+                w[$i % 16] = (w[($i + 13) % 16] ^ w[($i + 8) % 16] ^ w[($i + 2) % 16] ^ w[$i % 16])
+                    .rotate_left(1);
+                round!($f, $k, w[$i % 16]);
+            )+
+        };
     }
-    for i in 60..80 {
-        v = round(v, 0xCA62C1D6, word(i), |b, c, d| b ^ c ^ d);
-    }
-    for (s, v) in state.iter_mut().zip(v) {
+    rounds!(choose, 0x5A827999; 0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15);
+    expanded!(choose, 0x5A827999; 16 17 18 19);
+    expanded!(parity, 0x6ED9EBA1; 20 21 22 23 24 25 26 27 28 29 30 31 32 33 34 35 36 37 38 39);
+    expanded!(majority, 0x8F1BBCDC; 40 41 42 43 44 45 46 47 48 49 50 51 52 53 54 55 56 57 58 59);
+    expanded!(parity, 0xCA62C1D6; 60 61 62 63 64 65 66 67 68 69 70 71 72 73 74 75 76 77 78 79);
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e]) {
         *s = s.wrapping_add(v);
     }
 }
 
-/// One SHA-1 round over the working variables `[a, b, c, d, e]`, with
-/// round function `f`, constant `k` and schedule word `wi`.
+/// Round function of rounds 0-19: `b` chooses between `c` and `d`.
 #[inline(always)]
-fn round(v: [u32; 5], k: u32, wi: u32, f: impl Fn(u32, u32, u32) -> u32) -> [u32; 5] {
-    let [a, b, c, d, e] = v;
-    let temp = a
-        .rotate_left(5)
-        .wrapping_add(f(b, c, d))
-        .wrapping_add(e)
-        .wrapping_add(k)
-        .wrapping_add(wi);
-    [temp, a, b.rotate_left(30), c, d]
+fn choose(b: u32, c: u32, d: u32) -> u32 {
+    (b & c) | (!b & d)
+}
+
+/// Round function of rounds 20-39 and 60-79.
+#[inline(always)]
+fn parity(b: u32, c: u32, d: u32) -> u32 {
+    b ^ c ^ d
+}
+
+/// Round function of rounds 40-59: the bitwise majority of `b`, `c`, `d`.
+#[inline(always)]
+fn majority(b: u32, c: u32, d: u32) -> u32 {
+    (b & c) | (b & d) | (c & d)
 }
 
 /// Compute the SHA-1 digest of `data`.
@@ -275,17 +356,15 @@ mod tests {
             padded.push(0);
         }
         padded.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
-        let mut state = Sha1::new().state;
+        let mut state = INITIAL;
         for block in padded.chunks_exact(64) {
             compress_reference(&mut state, block.try_into().unwrap());
         }
-        let mut out = [0u8; DIGEST_LEN];
-        for (i, s) in state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&s.to_be_bytes());
-        }
-        out
+        digest_bytes(state)
     }
 
+    /// The unrolled rounds, streamed in random chunkings and as a single
+    /// block, against the FIPS 180-1 form.
     #[test]
     fn rolling_schedule_matches_the_80_word_reference() {
         let mut r = crate::rng::seeded(0x5ba1);
@@ -301,6 +380,12 @@ mod tests {
                 rest = tail;
             }
             assert_eq!(h.finish(), expected, "{} bytes", data.len());
+            if len <= ONE_BLOCK_MAX {
+                let mut block = [0u8; 64];
+                block[..len].copy_from_slice(&data);
+                let one = digest_one_block(block, len);
+                assert_eq!(digest_bytes(one), expected, "{len} bytes in one block");
+            }
         }
     }
 }

@@ -131,13 +131,16 @@ impl PageEntry {
 
 /// Hash a sequence of values onto the key ring.  This is the hash used for
 /// data partitioning, for rehash (exchange) routing, and for locating
-/// tuples by key.
+/// tuples by key: the SHA-1 of the values' wire encodings, one after the
+/// other, where a double equal to an integer is encoded as that `Int`
+/// (`Value::encode_key_with`), so that values which compare equal share
+/// a ring position.
 pub fn hash_values<'a>(values: impl IntoIterator<Item = &'a Value>) -> Key160 {
     let mut hasher = Sha1::new();
     for v in values {
-        v.encode_with(|bytes| hasher.update(bytes));
+        v.encode_key_with(|bytes| hasher.update(bytes));
     }
-    Key160::from_bytes(&hasher.finish())
+    Key160::from_words(hasher.finish_words())
 }
 
 /// A relational tuple: an ordered row of values.

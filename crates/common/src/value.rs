@@ -116,6 +116,20 @@ impl Value {
         }
     }
 
+    /// [`Value::encode_with`] in the canonical form ring keys are hashed
+    /// from: a double equal to an integer ([`integral`]) is encoded as
+    /// that `Int`.  `Int(2)` and `Double(2.0)` compare equal, join and
+    /// group together, and so must route to one node.
+    pub(crate) fn encode_key_with(&self, sink: impl FnMut(&[u8])) {
+        match self {
+            Value::Double(v) => match integral(*v) {
+                Some(i) => Value::Int(i).encode_with(sink),
+                None => self.encode_with(sink),
+            },
+            _ => self.encode_with(sink),
+        }
+    }
+
     /// Addition for numeric values (used by SUM); any NULL operand yields
     /// the other operand, matching SQL aggregate semantics of ignoring
     /// NULLs.
@@ -219,28 +233,34 @@ impl Hash for Value {
                 1u8.hash(state);
                 v.hash(state);
             }
-            Value::Double(v) => {
-                // Hash the canonical integer form when the double is
-                // integral so Int(2) and Double(2.0) (which compare equal)
-                // also hash identically.
-                if v.fract() == 0.0
-                    && v.is_finite()
-                    && *v >= i64::MIN as f64
-                    && *v <= i64::MAX as f64
-                {
+            // Hash the canonical integer form when the double is integral
+            // so Int(2) and Double(2.0) (which compare equal) also hash
+            // identically.
+            Value::Double(v) => match integral(*v) {
+                Some(i) => {
                     1u8.hash(state);
-                    (*v as i64).hash(state);
-                } else {
+                    i.hash(state);
+                }
+                None => {
                     2u8.hash(state);
                     v.to_bits().hash(state);
                 }
-            }
+            },
             Value::Str(s) => {
                 3u8.hash(state);
                 s.hash(state);
             }
         }
     }
+}
+
+/// The integer a double stands for where both numeric types must agree —
+/// hashing ([`Hash`] for [`Value`]) and ring keys: the double's value if
+/// it is finite, integral and within `i64`'s range (`2^63`, just past it,
+/// saturates to `i64::MAX`, which compares equal to it).
+pub(crate) fn integral(v: f64) -> Option<i64> {
+    (v.fract() == 0.0 && v.is_finite() && v >= i64::MIN as f64 && v <= i64::MAX as f64)
+        .then_some(v as i64)
 }
 
 impl fmt::Display for Value {

@@ -16,12 +16,18 @@
 //! Buffers, cache entries and wire payloads are all
 //! [`ColumnarBatch`]es: a buffer that reaches `BATCH_ROWS` rows is moved
 //! whole into the [`Payload::Batch`] it travels in, priced by
-//! [`crate::batch::wire_size`].
+//! [`crate::batch::wire_size`], and the same allocation
+//! (`Rc<ColumnarBatch>`) is the cache entry — a sent row is held once.
+//! The cache is therefore the list of batches flushed to each
+//! destination; the rows still pending are in the buffer, and recovery
+//! stage 2 moves a buffer bound for a failed node into the cache unsent,
+//! so stage 4 re-transmits every row that was ever bound there.
 //!
 //! A batch crosses the exchange whole, never a row at a time.  The
 //! operator first works out its *destination vector* — for a `Rehash`,
-//! one hash and one routing lookup per row sorted into a list of row
-//! numbers per destination ([`rehash_routes`]); for a `Ship` or a
+//! the batch's ring keys in one call ([`ColumnarBatch::hash_columns`])
+//! and one routing lookup per row sorted into a list of row numbers per
+//! destination ([`rehash_routes`]); for a `Ship` or a
 //! `Broadcast`, every row for the initiator or for every participant —
 //! and [`buffer_batch`] then appends each destination's rows column by
 //! column.  *Chunking rule:* a destination's rows are cut
@@ -59,6 +65,7 @@ use crate::plan::OpId;
 use orchestra_common::{ColumnarBatch, NodeId};
 use orchestra_simnet::SimTime;
 use orchestra_substrate::RoutingTable;
+use std::rc::Rc;
 
 /// Wire size of an end-of-stream marker.
 pub(super) const EOS_BYTES: usize = 8;
@@ -95,8 +102,9 @@ pub(super) enum Payload {
     /// Plan + snapshot arrived; run the local fragments.
     Start,
     /// A batch of rows that crossed exchange operator `op`, travelling in
-    /// columnar form end to end.
-    Batch { op: OpId, batch: ColumnarBatch },
+    /// columnar form end to end.  The sender's output cache holds the
+    /// same allocation.
+    Batch { op: OpId, batch: Rc<ColumnarBatch> },
     /// One sender has finished feeding exchange operator `op`.
     Eos { op: OpId },
     /// A remote tuple fetch performed by a scan; carries no pipeline
@@ -116,9 +124,10 @@ pub(super) fn rehash_routes(
     let mut routes: Vec<(NodeId, Vec<u32>)> = Vec::new();
     // Node index -> position in `routes`.
     let mut slot_of: Vec<Option<usize>> = Vec::new();
-    let mut scratch = Vec::new();
-    for r in 0..batch.len() {
-        let dest = table.owner_of(batch.hash_columns_at(r, columns, &mut scratch));
+    let mut keys = Vec::new();
+    batch.hash_columns(columns, &mut keys);
+    for (r, key) in keys.into_iter().enumerate() {
+        let dest = table.owner_of(key);
         if slot_of.len() <= dest.index() {
             slot_of.resize(dest.index() + 1, None);
         }
@@ -141,7 +150,7 @@ pub(super) fn buffer_batch<'r>(
     state: &mut RehashState,
     src: &ColumnarBatch,
     routes: impl IntoIterator<Item = (NodeId, &'r [u32])>,
-) -> Vec<(NodeId, ColumnarBatch)> {
+) -> Vec<(NodeId, Rc<ColumnarBatch>)> {
     let mut filled = Vec::new();
     for (dest, rows) in routes {
         for (filled_by, batch) in state.buffer_rows(dest, src, rows, BATCH_ROWS) {
@@ -179,14 +188,14 @@ impl Runtime<'_> {
         }
     }
 
-    /// Send one buffer.  It already *is* a columnar batch, so its wire
-    /// size falls out of the columns' dictionary accounting.
+    /// Send one flushed buffer.  It already *is* a columnar batch, so its
+    /// wire size falls out of the columns' dictionary accounting.
     pub(super) fn send_batch(
         &mut self,
         node: NodeId,
         op: OpId,
         dest: NodeId,
-        batch: ColumnarBatch,
+        batch: Rc<ColumnarBatch>,
         ready: SimTime,
     ) {
         let bytes = wire_size(&batch, self.config.recovery);

@@ -34,6 +34,7 @@ use orchestra_simnet::{Delivery, SimTime};
 use orchestra_storage::DistributedStorage;
 use orchestra_substrate::RoutingTable;
 use std::borrow::Cow;
+use std::rc::Rc;
 use std::time::Instant;
 
 // Wall-clock accounting slots (indices into `RunStats::op_rows` /
@@ -306,7 +307,7 @@ impl<'a> Runtime<'a> {
             let (batch, scan_time) = self.do_scan(node, scan_op)?;
             ready = self.sim.charge_cpu(node, ready, scan_time);
             if !batch.is_empty() {
-                ready = self.push_up(node, scan_op, batch, ready)?;
+                ready = self.push_up(node, scan_op, Rc::new(batch), ready)?;
             }
         }
         self.nodes[node.index()].scans_done = true;
@@ -339,7 +340,7 @@ impl<'a> Runtime<'a> {
         &mut self,
         node: NodeId,
         from: OpId,
-        batch: ColumnarBatch,
+        batch: Rc<ColumnarBatch>,
         time: SimTime,
     ) -> Result<SimTime> {
         let from = self.plan.op(from);
@@ -364,13 +365,16 @@ impl<'a> Runtime<'a> {
     /// Process a batch arriving at operator `op` on `node` via `input`:
     /// charge one `cpu_time(len)` of simulated CPU for the arrival, then
     /// run the operator over the whole batch — operators consume and
-    /// produce typed column vectors, never row objects.
+    /// produce typed column vectors, never row objects.  The batch is
+    /// shared (a delivered one is also its sender's cache entry): every
+    /// operator reads it, and only `Select` changes it in place, copying
+    /// it first if it is shared.
     pub(super) fn process_at(
         &mut self,
         node: NodeId,
         op: OpId,
         input: usize,
-        mut batch: ColumnarBatch,
+        mut batch: Rc<ColumnarBatch>,
         time: SimTime,
     ) -> Result<()> {
         if batch.is_empty() {
@@ -398,7 +402,9 @@ impl<'a> Runtime<'a> {
                 let n = batch.len();
                 let mut mask = Vec::new();
                 predicate.eval_mask(&batch, &mut mask);
-                batch.retain(&mask);
+                if mask.iter().any(|keep| !keep) {
+                    Rc::make_mut(&mut batch).retain(&mask);
+                }
                 self.record_wall(WC_SELECT, n, wall);
                 if !batch.is_empty() {
                     self.push_up(node, op, batch, ready)?;
@@ -408,7 +414,7 @@ impl<'a> Runtime<'a> {
                 let wall = Instant::now();
                 let out = batch.project(columns);
                 self.record_wall(WC_PROJECT, out.len(), wall);
-                self.push_up(node, op, out, ready)?;
+                self.push_up(node, op, Rc::new(out), ready)?;
             }
             OperatorKind::ComputeFunction { exprs } => {
                 let wall = Instant::now();
@@ -433,7 +439,7 @@ impl<'a> Runtime<'a> {
                     batch.phase_column().to_vec(),
                 );
                 self.record_wall(WC_COMPUTE, n, wall);
-                self.push_up(node, op, out, ready)?;
+                self.push_up(node, op, Rc::new(out), ready)?;
             }
             OperatorKind::HashJoin {
                 left_keys,
@@ -445,7 +451,7 @@ impl<'a> Runtime<'a> {
                 let out = state.process_batch(input, &batch, left_keys, right_keys, node);
                 self.record_wall(WC_JOIN, n, wall);
                 if !out.is_empty() {
-                    self.push_up(node, op, out, ready)?;
+                    self.push_up(node, op, Rc::new(out), ready)?;
                 }
             }
             OperatorKind::Aggregate {
@@ -560,7 +566,7 @@ impl<'a> Runtime<'a> {
             };
             self.record_wall(WC_AGGREGATE, 0, wall);
             if !emitted.is_empty() {
-                ready = self.push_up(node, agg_op, emitted, ready)?;
+                ready = self.push_up(node, agg_op, Rc::new(emitted), ready)?;
             }
         }
 
@@ -575,13 +581,7 @@ impl<'a> Runtime<'a> {
         }
 
         // Flush whatever is still buffered, then signal end-of-stream.
-        let out = &mut exchange.out;
-        let flushed: Vec<(NodeId, ColumnarBatch)> = out
-            .pending_destinations()
-            .into_iter()
-            .map(|dest| (dest, out.take_buffer_batch(dest)))
-            .collect();
-        for (dest, batch) in flushed {
+        for (dest, batch) in exchange.out.flush_pending() {
             self.send_batch(node, segment.root, dest, batch, ready);
         }
         for &dest in consumers(root, &self.initiator, &self.participants) {

@@ -7,9 +7,10 @@
 //! wipes every operator state and re-runs the query on the survivors
 //! under the recovery routing snapshot.  **Incremental** runs the
 //! four-stage protocol: derive the recovery snapshot, purge exactly the
-//! tainted state, bump the phase and rescan only the inherited ranges,
-//! and re-transmit the untainted cached output that had been sent to the
-//! failed nodes — re-routed to their heirs.
+//! tainted state (and move the output still pending for a failed node
+//! into the output cache, unsent), bump the phase and rescan only the
+//! inherited ranges, and re-transmit the untainted cached output that had
+//! been bound for the failed nodes — re-routed to their heirs.
 
 use super::pipeline::{OpState, Runtime};
 use super::RecoveryStrategy;
@@ -17,6 +18,7 @@ use crate::plan::OperatorKind;
 use orchestra_common::{ColumnarBatch, NodeId, NodeSet, OrchestraError, Result};
 use orchestra_simnet::SimTime;
 use std::borrow::Cow;
+use std::rc::Rc;
 
 impl Runtime<'_> {
     pub(super) fn recover(&mut self, failed: &NodeSet) -> Result<()> {
@@ -78,17 +80,12 @@ impl Runtime<'_> {
                         OpState::Join(join) => join.purge_tainted(failed),
                         OpState::Agg(agg) => agg.purge_tainted(failed),
                         OpState::Exchange(exchange) => {
-                            let out = &mut exchange.out;
-                            let purged = out.purge_tainted(failed);
+                            let purged = exchange.out.purge_tainted(failed);
                             // Pending buffers destined to a failed node
-                            // must not be flushed there; their rows are
-                            // covered by the stage-4 output-cache
-                            // retransmission, so drop them here.
-                            for dest in out.pending_destinations() {
-                                if failed.contains(dest) {
-                                    out.take_buffer_batch(dest);
-                                }
-                            }
+                            // must not be flushed there: they join the
+                            // output cache unsent, and stage 4 re-routes
+                            // their rows with the ones that were sent.
+                            exchange.out.cache_pending_for(failed);
                             purged
                         }
                     };
@@ -152,7 +149,7 @@ impl Runtime<'_> {
             self.stats.retransmitted += resend.len();
             // Re-enter the exchange operator itself: routing now consults
             // the recovery snapshot, so the rows land at the heirs.
-            self.process_at(node, op, 0, resend, ready)?;
+            self.process_at(node, op, 0, Rc::new(resend), ready)?;
             ready = self.sim.cpu_free_at(node).max(ready);
         }
         Ok(ready)

@@ -152,6 +152,94 @@ fn pipelined_join_matches_nested_loop() {
     }
 }
 
+/// `Int(10)` and `Double(10.0)` are equal values, so a join keyed on them
+/// must find the pair even when each side is rehashed to the node its
+/// key's ring position names: the ring hash keys an integral double as
+/// the `Int` it equals.  (Keyed by type, the distributed answer held 13
+/// of the 40 rows.)
+#[test]
+fn equal_int_and_double_keys_meet_across_a_rehash_join() {
+    let mut s = cluster(4);
+    s.register_relation(Relation::partitioned(
+        "D",
+        Schema::keyed_on_first(vec![("k", ColumnType::Int), ("x", ColumnType::Double)]),
+    ));
+    publish_r(&mut s, 40);
+    let mut b = UpdateBatch::new();
+    for k in 0..40 {
+        b.insert(
+            "D",
+            Tuple::new(vec![Value::Int(k), Value::Double(10.0 * k as f64)]),
+        );
+    }
+    s.publish(&b).unwrap();
+
+    let mut pb = PlanBuilder::new();
+    let r = pb.scan("R", 3, None);
+    let d = pb.scan("D", 2, None);
+    let r_re = pb.rehash(r, vec![2]);
+    let d_re = pb.rehash(d, vec![1]);
+    let join = pb.hash_join(r_re, d_re, vec![2], vec![1]);
+    let ship = pb.ship(join);
+    let plan = pb.output(ship);
+
+    let exec = QueryExecutor::new(&s, EngineConfig::default());
+    let report = exec.execute(&plan, Epoch(1), NodeId(0)).unwrap();
+    // R(k, g, 10k) ++ D(k, 10.0k) for every k.
+    assert_eq!(report.rows.len(), 40);
+    for row in &report.rows {
+        assert_eq!(row.value(0), row.value(3));
+        assert!(matches!(
+            (row.value(2), row.value(4)),
+            (Value::Int(v), Value::Double(x)) if *v as f64 == *x
+        ));
+    }
+}
+
+/// The two-phase-aggregate twin of the join above, over an untyped key
+/// column: M.g holds `Int(10k)` in some rows and `Double(10k)` in others,
+/// so a scan batch that meets both keeps the column as `Value`s, and the
+/// counts of R's groups over the join must still see every row.
+#[test]
+fn equal_int_and_double_keys_in_one_column_count_once_per_group() {
+    let mut s = cluster(4);
+    s.register_relation(Relation::partitioned(
+        "M",
+        Schema::keyed_on_first(vec![("k", ColumnType::Int), ("g", ColumnType::Double)]),
+    ));
+    publish_r(&mut s, 40);
+    let mut b = UpdateBatch::new();
+    for k in 0..40 {
+        let g = if k % 2 == 0 {
+            Value::Int(10 * k)
+        } else {
+            Value::Double(10.0 * k as f64)
+        };
+        b.insert("M", Tuple::new(vec![Value::Int(k), g]));
+    }
+    s.publish(&b).unwrap();
+
+    let mut pb = PlanBuilder::new();
+    let r = pb.scan("R", 3, None);
+    let m = pb.scan("M", 2, None);
+    let r_re = pb.rehash(r, vec![2]);
+    let m_re = pb.rehash(m, vec![1]);
+    let join = pb.hash_join(r_re, m_re, vec![2], vec![1]);
+    let agg = pb.two_phase_aggregate(join, vec![1], vec![(AggFunc::Count, 0)]);
+    let plan = pb.output(agg);
+
+    let exec = QueryExecutor::new(&s, EngineConfig::default());
+    let report = exec.execute(&plan, Epoch(1), NodeId(2)).unwrap();
+    // R.g is "a" where k % 3 == 0 (14 of k in 0..40), "b" elsewhere.
+    assert_eq!(
+        report.rows,
+        vec![
+            Tuple::new(vec![Value::str("a"), Value::Int(14)]),
+            Tuple::new(vec![Value::str("b"), Value::Int(26)]),
+        ]
+    );
+}
+
 #[test]
 fn two_phase_aggregation_matches_direct_computation() {
     let mut s = cluster(4);
@@ -448,7 +536,7 @@ fn a_row_behind_its_end_of_stream_is_an_error_not_a_short_answer() {
     let late = ColumnarBatch::from_tuples(3, [&r_row(99)], 1, NodeSet::singleton(NodeId(1)), 0);
     let at = runtime.finish_time;
     let err = runtime
-        .process_at(NodeId(1), rehash, 0, late, at)
+        .process_at(NodeId(1), rehash, 0, std::rc::Rc::new(late), at)
         .unwrap_err();
     assert_eq!(
         err.message(),
@@ -1762,6 +1850,7 @@ mod exchange_by_batch {
     use orchestra_common::rng::{seeded, StdRng};
     use orchestra_common::{ColumnarBatch, NodeSet};
     use orchestra_simnet::Delivery;
+    use std::rc::Rc;
     use std::sync::Arc;
 
     /// Every row of `batch` with its tags.
@@ -1808,7 +1897,9 @@ mod exchange_by_batch {
     /// buffer reaches [`BATCH_ROWS`].  The three methods are the deleted
     /// `RehashState::buffer_from`, `Runtime::buffer_exchange_from` (with
     /// the flush it called) and exchange arms of `Runtime::process_at`,
-    /// word for word but for where their state lives.
+    /// word for word but for where their state lives, the shared payload,
+    /// and a row's key, which is hashed as a row ([`Tuple::hash_columns`]).
+    /// Its cache takes every row as it is buffered, sent or not.
     struct RowLoopExchange {
         buffers: HashMap<NodeId, ColumnarBatch>,
         cache: HashMap<NodeId, ColumnarBatch>,
@@ -1839,6 +1930,7 @@ mod exchange_by_batch {
             if self.buffer_from(dest, src, row) >= BATCH_ROWS {
                 let batch = self.buffers.remove(&dest).unwrap_or_default();
                 let bytes = wire_size(&batch, self.cache_enabled);
+                let batch = Rc::new(batch);
                 self.sim
                     .send(node, dest, bytes, ready, Payload::Batch { op, batch });
             }
@@ -1858,11 +1950,8 @@ mod exchange_by_batch {
             let ready = self.sim.charge_cpu(node, time, cpu);
             match &like.plan.op(op).kind {
                 OperatorKind::Rehash { columns } => {
-                    let mut scratch = Vec::new();
                     for r in 0..batch.len() {
-                        let dest =
-                            like.table
-                                .owner_of(batch.hash_columns_at(r, columns, &mut scratch));
+                        let dest = like.table.owner_of(batch.tuple_at(r).hash_columns(columns));
                         self.buffer_exchange_from(node, op, dest, batch, r, ready);
                     }
                 }
@@ -1961,8 +2050,9 @@ mod exchange_by_batch {
 
     /// `Rehash`, `Broadcast` and `Ship` over random batches, against
     /// [`RowLoopExchange`]: what each run sends (to whom, which rows with
-    /// which tags, how many bytes, arriving when), what it leaves pending
-    /// and what it caches must be the same.  The first batch of a case
+    /// which tags, how many bytes, arriving when) and what it leaves
+    /// pending must be the same, and what it caches once the pending rows
+    /// are flushed must be every row the row loop cached.  The first batch of a case
     /// leaves the buffers at whatever fill it happens to; the next ones
     /// start from there.
     #[test]
@@ -2016,7 +2106,7 @@ mod exchange_by_batch {
                 let batch = random_batch(&mut rng, &types, rows);
                 let time = SimTime::from_micros(i as u64 * 50);
                 reference.process_at(&rt, node, op, &batch, time);
-                rt.process_at(node, op, 0, batch, time).unwrap();
+                rt.process_at(node, op, 0, Rc::new(batch), time).unwrap();
                 assert_eq!(
                     drain(&sim, config.recovery),
                     drain(&reference_sim, config.recovery),
@@ -2032,10 +2122,14 @@ mod exchange_by_batch {
                 .collect();
             pending.sort_unstable();
             let out = &mut rt.nodes[node.index()].exchange(op, false).unwrap().out;
-            assert_eq!(out.pending_destinations(), pending, "case {case}");
+            let mut flushed: HashMap<NodeId, Rc<ColumnarBatch>> =
+                out.flush_pending().into_iter().collect();
+            let mut flushed_to: Vec<NodeId> = flushed.keys().copied().collect();
+            flushed_to.sort_unstable();
+            assert_eq!(flushed_to, pending, "case {case}");
             for dest in (0..nodes).map(NodeId) {
                 let what = format!("case {case}, destination {dest}");
-                let buffered = out.take_buffer_batch(dest);
+                let buffered = flushed.remove(&dest).unwrap_or_default();
                 let expected = reference.buffers.remove(&dest).unwrap_or_default();
                 assert_eq!(rows_of(&buffered), rows_of(&expected), "{what}");
                 assert_eq!(
@@ -2043,8 +2137,9 @@ mod exchange_by_batch {
                     wire_size(&expected, config.recovery),
                     "{what}"
                 );
-                // Everything cached as sent to `dest`, read back the way
-                // recovery would were `dest` to fail.
+                // Everything cached as sent to `dest` — the pending rows
+                // included, now flushed — read back the way recovery
+                // would were `dest` to fail.
                 let gone = NodeSet::singleton(dest);
                 let cached = out.take_cached_batch_for(dest, &gone);
                 let expected = reference.cache.remove(&dest).unwrap_or_default();
@@ -2115,7 +2210,10 @@ mod exchange_by_batch {
         let overrides = ScanOverrides::new();
         let (mut rt, _sim) = runtime(&storage, &config, &plan, &overrides, NodeId(0));
         rt.begin(SimTime::ZERO).unwrap();
-        let late = || random_batch(&mut seeded(1), &[Cells::Int, Cells::Str, Cells::Int], 2);
+        let late = || {
+            let batch = random_batch(&mut seeded(1), &[Cells::Int, Cells::Str, Cells::Int], 2);
+            Rc::new(batch)
+        };
         // Open until the node's plan arrives and its scans run.
         rt.process_at(NodeId(2), rehash, 0, late(), SimTime::ZERO)
             .unwrap();
@@ -2144,8 +2242,9 @@ mod exchange_by_batch {
     }
 
     /// A string is allocated where publication stores it and nowhere
-    /// after: the scan batch, the exchange buffer, the recovery cache and
-    /// the answer hold the store's allocation.
+    /// after: the scan batch, the exchange buffer — which, sent, is its
+    /// own recovery cache entry — and the answer hold the store's
+    /// allocation.
     #[test]
     fn a_scanned_string_is_one_allocation_from_scan_to_output() {
         let mut storage = cluster(4);
@@ -2179,17 +2278,23 @@ mod exchange_by_batch {
         assert_eq!(holders(&s), 1, "the scan batch");
 
         // Through the exchange, too few rows to flush: they sit in the
-        // pending buffer and in the cache.
-        rt.process_at(node, ship, 0, scanned.project(&[0, 1, 2]), SimTime::ZERO)
+        // pending buffer, and nothing is cached until it is sent.
+        let projected = Rc::new(scanned.project(&[0, 1, 2]));
+        rt.process_at(node, ship, 0, projected, SimTime::ZERO)
             .unwrap();
-        assert_eq!(holders(&s), 3, "scan batch, pending buffer, cache");
+        assert_eq!(holders(&s), 2, "scan batch, pending buffer");
         let out = &mut rt.nodes[node.index()].exchange(ship, true).unwrap().out;
-        let buffered = out.take_buffer_batch(NodeId(0));
-        assert_eq!(buffered.len(), scanned.len());
-        assert!(Arc::ptr_eq(&held(&buffered), &s));
+        let (dest, sent) = out.flush_pending().remove(0);
+        assert_eq!((dest, sent.len()), (NodeId(0), scanned.len()));
+        assert!(Arc::ptr_eq(&held(&sent), &s));
+        assert_eq!(
+            holders(&s),
+            2,
+            "scan batch, the sent batch that is its cache entry"
+        );
 
         // Delivered to the initiator's `Output`.
-        rt.process_at(NodeId(0), output, 0, buffered, SimTime::ZERO)
+        rt.process_at(NodeId(0), output, 0, sent, SimTime::ZERO)
             .unwrap();
         assert_eq!(rt.output.len(), scanned.len());
         assert!(Arc::ptr_eq(&held(&rt.output), &s));

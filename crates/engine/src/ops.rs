@@ -21,23 +21,29 @@
 //!   re-materializing the group key for every row.
 //! * [`RehashState`] — per-destination output buffers plus the output
 //!   cache used by recovery stage 4 ("re-create data that was sent to the
-//!   failed nodes' hash key space ranges").  Buffers and cache are
+//!   failed nodes' hash key space ranges").  Buffers are
 //!   [`ColumnarBatch`]es, so a flushed batch already knows its own
 //!   encoded wire size — the flush path reads it off the columns' cached
 //!   dictionary accounting instead of re-scanning the rows.  Rows arrive
-//!   a destination's selection at a time (`RehashState::buffer_rows`):
-//!   the whole selection is appended to the cache in one go, and to the
-//!   pending buffer in chunks cut where the buffer reaches the flush
-//!   size, each filled buffer handed back with the number of the source
-//!   row that filled it — the caller (`exec::exchange`) sends them in
-//!   that order, which is the order a row-at-a-time loop fills them in
-//!   and, since same-instant sends queue on the sender's uplink in call
-//!   order, part of every simulated figure.
+//!   a destination's selection at a time (`RehashState::buffer_rows`) and
+//!   are appended to the pending buffer in chunks cut where the buffer
+//!   reaches the flush size, each filled buffer handed back with the
+//!   number of the source row that filled it — the caller
+//!   (`exec::exchange`) sends them in that order, which is the order a
+//!   row-at-a-time loop fills them in and, since same-instant sends queue
+//!   on the sender's uplink in call order, part of every simulated
+//!   figure.  The cache is the list of batches flushed to each
+//!   destination, shared with the payloads that carry them
+//!   (`Rc<ColumnarBatch>`), not a copy of their rows; recovery stage 2
+//!   moves a pending buffer bound for a failed node into it unsent, so
+//!   that the cache followed by the pending buffer is always every row
+//!   buffered for a destination.
 
 use crate::expr::AggFunc;
 use crate::provenance::Phase;
 use orchestra_common::{ColumnData, ColumnarBatch, NodeId, NodeSet, PoolMemo, Tuple, Value};
 use std::collections::HashMap;
+use std::rc::Rc;
 
 // ---------------------------------------------------------------------------
 // Symmetric hash join
@@ -706,13 +712,20 @@ impl AggState {
 /// State of one `Rehash` or `Ship` operator instance: the per-destination
 /// output buffers awaiting a full batch, and (when recovery support is
 /// enabled) the cache of everything sent, used to re-create data that had
-/// been sent to a failed node.  Both live as [`ColumnarBatch`]es, so the
-/// wire size of a flushed batch is read off the columns' cached
+/// been sent to a failed node.  Buffers live as [`ColumnarBatch`]es, so
+/// the wire size of a flushed batch is read off the columns' cached
 /// dictionary accounting rather than recomputed from its rows.
+///
+/// The cache holds, per destination, the batches flushed to it, in flush
+/// order — each the very allocation its wire payload carries
+/// (`Rc<ColumnarBatch>`), so a sent row is held once, not copied into the
+/// cache beside its payload.  Invariant: a destination's cache entries
+/// followed by its pending buffer are every row buffered for it, in the
+/// order it was buffered (less what purges dropped and stage 4 took).
 #[derive(Clone, Debug, Default)]
 pub struct RehashState {
     buffers: HashMap<NodeId, ColumnarBatch>,
-    cache: HashMap<NodeId, ColumnarBatch>,
+    cache: HashMap<NodeId, Vec<Rc<ColumnarBatch>>>,
     cache_enabled: bool,
 }
 
@@ -727,21 +740,17 @@ impl RehashState {
     }
 
     /// Buffer the rows of `src` numbered in `rows` (ascending) for `dest`,
-    /// column by column: all of them into the cache, and into the pending
-    /// buffer in chunks cut wherever the buffer reaches `flush_at` rows.
-    /// Every buffer so filled is taken and returned, in order, with the
-    /// number of the source row that filled it; what is left stays
-    /// pending.
+    /// column by column, in chunks cut wherever the pending buffer reaches
+    /// `flush_at` rows.  Every buffer so filled is flushed — cached, and
+    /// returned for sending, in order, with the number of the source row
+    /// that filled it; what is left stays pending.
     pub(crate) fn buffer_rows(
         &mut self,
         dest: NodeId,
         src: &ColumnarBatch,
         rows: &[u32],
         flush_at: usize,
-    ) -> Vec<(u32, ColumnarBatch)> {
-        if self.cache_enabled && !rows.is_empty() {
-            self.cache.entry(dest).or_default().append_rows(src, rows);
-        }
+    ) -> Vec<(u32, Rc<ColumnarBatch>)> {
         let mut filled = Vec::new();
         let mut rest = rows;
         while !rest.is_empty() {
@@ -752,16 +761,21 @@ impl RehashState {
             let (chunk, tail) = rest.split_at(room.min(rest.len()));
             buf.append_rows(src, chunk);
             if buf.len() >= flush_at {
-                filled.push((chunk[chunk.len() - 1], self.take_buffer_batch(dest)));
+                filled.push((chunk[chunk.len() - 1], self.flush(dest)));
             }
             rest = tail;
         }
         filled
     }
 
-    /// Take (and clear) the pending buffer for `dest` as a batch.
-    pub fn take_buffer_batch(&mut self, dest: NodeId) -> ColumnarBatch {
-        self.buffers.remove(&dest).unwrap_or_default()
+    /// Take the pending buffer for `dest` as a batch to send, recording
+    /// it in the cache as sent.
+    fn flush(&mut self, dest: NodeId) -> Rc<ColumnarBatch> {
+        let batch = Rc::new(self.buffers.remove(&dest).unwrap_or_default());
+        if self.cache_enabled {
+            self.cache.entry(dest).or_default().push(Rc::clone(&batch));
+        }
+        batch
     }
 
     /// Destinations that currently have pending rows.
@@ -776,70 +790,90 @@ impl RehashState {
         dests
     }
 
+    /// Flush every pending buffer (the end of a segment): the batches to
+    /// send, in destination order, each cached as sent.
+    pub fn flush_pending(&mut self) -> Vec<(NodeId, Rc<ColumnarBatch>)> {
+        let dests = self.pending_destinations();
+        dests.into_iter().map(|d| (d, self.flush(d))).collect()
+    }
+
+    /// Recovery stage 2 for the pending buffers bound for `failed` nodes:
+    /// they must not be sent there, so each moves into the cache unsent,
+    /// behind the batches that were, and stage 4 re-routes its rows with
+    /// theirs.
+    pub fn cache_pending_for(&mut self, failed: &NodeSet) {
+        for dest in self.pending_destinations() {
+            if failed.contains(dest) {
+                self.flush(dest);
+            }
+        }
+    }
+
     /// Remove and return the untainted rows cached as having been sent to
-    /// `dest` — exactly the rows recovery stage 4 must re-transmit;
-    /// tainted rows for `dest` stay cached until purged.  The returned
-    /// entries are *consumed*: re-buffering re-caches each row under its
-    /// new destination, and a later recovery round must not find (and
-    /// duplicate) the stale entries still keyed to the failed node, so no
-    /// non-consuming variant is offered.
+    /// `dest`, in the order they were — exactly the rows recovery stage 4
+    /// must re-transmit; tainted rows for `dest` stay cached until
+    /// purged.  The returned entries are *consumed*: re-buffering
+    /// re-caches each row under its new destination, and a later recovery
+    /// round must not find (and duplicate) the stale entries still keyed
+    /// to the failed node, so no non-consuming variant is offered.
     pub fn take_cached_batch_for(&mut self, dest: NodeId, failed: &NodeSet) -> ColumnarBatch {
-        let Some(batch) = self.cache.remove(&dest) else {
-            return ColumnarBatch::new(0);
-        };
-        let untainted: Vec<bool> = batch
-            .provenance_column()
-            .iter()
-            .map(|p| !p.intersects(failed))
-            .collect();
-        if untainted.iter().all(|u| *u) {
-            return batch;
+        let mut out = ColumnarBatch::new(0);
+        let mut tainted = ColumnarBatch::new(0);
+        for batch in self.cache.remove(&dest).unwrap_or_default() {
+            let (clean_rows, tainted_rows): (Vec<u32>, Vec<u32>) = (0..batch.len() as u32)
+                .partition(|r| !batch.provenance_at(*r as usize).intersects(failed));
+            out.append_rows(&batch, &clean_rows);
+            tainted.append_rows(&batch, &tainted_rows);
         }
-        let tainted: Vec<bool> = untainted.iter().map(|u| !*u).collect();
-        let mut keep = batch.clone();
-        keep.retain(&tainted);
-        if !keep.is_empty() {
-            self.cache.insert(dest, keep);
+        if !tainted.is_empty() {
+            self.cache.insert(dest, vec![Rc::new(tainted)]);
         }
-        let mut out = batch;
-        out.retain(&untainted);
         out
     }
 
     /// Drop tainted rows from the cache and from the pending buffers;
-    /// returns how many *logical* rows were dropped.  When the cache is
-    /// enabled every pending row is also cached, so only the cache drops
-    /// are counted — counting both would tally the same row twice.
+    /// returns how many rows were dropped.  A row is in one or the other,
+    /// never both, so the two counts add up.
     pub fn purge_tainted(&mut self, failed: &NodeSet) -> usize {
-        let cache_dropped = Self::purge_map(&mut self.cache, failed);
-        let buffer_dropped = Self::purge_map(&mut self.buffers, failed);
-        if self.cache_enabled {
-            cache_dropped
-        } else {
-            buffer_dropped
-        }
-    }
-
-    fn purge_map(map: &mut HashMap<NodeId, ColumnarBatch>, failed: &NodeSet) -> usize {
         let mut dropped = 0;
-        for batch in map.values_mut() {
-            let keep: Vec<bool> = batch
-                .provenance_column()
-                .iter()
-                .map(|p| !p.intersects(failed))
-                .collect();
-            let before = batch.len();
-            batch.retain(&keep);
-            dropped += before - batch.len();
+        for batches in self.cache.values_mut() {
+            for batch in batches.iter_mut() {
+                // A clean entry is left alone; one still shared with a
+                // payload in flight is copied before it is cut.
+                if batch
+                    .provenance_column()
+                    .iter()
+                    .any(|p| p.intersects(failed))
+                {
+                    dropped += purge_batch(Rc::make_mut(batch), failed);
+                }
+            }
+            batches.retain(|b| !b.is_empty());
         }
-        map.retain(|_, b| !b.is_empty());
+        self.cache.retain(|_, batches| !batches.is_empty());
+        for batch in self.buffers.values_mut() {
+            dropped += purge_batch(batch, failed);
+        }
+        self.buffers.retain(|_, b| !b.is_empty());
         dropped
     }
 
     /// Number of rows currently cached.
     pub fn cache_len(&self) -> usize {
-        self.cache.values().map(ColumnarBatch::len).sum()
+        self.cache.values().flatten().map(|b| b.len()).sum()
     }
+}
+
+/// Drop `batch`'s rows tainted by `failed`; returns how many.
+fn purge_batch(batch: &mut ColumnarBatch, failed: &NodeSet) -> usize {
+    let keep: Vec<bool> = batch
+        .provenance_column()
+        .iter()
+        .map(|p| !p.intersects(failed))
+        .collect();
+    let before = batch.len();
+    batch.retain(&keep);
+    before - batch.len()
 }
 
 #[cfg(test)]
@@ -1219,6 +1253,14 @@ mod tests {
         );
     }
 
+    /// The sizes of the batches `flush_pending` sends, by destination.
+    fn flush_sizes(r: &mut RehashState) -> Vec<(NodeId, usize)> {
+        r.flush_pending()
+            .iter()
+            .map(|(dest, batch)| (*dest, batch.len()))
+            .collect()
+    }
+
     #[test]
     fn rehash_buffers_and_cache() {
         let mut r = RehashState::new(true);
@@ -1228,8 +1270,10 @@ mod tests {
         }
         buffer_all(&mut r, NodeId(2), &one(vec![Value::Int(99)], 3));
         assert_eq!(r.pending_destinations(), vec![NodeId(1), NodeId(2)]);
-        assert_eq!(r.take_buffer_batch(NodeId(1)).len(), 5);
-        assert!(r.take_buffer_batch(NodeId(1)).is_empty());
+        // A row is cached when it is sent, not while it waits.
+        assert_eq!(r.cache_len(), 0);
+        assert_eq!(flush_sizes(&mut r), vec![(NodeId(1), 5), (NodeId(2), 1)]);
+        assert!(r.flush_pending().is_empty());
         assert_eq!(r.cache_len(), 6);
 
         // Stage-4 retransmission: cached rows for a failed destination,
@@ -1250,6 +1294,7 @@ mod tests {
     fn rehash_without_cache_keeps_nothing() {
         let mut r = RehashState::new(false);
         buffer_all(&mut r, NodeId(1), &one(vec![Value::Int(1)], 0));
+        assert_eq!(flush_sizes(&mut r), vec![(NodeId(1), 1)]);
         assert_eq!(r.cache_len(), 0);
     }
 
@@ -1262,9 +1307,23 @@ mod tests {
         buffer_all(&mut r, NodeId(1), &one(vec![Value::Int(1)], 0));
         buffer_all(&mut r, NodeId(1), &one(vec![Value::Int(2)], 5));
         buffer_all(&mut r, NodeId(2), &one(vec![Value::Int(3)], 0));
+        r.flush_pending();
+        // Sent in two batches, taken as one.
+        buffer_all(&mut r, NodeId(1), &one(vec![Value::Int(4)], 0));
+        r.flush_pending();
         let failed = NodeSet::singleton(NodeId(5));
         let taken = r.take_cached_batch_for(NodeId(1), &failed);
-        assert_eq!(taken.len(), 1, "only the untainted row for n1");
+        assert_eq!(
+            rows_of(&taken)
+                .iter()
+                .map(|(t, ..)| t.clone())
+                .collect::<Vec<_>>(),
+            vec![
+                Tuple::new(vec![Value::Int(1)]),
+                Tuple::new(vec![Value::Int(4)])
+            ],
+            "the untainted rows for n1, in the order they were sent"
+        );
         // A second call finds nothing left for that destination.
         assert!(r.take_cached_batch_for(NodeId(1), &failed).is_empty());
         // Entries for other destinations are untouched.
@@ -1272,22 +1331,93 @@ mod tests {
     }
 
     #[test]
+    fn stage_two_moves_a_pending_buffer_for_a_failed_node_into_the_cache() {
+        let mut r = RehashState::new(true);
+        let batch = ColumnarBatch::from_tuples(
+            1,
+            &(0..5)
+                .map(|i| Tuple::new(vec![Value::Int(i)]))
+                .collect::<Vec<_>>(),
+            1,
+            NodeSet::singleton(NodeId(0)),
+            0,
+        );
+        // Rows 0-2 are sent to n1, rows 3-4 wait; n2 has one waiting row.
+        assert_eq!(
+            r.buffer_rows(NodeId(1), &batch, &[0, 1, 2, 3, 4], 3).len(),
+            1
+        );
+        assert!(r.buffer_rows(NodeId(2), &batch, &[1], 3).is_empty());
+        r.cache_pending_for(&NodeSet::singleton(NodeId(1)));
+        // Nothing for n1 is left to send; n2's row still waits.
+        assert_eq!(r.pending_destinations(), vec![NodeId(2)]);
+        let all = r.take_cached_batch_for(NodeId(1), &NodeSet::singleton(NodeId(1)));
+        assert_eq!(
+            rows_of(&all),
+            rows_of(&batch),
+            "every row ever bound for n1"
+        );
+        assert_eq!(flush_sizes(&mut r), vec![(NodeId(2), 1)]);
+    }
+
+    #[test]
+    fn a_sent_batch_and_its_cache_entry_are_one_allocation() {
+        let mut r = RehashState::new(true);
+        let batch = ColumnarBatch::from_tuples(
+            1,
+            &(0..5)
+                .map(|i| Tuple::new(vec![Value::Int(i)]))
+                .collect::<Vec<_>>(),
+            1,
+            NodeSet::singleton(NodeId(0)),
+            0,
+        );
+        let filled = r.buffer_rows(NodeId(1), &batch, &[0, 1, 2, 3, 4], 2);
+        let flushed = r.flush_pending();
+        let sent: Vec<&Rc<ColumnarBatch>> = filled
+            .iter()
+            .map(|(_, b)| b)
+            .chain(flushed.iter().map(|(_, b)| b))
+            .collect();
+        let cached = &r.cache[&NodeId(1)];
+        assert_eq!(sent.len(), 3);
+        assert_eq!(cached.len(), 3);
+        for (payload, entry) in sent.iter().zip(cached) {
+            assert!(Rc::ptr_eq(payload, entry));
+        }
+
+        // A purge that cuts a cached batch still in flight copies it
+        // first: the payload its receiver holds keeps every row.
+        let mut r = RehashState::new(true);
+        let mut mixed = ColumnarBatch::new(1);
+        mixed.push_row(&[Value::Int(1)], 1, NodeSet::singleton(NodeId(0)), 0);
+        mixed.push_row(&[Value::Int(2)], 1, NodeSet::singleton(NodeId(4)), 0);
+        r.buffer_rows(NodeId(1), &mixed, &[0, 1], 8);
+        let (_, in_flight) = r.flush_pending().remove(0);
+        assert_eq!(r.purge_tainted(&NodeSet::singleton(NodeId(4))), 1);
+        assert_eq!((in_flight.len(), r.cache_len()), (2, 1));
+    }
+
+    #[test]
     fn purge_counts_each_logical_row_once() {
-        // Regression: a tainted row that is both cached and still pending
-        // in a buffer must be counted as ONE dropped row, not two.
+        // A row is cached once it is sent and pending until then, never
+        // both: a purge counts each dropped row once, wherever it was.
         let mut r = RehashState::new(true);
         buffer_all(&mut r, NodeId(1), &one(vec![Value::Int(1)], 7));
+        r.flush_pending();
+        buffer_all(&mut r, NodeId(1), &one(vec![Value::Int(2)], 7));
+        buffer_all(&mut r, NodeId(1), &one(vec![Value::Int(3)], 0));
         let failed = NodeSet::singleton(NodeId(7));
-        assert_eq!(r.purge_tainted(&failed), 1);
+        assert_eq!(r.purge_tainted(&failed), 2);
         assert_eq!(r.cache_len(), 0);
-        assert!(r.take_buffer_batch(NodeId(1)).is_empty());
+        assert_eq!(flush_sizes(&mut r), vec![(NodeId(1), 1)]);
 
         // Without a cache, pending-buffer drops are what gets counted.
         let mut r = RehashState::new(false);
         buffer_all(&mut r, NodeId(1), &one(vec![Value::Int(1)], 7));
         buffer_all(&mut r, NodeId(2), &one(vec![Value::Int(2)], 0));
         assert_eq!(r.purge_tainted(&failed), 1);
-        assert_eq!(r.take_buffer_batch(NodeId(2)).len(), 1);
+        assert_eq!(flush_sizes(&mut r), vec![(NodeId(2), 1)]);
     }
 
     #[test]
@@ -1368,8 +1498,8 @@ mod tests {
     #[test]
     fn buffer_from_copies_the_source_rows_into_buffer_and_cache() {
         // Buffering a selection of a columnar source must leave each
-        // destination's buffer — and the cache — holding exactly the rows
-        // routed to it, and hand back a buffer the moment it fills.
+        // destination's buffer holding exactly the rows routed to it, and
+        // hand back — and cache — a buffer the moment it fills.
         let tuples: Vec<Tuple> = (0..6)
             .map(|i| Tuple::new(vec![Value::Int(i), Value::str(format!("s{}", i % 2))]))
             .collect();
@@ -1382,12 +1512,7 @@ mod tests {
                 .buffer_rows(NodeId(dest as u16), &batch, &routed, 4)
                 .is_empty());
         }
-        assert_eq!(r.cache_len(), rows.len());
-        for dest in [0usize, 1] {
-            let expected: Vec<_> = rows.iter().skip(dest).step_by(2).cloned().collect();
-            let cached = r.take_cached_batch_for(NodeId(dest as u16), &NodeSet::empty());
-            assert_eq!(rows_of(&cached), expected);
-        }
+        assert_eq!(r.cache_len(), 0);
         // Three rows are pending for node 0; five more fill the buffer at
         // source row 0, again at source row 4, and leave none pending.
         let filled = r.buffer_rows(NodeId(0), &batch, &[0, 1, 2, 3, 4], 4);
@@ -1397,7 +1522,14 @@ mod tests {
             sent,
             vec![(0, pick(&[0, 2, 4, 0])), (4, pick(&[1, 2, 3, 4]))]
         );
+        assert_eq!(r.cache_len(), 8);
         assert_eq!(r.pending_destinations(), vec![NodeId(1)]);
-        assert_eq!(rows_of(&r.take_buffer_batch(NodeId(1))), pick(&[1, 3, 5]));
+        let pending = r.flush_pending();
+        assert_eq!(rows_of(&pending[0].1), pick(&[1, 3, 5]));
+        // The cache is every row sent to each destination, in order.
+        for (dest, expected) in [(0, pick(&[0, 2, 4, 0, 1, 2, 3, 4])), (1, pick(&[1, 3, 5]))] {
+            let cached = r.take_cached_batch_for(NodeId(dest), &NodeSet::empty());
+            assert_eq!(rows_of(&cached), expected);
+        }
     }
 }

@@ -11,10 +11,12 @@
 //! estimate degrades smoothly instead of going wrong.
 //!
 //! Hashing is the workspace's own [`orchestra_common::sha1`] over the
-//! value's wire encoding, so the sketch is deterministic across runs and
-//! platforms — a hard requirement for the byte-exact determinism gates.
-//! The encoding is streamed into the hasher ([`hash_values`]), never
-//! written to a buffer.
+//! value's ring-key encoding (its wire encoding, with a double equal to
+//! an integer encoded as that `Int`, so that `Int(2)` and `Double(2.0)`
+//! count once), so the sketch is deterministic across runs and platforms
+//! — a hard requirement for the byte-exact determinism gates.  The value
+//! is hashed as a one-value ring key ([`hash_values`]), never written to
+//! a heap buffer.
 
 use orchestra_common::tuple::hash_values;
 use orchestra_common::Value;
@@ -35,8 +37,8 @@ pub struct KmvSketch {
     saturated: bool,
 }
 
-/// The 64-bit hash of one value: the first eight bytes of the SHA-1 of
-/// its wire encoding — the top 64 bits of its ring key.
+/// The 64-bit hash of one value: the top 64 bits of its ring key, the
+/// first eight bytes of the SHA-1 of its key encoding.
 fn hash_value(value: &Value) -> u64 {
     hash_values(iter::once(value)).top64()
 }
@@ -117,10 +119,23 @@ mod tests {
     use super::*;
     use orchestra_common::{rng, sha1};
 
-    /// The hash as first written: encode into a buffer, SHA-1 the buffer.
+    /// The hash as first written: encode into a buffer, SHA-1 the buffer —
+    /// the key encoding, in which a double equal to an integer is encoded
+    /// as that `Int`.
     fn buffered_hash(value: &Value) -> u64 {
+        let keyed = match value {
+            Value::Double(v)
+                if v.fract() == 0.0
+                    && v.is_finite()
+                    && *v >= i64::MIN as f64
+                    && *v <= i64::MAX as f64 =>
+            {
+                Value::Int(*v as i64)
+            }
+            other => other.clone(),
+        };
         let mut encoded = Vec::new();
-        value.encode_to(&mut encoded);
+        keyed.encode_to(&mut encoded);
         u64::from_be_bytes(sha1::sha1(&encoded)[..8].try_into().unwrap())
     }
 
@@ -162,12 +177,20 @@ mod tests {
             Value::Double(-0.0),
             Value::Double(f64::NAN),
             Value::Double(1.5),
+            Value::Double(2.0),
+            Value::Double(9_223_372_036_854_775_808.0),
+            Value::Double(f64::INFINITY),
             Value::str(""),
+            Value::str("x".repeat(50)),
+            Value::str("x".repeat(51)),
             Value::str("x".repeat(56)),
             Value::str("a string of well over fifty-five bytes, so it spans two blocks"),
         ] {
             assert_eq!(hash_value(&value), buffered_hash(&value), "{value:?}");
         }
+        // A double that equals an integer counts as that integer.
+        assert_eq!(hash_value(&Value::Double(2.0)), hash_value(&Value::Int(2)));
+        assert_ne!(hash_value(&Value::Double(2.5)), hash_value(&Value::Int(2)));
     }
 
     #[test]

@@ -23,12 +23,14 @@
 # wall-clock end-to-end median (`op_ms_p25`, `setup_s`) as a multiple of
 # it.  Both are null without traced runs.  Compare those across records,
 # milliseconds only within one.  The probe times the product's own SHA-1,
-# so a change to that kernel moves the yardstick itself: when `compress`
-# (crates/common/src/sha1.rs) became four 20-round loops over a 16-word
-# schedule the probe got about a quarter faster, and "in_key_hashes"
-# compares only between records on the same side of that change (the
-# README's host-time section names the two records, measured in one
-# session, that bracket it).
+# so a change to that kernel moves the yardstick itself, and it has moved
+# twice: when `compress` (crates/common/src/sha1.rs) became four 20-round
+# loops over a 16-word schedule the probe got about a quarter faster, and
+# when the 80 rounds were written out with literal indices and a key that
+# fits one block stopped taking the general padding path it got about a
+# third faster again.  "in_key_hashes" compares only between records on
+# the same side of each such change (the README's host-time section names,
+# for each, the two records, measured in one session, that bracket it).
 #
 #   sh scripts/bench_host.sh [--label TEXT] [--seed N] [--runs N] [--traced N]
 #   sh scripts/bench_host.sh --smoke      # one 1/50-size run per workload, < 5 s
