@@ -612,8 +612,8 @@ impl SessionScheduler {
         let sim = shared.borrow();
         Ok(WorkloadReport {
             makespan,
-            total_bytes: sim.stats().total_bytes(),
-            total_messages: sim.stats().total_messages(),
+            total_bytes: sim.total_bytes(),
+            total_messages: sim.total_messages(),
             link_utilization: sim.link_utilization(makespan),
             peak_concurrency,
             admission_order,

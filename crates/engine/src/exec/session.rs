@@ -7,6 +7,9 @@
 //! handle keeps the session's own [`TrafficStats`] and dropped-message
 //! count so a [`super::QueryReport`] stays per-query exact even when the
 //! underlying links, CPUs and clock are contended by other sessions.
+//! These ledgers are the only per-link traffic record of a run: the
+//! shared simulator keeps the run's byte and message totals only, which
+//! the sessions' totals partition.
 //!
 //! The scheduler (`scheduler`) owns the one pop loop: it attaches a
 //! handle per admitted session and dispatches each delivery by its
@@ -102,8 +105,8 @@ impl SessionSim {
     }
 
     /// Send `bytes` from `src` to `dst` on behalf of this session,
-    /// contending for the shared links.  Per-session traffic is recorded
-    /// here; the shared simulator keeps the aggregate.
+    /// contending for the shared links.  Per-session, per-link traffic is
+    /// recorded here; the shared simulator counts the run's totals only.
     pub(super) fn send(
         &mut self,
         src: NodeId,

@@ -746,14 +746,50 @@ fn concurrent_sessions_share_the_network_and_keep_their_answers() {
         assert_eq!(sr.report.rows, expected[i], "session {i} answer");
     }
     assert_eq!(workload.peak_concurrency, 3);
-    // Per-session traffic partitions the shared network's aggregate.
-    let per_session: u64 = workload
-        .sessions
-        .iter()
-        .map(|sr| sr.report.total_bytes)
-        .sum();
-    assert_eq!(per_session, workload.total_bytes);
+    // Per-session traffic partitions the shared network's totals, and each
+    // session's totals are the sum of its own links.
+    let assert_partitions = |workload: &WorkloadReport, what: &str| {
+        let reports = || workload.sessions.iter().map(|sr| &sr.report);
+        let links = || reports().flat_map(|r| &r.link_traffic);
+        let bytes: u64 = reports().map(|r| r.total_bytes).sum();
+        let messages: u64 = reports().map(|r| r.total_messages).sum();
+        assert_eq!(bytes, workload.total_bytes, "{what}: bytes");
+        assert_eq!(links().map(|(_, b)| b).sum::<u64>(), bytes, "{what}: links");
+        assert_eq!(messages, workload.total_messages, "{what}: messages");
+        assert!(messages > 0, "{what}: traffic flowed");
+    };
+    assert_partitions(&workload, "failure-free");
     assert!(workload.link_utilization > 0.0 && workload.link_utilization <= 1.0);
+
+    // Drops and retransmissions are where the shared totals and the session
+    // ledgers could drift apart: fail a node mid-run under both strategies.
+    let failure = FailureSpec::at_time(
+        NodeId(4),
+        SimTime::from_micros(workload.makespan.as_micros() / 2),
+    );
+    for strategy in [RecoveryStrategy::Restart, RecoveryStrategy::Incremental] {
+        let config = EngineConfig {
+            strategy,
+            ..EngineConfig::default()
+        };
+        let failed = scheduler
+            .run_with_failure(&s, &config, &sessions, failure)
+            .unwrap();
+        let what = format!("{strategy:?}");
+        for (i, sr) in failed.sessions.iter().enumerate() {
+            assert_eq!(sr.report.rows, expected[i], "{what}: session {i} answer");
+        }
+        let reports = || failed.sessions.iter().map(|sr| &sr.report);
+        assert!(
+            reports().any(|r| r.recovered),
+            "{what}: a session recovered"
+        );
+        assert!(
+            reports().any(|r| r.dropped_messages > 0),
+            "{what}: messages dropped"
+        );
+        assert_partitions(&failed, &what);
+    }
     // The makespan is the last completion.
     let last = workload
         .sessions

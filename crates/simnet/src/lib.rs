@@ -30,8 +30,9 @@
 //! * [`profiles`] — node and network profiles: LAN cluster, EC2 "large"
 //!   instances, and bandwidth/latency-shaped WAN settings (NetEm/HTB in
 //!   the paper).
-//! * [`stats::TrafficStats`] — total, per-node and per-link byte counts,
-//!   the quantities plotted in Figures 8, 9, 11, 12, 15, 16, 19 and 20.
+//! * [`stats::TrafficStats`] — per-session, per-link byte counts, the
+//!   quantities plotted in Figures 8, 9, 11, 12, 15, 16, 19 and 20 (the
+//!   simulator itself keeps only the run's byte and message totals).
 //! * Failure injection: a node can be marked failed at a virtual instant;
 //!   undelivered messages from/to it are dropped and peers observe the
 //!   drop immediately (the paper relies on TCP connection resets for

@@ -2,9 +2,15 @@
 //!
 //! [`Simulator`] owns the virtual clock, the event queue, one
 //! [`LinkState`] and one CPU-availability time per node, the failure
-//! record, and the traffic counters.  It is generic over the message type
-//! `M`, so the query engine defines its own message enum and the
-//! simulator stays a pure transport/timing substrate.
+//! record, and two traffic totals (bytes and messages between distinct
+//! nodes).  It is generic over the message type `M`, so the query engine
+//! defines its own message enum and the simulator stays a pure
+//! transport/timing substrate.
+//!
+//! It keeps no per-link or per-node traffic: a caller that needs the
+//! breakdown records it beside its own sends (the engine's per-session
+//! [`crate::TrafficStats`]), so once the event heap has grown to the
+//! run's peak a send allocates nothing.
 //!
 //! ### Determinism
 //!
@@ -35,7 +41,6 @@
 use crate::clock::SimTime;
 use crate::link::LinkState;
 use crate::profiles::ClusterProfile;
-use crate::stats::TrafficStats;
 use orchestra_common::{NodeId, NodeSet};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -93,7 +98,8 @@ pub struct Simulator<M> {
     local_arrival: Vec<SimTime>,
     failed_at: Vec<Option<SimTime>>,
     profile: ClusterProfile,
-    stats: TrafficStats,
+    total_bytes: u64,
+    total_messages: u64,
     dropped: u64,
 }
 
@@ -110,7 +116,8 @@ impl<M> Simulator<M> {
             local_arrival: vec![SimTime::ZERO; node_count],
             failed_at: vec![None; node_count],
             profile,
-            stats: TrafficStats::new(),
+            total_bytes: 0,
+            total_messages: 0,
             dropped: 0,
         }
     }
@@ -131,9 +138,17 @@ impl<M> Simulator<M> {
         &self.profile
     }
 
-    /// Accumulated traffic counters.
-    pub fn stats(&self) -> &TrafficStats {
-        &self.stats
+    /// Total bytes sent between distinct nodes (a message its sender had
+    /// failed before sending is not counted; one dropped at a failed
+    /// receiver is).
+    pub fn total_bytes(&self) -> u64 {
+        self.total_bytes
+    }
+
+    /// Total messages sent between distinct nodes, counted as
+    /// [`Simulator::total_bytes`] counts their bytes.
+    pub fn total_messages(&self) -> u64 {
+        self.total_messages
     }
 
     /// Number of messages dropped because the sender or receiver had
@@ -253,7 +268,8 @@ impl<M> Simulator<M> {
             *latest = ready.max(*latest);
             *latest
         } else {
-            self.stats.record(src, dst, bytes);
+            self.total_bytes += bytes as u64;
+            self.total_messages += 1;
             let uplink_done = self.links[src.index()].reserve_uplink(ready, bytes, &self.profile);
             let at_receiver = uplink_done + self.profile.latency();
             self.links[dst.index()].reserve_downlink(at_receiver, bytes, &self.profile)
@@ -401,7 +417,8 @@ mod tests {
             .send(NodeId(0), NodeId(1), 1000, SimTime::ZERO, "msg")
             .unwrap();
         assert_eq!(arrival, SimTime::from_millis(12));
-        assert_eq!(s.stats().total_bytes(), 1000);
+        assert_eq!(s.total_bytes(), 1000);
+        assert_eq!(s.total_messages(), 1);
         let d = s.next().unwrap();
         assert_eq!(d.to, NodeId(1));
         assert_eq!(d.time, arrival);
@@ -420,7 +437,8 @@ mod tests {
             )
             .unwrap();
         assert_eq!(arrival, SimTime::from_millis(3));
-        assert_eq!(s.stats().total_bytes(), 0);
+        assert_eq!(s.total_bytes(), 0);
+        assert_eq!(s.total_messages(), 0);
     }
 
     #[test]
