@@ -7,7 +7,7 @@
 //!
 //! 1. The storage layer derives the epoch interval's delta from the
 //!    versioned index pages
-//!    ([`orchestra_storage::DistributedStorage::delta_partition`]) —
+//!    ([`orchestra_storage::StorageView::delta_partition_ref`]) —
 //!    `+1` rows for versions the interval added, `-1` rows for versions
 //!    it removed.
 //! 2. [`MaintenancePlan::derive`] turns the view's compiled plan into a
@@ -1089,7 +1089,8 @@ pub(super) fn run_shared(
         .iter()
         .map(|g| Submission::from(&g.session))
         .collect();
-    let report = scheduler.run_inner(storage, engine, &submitted, failure.as_slice(), None)?;
+    let report =
+        scheduler.run_inner(storage.view(), engine, &submitted, failure.as_slice(), None)?;
     for (session, group) in report.sessions.iter().zip(shared) {
         let rows = &session.report.signed_rows;
         for (id, fold, contribution) in &group.members {

@@ -107,7 +107,7 @@ mod tests;
 use crate::plan::PhysicalPlan;
 use orchestra_common::{Epoch, NodeId, NodeSet, OrchestraError, Result};
 use orchestra_simnet::{ClusterProfile, SimTime};
-use orchestra_storage::DistributedStorage;
+use orchestra_storage::{DistributedStorage, StorageView};
 use orchestra_substrate::RoutingTable;
 
 use scheduler::Submission;
@@ -202,15 +202,14 @@ impl<'a> QueryExecutor<'a> {
         epoch: Epoch,
         initiator: NodeId,
     ) -> Result<QueryReport> {
-        self.submit(self.storage, plan, epoch, initiator, &[])
+        self.submit(self.storage.view(), plan, epoch, initiator, &[])
     }
 
     /// Execute `plan` while killing `failure.node` at `failure.at`.
     ///
-    /// The caller's storage is not disturbed: the run reads it until the
-    /// failure stalls the query; recovery then clones it (one pointer per
-    /// node) and marks the node failed in the clone, so rescans cannot
-    /// read the dead node's local state.
+    /// The caller's storage is not disturbed: the run reads it through a
+    /// view, and recovery narrows that view so rescans cannot read the
+    /// dead node's local state — nothing is copied or marked in the store.
     pub fn execute_with_failure(
         &self,
         plan: &PhysicalPlan,
@@ -218,7 +217,7 @@ impl<'a> QueryExecutor<'a> {
         initiator: NodeId,
         failure: FailureSpec,
     ) -> Result<QueryReport> {
-        self.submit(self.storage, plan, epoch, initiator, &[failure])
+        self.submit(self.storage.view(), plan, epoch, initiator, &[failure])
     }
 
     /// Execute `plan` against a possibly **stale** routing snapshot — the
@@ -250,14 +249,15 @@ impl<'a> QueryExecutor<'a> {
                 "initiator {initiator} has departed and cannot run the query"
             )));
         }
-        // The routed copy: the caller's data under `snapshot`, with the
+        // The routed view: the caller's data under `snapshot`, with the
         // departed nodes' local state unreachable from the first instant
-        // (lookups fail over to surviving replicas).
-        let mut routed = self.storage.clone();
-        routed.set_routing(snapshot.clone());
-        for node in departed.iter() {
-            routed.mark_failed(node);
-        }
+        // (lookups fail over to surviving replicas).  A node the snapshot
+        // lists that the store has no slot for holds nothing.
+        let routed = self
+            .storage
+            .view()
+            .with_routing(snapshot)
+            .with_failed(*departed);
         // A departed node the snapshot no longer lists cannot be addressed
         // at all (the simulator is sized to the snapshot's members), so
         // only snapshot members are killed on the network.
@@ -266,14 +266,14 @@ impl<'a> QueryExecutor<'a> {
             .filter(|n| snapshot.contains_node(*n))
             .map(|n| FailureSpec::at_time(n, SimTime::ZERO))
             .collect();
-        self.submit(&routed, plan, epoch, initiator, &dead)
+        self.submit(routed, plan, epoch, initiator, &dead)
     }
 
     /// Run `plan` as the only session of a scheduler workload over
-    /// `storage`, with every node in `dead` failing at its instant.
+    /// `view`, with every node in `dead` failing at its instant.
     fn submit(
         &self,
-        storage: &DistributedStorage,
+        view: StorageView<'_>,
         plan: &PhysicalPlan,
         epoch: Epoch,
         initiator: NodeId,
@@ -291,7 +291,7 @@ impl<'a> QueryExecutor<'a> {
             plan_resident: false,
         };
         let workload =
-            SessionScheduler::default().run_inner(storage, &self.config, &[session], dead, None)?;
+            SessionScheduler::default().run_inner(view, &self.config, &[session], dead, None)?;
         let only = workload.sessions.into_iter().next();
         Ok(only
             .expect("an admitted session completes or errors")

@@ -31,7 +31,7 @@ use orchestra_common::{
     Column, ColumnarBatch, Epoch, KeyRange, NodeId, NodeSet, OrchestraError, Result,
 };
 use orchestra_simnet::{Delivery, SimTime};
-use orchestra_storage::DistributedStorage;
+use orchestra_storage::StorageView;
 use orchestra_substrate::RoutingTable;
 use std::borrow::Cow;
 use std::rc::Rc;
@@ -159,9 +159,12 @@ fn consumers<'r>(
 
 /// All mutable state of one query execution.
 pub(super) struct Runtime<'a> {
-    /// The caller's store, borrowed until the first recovery round
-    /// clones it to mark the failed nodes unreadable.
-    pub(super) storage: Cow<'a, DistributedStorage>,
+    /// The store as this session reads it: the caller's data under the
+    /// routing the session was submitted with, minus every node a
+    /// recovery round has found failed.  Lookups fail over under this
+    /// routing, not under the recovery table in `table`, so a remote
+    /// fetch is served by the same replica either way.
+    pub(super) view: StorageView<'a>,
     pub(super) config: &'a EngineConfig,
     pub(super) plan: &'a PhysicalPlan,
     pub(super) epoch: Epoch,
@@ -174,8 +177,9 @@ pub(super) struct Runtime<'a> {
     pub(super) initiator: NodeId,
 
     pub(super) sim: SessionSim,
-    /// The routing table of the current phase: the store's own snapshot,
-    /// borrowed, until a recovery round installs its recovery table.
+    /// The routing table of the current phase — the one rows are routed
+    /// and scan ranges assigned by: the view's, borrowed, until a
+    /// recovery round installs its recovery table.
     pub(super) table: Cow<'a, RoutingTable>,
     pub(super) participants: Vec<NodeId>,
     pub(super) phase: Phase,
@@ -202,12 +206,12 @@ pub(super) struct Runtime<'a> {
 
 impl<'a> Runtime<'a> {
     pub(super) fn new(
-        storage: &'a DistributedStorage,
+        view: StorageView<'a>,
         config: &'a EngineConfig,
         session: &Submission<'a>,
         sim: SessionSim,
     ) -> Runtime<'a> {
-        let table = storage.routing();
+        let table = view.routing();
         let participants = table.nodes();
         let mut nodes = Vec::new();
         nodes.resize_with(node_slots(table), NodeState::default);
@@ -216,7 +220,7 @@ impl<'a> Runtime<'a> {
         }
 
         Runtime {
-            storage: Cow::Borrowed(storage),
+            view,
             config,
             plan: session.plan,
             epoch: session.epoch,

@@ -1,9 +1,10 @@
 //! The Restart and Incremental recovery strategies (Section V-D).
 //!
 //! When the event queue quiesces with the query incomplete, the
-//! scheduler's loop calls `Runtime::recover` with the failed node set;
-//! its first round clones the session's store (until then borrowed from
-//! the caller) to mark the failed nodes unreadable.  **Restart**
+//! scheduler's loop calls `Runtime::recover` with the failed node set,
+//! which first narrows the session's view of the store so the failed
+//! nodes are unreadable — the caller's store itself is neither copied nor
+//! touched.  **Restart**
 //! wipes every operator state and re-runs the query on the survivors
 //! under the recovery routing snapshot.  **Incremental** runs the
 //! four-stage protocol: derive the recovery snapshot, purge exactly the
@@ -35,12 +36,9 @@ impl Runtime<'_> {
         }
 
         // The failed nodes' local stores are gone: storage-level lookups
-        // must fail over to replicas from here on — in this session's own
-        // copy, not in the store the caller and other sessions read.
-        let storage = self.storage.to_mut();
-        for f in failed.iter() {
-            storage.mark_failed(f);
-        }
+        // must fail over to replicas from here on — in this session's
+        // view, not in the store the caller and other sessions read.
+        self.view = self.view.with_failed(*failed);
 
         // Stage 1: derive the recovery routing snapshot — the failed
         // nodes' ranges split evenly among their surviving replica holders.

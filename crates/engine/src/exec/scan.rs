@@ -16,7 +16,8 @@ use crate::provenance::Phase;
 use orchestra_common::{
     ColumnarBatch, Epoch, KeyRange, NodeId, NodeSet, OrchestraError, Result, Tuple,
 };
-use orchestra_simnet::SimTime;
+use orchestra_simnet::{NodeProfile, SimTime};
+use orchestra_storage::PartitionScan;
 use std::time::Instant;
 
 use super::exchange::Payload;
@@ -50,35 +51,32 @@ impl Runtime<'_> {
                 if ranges.is_empty() {
                     return Ok((ColumnarBatch::new(0), SimTime::ZERO));
                 }
-                if let Some((from, to)) = delta {
-                    let scan = self
-                        .storage
-                        .delta_partition_ref(relation, from, to, node, ranges)?;
-                    // The scan predicate applies to both signs: a removed
-                    // version only ever contributed if it passed, and an
-                    // added version only contributes if it passes.
-                    let wall = Instant::now();
-                    let rows = emit_delta(&scan.rows, predicate, emit);
-                    let fetch = Fetch {
-                        pages_read: scan.pages_read,
-                        tuples_scanned: scan.tuples_read,
-                        remote_lookups: scan.remote_lookups,
-                        duration: profile.scan_time(scan.tuples_read, scan.pages_read),
-                        remote_transfers: scan.remote_transfers,
-                    };
-                    return Ok(self.emitted(node, fetch, rows, wall));
-                }
-                let scan = self
-                    .storage
-                    .scan_partition_ref(relation, epoch, node, ranges)?;
-                let wall = Instant::now();
-                let rows = emit_scanned(&scan.tuples, predicate, emit);
-                let fetch = Fetch {
-                    pages_read: scan.pages_read,
-                    tuples_scanned: scan.tuples_read,
-                    remote_lookups: scan.remote_lookups,
-                    duration: profile.scan_time(scan.tuples_read, scan.pages_read),
-                    remote_transfers: scan.remote_transfers,
+                let wall;
+                let (rows, fetch) = match delta {
+                    Some((from, to)) => {
+                        let scan = self
+                            .view
+                            .delta_partition_ref(relation, from, to, node, ranges)?;
+                        // The scan predicate applies to both signs: a
+                        // removed version only ever contributed if it
+                        // passed, and an added version only contributes if
+                        // it passes.
+                        wall = Instant::now();
+                        (
+                            emit_delta(&scan.tuples, predicate, emit),
+                            fetched(scan, profile),
+                        )
+                    }
+                    None => {
+                        let scan = self
+                            .view
+                            .scan_partition_ref(relation, epoch, node, ranges)?;
+                        wall = Instant::now();
+                        (
+                            emit_scanned(&scan.tuples, predicate, emit),
+                            fetched(scan, profile),
+                        )
+                    }
                 };
                 Ok(self.emitted(node, fetch, rows, wall))
             }
@@ -89,7 +87,7 @@ impl Runtime<'_> {
                 if !self.scan_replicated {
                     return Ok((ColumnarBatch::new(0), SimTime::ZERO));
                 }
-                let tuples = self.storage.scan_replicated(relation, epoch, node)?;
+                let tuples = self.view.scan_replicated(relation, epoch, node)?;
                 let fetch = Fetch {
                     tuples_scanned: tuples.len(),
                     duration: profile.scan_time(tuples.len(), 1),
@@ -159,8 +157,7 @@ impl Runtime<'_> {
         epoch: Epoch,
         ranges: &[KeyRange],
     ) -> Result<(Vec<Tuple>, usize)> {
-        let storage = &*self.storage;
-        let Some(version) = storage.version_record(relation, epoch)? else {
+        let Some(version) = self.view.version_record(relation, epoch)? else {
             return Ok((Vec::new(), 0));
         };
         let mut out = Vec::new();
@@ -169,7 +166,7 @@ impl Runtime<'_> {
             if !ranges.iter().any(|r| r.overlaps(&descriptor.range)) {
                 continue;
             }
-            let page = storage.lookup_index_page(descriptor)?;
+            let page = self.view.lookup_index_page(descriptor)?;
             pages += 1;
             for entry in &page.entries {
                 if ranges.iter().any(|r| r.contains(entry.position)) {
@@ -191,6 +188,17 @@ struct Fetch {
     remote_lookups: usize,
     duration: SimTime,
     remote_transfers: Vec<(NodeId, usize)>,
+}
+
+/// What a distributed scan — full or delta — fetched.
+fn fetched<T>(scan: PartitionScan<T>, profile: &NodeProfile) -> Fetch {
+    Fetch {
+        pages_read: scan.pages_read,
+        tuples_scanned: scan.tuples_read,
+        remote_lookups: scan.remote_lookups,
+        duration: profile.scan_time(scan.tuples_read, scan.pages_read),
+        remote_transfers: scan.remote_transfers,
+    }
 }
 
 /// What scan emission needs to know besides the rows: whose provenance

@@ -60,10 +60,10 @@
 //! Incremental, per the engine config) — the per-session wire tags
 //! ([`SessionId`]) are what keep one query's purge/retransmission from
 //! touching another's state.  Every session reads the caller's store
-//! until its first recovery round clones it (one pointer per node) to
-//! mark the dead nodes unreadable; a session that never stalls never
-//! clones.  Sessions admitted after the failure execute on the
-//! survivors from the start via the same recovery path.
+//! through its own [`StorageView`]: a recovery round narrows the view so
+//! the dead nodes are unreadable, and nothing copies or mutates the store.
+//! Sessions admitted after the failure execute on the survivors from the
+//! start via the same recovery path.
 //!
 //! ## Reports
 //!
@@ -84,7 +84,7 @@ use super::{CacheStats, EngineConfig, FailureSpec, QueryReport, WallClock};
 use crate::plan::PhysicalPlan;
 use orchestra_common::{Epoch, NodeId, OrchestraError, QueryFingerprint, Result};
 use orchestra_simnet::{Delivery, SimTime};
-use orchestra_storage::DistributedStorage;
+use orchestra_storage::{DistributedStorage, StorageView};
 
 /// How the scheduler picks the next session to admit from the run queue.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -308,13 +308,13 @@ impl SessionScheduler {
         engine: &EngineConfig,
         sessions: &[QuerySession],
     ) -> Result<WorkloadReport> {
-        self.run_inner(storage, engine, &borrowed(sessions), &[], None)
+        self.run_inner(storage.view(), engine, &borrowed(sessions), &[], None)
     }
 
     /// Run `sessions` while killing `failure.node` at `failure.at` on the
     /// shared network — every in-flight session is hit at once.  Each
-    /// stalled session recovers under `engine.strategy` against its own
-    /// copy of the storage, cloned at its first recovery round.
+    /// stalled session recovers under `engine.strategy` through its own
+    /// view of the storage, which stops reading the failed node.
     pub fn run_with_failure(
         &self,
         storage: &DistributedStorage,
@@ -322,7 +322,8 @@ impl SessionScheduler {
         sessions: &[QuerySession],
         failure: FailureSpec,
     ) -> Result<WorkloadReport> {
-        self.run_inner(storage, engine, &borrowed(sessions), &[failure], None)
+        let view = storage.view();
+        self.run_inner(view, engine, &borrowed(sessions), &[failure], None)
     }
 
     /// Run `sessions` with `cache` consulted at every arrival and filled
@@ -336,7 +337,8 @@ impl SessionScheduler {
         sessions: &[QuerySession],
         cache: &mut ResultCache,
     ) -> Result<WorkloadReport> {
-        self.run_inner(storage, engine, &borrowed(sessions), &[], Some(cache))
+        let view = storage.view();
+        self.run_inner(view, engine, &borrowed(sessions), &[], Some(cache))
     }
 
     /// The serving configuration with a node failure injected — cached
@@ -350,22 +352,17 @@ impl SessionScheduler {
         failure: FailureSpec,
         cache: &mut ResultCache,
     ) -> Result<WorkloadReport> {
-        self.run_inner(
-            storage,
-            engine,
-            &borrowed(sessions),
-            &[failure],
-            Some(cache),
-        )
+        let view = storage.view();
+        self.run_inner(view, engine, &borrowed(sessions), &[failure], Some(cache))
     }
 
     /// The engine's one event loop: every run — a scheduled workload, a
     /// stand-alone [`super::QueryExecutor`] query, a view refresh — is a
-    /// submission here.  Each node in `dead` is failed on the shared
-    /// network from its instant on.
+    /// submission here, reading the store through `view`.  Each node in
+    /// `dead` is failed on the shared network from its instant on.
     pub(super) fn run_inner(
         &self,
-        storage: &DistributedStorage,
+        view: StorageView<'_>,
         engine: &EngineConfig,
         sessions: &[Submission<'_>],
         dead: &[FailureSpec],
@@ -381,7 +378,7 @@ impl SessionScheduler {
                 "max_concurrent must be at least 1".into(),
             ));
         }
-        let table = storage.routing();
+        let table = view.routing();
         for s in sessions {
             if !table.contains_node(s.initiator) {
                 return Err(OrchestraError::Execution(format!(
@@ -467,7 +464,7 @@ impl SessionScheduler {
                 let idx = waiting.remove(pos);
                 let now = shared.borrow().now();
                 let sim = SessionSim::attach(shared.clone(), SessionId(idx as u32));
-                let mut runtime = Runtime::new(storage, engine, &sessions[idx], sim);
+                let mut runtime = Runtime::new(view, engine, &sessions[idx], sim);
                 runtime.begin(now)?;
                 runtimes[idx] = Some(runtime);
                 admitted_at[idx] = now;

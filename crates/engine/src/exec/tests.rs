@@ -512,7 +512,7 @@ fn a_row_behind_its_end_of_stream_is_an_error_not_a_short_answer() {
     let config = EngineConfig::default();
     let shared = shared_sim(s.routing(), config.profile);
     let sim = SessionSim::attach(shared.clone(), SessionId(0));
-    let mut runtime = Runtime::new(&s, &config, &(&query).into(), sim);
+    let mut runtime = Runtime::new(s.view(), &config, &(&query).into(), sim);
     runtime.begin(SimTime::ZERO).unwrap();
     loop {
         let Some(d) = shared.borrow_mut().next() else {
@@ -656,35 +656,51 @@ fn single_session_workload_matches_the_stand_alone_executor() {
 
 #[test]
 fn a_failure_run_that_never_stalls_reads_the_callers_store() {
-    // The victim dies after the answer is complete, so no session ever
-    // recovers: each must have read the caller's store throughout —
-    // visible in its delta memo, which a per-session copy would have
-    // left cold — and must not leave anything shared behind.
-    let mut s = cluster(5);
-    publish_r(&mut s, 80);
+    // Every session reads the caller's store through a view, whether or
+    // not a failure stalls it: the caller's delta memo counts what the
+    // run derived (a per-session copy of the store would have kept its
+    // own), and nothing shared is left behind.  Two failure inputs: the
+    // victim dies after the answer is complete (no session recovers),
+    // or half-way through the refresh (every session recovers).  Both
+    // must leave the caller's store as a failure-free run does.
     let config = EngineConfig::default();
-    let mut view = MaterializedView::new("copy", &scan_ship_plan()).unwrap();
-    let (recompute, incremental) = (MaintenanceMode::Recompute, MaintenanceMode::Incremental);
-    refresh_view(&mut view, &s, &config, recompute, Epoch(0), NodeId(0), None).unwrap();
-    let mut b = UpdateBatch::new();
-    for k in 200..210 {
-        b.insert("R", r_row(k));
-    }
-    let to = s.publish(&b).unwrap();
+    let incremental = MaintenanceMode::Incremental;
+    let setup = || {
+        let mut s = cluster(5);
+        publish_r(&mut s, 80);
+        let mut view = MaterializedView::new("copy", &scan_ship_plan()).unwrap();
+        let recompute = MaintenanceMode::Recompute;
+        refresh_view(&mut view, &s, &config, recompute, Epoch(0), NodeId(0), None).unwrap();
+        let mut b = UpdateBatch::new();
+        for k in 200..210 {
+            b.insert("R", r_row(k));
+        }
+        let to = s.publish(&b).unwrap();
+        (s, view, to)
+    };
+    let (s, mut view, to) = setup();
+    let free = refresh_view(&mut view, &s, &config, incremental, to, NodeId(0), None).unwrap();
+    assert_eq!(s.delta_derivations(), 1, "the leg derived once");
 
-    let probe = std::sync::Arc::clone(s.store(NodeId(1)).index_pages().next().unwrap());
-    let holders = std::sync::Arc::strong_count(&probe);
     let after = SimTime::from_micros(60_000_000);
-    let late = Some(FailureSpec::at_time(NodeId(4), after));
-    let run = refresh_view(&mut view, &s, &config, incremental, to, NodeId(0), late).unwrap();
-    assert!(!run.recovered && run.makespan < after);
-    assert_eq!(view.answer(), full_run(&s, &scan_ship_plan(), Epoch(1)));
-    assert_eq!(
-        s.delta_derivations(),
-        1,
-        "the leg derived on the caller's store"
-    );
-    assert_eq!(std::sync::Arc::strong_count(&probe), holders);
+    let half = SimTime::from_micros(free.makespan.as_micros() / 2);
+    for (at, stalls) in [(after, false), (half, true)] {
+        let (s, mut view, to) = setup();
+        let probe = std::sync::Arc::clone(s.store(NodeId(1)).index_pages().next().unwrap());
+        let holders = std::sync::Arc::strong_count(&probe);
+        let failure = Some(FailureSpec::at_time(NodeId(4), at));
+        let run = refresh_view(&mut view, &s, &config, incremental, to, NodeId(0), failure);
+        let run = run.unwrap();
+        assert_eq!(run.recovered, stalls, "failure at {at:?}");
+        assert!(stalls || run.makespan < after);
+        assert_eq!(view.answer(), full_run(&s, &scan_ship_plan(), Epoch(1)));
+        assert_eq!(
+            s.delta_derivations(),
+            1,
+            "failure at {at:?}: the leg derived once, on the caller's store"
+        );
+        assert_eq!(std::sync::Arc::strong_count(&probe), holders);
+    }
 }
 
 #[test]
@@ -1925,7 +1941,10 @@ mod exchange_by_batch {
             plan_resident: false,
         };
         let sim = SessionSim::attach(shared.clone(), SessionId(0));
-        (Runtime::new(storage, config, &submission, sim), shared)
+        (
+            Runtime::new(storage.view(), config, &submission, sim),
+            shared,
+        )
     }
 
     /// The exchange as it ran before it took whole batches: one row at a

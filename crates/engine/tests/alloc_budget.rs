@@ -174,6 +174,7 @@ fn scanning_a_stored_relation_allocates_no_string() {
         let ranges = storage.routing().ranges_of(node);
         let (scan, allocs) = counting(|| {
             storage
+                .view()
                 .scan_partition_ref("r", epoch, node, &ranges)
                 .expect("scan")
         });

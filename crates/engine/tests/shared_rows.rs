@@ -64,6 +64,7 @@ fn a_string_is_one_allocation_from_the_store_to_the_cache_hit() {
     for node in storage.routing().nodes() {
         let ranges = storage.routing().ranges_of(node);
         let scan = storage
+            .view()
             .scan_partition_ref("r", epoch, node, &ranges)
             .expect("scan");
         let batch = ColumnarBatch::from_tuples(2, scan.tuples.clone(), 1, NodeSet::default(), 0);

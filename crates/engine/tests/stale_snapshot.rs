@@ -100,6 +100,49 @@ fn fresh_snapshot_avoiding_the_departed_node_completes_without_recovery() {
 }
 
 #[test]
+fn a_snapshot_listing_a_node_the_store_has_not_adopted_yet_answers_exactly() {
+    // Under churn a query can run on a snapshot that already lists a
+    // joiner while the store has no slot for it yet (the store grows when
+    // it adopts the converged membership).  The joiner holds nothing, so
+    // it scans its ranges through the replicas; with a departed node in
+    // the snapshot as well, recovery reassigns that node's ranges too.
+    let (storage, expected) = seeded_cluster();
+    let joiner = NodeId(8);
+    let with_joiner = RoutingTable::build(
+        &(0..=joiner.0).map(NodeId).collect::<Vec<_>>(),
+        AllocationScheme::Balanced,
+        3,
+    );
+    for (departed, recovered) in [
+        (NodeSet::empty(), false),
+        (NodeSet::singleton(DEPARTED), true),
+    ] {
+        for strategy in [RecoveryStrategy::Restart, RecoveryStrategy::Incremental] {
+            let config = EngineConfig {
+                strategy,
+                ..EngineConfig::default()
+            };
+            let report = QueryExecutor::new(&storage, config)
+                .execute_with_stale_snapshot(
+                    &scan_plan(),
+                    Epoch(0),
+                    INITIATOR,
+                    &with_joiner,
+                    &departed,
+                )
+                .unwrap();
+            let what = format!("{strategy:?}, {} departed", departed.len());
+            assert_eq!(report.recovered, recovered, "{what}");
+            assert_eq!(report.rows, expected, "{what}: wrong answer");
+            assert!(
+                report.remote_lookups > 0,
+                "{what}: the joiner holds nothing"
+            );
+        }
+    }
+}
+
+#[test]
 fn departed_initiator_is_rejected() {
     let (storage, _) = seeded_cluster();
     let stale = storage.routing().clone();

@@ -11,20 +11,20 @@
 //! delta scans safely re-runnable during failure recovery.
 //!
 //! Two access paths are provided, mirroring the full-scan pair
-//! [`DistributedStorage::scan_partition`] / retrieval:
+//! [`StorageView::scan_partition_ref`] / retrieval:
 //!
 //! * [`DistributedStorage::delta`] — the coordinator-level summary: one
 //!   [`PartitionDelta`] per touched partition with insert/modify/delete
 //!   sets matched by tuple key (what the maintenance cost model sizes its
 //!   decision on);
-//! * [`DistributedStorage::delta_partition`] — the executor path: the
+//! * [`StorageView::delta_partition_ref`] — the executor path: the
 //!   *signed* tuples of the delta restricted to one node's hash ranges
 //!   (`+1` for a version added by the interval, `-1` for a version
 //!   removed by it), with the same replica-fetch accounting as a full
 //!   partition scan so the simulation charges remote lookups to the
 //!   network.  A modification appears as its `-old`/`+new` pair.
 
-use crate::distributed::{charge_remote, DistributedStorage};
+use crate::distributed::{DistributedStorage, PartitionScan, StorageView};
 use crate::page::PageDescriptor;
 use orchestra_common::{Epoch, KeyRange, NodeId, OrchestraError, PageEntry, Result, Tuple};
 use std::cell::{Cell, RefCell};
@@ -91,38 +91,6 @@ impl RelationDelta {
     }
 }
 
-/// Result of a signed delta scan executed on behalf of one node — the
-/// delta-reading counterpart of [`crate::distributed::PartitionScan`],
-/// and like it over borrowed (`DeltaPartitionScan<&Tuple>`) or owned
-/// tuples.
-#[derive(Clone, Debug)]
-pub struct DeltaPartitionScan<T = Tuple> {
-    /// The signed tuples of the delta whose key hashes fall in the
-    /// requested ranges: `+1` for versions the interval added, `-1` for
-    /// versions it removed.
-    pub rows: Vec<(T, i8)>,
-    /// Index pages consulted (both versions of every diffed page).
-    pub pages_read: usize,
-    /// Tuple versions fetched.
-    pub tuples_read: usize,
-    /// Tuple fetches that had to leave the scanning node.
-    pub remote_lookups: usize,
-    /// Bytes fetched from each remote holder, aggregated per source node.
-    pub remote_transfers: Vec<(NodeId, usize)>,
-}
-
-impl<T> Default for DeltaPartitionScan<T> {
-    fn default() -> Self {
-        DeltaPartitionScan {
-            rows: Vec::new(),
-            pages_read: 0,
-            tuples_read: 0,
-            remote_lookups: 0,
-            remote_transfers: Vec::new(),
-        }
-    }
-}
-
 /// One partition whose page version differs between the two epochs:
 /// the page entries (tuple IDs with their cached ring positions, so a
 /// delta scan hashes nothing) removed by the interval and added by it,
@@ -177,9 +145,11 @@ type ChangeSet = (Vec<PartitionChange>, usize, usize);
 /// goes stale — the memo needs no invalidation, only capacity discipline
 /// (callers with adversarial access patterns can [`DeltaMemo::clear`]).
 /// Interior mutability lets the read paths ([`DistributedStorage::delta`]
-/// and [`DistributedStorage::delta_partition`]) share one derivation per
-/// interval across every consumer — the fan-out property the view
-/// registry's per-epoch cost bound rests on.  The store is
+/// and [`StorageView::delta_partition_ref`], under any view of the store)
+/// share one derivation per interval across every consumer — the fan-out
+/// property the view registry's per-epoch cost bound rests on.  A derived
+/// diff does not depend on the view: whichever replica served a page, the
+/// page is the same.  The store is
 /// single-threaded by construction (like the simulator), so a `RefCell`
 /// suffices.
 #[derive(Clone, Default)]
@@ -195,40 +165,6 @@ impl DeltaMemo {
 }
 
 impl DistributedStorage {
-    /// The page descriptors of `relation`'s version visible at `epoch`,
-    /// ordered by partition (empty when the relation has no version yet).
-    fn pages_at(&self, relation: &str, epoch: Epoch) -> Result<&[PageDescriptor]> {
-        Ok(self
-            .version_record(relation, epoch)?
-            .map_or(&[], |version| version.pages.as_slice()))
-    }
-
-    /// Diff the two versions' page lists, memoized per `(relation, from,
-    /// to)`: the first consumer of an interval pays the derivation
-    /// ([`DistributedStorage::delta_derivations`] counts those); every
-    /// later consumer — another view's delta leg, the cost model, a
-    /// re-run during recovery — is handed the same derived diff for free.
-    fn changed_partitions(&self, relation: &str, from: Epoch, to: Epoch) -> Result<Rc<ChangeSet>> {
-        if from > to {
-            return Err(OrchestraError::StorageInvalid(format!(
-                "delta of {relation} requested over an inverted interval {from}..{to}"
-            )));
-        }
-        let key = (relation.to_string(), from, to);
-        if let Some(hit) = self.delta_memo.entries.borrow().get(&key) {
-            return Ok(Rc::clone(hit));
-        }
-        let derived = Rc::new(self.derive_changed_partitions(relation, from, to)?);
-        self.delta_memo
-            .derivations
-            .set(self.delta_memo.derivations.get() + 1);
-        self.delta_memo
-            .entries
-            .borrow_mut()
-            .insert(key, Rc::clone(&derived));
-        Ok(derived)
-    }
-
     /// Number of epoch-interval page diffs derived so far — the memo's
     /// cache misses.  Serving a second view of the same interval does not
     /// move this counter; the subscriptions experiment asserts it stays
@@ -244,72 +180,17 @@ impl DistributedStorage {
         self.delta_memo.clear();
     }
 
-    /// The un-memoized derivation behind [`Self::changed_partitions`]:
-    /// partitions whose page ID is identical in both versions are shared
-    /// and skipped; the rest are diffed entry list against entry list.
-    /// Both descriptor lists are ordered by partition and both entry
-    /// lists by ID, so everything is a two-pointer walk over borrowed
-    /// slices.  Returns the changed partitions in partition order plus
-    /// the (shared, diffed) page counts.
-    fn derive_changed_partitions(
-        &self,
-        relation: &str,
-        from: Epoch,
-        to: Epoch,
-    ) -> Result<ChangeSet> {
-        let old_pages = self.pages_at(relation, from)?;
-        let new_pages = self.pages_at(relation, to)?;
-        let mut shared = 0;
-        let mut changes = Vec::new();
-        let (mut o, mut n) = (0, 0);
-        while o < old_pages.len() || n < new_pages.len() {
-            // The next partition on either side: both descriptors when
-            // both versions have it.  Pages never disappear across
-            // versions (an untouched page is carried forward), but stay
-            // defensive: a partition only the old version has is
-            // all-removed.
-            let (old_desc, new_desc) = match (old_pages.get(o), new_pages.get(n)) {
-                (Some(old), Some(new)) => match old.id.partition.cmp(&new.id.partition) {
-                    Ordering::Less => (Some(old), None),
-                    Ordering::Greater => (None, Some(new)),
-                    Ordering::Equal => (Some(old), Some(new)),
-                },
-                one_sided => one_sided,
-            };
-            o += usize::from(old_desc.is_some());
-            n += usize::from(new_desc.is_some());
-            if old_desc.map(|d| &d.id) == new_desc.map(|d| &d.id) {
-                shared += 1;
-                continue;
-            }
-            let entries_of = |desc: Option<&PageDescriptor>| -> Result<&[PageEntry]> {
-                Ok(match desc {
-                    Some(d) => &self.lookup_index_page(d)?.entries,
-                    None => &[],
-                })
-            };
-            let (removed, added) = diff_sorted(entries_of(old_desc)?, entries_of(new_desc)?);
-            let described = old_desc.or(new_desc).expect("one side is present");
-            changes.push(PartitionChange {
-                partition: described.id.partition,
-                pages_read: usize::from(old_desc.is_some()) + usize::from(new_desc.is_some()),
-                removed,
-                added,
-            });
-        }
-        let diffed = changes.len();
-        Ok((changes, shared, diffed))
-    }
-
     /// The per-partition insert/modify/delete sets `relation` underwent
     /// between the snapshots at `from` and `to`, derived entirely from
     /// the versioned index pages (no update log is consulted).  A key
     /// present in both versions under different tuple IDs is reported as
-    /// a modify with both the old and the new tuple value.
+    /// a modify with both the old and the new tuple value.  Read under the
+    /// store's own view.
     pub fn delta(&self, relation: &str, from: Epoch, to: Epoch) -> Result<RelationDelta> {
-        let derived = self.changed_partitions(relation, from, to)?;
+        let view = self.view();
+        let derived = view.changed_partitions(relation, from, to)?;
         let (changes, pages_shared, pages_diffed) = &*derived;
-        let lookup = self.tuple_lookup(relation);
+        let lookup = view.tuple_lookup(relation);
         let fetch = |entry: &PageEntry| -> Result<Tuple> { Ok(lookup(entry)?.clone()) };
         let mut partitions = Vec::with_capacity(changes.len());
         for change in changes {
@@ -372,6 +253,95 @@ impl DistributedStorage {
         names.sort();
         names
     }
+}
+
+impl<'a> StorageView<'a> {
+    /// The page descriptors of `relation`'s version visible at `epoch`,
+    /// ordered by partition (empty when the relation has no version yet).
+    fn pages_at(&self, relation: &str, epoch: Epoch) -> Result<&'a [PageDescriptor]> {
+        Ok(self
+            .version_record(relation, epoch)?
+            .map_or(&[], |version| version.pages.as_slice()))
+    }
+
+    /// Diff the two versions' page lists, memoized per `(relation, from,
+    /// to)`: the first consumer of an interval pays the derivation
+    /// ([`DistributedStorage::delta_derivations`] counts those); every
+    /// later consumer — another view's delta leg, the cost model, a
+    /// re-run during recovery — is handed the same derived diff for free.
+    fn changed_partitions(&self, relation: &str, from: Epoch, to: Epoch) -> Result<Rc<ChangeSet>> {
+        if from > to {
+            return Err(OrchestraError::StorageInvalid(format!(
+                "delta of {relation} requested over an inverted interval {from}..{to}"
+            )));
+        }
+        let memo = &self.data.delta_memo;
+        let key = (relation.to_string(), from, to);
+        if let Some(hit) = memo.entries.borrow().get(&key) {
+            return Ok(Rc::clone(hit));
+        }
+        let derived = Rc::new(self.derive_changed_partitions(relation, from, to)?);
+        memo.derivations.set(memo.derivations.get() + 1);
+        memo.entries.borrow_mut().insert(key, Rc::clone(&derived));
+        Ok(derived)
+    }
+
+    /// The un-memoized derivation behind [`Self::changed_partitions`]:
+    /// partitions whose page ID is identical in both versions are shared
+    /// and skipped; the rest are diffed entry list against entry list.
+    /// Both descriptor lists are ordered by partition and both entry
+    /// lists by ID, so everything is a two-pointer walk over borrowed
+    /// slices.  Returns the changed partitions in partition order plus
+    /// the (shared, diffed) page counts.
+    fn derive_changed_partitions(
+        &self,
+        relation: &str,
+        from: Epoch,
+        to: Epoch,
+    ) -> Result<ChangeSet> {
+        let old_pages = self.pages_at(relation, from)?;
+        let new_pages = self.pages_at(relation, to)?;
+        let mut shared = 0;
+        let mut changes = Vec::new();
+        let (mut o, mut n) = (0, 0);
+        while o < old_pages.len() || n < new_pages.len() {
+            // The next partition on either side: both descriptors when
+            // both versions have it.  Pages never disappear across
+            // versions (an untouched page is carried forward), but stay
+            // defensive: a partition only the old version has is
+            // all-removed.
+            let (old_desc, new_desc) = match (old_pages.get(o), new_pages.get(n)) {
+                (Some(old), Some(new)) => match old.id.partition.cmp(&new.id.partition) {
+                    Ordering::Less => (Some(old), None),
+                    Ordering::Greater => (None, Some(new)),
+                    Ordering::Equal => (Some(old), Some(new)),
+                },
+                one_sided => one_sided,
+            };
+            o += usize::from(old_desc.is_some());
+            n += usize::from(new_desc.is_some());
+            if old_desc.map(|d| &d.id) == new_desc.map(|d| &d.id) {
+                shared += 1;
+                continue;
+            }
+            let entries_of = |desc: Option<&PageDescriptor>| -> Result<&[PageEntry]> {
+                Ok(match desc {
+                    Some(d) => &self.lookup_index_page(d)?.entries,
+                    None => &[],
+                })
+            };
+            let (removed, added) = diff_sorted(entries_of(old_desc)?, entries_of(new_desc)?);
+            let described = old_desc.or(new_desc).expect("one side is present");
+            changes.push(PartitionChange {
+                partition: described.id.partition,
+                pages_read: usize::from(old_desc.is_some()) + usize::from(new_desc.is_some()),
+                removed,
+                added,
+            });
+        }
+        let diffed = changes.len();
+        Ok((changes, shared, diffed))
+    }
 
     /// Scan the *delta* of `relation` between the snapshots at `from` and
     /// `to`, restricted to tuple-key hashes in `ranges`, on behalf of
@@ -381,8 +351,8 @@ impl DistributedStorage {
     /// because the store is log-structured, so the scan (like a full
     /// partition scan) can be deterministically re-run over inherited
     /// ranges during failure recovery.  Like
-    /// [`DistributedStorage::scan_partition_ref`] it filters by cached
-    /// ring position and borrows the tuples.
+    /// [`Self::scan_partition_ref`] it filters by cached ring position and
+    /// borrows the tuples.
     pub fn delta_partition_ref(
         &self,
         relation: &str,
@@ -390,48 +360,22 @@ impl DistributedStorage {
         to: Epoch,
         node: NodeId,
         ranges: &[KeyRange],
-    ) -> Result<DeltaPartitionScan<&Tuple>> {
-        let mut scan = DeltaPartitionScan::default();
+    ) -> Result<PartitionScan<(&'a Tuple, i8)>> {
+        let mut scan = PartitionScan::default();
         let derived = self.changed_partitions(relation, from, to)?;
         let local = self.local_tuples(relation, node);
         for change in &derived.0 {
             scan.pages_read += change.pages_read;
             for (entries, sign) in [(&change.removed, -1i8), (&change.added, 1i8)] {
                 for entry in entries {
-                    if !ranges.iter().any(|r| r.contains(entry.position)) {
-                        continue;
+                    if ranges.iter().any(|r| r.contains(entry.position)) {
+                        let tuple = self.scan_tuple(&mut scan, local, relation, entry, node)?;
+                        scan.tuples.push((tuple, sign));
                     }
-                    let (tuple, remote) = self.lookup_tuple_from(local, relation, entry, node)?;
-                    scan.tuples_read += 1;
-                    if let Some(src) = remote {
-                        scan.remote_lookups += 1;
-                        charge_remote(&mut scan.remote_transfers, src, tuple.serialized_size());
-                    }
-                    scan.rows.push((tuple, sign));
                 }
             }
         }
         Ok(scan)
-    }
-
-    /// [`Self::delta_partition_ref`] for callers that want to own the
-    /// tuples: the same scan, cloned out of the store.
-    pub fn delta_partition(
-        &self,
-        relation: &str,
-        from: Epoch,
-        to: Epoch,
-        node: NodeId,
-        ranges: &[KeyRange],
-    ) -> Result<DeltaPartitionScan> {
-        let scan = self.delta_partition_ref(relation, from, to, node, ranges)?;
-        Ok(DeltaPartitionScan {
-            rows: scan.rows.into_iter().map(|(t, s)| (t.clone(), s)).collect(),
-            pages_read: scan.pages_read,
-            tuples_read: scan.tuples_read,
-            remote_lookups: scan.remote_lookups,
-            remote_transfers: scan.remote_transfers,
-        })
     }
 }
 
@@ -440,7 +384,7 @@ mod tests {
     use super::*;
     use crate::distributed::StorageConfig;
     use crate::update::UpdateBatch;
-    use orchestra_common::{ColumnType, NodeId, Relation, Schema, Value};
+    use orchestra_common::{ColumnType, NodeId, NodeSet, Relation, Schema, Value};
     use orchestra_substrate::{AllocationScheme, RoutingTable};
 
     fn storage(nodes: u16) -> DistributedStorage {
@@ -567,8 +511,9 @@ mod tests {
         let mut rows: Vec<(Tuple, i8)> = Vec::new();
         for node in s.routing().nodes() {
             let ranges = s.routing().ranges_of(node);
-            let scan = s.delta_partition("R", e0, e1, node, &ranges).unwrap();
-            rows.extend(scan.rows);
+            let scan = s.view().delta_partition_ref("R", e0, e1, node, &ranges);
+            let signed = scan.unwrap().tuples.into_iter();
+            rows.extend(signed.map(|(tuple, sign)| (tuple.clone(), sign)));
         }
         assert_eq!(rows.len(), 10 * 2 + 20 + 5);
         let positives = rows.iter().filter(|(_, s)| *s == 1).count();
@@ -617,10 +562,15 @@ mod tests {
         assert_eq!(first.signed_row_count(), second.signed_row_count());
         assert_eq!(first.partitions.len(), second.partitions.len());
 
-        // The signed scan path shares the same derivation.
-        for node in s.routing().nodes() {
-            let ranges = s.routing().ranges_of(node);
-            s.delta_partition("R", e0, e1, node, &ranges).unwrap();
+        // The signed scan path shares the same derivation, under the
+        // store's own view and under one that fails a node alike.
+        let failing = s.view().with_failed(NodeSet::singleton(NodeId(1)));
+        for view in [s.view(), failing] {
+            for node in s.routing().nodes() {
+                let ranges = s.routing().ranges_of(node);
+                view.delta_partition_ref("R", e0, e1, node, &ranges)
+                    .unwrap();
+            }
         }
         assert_eq!(s.delta_derivations(), 1, "delta scans reuse the diff");
 
@@ -637,8 +587,8 @@ mod tests {
         assert_eq!(s.delta_derivations(), 3);
         assert_eq!(rederived.signed_row_count(), first.signed_row_count());
 
-        // A clone (the engine's scratch copies) carries the memo but
-        // counts its own derivations without touching the original.
+        // A clone carries the memo but counts its own derivations
+        // without touching the original.
         let scratch = s.clone();
         scratch.delta("R", e0, e1).unwrap();
         assert_eq!(

@@ -12,7 +12,7 @@
 //! [`UpdateBatch`] as a new epoch, creating new versions only of the index
 //! pages actually touched and sharing all others with the previous
 //! version.  Retrieval ([`DistributedStorage::retrieve`]) implements
-//! Algorithm 1; [`DistributedStorage::scan_partition_ref`] is the same
+//! Algorithm 1; [`StorageView::scan_partition_ref`] is the same
 //! access path restricted to the ranges owned by one executing node, which
 //! is how the query engine's distributed scans consume storage.
 //!
@@ -23,10 +23,19 @@
 //! version and tuple version in an `Arc` and hands the owner and every
 //! replica a clone of the pointer; anti-entropy repairs a placement by
 //! copying pointers; and the per-node stores themselves sit behind `Arc`s
-//! that are copied on first write, so cloning the whole cluster (the
-//! engine does, to fail a node in a scratch copy) costs one pointer per
-//! node and a clone that is then published to, failed or cleared leaves
-//! the original exactly as it was.
+//! that are copied on first write, so cloning the whole cluster costs one
+//! pointer per node and a clone that is then published to, failed or
+//! cleared leaves the original exactly as it was.
+//!
+//! ## Another routing or failure set is a view, not a copy
+//!
+//! Every placement-dependent read — coordinator, page and tuple lookups
+//! with fail-over, partition and delta scans — is a method of
+//! [`StorageView`]: the data under one routing table, with one set of
+//! nodes unreadable.  [`DistributedStorage::view`] is the store's own; a
+//! query on a stale routing snapshot and a session recovering from a
+//! failure narrow it ([`StorageView::with_routing`],
+//! [`StorageView::with_failed`]) instead of mutating a copy of the store.
 //!
 //! ## The read path neither hashes nor copies
 //!
@@ -72,13 +81,18 @@ impl Default for StorageConfig {
 
 /// Result of a partition scan executed on behalf of one node: of
 /// borrowed tuples (`PartitionScan<&Tuple>`, what
-/// [`DistributedStorage::scan_partition_ref`] returns) or of owned ones.
+/// [`StorageView::scan_partition_ref`] returns), of owned ones, or of
+/// signed borrowed ones (`PartitionScan<(&Tuple, i8)>`, what
+/// [`StorageView::delta_partition_ref`] returns).
 #[derive(Clone, Debug)]
 pub struct PartitionScan<T = Tuple> {
-    /// The tuples of the requested version whose key hashes fall in the
-    /// requested ranges, in page order and, within a page, ID order.
+    /// The tuples whose key hashes fall in the requested ranges, in page
+    /// order and, within a page, ID order: of the requested version, or,
+    /// for a delta scan, those the interval removed (sign `-1`) and added
+    /// (`+1`).
     pub tuples: Vec<T>,
-    /// Index pages consulted.
+    /// Index pages consulted (both versions of every diffed page, for a
+    /// delta scan).
     pub pages_read: usize,
     /// Tuple versions fetched.
     pub tuples_read: usize,
@@ -103,15 +117,6 @@ impl<T> Default for PartitionScan<T> {
     }
 }
 
-/// Account for one tuple that had to be fetched from the remote holder
-/// `src`: transfers are aggregated per source node, in first-use order.
-pub(crate) fn charge_remote(transfers: &mut Vec<(NodeId, usize)>, src: NodeId, bytes: usize) {
-    match transfers.iter_mut().find(|(n, _)| *n == src) {
-        Some((_, b)) => *b += bytes,
-        None => transfers.push((src, bytes)),
-    }
-}
-
 /// Result of a full Algorithm 1 retrieval.
 #[derive(Clone, Debug, Default)]
 pub struct RetrievalResult {
@@ -127,9 +132,9 @@ pub struct RetrievalResult {
 /// The distributed, replicated, versioned storage layer.
 ///
 /// `Clone` is cheap — one pointer per node; the clone and the original
-/// share every node's store until one of them writes to it — and
-/// isolating: the query engine fails nodes in a scratch clone without
-/// disturbing the caller's store.
+/// share every node's store until one of them writes to it.  Reading the
+/// data under another routing table or failure set needs no clone: it is
+/// a [`StorageView`], and a view copies nothing.
 #[derive(Clone)]
 pub struct DistributedStorage {
     config: StorageConfig,
@@ -144,6 +149,24 @@ pub struct DistributedStorage {
     /// every delta consumer so fan-out maintenance derives each changed
     /// relation's delta once per epoch, not once per view.
     pub(crate) delta_memo: crate::delta::DeltaMemo,
+}
+
+/// A [`DistributedStorage`]'s data seen under one routing table, with one
+/// set of nodes whose local state cannot be read: the one place the read
+/// paths live.
+///
+/// A view is `Copy` and copies nothing.  [`DistributedStorage::view`] is
+/// the store's own routing and failed set; [`Self::with_routing`] and
+/// [`Self::with_failed`] derive another.  A node is readable when it has
+/// not failed and the store has a slot for it: a node the view's table
+/// lists but the store was never grown to (a joiner, on a snapshot taken
+/// before the store adopted it) holds nothing.  The delta memo is the
+/// store's, shared by all its views.
+#[derive(Clone, Copy)]
+pub struct StorageView<'a> {
+    pub(crate) data: &'a DistributedStorage,
+    routing: &'a RoutingTable,
+    failed: NodeSet,
 }
 
 impl DistributedStorage {
@@ -178,6 +201,15 @@ impl DistributedStorage {
     /// The routing table currently used for placement.
     pub fn routing(&self) -> &RoutingTable {
         &self.routing
+    }
+
+    /// The store under its own routing table and failed set.
+    pub fn view(&self) -> StorageView<'_> {
+        StorageView {
+            data: self,
+            routing: &self.routing,
+            failed: self.failed,
+        }
     }
 
     /// Replace the routing table (membership change).  Existing data is
@@ -306,7 +338,8 @@ impl DistributedStorage {
             .and_then(|v| v.last().copied());
         let prev_version: Option<Arc<RelationVersion>> = match prev_epoch {
             Some(e) => Some(Arc::clone(
-                self.lookup_coordinator(&CoordinatorKey::new(name, e))?,
+                self.view()
+                    .lookup_coordinator(&CoordinatorKey::new(name, e))?,
             )),
             None => None,
         };
@@ -347,7 +380,7 @@ impl DistributedStorage {
                         .pages
                         .binary_search_by_key(&partition, |d| d.id.partition)
                         .ok()?;
-                    Some(self.lookup_index_page(&v.pages[at]).map(Arc::clone))
+                    Some(self.view().lookup_index_page(&v.pages[at]).map(Arc::clone))
                 })
                 .transpose()?;
 
@@ -452,35 +485,10 @@ impl DistributedStorage {
     /// Cardinality of `relation` at `epoch` (from coordinator metadata —
     /// the statistic the optimizer uses).
     pub fn relation_cardinality(&self, relation: &str, epoch: Epoch) -> usize {
-        match self.version_record(relation, epoch) {
+        match self.view().version_record(relation, epoch) {
             Ok(Some(version)) => version.tuple_count(),
             _ => 0,
         }
-    }
-
-    // ------------------------------------------------------------------
-    // Lookups with fail-over
-    // ------------------------------------------------------------------
-
-    /// Can `node`'s store be read and written?
-    fn is_live(&self, node: NodeId) -> bool {
-        !self.failed.contains(node) && node.index() < self.stores.len()
-    }
-
-    /// The live members of `key`'s replica set, owner first.
-    fn live_replicas(&self, key: Key160) -> impl Iterator<Item = NodeId> + '_ {
-        self.routing
-            .replicas_of(key)
-            .iter()
-            .copied()
-            .filter(|n| self.is_live(*n))
-    }
-
-    fn live_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.routing
-            .nodes()
-            .into_iter()
-            .filter(|n| self.is_live(*n))
     }
 
     /// Hand `put` the store of every live holder of what is placed at
@@ -497,30 +505,162 @@ impl DistributedStorage {
             }
         };
         for &node in holders {
-            if self.is_live(node) {
+            if self.view().is_live(node) {
                 put(Arc::make_mut(&mut self.stores[node.index()]));
             }
         }
     }
 
+    /// [`StorageView::scan_partition_ref`] under the store's own view, for
+    /// callers that want to own the tuples: the same scan, cloned out of
+    /// the store.
+    pub fn scan_partition(
+        &self,
+        relation: &str,
+        epoch: Epoch,
+        node: NodeId,
+        ranges: &[KeyRange],
+    ) -> Result<PartitionScan> {
+        let scan = self
+            .view()
+            .scan_partition_ref(relation, epoch, node, ranges)?;
+        Ok(PartitionScan {
+            tuples: scan.tuples.into_iter().cloned().collect(),
+            pages_read: scan.pages_read,
+            tuples_read: scan.tuples_read,
+            remote_lookups: scan.remote_lookups,
+            remote_transfers: scan.remote_transfers,
+        })
+    }
+
+    /// Full Algorithm 1 retrieval under the store's own view: find all
+    /// tuples of `relation` at `epoch` whose *key* satisfies `filter`, on
+    /// behalf of `requester`, tracing the messages the distributed lookup
+    /// generates.
+    pub fn retrieve(
+        &self,
+        relation: &str,
+        epoch: Epoch,
+        requester: NodeId,
+        filter: &dyn Fn(&[orchestra_common::Value]) -> bool,
+    ) -> Result<RetrievalResult> {
+        let view = self.view();
+        let mut result = RetrievalResult::default();
+        let Some(version_epoch) = self.version_at(relation, epoch) else {
+            return Ok(result);
+        };
+        let coord_key = CoordinatorKey::new(relation, version_epoch);
+        let coord_node = view
+            .live_replicas(coord_key.hash())
+            .next()
+            .ok_or_else(|| OrchestraError::Substrate("no live coordinator owner".into()))?;
+        let version = view.lookup_coordinator(&coord_key)?;
+        // Request to the coordinator and its reply (the page list).
+        result.messages.push((requester, coord_node, 64));
+        result
+            .messages
+            .push((coord_node, requester, version.serialized_size()));
+
+        for descriptor in &version.pages {
+            let index_node = view
+                .live_replicas(descriptor.storage_key)
+                .next()
+                .unwrap_or(coord_node);
+            // Scan request to the index node.
+            result.messages.push((requester, index_node, 96));
+            let page = view.lookup_index_page(descriptor)?;
+            result.pages_scanned += 1;
+            for entry in &page.entries {
+                if !filter(&entry.id.key) {
+                    continue;
+                }
+                let data_node = view
+                    .live_replicas(entry.position)
+                    .next()
+                    .unwrap_or(index_node);
+                if data_node != index_node {
+                    // The tuple ID crosses the network only when the index
+                    // page and the data are not co-located (Example 4.2).
+                    result
+                        .messages
+                        .push((index_node, data_node, entry.id.serialized_size()));
+                }
+                let (tuple, _) = view.lookup_tuple(relation, entry, Some(data_node))?;
+                result
+                    .messages
+                    .push((data_node, requester, tuple.serialized_size()));
+                result.tuples.push(tuple.clone());
+            }
+        }
+        Ok(result)
+    }
+}
+
+impl<'a> StorageView<'a> {
+    /// The same data placed by `routing` (a query's snapshot, stale or
+    /// not, or a recovery table), with the same nodes unreadable.
+    pub fn with_routing(self, routing: &'a RoutingTable) -> StorageView<'a> {
+        StorageView { routing, ..self }
+    }
+
+    /// This view with the nodes of `failed` unreadable too.
+    pub fn with_failed(self, failed: NodeSet) -> StorageView<'a> {
+        StorageView {
+            failed: self.failed.union(&failed),
+            ..self
+        }
+    }
+
+    /// The routing table the view places state by.
+    pub fn routing(&self) -> &'a RoutingTable {
+        self.routing
+    }
+
+    // ------------------------------------------------------------------
+    // Lookups with fail-over
+    // ------------------------------------------------------------------
+
+    /// Can `node`'s store be read (and, under the store's own view,
+    /// written)?
+    fn is_live(&self, node: NodeId) -> bool {
+        !self.failed.contains(node) && node.index() < self.data.stores.len()
+    }
+
+    /// The live members of `key`'s replica set, owner first.
+    fn live_replicas(&self, key: Key160) -> impl Iterator<Item = NodeId> + '_ {
+        self.routing
+            .replicas_of(key)
+            .iter()
+            .copied()
+            .filter(|n| self.is_live(*n))
+    }
+
+    /// The first live node whose store `get` finds something in, with
+    /// what it found: `key`'s owner, then its replicas, then every live
+    /// node.
+    fn find<T>(
+        &self,
+        key: Key160,
+        get: impl Fn(&'a NodeStore) -> Option<T>,
+    ) -> Option<(NodeId, T)> {
+        let hit = |node: NodeId| get(self.data.store(node)).map(|found| (node, found));
+        let live = |n: &NodeId| self.is_live(*n);
+        self.live_replicas(key)
+            .find_map(hit)
+            .or_else(|| self.routing.nodes().into_iter().filter(live).find_map(hit))
+    }
+
     /// Find the coordinator record for `key`, trying the owner, then the
     /// replicas, then every live node.
-    pub fn lookup_coordinator(&self, key: &CoordinatorKey) -> Result<&Arc<RelationVersion>> {
-        let hash = key.hash();
-        for node in self.live_replicas(hash) {
-            if let Some(v) = self.stores[node.index()].coordinator(key) {
-                return Ok(v);
-            }
-        }
-        for node in self.live_nodes() {
-            if let Some(v) = self.stores[node.index()].coordinator(key) {
-                return Ok(v);
-            }
-        }
-        Err(OrchestraError::StorageMissing(format!(
-            "no live node holds the coordinator record for {} at {}",
-            key.relation, key.epoch
-        )))
+    pub fn lookup_coordinator(&self, key: &CoordinatorKey) -> Result<&'a Arc<RelationVersion>> {
+        let found = self.find(key.hash(), |store| store.coordinator(key));
+        let missing = || {
+            OrchestraError::StorageMissing(format!(
+                "no live node holds the coordinator record for {} at {}",
+                key.relation, key.epoch
+            ))
+        };
+        Ok(found.ok_or_else(missing)?.1)
     }
 
     /// The coordinator record of the version of `relation` visible at
@@ -529,29 +669,26 @@ impl DistributedStorage {
         &self,
         relation: &str,
         epoch: Epoch,
-    ) -> Result<Option<&Arc<RelationVersion>>> {
-        self.version_at(relation, epoch)
+    ) -> Result<Option<&'a Arc<RelationVersion>>> {
+        self.data
+            .version_at(relation, epoch)
             .map(|e| self.lookup_coordinator(&CoordinatorKey::new(relation, e)))
             .transpose()
     }
 
     /// Find an index page, trying its storage position's owner, replicas,
     /// then every live node.
-    pub fn lookup_index_page(&self, descriptor: &PageDescriptor) -> Result<&Arc<IndexPage>> {
-        for node in self.live_replicas(descriptor.storage_key) {
-            if let Some(p) = self.stores[node.index()].index_page(&descriptor.id) {
-                return Ok(p);
-            }
-        }
-        for node in self.live_nodes() {
-            if let Some(p) = self.stores[node.index()].index_page(&descriptor.id) {
-                return Ok(p);
-            }
-        }
-        Err(OrchestraError::StorageMissing(format!(
-            "no live node holds index page {}",
-            descriptor.id
-        )))
+    pub fn lookup_index_page(&self, descriptor: &PageDescriptor) -> Result<&'a Arc<IndexPage>> {
+        let found = self.find(descriptor.storage_key, |store| {
+            store.index_page(&descriptor.id)
+        });
+        let missing = || {
+            OrchestraError::StorageMissing(format!(
+                "no live node holds index page {}",
+                descriptor.id
+            ))
+        };
+        Ok(found.ok_or_else(missing)?.1)
     }
 
     /// Find the tuple version a page entry lists, trying the data storage
@@ -564,56 +701,59 @@ impl DistributedStorage {
         relation: &str,
         entry: &PageEntry,
         preferred: Option<NodeId>,
-    ) -> Result<(&Tuple, Option<NodeId>)> {
+    ) -> Result<(&'a Tuple, Option<NodeId>)> {
         let PageEntry { id, position } = entry;
-        if let Some(node) = preferred {
-            if !self.failed.contains(node) && node.index() < self.stores.len() {
-                if let Some(t) = self.stores[node.index()].tuple(relation, *position, id) {
-                    return Ok((t, None));
-                }
-            }
+        let get = |store: &'a NodeStore| store.tuple(relation, *position, id);
+        let local = preferred.filter(|n| self.is_live(*n));
+        if let Some(tuple) = local.and_then(|n| get(self.data.store(n))) {
+            return Ok((tuple, None));
         }
-        for node in self.live_replicas(*position) {
-            if let Some(t) = self.stores[node.index()].tuple(relation, *position, id) {
-                let remote = (preferred != Some(node)).then_some(node);
-                return Ok((t, remote));
-            }
-        }
-        for node in self.live_nodes() {
-            if let Some(t) = self.stores[node.index()].tuple(relation, *position, id) {
-                let remote = (preferred != Some(node)).then_some(node);
-                return Ok((t, remote));
-            }
-        }
-        Err(OrchestraError::StorageMissing(format!(
-            "tuple {id} of {relation} is not held by any live node"
-        )))
+        let missing = || {
+            OrchestraError::StorageMissing(format!(
+                "tuple {id} of {relation} is not held by any live node"
+            ))
+        };
+        let (node, tuple) = self.find(*position, get).ok_or_else(missing)?;
+        Ok((tuple, (preferred != Some(node)).then_some(node)))
     }
 
-    /// [`Self::lookup_tuple`] on behalf of a scanning node whose own
-    /// tuples of `relation` were resolved before the scan's page loop
-    /// (`local`, see [`Self::local_tuples`]): an entry the node holds is
-    /// answered from the view, any other goes the whole way.
-    pub(crate) fn lookup_tuple_from<'a>(
-        &'a self,
+    /// What `node` itself holds of `relation` — nothing when the node is
+    /// not live.
+    pub(crate) fn local_tuples(&self, relation: &str, node: NodeId) -> Option<RelationTuples<'a>> {
+        self.is_live(node)
+            .then(|| self.data.store(node).relation_tuples(relation))
+            .flatten()
+    }
+
+    /// Read the tuple `entry` lists for a scan on behalf of `node`, whose
+    /// own tuples of `relation` (`local`, see [`Self::local_tuples`]) were
+    /// resolved before the scan's page loop: an entry the node holds is
+    /// answered from there, any other goes the whole way
+    /// ([`Self::lookup_tuple`]).  The read is counted in `scan`, and a
+    /// tuple a remote holder served is charged to that holder — transfers
+    /// are aggregated per source node, in first-use order.
+    pub(crate) fn scan_tuple<T>(
+        &self,
+        scan: &mut PartitionScan<T>,
         local: Option<RelationTuples<'a>>,
         relation: &str,
         entry: &PageEntry,
         node: NodeId,
-    ) -> Result<(&'a Tuple, Option<NodeId>)> {
-        match local.and_then(|held| held.tuple(entry.position, &entry.id)) {
-            Some(tuple) => Ok((tuple, None)),
-            None => self.lookup_tuple(relation, entry, Some(node)),
+    ) -> Result<&'a Tuple> {
+        let (tuple, remote) = match local.and_then(|held| held.tuple(entry.position, &entry.id)) {
+            Some(tuple) => (tuple, None),
+            None => self.lookup_tuple(relation, entry, Some(node))?,
+        };
+        scan.tuples_read += 1;
+        if let Some(src) = remote {
+            scan.remote_lookups += 1;
+            let bytes = tuple.serialized_size();
+            match scan.remote_transfers.iter_mut().find(|(n, _)| *n == src) {
+                Some((_, b)) => *b += bytes,
+                None => scan.remote_transfers.push((src, bytes)),
+            }
         }
-    }
-
-    /// What `node` itself holds of `relation` — nothing a scan may read
-    /// when the node has failed.
-    pub(crate) fn local_tuples(&self, relation: &str, node: NodeId) -> Option<RelationTuples<'_>> {
-        if self.failed.contains(node) {
-            return None;
-        }
-        self.stores.get(node.index())?.relation_tuples(relation)
+        Ok(tuple)
     }
 
     /// [`Self::lookup_tuple`] with no preferred node, for a pass over
@@ -621,20 +761,24 @@ impl DistributedStorage {
     /// ([`Self::local_tuples`]) are found by name once, up front, and a
     /// version is then read from the first live replica holding it — or,
     /// when none does, looked up the whole way.
-    pub(crate) fn tuple_lookup<'a>(
-        &'a self,
-        relation: &'a str,
-    ) -> impl Fn(&PageEntry) -> Result<&'a Tuple> + 'a {
-        let held: Vec<Option<RelationTuples<'a>>> = (0..self.stores.len())
-            .map(|i| self.local_tuples(relation, NodeId(i as u16)))
+    pub(crate) fn tuple_lookup<'r>(
+        &self,
+        relation: &'r str,
+    ) -> impl Fn(&PageEntry) -> Result<&'a Tuple> + 'r
+    where
+        'a: 'r,
+    {
+        let view = *self;
+        let held: Vec<Option<RelationTuples<'a>>> = (0..view.data.stores.len())
+            .map(|i| view.local_tuples(relation, NodeId(i as u16)))
             .collect();
         move |entry| {
-            let replica = self
+            let replica = view
                 .live_replicas(entry.position)
                 .find_map(|node| held[node.index()]?.tuple(entry.position, &entry.id));
             match replica {
                 Some(tuple) => Ok(tuple),
-                None => Ok(self.lookup_tuple(relation, entry, None)?.0),
+                None => Ok(view.lookup_tuple(relation, entry, None)?.0),
             }
         }
     }
@@ -658,7 +802,7 @@ impl DistributedStorage {
         epoch: Epoch,
         node: NodeId,
         ranges: &[KeyRange],
-    ) -> Result<PartitionScan<&Tuple>> {
+    ) -> Result<PartitionScan<&'a Tuple>> {
         let mut scan = PartitionScan::default();
         let Some(version) = self.version_record(relation, epoch)? else {
             return Ok(scan);
@@ -671,38 +815,13 @@ impl DistributedStorage {
             let page = self.lookup_index_page(descriptor)?;
             scan.pages_read += 1;
             for entry in &page.entries {
-                if !ranges.iter().any(|r| r.contains(entry.position)) {
-                    continue;
+                if ranges.iter().any(|r| r.contains(entry.position)) {
+                    let tuple = self.scan_tuple(&mut scan, local, relation, entry, node)?;
+                    scan.tuples.push(tuple);
                 }
-                let (tuple, remote) = self.lookup_tuple_from(local, relation, entry, node)?;
-                scan.tuples_read += 1;
-                if let Some(src) = remote {
-                    scan.remote_lookups += 1;
-                    charge_remote(&mut scan.remote_transfers, src, tuple.serialized_size());
-                }
-                scan.tuples.push(tuple);
             }
         }
         Ok(scan)
-    }
-
-    /// [`Self::scan_partition_ref`] for callers that want to own the
-    /// tuples: the same scan, cloned out of the store.
-    pub fn scan_partition(
-        &self,
-        relation: &str,
-        epoch: Epoch,
-        node: NodeId,
-        ranges: &[KeyRange],
-    ) -> Result<PartitionScan> {
-        let scan = self.scan_partition_ref(relation, epoch, node, ranges)?;
-        Ok(PartitionScan {
-            tuples: scan.tuples.into_iter().cloned().collect(),
-            pages_read: scan.pages_read,
-            tuples_read: scan.tuples_read,
-            remote_lookups: scan.remote_lookups,
-            remote_transfers: scan.remote_transfers,
-        })
     }
 
     /// Read the full contents of a *replicated* relation from `node`'s
@@ -712,8 +831,8 @@ impl DistributedStorage {
         relation: &str,
         epoch: Epoch,
         node: NodeId,
-    ) -> Result<Vec<&Tuple>> {
-        let rel = self.catalog.get(relation).ok_or_else(|| {
+    ) -> Result<Vec<&'a Tuple>> {
+        let rel = self.data.relation(relation).ok_or_else(|| {
             OrchestraError::StorageInvalid(format!("relation {relation} is not registered"))
         })?;
         if !rel.is_replicated() {
@@ -723,66 +842,6 @@ impl DistributedStorage {
         }
         let scan = self.scan_partition_ref(relation, epoch, node, &[KeyRange::full()])?;
         Ok(scan.tuples)
-    }
-
-    /// Full Algorithm 1 retrieval: find all tuples of `relation` at
-    /// `epoch` whose *key* satisfies `filter`, on behalf of `requester`,
-    /// tracing the messages the distributed lookup generates.
-    pub fn retrieve(
-        &self,
-        relation: &str,
-        epoch: Epoch,
-        requester: NodeId,
-        filter: &dyn Fn(&[orchestra_common::Value]) -> bool,
-    ) -> Result<RetrievalResult> {
-        let mut result = RetrievalResult::default();
-        let Some(version_epoch) = self.version_at(relation, epoch) else {
-            return Ok(result);
-        };
-        let coord_key = CoordinatorKey::new(relation, version_epoch);
-        let coord_node = self
-            .live_replicas(coord_key.hash())
-            .next()
-            .ok_or_else(|| OrchestraError::Substrate("no live coordinator owner".into()))?;
-        let version = self.lookup_coordinator(&coord_key)?;
-        // Request to the coordinator and its reply (the page list).
-        result.messages.push((requester, coord_node, 64));
-        result
-            .messages
-            .push((coord_node, requester, version.serialized_size()));
-
-        for descriptor in &version.pages {
-            let index_node = self
-                .live_replicas(descriptor.storage_key)
-                .next()
-                .unwrap_or(coord_node);
-            // Scan request to the index node.
-            result.messages.push((requester, index_node, 96));
-            let page = self.lookup_index_page(descriptor)?;
-            result.pages_scanned += 1;
-            for entry in &page.entries {
-                if !filter(&entry.id.key) {
-                    continue;
-                }
-                let data_node = self
-                    .live_replicas(entry.position)
-                    .next()
-                    .unwrap_or(index_node);
-                if data_node != index_node {
-                    // The tuple ID crosses the network only when the index
-                    // page and the data are not co-located (Example 4.2).
-                    result
-                        .messages
-                        .push((index_node, data_node, entry.id.serialized_size()));
-                }
-                let (tuple, _) = self.lookup_tuple(relation, entry, Some(data_node))?;
-                result
-                    .messages
-                    .push((data_node, requester, tuple.serialized_size()));
-                result.tuples.push(tuple.clone());
-            }
-        }
-        Ok(result)
     }
 }
 
@@ -993,8 +1052,8 @@ mod tests {
         assert!(before.iter().all(|t| t.value(1) == &Value::str("old")));
 
         // The page lists its entries in ID order, positions intact.
-        let version = s.version_record("R", e1).unwrap().unwrap();
-        let page = s.lookup_index_page(&version.pages[0]).unwrap();
+        let version = s.view().version_record("R", e1).unwrap().unwrap();
+        let page = s.view().lookup_index_page(&version.pages[0]).unwrap();
         assert!(page.entries.is_sorted());
         assert!(page.entries.iter().all(|e| e.position == e.id.hash_key()));
     }
@@ -1219,11 +1278,11 @@ mod tests {
         }
         s.publish(&b).unwrap();
         for node in s.routing().nodes() {
-            let tuples = s.scan_replicated("Nation", Epoch(0), node).unwrap();
+            let tuples = s.view().scan_replicated("Nation", Epoch(0), node).unwrap();
             assert_eq!(tuples.len(), 25);
         }
         // scan_replicated refuses partitioned relations.
-        assert!(s.scan_replicated("R", Epoch(0), NodeId(0)).is_err());
+        assert!(s.view().scan_replicated("R", Epoch(0), NodeId(0)).is_err());
     }
 
     #[test]

@@ -41,10 +41,11 @@
 //! ## Entry points
 //!
 //! [`DistributedStorage`] owns the per-node stores and implements
-//! publication ([`DistributedStorage::publish`]), Algorithm 1 retrieval
-//! ([`DistributedStorage::retrieve`]), partition scans used by the query
-//! engine, and failover lookups that consult replicas when the primary
-//! owner of some state is gone.
+//! publication ([`DistributedStorage::publish`]) and Algorithm 1 retrieval
+//! ([`DistributedStorage::retrieve`]).  A [`StorageView`] — the data under
+//! one routing table with one set of nodes unreadable — holds the
+//! partition scans used by the query engine and the failover lookups
+//! that consult replicas when the primary owner of some state is gone.
 
 pub mod coordinator;
 pub mod delta;
@@ -55,8 +56,10 @@ pub mod replication;
 pub mod update;
 
 pub use coordinator::{CoordinatorKey, RelationVersion};
-pub use delta::{DeltaPartitionScan, PartitionDelta, RelationDelta};
-pub use distributed::{DistributedStorage, PartitionScan, RetrievalResult, StorageConfig};
+pub use delta::{PartitionDelta, RelationDelta};
+pub use distributed::{
+    DistributedStorage, PartitionScan, RetrievalResult, StorageConfig, StorageView,
+};
 pub use node_store::{NodeStore, RelationTuples, TupleVersion};
 pub use page::{IndexPage, PageDescriptor, PageId};
 pub use replication::{anti_entropy, ReplicationReport};

@@ -158,11 +158,12 @@ fn a_new_page_version_shares_every_key_it_carries_forward() {
     let (mut storage, base) = store_of(5_000);
     let epoch = storage.publish(&churn()).expect("churn epoch");
     let page_of = |epoch: Epoch| {
-        let version = storage.version_record("R", epoch).unwrap().unwrap();
+        let view = storage.view();
+        let version = view.version_record("R", epoch).unwrap().unwrap();
         version
             .pages
             .iter()
-            .map(|d| Arc::clone(storage.lookup_index_page(d).unwrap()))
+            .map(|d| Arc::clone(view.lookup_index_page(d).unwrap()))
             .collect::<Vec<_>>()
     };
     let (before, after) = (page_of(base), page_of(epoch));

@@ -1,15 +1,18 @@
 //! The read path's observable behaviour, pinned.
 //!
-//! `scan_partition` and `delta_partition` must return the same tuples **in
-//! the same order** with the same `pages_read` / `tuples_read` /
+//! Partition scans and delta scans must return the same tuples **in the
+//! same order** with the same `pages_read` / `tuples_read` /
 //! `remote_lookups` / `remote_transfers` as the seed implementation — on a
 //! healthy cluster, with a failed owner (lookups fail over to replicas),
 //! and under a routing table the data was never placed by (lookups fall
 //! through to every live node) — because scan emission order and the
 //! remote-fetch accounting feed every simulated figure.  The fingerprints
 //! below were recorded at the commit before index pages cached ring
-//! positions and stores shared `Arc`s; this file uses only API that exists
-//! on both sides of that change, so it can be re-recorded there.
+//! positions and stores shared `Arc`s, with the owning
+//! `DistributedStorage::delta_partition` of that commit where this file
+//! now calls `view().delta_partition_ref`; apart from that one call it
+//! uses only API that exists on both sides, so it can be re-recorded
+//! there.
 
 mod common;
 
@@ -62,8 +65,9 @@ impl Trace {
 
     fn delta(&mut self, s: &DistributedStorage, from: Epoch, to: Epoch, node: NodeId) {
         let ranges = s.routing().ranges_of(node);
-        let scan = s.delta_partition("R", from, to, node, &ranges).unwrap();
-        for (tuple, sign) in &scan.rows {
+        let scan = s.view().delta_partition_ref("R", from, to, node, &ranges);
+        let scan = scan.unwrap();
+        for (tuple, sign) in &scan.tuples {
             self.tuple(tuple, *sign);
         }
         self.counters(
@@ -169,9 +173,11 @@ fn a_scanning_node_without_a_store_reads_through_the_replicas() {
     let (s, _) = seeded_store();
     let full = [KeyRange::full()];
     let member = s
+        .view()
         .scan_partition_ref("R", Epoch(0), NodeId(0), &full)
         .unwrap();
     let stranger = s
+        .view()
         .scan_partition_ref("R", Epoch(0), NodeId(200), &full)
         .unwrap();
     assert_eq!(stranger.tuples, member.tuples);
