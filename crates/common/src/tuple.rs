@@ -95,7 +95,7 @@ impl fmt::Display for TupleId {
 }
 
 /// One entry of an index page: the ID of a tuple version together with
-/// the ring position of its key.
+/// the ring position of its key and the version's slot.
 ///
 /// The position is a pure function of `id.key`, but computing it costs a
 /// SHA-1, and the read path needs it for every listed tuple (range
@@ -104,28 +104,37 @@ impl fmt::Display for TupleId {
 /// the partition — and then travels with the ID: into every later
 /// version of the page, into epoch deltas, to every replica.  Readers
 /// never hash.
+///
+/// The slot is the number publication gave the version within its
+/// relation: the storage layer keeps the version's body at that index of
+/// the relation's version log, and a node holds the version when its bit
+/// for that number is set.  One ID has one slot, so two entries with the
+/// same ID are equal.
 #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PageEntry {
     /// The tuple version listed.
     pub id: TupleId,
     /// `id.hash_key()`, cached.
     pub position: Key160,
+    /// The version's number in its relation's version log.
+    pub slot: u32,
 }
 
 impl PageEntry {
-    /// List `id` at the ring position the caller already computed for
-    /// its key.
-    pub fn new(id: TupleId, position: Key160) -> PageEntry {
+    /// List `id`, stored at `slot`, at the ring position the caller
+    /// already computed for its key.
+    pub fn new(id: TupleId, position: Key160, slot: u32) -> PageEntry {
         debug_assert_eq!(position, id.hash_key(), "cached position of {id}");
-        PageEntry { id, position }
+        PageEntry { id, position, slot }
     }
 
-    /// List `id`, hashing its key to find the position.  For callers
-    /// that have no position at hand (tests, tools); publication and
-    /// page versioning use [`PageEntry::new`] and carry positions forward.
-    pub fn hashed(id: TupleId) -> PageEntry {
+    /// List `id`, stored at `slot`, hashing its key to find the position.
+    /// For callers that have no position at hand (tests, tools);
+    /// publication and page versioning use [`PageEntry::new`] and carry
+    /// positions forward.
+    pub fn hashed(id: TupleId, slot: u32) -> PageEntry {
         let position = id.hash_key();
-        PageEntry { id, position }
+        PageEntry { id, position, slot }
     }
 }
 

@@ -166,11 +166,11 @@ fn anti_entropy_restores_scan_colocation_after_a_membership_change() {
             .collect();
         let mut min = usize::MAX;
         for node in &live {
-            for (relation, position, version) in storage.store(*node).tuples_with_relation() {
-                let holds =
-                    |holder: NodeId| storage.store(holder).tuple(relation, position, &version.id);
-                let degree = live.iter().filter(|h| holds(**h).is_some()).count();
-                min = min.min(degree);
+            for (relation, slots) in storage.store(*node).held() {
+                for slot in slots.iter() {
+                    let holds = |holder: &&NodeId| storage.store(**holder).holds(relation, slot);
+                    min = min.min(live.iter().filter(holds).count());
+                }
             }
         }
         min

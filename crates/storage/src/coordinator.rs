@@ -94,7 +94,10 @@ mod tests {
                 PageId::new("R", Epoch(0), part),
                 partition_range(part, 4),
                 (0..n)
-                    .map(|i| PageEntry::hashed(TupleId::new(vec![Value::Int(i as i64)], Epoch(0))))
+                    .map(|i| {
+                        let id = TupleId::new(vec![Value::Int(i as i64)], Epoch(0));
+                        PageEntry::hashed(id, i as u32)
+                    })
                     .collect(),
             )
             .descriptor()

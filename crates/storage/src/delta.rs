@@ -363,7 +363,7 @@ impl<'a> StorageView<'a> {
     ) -> Result<PartitionScan<(&'a Tuple, i8)>> {
         let mut scan = PartitionScan::default();
         let derived = self.changed_partitions(relation, from, to)?;
-        let local = self.local_tuples(relation, node);
+        let local = self.local_scan(relation, node);
         for change in &derived.0 {
             scan.pages_read += change.pages_read;
             for (entries, sign) in [(&change.removed, -1i8), (&change.added, 1i8)] {

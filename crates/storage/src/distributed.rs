@@ -19,13 +19,16 @@
 //! ## Epochs are physically immutable and shared
 //!
 //! What an epoch publishes never changes, so it is built once and
-//! *pointed to*: publication wraps each new coordinator record, page
-//! version and tuple version in an `Arc` and hands the owner and every
-//! replica a clone of the pointer; anti-entropy repairs a placement by
-//! copying pointers; and the per-node stores themselves sit behind `Arc`s
-//! that are copied on first write, so cloning the whole cluster costs one
-//! pointer per node and a clone that is then published to, failed or
-//! cleared leaves the original exactly as it was.
+//! *pointed to*: publication wraps each new coordinator record and page
+//! version in an `Arc` and hands the owner and every replica a clone of
+//! the pointer.  A tuple version is stored once, in its relation's
+//! [`VersionLog`], under the number publication gives it (its *slot*);
+//! its owner and replicas each set that slot's bit in their store.
+//! Anti-entropy repairs a placement by copying pointers and bits.  The
+//! per-node stores and the logs sit behind `Arc`s that are copied on
+//! first write, so cloning the whole cluster costs a pointer per node and
+//! per relation, and a clone that is then published to, failed or cleared
+//! leaves the original exactly as it was.
 //!
 //! ## Another routing or failure set is a view, not a copy
 //!
@@ -41,23 +44,27 @@
 //!
 //! A tuple key is hashed onto the ring exactly once, by the publication
 //! that creates the version; the position is stored beside the tuple ID
-//! in the index page ([`orchestra_common::PageEntry`]) and carried into
-//! every later page version.  Scans, delta scans and retrieval filter and
-//! locate tuples by that cached position and *borrow* the coordinator
-//! record, the page and the tuples from the store —
-//! [`DistributedStorage::scan_partition`] is a thin wrapper that clones
-//! the borrowed result for callers that want to own it.
+//! and the version's slot in the index page
+//! ([`orchestra_common::PageEntry`]) and carried into every later page
+//! version.  Scans, delta scans and retrieval filter tuples by that cached
+//! position, find a holder by testing the slot's bit in a node's store,
+//! and read the tuple at that index of the log — no search per tuple.
+//! They *borrow* the coordinator record, the page and the tuples from the
+//! store; [`DistributedStorage::scan_partition`] is a thin wrapper that
+//! clones the borrowed result for callers that want to own it.
 
 use crate::coordinator::{CoordinatorKey, RelationVersion};
-use crate::node_store::{NodeStore, RelationTuples, TupleVersion};
+use crate::node_store::{entry_by_name, NodeStore, SlotSet};
 use crate::page::{partition_of, partition_range, IndexPage, PageDescriptor, PageId};
 use crate::update::{Update, UpdateBatch};
+use crate::version_log::VersionLog;
 use orchestra_common::{
     Epoch, Key160, KeyRange, NodeId, NodeSet, OrchestraError, PageEntry, Relation, Result, Tuple,
     TupleId, Value,
 };
 use orchestra_substrate::RoutingTable;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Configuration of the storage layer.
@@ -141,6 +148,9 @@ pub struct DistributedStorage {
     routing: RoutingTable,
     /// Copy-on-write: written through [`Arc::make_mut`] only.
     stores: Vec<Arc<NodeStore>>,
+    /// Every relation's tuple versions, by slot.  Copy-on-write, like the
+    /// stores.
+    logs: HashMap<String, Arc<VersionLog>>,
     failed: NodeSet,
     catalog: HashMap<String, Relation>,
     relation_epochs: HashMap<String, Vec<Epoch>>,
@@ -185,6 +195,7 @@ impl DistributedStorage {
             config,
             routing,
             stores,
+            logs: HashMap::new(),
             failed: NodeSet::empty(),
             catalog: HashMap::new(),
             relation_epochs: HashMap::new(),
@@ -279,6 +290,18 @@ impl DistributedStorage {
         Arc::make_mut(&mut self.stores[node.index()])
     }
 
+    /// The tuple versions `relation` has published, by slot, or `None`
+    /// before its first version.  A node holds the version at slot `s`
+    /// when [`NodeStore::holds`] says so.
+    pub fn version_log(&self, relation: &str) -> Option<&VersionLog> {
+        self.logs.get(relation).map(|log| &**log)
+    }
+
+    /// Every relation's version log, in no particular order.
+    pub(crate) fn version_logs(&self) -> impl Iterator<Item = (&str, &VersionLog)> {
+        self.logs.iter().map(|(name, log)| (name.as_str(), &**log))
+    }
+
     // ------------------------------------------------------------------
     // Publication
     // ------------------------------------------------------------------
@@ -286,9 +309,12 @@ impl DistributedStorage {
     /// Publish one batch of updates as a new epoch, returning the epoch.
     ///
     /// Every relation mentioned in the batch gets a new version that
-    /// shares all untouched pages with its previous version; tuples, index
-    /// pages and coordinator records are written to their owners and
-    /// replicas under the current routing table.
+    /// shares all untouched pages with its previous version.  Its new
+    /// tuple versions are numbered and stored once, in the relation's
+    /// [`VersionLog`], and their owners and replicas under the current
+    /// routing table set their bits; index pages, which list each version
+    /// with its slot, and coordinator records are written to their owners
+    /// and replicas.
     ///
     /// The whole batch is validated before the first write, so an invalid
     /// relation cannot leave the ones before it in node stores under an
@@ -305,14 +331,18 @@ impl DistributedStorage {
                 OrchestraError::StorageInvalid(format!("relation {name} is not registered"))
             })?;
             let key_len = relation.schema().key_len();
-            if let Some(up) = batch
-                .updates_for(name)
-                .iter()
-                .find(|up| up.key(key_len).len() < key_len)
-            {
+            let updates = batch.updates_for(name);
+            if let Some(up) = updates.iter().find(|up| up.key(key_len).len() < key_len) {
                 return Err(OrchestraError::StorageInvalid(format!(
                     "update to {name} has {} key values, schema requires {key_len}",
                     up.key(key_len).len()
+                )));
+            }
+            let logged = self.version_log(name).map_or(0, VersionLog::len);
+            if u32::try_from(logged + updates.len()).is_err() {
+                return Err(OrchestraError::StorageInvalid(format!(
+                    "{name} would number more than {} tuple versions",
+                    u32::MAX
                 )));
             }
         }
@@ -370,6 +400,20 @@ impl DistributedStorage {
 
         let mut touched: Vec<u32> = by_partition.keys().copied().collect();
         touched.sort_unstable();
+
+        // The versions the batch creates, partition by partition and, in
+        // one, in batch order; stored, then listed with their slots.
+        let fresh: Vec<(Key160, &Tuple)> = touched
+            .iter()
+            .flat_map(|partition| &by_partition[partition])
+            .filter_map(|(up, position)| match up {
+                Update::Insert(t) | Update::Modify(t) => Some((*position, t)),
+                Update::Delete(_) => None,
+            })
+            .collect();
+        let slots = self.store_versions(name, key_len, replicated, &fresh)?;
+        let mut numbered = fresh.iter().zip(slots);
+
         for partition in touched {
             let ups = &by_partition[&partition];
             let prev_page: Option<Arc<IndexPage>> = prev_version
@@ -387,31 +431,29 @@ impl DistributedStorage {
             // The superseded versions are found in (and borrowed from) the
             // key-sorted previous page by binary search.
             let mut removes: Vec<&TupleId> = Vec::new();
-            let mut new_tuples: Vec<(Key160, Arc<TupleVersion>)> = Vec::new();
-            for (up, position) in ups {
-                let key = up.key(key_len);
+            let mut creates = 0;
+            for (up, _) in ups {
                 if !up.is_insert() {
+                    let key = up.key(key_len);
                     if let Some(prev) = prev_page.as_ref().and_then(|p| p.current_version_of(key)) {
                         removes.push(&prev.id);
                     }
                 }
-                if let Update::Insert(t) | Update::Modify(t) = up {
-                    let tuple: Tuple = detached(t.values()).collect();
-                    let id = tuple.id(key_len, epoch);
-                    new_tuples.push((*position, Arc::new(TupleVersion { id, tuple })));
-                }
+                creates += usize::from(!matches!(up, Update::Delete(_)));
             }
-            // The page's copies of the IDs are made in a pass of their own,
-            // so their keys sit together on the heap, not strewn among the
-            // tuple bodies.  A walk that reads keys only (`retrieve` under a
-            // key filter, 60k rows) takes 1.1 ms this way and 2.2-2.9 ms
-            // with the entries built in the loop above; scans cost the same.
-            // Every later version of the page shares these keys.
-            let adds: Vec<PageEntry> = new_tuples
-                .iter()
-                .map(|(position, version)| {
-                    let key: Arc<[Value]> = detached(&version.id.key).collect();
-                    PageEntry::new(TupleId::new(key, epoch), *position)
+            // The page's copies of the IDs are made after every body of the
+            // epoch, so their keys sit together on the heap, not strewn
+            // among the tuple bodies.  A walk that reads keys only
+            // (`retrieve` under a key filter, 60k rows) takes 1.1 ms this
+            // way and 2.2-2.9 ms with each entry built beside its body;
+            // scans cost the same.  Every later version of the page shares
+            // these keys.
+            let adds: Vec<PageEntry> = numbered
+                .by_ref()
+                .take(creates)
+                .map(|((position, tuple), slot)| {
+                    let key: Arc<[Value]> = detached(tuple.key(key_len)).collect();
+                    PageEntry::new(TupleId::new(key, epoch), *position, slot)
                 })
                 .collect();
 
@@ -423,16 +465,6 @@ impl DistributedStorage {
                     adds,
                 ),
             });
-
-            // Write the tuples to their data storage nodes (+ replicas), or
-            // to every node for replicated relations.  Every holder gets a
-            // pointer to the one allocation.
-            for (position, version) in new_tuples {
-                let at = (!replicated).then_some(position);
-                self.put_at(at, |store| {
-                    store.put_tuple(name, position, Arc::clone(&version))
-                });
-            }
 
             // Write the index page to the node owning the middle of its
             // range (+ replicas) and refresh the inverse entries.
@@ -457,6 +489,89 @@ impl DistributedStorage {
             .or_default()
             .push(epoch);
         Ok(())
+    }
+
+    /// Store the versions one publication of `relation` creates — `fresh`,
+    /// each the ring position of its key and the batch's tuple — and
+    /// return each one's slot, in `fresh`'s order.
+    ///
+    /// The versions are numbered as one run of the relation's log, in
+    /// position order ([`VersionLog`]); a key written twice is one version
+    /// with the later write's body.  The bodies are detached copies, made
+    /// in `fresh`'s order, so that a partition's rows lie together and, for
+    /// keys generated in order, in the order a scan of its page reads them
+    /// (copied in slot order instead, the host benchmark's `adhoc_read`
+    /// read 84–86 ms an operation against 76–80, three pairs on one box).
+    /// Then every live holder — the replica set of each version's arc, or
+    /// every live node for a replicated relation — sets its bits: the
+    /// slots one routing entry places are consecutive, so a holder is
+    /// handed ranges, not single versions.
+    fn store_versions(
+        &mut self,
+        relation: &str,
+        key_len: usize,
+        replicated: bool,
+        fresh: &[(Key160, &Tuple)],
+    ) -> Result<Vec<u32>> {
+        if fresh.is_empty() {
+            return Ok(Vec::new());
+        }
+        let key = |i: usize| fresh[i].1.key(key_len);
+        let mut order: Vec<usize> = (0..fresh.len()).collect();
+        order.sort_unstable_by(|&a, &b| {
+            (fresh[a].0.cmp(&fresh[b].0))
+                .then_with(|| key(a).cmp(key(b)))
+                .then(a.cmp(&b))
+        });
+        // Per slot of the run, the write whose body it stores; per write,
+        // its slot's offset in the run.
+        let mut stored: Vec<usize> = Vec::with_capacity(fresh.len());
+        let mut offset = vec![0; fresh.len()];
+        for (k, &i) in order.iter().enumerate() {
+            let j = order[k.saturating_sub(1)];
+            match stored.last_mut() {
+                Some(last) if fresh[j].0 == fresh[i].0 && key(j) == key(i) => *last = i,
+                _ => stored.push(i),
+            }
+            offset[i] = stored.len() - 1;
+        }
+        let mut bodies: Vec<Option<Tuple>> = (0..fresh.len())
+            .map(|i| (stored[offset[i]] == i).then(|| detached(fresh[i].1.values()).collect()))
+            .collect();
+
+        let log = Arc::make_mut(entry_by_name(&mut self.logs, relation));
+        let run = log.append_run(stored.iter().map(|&i| {
+            let body = bodies[i].take().expect("a stored write is taken once");
+            (fresh[i].0, body)
+        }))?;
+        let log_len = log.len();
+
+        let mut placed: Vec<(Option<Key160>, Range<u32>)> = Vec::new();
+        if replicated {
+            placed.push((None, run.clone()));
+        } else {
+            let mut current: &[NodeId] = &[];
+            for (slot, &i) in run.clone().zip(&stored) {
+                let replicas = self.routing.replicas_of(fresh[i].0);
+                match placed.last_mut() {
+                    Some((_, slots)) if std::ptr::eq(replicas, current) => slots.end = slot + 1,
+                    _ => {
+                        current = replicas;
+                        placed.push((Some(fresh[i].0), slot..slot + 1));
+                    }
+                }
+            }
+        }
+        for (at, slots) in placed {
+            self.put_at(at, |store| {
+                store
+                    .tuples_mut(relation, log_len)
+                    .insert_range(slots.clone())
+            });
+        }
+        // An offset is below the run's length, so its slot fits as the
+        // run's end does.
+        Ok(offset.iter().map(|&o| run.start + o as u32).collect())
     }
 
     // ------------------------------------------------------------------
@@ -691,42 +806,60 @@ impl<'a> StorageView<'a> {
         Ok(found.ok_or_else(missing)?.1)
     }
 
-    /// Find the tuple version a page entry lists, trying the data storage
-    /// owner, its replicas, then every live node.  `preferred` (the
-    /// scanning node) is consulted first; the second element of the result
-    /// is the remote node that served the lookup, or `None` when it was
-    /// served locally.  The tuple is borrowed from the store that holds it.
+    /// Find a holder of the tuple version a page entry lists, trying the
+    /// data storage owner, its replicas, then every live node.
+    /// `preferred` (the scanning node) is consulted first; the second
+    /// element of the result is the remote node that served the lookup, or
+    /// `None` when it was served locally.  A node holds the version when
+    /// its bit for the entry's slot is set, and the tuple is borrowed from
+    /// the relation's log.
     pub fn lookup_tuple(
         &self,
         relation: &str,
         entry: &PageEntry,
         preferred: Option<NodeId>,
     ) -> Result<(&'a Tuple, Option<NodeId>)> {
-        let PageEntry { id, position } = entry;
-        let get = |store: &'a NodeStore| store.tuple(relation, *position, id);
-        let local = preferred.filter(|n| self.is_live(*n));
-        if let Some(tuple) = local.and_then(|n| get(self.data.store(n))) {
-            return Ok((tuple, None));
-        }
         let missing = || {
             OrchestraError::StorageMissing(format!(
-                "tuple {id} of {relation} is not held by any live node"
+                "tuple {} of {relation} is not held by any live node",
+                entry.id
             ))
         };
-        let (node, tuple) = self.find(*position, get).ok_or_else(missing)?;
+        let log = self.data.version_log(relation);
+        let tuple = log
+            .and_then(|log| log.tuple(entry.slot))
+            .ok_or_else(missing)?;
+        let holds = |store: &NodeStore| store.holds(relation, entry.slot).then_some(());
+        let local = preferred.filter(|n| self.is_live(*n));
+        if local.is_some_and(|n| holds(self.data.store(n)).is_some()) {
+            return Ok((tuple, None));
+        }
+        let (node, ()) = self.find(entry.position, holds).ok_or_else(missing)?;
         Ok((tuple, (preferred != Some(node)).then_some(node)))
     }
 
-    /// What `node` itself holds of `relation` — nothing when the node is
-    /// not live.
-    pub(crate) fn local_tuples(&self, relation: &str, node: NodeId) -> Option<RelationTuples<'a>> {
+    /// The versions of `relation` that `node` itself holds — nothing when
+    /// the node is not live.
+    pub(crate) fn local_tuples(&self, relation: &str, node: NodeId) -> Option<&'a SlotSet> {
         self.is_live(node)
-            .then(|| self.data.store(node).relation_tuples(relation))
+            .then(|| self.data.store(node).tuples(relation))
             .flatten()
     }
 
+    /// What a scan on behalf of `node` resolves before its page loop: the
+    /// node's own versions of `relation` ([`Self::local_tuples`]) and the
+    /// log they index.
+    pub(crate) fn local_scan(
+        &self,
+        relation: &str,
+        node: NodeId,
+    ) -> Option<(&'a SlotSet, &'a VersionLog)> {
+        let log = self.data.version_log(relation)?;
+        Some((self.local_tuples(relation, node)?, log))
+    }
+
     /// Read the tuple `entry` lists for a scan on behalf of `node`, whose
-    /// own tuples of `relation` (`local`, see [`Self::local_tuples`]) were
+    /// own versions of `relation` (`local`, see [`Self::local_scan`]) were
     /// resolved before the scan's page loop: an entry the node holds is
     /// answered from there, any other goes the whole way
     /// ([`Self::lookup_tuple`]).  The read is counted in `scan`, and a
@@ -735,12 +868,13 @@ impl<'a> StorageView<'a> {
     pub(crate) fn scan_tuple<T>(
         &self,
         scan: &mut PartitionScan<T>,
-        local: Option<RelationTuples<'a>>,
+        local: Option<(&'a SlotSet, &'a VersionLog)>,
         relation: &str,
         entry: &PageEntry,
         node: NodeId,
     ) -> Result<&'a Tuple> {
-        let (tuple, remote) = match local.and_then(|held| held.tuple(entry.position, &entry.id)) {
+        let held = local.filter(|(held, _)| held.contains(entry.slot));
+        let (tuple, remote) = match held.and_then(|(_, log)| log.tuple(entry.slot)) {
             Some(tuple) => (tuple, None),
             None => self.lookup_tuple(relation, entry, Some(node))?,
         };
@@ -757,10 +891,10 @@ impl<'a> StorageView<'a> {
     }
 
     /// [`Self::lookup_tuple`] with no preferred node, for a pass over
-    /// many versions of `relation`: every node's tuples of it
-    /// ([`Self::local_tuples`]) are found by name once, up front, and a
-    /// version is then read from the first live replica holding it — or,
-    /// when none does, looked up the whole way.
+    /// many versions of `relation`: every node's versions of it
+    /// ([`Self::local_tuples`]) and the relation's log are found by name
+    /// once, up front, and a version is then read from the log when a live
+    /// replica holds it — or, when none does, looked up the whole way.
     pub(crate) fn tuple_lookup<'r>(
         &self,
         relation: &'r str,
@@ -769,14 +903,14 @@ impl<'a> StorageView<'a> {
         'a: 'r,
     {
         let view = *self;
-        let held: Vec<Option<RelationTuples<'a>>> = (0..view.data.stores.len())
+        let log = view.data.version_log(relation);
+        let held: Vec<Option<&'a SlotSet>> = (0..view.data.stores.len())
             .map(|i| view.local_tuples(relation, NodeId(i as u16)))
             .collect();
         move |entry| {
-            let replica = view
-                .live_replicas(entry.position)
-                .find_map(|node| held[node.index()]?.tuple(entry.position, &entry.id));
-            match replica {
+            let holds = |node: NodeId| held[node.index()].is_some_and(|h| h.contains(entry.slot));
+            let replica = log.filter(|_| view.live_replicas(entry.position).any(holds));
+            match replica.and_then(|log| log.tuple(entry.slot)) {
                 Some(tuple) => Ok(tuple),
                 None => Ok(view.lookup_tuple(relation, entry, None)?.0),
             }
@@ -807,7 +941,7 @@ impl<'a> StorageView<'a> {
         let Some(version) = self.version_record(relation, epoch)? else {
             return Ok(scan);
         };
-        let local = self.local_tuples(relation, node);
+        let local = self.local_scan(relation, node);
         for descriptor in &version.pages {
             if !ranges.iter().any(|r| r.overlaps(&descriptor.range)) {
                 continue;
@@ -1081,20 +1215,86 @@ mod tests {
             tuples.sort();
             tuples
         };
-        assert_eq!(at(e0), vec![r("a", "2"), r("a", "2"), r("b", "1")]);
-        assert_eq!(at(e1), vec![r("a", "4"), r("a", "4"), r("b", "1")]);
-        assert_eq!(at(e2), vec![r("b", "1")]);
+        let (a2, a4, b1) = (r("a", "2"), r("a", "4"), r("b", "1"));
+        assert_eq!(at(e0), vec![a2.clone(), a2.clone(), b1.clone()]);
+        assert_eq!(at(e1), vec![a4.clone(), a4.clone(), b1.clone()]);
+        assert_eq!(at(e2), vec![b1.clone()]);
         assert_eq!(s.relation_cardinality("R", e2), 1);
+
+        // Both entries of a twice-written ID name one slot of the log,
+        // which holds the later body: a, b at e0 and a at e1.
+        assert_eq!(s.version_log("R").unwrap().len(), 3);
+        let version = s.view().version_record("R", e1).unwrap().unwrap();
+        let slots: Vec<u32> = (version.pages.iter())
+            .flat_map(|d| &s.view().lookup_index_page(d).unwrap().entries)
+            .filter(|e| e.id.key[0] == Value::str("a"))
+            .map(|e| e.slot)
+            .collect();
+        assert_eq!(slots, [2, 2]);
 
         // The deltas see both copies change together.
         let d = s.delta("R", e0, e1).unwrap();
         assert_eq!(d.partitions.len(), 1);
-        let both = vec![(r("a", "2"), r("a", "4")); 2];
+        let both = vec![(a2.clone(), a4.clone()); 2];
         assert_eq!(d.partitions[0].modifies, both);
         assert_eq!(d.signed_row_count(), 4);
         let d = s.delta("R", e0, e2).unwrap();
-        assert_eq!(d.partitions[0].deletes, vec![r("a", "2"), r("a", "2")]);
+        assert_eq!(d.partitions[0].deletes, vec![a2.clone(), a2.clone()]);
         assert_eq!(d.signed_row_count(), 2);
+
+        // So do partition scans and delta scans, on every node, and on a
+        // node that joins after the fact once anti-entropy has placed its
+        // share: the union of the nodes' scans of their own ranges.
+        let scans = |s: &DistributedStorage, e: Epoch| {
+            let mut tuples = Vec::new();
+            for node in s.routing().nodes() {
+                let ranges = s.routing().ranges_of(node);
+                let scan = s.view().scan_partition_ref("R", e, node, &ranges).unwrap();
+                assert_eq!(scan.remote_lookups, 0, "{node} scans locally");
+                tuples.extend(scan.tuples.into_iter().cloned());
+            }
+            tuples.sort();
+            tuples
+        };
+        let deltas = |s: &DistributedStorage, from: Epoch, to: Epoch| {
+            let mut signed = Vec::new();
+            for node in s.routing().nodes() {
+                let ranges = s.routing().ranges_of(node);
+                let scan = s.view().delta_partition_ref("R", from, to, node, &ranges);
+                signed.extend(
+                    scan.unwrap()
+                        .tuples
+                        .into_iter()
+                        .map(|(t, s)| (t.clone(), s)),
+                );
+            }
+            signed.sort();
+            signed
+        };
+        let joined = {
+            let mut s = s.clone();
+            let nodes: Vec<NodeId> = (0..4).map(NodeId).collect();
+            s.set_routing(RoutingTable::build(&nodes, AllocationScheme::Balanced, 3));
+            crate::replication::anti_entropy(&mut s).unwrap();
+            assert!(
+                s.store(NodeId(3)).tuple_count() > 0,
+                "the joiner holds its share"
+            );
+            s
+        };
+        for s in [&s, &joined] {
+            assert_eq!(scans(s, e0), at(e0));
+            assert_eq!(scans(s, e1), at(e1));
+            assert_eq!(scans(s, e2), at(e2));
+            let changed = vec![
+                (a2.clone(), -1),
+                (a2.clone(), -1),
+                (a4.clone(), 1),
+                (a4.clone(), 1),
+            ];
+            assert_eq!(deltas(s, e0, e1), changed);
+            assert_eq!(deltas(s, e1, e2), vec![(a4.clone(), -1), (a4.clone(), -1)]);
+        }
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //!   hold the page contents: the list of tuple IDs belonging to the page
 //!   in that version.  See [`page`].
 //! * **Data storage nodes** — contacted at `hash(tuple key)`; they hold
-//!   the full tuples, keyed by tuple ID.
+//!   the full tuples.  Here a tuple version's body is stored once, in its
+//!   relation's [`VersionLog`], at the slot its page entry lists, and a
+//!   data storage node holds one bit per version ([`SlotSet`]).
 //! * **Inverse nodes** — map a tuple's position back to the page that
 //!   currently lists it, used when an update must rewrite the affected
 //!   page.
@@ -54,13 +56,15 @@ pub mod node_store;
 pub mod page;
 pub mod replication;
 pub mod update;
+pub mod version_log;
 
 pub use coordinator::{CoordinatorKey, RelationVersion};
 pub use delta::{PartitionDelta, RelationDelta};
 pub use distributed::{
     DistributedStorage, PartitionScan, RetrievalResult, StorageConfig, StorageView,
 };
-pub use node_store::{NodeStore, RelationTuples, TupleVersion};
+pub use node_store::{NodeStore, SlotSet};
 pub use page::{IndexPage, PageDescriptor, PageId};
 pub use replication::{anti_entropy, ReplicationReport};
 pub use update::{Update, UpdateBatch};
+pub use version_log::VersionLog;

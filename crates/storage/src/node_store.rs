@@ -3,71 +3,115 @@
 //! Each node keeps the slices of the four distributed structures
 //! (coordinators, index pages, tuple data, inverse entries) whose ring
 //! positions fall in its ranges — plus replicas of its neighbours' slices.
-//! In the paper this state lives in BerkeleyDB; here it is an in-memory
-//! ordered map per relation, which preserves the access pattern the cost
-//! model charges for (point lookups by tuple ID, range scans by tuple-key
-//! hash).
+//! In the paper this state lives in BerkeleyDB.  Here, coordinators, index
+//! pages and inverse entries are hash maps, and the tuple data is one
+//! [`SlotSet`] per relation: a bit per version the relation has published,
+//! set where this node holds the version.  The bodies live once, in the
+//! relation's [`crate::version_log::VersionLog`], numbered by the same
+//! slots the index pages list, so "does this node hold the version a page
+//! lists?" is one bit test and the tuple one index into the log — the
+//! access pattern of the paper's "single pass through the hash ID range"
+//! of a page without a search per tuple.
 //!
 //! ## Shared, immutable contents
 //!
 //! Everything published is immutable — a coordinator record, a page
 //! version and a tuple version never change after the epoch that created
-//! them — so a store holds `Arc`s, not bodies.  Writing an item to its
-//! owner and its replicas (publication, anti-entropy) hands each of them
-//! a pointer to the *same* allocation: a replication-3 cluster holds one
-//! copy of every page and tuple, referenced three times.  Cloning a store
-//! copies the maps of pointers, never the data behind them, and a clone
-//! that is later written to (or [`NodeStore::clear`]ed) cannot disturb
-//! the store it was cloned from.
-//!
-//! Tuple versions are indexed by ring position alone — a `Key160` is
-//! `Copy`, so a lookup builds no composite key and clones no tuple ID —
-//! with the few versions of the keys at that position in a short list
-//! sorted by ID.
+//! them — so a store holds `Arc`s of records and pages, and bits for
+//! tuples, never bodies.  Writing an item to its owner and its replicas
+//! (publication, anti-entropy) hands each of them a pointer to the *same*
+//! allocation, or sets the same bit in each: a replication-3 cluster holds
+//! one copy of every page and tuple.  Cloning a store copies the maps of
+//! pointers and the bit words, never the data behind them, and a clone
+//! that is later written to (or [`NodeStore::clear`]ed) cannot disturb the
+//! store it was cloned from.
 
 use crate::coordinator::{CoordinatorKey, RelationVersion};
 use crate::page::{IndexPage, PageId};
-use orchestra_common::{Key160, KeyRange, NodeId, Tuple, TupleId};
-use std::collections::{BTreeMap, HashMap};
-use std::ops::Bound;
+use orchestra_common::NodeId;
+use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
-/// One stored tuple version: the tuple and the ID it is found by.
-/// Immutable once published; every replica shares one allocation.
-#[derive(Debug, PartialEq, Eq)]
-pub struct TupleVersion {
-    /// The version's ID (key attribute values and creation epoch).
-    pub id: TupleId,
-    /// The full tuple.
-    pub tuple: Tuple,
+/// Bits per word of a [`SlotSet`].
+const WORD: u32 = u64::BITS;
+
+/// A set of slots of one relation's version log, one bit each: the
+/// versions of the relation a node holds.
+#[derive(Clone, Debug, Default)]
+pub struct SlotSet {
+    words: Vec<u64>,
 }
 
-/// The tuple versions of one relation: ring position -> versions of the
-/// keys hashing there, sorted by ID.  Ordered by position so partition
-/// scans walk a contiguous range, as the paper's on-disk layout does
-/// ("tuples from each index page are stored nearby on disk, and are
-/// retrieved in a single pass through the hash ID range for that page").
-type RelationData = BTreeMap<Key160, Vec<Arc<TupleVersion>>>;
-
-/// A borrowed view of the tuple versions one node holds of one relation
-/// ([`NodeStore::relation_tuples`]): a scan finds the relation by name
-/// once and then resolves each page entry against the view, instead of
-/// hashing the relation's name again for every tuple.
-#[derive(Clone, Copy, Debug)]
-pub struct RelationTuples<'a>(&'a RelationData);
-
-impl<'a> RelationTuples<'a> {
-    /// Fetch a tuple version by its ID and the ring position of its key.
-    pub fn tuple_version(&self, position: Key160, id: &TupleId) -> Option<&'a Arc<TupleVersion>> {
-        let versions = self.0.get(&position)?;
-        let at = versions.binary_search_by(|v| v.id.cmp(id)).ok()?;
-        Some(&versions[at])
+impl SlotSet {
+    /// Is the version at `slot` in the set?
+    pub fn contains(&self, slot: u32) -> bool {
+        (self.word((slot / WORD) as usize) >> (slot % WORD)) & 1 == 1
     }
 
-    /// Fetch a tuple by its version ID and the ring position of its key.
-    pub fn tuple(&self, position: Key160, id: &TupleId) -> Option<&'a Tuple> {
-        self.tuple_version(position, id).map(|v| &v.tuple)
+    /// Number of versions in the set.
+    pub fn len(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
+
+    /// Is the set empty?
+    pub fn is_empty(&self) -> bool {
+        self.words.iter().all(|w| *w == 0)
+    }
+
+    /// The slots in the set, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        self.words.iter().enumerate().flat_map(|(at, &word)| {
+            let base = at as u32 * WORD;
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                let bit = (rest != 0).then(|| rest.trailing_zeros())?;
+                rest &= rest - 1;
+                Some(base + bit)
+            })
+        })
+    }
+
+    /// Word `at` of the set: slots `64·at ..64·at + 64`, lowest bit first.
+    /// Words past the end are empty.
+    pub(crate) fn word(&self, at: usize) -> u64 {
+        self.words.get(at).copied().unwrap_or(0)
+    }
+
+    /// Make room for slots `0..slots` in one step, so that a write of a
+    /// whole run reallocates the words at most once however large the log
+    /// has grown.
+    pub(crate) fn reserve_for(&mut self, slots: usize) {
+        let words = slots.div_ceil(WORD as usize);
+        if words > self.words.len() {
+            self.words.reserve_exact(words - self.words.len());
+            self.words.resize(words, 0);
+        }
+    }
+
+    /// Add the slots of `slots`.
+    pub(crate) fn insert_range(&mut self, slots: Range<u32>) {
+        self.reserve_for(slots.end as usize);
+        let (first, last) = (slots.start / WORD, slots.end.div_ceil(WORD));
+        for at in first..last {
+            self.words[at as usize] |= span_mask(at as usize, &slots);
+        }
+    }
+
+    /// Add the slots of `bits` to word `at`.
+    pub(crate) fn insert_word(&mut self, at: usize, bits: u64) {
+        self.reserve_for((at + 1) * WORD as usize);
+        self.words[at] |= bits;
+    }
+}
+
+/// The bits of word `at` whose slots lie in `slots`.
+pub(crate) fn span_mask(at: usize, slots: &Range<u32>) -> u64 {
+    let base = at as u64 * WORD as u64;
+    let from = (slots.start as u64).clamp(base, base + 64) - base;
+    let to = (slots.end as u64).clamp(base, base + 64) - base;
+    let below = |n: u64| if n == 64 { u64::MAX } else { (1 << n) - 1 };
+    below(to) & !below(from)
 }
 
 /// The state stored locally at a single node.
@@ -76,7 +120,8 @@ pub struct NodeStore {
     node: Option<NodeId>,
     coordinators: HashMap<CoordinatorKey, Arc<RelationVersion>>,
     index_pages: HashMap<PageId, Arc<IndexPage>>,
-    data: HashMap<String, RelationData>,
+    /// Per relation, the versions of its log held here.
+    tuples: HashMap<String, SlotSet>,
     /// Latest page version per relation and partition — the inverse-node
     /// state used to find the page that lists the current version of a
     /// tuple when applying a modification.
@@ -85,7 +130,10 @@ pub struct NodeStore {
 
 /// `map[name]`, created on first use — without allocating a `String`
 /// for a name the map already has.
-fn entry_by_name<'a, V: Default>(map: &'a mut HashMap<String, V>, name: &str) -> &'a mut V {
+pub(crate) fn entry_by_name<'a, V: Default>(
+    map: &'a mut HashMap<String, V>,
+    name: &str,
+) -> &'a mut V {
     if !map.contains_key(name) {
         map.insert(name.to_string(), V::default());
     }
@@ -132,70 +180,31 @@ impl NodeStore {
 
     // ----- data storage node state ------------------------------------------
 
-    /// Store a tuple version at the ring position of its key (replacing
-    /// a version with the same ID).
-    pub fn put_tuple(&mut self, relation: &str, position: Key160, version: Arc<TupleVersion>) {
-        self.put_tuples(relation, [(position, version)]);
+    /// The versions of `relation` held here, or `None` when the node
+    /// holds none: one lookup by name for any number of versions.
+    pub fn tuples(&self, relation: &str) -> Option<&SlotSet> {
+        self.tuples.get(relation)
     }
 
-    /// [`NodeStore::put_tuple`] for many versions of one relation, which
-    /// is looked up by name once.
-    pub(crate) fn put_tuples(
-        &mut self,
-        relation: &str,
-        versions: impl IntoIterator<Item = (Key160, Arc<TupleVersion>)>,
-    ) {
-        let data = entry_by_name(&mut self.data, relation);
-        for (position, version) in versions {
-            let held = data.entry(position).or_default();
-            match held.binary_search_by(|v| v.id.cmp(&version.id)) {
-                Ok(at) => held[at] = version,
-                Err(at) => held.insert(at, version),
-            }
-        }
+    /// Does this node hold the version of `relation` at `slot`?
+    pub fn holds(&self, relation: &str, slot: u32) -> bool {
+        self.tuples(relation)
+            .is_some_and(|held| held.contains(slot))
     }
 
-    /// The tuple versions held of `relation`, or `None` when the node
-    /// holds none: one lookup by name for any number of tuples.
-    pub fn relation_tuples(&self, relation: &str) -> Option<RelationTuples<'_>> {
-        self.data.get(relation).map(RelationTuples)
+    /// The versions of `relation` held here, for writing, with room for
+    /// the slots of a log of `log_len` versions (see
+    /// [`SlotSet::reserve_for`]).
+    pub(crate) fn tuples_mut(&mut self, relation: &str, log_len: usize) -> &mut SlotSet {
+        let held = entry_by_name(&mut self.tuples, relation);
+        held.reserve_for(log_len);
+        held
     }
 
-    /// Fetch a tuple version by its ID and the ring position of its key.
-    pub fn tuple_version(
-        &self,
-        relation: &str,
-        position: Key160,
-        id: &TupleId,
-    ) -> Option<&Arc<TupleVersion>> {
-        self.relation_tuples(relation)?.tuple_version(position, id)
-    }
-
-    /// Fetch a tuple by its version ID and the ring position of its key.
-    pub fn tuple(&self, relation: &str, position: Key160, id: &TupleId) -> Option<&Tuple> {
-        self.tuple_version(relation, position, id).map(|v| &v.tuple)
-    }
-
-    /// Iterate over all tuple versions of `relation` whose key hash falls
-    /// in `range` (every version ever stored — callers intersect with an
-    /// index page to get a consistent snapshot).
-    pub fn scan_hash_range<'a>(
-        &'a self,
-        relation: &str,
-        range: &KeyRange,
-    ) -> impl Iterator<Item = (&'a Key160, &'a TupleVersion)> + 'a {
-        let range = *range;
-        self.data.get(relation).into_iter().flat_map(move |map| {
-            map.iter()
-                .filter(move |(position, _)| range.contains(**position))
-                .flat_map(|(position, versions)| versions.iter().map(move |v| (position, &**v)))
-        })
-    }
-
-    /// All tuple versions of `relation` stored locally.
-    pub fn all_tuples<'a>(&'a self, relation: &str) -> impl Iterator<Item = &'a TupleVersion> + 'a {
-        self.scan_hash_range(relation, &KeyRange::full())
-            .map(|(_, v)| v)
+    /// Every relation this store holds versions of, with the versions, in
+    /// no particular order.
+    pub fn held(&self) -> impl Iterator<Item = (&str, &SlotSet)> {
+        self.tuples.iter().map(|(name, held)| (name.as_str(), held))
     }
 
     // ----- inverse node state -----------------------------------------------
@@ -224,11 +233,7 @@ impl NodeStore {
 
     /// Number of tuple versions held (across all relations).
     pub fn tuple_count(&self) -> usize {
-        self.data
-            .values()
-            .flat_map(BTreeMap::values)
-            .map(Vec::len)
-            .sum()
+        self.tuples.values().map(SlotSet::len).sum()
     }
 
     /// Drop everything — used to model the permanent loss of a failed
@@ -236,7 +241,7 @@ impl NodeStore {
     pub fn clear(&mut self) {
         self.coordinators.clear();
         self.index_pages.clear();
-        self.data.clear();
+        self.tuples.clear();
         self.inverse.clear();
     }
 
@@ -250,141 +255,51 @@ impl NodeStore {
     pub fn index_pages(&self) -> impl Iterator<Item = &Arc<IndexPage>> {
         self.index_pages.values()
     }
-
-    /// Iterate over every stored tuple version with its relation and ring
-    /// position.
-    pub fn tuples_with_relation(&self) -> impl Iterator<Item = (&str, Key160, &Arc<TupleVersion>)> {
-        self.data.iter().flat_map(|(rel, map)| {
-            map.iter().flat_map(move |(position, versions)| {
-                versions.iter().map(move |v| (rel.as_str(), *position, v))
-            })
-        })
-    }
-
-    /// The names of the relations this store holds tuple versions of, in
-    /// no particular order.
-    pub fn relation_names(&self) -> impl Iterator<Item = &str> {
-        self.data.keys().map(String::as_str)
-    }
-
-    /// The tuple versions of `relation` at the ring positions within
-    /// `span`, in position order: each occupied position with the
-    /// versions of the keys hashing there, sorted by ID.  Two stores'
-    /// holdings over one arc can be compared by merging these (used by
-    /// anti-entropy replication).
-    pub fn versions_in(
-        &self,
-        relation: &str,
-        span: (Bound<Key160>, Bound<Key160>),
-    ) -> impl Iterator<Item = (Key160, &[Arc<TupleVersion>])> + Clone {
-        self.data
-            .get(relation)
-            .into_iter()
-            .flat_map(move |map| map.range(span))
-            .map(|(position, versions)| (*position, versions.as_slice()))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::page::{partition_range, PageId};
-    use orchestra_common::{Epoch, Value};
-
-    fn version(k: i64, epoch: u64) -> (Key160, Arc<TupleVersion>) {
-        let tuple = Tuple::new(vec![Value::Int(k), Value::str(format!("v{k}@{epoch}"))]);
-        let id = tuple.id(1, Epoch(epoch));
-        (id.hash_key(), Arc::new(TupleVersion { id, tuple }))
-    }
+    use orchestra_common::Epoch;
 
     #[test]
     fn tuple_storage_and_lookup() {
         let mut s = NodeStore::new(NodeId(0));
-        let (h, v) = version(5, 0);
-        s.put_tuple("R", h, Arc::clone(&v));
-        assert_eq!(s.tuple("R", h, &v.id), Some(&v.tuple));
-        assert_eq!(s.tuple("S", h, &v.id), None);
+        s.tuples_mut("R", 10).insert_range(5..6);
+        assert!(s.holds("R", 5));
+        assert!(!s.holds("R", 4) && !s.holds("R", 6) && !s.holds("R", 5_000));
+        assert!(!s.holds("S", 5));
+        assert!(s.tuples("S").is_none());
         assert_eq!(s.tuple_count(), 1);
-        let missing = TupleId::new(vec![Value::Int(6)], Epoch(0));
-        assert_eq!(s.tuple("R", missing.hash_key(), &missing), None);
+        let held: Vec<(&str, Vec<u32>)> = s.held().map(|(r, h)| (r, h.iter().collect())).collect();
+        assert_eq!(held, [("R", vec![5])]);
     }
 
     #[test]
-    fn versions_of_one_key_share_a_position_and_stay_sorted() {
-        let mut s = NodeStore::new(NodeId(0));
-        // Out of order, with one version written twice.
-        for epoch in [2, 0, 3, 0, 1] {
-            let (h, v) = version(5, epoch);
-            s.put_tuple("R", h, v);
+    fn a_slot_set_is_a_bit_per_slot() {
+        let mut set = SlotSet::default();
+        assert!(set.is_empty());
+        // Ranges that start and end inside a word, span several, fill one
+        // exactly, and overlap what is already there.
+        for range in [3..5, 60..130, 192..256, 100..101, 4..4] {
+            set.insert_range(range);
         }
-        assert_eq!(s.tuple_count(), 4);
-        let epochs: Vec<u64> = s.all_tuples("R").map(|v| v.id.epoch.0).collect();
-        assert_eq!(epochs, vec![0, 1, 2, 3]);
-        for epoch in 0..4 {
-            let (h, v) = version(5, epoch);
-            assert_eq!(s.tuple("R", h, &v.id), Some(&v.tuple));
-        }
-        let (h, absent) = version(5, 9);
-        assert_eq!(s.tuple("R", h, &absent.id), None);
-    }
+        set.insert_word(5, 1 << 7 | 1 << 63);
+        let mut expected: Vec<u32> = (3..5).chain(60..130).chain(192..256).collect();
+        expected.extend([5 * 64 + 7, 5 * 64 + 63]);
+        assert_eq!(set.iter().collect::<Vec<_>>(), expected);
+        assert_eq!(set.len(), expected.len());
+        assert!((0..400).all(|slot| set.contains(slot) == expected.contains(&slot)));
+        assert_eq!(set.word(0), 0b11 << 3 | 0b1111 << 60);
+        assert_eq!(set.word(1), u64::MAX);
+        assert_eq!(set.word(99), 0);
 
-    #[test]
-    fn hash_range_scan_filters_by_range() {
-        let mut s = NodeStore::new(NodeId(0));
-        let mut inside = 0;
-        let range = partition_range(0, 2);
-        for k in 0..50 {
-            let (h, v) = version(k, 0);
-            if range.contains(h) {
-                inside += 1;
-            }
-            s.put_tuple("R", h, v);
-        }
-        let scanned = s.scan_hash_range("R", &range).count();
-        assert_eq!(scanned, inside);
-        assert_eq!(s.all_tuples("R").count(), 50);
-        assert_eq!(s.scan_hash_range("T", &range).count(), 0);
-    }
-
-    #[test]
-    fn versions_in_walks_a_span_in_position_order() {
-        let mut s = NodeStore::new(NodeId(0));
-        let mut positions = Vec::new();
-        for k in 0..40 {
-            let (h, v) = version(k, 0);
-            positions.push(h);
-            s.put_tuple("R", h, v);
-        }
-        let (h, second) = version(7, 3);
-        s.put_tuple("R", h, second);
-        s.put_tuple("S", h, version(7, 0).1);
-        positions.sort_unstable();
-        let mut names: Vec<&str> = s.relation_names().collect();
-        names.sort_unstable();
-        assert_eq!(names, ["R", "S"]);
-
-        let everything = (Bound::Unbounded, Bound::Unbounded);
-        let walked: Vec<Key160> = s.versions_in("R", everything).map(|(p, _)| p).collect();
-        assert_eq!(walked, positions);
-        let held: usize = s.versions_in("R", everything).map(|(_, v)| v.len()).sum();
-        assert_eq!(held, 41);
-        let (_, at_h) = s
-            .versions_in("R", everything)
-            .find(|(p, _)| *p == h)
-            .unwrap();
-        assert_eq!(
-            at_h.iter().map(|v| v.id.epoch.0).collect::<Vec<_>>(),
-            [0, 3]
-        );
-
-        // Start inclusive, end exclusive, as an arc of the ring is.
-        let span = (
-            Bound::Included(positions[10]),
-            Bound::Excluded(positions[20]),
-        );
-        let inside: Vec<Key160> = s.versions_in("R", span).map(|(p, _)| p).collect();
-        assert_eq!(inside, positions[10..20]);
-        assert_eq!(s.versions_in("T", everything).count(), 0);
+        assert_eq!(span_mask(0, &(3..5)), 0b11000);
+        assert_eq!(span_mask(1, &(60..130)), u64::MAX);
+        assert_eq!(span_mask(2, &(60..130)), 0b11);
+        assert_eq!(span_mask(3, &(60..130)), 0);
+        assert_eq!(span_mask(0, &(0..64)), u64::MAX);
     }
 
     #[test]
@@ -415,8 +330,7 @@ mod tests {
     #[test]
     fn clear_wipes_everything() {
         let mut s = NodeStore::new(NodeId(0));
-        let (h, v) = version(1, 0);
-        s.put_tuple("R", h, v);
+        s.tuples_mut("R", 1).insert_range(0..1);
         s.put_index_page(Arc::new(IndexPage::new(
             PageId::new("R", Epoch(0), 0),
             partition_range(0, 1),
@@ -431,13 +345,19 @@ mod tests {
     #[test]
     fn a_cloned_store_shares_contents_but_not_fate() {
         let mut s = NodeStore::new(NodeId(0));
-        let (h, v) = version(1, 0);
-        s.put_tuple("R", h, Arc::clone(&v));
+        s.tuples_mut("R", 3).insert_range(2..3);
+        let page = Arc::new(IndexPage::new(
+            PageId::new("R", Epoch(0), 0),
+            partition_range(0, 1),
+            vec![],
+        ));
+        s.put_index_page(Arc::clone(&page));
         let mut copy = s.clone();
         // One allocation, referenced by the test, the store and its clone.
-        assert_eq!(Arc::strong_count(&v), 3);
+        assert_eq!(Arc::strong_count(&page), 3);
         copy.clear();
-        assert_eq!(Arc::strong_count(&v), 2);
-        assert_eq!(s.tuple("R", h, &v.id), Some(&v.tuple));
+        assert_eq!(Arc::strong_count(&page), 2);
+        assert!(s.holds("R", 2));
+        assert_eq!(s.index_page(&page.id), Some(&page));
     }
 }

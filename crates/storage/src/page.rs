@@ -23,6 +23,10 @@
 //! hashed once, when that tuple version is published, and
 //! [`IndexPage::next_version`] *carries the entries forward* — a page
 //! rewritten in epoch 40 still holds the positions computed in epoch 0.
+//! An entry also carries its version's *slot*, the number publication
+//! gave it in the relation's version log
+//! ([`crate::version_log::VersionLog`]): reading the tuple an entry
+//! lists is a bit test in a node's store and an index into the log.
 //! Entries are sorted by tuple ID (key first), which makes "the version of
 //! key `k` listed here" a binary search ([`IndexPage::current_version_of`])
 //! and the next version a sorted merge.
@@ -262,7 +266,7 @@ mod tests {
     }
 
     fn entry(k: i64, e: u64) -> PageEntry {
-        PageEntry::hashed(tid(k, e))
+        PageEntry::hashed(tid(k, e), 0)
     }
 
     #[test]

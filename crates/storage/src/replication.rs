@@ -10,21 +10,24 @@
 //! table.  Running it after a membership change restores the placement
 //! invariant, so subsequent failures can again be absorbed by neighbours.
 //!
-//! ## The walk is range-wise
+//! ## The walk is arc-wise, a word of bits at a time
 //!
 //! Placement is a property of an *arc* of the ring, not of a tuple: every
 //! key inside one routing entry has the same owner and so the same
 //! replicas.  The pass therefore resolves the live replica set once per
-//! routing entry, and walks each source's position-ordered tuple map one
-//! arc at a time: what a replica lacks of the arc is found by merging the
-//! source's and the replica's holdings over it, both already in position
-//! order — no keyed lookup per tuple.  An arc that wraps past the top of
-//! the ring is met twice by the ascending walk, as the span below the
-//! first entry's start and the span from the last entry's start up; a
-//! replicated relation is a single arc, the whole ring, whose replicas are
-//! all the live nodes.  The copies found are applied grouped by
+//! routing entry.  A node holds a tuple version as one bit of a
+//! [`crate::SlotSet`] over its relation's version log, and the log is a
+//! sequence of runs, each in ring-position order
+//! ([`crate::version_log`]), so what one arc places from one run is one
+//! range of slots — two for the arc that wraps past the top of the ring,
+//! and for a replicated relation, whose single arc is the whole ring and
+//! whose replicas are all the live nodes, the whole log.  Over such a
+//! range, what a replica lacks is the union of the live nodes' bits minus
+//! the replica's own, 64 versions to a word: a range already in place
+//! costs an OR per live holder and an AND-NOT per replica per word, and
+//! nothing per version.  The copies found are applied grouped by
 //! destination and relation, so a destination's store is unshared, and a
-//! relation found by name, once per group rather than once per tuple.
+//! relation found by name, once per group rather than once per word.
 //!
 //! ## What `tuples_copied` counts
 //!
@@ -33,14 +36,16 @@
 //! proposed — and counted — twice, though the node ends up with one copy.
 //! [`ReplicationReport::tuples_copied`] is the number of proposals, not of
 //! distinct copies made; pages and coordinator records count the same way.
+//! On the bits, a word's proposals to one replica are the number of its
+//! lacking versions each live node holds, summed over the live nodes.
 
 use crate::coordinator::RelationVersion;
 use crate::distributed::DistributedStorage;
-use crate::node_store::TupleVersion;
+use crate::node_store::{span_mask, SlotSet};
 use crate::page::IndexPage;
 use orchestra_common::{Key160, NodeId, NodeSet, Result};
 use orchestra_substrate::RoutingTable;
-use std::ops::Bound;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Statistics of one anti-entropy pass.
@@ -79,88 +84,109 @@ impl Arcs {
         }
     }
 
-    /// The live replicas of the arc holding `position`, and where the
-    /// span of that arc that an ascending walk is in comes to its end.
-    fn at(&self, position: Key160) -> (&[NodeId], Bound<Key160>) {
+    /// The live replicas of the arc holding `position`.
+    fn at(&self, position: Key160) -> &[NodeId] {
         // As `RoutingTable::owner_of`: the entry with the greatest start
         // at or below the position, or the last, wrapping, entry.
         let after = self.starts.partition_point(|start| *start <= position);
         let entry = after.checked_sub(1).unwrap_or(self.starts.len() - 1);
-        let end = match self.starts.get(after) {
-            Some(next) => Bound::Excluded(*next),
-            None => Bound::Unbounded,
-        };
-        (&self.replicas[entry], end)
+        &self.replicas[entry]
+    }
+
+    /// The slots each arc places from one run of a version log — the run
+    /// starting at slot `first`, whose versions' positions are
+    /// `positions`, ascending — with the arc's live replicas: the same
+    /// arc [`Self::at`] gives each version's position, as one range per
+    /// arc and run (two for the wrapping arc).  Empty ranges are left out.
+    fn spans(&self, first: u32, positions: &[Key160]) -> Vec<(&[NodeId], Range<u32>)> {
+        // The run is no longer than its log, whose slots fit in a `u32`.
+        let cut = |start: &Key160| first + positions.partition_point(|p| p < start) as u32;
+        let mut cuts: Vec<u32> = self.starts.iter().map(cut).collect();
+        let below_first = first..cuts[0];
+        cuts.push(first + positions.len() as u32);
+        let mut spans: Vec<(&[NodeId], Range<u32>)> = (cuts.windows(2).enumerate())
+            .map(|(entry, cut)| (self.replicas[entry].as_slice(), cut[0]..cut[1]))
+            .collect();
+        if let Some(last) = self.replicas.last() {
+            spans.push((last, below_first));
+        }
+        spans.retain(|(_, slots)| !slots.is_empty());
+        spans
     }
 }
 
-/// Tuple versions with the ring positions to store them at.
-type Placed = Vec<(Key160, Arc<TupleVersion>)>;
+/// One relation's versions at every live node, for finding what replicas
+/// lack.
+struct Holdings<'a> {
+    /// By node index: the node's versions, when it is live and holds any.
+    by_node: Vec<Option<&'a SlotSet>>,
+    /// Every live holder's versions.
+    sources: Vec<&'a SlotSet>,
+}
+
+impl Holdings<'_> {
+    /// Call `lacks(replica, word, bits)` with each word of versions in
+    /// `slots` that some live node holds and `replica`, one of
+    /// `replicas`, does not; return the copies the live holders propose
+    /// for them.
+    fn missing(
+        &self,
+        replicas: &[NodeId],
+        slots: Range<u32>,
+        mut lacks: impl FnMut(NodeId, usize, u64),
+    ) -> usize {
+        let mut proposed = 0;
+        let words = (slots.start / u64::BITS) as usize..slots.end.div_ceil(u64::BITS) as usize;
+        for at in words {
+            let mask = span_mask(at, &slots);
+            let held = self.sources.iter().fold(0, |any, s| any | s.word(at)) & mask;
+            if held == 0 {
+                continue;
+            }
+            for &replica in replicas {
+                let has = self.by_node[replica.index()].map_or(0, |own| own.word(at));
+                let lacking = held & !has;
+                if lacking != 0 {
+                    let proposals = self.sources.iter().map(|s| s.word(at) & lacking);
+                    proposed += proposals.map(|p| p.count_ones() as usize).sum::<usize>();
+                    lacks(replica, at, lacking);
+                }
+            }
+        }
+        proposed
+    }
+}
+
+/// Words of one relation's slots to add at one destination.
+type Words = Vec<(usize, u64)>;
 
 /// What one destination lacks, as the sources found it.
 #[derive(Default)]
 struct Missing {
-    /// Grouped by relation, in the order found.
-    tuples: Vec<(Arc<str>, Placed)>,
+    /// Grouped by relation (with its log's length), in the order found.
+    tuples: Vec<(Arc<str>, usize, Words)>,
     pages: Vec<Arc<IndexPage>>,
     coordinators: Vec<Arc<RelationVersion>>,
 }
 
 impl Missing {
-    /// Where to add a missing version of `relation`: the last group, if
+    /// Where to add missing versions of `relation`: the last group, if
     /// that is the relation the finds so far ended on, or a new one.
-    fn tuples_of(&mut self, relation: &Arc<str>) -> &mut Placed {
-        let last = self.tuples.last().map(|(name, _)| name);
+    fn tuples_of(&mut self, relation: &Arc<str>, log_len: usize) -> &mut Words {
+        let last = self.tuples.last().map(|(name, _, _)| name);
         if !last.is_some_and(|name| Arc::ptr_eq(name, relation)) {
-            self.tuples.push((Arc::clone(relation), Vec::new()));
+            self.tuples
+                .push((Arc::clone(relation), log_len, Vec::new()));
         }
-        &mut self.tuples.last_mut().expect("just pushed").1
-    }
-}
-
-/// A stretch of one store's versions of a relation, as
-/// `NodeStore::versions_in` yields it.
-type Held<'a> = (Key160, &'a [Arc<TupleVersion>]);
-
-/// Call `copy` on every version of `ours` that `theirs` lacks.  Both run
-/// over the same span in position order, each position's versions in ID
-/// order, so one merge pass finds them.
-fn for_each_missing<'a>(
-    ours: impl Iterator<Item = Held<'a>>,
-    theirs: impl Iterator<Item = Held<'a>>,
-    mut copy: impl FnMut(Key160, &'a Arc<TupleVersion>),
-) {
-    let mut theirs = theirs.peekable();
-    for (position, versions) in ours {
-        while theirs.next_if(|(p, _)| *p < position).is_some() {}
-        let held = match theirs.peek() {
-            Some((p, held)) if *p == position => *held,
-            _ => &[],
-        };
-        let mut held = held.iter().peekable();
-        for version in versions {
-            // Replicas share allocations, so a version that is in place
-            // is almost always the same pointer: IDs are compared only
-            // past the ones that are not.
-            let same = |theirs: &Arc<TupleVersion>| Arc::ptr_eq(theirs, version);
-            while held
-                .next_if(|theirs| !same(theirs) && theirs.id < version.id)
-                .is_some()
-            {}
-            let present = held
-                .peek()
-                .is_some_and(|theirs| same(theirs) || theirs.id == version.id);
-            if !present {
-                copy(position, version);
-            }
-        }
+        &mut self.tuples.last_mut().expect("just pushed").2
     }
 }
 
 /// Run one anti-entropy pass over `storage`, copying every item to its
 /// owner and replicas under the current routing table.  Items already in
 /// place are left untouched; failed nodes are never written to.  A "copy"
-/// is a pointer: the destination comes to share the source's allocation.
+/// is a pointer, or for a tuple version a bit: the destination comes to
+/// share the source's allocation.
 pub fn anti_entropy(storage: &mut DistributedStorage) -> Result<ReplicationReport> {
     let mut report = ReplicationReport::default();
     let failed = storage.failed_nodes();
@@ -180,52 +206,53 @@ pub fn anti_entropy(storage: &mut DistributedStorage) -> Result<ReplicationRepor
         Missing::default,
     );
 
-    for src in &live {
-        let store = storage.store(*src);
-        for relation in store.relation_names() {
-            let name: Arc<str> = Arc::from(relation);
-            let replicated = storage
-                .relation(relation)
-                .is_some_and(|r| r.is_replicated());
-            let mut rest = store
-                .versions_in(relation, (Bound::Unbounded, Bound::Unbounded))
-                .peekable();
-            while let Some(&(first, _)) = rest.peek() {
-                let (replicas, end) = if replicated {
-                    (live.as_slice(), Bound::Unbounded)
-                } else {
-                    arcs.at(first)
-                };
-                let inside = |position: Key160| match end {
-                    Bound::Excluded(end) => position < end,
-                    _ => true,
-                };
-                for dst in replicas.iter().filter(|dst| *dst != src) {
-                    let lacks = &mut missing[dst.index()];
-                    for_each_missing(
-                        rest.clone().take_while(|(position, _)| inside(*position)),
-                        storage
-                            .store(*dst)
-                            .versions_in(relation, (Bound::Included(first), end)),
-                        |position, version| {
-                            lacks.tuples_of(&name).push((position, Arc::clone(version)))
-                        },
-                    );
-                }
-                while rest.next_if(|(position, _)| inside(*position)).is_some() {}
+    for (relation, log) in storage.version_logs() {
+        let mut holdings = Holdings {
+            by_node: vec![None; missing.len()],
+            sources: Vec::new(),
+        };
+        for node in &live {
+            if let Some(held) = storage.store(*node).tuples(relation) {
+                holdings.by_node[node.index()] = Some(held);
+                holdings.sources.push(held);
             }
         }
+        if holdings.sources.is_empty() {
+            continue;
+        }
+        let name: Arc<str> = Arc::from(relation);
+        let mut lacks = |dst: NodeId, at: usize, bits: u64| {
+            missing[dst.index()]
+                .tuples_of(&name, log.len())
+                .push((at, bits))
+        };
+        if storage
+            .relation(relation)
+            .is_some_and(|r| r.is_replicated())
+        {
+            // The log's slots fit in a `u32`.
+            let everything = 0..log.len() as u32;
+            report.tuples_copied += holdings.missing(&live, everything, &mut lacks);
+        } else {
+            for (first, positions) in log.runs() {
+                for (replicas, slots) in arcs.spans(first, positions) {
+                    report.tuples_copied += holdings.missing(replicas, slots, &mut lacks);
+                }
+            }
+        }
+    }
+
+    for src in &live {
+        let store = storage.store(*src);
         for page in store.index_pages() {
-            let (replicas, _) = arcs.at(page.range.midpoint());
-            for dst in replicas {
+            for dst in arcs.at(page.range.midpoint()) {
                 if storage.store(*dst).index_page(&page.id).is_none() {
                     missing[dst.index()].pages.push(Arc::clone(page));
                 }
             }
         }
         for version in store.coordinators() {
-            let (replicas, _) = arcs.at(version.key.hash());
-            for dst in replicas {
+            for dst in arcs.at(version.key.hash()) {
                 if storage.store(*dst).coordinator(&version.key).is_none() {
                     missing[dst.index()].coordinators.push(Arc::clone(version));
                 }
@@ -238,9 +265,11 @@ pub fn anti_entropy(storage: &mut DistributedStorage) -> Result<ReplicationRepor
             continue;
         }
         let store = storage.store_mut(NodeId(dst as u16));
-        for (relation, versions) in lacks.tuples {
-            report.tuples_copied += versions.len();
-            store.put_tuples(&relation, versions);
+        for (relation, log_len, words) in lacks.tuples {
+            let held = store.tuples_mut(&relation, log_len);
+            for (at, bits) in words {
+                held.insert_word(at, bits);
+            }
         }
         report.pages_copied += lacks.pages.len();
         for page in lacks.pages {
@@ -284,6 +313,18 @@ mod tests {
         }
         s.publish(&b).unwrap();
         s
+    }
+
+    /// Every version some store holds: its relation, slot and position.
+    fn held_versions(s: &DistributedStorage, node: NodeId) -> Vec<(&str, u32, Key160)> {
+        let store = s.store(node);
+        let held = store.held().flat_map(|(relation, slots)| {
+            let log = s.version_log(relation).unwrap();
+            slots
+                .iter()
+                .map(move |slot| (relation, slot, log.position(slot).unwrap()))
+        });
+        held.collect()
     }
 
     #[test]
@@ -332,21 +373,59 @@ mod tests {
         assert_eq!(s.store(down).tuple_count(), held_by_down);
         let mut checked = 0;
         for src in nodes.iter().filter(|n| **n != down) {
-            for (relation, position, version) in s.store(*src).tuples_with_relation() {
+            for (relation, slot, position) in held_versions(&s, *src) {
                 for &dst in s.routing().replicas_of(position) {
                     assert!(
-                        dst == down
-                            || s.store(dst)
-                                .tuple(relation, position, &version.id)
-                                .is_some(),
-                        "{dst} lacks {:?} at {position}",
-                        version.id
+                        dst == down || s.store(dst).holds(relation, slot),
+                        "{dst} lacks slot {slot} at {position}"
                     );
                     checked += 1;
                 }
             }
         }
         assert!(checked >= 150 * 3);
+    }
+
+    #[test]
+    fn an_arc_is_one_range_of_slots_per_run() {
+        // Nearest-hash placement has an arc that wraps past the top of the
+        // ring; the log has a small run and one large enough to reach
+        // below the first arc's start.
+        let mut s = build_storage(6);
+        let mut b = UpdateBatch::new();
+        for i in 150..2_150 {
+            b.insert("R", Tuple::new(vec![Value::Int(i), Value::str("y")]));
+        }
+        s.publish(&b).unwrap();
+        let nodes: Vec<NodeId> = (0..8).map(NodeId).collect();
+        let routing = RoutingTable::build(&nodes, AllocationScheme::PastryStyle, 3);
+        let arcs = Arcs::new(&routing, &NodeSet::singleton(NodeId(4)));
+        let log = s.version_log("R").unwrap();
+        assert_eq!(log.runs().count(), 2);
+
+        let mut seen = vec![0; log.len()];
+        let mut wrapping_spans = Vec::new();
+        for (first, positions) in log.runs() {
+            let spans = arcs.spans(first, positions);
+            let wrapping = arcs.replicas.last().unwrap().as_slice();
+            let meets = spans.iter().filter(|(r, _)| std::ptr::eq(*r, wrapping));
+            wrapping_spans.push(meets.count());
+            for (replicas, slots) in spans {
+                for slot in slots {
+                    seen[slot as usize] += 1;
+                    let position = log.position(slot).unwrap();
+                    assert!(std::ptr::eq(replicas, arcs.at(position)), "slot {slot}");
+                }
+            }
+        }
+        assert!(
+            seen.iter().all(|n| *n == 1),
+            "every slot in exactly one span"
+        );
+        assert_eq!(
+            wrapping_spans[1], 2,
+            "the large run meets the wrapping arc twice"
+        );
     }
 
     #[test]
@@ -368,17 +447,16 @@ mod tests {
         anti_entropy(&mut s).unwrap();
         // Every tuple version now has a copy in every zone.
         for src in s.routing().nodes() {
-            for (relation, position, version) in s.store(src).tuples_with_relation() {
-                let id = &version.id;
+            for (relation, slot, _) in held_versions(&s, src) {
                 let mut zones_covered = [false; 3];
                 for holder in s.routing().nodes() {
-                    if s.store(holder).tuple(relation, position, id).is_some() {
+                    if s.store(holder).holds(relation, slot) {
                         zones_covered[zone_of(holder, 3)] = true;
                     }
                 }
                 assert_eq!(
                     zones_covered, [true; 3],
-                    "tuple {id:?} of {relation} not spread across all zones"
+                    "slot {slot} of {relation} not spread across all zones"
                 );
             }
         }

@@ -3,18 +3,21 @@
 //! What a repair pass reports and where every item ends up must not depend
 //! on how the pass finds the missing copies.  The figures below were
 //! recorded at the commit before the pass walked stores range-wise
-//! (`bc24ee4`); this file uses only API that exists on both sides of that
-//! change, so it can be re-recorded there.  `tuples_copied` counts a copy
-//! once per source that proposed it — the figures include that double
-//! count.
+//! (`bc24ee4`) and held since, through the change that made a node's
+//! tuples a bitset over each relation's version log.  The figures come
+//! from the reports and from `holdings`, which use only API present at
+//! `bc24ee4`; the sharing and fixture checks read the version logs, which
+//! that commit does not have, so a copy there re-records the figures
+//! without them.  `tuples_copied` counts a copy once per source that
+//! proposed it — the figures include that double count.
 
 mod common;
 
 use common::{routing_over, seeded_store, NODES};
-use orchestra_common::{Key160, NodeId, NodeSet};
+use orchestra_common::{Key160, NodeId, NodeSet, PageEntry, TupleId};
 use orchestra_storage::{anti_entropy, DistributedStorage, ReplicationReport};
 use orchestra_substrate::{AllocationScheme, ReplicationPolicy, RoutingTable};
-use std::sync::Arc;
+use std::collections::HashMap;
 
 /// Stores the scenario ever addresses: the eight seeded nodes and one
 /// that joins.
@@ -40,23 +43,58 @@ fn holdings(s: &DistributedStorage) -> Vec<Triple> {
         .collect()
 }
 
-/// Every stored version is one allocation, referenced once per holder.
-fn assert_versions_are_shared(s: &DistributedStorage) {
+/// The ring positions of the versions of `relation` that `node` holds.
+fn positions_held(s: &DistributedStorage, node: NodeId, relation: &str) -> Vec<Key160> {
+    let log = s.version_log(relation).unwrap();
+    let held = s.store(node).tuples(relation).into_iter();
+    held.flat_map(|slots| slots.iter().map(|slot| log.position(slot).unwrap()))
+        .collect()
+}
+
+/// The length of each relation's version log.
+fn log_lengths(s: &DistributedStorage) -> Vec<usize> {
+    ["R", "N"].map(|r| s.version_log(r).unwrap().len()).to_vec()
+}
+
+/// Every stored version's body exists once, in its relation's log, and
+/// its holders are the stores whose bit for it is set.  Repair sets bits
+/// and appends no body (the logs keep the lengths publication left,
+/// `logged`); every page entry any store lists gives one ID one slot and
+/// one slot one ID; and for a sample of the versions node 0 holds, the
+/// stores that serve one locally are those with its bit, all handing out
+/// the log's one body.
+fn assert_versions_are_shared(s: &DistributedStorage, logged: &[usize]) {
+    assert_eq!(log_lengths(s), logged, "repair appended to a log");
+    let mut slot_of: HashMap<(&str, &TupleId), u32> = HashMap::new();
+    let mut entry_at: HashMap<(&str, u32), &PageEntry> = HashMap::new();
+    for n in 0..STORES {
+        for page in s.store(NodeId(n)).index_pages() {
+            let relation = page.id.relation.as_str();
+            for entry in &page.entries {
+                let slot = *slot_of.entry((relation, &entry.id)).or_insert(entry.slot);
+                assert_eq!(slot, entry.slot, "{} has two slots", entry.id);
+                let listed = entry_at.entry((relation, entry.slot)).or_insert(entry);
+                assert_eq!(listed.id, entry.id, "slot {} has two IDs", entry.slot);
+            }
+        }
+    }
+
+    let view = s.view();
+    let mut held: Vec<(&str, u32)> = (s.store(NodeId(0)).held())
+        .flat_map(|(relation, slots)| slots.iter().map(move |slot| (relation, slot)))
+        .collect();
+    held.sort_unstable();
     let mut sampled = 0;
-    for (relation, position, version) in s.store(NodeId(0)).tuples_with_relation().step_by(7) {
-        let holders = (0..STORES)
-            .filter(|n| {
-                s.store(NodeId(*n))
-                    .tuple(relation, position, &version.id)
-                    .is_some()
-            })
-            .count();
-        assert_eq!(
-            Arc::strong_count(version),
-            holders,
-            "{relation} {:?} is held {holders} times",
-            version.id
-        );
+    for (relation, slot) in held.into_iter().step_by(7) {
+        let entry = entry_at[&(relation, slot)];
+        let body = s.version_log(relation).unwrap().tuple(slot).unwrap();
+        for n in (0..STORES).map(NodeId) {
+            let (tuple, remote) = view.lookup_tuple(relation, entry, Some(n)).unwrap();
+            assert!(std::ptr::eq(tuple, body), "{relation} {} at {n}", entry.id);
+            let local = remote.is_none();
+            let holds = s.store(n).holds(relation, slot);
+            assert_eq!(local, holds && !s.failed_nodes().contains(n), "{n}");
+        }
         sampled += 1;
     }
     assert!(sampled > 20, "sampled only {sampled} versions");
@@ -65,13 +103,14 @@ fn assert_versions_are_shared(s: &DistributedStorage) {
 /// One repair: the pass's report and every node's holdings after it.  A
 /// second pass must find nothing to do.
 fn repair(s: &mut DistributedStorage) -> (Triple, Vec<Triple>) {
+    let logged = log_lengths(s);
     let report = anti_entropy(s).unwrap();
     assert_eq!(
         anti_entropy(s).unwrap(),
         ReplicationReport::default(),
         "a second pass found work"
     );
-    assert_versions_are_shared(s);
+    assert_versions_are_shared(s, &logged);
     (
         (
             report.tuples_copied,
@@ -87,13 +126,9 @@ fn repair_reports_and_placement_are_pinned() {
     let (mut s, _) = seeded_store();
 
     // The fixture bites: some key holds several versions at one position.
-    let mut positions: Vec<Key160> = s
-        .store(NodeId(0))
-        .tuples_with_relation()
-        .filter(|(relation, _, _)| *relation == "R")
-        .map(|(_, position, _)| position)
-        .collect();
+    let mut positions = positions_held(&s, NodeId(0), "R");
     let versions = positions.len();
+    positions.sort_unstable();
     positions.dedup();
     assert!(positions.len() < versions, "no key has a second version");
 
@@ -114,8 +149,8 @@ fn repair_reports_and_placement_are_pinned() {
         .find(|r| r.start > r.end && r.end != Key160::ZERO)
         .expect("nearest-hash placement has a wrapping arc");
     let stored: Vec<Key160> = (0..STORES)
-        .flat_map(|n| s.store(NodeId(n)).tuples_with_relation())
-        .map(|(_, position, _)| position)
+        .flat_map(|n| ["R", "N"].map(|r| positions_held(&s, NodeId(n), r)))
+        .flatten()
         .collect();
     assert!(stored.iter().any(|p| *p >= wrapping.start));
     assert!(stored.iter().any(|p| *p < wrapping.end));

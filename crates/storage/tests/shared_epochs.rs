@@ -1,7 +1,9 @@
 //! Invariants of the shared-immutable layout: cached ring positions are
-//! always the hash of the key they sit beside; replicas and clones share
-//! allocations; and sharing never leaks a write from a clone into its
-//! original (or back).
+//! always the hash of the key they sit beside; a tuple version's body is
+//! stored once, in its relation's version log, and its holders are the
+//! stores whose bit for it is set; replicas and clones share allocations;
+//! and sharing never leaks a write from a clone into its original (or
+//! back).
 
 mod common;
 
@@ -15,6 +17,7 @@ fn assert_positions_are_key_hashes(s: &DistributedStorage, when: &str) {
     let mut entries = 0;
     for node in s.routing().nodes() {
         for page in s.store(node).index_pages() {
+            let log = s.version_log(&page.id.relation).unwrap();
             for entry in &page.entries {
                 assert_eq!(
                     entry.position,
@@ -23,11 +26,20 @@ fn assert_positions_are_key_hashes(s: &DistributedStorage, when: &str) {
                     page.id,
                     entry.id
                 );
+                assert_eq!(
+                    log.position(entry.slot),
+                    Some(entry.position),
+                    "{when}: {} lists {} at slot {} of another key",
+                    page.id,
+                    entry.id,
+                    entry.slot
+                );
                 entries += 1;
             }
         }
-        for (_, position, version) in s.store(node).tuples_with_relation() {
-            assert_eq!(position, version.id.hash_key(), "{when}: {}", version.id);
+        for (relation, slots) in s.store(node).held() {
+            let log = s.version_log(relation).unwrap();
+            assert!(slots.iter().all(|slot| log.tuple(slot).is_some()), "{when}");
         }
     }
     assert!(entries > 0, "{when}: nothing was checked");
@@ -147,25 +159,58 @@ fn replicas_and_clones_share_one_allocation() {
             assert_eq!(Arc::strong_count(page), holders, "{}", page.id);
             pages += 1;
         }
-        for (relation, position, version) in store.tuples_with_relation() {
-            let holders = nodes
-                .iter()
-                .filter(|n| {
-                    s.store(**n)
-                        .tuple_version(relation, position, &version.id)
-                        .is_some()
-                })
-                .count();
-            // `N` is replicated everywhere, `R` three ways.
-            assert_eq!(holders, if relation == "N" { nodes.len() } else { 3 });
-            assert_eq!(Arc::strong_count(version), holders, "{}", version.id);
-            versions += 1;
+        for (relation, slots) in store.held() {
+            for slot in slots.iter() {
+                let holders = nodes
+                    .iter()
+                    .filter(|n| s.store(**n).holds(relation, slot))
+                    .count();
+                // `N` is replicated everywhere, `R` three ways.
+                assert_eq!(holders, if relation == "N" { nodes.len() } else { 3 });
+                versions += 1;
+            }
         }
         for record in store.coordinators() {
             assert_eq!(Arc::strong_count(record), 3, "{:?}", record.key);
         }
     }
     assert!(pages > 0 && versions > 0);
+
+    // The bodies: one per version, in the log.  Every ID the pages list
+    // has one slot (a key a batch wrote twice is one version), no two
+    // slots share an allocation, and a holder hands out the log's body.
+    for relation in ["R", "N"] {
+        let log = s.version_log(relation).unwrap();
+        let mut ids = HashSet::new();
+        for node in &nodes {
+            let pages = s.store(*node).index_pages();
+            let listed = pages.filter(|p| p.id.relation == relation);
+            ids.extend(listed.flat_map(|p| &p.entries).map(|e| (&e.id, e.slot)));
+        }
+        assert_eq!(ids.len(), log.len(), "{relation}: one slot per ID");
+        let bodies = (0..log.len() as u32).map(|slot| log.tuple(slot).unwrap().values().as_ptr());
+        assert_eq!(
+            bodies.collect::<HashSet<_>>().len(),
+            log.len(),
+            "{relation}"
+        );
+    }
+    let (view, log) = (s.view(), s.version_log("R").unwrap());
+    let version = view.version_record("R", Epoch(0)).unwrap().unwrap();
+    let listed: Vec<u32> = (version.pages.iter())
+        .flat_map(|d| &view.lookup_index_page(d).unwrap().entries)
+        .map(|e| e.slot)
+        .collect();
+    for node in &nodes {
+        let full = [orchestra_common::KeyRange::full()];
+        let scan = view
+            .scan_partition_ref("R", Epoch(0), *node, &full)
+            .unwrap();
+        assert_eq!(scan.tuples.len(), listed.len());
+        for (tuple, slot) in scan.tuples.iter().zip(&listed) {
+            assert!(std::ptr::eq(*tuple, log.tuple(*slot).unwrap()), "{node}");
+        }
+    }
 
     // A clone shares whole stores: no item gains a reference until the
     // clone writes to a store, and then only that store's items do.
@@ -231,19 +276,12 @@ fn the_store_owns_its_bytes() {
 
     let (mut versions, mut entries) = (0, 0);
     let mut stored: HashSet<*const u8> = HashSet::new();
-    for node in s.routing().nodes() {
-        for (_, _, version) in s.store(node).tuples_with_relation() {
-            let held: Vec<_> = allocations_of(version.tuple.values())
-                .chain(allocations_of(&version.id.key))
-                .collect();
-            assert!(
-                held.iter().all(|a| !published.contains(a)),
-                "{}",
-                version.id
-            );
-            stored.extend(held);
-            versions += 1;
-        }
+    let log = s.version_log("S").unwrap();
+    for slot in 0..log.len() as u32 {
+        let held: Vec<_> = allocations_of(log.tuple(slot).unwrap().values()).collect();
+        assert!(held.iter().all(|a| !published.contains(a)), "slot {slot}");
+        stored.extend(held);
+        versions += 1;
     }
     // A page lists its IDs in allocations of its own, beside each other,
     // not strewn among the tuple bodies.
@@ -261,5 +299,7 @@ fn the_store_owns_its_bytes() {
             }
         }
     }
-    assert!(versions >= 3 * 266 && entries >= 3 * 266);
+    // 200 inserts and 67 modifies, each stored once; every page at three
+    // holders.
+    assert!(versions == 267 && entries >= 3 * 266);
 }
