@@ -659,10 +659,11 @@ fn a_failure_run_that_never_stalls_reads_the_callers_store() {
     // Every session reads the caller's store through a view, whether or
     // not a failure stalls it: the caller's delta memo counts what the
     // run derived (a per-session copy of the store would have kept its
-    // own), and nothing shared is left behind.  Two failure inputs: the
-    // victim dies after the answer is complete (no session recovers),
-    // or half-way through the refresh (every session recovers).  Both
-    // must leave the caller's store as a failure-free run does.
+    // own), and no copy of the store is left behind.  Two failure inputs:
+    // the victim dies after the answer is complete (no session
+    // recovers), or half-way through the refresh (every session
+    // recovers).  Both must leave the caller's store as a failure-free
+    // run does.
     let config = EngineConfig::default();
     let incremental = MaintenanceMode::Incremental;
     let setup = || {
@@ -685,9 +686,15 @@ fn a_failure_run_that_never_stalls_reads_the_callers_store() {
     let after = SimTime::from_micros(60_000_000);
     let half = SimTime::from_micros(free.makespan.as_micros() / 2);
     for (at, stalls) in [(after, false), (half, true)] {
-        let (s, mut view, to) = setup();
-        let probe = std::sync::Arc::clone(s.store(NodeId(1)).index_pages().next().unwrap());
-        let holders = std::sync::Arc::strong_count(&probe);
+        let (mut s, mut view, to) = setup();
+        // A page is stored once, in its relation's page log, which the
+        // store shares with its copies until one of them is written to.
+        let probe = std::sync::Arc::clone(s.page_log("R").unwrap().get(0).unwrap());
+        assert_eq!(
+            std::sync::Arc::strong_count(&probe),
+            2,
+            "the log and the probe"
+        );
         let failure = Some(FailureSpec::at_time(NodeId(4), at));
         let run = refresh_view(&mut view, &s, &config, incremental, to, NodeId(0), failure);
         let run = run.unwrap();
@@ -699,7 +706,16 @@ fn a_failure_run_that_never_stalls_reads_the_callers_store() {
             1,
             "failure at {at:?}: the leg derived once, on the caller's store"
         );
-        assert_eq!(std::sync::Arc::strong_count(&probe), holders);
+        // Had the run kept a copy of the store, publishing to the store
+        // would copy its logs, and the probe would gain a reference.
+        let mut b = UpdateBatch::new();
+        b.insert("R", r_row(300));
+        s.publish(&b).unwrap();
+        assert_eq!(
+            std::sync::Arc::strong_count(&probe),
+            2,
+            "failure at {at:?}: a copy of the caller's store outlived the run"
+        );
     }
 }
 

@@ -100,7 +100,7 @@ mod tests {
                     })
                     .collect(),
             )
-            .descriptor()
+            .descriptor(part)
         };
         let version = RelationVersion::new(
             CoordinatorKey::new("R", Epoch(0)),

@@ -201,7 +201,7 @@ impl DistributedStorage {
                 ..PartitionDelta::default()
             };
             let (mut r, mut a) = (0, 0);
-            while r < change.removed.len() || a < change.added.len() {
+            loop {
                 match (change.removed.get(r), change.added.get(a)) {
                     (Some(old), Some(new)) if old.id.key == new.id.key => {
                         delta.modifies.push((fetch(old)?, fetch(new)?));
@@ -220,7 +220,7 @@ impl DistributedStorage {
                         delta.inserts.push(fetch(new)?);
                         a += 1;
                     }
-                    (None, None) => unreachable!("loop condition"),
+                    (None, None) => break,
                 }
             }
             if !delta.is_empty() {
@@ -304,19 +304,21 @@ impl<'a> StorageView<'a> {
         let mut shared = 0;
         let mut changes = Vec::new();
         let (mut o, mut n) = (0, 0);
-        while o < old_pages.len() || n < new_pages.len() {
+        loop {
             // The next partition on either side: both descriptors when
             // both versions have it.  Pages never disappear across
             // versions (an untouched page is carried forward), but stay
             // defensive: a partition only the old version has is
             // all-removed.
-            let (old_desc, new_desc) = match (old_pages.get(o), new_pages.get(n)) {
+            let (partition, old_desc, new_desc) = match (old_pages.get(o), new_pages.get(n)) {
                 (Some(old), Some(new)) => match old.id.partition.cmp(&new.id.partition) {
-                    Ordering::Less => (Some(old), None),
-                    Ordering::Greater => (None, Some(new)),
-                    Ordering::Equal => (Some(old), Some(new)),
+                    Ordering::Less => (old.id.partition, Some(old), None),
+                    Ordering::Greater => (new.id.partition, None, Some(new)),
+                    Ordering::Equal => (old.id.partition, Some(old), Some(new)),
                 },
-                one_sided => one_sided,
+                (Some(old), None) => (old.id.partition, Some(old), None),
+                (None, Some(new)) => (new.id.partition, None, Some(new)),
+                (None, None) => break,
             };
             o += usize::from(old_desc.is_some());
             n += usize::from(new_desc.is_some());
@@ -331,9 +333,8 @@ impl<'a> StorageView<'a> {
                 })
             };
             let (removed, added) = diff_sorted(entries_of(old_desc)?, entries_of(new_desc)?);
-            let described = old_desc.or(new_desc).expect("one side is present");
             changes.push(PartitionChange {
-                partition: described.id.partition,
+                partition,
                 pages_read: usize::from(old_desc.is_some()) + usize::from(new_desc.is_some()),
                 removed,
                 added,

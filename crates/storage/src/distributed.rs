@@ -16,19 +16,19 @@
 //! access path restricted to the ranges owned by one executing node, which
 //! is how the query engine's distributed scans consume storage.
 //!
-//! ## Epochs are physically immutable and shared
+//! ## Epochs are physically immutable and stored once
 //!
 //! What an epoch publishes never changes, so it is built once and
-//! *pointed to*: publication wraps each new coordinator record and page
-//! version in an `Arc` and hands the owner and every replica a clone of
-//! the pointer.  A tuple version is stored once, in its relation's
-//! [`VersionLog`], under the number publication gives it (its *slot*);
-//! its owner and replicas each set that slot's bit in their store.
-//! Anti-entropy repairs a placement by copying pointers and bits.  The
-//! per-node stores and the logs sit behind `Arc`s that are copied on
-//! first write, so cloning the whole cluster costs a pointer per node and
-//! per relation, and a clone that is then published to, failed or cleared
-//! leaves the original exactly as it was.
+//! *numbered*: each new coordinator record, page version and tuple
+//! version is stored once, in its relation's log of that kind
+//! ([`crate::version_log`]), under the number publication gives it (its
+//! *slot*), and its owner and replicas each set that slot's bit in their
+//! store.  A node holds bits, whatever it holds, so anti-entropy repairs a
+//! placement by setting bits, one loop over the logs.  The per-node stores
+//! and the logs sit behind `Arc`s that are copied on first write, so
+//! cloning the whole cluster costs a pointer per node and per relation,
+//! and a clone that is then published to, failed or cleared leaves the
+//! original exactly as it was.
 //!
 //! ## Another routing or failure set is a view, not a copy
 //!
@@ -48,16 +48,18 @@
 //! ([`orchestra_common::PageEntry`]) and carried into every later page
 //! version.  Scans, delta scans and retrieval filter tuples by that cached
 //! position, find a holder by testing the slot's bit in a node's store,
-//! and read the tuple at that index of the log — no search per tuple.
-//! They *borrow* the coordinator record, the page and the tuples from the
-//! store; [`DistributedStorage::scan_partition`] is a thin wrapper that
+//! and read the tuple at that index of the log — no search per tuple.  A
+//! record is found by epoch in the relation's record log and a page by the
+//! slot its descriptor carries, so no ID is built or hashed to find
+//! either.  They *borrow* the coordinator record, the page and the tuples
+//! from the logs; [`DistributedStorage::scan_partition`] is a thin wrapper that
 //! clones the borrowed result for callers that want to own it.
 
 use crate::coordinator::{CoordinatorKey, RelationVersion};
-use crate::node_store::{entry_by_name, NodeStore, SlotSet};
+use crate::node_store::{with_entry, NodeStore, SlotSet};
 use crate::page::{partition_of, partition_range, IndexPage, PageDescriptor, PageId};
 use crate::update::{Update, UpdateBatch};
-use crate::version_log::VersionLog;
+use crate::version_log::{Kind, Log, RelationLogs, VersionLog};
 use orchestra_common::{
     Epoch, Key160, KeyRange, NodeId, NodeSet, OrchestraError, PageEntry, Relation, Result, Tuple,
     TupleId, Value,
@@ -148,12 +150,11 @@ pub struct DistributedStorage {
     routing: RoutingTable,
     /// Copy-on-write: written through [`Arc::make_mut`] only.
     stores: Vec<Arc<NodeStore>>,
-    /// Every relation's tuple versions, by slot.  Copy-on-write, like the
-    /// stores.
-    logs: HashMap<String, Arc<VersionLog>>,
+    /// Every relation's records, pages and tuple versions, by slot.
+    /// Copy-on-write, like the stores.
+    pub(crate) logs: HashMap<String, Arc<RelationLogs>>,
     failed: NodeSet,
     catalog: HashMap<String, Relation>,
-    relation_epochs: HashMap<String, Vec<Epoch>>,
     published: u64,
     /// Memoized epoch-interval page diffs (see `delta.rs`) — shared by
     /// every delta consumer so fan-out maintenance derives each changed
@@ -182,23 +183,16 @@ pub struct StorageView<'a> {
 impl DistributedStorage {
     /// Create an empty store over the nodes of `routing`.
     pub fn new(routing: RoutingTable, config: StorageConfig) -> DistributedStorage {
-        let max_index = routing
-            .nodes()
-            .iter()
-            .map(|n| n.index())
-            .max()
-            .expect("routing table has at least one node");
-        let stores = (0..=max_index as u16)
-            .map(|i| Arc::new(NodeStore::new(NodeId(i))))
-            .collect();
+        let max_index = routing.nodes().iter().map(|n| n.index()).max().unwrap_or(0);
         DistributedStorage {
             config,
             routing,
-            stores,
+            stores: std::iter::repeat_with(Arc::default)
+                .take(max_index + 1)
+                .collect(),
             logs: HashMap::new(),
             failed: NodeSet::empty(),
             catalog: HashMap::new(),
-            relation_epochs: HashMap::new(),
             published: 0,
             delta_memo: crate::delta::DeltaMemo::default(),
         }
@@ -229,9 +223,8 @@ impl DistributedStorage {
     /// would in the paper.
     pub fn set_routing(&mut self, routing: RoutingTable) {
         let max_index = routing.nodes().iter().map(|n| n.index()).max().unwrap_or(0);
-        while self.stores.len() <= max_index {
-            self.stores
-                .push(Arc::new(NodeStore::new(NodeId(self.stores.len() as u16))));
+        if self.stores.len() <= max_index {
+            self.stores.resize_with(max_index + 1, Arc::default);
         }
         self.routing = routing;
     }
@@ -285,21 +278,35 @@ impl DistributedStorage {
 
     /// Mutable access to one node's local store (anti-entropy, failure
     /// injection).  If a clone of this storage still shares the store, it
-    /// is unshared first (its maps of pointers are copied, not the data).
+    /// is unshared first (its bits are copied, not the data).
     pub fn store_mut(&mut self, node: NodeId) -> &mut NodeStore {
         Arc::make_mut(&mut self.stores[node.index()])
     }
 
     /// The tuple versions `relation` has published, by slot, or `None`
-    /// before its first version.  A node holds the version at slot `s`
+    /// before its first publication.  A node holds the version at slot `s`
     /// when [`NodeStore::holds`] says so.
     pub fn version_log(&self, relation: &str) -> Option<&VersionLog> {
-        self.logs.get(relation).map(|log| &**log)
+        Some(&self.logs.get(relation)?.versions)
     }
 
-    /// Every relation's version log, in no particular order.
-    pub(crate) fn version_logs(&self) -> impl Iterator<Item = (&str, &VersionLog)> {
-        self.logs.iter().map(|(name, log)| (name.as_str(), &**log))
+    /// The index-page versions `relation` has published, by slot (a
+    /// [`PageDescriptor`]'s `slot`), or `None` before its first
+    /// publication.
+    pub fn page_log(&self, relation: &str) -> Option<&Log<Arc<IndexPage>>> {
+        Some(&self.logs.get(relation)?.pages)
+    }
+
+    /// The coordinator records of `relation`, one per publication, in
+    /// publication order, or `None` before its first publication.
+    pub fn record_log(&self, relation: &str) -> Option<&Log<Arc<RelationVersion>>> {
+        Some(&self.logs.get(relation)?.records)
+    }
+
+    /// `relation`'s logs, for appending: created on first use, unshared
+    /// from a clone first.
+    fn append<R>(&mut self, relation: &str, append: impl FnOnce(&mut RelationLogs) -> R) -> R {
+        with_entry(&mut self.logs, relation, |logs| append(Arc::make_mut(logs)))
     }
 
     // ------------------------------------------------------------------
@@ -310,11 +317,11 @@ impl DistributedStorage {
     ///
     /// Every relation mentioned in the batch gets a new version that
     /// shares all untouched pages with its previous version.  Its new
-    /// tuple versions are numbered and stored once, in the relation's
-    /// [`VersionLog`], and their owners and replicas under the current
-    /// routing table set their bits; index pages, which list each version
-    /// with its slot, and coordinator records are written to their owners
-    /// and replicas.
+    /// tuple versions, page versions and coordinator record are numbered
+    /// and stored once, in the relation's logs, and their owners and
+    /// replicas under the current routing table set their bits; a page
+    /// lists each version with its slot, and a record each page with its
+    /// slot.
     ///
     /// The whole batch is validated before the first write, so an invalid
     /// relation cannot leave the ones before it in node stores under an
@@ -361,16 +368,13 @@ impl DistributedStorage {
         let replicated = relation.is_replicated();
         let parts = self.config.partitions_per_relation;
 
-        // Previous version of the relation, if any.
-        let prev_epoch = self
-            .relation_epochs
-            .get(name)
-            .and_then(|v| v.last().copied());
-        let prev_version: Option<Arc<RelationVersion>> = match prev_epoch {
-            Some(e) => Some(Arc::clone(
-                self.view()
-                    .lookup_coordinator(&CoordinatorKey::new(name, e))?,
-            )),
+        // Previous version of the relation, if any: its last record.
+        let last = self
+            .record_log(name)
+            .and_then(|log| log.len().checked_sub(1));
+        let prev_version: Option<Arc<RelationVersion>> = match last {
+            // The log's slots fit in a `u32`.
+            Some(slot) => Some(Arc::clone(self.view().record(name, slot as u32)?)),
             None => None,
         };
 
@@ -414,7 +418,7 @@ impl DistributedStorage {
         let slots = self.store_versions(name, key_len, replicated, &fresh)?;
         let mut numbered = fresh.iter().zip(slots);
 
-        for partition in touched {
+        for (at, partition) in touched.into_iter().enumerate() {
             let ups = &by_partition[&partition];
             let prev_page: Option<Arc<IndexPage>> = prev_version
                 .as_ref()
@@ -466,28 +470,22 @@ impl DistributedStorage {
                 ),
             });
 
-            // Write the index page to the node owning the middle of its
-            // range (+ replicas) and refresh the inverse entries.
-            let descriptor = new_page.descriptor();
-            self.put_at(Some(descriptor.storage_key), |store| {
-                store.put_index_page(Arc::clone(&new_page));
-                store.put_inverse(name, partition, new_page.id.clone());
-            });
-            descriptors.push(descriptor);
+            // Store the page in the relation's page log — the first page of
+            // the publication opens its run — and place it at the node
+            // owning the middle of its range (+ replicas).
+            let position = new_page.range.midpoint();
+            let page = Arc::clone(&new_page);
+            let slot = self.append(name, |logs| logs.pages.push(position, page, at == 0))?;
+            self.place(name, Kind::Page, Some(position), slot..slot + 1);
+            descriptors.push(new_page.descriptor(slot));
         }
 
-        // Write the coordinator record for the new version.
+        // Store and place the coordinator record for the new version.
         let coord_key = CoordinatorKey::new(name, epoch);
-        let coord_position = coord_key.hash();
+        let position = coord_key.hash();
         let version = Arc::new(RelationVersion::new(coord_key, descriptors));
-        self.put_at(Some(coord_position), |store| {
-            store.put_coordinator(Arc::clone(&version))
-        });
-
-        self.relation_epochs
-            .entry(name.to_string())
-            .or_default()
-            .push(epoch);
+        let slot = self.append(name, |logs| logs.records.push(position, version, true))?;
+        self.place(name, Kind::Record, Some(position), slot..slot + 1);
         Ok(())
     }
 
@@ -539,12 +537,19 @@ impl DistributedStorage {
             .map(|i| (stored[offset[i]] == i).then(|| detached(fresh[i].1.values()).collect()))
             .collect();
 
-        let log = Arc::make_mut(entry_by_name(&mut self.logs, relation));
-        let run = log.append_run(stored.iter().map(|&i| {
-            let body = bodies[i].take().expect("a stored write is taken once");
-            (fresh[i].0, body)
-        }))?;
-        let log_len = log.len();
+        let run = self.append(relation, |logs| -> Result<Range<u32>> {
+            let log = &mut logs.versions;
+            log.reserve(stored.len());
+            // The log's slots fit in a `u32`, as `push` checks.
+            let start = log.len() as u32;
+            // Every stored write has its body, taken here once.
+            for &i in &stored {
+                if let Some(body) = bodies[i].take() {
+                    log.push(fresh[i].0, body, log.len() as u32 == start)?;
+                }
+            }
+            Ok(start..log.len() as u32)
+        })?;
 
         let mut placed: Vec<(Option<Key160>, Range<u32>)> = Vec::new();
         if replicated {
@@ -563,11 +568,7 @@ impl DistributedStorage {
             }
         }
         for (at, slots) in placed {
-            self.put_at(at, |store| {
-                store
-                    .tuples_mut(relation, log_len)
-                    .insert_range(slots.clone())
-            });
+            self.place(relation, Kind::Tuple, at, slots);
         }
         // An offset is below the run's length, so its slot fits as the
         // run's end does.
@@ -584,17 +585,14 @@ impl DistributedStorage {
     /// version resolution sits on every scan and delta path and a linear
     /// walk would grow with a relation's publication history.
     pub fn version_at(&self, relation: &str, epoch: Epoch) -> Option<Epoch> {
-        let epochs = self.relation_epochs.get(relation)?;
-        let idx = epochs.partition_point(|e| *e <= epoch);
-        idx.checked_sub(1).map(|i| epochs[i])
+        let logs = self.logs.get(relation)?;
+        Some(logs.records.get(logs.record_at(epoch)?)?.key.epoch)
     }
 
-    /// All epochs at which `relation` changed.
-    pub fn version_history(&self, relation: &str) -> &[Epoch] {
-        self.relation_epochs
-            .get(relation)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+    /// All epochs at which `relation` changed, in order.
+    pub fn version_history(&self, relation: &str) -> impl Iterator<Item = Epoch> + '_ {
+        let records = self.record_log(relation).map_or(&[][..], Log::items);
+        records.iter().map(|record| record.key.epoch)
     }
 
     /// Cardinality of `relation` at `epoch` (from coordinator metadata —
@@ -606,11 +604,13 @@ impl DistributedStorage {
         }
     }
 
-    /// Hand `put` the store of every live holder of what is placed at
-    /// `key` — its replica set, owner first — or, for `None` (a replicated
-    /// relation), of every live node.  A store still shared with a clone
-    /// is unshared first, as by [`Self::store_mut`].
-    fn put_at(&mut self, key: Option<Key160>, mut put: impl FnMut(&mut NodeStore)) {
+    /// Set the bits of `slots` of `relation`'s log of `kind` at every live
+    /// holder of what is placed at `key` — its replica set, owner first —
+    /// or, for `None` (a replicated relation), at every live node.  A store
+    /// still shared with a clone is unshared first, as by
+    /// [`Self::store_mut`].
+    fn place(&mut self, relation: &str, kind: Kind, key: Option<Key160>, slots: Range<u32>) {
+        let log_len = self.logs.get(relation).map_or(0, |l| l.placed(kind).len());
         let every_node;
         let holders = match key {
             Some(key) => self.routing.replicas_of(key),
@@ -621,7 +621,10 @@ impl DistributedStorage {
         };
         for &node in holders {
             if self.view().is_live(node) {
-                put(Arc::make_mut(&mut self.stores[node.index()]));
+                let store = Arc::make_mut(&mut self.stores[node.index()]);
+                store.write(relation, kind, log_len, |held| {
+                    held.insert_range(slots.clone())
+                });
             }
         }
     }
@@ -750,60 +753,67 @@ impl<'a> StorageView<'a> {
             .filter(|n| self.is_live(*n))
     }
 
-    /// The first live node whose store `get` finds something in, with
-    /// what it found: `key`'s owner, then its replicas, then every live
-    /// node.
-    fn find<T>(
-        &self,
-        key: Key160,
-        get: impl Fn(&'a NodeStore) -> Option<T>,
-    ) -> Option<(NodeId, T)> {
-        let hit = |node: NodeId| get(self.data.store(node)).map(|found| (node, found));
+    /// The first live node that holds the item of `relation`'s log of
+    /// `kind` at `slot`, placed at `position`: its owner, then its
+    /// replicas, then every live node.
+    fn holder(&self, relation: &str, kind: Kind, slot: u32, position: Key160) -> Option<NodeId> {
+        let holds = |node: &NodeId| {
+            let held = self.data.store(*node).slots(relation, kind);
+            held.is_some_and(|held| held.contains(slot))
+        };
         let live = |n: &NodeId| self.is_live(*n);
-        self.live_replicas(key)
-            .find_map(hit)
-            .or_else(|| self.routing.nodes().into_iter().filter(live).find_map(hit))
+        self.live_replicas(position).find(holds).or_else(|| {
+            let mut every = self.routing.nodes().into_iter().filter(live);
+            every.find(holds)
+        })
+    }
+
+    /// The record at `slot` of `relation`'s record log, when a live node
+    /// holds it: its position's owner, replicas, then every live node.
+    fn record(&self, relation: &str, slot: u32) -> Result<&'a Arc<RelationVersion>> {
+        let log = self.data.record_log(relation);
+        let record = log.and_then(|log| Some((log.get(slot)?, log.position(slot)?)));
+        match record {
+            Some((record, at)) if self.holder(relation, Kind::Record, slot, at).is_some() => {
+                Ok(record)
+            }
+            _ => Err(missing_record(relation, record.map(|(r, _)| r.key.epoch))),
+        }
     }
 
     /// Find the coordinator record for `key`, trying the owner, then the
     /// replicas, then every live node.
     pub fn lookup_coordinator(&self, key: &CoordinatorKey) -> Result<&'a Arc<RelationVersion>> {
-        let found = self.find(key.hash(), |store| store.coordinator(key));
-        let missing = || {
-            OrchestraError::StorageMissing(format!(
-                "no live node holds the coordinator record for {} at {}",
-                key.relation, key.epoch
-            ))
-        };
-        Ok(found.ok_or_else(missing)?.1)
+        let visible = self.version_record(&key.relation, key.epoch)?;
+        let found = visible.filter(|record| record.key.epoch == key.epoch);
+        found.ok_or_else(|| missing_record(&key.relation, Some(key.epoch)))
     }
 
     /// The coordinator record of the version of `relation` visible at
-    /// `epoch`, or `None` when the relation has no version yet.
+    /// `epoch`, or `None` when the relation has no version yet.  Found by
+    /// epoch in the relation's record log, so nothing is built or hashed.
     pub fn version_record(
         &self,
         relation: &str,
         epoch: Epoch,
     ) -> Result<Option<&'a Arc<RelationVersion>>> {
-        self.data
-            .version_at(relation, epoch)
-            .map(|e| self.lookup_coordinator(&CoordinatorKey::new(relation, e)))
-            .transpose()
+        let logs = self.data.logs.get(relation);
+        let slot = logs.and_then(|logs| logs.record_at(epoch));
+        slot.map(|slot| self.record(relation, slot)).transpose()
     }
 
     /// Find an index page, trying its storage position's owner, replicas,
     /// then every live node.
     pub fn lookup_index_page(&self, descriptor: &PageDescriptor) -> Result<&'a Arc<IndexPage>> {
-        let found = self.find(descriptor.storage_key, |store| {
-            store.index_page(&descriptor.id)
-        });
-        let missing = || {
+        let (relation, slot) = (&descriptor.id.relation, descriptor.slot);
+        let held = || self.holder(relation, Kind::Page, slot, descriptor.storage_key);
+        let page = self.data.page_log(relation).and_then(|log| log.get(slot));
+        page.filter(|_| held().is_some()).ok_or_else(|| {
             OrchestraError::StorageMissing(format!(
                 "no live node holds index page {}",
                 descriptor.id
             ))
-        };
-        Ok(found.ok_or_else(missing)?.1)
+        })
     }
 
     /// Find a holder of the tuple version a page entry lists, trying the
@@ -827,14 +837,14 @@ impl<'a> StorageView<'a> {
         };
         let log = self.data.version_log(relation);
         let tuple = log
-            .and_then(|log| log.tuple(entry.slot))
+            .and_then(|log| log.get(entry.slot))
             .ok_or_else(missing)?;
-        let holds = |store: &NodeStore| store.holds(relation, entry.slot).then_some(());
         let local = preferred.filter(|n| self.is_live(*n));
-        if local.is_some_and(|n| holds(self.data.store(n)).is_some()) {
+        if local.is_some_and(|n| self.data.store(n).holds(relation, entry.slot)) {
             return Ok((tuple, None));
         }
-        let (node, ()) = self.find(entry.position, holds).ok_or_else(missing)?;
+        let node =
+            (self.holder(relation, Kind::Tuple, entry.slot, entry.position)).ok_or_else(missing)?;
         Ok((tuple, (preferred != Some(node)).then_some(node)))
     }
 
@@ -842,7 +852,7 @@ impl<'a> StorageView<'a> {
     /// the node is not live.
     pub(crate) fn local_tuples(&self, relation: &str, node: NodeId) -> Option<&'a SlotSet> {
         self.is_live(node)
-            .then(|| self.data.store(node).tuples(relation))
+            .then(|| self.data.store(node).slots(relation, Kind::Tuple))
             .flatten()
     }
 
@@ -874,7 +884,7 @@ impl<'a> StorageView<'a> {
         node: NodeId,
     ) -> Result<&'a Tuple> {
         let held = local.filter(|(held, _)| held.contains(entry.slot));
-        let (tuple, remote) = match held.and_then(|(_, log)| log.tuple(entry.slot)) {
+        let (tuple, remote) = match held.and_then(|(_, log)| log.get(entry.slot)) {
             Some(tuple) => (tuple, None),
             None => self.lookup_tuple(relation, entry, Some(node))?,
         };
@@ -910,7 +920,7 @@ impl<'a> StorageView<'a> {
         move |entry| {
             let holds = |node: NodeId| held[node.index()].is_some_and(|h| h.contains(entry.slot));
             let replica = log.filter(|_| view.live_replicas(entry.position).any(holds));
-            match replica.and_then(|log| log.tuple(entry.slot)) {
+            match replica.and_then(|log| log.get(entry.slot)) {
                 Some(tuple) => Ok(tuple),
                 None => Ok(view.lookup_tuple(relation, entry, None)?.0),
             }
@@ -977,6 +987,15 @@ impl<'a> StorageView<'a> {
         let scan = self.scan_partition_ref(relation, epoch, node, &[KeyRange::full()])?;
         Ok(scan.tuples)
     }
+}
+
+/// The error of a lookup that finds no live holder of `relation`'s record
+/// at `epoch`.
+fn missing_record(relation: &str, epoch: Option<Epoch>) -> OrchestraError {
+    let at = epoch.map_or_else(String::new, |e| format!(" at {e}"));
+    OrchestraError::StorageMissing(format!(
+        "no live node holds the coordinator record for {relation}{at}"
+    ))
 }
 
 /// The detaching copy publication makes of what it stores: every string
@@ -1333,7 +1352,7 @@ mod tests {
                 counts,
                 scan.tuples,
                 s.latest_epoch(),
-                s.version_history("R").to_vec(),
+                s.version_history("R").collect::<Vec<_>>(),
             )
         };
         let before = snapshot(&s);
@@ -1378,7 +1397,7 @@ mod tests {
         let err = s.publish(&b).unwrap_err();
         assert!(matches!(err, OrchestraError::StorageInvalid(_)), "{err}");
         assert_eq!(s.latest_epoch(), None);
-        assert!(s.version_history("R").is_empty());
+        assert_eq!(s.version_history("R").count(), 0);
         for n in 0..3 {
             let store = s.store(NodeId(n));
             assert_eq!(
@@ -1415,7 +1434,7 @@ mod tests {
         assert_eq!(s.version_at("S", Epoch(0)), None);
         assert_eq!(s.relation_cardinality("R", Epoch(1)), 1);
         assert_eq!(s.relation_cardinality("S", Epoch(1)), 1);
-        assert_eq!(s.version_history("R"), &[Epoch(0)]);
+        assert!(s.version_history("R").eq([Epoch(0)]));
     }
 
     #[test]
@@ -1437,7 +1456,7 @@ mod tests {
             }
             s.publish(&b).unwrap();
         }
-        let history = s.version_history("R").to_vec();
+        let history = s.version_history("R").collect::<Vec<_>>();
         assert_eq!(history.len(), 20);
         for probe in 0..62u64 {
             let epoch = Epoch(probe);

@@ -5,7 +5,7 @@
 //!
 //! ## The storage scheme (Figure 3)
 //!
-//! Four kinds of per-node state cooperate to serve any relation at any
+//! Three kinds of per-node state cooperate to serve any relation at any
 //! epoch:
 //!
 //! * **Relation coordinators** — contacted at `hash(relation, epoch)`;
@@ -17,12 +17,18 @@
 //!   hold the page contents: the list of tuple IDs belonging to the page
 //!   in that version.  See [`page`].
 //! * **Data storage nodes** — contacted at `hash(tuple key)`; they hold
-//!   the full tuples.  Here a tuple version's body is stored once, in its
-//!   relation's [`VersionLog`], at the slot its page entry lists, and a
-//!   data storage node holds one bit per version ([`SlotSet`]).
-//! * **Inverse nodes** — map a tuple's position back to the page that
-//!   currently lists it, used when an update must rewrite the affected
-//!   page.
+//!   the full tuples.
+//!
+//! Whatever it is, an item is stored once, in its relation's log of its
+//! [`Kind`] ([`version_log`]), under a number, its slot, and a node that
+//! holds it holds one bit ([`SlotSet`]): a descriptor lists its page's
+//! slot and a page entry its tuple version's.
+//!
+//! The paper also places *inverse nodes*, which map a tuple's position
+//! back to the page that currently lists it, for rewriting that page on
+//! an update.  None are kept here: publication rewrites a partition's page
+//! from the previous version's, which it finds through the previous
+//! coordinator record's descriptors, and looks up the tuple there by key.
 //!
 //! All of this state is replicated with the substrate's neighbour scheme
 //! (⌊r/2⌋ clockwise + counter-clockwise), so the failure of a node is
@@ -49,6 +55,9 @@
 //! partition scans used by the query engine and the failover lookups
 //! that consult replicas when the primary owner of some state is gone.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+
 pub mod coordinator;
 pub mod delta;
 pub mod distributed;
@@ -67,4 +76,4 @@ pub use node_store::{NodeStore, SlotSet};
 pub use page::{IndexPage, PageDescriptor, PageId};
 pub use replication::{anti_entropy, ReplicationReport};
 pub use update::{Update, UpdateBatch};
-pub use version_log::VersionLog;
+pub use version_log::{Kind, Log, VersionLog};

@@ -1,55 +1,50 @@
 //! The local store held by one participant.
 //!
-//! Each node keeps the slices of the four distributed structures
-//! (coordinators, index pages, tuple data, inverse entries) whose ring
-//! positions fall in its ranges — plus replicas of its neighbours' slices.
-//! In the paper this state lives in BerkeleyDB.  Here, coordinators, index
-//! pages and inverse entries are hash maps, and the tuple data is one
-//! [`SlotSet`] per relation: a bit per version the relation has published,
-//! set where this node holds the version.  The bodies live once, in the
-//! relation's [`crate::version_log::VersionLog`], numbered by the same
-//! slots the index pages list, so "does this node hold the version a page
-//! lists?" is one bit test and the tuple one index into the log — the
-//! access pattern of the paper's "single pass through the hash ID range"
-//! of a page without a search per tuple.
+//! Each node keeps the slices of the three distributed structures
+//! (coordinator records, index pages, tuple data) whose ring positions
+//! fall in its ranges — plus replicas of its neighbours' slices.  In the
+//! paper this state lives in BerkeleyDB.  Here every item a relation
+//! publishes is stored once, in one of the relation's logs
+//! ([`crate::version_log`]), under a number, its *slot*; a node holds
+//! three [`SlotSet`]s per relation, one per [`Kind`], with a bit set for
+//! each item it holds.  So "does this node hold the record, page or
+//! version a lookup names?" is one bit test and the item one index into
+//! the log — the access pattern of the paper's "single pass through the
+//! hash ID range" of a page without a search per tuple.
 //!
-//! ## Shared, immutable contents
+//! ## Bits, never bodies
 //!
 //! Everything published is immutable — a coordinator record, a page
 //! version and a tuple version never change after the epoch that created
-//! them — so a store holds `Arc`s of records and pages, and bits for
-//! tuples, never bodies.  Writing an item to its owner and its replicas
-//! (publication, anti-entropy) hands each of them a pointer to the *same*
-//! allocation, or sets the same bit in each: a replication-3 cluster holds
-//! one copy of every page and tuple.  Cloning a store copies the maps of
-//! pointers and the bit words, never the data behind them, and a clone
-//! that is later written to (or [`NodeStore::clear`]ed) cannot disturb the
-//! store it was cloned from.
+//! them — so a store holds no item, only the bits saying which ones it
+//! holds.  Writing an item to its owner and its replicas (publication,
+//! anti-entropy) sets the same bit in each: a replication-3 cluster holds
+//! one copy of every record, page and tuple.  Cloning a store copies the
+//! bit words, never the data behind them, and a clone that is later
+//! written to (or [`NodeStore::clear`]ed) cannot disturb the store it was
+//! cloned from.
 
-use crate::coordinator::{CoordinatorKey, RelationVersion};
-use crate::page::{IndexPage, PageId};
-use orchestra_common::NodeId;
+use crate::version_log::Kind;
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::Arc;
 
 /// Bits per word of a [`SlotSet`].
 const WORD: u32 = u64::BITS;
 
-/// A set of slots of one relation's version log, one bit each: the
-/// versions of the relation a node holds.
+/// A set of slots of one of a relation's logs, one bit each: the items of
+/// the log a node holds.
 #[derive(Clone, Debug, Default)]
 pub struct SlotSet {
     words: Vec<u64>,
 }
 
 impl SlotSet {
-    /// Is the version at `slot` in the set?
+    /// Is `slot` in the set?
     pub fn contains(&self, slot: u32) -> bool {
         (self.word((slot / WORD) as usize) >> (slot % WORD)) & 1 == 1
     }
 
-    /// Number of versions in the set.
+    /// Number of slots in the set.
     pub fn len(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
@@ -114,163 +109,107 @@ pub(crate) fn span_mask(at: usize, slots: &Range<u32>) -> u64 {
     below(to) & !below(from)
 }
 
-/// The state stored locally at a single node.
+/// The state stored locally at a single node: per relation, the slots of
+/// each of its logs held here, indexed by [`Kind`].
 #[derive(Clone, Debug, Default)]
 pub struct NodeStore {
-    node: Option<NodeId>,
-    coordinators: HashMap<CoordinatorKey, Arc<RelationVersion>>,
-    index_pages: HashMap<PageId, Arc<IndexPage>>,
-    /// Per relation, the versions of its log held here.
-    tuples: HashMap<String, SlotSet>,
-    /// Latest page version per relation and partition — the inverse-node
-    /// state used to find the page that lists the current version of a
-    /// tuple when applying a modification.
-    inverse: HashMap<String, HashMap<u32, PageId>>,
+    held: HashMap<String, [SlotSet; 3]>,
 }
 
-/// `map[name]`, created on first use — without allocating a `String`
-/// for a name the map already has.
-pub(crate) fn entry_by_name<'a, V: Default>(
-    map: &'a mut HashMap<String, V>,
+/// Call `write` on `map[name]`, created on first use — without allocating
+/// a `String` for a name the map already has.
+pub(crate) fn with_entry<V: Default, R>(
+    map: &mut HashMap<String, V>,
     name: &str,
-) -> &'a mut V {
-    if !map.contains_key(name) {
-        map.insert(name.to_string(), V::default());
+    write: impl FnOnce(&mut V) -> R,
+) -> R {
+    if let Some(value) = map.get_mut(name) {
+        return write(value);
     }
-    map.get_mut(name).expect("present or just inserted")
+    write(map.entry(name.to_string()).or_default())
 }
 
 impl NodeStore {
-    /// An empty store belonging to `node`.
-    pub fn new(node: NodeId) -> NodeStore {
-        NodeStore {
-            node: Some(node),
-            ..NodeStore::default()
-        }
+    /// The items of `relation`'s log of `kind` held here, or `None` when
+    /// the node holds nothing of the relation: one lookup by name for any
+    /// number of items.
+    pub fn slots(&self, relation: &str, kind: Kind) -> Option<&SlotSet> {
+        Some(&self.held.get(relation)?[kind as usize])
     }
 
-    /// The node this store belongs to, if known.
-    pub fn node(&self) -> Option<NodeId> {
-        self.node
-    }
-
-    // ----- relation coordinator state -------------------------------------
-
-    /// Store a relation-version record.
-    pub fn put_coordinator(&mut self, version: Arc<RelationVersion>) {
-        self.coordinators.insert(version.key.clone(), version);
-    }
-
-    /// Fetch a relation-version record.
-    pub fn coordinator(&self, key: &CoordinatorKey) -> Option<&Arc<RelationVersion>> {
-        self.coordinators.get(key)
-    }
-
-    // ----- index node state ------------------------------------------------
-
-    /// Store an index page body.
-    pub fn put_index_page(&mut self, page: Arc<IndexPage>) {
-        self.index_pages.insert(page.id.clone(), page);
-    }
-
-    /// Fetch an index page body.
-    pub fn index_page(&self, id: &PageId) -> Option<&Arc<IndexPage>> {
-        self.index_pages.get(id)
-    }
-
-    // ----- data storage node state ------------------------------------------
-
-    /// The versions of `relation` held here, or `None` when the node
-    /// holds none: one lookup by name for any number of versions.
-    pub fn tuples(&self, relation: &str) -> Option<&SlotSet> {
-        self.tuples.get(relation)
-    }
-
-    /// Does this node hold the version of `relation` at `slot`?
+    /// Does this node hold the tuple version of `relation` at `slot`?
     pub fn holds(&self, relation: &str, slot: u32) -> bool {
-        self.tuples(relation)
+        self.slots(relation, Kind::Tuple)
             .is_some_and(|held| held.contains(slot))
     }
 
-    /// The versions of `relation` held here, for writing, with room for
-    /// the slots of a log of `log_len` versions (see
+    /// Add to the items of `relation`'s log of `kind` held here, with room
+    /// for the slots of a log of `log_len` items (see
     /// [`SlotSet::reserve_for`]).
-    pub(crate) fn tuples_mut(&mut self, relation: &str, log_len: usize) -> &mut SlotSet {
-        let held = entry_by_name(&mut self.tuples, relation);
-        held.reserve_for(log_len);
-        held
+    pub(crate) fn write(
+        &mut self,
+        relation: &str,
+        kind: Kind,
+        log_len: usize,
+        add: impl FnOnce(&mut SlotSet),
+    ) {
+        with_entry(&mut self.held, relation, |held| {
+            let slots = &mut held[kind as usize];
+            slots.reserve_for(log_len);
+            add(slots)
+        })
     }
 
-    /// Every relation this store holds versions of, with the versions, in
-    /// no particular order.
+    /// Every relation this store holds tuple versions of, with the
+    /// versions, in no particular order.
     pub fn held(&self) -> impl Iterator<Item = (&str, &SlotSet)> {
-        self.tuples.iter().map(|(name, held)| (name.as_str(), held))
+        (self.held.iter())
+            .map(|(name, held)| (name.as_str(), &held[Kind::Tuple as usize]))
+            .filter(|(_, slots)| !slots.is_empty())
     }
 
-    // ----- inverse node state -----------------------------------------------
-
-    /// Record that `page` is the latest version of `(relation, partition)`.
-    pub fn put_inverse(&mut self, relation: &str, partition: u32, page: PageId) {
-        entry_by_name(&mut self.inverse, relation).insert(partition, page);
+    /// Number of items of `kind` held, across all relations.
+    fn count(&self, kind: Kind) -> usize {
+        self.held
+            .values()
+            .map(|held| held[kind as usize].len())
+            .sum()
     }
-
-    /// The latest page version of `(relation, partition)` known here.
-    pub fn inverse(&self, relation: &str, partition: u32) -> Option<&PageId> {
-        self.inverse.get(relation)?.get(&partition)
-    }
-
-    // ----- bookkeeping --------------------------------------------------------
 
     /// Number of coordinator records held.
     pub fn coordinator_count(&self) -> usize {
-        self.coordinators.len()
+        self.count(Kind::Record)
     }
 
     /// Number of index pages held.
     pub fn index_page_count(&self) -> usize {
-        self.index_pages.len()
+        self.count(Kind::Page)
     }
 
     /// Number of tuple versions held (across all relations).
     pub fn tuple_count(&self) -> usize {
-        self.tuples.values().map(SlotSet::len).sum()
+        self.count(Kind::Tuple)
     }
 
     /// Drop everything — used to model the permanent loss of a failed
     /// node's local storage.
     pub fn clear(&mut self) {
-        self.coordinators.clear();
-        self.index_pages.clear();
-        self.tuples.clear();
-        self.inverse.clear();
-    }
-
-    /// Iterate over every coordinator record (used by anti-entropy
-    /// replication).
-    pub fn coordinators(&self) -> impl Iterator<Item = &Arc<RelationVersion>> {
-        self.coordinators.values()
-    }
-
-    /// Iterate over every index page (used by anti-entropy replication).
-    pub fn index_pages(&self) -> impl Iterator<Item = &Arc<IndexPage>> {
-        self.index_pages.values()
+        self.held.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::page::{partition_range, PageId};
-    use orchestra_common::Epoch;
 
     #[test]
     fn tuple_storage_and_lookup() {
-        let mut s = NodeStore::new(NodeId(0));
-        s.tuples_mut("R", 10).insert_range(5..6);
+        let mut s = NodeStore::default();
+        s.write("R", Kind::Tuple, 10, |held| held.insert_range(5..6));
         assert!(s.holds("R", 5));
         assert!(!s.holds("R", 4) && !s.holds("R", 6) && !s.holds("R", 5_000));
         assert!(!s.holds("S", 5));
-        assert!(s.tuples("S").is_none());
+        assert!(s.slots("S", Kind::Tuple).is_none());
         assert_eq!(s.tuple_count(), 1);
         let held: Vec<(&str, Vec<u32>)> = s.held().map(|(r, h)| (r, h.iter().collect())).collect();
         assert_eq!(held, [("R", vec![5])]);
@@ -303,39 +242,31 @@ mod tests {
     }
 
     #[test]
-    fn coordinator_index_and_inverse_round_trip() {
-        let mut s = NodeStore::new(NodeId(1));
-        let key = CoordinatorKey::new("R", Epoch(0));
-        let page = Arc::new(IndexPage::new(
-            PageId::new("R", Epoch(0), 0),
-            partition_range(0, 4),
-            vec![],
-        ));
-        s.put_coordinator(Arc::new(RelationVersion::new(
-            key.clone(),
-            vec![page.descriptor()],
-        )));
-        s.put_index_page(Arc::clone(&page));
-        s.put_inverse("R", 0, page.id.clone());
-        assert!(s.coordinator(&key).is_some());
-        assert!(s.coordinator(&CoordinatorKey::new("R", Epoch(1))).is_none());
-        assert_eq!(s.index_page(&page.id), Some(&page));
-        assert_eq!(s.inverse("R", 0), Some(&page.id));
-        assert_eq!(s.inverse("R", 1), None);
-        assert_eq!(s.inverse("S", 0), None);
-        assert_eq!(s.coordinator_count(), 1);
-        assert_eq!(s.index_page_count(), 1);
+    fn coordinator_and_page_bits_round_trip() {
+        // Each kind is a set of its own: a record or page slot is not a
+        // tuple version, and the counts keep the kinds apart.
+        let mut s = NodeStore::default();
+        s.write("R", Kind::Record, 1, |held| held.insert_range(0..1));
+        s.write("R", Kind::Page, 8, |held| held.insert_range(2..5));
+        let slots = |kind| s.slots("R", kind).map(|h| h.iter().collect::<Vec<_>>());
+        assert_eq!(slots(Kind::Record), Some(vec![0]));
+        assert_eq!(slots(Kind::Page), Some(vec![2, 3, 4]));
+        assert_eq!(slots(Kind::Tuple), Some(vec![]));
+        assert!(s.slots("S", Kind::Page).is_none());
+        assert!(!s.holds("R", 0) && !s.holds("R", 2));
+        assert_eq!(s.held().count(), 0, "no tuple versions held");
+        assert_eq!(
+            [s.coordinator_count(), s.index_page_count(), s.tuple_count()],
+            [1, 3, 0]
+        );
     }
 
     #[test]
     fn clear_wipes_everything() {
-        let mut s = NodeStore::new(NodeId(0));
-        s.tuples_mut("R", 1).insert_range(0..1);
-        s.put_index_page(Arc::new(IndexPage::new(
-            PageId::new("R", Epoch(0), 0),
-            partition_range(0, 1),
-            vec![],
-        )));
+        let mut s = NodeStore::default();
+        for kind in Kind::ALL {
+            s.write("R", kind, 1, |held| held.insert_range(0..1));
+        }
         s.clear();
         assert_eq!(s.tuple_count(), 0);
         assert_eq!(s.index_page_count(), 0);
@@ -344,20 +275,14 @@ mod tests {
 
     #[test]
     fn a_cloned_store_shares_contents_but_not_fate() {
-        let mut s = NodeStore::new(NodeId(0));
-        s.tuples_mut("R", 3).insert_range(2..3);
-        let page = Arc::new(IndexPage::new(
-            PageId::new("R", Epoch(0), 0),
-            partition_range(0, 1),
-            vec![],
-        ));
-        s.put_index_page(Arc::clone(&page));
+        let mut s = NodeStore::default();
+        s.write("R", Kind::Tuple, 3, |held| held.insert_range(2..3));
+        s.write("R", Kind::Page, 1, |held| held.insert_range(0..1));
         let mut copy = s.clone();
-        // One allocation, referenced by the test, the store and its clone.
-        assert_eq!(Arc::strong_count(&page), 3);
+        assert_eq!(copy.index_page_count(), 1);
         copy.clear();
-        assert_eq!(Arc::strong_count(&page), 2);
-        assert!(s.holds("R", 2));
-        assert_eq!(s.index_page(&page.id), Some(&page));
+        copy.write("R", Kind::Tuple, 3, |held| held.insert_range(0..1));
+        assert!(s.holds("R", 2) && !s.holds("R", 0));
+        assert_eq!([s.index_page_count(), s.tuple_count()], [1, 1]);
     }
 }

@@ -7,7 +7,7 @@
 //! partition's ordinal within the relation.  The [`IndexPage`] is the page
 //! body — the list of tuple IDs present in that partition in that version,
 //! each with the ring position of its key — and a [`PageDescriptor`] is the
-//! coordinator-side summary (ID, hash range, storage position,
+//! coordinator-side summary (ID, hash range, storage position, slot,
 //! cardinality).
 //!
 //! The page is *stored* at the midpoint of the hash range it covers, so
@@ -15,21 +15,22 @@
 //! tuples it references live on the same node ("the vast majority of tuple
 //! keys are never sent over the network").
 //!
-//! ## Immutable, shared, hash-free
+//! ## Immutable, stored once, hash-free
 //!
-//! A page version never changes once built, so the store keeps one
-//! `Arc<IndexPage>` per version and every replica holds a pointer to it.
+//! A page version never changes once built, so it is stored once, at its
+//! slot of the relation's page log ([`crate::version_log`]), and its
+//! holders each set the slot's bit; its [`PageDescriptor`] carries the
+//! slot, so finding the page is a bit test and an index into the log.
 //! Its entries are [`PageEntry`]s: the ring position of a tuple's key is
 //! hashed once, when that tuple version is published, and
 //! [`IndexPage::next_version`] *carries the entries forward* — a page
 //! rewritten in epoch 40 still holds the positions computed in epoch 0.
-//! An entry also carries its version's *slot*, the number publication
-//! gave it in the relation's version log
-//! ([`crate::version_log::VersionLog`]): reading the tuple an entry
-//! lists is a bit test in a node's store and an index into the log.
-//! Entries are sorted by tuple ID (key first), which makes "the version of
-//! key `k` listed here" a binary search ([`IndexPage::current_version_of`])
-//! and the next version a sorted merge.
+//! An entry also carries its version's slot in the relation's version
+//! log: reading the tuple an entry lists is a bit test in a node's store
+//! and an index into the log.  Entries are sorted by tuple ID (key
+//! first), which makes "the version of key `k` listed here" a binary
+//! search ([`IndexPage::current_version_of`]) and the next version a
+//! sorted merge.
 //!
 //! ## A new page version costs what changed
 //!
@@ -68,16 +69,6 @@ impl PageId {
             partition,
         }
     }
-
-    /// The ring position at which the *page lookup* for this page is
-    /// addressed (hash of the full ID) — used for inverse-node placement.
-    pub fn hash(&self) -> Key160 {
-        Key160::hash_parts(&[
-            self.relation.as_bytes(),
-            &self.epoch.0.to_be_bytes(),
-            &self.partition.to_be_bytes(),
-        ])
-    }
 }
 
 impl fmt::Display for PageId {
@@ -96,23 +87,28 @@ pub struct PageDescriptor {
     /// The ring position at which the page body is stored: the midpoint of
     /// `range`, so the page is co-located with most of its tuples.
     pub storage_key: Key160,
+    /// The page version's number in its relation's page log.
+    pub slot: u32,
     /// Number of tuple IDs listed in the page (for planner statistics).
     pub tuple_count: usize,
 }
 
 impl PageDescriptor {
-    /// Describe a page covering `range`.
-    pub fn new(id: PageId, range: KeyRange, tuple_count: usize) -> PageDescriptor {
+    /// Describe a page covering `range`, stored at `slot` of its
+    /// relation's page log.
+    pub fn new(id: PageId, range: KeyRange, slot: u32, tuple_count: usize) -> PageDescriptor {
         PageDescriptor {
             storage_key: range.midpoint(),
             id,
             range,
+            slot,
             tuple_count,
         }
     }
 
     /// Approximate wire size of the descriptor when a coordinator ships
-    /// its page list to a requester.
+    /// its page list to a requester (the slot, local to this store, is
+    /// not charged).
     pub fn serialized_size(&self) -> usize {
         self.id.relation.len() + 8 + 4 + 40 + 8
     }
@@ -160,9 +156,10 @@ impl IndexPage {
         self.entries.get(at).filter(|e| *e.id.key == *key)
     }
 
-    /// The descriptor summarising this page version.
-    pub fn descriptor(&self) -> PageDescriptor {
-        PageDescriptor::new(self.id.clone(), self.range, self.entries.len())
+    /// The descriptor summarising this page version, stored at `slot` of
+    /// its relation's page log.
+    pub fn descriptor(&self, slot: u32) -> PageDescriptor {
+        PageDescriptor::new(self.id.clone(), self.range, slot, self.entries.len())
     }
 
     /// Derive the next version of this page at `epoch`: drop the IDs in
@@ -270,11 +267,8 @@ mod tests {
     }
 
     #[test]
-    fn page_id_display_and_hash() {
-        let id = PageId::new("R", Epoch(2), 0);
-        assert_eq!(id.to_string(), "R@e2#0");
-        assert_ne!(id.hash(), PageId::new("R", Epoch(2), 1).hash());
-        assert_ne!(id.hash(), PageId::new("R", Epoch(3), 0).hash());
+    fn page_id_display() {
+        assert_eq!(PageId::new("R", Epoch(2), 0).to_string(), "R@e2#0");
     }
 
     #[test]
@@ -357,8 +351,9 @@ mod tests {
     fn descriptor_summarises_page() {
         let range = partition_range(1, 4);
         let page = IndexPage::new(PageId::new("R", Epoch(0), 1), range, vec![entry(7, 0)]);
-        let d = page.descriptor();
+        let d = page.descriptor(7);
         assert_eq!(d.id, page.id);
+        assert_eq!(d.slot, 7);
         assert_eq!(d.tuple_count, 1);
         assert_eq!(d.storage_key, range.midpoint());
         assert!(d.serialized_size() > 0);

@@ -5,44 +5,46 @@
 //! ("For completeness we plan to implement the Bloom filter-based
 //! background replication approach of the Pastry-based PAST storage
 //! system").  This module provides that missing piece in a simple form: an
-//! anti-entropy pass that walks every live node's state and copies each
+//! anti-entropy pass that compares every live node's state and copies each
 //! item to the owner and replicas designated by the *current* routing
 //! table.  Running it after a membership change restores the placement
 //! invariant, so subsequent failures can again be absorbed by neighbours.
 //!
 //! ## The walk is arc-wise, a word of bits at a time
 //!
-//! Placement is a property of an *arc* of the ring, not of a tuple: every
-//! key inside one routing entry has the same owner and so the same
+//! Placement is a property of an *arc* of the ring, not of an item: every
+//! position inside one routing entry has the same owner and so the same
 //! replicas.  The pass therefore resolves the live replica set once per
-//! routing entry.  A node holds a tuple version as one bit of a
-//! [`crate::SlotSet`] over its relation's version log, and the log is a
-//! sequence of runs, each in ring-position order
-//! ([`crate::version_log`]), so what one arc places from one run is one
-//! range of slots — two for the arc that wraps past the top of the ring,
-//! and for a replicated relation, whose single arc is the whole ring and
-//! whose replicas are all the live nodes, the whole log.  Over such a
+//! routing entry.  A node holds any item — coordinator record, page
+//! version or tuple version — as one bit of a [`crate::SlotSet`] over its
+//! relation's log of that kind, and every log is a sequence of runs, each
+//! in ring-position order ([`crate::version_log`]; a record is a run of
+//! one), so what one arc places from one run is one range of slots — two
+//! for the arc that wraps past the top of the ring, and for the tuple
+//! versions of a replicated relation, whose single arc is the whole ring
+//! and whose replicas are all the live nodes, the whole log.  One loop
+//! over every relation's logs handles all three kinds alike.  Over such a
 //! range, what a replica lacks is the union of the live nodes' bits minus
-//! the replica's own, 64 versions to a word: a range already in place
-//! costs an OR per live holder and an AND-NOT per replica per word, and
-//! nothing per version.  The copies found are applied grouped by
-//! destination and relation, so a destination's store is unshared, and a
+//! the replica's own, 64 items to a word: a range already in place costs
+//! an OR per live holder and an AND-NOT per replica per word, and nothing
+//! per item.  The copies found are applied grouped by destination,
+//! relation and kind, so a destination's store is unshared, and a
 //! relation found by name, once per group rather than once per word.
 //!
 //! ## What `tuples_copied` counts
 //!
-//! Every source proposes the copies it finds missing, independently: a
-//! version that two live holders both find absent from a third node is
+//! Every source proposes the copies it finds missing, independently: an
+//! item that two live holders both find absent from a third node is
 //! proposed — and counted — twice, though the node ends up with one copy.
 //! [`ReplicationReport::tuples_copied`] is the number of proposals, not of
-//! distinct copies made; pages and coordinator records count the same way.
-//! On the bits, a word's proposals to one replica are the number of its
-//! lacking versions each live node holds, summed over the live nodes.
+//! distinct copies made, and [`ReplicationReport::pages_copied`] and
+//! [`ReplicationReport::coordinators_copied`] count the same way.  On the
+//! bits, a word's proposals to one replica are the number of its lacking
+//! items each live node holds, summed over the live nodes.
 
-use crate::coordinator::RelationVersion;
 use crate::distributed::DistributedStorage;
 use crate::node_store::{span_mask, SlotSet};
-use crate::page::IndexPage;
+use crate::version_log::Kind;
 use orchestra_common::{Key160, NodeId, NodeSet, Result};
 use orchestra_substrate::RoutingTable;
 use std::ops::Range;
@@ -57,6 +59,17 @@ pub struct ReplicationReport {
     pub pages_copied: usize,
     /// Coordinator records copied.
     pub coordinators_copied: usize,
+}
+
+impl ReplicationReport {
+    /// The count of copies of `kind`.
+    fn copied(&mut self, kind: Kind) -> &mut usize {
+        match kind {
+            Kind::Record => &mut self.coordinators_copied,
+            Kind::Page => &mut self.pages_copied,
+            Kind::Tuple => &mut self.tuples_copied,
+        }
+    }
 }
 
 /// The routing table's arcs with the live replica set of each, resolved
@@ -84,20 +97,12 @@ impl Arcs {
         }
     }
 
-    /// The live replicas of the arc holding `position`.
-    fn at(&self, position: Key160) -> &[NodeId] {
-        // As `RoutingTable::owner_of`: the entry with the greatest start
-        // at or below the position, or the last, wrapping, entry.
-        let after = self.starts.partition_point(|start| *start <= position);
-        let entry = after.checked_sub(1).unwrap_or(self.starts.len() - 1);
-        &self.replicas[entry]
-    }
-
-    /// The slots each arc places from one run of a version log — the run
-    /// starting at slot `first`, whose versions' positions are
-    /// `positions`, ascending — with the arc's live replicas: the same
-    /// arc [`Self::at`] gives each version's position, as one range per
-    /// arc and run (two for the wrapping arc).  Empty ranges are left out.
+    /// The slots each arc places from one run of a log — the run starting
+    /// at slot `first`, whose items' positions are `positions`, ascending —
+    /// with the arc's live replicas: the arc holding each item's position,
+    /// the entry with the greatest start at or below it or else the last,
+    /// wrapping, entry (as `RoutingTable::owner_of`), as one range per arc
+    /// and run (two for the wrapping arc).  Empty ranges are left out.
     fn spans(&self, first: u32, positions: &[Key160]) -> Vec<(&[NodeId], Range<u32>)> {
         // The run is no longer than its log, whose slots fit in a `u32`.
         let cut = |start: &Key160| first + positions.partition_point(|p| p < start) as u32;
@@ -115,17 +120,17 @@ impl Arcs {
     }
 }
 
-/// One relation's versions at every live node, for finding what replicas
-/// lack.
+/// What every live node holds of one relation's log of one kind, for
+/// finding what replicas lack.
 struct Holdings<'a> {
-    /// By node index: the node's versions, when it is live and holds any.
+    /// By node index: the node's slots, when it is live and holds any.
     by_node: Vec<Option<&'a SlotSet>>,
-    /// Every live holder's versions.
+    /// Every live holder's slots.
     sources: Vec<&'a SlotSet>,
 }
 
 impl Holdings<'_> {
-    /// Call `lacks(replica, word, bits)` with each word of versions in
+    /// Call `lacks(replica, word, bits)` with each word of items in
     /// `slots` that some live node holds and `replica`, one of
     /// `replicas`, does not; return the copies the live holders propose
     /// for them.
@@ -157,36 +162,14 @@ impl Holdings<'_> {
     }
 }
 
-/// Words of one relation's slots to add at one destination.
-type Words = Vec<(usize, u64)>;
-
-/// What one destination lacks, as the sources found it.
-#[derive(Default)]
-struct Missing {
-    /// Grouped by relation (with its log's length), in the order found.
-    tuples: Vec<(Arc<str>, usize, Words)>,
-    pages: Vec<Arc<IndexPage>>,
-    coordinators: Vec<Arc<RelationVersion>>,
-}
-
-impl Missing {
-    /// Where to add missing versions of `relation`: the last group, if
-    /// that is the relation the finds so far ended on, or a new one.
-    fn tuples_of(&mut self, relation: &Arc<str>, log_len: usize) -> &mut Words {
-        let last = self.tuples.last().map(|(name, _, _)| name);
-        if !last.is_some_and(|name| Arc::ptr_eq(name, relation)) {
-            self.tuples
-                .push((Arc::clone(relation), log_len, Vec::new()));
-        }
-        &mut self.tuples.last_mut().expect("just pushed").2
-    }
-}
+/// Words of one log's slots to add at one destination: of one relation's
+/// log of one kind, with the log's length.
+type Words = (Arc<str>, Kind, usize, Vec<(usize, u64)>);
 
 /// Run one anti-entropy pass over `storage`, copying every item to its
 /// owner and replicas under the current routing table.  Items already in
 /// place are left untouched; failed nodes are never written to.  A "copy"
-/// is a pointer, or for a tuple version a bit: the destination comes to
-/// share the source's allocation.
+/// is a bit: the destination comes to hold the item the log stores once.
 pub fn anti_entropy(storage: &mut DistributedStorage) -> Result<ReplicationReport> {
     let mut report = ReplicationReport::default();
     let failed = storage.failed_nodes();
@@ -200,84 +183,64 @@ pub fn anti_entropy(storage: &mut DistributedStorage) -> Result<ReplicationRepor
 
     // Collect the work first (immutably), then apply it, to keep borrows
     // simple and the pass deterministic.
-    let mut missing: Vec<Missing> = Vec::new();
-    missing.resize_with(
-        live.iter().map(|n| n.index() + 1).max().unwrap_or(0),
-        Missing::default,
-    );
+    let stores = live.iter().map(|n| n.index() + 1).max().unwrap_or(0);
+    let mut missing: Vec<Vec<Words>> = vec![Vec::new(); stores];
 
-    for (relation, log) in storage.version_logs() {
-        let mut holdings = Holdings {
-            by_node: vec![None; missing.len()],
-            sources: Vec::new(),
-        };
-        for node in &live {
-            if let Some(held) = storage.store(*node).tuples(relation) {
-                holdings.by_node[node.index()] = Some(held);
-                holdings.sources.push(held);
-            }
-        }
-        if holdings.sources.is_empty() {
-            continue;
-        }
-        let name: Arc<str> = Arc::from(relation);
-        let mut lacks = |dst: NodeId, at: usize, bits: u64| {
-            missing[dst.index()]
-                .tuples_of(&name, log.len())
-                .push((at, bits))
-        };
-        if storage
-            .relation(relation)
-            .is_some_and(|r| r.is_replicated())
-        {
-            // The log's slots fit in a `u32`.
-            let everything = 0..log.len() as u32;
-            report.tuples_copied += holdings.missing(&live, everything, &mut lacks);
-        } else {
-            for (first, positions) in log.runs() {
-                for (replicas, slots) in arcs.spans(first, positions) {
-                    report.tuples_copied += holdings.missing(replicas, slots, &mut lacks);
+    for (relation, logs) in &storage.logs {
+        let name: Arc<str> = Arc::from(relation.as_str());
+        let replicated = (storage.relation(relation)).is_some_and(|r| r.is_replicated());
+        for kind in Kind::ALL {
+            let mut holdings = Holdings {
+                by_node: vec![None; missing.len()],
+                sources: Vec::new(),
+            };
+            for node in &live {
+                if let Some(held) = storage.store(*node).slots(relation, kind) {
+                    holdings.by_node[node.index()] = Some(held);
+                    holdings.sources.push(held);
                 }
             }
-        }
-    }
-
-    for src in &live {
-        let store = storage.store(*src);
-        for page in store.index_pages() {
-            for dst in arcs.at(page.range.midpoint()) {
-                if storage.store(*dst).index_page(&page.id).is_none() {
-                    missing[dst.index()].pages.push(Arc::clone(page));
-                }
+            if holdings.sources.is_empty() {
+                continue;
             }
-        }
-        for version in store.coordinators() {
-            for dst in arcs.at(version.key.hash()) {
-                if storage.store(*dst).coordinator(&version.key).is_none() {
-                    missing[dst.index()].coordinators.push(Arc::clone(version));
+            let placed = logs.placed(kind);
+            // Finds for one destination are grouped by relation and kind,
+            // in the order found.
+            let mut lacks = |dst: NodeId, at: usize, bits: u64| {
+                let groups = &mut missing[dst.index()];
+                match groups.last_mut() {
+                    Some((r, k, _, words)) if Arc::ptr_eq(r, &name) && *k == kind => {
+                        words.push((at, bits))
+                    }
+                    _ => groups.push((Arc::clone(&name), kind, placed.len(), vec![(at, bits)])),
+                }
+            };
+            let copied = report.copied(kind);
+            if replicated && kind == Kind::Tuple {
+                // The log's slots fit in a `u32`.
+                let everything = 0..placed.len() as u32;
+                *copied += holdings.missing(&live, everything, &mut lacks);
+            } else {
+                for (first, positions) in placed.runs() {
+                    for (replicas, slots) in arcs.spans(first, positions) {
+                        *copied += holdings.missing(replicas, slots, &mut lacks);
+                    }
                 }
             }
         }
     }
 
     for (dst, lacks) in missing.into_iter().enumerate() {
-        if lacks.tuples.is_empty() && lacks.pages.is_empty() && lacks.coordinators.is_empty() {
+        if lacks.is_empty() {
             continue;
         }
         let store = storage.store_mut(NodeId(dst as u16));
-        for (relation, log_len, words) in lacks.tuples {
-            let held = store.tuples_mut(&relation, log_len);
-            for (at, bits) in words {
-                held.insert_word(at, bits);
-            }
-        }
-        report.pages_copied += lacks.pages.len();
-        for page in lacks.pages {
-            store.put_index_page(page);
-        }
-        report.coordinators_copied += lacks.coordinators.len();
-        for version in lacks.coordinators {
-            store.put_coordinator(version);
+        for (relation, kind, log_len, words) in lacks {
+            store.write(&relation, kind, log_len, |held| {
+                for (at, bits) in words {
+                    held.insert_word(at, bits);
+                }
+            });
         }
     }
     Ok(report)
@@ -401,11 +364,11 @@ mod tests {
         let routing = RoutingTable::build(&nodes, AllocationScheme::PastryStyle, 3);
         let arcs = Arcs::new(&routing, &NodeSet::singleton(NodeId(4)));
         let log = s.version_log("R").unwrap();
-        assert_eq!(log.runs().count(), 2);
+        assert_eq!(log.placed.runs().count(), 2);
 
         let mut seen = vec![0; log.len()];
         let mut wrapping_spans = Vec::new();
-        for (first, positions) in log.runs() {
+        for (first, positions) in log.placed.runs() {
             let spans = arcs.spans(first, positions);
             let wrapping = arcs.replicas.last().unwrap().as_slice();
             let meets = spans.iter().filter(|(r, _)| std::ptr::eq(*r, wrapping));
@@ -414,7 +377,15 @@ mod tests {
                 for slot in slots {
                     seen[slot as usize] += 1;
                     let position = log.position(slot).unwrap();
-                    assert!(std::ptr::eq(replicas, arcs.at(position)), "slot {slot}");
+                    // As `RoutingTable::owner_of`: the entry with the
+                    // greatest start at or below the position, or the
+                    // last, wrapping, entry.
+                    let after = arcs.starts.partition_point(|start| *start <= position);
+                    let entry = after.checked_sub(1).unwrap_or(arcs.starts.len() - 1);
+                    assert!(
+                        std::ptr::eq(replicas, &arcs.replicas[entry][..]),
+                        "slot {slot}"
+                    );
                 }
             }
         }

@@ -1,114 +1,194 @@
-//! A relation's version log: the body of every tuple version the relation
-//! has published, numbered.
+//! A relation's logs: everything the relation has published, numbered.
 //!
-//! Publication numbers the versions it creates densely within their
-//! relation — a version's *slot* — and appends their bodies here, once.
-//! The store keeps one log per relation
-//! ([`crate::DistributedStorage::version_log`]); a node that holds a
-//! version holds one bit, the slot's, in its [`crate::NodeStore`], and an
-//! index-page entry carries the slot ([`orchestra_common::PageEntry`]).
-//! Reading the tuple an entry lists is therefore a bit test and an index
-//! into the log, and replicating a version is setting a bit.
+//! A relation publishes three kinds of item ([`Kind`]), and keeps one log
+//! of each ([`RelationLogs`]): its coordinator records, one per
+//! publication; its index-page versions, one per partition a publication
+//! touched; and its tuple versions, one per key a publication wrote.  An
+//! item is stored once, in its log, with the ring position it is placed
+//! at, under the number the log gives it — its *slot*.  A node that holds
+//! the item holds one bit, the slot's, in its [`crate::NodeStore`]; a page
+//! descriptor carries its page's slot ([`crate::PageDescriptor`]) and a
+//! page entry its tuple version's ([`orchestra_common::PageEntry`]).
+//! Reading an item is therefore a bit test and an index into the log, and
+//! replicating one is setting a bit.  The store keeps the logs
+//! ([`crate::DistributedStorage::version_log`],
+//! [`crate::DistributedStorage::page_log`],
+//! [`crate::DistributedStorage::record_log`]).
 //!
 //! ## One run per publication, in ring order
 //!
-//! A publication of a relation appends one *run*: the versions it created,
-//! sorted by the ring position of their keys.  Placement is a property of
-//! an arc of the ring, so what one routing entry places from one run is a
-//! contiguous range of slots, and anti-entropy compares two nodes'
+//! A publication of a relation appends one *run* to each log: the tuple
+//! versions it created, sorted by the ring position of their keys; the
+//! page versions it created, in partition order — partition ranges ascend
+//! round the ring, so their midpoints, where the pages are placed, ascend
+//! too; and its coordinator record, a run of one.  Placement is a property
+//! of an arc of the ring, so what one routing entry places from one run is
+//! a contiguous range of slots, and anti-entropy compares two nodes'
 //! holdings of an arc a word of bits at a time
 //! ([`crate::replication::anti_entropy`]).  A key a publication writes
-//! twice is one version with one slot, holding the later body.
+//! twice is one version with one slot, holding the later body.  Records
+//! are appended in publication order, so the record log, searched by
+//! epoch, is the relation's version history.
 //!
-//! Slots are never reused or renumbered: a version dropped by a future
-//! retention pass would leave a hole, which [`VersionLog::tuple`] already
-//! answers with `None`.
+//! Slots are never reused or renumbered: an item dropped by a future
+//! retention pass would leave a hole, which [`Log::get`] already answers
+//! with `None`.
 //!
-//! The bodies are the store's own detached copies, and they are laid out
-//! in the order publication made them, not in slot order: partition by
+//! The tuple bodies are the store's own detached copies, and they are laid
+//! out in the order publication made them, not in slot order: partition by
 //! partition and, within one, in batch order — for keys generated in
 //! order, the order in which a scan reads a page's entries.
 
-use orchestra_common::{Key160, OrchestraError, Result, Tuple};
-use std::ops::Range;
+use crate::coordinator::RelationVersion;
+use crate::page::IndexPage;
+use orchestra_common::{Epoch, Key160, OrchestraError, Result, Tuple};
+use std::sync::Arc;
 
-/// The tuple versions one relation has published, by slot.
+/// The three kinds of item a relation publishes, each numbered in a log of
+/// its own.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Kind {
+    /// Coordinator records ([`RelationVersion`]).
+    Record,
+    /// Index-page versions ([`IndexPage`]).
+    Page,
+    /// Tuple versions.
+    Tuple,
+}
+
+impl Kind {
+    /// Every kind, in the order a node store keeps them.
+    pub const ALL: [Kind; 3] = [Kind::Record, Kind::Page, Kind::Tuple];
+}
+
+/// Items one relation has published, by slot, each with the ring position
+/// it is placed at.
+#[derive(Clone, Debug)]
+pub struct Log<T> {
+    /// The items, by slot.
+    items: Vec<T>,
+    pub(crate) placed: Placed,
+}
+
+/// Where a log's items are placed, whatever they are.
 #[derive(Clone, Debug, Default)]
-pub struct VersionLog {
-    /// The bodies, by slot.
-    tuples: Vec<Tuple>,
-    /// The ring position of each body's key, by slot; ascending within a
-    /// run.
+pub(crate) struct Placed {
+    /// Each item's ring position, by slot; ascending within a run.
     positions: Vec<Key160>,
     /// The first slot of every run, ascending.
     runs: Vec<u32>,
 }
 
-impl VersionLog {
+/// A relation's tuple versions, by slot.
+pub type VersionLog = Log<Tuple>;
+
+impl<T> Default for Log<T> {
+    fn default() -> Self {
+        Log {
+            items: Vec::new(),
+            placed: Placed::default(),
+        }
+    }
+}
+
+impl<T> Log<T> {
     /// How many slots have been numbered.
     pub fn len(&self) -> usize {
-        self.tuples.len()
+        self.items.len()
     }
 
-    /// Has the relation published no version yet?
+    /// Has nothing been published to the log yet?
     pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
+        self.items.is_empty()
     }
 
-    /// The body of the version at `slot`, if the log has one there.
-    pub fn tuple(&self, slot: u32) -> Option<&Tuple> {
-        self.tuples.get(slot as usize)
+    /// The item at `slot`, if the log has one there.
+    pub fn get(&self, slot: u32) -> Option<&T> {
+        self.items.get(slot as usize)
     }
 
-    /// The ring position of the key of the version at `slot`.
+    /// The ring position the item at `slot` is placed at.
     pub fn position(&self, slot: u32) -> Option<Key160> {
-        self.positions.get(slot as usize).copied()
+        self.placed.positions.get(slot as usize).copied()
     }
 
-    /// Append one publication's versions, `(position, body)` in ascending
-    /// position, as a run, and return the run's slots.  Fails, appending
-    /// nothing, when the slots would not fit in a `u32`.
-    pub(crate) fn append_run(
-        &mut self,
-        versions: impl ExactSizeIterator<Item = (Key160, Tuple)>,
-    ) -> Result<Range<u32>> {
-        let numbered = |n: usize| {
-            u32::try_from(n).map_err(|_| {
-                OrchestraError::StorageInvalid(format!(
-                    "a relation's version log holds at most {} versions",
-                    u32::MAX
-                ))
-            })
-        };
-        let start = numbered(self.len())?;
-        let end = numbered(self.len() + versions.len())?;
-        if start == end {
-            return Ok(start..end);
-        }
-        self.runs.push(start);
-        self.tuples.reserve(versions.len());
-        self.positions.reserve(versions.len());
-        for (position, tuple) in versions {
-            let first = self.positions.len() == start as usize;
-            debug_assert!(
-                first || self.positions.last() <= Some(&position),
-                "run out of order"
-            );
-            self.positions.push(position);
-            self.tuples.push(tuple);
-        }
-        Ok(start..end)
+    /// Every item, by slot.
+    pub fn items(&self) -> &[T] {
+        &self.items
     }
 
-    /// Every run, as its first slot and its versions' positions
-    /// (ascending).
+    /// Make room for `additional` more items, so that a run of them
+    /// reallocates the log at most once however large it has grown.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.items.reserve(additional);
+        self.placed.positions.reserve(additional);
+    }
+
+    /// Append `item`, placed at `position`, and return its slot: the first
+    /// of a new run when `opens_run`, else the next of the last run, whose
+    /// positions it must not precede.  Fails, appending nothing, when the
+    /// slot would not fit in a `u32`.
+    pub(crate) fn push(&mut self, position: Key160, item: T, opens_run: bool) -> Result<u32> {
+        let slot = u32::try_from(self.len()).map_err(|_| {
+            OrchestraError::StorageInvalid(format!(
+                "a relation's log holds at most {} items",
+                u32::MAX
+            ))
+        })?;
+        let placed = &mut self.placed;
+        if opens_run {
+            placed.runs.push(slot);
+        }
+        debug_assert!(
+            opens_run || placed.positions.last() <= Some(&position),
+            "run out of order"
+        );
+        placed.positions.push(position);
+        self.items.push(item);
+        Ok(slot)
+    }
+}
+
+impl Placed {
+    /// How many slots have been numbered.
+    pub(crate) fn len(&self) -> usize {
+        self.positions.len()
+    }
+
+    /// Every run, as its first slot and its items' positions (ascending).
     pub(crate) fn runs(&self) -> impl Iterator<Item = (u32, &[Key160])> + '_ {
         let ends = self.runs.iter().skip(1).copied();
         let ends = ends.chain(std::iter::once(self.positions.len() as u32));
-        self.runs
-            .iter()
-            .zip(ends)
+        (self.runs.iter().zip(ends))
             .map(|(&start, end)| (start, &self.positions[start as usize..end as usize]))
+    }
+}
+
+/// Everything one relation has published: one log per [`Kind`].
+#[derive(Clone, Debug, Default)]
+pub(crate) struct RelationLogs {
+    pub(crate) records: Log<Arc<RelationVersion>>,
+    pub(crate) pages: Log<Arc<IndexPage>>,
+    pub(crate) versions: VersionLog,
+}
+
+impl RelationLogs {
+    /// Where the items of the log of `kind` are placed.
+    pub(crate) fn placed(&self, kind: Kind) -> &Placed {
+        match kind {
+            Kind::Record => &self.records.placed,
+            Kind::Page => &self.pages.placed,
+            Kind::Tuple => &self.versions.placed,
+        }
+    }
+
+    /// The slot of the record of the relation's version visible at
+    /// `epoch`: the last one published at or before it.  Records are
+    /// appended in publication order, so this is a binary search.
+    pub(crate) fn record_at(&self, epoch: Epoch) -> Option<u32> {
+        let after = (self.records.items()).partition_point(|r| r.key.epoch <= epoch);
+        // The log's slots fit in a `u32`.
+        after.checked_sub(1).map(|slot| slot as u32)
     }
 }
 
@@ -133,22 +213,26 @@ mod tests {
         let mut log = VersionLog::default();
         assert!(log.is_empty());
         let first = sorted_run(0..30);
-        assert_eq!(log.append_run(first.clone().into_iter()).unwrap(), 0..30);
-        // A publication that creates nothing appends no run.
-        assert_eq!(log.append_run(std::iter::empty()).unwrap(), 30..30);
         let second = sorted_run(100..105);
-        assert_eq!(log.append_run(second.clone().into_iter()).unwrap(), 30..35);
+        for run in [&first, &second] {
+            for (i, (position, tuple)) in run.iter().enumerate() {
+                let slot = log.push(*position, tuple.clone(), i == 0).unwrap();
+                assert_eq!(slot as usize, log.len() - 1);
+            }
+        }
         assert_eq!(log.len(), 35);
 
         for (slot, (position, tuple)) in first.iter().chain(&second).enumerate() {
-            assert_eq!(log.tuple(slot as u32), Some(tuple));
+            assert_eq!(log.get(slot as u32), Some(tuple));
             assert_eq!(log.position(slot as u32), Some(*position));
         }
-        assert_eq!(log.tuple(35), None);
+        assert_eq!(log.get(35), None);
         assert_eq!(log.position(35), None);
 
-        let runs: Vec<(u32, usize)> = log.runs().map(|(start, p)| (start, p.len())).collect();
+        let runs: Vec<(u32, usize)> = (log.placed.runs())
+            .map(|(start, p)| (start, p.len()))
+            .collect();
         assert_eq!(runs, [(0, 30), (30, 5)]);
-        assert!(log.runs().all(|(_, positions)| positions.is_sorted()));
+        assert!(log.placed.runs().all(|(_, p)| p.is_sorted()));
     }
 }

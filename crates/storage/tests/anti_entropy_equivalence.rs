@@ -2,14 +2,17 @@
 //!
 //! A node's tuples used to be a position-ordered map per relation, and
 //! the pass merged each live source's map with each replica's, one
-//! routing arc at a time.  Nodes now hold a bit per version of each
-//! relation's log and the pass works a word of bits at a time.  This test
-//! keeps the merge as the reference, rebuilt here from the public read
-//! API (the held slots, their positions in the log, the routing table's
-//! arcs), and checks on random scenarios that the pass reports the same
-//! `(tuples, pages, coordinators)` proposals and leaves every node holding
-//! exactly what the reference says — then that a second pass finds nothing
-//! to do.
+//! routing arc at a time; its pages and coordinator records were maps of
+//! pointers, and the pass walked every item each live source held,
+//! proposing it to every replica of its arc that lacked it.  Nodes now
+//! hold a bit per item of each of a relation's logs and the pass works a
+//! word of bits at a time, over all three logs alike.  This test keeps
+//! the merge and the per-item walk as the reference, rebuilt here from the
+//! public read API (the held slots, their positions in the version log, a
+//! page's range and a record's key, the routing table's arcs), and checks
+//! on random scenarios that the pass reports the same `(tuples, pages,
+//! coordinators)` proposals and leaves every node holding exactly what the
+//! reference says — then that a second pass finds nothing to do.
 //!
 //! A scenario is a store of a few hundred multi-version keys in two
 //! partitioned relations and one replicated relation, under a random
@@ -26,20 +29,34 @@
 use orchestra_common::rng::{self, StdRng};
 use orchestra_common::{ColumnType, Key160, NodeId, NodeSet, Relation, Schema, Tuple, Value};
 use orchestra_storage::{
-    anti_entropy, CoordinatorKey, DistributedStorage, PageId, ReplicationReport, StorageConfig,
-    UpdateBatch,
+    anti_entropy, DistributedStorage, Kind, ReplicationReport, StorageConfig, UpdateBatch,
 };
 use orchestra_substrate::{AllocationScheme, ReplicationPolicy, RoutingTable};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound;
+
+/// The relations of every scenario.
+const RELATIONS: [&str; 3] = ["R", "S", "N"];
 
 /// What one node holds.
 #[derive(Debug, Default, PartialEq, Eq)]
 struct Placement {
     /// Per relation, the slots of the versions held (none left out empty).
     tuples: BTreeMap<String, BTreeSet<u32>>,
-    pages: BTreeSet<PageId>,
-    coordinators: BTreeSet<CoordinatorKey>,
+    /// The relation and slot of every page version held.
+    pages: BTreeSet<(String, u32)>,
+    /// The relation and slot of every coordinator record held.
+    coordinators: BTreeSet<(String, u32)>,
+}
+
+impl Placement {
+    /// Where the reference puts the items of `kind` other than tuples.
+    fn items(&mut self, kind: Kind) -> &mut BTreeSet<(String, u32)> {
+        match kind {
+            Kind::Page => &mut self.pages,
+            _ => &mut self.coordinators,
+        }
+    }
 }
 
 /// Every store's placement, stores `0..stores`.
@@ -47,14 +64,22 @@ fn placements(s: &DistributedStorage, stores: u16) -> Vec<Placement> {
     (0..stores)
         .map(|n| {
             let store = s.store(NodeId(n));
-            Placement {
+            let mut placement = Placement {
                 tuples: (store.held())
-                    .filter(|(_, slots)| !slots.is_empty())
                     .map(|(relation, slots)| (relation.to_string(), slots.iter().collect()))
                     .collect(),
-                pages: store.index_pages().map(|p| p.id.clone()).collect(),
-                coordinators: store.coordinators().map(|c| c.key.clone()).collect(),
+                ..Placement::default()
+            };
+            for kind in [Kind::Page, Kind::Record] {
+                for relation in RELATIONS {
+                    let slots = store
+                        .slots(relation, kind)
+                        .into_iter()
+                        .flat_map(|h| h.iter());
+                    (placement.items(kind)).extend(slots.map(|slot| (relation.to_string(), slot)));
+                }
             }
+            placement
         })
         .collect()
 }
@@ -156,20 +181,37 @@ fn reference(s: &DistributedStorage, stores: u16) -> (ReplicationReport, Vec<Pla
                 while rest.next_if(|(p, _)| inside(p)).is_some() {}
             }
         }
-        let store = s.store(*src);
-        for page in store.index_pages() {
-            for dst in at(page.range.midpoint()).0 {
-                if s.store(*dst).index_page(&page.id).is_none() {
-                    report.pages_copied += 1;
-                    after[dst.index()].pages.insert(page.id.clone());
-                }
-            }
-        }
-        for version in store.coordinators() {
-            for dst in at(version.key.hash()).0 {
-                if s.store(*dst).coordinator(&version.key).is_none() {
-                    report.coordinators_copied += 1;
-                    after[dst.index()].coordinators.insert(version.key.clone());
+        // Every page and record the source holds, proposed to each replica
+        // of the arc it is placed in that lacks it.  The position is the
+        // page's midpoint or the hash of the record's key, as publication
+        // places them.
+        for kind in [Kind::Page, Kind::Record] {
+            for relation in RELATIONS {
+                let held = |n: NodeId| s.store(n).slots(relation, kind);
+                for slot in held(*src).into_iter().flat_map(|h| h.iter()) {
+                    let position = match kind {
+                        Kind::Page => {
+                            let page = s.page_log(relation).unwrap().get(slot).unwrap();
+                            page.range.midpoint()
+                        }
+                        _ => s
+                            .record_log(relation)
+                            .unwrap()
+                            .get(slot)
+                            .unwrap()
+                            .key
+                            .hash(),
+                    };
+                    for dst in at(position).0 {
+                        if !held(*dst).is_some_and(|h| h.contains(slot)) {
+                            match kind {
+                                Kind::Page => report.pages_copied += 1,
+                                _ => report.coordinators_copied += 1,
+                            }
+                            let item = (relation.to_string(), slot);
+                            after[dst.index()].items(kind).insert(item);
+                        }
+                    }
                 }
             }
         }

@@ -4,10 +4,11 @@
 //! A new page version carries its surviving entries forward by pointer
 //! (a tuple ID's key is an `Arc<[Value]>`), replica sets are looked up,
 //! not walked, a delta finds each node's tuples of the relation once, and
-//! a version is stored once, in its relation's log, with a bit at each
-//! holder.  So a churn epoch of a fixed size allocates the same whether
-//! the relation it lands in is small or large, and a partition scan
-//! allocates its result and nothing else.  This binary installs a
+//! a record, a page version and a tuple version are each stored once, in
+//! their relation's logs, with a bit at each holder.  So a churn epoch of
+//! a fixed size allocates the same whether the relation it lands in is
+//! small or large, and a partition scan allocates its result and nothing
+//! else.  This binary installs a
 //! counting allocator (its own, so no other test pays for it) to check
 //! that, and checks the sharing itself with `Arc::ptr_eq`.
 
@@ -145,8 +146,11 @@ fn churn_epoch_allocations(rows: i64) -> u64 {
 /// each holder kept a position map of `Arc`s: a version cost an `Arc`
 /// and a key copy for the stores beside its body, and its position a
 /// list insert at every holder.  As a bit per holder over the relation's
-/// log it is 1,842.
-const CHURN_EPOCH_BUDGET: u64 = 1_842;
+/// log it was 1,842, while every holder of every rewritten page still
+/// cloned its `PageId` twice, for a map of pages and a map of inverse
+/// entries.  With pages and records bits over logs of their own too it is
+/// 1,459.
+const CHURN_EPOCH_BUDGET: u64 = 1_459;
 
 #[test]
 fn a_churn_epoch_allocates_the_same_over_5k_or_40k_rows() {
@@ -191,12 +195,13 @@ fn scan_allocations_beyond_the_result(rows: i64) -> u64 {
 #[test]
 fn a_scan_allocates_the_same_over_5k_or_40k_rows() {
     // A page entry is resolved by a bit test and an index: a store of 40k
-    // rows costs the scan no more allocations than one of 5k.  Besides
-    // its result it allocates one thing, the coordinator key it finds the
-    // relation's version by.
+    // rows costs the scan no more allocations than one of 5k.  The record
+    // is found by its index in the relation's record log, not by a key
+    // built to look it up, so besides its result the scan allocates
+    // nothing.
     let small = scan_allocations_beyond_the_result(5_000);
     let large = scan_allocations_beyond_the_result(40_000);
-    assert_eq!((small, large), (1, 1));
+    assert_eq!((small, large), (0, 0));
 }
 
 #[test]

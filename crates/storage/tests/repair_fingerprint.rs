@@ -15,7 +15,7 @@ mod common;
 
 use common::{routing_over, seeded_store, NODES};
 use orchestra_common::{Key160, NodeId, NodeSet, PageEntry, TupleId};
-use orchestra_storage::{anti_entropy, DistributedStorage, ReplicationReport};
+use orchestra_storage::{anti_entropy, DistributedStorage, Kind, ReplicationReport};
 use orchestra_substrate::{AllocationScheme, ReplicationPolicy, RoutingTable};
 use std::collections::HashMap;
 
@@ -46,30 +46,36 @@ fn holdings(s: &DistributedStorage) -> Vec<Triple> {
 /// The ring positions of the versions of `relation` that `node` holds.
 fn positions_held(s: &DistributedStorage, node: NodeId, relation: &str) -> Vec<Key160> {
     let log = s.version_log(relation).unwrap();
-    let held = s.store(node).tuples(relation).into_iter();
+    let held = s.store(node).slots(relation, Kind::Tuple).into_iter();
     held.flat_map(|slots| slots.iter().map(|slot| log.position(slot).unwrap()))
         .collect()
 }
 
-/// The length of each relation's version log.
+/// The length of each relation's record, page and version logs.
 fn log_lengths(s: &DistributedStorage) -> Vec<usize> {
-    ["R", "N"].map(|r| s.version_log(r).unwrap().len()).to_vec()
+    let lengths = ["R", "N"].map(|r| {
+        [
+            s.record_log(r).unwrap().len(),
+            s.page_log(r).unwrap().len(),
+            s.version_log(r).unwrap().len(),
+        ]
+    });
+    lengths.concat()
 }
 
 /// Every stored version's body exists once, in its relation's log, and
 /// its holders are the stores whose bit for it is set.  Repair sets bits
-/// and appends no body (the logs keep the lengths publication left,
-/// `logged`); every page entry any store lists gives one ID one slot and
-/// one slot one ID; and for a sample of the versions node 0 holds, the
+/// and appends no item (the logs keep the lengths publication left,
+/// `logged`); every page entry the page logs list gives one ID one slot
+/// and one slot one ID; and for a sample of the versions node 0 holds, the
 /// stores that serve one locally are those with its bit, all handing out
 /// the log's one body.
 fn assert_versions_are_shared(s: &DistributedStorage, logged: &[usize]) {
     assert_eq!(log_lengths(s), logged, "repair appended to a log");
     let mut slot_of: HashMap<(&str, &TupleId), u32> = HashMap::new();
     let mut entry_at: HashMap<(&str, u32), &PageEntry> = HashMap::new();
-    for n in 0..STORES {
-        for page in s.store(NodeId(n)).index_pages() {
-            let relation = page.id.relation.as_str();
+    for relation in ["R", "N"] {
+        for page in s.page_log(relation).unwrap().items() {
             for entry in &page.entries {
                 let slot = *slot_of.entry((relation, &entry.id)).or_insert(entry.slot);
                 assert_eq!(slot, entry.slot, "{} has two slots", entry.id);
@@ -87,7 +93,7 @@ fn assert_versions_are_shared(s: &DistributedStorage, logged: &[usize]) {
     let mut sampled = 0;
     for (relation, slot) in held.into_iter().step_by(7) {
         let entry = entry_at[&(relation, slot)];
-        let body = s.version_log(relation).unwrap().tuple(slot).unwrap();
+        let body = s.version_log(relation).unwrap().get(slot).unwrap();
         for n in (0..STORES).map(NodeId) {
             let (tuple, remote) = view.lookup_tuple(relation, entry, Some(n)).unwrap();
             assert!(std::ptr::eq(tuple, body), "{relation} {} at {n}", entry.id);

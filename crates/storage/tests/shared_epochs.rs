@@ -1,22 +1,38 @@
 //! Invariants of the shared-immutable layout: cached ring positions are
-//! always the hash of the key they sit beside; a tuple version's body is
-//! stored once, in its relation's version log, and its holders are the
-//! stores whose bit for it is set; replicas and clones share allocations;
-//! and sharing never leaks a write from a clone into its original (or
-//! back).
+//! always the hash of the key they sit beside; a coordinator record, a page
+//! version and a tuple version are each stored once, in their relation's
+//! log of that kind, and their holders are the stores whose bit for them
+//! is set; replicas and clones share allocations; and sharing never leaks a
+//! write from a clone into its original (or back).
 
 mod common;
 
 use common::{routing_over, seeded_store, NODES};
 use orchestra_common::{ColumnType, Epoch, NodeId, Relation, Schema, Tuple, Value};
-use orchestra_storage::{anti_entropy, DistributedStorage, StorageConfig, Update, UpdateBatch};
+use orchestra_storage::{
+    anti_entropy, CoordinatorKey, DistributedStorage, IndexPage, Kind, StorageConfig, Update,
+    UpdateBatch,
+};
 use std::collections::HashSet;
 use std::sync::Arc;
+
+/// The pages of `relation` that `node` holds, from the relation's page
+/// log.
+fn pages_held<'a>(
+    s: &'a DistributedStorage,
+    node: NodeId,
+    relation: &str,
+) -> impl Iterator<Item = &'a Arc<IndexPage>> {
+    let log = s.page_log(relation).unwrap();
+    let held = s.store(node).slots(relation, Kind::Page).into_iter();
+    held.flat_map(|slots| slots.iter())
+        .map(move |slot| log.get(slot).unwrap())
+}
 
 fn assert_positions_are_key_hashes(s: &DistributedStorage, when: &str) {
     let mut entries = 0;
     for node in s.routing().nodes() {
-        for page in s.store(node).index_pages() {
+        for page in ["R", "N"].iter().flat_map(|r| pages_held(s, node, r)) {
             let log = s.version_log(&page.id.relation).unwrap();
             for entry in &page.entries {
                 assert_eq!(
@@ -39,7 +55,7 @@ fn assert_positions_are_key_hashes(s: &DistributedStorage, when: &str) {
         }
         for (relation, slots) in s.store(node).held() {
             let log = s.version_log(relation).unwrap();
-            assert!(slots.iter().all(|slot| log.tuple(slot).is_some()), "{when}");
+            assert!(slots.iter().all(|slot| log.get(slot).is_some()), "{when}");
         }
     }
     assert!(entries > 0, "{when}: nothing was checked");
@@ -145,57 +161,81 @@ fn writes_to_a_clone_never_reach_the_original() {
 
 #[test]
 fn replicas_and_clones_share_one_allocation() {
-    let (s, _) = seeded_store();
+    let (s, epochs) = seeded_store();
+    let view = s.view();
     let nodes = s.routing().nodes();
-    let (mut pages, mut versions) = (0, 0);
-    for node in &nodes {
-        let store = s.store(*node);
-        for page in store.index_pages() {
-            let holders = nodes
-                .iter()
-                .filter(|n| s.store(**n).index_page(&page.id).is_some())
-                .count();
-            assert_eq!(holders, 3, "{} is replicated three ways", page.id);
-            assert_eq!(Arc::strong_count(page), holders, "{}", page.id);
+    let holders = |relation: &str, kind: Kind, slot: u32| {
+        let holds =
+            |n: &&NodeId| (s.store(**n).slots(relation, kind)).is_some_and(|h| h.contains(slot));
+        nodes.iter().filter(holds).count()
+    };
+
+    // One record and one page version per slot of their logs, held where
+    // the bit is set — three holders each — and stored once: the log's
+    // `Arc` is the only reference, and the lookups hand out that `Arc`.
+    let (mut records, mut pages, mut versions) = (0, 0, 0);
+    for relation in ["R", "N"] {
+        let (record_log, page_log) = (
+            s.record_log(relation).unwrap(),
+            s.page_log(relation).unwrap(),
+        );
+        for (slot, record) in (0..).zip(record_log.items()) {
+            assert_eq!(holders(relation, Kind::Record, slot), 3, "{:?}", record.key);
+            assert_eq!(Arc::strong_count(record), 1, "{:?}", record.key);
+            let key = &record.key;
+            let found = view.lookup_coordinator(key).unwrap();
+            assert!(Arc::ptr_eq(found, record), "{key:?}");
+            let visible = view.version_record(relation, key.epoch).unwrap().unwrap();
+            assert!(Arc::ptr_eq(visible, record), "{key:?}");
+            for descriptor in &record.pages {
+                let page = view.lookup_index_page(descriptor).unwrap();
+                assert!(Arc::ptr_eq(page, page_log.get(descriptor.slot).unwrap()));
+                assert_eq!(page.id, descriptor.id);
+            }
+            records += 1;
+        }
+        let mut ids = HashSet::new();
+        for (slot, page) in (0..).zip(page_log.items()) {
+            assert_eq!(
+                holders(relation, Kind::Page, slot),
+                3,
+                "{} is replicated three ways",
+                page.id
+            );
+            assert_eq!(Arc::strong_count(page), 1, "{}", page.id);
+            assert!(ids.insert(&page.id), "{} has two slots", page.id);
             pages += 1;
         }
-        for (relation, slots) in store.held() {
-            for slot in slots.iter() {
-                let holders = nodes
-                    .iter()
-                    .filter(|n| s.store(**n).holds(relation, slot))
-                    .count();
-                // `N` is replicated everywhere, `R` three ways.
-                assert_eq!(holders, if relation == "N" { nodes.len() } else { 3 });
-                versions += 1;
-            }
-        }
-        for record in store.coordinators() {
-            assert_eq!(Arc::strong_count(record), 3, "{:?}", record.key);
+        for slot in 0..s.version_log(relation).unwrap().len() as u32 {
+            // `N` is replicated everywhere, `R` three ways.
+            let expected = if relation == "N" { nodes.len() } else { 3 };
+            assert_eq!(holders(relation, Kind::Tuple, slot), expected);
+            versions += 1;
         }
     }
+    assert_eq!(records, epochs.len() + 1, "R changed every epoch, N once");
     assert!(pages > 0 && versions > 0);
+    let missing = CoordinatorKey::new("R", Epoch(99));
+    assert!(view.lookup_coordinator(&missing).is_err());
 
     // The bodies: one per version, in the log.  Every ID the pages list
     // has one slot (a key a batch wrote twice is one version), no two
     // slots share an allocation, and a holder hands out the log's body.
     for relation in ["R", "N"] {
         let log = s.version_log(relation).unwrap();
-        let mut ids = HashSet::new();
-        for node in &nodes {
-            let pages = s.store(*node).index_pages();
-            let listed = pages.filter(|p| p.id.relation == relation);
-            ids.extend(listed.flat_map(|p| &p.entries).map(|e| (&e.id, e.slot)));
-        }
+        let pages = s.page_log(relation).unwrap().items();
+        let ids: HashSet<_> = (pages.iter().flat_map(|p| &p.entries))
+            .map(|e| (&e.id, e.slot))
+            .collect();
         assert_eq!(ids.len(), log.len(), "{relation}: one slot per ID");
-        let bodies = (0..log.len() as u32).map(|slot| log.tuple(slot).unwrap().values().as_ptr());
+        let bodies = (0..log.len() as u32).map(|slot| log.get(slot).unwrap().values().as_ptr());
         assert_eq!(
             bodies.collect::<HashSet<_>>().len(),
             log.len(),
             "{relation}"
         );
     }
-    let (view, log) = (s.view(), s.version_log("R").unwrap());
+    let log = s.version_log("R").unwrap();
     let version = view.version_record("R", Epoch(0)).unwrap().unwrap();
     let listed: Vec<u32> = (version.pages.iter())
         .flat_map(|d| &view.lookup_index_page(d).unwrap().entries)
@@ -208,21 +248,23 @@ fn replicas_and_clones_share_one_allocation() {
             .unwrap();
         assert_eq!(scan.tuples.len(), listed.len());
         for (tuple, slot) in scan.tuples.iter().zip(&listed) {
-            assert!(std::ptr::eq(*tuple, log.tuple(*slot).unwrap()), "{node}");
+            assert!(std::ptr::eq(*tuple, log.get(*slot).unwrap()), "{node}");
         }
     }
 
-    // A clone shares whole stores: no item gains a reference until the
-    // clone writes to a store, and then only that store's items do.
-    let probe_node = NodeId(1);
-    let probe = Arc::clone(s.store(probe_node).index_pages().next().unwrap());
-    let shared = Arc::strong_count(&probe);
+    // A clone shares the logs: a store copy holds bits, so no page gains
+    // a reference when the clone writes to a store, and only publishing
+    // to the clone, which copies its logs, does.
+    let probe = Arc::clone(s.page_log("R").unwrap().get(0).unwrap());
     let mut copy = s.clone();
-    assert_eq!(Arc::strong_count(&probe), shared);
-    copy.store_mut(probe_node);
-    assert_eq!(Arc::strong_count(&probe), shared + 1);
+    copy.store_mut(NodeId(1)).clear();
+    assert_eq!(Arc::strong_count(&probe), 2, "the log and the probe");
+    let mut batch = UpdateBatch::new();
+    batch.delete("R", vec![Value::Int(0)]);
+    copy.publish(&batch).unwrap();
+    assert_eq!(Arc::strong_count(&probe), 3, "and the clone's log");
     drop(copy);
-    assert_eq!(Arc::strong_count(&probe), shared);
+    assert_eq!(Arc::strong_count(&probe), 2);
 }
 
 /// The addresses of a row's own allocations: the row and its strings.
@@ -278,7 +320,7 @@ fn the_store_owns_its_bytes() {
     let mut stored: HashSet<*const u8> = HashSet::new();
     let log = s.version_log("S").unwrap();
     for slot in 0..log.len() as u32 {
-        let held: Vec<_> = allocations_of(log.tuple(slot).unwrap().values()).collect();
+        let held: Vec<_> = allocations_of(log.get(slot).unwrap().values()).collect();
         assert!(held.iter().all(|a| !published.contains(a)), "slot {slot}");
         stored.extend(held);
         versions += 1;
@@ -286,7 +328,7 @@ fn the_store_owns_its_bytes() {
     // A page lists its IDs in allocations of its own, beside each other,
     // not strewn among the tuple bodies.
     for node in s.routing().nodes() {
-        for page in s.store(node).index_pages() {
+        for page in pages_held(&s, node, "S") {
             for entry in &page.entries {
                 for a in allocations_of(&entry.id.key) {
                     assert!(
