@@ -645,39 +645,25 @@ impl ColumnarBatch {
     }
 
     /// Append one tag row only.  Use together with
-    /// [`Self::append_cells_from`] when assembling a row from other
-    /// batches (e.g. a join result); every column must end up with
-    /// exactly one new cell per tag row.
+    /// [`Self::append_cells_at`] when assembling rows from other batches
+    /// (e.g. a join result); every column must end up with exactly one
+    /// new cell per tag row.
     pub fn push_tag_row(&mut self, sign: i8, provenance: NodeSet, phase: u32) {
         self.signs.push(sign);
         self.provenance.push(provenance);
         self.phases.push(phase);
     }
 
-    /// Append the cells of `other`'s row into this batch's columns
-    /// starting at `dst_offset`, translating string ids through `memo`.
-    /// Tags are *not* appended — combine with [`Self::push_tag_row`].
-    pub fn append_cells_from(
-        &mut self,
-        other: &ColumnarBatch,
-        row: usize,
-        dst_offset: usize,
-        memo: &mut PoolMemo,
-    ) {
-        for (i, src) in other.columns.iter().enumerate() {
-            let dst = &mut self.columns[dst_offset + i];
-            match (&dst.data, &src.data) {
-                (ColumnData::Int(_), ColumnData::Int(v)) => dst.push_int(v[row]),
-                (ColumnData::Double(_), ColumnData::Double(v)) => dst.push_double(v[row]),
-                (ColumnData::Str(_), ColumnData::Str(v)) => {
-                    let id = memo.translate(&other.pool, &mut self.pool, v[row]);
-                    dst.push_str_id(id);
-                }
-                _ => {
-                    let v = src.value_at(row, &other.pool);
-                    dst.push(v, &mut self.pool);
-                }
-            }
+    /// Append the cells of `other`'s rows numbered in `rows`, in that
+    /// order, to this batch's columns from `dst_offset` on, a column at a
+    /// time — the cells [`Self::append_rows`] appends, shifted right.
+    /// Tags are *not* appended: combine with [`Self::push_tag_row`].
+    /// Panics if `other`'s columns do not fit.
+    pub fn append_cells_at(&mut self, other: &ColumnarBatch, rows: &[u32], dst_offset: usize) {
+        let dst = &mut self.columns[dst_offset..dst_offset + other.arity()];
+        let mut memo = PoolMemo::new();
+        for (dst, src) in dst.iter_mut().zip(&other.columns) {
+            dst.append_cells(src, rows, &other.pool, &mut self.pool, &mut memo);
         }
     }
 

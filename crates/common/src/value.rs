@@ -258,7 +258,7 @@ impl Hash for Value {
 /// hashing ([`Hash`] for [`Value`]) and ring keys: the double's value if
 /// it is finite, integral and within `i64`'s range (`2^63`, just past it,
 /// saturates to `i64::MAX`, which compares equal to it).
-pub(crate) fn integral(v: f64) -> Option<i64> {
+pub fn integral(v: f64) -> Option<i64> {
     (v.fract() == 0.0 && v.is_finite() && v >= i64::MIN as f64 && v <= i64::MAX as f64)
         .then_some(v as i64)
 }

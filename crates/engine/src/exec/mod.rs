@@ -102,7 +102,7 @@ pub mod scheduler;
 mod session;
 
 #[cfg(test)]
-mod tests;
+pub(crate) mod tests;
 
 use crate::plan::PhysicalPlan;
 use orchestra_common::{Epoch, NodeId, NodeSet, OrchestraError, Result};

@@ -467,9 +467,9 @@ impl<'a> Runtime<'a> {
                 let state = self.nodes[node.index()].agg(op)?;
                 match mode {
                     AggMode::Single | AggMode::Partial => {
-                        state.update_raw_batch(&batch, group_by, aggs)
+                        state.update_raw_batch(&batch, group_by, aggs)?
                     }
-                    AggMode::Final => state.update_partial_batch(&batch, group_by, aggs),
+                    AggMode::Final => state.update_partial_batch(&batch, group_by, aggs)?,
                 }
                 self.record_wall(WC_AGGREGATE, batch.len(), wall);
             }

@@ -1906,7 +1906,7 @@ fn registry_refresh_survives_a_mid_maintenance_failure() {
 // reference
 // ---------------------------------------------------------------------
 
-mod exchange_by_batch {
+pub(crate) mod exchange_by_batch {
     use super::super::exchange::{Payload, SessionId, BATCH_ROWS};
     use super::super::ivm::ScanOverrides;
     use super::super::pipeline::Runtime;
@@ -2076,17 +2076,19 @@ mod exchange_by_batch {
         }
     }
 
-    #[derive(Clone, Copy)]
-    enum Cells {
+    #[derive(Clone, Copy, Debug)]
+    pub(crate) enum Cells {
         Int,
         Str,
         Double,
+        /// An `Int` or a `Double`, by the row: an untyped column.
+        Number,
     }
 
     /// `rows` random rows of the given column types.  A column holds
     /// NULLs in some batches and none in others, so one exchange meets
     /// the same column typed and untyped; tags vary by row.
-    fn random_batch(rng: &mut StdRng, types: &[Cells], rows: usize) -> ColumnarBatch {
+    pub(crate) fn random_batch(rng: &mut StdRng, types: &[Cells], rows: usize) -> ColumnarBatch {
         let null_share: Vec<f64> = types
             .iter()
             .map(|_| if rng.random_bool(0.3) { 0.05 } else { 0.0 })
@@ -2103,6 +2105,10 @@ mod exchange_by_batch {
                     match cells {
                         Cells::Int => Value::Int(rng.random_range(0u32..80) as i64 - 40),
                         Cells::Double => Value::Double(rng.random_range(0u32..64) as f64 / 4.0),
+                        Cells::Number if rng.random_bool(0.5) => {
+                            Value::Int(rng.random_range(0u32..80) as i64 - 40)
+                        }
+                        Cells::Number => Value::Double(rng.random_range(0u32..64) as f64 / 4.0),
                         Cells::Str if rng.random_bool(0.2) => {
                             Value::str(format!("rare-{}", rng.next_u64() % 10_000))
                         }

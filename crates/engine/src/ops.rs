@@ -5,20 +5,28 @@
 //! between messages:
 //!
 //! * [`JoinState`] — the pipelined *symmetric* hash join (the paper's
-//!   "pipelined hash join").  Each side keeps its buffered rows in one
-//!   [`ColumnarBatch`] plus a hash index from join-key values to row
-//!   numbers, so build and probe touch only the key columns and join
-//!   output is assembled column-by-column without materializing row
-//!   objects.  Tainted build rows are tombstoned (not compacted) on
-//!   failure so row numbers in the index stay valid.
+//!   "pipelined hash join"), a batch at a time.  Each side keeps its
+//!   buffered rows in one [`ColumnarBatch`] and an index from a 64-bit
+//!   key hash to the rows carrying it, chained in insertion order.  An
+//!   arriving batch's key columns are hashed once, a column at a time;
+//!   each row probes the other side's index, a candidate is checked cell
+//!   by cell under `Value` equality, and the (probe row, match row)
+//!   pairs — probe rows in batch order, matches in insertion order — are
+//!   gathered a column at a time ([`ColumnarBatch::append_cells_at`]).
+//!   A batch probes only the other side, so adding its own rows after
+//!   the probe changes no match.  Tainted build rows are tombstoned (not
+//!   compacted) on failure so row numbers in the index stay valid.
 //! * [`AggState`] — the grouping operator's state, organised as
 //!   *sub-groups* keyed by `(group key, provenance set, phase)` exactly as
 //!   Section V-D prescribes, so that on failure the sub-groups derived
 //!   from a failed node can be dropped without touching the rest, and so
-//!   that re-emission after recovery never double-counts.  The batch
-//!   entry points fold whole columnar batches, using a per-batch group
-//!   signature cache (typed cells compare by bits or pool id) to skip
-//!   re-materializing the group key for every row.
+//!   that re-emission after recovery never double-counts.  A batch is
+//!   folded in two passes: every row is resolved to its sub-group through
+//!   an index keyed by (key hash, provenance, phase), the key hashed as
+//!   the join hashes it; then each aggregate folds its column into the
+//!   rows' sub-groups in row order — SUM, COUNT and AVG over `Int` and
+//!   `Double` columns in typed loops with `Value`'s arithmetic, MIN, MAX
+//!   and untyped columns through [`Accumulator`]'s `Value` path.
 //! * [`RehashState`] — per-destination output buffers plus the output
 //!   cache used by recovery stage 4 ("re-create data that was sent to the
 //!   failed nodes' hash key space ranges").  Buffers are
@@ -38,12 +46,190 @@
 //!   moves a pending buffer bound for a failed node into it unsent, so
 //!   that the cache followed by the pending buffer is always every row
 //!   buffered for a destination.
+//!
+//! The join and the aggregate hash keys alike (`KeyHashes`): a row's
+//! hash folds each key cell in the canonical form `Value`'s `Hash` gives
+//! it, so keys equal as `Value`s hash alike whether their columns are
+//! typed or not, and an integral `Double` meets the `Int` it equals.  The
+//! hash is seeded per operator instance, so keys cannot be crafted to
+//! collide in advance, and no emission order depends on it.
 
 use crate::expr::AggFunc;
 use crate::provenance::Phase;
-use orchestra_common::{ColumnData, ColumnarBatch, NodeId, NodeSet, PoolMemo, Tuple, Value};
+use orchestra_common::value::integral;
+use orchestra_common::{
+    ColumnData, ColumnarBatch, NodeId, NodeSet, OrchestraError, Result, Tuple, Value,
+};
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::rc::Rc;
+
+#[cfg(test)]
+mod join_agg_by_batch;
+
+// ---------------------------------------------------------------------------
+// Key hashing
+// ---------------------------------------------------------------------------
+
+/// Ends a chain of rows or sub-groups that share an index entry.
+const END: u32 = u32::MAX;
+
+/// What a NULL key cell folds as.
+const NULL_CELL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// Keeps a non-integral double from folding like the integer with its
+/// bits.
+const DOUBLE_SALT: u64 = 0xd6e8_feb8_6659_fd93;
+
+/// murmur3's 64-bit finaliser: a bijection that spreads every bit of its
+/// input over the whole word.
+fn mix(h: u64) -> u64 {
+    let h = (h ^ (h >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
+    let h = (h ^ (h >> 33)).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
+}
+
+/// The hasher of the operators' indexes, whose keys are seeded key
+/// hashes (with a sub-group's tags): FxHash's rotate-multiply per word,
+/// finished by [`mix`].
+#[derive(Default)]
+struct FoldHasher(u64);
+
+impl Hasher for FoldHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        mix(self.0)
+    }
+}
+
+/// A map keyed by key hashes.
+type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<FoldHasher>>;
+
+/// A key cell as a row hash folds it — the canonical form `Value`'s
+/// `Hash` uses: an integer is itself and so is an integral double (both
+/// zeros included, which `Value` equality still tells apart); any other
+/// double is its bits, each NaN its own.
+fn int_cell(v: i64) -> u64 {
+    v as u64
+}
+
+fn double_cell(v: f64) -> u64 {
+    integral(v).map_or(v.to_bits() ^ DOUBLE_SALT, int_cell)
+}
+
+/// The row hashes of a batch's key columns, and the scratch that
+/// computes them, kept by an operator instance from batch to batch.
+#[derive(Clone, Debug, Default)]
+struct KeyHashes {
+    /// Seeds every row hash and hashes every string.
+    keys: RandomState,
+    /// One hash per row of the batch last hashed.
+    rows: Vec<u64>,
+    /// The hash of each pool string of that batch met so far, by id.
+    strings: Vec<Option<u64>>,
+}
+
+impl KeyHashes {
+    /// Hash every row's cells in `cols`, in row order.  Rows whose key
+    /// cells are equal `Value`s get equal hashes, whatever their columns'
+    /// storage; each distinct string of the batch is hashed once.
+    fn hash(&mut self, batch: &ColumnarBatch, cols: &[usize]) -> &[u64] {
+        let KeyHashes {
+            keys,
+            rows,
+            strings,
+        } = self;
+        rows.clear();
+        rows.resize(batch.len(), keys.hash_one(()));
+        strings.clear();
+        let pool = batch.pool();
+        let fold = |h: &mut u64, cell: u64| *h = mix(*h ^ cell);
+        for &c in cols {
+            match batch.column(c).data() {
+                ColumnData::Int(v) => rows
+                    .iter_mut()
+                    .zip(v)
+                    .for_each(|(h, x)| fold(h, int_cell(*x))),
+                ColumnData::Double(v) => rows
+                    .iter_mut()
+                    .zip(v)
+                    .for_each(|(h, x)| fold(h, double_cell(*x))),
+                ColumnData::Str(ids) => {
+                    strings.resize(pool.len(), None);
+                    for (h, id) in rows.iter_mut().zip(ids) {
+                        let cell = *strings[*id as usize]
+                            .get_or_insert_with(|| keys.hash_one(pool.get(*id)));
+                        fold(h, cell);
+                    }
+                }
+                ColumnData::Values(v) => {
+                    for (h, x) in rows.iter_mut().zip(v) {
+                        let cell = match x {
+                            Value::Null => NULL_CELL,
+                            Value::Int(x) => int_cell(*x),
+                            Value::Double(x) => double_cell(*x),
+                            Value::Str(s) => keys.hash_one(&**s),
+                        };
+                        fold(h, cell);
+                    }
+                }
+            }
+        }
+        rows
+    }
+}
+
+/// Is the cell at (`row`, `col`) of `batch` equal to `value` as `Value`s
+/// compare (`Value::cmp`)?  Typed cells compare typed, as `expr`'s
+/// column comparisons do, without being materialized.
+fn cell_equals(batch: &ColumnarBatch, col: usize, row: usize, value: &Value) -> bool {
+    match (batch.column(col).data(), value) {
+        (ColumnData::Int(v), Value::Int(x)) => v[row] == *x,
+        (ColumnData::Int(v), Value::Double(x)) => (v[row] as f64).total_cmp(x).is_eq(),
+        (ColumnData::Double(v), Value::Int(x)) => v[row].total_cmp(&(*x as f64)).is_eq(),
+        (ColumnData::Double(v), Value::Double(x)) => v[row].total_cmp(x).is_eq(),
+        (ColumnData::Str(v), Value::Str(x)) => batch.pool().get_shared(v[row]) == x,
+        (ColumnData::Values(v), x) => v[row] == *x,
+        // A typed cell against a value of another type rank.
+        _ => false,
+    }
+}
+
+/// Are the cells at (`a_row`, `a_col`) of `a` and (`b_row`, `b_col`) of
+/// `b` equal as `Value`s?
+fn cells_equal(
+    (a, a_col, a_row): (&ColumnarBatch, usize, usize),
+    (b, b_col, b_row): (&ColumnarBatch, usize, usize),
+) -> bool {
+    match (a.column(a_col).data(), b.column(b_col).data()) {
+        (ColumnData::Int(x), ColumnData::Int(y)) => x[a_row] == y[b_row],
+        (ColumnData::Int(x), ColumnData::Double(y)) => {
+            (x[a_row] as f64).total_cmp(&y[b_row]).is_eq()
+        }
+        (ColumnData::Double(x), ColumnData::Int(y)) => {
+            x[a_row].total_cmp(&(y[b_row] as f64)).is_eq()
+        }
+        (ColumnData::Double(x), ColumnData::Double(y)) => x[a_row].total_cmp(&y[b_row]).is_eq(),
+        (ColumnData::Str(x), ColumnData::Str(y)) => {
+            a.pool().get_shared(x[a_row]) == b.pool().get_shared(y[b_row])
+        }
+        (ColumnData::Values(x), _) => cell_equals(b, b_col, b_row, &x[a_row]),
+        (_, ColumnData::Values(y)) => cell_equals(a, a_col, a_row, &y[b_row]),
+        _ => false,
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Symmetric hash join
@@ -51,27 +237,41 @@ use std::rc::Rc;
 
 /// One side of the symmetric hash join: buffered rows as a columnar
 /// batch, a liveness mask (purges tombstone rather than compact, keeping
-/// indexed row numbers stable), and the hash index over the key values.
-#[derive(Clone, Debug)]
+/// indexed row numbers stable), and the index: each key hash maps to the
+/// first and the last buffered row carrying it, and `next` links every
+/// row to the following one with the same hash ([`END`] after the last).
+#[derive(Clone, Debug, Default)]
 struct JoinSide {
     rows: ColumnarBatch,
     alive: Vec<bool>,
-    index: HashMap<Vec<Value>, Vec<u32>>,
-}
-
-impl Default for JoinSide {
-    fn default() -> JoinSide {
-        JoinSide {
-            rows: ColumnarBatch::new(0),
-            alive: Vec::new(),
-            index: HashMap::new(),
-        }
-    }
+    index: KeyMap<u64, (u32, u32)>,
+    next: Vec<u32>,
 }
 
 impl JoinSide {
     fn live_rows(&self) -> usize {
         self.alive.iter().filter(|a| **a).count()
+    }
+
+    /// Buffer `batch`, whose rows hash to `hashes`, behind the rows
+    /// already here.
+    fn insert(&mut self, batch: &ColumnarBatch, hashes: &[u64]) {
+        let first = self.rows.len() as u32;
+        for (row, hash) in (first..).zip(hashes) {
+            self.next.push(END);
+            match self.index.entry(*hash) {
+                Entry::Occupied(mut chain) => {
+                    let last = &mut chain.get_mut().1;
+                    self.next[*last as usize] = row;
+                    *last = row;
+                }
+                Entry::Vacant(chain) => {
+                    chain.insert((row, row));
+                }
+            }
+        }
+        self.rows.append_batch(batch);
+        self.alive.resize(self.rows.len(), true);
     }
 }
 
@@ -79,6 +279,10 @@ impl JoinSide {
 #[derive(Clone, Debug, Default)]
 pub struct JoinState {
     sides: [JoinSide; 2],
+    hashes: KeyHashes,
+    /// The (probe row, buffered row) pairs of the batch being joined.
+    probe: Vec<u32>,
+    matched: Vec<u32>,
 }
 
 impl JoinState {
@@ -101,9 +305,9 @@ impl JoinState {
     /// 1 = right) and probe the other side, producing the join output
     /// (left columns then right columns, tagged with the union of the
     /// parents' provenance plus `node`) as one columnar batch.  Rows are
-    /// processed in batch order and matches are emitted in
-    /// build-insertion order; cells are copied column to column, strings
-    /// re-interned via per-call pool memos.
+    /// emitted in batch order, each row's matches in build-insertion
+    /// order — the order a row-at-a-time loop emits them in — and each
+    /// side's cells are gathered a column at a time.
     pub fn process_batch(
         &mut self,
         input: usize,
@@ -112,48 +316,64 @@ impl JoinState {
         right_keys: &[usize],
         node: NodeId,
     ) -> ColumnarBatch {
-        let keys = if input == 0 { left_keys } else { right_keys };
-        let (a, b) = self.sides.split_at_mut(1);
-        let (own, other) = if input == 0 {
-            (&mut a[0], &b[0])
+        let (keys, other_keys) = if input == 0 {
+            (left_keys, right_keys)
         } else {
-            (&mut b[0], &a[0])
+            (right_keys, left_keys)
         };
-        let mut out = ColumnarBatch::new(0);
-        let mut memo_in = PoolMemo::new();
-        let mut memo_store = PoolMemo::new();
-        for r in 0..batch.len() {
-            let key: Vec<Value> = keys.iter().map(|c| batch.value_at(r, *c)).collect();
-            if let Some(matches) = other.index.get(&key) {
-                for &m in matches {
-                    let m = m as usize;
-                    if !other.alive[m] {
-                        continue;
-                    }
-                    if out.arity() == 0 {
-                        out.pad_to_arity(batch.arity() + other.rows.arity());
-                    }
-                    if input == 0 {
-                        out.append_cells_from(batch, r, 0, &mut memo_in);
-                        out.append_cells_from(&other.rows, m, batch.arity(), &mut memo_store);
-                    } else {
-                        out.append_cells_from(&other.rows, m, 0, &mut memo_store);
-                        out.append_cells_from(batch, r, other.rows.arity(), &mut memo_in);
-                    }
-                    let mut provenance = batch.provenance_at(r).union(&other.rows.provenance_at(m));
-                    provenance.insert(node);
-                    out.push_tag_row(
-                        batch.sign_at(r) * other.rows.sign_at(m),
-                        provenance,
-                        batch.phase_at(r).max(other.rows.phase_at(m)),
-                    );
+        let JoinState {
+            sides: [left, right],
+            hashes,
+            probe,
+            matched,
+        } = self;
+        let (own, other) = if input == 0 {
+            (left, &*right)
+        } else {
+            (right, &*left)
+        };
+        let hashes = hashes.hash(batch, keys);
+        probe.clear();
+        matched.clear();
+        for (row, hash) in (0u32..).zip(hashes) {
+            let mut at = other.index.get(hash).map_or(END, |chain| chain.0);
+            while at != END {
+                let m = at as usize;
+                let equal = || {
+                    keys.iter()
+                        .zip(other_keys)
+                        .all(|(k, o)| cells_equal((batch, *k, row as usize), (&other.rows, *o, m)))
+                };
+                if other.alive[m] && equal() {
+                    probe.push(row);
+                    matched.push(at);
                 }
+                at = other.next[m];
             }
-            let idx = (own.rows.len() + r) as u32;
-            own.index.entry(key).or_default().push(idx);
         }
-        own.rows.append_batch(batch);
-        own.alive.resize(own.rows.len(), true);
+        own.insert(batch, hashes);
+        if probe.is_empty() {
+            return ColumnarBatch::new(0);
+        }
+        // Left columns, then right.
+        let ((first, first_rows), (second, second_rows)) = if input == 0 {
+            ((batch, &probe[..]), (&other.rows, &matched[..]))
+        } else {
+            ((&other.rows, &matched[..]), (batch, &probe[..]))
+        };
+        let mut out = ColumnarBatch::new(first.arity() + second.arity());
+        out.append_cells_at(first, first_rows, 0);
+        out.append_cells_at(second, second_rows, first.arity());
+        for (r, m) in probe.iter().zip(matched.iter()) {
+            let (r, m) = (*r as usize, *m as usize);
+            let mut provenance = batch.provenance_at(r).union(&other.rows.provenance_at(m));
+            provenance.insert(node);
+            out.push_tag_row(
+                batch.sign_at(r) * other.rows.sign_at(m),
+                provenance,
+                batch.phase_at(r).max(other.rows.phase_at(m)),
+            );
+        }
         out
     }
 
@@ -218,9 +438,10 @@ impl Accumulator {
     }
 
     /// Fold one raw input value with a delta sign: `+1` accumulates as
-    /// [`Self::update`], `-1` inverts the contribution.  Retractions into
-    /// MIN/MAX are a planning error (maintenance plans refuse
-    /// non-subtractable aggregates) and panic.
+    /// [`Self::update`], `-1` inverts the contribution.  MIN and MAX
+    /// cannot invert one: [`AggState`] refuses a batch that would retract
+    /// into them and view maintenance recomputes them instead, so a
+    /// retraction reaching them here is a bug.
     pub fn update_signed(&mut self, value: &Value, sign: i64) {
         match self {
             Accumulator::Count(c) => *c += sign,
@@ -230,13 +451,19 @@ impl Accumulator {
                 }
             }
             Accumulator::Min(m) => {
-                assert!(sign > 0, "MIN cannot fold a retraction");
+                debug_assert!(
+                    sign > 0,
+                    "MIN cannot fold a retraction; callers refuse them"
+                );
                 if m.as_ref().map(|cur| value < cur).unwrap_or(true) && !value.is_null() {
                     *m = Some(value.clone());
                 }
             }
             Accumulator::Max(m) => {
-                assert!(sign > 0, "MAX cannot fold a retraction");
+                debug_assert!(
+                    sign > 0,
+                    "MAX cannot fold a retraction; callers refuse them"
+                );
                 if m.as_ref().map(|cur| value > cur).unwrap_or(true) && !value.is_null() {
                     *m = Some(value.clone());
                 }
@@ -267,13 +494,19 @@ impl Accumulator {
                 }
             }
             Accumulator::Min(m) => {
-                assert!(sign > 0, "MIN cannot fold a retraction");
+                debug_assert!(
+                    sign > 0,
+                    "MIN cannot fold a retraction; callers refuse them"
+                );
                 if !state[0].is_null() && m.as_ref().map(|cur| &state[0] < cur).unwrap_or(true) {
                     *m = Some(state[0].clone());
                 }
             }
             Accumulator::Max(m) => {
-                assert!(sign > 0, "MAX cannot fold a retraction");
+                debug_assert!(
+                    sign > 0,
+                    "MAX cannot fold a retraction; callers refuse them"
+                );
                 if !state[0].is_null() && m.as_ref().map(|cur| &state[0] > cur).unwrap_or(true) {
                     *m = Some(state[0].clone());
                 }
@@ -470,8 +703,7 @@ impl ExtremumSketch {
 /// One sub-group of an aggregate: the accumulators for a particular
 /// `(group key, provenance set, phase)` combination, plus whether it has
 /// already been emitted downstream.  Purged sub-groups are tombstoned
-/// (`alive = false`) so indices held by the signature cache stay valid
-/// within a batch.
+/// (`alive = false`), leaving the numbering of the rest as it was.
 #[derive(Clone, Debug)]
 struct SubGroup {
     key: Vec<Value>,
@@ -480,13 +712,92 @@ struct SubGroup {
     accumulators: Vec<Accumulator>,
     emitted: bool,
     alive: bool,
+    /// The sub-group created before this one under the same index entry
+    /// — a key that differs but hashes alike — or [`END`].
+    next: u32,
 }
 
 /// State of one aggregation operator instance.
 #[derive(Clone, Debug, Default)]
 pub struct AggState {
-    index: HashMap<(Vec<Value>, NodeSet, Phase), usize>,
+    /// (key hash, provenance, phase) → the last sub-group created under
+    /// it.
+    index: KeyMap<(u64, NodeSet, Phase), u32>,
     subgroups: Vec<SubGroup>,
+    hashes: KeyHashes,
+    /// The sub-group of each row of the batch being folded.
+    groups: Vec<u32>,
+}
+
+/// `*sum = sum.add(&signed_value(&Value::Int(x), sign))` without building
+/// either `Value`: the `Null` start takes the term, `Int + Int` stays an
+/// `Int` (plain `+`), and a retraction is `0 - x`, as `Int(0).sub` has it.
+fn add_signed_int(sum: &mut Value, x: i64, sign: i64) {
+    let x = if sign >= 0 { x } else { 0 - x };
+    *sum = match *sum {
+        Value::Null => Value::Int(x),
+        Value::Int(a) => Value::Int(a + x),
+        Value::Double(a) => Value::Double(a + x as f64),
+        Value::Str(_) => Value::Null,
+    };
+}
+
+/// [`add_signed_int`] for a double: a retraction is `0.0 - x`, as
+/// `Int(0).sub` has it, and any sum becomes a `Double`.
+fn add_signed_double(sum: &mut Value, x: f64, sign: i64) {
+    let x = if sign >= 0 { x } else { 0.0 - x };
+    *sum = match *sum {
+        Value::Null => Value::Double(x),
+        Value::Int(a) => Value::Double(a as f64 + x),
+        Value::Double(a) => Value::Double(a + x),
+        Value::Str(_) => Value::Null,
+    };
+}
+
+/// `Value::as_int` of a cell, or 0: how a partial state's count is read.
+fn int_or_zero(cells: &ColumnData, row: usize) -> i64 {
+    match cells {
+        ColumnData::Int(v) => v[row],
+        ColumnData::Values(v) => v[row].as_int().unwrap_or(0),
+        ColumnData::Double(_) | ColumnData::Str(_) => 0,
+    }
+}
+
+/// The `j`-th accumulator of each row's sub-group, for one aggregate's
+/// fold over a batch.
+struct RowAccumulators<'a> {
+    subgroups: &'a mut [SubGroup],
+    groups: &'a [u32],
+    signs: &'a [i8],
+    j: usize,
+}
+
+impl RowAccumulators<'_> {
+    /// Call `fold` with each row's accumulator, the row and its sign, in
+    /// row order.
+    fn each(self, mut fold: impl FnMut(&mut Accumulator, usize, i64)) {
+        for (row, (g, sign)) in self.groups.iter().zip(self.signs).enumerate() {
+            fold(
+                &mut self.subgroups[*g as usize].accumulators[self.j],
+                row,
+                i64::from(*sign),
+            );
+        }
+    }
+
+    /// SUM or AVG over numeric cells: `add` folds a row's cell into the
+    /// running sum, and AVG counts the row — one, or the count cell of
+    /// its partial state in `counts`.
+    fn sums(self, counts: Option<&ColumnData>, add: impl Fn(&mut Value, usize, i64)) {
+        self.each(|acc, row, sign| {
+            if let Accumulator::Sum(sum) | Accumulator::Avg(sum, _) = acc {
+                add(sum, row, sign);
+            }
+            if let Accumulator::Avg(_, count) = acc {
+                *count += counts.map_or(sign, |cells| sign * int_or_zero(cells, row));
+            }
+        })
+    }
 }
 
 impl AggState {
@@ -500,52 +811,31 @@ impl AggState {
         self.subgroups.iter().filter(|g| g.alive).count()
     }
 
-    /// Find or create the sub-group for a full key, returning its index.
-    fn subgroup_at(
-        &mut self,
-        key: (Vec<Value>, NodeSet, Phase),
-        aggs: &[(AggFunc, usize)],
-    ) -> usize {
-        if let Some(&i) = self.index.get(&key) {
-            return i;
-        }
-        let i = self.subgroups.len();
-        self.subgroups.push(SubGroup {
-            key: key.0.clone(),
-            provenance: key.1,
-            phase: key.2,
-            accumulators: aggs.iter().map(|(f, _)| Accumulator::new(*f)).collect(),
-            emitted: false,
-            alive: true,
-        });
-        self.index.insert(key, i);
-        i
-    }
-
     /// Fold a whole columnar batch of raw input rows (modes `Single` and
     /// `Partial`) in order, honouring each row's delta sign — a
-    /// retraction inverts its contribution.  Typed group columns resolve
-    /// their sub-group through a per-batch signature cache instead of
-    /// re-materializing the key.
+    /// retraction inverts its contribution.  A batch that would retract
+    /// into a MIN or MAX is refused with an `Execution` error and leaves
+    /// the state as it was.
     pub fn update_raw_batch(
         &mut self,
         batch: &ColumnarBatch,
         group_by: &[usize],
         aggs: &[(AggFunc, usize)],
-    ) {
-        self.update_batch(batch, group_by, aggs, false);
+    ) -> Result<()> {
+        self.update_batch(batch, group_by, aggs, false)
     }
 
     /// Fold a whole columnar batch of partial-state rows (mode `Final`):
     /// `aggs[i].1` is the column at which the i-th aggregate's partial
-    /// state begins.
+    /// state begins.  Retractions into MIN or MAX are refused as by
+    /// [`Self::update_raw_batch`].
     pub fn update_partial_batch(
         &mut self,
         batch: &ColumnarBatch,
         group_by: &[usize],
         aggs: &[(AggFunc, usize)],
-    ) {
-        self.update_batch(batch, group_by, aggs, true);
+    ) -> Result<()> {
+        self.update_batch(batch, group_by, aggs, true)
     }
 
     fn update_batch(
@@ -554,85 +844,135 @@ impl AggState {
         group_by: &[usize],
         aggs: &[(AggFunc, usize)],
         partial: bool,
-    ) {
-        // Signature cache: within one batch a column's cells are uniformly
-        // typed, so equal (bits / pool id) signatures imply equal key
-        // values and the full key lookup can be skipped.  Columns demoted
-        // to untyped cells fall back to the full lookup per row.
-        let typed = group_by
+    ) -> Result<()> {
+        if let Some((func, _)) = aggs
             .iter()
-            .all(|c| !matches!(batch.column(*c).data(), ColumnData::Values(_)));
-        // Keyed by signature alone, looked up by slice (no per-row
-        // allocation on a hit); the rare signature shared by rows with
-        // different provenance/phase tags keeps one entry per tag.
-        let mut cache: HashMap<Vec<u64>, Vec<(NodeSet, Phase, usize)>> = HashMap::new();
-        let mut sig: Vec<u64> = Vec::with_capacity(group_by.len());
-        for r in 0..batch.len() {
-            let provenance = batch.provenance_at(r);
-            let phase = batch.phase_at(r);
-            let i = if typed {
-                sig.clear();
-                for c in group_by {
-                    sig.push(match batch.column(*c).data() {
-                        ColumnData::Int(v) => v[r] as u64,
-                        ColumnData::Double(v) => v[r].to_bits(),
-                        ColumnData::Str(v) => v[r] as u64,
-                        ColumnData::Values(_) => unreachable!("checked typed above"),
-                    });
-                }
-                let hit = cache
-                    .get(sig.as_slice())
-                    .and_then(|tags| {
-                        tags.iter()
-                            .find(|(p, ph, _)| *p == provenance && *ph == phase)
-                    })
-                    .map(|(_, _, i)| *i);
-                if let Some(i) = hit {
-                    i
-                } else {
-                    let key: Vec<Value> = group_by.iter().map(|c| batch.value_at(r, *c)).collect();
-                    let i = self.subgroup_at((key, provenance, phase), aggs);
-                    cache
-                        .entry(sig.clone())
-                        .or_default()
-                        .push((provenance, phase, i));
-                    i
-                }
-            } else {
-                let key: Vec<Value> = group_by.iter().map(|c| batch.value_at(r, *c)).collect();
-                self.subgroup_at((key, provenance, phase), aggs)
-            };
-            let sign = batch.sign_at(r) as i64;
-            let group = &mut self.subgroups[i];
-            if partial {
-                for (j, (f, col)) in aggs.iter().enumerate() {
-                    let width = f.partial_width();
-                    let state: Vec<Value> =
-                        (0..width).map(|k| batch.value_at(r, col + k)).collect();
-                    group.accumulators[j].merge_partial_signed(&state, sign);
-                }
-            } else {
-                for (j, (_, col)) in aggs.iter().enumerate() {
-                    group.accumulators[j].update_signed(&batch.value_at(r, *col), sign);
-                }
+            .find(|(f, _)| !Accumulator::new(*f).is_subtractable())
+        {
+            if batch.sign_column().iter().any(|s| *s < 0) {
+                return Err(OrchestraError::Execution(format!(
+                    "{func:?} cannot fold a retraction; a maintenance plan must recompute it"
+                )));
             }
+        }
+        self.resolve(batch, group_by, aggs);
+        for (j, (func, col)) in aggs.iter().enumerate() {
+            self.fold(j, *func, batch, *col, partial);
+        }
+        Ok(())
+    }
+
+    /// Resolve every row of `batch` to its sub-group (into
+    /// `self.groups`), creating the sub-groups it lacks in the order
+    /// their first rows come.
+    fn resolve(&mut self, batch: &ColumnarBatch, group_by: &[usize], aggs: &[(AggFunc, usize)]) {
+        let AggState {
+            index,
+            subgroups,
+            hashes,
+            groups,
+        } = self;
+        groups.clear();
+        for (row, hash) in hashes.hash(batch, group_by).iter().enumerate() {
+            let (provenance, phase) = (batch.provenance_at(row), batch.phase_at(row));
+            let head = index.entry((*hash, provenance, phase)).or_insert(END);
+            let mut at = *head;
+            while at != END {
+                let group = &subgroups[at as usize];
+                let same = group
+                    .key
+                    .iter()
+                    .zip(group_by)
+                    .all(|(v, c)| cell_equals(batch, *c, row, v));
+                if same {
+                    break;
+                }
+                at = group.next;
+            }
+            if at == END {
+                at = subgroups.len() as u32;
+                subgroups.push(SubGroup {
+                    key: group_by.iter().map(|c| batch.value_at(row, *c)).collect(),
+                    provenance,
+                    phase,
+                    accumulators: aggs.iter().map(|(f, _)| Accumulator::new(*f)).collect(),
+                    emitted: false,
+                    alive: true,
+                    next: *head,
+                });
+                *head = at;
+            }
+            groups.push(at);
+        }
+    }
+
+    /// Fold column `col` of `batch` — in `Final` mode the first column of
+    /// the aggregate's partial state — into the `j`-th accumulator of
+    /// every row's sub-group, in row order.  SUM, COUNT and AVG over
+    /// `Int` and `Double` cells take typed loops that compute what
+    /// [`Accumulator::update_signed`] and
+    /// [`Accumulator::merge_partial_signed`] would, bit for bit;
+    /// everything else goes through them.
+    fn fold(&mut self, j: usize, func: AggFunc, batch: &ColumnarBatch, col: usize, partial: bool) {
+        let rows = RowAccumulators {
+            subgroups: &mut self.subgroups,
+            groups: &self.groups,
+            signs: batch.sign_column(),
+            j,
+        };
+        let cells = batch.column(col).data();
+        // AVG's count: one per raw row, a partial state's count cell.
+        let counts = (partial && func == AggFunc::Avg).then(|| batch.column(col + 1).data());
+        match (func, cells) {
+            (AggFunc::Count, _) => rows.each(|acc, row, sign| {
+                if let Accumulator::Count(c) = acc {
+                    *c += if partial {
+                        sign * int_or_zero(cells, row)
+                    } else {
+                        sign
+                    };
+                }
+            }),
+            (AggFunc::Sum | AggFunc::Avg, ColumnData::Int(v)) => {
+                rows.sums(counts, |sum, row, sign| add_signed_int(sum, v[row], sign))
+            }
+            (AggFunc::Sum | AggFunc::Avg, ColumnData::Double(v)) => rows
+                .sums(counts, |sum, row, sign| {
+                    add_signed_double(sum, v[row], sign)
+                }),
+            _ => rows.each(|acc, row, sign| {
+                if partial {
+                    let width = func.partial_width();
+                    let state = [
+                        batch.value_at(row, col),
+                        if width > 1 {
+                            batch.value_at(row, col + 1)
+                        } else {
+                            Value::Null
+                        },
+                    ];
+                    acc.merge_partial_signed(&state[..width], sign);
+                } else {
+                    acc.update_signed(&batch.value_at(row, col), sign);
+                }
+            }),
         }
     }
 
     /// Drop every sub-group whose provenance intersects `failed`; returns
     /// the number of sub-groups dropped.
     pub fn purge_tainted(&mut self, failed: &NodeSet) -> usize {
-        let subgroups = &mut self.subgroups;
+        // The sub-groups under one index entry share its provenance, so
+        // an entry goes with its sub-groups.
+        self.index
+            .retain(|(_, provenance, _), _| !provenance.intersects(failed));
         let mut dropped = 0;
-        self.index.retain(|(_, provenance, _), i| {
-            if provenance.intersects(failed) {
-                subgroups[*i].alive = false;
+        for group in &mut self.subgroups {
+            if group.alive && group.provenance.intersects(failed) {
+                group.alive = false;
                 dropped += 1;
-                false
-            } else {
-                true
             }
-        });
+        }
         dropped
     }
 
@@ -1084,22 +1424,47 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "MIN cannot fold a retraction")]
     fn min_rejects_retractions() {
-        let mut acc = Accumulator::new(AggFunc::Min);
-        acc.update_signed(&Value::Int(1), -1);
+        // A batch that retracts into a MIN (raw rows) or a MAX (partial
+        // states) is refused whole, and the state is left as it was.
+        let mut agg = AggState::new();
+        let aggs = [(AggFunc::Sum, 1), (AggFunc::Min, 1)];
+        agg.update_raw_batch(&one(vec![Value::str("g"), Value::Int(3)], 0), &[0], &aggs)
+            .unwrap();
+        let mut retracting = one(vec![Value::str("h"), Value::Int(5)], 0);
+        retracting.append_batch(&one_tagged(vec![Value::str("g"), Value::Int(3)], 0, -1, 0));
+        let err = agg.update_raw_batch(&retracting, &[0], &aggs).unwrap_err();
+        assert!(
+            matches!(&err, OrchestraError::Execution(m) if m.contains("Min cannot fold a retraction")),
+            "{err}"
+        );
+        let partial = [(AggFunc::Max, 1)];
+        assert!(agg
+            .update_partial_batch(&retracting, &[0], &partial)
+            .is_err());
+        assert_eq!(agg.subgroup_count(), 1);
+        assert_eq!(
+            agg.collapsed_final(&aggs),
+            vec![Tuple::new(vec![
+                Value::str("g"),
+                Value::Int(3),
+                Value::Int(3)
+            ])]
+        );
     }
 
     #[test]
     fn agg_state_folds_row_signs() {
         let mut agg = AggState::new();
         let aggs = [(AggFunc::Sum, 1), (AggFunc::Count, 1)];
-        agg.update_raw_batch(&one(vec![Value::str("g"), Value::Int(10)], 0), &[0], &aggs);
+        agg.update_raw_batch(&one(vec![Value::str("g"), Value::Int(10)], 0), &[0], &aggs)
+            .unwrap();
         agg.update_raw_batch(
             &one_tagged(vec![Value::str("g"), Value::Int(4)], 0, -1, 0),
             &[0],
             &aggs,
-        );
+        )
+        .unwrap();
         let rows = agg.collapsed_final(&aggs);
         assert_eq!(
             rows[0].values(),
@@ -1113,8 +1478,10 @@ mod tests {
         let aggs = [(AggFunc::Sum, 1)];
         // Two rows in the same group but with different provenance → two
         // sub-groups.
-        agg.update_raw_batch(&one(vec![Value::str("g"), Value::Int(10)], 0), &[0], &aggs);
-        agg.update_raw_batch(&one(vec![Value::str("g"), Value::Int(5)], 1), &[0], &aggs);
+        agg.update_raw_batch(&one(vec![Value::str("g"), Value::Int(10)], 0), &[0], &aggs)
+            .unwrap();
+        agg.update_raw_batch(&one(vec![Value::str("g"), Value::Int(5)], 1), &[0], &aggs)
+            .unwrap();
         assert_eq!(agg.subgroup_count(), 2);
         let emitted = agg.emit_unemitted(true, NodeId(7), 0);
         assert_eq!(emitted.len(), 2);
@@ -1123,7 +1490,7 @@ mod tests {
         // New input after emission creates a fresh sub-group (new phase)
         // and only that one is emitted next time.
         let late = one_tagged(vec![Value::str("g"), Value::Int(1)], 2, 1, 1);
-        agg.update_raw_batch(&late, &[0], &aggs);
+        agg.update_raw_batch(&late, &[0], &aggs).unwrap();
         let emitted = agg.emit_unemitted(true, NodeId(7), 1);
         assert_eq!(emitted.len(), 1);
         assert_eq!(emitted.phase_at(0), 1);
@@ -1142,7 +1509,7 @@ mod tests {
             one_tagged(row("a", 1), 1, 1, 1),
             one_tagged(row("a", 2), 1, -1, 1),
         ] {
-            agg.update_raw_batch(&batch, &[0], &aggs);
+            agg.update_raw_batch(&batch, &[0], &aggs).unwrap();
         }
         assert_eq!(agg.purge_tainted(&NodeSet::singleton(NodeId(3))), 1);
         // Group key first, then phase; the purged sub-group is absent;
@@ -1173,8 +1540,10 @@ mod tests {
     fn agg_purge_drops_tainted_subgroups() {
         let mut agg = AggState::new();
         let aggs = [(AggFunc::Count, 0)];
-        agg.update_raw_batch(&one(vec![Value::str("a")], 0), &[0], &aggs);
-        agg.update_raw_batch(&one(vec![Value::str("b")], 3), &[0], &aggs);
+        agg.update_raw_batch(&one(vec![Value::str("a")], 0), &[0], &aggs)
+            .unwrap();
+        agg.update_raw_batch(&one(vec![Value::str("b")], 3), &[0], &aggs)
+            .unwrap();
         assert_eq!(agg.purge_tainted(&NodeSet::singleton(NodeId(3))), 1);
         assert_eq!(agg.subgroup_count(), 1);
     }
@@ -1183,9 +1552,12 @@ mod tests {
     fn collapsed_final_merges_across_subgroups() {
         let mut agg = AggState::new();
         let aggs = [(AggFunc::Sum, 1), (AggFunc::Count, 1)];
-        agg.update_raw_batch(&one(vec![Value::str("g"), Value::Int(10)], 0), &[0], &aggs);
-        agg.update_raw_batch(&one(vec![Value::str("g"), Value::Int(5)], 1), &[0], &aggs);
-        agg.update_raw_batch(&one(vec![Value::str("h"), Value::Int(2)], 1), &[0], &aggs);
+        agg.update_raw_batch(&one(vec![Value::str("g"), Value::Int(10)], 0), &[0], &aggs)
+            .unwrap();
+        agg.update_raw_batch(&one(vec![Value::str("g"), Value::Int(5)], 1), &[0], &aggs)
+            .unwrap();
+        agg.update_raw_batch(&one(vec![Value::str("h"), Value::Int(2)], 1), &[0], &aggs)
+            .unwrap();
         let rows = agg.collapsed_final(&aggs);
         assert_eq!(rows.len(), 2);
         assert_eq!(
@@ -1199,11 +1571,11 @@ mod tests {
     }
 
     #[test]
-    fn agg_signature_cache_matches_per_row_fallback() {
+    fn agg_typed_and_untyped_group_columns_fold_alike() {
         // The same mixed-sign, mixed-provenance rows folded from typed
-        // group columns (signature-cache fast path) and from group
-        // columns demoted to `ColumnData::Values` (full key lookup per
-        // row) must land in exactly the same sub-groups.
+        // group columns and from group columns demoted to
+        // `ColumnData::Values` must hash alike and land in exactly the
+        // same sub-groups.
         let aggs = [(AggFunc::Sum, 2), (AggFunc::Avg, 2), (AggFunc::Count, 0)];
         // (cells, sign, scanning node) per row.
         let rows: Vec<(Vec<Value>, i8, NodeSet)> = (0..40)
@@ -1242,8 +1614,8 @@ mod tests {
                 assert!(!matches!(typed.column(c).data(), ColumnData::Values(_)));
                 assert!(matches!(untyped.column(c).data(), ColumnData::Values(_)));
             }
-            fast.update_raw_batch(&typed, &[0, 1], &aggs);
-            fallback.update_raw_batch(&untyped, &[0, 1], &aggs);
+            fast.update_raw_batch(&typed, &[0, 1], &aggs).unwrap();
+            fallback.update_raw_batch(&untyped, &[0, 1], &aggs).unwrap();
         }
         assert_eq!(fast.subgroup_count(), fallback.subgroup_count());
         assert_eq!(fast.collapsed_final(&aggs), fallback.collapsed_final(&aggs));

@@ -74,7 +74,8 @@ mod tests {
     fn scan_and_processing_build_provenance() {
         let mut agg = AggState::new();
         let aggs = [(AggFunc::Count, 0)];
-        agg.update_raw_batch(&scanned(1, 3, 0, 1), &[0], &aggs);
+        agg.update_raw_batch(&scanned(1, 3, 0, 1), &[0], &aggs)
+            .unwrap();
         let out = agg.emit_unemitted(true, NodeId(5), 0);
         assert_eq!(out.len(), 1);
         assert!(out.provenance_at(0).contains(NodeId(3)));
