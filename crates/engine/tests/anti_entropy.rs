@@ -12,7 +12,7 @@ use orchestra_common::{ColumnType, Epoch, NodeId, NodeSet, Relation, Schema, Tup
 use orchestra_engine::{EngineConfig, FailureSpec, PlanBuilder, QueryExecutor, RecoveryStrategy};
 use orchestra_simnet::SimTime;
 use orchestra_storage::{
-    replication::anti_entropy, DistributedStorage, StorageConfig, UpdateBatch,
+    replication::anti_entropy, DistributedStorage, Kind, StorageConfig, UpdateBatch,
 };
 use orchestra_substrate::{AllocationScheme, RoutingTable};
 
@@ -166,9 +166,10 @@ fn anti_entropy_restores_scan_colocation_after_a_membership_change() {
             .collect();
         let mut min = usize::MAX;
         for node in &live {
-            for (relation, slots) in storage.store(*node).held() {
-                for slot in slots.iter() {
-                    let holds = |holder: &&NodeId| storage.store(**holder).holds(relation, slot);
+            for relation in storage.relations().map(|r| r.name()) {
+                let held = |n: NodeId| storage.held(n, relation, Kind::Tuple);
+                for slot in held(*node).into_iter().flat_map(|h| h.iter()) {
+                    let holds = |holder: &&NodeId| held(**holder).is_some_and(|h| h.contains(slot));
                     min = min.min(live.iter().filter(holds).count());
                 }
             }

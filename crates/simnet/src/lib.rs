@@ -39,6 +39,9 @@
 //!   prompt failure detection) plus a configurable background ping period
 //!   for "hung" nodes.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+
 pub mod clock;
 pub mod link;
 pub mod profiles;

@@ -1,12 +1,12 @@
 //! The distributed, replicated, versioned store.
 //!
-//! [`DistributedStorage`] glues the per-node [`NodeStore`]s to the
-//! substrate's routing: every piece of state (coordinator record, index
-//! page, tuple version) is written to the node owning its ring position
-//! plus that node's replica set, and read back with fail-over — first the
-//! owner, then the replicas, then (as a last resort, mirroring the paper's
-//! "proactively try to retrieve the missing state from other nearby
-//! nodes") any live node.
+//! [`DistributedStorage`] glues the relations' logs
+//! ([`crate::version_log`]) to the substrate's routing: every piece of
+//! state (coordinator record, index page, tuple version) is written to the
+//! node owning its ring position plus that node's replica set, and read
+//! back with fail-over — first the owner, then the replicas, then (as a
+//! last resort, mirroring the paper's "proactively try to retrieve the
+//! missing state from other nearby nodes") any live node.
 //!
 //! Publication ([`DistributedStorage::publish`]) applies one participant's
 //! [`UpdateBatch`] as a new epoch, creating new versions only of the index
@@ -22,13 +22,23 @@
 //! *numbered*: each new coordinator record, page version and tuple
 //! version is stored once, in its relation's log of that kind
 //! ([`crate::version_log`]), under the number publication gives it (its
-//! *slot*), and its owner and replicas each set that slot's bit in their
-//! store.  A node holds bits, whatever it holds, so anti-entropy repairs a
-//! placement by setting bits, one loop over the logs.  The per-node stores
-//! and the logs sit behind `Arc`s that are copied on first write, so
-//! cloning the whole cluster costs a pointer per node and per relation,
-//! and a clone that is then published to, failed or cleared leaves the
-//! original exactly as it was.
+//! *slot*), and its owner and replicas each set their bit for that slot,
+//! which the log keeps beside the item.  A node holds bits, whatever it
+//! holds, so anti-entropy repairs a placement by setting bits, one loop
+//! over the logs.  A relation's logs, holder bits included, sit behind one
+//! `Arc` that is copied on first write, so cloning the whole cluster costs
+//! a pointer per relation, and a clone that is then published to, failed
+//! or made to forget a node leaves the original exactly as it was.
+//!
+//! ## A batch commits whole
+//!
+//! Publication reads before it writes.  For every relation of the batch
+//! it first resolves everything that can fail — the relation is
+//! registered and its keys complete, the previous record and the previous
+//! page of every touched partition have a live holder, each log has room
+//! for the slots the batch adds — and only then appends and sets bits,
+//! which cannot fail.  A batch that fails leaves the store exactly as it
+//! was, and its epoch number free.
 //!
 //! ## Another routing or failure set is a view, not a copy
 //!
@@ -47,8 +57,8 @@
 //! and the version's slot in the index page
 //! ([`orchestra_common::PageEntry`]) and carried into every later page
 //! version.  Scans, delta scans and retrieval filter tuples by that cached
-//! position, find a holder by testing the slot's bit in a node's store,
-//! and read the tuple at that index of the log — no search per tuple.  A
+//! position, find a holder by testing a node's bit for the slot, and
+//! read the tuple at that index of the log — no search per tuple.  A
 //! record is found by epoch in the relation's record log and a page by the
 //! slot its descriptor carries, so no ID is built or hashed to find
 //! either.  They *borrow* the coordinator record, the page and the tuples
@@ -56,10 +66,10 @@
 //! clones the borrowed result for callers that want to own it.
 
 use crate::coordinator::{CoordinatorKey, RelationVersion};
-use crate::node_store::{with_entry, NodeStore, SlotSet};
+use crate::node_store::SlotSet;
 use crate::page::{partition_of, partition_range, IndexPage, PageDescriptor, PageId};
 use crate::update::{Update, UpdateBatch};
-use crate::version_log::{Kind, Log, RelationLogs, VersionLog};
+use crate::version_log::{Kind, Log, Placed, RelationLogs, VersionLog};
 use orchestra_common::{
     Epoch, Key160, KeyRange, NodeId, NodeSet, OrchestraError, PageEntry, Relation, Result, Tuple,
     TupleId, Value,
@@ -140,19 +150,18 @@ pub struct RetrievalResult {
 
 /// The distributed, replicated, versioned storage layer.
 ///
-/// `Clone` is cheap — one pointer per node; the clone and the original
-/// share every node's store until one of them writes to it.  Reading the
-/// data under another routing table or failure set needs no clone: it is
-/// a [`StorageView`], and a view copies nothing.
+/// `Clone` is cheap — one pointer per relation; the clone and the
+/// original share every relation's logs until one of them writes to them.
+/// Reading the data under another routing table or failure set needs no
+/// clone: it is a [`StorageView`], and a view copies nothing.
 #[derive(Clone)]
 pub struct DistributedStorage {
     config: StorageConfig,
     routing: RoutingTable,
-    /// Copy-on-write: written through [`Arc::make_mut`] only.
-    stores: Vec<Arc<NodeStore>>,
-    /// Every relation's records, pages and tuple versions, by slot.
-    /// Copy-on-write, like the stores.
-    pub(crate) logs: HashMap<String, Arc<RelationLogs>>,
+    /// Every relation's records, pages and tuple versions, by slot, with
+    /// the nodes holding each.  Copy-on-write: written through
+    /// [`Arc::make_mut`] only.
+    logs: HashMap<String, Arc<RelationLogs>>,
     failed: NodeSet,
     catalog: HashMap<String, Relation>,
     published: u64,
@@ -162,6 +171,23 @@ pub struct DistributedStorage {
     pub(crate) delta_memo: crate::delta::DeltaMemo,
 }
 
+/// One relation's share of a batch, with everything that publishing it
+/// reads from the store resolved, so that writing it cannot fail.
+struct Staged<'b> {
+    name: &'b str,
+    key_len: usize,
+    replicated: bool,
+    /// The relation's version before the batch, if it has one.
+    prev: Option<Arc<RelationVersion>>,
+    /// The batch's updates of the relation, each with its index-page
+    /// partition and the ring position of its key: by partition and, in
+    /// one, in batch order.
+    updates: Vec<(u32, &'b Update, Key160)>,
+    /// Per partition the updates touch, ascending, the previous version's
+    /// page of it, if it has one.
+    prev_pages: Vec<Option<Arc<IndexPage>>>,
+}
+
 /// A [`DistributedStorage`]'s data seen under one routing table, with one
 /// set of nodes whose local state cannot be read: the one place the read
 /// paths live.
@@ -169,10 +195,9 @@ pub struct DistributedStorage {
 /// A view is `Copy` and copies nothing.  [`DistributedStorage::view`] is
 /// the store's own routing and failed set; [`Self::with_routing`] and
 /// [`Self::with_failed`] derive another.  A node is readable when it has
-/// not failed and the store has a slot for it: a node the view's table
-/// lists but the store was never grown to (a joiner, on a snapshot taken
-/// before the store adopted it) holds nothing.  The delta memo is the
-/// store's, shared by all its views.
+/// not failed; a node the view's table lists but nothing was ever written
+/// to (a joiner, on a snapshot taken before the store adopted it) holds
+/// nothing.  The delta memo is the store's, shared by all its views.
 #[derive(Clone, Copy)]
 pub struct StorageView<'a> {
     pub(crate) data: &'a DistributedStorage,
@@ -183,13 +208,9 @@ pub struct StorageView<'a> {
 impl DistributedStorage {
     /// Create an empty store over the nodes of `routing`.
     pub fn new(routing: RoutingTable, config: StorageConfig) -> DistributedStorage {
-        let max_index = routing.nodes().iter().map(|n| n.index()).max().unwrap_or(0);
         DistributedStorage {
             config,
             routing,
-            stores: std::iter::repeat_with(Arc::default)
-                .take(max_index + 1)
-                .collect(),
             logs: HashMap::new(),
             failed: NodeSet::empty(),
             catalog: HashMap::new(),
@@ -222,25 +243,21 @@ impl DistributedStorage {
     /// restore the placement invariant, exactly as background replication
     /// would in the paper.
     pub fn set_routing(&mut self, routing: RoutingTable) {
-        let max_index = routing.nodes().iter().map(|n| n.index()).max().unwrap_or(0);
-        if self.stores.len() <= max_index {
-            self.stores.resize_with(max_index + 1, Arc::default);
-        }
         self.routing = routing;
     }
 
-    /// Mark a node as failed: its local store becomes unreachable for all
-    /// lookups (its contents survive in this process, but nothing reads
-    /// them — the node is gone).
+    /// Mark a node as failed: what it holds becomes unreachable for all
+    /// lookups (its bits survive in this process, but nothing reads them —
+    /// the node is gone).
     pub fn mark_failed(&mut self, node: NodeId) {
         self.failed.insert(node);
     }
 
     /// Clear a node's failed mark: a crashed or departed node has
     /// rejoined (as a fresh process on the same identity) and may be
-    /// read from and written to again.  Its store is whatever survived
-    /// in this process — typically empty until anti-entropy repopulates
-    /// it under a routing table that lists the node once more.
+    /// read from and written to again.  It holds whatever survived in this
+    /// process — nothing, after [`Self::forget`], until anti-entropy
+    /// repopulates it under a routing table that lists the node once more.
     pub fn mark_recovered(&mut self, node: NodeId) {
         self.failed.remove(node);
     }
@@ -270,22 +287,45 @@ impl DistributedStorage {
         self.published.checked_sub(1).map(Epoch)
     }
 
-    /// Direct access to one node's local store (tests, diagnostics,
-    /// anti-entropy).
-    pub fn store(&self, node: NodeId) -> &NodeStore {
-        &self.stores[node.index()]
+    /// The items of `relation`'s log of `kind` that `node` holds (tests,
+    /// diagnostics): `None`, or an empty set, when it holds none.
+    pub fn held(&self, node: NodeId, relation: &str, kind: Kind) -> Option<&SlotSet> {
+        self.logs.get(relation)?.placed(kind).holders.of(node)
     }
 
-    /// Mutable access to one node's local store (anti-entropy, failure
-    /// injection).  If a clone of this storage still shares the store, it
-    /// is unshared first (its bits are copied, not the data).
-    pub fn store_mut(&mut self, node: NodeId) -> &mut NodeStore {
-        Arc::make_mut(&mut self.stores[node.index()])
+    /// How many items of `kind` `node` holds, over every relation.
+    pub fn held_count(&self, node: NodeId, kind: Kind) -> usize {
+        let logs = self.logs.values();
+        let held = logs.filter_map(|logs| logs.placed(kind).holders.of(node));
+        held.map(SlotSet::len).sum()
+    }
+
+    /// Drop everything `node` holds — the permanent loss of its local
+    /// storage.  A relation's logs that a clone still shares, and that the
+    /// node holds something of, are unshared first.
+    pub fn forget(&mut self, node: NodeId) {
+        for logs in self.logs.values_mut() {
+            for kind in Kind::ALL {
+                if (logs.placed(kind).holders.of(node)).is_some_and(|held| !held.is_empty()) {
+                    Arc::make_mut(logs).placed_mut(kind).holders.forget(node);
+                }
+            }
+        }
+    }
+
+    /// Every relation's logs, for setting holder bits (anti-entropy), each
+    /// with whether the relation is replicated.
+    pub(crate) fn logs_mut(&mut self) -> impl Iterator<Item = (bool, &mut Arc<RelationLogs>)> {
+        let catalog = &self.catalog;
+        self.logs.iter_mut().map(move |(name, logs)| {
+            let replicated = catalog.get(name).is_some_and(Relation::is_replicated);
+            (replicated, logs)
+        })
     }
 
     /// The tuple versions `relation` has published, by slot, or `None`
     /// before its first publication.  A node holds the version at slot `s`
-    /// when [`NodeStore::holds`] says so.
+    /// when [`Self::held`] lists `s`.
     pub fn version_log(&self, relation: &str) -> Option<&VersionLog> {
         Some(&self.logs.get(relation)?.versions)
     }
@@ -303,12 +343,6 @@ impl DistributedStorage {
         Some(&self.logs.get(relation)?.records)
     }
 
-    /// `relation`'s logs, for appending: created on first use, unshared
-    /// from a clone first.
-    fn append<R>(&mut self, relation: &str, append: impl FnOnce(&mut RelationLogs) -> R) -> R {
-        with_entry(&mut self.logs, relation, |logs| append(Arc::make_mut(logs)))
-    }
-
     // ------------------------------------------------------------------
     // Publication
     // ------------------------------------------------------------------
@@ -323,9 +357,11 @@ impl DistributedStorage {
     /// lists each version with its slot, and a record each page with its
     /// slot.
     ///
-    /// The whole batch is validated before the first write, so an invalid
-    /// relation cannot leave the ones before it in node stores under an
-    /// epoch that was never committed.
+    /// Everything that can fail is resolved for the whole batch before the
+    /// first write, so a batch that fails — an unregistered relation, a
+    /// short key, a previous record or page no live node holds, a log out
+    /// of slots — leaves the store exactly as it was, and its epoch
+    /// unpublished.
     pub fn publish(&mut self, batch: &UpdateBatch) -> Result<Epoch> {
         if self.config.partitions_per_relation == 0 && !batch.is_empty() {
             return Err(OrchestraError::StorageInvalid(
@@ -333,110 +369,125 @@ impl DistributedStorage {
                     .into(),
             ));
         }
-        for name in batch.relations() {
-            let relation = self.catalog.get(name).ok_or_else(|| {
-                OrchestraError::StorageInvalid(format!("relation {name} is not registered"))
-            })?;
-            let key_len = relation.schema().key_len();
-            let updates = batch.updates_for(name);
-            if let Some(up) = updates.iter().find(|up| up.key(key_len).len() < key_len) {
-                return Err(OrchestraError::StorageInvalid(format!(
-                    "update to {name} has {} key values, schema requires {key_len}",
-                    up.key(key_len).len()
-                )));
-            }
-            let logged = self.version_log(name).map_or(0, VersionLog::len);
-            if u32::try_from(logged + updates.len()).is_err() {
-                return Err(OrchestraError::StorageInvalid(format!(
-                    "{name} would number more than {} tuple versions",
-                    u32::MAX
-                )));
-            }
-        }
         let epoch = Epoch(self.published);
-        for name in batch.relations() {
-            self.publish_relation(name, epoch, batch.updates_for(name))?;
+        let staged = (batch.relations())
+            .map(|name| self.stage(name, batch.updates_for(name), epoch))
+            .collect::<Result<Vec<_>>>()?;
+        // Each relation's logs are taken out of the map while they are
+        // written, so that `write` can read the routing beside them.
+        for relation in staged {
+            let name = relation.name;
+            let (name, mut logs) = (self.logs.remove_entry(name))
+                .unwrap_or_else(|| (name.to_string(), Arc::default()));
+            self.write(Arc::make_mut(&mut logs), &relation, epoch);
+            self.logs.insert(name, logs);
         }
         self.published += 1;
         Ok(epoch)
     }
 
-    /// Write one relation's share of a batch [`Self::publish`] validated.
-    fn publish_relation(&mut self, name: &str, epoch: Epoch, updates: &[Update]) -> Result<()> {
-        let relation = &self.catalog[name];
+    /// Resolve everything publishing `updates`, the batch's share of
+    /// relation `name`, as `epoch` reads from the store, or fail.
+    fn stage<'b>(&self, name: &'b str, updates: &'b [Update], epoch: Epoch) -> Result<Staged<'b>> {
+        let relation = self.catalog.get(name).ok_or_else(|| {
+            OrchestraError::StorageInvalid(format!("relation {name} is not registered"))
+        })?;
         let key_len = relation.schema().key_len();
-        let replicated = relation.is_replicated();
-        let parts = self.config.partitions_per_relation;
-
-        // Previous version of the relation, if any: its last record.
-        let last = self
-            .record_log(name)
-            .and_then(|log| log.len().checked_sub(1));
-        let prev_version: Option<Arc<RelationVersion>> = match last {
-            // The log's slots fit in a `u32`.
-            Some(slot) => Some(Arc::clone(self.view().record(name, slot as u32)?)),
-            None => None,
-        };
+        if let Some(up) = updates.iter().find(|up| up.key(key_len).len() < key_len) {
+            return Err(OrchestraError::StorageInvalid(format!(
+                "update to {name} has {} key values, schema requires {key_len}",
+                up.key(key_len).len()
+            )));
+        }
 
         // Group the updates by index-page partition.  This is the one
         // place a tuple key is hashed: the position picks the partition
         // here, then rides along into the page entry and the data nodes.
-        let mut by_partition: HashMap<u32, Vec<(&Update, Key160)>> = HashMap::new();
-        for up in updates {
-            let position = orchestra_common::tuple::hash_values(up.key(key_len));
-            by_partition
-                .entry(partition_of(position, parts))
-                .or_default()
-                .push((up, position));
+        let parts = self.config.partitions_per_relation;
+        let mut by_partition: Vec<(u32, &Update, Key160)> = (updates.iter())
+            .map(|up| {
+                let position = orchestra_common::tuple::hash_values(up.key(key_len));
+                (partition_of(position, parts), up, position)
+            })
+            .collect();
+        by_partition.sort_by_key(|(partition, ..)| *partition);
+
+        // The previous version of the relation, if any — every record
+        // predates `epoch` — and its page of each touched partition.
+        let view = self.view();
+        let prev = view.version_record(name, epoch)?.cloned();
+        let prev_pages = (by_partition.chunk_by(|a, b| a.0 == b.0))
+            .map(|ups| {
+                let partition = ups[0].0;
+                let prev_page = prev.as_ref().and_then(|v| {
+                    // Descriptors are ordered by partition.
+                    let at = (v.pages)
+                        .binary_search_by_key(&partition, |d| d.id.partition)
+                        .ok()?;
+                    Some(view.lookup_index_page(&v.pages[at]).cloned())
+                });
+                prev_page.transpose()
+            })
+            .collect::<Result<Vec<_>>>()?;
+
+        // Room for the record, the touched pages and at most a version per
+        // update.
+        let logs = self.logs.get(name);
+        let logged = |kind| logs.map_or(0, |logs| logs.placed(kind).len());
+        let adding = [1, prev_pages.len(), updates.len()];
+        let full = |(kind, n): &(Kind, usize)| u32::try_from(logged(*kind) + n).is_err();
+        if let Some((kind, _)) = Kind::ALL.into_iter().zip(adding).find(full) {
+            return Err(OrchestraError::StorageInvalid(format!(
+                "{name} would number more than {} items in its {kind:?} log",
+                u32::MAX
+            )));
         }
+        Ok(Staged {
+            name,
+            key_len,
+            replicated: relation.is_replicated(),
+            prev,
+            updates: by_partition,
+            prev_pages,
+        })
+    }
+
+    /// Write one relation's share of a batch, `staged`, as `epoch` into
+    /// the relation's logs: nothing here can fail.
+    fn write(&self, logs: &mut RelationLogs, staged: &Staged<'_>, epoch: Epoch) {
+        let (name, key_len, updates) = (staged.name, staged.key_len, &staged.updates);
+        let parts = self.config.partitions_per_relation;
+        let is_touched = |partition: u32| updates.binary_search_by_key(&partition, |u| u.0).is_ok();
 
         // Start from the previous version's descriptors for untouched pages.
-        let mut descriptors: Vec<PageDescriptor> = prev_version
-            .as_ref()
+        let mut descriptors: Vec<PageDescriptor> = (staged.prev.as_ref())
             .map(|v| {
-                v.pages
-                    .iter()
-                    .filter(|d| !by_partition.contains_key(&d.id.partition))
+                (v.pages.iter())
+                    .filter(|d| !is_touched(d.id.partition))
                     .cloned()
                     .collect()
             })
             .unwrap_or_default();
 
-        let mut touched: Vec<u32> = by_partition.keys().copied().collect();
-        touched.sort_unstable();
-
         // The versions the batch creates, partition by partition and, in
         // one, in batch order; stored, then listed with their slots.
-        let fresh: Vec<(Key160, &Tuple)> = touched
-            .iter()
-            .flat_map(|partition| &by_partition[partition])
-            .filter_map(|(up, position)| match up {
+        let fresh: Vec<(Key160, &Tuple)> = (updates.iter())
+            .filter_map(|(_, up, position)| match up {
                 Update::Insert(t) | Update::Modify(t) => Some((*position, t)),
                 Update::Delete(_) => None,
             })
             .collect();
-        let slots = self.store_versions(name, key_len, replicated, &fresh)?;
+        let slots = self.store_versions(&mut logs.versions, key_len, staged.replicated, &fresh);
         let mut numbered = fresh.iter().zip(slots);
 
-        for (at, partition) in touched.into_iter().enumerate() {
-            let ups = &by_partition[&partition];
-            let prev_page: Option<Arc<IndexPage>> = prev_version
-                .as_ref()
-                .and_then(|v| {
-                    // Descriptors are ordered by partition.
-                    let at = v
-                        .pages
-                        .binary_search_by_key(&partition, |d| d.id.partition)
-                        .ok()?;
-                    Some(self.view().lookup_index_page(&v.pages[at]).map(Arc::clone))
-                })
-                .transpose()?;
-
+        let touched = updates.chunk_by(|a, b| a.0 == b.0).zip(&staged.prev_pages);
+        for (at, (ups, prev_page)) in touched.enumerate() {
+            let partition = ups[0].0;
             // The superseded versions are found in (and borrowed from) the
             // key-sorted previous page by binary search.
             let mut removes: Vec<&TupleId> = Vec::new();
             let mut creates = 0;
-            for (up, _) in ups {
+            for (_, up, _) in ups {
                 if !up.is_insert() {
                     let key = up.key(key_len);
                     if let Some(prev) = prev_page.as_ref().and_then(|p| p.current_version_of(key)) {
@@ -461,7 +512,7 @@ impl DistributedStorage {
                 })
                 .collect();
 
-            let new_page = Arc::new(match &prev_page {
+            let new_page = Arc::new(match prev_page {
                 Some(p) => p.next_version(epoch, removes, adds),
                 None => IndexPage::new(
                     PageId::new(name, epoch, partition),
@@ -474,9 +525,8 @@ impl DistributedStorage {
             // the publication opens its run — and place it at the node
             // owning the middle of its range (+ replicas).
             let position = new_page.range.midpoint();
-            let page = Arc::clone(&new_page);
-            let slot = self.append(name, |logs| logs.pages.push(position, page, at == 0))?;
-            self.place(name, Kind::Page, Some(position), slot..slot + 1);
+            let slot = (logs.pages).push(position, Arc::clone(&new_page), at == 0);
+            self.place(&mut logs.pages.placed, Some(position), slot..slot + 1);
             descriptors.push(new_page.descriptor(slot));
         }
 
@@ -484,20 +534,20 @@ impl DistributedStorage {
         let coord_key = CoordinatorKey::new(name, epoch);
         let position = coord_key.hash();
         let version = Arc::new(RelationVersion::new(coord_key, descriptors));
-        let slot = self.append(name, |logs| logs.records.push(position, version, true))?;
-        self.place(name, Kind::Record, Some(position), slot..slot + 1);
-        Ok(())
+        let slot = logs.records.push(position, version, true);
+        self.place(&mut logs.records.placed, Some(position), slot..slot + 1);
     }
 
-    /// Store the versions one publication of `relation` creates — `fresh`,
-    /// each the ring position of its key and the batch's tuple — and
-    /// return each one's slot, in `fresh`'s order.
+    /// Store the versions one publication of a relation creates — `fresh`,
+    /// each the ring position of its key and the batch's tuple — in the
+    /// relation's version log `log`, and return each one's slot, in
+    /// `fresh`'s order.
     ///
-    /// The versions are numbered as one run of the relation's log, in
-    /// position order ([`VersionLog`]); a key written twice is one version
-    /// with the later write's body.  The bodies are detached copies, made
-    /// in `fresh`'s order, so that a partition's rows lie together and, for
-    /// keys generated in order, in the order a scan of its page reads them
+    /// The versions are numbered as one run of the log, in position order
+    /// ([`VersionLog`]); a key written twice is one version with the later
+    /// write's body.  The bodies are detached copies, made in `fresh`'s
+    /// order, so that a partition's rows lie together and, for keys
+    /// generated in order, in the order a scan of its page reads them
     /// (copied in slot order instead, the host benchmark's `adhoc_read`
     /// read 84–86 ms an operation against 76–80, three pairs on one box).
     /// Then every live holder — the replica set of each version's arc, or
@@ -505,14 +555,14 @@ impl DistributedStorage {
     /// slots one routing entry places are consecutive, so a holder is
     /// handed ranges, not single versions.
     fn store_versions(
-        &mut self,
-        relation: &str,
+        &self,
+        log: &mut VersionLog,
         key_len: usize,
         replicated: bool,
         fresh: &[(Key160, &Tuple)],
-    ) -> Result<Vec<u32>> {
+    ) -> Vec<u32> {
         if fresh.is_empty() {
-            return Ok(Vec::new());
+            return Vec::new();
         }
         let key = |i: usize| fresh[i].1.key(key_len);
         let mut order: Vec<usize> = (0..fresh.len()).collect();
@@ -537,19 +587,16 @@ impl DistributedStorage {
             .map(|i| (stored[offset[i]] == i).then(|| detached(fresh[i].1.values()).collect()))
             .collect();
 
-        let run = self.append(relation, |logs| -> Result<Range<u32>> {
-            let log = &mut logs.versions;
-            log.reserve(stored.len());
-            // The log's slots fit in a `u32`, as `push` checks.
-            let start = log.len() as u32;
-            // Every stored write has its body, taken here once.
-            for &i in &stored {
-                if let Some(body) = bodies[i].take() {
-                    log.push(fresh[i].0, body, log.len() as u32 == start)?;
-                }
+        log.reserve(stored.len());
+        // The log's slots fit in a `u32`, as publication checked.
+        let start = log.len() as u32;
+        // Every stored write has its body, taken here once.
+        for &i in &stored {
+            if let Some(body) = bodies[i].take() {
+                log.push(fresh[i].0, body, log.len() as u32 == start);
             }
-            Ok(start..log.len() as u32)
-        })?;
+        }
+        let run = start..log.len() as u32;
 
         let mut placed: Vec<(Option<Key160>, Range<u32>)> = Vec::new();
         if replicated {
@@ -568,11 +615,11 @@ impl DistributedStorage {
             }
         }
         for (at, slots) in placed {
-            self.place(relation, Kind::Tuple, at, slots);
+            self.place(&mut log.placed, at, slots);
         }
         // An offset is below the run's length, so its slot fits as the
         // run's end does.
-        Ok(offset.iter().map(|&o| run.start + o as u32).collect())
+        offset.iter().map(|&o| run.start + o as u32).collect()
     }
 
     // ------------------------------------------------------------------
@@ -604,13 +651,12 @@ impl DistributedStorage {
         }
     }
 
-    /// Set the bits of `slots` of `relation`'s log of `kind` at every live
-    /// holder of what is placed at `key` — its replica set, owner first —
-    /// or, for `None` (a replicated relation), at every live node.  A store
-    /// still shared with a clone is unshared first, as by
-    /// [`Self::store_mut`].
-    fn place(&mut self, relation: &str, kind: Kind, key: Option<Key160>, slots: Range<u32>) {
-        let log_len = self.logs.get(relation).map_or(0, |l| l.placed(kind).len());
+    /// Set the bits of `slots` of a log, whose placement and holders are
+    /// `placed`, at every live holder of what is placed at `key` — its
+    /// replica set, owner first — or, for `None` (a replicated relation),
+    /// at every live node.
+    fn place(&self, placed: &mut Placed, key: Option<Key160>, slots: Range<u32>) {
+        let log_len = placed.len();
         let every_node;
         let holders = match key {
             Some(key) => self.routing.replicas_of(key),
@@ -621,10 +667,7 @@ impl DistributedStorage {
         };
         for &node in holders {
             if self.view().is_live(node) {
-                let store = Arc::make_mut(&mut self.stores[node.index()]);
-                store.write(relation, kind, log_len, |held| {
-                    held.insert_range(slots.clone())
-                });
+                (placed.holders.of_mut(node, log_len)).insert_range(slots.clone());
             }
         }
     }
@@ -738,10 +781,10 @@ impl<'a> StorageView<'a> {
     // Lookups with fail-over
     // ------------------------------------------------------------------
 
-    /// Can `node`'s store be read (and, under the store's own view,
+    /// Can what `node` holds be read (and, under the store's own view,
     /// written)?
     fn is_live(&self, node: NodeId) -> bool {
-        !self.failed.contains(node) && node.index() < self.data.stores.len()
+        !self.failed.contains(node)
     }
 
     /// The live members of `key`'s replica set, owner first.
@@ -753,32 +796,16 @@ impl<'a> StorageView<'a> {
             .filter(|n| self.is_live(*n))
     }
 
-    /// The first live node that holds the item of `relation`'s log of
-    /// `kind` at `slot`, placed at `position`: its owner, then its
-    /// replicas, then every live node.
-    fn holder(&self, relation: &str, kind: Kind, slot: u32, position: Key160) -> Option<NodeId> {
-        let holds = |node: &NodeId| {
-            let held = self.data.store(*node).slots(relation, kind);
-            held.is_some_and(|held| held.contains(slot))
-        };
+    /// The first live node that holds the item at `slot` of a log whose
+    /// placement and holders are `placed`, placed at `position`: its owner,
+    /// then its replicas, then every live node.
+    fn holder(&self, placed: &Placed, slot: u32, position: Key160) -> Option<NodeId> {
+        let holds = |node: &NodeId| placed.holders.holds(*node, slot);
         let live = |n: &NodeId| self.is_live(*n);
         self.live_replicas(position).find(holds).or_else(|| {
             let mut every = self.routing.nodes().into_iter().filter(live);
             every.find(holds)
         })
-    }
-
-    /// The record at `slot` of `relation`'s record log, when a live node
-    /// holds it: its position's owner, replicas, then every live node.
-    fn record(&self, relation: &str, slot: u32) -> Result<&'a Arc<RelationVersion>> {
-        let log = self.data.record_log(relation);
-        let record = log.and_then(|log| Some((log.get(slot)?, log.position(slot)?)));
-        match record {
-            Some((record, at)) if self.holder(relation, Kind::Record, slot, at).is_some() => {
-                Ok(record)
-            }
-            _ => Err(missing_record(relation, record.map(|(r, _)| r.key.epoch))),
-        }
     }
 
     /// Find the coordinator record for `key`, trying the owner, then the
@@ -790,25 +817,37 @@ impl<'a> StorageView<'a> {
     }
 
     /// The coordinator record of the version of `relation` visible at
-    /// `epoch`, or `None` when the relation has no version yet.  Found by
-    /// epoch in the relation's record log, so nothing is built or hashed.
+    /// `epoch`, or `None` when the relation has no version yet; an error
+    /// when no live node holds it (its position's owner, replicas, then
+    /// every live node are tried).  Found by epoch in the relation's record
+    /// log, so nothing is built or hashed.
     pub fn version_record(
         &self,
         relation: &str,
         epoch: Epoch,
     ) -> Result<Option<&'a Arc<RelationVersion>>> {
-        let logs = self.data.logs.get(relation);
-        let slot = logs.and_then(|logs| logs.record_at(epoch));
-        slot.map(|slot| self.record(relation, slot)).transpose()
+        let Some(logs) = self.data.logs.get(relation) else {
+            return Ok(None);
+        };
+        let Some(slot) = logs.record_at(epoch) else {
+            return Ok(None);
+        };
+        let log = &logs.records;
+        let record = log.get(slot).zip(log.position(slot));
+        match record {
+            Some((record, at)) if self.holder(&log.placed, slot, at).is_some() => Ok(Some(record)),
+            _ => Err(missing_record(relation, record.map(|(r, _)| r.key.epoch))),
+        }
     }
 
     /// Find an index page, trying its storage position's owner, replicas,
     /// then every live node.
     pub fn lookup_index_page(&self, descriptor: &PageDescriptor) -> Result<&'a Arc<IndexPage>> {
         let (relation, slot) = (&descriptor.id.relation, descriptor.slot);
-        let held = || self.holder(relation, Kind::Page, slot, descriptor.storage_key);
-        let page = self.data.page_log(relation).and_then(|log| log.get(slot));
-        page.filter(|_| held().is_some()).ok_or_else(|| {
+        let log = self.data.page_log(relation);
+        let held =
+            log.filter(|log| (self.holder(&log.placed, slot, descriptor.storage_key)).is_some());
+        held.and_then(|log| log.get(slot)).ok_or_else(|| {
             OrchestraError::StorageMissing(format!(
                 "no live node holds index page {}",
                 descriptor.id
@@ -835,37 +874,27 @@ impl<'a> StorageView<'a> {
                 entry.id
             ))
         };
-        let log = self.data.version_log(relation);
-        let tuple = log
-            .and_then(|log| log.get(entry.slot))
-            .ok_or_else(missing)?;
+        let log = self.data.version_log(relation).ok_or_else(missing)?;
+        let tuple = log.get(entry.slot).ok_or_else(missing)?;
         let local = preferred.filter(|n| self.is_live(*n));
-        if local.is_some_and(|n| self.data.store(n).holds(relation, entry.slot)) {
+        if local.is_some_and(|n| log.placed.holders.holds(n, entry.slot)) {
             return Ok((tuple, None));
         }
-        let node =
-            (self.holder(relation, Kind::Tuple, entry.slot, entry.position)).ok_or_else(missing)?;
+        let node = (self.holder(&log.placed, entry.slot, entry.position)).ok_or_else(missing)?;
         Ok((tuple, (preferred != Some(node)).then_some(node)))
     }
 
-    /// The versions of `relation` that `node` itself holds — nothing when
-    /// the node is not live.
-    pub(crate) fn local_tuples(&self, relation: &str, node: NodeId) -> Option<&'a SlotSet> {
-        self.is_live(node)
-            .then(|| self.data.store(node).slots(relation, Kind::Tuple))
-            .flatten()
-    }
-
     /// What a scan on behalf of `node` resolves before its page loop: the
-    /// node's own versions of `relation` ([`Self::local_tuples`]) and the
-    /// log they index.
+    /// versions of `relation` the node itself holds — nothing when the
+    /// node is not live — and the log they index.
     pub(crate) fn local_scan(
         &self,
         relation: &str,
         node: NodeId,
     ) -> Option<(&'a SlotSet, &'a VersionLog)> {
         let log = self.data.version_log(relation)?;
-        Some((self.local_tuples(relation, node)?, log))
+        let held = log.placed.holders.of(node).filter(|_| self.is_live(node))?;
+        Some((held, log))
     }
 
     /// Read the tuple `entry` lists for a scan on behalf of `node`, whose
@@ -901,9 +930,8 @@ impl<'a> StorageView<'a> {
     }
 
     /// [`Self::lookup_tuple`] with no preferred node, for a pass over
-    /// many versions of `relation`: every node's versions of it
-    /// ([`Self::local_tuples`]) and the relation's log are found by name
-    /// once, up front, and a version is then read from the log when a live
+    /// many versions of `relation`: the relation's log is found by name
+    /// once, up front, and a version is then read from it when a live
     /// replica holds it — or, when none does, looked up the whole way.
     pub(crate) fn tuple_lookup<'r>(
         &self,
@@ -914,13 +942,10 @@ impl<'a> StorageView<'a> {
     {
         let view = *self;
         let log = view.data.version_log(relation);
-        let held: Vec<Option<&'a SlotSet>> = (0..view.data.stores.len())
-            .map(|i| view.local_tuples(relation, NodeId(i as u16)))
-            .collect();
         move |entry| {
-            let holds = |node: NodeId| held[node.index()].is_some_and(|h| h.contains(entry.slot));
-            let replica = log.filter(|_| view.live_replicas(entry.position).any(holds));
-            match replica.and_then(|log| log.get(entry.slot)) {
+            let mut replicas = view.live_replicas(entry.position);
+            let held = log.filter(|log| replicas.any(|n| log.placed.holders.holds(n, entry.slot)));
+            match held.and_then(|log| log.get(entry.slot)) {
                 Some(tuple) => Ok(tuple),
                 None => Ok(view.lookup_tuple(relation, entry, None)?.0),
             }
@@ -937,9 +962,9 @@ impl<'a> StorageView<'a> {
     /// This is the storage half of the engine's *distributed scan*
     /// operator: the index pages overlapping the ranges are read, their
     /// entries filtered to the ranges by cached ring position, and the
-    /// tuple versions located — in `node`'s local store when co-location
-    /// holds, at replicas otherwise.  Nothing is hashed and nothing is
-    /// copied: the result borrows the tuples from the stores holding them.
+    /// tuple versions located — held by `node` itself when co-location
+    /// holds, by replicas otherwise.  Nothing is hashed and nothing is
+    /// copied: the result borrows the tuples from the relation's log.
     pub fn scan_partition_ref(
         &self,
         relation: &str,
@@ -1296,7 +1321,7 @@ mod tests {
             s.set_routing(RoutingTable::build(&nodes, AllocationScheme::Balanced, 3));
             crate::replication::anti_entropy(&mut s).unwrap();
             assert!(
-                s.store(NodeId(3)).tuple_count() > 0,
+                s.held_count(NodeId(3), Kind::Tuple) > 0,
                 "the joiner holds its share"
             );
             s
@@ -1337,14 +1362,7 @@ mod tests {
 
         let snapshot = |s: &DistributedStorage| {
             let counts: Vec<[usize; 3]> = (0..3)
-                .map(|n| s.store(NodeId(n)))
-                .map(|st| {
-                    [
-                        st.coordinator_count(),
-                        st.index_page_count(),
-                        st.tuple_count(),
-                    ]
-                })
+                .map(|n| Kind::ALL.map(|kind| s.held_count(NodeId(n), kind)))
                 .collect();
             let full = [KeyRange::full()];
             let scan = s.scan_partition("R", e0, NodeId(0), &full).unwrap();
@@ -1378,6 +1396,65 @@ mod tests {
     }
 
     #[test]
+    fn a_batch_that_cannot_be_read_leaves_the_store_as_it_was() {
+        // Regression: a batch was written relation by relation, so a
+        // failed read of the second (its previous record, on failed nodes)
+        // left the first's new version behind — and a retry gave the first
+        // two records of one epoch.
+        let mut s = storage(6);
+        s.register_relation(Relation::partitioned("S", schema()));
+        let mut b0 = UpdateBatch::new();
+        for k in ["a", "b", "c"] {
+            b0.insert("R", r(k, "0")).insert("S", r(k, "0"));
+        }
+        s.publish(&b0).unwrap();
+
+        let holdings = |s: &DistributedStorage| {
+            let mut held = Vec::new();
+            for node in s.routing().nodes() {
+                for relation in ["R", "S"] {
+                    for kind in Kind::ALL {
+                        let slots = s.held(node, relation, kind).into_iter();
+                        held.push(slots.flat_map(SlotSet::iter).collect::<Vec<_>>());
+                    }
+                }
+            }
+            let r = [
+                s.record_log("R").unwrap().len(),
+                s.page_log("R").unwrap().len(),
+                s.version_log("R").unwrap().len(),
+            ];
+            (r, held, s.latest_epoch())
+        };
+        let before = holdings(&s);
+
+        // Every holder of S's record fails; the batch touches R, then S.
+        let record = s.record_log("S").unwrap().position(0).unwrap();
+        let holders: Vec<NodeId> = s.routing().replicas_of(record).to_vec();
+        for node in &holders {
+            s.mark_failed(*node);
+        }
+        let mut b1 = UpdateBatch::new();
+        b1.modify("R", r("a", "1"));
+        assert!(s.clone().publish(&b1).is_ok(), "R's share alone publishes");
+        b1.modify("S", r("b", "1"));
+        let err = s.publish(&b1).unwrap_err();
+        assert!(matches!(err, OrchestraError::StorageMissing(_)), "{err}");
+        assert_eq!(holdings(&s), before);
+
+        for node in holders {
+            s.mark_recovered(node);
+        }
+        let e1 = s.publish(&b1).unwrap();
+        assert_eq!(e1, Epoch(1));
+        for relation in ["R", "S"] {
+            assert!(s.version_history(relation).eq([Epoch(0), e1]), "{relation}");
+        }
+        let now = s.retrieve("R", e1, NodeId(0), &|key| key[0] == Value::str("a"));
+        assert_eq!(now.unwrap().tuples, [r("a", "1")]);
+    }
+
+    #[test]
     fn zero_partitions_is_an_error_not_a_panic() {
         // Regression: placing the first key divided the ring by zero.
         let routing = RoutingTable::build(
@@ -1399,15 +1476,7 @@ mod tests {
         assert_eq!(s.latest_epoch(), None);
         assert_eq!(s.version_history("R").count(), 0);
         for n in 0..3 {
-            let store = s.store(NodeId(n));
-            assert_eq!(
-                [
-                    store.coordinator_count(),
-                    store.index_page_count(),
-                    store.tuple_count()
-                ],
-                [0; 3]
-            );
+            assert_eq!(Kind::ALL.map(|kind| s.held_count(NodeId(n), kind)), [0; 3]);
         }
         // A batch with nothing in it needs no page: it still publishes.
         assert_eq!(s.publish(&UpdateBatch::new()).unwrap(), Epoch(0));

@@ -5,8 +5,8 @@
 //!
 //! ## The storage scheme (Figure 3)
 //!
-//! Three kinds of per-node state cooperate to serve any relation at any
-//! epoch:
+//! Three kinds of state, each placed on the nodes around its ring
+//! position, cooperate to serve any relation at any epoch:
 //!
 //! * **Relation coordinators** — contacted at `hash(relation, epoch)`;
 //!   they hold the list of index-page descriptors (page ID plus the
@@ -21,8 +21,10 @@
 //!
 //! Whatever it is, an item is stored once, in its relation's log of its
 //! [`Kind`] ([`version_log`]), under a number, its slot, and a node that
-//! holds it holds one bit ([`SlotSet`]): a descriptor lists its page's
-//! slot and a page entry its tuple version's.
+//! holds it holds one bit, which the log keeps beside the item in that
+//! node's [`SlotSet`] ([`node_store`]): a descriptor lists its page's slot
+//! and a page entry its tuple version's.  Who holds what is read with
+//! [`DistributedStorage::held`].
 //!
 //! The paper also places *inverse nodes*, which map a tuple's position
 //! back to the page that currently lists it, for rewriting that page on
@@ -48,8 +50,9 @@
 //!
 //! ## Entry points
 //!
-//! [`DistributedStorage`] owns the per-node stores and implements
-//! publication ([`DistributedStorage::publish`]) and Algorithm 1 retrieval
+//! [`DistributedStorage`] owns every relation's logs and implements
+//! publication ([`DistributedStorage::publish`], which commits a batch
+//! whole or not at all) and Algorithm 1 retrieval
 //! ([`DistributedStorage::retrieve`]).  A [`StorageView`] — the data under
 //! one routing table with one set of nodes unreadable — holds the
 //! partition scans used by the query engine and the failover lookups
@@ -72,7 +75,7 @@ pub use delta::{PartitionDelta, RelationDelta};
 pub use distributed::{
     DistributedStorage, PartitionScan, RetrievalResult, StorageConfig, StorageView,
 };
-pub use node_store::{NodeStore, SlotSet};
+pub use node_store::SlotSet;
 pub use page::{IndexPage, PageDescriptor, PageId};
 pub use replication::{anti_entropy, ReplicationReport};
 pub use update::{Update, UpdateBatch};

@@ -1,31 +1,30 @@
-//! The local store held by one participant.
+//! What a node stores: bits.
 //!
 //! Each node keeps the slices of the three distributed structures
 //! (coordinator records, index pages, tuple data) whose ring positions
 //! fall in its ranges — plus replicas of its neighbours' slices.  In the
 //! paper this state lives in BerkeleyDB.  Here every item a relation
 //! publishes is stored once, in one of the relation's logs
-//! ([`crate::version_log`]), under a number, its *slot*; a node holds
-//! three [`SlotSet`]s per relation, one per [`Kind`], with a bit set for
-//! each item it holds.  So "does this node hold the record, page or
-//! version a lookup names?" is one bit test and the item one index into
-//! the log — the access pattern of the paper's "single pass through the
-//! hash ID range" of a page without a search per tuple.
+//! ([`crate::version_log`]), under a number, its *slot*, and the log
+//! keeps, beside its items, which nodes hold which of them: one
+//! [`SlotSet`] per node, with a bit set for each item the node holds.
+//! So "does this node hold the record, page or version a lookup names?"
+//! is one bit test and the item one index into the log — the access
+//! pattern of the paper's "single pass through the hash ID range" of a
+//! page without a search per tuple.
 //!
 //! ## Bits, never bodies
 //!
 //! Everything published is immutable — a coordinator record, a page
 //! version and a tuple version never change after the epoch that created
-//! them — so a store holds no item, only the bits saying which ones it
+//! them — so a node holds no item, only the bits saying which ones it
 //! holds.  Writing an item to its owner and its replicas (publication,
 //! anti-entropy) sets the same bit in each: a replication-3 cluster holds
-//! one copy of every record, page and tuple.  Cloning a store copies the
-//! bit words, never the data behind them, and a clone that is later
-//! written to (or [`NodeStore::clear`]ed) cannot disturb the store it was
-//! cloned from.
+//! one copy of every record, page and tuple.  There is no per-node
+//! structure to copy: a relation's logs and their holder bits are one
+//! copy-on-write value.
 
-use crate::version_log::Kind;
-use std::collections::HashMap;
+use orchestra_common::NodeId;
 use std::ops::Range;
 
 /// Bits per word of a [`SlotSet`].
@@ -109,110 +108,64 @@ pub(crate) fn span_mask(at: usize, slots: &Range<u32>) -> u64 {
     below(to) & !below(from)
 }
 
-/// The state stored locally at a single node: per relation, the slots of
-/// each of its logs held here, indexed by [`Kind`].
+/// Which nodes hold which items of one log: by node index, the node's
+/// slots.  A node past the end holds nothing.
 #[derive(Clone, Debug, Default)]
-pub struct NodeStore {
-    held: HashMap<String, [SlotSet; 3]>,
+pub(crate) struct Holders {
+    by_node: Vec<SlotSet>,
 }
 
-/// Call `write` on `map[name]`, created on first use — without allocating
-/// a `String` for a name the map already has.
-pub(crate) fn with_entry<V: Default, R>(
-    map: &mut HashMap<String, V>,
-    name: &str,
-    write: impl FnOnce(&mut V) -> R,
-) -> R {
-    if let Some(value) = map.get_mut(name) {
-        return write(value);
-    }
-    write(map.entry(name.to_string()).or_default())
-}
-
-impl NodeStore {
-    /// The items of `relation`'s log of `kind` held here, or `None` when
-    /// the node holds nothing of the relation: one lookup by name for any
-    /// number of items.
-    pub fn slots(&self, relation: &str, kind: Kind) -> Option<&SlotSet> {
-        Some(&self.held.get(relation)?[kind as usize])
+impl Holders {
+    /// The slots `node` holds, or `None` for a node past the end.
+    pub(crate) fn of(&self, node: NodeId) -> Option<&SlotSet> {
+        self.by_node.get(node.index())
     }
 
-    /// Does this node hold the tuple version of `relation` at `slot`?
-    pub fn holds(&self, relation: &str, slot: u32) -> bool {
-        self.slots(relation, Kind::Tuple)
-            .is_some_and(|held| held.contains(slot))
+    /// Does `node` hold `slot`?
+    pub(crate) fn holds(&self, node: NodeId, slot: u32) -> bool {
+        self.of(node).is_some_and(|held| held.contains(slot))
     }
 
-    /// Add to the items of `relation`'s log of `kind` held here, with room
-    /// for the slots of a log of `log_len` items (see
-    /// [`SlotSet::reserve_for`]).
-    pub(crate) fn write(
-        &mut self,
-        relation: &str,
-        kind: Kind,
-        log_len: usize,
-        add: impl FnOnce(&mut SlotSet),
-    ) {
-        with_entry(&mut self.held, relation, |held| {
-            let slots = &mut held[kind as usize];
-            slots.reserve_for(log_len);
-            add(slots)
-        })
+    /// The slots `node` holds, for adding to, with room for the slots of a
+    /// log of `log_len` items (see [`SlotSet::reserve_for`]).
+    pub(crate) fn of_mut(&mut self, node: NodeId, log_len: usize) -> &mut SlotSet {
+        if self.by_node.len() <= node.index() {
+            self.by_node.resize_with(node.index() + 1, SlotSet::default);
+        }
+        let held = &mut self.by_node[node.index()];
+        held.reserve_for(log_len);
+        held
     }
 
-    /// Every relation this store holds tuple versions of, with the
-    /// versions, in no particular order.
-    pub fn held(&self) -> impl Iterator<Item = (&str, &SlotSet)> {
-        (self.held.iter())
-            .map(|(name, held)| (name.as_str(), &held[Kind::Tuple as usize]))
-            .filter(|(_, slots)| !slots.is_empty())
-    }
-
-    /// Number of items of `kind` held, across all relations.
-    fn count(&self, kind: Kind) -> usize {
-        self.held
-            .values()
-            .map(|held| held[kind as usize].len())
-            .sum()
-    }
-
-    /// Number of coordinator records held.
-    pub fn coordinator_count(&self) -> usize {
-        self.count(Kind::Record)
-    }
-
-    /// Number of index pages held.
-    pub fn index_page_count(&self) -> usize {
-        self.count(Kind::Page)
-    }
-
-    /// Number of tuple versions held (across all relations).
-    pub fn tuple_count(&self) -> usize {
-        self.count(Kind::Tuple)
-    }
-
-    /// Drop everything — used to model the permanent loss of a failed
-    /// node's local storage.
-    pub fn clear(&mut self) {
-        self.held.clear();
+    /// Drop every slot `node` holds.
+    pub(crate) fn forget(&mut self, node: NodeId) {
+        if let Some(held) = self.by_node.get_mut(node.index()) {
+            *held = SlotSet::default();
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::version_log::{Kind, RelationLogs};
 
     #[test]
     fn tuple_storage_and_lookup() {
-        let mut s = NodeStore::default();
-        s.write("R", Kind::Tuple, 10, |held| held.insert_range(5..6));
-        assert!(s.holds("R", 5));
-        assert!(!s.holds("R", 4) && !s.holds("R", 6) && !s.holds("R", 5_000));
-        assert!(!s.holds("S", 5));
-        assert!(s.slots("S", Kind::Tuple).is_none());
-        assert_eq!(s.tuple_count(), 1);
-        let held: Vec<(&str, Vec<u32>)> = s.held().map(|(r, h)| (r, h.iter().collect())).collect();
-        assert_eq!(held, [("R", vec![5])]);
+        let mut h = Holders::default();
+        h.of_mut(NodeId(2), 10).insert_range(5..6);
+        assert!(h.holds(NodeId(2), 5));
+        assert!(!h.holds(NodeId(2), 4) && !h.holds(NodeId(2), 6) && !h.holds(NodeId(2), 5_000));
+        // A node below the one written holds nothing, and a node past the
+        // end is not there at all.
+        assert!(!h.holds(NodeId(1), 5) && h.of(NodeId(1)).is_some_and(SlotSet::is_empty));
+        assert!(!h.holds(NodeId(3), 5) && h.of(NodeId(3)).is_none());
+        let held: Vec<u32> = h
+            .of(NodeId(2))
+            .into_iter()
+            .flat_map(SlotSet::iter)
+            .collect();
+        assert_eq!(held, [5]);
     }
 
     #[test]
@@ -243,46 +196,50 @@ mod tests {
 
     #[test]
     fn coordinator_and_page_bits_round_trip() {
-        // Each kind is a set of its own: a record or page slot is not a
-        // tuple version, and the counts keep the kinds apart.
-        let mut s = NodeStore::default();
-        s.write("R", Kind::Record, 1, |held| held.insert_range(0..1));
-        s.write("R", Kind::Page, 8, |held| held.insert_range(2..5));
-        let slots = |kind| s.slots("R", kind).map(|h| h.iter().collect::<Vec<_>>());
+        // Each kind's log has holders of its own: a record or page slot is
+        // not a tuple version, and the counts keep the kinds apart.
+        let mut logs = RelationLogs::default();
+        let n = NodeId(0);
+        logs.placed_mut(Kind::Record)
+            .holders
+            .of_mut(n, 1)
+            .insert_range(0..1);
+        logs.placed_mut(Kind::Page)
+            .holders
+            .of_mut(n, 8)
+            .insert_range(2..5);
+        let slots = |kind| (logs.placed(kind).holders.of(n)).map(|h| h.iter().collect::<Vec<_>>());
         assert_eq!(slots(Kind::Record), Some(vec![0]));
         assert_eq!(slots(Kind::Page), Some(vec![2, 3, 4]));
-        assert_eq!(slots(Kind::Tuple), Some(vec![]));
-        assert!(s.slots("S", Kind::Page).is_none());
-        assert!(!s.holds("R", 0) && !s.holds("R", 2));
-        assert_eq!(s.held().count(), 0, "no tuple versions held");
-        assert_eq!(
-            [s.coordinator_count(), s.index_page_count(), s.tuple_count()],
-            [1, 3, 0]
-        );
+        assert_eq!(slots(Kind::Tuple), None, "no tuple versions held");
+        assert!(!logs.placed(Kind::Tuple).holders.holds(n, 0));
+        let counts = Kind::ALL.map(|kind| logs.placed(kind).holders.of(n).map_or(0, SlotSet::len));
+        assert_eq!(counts, [1, 3, 0]);
     }
 
     #[test]
     fn clear_wipes_everything() {
-        let mut s = NodeStore::default();
-        for kind in Kind::ALL {
-            s.write("R", kind, 1, |held| held.insert_range(0..1));
+        // A node's disk lost: it forgets every slot, its neighbours none.
+        let mut h = Holders::default();
+        for n in [NodeId(0), NodeId(1)] {
+            h.of_mut(n, 100).insert_range(0..100);
         }
-        s.clear();
-        assert_eq!(s.tuple_count(), 0);
-        assert_eq!(s.index_page_count(), 0);
-        assert_eq!(s.coordinator_count(), 0);
+        h.forget(NodeId(1));
+        h.forget(NodeId(7));
+        assert!(h.of(NodeId(1)).is_some_and(SlotSet::is_empty));
+        assert_eq!(h.of(NodeId(0)).map(SlotSet::len), Some(100));
+        assert!(h.of(NodeId(7)).is_none());
     }
 
     #[test]
     fn a_cloned_store_shares_contents_but_not_fate() {
-        let mut s = NodeStore::default();
-        s.write("R", Kind::Tuple, 3, |held| held.insert_range(2..3));
-        s.write("R", Kind::Page, 1, |held| held.insert_range(0..1));
-        let mut copy = s.clone();
-        assert_eq!(copy.index_page_count(), 1);
-        copy.clear();
-        copy.write("R", Kind::Tuple, 3, |held| held.insert_range(0..1));
-        assert!(s.holds("R", 2) && !s.holds("R", 0));
-        assert_eq!([s.index_page_count(), s.tuple_count()], [1, 1]);
+        let mut h = Holders::default();
+        h.of_mut(NodeId(1), 3).insert_range(2..3);
+        let mut copy = h.clone();
+        assert!(copy.holds(NodeId(1), 2));
+        copy.forget(NodeId(1));
+        copy.of_mut(NodeId(1), 3).insert_range(0..1);
+        assert!(h.holds(NodeId(1), 2) && !h.holds(NodeId(1), 0));
+        assert!(copy.holds(NodeId(1), 0) && !copy.holds(NodeId(1), 2));
     }
 }

@@ -26,8 +26,8 @@
 //! [`IndexPage::next_version`] *carries the entries forward* — a page
 //! rewritten in epoch 40 still holds the positions computed in epoch 0.
 //! An entry also carries its version's slot in the relation's version
-//! log: reading the tuple an entry lists is a bit test in a node's store
-//! and an index into the log.  Entries are sorted by tuple ID (key
+//! log: reading the tuple an entry lists is a test of a node's bit for
+//! that slot and an index into the log.  Entries are sorted by tuple ID (key
 //! first), which makes "the version of key `k` listed here" a binary
 //! search ([`IndexPage::current_version_of`]) and the next version a
 //! sorted merge.
@@ -214,12 +214,15 @@ impl IndexPage {
 
 /// Compute the hash range of partition `partition` out of `partitions`
 /// equal divisions of the key space.
-pub fn partition_range(partition: u32, partitions: u32) -> KeyRange {
-    assert!(
-        partitions > 0,
-        "a relation must have at least one partition"
+pub(crate) fn partition_range(partition: u32, partitions: u32) -> KeyRange {
+    // Publication rejects a store of 0 partitions before it places a page,
+    // and it asks only for partitions `partition_of` returned, each below
+    // `partitions`.
+    debug_assert!(partitions > 0, "a relation has at least one partition");
+    debug_assert!(
+        partition < partitions,
+        "partition {partition} of {partitions}"
     );
-    assert!(partition < partitions);
     if partitions == 1 {
         return KeyRange::full();
     }

@@ -16,20 +16,21 @@
 //! position inside one routing entry has the same owner and so the same
 //! replicas.  The pass therefore resolves the live replica set once per
 //! routing entry.  A node holds any item — coordinator record, page
-//! version or tuple version — as one bit of a [`crate::SlotSet`] over its
-//! relation's log of that kind, and every log is a sequence of runs, each
-//! in ring-position order ([`crate::version_log`]; a record is a run of
-//! one), so what one arc places from one run is one range of slots — two
-//! for the arc that wraps past the top of the ring, and for the tuple
-//! versions of a replicated relation, whose single arc is the whole ring
-//! and whose replicas are all the live nodes, the whole log.  One loop
-//! over every relation's logs handles all three kinds alike.  Over such a
-//! range, what a replica lacks is the union of the live nodes' bits minus
-//! the replica's own, 64 items to a word: a range already in place costs
-//! an OR per live holder and an AND-NOT per replica per word, and nothing
-//! per item.  The copies found are applied grouped by destination,
-//! relation and kind, so a destination's store is unshared, and a
-//! relation found by name, once per group rather than once per word.
+//! version or tuple version — as one bit of a [`crate::SlotSet`] that its
+//! relation's log of that kind keeps for it, and every log is a sequence
+//! of runs, each in ring-position order ([`crate::version_log`]; a record
+//! is a run of one), so what one arc places from one run is one range of
+//! slots — two for the arc that wraps past the top of the ring, and for
+//! the tuple versions of a replicated relation, whose single arc is the
+//! whole ring and whose replicas are all the live nodes, the whole log.
+//! One loop over every relation's logs handles all three kinds alike.
+//! Over such a range, what a replica lacks is the union of the live nodes'
+//! bits minus the replica's own, 64 items to a word: a range already in
+//! place costs an OR per live holder and an AND-NOT per replica per word,
+//! and nothing per item.  The words a log's replicas lack are ORed into that same
+//! log's holder bits once the log has been compared, and only a log with
+//! something to add is written to, so a pass that finds everything in
+//! place writes nothing and unshares no clone.
 //!
 //! ## What `tuples_copied` counts
 //!
@@ -43,7 +44,7 @@
 //! items each live node holds, summed over the live nodes.
 
 use crate::distributed::DistributedStorage;
-use crate::node_store::{span_mask, SlotSet};
+use crate::node_store::{span_mask, Holders, SlotSet};
 use crate::version_log::Kind;
 use orchestra_common::{Key160, NodeId, NodeSet, Result};
 use orchestra_substrate::RoutingTable;
@@ -123,22 +124,22 @@ impl Arcs {
 /// What every live node holds of one relation's log of one kind, for
 /// finding what replicas lack.
 struct Holdings<'a> {
-    /// By node index: the node's slots, when it is live and holds any.
-    by_node: Vec<Option<&'a SlotSet>>,
+    /// Every node's slots of the log.
+    holders: &'a Holders,
     /// Every live holder's slots.
     sources: Vec<&'a SlotSet>,
 }
 
 impl Holdings<'_> {
-    /// Call `lacks(replica, word, bits)` with each word of items in
-    /// `slots` that some live node holds and `replica`, one of
-    /// `replicas`, does not; return the copies the live holders propose
+    /// Add to `lacking` each word of items in `slots` that some live node
+    /// holds and a replica, one of `replicas` (all live), does not, as
+    /// `(replica, word, bits)`; return the copies the live holders propose
     /// for them.
     fn missing(
         &self,
         replicas: &[NodeId],
         slots: Range<u32>,
-        mut lacks: impl FnMut(NodeId, usize, u64),
+        lacking: &mut Vec<(NodeId, usize, u64)>,
     ) -> usize {
         let mut proposed = 0;
         let words = (slots.start / u64::BITS) as usize..slots.end.div_ceil(u64::BITS) as usize;
@@ -149,22 +150,18 @@ impl Holdings<'_> {
                 continue;
             }
             for &replica in replicas {
-                let has = self.by_node[replica.index()].map_or(0, |own| own.word(at));
-                let lacking = held & !has;
-                if lacking != 0 {
-                    let proposals = self.sources.iter().map(|s| s.word(at) & lacking);
+                let has = self.holders.of(replica).map_or(0, |own| own.word(at));
+                let lacks = held & !has;
+                if lacks != 0 {
+                    let proposals = self.sources.iter().map(|s| s.word(at) & lacks);
                     proposed += proposals.map(|p| p.count_ones() as usize).sum::<usize>();
-                    lacks(replica, at, lacking);
+                    lacking.push((replica, at, lacks));
                 }
             }
         }
         proposed
     }
 }
-
-/// Words of one log's slots to add at one destination: of one relation's
-/// log of one kind, with the log's length.
-type Words = (Arc<str>, Kind, usize, Vec<(usize, u64)>);
 
 /// Run one anti-entropy pass over `storage`, copying every item to its
 /// owner and replicas under the current routing table.  Items already in
@@ -181,66 +178,37 @@ pub fn anti_entropy(storage: &mut DistributedStorage) -> Result<ReplicationRepor
         .collect();
     let arcs = Arcs::new(storage.routing(), &failed);
 
-    // Collect the work first (immutably), then apply it, to keep borrows
-    // simple and the pass deterministic.
-    let stores = live.iter().map(|n| n.index() + 1).max().unwrap_or(0);
-    let mut missing: Vec<Vec<Words>> = vec![Vec::new(); stores];
-
-    for (relation, logs) in &storage.logs {
-        let name: Arc<str> = Arc::from(relation.as_str());
-        let replicated = (storage.relation(relation)).is_some_and(|r| r.is_replicated());
+    let mut lacking = Vec::new();
+    for (replicated, logs) in storage.logs_mut() {
         for kind in Kind::ALL {
-            let mut holdings = Holdings {
-                by_node: vec![None; missing.len()],
-                sources: Vec::new(),
-            };
-            for node in &live {
-                if let Some(held) = storage.store(*node).slots(relation, kind) {
-                    holdings.by_node[node.index()] = Some(held);
-                    holdings.sources.push(held);
-                }
-            }
-            if holdings.sources.is_empty() {
-                continue;
-            }
+            // Compare the log's holdings, then add what replicas lack.
             let placed = logs.placed(kind);
-            // Finds for one destination are grouped by relation and kind,
-            // in the order found.
-            let mut lacks = |dst: NodeId, at: usize, bits: u64| {
-                let groups = &mut missing[dst.index()];
-                match groups.last_mut() {
-                    Some((r, k, _, words)) if Arc::ptr_eq(r, &name) && *k == kind => {
-                        words.push((at, bits))
-                    }
-                    _ => groups.push((Arc::clone(&name), kind, placed.len(), vec![(at, bits)])),
-                }
+            let holdings = Holdings {
+                holders: &placed.holders,
+                sources: (live.iter())
+                    .filter_map(|node| placed.holders.of(*node))
+                    .collect(),
             };
             let copied = report.copied(kind);
             if replicated && kind == Kind::Tuple {
                 // The log's slots fit in a `u32`.
                 let everything = 0..placed.len() as u32;
-                *copied += holdings.missing(&live, everything, &mut lacks);
+                *copied += holdings.missing(&live, everything, &mut lacking);
             } else {
                 for (first, positions) in placed.runs() {
                     for (replicas, slots) in arcs.spans(first, positions) {
-                        *copied += holdings.missing(replicas, slots, &mut lacks);
+                        *copied += holdings.missing(replicas, slots, &mut lacking);
                     }
                 }
             }
-        }
-    }
-
-    for (dst, lacks) in missing.into_iter().enumerate() {
-        if lacks.is_empty() {
-            continue;
-        }
-        let store = storage.store_mut(NodeId(dst as u16));
-        for (relation, kind, log_len, words) in lacks {
-            store.write(&relation, kind, log_len, |held| {
-                for (at, bits) in words {
-                    held.insert_word(at, bits);
-                }
-            });
+            if lacking.is_empty() {
+                continue;
+            }
+            let log_len = placed.len();
+            let holders = &mut Arc::make_mut(logs).placed_mut(kind).holders;
+            for (replica, at, bits) in lacking.drain(..) {
+                holders.of_mut(replica, log_len).insert_word(at, bits);
+            }
         }
     }
     Ok(report)
@@ -278,16 +246,26 @@ mod tests {
         s
     }
 
-    /// Every version some store holds: its relation, slot and position.
+    /// Every version some node holds: its relation, slot and position.
     fn held_versions(s: &DistributedStorage, node: NodeId) -> Vec<(&str, u32, Key160)> {
-        let store = s.store(node);
-        let held = store.held().flat_map(|(relation, slots)| {
-            let log = s.version_log(relation).unwrap();
-            slots
-                .iter()
-                .map(move |slot| (relation, slot, log.position(slot).unwrap()))
+        let held = s.relations().filter_map(|relation| {
+            let relation = relation.name();
+            Some((
+                relation,
+                s.held(node, relation, Kind::Tuple)?,
+                s.version_log(relation)?,
+            ))
         });
-        held.collect()
+        let versions = held.flat_map(|(relation, slots, log)| {
+            (slots.iter()).map(move |slot| (relation, slot, log.position(slot).unwrap()))
+        });
+        versions.collect()
+    }
+
+    /// Does `node` hold the version of `relation` at `slot`?
+    fn holds(s: &DistributedStorage, node: NodeId, relation: &str, slot: u32) -> bool {
+        s.held(node, relation, Kind::Tuple)
+            .is_some_and(|h| h.contains(slot))
     }
 
     #[test]
@@ -307,10 +285,10 @@ mod tests {
             3,
         );
         s.set_routing(routing);
-        assert_eq!(s.store(NodeId(6)).tuple_count(), 0);
+        assert_eq!(s.held_count(NodeId(6), Kind::Tuple), 0);
         let report = anti_entropy(&mut s).unwrap();
         assert!(report.tuples_copied > 0);
-        assert!(s.store(NodeId(6)).tuple_count() > 0);
+        assert!(s.held_count(NodeId(6), Kind::Tuple) > 0);
         // All data remains reachable at the new placement.
         let result = s.retrieve("R", Epoch(0), NodeId(6), &|_| true).unwrap();
         assert_eq!(result.tuples.len(), 150);
@@ -331,15 +309,15 @@ mod tests {
         ));
         let down = NodeId(4);
         s.mark_failed(down);
-        let held_by_down = s.store(down).tuple_count();
+        let held_by_down = s.held_count(down, Kind::Tuple);
         assert!(anti_entropy(&mut s).unwrap().tuples_copied > 0);
-        assert_eq!(s.store(down).tuple_count(), held_by_down);
+        assert_eq!(s.held_count(down, Kind::Tuple), held_by_down);
         let mut checked = 0;
         for src in nodes.iter().filter(|n| **n != down) {
             for (relation, slot, position) in held_versions(&s, *src) {
                 for &dst in s.routing().replicas_of(position) {
                     assert!(
-                        dst == down || s.store(dst).holds(relation, slot),
+                        dst == down || holds(&s, dst, relation, slot),
                         "{dst} lacks slot {slot} at {position}"
                     );
                     checked += 1;
@@ -421,7 +399,7 @@ mod tests {
             for (relation, slot, _) in held_versions(&s, src) {
                 let mut zones_covered = [false; 3];
                 for holder in s.routing().nodes() {
-                    if s.store(holder).holds(relation, slot) {
+                    if holds(&s, holder, relation, slot) {
                         zones_covered[zone_of(holder, 3)] = true;
                     }
                 }

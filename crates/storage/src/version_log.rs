@@ -1,19 +1,20 @@
 //! A relation's logs: everything the relation has published, numbered.
 //!
 //! A relation publishes three kinds of item ([`Kind`]), and keeps one log
-//! of each ([`RelationLogs`]): its coordinator records, one per
-//! publication; its index-page versions, one per partition a publication
-//! touched; and its tuple versions, one per key a publication wrote.  An
-//! item is stored once, in its log, with the ring position it is placed
-//! at, under the number the log gives it — its *slot*.  A node that holds
-//! the item holds one bit, the slot's, in its [`crate::NodeStore`]; a page
-//! descriptor carries its page's slot ([`crate::PageDescriptor`]) and a
-//! page entry its tuple version's ([`orchestra_common::PageEntry`]).
-//! Reading an item is therefore a bit test and an index into the log, and
-//! replicating one is setting a bit.  The store keeps the logs
-//! ([`crate::DistributedStorage::version_log`],
+//! of each: its coordinator records, one per publication; its index-page
+//! versions, one per partition a publication touched; and its tuple
+//! versions, one per key a publication wrote.  An item is stored once, in
+//! its log, with the ring position it is placed at, under the number the
+//! log gives it — its *slot*.  A node that holds the item holds one bit,
+//! the slot's, and the log keeps those bits beside its items, one
+//! [`crate::SlotSet`] per node; a page descriptor carries its page's slot
+//! ([`crate::PageDescriptor`]) and a page entry its tuple version's
+//! ([`orchestra_common::PageEntry`]).  Reading an item is therefore a bit
+//! test and an index into the log, and replicating one is setting a bit.
+//! The store keeps the logs ([`crate::DistributedStorage::version_log`],
 //! [`crate::DistributedStorage::page_log`],
-//! [`crate::DistributedStorage::record_log`]).
+//! [`crate::DistributedStorage::record_log`]) and answers who holds what
+//! ([`crate::DistributedStorage::held`]).
 //!
 //! ## One run per publication, in ring order
 //!
@@ -40,8 +41,9 @@
 //! order, the order in which a scan reads a page's entries.
 
 use crate::coordinator::RelationVersion;
+use crate::node_store::Holders;
 use crate::page::IndexPage;
-use orchestra_common::{Epoch, Key160, OrchestraError, Result, Tuple};
+use orchestra_common::{Epoch, Key160, Tuple};
 use std::sync::Arc;
 
 /// The three kinds of item a relation publishes, each numbered in a log of
@@ -57,12 +59,12 @@ pub enum Kind {
 }
 
 impl Kind {
-    /// Every kind, in the order a node store keeps them.
+    /// Every kind.
     pub const ALL: [Kind; 3] = [Kind::Record, Kind::Page, Kind::Tuple];
 }
 
 /// Items one relation has published, by slot, each with the ring position
-/// it is placed at.
+/// it is placed at and the nodes that hold it.
 #[derive(Clone, Debug)]
 pub struct Log<T> {
     /// The items, by slot.
@@ -70,13 +72,15 @@ pub struct Log<T> {
     pub(crate) placed: Placed,
 }
 
-/// Where a log's items are placed, whatever they are.
+/// Where a log's items are placed, and who holds them, whatever they are.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Placed {
     /// Each item's ring position, by slot; ascending within a run.
     positions: Vec<Key160>,
     /// The first slot of every run, ascending.
     runs: Vec<u32>,
+    /// Which nodes hold which slots.
+    pub(crate) holders: Holders,
 }
 
 /// A relation's tuple versions, by slot.
@@ -126,15 +130,12 @@ impl<T> Log<T> {
 
     /// Append `item`, placed at `position`, and return its slot: the first
     /// of a new run when `opens_run`, else the next of the last run, whose
-    /// positions it must not precede.  Fails, appending nothing, when the
-    /// slot would not fit in a `u32`.
-    pub(crate) fn push(&mut self, position: Key160, item: T, opens_run: bool) -> Result<u32> {
-        let slot = u32::try_from(self.len()).map_err(|_| {
-            OrchestraError::StorageInvalid(format!(
-                "a relation's log holds at most {} items",
-                u32::MAX
-            ))
-        })?;
+    /// positions it must not precede.  The caller has made sure the slot
+    /// fits in a `u32` (publication checks every log's room before its
+    /// first write).
+    pub(crate) fn push(&mut self, position: Key160, item: T, opens_run: bool) -> u32 {
+        debug_assert!(u32::try_from(self.len()).is_ok(), "log full");
+        let slot = self.len() as u32;
         let placed = &mut self.placed;
         if opens_run {
             placed.runs.push(slot);
@@ -145,7 +146,7 @@ impl<T> Log<T> {
         );
         placed.positions.push(position);
         self.items.push(item);
-        Ok(slot)
+        slot
     }
 }
 
@@ -164,7 +165,8 @@ impl Placed {
     }
 }
 
-/// Everything one relation has published: one log per [`Kind`].
+/// Everything one relation has published, and who holds it: one log per
+/// [`Kind`].  The store keeps it behind an `Arc`, copied on first write.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct RelationLogs {
     pub(crate) records: Log<Arc<RelationVersion>>,
@@ -173,12 +175,21 @@ pub(crate) struct RelationLogs {
 }
 
 impl RelationLogs {
-    /// Where the items of the log of `kind` are placed.
+    /// Where the items of the log of `kind` are placed, and who holds them.
     pub(crate) fn placed(&self, kind: Kind) -> &Placed {
         match kind {
             Kind::Record => &self.records.placed,
             Kind::Page => &self.pages.placed,
             Kind::Tuple => &self.versions.placed,
+        }
+    }
+
+    /// [`Self::placed`], for setting holder bits.
+    pub(crate) fn placed_mut(&mut self, kind: Kind) -> &mut Placed {
+        match kind {
+            Kind::Record => &mut self.records.placed,
+            Kind::Page => &mut self.pages.placed,
+            Kind::Tuple => &mut self.versions.placed,
         }
     }
 
@@ -216,7 +227,7 @@ mod tests {
         let second = sorted_run(100..105);
         for run in [&first, &second] {
             for (i, (position, tuple)) in run.iter().enumerate() {
-                let slot = log.push(*position, tuple.clone(), i == 0).unwrap();
+                let slot = log.push(*position, tuple.clone(), i == 0);
                 assert_eq!(slot as usize, log.len() - 1);
             }
         }

@@ -29,7 +29,7 @@
 use orchestra_common::rng::{self, StdRng};
 use orchestra_common::{ColumnType, Key160, NodeId, NodeSet, Relation, Schema, Tuple, Value};
 use orchestra_storage::{
-    anti_entropy, DistributedStorage, Kind, ReplicationReport, StorageConfig, UpdateBatch,
+    anti_entropy, DistributedStorage, Kind, ReplicationReport, SlotSet, StorageConfig, UpdateBatch,
 };
 use orchestra_substrate::{AllocationScheme, ReplicationPolicy, RoutingTable};
 use std::collections::{BTreeMap, BTreeSet};
@@ -59,21 +59,32 @@ impl Placement {
     }
 }
 
+/// The versions `node` holds, per relation, leaving out relations it
+/// holds none of.
+fn held_versions(s: &DistributedStorage, node: NodeId) -> Vec<(&'static str, &SlotSet)> {
+    let held = RELATIONS.map(|relation| (relation, s.held(node, relation, Kind::Tuple)));
+    let held = held
+        .into_iter()
+        .filter_map(|(relation, slots)| Some((relation, slots?)));
+    held.filter(|(_, slots)| !slots.is_empty()).collect()
+}
+
 /// Every store's placement, stores `0..stores`.
 fn placements(s: &DistributedStorage, stores: u16) -> Vec<Placement> {
     (0..stores)
         .map(|n| {
-            let store = s.store(NodeId(n));
+            let node = NodeId(n);
             let mut placement = Placement {
-                tuples: (store.held())
+                tuples: held_versions(s, node)
+                    .into_iter()
                     .map(|(relation, slots)| (relation.to_string(), slots.iter().collect()))
                     .collect(),
                 ..Placement::default()
             };
             for kind in [Kind::Page, Kind::Record] {
                 for relation in RELATIONS {
-                    let slots = store
-                        .slots(relation, kind)
+                    let slots = s
+                        .held(node, relation, kind)
                         .into_iter()
                         .flat_map(|h| h.iter());
                     (placement.items(kind)).extend(slots.map(|slot| (relation.to_string(), slot)));
@@ -90,7 +101,7 @@ type Positioned<'a> = BTreeMap<&'a str, BTreeMap<Key160, Vec<u32>>>;
 
 fn positioned(s: &DistributedStorage, node: NodeId) -> Positioned<'_> {
     let mut out = Positioned::new();
-    for (relation, slots) in s.store(node).held() {
+    for (relation, slots) in held_versions(s, node) {
         let log = s.version_log(relation).unwrap();
         let map = out.entry(relation).or_default();
         for slot in slots.iter() {
@@ -187,7 +198,7 @@ fn reference(s: &DistributedStorage, stores: u16) -> (ReplicationReport, Vec<Pla
         // places them.
         for kind in [Kind::Page, Kind::Record] {
             for relation in RELATIONS {
-                let held = |n: NodeId| s.store(n).slots(relation, kind);
+                let held = |n: NodeId| s.held(n, relation, kind);
                 for slot in held(*src).into_iter().flat_map(|h| h.iter()) {
                     let position = match kind {
                         Kind::Page => {
@@ -370,7 +381,7 @@ fn anti_entropy_on_bits_makes_the_range_wise_merges_copies() {
                 4 => {
                     let lost = members[rng.random_range(0..members.len())];
                     if !failed.contains(lost) {
-                        s.store_mut(lost).clear();
+                        s.forget(lost);
                     }
                 }
                 // Failed nodes come back, empty or not.

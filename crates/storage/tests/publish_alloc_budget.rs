@@ -7,13 +7,16 @@
 //! a record, a page version and a tuple version are each stored once, in
 //! their relation's logs, with a bit at each holder.  So a churn epoch of
 //! a fixed size allocates the same whether the relation it lands in is
-//! small or large, and a partition scan allocates its result and nothing
-//! else.  This binary installs a
+//! small or large, a partition scan allocates its result and nothing
+//! else, and a repair compares holders a word of bits at a time and
+//! allocates nothing per item already in place.  This binary installs a
 //! counting allocator (its own, so no other test pays for it) to check
 //! that, and checks the sharing itself with `Arc::ptr_eq`.
 
 use orchestra_common::{ColumnType, Epoch, NodeId, Relation, Schema, Tuple, Value};
-use orchestra_storage::{DistributedStorage, StorageConfig, UpdateBatch};
+use orchestra_storage::{
+    anti_entropy, DistributedStorage, ReplicationReport, StorageConfig, UpdateBatch,
+};
 use orchestra_substrate::{AllocationScheme, RoutingTable};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -241,4 +244,31 @@ fn a_new_page_version_shares_every_key_it_carries_forward() {
     // 100 deleted versions was carried forward.
     assert!(rewritten > 32, "the epoch rewrote {rewritten} pages");
     assert_eq!(carried, listed - 200);
+}
+
+/// The allocation calls of a repair that finds everything in place: the
+/// second `anti_entropy` pass over a store of `rows` rows after a ninth
+/// node joined (the first pass copied its share to it).
+fn repair_allocations_with_nothing_to_copy(rows: i64) -> u64 {
+    let (mut storage, _) = store_of(rows);
+    let nodes: Vec<NodeId> = (0..9).map(NodeId).collect();
+    storage.set_routing(RoutingTable::build(&nodes, AllocationScheme::Balanced, 3));
+    let first = anti_entropy(&mut storage).expect("first pass");
+    assert!(first.tuples_copied as i64 > rows / 16, "{first:?}");
+    let (second, allocs) = counting(|| anti_entropy(&mut storage));
+    assert_eq!(second.expect("second pass"), ReplicationReport::default());
+    allocs
+}
+
+#[test]
+fn a_repair_with_nothing_to_copy_allocates_the_same_over_5k_or_40k_rows() {
+    // The pass resolves each arc's replicas once and each run's arcs
+    // once, then compares words of bits: what it allocates depends on the
+    // routing table and the number of runs, not on the items they hold.
+    let small = repair_allocations_with_nothing_to_copy(5_000);
+    let large = repair_allocations_with_nothing_to_copy(40_000);
+    assert_eq!(
+        small, large,
+        "5k rows: {small} allocations, 40k rows: {large}"
+    );
 }

@@ -33,12 +33,8 @@ fn ids(nodes: impl IntoIterator<Item = u16>) -> Vec<NodeId> {
 fn holdings(s: &DistributedStorage) -> Vec<Triple> {
     (0..STORES)
         .map(|n| {
-            let store = s.store(NodeId(n));
-            (
-                store.tuple_count(),
-                store.index_page_count(),
-                store.coordinator_count(),
-            )
+            let held = |kind| s.held_count(NodeId(n), kind);
+            (held(Kind::Tuple), held(Kind::Page), held(Kind::Record))
         })
         .collect()
 }
@@ -46,7 +42,7 @@ fn holdings(s: &DistributedStorage) -> Vec<Triple> {
 /// The ring positions of the versions of `relation` that `node` holds.
 fn positions_held(s: &DistributedStorage, node: NodeId, relation: &str) -> Vec<Key160> {
     let log = s.version_log(relation).unwrap();
-    let held = s.store(node).slots(relation, Kind::Tuple).into_iter();
+    let held = s.held(node, relation, Kind::Tuple).into_iter();
     held.flat_map(|slots| slots.iter().map(|slot| log.position(slot).unwrap()))
         .collect()
 }
@@ -86,7 +82,9 @@ fn assert_versions_are_shared(s: &DistributedStorage, logged: &[usize]) {
     }
 
     let view = s.view();
-    let mut held: Vec<(&str, u32)> = (s.store(NodeId(0)).held())
+    let mut held: Vec<(&str, u32)> = ["R", "N"]
+        .into_iter()
+        .filter_map(|relation| Some((relation, s.held(NodeId(0), relation, Kind::Tuple)?)))
         .flat_map(|(relation, slots)| slots.iter().map(move |slot| (relation, slot)))
         .collect();
     held.sort_unstable();
@@ -98,7 +96,7 @@ fn assert_versions_are_shared(s: &DistributedStorage, logged: &[usize]) {
             let (tuple, remote) = view.lookup_tuple(relation, entry, Some(n)).unwrap();
             assert!(std::ptr::eq(tuple, body), "{relation} {} at {n}", entry.id);
             let local = remote.is_none();
-            let holds = s.store(n).holds(relation, slot);
+            let holds = (s.held(n, relation, Kind::Tuple)).is_some_and(|h| h.contains(slot));
             assert_eq!(local, holds && !s.failed_nodes().contains(n), "{n}");
         }
         sampled += 1;

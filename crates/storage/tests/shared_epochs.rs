@@ -24,7 +24,7 @@ fn pages_held<'a>(
     relation: &str,
 ) -> impl Iterator<Item = &'a Arc<IndexPage>> {
     let log = s.page_log(relation).unwrap();
-    let held = s.store(node).slots(relation, Kind::Page).into_iter();
+    let held = s.held(node, relation, Kind::Page).into_iter();
     held.flat_map(|slots| slots.iter())
         .map(move |slot| log.get(slot).unwrap())
 }
@@ -53,9 +53,13 @@ fn assert_positions_are_key_hashes(s: &DistributedStorage, when: &str) {
                 entries += 1;
             }
         }
-        for (relation, slots) in s.store(node).held() {
+        for relation in ["R", "N"] {
+            let mut slots = s
+                .held(node, relation, Kind::Tuple)
+                .into_iter()
+                .flat_map(|h| h.iter());
             let log = s.version_log(relation).unwrap();
-            assert!(slots.iter().all(|slot| log.get(slot).is_some()), "{when}");
+            assert!(slots.all(|slot| log.get(slot).is_some()), "{when}");
         }
     }
     assert!(entries > 0, "{when}: nothing was checked");
@@ -93,14 +97,13 @@ fn reads(s: &DistributedStorage, epochs: &[Epoch]) -> Vec<(Vec<Tuple>, [usize; 4
         for epoch in epochs {
             for relation in ["R", "N"] {
                 let scan = s.scan_partition(relation, *epoch, node, &ranges).unwrap();
-                let store = s.store(node);
                 out.push((
                     scan.tuples,
                     [
                         scan.pages_read,
                         scan.remote_lookups,
-                        store.tuple_count(),
-                        store.index_page_count(),
+                        s.held_count(node, Kind::Tuple),
+                        s.held_count(node, Kind::Page),
                     ],
                 ));
             }
@@ -147,14 +150,14 @@ fn writes_to_a_clone_never_reach_the_original() {
 
     // Losing a node's disk in a clone.
     let mut copy = original.clone();
-    copy.store_mut(NodeId(4)).clear();
-    assert_eq!(copy.store(NodeId(4)).tuple_count(), 0);
+    copy.forget(NodeId(4));
+    assert_eq!(copy.held_count(NodeId(4), Kind::Tuple), 0);
     assert_eq!(reads(&original, &epochs), before);
 
     // And the other way round: the clone keeps what it was cloned with.
     let mut original = original;
     let copy = original.clone();
-    original.store_mut(NodeId(4)).clear();
+    original.forget(NodeId(4));
     original.publish(&batch).unwrap();
     assert_eq!(reads(&copy, &epochs), before);
 }
@@ -165,8 +168,7 @@ fn replicas_and_clones_share_one_allocation() {
     let view = s.view();
     let nodes = s.routing().nodes();
     let holders = |relation: &str, kind: Kind, slot: u32| {
-        let holds =
-            |n: &&NodeId| (s.store(**n).slots(relation, kind)).is_some_and(|h| h.contains(slot));
+        let holds = |n: &&NodeId| (s.held(**n, relation, kind)).is_some_and(|h| h.contains(slot));
         nodes.iter().filter(holds).count()
     };
 
@@ -252,12 +254,14 @@ fn replicas_and_clones_share_one_allocation() {
         }
     }
 
-    // A clone shares the logs: a store copy holds bits, so no page gains
-    // a reference when the clone writes to a store, and only publishing
-    // to the clone, which copies its logs, does.
+    // A clone shares the logs, holder bits included: a repair of the clone
+    // that finds everything in place writes nothing, so no page gains a
+    // reference, and only publishing to the clone, which copies its logs,
+    // does.  So does losing a node's disk in a clone: its bits are in the
+    // logs.
     let probe = Arc::clone(s.page_log("R").unwrap().get(0).unwrap());
     let mut copy = s.clone();
-    copy.store_mut(NodeId(1)).clear();
+    assert_eq!(anti_entropy(&mut copy).unwrap(), Default::default());
     assert_eq!(Arc::strong_count(&probe), 2, "the log and the probe");
     let mut batch = UpdateBatch::new();
     batch.delete("R", vec![Value::Int(0)]);
@@ -265,6 +269,9 @@ fn replicas_and_clones_share_one_allocation() {
     assert_eq!(Arc::strong_count(&probe), 3, "and the clone's log");
     drop(copy);
     assert_eq!(Arc::strong_count(&probe), 2);
+    let mut copy = s.clone();
+    copy.forget(NodeId(1));
+    assert_eq!(Arc::strong_count(&probe), 3, "the forgetful clone's log");
 }
 
 /// The addresses of a row's own allocations: the row and its strings.
