@@ -57,6 +57,7 @@ use crate::tuple::Tuple;
 use crate::value::{integral, Value};
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// An interned-string pool: every distinct string is stored once and
@@ -71,7 +72,45 @@ use std::sync::Arc;
 #[derive(Clone, Debug, Default)]
 pub struct StringPool {
     strings: Vec<Arc<str>>,
-    index: HashMap<Arc<str>, u32>,
+    index: HashMap<Arc<str>, u32, BuildHasherDefault<PoolHasher>>,
+}
+
+/// The hash of a pool's content index: a word at a time, multiplied in
+/// (the rotate-xor-multiply of rustc's `FxHasher`).  A pool's strings are
+/// data, not an adversary's, and interning sits on every scan of a string
+/// column; ids are handed out in interning order whatever the hash.
+#[derive(Clone, Copy, Debug, Default)]
+struct PoolHasher(u64);
+
+impl PoolHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for PoolHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            let mut w = [0u8; 8];
+            w.copy_from_slice(word);
+            self.add(u64::from_le_bytes(w));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut w = [0u8; 8];
+            w[..tail.len()].copy_from_slice(tail);
+            self.add(u64::from_le_bytes(w));
+        }
+    }
+
+    fn write_u8(&mut self, byte: u8) {
+        self.add(u64::from(byte));
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 impl StringPool {
@@ -85,9 +124,22 @@ impl StringPool {
     /// already present).  When it is new to this pool the allocation is
     /// shared, not copied.
     pub fn intern_shared(&mut self, s: &Arc<str>) -> u32 {
-        if let Some(id) = self.index.get(&**s) {
-            return *id;
+        match self.index.get(&**s) {
+            Some(id) => *id,
+            None => self.push_new(s),
         }
+    }
+
+    /// Make room for `additional` more strings, so that interning them
+    /// grows the pool at most once.
+    pub fn reserve(&mut self, additional: usize) {
+        self.index.reserve(additional);
+        self.strings.reserve(additional);
+    }
+
+    /// Append `s`, which no string of the pool equals, without looking it
+    /// up first.
+    fn push_new(&mut self, s: &Arc<str>) -> u32 {
         let id = self.strings.len() as u32;
         self.index.insert(Arc::clone(s), id);
         self.strings.push(Arc::clone(s));
@@ -103,6 +155,12 @@ impl StringPool {
     /// for reading a cell back as a [`Value::Str`].
     pub fn get_shared(&self, id: u32) -> &Arc<str> {
         &self.strings[id as usize]
+    }
+
+    /// Every string, by id, without the content index: for a pool that is
+    /// done interning and is only read from now on, by id.
+    pub fn into_strings(self) -> Vec<Arc<str>> {
+        self.strings
     }
 
     /// Number of distinct strings interned.
@@ -121,9 +179,15 @@ impl StringPool {
 /// from the same source batch interns each distinct string once instead
 /// of hashing its bytes per row, and shares its allocation with the
 /// destination pool instead of copying it.
+///
+/// A source's strings are distinct — they are a pool's — so while the
+/// destination holds only what this memo put there, a string new to the
+/// memo is new to the destination too, and is appended without a lookup.
 #[derive(Debug, Default)]
 pub struct PoolMemo {
     map: Vec<Option<u32>>,
+    /// How many strings this memo has appended to the destination.
+    appended: usize,
 }
 
 impl PoolMemo {
@@ -132,8 +196,9 @@ impl PoolMemo {
         PoolMemo::default()
     }
 
-    /// Translate `id` from `src` into `dst`, caching the answer.
-    pub fn translate(&mut self, src: &StringPool, dst: &mut StringPool, id: u32) -> u32 {
+    /// Translate `id` from the source pool's strings `src` into `dst`,
+    /// caching the answer.
+    pub fn translate(&mut self, src: &[Arc<str>], dst: &mut StringPool, id: u32) -> u32 {
         let i = id as usize;
         if i >= self.map.len() {
             self.map.resize(src.len().max(i + 1), None);
@@ -141,7 +206,12 @@ impl PoolMemo {
         if let Some(mapped) = self.map[i] {
             return mapped;
         }
-        let mapped = dst.intern_shared(src.get_shared(id));
+        let mapped = if dst.len() == self.appended {
+            self.appended += 1;
+            dst.push_new(&src[i])
+        } else {
+            dst.intern_shared(&src[i])
+        };
         self.map[i] = Some(mapped);
         mapped
     }
@@ -158,6 +228,19 @@ pub enum ColumnData {
     Str(Vec<u32>),
     /// Mixed-type or NULL-bearing column: the lossless row-value fallback.
     Values(Vec<Value>),
+}
+
+impl ColumnData {
+    /// Materialize the cell at `row` as a [`Value`], its string one of
+    /// `strings` (a pool's, by id).
+    fn value_at(&self, row: usize, strings: &[Arc<str>]) -> Value {
+        match self {
+            ColumnData::Int(v) => Value::Int(v[row]),
+            ColumnData::Double(v) => Value::Double(v[row]),
+            ColumnData::Str(v) => Value::Str(Arc::clone(&strings[v[row] as usize])),
+            ColumnData::Values(v) => v[row].clone(),
+        }
+    }
 }
 
 /// Per-column dictionary accounting, computed lazily: total plain bytes,
@@ -309,21 +392,23 @@ impl Column {
 
     /// Append the cells of `src` at `rows`, in that order — the cells that
     /// [`Column::push`] of each in turn would leave, whatever the two
-    /// columns' variants.  While both hold the same type a run of cells
-    /// is one `extend`; a cell that does not fit (a NULL, another type)
-    /// goes through `push`, and the variants are looked at again.
+    /// columns' variants; `src_strings` are the strings `src`'s ids name.
+    /// While both hold the same type a run of cells is one `extend`; a
+    /// cell that does not fit (a NULL, another type) goes through `push`,
+    /// and the variants are looked at again.
     fn append_cells(
         &mut self,
-        src: &Column,
-        rows: &[u32],
-        src_pool: &StringPool,
+        src: &ColumnData,
+        selection: &Selection<'_>,
+        src_strings: &[Arc<str>],
         pool: &mut StringPool,
         memo: &mut PoolMemo,
     ) {
+        let rows = selection.rows;
         if self.len() == 0 && !rows.is_empty() {
             // The first cell fixes the variant, and a typed source tells
             // its type without materializing it (a string would be copied).
-            match &src.data {
+            match src {
                 ColumnData::Int(_) => self.data = ColumnData::Int(Vec::new()),
                 ColumnData::Double(_) => self.data = ColumnData::Double(Vec::new()),
                 ColumnData::Str(_) => self.data = ColumnData::Str(Vec::new()),
@@ -332,24 +417,24 @@ impl Column {
         }
         let mut rest = rows;
         while let Some((first, tail)) = rest.split_first() {
-            match (&mut self.data, &src.data) {
+            match (&mut self.data, src) {
                 (ColumnData::Int(d), ColumnData::Int(s)) => {
-                    d.extend(rest.iter().map(|r| s[*r as usize]));
+                    selection.extend(d, s, rest);
                     break;
                 }
                 (ColumnData::Double(d), ColumnData::Double(s)) => {
-                    d.extend(rest.iter().map(|r| s[*r as usize]));
+                    selection.extend(d, s, rest);
                     break;
                 }
                 (ColumnData::Str(d), ColumnData::Str(s)) => {
                     d.extend(
                         rest.iter()
-                            .map(|r| memo.translate(src_pool, pool, s[*r as usize])),
+                            .map(|r| memo.translate(src_strings, pool, s[*r as usize])),
                     );
                     break;
                 }
                 _ => {
-                    self.push(src.value_at(*first as usize, src_pool), pool);
+                    self.push(src.value_at(*first as usize, src_strings), pool);
                     rest = tail;
                 }
             }
@@ -357,14 +442,10 @@ impl Column {
         self.invalidate();
     }
 
-    /// Materialize the cell at `row` as a [`Value`].
-    fn value_at(&self, row: usize, pool: &StringPool) -> Value {
-        match &self.data {
-            ColumnData::Int(v) => Value::Int(v[row]),
-            ColumnData::Double(v) => Value::Double(v[row]),
-            ColumnData::Str(v) => Value::Str(Arc::clone(pool.get_shared(v[row]))),
-            ColumnData::Values(v) => v[row].clone(),
-        }
+    /// Materialize the cell at `row` as a [`Value`], its string one of
+    /// `strings` (a pool's, by id).
+    fn value_at(&self, row: usize, strings: &[Arc<str>]) -> Value {
+        self.data.value_at(row, strings)
     }
 
     /// Serialized size of the cell at `row`.
@@ -421,25 +502,28 @@ impl Column {
 
     /// The cached accounting, computing it on first demand after a
     /// mutation.  Typed columns count their distinct cells without
-    /// hashing: numbers by sorting a copy, strings by marking pool ids.
+    /// hashing a `Value`: numbers by their bit patterns
+    /// ([`distinct_bits`]), strings by marking pool ids.
     fn acct(&self, pool: &StringPool) -> Accounting {
         if let Some(a) = *self.acct.borrow() {
             return a;
         }
-        /// Fixed-size numbers, given as their bit patterns.
-        fn numbers(mut bits: Vec<u64>) -> Accounting {
-            let cells = bits.len();
-            bits.sort_unstable();
-            bits.dedup();
+        /// `cells` fixed-size numbers, `distinct` of them distinct.
+        fn numbers(cells: usize, distinct: usize) -> Accounting {
             Accounting {
-                distinct: bits.len(),
+                distinct,
                 plain_bytes: 9 * cells,
-                dict_bytes: 9 * bits.len(),
+                dict_bytes: 9 * distinct,
             }
         }
         let a = match &self.data {
-            ColumnData::Int(cells) => numbers(cells.iter().map(|v| *v as u64).collect()),
-            ColumnData::Double(cells) => numbers(cells.iter().map(|v| v.to_bits()).collect()),
+            ColumnData::Int(cells) => {
+                numbers(cells.len(), distinct_bits(cells.iter().map(|v| *v as u64)))
+            }
+            ColumnData::Double(cells) => numbers(
+                cells.len(),
+                distinct_bits(cells.iter().map(|v| v.to_bits())),
+            ),
             ColumnData::Str(cells) => {
                 let mut a = Accounting::default();
                 let mut seen = vec![false; pool.len()];
@@ -472,8 +556,20 @@ impl Column {
     }
 
     /// Build a column from a run of cells, interning strings into `pool`.
+    /// A column of one type is allocated once, at its final length.
     pub fn from_values(cells: Vec<Value>, pool: &mut StringPool) -> Column {
         let mut col = Column::new();
+        let mut cells = cells.into_iter();
+        if let Some(first) = cells.next() {
+            col.push(first, pool);
+            let rest = cells.len();
+            match &mut col.data {
+                ColumnData::Int(v) => v.reserve_exact(rest),
+                ColumnData::Double(v) => v.reserve_exact(rest),
+                ColumnData::Str(v) => v.reserve_exact(rest),
+                ColumnData::Values(v) => v.reserve_exact(rest),
+            }
+        }
         for v in cells {
             col.push(v, pool);
         }
@@ -483,6 +579,12 @@ impl Column {
     /// The typed cell storage.
     pub fn data(&self) -> &ColumnData {
         &self.data
+    }
+
+    /// The typed cell storage, for a column that is done growing and is
+    /// never priced for the wire (a stored run's).
+    pub fn into_data(self) -> ColumnData {
+        self.data
     }
 
     /// Total serialized bytes of all cells (the plain encoding).
@@ -654,6 +756,14 @@ impl ColumnarBatch {
         self.phases.push(phase);
     }
 
+    /// Append one tag row per sign in `signs`, each with `provenance` and
+    /// `phase`: [`Self::push_tag_row`] of each in turn.
+    pub fn push_tag_rows(&mut self, signs: &[i8], provenance: NodeSet, phase: u32) {
+        self.signs.extend_from_slice(signs);
+        self.provenance.resize(self.signs.len(), provenance);
+        self.phases.resize(self.signs.len(), phase);
+    }
+
     /// Append the cells of `other`'s rows numbered in `rows`, in that
     /// order, to this batch's columns from `dst_offset` on, a column at a
     /// time — the cells [`Self::append_rows`] appends, shifted right.
@@ -662,8 +772,51 @@ impl ColumnarBatch {
     pub fn append_cells_at(&mut self, other: &ColumnarBatch, rows: &[u32], dst_offset: usize) {
         let dst = &mut self.columns[dst_offset..dst_offset + other.arity()];
         let mut memo = PoolMemo::new();
+        let rows = Selection::scattered(rows);
         for (dst, src) in dst.iter_mut().zip(&other.columns) {
-            dst.append_cells(src, rows, &other.pool, &mut self.pool, &mut memo);
+            dst.append_cells(
+                &src.data,
+                &rows,
+                &other.pool.strings,
+                &mut self.pool,
+                &mut memo,
+            );
+        }
+    }
+
+    /// Append to this batch's columns the cells of `rows` (in that order,
+    /// repeats allowed) of the columns `src`, whose `Str` cells are ids
+    /// into `src_strings`: column `i` takes the cells of `src[cols[i]]`,
+    /// or a NULL per row where `src` has no such column.  Each column ends
+    /// up as pushing those cells one by one would leave it — the contract
+    /// of [`Self::append_rows`] — and `memo` translates the ids into this
+    /// batch's pool, so it must serve that pair of string sets only.  Tags
+    /// are *not* appended: combine with [`Self::push_tag_row`].  Panics
+    /// unless `cols` names one source column per column of this batch.
+    pub fn gather_cells(
+        &mut self,
+        src: &[ColumnData],
+        src_strings: &[Arc<str>],
+        cols: &[usize],
+        rows: &[u32],
+        memo: &mut PoolMemo,
+    ) {
+        assert_eq!(cols.len(), self.arity(), "one source column per column");
+        // At most one new string per row and string column, and never more
+        // than the source has.
+        let strings = cols
+            .iter()
+            .filter(|c| matches!(src.get(**c), Some(ColumnData::Str(_))));
+        self.pool
+            .reserve((strings.count() * rows.len()).min(src_strings.len()));
+        let selection = Selection::new(rows);
+        for (dst, &c) in self.columns.iter_mut().zip(cols) {
+            match src.get(c) {
+                Some(src) => dst.append_cells(src, &selection, src_strings, &mut self.pool, memo),
+                None => rows
+                    .iter()
+                    .for_each(|_| dst.push(Value::Null, &mut self.pool)),
+            }
         }
     }
 
@@ -701,7 +854,7 @@ impl ColumnarBatch {
                     self.columns[i].push_str_id(id);
                 }
                 Cell::Slow => {
-                    let v = other.columns[i].value_at(row, &other.pool);
+                    let v = other.columns[i].value_at(row, &other.pool.strings);
                     self.columns[i].push(v, &mut self.pool);
                 }
                 Cell::Pad => self.columns[i].push(Value::Null, &mut self.pool),
@@ -725,9 +878,16 @@ impl ColumnarBatch {
         }
         self.pad_to_arity(other.arity());
         let mut memo = PoolMemo::new();
+        let selection = Selection::scattered(rows);
         for (i, dst) in self.columns.iter_mut().enumerate() {
             match other.columns.get(i) {
-                Some(src) => dst.append_cells(src, rows, &other.pool, &mut self.pool, &mut memo),
+                Some(src) => dst.append_cells(
+                    &src.data,
+                    &selection,
+                    &other.pool.strings,
+                    &mut self.pool,
+                    &mut memo,
+                ),
                 None => rows
                     .iter()
                     .for_each(|_| dst.push(Value::Null, &mut self.pool)),
@@ -760,7 +920,7 @@ impl ColumnarBatch {
 
     /// Materialize the cell at (`row`, `col`).
     pub fn value_at(&self, row: usize, col: usize) -> Value {
-        self.columns[col].value_at(row, &self.pool)
+        self.columns[col].value_at(row, &self.pool.strings)
     }
 
     /// Materialize the row at `row` as a [`Tuple`].
@@ -896,6 +1056,124 @@ impl ColumnarBatch {
                 Key160::from_words(hasher.finish_words())
             })),
         }
+    }
+}
+
+/// Row numbers to append a column at a time, with — when a selection is
+/// mostly long stretches of consecutive numbers, as a scan of rows stored
+/// in the order it reads them is — those stretches, worked out once for
+/// all the columns.
+struct Selection<'r> {
+    rows: &'r [u32],
+    /// `rows` as ranges of consecutive row numbers; empty when copying
+    /// cell by cell is as quick.
+    stretches: Vec<std::ops::Range<usize>>,
+}
+
+impl<'r> Selection<'r> {
+    /// `rows`, to be copied cell by cell.
+    fn scattered(rows: &'r [u32]) -> Selection<'r> {
+        Selection {
+            rows,
+            stretches: Vec::new(),
+        }
+    }
+
+    /// `rows`, with their stretches when those average four rows or more.
+    fn new(rows: &'r [u32]) -> Selection<'r> {
+        let breaks = rows.windows(2).filter(|w| w[1] != w[0].wrapping_add(1));
+        if 4 * (1 + breaks.count()) > rows.len() {
+            return Selection::scattered(rows);
+        }
+        let mut stretches: Vec<std::ops::Range<usize>> = Vec::new();
+        for &r in rows {
+            let r = r as usize;
+            match stretches.last_mut() {
+                Some(last) if last.end == r => last.end += 1,
+                _ => stretches.push(r..r + 1),
+            }
+        }
+        Selection { rows, stretches }
+    }
+
+    /// Append `src[r]` for every `r` of `rest`, a tail of the selection's
+    /// rows: a slice copy per stretch when `rest` is all of them.
+    fn extend<T: Copy>(&self, dst: &mut Vec<T>, src: &[T], rest: &[u32]) {
+        if rest.len() == self.rows.len() && !self.stretches.is_empty() {
+            dst.reserve(rest.len());
+            for stretch in &self.stretches {
+                dst.extend_from_slice(&src[stretch.clone()]);
+            }
+        } else {
+            dst.extend(rest.iter().map(|r| src[*r as usize]));
+        }
+    }
+}
+
+/// How many distinct values `bits` yields, exactly.  A handful are
+/// compared pairwise; more go through an open-addressing table that each
+/// thread keeps from one call to the next, so pricing a flushed batch
+/// neither allocates nor sorts a copy of its column.
+fn distinct_bits(bits: impl ExactSizeIterator<Item = u64>) -> usize {
+    const PAIRWISE: usize = 16;
+    if bits.len() <= PAIRWISE {
+        let mut seen = [0u64; PAIRWISE];
+        let mut distinct = 0;
+        for b in bits {
+            if !seen[..distinct].contains(&b) {
+                seen[distinct] = b;
+                distinct += 1;
+            }
+        }
+        return distinct;
+    }
+    thread_local! {
+        static TABLE: RefCell<BitsTable> = RefCell::default();
+    }
+    TABLE.with(|table| table.borrow_mut().count(bits))
+}
+
+/// The table behind [`distinct_bits`]: a slot holds a bit pattern and the
+/// generation (the call) that filled it, so a slot of an earlier call
+/// reads as empty and the table is never cleared between calls.
+#[derive(Default)]
+struct BitsTable {
+    slots: Vec<(u64, u32)>,
+    generation: u32,
+}
+
+impl BitsTable {
+    fn count(&mut self, bits: impl ExactSizeIterator<Item = u64>) -> usize {
+        // At most half full: probes stay short.
+        let capacity = (2 * bits.len()).next_power_of_two().max(2);
+        if self.slots.len() < capacity || self.generation == u32::MAX {
+            self.slots.clear();
+            self.slots.resize(capacity, (0, 0));
+            self.generation = 0;
+        }
+        self.generation += 1;
+        let generation = self.generation;
+        // Only the first `capacity` slots are used, so a small batch
+        // probes a small table however large an earlier one grew it.
+        let (mask, shift) = (capacity - 1, 64 - capacity.trailing_zeros());
+        let mut distinct = 0;
+        for b in bits {
+            // Fibonacci hashing: the product's top bits pick the slot.
+            let mut i = (b.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> shift) as usize;
+            loop {
+                let slot = &mut self.slots[i];
+                if slot.1 != generation {
+                    *slot = (b, generation);
+                    distinct += 1;
+                    break;
+                }
+                if slot.0 == b {
+                    break;
+                }
+                i = (i + 1) & mask;
+            }
+        }
+        distinct
     }
 }
 
@@ -1454,6 +1732,28 @@ mod tests {
             (Ordering::Greater, Ordering::Greater),
         ] {
             assert!(seen.contains(&(false, block, whole)), "{block:?} {whole:?}");
+        }
+    }
+
+    #[test]
+    fn distinct_bits_counts_exactly_whatever_the_table_held_before() {
+        // Lengths either side of the pairwise cut-off, a table grown by a
+        // long call then reused by short ones, few and many repeats, and
+        // the bit patterns of both zeros and of NaNs.
+        let mut rng = crate::rng::seeded(0x0d15_71c7);
+        let specials = [0.0f64, -0.0, f64::NAN, -f64::NAN, f64::INFINITY].map(f64::to_bits);
+        for len in [0, 1, 15, 16, 17, 300, 5, 2_000, 40, 17, 3] {
+            let spread = rng.random_range(1..(2 * len as u64 + 2));
+            let bits: Vec<u64> = (0..len)
+                .map(|i| match i % 7 {
+                    0 => specials[rng.random_range(0..specials.len())],
+                    _ => rng.random_range(0..spread) << rng.random_range(0..40u32),
+                })
+                .collect();
+            let mut sorted = bits.clone();
+            sorted.sort_unstable();
+            sorted.dedup();
+            assert_eq!(distinct_bits(bits.iter().copied()), sorted.len(), "{len}");
         }
     }
 

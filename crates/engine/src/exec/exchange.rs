@@ -46,8 +46,13 @@
 //! An end-of-stream marker follows the last
 //! batch its sender flushed to the same receiver, and the protocol
 //! relies on the simulator delivering each ordered pair of nodes —
-//! (n, n) included — in send order; a row that reaches an exchange after
-//! its node sent the marker is an error (`Runtime::process_at`), never a
+//! (n, n) included — in send order.  The marker says how many batches
+//! its sender flushed to that receiver for that operator this phase, and
+//! the receiver counts what arrived from each sender: a batch lost,
+//! duplicated or overtaken by the marker — on any path, recovery's
+//! re-transmissions included — is an `Execution` error naming both ends
+//! (`Runtime::on_eos`), and so is a row that reaches an exchange after
+//! its node sent the marker (`Runtime::process_at`); neither is ever a
 //! silently shorter answer.
 //!
 //! Every message on the wire travels inside a [`Wire`] envelope tagged
@@ -105,8 +110,10 @@ pub(super) enum Payload {
     /// columnar form end to end.  The sender's output cache holds the
     /// same allocation.
     Batch { op: OpId, batch: Rc<ColumnarBatch> },
-    /// One sender has finished feeding exchange operator `op`.
-    Eos { op: OpId },
+    /// One sender has finished feeding exchange operator `op`, after
+    /// flushing `batches` batches to this receiver for it this phase.
+    /// The count rides in the marker's fixed `EOS_BYTES`.
+    Eos { op: OpId, batches: u32 },
     /// A remote tuple fetch performed by a scan; carries no pipeline
     /// work — it exists so the transfer's bytes and latency are charged
     /// to the simulated network.

@@ -98,6 +98,8 @@ mod recovery;
 pub mod registry;
 mod report;
 mod scan;
+#[cfg(test)]
+mod scan_by_gather;
 pub mod scheduler;
 mod session;
 

@@ -85,6 +85,25 @@ pub(super) struct ExchangeState {
     /// Sender side: the segment below closed here this phase — flushed,
     /// end-of-stream sent.
     pub(super) fed_closed: bool,
+    /// Sender side: per destination node (by index), the batches flushed
+    /// to it this phase.
+    pub(super) sent: Vec<u32>,
+    /// Receiver side: per source node (by index), the batches that
+    /// arrived from it this phase.
+    pub(super) received: Vec<u32>,
+}
+
+/// Count one more batch for `node` in a per-node tally.
+fn tally(counts: &mut Vec<u32>, node: NodeId) {
+    if counts.len() <= node.index() {
+        counts.resize(node.index() + 1, 0);
+    }
+    counts[node.index()] += 1;
+}
+
+/// The tally of `node`.
+fn tallied(counts: &[u32], node: NodeId) -> u32 {
+    counts.get(node.index()).copied().unwrap_or(0)
 }
 
 impl NodeState {
@@ -121,6 +140,8 @@ impl NodeState {
             out: RehashState::new(cache),
             eos_pending: None,
             fed_closed: false,
+            sent: Vec::new(),
+            received: Vec::new(),
         };
         match self.instance(op, || OpState::Exchange(fresh())) {
             OpState::Exchange(state) => Ok(state),
@@ -268,6 +289,8 @@ impl<'a> Runtime<'a> {
                 if let OpState::Exchange(exchange) = instance {
                     exchange.eos_pending = None;
                     exchange.fed_closed = false;
+                    exchange.sent.clear();
+                    exchange.received.clear();
                 }
             }
         }
@@ -293,8 +316,12 @@ impl<'a> Runtime<'a> {
     pub(super) fn handle(&mut self, d: Delivery<Payload>) -> Result<()> {
         match d.payload {
             Payload::Start => self.on_start(d.to, d.time),
-            Payload::Batch { op, batch } => self.push_up(d.to, op, batch, d.time).map(|_| ()),
-            Payload::Eos { op } => self.on_eos(d.to, op, d.time),
+            Payload::Batch { op, batch } => {
+                let receiver = self.nodes[d.to.index()].exchange(op, self.config.recovery)?;
+                tally(&mut receiver.received, d.from);
+                self.push_up(d.to, op, batch, d.time).map(|_| ())
+            }
+            Payload::Eos { op, batches } => self.on_eos(d.from, d.to, op, batches, d.time),
             Payload::StorageFetch => Ok(()),
         }
     }
@@ -318,9 +345,20 @@ impl<'a> Runtime<'a> {
         self.try_close_segments(node, ready)
     }
 
-    fn on_eos(&mut self, node: NodeId, op: OpId, time: SimTime) -> Result<()> {
+    /// `sender` has finished feeding exchange `op` at `node`, after
+    /// flushing `batches` batches to it: every one of them must have
+    /// arrived.
+    fn on_eos(
+        &mut self,
+        sender: NodeId,
+        node: NodeId,
+        op: OpId,
+        batches: u32,
+        time: SimTime,
+    ) -> Result<()> {
         let Some(OpState::Exchange(ExchangeState {
             eos_pending: Some(pending),
+            received,
             ..
         })) = self.nodes[node.index()].ops.get_mut(op)
         else {
@@ -328,6 +366,13 @@ impl<'a> Runtime<'a> {
                 "unexpected end-of-stream for operator {op} at {node}"
             )));
         };
+        let arrived = tallied(received, sender);
+        if arrived != batches {
+            return Err(OrchestraError::Execution(format!(
+                "{sender} sent {batches} batch(es) to operator {op} at {node} this phase, \
+                 but {arrived} arrived before its end-of-stream"
+            )));
+        }
         *pending = pending.saturating_sub(1);
         if *pending == 0 {
             self.try_close_segments(node, time)?;
@@ -487,9 +532,7 @@ impl<'a> Runtime<'a> {
                     let routes = dests.iter().map(|dest| (*dest, &all[..]));
                     buffer_batch(&mut exchange.out, &batch, routes)
                 };
-                for (dest, full) in filled {
-                    self.send_batch(node, op, dest, full, ready);
-                }
+                self.send_flushed(node, op, filled, ready)?;
                 self.record_wall(WC_EXCHANGE, batch.len(), wall);
             }
             OperatorKind::Output => {
@@ -585,12 +628,37 @@ impl<'a> Runtime<'a> {
         }
 
         // Flush whatever is still buffered, then signal end-of-stream.
-        for (dest, batch) in exchange.out.flush_pending() {
-            self.send_batch(node, segment.root, dest, batch, ready);
-        }
+        let flushed = exchange.out.flush_pending();
+        self.send_flushed(node, segment.root, flushed, ready)?;
         for &dest in consumers(root, &self.initiator, &self.participants) {
-            let eos = Payload::Eos { op: segment.root };
+            let exchange = self.nodes[node.index()].exchange(segment.root, self.config.recovery)?;
+            let batches = tallied(&exchange.sent, dest);
+            let eos = Payload::Eos {
+                op: segment.root,
+                batches,
+            };
             self.sim.send(node, dest, EOS_BYTES, ready, eos);
+        }
+        Ok(())
+    }
+
+    /// Send the batches exchange `op` at `node` flushed, each to its
+    /// destination: counted first, all of them, so that the end-of-stream
+    /// marker tells each receiver how many batches were meant for it
+    /// whatever became of them.
+    fn send_flushed(
+        &mut self,
+        node: NodeId,
+        op: OpId,
+        flushed: Vec<(NodeId, Rc<ColumnarBatch>)>,
+        ready: SimTime,
+    ) -> Result<()> {
+        let exchange = self.nodes[node.index()].exchange(op, self.config.recovery)?;
+        for (dest, _) in &flushed {
+            tally(&mut exchange.sent, *dest);
+        }
+        for (dest, batch) in flushed {
+            self.send_batch(node, op, dest, batch, ready);
         }
         Ok(())
     }

@@ -8,21 +8,28 @@
 //! alone, "bypassing the data storage nodes".  Scan durations come from
 //! the node profile; page/tuple/remote-lookup counts accumulate into
 //! `RunStats`.
+//!
+//! The store keeps a publication's tuple versions as columns
+//! ([`orchestra_storage::TupleRun`]), so emitting what a scan read is a
+//! mask and a gather, never a row loop: the predicate is evaluated over
+//! the columns it reads, gathered for every row read, and then the
+//! survivors are gathered a column at a time, one step per stretch of
+//! rows from the same run ([`orchestra_storage::gather`]).
 
 use super::pipeline::{Runtime, WC_SCAN};
 use crate::expr::Predicate;
 use crate::plan::{OpId, OperatorKind};
 use crate::provenance::Phase;
 use orchestra_common::{
-    ColumnarBatch, Epoch, KeyRange, NodeId, NodeSet, OrchestraError, Result, Tuple,
+    ColumnarBatch, Epoch, KeyRange, NodeId, NodeSet, OrchestraError, Result, Value,
 };
 use orchestra_simnet::{NodeProfile, SimTime};
-use orchestra_storage::PartitionScan;
+use orchestra_storage::{gather, PartitionScan, StoredRow};
 use std::time::Instant;
 
 use super::exchange::Payload;
 
-impl Runtime<'_> {
+impl<'a> Runtime<'a> {
     /// Run one leaf scan on behalf of `node` for the current phase,
     /// returning a tagged columnar batch and the simulated scan duration.
     pub(super) fn do_scan(&mut self, node: NodeId, op: OpId) -> Result<(ColumnarBatch, SimTime)> {
@@ -62,20 +69,16 @@ impl Runtime<'_> {
                         // passed, and an added version only contributes if
                         // it passes.
                         wall = Instant::now();
-                        (
-                            emit_delta(&scan.tuples, predicate, emit),
-                            fetched(scan, profile),
-                        )
+                        let rows = emit_rows(scan.tuples.iter().copied(), predicate, emit);
+                        (rows, fetched(scan, profile))
                     }
                     None => {
                         let scan = self
                             .view
                             .scan_partition_ref(relation, epoch, node, ranges)?;
                         wall = Instant::now();
-                        (
-                            emit_scanned(&scan.tuples, predicate, emit),
-                            fetched(scan, profile),
-                        )
+                        let rows = emit_rows(unsigned(&scan.tuples), predicate, emit);
+                        (rows, fetched(scan, profile))
                     }
                 };
                 Ok(self.emitted(node, fetch, rows, wall))
@@ -94,7 +97,7 @@ impl Runtime<'_> {
                     ..Fetch::default()
                 };
                 let wall = Instant::now();
-                let rows = emit_scanned(&tuples, predicate, emit);
+                let rows = emit_rows(unsigned(&tuples), predicate, emit);
                 Ok(self.emitted(node, fetch, rows, wall))
             }
             OperatorKind::CoveringIndexScan {
@@ -104,15 +107,14 @@ impl Runtime<'_> {
                 if ranges.is_empty() {
                     return Ok((ColumnarBatch::new(0), SimTime::ZERO));
                 }
-                let (tuples, pages) = self.covering_scan(relation, epoch, ranges)?;
+                let (keys, pages) = self.covering_scan(relation, epoch, ranges)?;
                 let fetch = Fetch {
                     pages_read: pages,
-                    duration: profile.scan_time(tuples.len(), pages),
+                    duration: profile.scan_time(keys.len(), pages),
                     ..Fetch::default()
                 };
-                let tuples: Vec<&Tuple> = tuples.iter().collect();
                 let wall = Instant::now();
-                let rows = emit_scanned(&tuples, predicate, emit);
+                let rows = emit_keys(&keys, predicate, emit);
                 Ok(self.emitted(node, fetch, rows, wall))
             }
             other => Err(OrchestraError::Execution(format!(
@@ -150,13 +152,14 @@ impl Runtime<'_> {
     }
 
     /// Answer a key-only scan from the index pages alone, "bypassing the
-    /// data storage nodes".
+    /// data storage nodes": the keys the pages list in `ranges`, borrowed,
+    /// and the number of pages read.
     fn covering_scan(
         &self,
         relation: &str,
         epoch: Epoch,
         ranges: &[KeyRange],
-    ) -> Result<(Vec<Tuple>, usize)> {
+    ) -> Result<(Vec<&'a [Value]>, usize)> {
         let Some(version) = self.view.version_record(relation, epoch)? else {
             return Ok((Vec::new(), 0));
         };
@@ -170,7 +173,7 @@ impl Runtime<'_> {
             pages += 1;
             for entry in &page.entries {
                 if ranges.iter().any(|r| r.contains(entry.position)) {
-                    out.push(entry.id.key.iter().cloned().collect());
+                    out.push(&entry.id.key[..]);
                 }
             }
         }
@@ -204,45 +207,72 @@ fn fetched<T>(scan: PartitionScan<T>, profile: &NodeProfile) -> Fetch {
 /// What scan emission needs to know besides the rows: whose provenance
 /// tag and which phase the rows get.
 #[derive(Clone, Copy)]
-struct Emit {
-    node: NodeId,
-    phase: Phase,
+pub(super) struct Emit {
+    pub(super) node: NodeId,
+    pub(super) phase: Phase,
 }
 
-/// Turn freshly scanned tuples — borrowed from the store — into the scan
-/// operator's output batch, tagged with the scanning node's provenance.
-/// The scan predicate is evaluated on the borrowed tuple *before* the
-/// batch is built (late materialization: a dropped row is never copied,
-/// interned or accounted), and survivors are columnarized straight out of
-/// the store.  Only this emission work is on the wall clock, not the
+/// The rows of a full scan, each with the sign `+1`.
+fn unsigned<'r, 's>(
+    rows: &'s [StoredRow<'r>],
+) -> impl Iterator<Item = (StoredRow<'r>, i8)> + Clone + 's {
+    rows.iter().map(|row| (*row, 1))
+}
+
+/// Turn the rows a scan read — stored rows, each with its sign — into the
+/// scan operator's output batch, tagged with the scanning node's
+/// provenance.  The batch is as wide as the widest row read, measured
+/// before the filter, so filtered and unfiltered scans agree on its
+/// shape; a shorter row is padded with NULLs.  The predicate is evaluated
+/// first, over a batch of just the columns it reads, gathered for every
+/// row read; then only the survivors are gathered, a column at a time
+/// (late materialization: a dropped row is never copied, interned or
+/// accounted).  Only this emission work is on the wall clock, not the
 /// storage fetch above it.
-fn emit_scanned(tuples: &[&Tuple], predicate: &Option<Predicate>, emit: Emit) -> ColumnarBatch {
-    // The pre-filter maximum, so filtered and unfiltered scans agree on
-    // the batch shape.
-    let arity = tuples.iter().map(|t| t.arity()).max().unwrap_or(0);
-    let survivors = tuples
-        .iter()
-        .copied()
-        .filter(|t| predicate.as_ref().is_none_or(|p| p.eval(t)));
-    ColumnarBatch::from_tuples(
-        arity,
-        survivors,
-        1,
-        NodeSet::singleton(emit.node),
-        emit.phase,
-    )
+pub(super) fn emit_rows<'r>(
+    rows: impl Iterator<Item = (StoredRow<'r>, i8)> + Clone,
+    predicate: &Option<Predicate>,
+    emit: Emit,
+) -> ColumnarBatch {
+    let arity = rows.clone().map(|(row, _)| row.arity()).max().unwrap_or(0);
+    let every: Vec<usize> = (0..arity).collect();
+    let provenance = NodeSet::singleton(emit.node);
+    let Some(predicate) = predicate else {
+        return gather(rows, &every, provenance, emit.phase);
+    };
+    let (read, narrowed) = predicate.narrowed();
+    let probe = gather(rows.clone(), &read, provenance, emit.phase);
+    let mut mask = Vec::new();
+    narrowed.eval_mask(&probe, &mut mask);
+    let survivors = rows.zip(mask).filter_map(|(row, keep)| keep.then_some(row));
+    gather(survivors, &every, provenance, emit.phase)
 }
 
-/// [`emit_scanned`] for signed delta scans: every row carries its own
-/// `+1`/`-1` sign from the epoch interval.
-fn emit_delta(signed: &[(&Tuple, i8)], predicate: &Option<Predicate>, emit: Emit) -> ColumnarBatch {
-    let arity = signed.iter().map(|(t, _)| t.arity()).max().unwrap_or(0);
+/// [`emit_rows`] for a covering-index scan's keys: every key is a row of
+/// a batch, and the predicate picks the rows that go on.
+fn emit_keys(keys: &[&[Value]], predicate: &Option<Predicate>, emit: Emit) -> ColumnarBatch {
+    let arity = keys.iter().map(|key| key.len()).max().unwrap_or(0);
     let provenance = NodeSet::singleton(emit.node);
-    let mut batch = ColumnarBatch::new(arity);
-    for (t, sign) in signed {
-        if predicate.as_ref().is_none_or(|p| p.eval(t)) {
-            batch.push_row_padded(t.values(), *sign, provenance, emit.phase);
-        }
+    let mut all = ColumnarBatch::new(arity);
+    for key in keys {
+        all.push_row_padded(key, 1, provenance, emit.phase);
     }
-    batch
+    let Some(predicate) = predicate else {
+        return all;
+    };
+    let mut mask = Vec::new();
+    predicate.eval_mask(&all, &mut mask);
+    if mask.iter().all(|keep| *keep) {
+        return all;
+    }
+    let survivors: Vec<u32> = (0..)
+        .zip(&mask)
+        .filter(|(_, keep)| **keep)
+        .map(|(r, _)| r)
+        .collect();
+    // Appending a row is pushing its cells: the survivors' batch is the
+    // one pushing them alone would build.
+    let mut out = ColumnarBatch::new(arity);
+    out.append_rows(&all, &survivors);
+    out
 }

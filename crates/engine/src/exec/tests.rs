@@ -2250,7 +2250,7 @@ pub(crate) mod exchange_by_batch {
                 time: SimTime::ZERO,
                 from: NodeId(2),
                 to: node,
-                payload: Payload::Eos { op },
+                payload: Payload::Eos { op, batches: 0 },
             })
         };
         // Before dissemination no instance expects anything.
@@ -2272,6 +2272,53 @@ pub(crate) mod exchange_by_batch {
         assert_eq!(
             err.message(),
             format!("unexpected end-of-stream for operator {output} at n0")
+        );
+    }
+
+    /// An end-of-stream says how many batches its sender flushed to the
+    /// receiver; a receiver that saw another number fails, naming both
+    /// ends, the operator and both counts.
+    #[test]
+    fn an_end_of_stream_checks_the_batches_that_arrived_before_it() {
+        let mut storage = cluster(3);
+        publish_r(&mut storage, 30);
+        let config = EngineConfig::default();
+        let (plan, rehash, _) = rehash_ship_plan();
+        let overrides = ScanOverrides::new();
+        let (mut rt, _sim) = runtime(&storage, &config, &plan, &overrides, NodeId(0));
+        rt.begin(SimTime::ZERO).unwrap();
+        let deliver = |rt: &mut Runtime<'_>, from: u16, payload: Payload| {
+            rt.handle(Delivery {
+                time: SimTime::ZERO,
+                from: NodeId(from),
+                to: NodeId(1),
+                payload,
+            })
+        };
+        let batch = || {
+            let batch = random_batch(&mut seeded(2), &[Cells::Int, Cells::Str, Cells::Int], 3);
+            Payload::Batch {
+                op: rehash,
+                batch: Rc::new(batch),
+            }
+        };
+        // Two batches from n2, then its marker counting two: in order.
+        deliver(&mut rt, 2, batch()).unwrap();
+        deliver(&mut rt, 2, batch()).unwrap();
+        let eos = |batches| Payload::Eos {
+            op: rehash,
+            batches,
+        };
+        deliver(&mut rt, 2, eos(2)).unwrap();
+        // One batch from n0, whose marker counts two: one was lost.
+        deliver(&mut rt, 0, batch()).unwrap();
+        let err = deliver(&mut rt, 0, eos(2)).unwrap_err();
+        assert_eq!(
+            err.message(),
+            format!(
+                "n0 sent 2 batch(es) to operator {rehash} at n1 this phase, \
+                 but 1 arrived before its end-of-stream"
+            )
         );
     }
 

@@ -124,6 +124,57 @@ impl Predicate {
         }
     }
 
+    /// The columns the predicate reads, ascending, and the same predicate
+    /// over just those: column `columns[i]` read as column `i`.  A scan
+    /// evaluates it over a batch of those columns alone.
+    pub(crate) fn narrowed(&self) -> (Vec<usize>, Predicate) {
+        let mut columns = Vec::new();
+        self.read_columns(&mut columns);
+        columns.sort_unstable();
+        columns.dedup();
+        // Every column read is listed, so the search finds it.
+        let narrowed = self.remapped(&|c| columns.binary_search(&c).unwrap_or_else(|at| at));
+        (columns, narrowed)
+    }
+
+    /// Push every column the predicate reads onto `out`.
+    fn read_columns(&self, out: &mut Vec<usize>) {
+        match self {
+            Predicate::True => {}
+            Predicate::Compare { column, .. } | Predicate::Between { column, .. } => {
+                out.push(*column)
+            }
+            Predicate::CompareColumns { left, right, .. } => out.extend([*left, *right]),
+            Predicate::And(ps) | Predicate::Or(ps) => ps.iter().for_each(|p| p.read_columns(out)),
+            Predicate::Not(p) => p.read_columns(out),
+        }
+    }
+
+    /// The predicate with column `c` read as column `to(c)`.
+    fn remapped(&self, to: &impl Fn(usize) -> usize) -> Predicate {
+        match self {
+            Predicate::True => Predicate::True,
+            Predicate::Compare { column, op, value } => Predicate::Compare {
+                column: to(*column),
+                op: *op,
+                value: value.clone(),
+            },
+            Predicate::CompareColumns { left, op, right } => Predicate::CompareColumns {
+                left: to(*left),
+                op: *op,
+                right: to(*right),
+            },
+            Predicate::Between { column, low, high } => Predicate::Between {
+                column: to(*column),
+                low: low.clone(),
+                high: high.clone(),
+            },
+            Predicate::And(ps) => Predicate::And(ps.iter().map(|p| p.remapped(to)).collect()),
+            Predicate::Or(ps) => Predicate::Or(ps.iter().map(|p| p.remapped(to)).collect()),
+            Predicate::Not(p) => Predicate::Not(Box::new(p.remapped(to))),
+        }
+    }
+
     /// Estimated selectivity used by the optimizer's cost model when no
     /// better statistics exist (textbook defaults).
     ///
@@ -216,34 +267,16 @@ fn compare_const(
     mask: &mut [bool],
 ) {
     match (batch.column(column).data(), value) {
-        (ColumnData::Int(cells), Value::Int(c)) => {
-            for (m, x) in mask.iter_mut().zip(cells) {
-                if *m {
-                    *m = op.eval_ord(x.cmp(c));
-                }
-            }
-        }
+        (ColumnData::Int(cells), Value::Int(c)) => and_ordered(mask, cells, op, |x| x.cmp(c)),
         (ColumnData::Int(cells), Value::Double(c)) => {
-            for (m, x) in mask.iter_mut().zip(cells) {
-                if *m {
-                    *m = op.eval_ord((*x as f64).total_cmp(c));
-                }
-            }
+            and_ordered(mask, cells, op, |x| (x as f64).total_cmp(c))
         }
         (ColumnData::Double(cells), Value::Int(c)) => {
             let c = *c as f64;
-            for (m, x) in mask.iter_mut().zip(cells) {
-                if *m {
-                    *m = op.eval_ord(x.total_cmp(&c));
-                }
-            }
+            and_ordered(mask, cells, op, |x| x.total_cmp(&c))
         }
         (ColumnData::Double(cells), Value::Double(c)) => {
-            for (m, x) in mask.iter_mut().zip(cells) {
-                if *m {
-                    *m = op.eval_ord(x.total_cmp(c));
-                }
-            }
+            and_ordered(mask, cells, op, |x| x.total_cmp(c))
         }
         (ColumnData::Str(ids), Value::Str(s)) => {
             let pool = batch.pool();
@@ -267,6 +300,30 @@ fn compare_const(
         // A string outranks every constant that is not one (NULL and the
         // numbers); no representative `Value::Str` is allocated to ask.
         (ColumnData::Str(_), _) => uniform(op, Ordering::Greater, mask),
+    }
+}
+
+/// AND `op` over each number's ordering `ord` into `mask`, for every cell
+/// alike: a row already out stays out, and comparing a number costs less
+/// than testing whether to — the loop has no branch, one per operator.
+fn and_ordered<T: Copy>(mask: &mut [bool], cells: &[T], op: CmpOp, ord: impl Fn(T) -> Ordering) {
+    fn each<T: Copy>(
+        mask: &mut [bool],
+        cells: &[T],
+        ord: impl Fn(T) -> Ordering,
+        keep: impl Fn(Ordering) -> bool,
+    ) {
+        for (m, x) in mask.iter_mut().zip(cells) {
+            *m &= keep(ord(*x));
+        }
+    }
+    match op {
+        CmpOp::Eq => each(mask, cells, ord, Ordering::is_eq),
+        CmpOp::Ne => each(mask, cells, ord, Ordering::is_ne),
+        CmpOp::Lt => each(mask, cells, ord, Ordering::is_lt),
+        CmpOp::Le => each(mask, cells, ord, Ordering::is_le),
+        CmpOp::Gt => each(mask, cells, ord, Ordering::is_gt),
+        CmpOp::Ge => each(mask, cells, ord, Ordering::is_ge),
     }
 }
 

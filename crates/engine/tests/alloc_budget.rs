@@ -15,7 +15,7 @@ use orchestra_engine::ops::{AggState, JoinState};
 use orchestra_engine::{
     AggFunc, EngineConfig, EvictionPolicy, PlanBuilder, QueryExecutor, ResultCache, ScalarExpr,
 };
-use orchestra_storage::{DistributedStorage, StorageConfig, UpdateBatch};
+use orchestra_storage::{gather, DistributedStorage, StorageConfig, UpdateBatch};
 use orchestra_substrate::{AllocationScheme, RoutingTable};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -187,8 +187,14 @@ fn scanning_a_stored_relation_allocates_no_string() {
             allocs < rows as u64 / 2,
             "{allocs} allocations to find {rows} rows"
         );
-        let (batch, allocs) =
-            counting(|| ColumnarBatch::from_tuples(3, scan.tuples, 1, NodeSet::default(), 0));
+        let (batch, allocs) = counting(|| {
+            gather(
+                scan.tuples.iter().map(|t| (*t, 1)),
+                &[0, 1, 2],
+                NodeSet::default(),
+                0,
+            )
+        });
         // Two distinct strings a row entered the batch's pool; what was
         // allocated is the growth of six vectors and of the pool's index
         // (copying the strings would be `2 * rows` on top).

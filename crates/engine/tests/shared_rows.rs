@@ -7,15 +7,15 @@
 //! through a distributed scan, an exchange and the serving scheduler.
 
 use orchestra_common::{
-    ColumnData, ColumnType, ColumnarBatch, Epoch, NodeId, NodeSet, QueryFingerprint, Relation,
-    Schema, Tuple, Value,
+    ColumnData, ColumnType, Epoch, NodeId, NodeSet, QueryFingerprint, Relation, Schema, Tuple,
+    Value,
 };
 use orchestra_engine::{
     EngineConfig, EvictionPolicy, PlanBuilder, QuerySession, ResultCache, SchedulerConfig,
     SessionScheduler,
 };
 use orchestra_simnet::SimTime;
-use orchestra_storage::{DistributedStorage, StorageConfig, UpdateBatch};
+use orchestra_storage::{gather, DistributedStorage, StorageConfig, UpdateBatch};
 use orchestra_substrate::{AllocationScheme, RoutingTable};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -60,18 +60,24 @@ fn a_string_is_one_allocation_from_the_store_to_the_cache_hit() {
 
     // The store: each node's scan of its own ranges borrows the stored
     // tuples, and the batch built from them pools the stored strings.
-    let mut stored: BTreeMap<i64, &Tuple> = BTreeMap::new();
+    let mut stored: BTreeMap<i64, Tuple> = BTreeMap::new();
     for node in storage.routing().nodes() {
         let ranges = storage.routing().ranges_of(node);
         let scan = storage
             .view()
             .scan_partition_ref("r", epoch, node, &ranges)
             .expect("scan");
-        let batch = ColumnarBatch::from_tuples(2, scan.tuples.clone(), 1, NodeSet::default(), 0);
+        let batch = gather(
+            scan.tuples.iter().map(|t| (*t, 1)),
+            &[0, 1],
+            NodeSet::default(),
+            0,
+        );
         let ColumnData::Str(ids) = batch.column(1).data() else {
             panic!("the name column is typed");
         };
         for (tuple, id) in scan.tuples.iter().zip(ids) {
+            let tuple = tuple.tuple();
             assert!(Arc::ptr_eq(
                 batch.pool().get_shared(*id),
                 shared(tuple.value(1))

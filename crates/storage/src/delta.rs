@@ -26,6 +26,7 @@
 
 use crate::distributed::{DistributedStorage, PartitionScan, StorageView};
 use crate::page::PageDescriptor;
+use crate::run::StoredRow;
 use orchestra_common::{Epoch, KeyRange, NodeId, OrchestraError, PageEntry, Result, Tuple};
 use std::cell::{Cell, RefCell};
 use std::cmp::Ordering;
@@ -191,7 +192,7 @@ impl DistributedStorage {
         let derived = view.changed_partitions(relation, from, to)?;
         let (changes, pages_shared, pages_diffed) = &*derived;
         let lookup = view.tuple_lookup(relation);
-        let fetch = |entry: &PageEntry| -> Result<Tuple> { Ok(lookup(entry)?.clone()) };
+        let fetch = |entry: &PageEntry| -> Result<Tuple> { Ok(lookup(entry)?.tuple()) };
         let mut partitions = Vec::with_capacity(changes.len());
         for change in changes {
             // Both lists are key-sorted (tuple IDs order by key first), so
@@ -353,7 +354,7 @@ impl<'a> StorageView<'a> {
     /// partition scan) can be deterministically re-run over inherited
     /// ranges during failure recovery.  Like
     /// [`Self::scan_partition_ref`] it filters by cached ring position and
-    /// borrows the tuples.
+    /// names each tuple's row in the relation's log.
     pub fn delta_partition_ref(
         &self,
         relation: &str,
@@ -361,7 +362,7 @@ impl<'a> StorageView<'a> {
         to: Epoch,
         node: NodeId,
         ranges: &[KeyRange],
-    ) -> Result<PartitionScan<(&'a Tuple, i8)>> {
+    ) -> Result<PartitionScan<(StoredRow<'a>, i8)>> {
         let mut scan = PartitionScan::default();
         let derived = self.changed_partitions(relation, from, to)?;
         let local = self.local_scan(relation, node);
@@ -514,7 +515,7 @@ mod tests {
             let ranges = s.routing().ranges_of(node);
             let scan = s.view().delta_partition_ref("R", e0, e1, node, &ranges);
             let signed = scan.unwrap().tuples.into_iter();
-            rows.extend(signed.map(|(tuple, sign)| (tuple.clone(), sign)));
+            rows.extend(signed.map(|(tuple, sign)| (tuple.tuple(), sign)));
         }
         assert_eq!(rows.len(), 10 * 2 + 20 + 5);
         let positives = rows.iter().filter(|(_, s)| *s == 1).count();

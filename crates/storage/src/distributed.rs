@@ -58,16 +58,20 @@
 //! ([`orchestra_common::PageEntry`]) and carried into every later page
 //! version.  Scans, delta scans and retrieval filter tuples by that cached
 //! position, find a holder by testing a node's bit for the slot, and
-//! read the tuple at that index of the log — no search per tuple.  A
-//! record is found by epoch in the relation's record log and a page by the
-//! slot its descriptor carries, so no ID is built or hashed to find
-//! either.  They *borrow* the coordinator record, the page and the tuples
-//! from the logs; [`DistributedStorage::scan_partition`] is a thin wrapper that
-//! clones the borrowed result for callers that want to own it.
+//! read the tuple at that slot of the log — its run's row — with no search
+//! per tuple.  A record is found by epoch in the relation's record log and
+//! a page by the slot its descriptor carries, so no ID is built or hashed
+//! to find either.  They *borrow* the coordinator record and the page from
+//! the logs, and hand out each tuple as a reference to its row
+//! ([`StoredRow`]), which the engine gathers into a batch a column at a
+//! time ([`crate::run::gather`]); [`DistributedStorage::scan_partition`]
+//! and [`DistributedStorage::retrieve`] build rows for callers that want
+//! to own them.
 
 use crate::coordinator::{CoordinatorKey, RelationVersion};
 use crate::node_store::SlotSet;
 use crate::page::{partition_of, partition_range, IndexPage, PageDescriptor, PageId};
+use crate::run::{StoredRow, TupleRun};
 use crate::update::{Update, UpdateBatch};
 use crate::version_log::{Kind, Log, Placed, RelationLogs, VersionLog};
 use orchestra_common::{
@@ -98,10 +102,10 @@ impl Default for StorageConfig {
     }
 }
 
-/// Result of a partition scan executed on behalf of one node: of
-/// borrowed tuples (`PartitionScan<&Tuple>`, what
-/// [`StorageView::scan_partition_ref`] returns), of owned ones, or of
-/// signed borrowed ones (`PartitionScan<(&Tuple, i8)>`, what
+/// Result of a partition scan executed on behalf of one node: of stored
+/// rows (`PartitionScan<StoredRow>`, what
+/// [`StorageView::scan_partition_ref`] returns), of owned tuples, or of
+/// signed stored rows (`PartitionScan<(StoredRow, i8)>`, what
 /// [`StorageView::delta_partition_ref`] returns).
 #[derive(Clone, Debug)]
 pub struct PartitionScan<T = Tuple> {
@@ -458,6 +462,11 @@ impl DistributedStorage {
         let (name, key_len, updates) = (staged.name, staged.key_len, &staged.updates);
         let parts = self.config.partitions_per_relation;
         let is_touched = |partition: u32| updates.binary_search_by_key(&partition, |u| u.0).is_ok();
+        // The relation's name, which all its page IDs share: the previous
+        // version's, or made once for the batch.
+        let relation: Arc<str> = (staged.prev.as_ref())
+            .and_then(|v| v.pages.first())
+            .map_or_else(|| Arc::from(name), |d| Arc::clone(&d.id.relation));
 
         // Start from the previous version's descriptors for untouched pages.
         let mut descriptors: Vec<PageDescriptor> = (staged.prev.as_ref())
@@ -485,7 +494,7 @@ impl DistributedStorage {
             let partition = ups[0].0;
             // The superseded versions are found in (and borrowed from) the
             // key-sorted previous page by binary search.
-            let mut removes: Vec<&TupleId> = Vec::new();
+            let mut removes: Vec<&TupleId> = Vec::with_capacity(ups.len());
             let mut creates = 0;
             for (_, up, _) in ups {
                 if !up.is_insert() {
@@ -496,18 +505,22 @@ impl DistributedStorage {
                 }
                 creates += usize::from(!matches!(up, Update::Delete(_)));
             }
-            // The page's copies of the IDs are made after every body of the
-            // epoch, so their keys sit together on the heap, not strewn
-            // among the tuple bodies.  A walk that reads keys only
-            // (`retrieve` under a key filter, 60k rows) takes 1.1 ms this
-            // way and 2.2-2.9 ms with each entry built beside its body;
-            // scans cost the same.  Every later version of the page shares
-            // these keys.
+            // The page's copies of the IDs — strings copied too, so the
+            // store owns them — are made after every body of the epoch, so
+            // their keys sit together on the heap.  A walk that reads keys
+            // only (`retrieve` under a key filter, 60k rows) took 1.1 ms
+            // this way and 2.2-2.9 ms with each entry built beside its row
+            // body; scans cost the same.  Every later version of the page
+            // shares these keys.
+            let own = |v: &Value| match v {
+                Value::Str(s) => Value::str(&**s),
+                number_or_null => number_or_null.clone(),
+            };
             let adds: Vec<PageEntry> = numbered
                 .by_ref()
                 .take(creates)
                 .map(|((position, tuple), slot)| {
-                    let key: Arc<[Value]> = detached(tuple.key(key_len)).collect();
+                    let key: Arc<[Value]> = tuple.key(key_len).iter().map(own).collect();
                     PageEntry::new(TupleId::new(key, epoch), *position, slot)
                 })
                 .collect();
@@ -515,7 +528,7 @@ impl DistributedStorage {
             let new_page = Arc::new(match prev_page {
                 Some(p) => p.next_version(epoch, removes, adds),
                 None => IndexPage::new(
-                    PageId::new(name, epoch, partition),
+                    PageId::new(Arc::clone(&relation), epoch, partition),
                     partition_range(partition, parts),
                     adds,
                 ),
@@ -545,15 +558,17 @@ impl DistributedStorage {
     ///
     /// The versions are numbered as one run of the log, in position order
     /// ([`VersionLog`]); a key written twice is one version with the later
-    /// write's body.  The bodies are detached copies, made in `fresh`'s
-    /// order, so that a partition's rows lie together and, for keys
-    /// generated in order, in the order a scan of its page reads them
-    /// (copied in slot order instead, the host benchmark's `adhoc_read`
-    /// read 84–86 ms an operation against 76–80, three pairs on one box).
-    /// Then every live holder — the replica set of each version's arc, or
-    /// every live node for a replicated relation — sets its bits: the
-    /// slots one routing entry places are consecutive, so a holder is
-    /// handed ranges, not single versions.
+    /// write's body.  The bodies are stored as one [`TupleRun`], columns
+    /// whose strings are the store's copies, made once per distinct string;
+    /// its rows are in `fresh`'s order, so that a partition's rows lie
+    /// together and, for keys generated in order, in the order a scan of
+    /// its page reads them (bodies laid out in slot order instead, the
+    /// host benchmark's `adhoc_read` read 84–86 ms an operation against
+    /// 76–80, three pairs on one box, when bodies were rows).  Then every
+    /// live holder — the replica set of each version's arc, or every live
+    /// node for a replicated relation — sets its bits: the slots one
+    /// routing entry places are consecutive, so a holder is handed ranges,
+    /// not single versions.
     fn store_versions(
         &self,
         log: &mut VersionLog,
@@ -583,20 +598,18 @@ impl DistributedStorage {
             }
             offset[i] = stored.len() - 1;
         }
-        let mut bodies: Vec<Option<Tuple>> = (0..fresh.len())
-            .map(|i| (stored[offset[i]] == i).then(|| detached(fresh[i].1.values()).collect()))
-            .collect();
-
-        log.reserve(stored.len());
-        // The log's slots fit in a `u32`, as publication checked.
-        let start = log.len() as u32;
-        // Every stored write has its body, taken here once.
-        for &i in &stored {
-            if let Some(body) = bodies[i].take() {
-                log.push(fresh[i].0, body, log.len() as u32 == start);
+        // The stored bodies, in `fresh`'s order, and the row of each slot.
+        let mut bodies: Vec<&[Value]> = Vec::with_capacity(stored.len());
+        let mut row_of = vec![0; stored.len()];
+        for (i, &o) in offset.iter().enumerate() {
+            if stored[o] == i {
+                // At most one row per update, which the log's room covers.
+                row_of[o] = bodies.len() as u32;
+                bodies.push(fresh[i].1.values());
             }
         }
-        let run = start..log.len() as u32;
+        let positions = stored.iter().map(|&i| fresh[i].0);
+        let run = log.append(positions, TupleRun::new(&bodies, row_of));
 
         let mut placed: Vec<(Option<Key160>, Range<u32>)> = Vec::new();
         if replicated {
@@ -673,8 +686,8 @@ impl DistributedStorage {
     }
 
     /// [`StorageView::scan_partition_ref`] under the store's own view, for
-    /// callers that want to own the tuples: the same scan, cloned out of
-    /// the store.
+    /// callers that want to own the tuples: the same scan, each stored row
+    /// built as a [`Tuple`].
     pub fn scan_partition(
         &self,
         relation: &str,
@@ -686,7 +699,7 @@ impl DistributedStorage {
             .view()
             .scan_partition_ref(relation, epoch, node, ranges)?;
         Ok(PartitionScan {
-            tuples: scan.tuples.into_iter().cloned().collect(),
+            tuples: scan.tuples.iter().map(StoredRow::tuple).collect(),
             pages_read: scan.pages_read,
             tuples_read: scan.tuples_read,
             remote_lookups: scan.remote_lookups,
@@ -746,11 +759,11 @@ impl DistributedStorage {
                         .messages
                         .push((index_node, data_node, entry.id.serialized_size()));
                 }
-                let (tuple, _) = view.lookup_tuple(relation, entry, Some(data_node))?;
+                let (row, _) = view.lookup_tuple(relation, entry, Some(data_node))?;
                 result
                     .messages
-                    .push((data_node, requester, tuple.serialized_size()));
-                result.tuples.push(tuple.clone());
+                    .push((data_node, requester, row.serialized_size()));
+                result.tuples.push(row.tuple());
             }
         }
         Ok(result)
@@ -860,14 +873,14 @@ impl<'a> StorageView<'a> {
     /// `preferred` (the scanning node) is consulted first; the second
     /// element of the result is the remote node that served the lookup, or
     /// `None` when it was served locally.  A node holds the version when
-    /// its bit for the entry's slot is set, and the tuple is borrowed from
+    /// its bit for the entry's slot is set, and the version is its row in
     /// the relation's log.
     pub fn lookup_tuple(
         &self,
         relation: &str,
         entry: &PageEntry,
         preferred: Option<NodeId>,
-    ) -> Result<(&'a Tuple, Option<NodeId>)> {
+    ) -> Result<(StoredRow<'a>, Option<NodeId>)> {
         let missing = || {
             OrchestraError::StorageMissing(format!(
                 "tuple {} of {relation} is not held by any live node",
@@ -911,7 +924,7 @@ impl<'a> StorageView<'a> {
         relation: &str,
         entry: &PageEntry,
         node: NodeId,
-    ) -> Result<&'a Tuple> {
+    ) -> Result<StoredRow<'a>> {
         let held = local.filter(|(held, _)| held.contains(entry.slot));
         let (tuple, remote) = match held.and_then(|(_, log)| log.get(entry.slot)) {
             Some(tuple) => (tuple, None),
@@ -936,7 +949,7 @@ impl<'a> StorageView<'a> {
     pub(crate) fn tuple_lookup<'r>(
         &self,
         relation: &'r str,
-    ) -> impl Fn(&PageEntry) -> Result<&'a Tuple> + 'r
+    ) -> impl Fn(&PageEntry) -> Result<StoredRow<'a>> + 'r
     where
         'a: 'r,
     {
@@ -964,14 +977,14 @@ impl<'a> StorageView<'a> {
     /// entries filtered to the ranges by cached ring position, and the
     /// tuple versions located — held by `node` itself when co-location
     /// holds, by replicas otherwise.  Nothing is hashed and nothing is
-    /// copied: the result borrows the tuples from the relation's log.
+    /// copied: the result names each tuple's row in the relation's log.
     pub fn scan_partition_ref(
         &self,
         relation: &str,
         epoch: Epoch,
         node: NodeId,
         ranges: &[KeyRange],
-    ) -> Result<PartitionScan<&'a Tuple>> {
+    ) -> Result<PartitionScan<StoredRow<'a>>> {
         let mut scan = PartitionScan::default();
         let Some(version) = self.version_record(relation, epoch)? else {
             return Ok(scan);
@@ -1000,7 +1013,7 @@ impl<'a> StorageView<'a> {
         relation: &str,
         epoch: Epoch,
         node: NodeId,
-    ) -> Result<Vec<&'a Tuple>> {
+    ) -> Result<Vec<StoredRow<'a>>> {
         let rel = self.data.relation(relation).ok_or_else(|| {
             OrchestraError::StorageInvalid(format!("relation {relation} is not registered"))
         })?;
@@ -1021,26 +1034,6 @@ fn missing_record(relation: &str, epoch: Option<Epoch>) -> OrchestraError {
     OrchestraError::StorageMissing(format!(
         "no live node holds the coordinator record for {relation}{at}"
     ))
-}
-
-/// The detaching copy publication makes of what it stores: every string
-/// a new allocation, shared with nothing outside the store.  **The store
-/// owns its bytes.**
-///
-/// `Value::clone` and `Tuple::clone` share by pointer, which is right
-/// everywhere a row is handed on — and wrong here.  Publication copies
-/// partition by partition, and that copy is what lays a partition's rows
-/// and strings out next to each other for the scans that walk it.  With
-/// a shallow clone the store points into the publisher's heap in
-/// generation order, and the host benchmark's `adhoc_read` pays for the
-/// cache misses: `engine.op_scan_ms_per_op` 16.2 → 37.8 ms and `op_ms_p25`
-/// 103.5 → 117.6 ms (seed 42, measured on PR 23's prototype); detached,
-/// `op_scan` is 16.5.
-fn detached(values: &[Value]) -> impl Iterator<Item = Value> + '_ {
-    values.iter().map(|v| match v {
-        Value::Str(s) => Value::str(&**s),
-        number_or_null => number_or_null.clone(),
-    })
 }
 
 #[cfg(test)]
@@ -1295,7 +1288,7 @@ mod tests {
                 let ranges = s.routing().ranges_of(node);
                 let scan = s.view().scan_partition_ref("R", e, node, &ranges).unwrap();
                 assert_eq!(scan.remote_lookups, 0, "{node} scans locally");
-                tuples.extend(scan.tuples.into_iter().cloned());
+                tuples.extend(scan.tuples.iter().map(StoredRow::tuple));
             }
             tuples.sort();
             tuples
@@ -1309,7 +1302,7 @@ mod tests {
                     scan.unwrap()
                         .tuples
                         .into_iter()
-                        .map(|(t, s)| (t.clone(), s)),
+                        .map(|(t, s)| (t.tuple(), s)),
                 );
             }
             signed.sort();

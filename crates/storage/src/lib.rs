@@ -24,7 +24,13 @@
 //! holds it holds one bit, which the log keeps beside the item in that
 //! node's [`SlotSet`] ([`node_store`]): a descriptor lists its page's slot
 //! and a page entry its tuple version's.  Who holds what is read with
-//! [`DistributedStorage::held`].
+//! [`DistributedStorage::held`].  The tuple versions one publication
+//! creates are stored together, as one immutable columnar [`TupleRun`]
+//! ([`run`]): a slot names a row of its run, a scan hands out
+//! [`StoredRow`]s and the engine gathers them into a batch a column at a
+//! time ([`gather`]), and a row is built as a [`orchestra_common::Tuple`]
+//! only where a caller asks for one (retrieval, deltas, the owning
+//! [`DistributedStorage::scan_partition`]).
 //!
 //! The paper also places *inverse nodes*, which map a tuple's position
 //! back to the page that currently lists it, for rewriting that page on
@@ -67,6 +73,7 @@ pub mod distributed;
 pub mod node_store;
 pub mod page;
 pub mod replication;
+pub mod run;
 pub mod update;
 pub mod version_log;
 
@@ -78,5 +85,6 @@ pub use distributed::{
 pub use node_store::SlotSet;
 pub use page::{IndexPage, PageDescriptor, PageId};
 pub use replication::{anti_entropy, ReplicationReport};
+pub use run::{gather, StoredRow, TupleRun};
 pub use update::{Update, UpdateBatch};
 pub use version_log::{Kind, Log, VersionLog};

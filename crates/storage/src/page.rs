@@ -42,6 +42,7 @@
 
 use orchestra_common::{Epoch, Key160, KeyRange, PageEntry, TupleId, Value};
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of one version of one index page.
 ///
@@ -51,7 +52,7 @@ use std::fmt;
 #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PageId {
     /// Relation the page belongs to.
-    pub relation: String,
+    pub relation: Arc<str>,
     /// Epoch in which this version of the page was created.
     pub epoch: Epoch,
     /// Ordinal of the partition within the relation (stable across
@@ -61,8 +62,9 @@ pub struct PageId {
 }
 
 impl PageId {
-    /// Build a page ID.
-    pub fn new(relation: impl Into<String>, epoch: Epoch, partition: u32) -> PageId {
+    /// Build a page ID.  Its relation name is shared by every later
+    /// version of the page and every descriptor of it.
+    pub fn new(relation: impl Into<Arc<str>>, epoch: Epoch, partition: u32) -> PageId {
         PageId {
             relation: relation.into(),
             epoch,
@@ -195,7 +197,7 @@ impl IndexPage {
         }
         entries.extend(add);
         IndexPage {
-            id: PageId::new(self.id.relation.clone(), epoch, self.id.partition),
+            id: PageId::new(Arc::clone(&self.id.relation), epoch, self.id.partition),
             range: self.range,
             entries,
         }

@@ -35,15 +35,22 @@
 //! retention pass would leave a hole, which [`Log::get`] already answers
 //! with `None`.
 //!
-//! The tuple bodies are the store's own detached copies, and they are laid
-//! out in the order publication made them, not in slot order: partition by
-//! partition and, within one, in batch order — for keys generated in
-//! order, the order in which a scan reads a page's entries.
+//! A publication's tuple versions are one [`TupleRun`]: columns, not
+//! rows, whose strings are the store's own copies, made once per distinct
+//! string of the run.  The run's rows are laid out in the order
+//! publication made them, not in slot order — partition by partition and,
+//! within one, in batch order: for keys generated in order, the order in
+//! which a scan reads a page's entries — and the run maps each of its
+//! slots to its row.  So the version log keeps one item per *run*, and
+//! [`VersionLog::get`] finds a slot's run by its first slot and reads the
+//! row there ([`StoredRow`]).
 
 use crate::coordinator::RelationVersion;
 use crate::node_store::Holders;
 use crate::page::IndexPage;
-use orchestra_common::{Epoch, Key160, Tuple};
+use crate::run::{StoredRow, TupleRun};
+use orchestra_common::{Epoch, Key160};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// The three kinds of item a relation publishes, each numbered in a log of
@@ -83,8 +90,15 @@ pub(crate) struct Placed {
     pub(crate) holders: Holders,
 }
 
-/// A relation's tuple versions, by slot.
-pub type VersionLog = Log<Tuple>;
+/// A relation's tuple versions: one [`TupleRun`] per publication, and
+/// per slot the ring position it is placed at and the nodes that hold it.
+/// A clone shares the runs.
+#[derive(Clone, Debug, Default)]
+pub struct VersionLog {
+    /// The runs, one per run of [`Placed`], in the same order.
+    runs: Vec<Arc<TupleRun>>,
+    pub(crate) placed: Placed,
+}
 
 impl<T> Default for Log<T> {
     fn default() -> Self {
@@ -121,32 +135,66 @@ impl<T> Log<T> {
         &self.items
     }
 
-    /// Make room for `additional` more items, so that a run of them
-    /// reallocates the log at most once however large it has grown.
-    pub(crate) fn reserve(&mut self, additional: usize) {
-        self.items.reserve(additional);
-        self.placed.positions.reserve(additional);
+    /// Append `item`, placed at `position`, and return its slot: the first
+    /// of a new run when `opens_run`, else the next of the last run.
+    pub(crate) fn push(&mut self, position: Key160, item: T, opens_run: bool) -> u32 {
+        self.items.push(item);
+        self.placed.push(position, opens_run)
+    }
+}
+
+impl VersionLog {
+    /// How many slots have been numbered.
+    pub fn len(&self) -> usize {
+        self.placed.len()
     }
 
-    /// Append `item`, placed at `position`, and return its slot: the first
-    /// of a new run when `opens_run`, else the next of the last run, whose
-    /// positions it must not precede.  The caller has made sure the slot
-    /// fits in a `u32` (publication checks every log's room before its
-    /// first write).
-    pub(crate) fn push(&mut self, position: Key160, item: T, opens_run: bool) -> u32 {
-        debug_assert!(u32::try_from(self.len()).is_ok(), "log full");
-        let slot = self.len() as u32;
-        let placed = &mut self.placed;
-        if opens_run {
-            placed.runs.push(slot);
+    /// Has nothing been published to the log yet?
+    pub fn is_empty(&self) -> bool {
+        self.placed.len() == 0
+    }
+
+    /// The version at `slot`, if the log has one there: the row its run
+    /// keeps for it.
+    pub fn get(&self, slot: u32) -> Option<StoredRow<'_>> {
+        let starts = &self.placed.runs;
+        let at = starts
+            .partition_point(|&first| first <= slot)
+            .checked_sub(1)?;
+        let run = self.runs.get(at)?;
+        let row = run.row_of(slot - starts[at])?;
+        Some(StoredRow::new(run, row))
+    }
+
+    /// The ring position the version at `slot` is placed at.
+    pub fn position(&self, slot: u32) -> Option<Key160> {
+        self.placed.positions.get(slot as usize).copied()
+    }
+
+    /// Every run, in publication order.
+    pub fn runs(&self) -> &[Arc<TupleRun>] {
+        &self.runs
+    }
+
+    /// Append `run`, whose slots are placed at `positions` (ascending, one
+    /// per slot), and return its slots; a run of no slot is not kept.  The
+    /// caller has made sure they fit in a `u32` (publication checks every
+    /// log's room before its first write).
+    pub(crate) fn append(
+        &mut self,
+        positions: impl ExactSizeIterator<Item = Key160>,
+        run: TupleRun,
+    ) -> Range<u32> {
+        let start = self.len() as u32;
+        if positions.len() == 0 {
+            return start..start;
         }
-        debug_assert!(
-            opens_run || placed.positions.last() <= Some(&position),
-            "run out of order"
-        );
-        placed.positions.push(position);
-        self.items.push(item);
-        slot
+        self.placed.positions.reserve_exact(positions.len());
+        for (i, position) in positions.enumerate() {
+            self.placed.push(position, i == 0);
+        }
+        self.runs.push(Arc::new(run));
+        start..self.len() as u32
     }
 }
 
@@ -154,6 +202,23 @@ impl Placed {
     /// How many slots have been numbered.
     pub(crate) fn len(&self) -> usize {
         self.positions.len()
+    }
+
+    /// Number the next slot, placed at `position`, and return it: the
+    /// first of a new run when `opens_run`, else the next of the last run,
+    /// whose positions it must not precede.
+    fn push(&mut self, position: Key160, opens_run: bool) -> u32 {
+        debug_assert!(u32::try_from(self.len()).is_ok(), "log full");
+        let slot = self.len() as u32;
+        if opens_run {
+            self.runs.push(slot);
+        }
+        debug_assert!(
+            opens_run || self.positions.last() <= Some(&position),
+            "run out of order"
+        );
+        self.positions.push(position);
+        slot
     }
 
     /// Every run, as its first slot and its items' positions (ascending).
@@ -206,7 +271,7 @@ impl RelationLogs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use orchestra_common::Value;
+    use orchestra_common::{Tuple, Value};
 
     fn version(k: i64) -> (Key160, Tuple) {
         let tuple = Tuple::new(vec![Value::Int(k), Value::str(format!("v{k}"))]);
@@ -226,15 +291,21 @@ mod tests {
         let first = sorted_run(0..30);
         let second = sorted_run(100..105);
         for run in [&first, &second] {
-            for (i, (position, tuple)) in run.iter().enumerate() {
-                let slot = log.push(*position, tuple.clone(), i == 0);
-                assert_eq!(slot as usize, log.len() - 1);
-            }
+            // Rows in reverse slot order: a slot finds its row by the
+            // run's index, not by its own number.
+            let bodies: Vec<&[Value]> = run.iter().rev().map(|(_, t)| t.values()).collect();
+            let row_of = (0..run.len() as u32).rev().collect();
+            let before = log.len() as u32;
+            let slots = log.append(run.iter().map(|(p, _)| *p), TupleRun::new(&bodies, row_of));
+            assert_eq!(slots, before..log.len() as u32);
         }
-        assert_eq!(log.len(), 35);
+        assert_eq!((log.len(), log.runs().len()), (35, 2));
 
         for (slot, (position, tuple)) in first.iter().chain(&second).enumerate() {
-            assert_eq!(log.get(slot as u32), Some(tuple));
+            assert_eq!(
+                log.get(slot as u32).map(|row| row.tuple()).as_ref(),
+                Some(tuple)
+            );
             assert_eq!(log.position(slot as u32), Some(*position));
         }
         assert_eq!(log.get(35), None);

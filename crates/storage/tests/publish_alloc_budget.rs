@@ -169,6 +169,55 @@ fn a_churn_epoch_allocates_the_same_over_5k_or_40k_rows() {
     assert!(small <= CHURN_EPOCH_BUDGET, "{small} allocations");
 }
 
+/// The allocation calls of publishing a first batch of `rows` rows —
+/// (`Int` key, `Int`, a `Str` drawn from three values) — onto an empty
+/// eight-node store.
+fn bulk_allocations(rows: i64) -> u64 {
+    let nodes: Vec<NodeId> = (0..8).map(NodeId).collect();
+    let routing = RoutingTable::build(&nodes, AllocationScheme::Balanced, 3);
+    let mut storage = DistributedStorage::new(routing, StorageConfig::default());
+    storage.register_relation(Relation::partitioned(
+        "R",
+        Schema::keyed_on_first(vec![
+            ("k", ColumnType::Int),
+            ("v", ColumnType::Int),
+            ("flag", ColumnType::Str),
+        ]),
+    ));
+    let flags = ["A", "N", "R"].map(Value::str);
+    let mut bulk = UpdateBatch::new();
+    bulk.insert_all(
+        "R",
+        (0..rows).map(|k| {
+            Tuple::new(vec![
+                Value::Int(k),
+                Value::Int(k * 7),
+                flags[k as usize % 3].clone(),
+            ])
+        }),
+    );
+    let (published, allocs) = counting(|| storage.publish(&bulk));
+    published.expect("bulk load");
+    allocs
+}
+
+#[test]
+fn a_publication_allocates_per_run_not_per_row() {
+    // The bodies a publication stores are one run of columns, whose
+    // strings are copied once each: the only allocation a row costs is
+    // its page entry's key (a tuple ID holds its key in an `Arc` of its
+    // own, which every later version of the page shares).  Storing each
+    // body as a row of its own, with its own copy of its string, cost
+    // three a row.
+    let small = bulk_allocations(5_000);
+    let large = bulk_allocations(40_000);
+    let keys = 40_000 - 5_000;
+    assert!(
+        large - small <= keys + 64,
+        "5k rows: {small} allocations, 40k rows: {large}"
+    );
+}
+
 /// The allocation calls of `scan_partition_ref` by node 0 over the ranges
 /// it owns in a store of `rows` rows, less those its result `Vec` makes
 /// growing to the rows returned.

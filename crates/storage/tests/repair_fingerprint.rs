@@ -94,7 +94,7 @@ fn assert_versions_are_shared(s: &DistributedStorage, logged: &[usize]) {
         let body = s.version_log(relation).unwrap().get(slot).unwrap();
         for n in (0..STORES).map(NodeId) {
             let (tuple, remote) = view.lookup_tuple(relation, entry, Some(n)).unwrap();
-            assert!(std::ptr::eq(tuple, body), "{relation} {} at {n}", entry.id);
+            assert!(tuple == body, "{relation} {} at {n}", entry.id);
             let local = remote.is_none();
             let holds = (s.held(n, relation, Kind::Tuple)).is_some_and(|h| h.contains(slot));
             assert_eq!(local, holds && !s.failed_nodes().contains(n), "{n}");

@@ -68,7 +68,7 @@ impl Trace {
         let scan = s.view().delta_partition_ref("R", from, to, node, &ranges);
         let scan = scan.unwrap();
         for (tuple, sign) in &scan.tuples {
-            self.tuple(tuple, *sign);
+            self.tuple(&tuple.tuple(), *sign);
         }
         self.counters(
             scan.pages_read,

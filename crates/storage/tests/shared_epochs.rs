@@ -230,7 +230,7 @@ fn replicas_and_clones_share_one_allocation() {
             .map(|e| (&e.id, e.slot))
             .collect();
         assert_eq!(ids.len(), log.len(), "{relation}: one slot per ID");
-        let bodies = (0..log.len() as u32).map(|slot| log.get(slot).unwrap().values().as_ptr());
+        let bodies = (0..log.len() as u32).map(|slot| log.get(slot).unwrap());
         assert_eq!(
             bodies.collect::<HashSet<_>>().len(),
             log.len(),
@@ -250,7 +250,7 @@ fn replicas_and_clones_share_one_allocation() {
             .unwrap();
         assert_eq!(scan.tuples.len(), listed.len());
         for (tuple, slot) in scan.tuples.iter().zip(&listed) {
-            assert!(std::ptr::eq(*tuple, log.get(*slot).unwrap()), "{node}");
+            assert!(*tuple == log.get(*slot).unwrap(), "{node}");
         }
     }
 
@@ -272,6 +272,31 @@ fn replicas_and_clones_share_one_allocation() {
     let mut copy = s.clone();
     copy.forget(NodeId(1));
     assert_eq!(Arc::strong_count(&probe), 3, "the forgetful clone's log");
+}
+
+#[test]
+fn a_clone_shares_every_run_and_publishing_to_it_appends_one() {
+    // A relation's tuple versions are one run per publication, behind an
+    // `Arc`: a clone shares them, and a publication to the clone adds its
+    // run beside them without copying one.
+    let (s, _) = seeded_store();
+    let mut copy = s.clone();
+    let mut batch = UpdateBatch::new();
+    batch.modify(
+        "R",
+        Tuple::new(vec![Value::Int(3), Value::str("clone"), Value::Int(0)]),
+    );
+    copy.publish(&batch).unwrap();
+    let (ours, theirs) = (
+        s.version_log("R").unwrap().runs(),
+        copy.version_log("R").unwrap().runs(),
+    );
+    assert_eq!(theirs.len(), ours.len() + 1);
+    for (mine, shared) in ours.iter().zip(theirs) {
+        assert!(Arc::ptr_eq(mine, shared));
+        assert_eq!(Arc::strong_count(mine), 2, "the store and its clone");
+    }
+    assert_eq!(Arc::strong_count(&theirs[ours.len()]), 1);
 }
 
 /// The addresses of a row's own allocations: the row and its strings.
@@ -327,7 +352,7 @@ fn the_store_owns_its_bytes() {
     let mut stored: HashSet<*const u8> = HashSet::new();
     let log = s.version_log("S").unwrap();
     for slot in 0..log.len() as u32 {
-        let held: Vec<_> = allocations_of(log.get(slot).unwrap().values()).collect();
+        let held: Vec<_> = allocations_of(log.get(slot).unwrap().tuple().values()).collect();
         assert!(held.iter().all(|a| !published.contains(a)), "slot {slot}");
         stored.extend(held);
         versions += 1;

@@ -115,7 +115,7 @@ fn assert_reads_alike(
             let tuples = v
                 .scan_replicated("N", from, node)
                 .map_err(|e| e.to_string())?;
-            Ok(tuples.into_iter().cloned().collect())
+            Ok(tuples.iter().map(|row| row.tuple()).collect())
         };
         assert_eq!(replicated(view), replicated(mine), "{what}: replicated");
     }
