@@ -687,9 +687,9 @@ fn a_failure_run_that_never_stalls_reads_the_callers_store() {
     let half = SimTime::from_micros(free.makespan.as_micros() / 2);
     for (at, stalls) in [(after, false), (half, true)] {
         let (mut s, mut view, to) = setup();
-        // A page is stored once, in its relation's page log, which the
-        // store shares with its copies until one of them is written to.
-        let probe = std::sync::Arc::clone(s.page_log("R").unwrap().get(0).unwrap());
+        // A relation's first publication is one run, which the store's
+        // log shares with its copies' until one of them is written to.
+        let probe = std::sync::Arc::clone(&s.log("R").unwrap().runs()[0]);
         assert_eq!(
             std::sync::Arc::strong_count(&probe),
             2,
@@ -707,7 +707,8 @@ fn a_failure_run_that_never_stalls_reads_the_callers_store() {
             "failure at {at:?}: the leg derived once, on the caller's store"
         );
         // Had the run kept a copy of the store, publishing to the store
-        // would copy its logs, and the probe would gain a reference.
+        // would copy its log's run pointers, and the probe would gain a
+        // reference.
         let mut b = UpdateBatch::new();
         b.insert("R", r_row(300));
         s.publish(&b).unwrap();

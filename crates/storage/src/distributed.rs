@@ -1,6 +1,6 @@
 //! The distributed, replicated, versioned store.
 //!
-//! [`DistributedStorage`] glues the relations' logs
+//! [`DistributedStorage`] glues the relations' logs of runs
 //! ([`crate::version_log`]) to the substrate's routing: every piece of
 //! state (coordinator record, index page, tuple version) is written to the
 //! node owning its ring position plus that node's replica set, and read
@@ -19,26 +19,29 @@
 //! ## Epochs are physically immutable and stored once
 //!
 //! What an epoch publishes never changes, so it is built once and
-//! *numbered*: each new coordinator record, page version and tuple
-//! version is stored once, in its relation's log of that kind
-//! ([`crate::version_log`]), under the number publication gives it (its
-//! *slot*), and its owner and replicas each set their bit for that slot,
-//! which the log keeps beside the item.  A node holds bits, whatever it
-//! holds, so anti-entropy repairs a placement by setting bits, one loop
-//! over the logs.  A relation's logs, holder bits included, sit behind one
-//! `Arc` that is copied on first write, so cloning the whole cluster costs
-//! a pointer per relation, and a clone that is then published to, failed
-//! or made to forget a node leaves the original exactly as it was.
+//! *numbered*: a relation's share of it is one immutable run of the
+//! relation's log ([`crate::version_log`]) — the new coordinator record,
+//! page versions and tuple versions, each under the number of its kind
+//! publication gives it (its *slot*) — and each item's owner and replicas
+//! set their bit for that slot, which the log keeps beside its runs.  A
+//! node holds bits, whatever it holds, so anti-entropy repairs a placement
+//! by setting bits, one loop over the logs.  A relation's log, holder bits
+//! included, sits behind one `Arc` that is copied on first write, and its
+//! runs behind one each, so cloning the whole cluster costs a pointer per
+//! relation; a clone that is then published to, repaired or made to forget
+//! a node copies the run pointers and the holder bits of the relations it
+//! writes to, never an item, and leaves the original exactly as it was.
 //!
 //! ## A batch commits whole
 //!
 //! Publication reads before it writes.  For every relation of the batch
 //! it first resolves everything that can fail — the relation is
 //! registered and its keys complete, the previous record and the previous
-//! page of every touched partition have a live holder, each log has room
-//! for the slots the batch adds — and only then appends and sets bits,
-//! which cannot fail.  A batch that fails leaves the store exactly as it
-//! was, and its epoch number free.
+//! page of every touched partition have a live holder, each kind of the
+//! relation's log has room for the slots the batch adds — and only then
+//! builds each relation's run off to the side, sets its holders' bits and
+//! appends it, none of which can fail.  A batch that fails leaves the
+//! store exactly as it was, and its epoch number free.
 //!
 //! ## Another routing or failure set is a view, not a copy
 //!
@@ -58,10 +61,10 @@
 //! ([`orchestra_common::PageEntry`]) and carried into every later page
 //! version.  Scans, delta scans and retrieval filter tuples by that cached
 //! position, find a holder by testing a node's bit for the slot, and
-//! read the tuple at that slot of the log — its run's row — with no search
-//! per tuple.  A record is found by epoch in the relation's record log and
-//! a page by the slot its descriptor carries, so no ID is built or hashed
-//! to find either.  They *borrow* the coordinator record and the page from
+//! read the tuple at that slot of the log — its run's row, the run found
+//! by a binary search of the runs' first slots.  A record is found by
+//! epoch in the relation's runs and a page by the slot its descriptor
+//! carries, so no ID is built or hashed to find either.  They *borrow* the coordinator record and the page from
 //! the logs, and hand out each tuple as a reference to its row
 //! ([`StoredRow`]), which the engine gathers into a batch a column at a
 //! time ([`crate::run::gather`]); [`DistributedStorage::scan_partition`]
@@ -69,11 +72,12 @@
 //! to own them.
 
 use crate::coordinator::{CoordinatorKey, RelationVersion};
+use crate::node_store::Holders;
 use crate::node_store::SlotSet;
 use crate::page::{partition_of, partition_range, IndexPage, PageDescriptor, PageId};
 use crate::run::{StoredRow, TupleRun};
 use crate::update::{Update, UpdateBatch};
-use crate::version_log::{Kind, Log, Placed, RelationLogs, VersionLog};
+use crate::version_log::{Kind, RelationLog, Run};
 use orchestra_common::{
     Epoch, Key160, KeyRange, NodeId, NodeSet, OrchestraError, PageEntry, Relation, Result, Tuple,
     TupleId, Value,
@@ -155,17 +159,17 @@ pub struct RetrievalResult {
 /// The distributed, replicated, versioned storage layer.
 ///
 /// `Clone` is cheap — one pointer per relation; the clone and the
-/// original share every relation's logs until one of them writes to them.
+/// original share every relation's log until one of them writes to it,
+/// and every run after that.
 /// Reading the data under another routing table or failure set needs no
 /// clone: it is a [`StorageView`], and a view copies nothing.
 #[derive(Clone)]
 pub struct DistributedStorage {
     config: StorageConfig,
     routing: RoutingTable,
-    /// Every relation's records, pages and tuple versions, by slot, with
-    /// the nodes holding each.  Copy-on-write: written through
-    /// [`Arc::make_mut`] only.
-    logs: HashMap<String, Arc<RelationLogs>>,
+    /// Every relation's runs, one per publication, and the nodes holding
+    /// each item.  Copy-on-write: written through [`Arc::make_mut`] only.
+    logs: HashMap<String, Arc<RelationLog>>,
     failed: NodeSet,
     catalog: HashMap<String, Relation>,
     published: u64,
@@ -291,60 +295,48 @@ impl DistributedStorage {
         self.published.checked_sub(1).map(Epoch)
     }
 
-    /// The items of `relation`'s log of `kind` that `node` holds (tests,
+    /// The items of `kind` of `relation`'s log that `node` holds (tests,
     /// diagnostics): `None`, or an empty set, when it holds none.
     pub fn held(&self, node: NodeId, relation: &str, kind: Kind) -> Option<&SlotSet> {
-        self.logs.get(relation)?.placed(kind).holders.of(node)
+        self.logs.get(relation)?.holders(kind).of(node)
     }
 
     /// How many items of `kind` `node` holds, over every relation.
     pub fn held_count(&self, node: NodeId, kind: Kind) -> usize {
         let logs = self.logs.values();
-        let held = logs.filter_map(|logs| logs.placed(kind).holders.of(node));
+        let held = logs.filter_map(|log| log.holders(kind).of(node));
         held.map(SlotSet::len).sum()
     }
 
     /// Drop everything `node` holds — the permanent loss of its local
-    /// storage.  A relation's logs that a clone still shares, and that the
-    /// node holds something of, are unshared first.
+    /// storage.  A relation's log that a clone still shares, and that the
+    /// node holds something of, is unshared first: its run pointers and
+    /// holder bits are copied, its runs shared.
     pub fn forget(&mut self, node: NodeId) {
-        for logs in self.logs.values_mut() {
+        for log in self.logs.values_mut() {
             for kind in Kind::ALL {
-                if (logs.placed(kind).holders.of(node)).is_some_and(|held| !held.is_empty()) {
-                    Arc::make_mut(logs).placed_mut(kind).holders.forget(node);
+                if (log.holders(kind).of(node)).is_some_and(|held| !held.is_empty()) {
+                    Arc::make_mut(log).holders_mut(kind).forget(node);
                 }
             }
         }
     }
 
-    /// Every relation's logs, for setting holder bits (anti-entropy), each
+    /// Every relation's log, for setting holder bits (anti-entropy), each
     /// with whether the relation is replicated.
-    pub(crate) fn logs_mut(&mut self) -> impl Iterator<Item = (bool, &mut Arc<RelationLogs>)> {
+    pub(crate) fn logs_mut(&mut self) -> impl Iterator<Item = (bool, &mut Arc<RelationLog>)> {
         let catalog = &self.catalog;
-        self.logs.iter_mut().map(move |(name, logs)| {
+        self.logs.iter_mut().map(move |(name, log)| {
             let replicated = catalog.get(name).is_some_and(Relation::is_replicated);
-            (replicated, logs)
+            (replicated, log)
         })
     }
 
-    /// The tuple versions `relation` has published, by slot, or `None`
-    /// before its first publication.  A node holds the version at slot `s`
-    /// when [`Self::held`] lists `s`.
-    pub fn version_log(&self, relation: &str) -> Option<&VersionLog> {
-        Some(&self.logs.get(relation)?.versions)
-    }
-
-    /// The index-page versions `relation` has published, by slot (a
-    /// [`PageDescriptor`]'s `slot`), or `None` before its first
-    /// publication.
-    pub fn page_log(&self, relation: &str) -> Option<&Log<Arc<IndexPage>>> {
-        Some(&self.logs.get(relation)?.pages)
-    }
-
-    /// The coordinator records of `relation`, one per publication, in
-    /// publication order, or `None` before its first publication.
-    pub fn record_log(&self, relation: &str) -> Option<&Log<Arc<RelationVersion>>> {
-        Some(&self.logs.get(relation)?.records)
+    /// Everything `relation` has published, one run per publication, or
+    /// `None` before its first publication.  A node holds the item of a
+    /// kind at slot `s` when [`Self::held`] lists `s`.
+    pub fn log(&self, relation: &str) -> Option<&RelationLog> {
+        self.logs.get(relation).map(|log| &**log)
     }
 
     // ------------------------------------------------------------------
@@ -356,10 +348,10 @@ impl DistributedStorage {
     /// Every relation mentioned in the batch gets a new version that
     /// shares all untouched pages with its previous version.  Its new
     /// tuple versions, page versions and coordinator record are numbered
-    /// and stored once, in the relation's logs, and their owners and
-    /// replicas under the current routing table set their bits; a page
-    /// lists each version with its slot, and a record each page with its
-    /// slot.
+    /// and stored once, as one run appended to the relation's log, and
+    /// their owners and replicas under the current routing table set their
+    /// bits; a page lists each version with its slot, and a record each
+    /// page with its slot.
     ///
     /// Everything that can fail is resolved for the whole batch before the
     /// first write, so a batch that fails — an unregistered relation, a
@@ -377,14 +369,19 @@ impl DistributedStorage {
         let staged = (batch.relations())
             .map(|name| self.stage(name, batch.updates_for(name), epoch))
             .collect::<Result<Vec<_>>>()?;
-        // Each relation's logs are taken out of the map while they are
-        // written, so that `write` can read the routing beside them.
+        // Each relation's run is built off to the side; then its holders
+        // set their bits and the run is appended.
         for relation in staged {
-            let name = relation.name;
-            let (name, mut logs) = (self.logs.remove_entry(name))
-                .unwrap_or_else(|| (name.to_string(), Arc::default()));
-            self.write(Arc::make_mut(&mut logs), &relation, epoch);
-            self.logs.insert(name, logs);
+            let run = self.run(&relation, epoch);
+            let (name, mut log) = (self.logs.remove_entry(relation.name))
+                .unwrap_or_else(|| (relation.name.to_string(), Arc::default()));
+            let writable = Arc::make_mut(&mut log);
+            for kind in Kind::ALL {
+                let everywhere = relation.replicated && kind == Kind::Tuple;
+                self.place(writable.holders_mut(kind), &run, kind, everywhere);
+            }
+            writable.push(run);
+            self.logs.insert(name, log);
         }
         self.published += 1;
         Ok(epoch)
@@ -436,8 +433,8 @@ impl DistributedStorage {
 
         // Room for the record, the touched pages and at most a version per
         // update.
-        let logs = self.logs.get(name);
-        let logged = |kind| logs.map_or(0, |logs| logs.placed(kind).len());
+        let log = self.logs.get(name);
+        let logged = |kind| log.map_or(0, |log| log.len(kind));
         let adding = [1, prev_pages.len(), updates.len()];
         let full = |(kind, n): &(Kind, usize)| u32::try_from(logged(*kind) + n).is_err();
         if let Some((kind, _)) = Kind::ALL.into_iter().zip(adding).find(full) {
@@ -456,10 +453,14 @@ impl DistributedStorage {
         })
     }
 
-    /// Write one relation's share of a batch, `staged`, as `epoch` into
-    /// the relation's logs: nothing here can fail.
-    fn write(&self, logs: &mut RelationLogs, staged: &Staged<'_>, epoch: Epoch) {
+    /// Build the run publishing one relation's share of a batch, `staged`,
+    /// as `epoch` creates: nothing here can fail.  Its slots continue the
+    /// relation's log.
+    fn run(&self, staged: &Staged<'_>, epoch: Epoch) -> Run {
         let (name, key_len, updates) = (staged.name, staged.key_len, &staged.updates);
+        let log = self.logs.get(name);
+        // The log's room for the run was checked by `stage`.
+        let first = Kind::ALL.map(|kind| log.map_or(0, |log| log.len(kind)) as u32);
         let parts = self.config.partitions_per_relation;
         let is_touched = |partition: u32| updates.binary_search_by_key(&partition, |u| u.0).is_ok();
         // The relation's name, which all its page IDs share: the previous
@@ -486,11 +487,17 @@ impl DistributedStorage {
                 Update::Delete(_) => None,
             })
             .collect();
-        let slots = self.store_versions(&mut logs.versions, key_len, staged.replicated, &fresh);
+        let (versions, version_positions, offsets) = tuple_run(key_len, &fresh);
+        // An offset is below the run's length, so its slot fits as the
+        // log's end does.
+        let slots = offsets
+            .iter()
+            .map(|&o| first[Kind::Tuple as usize] + o as u32);
         let mut numbered = fresh.iter().zip(slots);
 
         let touched = updates.chunk_by(|a, b| a.0 == b.0).zip(&staged.prev_pages);
-        for (at, (ups, prev_page)) in touched.enumerate() {
+        let mut pages = Vec::with_capacity(staged.prev_pages.len());
+        for (ups, prev_page) in touched {
             let partition = ups[0].0;
             // The superseded versions are found in (and borrowed from) the
             // key-sorted previous page by binary search.
@@ -525,114 +532,35 @@ impl DistributedStorage {
                 })
                 .collect();
 
-            let new_page = Arc::new(match prev_page {
+            let new_page = match prev_page {
                 Some(p) => p.next_version(epoch, removes, adds),
                 None => IndexPage::new(
                     PageId::new(Arc::clone(&relation), epoch, partition),
                     partition_range(partition, parts),
                     adds,
                 ),
-            });
-
-            // Store the page in the relation's page log — the first page of
-            // the publication opens its run — and place it at the node
-            // owning the middle of its range (+ replicas).
-            let position = new_page.range.midpoint();
-            let slot = (logs.pages).push(position, Arc::clone(&new_page), at == 0);
-            self.place(&mut logs.pages.placed, Some(position), slot..slot + 1);
+            };
+            // The run's pages continue the log's slots in partition order.
+            let slot = first[Kind::Page as usize] + pages.len() as u32;
             descriptors.push(new_page.descriptor(slot));
+            pages.push(Arc::new(new_page));
         }
 
-        // Store and place the coordinator record for the new version.
+        // The coordinator record for the new version.
         let coord_key = CoordinatorKey::new(name, epoch);
         let position = coord_key.hash();
-        let version = Arc::new(RelationVersion::new(coord_key, descriptors));
-        let slot = logs.records.push(position, version, true);
-        self.place(&mut logs.records.placed, Some(position), slot..slot + 1);
-    }
-
-    /// Store the versions one publication of a relation creates — `fresh`,
-    /// each the ring position of its key and the batch's tuple — in the
-    /// relation's version log `log`, and return each one's slot, in
-    /// `fresh`'s order.
-    ///
-    /// The versions are numbered as one run of the log, in position order
-    /// ([`VersionLog`]); a key written twice is one version with the later
-    /// write's body.  The bodies are stored as one [`TupleRun`], columns
-    /// whose strings are the store's copies, made once per distinct string;
-    /// its rows are in `fresh`'s order, so that a partition's rows lie
-    /// together and, for keys generated in order, in the order a scan of
-    /// its page reads them (bodies laid out in slot order instead, the
-    /// host benchmark's `adhoc_read` read 84–86 ms an operation against
-    /// 76–80, three pairs on one box, when bodies were rows).  Then every
-    /// live holder — the replica set of each version's arc, or every live
-    /// node for a replicated relation — sets its bits: the slots one
-    /// routing entry places are consecutive, so a holder is handed ranges,
-    /// not single versions.
-    fn store_versions(
-        &self,
-        log: &mut VersionLog,
-        key_len: usize,
-        replicated: bool,
-        fresh: &[(Key160, &Tuple)],
-    ) -> Vec<u32> {
-        if fresh.is_empty() {
-            return Vec::new();
+        Run {
+            first,
+            record: (
+                position,
+                Arc::new(RelationVersion::new(coord_key, descriptors)),
+            ),
+            // A page is placed at the node owning the middle of its range.
+            page_positions: pages.iter().map(|p| p.range.midpoint()).collect(),
+            pages,
+            versions,
+            version_positions,
         }
-        let key = |i: usize| fresh[i].1.key(key_len);
-        let mut order: Vec<usize> = (0..fresh.len()).collect();
-        order.sort_unstable_by(|&a, &b| {
-            (fresh[a].0.cmp(&fresh[b].0))
-                .then_with(|| key(a).cmp(key(b)))
-                .then(a.cmp(&b))
-        });
-        // Per slot of the run, the write whose body it stores; per write,
-        // its slot's offset in the run.
-        let mut stored: Vec<usize> = Vec::with_capacity(fresh.len());
-        let mut offset = vec![0; fresh.len()];
-        for (k, &i) in order.iter().enumerate() {
-            let j = order[k.saturating_sub(1)];
-            match stored.last_mut() {
-                Some(last) if fresh[j].0 == fresh[i].0 && key(j) == key(i) => *last = i,
-                _ => stored.push(i),
-            }
-            offset[i] = stored.len() - 1;
-        }
-        // The stored bodies, in `fresh`'s order, and the row of each slot.
-        let mut bodies: Vec<&[Value]> = Vec::with_capacity(stored.len());
-        let mut row_of = vec![0; stored.len()];
-        for (i, &o) in offset.iter().enumerate() {
-            if stored[o] == i {
-                // At most one row per update, which the log's room covers.
-                row_of[o] = bodies.len() as u32;
-                bodies.push(fresh[i].1.values());
-            }
-        }
-        let positions = stored.iter().map(|&i| fresh[i].0);
-        let run = log.append(positions, TupleRun::new(&bodies, row_of));
-
-        let mut placed: Vec<(Option<Key160>, Range<u32>)> = Vec::new();
-        if replicated {
-            placed.push((None, run.clone()));
-        } else {
-            let mut current: &[NodeId] = &[];
-            for (slot, &i) in run.clone().zip(&stored) {
-                let replicas = self.routing.replicas_of(fresh[i].0);
-                match placed.last_mut() {
-                    Some((_, slots)) if std::ptr::eq(replicas, current) => slots.end = slot + 1,
-                    _ => {
-                        current = replicas;
-                        placed.push((Some(fresh[i].0), slot..slot + 1));
-                    }
-                }
-            }
-        }
-        for (at, slots) in placed {
-            self.place(&mut log.placed, at, slots);
-        }
-        // An offset is below the run's length, so its slot fits as the
-        // run's end does.
-        offset.iter().map(|&o| run.start + o as u32).collect()
     }
 
     // ------------------------------------------------------------------
@@ -645,14 +573,17 @@ impl DistributedStorage {
     /// version resolution sits on every scan and delta path and a linear
     /// walk would grow with a relation's publication history.
     pub fn version_at(&self, relation: &str, epoch: Epoch) -> Option<Epoch> {
-        let logs = self.logs.get(relation)?;
-        Some(logs.records.get(logs.record_at(epoch)?)?.key.epoch)
+        let log = self.logs.get(relation)?;
+        Some(log.record(log.record_at(epoch)?)?.key.epoch)
     }
 
     /// All epochs at which `relation` changed, in order.
     pub fn version_history(&self, relation: &str) -> impl Iterator<Item = Epoch> + '_ {
-        let records = self.record_log(relation).map_or(&[][..], Log::items);
-        records.iter().map(|record| record.key.epoch)
+        let records = self
+            .log(relation)
+            .into_iter()
+            .flat_map(RelationLog::records);
+        records.map(|record| record.key.epoch)
     }
 
     /// Cardinality of `relation` at `epoch` (from coordinator metadata —
@@ -664,25 +595,33 @@ impl DistributedStorage {
         }
     }
 
-    /// Set the bits of `slots` of a log, whose placement and holders are
-    /// `placed`, at every live holder of what is placed at `key` — its
-    /// replica set, owner first — or, for `None` (a replicated relation),
-    /// at every live node.
-    fn place(&self, placed: &mut Placed, key: Option<Key160>, slots: Range<u32>) {
-        let log_len = placed.len();
-        let every_node;
-        let holders = match key {
-            Some(key) => self.routing.replicas_of(key),
-            None => {
-                every_node = self.routing.nodes();
-                &every_node
+    /// Set the bits of `run`'s items of `kind` in `holders`, the log's
+    /// holders of that kind, at every live holder of each: the replica set
+    /// of its position, or every live node when `everywhere` (a replicated
+    /// relation's tuple versions).  The slots one routing entry places are
+    /// consecutive, so a holder is handed ranges, not single items.
+    fn place(&self, holders: &mut Holders, run: &Run, kind: Kind, everywhere: bool) {
+        let (first, positions) = run.placed(kind);
+        // The run's slots fit in a `u32`, as its log's do.
+        let end = first + positions.len() as u32;
+        let mut set = |nodes: &[NodeId], slots: Range<u32>| {
+            let live = nodes.iter().filter(|n| self.view().is_live(**n));
+            for &node in live.filter(|_| !slots.is_empty()) {
+                (holders.of_mut(node, end as usize)).insert_range(slots.clone());
             }
         };
-        for &node in holders {
-            if self.view().is_live(node) {
-                (placed.holders.of_mut(node, log_len)).insert_range(slots.clone());
+        if everywhere {
+            return set(&self.routing.nodes(), first..end);
+        }
+        let (mut start, mut current): (u32, &[NodeId]) = (first, &[]);
+        for (slot, position) in (first..).zip(positions) {
+            let replicas = self.routing.replicas_of(*position);
+            if !std::ptr::eq(replicas, current) {
+                set(current, start..slot);
+                (start, current) = (slot, replicas);
             }
         }
+        set(current, start..end);
     }
 
     /// [`StorageView::scan_partition_ref`] under the store's own view, for
@@ -770,6 +709,54 @@ impl DistributedStorage {
     }
 }
 
+/// The tuple versions one publication of a relation creates — `fresh`,
+/// each the ring position of its key and the batch's tuple — as a run's
+/// bodies and positions, with each write's offset among the run's slots,
+/// in `fresh`'s order.
+///
+/// The versions are numbered in position order ([`Run`]); a key written
+/// twice is one version with the later write's body.  The bodies are
+/// stored as one [`TupleRun`], columns whose strings are the store's
+/// copies, made once per distinct string; its rows are in `fresh`'s order,
+/// so that a partition's rows lie together and, for keys generated in
+/// order, in the order a scan of its page reads them (bodies laid out in
+/// slot order instead, the host benchmark's `adhoc_read` read 84–86 ms an
+/// operation against 76–80, three pairs on one box, when bodies were
+/// rows).
+fn tuple_run(key_len: usize, fresh: &[(Key160, &Tuple)]) -> (TupleRun, Vec<Key160>, Vec<usize>) {
+    let key = |i: usize| fresh[i].1.key(key_len);
+    let mut order: Vec<usize> = (0..fresh.len()).collect();
+    order.sort_unstable_by(|&a, &b| {
+        (fresh[a].0.cmp(&fresh[b].0))
+            .then_with(|| key(a).cmp(key(b)))
+            .then(a.cmp(&b))
+    });
+    // Per slot of the run, the write whose body it stores; per write, its
+    // slot's offset in the run.
+    let mut stored: Vec<usize> = Vec::with_capacity(fresh.len());
+    let mut offset = vec![0; fresh.len()];
+    for (k, &i) in order.iter().enumerate() {
+        let j = order[k.saturating_sub(1)];
+        match stored.last_mut() {
+            Some(last) if fresh[j].0 == fresh[i].0 && key(j) == key(i) => *last = i,
+            _ => stored.push(i),
+        }
+        offset[i] = stored.len() - 1;
+    }
+    // The stored bodies, in `fresh`'s order, and the row of each slot.
+    let mut bodies: Vec<&[Value]> = Vec::with_capacity(stored.len());
+    let mut row_of = vec![0; stored.len()];
+    for (i, &o) in offset.iter().enumerate() {
+        if stored[o] == i {
+            // At most one row per update, which the log's room covers.
+            row_of[o] = bodies.len() as u32;
+            bodies.push(fresh[i].1.values());
+        }
+    }
+    let positions = stored.iter().map(|&i| fresh[i].0).collect();
+    (TupleRun::new(&bodies, row_of), positions, offset)
+}
+
 impl<'a> StorageView<'a> {
     /// The same data placed by `routing` (a query's snapshot, stale or
     /// not, or a recovery table), with the same nodes unreadable.
@@ -809,11 +796,11 @@ impl<'a> StorageView<'a> {
             .filter(|n| self.is_live(*n))
     }
 
-    /// The first live node that holds the item at `slot` of a log whose
-    /// placement and holders are `placed`, placed at `position`: its owner,
-    /// then its replicas, then every live node.
-    fn holder(&self, placed: &Placed, slot: u32, position: Key160) -> Option<NodeId> {
-        let holds = |node: &NodeId| placed.holders.holds(*node, slot);
+    /// The first live node of `holders` that holds the item at `slot`,
+    /// placed at `position`: its owner, then its replicas, then every live
+    /// node.
+    fn holder(&self, holders: &Holders, slot: u32, position: Key160) -> Option<NodeId> {
+        let holds = |node: &NodeId| holders.holds(*node, slot);
         let live = |n: &NodeId| self.is_live(*n);
         self.live_replicas(position).find(holds).or_else(|| {
             let mut every = self.routing.nodes().into_iter().filter(live);
@@ -839,16 +826,16 @@ impl<'a> StorageView<'a> {
         relation: &str,
         epoch: Epoch,
     ) -> Result<Option<&'a Arc<RelationVersion>>> {
-        let Some(logs) = self.data.logs.get(relation) else {
+        let Some(log) = self.data.log(relation) else {
             return Ok(None);
         };
-        let Some(slot) = logs.record_at(epoch) else {
+        let Some(slot) = log.record_at(epoch) else {
             return Ok(None);
         };
-        let log = &logs.records;
-        let record = log.get(slot).zip(log.position(slot));
+        let record = log.record(slot).zip(log.position(Kind::Record, slot));
+        let holders = log.holders(Kind::Record);
         match record {
-            Some((record, at)) if self.holder(&log.placed, slot, at).is_some() => Ok(Some(record)),
+            Some((record, at)) if self.holder(holders, slot, at).is_some() => Ok(Some(record)),
             _ => Err(missing_record(relation, record.map(|(r, _)| r.key.epoch))),
         }
     }
@@ -857,15 +844,17 @@ impl<'a> StorageView<'a> {
     /// then every live node.
     pub fn lookup_index_page(&self, descriptor: &PageDescriptor) -> Result<&'a Arc<IndexPage>> {
         let (relation, slot) = (&descriptor.id.relation, descriptor.slot);
-        let log = self.data.page_log(relation);
-        let held =
-            log.filter(|log| (self.holder(&log.placed, slot, descriptor.storage_key)).is_some());
-        held.and_then(|log| log.get(slot)).ok_or_else(|| {
-            OrchestraError::StorageMissing(format!(
-                "no live node holds index page {}",
-                descriptor.id
-            ))
-        })
+        let log = self.data.log(relation);
+        let holders = log.map(|log| log.holders(Kind::Page));
+        let held = holders.and_then(|h| self.holder(h, slot, descriptor.storage_key));
+        log.filter(|_| held.is_some())
+            .and_then(|log| log.page(slot))
+            .ok_or_else(|| {
+                OrchestraError::StorageMissing(format!(
+                    "no live node holds index page {}",
+                    descriptor.id
+                ))
+            })
     }
 
     /// Find a holder of the tuple version a page entry lists, trying the
@@ -887,13 +876,14 @@ impl<'a> StorageView<'a> {
                 entry.id
             ))
         };
-        let log = self.data.version_log(relation).ok_or_else(missing)?;
-        let tuple = log.get(entry.slot).ok_or_else(missing)?;
+        let log = self.data.log(relation).ok_or_else(missing)?;
+        let tuple = log.version(entry.slot).ok_or_else(missing)?;
+        let holders = log.holders(Kind::Tuple);
         let local = preferred.filter(|n| self.is_live(*n));
-        if local.is_some_and(|n| log.placed.holders.holds(n, entry.slot)) {
+        if local.is_some_and(|n| holders.holds(n, entry.slot)) {
             return Ok((tuple, None));
         }
-        let node = (self.holder(&log.placed, entry.slot, entry.position)).ok_or_else(missing)?;
+        let node = (self.holder(holders, entry.slot, entry.position)).ok_or_else(missing)?;
         Ok((tuple, (preferred != Some(node)).then_some(node)))
     }
 
@@ -904,9 +894,12 @@ impl<'a> StorageView<'a> {
         &self,
         relation: &str,
         node: NodeId,
-    ) -> Option<(&'a SlotSet, &'a VersionLog)> {
-        let log = self.data.version_log(relation)?;
-        let held = log.placed.holders.of(node).filter(|_| self.is_live(node))?;
+    ) -> Option<(&'a SlotSet, &'a RelationLog)> {
+        let log = self.data.log(relation)?;
+        let held = log
+            .holders(Kind::Tuple)
+            .of(node)
+            .filter(|_| self.is_live(node))?;
         Some((held, log))
     }
 
@@ -920,13 +913,13 @@ impl<'a> StorageView<'a> {
     pub(crate) fn scan_tuple<T>(
         &self,
         scan: &mut PartitionScan<T>,
-        local: Option<(&'a SlotSet, &'a VersionLog)>,
+        local: Option<(&'a SlotSet, &'a RelationLog)>,
         relation: &str,
         entry: &PageEntry,
         node: NodeId,
     ) -> Result<StoredRow<'a>> {
         let held = local.filter(|(held, _)| held.contains(entry.slot));
-        let (tuple, remote) = match held.and_then(|(_, log)| log.get(entry.slot)) {
+        let (tuple, remote) = match held.and_then(|(_, log)| log.version(entry.slot)) {
             Some(tuple) => (tuple, None),
             None => self.lookup_tuple(relation, entry, Some(node))?,
         };
@@ -954,11 +947,12 @@ impl<'a> StorageView<'a> {
         'a: 'r,
     {
         let view = *self;
-        let log = view.data.version_log(relation);
+        let log = view.data.log(relation);
         move |entry| {
             let mut replicas = view.live_replicas(entry.position);
-            let held = log.filter(|log| replicas.any(|n| log.placed.holders.holds(n, entry.slot)));
-            match held.and_then(|log| log.get(entry.slot)) {
+            let held =
+                log.filter(|log| replicas.any(|n| log.holders(Kind::Tuple).holds(n, entry.slot)));
+            match held.and_then(|log| log.version(entry.slot)) {
                 Some(tuple) => Ok(tuple),
                 None => Ok(view.lookup_tuple(relation, entry, None)?.0),
             }
@@ -1260,7 +1254,7 @@ mod tests {
 
         // Both entries of a twice-written ID name one slot of the log,
         // which holds the later body: a, b at e0 and a at e1.
-        assert_eq!(s.version_log("R").unwrap().len(), 3);
+        assert_eq!(s.log("R").unwrap().len(Kind::Tuple), 3);
         let version = s.view().version_record("R", e1).unwrap().unwrap();
         let slots: Vec<u32> = (version.pages.iter())
             .flat_map(|d| &s.view().lookup_index_page(d).unwrap().entries)
@@ -1412,17 +1406,13 @@ mod tests {
                     }
                 }
             }
-            let r = [
-                s.record_log("R").unwrap().len(),
-                s.page_log("R").unwrap().len(),
-                s.version_log("R").unwrap().len(),
-            ];
+            let r = Kind::ALL.map(|kind| s.log("R").unwrap().len(kind));
             (r, held, s.latest_epoch())
         };
         let before = holdings(&s);
 
         // Every holder of S's record fails; the batch touches R, then S.
-        let record = s.record_log("S").unwrap().position(0).unwrap();
+        let record = s.log("S").unwrap().position(Kind::Record, 0).unwrap();
         let holders: Vec<NodeId> = s.routing().replicas_of(record).to_vec();
         for node in &holders {
             s.mark_failed(*node);

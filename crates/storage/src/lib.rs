@@ -19,18 +19,20 @@
 //! * **Data storage nodes** — contacted at `hash(tuple key)`; they hold
 //!   the full tuples.
 //!
-//! Whatever it is, an item is stored once, in its relation's log of its
-//! [`Kind`] ([`version_log`]), under a number, its slot, and a node that
-//! holds it holds one bit, which the log keeps beside the item in that
-//! node's [`SlotSet`] ([`node_store`]): a descriptor lists its page's slot
-//! and a page entry its tuple version's.  Who holds what is read with
-//! [`DistributedStorage::held`].  The tuple versions one publication
-//! creates are stored together, as one immutable columnar [`TupleRun`]
-//! ([`run`]): a slot names a row of its run, a scan hands out
-//! [`StoredRow`]s and the engine gathers them into a batch a column at a
-//! time ([`gather`]), and a row is built as a [`orchestra_common::Tuple`]
-//! only where a caller asks for one (retrieval, deltas, the owning
-//! [`DistributedStorage::scan_partition`]).
+//! Whatever it is, an item is stored once, in its relation's
+//! [`RelationLog`] ([`version_log`]): a list of immutable [`Run`]s, one
+//! per publication, each holding the record, page versions and tuple
+//! versions the publication created.  An item is numbered among its
+//! relation's items of its [`Kind`] — its slot — and a node that holds it
+//! holds one bit, which the log keeps beside its runs in that node's
+//! [`SlotSet`] of the kind ([`node_store`]): a descriptor lists its page's
+//! slot and a page entry its tuple version's.  Who holds what is read with
+//! [`DistributedStorage::held`].  A run's tuple versions are one immutable
+//! columnar [`TupleRun`] ([`run`]): a slot names a row of its run, a scan
+//! hands out [`StoredRow`]s and the engine gathers them into a batch a
+//! column at a time ([`gather`]), and a row is built as a
+//! [`orchestra_common::Tuple`] only where a caller asks for one
+//! (retrieval, deltas, the owning [`DistributedStorage::scan_partition`]).
 //!
 //! The paper also places *inverse nodes*, which map a tuple's position
 //! back to the page that currently lists it, for rewriting that page on
@@ -56,7 +58,7 @@
 //!
 //! ## Entry points
 //!
-//! [`DistributedStorage`] owns every relation's logs and implements
+//! [`DistributedStorage`] owns every relation's log and implements
 //! publication ([`DistributedStorage::publish`], which commits a batch
 //! whole or not at all) and Algorithm 1 retrieval
 //! ([`DistributedStorage::retrieve`]).  A [`StorageView`] — the data under
@@ -87,4 +89,4 @@ pub use page::{IndexPage, PageDescriptor, PageId};
 pub use replication::{anti_entropy, ReplicationReport};
 pub use run::{gather, StoredRow, TupleRun};
 pub use update::{Update, UpdateBatch};
-pub use version_log::{Kind, Log, VersionLog};
+pub use version_log::{Kind, RelationLog, Run};

@@ -4,14 +4,14 @@
 //! (coordinator records, index pages, tuple data) whose ring positions
 //! fall in its ranges — plus replicas of its neighbours' slices.  In the
 //! paper this state lives in BerkeleyDB.  Here every item a relation
-//! publishes is stored once, in one of the relation's logs
-//! ([`crate::version_log`]), under a number, its *slot*, and the log
-//! keeps, beside its items, which nodes hold which of them: one
-//! [`SlotSet`] per node, with a bit set for each item the node holds.
-//! So "does this node hold the record, page or version a lookup names?"
-//! is one bit test and the item one index into the log — the access
-//! pattern of the paper's "single pass through the hash ID range" of a
-//! page without a search per tuple.
+//! publishes is stored once, in the run of the relation's log that
+//! published it ([`crate::version_log`]), under a number of its kind, its
+//! *slot*, and the log keeps, beside its runs, which nodes hold which
+//! items: per kind, one [`SlotSet`] per node, with a bit set for each item
+//! the node holds.  So "does this node hold the record, page or version a
+//! lookup names?" is one bit test, and the item is found by a binary
+//! search of the log's runs — the access pattern of the paper's "single
+//! pass through the hash ID range" of a page without a search per tuple.
 //!
 //! ## Bits, never bodies
 //!
@@ -21,8 +21,11 @@
 //! holds.  Writing an item to its owner and its replicas (publication,
 //! anti-entropy) sets the same bit in each: a replication-3 cluster holds
 //! one copy of every record, page and tuple.  There is no per-node
-//! structure to copy: a relation's logs and their holder bits are one
-//! copy-on-write value.
+//! structure to copy: a relation's runs and their holder bits are one
+//! copy-on-write value, and the bits are the only part of it that changes
+//! after a run is appended — repair adds bits, a lost disk drops a
+//! node's.  So the bits stay one flat set per node and kind, not one per
+//! run: a write to them copies the set, never a run.
 
 use orchestra_common::NodeId;
 use std::ops::Range;
@@ -30,8 +33,8 @@ use std::ops::Range;
 /// Bits per word of a [`SlotSet`].
 const WORD: u32 = u64::BITS;
 
-/// A set of slots of one of a relation's logs, one bit each: the items of
-/// the log a node holds.
+/// A set of slots of one kind of a relation's log, one bit each: the items
+/// of that kind a node holds.
 #[derive(Clone, Debug, Default)]
 pub struct SlotSet {
     words: Vec<u64>,
@@ -108,8 +111,8 @@ pub(crate) fn span_mask(at: usize, slots: &Range<u32>) -> u64 {
     below(to) & !below(from)
 }
 
-/// Which nodes hold which items of one log: by node index, the node's
-/// slots.  A node past the end holds nothing.
+/// Which nodes hold which items of one kind of a relation's log: by node
+/// index, the node's slots.  A node past the end holds nothing.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Holders {
     by_node: Vec<SlotSet>,
@@ -126,8 +129,8 @@ impl Holders {
         self.of(node).is_some_and(|held| held.contains(slot))
     }
 
-    /// The slots `node` holds, for adding to, with room for the slots of a
-    /// log of `log_len` items (see [`SlotSet::reserve_for`]).
+    /// The slots `node` holds, for adding to, with room for `log_len`
+    /// slots (see [`SlotSet::reserve_for`]).
     pub(crate) fn of_mut(&mut self, node: NodeId, log_len: usize) -> &mut SlotSet {
         if self.by_node.len() <= node.index() {
             self.by_node.resize_with(node.index() + 1, SlotSet::default);
@@ -148,7 +151,7 @@ impl Holders {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::version_log::{Kind, RelationLogs};
+    use crate::version_log::{Kind, RelationLog};
 
     #[test]
     fn tuple_storage_and_lookup() {
@@ -196,24 +199,18 @@ mod tests {
 
     #[test]
     fn coordinator_and_page_bits_round_trip() {
-        // Each kind's log has holders of its own: a record or page slot is
-        // not a tuple version, and the counts keep the kinds apart.
-        let mut logs = RelationLogs::default();
+        // Each kind has holders of its own: a record or page slot is not a
+        // tuple version, and the counts keep the kinds apart.
+        let mut log = RelationLog::default();
         let n = NodeId(0);
-        logs.placed_mut(Kind::Record)
-            .holders
-            .of_mut(n, 1)
-            .insert_range(0..1);
-        logs.placed_mut(Kind::Page)
-            .holders
-            .of_mut(n, 8)
-            .insert_range(2..5);
-        let slots = |kind| (logs.placed(kind).holders.of(n)).map(|h| h.iter().collect::<Vec<_>>());
+        (log.holders_mut(Kind::Record).of_mut(n, 1)).insert_range(0..1);
+        (log.holders_mut(Kind::Page).of_mut(n, 8)).insert_range(2..5);
+        let slots = |kind| (log.holders(kind).of(n)).map(|h| h.iter().collect::<Vec<_>>());
         assert_eq!(slots(Kind::Record), Some(vec![0]));
         assert_eq!(slots(Kind::Page), Some(vec![2, 3, 4]));
         assert_eq!(slots(Kind::Tuple), None, "no tuple versions held");
-        assert!(!logs.placed(Kind::Tuple).holders.holds(n, 0));
-        let counts = Kind::ALL.map(|kind| logs.placed(kind).holders.of(n).map_or(0, SlotSet::len));
+        assert!(!log.holders(Kind::Tuple).holds(n, 0));
+        let counts = Kind::ALL.map(|kind| log.holders(kind).of(n).map_or(0, SlotSet::len));
         assert_eq!(counts, [1, 3, 0]);
     }
 

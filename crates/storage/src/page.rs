@@ -17,17 +17,18 @@
 //!
 //! ## Immutable, stored once, hash-free
 //!
-//! A page version never changes once built, so it is stored once, at its
-//! slot of the relation's page log ([`crate::version_log`]), and its
-//! holders each set the slot's bit; its [`PageDescriptor`] carries the
-//! slot, so finding the page is a bit test and an index into the log.
+//! A page version never changes once built, so it is stored once, under
+//! its page slot in the run of the relation's log that published it
+//! ([`crate::version_log`]), and its holders each set the slot's bit; its
+//! [`PageDescriptor`] carries the slot, so finding the page is a bit test
+//! and a search of the log's runs.
 //! Its entries are [`PageEntry`]s: the ring position of a tuple's key is
 //! hashed once, when that tuple version is published, and
 //! [`IndexPage::next_version`] *carries the entries forward* — a page
 //! rewritten in epoch 40 still holds the positions computed in epoch 0.
-//! An entry also carries its version's slot in the relation's version
-//! log: reading the tuple an entry lists is a test of a node's bit for
-//! that slot and an index into the log.  Entries are sorted by tuple ID (key
+//! An entry also carries its version's tuple slot in the relation's log:
+//! reading the tuple an entry lists is a test of a node's bit for that
+//! slot and a search of the log's runs.  Entries are sorted by tuple ID (key
 //! first), which makes "the version of key `k` listed here" a binary
 //! search ([`IndexPage::current_version_of`]) and the next version a
 //! sorted merge.
@@ -89,15 +90,15 @@ pub struct PageDescriptor {
     /// The ring position at which the page body is stored: the midpoint of
     /// `range`, so the page is co-located with most of its tuples.
     pub storage_key: Key160,
-    /// The page version's number in its relation's page log.
+    /// The page version's number among its relation's page versions.
     pub slot: u32,
     /// Number of tuple IDs listed in the page (for planner statistics).
     pub tuple_count: usize,
 }
 
 impl PageDescriptor {
-    /// Describe a page covering `range`, stored at `slot` of its
-    /// relation's page log.
+    /// Describe a page covering `range`, stored at page slot `slot` of its
+    /// relation's log.
     pub fn new(id: PageId, range: KeyRange, slot: u32, tuple_count: usize) -> PageDescriptor {
         PageDescriptor {
             storage_key: range.midpoint(),
@@ -158,8 +159,8 @@ impl IndexPage {
         self.entries.get(at).filter(|e| *e.id.key == *key)
     }
 
-    /// The descriptor summarising this page version, stored at `slot` of
-    /// its relation's page log.
+    /// The descriptor summarising this page version, stored at page slot
+    /// `slot` of its relation's log.
     pub fn descriptor(&self, slot: u32) -> PageDescriptor {
         PageDescriptor::new(self.id.clone(), self.range, slot, self.entries.len())
     }

@@ -17,20 +17,23 @@
 //! replicas.  The pass therefore resolves the live replica set once per
 //! routing entry.  A node holds any item — coordinator record, page
 //! version or tuple version — as one bit of a [`crate::SlotSet`] that its
-//! relation's log of that kind keeps for it, and every log is a sequence
-//! of runs, each in ring-position order ([`crate::version_log`]; a record
-//! is a run of one), so what one arc places from one run is one range of
+//! relation's log keeps for it, one per node and kind, and a log is a
+//! sequence of runs, one per publication, whose items of each kind are in
+//! ring-position order ([`crate::version_log`]; a run has one record), so
+//! what one arc places from one run's items of a kind is one range of
 //! slots — two for the arc that wraps past the top of the ring, and for
 //! the tuple versions of a replicated relation, whose single arc is the
-//! whole ring and whose replicas are all the live nodes, the whole log.
-//! One loop over every relation's logs handles all three kinds alike.
+//! whole ring and whose replicas are all the live nodes, every slot of the
+//! kind.  One loop over every relation's log and every kind handles all
+//! three kinds alike.
 //! Over such a range, what a replica lacks is the union of the live nodes'
 //! bits minus the replica's own, 64 items to a word: a range already in
 //! place costs an OR per live holder and an AND-NOT per replica per word,
-//! and nothing per item.  The words a log's replicas lack are ORed into that same
-//! log's holder bits once the log has been compared, and only a log with
-//! something to add is written to, so a pass that finds everything in
-//! place writes nothing and unshares no clone.
+//! and nothing per item.  The words a kind's replicas lack are ORed into
+//! that kind's holder bits once the kind has been compared, and only a log
+//! with something to add is written to, so a pass that finds everything in
+//! place writes nothing and unshares no clone; one that does copies the
+//! log's run pointers and holder bits, never a run.
 //!
 //! ## What `tuples_copied` counts
 //!
@@ -98,14 +101,14 @@ impl Arcs {
         }
     }
 
-    /// The slots each arc places from one run of a log — the run starting
-    /// at slot `first`, whose items' positions are `positions`, ascending —
+    /// The slots each arc places from one run's items of a kind — starting
+    /// at slot `first`, their positions `positions`, ascending —
     /// with the arc's live replicas: the arc holding each item's position,
     /// the entry with the greatest start at or below it or else the last,
     /// wrapping, entry (as `RoutingTable::owner_of`), as one range per arc
     /// and run (two for the wrapping arc).  Empty ranges are left out.
     fn spans(&self, first: u32, positions: &[Key160]) -> Vec<(&[NodeId], Range<u32>)> {
-        // The run is no longer than its log, whose slots fit in a `u32`.
+        // A run has no more slots than its log, whose slots fit in a `u32`.
         let cut = |start: &Key160| first + positions.partition_point(|p| p < start) as u32;
         let mut cuts: Vec<u32> = self.starts.iter().map(cut).collect();
         let below_first = first..cuts[0];
@@ -121,7 +124,7 @@ impl Arcs {
     }
 }
 
-/// What every live node holds of one relation's log of one kind, for
+/// What every live node holds of one kind of one relation's log, for
 /// finding what replicas lack.
 struct Holdings<'a> {
     /// Every node's slots of the log.
@@ -179,23 +182,23 @@ pub fn anti_entropy(storage: &mut DistributedStorage) -> Result<ReplicationRepor
     let arcs = Arcs::new(storage.routing(), &failed);
 
     let mut lacking = Vec::new();
-    for (replicated, logs) in storage.logs_mut() {
+    for (replicated, log) in storage.logs_mut() {
         for kind in Kind::ALL {
-            // Compare the log's holdings, then add what replicas lack.
-            let placed = logs.placed(kind);
+            // Compare the holdings of the log's items of `kind`, then add
+            // what replicas lack.
+            let holders = log.holders(kind);
             let holdings = Holdings {
-                holders: &placed.holders,
-                sources: (live.iter())
-                    .filter_map(|node| placed.holders.of(*node))
-                    .collect(),
+                holders,
+                sources: (live.iter()).filter_map(|node| holders.of(*node)).collect(),
             };
             let copied = report.copied(kind);
+            let log_len = log.len(kind);
             if replicated && kind == Kind::Tuple {
                 // The log's slots fit in a `u32`.
-                let everything = 0..placed.len() as u32;
+                let everything = 0..log_len as u32;
                 *copied += holdings.missing(&live, everything, &mut lacking);
             } else {
-                for (first, positions) in placed.runs() {
+                for (first, positions) in log.runs().iter().map(|run| run.placed(kind)) {
                     for (replicas, slots) in arcs.spans(first, positions) {
                         *copied += holdings.missing(replicas, slots, &mut lacking);
                     }
@@ -204,8 +207,7 @@ pub fn anti_entropy(storage: &mut DistributedStorage) -> Result<ReplicationRepor
             if lacking.is_empty() {
                 continue;
             }
-            let log_len = placed.len();
-            let holders = &mut Arc::make_mut(logs).placed_mut(kind).holders;
+            let holders = Arc::make_mut(log).holders_mut(kind);
             for (replica, at, bits) in lacking.drain(..) {
                 holders.of_mut(replica, log_len).insert_word(at, bits);
             }
@@ -253,11 +255,12 @@ mod tests {
             Some((
                 relation,
                 s.held(node, relation, Kind::Tuple)?,
-                s.version_log(relation)?,
+                s.log(relation)?,
             ))
         });
         let versions = held.flat_map(|(relation, slots, log)| {
-            (slots.iter()).map(move |slot| (relation, slot, log.position(slot).unwrap()))
+            let position = move |slot| log.position(Kind::Tuple, slot).unwrap();
+            (slots.iter()).map(move |slot| (relation, slot, position(slot)))
         });
         versions.collect()
     }
@@ -341,12 +344,12 @@ mod tests {
         let nodes: Vec<NodeId> = (0..8).map(NodeId).collect();
         let routing = RoutingTable::build(&nodes, AllocationScheme::PastryStyle, 3);
         let arcs = Arcs::new(&routing, &NodeSet::singleton(NodeId(4)));
-        let log = s.version_log("R").unwrap();
-        assert_eq!(log.placed.runs().count(), 2);
+        let log = s.log("R").unwrap();
+        assert_eq!(log.runs().len(), 2);
 
-        let mut seen = vec![0; log.len()];
+        let mut seen = vec![0; log.len(Kind::Tuple)];
         let mut wrapping_spans = Vec::new();
-        for (first, positions) in log.placed.runs() {
+        for (first, positions) in log.runs().iter().map(|run| run.placed(Kind::Tuple)) {
             let spans = arcs.spans(first, positions);
             let wrapping = arcs.replicas.last().unwrap().as_slice();
             let meets = spans.iter().filter(|(r, _)| std::ptr::eq(*r, wrapping));
@@ -354,7 +357,7 @@ mod tests {
             for (replicas, slots) in spans {
                 for slot in slots {
                     seen[slot as usize] += 1;
-                    let position = log.position(slot).unwrap();
+                    let position = log.position(Kind::Tuple, slot).unwrap();
                     // As `RoutingTable::owner_of`: the entry with the
                     // greatest start at or below the position, or the
                     // last, wrapping, entry.

@@ -102,10 +102,10 @@ type Positioned<'a> = BTreeMap<&'a str, BTreeMap<Key160, Vec<u32>>>;
 fn positioned(s: &DistributedStorage, node: NodeId) -> Positioned<'_> {
     let mut out = Positioned::new();
     for (relation, slots) in held_versions(s, node) {
-        let log = s.version_log(relation).unwrap();
+        let log = s.log(relation).unwrap();
         let map = out.entry(relation).or_default();
         for slot in slots.iter() {
-            map.entry(log.position(slot).unwrap())
+            map.entry(log.position(Kind::Tuple, slot).unwrap())
                 .or_default()
                 .push(slot);
         }
@@ -202,16 +202,10 @@ fn reference(s: &DistributedStorage, stores: u16) -> (ReplicationReport, Vec<Pla
                 for slot in held(*src).into_iter().flat_map(|h| h.iter()) {
                     let position = match kind {
                         Kind::Page => {
-                            let page = s.page_log(relation).unwrap().get(slot).unwrap();
+                            let page = s.log(relation).unwrap().page(slot).unwrap();
                             page.range.midpoint()
                         }
-                        _ => s
-                            .record_log(relation)
-                            .unwrap()
-                            .get(slot)
-                            .unwrap()
-                            .key
-                            .hash(),
+                        _ => s.log(relation).unwrap().record(slot).unwrap().key.hash(),
                     };
                     for dst in at(position).0 {
                         if !held(*dst).is_some_and(|h| h.contains(slot)) {

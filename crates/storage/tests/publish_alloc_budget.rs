@@ -5,17 +5,20 @@
 //! (a tuple ID's key is an `Arc<[Value]>`), replica sets are looked up,
 //! not walked, a delta finds each node's tuples of the relation once, and
 //! a record, a page version and a tuple version are each stored once, in
-//! their relation's logs, with a bit at each holder.  So a churn epoch of
-//! a fixed size allocates the same whether the relation it lands in is
-//! small or large, a partition scan allocates its result and nothing
-//! else, and a repair compares holders a word of bits at a time and
-//! allocates nothing per item already in place.  This binary installs a
-//! counting allocator (its own, so no other test pays for it) to check
-//! that, and checks the sharing itself with `Arc::ptr_eq`.
+//! the run of their relation's log that published them, with a bit at
+//! each holder.  So a churn epoch of a fixed size allocates the same
+//! whether the relation it lands in is small or large, a partition scan
+//! allocates its result and nothing else, a repair compares holders a
+//! word of bits at a time and allocates nothing per item already in
+//! place, and publishing to a store whose clone is alive copies run
+//! pointers and holder bits but no item and no position.  This binary
+//! installs a counting allocator (its own, so no other test pays for it)
+//! to check that, and checks the sharing itself with `Arc::ptr_eq`.
 
 use orchestra_common::{ColumnType, Epoch, NodeId, Relation, Schema, Tuple, Value};
+use orchestra_storage::page::partition_of;
 use orchestra_storage::{
-    anti_entropy, DistributedStorage, ReplicationReport, StorageConfig, UpdateBatch,
+    anti_entropy, DistributedStorage, Kind, ReplicationReport, StorageConfig, UpdateBatch,
 };
 use orchestra_substrate::{AllocationScheme, RoutingTable};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -25,18 +28,21 @@ use std::sync::Arc;
 
 /// `System`, counting the calling thread's allocation calls (`alloc`,
 /// `alloc_zeroed` and `realloc`, as the host benchmark's
-/// `harness.allocs_per_op` does).  Per thread, because the tests of one
-/// binary run side by side.
+/// `harness.allocs_per_op` does) and the bytes they ask for (a
+/// `realloc`'s new size).  Per thread, because the tests of one binary run
+/// side by side.
 struct CountingAlloc;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count() {
+fn count(bytes: usize) {
     // `try_with`: a thread that is shutting down may still free and
     // allocate after its locals are gone.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
@@ -45,13 +51,13 @@ fn count() {
 // it neither allocates nor re-enters the allocator.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: the caller's layout obligations are passed through.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -63,7 +69,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         // SAFETY: as for `dealloc`; `new_size` is the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -78,6 +84,14 @@ fn counting<T>(work: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCS.with(Cell::get);
     let out = work();
     (out, ALLOCS.with(Cell::get) - before)
+}
+
+/// Run `work` and return its result with the number of bytes this thread
+/// asked the allocator for meanwhile.
+fn counting_bytes<T>(work: impl FnOnce() -> T) -> (T, u64) {
+    let before = BYTES.with(Cell::get);
+    let out = work();
+    (out, BYTES.with(Cell::get) - before)
 }
 
 fn row(k: i64, generation: i64) -> Tuple {
@@ -319,5 +333,45 @@ fn a_repair_with_nothing_to_copy_allocates_the_same_over_5k_or_40k_rows() {
     assert_eq!(
         small, large,
         "5k rows: {small} allocations, 40k rows: {large}"
+    );
+}
+
+/// The bytes publishing ten modifies to a store of `rows` rows allocates
+/// while a clone of the store is alive, and the number of slots of every
+/// kind the store held before.  The ten keys share one index page, so the
+/// rewritten page is the only item whose size grows with the relation.
+fn publish_to_a_shared_store_bytes(rows: i64) -> (u64, usize) {
+    let (mut storage, _) = store_of(rows);
+    let log = storage.log("R").expect("published");
+    let slots = Kind::ALL.map(|kind| log.len(kind)).iter().sum();
+    let partition = |k: i64| partition_of(row(k, 2).hash_key(1), 64);
+    let mut batch = UpdateBatch::new();
+    for k in (0..).filter(|k| partition(*k) == partition(0)).take(10) {
+        batch.modify("R", row(k, 2));
+    }
+    let clone = storage.clone();
+    let (published, bytes) = counting_bytes(|| storage.publish(&batch));
+    published.expect("publish to a shared store");
+    assert_eq!(
+        clone.latest_epoch(),
+        Some(Epoch(1)),
+        "the clone kept its own"
+    );
+    (bytes, slots)
+}
+
+#[test]
+fn publishing_to_a_store_whose_clone_is_alive_copies_no_position() {
+    // The publication unshares the relation's log: it copies the run
+    // pointers and every holder's bits, about an eighth of a byte a slot
+    // at each of the eight nodes, and grows each holder's bits once.  A
+    // log that kept positions flat beside its runs copied a 20-byte
+    // position a slot besides.
+    let (small, small_slots) = publish_to_a_shared_store_bytes(5_000);
+    let (large, large_slots) = publish_to_a_shared_store_bytes(40_000);
+    let added = (large_slots - small_slots) as u64;
+    assert!(
+        large.saturating_sub(small) < 12 * added,
+        "5k rows: {small} bytes, 40k rows: {large} bytes, {added} slots added"
     );
 }

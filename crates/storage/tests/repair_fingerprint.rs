@@ -41,21 +41,19 @@ fn holdings(s: &DistributedStorage) -> Vec<Triple> {
 
 /// The ring positions of the versions of `relation` that `node` holds.
 fn positions_held(s: &DistributedStorage, node: NodeId, relation: &str) -> Vec<Key160> {
-    let log = s.version_log(relation).unwrap();
+    let log = s.log(relation).unwrap();
     let held = s.held(node, relation, Kind::Tuple).into_iter();
-    held.flat_map(|slots| slots.iter().map(|slot| log.position(slot).unwrap()))
-        .collect()
+    held.flat_map(|slots| {
+        slots
+            .iter()
+            .map(|slot| log.position(Kind::Tuple, slot).unwrap())
+    })
+    .collect()
 }
 
 /// The length of each relation's record, page and version logs.
 fn log_lengths(s: &DistributedStorage) -> Vec<usize> {
-    let lengths = ["R", "N"].map(|r| {
-        [
-            s.record_log(r).unwrap().len(),
-            s.page_log(r).unwrap().len(),
-            s.version_log(r).unwrap().len(),
-        ]
-    });
+    let lengths = ["R", "N"].map(|r| Kind::ALL.map(|kind| s.log(r).unwrap().len(kind)));
     lengths.concat()
 }
 
@@ -71,7 +69,7 @@ fn assert_versions_are_shared(s: &DistributedStorage, logged: &[usize]) {
     let mut slot_of: HashMap<(&str, &TupleId), u32> = HashMap::new();
     let mut entry_at: HashMap<(&str, u32), &PageEntry> = HashMap::new();
     for relation in ["R", "N"] {
-        for page in s.page_log(relation).unwrap().items() {
+        for page in s.log(relation).unwrap().pages() {
             for entry in &page.entries {
                 let slot = *slot_of.entry((relation, &entry.id)).or_insert(entry.slot);
                 assert_eq!(slot, entry.slot, "{} has two slots", entry.id);
@@ -91,7 +89,7 @@ fn assert_versions_are_shared(s: &DistributedStorage, logged: &[usize]) {
     let mut sampled = 0;
     for (relation, slot) in held.into_iter().step_by(7) {
         let entry = entry_at[&(relation, slot)];
-        let body = s.version_log(relation).unwrap().get(slot).unwrap();
+        let body = s.log(relation).unwrap().version(slot).unwrap();
         for n in (0..STORES).map(NodeId) {
             let (tuple, remote) = view.lookup_tuple(relation, entry, Some(n)).unwrap();
             assert!(tuple == body, "{relation} {} at {n}", entry.id);

@@ -16,24 +16,23 @@ use orchestra_storage::{
 use std::collections::HashSet;
 use std::sync::Arc;
 
-/// The pages of `relation` that `node` holds, from the relation's page
-/// log.
+/// The pages of `relation` that `node` holds, from the relation's log.
 fn pages_held<'a>(
     s: &'a DistributedStorage,
     node: NodeId,
     relation: &str,
 ) -> impl Iterator<Item = &'a Arc<IndexPage>> {
-    let log = s.page_log(relation).unwrap();
+    let log = s.log(relation).unwrap();
     let held = s.held(node, relation, Kind::Page).into_iter();
     held.flat_map(|slots| slots.iter())
-        .map(move |slot| log.get(slot).unwrap())
+        .map(move |slot| log.page(slot).unwrap())
 }
 
 fn assert_positions_are_key_hashes(s: &DistributedStorage, when: &str) {
     let mut entries = 0;
     for node in s.routing().nodes() {
         for page in ["R", "N"].iter().flat_map(|r| pages_held(s, node, r)) {
-            let log = s.version_log(&page.id.relation).unwrap();
+            let log = s.log(&page.id.relation).unwrap();
             for entry in &page.entries {
                 assert_eq!(
                     entry.position,
@@ -43,7 +42,7 @@ fn assert_positions_are_key_hashes(s: &DistributedStorage, when: &str) {
                     entry.id
                 );
                 assert_eq!(
-                    log.position(entry.slot),
+                    log.position(Kind::Tuple, entry.slot),
                     Some(entry.position),
                     "{when}: {} lists {} at slot {} of another key",
                     page.id,
@@ -58,8 +57,8 @@ fn assert_positions_are_key_hashes(s: &DistributedStorage, when: &str) {
                 .held(node, relation, Kind::Tuple)
                 .into_iter()
                 .flat_map(|h| h.iter());
-            let log = s.version_log(relation).unwrap();
-            assert!(slots.all(|slot| log.get(slot).is_some()), "{when}");
+            let log = s.log(relation).unwrap();
+            assert!(slots.all(|slot| log.version(slot).is_some()), "{when}");
         }
     }
     assert!(entries > 0, "{when}: nothing was checked");
@@ -177,11 +176,8 @@ fn replicas_and_clones_share_one_allocation() {
     // `Arc` is the only reference, and the lookups hand out that `Arc`.
     let (mut records, mut pages, mut versions) = (0, 0, 0);
     for relation in ["R", "N"] {
-        let (record_log, page_log) = (
-            s.record_log(relation).unwrap(),
-            s.page_log(relation).unwrap(),
-        );
-        for (slot, record) in (0..).zip(record_log.items()) {
+        let log = s.log(relation).unwrap();
+        for (slot, record) in (0..).zip(log.records()) {
             assert_eq!(holders(relation, Kind::Record, slot), 3, "{:?}", record.key);
             assert_eq!(Arc::strong_count(record), 1, "{:?}", record.key);
             let key = &record.key;
@@ -191,13 +187,13 @@ fn replicas_and_clones_share_one_allocation() {
             assert!(Arc::ptr_eq(visible, record), "{key:?}");
             for descriptor in &record.pages {
                 let page = view.lookup_index_page(descriptor).unwrap();
-                assert!(Arc::ptr_eq(page, page_log.get(descriptor.slot).unwrap()));
+                assert!(Arc::ptr_eq(page, log.page(descriptor.slot).unwrap()));
                 assert_eq!(page.id, descriptor.id);
             }
             records += 1;
         }
         let mut ids = HashSet::new();
-        for (slot, page) in (0..).zip(page_log.items()) {
+        for (slot, page) in (0..).zip(log.pages()) {
             assert_eq!(
                 holders(relation, Kind::Page, slot),
                 3,
@@ -208,7 +204,7 @@ fn replicas_and_clones_share_one_allocation() {
             assert!(ids.insert(&page.id), "{} has two slots", page.id);
             pages += 1;
         }
-        for slot in 0..s.version_log(relation).unwrap().len() as u32 {
+        for slot in 0..log.len(Kind::Tuple) as u32 {
             // `N` is replicated everywhere, `R` three ways.
             let expected = if relation == "N" { nodes.len() } else { 3 };
             assert_eq!(holders(relation, Kind::Tuple, slot), expected);
@@ -224,20 +220,16 @@ fn replicas_and_clones_share_one_allocation() {
     // has one slot (a key a batch wrote twice is one version), no two
     // slots share an allocation, and a holder hands out the log's body.
     for relation in ["R", "N"] {
-        let log = s.version_log(relation).unwrap();
-        let pages = s.page_log(relation).unwrap().items();
-        let ids: HashSet<_> = (pages.iter().flat_map(|p| &p.entries))
+        let log = s.log(relation).unwrap();
+        let ids: HashSet<_> = (log.pages().flat_map(|p| &p.entries))
             .map(|e| (&e.id, e.slot))
             .collect();
-        assert_eq!(ids.len(), log.len(), "{relation}: one slot per ID");
-        let bodies = (0..log.len() as u32).map(|slot| log.get(slot).unwrap());
-        assert_eq!(
-            bodies.collect::<HashSet<_>>().len(),
-            log.len(),
-            "{relation}"
-        );
+        let versions = log.len(Kind::Tuple);
+        assert_eq!(ids.len(), versions, "{relation}: one slot per ID");
+        let bodies = (0..versions as u32).map(|slot| log.version(slot).unwrap());
+        assert_eq!(bodies.collect::<HashSet<_>>().len(), versions, "{relation}");
     }
-    let log = s.version_log("R").unwrap();
+    let log = s.log("R").unwrap();
     let version = view.version_record("R", Epoch(0)).unwrap().unwrap();
     let listed: Vec<u32> = (version.pages.iter())
         .flat_map(|d| &view.lookup_index_page(d).unwrap().entries)
@@ -250,16 +242,18 @@ fn replicas_and_clones_share_one_allocation() {
             .unwrap();
         assert_eq!(scan.tuples.len(), listed.len());
         for (tuple, slot) in scan.tuples.iter().zip(&listed) {
-            assert!(*tuple == log.get(*slot).unwrap(), "{node}");
+            assert!(*tuple == log.version(*slot).unwrap(), "{node}");
         }
     }
 
-    // A clone shares the logs, holder bits included: a repair of the clone
-    // that finds everything in place writes nothing, so no page gains a
-    // reference, and only publishing to the clone, which copies its logs,
-    // does.  So does losing a node's disk in a clone: its bits are in the
-    // logs.
-    let probe = Arc::clone(s.page_log("R").unwrap().get(0).unwrap());
+    // A clone shares the log, holder bits included: a repair of the clone
+    // that finds everything in place writes nothing, so no run gains a
+    // reference, and only publishing to the clone, which copies its run
+    // pointers, does.  So does losing a node's disk in a clone: its bits
+    // are in the log.  The page itself is in the run, which both logs
+    // share, so it never gains one.
+    let page = Arc::clone(s.log("R").unwrap().page(0).unwrap());
+    let probe = Arc::clone(&s.log("R").unwrap().runs()[0]);
     let mut copy = s.clone();
     assert_eq!(anti_entropy(&mut copy).unwrap(), Default::default());
     assert_eq!(Arc::strong_count(&probe), 2, "the log and the probe");
@@ -267,11 +261,13 @@ fn replicas_and_clones_share_one_allocation() {
     batch.delete("R", vec![Value::Int(0)]);
     copy.publish(&batch).unwrap();
     assert_eq!(Arc::strong_count(&probe), 3, "and the clone's log");
+    assert_eq!(Arc::strong_count(&page), 2, "the run and the page probe");
     drop(copy);
     assert_eq!(Arc::strong_count(&probe), 2);
     let mut copy = s.clone();
     copy.forget(NodeId(1));
     assert_eq!(Arc::strong_count(&probe), 3, "the forgetful clone's log");
+    assert_eq!(Arc::strong_count(&page), 2);
 }
 
 #[test]
@@ -287,10 +283,7 @@ fn a_clone_shares_every_run_and_publishing_to_it_appends_one() {
         Tuple::new(vec![Value::Int(3), Value::str("clone"), Value::Int(0)]),
     );
     copy.publish(&batch).unwrap();
-    let (ours, theirs) = (
-        s.version_log("R").unwrap().runs(),
-        copy.version_log("R").unwrap().runs(),
-    );
+    let (ours, theirs) = (s.log("R").unwrap().runs(), copy.log("R").unwrap().runs());
     assert_eq!(theirs.len(), ours.len() + 1);
     for (mine, shared) in ours.iter().zip(theirs) {
         assert!(Arc::ptr_eq(mine, shared));
@@ -350,9 +343,9 @@ fn the_store_owns_its_bytes() {
 
     let (mut versions, mut entries) = (0, 0);
     let mut stored: HashSet<*const u8> = HashSet::new();
-    let log = s.version_log("S").unwrap();
-    for slot in 0..log.len() as u32 {
-        let held: Vec<_> = allocations_of(log.get(slot).unwrap().tuple().values()).collect();
+    let log = s.log("S").unwrap();
+    for slot in 0..log.len(Kind::Tuple) as u32 {
+        let held: Vec<_> = allocations_of(log.version(slot).unwrap().tuple().values()).collect();
         assert!(held.iter().all(|a| !published.contains(a)), "slot {slot}");
         stored.extend(held);
         versions += 1;
