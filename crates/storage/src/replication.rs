@@ -37,14 +37,10 @@
 //!
 //! ## What `tuples_copied` counts
 //!
-//! Every source proposes the copies it finds missing, independently: an
-//! item that two live holders both find absent from a third node is
-//! proposed — and counted — twice, though the node ends up with one copy.
-//! [`ReplicationReport::tuples_copied`] is the number of proposals, not of
-//! distinct copies made, and [`ReplicationReport::pages_copied`] and
+//! Copies made: an item a replica lacks is counted once, however many live
+//! nodes hold it.  [`ReplicationReport::pages_copied`] and
 //! [`ReplicationReport::coordinators_copied`] count the same way.  On the
-//! bits, a word's proposals to one replica are the number of its lacking
-//! items each live node holds, summed over the live nodes.
+//! bits, a word's copies to one replica are the items it lacks.
 
 use crate::distributed::DistributedStorage;
 use crate::node_store::{span_mask, Holders, SlotSet};
@@ -136,15 +132,14 @@ struct Holdings<'a> {
 impl Holdings<'_> {
     /// Add to `lacking` each word of items in `slots` that some live node
     /// holds and a replica, one of `replicas` (all live), does not, as
-    /// `(replica, word, bits)`; return the copies the live holders propose
-    /// for them.
+    /// `(replica, word, bits)`; return the number of copies that makes.
     fn missing(
         &self,
         replicas: &[NodeId],
         slots: Range<u32>,
         lacking: &mut Vec<(NodeId, usize, u64)>,
     ) -> usize {
-        let mut proposed = 0;
+        let mut copies = 0;
         let words = (slots.start / u64::BITS) as usize..slots.end.div_ceil(u64::BITS) as usize;
         for at in words {
             let mask = span_mask(at, &slots);
@@ -156,13 +151,12 @@ impl Holdings<'_> {
                 let has = self.holders.of(replica).map_or(0, |own| own.word(at));
                 let lacks = held & !has;
                 if lacks != 0 {
-                    let proposals = self.sources.iter().map(|s| s.word(at) & lacks);
-                    proposed += proposals.map(|p| p.count_ones() as usize).sum::<usize>();
+                    copies += lacks.count_ones() as usize;
                     lacking.push((replica, at, lacks));
                 }
             }
         }
-        proposed
+        copies
     }
 }
 

@@ -11,8 +11,9 @@
 //! public read API (the held slots, their positions in the version log, a
 //! page's range and a record's key, the routing table's arcs), and checks
 //! on random scenarios that the pass reports the same `(tuples, pages,
-//! coordinators)` proposals and leaves every node holding exactly what the
-//! reference says — then that a second pass finds nothing to do.
+//! coordinators)` copies — each distinct copy once, however many sources
+//! propose it — and leaves every node holding exactly what the reference
+//! says — then that a second pass finds nothing to do.
 //!
 //! A scenario is a store of a few hundred multi-version keys in two
 //! partitioned relations and one replicated relation, under a random
@@ -185,8 +186,7 @@ fn reference(s: &DistributedStorage, stores: u16) -> (ReplicationReport, Vec<Pla
                     let lacks = after[dst.index()].tuples.entry(relation.to_string());
                     let lacks = lacks.or_default();
                     for_each_missing(ours, theirs, |slot| {
-                        report.tuples_copied += 1;
-                        lacks.insert(slot);
+                        report.tuples_copied += usize::from(lacks.insert(slot));
                     });
                 }
                 while rest.next_if(|(p, _)| inside(p)).is_some() {}
@@ -209,12 +209,12 @@ fn reference(s: &DistributedStorage, stores: u16) -> (ReplicationReport, Vec<Pla
                     };
                     for dst in at(position).0 {
                         if !held(*dst).is_some_and(|h| h.contains(slot)) {
-                            match kind {
-                                Kind::Page => report.pages_copied += 1,
-                                _ => report.coordinators_copied += 1,
-                            }
                             let item = (relation.to_string(), slot);
-                            after[dst.index()].items(kind).insert(item);
+                            let copied = usize::from(after[dst.index()].items(kind).insert(item));
+                            match kind {
+                                Kind::Page => report.pages_copied += copied,
+                                _ => report.coordinators_copied += copied,
+                            }
                         }
                     }
                 }

@@ -8,8 +8,9 @@
 //! from the reports and from `holdings`, which use only API present at
 //! `bc24ee4`; the sharing and fixture checks read the version logs, which
 //! that commit does not have, so a copy there re-records the figures
-//! without them.  `tuples_copied` counts a copy once per source that
-//! proposed it — the figures include that double count.
+//! without them.  The holdings are `bc24ee4`'s; the reports were re-pinned
+//! when a copy came to be counted once, not once per source that proposed
+//! it, so the nodes' holdings now grow by exactly what a pass reports.
 
 mod common;
 
@@ -102,10 +103,17 @@ fn assert_versions_are_shared(s: &DistributedStorage, logged: &[usize]) {
     assert!(sampled > 20, "sampled only {sampled} versions");
 }
 
+/// The sum of `holdings`, kind by kind.
+fn total(holdings: &[Triple]) -> Triple {
+    (holdings.iter()).fold((0, 0, 0), |(t, p, c), h| (t + h.0, p + h.1, c + h.2))
+}
+
 /// One repair: the pass's report and every node's holdings after it.  A
-/// second pass must find nothing to do.
+/// second pass must find nothing to do, and the holdings grow by exactly
+/// the copies reported.
 fn repair(s: &mut DistributedStorage) -> (Triple, Vec<Triple>) {
     let logged = log_lengths(s);
+    let before = total(&holdings(s));
     let report = anti_entropy(s).unwrap();
     assert_eq!(
         anti_entropy(s).unwrap(),
@@ -113,14 +121,15 @@ fn repair(s: &mut DistributedStorage) -> (Triple, Vec<Triple>) {
         "a second pass found work"
     );
     assert_versions_are_shared(s, &logged);
-    (
-        (
-            report.tuples_copied,
-            report.pages_copied,
-            report.coordinators_copied,
-        ),
-        holdings(s),
-    )
+    let copied = (
+        report.tuples_copied,
+        report.pages_copied,
+        report.coordinators_copied,
+    );
+    let after = total(&holdings(s));
+    let grown = (after.0 - before.0, after.1 - before.1, after.2 - before.2);
+    assert_eq!(copied, grown, "a copy is one bit set at one node");
+    (copied, holdings(s))
 }
 
 #[test]
@@ -167,7 +176,7 @@ fn repair_reports_and_placement_are_pinned() {
     assert_eq!(
         join,
         (
-            (1356, 111, 6),
+            (449, 37, 2),
             vec![
                 (341, 31, 2),
                 (303, 32, 4),
@@ -193,7 +202,7 @@ fn repair_reports_and_placement_are_pinned() {
     assert_eq!(
         departure,
         (
-            (776, 79, 9),
+            (351, 37, 4),
             vec![
                 (341, 31, 2),
                 (427, 43, 4),
@@ -223,7 +232,7 @@ fn repair_reports_and_placement_are_pinned() {
     assert_eq!(
         geo,
         (
-            (3609, 368, 31),
+            (1026, 107, 9),
             vec![
                 (452, 42, 3),
                 (536, 55, 4),
@@ -248,7 +257,7 @@ fn repair_reports_and_placement_are_pinned() {
     assert_eq!(
         percentage,
         (
-            (4697, 471, 34),
+            (1017, 102, 7),
             vec![
                 (561, 54, 3),
                 (677, 66, 4),
