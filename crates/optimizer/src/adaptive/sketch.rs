@@ -68,8 +68,8 @@ impl KmvSketch {
         // In a full sketch, a hash above the largest tracked one is not
         // tracked and would not be admitted: only the saturation mark can
         // change, and the map is not consulted.
-        if self.hashes.len() >= self.k {
-            let (&largest, _) = self.hashes.last_key_value().expect("k >= 2");
+        let full = self.hashes.len() >= self.k;
+        if let Some((&largest, _)) = self.hashes.last_key_value().filter(|_| full) {
             if h > largest {
                 self.saturated |= sign > 0;
                 return;
@@ -81,8 +81,8 @@ impl KmvSketch {
             } else if self.hashes.len() < self.k {
                 self.hashes.insert(h, sign);
             } else {
-                let largest = *self.hashes.keys().next_back().expect("k >= 2");
-                if h < largest {
+                // The map is full, so it has a largest hash (`k >= 2`).
+                if let Some(&largest) = self.hashes.keys().next_back().filter(|&&l| h < l) {
                     self.hashes.remove(&largest);
                     self.hashes.insert(h, sign);
                 }
@@ -99,10 +99,10 @@ impl KmvSketch {
     /// The estimated number of distinct values, exact while unsaturated.
     pub fn distinct(&self) -> f64 {
         let tracked = self.hashes.len();
-        if !self.saturated || tracked < 2 {
+        let estimated = self.saturated && tracked >= 2;
+        let Some(&largest) = self.hashes.keys().next_back().filter(|_| estimated) else {
             return tracked as f64;
-        }
-        let largest = *self.hashes.keys().next_back().expect("tracked >= 2");
+        };
         // Normalize into (0, 1]; +1 keeps a zero hash off the origin.
         let h_k = (largest as f64 + 1.0) / (u64::MAX as f64 + 1.0);
         ((tracked as f64 - 1.0) / h_k).max(tracked as f64)

@@ -34,7 +34,8 @@ pub fn fingerprint(query: &LogicalQuery) -> QueryFingerprint {
     // encoding: field order is fixed by the type and every constituent
     // (names, ints, Values) renders reproducibly.
     let mut encoding = String::new();
-    write!(encoding, "{canonical:?}").expect("writing to a String cannot fail");
+    // Writing to a `String` cannot fail.
+    let _ = write!(encoding, "{canonical:?}");
     QueryFingerprint::of_bytes(encoding.as_bytes())
 }
 
@@ -160,7 +161,7 @@ fn normalize_predicate(pred: &Predicate) -> Predicate {
             inner.sort_by_key(|p| format!("{p:?}"));
             match inner.len() {
                 0 => Predicate::True,
-                1 => inner.pop().expect("one element"),
+                1 => inner.swap_remove(0),
                 _ => Predicate::And(inner),
             }
         }

@@ -56,6 +56,9 @@
 //! plans against the hand-built oracles in its `plan_quality`
 //! experiment.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+
 pub mod adaptive;
 pub mod cost;
 pub mod fingerprint;

@@ -703,7 +703,7 @@ impl<'a> Planner<'a> {
 
     /// Emit the subtree into `builder`, returning the root operator and
     /// its output layout (global column per output position).
-    fn emit(&self, tree: &JoinTree, builder: &mut PlanBuilder) -> (OpId, Vec<ColRef>) {
+    fn emit(&self, tree: &JoinTree, builder: &mut PlanBuilder) -> Result<(OpId, Vec<ColRef>)> {
         match tree {
             JoinTree::Leaf(rel) => {
                 let leaf = &self.leaves[*rel];
@@ -723,9 +723,9 @@ impl<'a> Planner<'a> {
                 let layout = self.pruned_layout(1 << rel, raw.clone());
                 if layout.len() < raw.len() {
                     let columns = layout.iter().map(|c| c.column).collect();
-                    (builder.project(op, columns), layout)
+                    Ok((builder.project(op, columns), layout))
                 } else {
-                    (op, layout)
+                    Ok((op, layout))
                 }
             }
             JoinTree::Join {
@@ -736,17 +736,17 @@ impl<'a> Planner<'a> {
                 left_exchange,
                 right_exchange,
             } => {
-                let (mut l_op, l_layout) = self.emit(left, builder);
-                let (mut r_op, r_layout) = self.emit(right, builder);
-                let position = |layout: &[ColRef], key: &ColRef| {
-                    layout
-                        .iter()
-                        .position(|c| c == key)
-                        .expect("join keys survive pruning")
+                let (mut l_op, l_layout) = self.emit(left, builder)?;
+                let (mut r_op, r_layout) = self.emit(right, builder)?;
+                // Join keys survive pruning.
+                let positions = |layout: &[ColRef], keys: &[ColRef]| {
+                    let at = keys.iter().map(|key| layout.iter().position(|c| c == key));
+                    at.collect::<Option<Vec<usize>>>().ok_or_else(|| {
+                        OrchestraError::Planning(format!("a join key of {keys:?} was pruned"))
+                    })
                 };
-                let l_keys: Vec<usize> = left_keys.iter().map(|k| position(&l_layout, k)).collect();
-                let r_keys: Vec<usize> =
-                    right_keys.iter().map(|k| position(&r_layout, k)).collect();
+                let l_keys = positions(&l_layout, left_keys)?;
+                let r_keys = positions(&r_layout, right_keys)?;
                 match left_exchange {
                     Exchange::Rehash => l_op = builder.rehash(l_op, l_keys.clone()),
                     Exchange::Broadcast => l_op = builder.broadcast(l_op),
@@ -763,13 +763,14 @@ impl<'a> Planner<'a> {
                 let mask = Self::tree_mask(tree);
                 let layout = self.pruned_layout(mask, raw.clone());
                 if layout.len() < raw.len() {
-                    let columns = layout
-                        .iter()
-                        .map(|c| raw.iter().position(|r| r == c).expect("kept columns exist"))
-                        .collect();
-                    (builder.project(join, columns), layout)
+                    // The kept columns are a subset of the raw ones.
+                    let at = layout.iter().map(|c| raw.iter().position(|r| r == c));
+                    let columns = at.collect::<Option<Vec<usize>>>().ok_or_else(|| {
+                        OrchestraError::Planning(format!("{layout:?} is not within {raw:?}"))
+                    })?;
+                    Ok((builder.project(join, columns), layout))
                 } else {
-                    (join, layout)
+                    Ok((join, layout))
                 }
             }
         }
@@ -840,7 +841,7 @@ impl<'a> Planner<'a> {
         };
 
         let mut builder = PlanBuilder::new();
-        let (joined, layout) = self.emit(&candidate.tree, &mut builder);
+        let (joined, layout) = self.emit(&candidate.tree, &mut builder)?;
         let selected = self.emit_select(&mut builder, joined, &layout)?;
         let root = match (placement, &self.query.aggregation) {
             (AggPlacement::NoAggregate, _) => builder.ship(selected),
@@ -856,7 +857,11 @@ impl<'a> Planner<'a> {
             (AggPlacement::TwoPhase, Some(agg)) => {
                 builder.two_phase_aggregate(selected, agg.group_by.clone(), agg.aggs.clone())
             }
-            (_, None) => unreachable!("aggregation placements require an aggregation"),
+            (_, None) => {
+                return Err(OrchestraError::Planning(
+                    "an aggregation placement was chosen for a query without one".into(),
+                ))
+            }
         };
         Ok(builder.output(root))
     }
