@@ -106,9 +106,9 @@ impl fmt::Display for TupleId {
 /// never hash.
 ///
 /// The slot is the number publication gave the version within its
-/// relation: the storage layer keeps the version's body at that index of
-/// the relation's version log, and a node holds the version when its bit
-/// for that number is set.  One ID has one slot, so two entries with the
+/// relation: the storage layer keeps the version's body in the run of the
+/// relation's log that numbered it, and a node holds the version when its
+/// bit for that number is set.  One ID has one slot, so two entries with the
 /// same ID are equal.
 #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PageEntry {
@@ -116,7 +116,7 @@ pub struct PageEntry {
     pub id: TupleId,
     /// `id.hash_key()`, cached.
     pub position: Key160,
-    /// The version's number in its relation's version log.
+    /// The version's number among its relation's tuple versions.
     pub slot: u32,
 }
 

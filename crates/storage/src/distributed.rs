@@ -845,16 +845,16 @@ impl<'a> StorageView<'a> {
     pub fn lookup_index_page(&self, descriptor: &PageDescriptor) -> Result<&'a Arc<IndexPage>> {
         let (relation, slot) = (&descriptor.id.relation, descriptor.slot);
         let log = self.data.log(relation);
-        let holders = log.map(|log| log.holders(Kind::Page));
-        let held = holders.and_then(|h| self.holder(h, slot, descriptor.storage_key));
-        log.filter(|_| held.is_some())
-            .and_then(|log| log.page(slot))
-            .ok_or_else(|| {
-                OrchestraError::StorageMissing(format!(
-                    "no live node holds index page {}",
-                    descriptor.id
-                ))
-            })
+        let holds = |log: &RelationLog| {
+            (self.holder(log.holders(Kind::Page), slot, descriptor.storage_key)).is_some()
+        };
+        let held = log.filter(|log| holds(log));
+        held.and_then(|log| log.page(slot)).ok_or_else(|| {
+            OrchestraError::StorageMissing(format!(
+                "no live node holds index page {}",
+                descriptor.id
+            ))
+        })
     }
 
     /// Find a holder of the tuple version a page entry lists, trying the

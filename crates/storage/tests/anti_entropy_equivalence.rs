@@ -8,7 +8,7 @@
 //! hold a bit per item of each of a relation's logs and the pass works a
 //! word of bits at a time, over all three logs alike.  This test keeps
 //! the merge and the per-item walk as the reference, rebuilt here from the
-//! public read API (the held slots, their positions in the version log, a
+//! public read API (the held slots, their positions in the relation's log, a
 //! page's range and a record's key, the routing table's arcs), and checks
 //! on random scenarios that the pass reports the same `(tuples, pages,
 //! coordinators)` copies — each distinct copy once, however many sources

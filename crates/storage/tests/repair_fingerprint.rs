@@ -6,7 +6,7 @@
 //! (`bc24ee4`) and held since, through the change that made a node's
 //! tuples a bitset over each relation's version log.  The figures come
 //! from the reports and from `holdings`, which use only API present at
-//! `bc24ee4`; the sharing and fixture checks read the version logs, which
+//! `bc24ee4`; the sharing and fixture checks read the relations' logs, which
 //! that commit does not have, so a copy there re-records the figures
 //! without them.  The holdings are `bc24ee4`'s; the reports were re-pinned
 //! when a copy came to be counted once, not once per source that proposed
@@ -52,7 +52,7 @@ fn positions_held(s: &DistributedStorage, node: NodeId, relation: &str) -> Vec<K
     .collect()
 }
 
-/// The length of each relation's record, page and version logs.
+/// How many records, pages and versions each relation's log has numbered.
 fn log_lengths(s: &DistributedStorage) -> Vec<usize> {
     let lengths = ["R", "N"].map(|r| Kind::ALL.map(|kind| s.log(r).unwrap().len(kind)));
     lengths.concat()
@@ -61,7 +61,7 @@ fn log_lengths(s: &DistributedStorage) -> Vec<usize> {
 /// Every stored version's body exists once, in its relation's log, and
 /// its holders are the stores whose bit for it is set.  Repair sets bits
 /// and appends no item (the logs keep the lengths publication left,
-/// `logged`); every page entry the page logs list gives one ID one slot
+/// `logged`); every page entry the logs' pages list gives one ID one slot
 /// and one slot one ID; and for a sample of the versions node 0 holds, the
 /// stores that serve one locally are those with its bit, all handing out
 /// the log's one body.
