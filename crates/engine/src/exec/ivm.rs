@@ -226,10 +226,6 @@ fn strip_shape(original: &PhysicalPlan) -> Result<StrippedShape> {
 fn fold_of(stripped: &Option<StrippedAgg>, rebuilt: &PhysicalPlan) -> FoldMode {
     match stripped {
         None => FoldMode::Multiset,
-        Some((group_by, aggs, AggMode::Single)) => FoldMode::Raw {
-            group_by: group_by.clone(),
-            aggs: aggs.clone(),
-        },
         Some((group_by, aggs, AggMode::Final)) => {
             // The hidden support count is the last column of the
             // (augmented) partial layout the ship operator forwards.
@@ -240,7 +236,13 @@ fn fold_of(stripped: &Option<StrippedAgg>, rebuilt: &PhysicalPlan) -> FoldMode {
                 count_col,
             }
         }
-        Some((_, _, AggMode::Partial)) => unreachable!("only Single/Final are stripped"),
+        Some((group_by, aggs, mode)) => {
+            debug_assert_eq!(*mode, AggMode::Single, "only Single/Final are stripped");
+            FoldMode::Raw {
+                group_by: group_by.clone(),
+                aggs: aggs.clone(),
+            }
+        }
     }
 }
 
@@ -259,7 +261,8 @@ impl MaintenancePlan {
         let scans: Vec<(OpId, String)> = plan
             .scans()
             .into_iter()
-            .map(|id| (id, scan_relation(&plan, id).to_string()))
+            .zip(plan.relations())
+            .map(|(id, relation)| (id, relation.to_string()))
             .collect();
         let fold = fold_of(&shape.stripped, &plan);
 
@@ -354,7 +357,7 @@ fn derive_leg(original: &PhysicalPlan, relation: &str) -> Result<MaintenanceLeg>
     let strip_final = matches!(shape.stripped, Some((_, _, AggMode::Final)));
     let pivot = dfs_scans(original, shape.body)
         .into_iter()
-        .find(|op| scan_relation(original, *op) == relation)
+        .find(|op| original.op(*op).kind.scanned_relation() == Some(relation))
         .ok_or_else(|| {
             OrchestraError::Execution(format!("leg plan for {relation} scans no such relation"))
         })?;
@@ -367,16 +370,6 @@ fn derive_leg(original: &PhysicalPlan, relation: &str) -> Result<MaintenanceLeg>
         plan,
         fold,
     })
-}
-
-/// The relation a scan operator reads.
-fn scan_relation(plan: &PhysicalPlan, op: OpId) -> &str {
-    match &plan.op(op).kind {
-        OperatorKind::DistributedScan { relation, .. }
-        | OperatorKind::CoveringIndexScan { relation, .. }
-        | OperatorKind::ReplicatedScan { relation, .. } => relation,
-        _ => unreachable!("scan ops only"),
-    }
 }
 
 /// Clone the subtree rooted at `op` into `builder`, appending a hidden
@@ -638,12 +631,7 @@ impl MaterializedView {
         let mut rewritten = Vec::with_capacity(legs.len());
         for (relation, plan) in legs {
             let leg = derive_leg(plan, relation)?;
-            let scanned: Vec<&str> = leg
-                .plan
-                .scans()
-                .into_iter()
-                .map(|op| scan_relation(&leg.plan, op))
-                .collect();
+            let scanned = leg.plan.relations();
             for r in expected.iter().chain(&scanned) {
                 let times = scanned.iter().filter(|s| *s == r).count();
                 if times != 1 || !expected.contains(r) {
@@ -989,7 +977,7 @@ pub(super) fn delta_legs(
         }
         let mut overrides = ScanOverrides::new();
         for op in leg.plan.scans() {
-            let relation = scan_relation(&leg.plan, op);
+            let relation = leg.plan.op(op).kind.scanned_relation().unwrap_or_default();
             let global = order.iter().position(|r| *r == relation).ok_or_else(|| {
                 OrchestraError::Execution(format!(
                     "leg plan for {} scans {relation}, which view {} has no leg for",

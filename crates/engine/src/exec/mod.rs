@@ -23,8 +23,10 @@
 //!
 //! A [`FailureSpec`] kills one node at a virtual instant: the simulator
 //! drops its in-flight and future messages, so the end-of-stream cascade
-//! stalls and the event queue quiesces with the query incomplete.  The
-//! executor then recovers under the configured [`RecoveryStrategy`]:
+//! stalls and the event queue quiesces with the query incomplete.  Like
+//! the paper's engine meeting a connection reset, a session knows only
+//! the failures that dropped its own messages; it recovers from those,
+//! under the configured [`RecoveryStrategy`]:
 //!
 //! * **Restart** — discard all operator state, reassign the failed node's
 //!   ranges to its surviving replica holders, and re-run the query from
@@ -37,6 +39,9 @@
 //!   caches, the untainted rows that had been sent to the failed node —
 //!   re-routed to the heirs under the recovery snapshot.  The result is
 //!   correct, complete and duplicate-free without redoing unaffected work.
+//!
+//! Each round drops a failed node from the routing table, so recovery ends
+//! by itself; a stall it cannot mend is an error naming the session.
 //!
 //! The answer comes back in a [`QueryReport`] together with the simulated
 //! running time and the exact per-link traffic counts — the quantities
@@ -148,8 +153,6 @@ pub struct EngineConfig {
     pub recovery: bool,
     /// Strategy applied when a failure interrupts the query.
     pub strategy: RecoveryStrategy,
-    /// Upper bound on recovery rounds before the query is abandoned.
-    pub max_recovery_rounds: u32,
 }
 
 impl Default for EngineConfig {
@@ -158,7 +161,6 @@ impl Default for EngineConfig {
             profile: ClusterProfile::lan_cluster(),
             recovery: true,
             strategy: RecoveryStrategy::Incremental,
-            max_recovery_rounds: 4,
         }
     }
 }
@@ -295,8 +297,8 @@ impl<'a> QueryExecutor<'a> {
         let workload =
             SessionScheduler::default().run_inner(view, &self.config, &[session], dead, None)?;
         let only = workload.sessions.into_iter().next();
-        Ok(only
-            .expect("an admitted session completes or errors")
-            .report)
+        only.map(|s| s.report).ok_or_else(|| {
+            OrchestraError::Execution("session \"query\" ended without a report".into())
+        })
     }
 }

@@ -270,11 +270,6 @@ impl<'a> Runtime<'a> {
         Ok(())
     }
 
-    /// Has this session exhausted its recovery-round budget?
-    pub(super) fn rounds_exhausted(&self) -> bool {
-        self.stats.rounds >= self.config.max_recovery_rounds
-    }
-
     // ------------------------------------------------------------------
     // Phase setup
     // ------------------------------------------------------------------

@@ -1,10 +1,10 @@
 //! The Restart and Incremental recovery strategies (Section V-D).
 //!
 //! When the event queue quiesces with the query incomplete, the
-//! scheduler's loop calls `Runtime::recover` with the failed node set,
-//! which first narrows the session's view of the store so the failed
-//! nodes are unreadable — the caller's store itself is neither copied nor
-//! touched.  **Restart**
+//! scheduler's loop calls `Runtime::recover` with the nodes whose failure
+//! dropped one of the session's messages, which first narrows the
+//! session's view of the store so they are unreadable — the caller's
+//! store itself is neither copied nor touched.  **Restart**
 //! wipes every operator state and re-runs the query on the survivors
 //! under the recovery routing snapshot.  **Incremental** runs the
 //! four-stage protocol: derive the recovery snapshot, purge exactly the
@@ -23,11 +23,6 @@ use std::rc::Rc;
 
 impl Runtime<'_> {
     pub(super) fn recover(&mut self, failed: &NodeSet) -> Result<()> {
-        if failed.contains(self.initiator) {
-            return Err(OrchestraError::Execution(
-                "the query initiator failed; the query is lost".into(),
-            ));
-        }
         if self.config.strategy == RecoveryStrategy::Incremental && !self.config.recovery {
             return Err(OrchestraError::Execution(
                 "incremental recovery requires recovery support (provenance tags and output caches)"
@@ -122,7 +117,7 @@ impl Runtime<'_> {
     /// Stage 4: re-create the data that had been sent to the failed nodes'
     /// hash key-space ranges, re-routed under the recovery snapshot.
     pub(super) fn retransmit_cached(&mut self, node: NodeId, time: SimTime) -> Result<SimTime> {
-        let failed = self.sim.failed_nodes_at(time);
+        let failed = self.sim.failed();
         let mut ready = time;
         for op in 0..self.plan.len() {
             let Some(OpState::Exchange(exchange)) = self.nodes[node.index()].ops.get_mut(op) else {

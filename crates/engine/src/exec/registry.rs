@@ -341,7 +341,7 @@ fn session_fingerprint(session: &QuerySession) -> QueryFingerprint {
 fn signed_diff(old: &[Tuple], new: &[Tuple]) -> (Vec<Tuple>, Vec<Tuple>) {
     let (mut inserts, mut retracts) = (Vec::new(), Vec::new());
     let (mut i, mut j) = (0, 0);
-    while i < old.len() || j < new.len() {
+    loop {
         match (old.get(i), new.get(j)) {
             (Some(o), Some(n)) => match o.cmp(n) {
                 std::cmp::Ordering::Equal => {
@@ -365,7 +365,7 @@ fn signed_diff(old: &[Tuple], new: &[Tuple]) -> (Vec<Tuple>, Vec<Tuple>) {
                 inserts.push(n.clone());
                 j += 1;
             }
-            (None, None) => unreachable!("loop condition"),
+            (None, None) => break,
         }
     }
     (inserts, retracts)

@@ -55,10 +55,11 @@
 //!
 //! A [`super::FailureSpec`] kills a node *of the shared network*: every
 //! in-flight session loses its deliveries to and from the victim at
-//! once.  When the event queue quiesces with sessions incomplete, the
-//! loop runs each stalled session's own recovery (Restart or
-//! Incremental, per the engine config) — the per-session wire tags
-//! ([`SessionId`]) are what keep one query's purge/retransmission from
+//! once.  When the event queue quiesces with sessions incomplete, each
+//! stalled session recovers (Restart or Incremental, per the engine
+//! config) from the nodes whose failure dropped its own messages, once
+//! the clock has reached the last of those failures — the per-session
+//! wire tags ([`SessionId`]) keep one query's purge/retransmission from
 //! touching another's state.  Every session reads the caller's store
 //! through its own [`StorageView`]: a recovery round narrows the view so
 //! the dead nodes are unreadable, and nothing copies or mutates the store.
@@ -447,8 +448,8 @@ impl SessionScheduler {
             while active < self.config.max_concurrent && !waiting.is_empty() {
                 let pos = match self.config.policy {
                     AdmissionPolicy::Fifo => 0,
-                    // Stable argmin: equal (or incomparable) costs keep
-                    // arrival order.
+                    // Stable argmin over the non-empty queue: equal (or
+                    // incomparable) costs keep arrival order.
                     AdmissionPolicy::ShortestCostFirst => waiting
                         .iter()
                         .enumerate()
@@ -458,8 +459,7 @@ impl SessionScheduler {
                                 .partial_cmp(&sessions[b].estimated_cost)
                                 .unwrap_or(std::cmp::Ordering::Equal)
                         })
-                        .map(|(pos, _)| pos)
-                        .expect("queue is non-empty"),
+                        .map_or(0, |(pos, _)| pos),
                 };
                 let idx = waiting.remove(pos);
                 let now = shared.borrow().now();
@@ -503,7 +503,7 @@ impl SessionScheduler {
                         continue;
                     };
                     if !delivered {
-                        runtime.sim.note_receiver_drop();
+                        runtime.sim.note_receiver_drop(delivery.to);
                         continue;
                     }
                     let Delivery {
@@ -518,8 +518,7 @@ impl SessionScheduler {
                         to,
                         payload,
                     })?;
-                    if runtime.done {
-                        let runtime = runtimes[idx].take().expect("runtime is active");
+                    if let Some(runtime) = runtimes[idx].take_if(|r| r.done) {
                         let report = runtime.into_report();
                         let session = &sessions[idx];
                         // Fill the cache only on completion: a session
@@ -554,37 +553,41 @@ impl SessionScheduler {
                     }
                 }
                 None => {
-                    // Quiesced: done, waiting on an arrival, or stalled.
-                    if active == 0 && waiting.is_empty() {
-                        if next_arrival >= arrival_order.len() {
+                    // Quiesced: done, waiting on an arrival (the clock
+                    // jumps to it), with free capacity (admit at the top),
+                    // or stalled.
+                    if active == 0 {
+                        if waiting.is_empty() && next_arrival >= arrival_order.len() {
                             break;
                         }
-                        continue; // the clock jumps to the next arrival.
+                        continue;
                     }
-                    if active == 0 {
-                        continue; // free capacity — admit at the top.
-                    }
-                    let now = shared.borrow().now();
-                    let failed = shared.borrow().failed_nodes_at(now);
-                    // Every still-active session stalled on the same
-                    // failure; recover each one against its own state,
-                    // in session order for determinism.
+                    // Every still-active session stalled; each recovers
+                    // from the failures it saw itself, in session order
+                    // for determinism.  A round removes at least one node
+                    // from the session's routing table, so a session runs
+                    // out of rounds when it runs out of failed members.
                     for (idx, slot) in runtimes.iter_mut().enumerate() {
                         let Some(runtime) = slot.as_mut() else {
                             continue;
                         };
                         let name = sessions[idx].name;
-                        if failed.is_empty() {
+                        let failed = runtime.sim.failed();
+                        if failed.contains(runtime.initiator) {
+                            return Err(OrchestraError::Execution(format!(
+                                "session \"{name}\" lost its initiator {}",
+                                runtime.initiator
+                            )));
+                        }
+                        if !failed.iter().any(|n| runtime.table.contains_node(n)) {
                             return Err(OrchestraError::Execution(format!(
                                 "session \"{name}\" stalled with no failed node (engine bug)"
                             )));
                         }
-                        if runtime.rounds_exhausted() {
-                            return Err(OrchestraError::Execution(format!(
-                                "session \"{name}\" did not complete within {} recovery rounds",
-                                engine.max_recovery_rounds
-                            )));
-                        }
+                        // A send refused at a CPU-ready instant past a
+                        // failure can announce it before the clock is there.
+                        let last_failure = shared.borrow().last_failure_of(&failed);
+                        shared.borrow_mut().advance_to(last_failure);
                         runtime.recover(&failed)?;
                     }
                 }

@@ -4,9 +4,11 @@
 //! shared by several concurrently executing queries.  Each `Runtime`
 //! owns one handle; every message it sends is wrapped in a
 //! [`Wire`] envelope carrying the runtime's [`SessionId`], and the
-//! handle keeps the session's own [`TrafficStats`] and dropped-message
-//! count so a [`super::QueryReport`] stays per-query exact even when the
-//! underlying links, CPUs and clock are contended by other sessions.
+//! handle keeps the session's own [`TrafficStats`], dropped-message
+//! count and failed nodes — those whose failure dropped one of its
+//! messages, all the session knows of failures — so a
+//! [`super::QueryReport`] stays per-query exact even when the underlying
+//! links, CPUs and clock are contended by other sessions.
 //! These ledgers are the only per-link traffic record of a run: the
 //! shared simulator keeps the run's byte and message totals only, which
 //! the sessions' totals partition.
@@ -29,15 +31,16 @@ use std::rc::Rc;
 pub(super) type SharedSim = Rc<RefCell<Simulator<Wire>>>;
 
 /// Node slots a simulator over `table`'s members needs (node ids index
-/// arrays directly, so the highest index bounds the allocation).
+/// arrays directly, so the highest index bounds the allocation).  Zero
+/// for an empty table, which no session runs on: its initiator is not a
+/// member.
 pub(super) fn node_slots(table: &RoutingTable) -> usize {
     table
         .nodes()
         .iter()
-        .map(|n| n.index())
+        .map(|n| n.index() + 1)
         .max()
-        .expect("routing table has nodes")
-        + 1
+        .unwrap_or(0)
 }
 
 /// Build the shared simulator every session of one run attaches to.
@@ -53,6 +56,8 @@ pub(super) struct SessionSim {
     stats: TrafficStats,
     /// Messages of this session dropped because a party had failed.
     dropped: u64,
+    /// The nodes whose failure dropped one of those messages.
+    failed: NodeSet,
 }
 
 impl SessionSim {
@@ -63,6 +68,7 @@ impl SessionSim {
             session,
             stats: TrafficStats::new(),
             dropped: 0,
+            failed: NodeSet::empty(),
         }
     }
 
@@ -71,9 +77,9 @@ impl SessionSim {
         self.shared.borrow().now()
     }
 
-    /// The set of nodes failed as of `at`.
-    pub(super) fn failed_nodes_at(&self, at: SimTime) -> NodeSet {
-        self.shared.borrow().failed_nodes_at(at)
+    /// The nodes whose failure dropped one of this session's messages.
+    pub(super) fn failed(&self) -> NodeSet {
+        self.failed
     }
 
     /// Reserve CPU on `node` (shared across sessions — concurrent
@@ -134,15 +140,17 @@ impl SessionSim {
             }
             None => {
                 self.dropped += 1;
+                self.failed.insert(src);
                 None
             }
         }
     }
 
-    /// A delivery addressed to this session was discarded because the
-    /// receiver had failed (attributed by the scheduler's pop loop).
-    pub(super) fn note_receiver_drop(&mut self) {
+    /// A delivery addressed to this session was discarded because its
+    /// receiver `to` had failed (attributed by the scheduler's pop loop).
+    pub(super) fn note_receiver_drop(&mut self, to: NodeId) {
         self.dropped += 1;
+        self.failed.insert(to);
     }
 
     /// This session's traffic counters.

@@ -720,22 +720,19 @@ fn a_failure_run_that_never_stalls_reads_the_callers_store() {
     }
 }
 
+/// The initiator's failure is the one no recovery round can mend: the
+/// session it stalls ends in an error that names it, through the
+/// executor and the scheduler alike.
 #[test]
 fn a_stall_error_names_the_session() {
     let mut s = cluster(4);
     publish_r(&mut s, 40);
-    let config = EngineConfig {
-        max_recovery_rounds: 0,
-        ..EngineConfig::default()
-    };
-    let failure = FailureSpec::at_time(NodeId(2), SimTime::from_micros(1));
+    let config = EngineConfig::default();
+    let failure = FailureSpec::at_time(NodeId(0), SimTime::from_micros(1));
     let err = QueryExecutor::new(&s, config.clone())
         .execute_with_failure(&scan_ship_plan(), Epoch(0), NodeId(0), failure)
         .unwrap_err();
-    assert_eq!(
-        err.message(),
-        "session \"query\" did not complete within 0 recovery rounds"
-    );
+    assert_eq!(err.message(), "session \"query\" lost its initiator n0");
     let err = SessionScheduler::new(SchedulerConfig::default())
         .run_with_failure(
             &s,
@@ -744,10 +741,7 @@ fn a_stall_error_names_the_session() {
             failure,
         )
         .unwrap_err();
-    assert_eq!(
-        err.message(),
-        "session \"named\" did not complete within 0 recovery rounds"
-    );
+    assert_eq!(err.message(), "session \"named\" lost its initiator n0");
 }
 
 #[test]

@@ -63,6 +63,9 @@
 //! share live beside them: [`plan`], [`expr`], [`ops`], [`batch`] and
 //! [`provenance`].
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+
 pub mod batch;
 pub mod exec;
 pub mod expr;

@@ -657,7 +657,9 @@ impl ExtremumSketch {
         }
         self.tracked.insert(value.clone(), count);
         while self.tracked.len() > self.k {
-            let boundary = self.boundary().expect("tracked is non-empty").clone();
+            let Some(boundary) = self.boundary().cloned() else {
+                break;
+            };
             let evicted = self.tracked.remove(&boundary).unwrap_or(0);
             self.untracked += evicted;
         }

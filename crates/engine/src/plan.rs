@@ -143,12 +143,17 @@ impl OperatorKind {
 
     /// Is this a leaf (storage) operator?
     pub fn is_scan(&self) -> bool {
-        matches!(
-            self,
-            OperatorKind::DistributedScan { .. }
-                | OperatorKind::CoveringIndexScan { .. }
-                | OperatorKind::ReplicatedScan { .. }
-        )
+        self.scanned_relation().is_some()
+    }
+
+    /// The relation a leaf operator reads; `None` for any other.
+    pub(crate) fn scanned_relation(&self) -> Option<&str> {
+        match self {
+            OperatorKind::DistributedScan { relation, .. }
+            | OperatorKind::CoveringIndexScan { relation, .. }
+            | OperatorKind::ReplicatedScan { relation, .. } => Some(relation),
+            _ => None,
+        }
     }
 
     /// Does this operator move tuples between nodes?
@@ -257,12 +262,7 @@ impl PhysicalPlan {
     pub fn relations(&self) -> Vec<&str> {
         self.operators
             .iter()
-            .filter_map(|o| match &o.kind {
-                OperatorKind::DistributedScan { relation, .. }
-                | OperatorKind::CoveringIndexScan { relation, .. }
-                | OperatorKind::ReplicatedScan { relation, .. } => Some(relation.as_str()),
-                _ => None,
-            })
+            .filter_map(|o| o.kind.scanned_relation())
             .collect()
     }
 

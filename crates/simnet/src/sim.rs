@@ -33,10 +33,12 @@
 //! onwards.  Messages sent by a dead node are discarded at the send call;
 //! messages addressed to a node that is dead at delivery time are
 //! discarded at the pop.  Both kinds are counted in
-//! [`Simulator::dropped_messages`], and the engine — exactly like the
-//! paper's engine observing a TCP connection reset — learns of the failure
-//! synchronously (the failure is injected by the experiment driver, which
-//! then invokes the engine's recovery path).
+//! [`Simulator::dropped_messages`].  There is no query for the nodes
+//! failed as of an instant: the engine — exactly like the paper's engine
+//! observing a TCP connection reset — learns of a failure from its own
+//! messages (a refused send names the sender, a discarded delivery the
+//! receiver), and [`Simulator::last_failure_of`] tells it when the last
+//! of the nodes it saw fail had died.
 
 use crate::clock::SimTime;
 use crate::link::LinkState;
@@ -198,15 +200,12 @@ impl<M> Simulator<M> {
         matches!(self.failed_at[node.index()], Some(t) if t <= at)
     }
 
-    /// The set of nodes failed as of `at`.
-    pub fn failed_nodes_at(&self, at: SimTime) -> NodeSet {
-        let mut s = NodeSet::empty();
-        for i in 0..self.failed_at.len() {
-            if self.is_failed_at(NodeId(i as u16), at) {
-                s.insert(NodeId(i as u16));
-            }
-        }
-        s
+    /// The instant the last of `nodes` failed (zero if none has).
+    pub fn last_failure_of(&self, nodes: &NodeSet) -> SimTime {
+        nodes
+            .iter()
+            .filter_map(|n| self.failed_at.get(n.index()).copied().flatten())
+            .fold(SimTime::ZERO, SimTime::max)
     }
 
     /// Reserve CPU on `node`: work of length `duration` that cannot start
@@ -538,7 +537,12 @@ mod tests {
         assert_eq!(s.dropped_messages(), 1);
         assert!(s.is_failed_at(NodeId(1), SimTime::from_millis(1)));
         assert!(!s.is_failed_at(NodeId(1), SimTime::ZERO));
-        assert_eq!(s.failed_nodes_at(SimTime::from_secs(1)).len(), 1);
+        let both: NodeSet = [NodeId(0), NodeId(1)].into_iter().collect();
+        assert_eq!(s.last_failure_of(&both), SimTime::from_millis(1));
+        assert_eq!(
+            s.last_failure_of(&NodeSet::singleton(NodeId(0))),
+            SimTime::ZERO
+        );
     }
 
     #[test]

@@ -383,10 +383,11 @@ impl Gossip {
                     incarnation: inc,
                     state: PeerState::Alive,
                 };
-                let mut view = match self.contact(x) {
-                    Some(c) => self.views[c.index()].clone().expect("contact is live"),
-                    None => MemberView::seeded([]),
-                };
+                // A contact is live, so it has a view to copy.
+                let mut view = self
+                    .contact(x)
+                    .and_then(|c| self.views[c.index()].clone())
+                    .unwrap_or_else(|| MemberView::seeded([]));
                 view.apply(rumor, self.push_budget);
                 self.views[x.index()] = Some(view);
                 if let Some(c) = self.contact(x) {

@@ -38,6 +38,9 @@
 //! local rumor view, which is what makes sustained churn at
 //! hundreds-to-thousands of nodes tractable.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+
 pub mod allocation;
 pub mod gossip;
 pub mod membership;

@@ -3,9 +3,10 @@
 //! recovered under both Section V-D strategies — must equal a
 //! straightforward single-node computation over the generated relations,
 //! tuple for tuple, for the hand-built plan and the optimizer-compiled
-//! one alike.  The `#[ignore]`d sweep at the bottom repeats the check at
-//! the sizes where a wrong answer once hid (5k–100k rows); CI runs it in
-//! release mode.
+//! one alike.  Two `#[ignore]`d sweeps, which CI runs in release mode,
+//! widen the check: one kills every victim every 11 µs of every
+//! catalogue workload at a few hundred rows, the other kills at half
+//! time at the sizes where a wrong answer once hid (5k–100k rows).
 
 use orchestra_common::NodeId;
 use orchestra_engine::{EngineConfig, FailureSpec, QueryExecutor, QueryReport, RecoveryStrategy};
@@ -13,29 +14,62 @@ use orchestra_simnet::SimTime;
 use orchestra_workloads::{compiled_plan, deploy, mixed_stream, TpchQuery, TpchWorkload, Workload};
 
 const INITIATOR: NodeId = NodeId(0);
+const BOTH: [RecoveryStrategy; 2] = [RecoveryStrategy::Restart, RecoveryStrategy::Incremental];
 
 /// What [`run_against_reference`] found.
 struct Checked {
     /// The hand-built plan's failure-free report from the first initiator.
     baseline: QueryReport,
-    /// One line per answer that differs from the single-node reference.
+    /// Runs made, failure-free and failure runs together.
+    runs: usize,
+    /// One line per answer that differs from the single-node reference,
+    /// and per run that returned an error.
     mismatches: Vec<String>,
     /// One line per failure run that completed without a recovery round
     /// (the victim had nothing left to send when it died).
     unrecovered: Vec<String>,
 }
 
+/// Kill the victim halfway through the plan's failure-free running time.
+fn halfway(running_time: SimTime) -> Vec<SimTime> {
+    vec![SimTime::from_micros(running_time.as_micros() / 2)]
+}
+
+/// Kill the victim at each of `instants`, in microseconds, whatever the
+/// plan's running time.
+fn at(instants: &[u64]) -> impl Fn(SimTime) -> Vec<SimTime> + '_ {
+    |_| {
+        instants
+            .iter()
+            .map(|&us| SimTime::from_micros(us))
+            .collect()
+    }
+}
+
+/// Kill the victim every `step` µs, from the first instant to one step
+/// past the end of the plan's failure-free run.
+fn every(step: u64) -> impl Fn(SimTime) -> Vec<SimTime> {
+    move |running_time| {
+        (0..=running_time.as_micros() + step)
+            .step_by(step as usize)
+            .map(SimTime::from_micros)
+            .collect()
+    }
+}
+
 /// Deploy `workload` (its generator parameters spelled out in `data`, for
 /// the messages) on `nodes` nodes and run both of its plans
 /// failure-free from every initiator, then — from the first initiator —
-/// once per victim and strategy with the victim killed halfway through
-/// that plan's failure-free running time.
+/// once per victim, failure instant and strategy, `instants` drawing the
+/// instants from that plan's failure-free running time.
 fn run_against_reference(
     data: &str,
     workload: &dyn Workload,
     nodes: u16,
     initiators: &[NodeId],
     victims: &[NodeId],
+    instants: &dyn Fn(SimTime) -> Vec<SimTime>,
+    strategies: &[RecoveryStrategy],
 ) -> Checked {
     let (storage, epoch) = deploy(workload, nodes).unwrap();
     let expected = workload.reference();
@@ -51,6 +85,7 @@ fn run_against_reference(
             compiled_plan(workload, &storage, epoch).unwrap(),
         ),
     ];
+    let mut runs = 0;
     let mut mismatches = Vec::new();
     let mut unrecovered = Vec::new();
     let mut baselines = Vec::new();
@@ -60,6 +95,7 @@ fn run_against_reference(
             .iter()
             .map(|i| exec.execute(plan, epoch, *i).unwrap())
             .collect();
+        runs += initiators.len();
         for (initiator, report) in initiators.iter().zip(&failure_free) {
             if report.rows != expected {
                 mismatches.push(format!(
@@ -70,59 +106,77 @@ fn run_against_reference(
         }
         let baseline = failure_free.swap_remove(0);
         for &victim in victims {
-            let failure = FailureSpec::at_time(
-                victim,
-                SimTime::from_micros(baseline.running_time.as_micros() / 2),
-            );
-            for strategy in [RecoveryStrategy::Restart, RecoveryStrategy::Incremental] {
-                let config = EngineConfig {
-                    strategy,
-                    ..EngineConfig::default()
-                };
-                let report = QueryExecutor::new(&storage, config)
-                    .execute_with_failure(plan, epoch, initiators[0], failure)
-                    .unwrap();
-                if report.rows != expected {
-                    mismatches.push(format!(
-                        "{case}, {label} plan, {victim} killed under {strategy:?}: {} rows",
-                        report.rows.len()
-                    ));
+            for killed_at in instants(baseline.running_time) {
+                let failure = FailureSpec::at_time(victim, killed_at);
+                for &strategy in strategies {
+                    let run = format!(
+                        "{case}, {label} plan, {victim} killed at {} µs under {strategy:?}",
+                        killed_at.as_micros()
+                    );
+                    let config = EngineConfig {
+                        strategy,
+                        ..EngineConfig::default()
+                    };
+                    runs += 1;
+                    let report = match QueryExecutor::new(&storage, config).execute_with_failure(
+                        plan,
+                        epoch,
+                        initiators[0],
+                        failure,
+                    ) {
+                        Ok(report) => report,
+                        Err(err) => {
+                            mismatches.push(format!("{run}: {err}"));
+                            continue;
+                        }
+                    };
+                    if report.rows != expected {
+                        mismatches.push(format!("{run}: {} rows", report.rows.len()));
+                    }
+                    if !report.recovered {
+                        unrecovered.push(run);
+                        continue;
+                    }
+                    assert!(
+                        report.running_time > baseline.running_time,
+                        "{run}: recovery cannot be free"
+                    );
                 }
-                if !report.recovered {
-                    unrecovered.push(format!(
-                        "{case}, {label} plan, {victim} killed under {strategy:?}"
-                    ));
-                    continue;
-                }
-                assert!(
-                    report.running_time > baseline.running_time,
-                    "{case}, {label} plan, {victim} under {strategy:?}: recovery cannot be free"
-                );
             }
         }
         baselines.push(baseline);
     }
     Checked {
         baseline: baselines.swap_remove(0),
+        runs,
         mismatches,
         unrecovered,
     }
 }
 
 /// [`run_against_reference`] for a TPC-H query over `rows` lineitems
-/// generated from `seed`, queried from node 0; panics on any mismatch
-/// and on a failure that did not bite, and returns the hand-built plan's
-/// failure-free report.
+/// generated from `seed`, queried from node 0 with each victim killed at
+/// `instants`; panics on any mismatch or error and on a failure that did
+/// not bite, and returns the hand-built plan's failure-free report.
 fn assert_matches_reference_under_failures(
     query: TpchQuery,
     rows: usize,
     nodes: u16,
     seed: u64,
     victims: &[NodeId],
+    instants: &dyn Fn(SimTime) -> Vec<SimTime>,
 ) -> QueryReport {
     let workload = TpchWorkload::scaled(query, seed, rows);
     let data = format!("{rows} rows, seed {seed}");
-    let checked = run_against_reference(&data, &workload, nodes, &[INITIATOR], victims);
+    let checked = run_against_reference(
+        &data,
+        &workload,
+        nodes,
+        &[INITIATOR],
+        victims,
+        instants,
+        &BOTH,
+    );
     assert!(
         checked.mismatches.is_empty(),
         "{}",
@@ -138,7 +192,8 @@ fn assert_matches_reference_under_failures(
 
 #[test]
 fn q3_distributed_equals_reference_with_and_without_failure() {
-    let baseline = assert_matches_reference_under_failures(TpchQuery::Q3, 400, 6, 21, &[NodeId(4)]);
+    let baseline =
+        assert_matches_reference_under_failures(TpchQuery::Q3, 400, 6, 21, &[NodeId(4)], &halfway);
     // Q3's two joins rehash on non-partitioning keys, so real data must
     // have crossed the wire.
     assert!(baseline.total_bytes > 0);
@@ -146,7 +201,8 @@ fn q3_distributed_equals_reference_with_and_without_failure() {
 
 #[test]
 fn q6_distributed_equals_reference_with_and_without_failure() {
-    let baseline = assert_matches_reference_under_failures(TpchQuery::Q6, 400, 6, 23, &[NodeId(4)]);
+    let baseline =
+        assert_matches_reference_under_failures(TpchQuery::Q6, 400, 6, 23, &[NodeId(4)], &halfway);
     // Q6 returns a single ungrouped revenue row.
     assert_eq!(baseline.rows.len(), 1);
 }
@@ -157,14 +213,95 @@ fn q6_distributed_equals_reference_with_and_without_failure() {
 /// segment with join output still to come (82 rows against 90).
 #[test]
 fn q3_is_complete_when_a_backlogged_node_feeds_itself() {
-    assert_matches_reference_under_failures(TpchQuery::Q3, 5_000, 2, 5, &[]);
+    assert_matches_reference_under_failures(TpchQuery::Q3, 5_000, 2, 5, &[], &halfway);
 }
 
 /// The same overtaking during a recovery round (Restart 176 rows,
 /// Incremental 166, against 191).
 #[test]
 fn q3_recovered_answer_is_complete_at_ten_thousand_rows() {
-    assert_matches_reference_under_failures(TpchQuery::Q3, 10_000, 4, 3, &[NodeId(3)]);
+    assert_matches_reference_under_failures(TpchQuery::Q3, 10_000, 4, 3, &[NodeId(3)], &halfway);
+}
+
+/// A single late failure used to stall Q3 with "stalled with no failed
+/// node": the scheduler read the failed set at the current instant, but
+/// n2's last sends had been refused at a CPU-ready instant past its
+/// failure, which the clock never reached.  n2 dies where the hand-built
+/// plan stalled (5,742 µs) and where the compiled one did (5,753 µs).
+#[test]
+fn q3_recovers_from_a_failure_the_clock_has_not_reached() {
+    assert_matches_reference_under_failures(
+        TpchQuery::Q3,
+        300,
+        3,
+        42,
+        &[NodeId(2)],
+        &at(&[5_742, 5_753]),
+    );
+}
+
+/// The debug-build share of the every-instant sweep: one configuration
+/// per workload (300 rows on 3 nodes, n2 killed every 11 µs, one
+/// strategy, the two alternating over the workloads).
+#[test]
+fn every_instant_of_one_configuration_per_workload() {
+    for (i, workload) in mixed_stream(42, 300, 1).iter().enumerate() {
+        let checked = run_against_reference(
+            "300 rows, seed 42",
+            workload.as_ref(),
+            3,
+            &[INITIATOR],
+            &[NodeId(2)],
+            &every(11),
+            &[BOTH[i % 2]],
+        );
+        assert!(
+            checked.mismatches.is_empty(),
+            "{}",
+            checked.mismatches.join("\n")
+        );
+    }
+}
+
+/// Fail every instant, at small scale: every catalogue workload at 300
+/// and 600 rows on 3, 4 and 5 nodes, both plans, every non-initiator
+/// victim killed every 11 µs from 0 to past the end of the failure-free
+/// run, under both strategies.  Every answer must equal the reference; a
+/// failure that does not bite is counted, not asserted.  Prints every
+/// mismatch before failing.
+#[test]
+#[ignore = "about 150,000 runs; CI runs it in release mode"]
+fn every_instant_at_small_scale() {
+    let (mut runs, mut unrecovered, mut mismatches) = (0, 0, Vec::new());
+    for rows in [300, 600] {
+        let data = format!("{rows} rows, seed 42");
+        for workload in mixed_stream(42, rows, 1) {
+            for nodes in [3, 4, 5] {
+                let victims: Vec<NodeId> = (1..nodes).map(NodeId).collect();
+                let checked = run_against_reference(
+                    &data,
+                    workload.as_ref(),
+                    nodes,
+                    &[INITIATOR],
+                    &victims,
+                    &every(11),
+                    &BOTH,
+                );
+                runs += checked.runs;
+                unrecovered += checked.unrecovered.len();
+                for line in &checked.mismatches {
+                    eprintln!("MISMATCH {line}");
+                }
+                mismatches.extend(checked.mismatches);
+            }
+        }
+    }
+    eprintln!("{runs} runs, {unrecovered} failure runs without a recovery round");
+    assert!(
+        mismatches.is_empty(),
+        "{} of {runs} runs differ from the reference",
+        mismatches.len()
+    );
 }
 
 /// The at-scale sweep: every catalogue workload once, then Q3 — the
@@ -185,8 +322,10 @@ fn answers_match_the_reference_at_scale() {
                      initiators: &[NodeId],
                      victims: &[NodeId]| {
         let data = format!("{rows} rows, seed {seed}");
-        let found = run_against_reference(&data, workload, nodes, initiators, victims).mismatches;
-        runs += 2 * (initiators.len() + 2 * victims.len());
+        let checked =
+            run_against_reference(&data, workload, nodes, initiators, victims, &halfway, &BOTH);
+        runs += checked.runs;
+        let found = checked.mismatches;
         for line in &found {
             eprintln!("MISMATCH {line}");
         }
