@@ -20,7 +20,7 @@
 //!   ground truth under the configured [`ReplicationPolicy`], and
 //!   anti-entropy repairs placement before the next epoch's departures.
 //!
-//! The `--heavy` nightly adds a 1000-node sustained stream (gossip-only:
+//! `--heavy` adds a 1000-node sustained stream (gossip-only:
 //! the engine's dense node sets stop at 256 ids, the membership layer
 //! does not).
 
@@ -54,7 +54,7 @@ pub struct ChurnBenchSpec {
     /// snapshots initiators derive from their gossip views.
     pub policy: ReplicationPolicy,
     /// Cluster size of the heavy gossip-only sustained scenario
-    /// (`0` skips it; the nightly passes 1000).
+    /// (`0` skips it; `--heavy` passes 1000).
     pub heavy_nodes: usize,
     /// Seed for every random draw of the experiment.
     pub seed: u64,
@@ -75,176 +75,6 @@ impl Default for ChurnBenchSpec {
     }
 }
 
-/// One convergence-bound measurement: a burst of churn at cluster size
-/// `nodes`, gossiped to uniformity.
-#[derive(Clone, Copy, Debug)]
-pub struct ConvergencePoint {
-    /// Cluster size before the burst.
-    pub nodes: usize,
-    /// Gossip fanout in force.
-    pub fanout: usize,
-    /// Rounds until every live view matched the ground truth.
-    pub rounds: u64,
-    /// The enforced bound: `3·⌈log2 nodes⌉ + 4`.
-    pub round_bound: u64,
-    /// Rumor bytes on the wire (simulator accounting).
-    pub rumor_bytes: u64,
-    /// Gossip messages sent.
-    pub messages: u64,
-    /// Messages dropped at departed participants.
-    pub dropped: u64,
-}
-
-impl ConvergencePoint {
-    pub fn to_json(&self) -> Json {
-        Json::object(vec![
-            ("nodes", Json::UInt(self.nodes as u64)),
-            ("fanout", Json::UInt(self.fanout as u64)),
-            ("rounds", Json::UInt(self.rounds)),
-            ("round_bound", Json::UInt(self.round_bound)),
-            ("rumor_bytes", Json::UInt(self.rumor_bytes)),
-            ("messages", Json::UInt(self.messages)),
-            ("dropped", Json::UInt(self.dropped)),
-        ])
-    }
-}
-
-/// One epoch of the sustained engine-backed scenario.
-#[derive(Clone, Copy, Debug)]
-pub struct ChurnEpochPoint {
-    /// Epoch index.
-    pub epoch: usize,
-    /// Membership events injected this epoch.
-    pub events: usize,
-    /// Live nodes once the epoch's churn converged.
-    pub live_after: usize,
-    /// Replication degree the policy chose for that population.
-    pub replication_factor: usize,
-    /// Ground-truth records the initiator's view lagged at query time.
-    pub staleness_at_query: usize,
-    /// Did the stale-snapshot query stall and engage recovery?
-    pub query_recovered: bool,
-    /// Rounds this epoch's churn took to converge.
-    pub convergence_rounds: u64,
-    /// The enforced bound for this epoch.
-    pub round_bound: u64,
-    /// Rumor bytes spent this epoch (dissemination + convergence).
-    pub rumor_bytes: u64,
-    /// Tuples anti-entropy copied to restore placement.
-    pub tuples_copied: usize,
-}
-
-impl ChurnEpochPoint {
-    pub fn to_json(&self) -> Json {
-        Json::object(vec![
-            ("epoch", Json::UInt(self.epoch as u64)),
-            ("events", Json::UInt(self.events as u64)),
-            ("live_after", Json::UInt(self.live_after as u64)),
-            (
-                "replication_factor",
-                Json::UInt(self.replication_factor as u64),
-            ),
-            (
-                "staleness_at_query",
-                Json::UInt(self.staleness_at_query as u64),
-            ),
-            ("query_recovered", Json::Bool(self.query_recovered)),
-            ("convergence_rounds", Json::UInt(self.convergence_rounds)),
-            ("round_bound", Json::UInt(self.round_bound)),
-            ("rumor_bytes", Json::UInt(self.rumor_bytes)),
-            ("tuples_copied", Json::UInt(self.tuples_copied as u64)),
-        ])
-    }
-}
-
-/// One epoch of the heavy gossip-only sustained scenario.
-#[derive(Clone, Copy, Debug)]
-pub struct HeavyEpochPoint {
-    /// Epoch index.
-    pub epoch: usize,
-    /// Membership events injected this epoch.
-    pub events: usize,
-    /// Live nodes once the epoch converged.
-    pub live_after: usize,
-    /// Staleness sampled at the lowest-id live node after two rounds.
-    pub staleness_sample: usize,
-    /// Rounds this epoch's churn took to converge.
-    pub convergence_rounds: u64,
-    /// The enforced bound for this epoch.
-    pub round_bound: u64,
-    /// Rumor bytes spent this epoch.
-    pub rumor_bytes: u64,
-}
-
-impl HeavyEpochPoint {
-    pub fn to_json(&self) -> Json {
-        Json::object(vec![
-            ("epoch", Json::UInt(self.epoch as u64)),
-            ("events", Json::UInt(self.events as u64)),
-            ("live_after", Json::UInt(self.live_after as u64)),
-            ("staleness_sample", Json::UInt(self.staleness_sample as u64)),
-            ("convergence_rounds", Json::UInt(self.convergence_rounds)),
-            ("round_bound", Json::UInt(self.round_bound)),
-            ("rumor_bytes", Json::UInt(self.rumor_bytes)),
-        ])
-    }
-}
-
-/// The churn experiment's results.
-#[derive(Clone, Debug)]
-pub struct ChurnReport {
-    /// Convergence-bound points, one per configured cluster size.
-    pub convergence: Vec<ConvergencePoint>,
-    /// Sustained engine-backed epochs.
-    pub sustained: Vec<ChurnEpochPoint>,
-    /// Heavy gossip-only epochs (empty unless `heavy_nodes > 0`).
-    pub heavy: Vec<HeavyEpochPoint>,
-}
-
-impl ChurnReport {
-    /// Convergence rounds across the default scenarios (heavy points are
-    /// nightly-only and never enter the totals).
-    pub fn total_convergence_rounds(&self) -> u64 {
-        self.convergence.iter().map(|p| p.rounds).sum::<u64>()
-            + self
-                .sustained
-                .iter()
-                .map(|p| p.convergence_rounds)
-                .sum::<u64>()
-    }
-
-    /// Rumor bytes across the default scenarios.
-    pub fn total_rumor_bytes(&self) -> u64 {
-        self.convergence.iter().map(|p| p.rumor_bytes).sum::<u64>()
-            + self.sustained.iter().map(|p| p.rumor_bytes).sum::<u64>()
-    }
-
-    pub fn to_json(&self) -> Json {
-        let mut fields = vec![
-            (
-                "convergence",
-                Json::Array(self.convergence.iter().map(|p| p.to_json()).collect()),
-            ),
-            (
-                "sustained",
-                Json::Array(self.sustained.iter().map(|p| p.to_json()).collect()),
-            ),
-            (
-                "total_convergence_rounds",
-                Json::UInt(self.total_convergence_rounds()),
-            ),
-            ("total_rumor_bytes", Json::UInt(self.total_rumor_bytes())),
-        ];
-        if !self.heavy.is_empty() {
-            fields.push((
-                "heavy",
-                Json::Array(self.heavy.iter().map(|p| p.to_json()).collect()),
-            ));
-        }
-        Json::object(fields)
-    }
-}
-
 /// The epidemic convergence bound enforced throughout: `3·⌈log2 n⌉ + 4`
 /// rounds at fanout 2 (push gossip reaches all n members in `O(log n)`
 /// rounds with overwhelming probability; the constants absorb the
@@ -258,28 +88,38 @@ fn log_round_bound(n: usize) -> u64 {
     3 * ceil_log2 + 4
 }
 
-/// Run the whole experiment.
-pub fn run_churn(spec: &ChurnBenchSpec) -> Result<ChurnReport> {
+/// Run the whole experiment.  `rumor_bytes` count the simulator's bytes
+/// on the wire (an epoch's: dissemination and convergence), `dropped` the
+/// messages lost at departed participants, `staleness_*` the
+/// ground-truth records a view lagged, and `tuples_copied` what
+/// anti-entropy copied to restore placement.  The totals sum the
+/// convergence points and the sustained epochs; the `heavy` epochs
+/// never enter them.
+pub fn run_churn(spec: &ChurnBenchSpec) -> Result<Json> {
     let mut convergence = Vec::with_capacity(spec.convergence_sizes.len());
     for &n in &spec.convergence_sizes {
         convergence.push(convergence_point(n, spec.seed)?);
     }
     let sustained = sustained_with_queries(spec)?;
-    let heavy = if spec.heavy_nodes > 0 {
-        sustained_gossip_only(spec.heavy_nodes, spec.epochs, spec.seed)?
-    } else {
-        Vec::new()
-    };
-    Ok(ChurnReport {
-        convergence,
-        sustained,
-        heavy,
-    })
+    let sum = |points: &[Json], key| points.iter().map(|p| p.num(key)).sum::<Result<f64>>();
+    let rounds = sum(&convergence, "rounds")? + sum(&sustained, "convergence_rounds")?;
+    let rumor_bytes = sum(&convergence, "rumor_bytes")? + sum(&sustained, "rumor_bytes")?;
+    let mut fields = vec![
+        ("convergence", Json::Array(convergence)),
+        ("sustained", Json::Array(sustained)),
+        ("total_convergence_rounds", Json::UInt(rounds as u64)),
+        ("total_rumor_bytes", Json::UInt(rumor_bytes as u64)),
+    ];
+    if spec.heavy_nodes > 0 {
+        let heavy = sustained_gossip_only(spec.heavy_nodes, spec.epochs, spec.seed)?;
+        fields.push(("heavy", Json::Array(heavy)));
+    }
+    Ok(Json::object(fields))
 }
 
 /// One convergence point: a burst of churn at cluster size `n`, run to
 /// uniformity under the enforced `O(log n)` bound.
-fn convergence_point(n: usize, seed: u64) -> Result<ConvergencePoint> {
+fn convergence_point(n: usize, seed: u64) -> Result<Json> {
     if n < 8 {
         return Err(OrchestraError::Execution(format!(
             "convergence points need at least 8 nodes, got {n}"
@@ -307,15 +147,15 @@ fn convergence_point(n: usize, seed: u64) -> Result<ConvergencePoint> {
              of {round_bound} rounds at fanout {FANOUT}: {e}"
         ))
     })?;
-    Ok(ConvergencePoint {
-        nodes: n,
-        fanout: FANOUT,
-        rounds,
-        round_bound,
-        rumor_bytes: gossip.total_bytes(),
-        messages: gossip.messages_sent(),
-        dropped: gossip.dropped_messages(),
-    })
+    Ok(Json::object(vec![
+        ("nodes", Json::UInt(n as u64)),
+        ("fanout", Json::UInt(FANOUT as u64)),
+        ("rounds", Json::UInt(rounds)),
+        ("round_bound", Json::UInt(round_bound)),
+        ("rumor_bytes", Json::UInt(gossip.total_bytes())),
+        ("messages", Json::UInt(gossip.messages_sent())),
+        ("dropped", Json::UInt(gossip.dropped_messages())),
+    ]))
 }
 
 /// Build the scanned relation's plan: scan → ship → output.
@@ -327,7 +167,7 @@ fn scan_plan() -> PhysicalPlan {
 }
 
 /// The sustained engine-backed scenario (see the module doc).
-fn sustained_with_queries(spec: &ChurnBenchSpec) -> Result<Vec<ChurnEpochPoint>> {
+fn sustained_with_queries(spec: &ChurnBenchSpec) -> Result<Vec<Json>> {
     let initiator = NodeId(0);
     let initial: Vec<NodeId> = (0..spec.initial_nodes as u16).map(NodeId).collect();
     let routing =
@@ -430,25 +270,30 @@ fn sustained_with_queries(spec: &ChurnBenchSpec) -> Result<Vec<ChurnEpochPoint>>
         }
         let repair = anti_entropy(&mut storage)?;
 
-        points.push(ChurnEpochPoint {
-            epoch: e,
-            events: stream.epoch(e).len(),
-            live_after: live.len(),
-            replication_factor,
-            staleness_at_query: staleness,
-            query_recovered: report.recovered,
-            convergence_rounds,
-            round_bound,
-            rumor_bytes: gossip.total_bytes() - bytes_before,
-            tuples_copied: repair.tuples_copied,
-        });
+        points.push(Json::object(vec![
+            ("epoch", Json::UInt(e as u64)),
+            ("events", Json::UInt(stream.epoch(e).len() as u64)),
+            ("live_after", Json::UInt(live.len() as u64)),
+            ("replication_factor", Json::UInt(replication_factor as u64)),
+            ("staleness_at_query", Json::UInt(staleness as u64)),
+            ("query_recovered", Json::Bool(report.recovered)),
+            ("convergence_rounds", Json::UInt(convergence_rounds)),
+            ("round_bound", Json::UInt(round_bound)),
+            (
+                "rumor_bytes",
+                Json::UInt(gossip.total_bytes() - bytes_before),
+            ),
+            ("tuples_copied", Json::UInt(repair.tuples_copied as u64)),
+        ]));
     }
     Ok(points)
 }
 
-/// The heavy sustained scenario: a 1000-node (nightly) cluster riding a
-/// denser Poisson stream, gossip-layer only.
-fn sustained_gossip_only(nodes: usize, epochs: usize, seed: u64) -> Result<Vec<HeavyEpochPoint>> {
+/// The heavy sustained scenario: a 1000-node (`--heavy`) cluster riding a
+/// denser Poisson stream, gossip-layer only.  An epoch's
+/// `staleness_sample` is taken at the lowest-id live node after two
+/// rounds.
+fn sustained_gossip_only(nodes: usize, epochs: usize, seed: u64) -> Result<Vec<Json>> {
     let universe = nodes + nodes / 10 + 8;
     let cfg = GossipConfig { seed };
     let mut gossip = Gossip::new(nodes, universe, cfg, ClusterProfile::wan_metro());
@@ -482,15 +327,18 @@ fn sustained_gossip_only(nodes: usize, epochs: usize, seed: u64) -> Result<Vec<H
                  bound of {round_bound} rounds: {e2}"
             ))
         })?;
-        points.push(HeavyEpochPoint {
-            epoch: e,
-            events: stream.epoch(e).len(),
-            live_after: gossip.live_nodes().len(),
-            staleness_sample,
-            convergence_rounds,
-            round_bound,
-            rumor_bytes: gossip.total_bytes() - bytes_before,
-        });
+        points.push(Json::object(vec![
+            ("epoch", Json::UInt(e as u64)),
+            ("events", Json::UInt(stream.epoch(e).len() as u64)),
+            ("live_after", Json::UInt(gossip.live_nodes().len() as u64)),
+            ("staleness_sample", Json::UInt(staleness_sample as u64)),
+            ("convergence_rounds", Json::UInt(convergence_rounds)),
+            ("round_bound", Json::UInt(round_bound)),
+            (
+                "rumor_bytes",
+                Json::UInt(gossip.total_bytes() - bytes_before),
+            ),
+        ]));
     }
     Ok(points)
 }
@@ -512,33 +360,34 @@ mod tests {
     fn churn_experiment_is_deterministic() {
         let a = run_churn(&small_spec()).unwrap();
         let b = run_churn(&small_spec()).unwrap();
-        assert_eq!(a.to_json().render(), b.to_json().render());
+        assert_eq!(a.render(), b.render());
     }
 
     #[test]
     fn convergence_points_respect_their_bound_and_count_bytes() {
         let report = run_churn(&small_spec()).unwrap();
-        assert_eq!(report.convergence.len(), 1);
-        let p = &report.convergence[0];
-        assert_eq!(p.nodes, 32);
-        assert!(p.rounds <= p.round_bound);
-        assert!(p.rumor_bytes > 0);
-        assert!(p.messages > 0);
-        assert!(report.heavy.is_empty());
+        assert_eq!(report.get("convergence").unwrap().items().unwrap().len(), 1);
+        let num = |key: &str| report.num(&format!("convergence.0.{key}")).unwrap();
+        assert_eq!(num("nodes"), 32.0);
+        assert!(num("rounds") <= num("round_bound"));
+        assert!(num("rumor_bytes") > 0.0);
+        assert!(num("messages") > 0.0);
+        assert!(report.get("heavy").is_none());
     }
 
     #[test]
     fn sustained_epochs_query_correctly_and_repair_placement() {
         let report = run_churn(&small_spec()).unwrap();
-        assert_eq!(report.sustained.len(), 3);
+        let sustained = report.get("sustained").unwrap().items().unwrap();
+        assert_eq!(sustained.len(), 3);
         // The stream has churn, so at least one epoch sees staleness or
         // a recovery; every epoch stayed within its bound (enforced
         // in-run, re-checked here).
-        for p in &report.sustained {
-            assert!(p.convergence_rounds <= p.round_bound);
+        for p in sustained {
+            assert!(p.num("convergence_rounds").unwrap() <= p.num("round_bound").unwrap());
         }
-        assert!(report.total_convergence_rounds() > 0);
-        assert!(report.total_rumor_bytes() > 0);
+        assert!(report.num("total_convergence_rounds").unwrap() > 0.0);
+        assert!(report.num("total_rumor_bytes").unwrap() > 0.0);
     }
 
     #[test]
@@ -550,13 +399,18 @@ mod tests {
             ..ChurnBenchSpec::default()
         };
         let report = run_churn(&spec).unwrap();
-        assert_eq!(report.heavy.len(), 2);
-        for p in &report.heavy {
-            assert!(p.convergence_rounds <= p.round_bound);
-            assert!(p.live_after >= 32);
+        let heavy = report.get("heavy").unwrap().items().unwrap();
+        assert_eq!(heavy.len(), 2);
+        for p in heavy {
+            assert!(p.num("convergence_rounds").unwrap() <= p.num("round_bound").unwrap());
+            assert!(p.num("live_after").unwrap() >= 32.0);
         }
         // Heavy points never enter the totals.
-        let bytes: u64 = report.sustained.iter().map(|p| p.rumor_bytes).sum();
-        assert_eq!(report.total_rumor_bytes(), bytes);
+        let sustained = report.get("sustained").unwrap().items().unwrap();
+        let bytes: f64 = sustained
+            .iter()
+            .map(|p| p.num("rumor_bytes").unwrap())
+            .sum();
+        assert_eq!(report.num("total_rumor_bytes").unwrap(), bytes);
     }
 }

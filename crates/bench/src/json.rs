@@ -7,7 +7,10 @@
 //! 8259; non-finite floats render as `null`), and enough of a parser
 //! ([`Json::parse`]) for the tests that read the committed documents
 //! (`BENCH_BASELINE.json`, `BENCH_HOST.json`, `BENCHMARK.json`) back.
+//! An experiment's result *is* its section of the document: the in-run
+//! gates and the tests read figures back with [`Json::num`].
 
+use orchestra_common::{OrchestraError, Result};
 use std::fmt;
 
 /// A JSON value under construction.
@@ -67,6 +70,21 @@ impl Json {
             Json::Object(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
+    }
+
+    /// The number at `path`: object keys and array indices separated by
+    /// dots (`"sweeps.0.total_bytes"`).  A missing key, an index out of
+    /// range or a value that is not a number is an
+    /// [`OrchestraError::Execution`] naming the path, so a gate can never
+    /// pass on a figure that was never written.
+    pub fn num(&self, path: &str) -> Result<f64> {
+        path.split('.')
+            .try_fold(self, |json, step| match json {
+                Json::Array(items) => step.parse::<usize>().ok().and_then(|i| items.get(i)),
+                _ => json.get(step),
+            })
+            .and_then(Json::as_f64)
+            .ok_or_else(|| OrchestraError::Execution(format!("no number at `{path}`")))
     }
 
     /// The numeric value of an `Int`, `UInt` or `Float`.
@@ -426,6 +444,28 @@ mod tests {
         assert_eq!(parsed.get("delta").unwrap().as_f64(), Some(-3.0));
         assert_eq!(parsed.get("name").unwrap().as_str_val(), Some("q\"3\"\n"));
         assert_eq!(parsed.get("points").unwrap().items().unwrap().len(), 3);
+    }
+
+    #[test]
+    fn num_walks_keys_and_indices_and_refuses_what_is_missing() {
+        let doc = Json::object(vec![(
+            "sweeps",
+            Json::Array(vec![Json::object(vec![
+                ("bytes", Json::UInt(7)),
+                ("label", Json::str("x")),
+            ])]),
+        )]);
+        assert_eq!(doc.num("sweeps.0.bytes").unwrap(), 7.0);
+        for missing in [
+            "sweeps.1.bytes",
+            "sweeps.0.byte",
+            "sweeps.0.label",
+            "sweeps.x",
+            "",
+        ] {
+            let err = doc.num(missing).unwrap_err();
+            assert!(err.message().contains(missing), "{missing:?}: {err}");
+        }
     }
 
     #[test]

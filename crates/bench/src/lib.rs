@@ -4,8 +4,10 @@
 //!
 //! Each experiment ([`experiments`]) drives
 //! [`orchestra_engine::QueryExecutor`] over a cluster deployed through
-//! [`orchestra_workloads::deploy`] and reads the measurements off the
-//! returned [`orchestra_engine::QueryReport`]:
+//! [`orchestra_workloads::deploy`], reads the measurements off the
+//! returned [`orchestra_engine::QueryReport`] and returns them as its
+//! section of the bench document, a [`Json`] value built where the
+//! reports are read (no result struct sits in between):
 //!
 //! * **scale-out** (Figures 7–12) — [`run_scale_out`]: running time and
 //!   traffic as the participant count grows;
@@ -65,10 +67,12 @@
 //! of producing plausible numbers.
 //!
 //! The `orchestra-bench` binary (`src/main.rs`) runs a small
-//! configuration of every experiment over one TPC-H query and one
-//! STBenchmark scenario and prints the results as a single JSON document
-//! ([`json::Json`]) on stdout — the machine-readable form the figures
-//! are plotted from.  Bandwidth-sensitivity sweeps (Figure 17) reuse
+//! configuration of every experiment over two TPC-H queries and one
+//! STBenchmark scenario and prints the sections as they are, as one JSON
+//! document on stdout — the machine-readable form the figures are
+//! plotted from.  The in-run gates and the tests read figures back out
+//! of a section with [`Json::num`], which fails on a key that was never
+//! written.  Bandwidth-sensitivity sweeps (Figure 17) reuse
 //! [`run_scale_out`] with WAN [`orchestra_simnet::ClusterProfile`]s.
 
 pub mod adaptivity;
@@ -83,31 +87,16 @@ pub mod throughput;
 
 use orchestra_simnet::SimTime;
 
-pub use adaptivity::{
-    run_adaptivity, AdaptivityReport, AdaptivitySpec, AdaptivityWorkload, CrossoverPoint,
-    CrossoverReport, DriftEpochPoint, DriftReport, FeedbackPoint, HeavyFeedbackPoint,
-};
-pub use churn::{
-    run_churn, ChurnBenchSpec, ChurnEpochPoint, ChurnReport, ConvergencePoint, HeavyEpochPoint,
-};
+pub use adaptivity::{run_adaptivity, AdaptivitySpec};
+pub use churn::{run_churn, ChurnBenchSpec};
 pub use experiments::{
-    run_plan_quality, run_recovery_sweep, run_scale_out, run_tagging_overhead, PlanQuality,
-    RecoveryPoint, RecoverySweep, ScaleOutPoint, TaggingOverhead, INITIATOR,
+    run_plan_quality, run_recovery_sweep, run_scale_out, run_tagging_overhead, INITIATOR,
 };
 pub use json::Json;
-pub use maintenance::{
-    run_maintenance, MaintenanceEpochPoint, MaintenanceFailurePoint, MaintenanceReport,
-    MaintenanceSweep, MaintenanceSweepSpec,
-};
-pub use serving::{
-    poisson_arrivals, run_serving_experiment, trace_arrivals, ServingPoint, ServingSpec,
-    ServingSweep,
-};
-pub use subscriptions::{
-    run_subscriptions, SubscriptionEpochPoint, SubscriptionFailurePoint, SubscriptionSweep,
-    SubscriptionsReport, SubscriptionsSpec,
-};
-pub use throughput::{run_throughput, QueryLatency, ThroughputPoint, ThroughputSweep};
+pub use maintenance::{run_maintenance, MaintenanceSweepSpec};
+pub use serving::{poisson_arrivals, run_serving_experiment, trace_arrivals, ServingSpec};
+pub use subscriptions::{run_subscriptions, SubscriptionsSpec};
+pub use throughput::run_throughput;
 
 /// Evenly spaced virtual failure instants across a baseline running
 /// time, excluding the endpoints — the x-axis of a recovery-cost sweep.

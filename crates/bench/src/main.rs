@@ -90,8 +90,8 @@ const MAINTENANCE_SEED: u64 = 42;
 /// sweep measures.
 const MAINTENANCE_ROWS: usize = 600;
 /// Requests of the extra thousands-of-sessions serving point that
-/// `--heavy` adds (the ROADMAP's serving follow-on; far too slow for
-/// the default CI gates).
+/// `--heavy` adds (the ROADMAP's serving follow-on; kept out of the
+/// no-flag run and so out of `BENCH_BASELINE.json`).
 const SERVING_HEAVY_REQUESTS: usize = 2048;
 /// Seed of the subscriptions experiment's data and churn streams.
 const SUBSCRIPTIONS_SEED: u64 = 42;
@@ -104,10 +104,10 @@ const SUBSCRIPTIONS_NODES: u16 = 6;
 /// bytes than the per-view-independent control.
 const SUBSCRIBER_COUNTS: [usize; 3] = [1, 8, 64];
 /// The additional fan-out point `--heavy` adds (hundreds of views ×
-/// per-view independent control is too slow for the default gates).
+/// the per-view independent control).
 const HEAVY_SUBSCRIBER_COUNTS: [usize; 4] = [1, 8, 64, 256];
 /// Cluster size of the sustained gossip-only churn stream `--heavy`
-/// adds (the nightly's 1000-node point).
+/// adds.
 const CHURN_HEAVY_NODES: usize = 1000;
 /// The subscriptions experiment's churn points: a small-delta stream,
 /// and one that rewrites most of the churned relation per epoch.
@@ -170,8 +170,8 @@ const ADAPTIVITY_DRIFT_EPOCHS: usize = 5;
 const ADAPTIVITY_FRACTIONS: [f64; 6] = [2.0, 1.0, 0.5, 0.1, 0.01, 0.001];
 /// Maintained epochs per crossover fraction.
 const ADAPTIVITY_CROSSOVER_EPOCHS: usize = 1;
-/// Calibration epochs of the long stream `--heavy` adds (the nightly's
-/// does-the-error-keep-shrinking point; too slow for the default gates).
+/// Calibration epochs of the long stream `--heavy` adds (the
+/// does-the-error-keep-shrinking point).
 const ADAPTIVITY_HEAVY_EPOCHS: usize = 32;
 /// The maintenance experiment's delta-size × epoch-count sweep: a
 /// small-delta stream the cost model should absorb incrementally, and a
@@ -233,27 +233,25 @@ static EXPERIMENTS: [Experiment; 10] = [
     Experiment {
         name: "scale_out",
         run: Run::PerWorkload(CATALOGUE_ROWS, |workload, config| {
-            let points = run_scale_out(workload, &SCALE_OUT_NODES, config)?;
-            Ok(Json::Array(points.iter().map(|p| p.to_json()).collect()))
+            run_scale_out(workload, &SCALE_OUT_NODES, config)
         }),
     },
     Experiment {
         name: "recovery_sweep",
         run: Run::PerWorkload(CATALOGUE_ROWS, |workload, config| {
             run_recovery_sweep(workload, SWEEP_NODES, SWEEP_VICTIM, SWEEP_POINTS, config)
-                .map(|sweep| sweep.to_json())
         }),
     },
     Experiment {
         name: "tagging_overhead",
         run: Run::PerWorkload(CATALOGUE_ROWS, |workload, config| {
-            run_tagging_overhead(workload, SWEEP_NODES, config).map(|t| t.to_json())
+            run_tagging_overhead(workload, SWEEP_NODES, config)
         }),
     },
     Experiment {
         name: "plan_quality",
         run: Run::PerWorkload(CATALOGUE_ROWS, |workload, config| {
-            run_plan_quality(workload, SWEEP_NODES, config).map(|q| q.to_json())
+            run_plan_quality(workload, SWEEP_NODES, config)
         }),
     },
     Experiment {
@@ -261,7 +259,6 @@ static EXPERIMENTS: [Experiment; 10] = [
         run: Run::PerWorkload(MAINTENANCE_ROWS, |workload, config| {
             let sweeps = &MAINTENANCE_SWEEPS;
             run_maintenance(workload, SWEEP_NODES, MAINTENANCE_SEED, sweeps, config)
-                .map(|m| m.to_json())
         }),
     },
     Experiment {
@@ -275,13 +272,13 @@ static EXPERIMENTS: [Experiment; 10] = [
     Experiment {
         name: "churn",
         run: Run::Cluster(|heavy, _, doc| {
-            let report = run_churn(&ChurnBenchSpec {
-                // The nightly's 1000-node sustained stream; the convergence
+            let section = run_churn(&ChurnBenchSpec {
+                // `--heavy`'s 1000-node sustained stream; the convergence
                 // points at 100 and 1000 run (and are enforced) everywhere.
                 heavy_nodes: if heavy { CHURN_HEAVY_NODES } else { 0 },
                 ..ChurnBenchSpec::default()
             })?;
-            doc.push(("churn", report.to_json()));
+            doc.push(("churn", section));
             Ok(())
         }),
     },
@@ -297,7 +294,7 @@ static EXPERIMENTS: [Experiment; 10] = [
             } else {
                 &SUBSCRIBER_COUNTS
             };
-            let report = run_subscriptions(
+            let section = run_subscriptions(
                 &SubscriptionsSpec {
                     seed: SUBSCRIPTIONS_SEED,
                     rows: SUBSCRIPTIONS_ROWS,
@@ -307,7 +304,7 @@ static EXPERIMENTS: [Experiment; 10] = [
                 },
                 config,
             )?;
-            doc.push(("subscriptions", report.to_json()));
+            doc.push(("subscriptions", section));
             Ok(())
         }),
     },
@@ -316,7 +313,7 @@ static EXPERIMENTS: [Experiment; 10] = [
 fn throughput(_heavy: bool, config: &EngineConfig, doc: &mut Fields) -> Result<()> {
     let mut policies = Vec::new();
     for policy in [AdmissionPolicy::Fifo, AdmissionPolicy::ShortestCostFirst] {
-        let sweep = run_throughput(
+        policies.push(run_throughput(
             THROUGHPUT_SEED,
             THROUGHPUT_ROWS,
             THROUGHPUT_COPIES,
@@ -324,8 +321,7 @@ fn throughput(_heavy: bool, config: &EngineConfig, doc: &mut Fields) -> Result<(
             &THROUGHPUT_LEVELS,
             policy,
             config,
-        )?;
-        policies.push(sweep.to_json());
+        )?);
     }
     doc.push((
         "throughput",
@@ -357,7 +353,7 @@ fn serving(heavy: bool, config: &EngineConfig, doc: &mut Fields) -> Result<()> {
         cache_capacities: &SERVING_CAPACITIES,
         eviction: EvictionPolicy::Lru,
     };
-    doc.push(("serving", run_serving_experiment(&spec, config)?.to_json()));
+    doc.push(("serving", run_serving_experiment(&spec, config)?));
     // The ROADMAP's serving follow-on, behind `--heavy` so the default
     // gates stay fast: one thousands-of-sessions point at the skewed,
     // overloaded corner where the result cache matters most.
@@ -369,8 +365,10 @@ fn serving(heavy: bool, config: &EngineConfig, doc: &mut Fields) -> Result<()> {
             cache_capacities: &[0, 6],
             ..spec
         };
-        let sweep = run_serving_experiment(&heavy_spec, config)?;
-        doc.push(("serving_heavy", sweep.to_json()));
+        doc.push((
+            "serving_heavy",
+            run_serving_experiment(&heavy_spec, config)?,
+        ));
     }
     Ok(())
 }
@@ -379,7 +377,7 @@ fn adaptivity(heavy: bool, config: &EngineConfig, doc: &mut Fields) -> Result<()
     // The same trio at the adaptivity experiment's own scale.
     let workloads = catalogue(ADAPTIVITY_SEED, ADAPTIVITY_ROWS);
     let workloads: Vec<&dyn Workload> = workloads.iter().map(|w| w.as_ref()).collect();
-    let report = run_adaptivity(
+    let section = run_adaptivity(
         &workloads,
         &AdaptivitySpec {
             seed: ADAPTIVITY_SEED,
@@ -392,12 +390,12 @@ fn adaptivity(heavy: bool, config: &EngineConfig, doc: &mut Fields) -> Result<()
             drift_epochs: ADAPTIVITY_DRIFT_EPOCHS,
             delta_fractions: &ADAPTIVITY_FRACTIONS,
             crossover_epochs: ADAPTIVITY_CROSSOVER_EPOCHS,
-            // The long calibration stream is nightly-only.
+            // The long calibration stream is `--heavy`-only.
             heavy_epochs: if heavy { ADAPTIVITY_HEAVY_EPOCHS } else { 0 },
         },
         config,
     )?;
-    doc.push(("adaptivity", report.to_json()));
+    doc.push(("adaptivity", section));
     Ok(())
 }
 
@@ -573,18 +571,25 @@ mod tests {
     fn the_committed_document_holds_every_experiment() {
         // `BENCH_BASELINE.json` is the whole no-flag run: one section per
         // table entry, at the top level or per workload inside
-        // `experiments`.  An experiment added to the table without
-        // refreshing the file fails here, not only CI's `cmp`.
+        // `experiments`.  Each experiment run alone must print its
+        // section exactly as the committed `all` run did — the figures
+        // pinned here, not only by CI's `cmp` of the release binary.
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_BASELINE.json");
         let committed = Json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
         assert_eq!(committed.get("experiment"), Some(&Json::str("all")));
-        let entry = &committed.get("experiments").unwrap().items().unwrap()[0];
         for experiment in &EXPERIMENTS {
-            let section = match experiment.run {
-                Run::PerWorkload(..) => entry.get(experiment.name),
-                Run::Cluster(_) => committed.get(experiment.name),
+            let name = experiment.name;
+            let alone = run(name, false).unwrap();
+            let sections = |doc: &Json| -> Vec<String> {
+                match experiment.run {
+                    Run::PerWorkload(..) => (doc.get("experiments").unwrap().items().unwrap())
+                        .iter()
+                        .map(|entry| entry.get(name).unwrap().render())
+                        .collect(),
+                    Run::Cluster(_) => vec![doc.get(name).unwrap().render()],
+                }
             };
-            assert!(section.is_some(), "{}", experiment.name);
+            assert_eq!(sections(&alone), sections(&committed), "{name}");
         }
     }
 }

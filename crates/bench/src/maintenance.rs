@@ -16,11 +16,15 @@
 //!    recomputation each run on their own copy of the view state, so
 //!    the JSON always reports both shipped-byte figures and the
 //!    decision can be judged against ground truth;
-//! 3. cross-checks the maintained answer of **both** paths against a
-//!    fresh full run of the view's plan at the new epoch *and* against
-//!    the stream's single-node reference — a wrong maintained answer
+//! 3. cross-checks the maintained answer of **both** paths against the
+//!    stream's single-node reference, and a fresh full run of the view's
+//!    plan at the new epoch against it too — a wrong maintained answer
 //!    fails the experiment, it never becomes a plausible number;
 //! 4. carries the cost model's chosen state forward to the next epoch.
+//!
+//! The view comes from `materialize`, and steps 1–3 but the fresh run
+//! are `maintain_epoch`: the adaptivity experiment's crossover sweep
+//! runs the same two functions.
 //!
 //! Each sweep ends with a *failure epoch*: one more published batch is
 //! maintained while a node is killed mid-maintenance, and the refreshed
@@ -28,13 +32,14 @@
 //! ordinary Restart/Incremental machinery.
 
 use crate::json::Json;
-use orchestra_common::{NodeId, OrchestraError, Result};
+use orchestra_common::{Epoch, NodeId, OrchestraError, Result, Tuple};
 use orchestra_engine::{
     refresh_view, EngineConfig, FailureSpec, MaintenanceMode, MaintenanceRun, MaterializedView,
-    QueryExecutor,
+    PhysicalPlan, QueryExecutor,
 };
-use orchestra_optimizer::{choose_maintenance, MaintenanceDecision, Statistics};
+use orchestra_optimizer::{choose_maintenance, MaintenanceChoice, MaintenanceDecision, Statistics};
 use orchestra_simnet::SimTime;
+use orchestra_storage::{DistributedStorage, UpdateBatch};
 use orchestra_workloads::{compiled_plan, deploy, epoch_stream, EpochSpec, Workload};
 use std::collections::BTreeMap;
 
@@ -52,176 +57,44 @@ pub struct MaintenanceSweepSpec {
     pub epochs: usize,
 }
 
-/// One maintained epoch's measurements.
-#[derive(Clone, Debug)]
-pub struct MaintenanceEpochPoint {
-    /// The published epoch.
-    pub epoch: u64,
-    /// Signed delta rows across all relations of the view.
-    pub delta_rows: usize,
-    /// The cost model's choice for this batch.
-    pub decision: MaintenanceDecision,
-    /// Estimated network bytes of the incremental legs.
-    pub estimated_incremental_bytes: f64,
-    /// Estimated network bytes of a recomputation.
-    pub estimated_recompute_bytes: f64,
-    /// Measured bytes the incremental refresh shipped.
-    pub incremental_bytes: u64,
-    /// Measured bytes the recomputation shipped.
-    pub recompute_bytes: u64,
-    /// Delta legs the incremental refresh ran.
-    pub legs: usize,
-    /// Rows of the maintained answer after the refresh.
-    pub answer_rows: usize,
-}
-
-impl MaintenanceEpochPoint {
-    /// Render as a JSON object.
-    pub fn to_json(&self) -> Json {
-        Json::object(vec![
-            ("epoch", Json::UInt(self.epoch)),
-            ("delta_rows", Json::UInt(self.delta_rows as u64)),
-            ("decision", Json::str(format!("{:?}", self.decision))),
-            (
-                "estimated_incremental_bytes",
-                Json::Float(self.estimated_incremental_bytes),
-            ),
-            (
-                "estimated_recompute_bytes",
-                Json::Float(self.estimated_recompute_bytes),
-            ),
-            ("incremental_bytes", Json::UInt(self.incremental_bytes)),
-            ("recompute_bytes", Json::UInt(self.recompute_bytes)),
-            ("legs", Json::UInt(self.legs as u64)),
-            ("answer_rows", Json::UInt(self.answer_rows as u64)),
-        ])
-    }
-}
-
-/// The failure epoch's outcome.
-#[derive(Clone, Debug)]
-pub struct MaintenanceFailurePoint {
-    /// The node killed mid-maintenance.
-    pub victim: NodeId,
-    /// The virtual instant it was killed.
-    pub failure_at: SimTime,
-    /// Did the maintenance run actually execute a recovery round?
-    pub recovered: bool,
-    /// Bytes the failure-interrupted refresh shipped (recovery included).
-    pub shipped_bytes: u64,
-}
-
-impl MaintenanceFailurePoint {
-    /// Render as a JSON object.
-    pub fn to_json(&self) -> Json {
-        Json::object(vec![
-            ("victim", Json::UInt(self.victim.index() as u64)),
-            ("failure_at_us", Json::UInt(self.failure_at.as_micros())),
-            ("recovered", Json::Bool(self.recovered)),
-            ("shipped_bytes", Json::UInt(self.shipped_bytes)),
-        ])
-    }
-}
-
-/// One sweep point's full result.
-#[derive(Clone, Debug)]
-pub struct MaintenanceSweep {
-    /// The sweep's label.
-    pub label: String,
-    /// Per-epoch, per-relation churn of the sweep.
-    pub spec: EpochSpec,
-    /// One point per maintained epoch.
-    pub points: Vec<MaintenanceEpochPoint>,
-    /// Measured incremental bytes summed over the sweep's epochs.
-    pub total_incremental_bytes: u64,
-    /// Measured recompute bytes summed over the sweep's epochs.
-    pub total_recompute_bytes: u64,
-    /// The mid-maintenance failure check that closed the sweep.
-    pub failure: MaintenanceFailurePoint,
-}
-
-impl MaintenanceSweep {
-    /// Render as a JSON object.
-    pub fn to_json(&self) -> Json {
-        Json::object(vec![
-            ("label", Json::str(self.label.clone())),
-            ("inserts", Json::UInt(self.spec.inserts as u64)),
-            ("modifies", Json::UInt(self.spec.modifies as u64)),
-            ("deletes", Json::UInt(self.spec.deletes as u64)),
-            (
-                "total_incremental_bytes",
-                Json::UInt(self.total_incremental_bytes),
-            ),
-            (
-                "total_recompute_bytes",
-                Json::UInt(self.total_recompute_bytes),
-            ),
-            (
-                "epochs",
-                Json::Array(
-                    self.points
-                        .iter()
-                        .map(MaintenanceEpochPoint::to_json)
-                        .collect(),
-                ),
-            ),
-            ("failure", self.failure.to_json()),
-        ])
-    }
-}
-
-/// The maintenance experiment's result for one workload.
-#[derive(Clone, Debug)]
-pub struct MaintenanceReport {
-    /// The maintained workload.
-    pub workload: String,
-    /// Cluster size.
-    pub nodes: u16,
-    /// One entry per sweep point, in sweep order.
-    pub sweeps: Vec<MaintenanceSweep>,
-}
-
-impl MaintenanceReport {
-    /// Render as a JSON object.
-    pub fn to_json(&self) -> Json {
-        Json::object(vec![
-            ("workload", Json::str(self.workload.clone())),
-            ("nodes", Json::UInt(self.nodes as u64)),
-            (
-                "sweeps",
-                Json::Array(self.sweeps.iter().map(MaintenanceSweep::to_json).collect()),
-            ),
-        ])
-    }
-}
-
 /// Run the maintenance experiment for one workload over `sweeps` (delta
 /// size × epoch count), from a fresh deployment per sweep.
+///
+/// Each sweep reports its churn, both paths' measured bytes summed over
+/// its epochs and one object per epoch: `delta_rows` is the batch's
+/// signed delta rows over every relation of the view, `legs` the delta
+/// legs the incremental refresh ran.  Its `failure` object names the
+/// node killed halfway through one more epoch's incremental refresh;
+/// `shipped_bytes` there includes the recovery.
 pub fn run_maintenance(
     workload: &dyn Workload,
     nodes: u16,
     seed: u64,
     sweeps: &[MaintenanceSweepSpec],
     config: &EngineConfig,
-) -> Result<MaintenanceReport> {
-    Ok(MaintenanceReport {
-        workload: workload.name(),
-        nodes,
-        sweeps: sweeps
-            .iter()
-            .map(|sweep| run_sweep(workload, nodes, seed, sweep, config))
-            .collect::<Result<_>>()?,
-    })
+) -> Result<Json> {
+    let sweeps = sweeps
+        .iter()
+        .map(|sweep| run_sweep(workload, nodes, seed, sweep, config))
+        .collect::<Result<_>>()?;
+    Ok(Json::object(vec![
+        ("workload", Json::str(workload.name())),
+        ("nodes", Json::UInt(nodes as u64)),
+        ("sweeps", Json::Array(sweeps)),
+    ]))
 }
 
-fn run_sweep(
+/// Deploy `workload` on `nodes` nodes and materialize its
+/// optimizer-compiled view with delta-first legs: the optimizer re-plans
+/// the query per pivot with the pivot relation at delta cardinality, so
+/// each leg's join order starts from the delta instead of re-running a
+/// full off-path join.  The answer must equal the workload's reference.
+pub(crate) fn materialize(
     workload: &dyn Workload,
     nodes: u16,
-    seed: u64,
-    sweep: &MaintenanceSweepSpec,
     config: &EngineConfig,
-) -> Result<MaintenanceSweep> {
-    let (mut storage, base_epoch) = deploy(workload, nodes)?;
+) -> Result<(DistributedStorage, PhysicalPlan, MaterializedView)> {
+    let (storage, base_epoch) = deploy(workload, nodes)?;
     let plan = compiled_plan(workload, &storage, base_epoch)?;
     let mut view = MaterializedView::new(workload.name(), &plan)?;
     if !view.supports_incremental() {
@@ -231,9 +104,6 @@ fn run_sweep(
             view.maintenance().recompute_only().unwrap_or("unknown")
         )));
     }
-    // Delta-first legs: the optimizer re-plans the query per pivot with
-    // the pivot relation at delta cardinality, so each leg's join order
-    // starts from the delta instead of re-running a full off-path join.
     let base_stats = Statistics::collect(&storage, base_epoch);
     let leg_inputs = orchestra_optimizer::compile_delta_legs(&workload.logical(), &base_stats)?;
     view.install_leg_plans(&leg_inputs)?;
@@ -246,85 +116,124 @@ fn run_sweep(
         INITIATOR,
         None,
     )?;
-    let expected = workload.reference();
-    if view.answer() != expected {
+    if view.answer() != workload.reference() {
         return Err(OrchestraError::Execution(format!(
             "initial materialization of {} disagrees with the reference",
             workload.name()
         )));
     }
+    Ok((storage, plan, view))
+}
 
+/// One epoch [`maintain_epoch`] published, priced and refreshed both
+/// ways.
+pub(crate) struct MaintainedEpoch {
+    pub epoch: Epoch,
+    /// Signed delta rows of the batch, summed over the view's relations.
+    pub delta_rows: usize,
+    pub choice: MaintenanceChoice,
+    pub incremental: (MaterializedView, MaintenanceRun),
+    pub recompute: (MaterializedView, MaintenanceRun),
+}
+
+impl MaintainedEpoch {
+    /// The refreshed view `decision` carries forward.
+    pub fn keep(self, decision: MaintenanceDecision) -> MaterializedView {
+        match decision {
+            MaintenanceDecision::Incremental => self.incremental.0,
+            MaintenanceDecision::Recompute => self.recompute.0,
+        }
+    }
+}
+
+/// Publish `batch`, collect statistics at the view's epoch and the new
+/// one, price both strategies with [`choose_maintenance`] on the batch's
+/// signed delta rows, and refresh one clone of `view` each way; both
+/// maintained answers must equal `reference`.
+pub(crate) fn maintain_epoch(
+    workload: &dyn Workload,
+    storage: &mut DistributedStorage,
+    view: &MaterializedView,
+    batch: &UpdateBatch,
+    reference: &[Tuple],
+    config: &EngineConfig,
+) -> Result<MaintainedEpoch> {
+    let from = view.epoch().expect("view is materialized");
+    let epoch = storage.publish(batch)?;
+    let storage = &*storage;
+    let stats_old = Statistics::collect(storage, from);
+    let stats_new = Statistics::collect(storage, epoch);
+    let mut delta_rows: BTreeMap<String, usize> = BTreeMap::new();
+    for leg in view.maintenance().legs() {
+        if !delta_rows.contains_key(&leg.relation) {
+            let delta = storage.delta(&leg.relation, from, epoch)?;
+            delta_rows.insert(leg.relation.clone(), delta.signed_row_count());
+        }
+    }
+    let choice = choose_maintenance(
+        view.maintenance().plan(),
+        view.maintenance().legs(),
+        &stats_old,
+        &stats_new,
+        &delta_rows,
+    )?;
+    let refresh = |mode| -> Result<(MaterializedView, MaintenanceRun)> {
+        let mut maintained = view.clone();
+        let run = refresh_view(
+            &mut maintained,
+            storage,
+            config,
+            mode,
+            epoch,
+            INITIATOR,
+            None,
+        )?;
+        Ok((maintained, run))
+    };
+    let incremental = refresh(MaintenanceMode::Incremental)?;
+    let recompute = refresh(MaintenanceMode::Recompute)?;
+    for (label, (maintained, _)) in [("incremental", &incremental), ("recompute", &recompute)] {
+        if maintained.answer() != reference {
+            return Err(OrchestraError::Execution(format!(
+                "{label} maintenance of {} diverged at epoch {epoch}",
+                workload.name()
+            )));
+        }
+    }
+    Ok(MaintainedEpoch {
+        epoch,
+        delta_rows: delta_rows.values().sum(),
+        choice,
+        incremental,
+        recompute,
+    })
+}
+
+fn run_sweep(
+    workload: &dyn Workload,
+    nodes: u16,
+    seed: u64,
+    sweep: &MaintenanceSweepSpec,
+    config: &EngineConfig,
+) -> Result<Json> {
+    let (mut storage, plan, mut view) = materialize(workload, nodes, config)?;
     // One extra epoch beyond the sweep's count: the failure epoch.
     let specs = vec![sweep.spec; sweep.epochs + 1];
     let stream = epoch_stream(workload, seed, &specs)?;
-    let leg_relations: Vec<String> = view
-        .maintenance()
-        .legs()
-        .iter()
-        .map(|l| l.relation.clone())
-        .collect();
 
-    let mut out = MaintenanceSweep {
-        label: sweep.label.to_string(),
-        spec: sweep.spec,
-        points: Vec::with_capacity(sweep.epochs),
-        total_incremental_bytes: 0,
-        total_recompute_bytes: 0,
-        failure: MaintenanceFailurePoint {
-            victim: NodeId(nodes - 1),
-            failure_at: SimTime::ZERO,
-            recovered: false,
-            shipped_bytes: 0,
-        },
-    };
-
+    let mut points = Vec::with_capacity(sweep.epochs);
+    let (mut total_incremental_bytes, mut total_recompute_bytes) = (0, 0);
     for i in 0..sweep.epochs {
-        let from = view.epoch().expect("view is materialized");
-        let epoch = storage.publish(stream.batch(i))?;
-
-        // Refresh the statistics at the published epoch and price both
-        // strategies on the batch's actual signed delta sizes.
-        let stats_old = Statistics::collect(&storage, from);
-        let stats_new = Statistics::collect(&storage, epoch);
-        let mut delta_rows: BTreeMap<String, usize> = BTreeMap::new();
-        for relation in &leg_relations {
-            if !delta_rows.contains_key(relation) {
-                let delta = storage.delta(relation, from, epoch)?;
-                delta_rows.insert(relation.clone(), delta.signed_row_count());
-            }
-        }
-        let choice = choose_maintenance(
-            view.maintenance().plan(),
-            view.maintenance().legs(),
-            &stats_old,
-            &stats_new,
-            &delta_rows,
-        )?;
-
-        // Measure both paths on their own copy of the state, then carry
-        // the cost model's choice forward.
-        let mut incremental_view = view.clone();
-        let inc_run = refresh_view(
-            &mut incremental_view,
-            &storage,
-            config,
-            MaintenanceMode::Incremental,
-            epoch,
-            INITIATOR,
-            None,
-        )?;
-        let mut recompute_view = view.clone();
-        let rec_run = refresh_view(
-            &mut recompute_view,
-            &storage,
-            config,
-            MaintenanceMode::Recompute,
-            epoch,
-            INITIATOR,
-            None,
-        )?;
-
         let expected = stream.reference(i);
+        let step = maintain_epoch(
+            workload,
+            &mut storage,
+            &view,
+            stream.batch(i),
+            expected,
+            config,
+        )?;
+        let epoch = step.epoch;
         let fresh = QueryExecutor::new(&storage, config.clone())
             .execute(&plan, epoch, INITIATOR)?
             .rows;
@@ -334,35 +243,28 @@ fn run_sweep(
                 workload.name()
             )));
         }
-        for (label, maintained) in [
-            ("incremental", &incremental_view),
-            ("recompute", &recompute_view),
-        ] {
-            if maintained.answer() != expected {
-                return Err(OrchestraError::Execution(format!(
-                    "{label} maintenance of {} diverged at epoch {epoch}",
-                    workload.name()
-                )));
-            }
-        }
-
-        out.total_incremental_bytes += inc_run.shipped_bytes;
-        out.total_recompute_bytes += rec_run.shipped_bytes;
-        out.points.push(MaintenanceEpochPoint {
-            epoch: epoch.0,
-            delta_rows: delta_rows.values().sum(),
-            decision: choice.decision,
-            estimated_incremental_bytes: choice.incremental_bytes,
-            estimated_recompute_bytes: choice.recompute_bytes,
-            incremental_bytes: inc_run.shipped_bytes,
-            recompute_bytes: rec_run.shipped_bytes,
-            legs: inc_run.legs,
-            answer_rows: expected.len(),
-        });
-        view = match choice.decision {
-            MaintenanceDecision::Incremental => incremental_view,
-            MaintenanceDecision::Recompute => recompute_view,
-        };
+        let (choice, inc_run, rec_run) = (&step.choice, &step.incremental.1, &step.recompute.1);
+        total_incremental_bytes += inc_run.shipped_bytes;
+        total_recompute_bytes += rec_run.shipped_bytes;
+        points.push(Json::object(vec![
+            ("epoch", Json::UInt(epoch.0)),
+            ("delta_rows", Json::UInt(step.delta_rows as u64)),
+            ("decision", Json::str(format!("{:?}", choice.decision))),
+            (
+                "estimated_incremental_bytes",
+                Json::Float(choice.incremental_bytes),
+            ),
+            (
+                "estimated_recompute_bytes",
+                Json::Float(choice.recompute_bytes),
+            ),
+            ("incremental_bytes", Json::UInt(inc_run.shipped_bytes)),
+            ("recompute_bytes", Json::UInt(rec_run.shipped_bytes)),
+            ("legs", Json::UInt(inc_run.legs as u64)),
+            ("answer_rows", Json::UInt(expected.len() as u64)),
+        ]));
+        let decision = choice.decision;
+        view = step.keep(decision);
     }
 
     // The failure epoch: publish one more batch and kill a node halfway
@@ -370,7 +272,7 @@ fn run_sweep(
     let failure_idx = sweep.epochs;
     let epoch = storage.publish(stream.batch(failure_idx))?;
     let mut probe = view.clone();
-    let probe_run: MaintenanceRun = refresh_view(
+    let probe_run = refresh_view(
         &mut probe,
         &storage,
         config,
@@ -396,13 +298,27 @@ fn run_sweep(
             workload.name()
         )));
     }
-    out.failure = MaintenanceFailurePoint {
-        victim: failure.node,
-        failure_at,
-        recovered: run.recovered,
-        shipped_bytes: run.shipped_bytes,
-    };
-    Ok(out)
+    Ok(Json::object(vec![
+        ("label", Json::str(sweep.label)),
+        ("inserts", Json::UInt(sweep.spec.inserts as u64)),
+        ("modifies", Json::UInt(sweep.spec.modifies as u64)),
+        ("deletes", Json::UInt(sweep.spec.deletes as u64)),
+        (
+            "total_incremental_bytes",
+            Json::UInt(total_incremental_bytes),
+        ),
+        ("total_recompute_bytes", Json::UInt(total_recompute_bytes)),
+        ("epochs", Json::Array(points)),
+        (
+            "failure",
+            Json::object(vec![
+                ("victim", Json::UInt(failure.node.index() as u64)),
+                ("failure_at_us", Json::UInt(failure_at.as_micros())),
+                ("recovered", Json::Bool(run.recovered)),
+                ("shipped_bytes", Json::UInt(run.shipped_bytes)),
+            ]),
+        ),
+    ]))
 }
 
 #[cfg(test)]
@@ -431,6 +347,19 @@ mod tests {
         },
     ];
 
+    /// The `decision` of every epoch of sweep `i`.
+    fn decisions(report: &Json, i: usize) -> Vec<&str> {
+        let epochs = report.get("sweeps").unwrap().items().unwrap()[i]
+            .get("epochs")
+            .unwrap();
+        epochs
+            .items()
+            .unwrap()
+            .iter()
+            .map(|p| p.get("decision").unwrap().as_str_val().unwrap())
+            .collect()
+    }
+
     #[test]
     fn small_deltas_ship_less_and_heavy_churn_flips_to_recompute() {
         for workload in [
@@ -442,32 +371,24 @@ mod tests {
         ] {
             let report =
                 run_maintenance(workload, 6, 23, &SWEEPS, &EngineConfig::default()).unwrap();
-            assert_eq!(report.sweeps.len(), 2, "{}", workload.name());
-            let small = &report.sweeps[0];
+            let name = workload.name();
+            assert_eq!(report.get("sweeps").unwrap().items().unwrap().len(), 2);
+            let num = |key| report.num(key).unwrap();
             assert!(
-                small.total_incremental_bytes < small.total_recompute_bytes,
-                "{}: small deltas must ship fewer bytes incrementally ({} vs {})",
-                workload.name(),
-                small.total_incremental_bytes,
-                small.total_recompute_bytes
+                num("sweeps.0.total_incremental_bytes") < num("sweeps.0.total_recompute_bytes"),
+                "{name}: small deltas must ship fewer bytes incrementally: {report}"
             );
-            assert!(small
-                .points
-                .iter()
-                .all(|p| p.decision == MaintenanceDecision::Incremental));
-            let churn = &report.sweeps[1];
+            assert!(decisions(&report, 0).iter().all(|d| *d == "Incremental"));
             assert!(
-                churn
-                    .points
-                    .iter()
-                    .all(|p| p.decision == MaintenanceDecision::Recompute),
-                "{}: churn that rewrites the relations must flip to recompute: {:?}",
-                workload.name(),
-                churn.points
+                decisions(&report, 1).iter().all(|d| *d == "Recompute"),
+                "{name}: churn that rewrites the relations must flip to recompute: {report}"
             );
             // The failure epoch recovered to the exact answer (verified
             // inside the run) after genuinely being interrupted.
-            assert!(small.failure.recovered, "{}", workload.name());
+            let failure = report.get("sweeps").unwrap().items().unwrap()[0]
+                .get("failure")
+                .unwrap();
+            assert_eq!(failure.get("recovered"), Some(&Json::Bool(true)), "{name}");
         }
     }
 
@@ -480,15 +401,15 @@ mod tests {
             epochs: 5,
         }];
         let report = run_maintenance(&w, 6, 29, &sweeps, &EngineConfig::default()).unwrap();
-        let sweep = &report.sweeps[0];
-        assert_eq!(sweep.points.len(), 5);
-        assert!(sweep.points.iter().all(|p| p.legs >= 1));
-        assert!(sweep.total_incremental_bytes < sweep.total_recompute_bytes);
-        let json = report.to_json().render();
-        assert!(json.contains("\"total_incremental_bytes\""), "{json}");
-        assert!(json.contains("\"failure\""), "{json}");
-        assert!(json.contains("\"decision\""), "{json}");
+        assert_eq!(decisions(&report, 0).len(), 5);
+        for i in 0..5 {
+            assert!(report.num(&format!("sweeps.0.epochs.{i}.legs")).unwrap() >= 1.0);
+        }
+        let num = |key| report.num(key).unwrap();
+        assert!(num("sweeps.0.total_incremental_bytes") < num("sweeps.0.total_recompute_bytes"));
+        assert!(num("sweeps.0.failure.shipped_bytes") > 0.0);
         // Host time never enters the byte-compared output.
+        let json = report.render();
         assert!(!json.contains("wall_clock"), "{json}");
     }
 }

@@ -43,115 +43,6 @@ const QUEUE_CAPACITY: usize = 8;
 /// The SLO is this multiple of the measured per-query drain time.
 const SLO_FACTOR: u64 = 3;
 
-/// One (Zipf exponent × offered load × cache capacity) sweep point.
-#[derive(Clone, Debug)]
-pub struct ServingPoint {
-    /// Skew of the query-popularity distribution.
-    pub zipf_exponent: f64,
-    /// Offered load as a fraction of the cluster's measured drain rate:
-    /// 1.0 means arrivals exactly match uncached drain capacity.
-    pub load_factor: f64,
-    /// Mean of the exponential inter-arrival draw.
-    pub mean_interarrival: SimTime,
-    /// Result-cache capacity (0 = cache off).
-    pub cache_capacity: usize,
-    /// Requests answered (executed or served from cache).
-    pub completed: usize,
-    /// Requests shed because the run queue was full.
-    pub shed: usize,
-    /// Completed requests whose arrival-to-answer latency broke the SLO.
-    pub slo_misses: usize,
-    /// Cache lookups answered from the cache.
-    pub cache_hits: u64,
-    /// Cache lookups that executed instead.
-    pub cache_misses: u64,
-    /// `hits / (hits + misses)`, 0 when the cache is off.
-    pub cache_hit_rate: f64,
-    /// Entries evicted under capacity pressure.
-    pub cache_evictions: u64,
-    /// Network bytes the hits avoided shipping.
-    pub cache_bytes_saved: u64,
-    /// Median arrival-to-answer latency.
-    pub latency_p50: SimTime,
-    /// 99th-percentile arrival-to-answer latency.
-    pub latency_p99: SimTime,
-    /// 99.9th-percentile arrival-to-answer latency.
-    pub latency_p999: SimTime,
-    /// Completion instant of the last answered request.
-    pub makespan: SimTime,
-    /// Bytes shipped between distinct nodes, all requests combined.
-    pub total_bytes: u64,
-    /// Inter-node messages, all requests combined.
-    pub total_messages: u64,
-}
-
-impl ServingPoint {
-    /// Render as a JSON object.
-    pub fn to_json(&self) -> Json {
-        Json::object(vec![
-            ("zipf_exponent", Json::Float(self.zipf_exponent)),
-            ("load_factor", Json::Float(self.load_factor)),
-            (
-                "mean_interarrival_us",
-                Json::UInt(self.mean_interarrival.as_micros()),
-            ),
-            ("cache_capacity", Json::UInt(self.cache_capacity as u64)),
-            ("completed", Json::UInt(self.completed as u64)),
-            ("shed", Json::UInt(self.shed as u64)),
-            ("slo_misses", Json::UInt(self.slo_misses as u64)),
-            ("cache_hits", Json::UInt(self.cache_hits)),
-            ("cache_misses", Json::UInt(self.cache_misses)),
-            ("cache_hit_rate", Json::Float(self.cache_hit_rate)),
-            ("cache_evictions", Json::UInt(self.cache_evictions)),
-            ("cache_bytes_saved", Json::UInt(self.cache_bytes_saved)),
-            ("latency_p50_us", Json::UInt(self.latency_p50.as_micros())),
-            ("latency_p99_us", Json::UInt(self.latency_p99.as_micros())),
-            ("latency_p999_us", Json::UInt(self.latency_p999.as_micros())),
-            ("makespan_us", Json::UInt(self.makespan.as_micros())),
-            ("total_bytes", Json::UInt(self.total_bytes)),
-            ("total_messages", Json::UInt(self.total_messages)),
-        ])
-    }
-}
-
-/// A full serving sweep over arrival rate × cache capacity × skew.
-#[derive(Clone, Debug)]
-pub struct ServingSweep {
-    /// Cluster size.
-    pub nodes: u16,
-    /// Requests per sweep point.
-    pub requests: usize,
-    /// Distinct catalogue queries in the popularity universe.
-    pub distinct_queries: usize,
-    /// Eviction policy of every cache-on point.
-    pub eviction: EvictionPolicy,
-    /// Measured per-query drain time of the catalogue queries at the
-    /// serving concurrency (the calibration every load factor scales).
-    pub mean_service: SimTime,
-    /// The latency SLO every point is judged against.
-    pub slo: SimTime,
-    /// One point per (skew, load, capacity) triple, in sweep order.
-    pub points: Vec<ServingPoint>,
-}
-
-impl ServingSweep {
-    /// Render as a JSON object.
-    pub fn to_json(&self) -> Json {
-        Json::object(vec![
-            ("nodes", Json::UInt(self.nodes as u64)),
-            ("requests", Json::UInt(self.requests as u64)),
-            ("distinct_queries", Json::UInt(self.distinct_queries as u64)),
-            ("eviction", Json::str(format!("{:?}", self.eviction))),
-            ("mean_service_us", Json::UInt(self.mean_service.as_micros())),
-            ("slo_us", Json::UInt(self.slo.as_micros())),
-            (
-                "points",
-                Json::Array(self.points.iter().map(ServingPoint::to_json).collect()),
-            ),
-        ])
-    }
-}
-
 /// Draw `count` Poisson arrival instants: exponential inter-arrival
 /// times with the given mean, accumulated from `t = 0`.
 pub fn poisson_arrivals(r: &mut rng::StdRng, count: usize, mean: SimTime) -> Vec<SimTime> {
@@ -261,7 +152,14 @@ pub struct ServingSpec<'a> {
 /// workload's reference, or if at any skew ≥ 1.0 the largest cache does
 /// not strictly beat the cache-off control on both p99 latency and
 /// shipped bytes.
-pub fn run_serving_experiment(spec: &ServingSpec, config: &EngineConfig) -> Result<ServingSweep> {
+///
+/// `mean_service_us` is the measured drain time per query the load
+/// factors scale (a load of 1.0 offers exactly the uncached drain rate),
+/// and the SLO is a multiple of it.  `points` come one per (skew, load,
+/// capacity), in sweep order; `cache_hit_rate` is 0 with the cache off,
+/// and `total_bytes` counts bytes between distinct nodes over all
+/// requests.
+pub fn run_serving_experiment(spec: &ServingSpec, config: &EngineConfig) -> Result<Json> {
     let &ServingSpec {
         seed,
         rows,
@@ -366,69 +264,71 @@ pub fn run_serving_experiment(spec: &ServingSpec, config: &EngineConfig) -> Resu
                         )));
                     }
                 }
-                points.push(ServingPoint {
-                    zipf_exponent,
-                    load_factor,
-                    mean_interarrival,
-                    cache_capacity: capacity,
-                    completed: report.sessions.len(),
-                    shed: report.shed.len(),
-                    slo_misses: report.slo_misses,
-                    cache_hits: report.cache.hits,
-                    cache_misses: report.cache.misses,
-                    cache_hit_rate: report.cache.hit_rate(),
-                    cache_evictions: report.cache.evictions,
-                    cache_bytes_saved: report.cache.bytes_saved,
-                    latency_p50: report.latency_p50,
-                    latency_p99: report.latency_p99,
-                    latency_p999: report.latency_p999,
-                    makespan: report.makespan,
-                    total_bytes: report.total_bytes,
-                    total_messages: report.total_messages,
-                });
+                let cache = &report.cache;
+                points.push(Json::object(vec![
+                    ("zipf_exponent", Json::Float(zipf_exponent)),
+                    ("load_factor", Json::Float(load_factor)),
+                    (
+                        "mean_interarrival_us",
+                        Json::UInt(mean_interarrival.as_micros()),
+                    ),
+                    ("cache_capacity", Json::UInt(capacity as u64)),
+                    ("completed", Json::UInt(report.sessions.len() as u64)),
+                    ("shed", Json::UInt(report.shed.len() as u64)),
+                    ("slo_misses", Json::UInt(report.slo_misses as u64)),
+                    ("cache_hits", Json::UInt(cache.hits)),
+                    ("cache_misses", Json::UInt(cache.misses)),
+                    ("cache_hit_rate", Json::Float(cache.hit_rate())),
+                    ("cache_evictions", Json::UInt(cache.evictions)),
+                    ("cache_bytes_saved", Json::UInt(cache.bytes_saved)),
+                    ("latency_p50_us", Json::UInt(report.latency_p50.as_micros())),
+                    ("latency_p99_us", Json::UInt(report.latency_p99.as_micros())),
+                    (
+                        "latency_p999_us",
+                        Json::UInt(report.latency_p999.as_micros()),
+                    ),
+                    ("makespan_us", Json::UInt(report.makespan.as_micros())),
+                    ("total_bytes", Json::UInt(report.total_bytes)),
+                    ("total_messages", Json::UInt(report.total_messages)),
+                ]));
             }
         }
     }
 
     // The headline claim, enforced: wherever popularity is skewed
     // (exponent ≥ 1.0), the biggest cache must strictly beat the
-    // cache-off control on tail latency *and* shipped bytes.
+    // cache-off control on tail latency *and* shipped bytes.  Each
+    // (skew, load) group holds one point per capacity, in spec order.
     let best_capacity = cache_capacities.iter().copied().max().unwrap_or(0);
-    for pair in points.chunks(cache_capacities.len()) {
-        let off = pair
-            .iter()
-            .find(|p| p.cache_capacity == 0)
-            .expect("capacity 0 is mandatory");
-        let on = pair
-            .iter()
-            .find(|p| p.cache_capacity == best_capacity)
-            .expect("sweep emits every capacity");
-        if off.zipf_exponent < 1.0 || best_capacity == 0 {
+    let position = |capacity| cache_capacities.iter().position(|&c| c == capacity);
+    let off_at = position(0).expect("capacity 0 is mandatory");
+    let on_at = position(best_capacity).expect("the sweep runs every capacity");
+    for group in points.chunks(cache_capacities.len()) {
+        let (off, on) = (&group[off_at], &group[on_at]);
+        if off.num("zipf_exponent")? < 1.0 || best_capacity == 0 {
             continue;
         }
-        if on.latency_p99 >= off.latency_p99 || on.total_bytes >= off.total_bytes {
+        let (p99, off_p99) = (on.num("latency_p99_us")?, off.num("latency_p99_us")?);
+        let (bytes, off_bytes) = (on.num("total_bytes")?, off.num("total_bytes")?);
+        if p99 >= off_p99 || bytes >= off_bytes {
             return Err(OrchestraError::Execution(format!(
-                "caching must pay at skew {} load {}: p99 {} vs {} uncached, {} bytes vs {} \
-                 uncached",
-                on.zipf_exponent,
-                on.load_factor,
-                on.latency_p99,
-                off.latency_p99,
-                on.total_bytes,
-                off.total_bytes
+                "caching must pay at skew {} load {}: p99 {p99} µs vs {off_p99} µs uncached, \
+                 {bytes} bytes vs {off_bytes} uncached",
+                on.num("zipf_exponent")?,
+                on.num("load_factor")?,
             )));
         }
     }
 
-    Ok(ServingSweep {
-        nodes,
-        requests,
-        distinct_queries: queries.len(),
-        eviction,
-        mean_service,
-        slo,
-        points,
-    })
+    Ok(Json::object(vec![
+        ("nodes", Json::UInt(nodes as u64)),
+        ("requests", Json::UInt(requests as u64)),
+        ("distinct_queries", Json::UInt(queries.len() as u64)),
+        ("eviction", Json::str(format!("{eviction:?}"))),
+        ("mean_service_us", Json::UInt(mean_service.as_micros())),
+        ("slo_us", Json::UInt(slo.as_micros())),
+        ("points", Json::Array(points)),
+    ]))
 }
 
 #[cfg(test)]
@@ -451,24 +351,26 @@ mod tests {
             &EngineConfig::default(),
         )
         .unwrap();
-        assert_eq!(sweep.distinct_queries, 5);
-        assert_eq!(sweep.points.len(), 6);
-        assert!(sweep.mean_service > SimTime::ZERO);
+        assert_eq!(sweep.num("distinct_queries").unwrap(), 5.0);
+        assert!(sweep.num("mean_service_us").unwrap() > 0.0);
+        let points = sweep.get("points").unwrap().items().unwrap();
+        assert_eq!(points.len(), 6);
+        let num = |p: &Json, key| p.num(key).unwrap();
 
         // Per (load) group: off, small cache, full cache.
-        for group in sweep.points.chunks(3) {
+        for group in points.chunks(3) {
             let (off, small, full) = (&group[0], &group[1], &group[2]);
-            assert_eq!(off.cache_capacity, 0);
-            assert_eq!(off.cache_hits, 0);
+            assert_eq!(num(off, "cache_capacity"), 0.0);
+            assert_eq!(num(off, "cache_hits"), 0.0);
             // Hit rate rises with capacity; the full cache never evicts.
-            assert!(full.cache_hit_rate >= small.cache_hit_rate);
-            assert!(full.cache_hit_rate > 0.5, "{}", full.cache_hit_rate);
-            assert_eq!(full.cache_evictions, 0);
-            assert!(small.cache_evictions > 0, "capacity 2 must churn");
+            assert!(num(full, "cache_hit_rate") >= num(small, "cache_hit_rate"));
+            assert!(num(full, "cache_hit_rate") > 0.5, "{full}");
+            assert_eq!(num(full, "cache_evictions"), 0.0);
+            assert!(num(small, "cache_evictions") > 0.0, "capacity 2 must churn");
             // The acceptance claim (also enforced inside the run).
-            assert!(full.latency_p99 < off.latency_p99);
-            assert!(full.total_bytes < off.total_bytes);
-            assert!(full.cache_bytes_saved > 0);
+            assert!(num(full, "latency_p99_us") < num(off, "latency_p99_us"));
+            assert!(num(full, "total_bytes") < num(off, "total_bytes"));
+            assert!(num(full, "cache_bytes_saved") > 0.0);
         }
 
         // The knee: overload saturates the uncached system but not the
@@ -476,21 +378,20 @@ mod tests {
         // misses that dominate the short stream's p99) must blow up
         // uncached but stay collapsed cached, and only the uncached run
         // sheds arrivals at the high load.
-        let low_off = &sweep.points[0];
-        let high_off = &sweep.points[3];
-        let low_full = &sweep.points[2];
-        let high_full = &sweep.points[5];
-        assert!(high_off.latency_p99 > low_off.latency_p99);
-        let off_growth =
-            high_off.latency_p50.as_micros() as f64 / low_off.latency_p50.as_micros().max(1) as f64;
-        let full_growth = high_full.latency_p50.as_micros() as f64
-            / low_full.latency_p50.as_micros().max(1) as f64;
+        let (low_off, low_full) = (&points[0], &points[2]);
+        let (high_off, high_full) = (&points[3], &points[5]);
+        assert!(num(high_off, "latency_p99_us") > num(low_off, "latency_p99_us"));
+        let growth = |low, high| num(high, "latency_p50_us") / num(low, "latency_p50_us").max(1.0);
+        let (off_growth, full_growth) = (growth(low_off, high_off), growth(low_full, high_full));
         assert!(
             off_growth > full_growth,
             "uncached must saturate faster: {off_growth} vs {full_growth}"
         );
-        assert!(high_off.shed > 0, "overload must shed uncached arrivals");
-        assert!(high_full.shed < high_off.shed);
+        assert!(
+            num(high_off, "shed") > 0.0,
+            "overload must shed uncached arrivals"
+        );
+        assert!(num(high_full, "shed") < num(high_off, "shed"));
     }
 
     #[test]
@@ -515,12 +416,10 @@ mod tests {
             .unwrap()
         };
         let a = run();
-        let b = run();
-        assert_eq!(a.to_json().render(), b.to_json().render());
-        let json = a.to_json().render();
-        assert!(json.contains("\"cache_hit_rate\""), "{json}");
-        assert!(json.contains("\"latency_p99_us\""), "{json}");
-        assert!(json.contains("\"slo_us\""), "{json}");
+        assert_eq!(a.render(), run().render());
+        assert!(a.num("points.1.cache_hit_rate").unwrap() > 0.0, "{a}");
+        assert!(a.num("points.0.latency_p99_us").unwrap() > 0.0, "{a}");
+        assert!(a.num("slo_us").unwrap() > 0.0, "{a}");
     }
 
     #[test]

@@ -80,189 +80,6 @@ pub struct SubscriptionsSpec<'a> {
     pub sweeps: &'a [MaintenanceSweepSpec],
 }
 
-/// One maintained epoch's shared-vs-independent measurements.
-#[derive(Clone, Debug)]
-pub struct SubscriptionEpochPoint {
-    /// The published epoch.
-    pub epoch: u64,
-    /// Sessions the views would have demanded refreshed one by one.
-    pub leg_instances: usize,
-    /// Shared sessions actually run after fingerprint dedup.
-    pub shared_sessions: usize,
-    /// Bytes the shared maintenance workload shipped.
-    pub shared_bytes: u64,
-    /// Delta derivations of the shared refresh (memo misses).
-    pub shared_derivations: u64,
-    /// Virtual time of the shared refresh.
-    pub shared_makespan: SimTime,
-    /// Bytes shipped to subscribers as signed result diffs — reported
-    /// under its own key, never part of `shared_bytes`.
-    pub view_diff_bytes: u64,
-    /// Delta-leg sessions the independent control ran.
-    pub independent_sessions: usize,
-    /// Bytes the independent control shipped, all views summed.
-    pub independent_bytes: u64,
-    /// Delta derivations of the independent control (memo cleared per
-    /// view, so every view re-derives like a separate job).
-    pub independent_derivations: u64,
-    /// Virtual time of the independent control, refreshes summed.
-    pub independent_makespan: SimTime,
-}
-
-impl SubscriptionEpochPoint {
-    /// Render as a JSON object.
-    pub fn to_json(&self) -> Json {
-        Json::object(vec![
-            ("epoch", Json::UInt(self.epoch)),
-            ("leg_instances", Json::UInt(self.leg_instances as u64)),
-            ("shared_sessions", Json::UInt(self.shared_sessions as u64)),
-            ("shared_bytes", Json::UInt(self.shared_bytes)),
-            ("shared_derivations", Json::UInt(self.shared_derivations)),
-            (
-                "shared_makespan_us",
-                Json::UInt(self.shared_makespan.as_micros()),
-            ),
-            ("view_diff_bytes", Json::UInt(self.view_diff_bytes)),
-            (
-                "independent_sessions",
-                Json::UInt(self.independent_sessions as u64),
-            ),
-            ("independent_bytes", Json::UInt(self.independent_bytes)),
-            (
-                "independent_derivations",
-                Json::UInt(self.independent_derivations),
-            ),
-            (
-                "independent_makespan_us",
-                Json::UInt(self.independent_makespan.as_micros()),
-            ),
-        ])
-    }
-}
-
-/// The mid-maintenance failure epoch that closes a sweep.
-#[derive(Clone, Debug)]
-pub struct SubscriptionFailurePoint {
-    /// The node killed mid-refresh.
-    pub victim: NodeId,
-    /// The virtual instant it was killed.
-    pub failure_at: SimTime,
-    /// Did the shared refresh actually run a recovery round?
-    pub recovered: bool,
-    /// Bytes the failure-interrupted refresh shipped, recovery included.
-    pub shipped_bytes: u64,
-}
-
-impl SubscriptionFailurePoint {
-    /// Render as a JSON object.
-    pub fn to_json(&self) -> Json {
-        Json::object(vec![
-            ("victim", Json::UInt(self.victim.index() as u64)),
-            ("failure_at_us", Json::UInt(self.failure_at.as_micros())),
-            ("recovered", Json::Bool(self.recovered)),
-            ("shipped_bytes", Json::UInt(self.shipped_bytes)),
-        ])
-    }
-}
-
-/// One (churn × subscriber count) sweep's full result.
-#[derive(Clone, Debug)]
-pub struct SubscriptionSweep {
-    /// The churn point's label.
-    pub label: String,
-    /// Registered views.
-    pub subscribers: usize,
-    /// Shared sessions the priming refresh ran (≤ catalogue size however
-    /// many views registered — identical recomputations collide).
-    pub priming_sessions: usize,
-    /// One point per maintained epoch.
-    pub points: Vec<SubscriptionEpochPoint>,
-    /// Shared maintenance bytes summed over the sweep's epochs.
-    pub total_shared_bytes: u64,
-    /// Independent-control bytes summed over the sweep's epochs.
-    pub total_independent_bytes: u64,
-    /// Subscriber diff bytes summed over the sweep's epochs.
-    pub total_view_diff_bytes: u64,
-    /// Shared-path delta derivations summed over the sweep's epochs.
-    pub total_shared_derivations: u64,
-    /// Independent-control derivations summed over the sweep's epochs.
-    pub total_independent_derivations: u64,
-    /// The mid-maintenance failure check that closed the sweep.
-    pub failure: SubscriptionFailurePoint,
-}
-
-impl SubscriptionSweep {
-    /// Render as a JSON object.
-    pub fn to_json(&self) -> Json {
-        Json::object(vec![
-            ("label", Json::str(self.label.clone())),
-            ("subscribers", Json::UInt(self.subscribers as u64)),
-            ("priming_sessions", Json::UInt(self.priming_sessions as u64)),
-            ("total_shared_bytes", Json::UInt(self.total_shared_bytes)),
-            (
-                "total_independent_bytes",
-                Json::UInt(self.total_independent_bytes),
-            ),
-            (
-                "total_view_diff_bytes",
-                Json::UInt(self.total_view_diff_bytes),
-            ),
-            (
-                "total_shared_derivations",
-                Json::UInt(self.total_shared_derivations),
-            ),
-            (
-                "total_independent_derivations",
-                Json::UInt(self.total_independent_derivations),
-            ),
-            (
-                "epochs",
-                Json::Array(
-                    self.points
-                        .iter()
-                        .map(SubscriptionEpochPoint::to_json)
-                        .collect(),
-                ),
-            ),
-            ("failure", self.failure.to_json()),
-        ])
-    }
-}
-
-/// The full experiment result.
-#[derive(Clone, Debug)]
-pub struct SubscriptionsReport {
-    /// Cluster size.
-    pub nodes: u16,
-    /// The standing-query catalogue, in subscriber round-robin order.
-    pub catalogue: Vec<String>,
-    /// The relations the churn stream publishes against.
-    pub churn_relations: Vec<String>,
-    /// One entry per (churn × subscriber count), churn-major.
-    pub sweeps: Vec<SubscriptionSweep>,
-}
-
-impl SubscriptionsReport {
-    /// Render as a JSON object.
-    pub fn to_json(&self) -> Json {
-        Json::object(vec![
-            ("nodes", Json::UInt(self.nodes as u64)),
-            (
-                "catalogue",
-                Json::Array(self.catalogue.iter().map(Json::str).collect()),
-            ),
-            (
-                "churn_relations",
-                Json::Array(self.churn_relations.iter().map(Json::str).collect()),
-            ),
-            (
-                "sweeps",
-                Json::Array(self.sweeps.iter().map(SubscriptionSweep::to_json).collect()),
-            ),
-        ])
-    }
-}
-
 /// The standing-query catalogue: the five mixed-catalogue workloads
 /// with the churn donor (TPC-H Q1, registering the shared TPC-H trio)
 /// first, so the donor is always registered — even at one subscriber —
@@ -281,38 +98,41 @@ fn catalogue(seed: u64, rows: usize) -> Vec<Box<dyn Workload>> {
 /// Run the fan-out experiment: for every churn point and subscriber
 /// count, a fresh deployment, `subscribers` registered views, and the
 /// shared-vs-independent comparison per published epoch.
-pub fn run_subscriptions(
-    spec: &SubscriptionsSpec,
-    config: &EngineConfig,
-) -> Result<SubscriptionsReport> {
+///
+/// `sweeps` come churn-major.  `priming_sessions` is what the shared
+/// priming refresh ran, at most one per distinct shape.  Per epoch,
+/// `leg_instances` is what the views would have run one by one, the
+/// `shared_*` figures are the registry's refresh after fingerprint dedup
+/// and the `independent_*` ones the control's, summed over views with
+/// the delta memo cleared before each.  `*_derivations` count memo
+/// misses.  `view_diff_bytes` is subscriber notification traffic, never
+/// part of `shared_bytes`.  `failure` is the closing mid-refresh failure
+/// epoch; its `shipped_bytes` include the recovery.
+pub fn run_subscriptions(spec: &SubscriptionsSpec, config: &EngineConfig) -> Result<Json> {
     if spec.subscriber_counts.is_empty() || spec.sweeps.is_empty() {
         return Err(OrchestraError::Execution(
             "a subscriptions sweep needs subscriber counts and churn points".into(),
         ));
     }
-    let names: Vec<String> = catalogue(spec.seed, spec.rows)
-        .iter()
-        .map(|w| w.name())
-        .collect();
-    let churn_relations: Vec<String> = catalogue(spec.seed, spec.rows)[0]
+    let workloads = catalogue(spec.seed, spec.rows);
+    let names = workloads.iter().map(|w| Json::str(w.name())).collect();
+    let churn_relations = workloads[0]
         .relations()
         .iter()
-        .map(|r| r.name().to_string())
+        .map(|r| Json::str(r.name()))
         .collect();
-    let mut report = SubscriptionsReport {
-        nodes: spec.nodes,
-        catalogue: names,
-        churn_relations,
-        sweeps: Vec::new(),
-    };
+    let mut sweeps = Vec::new();
     for sweep in spec.sweeps {
         for &subscribers in spec.subscriber_counts {
-            report
-                .sweeps
-                .push(run_sweep(spec, subscribers, sweep, config)?);
+            sweeps.push(run_sweep(spec, subscribers, sweep, config)?);
         }
     }
-    Ok(report)
+    Ok(Json::object(vec![
+        ("nodes", Json::UInt(spec.nodes as u64)),
+        ("catalogue", Json::Array(names)),
+        ("churn_relations", Json::Array(churn_relations)),
+        ("sweeps", Json::Array(sweeps)),
+    ]))
 }
 
 /// One distinct standing query: its compiled plan and, for incremental
@@ -376,7 +196,7 @@ fn run_sweep(
     subscribers: usize,
     sweep: &MaintenanceSweepSpec,
     config: &EngineConfig,
-) -> Result<SubscriptionSweep> {
+) -> Result<Json> {
     let workloads = catalogue(spec.seed, spec.rows);
     let refs: Vec<&dyn Workload> = workloads.iter().map(|w| w.as_ref()).collect();
     let (mut storage, base_epoch) = deploy_all(&refs, spec.nodes)?;
@@ -441,23 +261,10 @@ fn run_sweep(
     let specs = vec![sweep.spec; sweep.epochs + 1];
     let stream = epoch_stream(refs[0], spec.seed, &specs)?;
 
-    let mut out = SubscriptionSweep {
-        label: sweep.label.to_string(),
-        subscribers,
-        priming_sessions: priming.sessions_run,
-        points: Vec::with_capacity(sweep.epochs),
-        total_shared_bytes: 0,
-        total_independent_bytes: 0,
-        total_view_diff_bytes: 0,
-        total_shared_derivations: 0,
-        total_independent_derivations: 0,
-        failure: SubscriptionFailurePoint {
-            victim: NodeId(spec.nodes - 1),
-            failure_at: SimTime::ZERO,
-            recovered: false,
-            shipped_bytes: 0,
-        },
-    };
+    let mut points = Vec::with_capacity(sweep.epochs);
+    let (mut total_shared_bytes, mut total_independent_bytes, mut total_view_diff_bytes) =
+        (0, 0, 0);
+    let (mut total_shared_derivations, mut total_independent_derivations) = (0, 0);
     let changed_relations = report_changed_relations(refs[0]);
 
     for i in 0..sweep.epochs {
@@ -517,24 +324,36 @@ fn run_sweep(
             )));
         }
 
-        out.total_shared_bytes += refresh.shipped_bytes;
-        out.total_independent_bytes += independent_bytes;
-        out.total_view_diff_bytes += refresh.diff_bytes;
-        out.total_shared_derivations += refresh.delta_derivations;
-        out.total_independent_derivations += independent_derivations;
-        out.points.push(SubscriptionEpochPoint {
-            epoch: epoch.0,
-            leg_instances: refresh.leg_instances,
-            shared_sessions: refresh.sessions_run,
-            shared_bytes: refresh.shipped_bytes,
-            shared_derivations: refresh.delta_derivations,
-            shared_makespan: refresh.makespan,
-            view_diff_bytes: refresh.diff_bytes,
-            independent_sessions,
-            independent_bytes,
-            independent_derivations,
-            independent_makespan,
-        });
+        total_shared_bytes += refresh.shipped_bytes;
+        total_independent_bytes += independent_bytes;
+        total_view_diff_bytes += refresh.diff_bytes;
+        total_shared_derivations += refresh.delta_derivations;
+        total_independent_derivations += independent_derivations;
+        points.push(Json::object(vec![
+            ("epoch", Json::UInt(epoch.0)),
+            ("leg_instances", Json::UInt(refresh.leg_instances as u64)),
+            ("shared_sessions", Json::UInt(refresh.sessions_run as u64)),
+            ("shared_bytes", Json::UInt(refresh.shipped_bytes)),
+            ("shared_derivations", Json::UInt(refresh.delta_derivations)),
+            (
+                "shared_makespan_us",
+                Json::UInt(refresh.makespan.as_micros()),
+            ),
+            ("view_diff_bytes", Json::UInt(refresh.diff_bytes)),
+            (
+                "independent_sessions",
+                Json::UInt(independent_sessions as u64),
+            ),
+            ("independent_bytes", Json::UInt(independent_bytes)),
+            (
+                "independent_derivations",
+                Json::UInt(independent_derivations),
+            ),
+            (
+                "independent_makespan_us",
+                Json::UInt(independent_makespan.as_micros()),
+            ),
+        ]));
     }
 
     // The failure epoch: publish one more batch, calibrate the failure
@@ -558,13 +377,35 @@ fn run_sweep(
         epoch,
         Some(stream.reference(failure_idx)),
     )?;
-    out.failure = SubscriptionFailurePoint {
-        victim: failure.node,
-        failure_at,
-        recovered: interrupted.recovered,
-        shipped_bytes: interrupted.shipped_bytes,
-    };
-    Ok(out)
+    Ok(Json::object(vec![
+        ("label", Json::str(sweep.label)),
+        ("subscribers", Json::UInt(subscribers as u64)),
+        ("priming_sessions", Json::UInt(priming.sessions_run as u64)),
+        ("total_shared_bytes", Json::UInt(total_shared_bytes)),
+        (
+            "total_independent_bytes",
+            Json::UInt(total_independent_bytes),
+        ),
+        ("total_view_diff_bytes", Json::UInt(total_view_diff_bytes)),
+        (
+            "total_shared_derivations",
+            Json::UInt(total_shared_derivations),
+        ),
+        (
+            "total_independent_derivations",
+            Json::UInt(total_independent_derivations),
+        ),
+        ("epochs", Json::Array(points)),
+        (
+            "failure",
+            Json::object(vec![
+                ("victim", Json::UInt(failure.node.index() as u64)),
+                ("failure_at_us", Json::UInt(failure_at.as_micros())),
+                ("recovered", Json::Bool(interrupted.recovered)),
+                ("shipped_bytes", Json::UInt(interrupted.shipped_bytes)),
+            ]),
+        ),
+    ]))
 }
 
 /// How many relations one churn batch publishes against — the bound the
@@ -599,52 +440,55 @@ mod tests {
             &EngineConfig::default(),
         )
         .unwrap();
-        assert_eq!(report.catalogue.len(), 5);
+        assert_eq!(report.get("catalogue").unwrap().items().unwrap().len(), 5);
         // The churn donor registers the shared TPC-H trio.
-        assert_eq!(report.churn_relations.len(), 3);
-        assert!(report.churn_relations.contains(&"lineitem".to_string()));
-        assert_eq!(report.sweeps.len(), 2);
+        let churn_relations = report.get("churn_relations").unwrap().items().unwrap();
+        assert_eq!(churn_relations.len(), 3);
+        assert!(churn_relations.contains(&Json::str("lineitem")));
+        let sweeps = report.get("sweeps").unwrap().items().unwrap();
+        assert_eq!(sweeps.len(), 2);
+        let num = |sweep: &Json, key| sweep.num(key).unwrap();
 
-        let solo = &report.sweeps[0];
-        assert_eq!(solo.subscribers, 1);
+        let solo = &sweeps[0];
+        assert_eq!(num(solo, "subscribers"), 1.0);
         // One subscriber: nothing to share, the control and the registry
         // run the same sessions.
-        assert_eq!(solo.total_shared_bytes, solo.total_independent_bytes);
+        assert_eq!(
+            num(solo, "total_shared_bytes"),
+            num(solo, "total_independent_bytes")
+        );
 
-        let fanned = &report.sweeps[1];
-        assert_eq!(fanned.subscribers, 8);
+        let fanned = &sweeps[1];
+        assert_eq!(num(fanned, "subscribers"), 8.0);
         // Eight subscribers over five shapes: 2× Q1, 2× Q3, 2× Q6 are
         // hit by the TPC-H churn — the shared path runs one leg per
         // distinct (shape, pivot) while the control runs one per view,
         // so sharing already pays below the enforcement threshold.
         assert!(
-            fanned.total_shared_bytes < fanned.total_independent_bytes,
-            "{} shared vs {} independent",
-            fanned.total_shared_bytes,
-            fanned.total_independent_bytes
+            num(fanned, "total_shared_bytes") < num(fanned, "total_independent_bytes"),
+            "{fanned}"
         );
         // Derivations: O(changed relations) shared, O(views) independent.
-        for point in &fanned.points {
-            assert!(point.shared_derivations <= 3, "{point:?}");
+        for point in fanned.get("epochs").unwrap().items().unwrap() {
+            assert!(num(point, "shared_derivations") <= 3.0, "{point}");
             assert!(
-                point.independent_derivations > point.shared_derivations,
-                "{point:?}"
+                num(point, "independent_derivations") > num(point, "shared_derivations"),
+                "{point}"
             );
-            assert!(point.shared_sessions < point.leg_instances, "{point:?}");
+            assert!(
+                num(point, "shared_sessions") < num(point, "leg_instances"),
+                "{point}"
+            );
             // Diff bytes live under their own key and are not part of
             // the maintenance traffic.
-            assert!(point.view_diff_bytes > 0, "{point:?}");
+            assert!(num(point, "view_diff_bytes") > 0.0, "{point}");
         }
         // Priming collapsed eight recomputations onto five shapes.
-        assert!(fanned.priming_sessions <= 5);
+        assert!(num(fanned, "priming_sessions") <= 5.0);
         // The failure epoch genuinely interrupted and recovered.
-        assert!(fanned.failure.recovered);
-        assert!(fanned.failure.failure_at > SimTime::ZERO);
-
-        let json = report.to_json().render();
-        assert!(json.contains("\"view_diff_bytes\""), "{json}");
-        assert!(json.contains("\"total_shared_derivations\""), "{json}");
-        assert!(json.contains("\"failure\""), "{json}");
+        let failure = fanned.get("failure").unwrap();
+        assert_eq!(failure.get("recovered"), Some(&Json::Bool(true)));
+        assert!(num(failure, "failure_at_us") > 0.0);
     }
 
     #[test]
@@ -669,7 +513,6 @@ mod tests {
                 &EngineConfig::default(),
             )
             .unwrap()
-            .to_json()
             .render()
         };
         assert_eq!(run(), run());

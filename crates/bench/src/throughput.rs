@@ -26,111 +26,6 @@ use orchestra_optimizer::{estimate_plan_cost, Statistics};
 use orchestra_simnet::SimTime;
 use orchestra_workloads::{deploy_all, mixed_stream};
 
-/// One query's latency figures within a sweep point.
-#[derive(Clone, Debug)]
-pub struct QueryLatency {
-    /// The workload the session ran.
-    pub name: String,
-    /// Virtual time spent queued before admission.
-    pub queue_wait: SimTime,
-    /// Admission-to-answer time.
-    pub latency: SimTime,
-    /// Bytes this session alone put on the wire.
-    pub bytes: u64,
-}
-
-impl QueryLatency {
-    /// Render as a JSON object.
-    pub fn to_json(&self) -> Json {
-        Json::object(vec![
-            ("workload", Json::str(self.name.clone())),
-            ("queue_wait_us", Json::UInt(self.queue_wait.as_micros())),
-            ("latency_us", Json::UInt(self.latency.as_micros())),
-            ("bytes", Json::UInt(self.bytes)),
-        ])
-    }
-}
-
-/// One concurrency level of a throughput sweep.
-#[derive(Clone, Debug)]
-pub struct ThroughputPoint {
-    /// Sessions allowed to execute at once.
-    pub concurrency: usize,
-    /// Completion instant of the last session.
-    pub makespan: SimTime,
-    /// Bytes shipped between distinct nodes, all sessions combined.
-    pub total_bytes: u64,
-    /// Inter-node messages, all sessions combined.
-    pub total_messages: u64,
-    /// Aggregate link utilization over the makespan window.
-    pub link_utilization: f64,
-    /// Most sessions actually executing at once.
-    pub peak_concurrency: usize,
-    /// Mean virtual time sessions spent queued.
-    pub mean_queue_wait: SimTime,
-    /// Median admission-to-answer latency.
-    pub median_latency: SimTime,
-    /// Worst admission-to-answer latency.
-    pub max_latency: SimTime,
-    /// Per-query figures, in submission order.
-    pub queries: Vec<QueryLatency>,
-}
-
-impl ThroughputPoint {
-    /// Render as a JSON object.
-    pub fn to_json(&self) -> Json {
-        Json::object(vec![
-            ("concurrency", Json::UInt(self.concurrency as u64)),
-            ("makespan_us", Json::UInt(self.makespan.as_micros())),
-            ("total_bytes", Json::UInt(self.total_bytes)),
-            ("total_messages", Json::UInt(self.total_messages)),
-            ("link_utilization", Json::Float(self.link_utilization)),
-            ("peak_concurrency", Json::UInt(self.peak_concurrency as u64)),
-            (
-                "mean_queue_wait_us",
-                Json::UInt(self.mean_queue_wait.as_micros()),
-            ),
-            (
-                "median_latency_us",
-                Json::UInt(self.median_latency.as_micros()),
-            ),
-            ("max_latency_us", Json::UInt(self.max_latency.as_micros())),
-            (
-                "queries",
-                Json::Array(self.queries.iter().map(QueryLatency::to_json).collect()),
-            ),
-        ])
-    }
-}
-
-/// A full throughput sweep under one admission policy.
-#[derive(Clone, Debug)]
-pub struct ThroughputSweep {
-    /// Cluster size.
-    pub nodes: u16,
-    /// Sessions in the mixed stream.
-    pub sessions: usize,
-    /// Admission policy in force.
-    pub policy: AdmissionPolicy,
-    /// One point per concurrency level, in sweep order.
-    pub points: Vec<ThroughputPoint>,
-}
-
-impl ThroughputSweep {
-    /// Render as a JSON object.
-    pub fn to_json(&self) -> Json {
-        Json::object(vec![
-            ("policy", Json::str(format!("{:?}", self.policy))),
-            ("nodes", Json::UInt(self.nodes as u64)),
-            ("sessions", Json::UInt(self.sessions as u64)),
-            (
-                "levels",
-                Json::Array(self.points.iter().map(ThroughputPoint::to_json).collect()),
-            ),
-        ])
-    }
-}
-
 /// Throughput under concurrency: deploy the mixed stream's datasets onto
 /// one `nodes`-node cluster, compile every session through the
 /// optimizer, and run the stream at each of `concurrency_levels`,
@@ -138,6 +33,12 @@ impl ThroughputSweep {
 ///
 /// `seed` fixes both the generated data and the arrival order; `rows`
 /// scales each workload; `copies` repeats the five-workload mix.
+///
+/// One object per concurrency level: `total_bytes` counts bytes between
+/// distinct nodes, `link_utilization` is aggregate over the makespan
+/// window, `peak_concurrency` the most sessions executing at once, and
+/// the latencies run from admission to answer.  `queries` lists each
+/// session in submission order with the bytes it alone put on the wire.
 pub fn run_throughput(
     seed: u64,
     rows: usize,
@@ -146,7 +47,7 @@ pub fn run_throughput(
     concurrency_levels: &[usize],
     policy: AdmissionPolicy,
     config: &EngineConfig,
-) -> Result<ThroughputSweep> {
+) -> Result<Json> {
     if concurrency_levels.is_empty() {
         return Err(OrchestraError::Execution(
             "a throughput sweep needs at least one concurrency level".into(),
@@ -209,32 +110,40 @@ pub fn run_throughput(
         let queries = workload
             .sessions
             .iter()
-            .map(|sr| QueryLatency {
-                name: sr.name.clone(),
-                queue_wait: sr.queue_wait,
-                latency: sr.latency,
-                bytes: sr.report.total_bytes,
+            .map(|sr| {
+                Json::object(vec![
+                    ("workload", Json::str(sr.name.clone())),
+                    ("queue_wait_us", Json::UInt(sr.queue_wait.as_micros())),
+                    ("latency_us", Json::UInt(sr.latency.as_micros())),
+                    ("bytes", Json::UInt(sr.report.total_bytes)),
+                ])
             })
             .collect();
-        points.push(ThroughputPoint {
-            concurrency,
-            makespan: workload.makespan,
-            total_bytes: workload.total_bytes,
-            total_messages: workload.total_messages,
-            link_utilization: workload.link_utilization,
-            peak_concurrency: workload.peak_concurrency,
-            mean_queue_wait: SimTime::from_micros(total_wait / workload.sessions.len() as u64),
-            median_latency,
-            max_latency,
-            queries,
-        });
+        points.push(Json::object(vec![
+            ("concurrency", Json::UInt(concurrency as u64)),
+            ("makespan_us", Json::UInt(workload.makespan.as_micros())),
+            ("total_bytes", Json::UInt(workload.total_bytes)),
+            ("total_messages", Json::UInt(workload.total_messages)),
+            ("link_utilization", Json::Float(workload.link_utilization)),
+            (
+                "peak_concurrency",
+                Json::UInt(workload.peak_concurrency as u64),
+            ),
+            (
+                "mean_queue_wait_us",
+                Json::UInt(total_wait / workload.sessions.len() as u64),
+            ),
+            ("median_latency_us", Json::UInt(median_latency.as_micros())),
+            ("max_latency_us", Json::UInt(max_latency.as_micros())),
+            ("queries", Json::Array(queries)),
+        ]));
     }
-    Ok(ThroughputSweep {
-        nodes,
-        sessions: sessions.len(),
-        policy,
-        points,
-    })
+    Ok(Json::object(vec![
+        ("policy", Json::str(format!("{policy:?}"))),
+        ("nodes", Json::UInt(nodes as u64)),
+        ("sessions", Json::UInt(sessions.len() as u64)),
+        ("levels", Json::Array(points)),
+    ]))
 }
 
 #[cfg(test)]
@@ -253,26 +162,24 @@ mod tests {
             &EngineConfig::default(),
         )
         .unwrap();
-        assert_eq!(sweep.sessions, 5);
-        assert_eq!(sweep.points.len(), 3);
+        assert_eq!(sweep.num("sessions").unwrap(), 5.0);
+        assert_eq!(sweep.get("levels").unwrap().items().unwrap().len(), 3);
         // Every answer was cross-checked inside the run; here we check
         // the aggregate shape: concurrency shortens the makespan and
         // fills the shared links.
-        let first = &sweep.points[0];
-        let last = &sweep.points[2];
-        assert!(last.makespan < first.makespan, "concurrency must pay off");
+        let first = |key: &str| sweep.num(&format!("levels.0.{key}")).unwrap();
+        let last = |key: &str| sweep.num(&format!("levels.2.{key}")).unwrap();
         assert!(
-            last.link_utilization > first.link_utilization,
-            "higher concurrency must raise link utilization: {} vs {}",
-            last.link_utilization,
-            first.link_utilization
+            last("makespan_us") < first("makespan_us"),
+            "concurrency must pay off"
         );
-        assert_eq!(first.peak_concurrency, 1);
-        assert!(last.peak_concurrency > 1);
-        assert!(first.mean_queue_wait.as_micros() > 0);
-        let json = sweep.to_json().render();
-        assert!(json.contains("\"levels\""), "{json}");
-        assert!(json.contains("\"link_utilization\""), "{json}");
+        assert!(
+            last("link_utilization") > first("link_utilization"),
+            "higher concurrency must raise link utilization: {sweep}"
+        );
+        assert_eq!(first("peak_concurrency"), 1.0);
+        assert!(last("peak_concurrency") > 1.0);
+        assert!(first("mean_queue_wait_us") > 0.0);
     }
 
     #[test]
@@ -290,11 +197,16 @@ mod tests {
             .unwrap()
         };
         let a = run();
-        let b = run();
-        assert_eq!(a.to_json().render(), b.to_json().render());
+        assert_eq!(a.render(), run().render());
         // Under cost-first the cheapest estimate is admitted first:
         // its queue wait is zero.
-        let point = &a.points[0];
-        assert!(point.queries.iter().any(|q| q.queue_wait == SimTime::ZERO));
+        let queries = a.get("levels").unwrap().items().unwrap()[0]
+            .get("queries")
+            .unwrap();
+        assert!(queries
+            .items()
+            .unwrap()
+            .iter()
+            .any(|q| q.num("queue_wait_us").unwrap() == 0.0));
     }
 }

@@ -293,53 +293,6 @@ impl Column {
         *self.acct.get_mut() = None;
     }
 
-    fn push_int(&mut self, v: i64) {
-        let ColumnData::Int(cells) = &mut self.data else {
-            unreachable!("push_int on a non-Int column")
-        };
-        cells.push(v);
-        self.invalidate();
-    }
-
-    fn push_double(&mut self, v: f64) {
-        let ColumnData::Double(cells) = &mut self.data else {
-            unreachable!("push_double on a non-Double column")
-        };
-        cells.push(v);
-        self.invalidate();
-    }
-
-    fn push_str_id(&mut self, id: u32) {
-        let ColumnData::Str(cells) = &mut self.data else {
-            unreachable!("push_str_id on a non-Str column")
-        };
-        cells.push(id);
-        self.invalidate();
-    }
-
-    fn push_value(&mut self, v: Value) {
-        let ColumnData::Values(cells) = &mut self.data else {
-            unreachable!("push_value on a typed column")
-        };
-        cells.push(v);
-        self.invalidate();
-    }
-
-    /// Convert a typed column to the `Values` fallback.
-    fn demote(&mut self, pool: &StringPool) {
-        let values: Vec<Value> = match &self.data {
-            ColumnData::Int(v) => v.iter().map(|x| Value::Int(*x)).collect(),
-            ColumnData::Double(v) => v.iter().map(|x| Value::Double(*x)).collect(),
-            ColumnData::Str(v) => v
-                .iter()
-                .map(|id| Value::Str(Arc::clone(pool.get_shared(*id))))
-                .collect(),
-            ColumnData::Values(_) => return,
-        };
-        self.data = ColumnData::Values(values);
-        self.invalidate();
-    }
-
     /// Push a cell, demoting the column if the value's type no longer
     /// matches the storage variant.
     fn push(&mut self, v: Value, pool: &mut StringPool) {
@@ -358,36 +311,40 @@ impl Column {
                 Value::Null => {}
             }
         }
-        match (&self.data, v) {
-            (ColumnData::Int(_), Value::Int(x)) => self.push_int(x),
-            (ColumnData::Double(_), Value::Double(x)) => self.push_double(x),
-            (ColumnData::Str(_), Value::Str(s)) => {
-                let id = pool.intern_shared(&s);
-                self.push_str_id(id);
-            }
-            (ColumnData::Values(_), v) => self.push_value(v),
-            (_, v) => {
-                self.demote(pool);
-                self.push_value(v);
+        let len = self.len();
+        match (&mut self.data, v) {
+            (ColumnData::Int(cells), Value::Int(x)) => cells.push(x),
+            (ColumnData::Double(cells), Value::Double(x)) => cells.push(x),
+            (ColumnData::Str(cells), Value::Str(s)) => cells.push(pool.intern_shared(&s)),
+            (ColumnData::Values(cells), v) => cells.push(v),
+            (typed, v) => {
+                // A cell the typed variant cannot hold demotes the column
+                // to the `Values` fallback.
+                let mut values: Vec<Value> = (0..len)
+                    .map(|row| typed.value_at(row, &pool.strings))
+                    .collect();
+                values.push(v);
+                *typed = ColumnData::Values(values);
             }
         }
+        self.invalidate();
     }
 
     /// [`Column::push`] for a borrowed cell: numbers are copied and a
     /// string is interned by pointer, so no cell allocates.
     fn push_ref(&mut self, v: &Value, pool: &mut StringPool) {
-        match (&self.data, v) {
+        if self.len() == 0 {
             // The first cell fixes the variant: `push` decides.
-            _ if self.len() == 0 => self.push(v.clone(), pool),
-            (ColumnData::Int(_), Value::Int(x)) => self.push_int(*x),
-            (ColumnData::Double(_), Value::Double(x)) => self.push_double(*x),
-            (ColumnData::Str(_), Value::Str(s)) => {
-                let id = pool.intern_shared(s);
-                self.push_str_id(id);
-            }
-            // Mixed types and NULLs: demotion or the `Values` fallback.
-            _ => self.push(v.clone(), pool),
+            return self.push(v.clone(), pool);
         }
+        match (&mut self.data, v) {
+            (ColumnData::Int(cells), Value::Int(x)) => cells.push(*x),
+            (ColumnData::Double(cells), Value::Double(x)) => cells.push(*x),
+            (ColumnData::Str(cells), Value::Str(s)) => cells.push(pool.intern_shared(s)),
+            // Mixed types and NULLs: demotion or the `Values` fallback.
+            _ => return self.push(v.clone(), pool),
+        }
+        self.invalidate();
     }
 
     /// Append the cells of `src` at `rows`, in that order — the cells that
@@ -689,11 +646,10 @@ impl ColumnarBatch {
     /// 1-byte serialized size).
     pub fn pad_to_arity(&mut self, arity: usize) {
         while self.columns.len() < arity {
-            let mut col = Column::new();
-            for _ in 0..self.len() {
-                col.push_value(Value::Null);
-            }
-            self.columns.push(col);
+            self.columns.push(Column {
+                data: ColumnData::Values(vec![Value::Null; self.len()]),
+                acct: RefCell::new(None),
+            });
         }
     }
 
@@ -828,37 +784,24 @@ impl ColumnarBatch {
     /// ([`Self::pad_to_arity`]).
     pub fn append_row_interned(&mut self, other: &ColumnarBatch, row: usize) {
         self.pad_to_arity(other.arity());
-        enum Cell {
-            Int(i64),
-            Double(f64),
-            StrId(u32),
-            Slow,
-            Pad,
-        }
         for i in 0..self.arity() {
-            let cell = if i >= other.arity() {
-                Cell::Pad
-            } else {
-                match (&self.columns[i].data, &other.columns[i].data) {
-                    (ColumnData::Int(_), ColumnData::Int(v)) => Cell::Int(v[row]),
-                    (ColumnData::Double(_), ColumnData::Double(v)) => Cell::Double(v[row]),
-                    (ColumnData::Str(_), ColumnData::Str(v)) => Cell::StrId(v[row]),
-                    _ => Cell::Slow,
-                }
+            let col = &mut self.columns[i];
+            let Some(src) = other.columns.get(i) else {
+                col.push(Value::Null, &mut self.pool);
+                continue;
             };
-            match cell {
-                Cell::Int(x) => self.columns[i].push_int(x),
-                Cell::Double(x) => self.columns[i].push_double(x),
-                Cell::StrId(src_id) => {
-                    let id = self.pool.intern_shared(other.pool.get_shared(src_id));
-                    self.columns[i].push_str_id(id);
+            match (&mut col.data, &src.data) {
+                (ColumnData::Int(cells), ColumnData::Int(v)) => cells.push(v[row]),
+                (ColumnData::Double(cells), ColumnData::Double(v)) => cells.push(v[row]),
+                (ColumnData::Str(cells), ColumnData::Str(v)) => {
+                    cells.push(self.pool.intern_shared(other.pool.get_shared(v[row])));
                 }
-                Cell::Slow => {
-                    let v = other.columns[i].value_at(row, &other.pool.strings);
-                    self.columns[i].push(v, &mut self.pool);
+                _ => {
+                    col.push(src.value_at(row, &other.pool.strings), &mut self.pool);
+                    continue;
                 }
-                Cell::Pad => self.columns[i].push(Value::Null, &mut self.pool),
             }
+            col.invalidate();
         }
         self.push_tag_row(other.signs[row], other.provenance[row], other.phases[row]);
     }

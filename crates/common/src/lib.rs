@@ -33,6 +33,9 @@
 //! * [`rng`] — deterministic random-generation helpers so that every
 //!   experiment in the benchmark harness is reproducible.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+
 pub mod column;
 pub mod error;
 pub mod fingerprint;

@@ -64,14 +64,10 @@ impl Sha1 {
             }
             compress(&mut self.state, &self.block);
         }
-        let mut blocks = data.chunks_exact(64);
-        for block in &mut blocks {
-            compress(
-                &mut self.state,
-                block.try_into().expect("chunks_exact(64) yields 64 bytes"),
-            );
+        let (blocks, rest) = data.as_chunks::<64>();
+        for block in blocks {
+            compress(&mut self.state, block);
         }
-        let rest = blocks.remainder();
         self.block[..rest.len()].copy_from_slice(rest);
     }
 

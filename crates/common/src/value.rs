@@ -183,7 +183,10 @@ impl Value {
     pub fn write_to(&self, out: &mut String) {
         match self {
             Value::Str(s) => out.push_str(s),
-            other => write!(out, "{other}").expect("writing to a String cannot fail"),
+            // Writing to a `String` cannot fail.
+            other => {
+                let _ = write!(out, "{other}");
+            }
         }
     }
 

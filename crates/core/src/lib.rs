@@ -89,8 +89,8 @@ mod tests {
         // catalogue workload and sweep a failure-free scale-out.
         let workload = CopyScenario { seed: 5, rows: 60 };
         let points = run_scale_out(&workload, &[4], &EngineConfig::default()).unwrap();
-        assert_eq!(points.len(), 1);
-        assert!(points[0].total_bytes > 0);
+        assert_eq!(points.items().unwrap().len(), 1);
+        assert!(points.num("0.total_bytes").unwrap() > 0.0);
         let (storage, epoch) = deploy(&workload, 4).unwrap();
         let report = QueryExecutor::new(&storage, EngineConfig::default())
             .execute(&workload.reference_plan(), epoch, NodeId(0))
