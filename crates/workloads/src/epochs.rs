@@ -8,7 +8,10 @@
 //! [`EpochSpec`] of inserts/modifies/deletes per relation) together with
 //! the evolved [`TableSet`] and the workload's exact reference answer
 //! *at every epoch* — the oracle maintained views and recovery tests are
-//! cross-checked against.
+//! cross-checked against.  A reference is the workload's query
+//! interpreted by [`crate::oracle::evaluate`] over that epoch's tables,
+//! computed when it is first read: a caller that only publishes pays for
+//! none.
 //!
 //! Generation is domain-preserving without knowing any schema's value
 //! domains: a fresh insert clones a randomly chosen existing row under a
@@ -19,9 +22,11 @@
 //! non-trivial subsets as the relations evolve.  The same
 //! `(workload, seed, specs)` always yields the same stream.
 
-use crate::{tables_of, TableSet, Workload};
-use orchestra_common::{rng, ColumnType, OrchestraError, Result, Tuple, Value};
+use crate::{oracle, tables_of, TableSet, Workload};
+use orchestra_common::{rng, ColumnType, OrchestraError, Relation, Result, Tuple, Value};
+use orchestra_optimizer::LogicalQuery;
 use orchestra_storage::UpdateBatch;
+use std::cell::OnceCell;
 
 /// How much churn one epoch applies to *each* relation of the workload.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -53,13 +58,15 @@ impl EpochSpec {
 
 /// A generated multi-epoch stream: the publishable batches plus, for
 /// every epoch, the evolved table contents and the workload's exact
-/// reference answer.  Index 0 is the state *after* the first generated
-/// batch (the workload's base batch is epoch −1 relative to the stream).
+/// reference answer, computed on first read.  Index 0 is the state
+/// *after* the first generated batch (the workload's base batch is epoch
+/// −1 relative to the stream).
 #[derive(Clone, Debug)]
 pub struct EpochStream {
+    query: LogicalQuery,
     batches: Vec<UpdateBatch>,
     tables: Vec<TableSet>,
-    references: Vec<Vec<Tuple>>,
+    references: Vec<OnceCell<Vec<Tuple>>>,
 }
 
 impl EpochStream {
@@ -83,10 +90,26 @@ impl EpochStream {
         &self.tables[i]
     }
 
-    /// The workload's exact answer after the `i`-th batch.
+    /// The workload's exact answer after the `i`-th batch, interpreted
+    /// the first time it is read.
     pub fn reference(&self, i: usize) -> &[Tuple] {
-        &self.references[i]
+        self.references[i].get_or_init(|| {
+            oracle::evaluate(&self.query, &self.tables[i])
+                .unwrap_or_else(|e| panic!("the reference at epoch {i}: {e}"))
+        })
     }
+}
+
+/// A row of type defaults shaped like `relation`'s schema.
+fn schema_row(relation: &Relation) -> Vec<Value> {
+    let schema = relation.schema();
+    (0..schema.arity())
+        .map(|c| match schema.column_type(c) {
+            ColumnType::Int => Value::Int(0),
+            ColumnType::Double => Value::Double(0.0),
+            ColumnType::Str => Value::str(""),
+        })
+        .collect()
 }
 
 /// Generate a deterministic epoch stream for `workload`: one batch per
@@ -94,6 +117,10 @@ impl EpochStream {
 ///
 /// Requires single-column integer keys (true of every catalogue
 /// relation) so fresh keys can be synthesized past the current maximum.
+/// A query that reads a relation, slot, column or select position the
+/// workload lacks is an `Execution` error here, so that
+/// [`EpochStream::reference`] cannot fail later or answer from a
+/// relation that is not there.
 pub fn epoch_stream(
     workload: &dyn Workload,
     seed: u64,
@@ -111,11 +138,25 @@ pub fn epoch_stream(
         }
     }
 
+    // One schema-shaped row per relation reaches every column the query
+    // reads, whatever its predicates select.
+    let query = workload.logical();
+    let probe: TableSet = relations
+        .iter()
+        .map(|r| (r.name().to_string(), vec![Tuple::new(schema_row(r))]))
+        .collect();
+    if let Some(name) = query.relations.iter().find(|&n| !probe.contains_key(n)) {
+        let lacks = format!("the query reads {name}, which {} lacks", workload.name());
+        return Err(OrchestraError::Execution(lacks));
+    }
+    oracle::evaluate(&query, &probe)?;
+
     let mut tables = tables_of(&workload.batch());
     let mut stream = EpochStream {
+        query,
         batches: Vec::with_capacity(specs.len()),
         tables: Vec::with_capacity(specs.len()),
-        references: Vec::with_capacity(specs.len()),
+        references: vec![OnceCell::new(); specs.len()],
     };
     for (epoch_idx, spec) in specs.iter().enumerate() {
         let mut batch = UpdateBatch::new();
@@ -134,16 +175,8 @@ pub fn epoch_stream(
                 + 1;
             for next_key in first_key..first_key + spec.inserts as i64 {
                 let mut values = if rows.is_empty() {
-                    // A drained relation has no donor: synthesize a
-                    // schema-shaped row from type defaults.
-                    let schema = relation.schema();
-                    (0..schema.arity())
-                        .map(|c| match schema.column_type(c) {
-                            ColumnType::Int => Value::Int(0),
-                            ColumnType::Double => Value::Double(0.0),
-                            ColumnType::Str => Value::str(""),
-                        })
-                        .collect()
+                    // A drained relation has no donor.
+                    schema_row(relation)
                 } else {
                     rows[r.random_range(0..rows.len())].values().to_vec()
                 };
@@ -186,7 +219,6 @@ pub fn epoch_stream(
                 batch.delete(name, row.values()[..1].to_vec());
             }
         }
-        stream.references.push(workload.reference_for(&tables));
         stream.tables.push(tables.clone());
         stream.batches.push(batch);
     }
@@ -262,6 +294,61 @@ mod tests {
             storage.publish(stream.batch(i)).unwrap();
         }
         assert_eq!(stream.reference(1).len(), 3);
+    }
+
+    #[test]
+    fn references_are_computed_when_first_read() {
+        let w = TpchWorkload::scaled(TpchQuery::Q1, 7, 120);
+        let stream = epoch_stream(&w, 9, &[EpochSpec::new(5, 3, 2); 3]).unwrap();
+        assert!(stream.references.iter().all(|r| r.get().is_none()));
+        let first = stream.reference(1).to_vec();
+        assert_eq!(
+            first,
+            oracle::evaluate(&w.logical(), stream.tables(1)).unwrap()
+        );
+        assert!(stream.references[0].get().is_none());
+        assert!(std::ptr::eq(stream.reference(1), stream.reference(1)));
+    }
+
+    /// `Copy` with its query replaced.
+    struct Misquoted(LogicalQuery);
+
+    impl Workload for Misquoted {
+        fn name(&self) -> String {
+            "misquoted".into()
+        }
+        fn relations(&self) -> Vec<Relation> {
+            crate::CopyScenario { seed: 1, rows: 3 }.relations()
+        }
+        fn batch(&self) -> UpdateBatch {
+            crate::CopyScenario { seed: 1, rows: 3 }.batch()
+        }
+        fn logical(&self) -> LogicalQuery {
+            self.0.clone()
+        }
+        fn reference_plan(&self) -> orchestra_engine::PhysicalPlan {
+            crate::CopyScenario { seed: 1, rows: 3 }.reference_plan()
+        }
+    }
+
+    #[test]
+    fn a_malformed_query_fails_the_stream_not_a_reference() {
+        use orchestra_engine::{CmpOp, Predicate};
+        use orchestra_optimizer::LogicalExpr;
+        let spec = [EpochSpec::new(1, 0, 0)];
+        // Column 2 of st_source(id, field), behind a filter no row passes.
+        let mut hidden = LogicalQuery::new();
+        let src = hidden.relation("st_source");
+        hidden
+            .filter(src, Predicate::cmp(0, CmpOp::Lt, -1i64))
+            .select(vec![LogicalExpr::col(src, 2)]);
+        let mut elsewhere = LogicalQuery::new();
+        let other = elsewhere.relation("lineitem");
+        elsewhere.select(vec![LogicalExpr::col(other, 0)]);
+        for query in [hidden, elsewhere] {
+            let err = epoch_stream(&Misquoted(query), 1, &spec).unwrap_err();
+            assert_eq!(err.category(), "execution", "{err}");
+        }
     }
 
     #[test]

@@ -17,18 +17,21 @@
 //!
 //! Every catalogue entry implements the [`Workload`] trait — relations,
 //! data batch, a [`orchestra_optimizer::LogicalQuery`] describing the
-//! query declaratively, a hand-built physical plan kept as a test
-//! oracle, and a single-node reference answer computed directly from the
-//! generated rows — so the benchmark harness and the correctness tests
-//! drive all of them uniformly.  The harness routes execution through
-//! the optimizer ([`compiled_plan`]), while the hand-built
-//! [`Workload::reference_plan`]s pin down what the optimizer must beat
-//! or match.  Generators publish through
+//! query declaratively, and a hand-built physical plan kept as a test
+//! oracle — so the benchmark harness and the correctness tests drive all
+//! of them uniformly.  The reference answer a distributed run must
+//! reproduce is never written by hand: [`oracle::evaluate`] interprets
+//! the logical query on one node over the generated rows, for the
+//! catalogue and for any other query alike.  The harness routes
+//! execution through the optimizer ([`compiled_plan`]), while the
+//! hand-built [`Workload::reference_plan`]s pin down what the optimizer
+//! must beat or match.  Generators publish through
 //! [`orchestra_storage::UpdateBatch`] so data flows through the same
 //! versioned-publication path the paper's participants use.
 
 pub mod churn;
 pub mod epochs;
+pub mod oracle;
 pub mod stbenchmark;
 pub mod tpch;
 
@@ -72,8 +75,9 @@ pub fn tables_of(batch: &UpdateBatch) -> TableSet {
 }
 
 /// One benchmark workload: source relations, deterministic data, a
-/// declarative query, a hand-built oracle plan, and the single-node
-/// reference answer the distributed run must reproduce tuple for tuple.
+/// declarative query and a hand-built oracle plan.  The reference answer
+/// the distributed run must reproduce tuple for tuple is the query
+/// interpreted over the data ([`Workload::reference`]).
 pub trait Workload {
     /// Short machine-readable name (used in experiment output).
     fn name(&self) -> String;
@@ -82,20 +86,18 @@ pub trait Workload {
     /// The deterministic data, as one publishable batch.
     fn batch(&self) -> UpdateBatch;
     /// The workload's query as a logical description, ready for
-    /// [`orchestra_optimizer::compile`] (see [`compiled_plan`]).
+    /// [`orchestra_optimizer::compile`] (see [`compiled_plan`]) and for
+    /// [`oracle::evaluate`].
     fn logical(&self) -> LogicalQuery;
     /// The hand-built physical plan of the workload's query, kept as the
     /// oracle the optimizer-compiled plan is validated against.
     fn reference_plan(&self) -> PhysicalPlan;
-    /// The answer the query gives over an arbitrary [`TableSet`],
-    /// computed on a single node bypassing every distributed code path,
-    /// sorted like [`orchestra_engine::QueryReport::rows`].  Multi-epoch
-    /// streams use this to pin down the exact answer at *every* epoch,
-    /// not just over the initially generated data.
-    fn reference_for(&self, tables: &TableSet) -> Vec<Tuple>;
-    /// The reference answer over the workload's own generated data.
+    /// The single-node answer over the workload's own generated data,
+    /// sorted like [`orchestra_engine::QueryReport::rows`].  Panics,
+    /// naming the workload, if its own query is malformed.
     fn reference(&self) -> Vec<Tuple> {
-        self.reference_for(&tables_of(&self.batch()))
+        oracle::evaluate(&self.logical(), &tables_of(&self.batch()))
+            .unwrap_or_else(|e| panic!("{}: {e}", self.name()))
     }
 }
 
@@ -122,10 +124,20 @@ pub fn compiled_plan_with(
     orchestra_optimizer::compile_with(&workload.logical(), stats, options)
 }
 
+/// An empty `nodes`-node balanced cluster: replication factor 3, capped
+/// at the cluster size.  Zero nodes is a `Config` error.
+fn cluster(nodes: u16) -> Result<DistributedStorage> {
+    if nodes == 0 {
+        return Err(OrchestraError::Config("a cluster needs a node".into()));
+    }
+    let ids: Vec<NodeId> = (0..nodes).map(NodeId).collect();
+    let routing = RoutingTable::build(&ids, AllocationScheme::Balanced, 3.min(ids.len()));
+    Ok(DistributedStorage::new(routing, StorageConfig::default()))
+}
+
 /// Stand up an `nodes`-node balanced cluster holding the workload's data:
-/// build the routing table (replication factor 3, capped at the cluster
-/// size), register the relations, publish the batch, and return the
-/// storage together with the epoch to query.
+/// register the relations, publish the batch, and return the storage
+/// together with the epoch to query.
 pub fn deploy(workload: &dyn Workload, nodes: u16) -> Result<(DistributedStorage, Epoch)> {
     deploy_all(&[workload], nodes)
 }
@@ -140,10 +152,7 @@ pub fn deploy_staged(
     workload: &dyn Workload,
     nodes: u16,
 ) -> Result<(DistributedStorage, Epoch, Epoch)> {
-    let ids: Vec<NodeId> = (0..nodes).map(NodeId).collect();
-    let replication = 3.min(ids.len().max(1));
-    let routing = RoutingTable::build(&ids, AllocationScheme::Balanced, replication);
-    let mut storage = DistributedStorage::new(routing, StorageConfig::default());
+    let mut storage = cluster(nodes)?;
     for relation in workload.relations() {
         storage.register_relation(relation);
     }
@@ -165,13 +174,9 @@ pub fn deploy_staged(
 /// published as one batch, so a single epoch covers every workload's
 /// data.
 pub fn deploy_all(workloads: &[&dyn Workload], nodes: u16) -> Result<(DistributedStorage, Epoch)> {
-    let ids: Vec<NodeId> = (0..nodes).map(NodeId).collect();
-    let replication = 3.min(ids.len().max(1));
-    let routing = RoutingTable::build(&ids, AllocationScheme::Balanced, replication);
-    let mut storage = DistributedStorage::new(routing, StorageConfig::default());
+    let mut storage = cluster(nodes)?;
     let mut registered: Vec<Relation> = Vec::new();
-    let mut contributed: std::collections::BTreeMap<String, Vec<Update>> =
-        std::collections::BTreeMap::new();
+    let mut contributed: BTreeMap<String, Vec<Update>> = BTreeMap::new();
     let mut merged = UpdateBatch::new();
     for workload in workloads {
         let batch = workload.batch();
@@ -249,15 +254,7 @@ pub fn mixed_stream(seed: u64, rows: usize, copies: usize) -> Vec<Box<dyn Worklo
 /// payload fields.  The same `(seed, relation, rows)` always yields the
 /// same data.
 pub fn generated_relation(seed: u64, relation: &str, rows: usize) -> Vec<Tuple> {
-    let mut r = rng::seeded_stream(seed, relation);
-    (0..rows)
-        .map(|i| {
-            Tuple::new(vec![
-                Value::Int(i as i64),
-                Value::str(rng::alphanumeric(&mut r, 25)),
-            ])
-        })
-        .collect()
+    generated_relation_wide(seed, relation, rows, 1)
 }
 
 /// Like [`generated_relation`] but with `fields` independent 25-character
@@ -393,6 +390,19 @@ mod tests {
         );
         let report = exec.execute(&w.reference_plan(), epoch, NodeId(0)).unwrap();
         assert_eq!(report.rows, w.reference());
+    }
+
+    #[test]
+    fn a_cluster_of_zero_nodes_is_a_config_error() {
+        let w = CopyScenario { seed: 1, rows: 4 };
+        let errors = [
+            deploy(&w, 0).err(),
+            deploy_staged(&w, 0).err(),
+            deploy_all(&[&w], 0).err(),
+        ];
+        for err in errors {
+            assert_eq!(err.map(|e| e.category()), Some("config"));
+        }
     }
 
     #[test]

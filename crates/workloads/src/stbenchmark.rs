@@ -12,7 +12,7 @@
 //!   concatenation.
 
 use crate::{generated_relation, generated_relation_wide, Workload};
-use orchestra_common::{ColumnType, Relation, Schema, Tuple, Value};
+use orchestra_common::{ColumnType, Relation, Schema};
 use orchestra_engine::{PhysicalPlan, PlanBuilder, ScalarExpr};
 use orchestra_optimizer::{LogicalExpr, LogicalQuery};
 use orchestra_storage::UpdateBatch;
@@ -63,12 +63,6 @@ impl Workload for CopyScenario {
         let ship = b.ship(scan);
         b.output(ship)
     }
-
-    fn reference_for(&self, tables: &crate::TableSet) -> Vec<Tuple> {
-        let mut rows = tables.get("st_source").cloned().unwrap_or_default();
-        rows.sort();
-        rows
-    }
 }
 
 /// STBenchmark `Concatenate`: the target attribute is the concatenation
@@ -79,12 +73,6 @@ pub struct ConcatenateScenario {
     pub seed: u64,
     /// Number of source rows.
     pub rows: usize,
-}
-
-impl ConcatenateScenario {
-    fn source_rows(&self) -> Vec<Tuple> {
-        generated_relation_wide(self.seed, "st_parts", self.rows, 3)
-    }
 }
 
 impl Workload for ConcatenateScenario {
@@ -106,7 +94,7 @@ impl Workload for ConcatenateScenario {
 
     fn batch(&self) -> UpdateBatch {
         let mut batch = UpdateBatch::new();
-        for row in self.source_rows() {
+        for row in generated_relation_wide(self.seed, "st_parts", self.rows, 3) {
             batch.insert("st_parts", row);
         }
         batch
@@ -147,34 +135,13 @@ impl Workload for ConcatenateScenario {
         let ship = b.ship(glued);
         b.output(ship)
     }
-
-    fn reference_for(&self, tables: &crate::TableSet) -> Vec<Tuple> {
-        let mut rows: Vec<Tuple> = tables
-            .get("st_parts")
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-            .iter()
-            .map(|row| {
-                let glued = format!(
-                    "{}{sep}{}{sep}{}",
-                    row.value(1),
-                    row.value(2),
-                    row.value(3),
-                    sep = CONCAT_SEPARATOR,
-                );
-                Tuple::new(vec![row.value(0).clone(), Value::str(glued)])
-            })
-            .collect();
-        rows.sort();
-        rows
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::deploy;
-    use orchestra_common::{Epoch, NodeId};
+    use orchestra_common::{Epoch, NodeId, Tuple};
     use orchestra_engine::{EngineConfig, QueryExecutor};
 
     fn run(workload: &dyn Workload, nodes: u16) -> Vec<Tuple> {

@@ -26,7 +26,6 @@ use orchestra_common::{rng, ColumnType, Relation, Schema, Tuple, Value};
 use orchestra_engine::{AggFunc, AggMode, CmpOp, PhysicalPlan, PlanBuilder, Predicate, ScalarExpr};
 use orchestra_optimizer::{col, LogicalExpr, LogicalQuery};
 use orchestra_storage::UpdateBatch;
-use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// TPC-H market segments (`c_mktsegment`).
 pub const MKT_SEGMENTS: [&str; 5] = [
@@ -354,27 +353,12 @@ impl TpchDataset {
     pub fn q6_logical(&self) -> LogicalQuery {
         let mut q = LogicalQuery::new();
         let l = q.relation("lineitem");
-        q.filter(
-            l,
-            Predicate::And(vec![
-                Predicate::Between {
-                    column: 8,
-                    low: Value::Int(Q6_DATE_LO),
-                    high: Value::Int(Q6_DATE_HI),
-                },
-                Predicate::Between {
-                    column: 4,
-                    low: Value::Int(Q6_DISCOUNT_LO),
-                    high: Value::Int(Q6_DISCOUNT_HI),
-                },
-                Predicate::cmp(2, CmpOp::Lt, Q6_QUANTITY_LT),
-            ]),
-        )
-        .select(vec![LogicalExpr::Mul(
-            Box::new(LogicalExpr::col(l, 3)),
-            Box::new(LogicalExpr::col(l, 4)),
-        )])
-        .aggregate(vec![], vec![(AggFunc::Sum, 0)]);
+        q.filter(l, q6_predicate())
+            .select(vec![LogicalExpr::Mul(
+                Box::new(LogicalExpr::col(l, 3)),
+                Box::new(LogicalExpr::col(l, 4)),
+            )])
+            .aggregate(vec![], vec![(AggFunc::Sum, 0)]);
         q
     }
 
@@ -383,23 +367,7 @@ impl TpchDataset {
     /// initiator, single-shot ungrouped aggregation there.
     pub fn q6_plan(&self) -> PhysicalPlan {
         let mut b = PlanBuilder::new();
-        let scan = b.scan(
-            "lineitem",
-            9,
-            Some(Predicate::And(vec![
-                Predicate::Between {
-                    column: 8,
-                    low: Value::Int(Q6_DATE_LO),
-                    high: Value::Int(Q6_DATE_HI),
-                },
-                Predicate::Between {
-                    column: 4,
-                    low: Value::Int(Q6_DISCOUNT_LO),
-                    high: Value::Int(Q6_DISCOUNT_HI),
-                },
-                Predicate::cmp(2, CmpOp::Lt, Q6_QUANTITY_LT),
-            ])),
-        );
+        let scan = b.scan("lineitem", 9, Some(q6_predicate()));
         let term = b.compute(
             scan,
             vec![ScalarExpr::Mul(
@@ -411,127 +379,24 @@ impl TpchDataset {
         let agg = b.aggregate(ship, vec![], vec![(AggFunc::Sum, 0)], AggMode::Single);
         b.output(agg)
     }
-
-    /// Q6 single-node reference answer over the generated data.
-    pub fn q6_reference(&self) -> Vec<Tuple> {
-        q6_reference_from(&self.lineitem_rows())
-    }
 }
 
-/// Q1 reference over an arbitrary `lineitem` row set — multi-epoch
-/// streams call this with the evolved rows of each epoch.
-pub fn q1_reference_from(lineitems: &[Tuple]) -> Vec<Tuple> {
-    // (sum_qty, sum_base, sum_disc_price, count) per (flag, status).
-    let mut groups: BTreeMap<(String, String), (i64, i64, i64, i64)> = BTreeMap::new();
-    for li in lineitems {
-        if li.value(8).as_int().unwrap() > Q1_SHIPDATE_CUTOFF {
-            continue;
-        }
-        let key = (
-            li.value(6).as_str().unwrap().to_string(),
-            li.value(7).as_str().unwrap().to_string(),
-        );
-        let qty = li.value(2).as_int().unwrap();
-        let price = li.value(3).as_int().unwrap();
-        let discount = li.value(4).as_int().unwrap();
-        let e = groups.entry(key).or_default();
-        e.0 += qty;
-        e.1 += price;
-        e.2 += price * (100 - discount);
-        e.3 += 1;
-    }
-    let mut rows: Vec<Tuple> = groups
-        .into_iter()
-        .map(|((flag, status), (qty, base, disc, count))| {
-            Tuple::new(vec![
-                Value::str(flag),
-                Value::str(status),
-                Value::Int(qty),
-                Value::Int(base),
-                Value::Int(disc),
-                Value::Double(qty as f64 / count as f64),
-                Value::Int(count),
-            ])
-        })
-        .collect();
-    rows.sort();
-    rows
-}
-
-/// Q3 reference over arbitrary `customer`/`orders`/`lineitem` row sets.
-pub fn q3_reference_from(customers: &[Tuple], orders: &[Tuple], lineitems: &[Tuple]) -> Vec<Tuple> {
-    let building: HashSet<i64> = customers
-        .iter()
-        .filter(|c| c.value(1).as_str() == Some(Q3_SEGMENT))
-        .map(|c| c.value(0).as_int().unwrap())
-        .collect();
-    // orderkey -> (orderdate, shippriority) for qualifying orders.
-    let qualifying: HashMap<i64, (i64, i64)> = orders
-        .iter()
-        .filter(|o| {
-            o.value(2).as_int().unwrap() < Q3_PIVOT_DATE
-                && building.contains(&o.value(1).as_int().unwrap())
-        })
-        .map(|o| {
-            (
-                o.value(0).as_int().unwrap(),
-                (o.value(2).as_int().unwrap(), o.value(3).as_int().unwrap()),
-            )
-        })
-        .collect();
-    let mut revenue: BTreeMap<(i64, i64, i64), i64> = BTreeMap::new();
-    for li in lineitems {
-        if li.value(8).as_int().unwrap() <= Q3_PIVOT_DATE {
-            continue;
-        }
-        let orderkey = li.value(1).as_int().unwrap();
-        let Some((orderdate, priority)) = qualifying.get(&orderkey) else {
-            continue;
-        };
-        let price = li.value(3).as_int().unwrap();
-        let discount = li.value(4).as_int().unwrap();
-        *revenue
-            .entry((orderkey, *orderdate, *priority))
-            .or_default() += price * (100 - discount);
-    }
-    let mut rows: Vec<Tuple> = revenue
-        .into_iter()
-        .map(|((orderkey, orderdate, priority), rev)| {
-            Tuple::new(vec![
-                Value::Int(orderkey),
-                Value::Int(orderdate),
-                Value::Int(priority),
-                Value::Int(rev),
-            ])
-        })
-        .collect();
-    rows.sort();
-    rows
-}
-
-/// Q6 reference over an arbitrary `lineitem` row set.
-pub fn q6_reference_from(lineitems: &[Tuple]) -> Vec<Tuple> {
-    let mut revenue = 0i64;
-    let mut matched = false;
-    for li in lineitems {
-        let shipdate = li.value(8).as_int().unwrap();
-        let discount = li.value(4).as_int().unwrap();
-        let quantity = li.value(2).as_int().unwrap();
-        if (Q6_DATE_LO..=Q6_DATE_HI).contains(&shipdate)
-            && (Q6_DISCOUNT_LO..=Q6_DISCOUNT_HI).contains(&discount)
-            && quantity < Q6_QUANTITY_LT
-        {
-            revenue += li.value(3).as_int().unwrap() * discount;
-            matched = true;
-        }
-    }
-    if matched {
-        vec![Tuple::new(vec![Value::Int(revenue)])]
-    } else {
-        // No qualifying row: the engine's aggregate holds no group and
-        // emits nothing.
-        Vec::new()
-    }
+/// Q6's three sargable conjuncts over `lineitem`: the shipdate and
+/// discount windows and the quantity bound.
+fn q6_predicate() -> Predicate {
+    Predicate::And(vec![
+        Predicate::Between {
+            column: 8,
+            low: Value::Int(Q6_DATE_LO),
+            high: Value::Int(Q6_DATE_HI),
+        },
+        Predicate::Between {
+            column: 4,
+            low: Value::Int(Q6_DISCOUNT_LO),
+            high: Value::Int(Q6_DISCOUNT_HI),
+        },
+        Predicate::cmp(2, CmpOp::Lt, Q6_QUANTITY_LT),
+    ])
 }
 
 /// The TPC-H-style queries of the evaluation.
@@ -603,15 +468,6 @@ impl Workload for TpchWorkload {
             TpchQuery::Q6 => self.dataset.q6_plan(),
         }
     }
-
-    fn reference_for(&self, tables: &crate::TableSet) -> Vec<Tuple> {
-        let rows = |name: &str| tables.get(name).map(Vec::as_slice).unwrap_or(&[]);
-        match self.query {
-            TpchQuery::Q1 => q1_reference_from(rows("lineitem")),
-            TpchQuery::Q3 => q3_reference_from(rows("customer"), rows("orders"), rows("lineitem")),
-            TpchQuery::Q6 => q6_reference_from(rows("lineitem")),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -661,8 +517,7 @@ mod tests {
 
     #[test]
     fn q6_predicates_select_a_nonempty_strict_subset() {
-        let d = TpchDataset::scaled(7, 400);
-        let reference = d.q6_reference();
+        let reference = TpchWorkload::scaled(TpchQuery::Q6, 7, 400).reference();
         assert_eq!(reference.len(), 1);
         assert!(reference[0].value(0).as_int().unwrap() > 0);
     }
