@@ -45,14 +45,12 @@ use crate::maintenance::{maintain_epoch, materialize};
 use orchestra_common::{Epoch, OrchestraError, Result};
 use orchestra_engine::{EngineConfig, MaterializedView, QueryExecutor, ViewRegistry};
 use orchestra_optimizer::{
-    compile_delta_legs, compile_delta_legs_with, estimate_plan_cost_and_rows, AdaptiveStats,
-    CostChannel, CostFeedback, DriftConfig, DriftMonitor, MaintenanceDecision, PlannerOptions,
-    Statistics,
+    compile, compile_delta_legs, compile_delta_legs_with, compile_with,
+    estimate_plan_cost_and_rows, AdaptiveStats, CostChannel, CostFeedback, DriftConfig,
+    DriftMonitor, MaintenanceDecision, Statistics,
 };
 use orchestra_storage::DistributedStorage;
-use orchestra_workloads::{
-    compiled_plan_with, deploy_staged, epoch_stream, EpochSpec, EpochStream, Workload,
-};
+use orchestra_workloads::{deploy_staged, epoch_stream, EpochSpec, EpochStream, Workload};
 
 /// Tolerance for "never rises" comparisons between floats that are
 /// bitwise-reproducible but accumulate through EWMAs.
@@ -302,7 +300,7 @@ fn observe_adhoc(
     observation: Observation<'_>,
 ) -> Result<Json> {
     let options = feedback.planner_options();
-    let plan = compiled_plan_with(workload, stats, options)?;
+    let plan = compile_with(&workload.logical(), stats, options)?;
     let (cost, predicted_rows) = estimate_plan_cost_and_rows(&plan, stats)?;
     let report = QueryExecutor::new(storage, config.clone()).execute(&plan, epoch, INITIATOR)?;
     if report.rows != observation.reference() {
@@ -354,7 +352,7 @@ fn run_drift_phase(
         .latest_epoch()
         .expect("the calibration stream published at least the base batch");
     let compile_stats = adaptive.overlay(&Statistics::collect(storage, start_epoch));
-    let plan = compiled_plan_with(workload, &compile_stats, PlannerOptions::default())?;
+    let plan = compile(&workload.logical(), &compile_stats)?;
     let mut template = MaterializedView::new(workload.name(), &plan)?;
     if !template.supports_incremental() {
         return Err(OrchestraError::Execution(format!(

@@ -13,9 +13,10 @@
 //!   failure strikes, swept over [`crate::failure_sweep_points`];
 //! * [`run_tagging_overhead`] — traffic with and without recovery
 //!   support, validating the paper's "at most 2%" claim;
-//! * [`run_plan_quality`] — the optimizer-compiled plan versus the
-//!   hand-built oracle: estimated cost under the shared network model,
-//!   and measured traffic and simulated running time for both.
+//! * [`run_plan_quality`] — the optimizer-compiled plan within its plan
+//!   space: every plan the planner considered executed, the compiled
+//!   plan's estimated cost, measured traffic and simulated running time,
+//!   its ranks among them, and how well estimates order running times.
 //!
 //! Every workload executes through the System-R optimizer
 //! ([`orchestra_workloads::compiled_plan`]): each deployment compiles
@@ -25,9 +26,10 @@
 use crate::failure_sweep_points;
 use crate::json::Json;
 use orchestra_common::{NodeId, OrchestraError, Result};
-use orchestra_engine::{EngineConfig, FailureSpec, QueryExecutor, QueryReport, RecoveryStrategy};
-use orchestra_optimizer::{estimate_plan_cost, Statistics};
+use orchestra_engine::{EngineConfig, FailureSpec, QueryExecutor, RecoveryStrategy};
+use orchestra_optimizer::{estimate_plan_cost, plan_space, Statistics};
 use orchestra_workloads::{compiled_plan, deploy, Workload};
+use std::cmp::Ordering;
 
 /// Every experiment initiates queries from node 0.
 pub const INITIATOR: NodeId = NodeId(0);
@@ -188,72 +190,108 @@ pub fn run_tagging_overhead(
 }
 
 /// Plan quality: compile the workload's logical query against the
-/// deployed cluster's statistics, execute both the compiled plan and the
-/// hand-built oracle (each cross-checked against the reference), and
-/// report estimated network bytes, `Rehash` operator counts, measured
-/// traffic and simulated running time for both.  Fails if the
-/// optimizer's estimated cost exceeds the hand-built plan's.
+/// deployed cluster's statistics and execute every plan of its plan
+/// space ([`plan_space`], which holds the compiled plan), each
+/// cross-checked against the reference.  Reports the space's size, the
+/// compiled plan's estimated network bytes, `Rehash` count, measured
+/// traffic and simulated running time, its rank in the space by traffic
+/// and by running time (1 is best; tied plans share the better rank),
+/// and the Kendall τ between estimated cost and running time over the
+/// space's pairs of plans (`null` when every pair ties on one side).
+/// Fails if any plan of the space is estimated cheaper than the
+/// compiled one.
 pub fn run_plan_quality(
     workload: &dyn Workload,
     nodes: u16,
     config: &EngineConfig,
 ) -> Result<Json> {
     let (storage, epoch) = deploy(workload, nodes)?;
-    // One statistics snapshot drives both the compilation and the cost
-    // comparison, so the plan is costed against exactly the statistics
-    // it was chosen under.
+    // One statistics snapshot drives the compilation, the space and the
+    // cost comparison, so every plan is costed against exactly the
+    // statistics the compiled one was chosen under.
     let stats = Statistics::collect(&storage, epoch);
-    let optimized = orchestra_optimizer::compile(&workload.logical(), &stats)?;
-    let hand = workload.reference_plan();
-    let optimized_cost = estimate_plan_cost(&optimized, &stats)?;
-    let hand_cost = estimate_plan_cost(&hand, &stats)?;
-    if optimized_cost.total() > hand_cost.total() {
-        return Err(OrchestraError::Execution(format!(
-            "the optimizer compiled {} to a plan estimated at {} bytes, worse than the \
-             hand-built plan's {} bytes",
-            workload.name(),
-            optimized_cost.total(),
-            hand_cost.total()
-        )));
-    }
+    let logical = workload.logical();
+    let compiled = orchestra_optimizer::compile(&logical, &stats)?;
+    let space = plan_space(&logical, &stats)?;
+    let at = space.iter().position(|p| *p == compiled).ok_or_else(|| {
+        OrchestraError::Execution(format!(
+            "the compiled plan of {} is not in its plan space",
+            workload.name()
+        ))
+    })?;
 
     let expected = workload.reference();
-    let run = |label: &str, plan| -> Result<QueryReport> {
-        let report =
-            QueryExecutor::new(&storage, config.clone()).execute(plan, epoch, INITIATOR)?;
+    let exec = QueryExecutor::new(&storage, config.clone());
+    // (estimated bytes, measured bytes, running time in µs) per plan.
+    let mut measured = Vec::with_capacity(space.len());
+    for plan in &space {
+        let report = exec.execute(plan, epoch, INITIATOR)?;
         if report.rows != expected {
             return Err(OrchestraError::Execution(format!(
-                "plan-quality run of {} ({label} plan) returned a wrong answer",
-                workload.name()
+                "plan-quality run of {} returned a wrong answer for:\n{}",
+                workload.name(),
+                plan.render()
             )));
         }
-        Ok(report)
+        let estimate = estimate_plan_cost(plan, &stats)?.total();
+        measured.push((
+            estimate,
+            report.total_bytes as f64,
+            report.running_time.as_micros() as f64,
+        ));
+    }
+    let (estimate, bytes, running_time) = measured[at];
+    if let Some((cheaper, _, _)) = measured.iter().find(|m| m.0 < estimate) {
+        return Err(OrchestraError::Execution(format!(
+            "the optimizer compiled {} to a plan estimated at {estimate} bytes, worse than \
+             the {cheaper} bytes of a plan in its space",
+            workload.name(),
+        )));
+    }
+    let estimated_vs_time: Vec<(f64, f64)> = measured.iter().map(|m| (m.0, m.2)).collect();
+    let rank = |of: fn(&(f64, f64, f64)) -> f64| {
+        let compiled = of(&measured[at]);
+        Json::UInt(1 + measured.iter().filter(|m| of(m) < compiled).count() as u64)
     };
-    let optimized_report = run("optimizer", &optimized)?;
-    let hand_report = run("hand-built", &hand)?;
     Ok(Json::object(vec![
         ("nodes", Json::UInt(nodes as u64)),
-        (
-            "optimized_estimated_bytes",
-            Json::Float(optimized_cost.total()),
-        ),
-        ("hand_estimated_bytes", Json::Float(hand_cost.total())),
-        (
-            "optimized_rehash_count",
-            Json::UInt(optimized.rehash_count() as u64),
-        ),
-        ("hand_rehash_count", Json::UInt(hand.rehash_count() as u64)),
-        ("optimized_bytes", Json::UInt(optimized_report.total_bytes)),
-        ("hand_bytes", Json::UInt(hand_report.total_bytes)),
-        (
-            "optimized_running_time_us",
-            Json::UInt(optimized_report.running_time.as_micros()),
-        ),
-        (
-            "hand_running_time_us",
-            Json::UInt(hand_report.running_time.as_micros()),
-        ),
+        ("space_size", Json::UInt(space.len() as u64)),
+        ("estimated_bytes", Json::Float(estimate)),
+        ("rehash_count", Json::UInt(compiled.rehash_count() as u64)),
+        ("bytes", Json::UInt(bytes as u64)),
+        ("running_time_us", Json::UInt(running_time as u64)),
+        ("rank_by_bytes", rank(|m| m.1)),
+        ("rank_by_running_time", rank(|m| m.2)),
+        ("kendall_tau", kendall_tau(&estimated_vs_time)),
     ]))
+}
+
+/// Kendall's τ over `(x, y)` pairs: (concordant − discordant) / (pairs
+/// untied on both), or `null` when no pair is untied on both.  Values
+/// within a relative 1e-9 of each other tie: two estimates of one cost
+/// summed in a different order differ in the last bits only.
+fn kendall_tau(points: &[(f64, f64)]) -> Json {
+    let order = |a: f64, b: f64| {
+        if (a - b).abs() <= 1e-9 * a.abs().max(b.abs()) {
+            Ordering::Equal
+        } else {
+            a.total_cmp(&b)
+        }
+    };
+    let (mut concordant, mut discordant) = (0i64, 0i64);
+    for (i, &(xi, yi)) in points.iter().enumerate() {
+        for &(xj, yj) in &points[i + 1..] {
+            match (order(xi, xj), order(yi, yj)) {
+                (Ordering::Equal, _) | (_, Ordering::Equal) => {}
+                (a, b) if a == b => concordant += 1,
+                _ => discordant += 1,
+            }
+        }
+    }
+    match concordant + discordant {
+        0 => Json::Null,
+        untied => Json::Float((concordant - discordant) as f64 / untied as f64),
+    }
 }
 
 #[cfg(test)]
@@ -299,18 +337,38 @@ mod tests {
     }
 
     #[test]
-    fn plan_quality_reports_both_plans_and_renders_json() {
+    fn plan_quality_ranks_the_compiled_plan_in_its_space() {
         let w = TpchWorkload::scaled(TpchQuery::Q3, 5, 200);
         let quality = run_plan_quality(&w, 6, &EngineConfig::default()).unwrap();
         let num = |key| quality.num(key).unwrap();
-        assert!(num("optimized_estimated_bytes") <= num("hand_estimated_bytes"));
-        assert!(num("optimized_rehash_count") < num("hand_rehash_count"));
-        assert_eq!(num("hand_rehash_count"), 4.0);
-        assert!(num("optimized_bytes") > 0.0 && num("hand_bytes") > 0.0);
-        assert!(
-            num("optimized_bytes") < num("hand_bytes"),
-            "fewer rehashes and pruned columns must show up in measured traffic: {quality}"
+        assert_eq!(num("space_size"), 16.0, "eight join trees, two placements");
+        assert!(num("estimated_bytes") > 0.0 && num("bytes") > 0.0);
+        assert!(num("rehash_count") < 4.0, "{quality}");
+        for rank in ["rank_by_bytes", "rank_by_running_time"] {
+            assert!((1.0..=16.0).contains(&num(rank)), "{quality}");
+        }
+        let tau = num("kendall_tau");
+        assert!((-1.0..=1.0).contains(&tau), "{quality}");
+    }
+
+    #[test]
+    fn kendall_tau_counts_only_pairs_untied_on_both_sides() {
+        assert_eq!(
+            kendall_tau(&[(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)]),
+            Json::Float(1.0)
         );
+        assert_eq!(
+            kendall_tau(&[(1.0, 3.0), (2.0, 2.0), (3.0, 1.0)]),
+            Json::Float(-1.0)
+        );
+        // (1,2) is concordant, (1,3) discordant, (2,3) tied on x.
+        assert_eq!(
+            kendall_tau(&[(1.0, 1.0), (2.0, 2.0), (2.0, 0.0)]),
+            Json::Float(0.0)
+        );
+        assert_eq!(kendall_tau(&[(1.0, 1.0), (1.0, 2.0)]), Json::Null);
+        assert_eq!(kendall_tau(&[(0.1 + 0.2, 1.0), (0.3, 2.0)]), Json::Null);
+        assert_eq!(kendall_tau(&[(1.0, 1.0)]), Json::Null);
     }
 
     #[test]

@@ -19,8 +19,10 @@
 //! * **tagging overhead** — [`run_tagging_overhead`]: traffic with and
 //!   without recovery support, validating the paper's "at most 2%" claim;
 //! * **plan quality** — [`run_plan_quality`]: the System-R
-//!   optimizer-compiled plan versus the hand-built oracle, comparing
-//!   estimated cost, measured traffic and simulated running time;
+//!   optimizer-compiled plan within its plan space, every plan of which
+//!   runs: the compiled plan's estimated cost, measured traffic and
+//!   simulated running time, its ranks among the space's plans, and the
+//!   rank correlation of estimated cost with running time;
 //! * **publication & maintenance** — [`run_maintenance`]: materialized
 //!   workload answers maintained across multi-epoch update streams,
 //!   sweeping delta size × epoch count, with the cost model's
@@ -60,8 +62,8 @@
 //! Queries reach the executor through the optimizer: every experiment
 //! compiles the workload's [`orchestra_optimizer::LogicalQuery`] against
 //! the deployed cluster's coordinator statistics
-//! ([`orchestra_workloads::compiled_plan`]) rather than executing a
-//! fixed hand-built plan.  Every experiment also cross-checks each
+//! ([`orchestra_workloads::compiled_plan`]); no physical plan is
+//! written by hand.  Every experiment also cross-checks each
 //! distributed answer against the workload's single-node reference
 //! before reporting measurements, so a wrong answer fails loudly instead
 //! of producing plausible numbers.

@@ -92,8 +92,9 @@ mod tests {
         assert_eq!(points.items().unwrap().len(), 1);
         assert!(points.num("0.total_bytes").unwrap() > 0.0);
         let (storage, epoch) = deploy(&workload, 4).unwrap();
+        let plan = compiled_plan(&workload, &storage, epoch).unwrap();
         let report = QueryExecutor::new(&storage, EngineConfig::default())
-            .execute(&workload.reference_plan(), epoch, NodeId(0))
+            .execute(&plan, epoch, NodeId(0))
             .unwrap();
         assert_eq!(report.rows, workload.reference());
         assert!(!failure_sweep_points(report.running_time, 3).is_empty());
@@ -188,8 +189,9 @@ mod tests {
         let plan = compiled_plan(&workload, &storage, epoch).unwrap();
         let stats = Statistics::collect(&storage, epoch);
         let cost = estimate_plan_cost(&plan, &stats).unwrap();
-        let hand = estimate_plan_cost(&workload.reference_plan(), &stats).unwrap();
-        assert!(cost.total() <= hand.total());
+        for other in optimizer::plan_space(&workload.logical(), &stats).unwrap() {
+            assert!(cost.total() <= estimate_plan_cost(&other, &stats).unwrap().total());
+        }
         let report = QueryExecutor::new(&storage, EngineConfig::default())
             .execute(&plan, epoch, NodeId(0))
             .unwrap();

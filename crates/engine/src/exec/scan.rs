@@ -114,7 +114,7 @@ impl<'a> Runtime<'a> {
                     ..Fetch::default()
                 };
                 let wall = Instant::now();
-                let rows = emit_keys(&keys, predicate, emit);
+                let rows = emit_keys(&keys, self.plan.op(op).arity, predicate, emit);
                 Ok(self.emitted(node, fetch, rows, wall))
             }
             other => Err(OrchestraError::Execution(format!(
@@ -249,9 +249,14 @@ pub(super) fn emit_rows<'r>(
 }
 
 /// [`emit_rows`] for a covering-index scan's keys: every key is a row of
-/// a batch, and the predicate picks the rows that go on.
-fn emit_keys(keys: &[&[Value]], predicate: &Option<Predicate>, emit: Emit) -> ColumnarBatch {
-    let arity = keys.iter().map(|key| key.len()).max().unwrap_or(0);
+/// a batch as wide as the scan's key, `arity`, and the predicate picks
+/// the rows that go on.
+fn emit_keys(
+    keys: &[&[Value]],
+    arity: usize,
+    predicate: &Option<Predicate>,
+    emit: Emit,
+) -> ColumnarBatch {
     let provenance = NodeSet::singleton(emit.node);
     let mut all = ColumnarBatch::new(arity);
     for key in keys {

@@ -106,16 +106,17 @@ impl Predicate {
         }
     }
 
-    /// Evaluate the predicate against a tuple.
+    /// Evaluate the predicate against a tuple.  A column past the
+    /// tuple's end reads as NULL, the value that pads a short row in a
+    /// batch.
     pub fn eval(&self, tuple: &Tuple) -> bool {
+        let cell = |c: usize| tuple.values().get(c).unwrap_or(&Value::Null);
         match self {
             Predicate::True => true,
-            Predicate::Compare { column, op, value } => op.eval(tuple.value(*column), value),
-            Predicate::CompareColumns { left, op, right } => {
-                op.eval(tuple.value(*left), tuple.value(*right))
-            }
+            Predicate::Compare { column, op, value } => op.eval(cell(*column), value),
+            Predicate::CompareColumns { left, op, right } => op.eval(cell(*left), cell(*right)),
             Predicate::Between { column, low, high } => {
-                let v = tuple.value(*column);
+                let v = cell(*column);
                 v >= low && v <= high
             }
             Predicate::And(ps) => ps.iter().all(|p| p.eval(tuple)),
@@ -266,6 +267,13 @@ fn compare_const(
     value: &Value,
     mask: &mut [bool],
 ) {
+    if column >= batch.arity() {
+        // Every cell past the batch's end is NULL.
+        if !op.eval(&Value::Null, value) {
+            mask.fill(false);
+        }
+        return;
+    }
     match (batch.column(column).data(), value) {
         (ColumnData::Int(cells), Value::Int(c)) => and_ordered(mask, cells, op, |x| x.cmp(c)),
         (ColumnData::Int(cells), Value::Double(c)) => {
@@ -336,6 +344,23 @@ fn uniform(op: CmpOp, ord: Ordering, mask: &mut [bool]) {
 
 /// Column-vs-column comparison, AND-ed into `mask`.
 fn compare_columns(batch: &ColumnarBatch, left: usize, op: CmpOp, right: usize, mask: &mut [bool]) {
+    if left.max(right) >= batch.arity() {
+        // A cell past the batch's end is NULL; the other side is read
+        // row by row.
+        let cell = |row, c| {
+            if c < batch.arity() {
+                batch.value_at(row, c)
+            } else {
+                Value::Null
+            }
+        };
+        for (row, m) in mask.iter_mut().enumerate() {
+            if *m {
+                *m = op.eval(&cell(row, left), &cell(row, right));
+            }
+        }
+        return;
+    }
     match (batch.column(left).data(), batch.column(right).data()) {
         (ColumnData::Int(a), ColumnData::Int(b)) => {
             for (i, m) in mask.iter_mut().enumerate() {
@@ -698,6 +723,24 @@ mod tests {
                 left: 0,
                 op: CmpOp::Gt,
                 right: 3,
+            },
+            // Past the rows' end, where every cell reads as NULL.
+            Predicate::cmp(5, CmpOp::Eq, Value::Null),
+            Predicate::cmp(5, CmpOp::Lt, 1i64),
+            Predicate::Between {
+                column: 6,
+                low: Value::Null,
+                high: Value::Int(0),
+            },
+            Predicate::CompareColumns {
+                left: 0,
+                op: CmpOp::Gt,
+                right: 5,
+            },
+            Predicate::CompareColumns {
+                left: 5,
+                op: CmpOp::Eq,
+                right: 6,
             },
             Predicate::And(vec![
                 Predicate::cmp(0, CmpOp::Gt, 1i64),

@@ -735,7 +735,7 @@ mod tests {
         );
         assert_eq!(input_positions(&plan), [0, 1, 0, 0, 0, 0, 0, 0, 0]);
 
-        // The hand-built TPC-H Q3 of the workloads crate.
+        // TPC-H Q3 as two joins over four rehashed inputs.
         let mut b = PlanBuilder::new();
         let customer = b.scan(
             "customer",

@@ -123,3 +123,72 @@ fn covering_scan_matches_the_recorded_seed_behaviour() {
         ]
     );
 }
+
+/// A `keys`-row `customer(c_custkey, c_mktsegment)` relation on `nodes`
+/// nodes, then one epoch deleting every key from `kept` on.  Returns the
+/// storage and the last epoch.
+fn customers(nodes: u16, keys: i64, kept: i64) -> (DistributedStorage, Epoch) {
+    let routing = RoutingTable::build(
+        &(0..nodes).map(NodeId).collect::<Vec<_>>(),
+        AllocationScheme::Balanced,
+        3,
+    );
+    let mut storage = DistributedStorage::new(routing, StorageConfig::default());
+    storage.register_relation(Relation::partitioned(
+        "customer",
+        Schema::keyed_on_first(vec![
+            ("c_custkey", ColumnType::Int),
+            ("c_mktsegment", ColumnType::Str),
+        ]),
+    ));
+    let mut bulk = UpdateBatch::new();
+    for key in 0..keys {
+        bulk.insert(
+            "customer",
+            Tuple::new(vec![Value::Int(key), Value::str("BUILDING")]),
+        );
+    }
+    let mut epoch = storage.publish(&bulk).unwrap();
+    if kept < keys {
+        let mut deletes = UpdateBatch::new();
+        for key in kept..keys {
+            deletes.delete("customer", vec![Value::Int(key)]);
+        }
+        epoch = storage.publish(&deletes).unwrap();
+    }
+    (storage, epoch)
+}
+
+/// `SELECT c_custkey FROM customer WHERE c_custkey >= 0`, shipped to n0
+/// from a covering-index scan and from a distributed scan: both must
+/// return `0..kept`, although some node's partition holds no key.
+fn assert_filtered_key_scans_answer(storage: &DistributedStorage, epoch: Epoch, kept: i64) {
+    let filter = Some(Predicate::cmp(0, CmpOp::Ge, 0i64));
+    let mut covering = PlanBuilder::new();
+    let scan = covering.covering_index_scan("customer", 1, filter.clone());
+    let ship = covering.ship(scan);
+    let mut distributed = PlanBuilder::new();
+    let scan = distributed.scan("customer", 2, filter);
+    let key = distributed.project(scan, vec![0]);
+    let ship = [ship, distributed.ship(key)];
+    let plans = [covering.output(ship[0]), distributed.output(ship[1])];
+    let expected: Vec<Tuple> = (0..kept).map(|k| Tuple::new(vec![Value::Int(k)])).collect();
+    for plan in &plans {
+        let report = QueryExecutor::new(storage, EngineConfig::default())
+            .execute(plan, epoch, NodeId(0))
+            .unwrap();
+        assert_eq!(report.rows, expected, "{}", plan.render());
+    }
+}
+
+#[test]
+fn a_filtered_covering_scan_answers_with_fewer_keys_than_nodes() {
+    let (storage, epoch) = customers(8, 3, 3);
+    assert_filtered_key_scans_answer(&storage, epoch, 3);
+}
+
+#[test]
+fn a_filtered_covering_scan_answers_after_deletes_empty_a_partition() {
+    let (storage, epoch) = customers(4, 30, 4);
+    assert_filtered_key_scans_answer(&storage, epoch, 4);
+}

@@ -121,7 +121,8 @@ impl SubtreeEst {
 
 /// Estimate the cost of an already-built physical plan against a
 /// statistics snapshot.  Used by the plan-quality experiment to compare
-/// optimizer-chosen plans with hand-built ones under one model.
+/// the optimizer-chosen plan with every plan of its [`crate::plan_space`]
+/// under one model.
 pub fn estimate_plan_cost(
     plan: &PhysicalPlan,
     stats: &Statistics,

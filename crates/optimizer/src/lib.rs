@@ -26,8 +26,8 @@
 //!   [`orchestra_engine::Predicate::estimated_selectivity`] constants on
 //!   a bare snapshot;
 //!   [`estimate_plan_cost`] applies the same model to any already-built
-//!   [`orchestra_engine::PhysicalPlan`] so optimizer-chosen and
-//!   hand-built plans are comparable under one yardstick;
+//!   [`orchestra_engine::PhysicalPlan`], so the chosen plan and the
+//!   plans it was chosen among are comparable under one yardstick;
 //! * [`choose_maintenance`] ([`maintenance`]) — the per-epoch
 //!   incremental-vs-recompute decision for materialized workload
 //!   answers: both refresh strategies priced under the same cost model,
@@ -48,13 +48,16 @@
 //!   `Rehash` boundaries placed only where an input's partitioning does
 //!   not already cover the join keys.  Compilation is deterministic:
 //!   the same query over the same statistics always emits the
-//!   byte-identical plan.
+//!   byte-identical plan;
+//! * [`plan_space`] ([`planner`]) — every plan that enumeration
+//!   considers, none pruned: each join tree of the full relation set
+//!   under each valid aggregation placement, the compiled plan among
+//!   them.
 //!
 //! The workload catalogue (`orchestra-workloads`) expresses STBenchmark
 //! and the TPC-H-style queries as [`LogicalQuery`]s compiled here, and
-//! the experiment harness (`orchestra-bench`) compares the compiled
-//! plans against the hand-built oracles in its `plan_quality`
-//! experiment.
+//! the experiment harness (`orchestra-bench`) runs every plan of each
+//! compiled plan's space in its `plan_quality` experiment.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
@@ -78,7 +81,7 @@ pub use maintenance::{
     choose_maintenance, compile_delta_legs, compile_delta_legs_with, MaintenanceChoice,
     MaintenanceDecision,
 };
-pub use planner::{compile, compile_with, PlannerOptions};
+pub use planner::{compile, compile_with, plan_space, PlannerOptions};
 pub use stats::{column_width_bytes, Statistics, TableStats};
 
 use orchestra_engine::Predicate;

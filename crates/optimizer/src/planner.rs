@@ -28,6 +28,10 @@
 //! All bookkeeping uses ordered containers and the enumeration order is
 //! fixed, so the same query over the same statistics always compiles to
 //! the byte-identical plan.
+//!
+//! [`plan_space`] runs the same enumeration without step 2's pruning and
+//! emits every join tree it built under every aggregation placement of
+//! step 4: the plans [`compile`] chose among.
 
 use crate::cost::{
     exchange_fraction, group_count, join_output_rows, partial_state_bytes, PlanCost,
@@ -41,6 +45,12 @@ use std::collections::BTreeSet;
 
 /// Largest supported number of relation slots (bitmask enumeration).
 const MAX_RELATIONS: usize = 12;
+
+/// Largest plan space [`plan_space`] enumerates: join trees kept for
+/// one relation subset, and plans emitted in all.  Past it the space is
+/// exponential in the relation count, and enumeration stops with a
+/// planning error.
+const MAX_PLAN_SPACE: usize = 1024;
 
 /// Which access path a leaf elected.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -138,20 +148,6 @@ pub struct PlannerOptions {
     pub broadcast_joins: bool,
 }
 
-impl PlannerOptions {
-    /// The option set a *calibrated* deployment uses for ad-hoc plans:
-    /// broadcast joins join the search space once measured feedback has
-    /// validated the cost model's broadcast constants
-    /// ([`crate::adaptive::CostFeedback::broadcast_ready`]).  The
-    /// `Default` options stay conservative so cold-start compilations
-    /// remain reproducible.
-    pub fn calibrated() -> PlannerOptions {
-        PlannerOptions {
-            broadcast_joins: true,
-        }
-    }
-}
-
 /// Compile a logical query into a physical plan under the given
 /// statistics snapshot.  Deterministic: the same `(query, stats)` always
 /// yields the byte-identical plan.
@@ -167,6 +163,36 @@ pub fn compile_with(
 ) -> Result<PhysicalPlan> {
     let planner = Planner::new(query, stats, options)?;
     planner.plan()
+}
+
+/// Every plan [`compile`]'s dynamic program considers for `query`, none
+/// pruned: each join tree of the full relation set it builds, emitted
+/// once per valid aggregation placement (single-shot at the initiator
+/// and two-phase for an aggregating query, none otherwise), in
+/// enumeration order.  [`compile`]'s plan is one of them.  A space of
+/// more than 1,024 join trees for one relation subset, or of more than
+/// 1,024 plans, is a planning error rather than an exponential
+/// enumeration.
+pub fn plan_space(query: &LogicalQuery, stats: &Statistics) -> Result<Vec<PhysicalPlan>> {
+    let planner = Planner::new(query, stats, PlannerOptions::default())?;
+    planner.space()
+}
+
+/// The error of a plan space past [`MAX_PLAN_SPACE`].
+fn space_too_large() -> OrchestraError {
+    OrchestraError::Planning(format!(
+        "the plan space exceeds {MAX_PLAN_SPACE} plans; compile the query instead"
+    ))
+}
+
+/// The error of a query whose every plan would have each participant
+/// ship a full copy of the answer.
+fn replicated_only() -> OrchestraError {
+    OrchestraError::Planning(
+        "queries reading only replicated relations are not supported (every participant \
+         would ship a full copy of the answer)"
+            .into(),
+    )
 }
 
 struct Planner<'a> {
@@ -210,11 +236,7 @@ impl<'a> Planner<'a> {
         // would duplicate it.  Diagnose this up front — join enumeration
         // would otherwise fail with a misleading connectivity error.
         if tables.iter().all(|t| t.replicated) {
-            return Err(OrchestraError::Planning(
-                "queries reading only replicated relations are not supported (every \
-                 participant would ship a full copy of the answer)"
-                    .into(),
-            ));
+            return Err(replicated_only());
         }
         let planner = Planner {
             query,
@@ -578,8 +600,9 @@ impl<'a> Planner<'a> {
     }
 
     /// Run the bottom-up enumeration, returning the candidate set of the
-    /// full relation mask.
-    fn enumerate(&self) -> Result<Vec<Candidate>> {
+    /// full relation mask: the best candidate per partitioning property
+    /// of every subset, or — with `keep_all` — every candidate built.
+    fn enumerate(&self, keep_all: bool) -> Result<Vec<Candidate>> {
         let n = self.query.relations.len();
         let full = (1usize << n) - 1;
         let mut best: Vec<Vec<Candidate>> = vec![Vec::new(); full + 1];
@@ -604,7 +627,13 @@ impl<'a> Planner<'a> {
                             }
                         }
                         for c in joined {
-                            Self::consider(&mut best[mask], c);
+                            if !keep_all {
+                                Self::consider(&mut best[mask], c);
+                            } else if best[mask].len() < MAX_PLAN_SPACE {
+                                best[mask].push(c);
+                            } else {
+                                return Err(space_too_large());
+                            }
                         }
                     }
                 }
@@ -813,14 +842,12 @@ impl<'a> Planner<'a> {
         })
     }
 
+    /// The cheapest plan of the pruned enumeration, costed with its
+    /// cheapest aggregation placement.
     fn plan(&self) -> Result<PhysicalPlan> {
-        let candidates = self.enumerate()?;
+        let candidates = self.enumerate(false)?;
         let mut chosen: Option<(PlanCost, &Candidate, AggPlacement)> = None;
-        for candidate in &candidates {
-            if candidate.partitioning == Partitioning::Replicated {
-                // Every node would ship its full copy of the answer.
-                continue;
-            }
+        for candidate in shippable(&candidates) {
             let (finish, placement) = self.finish_cost(candidate);
             let mut total = candidate.cost;
             total.add(finish);
@@ -832,14 +859,36 @@ impl<'a> Planner<'a> {
                 chosen = Some((total, candidate, placement));
             }
         }
-        let Some((_, candidate, placement)) = chosen else {
-            return Err(OrchestraError::Planning(
-                "queries reading only replicated relations are not supported (every \
-                 participant would ship a full copy of the answer)"
-                    .into(),
-            ));
-        };
+        let (_, candidate, placement) = chosen.ok_or_else(replicated_only)?;
+        self.emit_plan(candidate, placement)
+    }
 
+    /// Every candidate of the unpruned enumeration under every valid
+    /// aggregation placement (see [`plan_space`]).
+    fn space(&self) -> Result<Vec<PhysicalPlan>> {
+        let candidates = self.enumerate(true)?;
+        let placements: &[AggPlacement] = match self.query.aggregation {
+            Some(_) => &[AggPlacement::SingleAtInitiator, AggPlacement::TwoPhase],
+            None => &[AggPlacement::NoAggregate],
+        };
+        let mut plans = Vec::new();
+        for candidate in shippable(&candidates) {
+            for &placement in placements {
+                if plans.len() == MAX_PLAN_SPACE {
+                    return Err(space_too_large());
+                }
+                plans.push(self.emit_plan(candidate, placement)?);
+            }
+        }
+        if plans.is_empty() {
+            return Err(replicated_only());
+        }
+        Ok(plans)
+    }
+
+    /// Emit `candidate`'s join tree, the select list above it and the
+    /// aggregation as `placement` places it.
+    fn emit_plan(&self, candidate: &Candidate, placement: AggPlacement) -> Result<PhysicalPlan> {
         let mut builder = PlanBuilder::new();
         let (joined, layout) = self.emit(&candidate.tree, &mut builder)?;
         let selected = self.emit_select(&mut builder, joined, &layout)?;
@@ -865,6 +914,14 @@ impl<'a> Planner<'a> {
         };
         Ok(builder.output(root))
     }
+}
+
+/// The candidates whose answer is partitioned, not present in full at
+/// every node (which would have every node ship its full copy).
+fn shippable(candidates: &[Candidate]) -> impl Iterator<Item = &Candidate> {
+    candidates
+        .iter()
+        .filter(|c| c.partitioning != Partitioning::Replicated)
 }
 
 #[cfg(test)]
@@ -952,6 +1009,58 @@ mod tests {
             let again = compile(&three_way_query(), &stats).unwrap().render();
             assert_eq!(reference, again, "planner must be deterministic");
         }
+    }
+
+    #[test]
+    fn the_plan_space_holds_the_compiled_plan_and_none_estimated_cheaper() {
+        // A chain of three relations: either end pair joined first, in
+        // either input order, then joined with the third relation in
+        // either order — eight join trees, each under both placements.
+        let stats = three_way_stats();
+        let query = three_way_query();
+        let compiled = compile(&query, &stats).unwrap();
+        let space = plan_space(&query, &stats).unwrap();
+        assert_eq!(space.len(), 16);
+        for (i, plan) in space.iter().enumerate() {
+            assert!(!space[i + 1..].contains(plan), "every plan is distinct");
+        }
+        assert!(space.contains(&compiled));
+        let estimate = |plan: &PhysicalPlan| {
+            crate::cost::estimate_plan_cost(plan, &stats)
+                .unwrap()
+                .total()
+        };
+        let best = estimate(&compiled);
+        assert!(space.iter().all(|p| estimate(p) >= best));
+        // A query without aggregation has one placement per tree.
+        let mut q = LogicalQuery::new();
+        let e = q.relation("lineitem");
+        q.select(vec![LogicalExpr::col(e, 2)]);
+        let space = plan_space(&q, &stats).unwrap();
+        assert_eq!(space.len(), 1);
+        assert_eq!(space[0], compile(&q, &stats).unwrap());
+    }
+
+    #[test]
+    fn an_exponential_plan_space_is_a_planning_error() {
+        // A chain of six relations has 2^5 × Catalan(5) = 1,344 join
+        // trees without cross products: past the cap, while compiling it
+        // stays cheap.
+        let names = ["r0", "r1", "r2", "r3", "r4", "r5"];
+        let tables = names
+            .iter()
+            .map(|n| table(n, vec![("k", ColumnType::Int), ("f", ColumnType::Int)], 50))
+            .collect();
+        let stats = Statistics::from_tables(4, tables);
+        let mut q = LogicalQuery::new();
+        let slots: Vec<usize> = names.iter().map(|n| q.relation(*n)).collect();
+        for pair in slots.windows(2) {
+            q.join(col(pair[0], 1), col(pair[1], 0));
+        }
+        q.select(vec![LogicalExpr::col(slots[0], 0)]);
+        assert!(compile(&q, &stats).is_ok());
+        let err = plan_space(&q, &stats).unwrap_err();
+        assert_eq!(err.category(), "planning", "{err}");
     }
 
     #[test]

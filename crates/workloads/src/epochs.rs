@@ -265,8 +265,9 @@ mod tests {
         for i in 0..stream.len() {
             let epoch = storage.publish(stream.batch(i)).unwrap();
             assert_eq!(epoch.0, base_epoch.0 + 1 + i as u64);
+            let plan = crate::compiled_plan(&w, &storage, epoch).unwrap();
             let report = QueryExecutor::new(&storage, exec_config.clone())
-                .execute(&w.reference_plan(), epoch, NodeId(0))
+                .execute(&plan, epoch, NodeId(0))
                 .unwrap();
             assert_eq!(
                 report.rows,
@@ -325,9 +326,6 @@ mod tests {
         }
         fn logical(&self) -> LogicalQuery {
             self.0.clone()
-        }
-        fn reference_plan(&self) -> orchestra_engine::PhysicalPlan {
-            crate::CopyScenario { seed: 1, rows: 3 }.reference_plan()
         }
     }
 

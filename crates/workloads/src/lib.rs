@@ -1,6 +1,6 @@
 //! # orchestra-workloads
 //!
-//! Workload generators and fixed benchmark plans for the evaluation.
+//! Workload generators and declarative queries for the evaluation.
 //!
 //! The paper evaluates two workloads, both reproduced here:
 //!
@@ -11,21 +11,18 @@
 //!   identical data.
 //! * **TPC-H-style OLAP queries** (Section VI-C) — [`tpch`] hosts
 //!   scaled-down `lineitem` / `orders` / `customer` generators and the
-//!   physical plans for Q1, Q3 and Q6 expressed through
-//!   [`orchestra_engine::PlanBuilder`] (two-phase aggregation for Q1,
-//!   pipelined joins plus rehash for Q3, single-shot aggregation for Q6).
+//!   logical queries Q1, Q3 and Q6.
 //!
 //! Every catalogue entry implements the [`Workload`] trait — relations,
-//! data batch, a [`orchestra_optimizer::LogicalQuery`] describing the
-//! query declaratively, and a hand-built physical plan kept as a test
-//! oracle — so the benchmark harness and the correctness tests drive all
-//! of them uniformly.  The reference answer a distributed run must
-//! reproduce is never written by hand: [`oracle::evaluate`] interprets
-//! the logical query on one node over the generated rows, for the
-//! catalogue and for any other query alike.  The harness routes
-//! execution through the optimizer ([`compiled_plan`]), while the
-//! hand-built [`Workload::reference_plan`]s pin down what the optimizer
-//! must beat or match.  Generators publish through
+//! data batch and a [`orchestra_optimizer::LogicalQuery`] describing the
+//! query declaratively — so the benchmark harness and the correctness
+//! tests drive all of them uniformly.  A query is written once: its plan
+//! is compiled from it ([`compiled_plan`]), the plans it was chosen
+//! among come from [`orchestra_optimizer::plan_space`], and the
+//! reference answer a distributed run must reproduce is
+//! [`oracle::evaluate`]'s, interpreting the logical query on one node
+//! over the generated rows, for the catalogue and for any other query
+//! alike.  Generators publish through
 //! [`orchestra_storage::UpdateBatch`] so data flows through the same
 //! versioned-publication path the paper's participants use.
 
@@ -74,8 +71,8 @@ pub fn tables_of(batch: &UpdateBatch) -> TableSet {
     tables
 }
 
-/// One benchmark workload: source relations, deterministic data, a
-/// declarative query and a hand-built oracle plan.  The reference answer
+/// One benchmark workload: source relations, deterministic data and a
+/// declarative query.  The reference answer
 /// the distributed run must reproduce tuple for tuple is the query
 /// interpreted over the data ([`Workload::reference`]).
 pub trait Workload {
@@ -89,9 +86,6 @@ pub trait Workload {
     /// [`orchestra_optimizer::compile`] (see [`compiled_plan`]) and for
     /// [`oracle::evaluate`].
     fn logical(&self) -> LogicalQuery;
-    /// The hand-built physical plan of the workload's query, kept as the
-    /// oracle the optimizer-compiled plan is validated against.
-    fn reference_plan(&self) -> PhysicalPlan;
     /// The single-node answer over the workload's own generated data,
     /// sorted like [`orchestra_engine::QueryReport::rows`].  Panics,
     /// naming the workload, if its own query is malformed.
@@ -110,18 +104,6 @@ pub fn compiled_plan(
 ) -> Result<PhysicalPlan> {
     let stats = Statistics::collect(storage, epoch);
     orchestra_optimizer::compile(&workload.logical(), &stats)
-}
-
-/// [`compiled_plan`] under explicit statistics and planner options — the
-/// adaptive path, where the snapshot carries an
-/// [`orchestra_optimizer::AdaptiveStats`] overlay and calibration may
-/// have enabled broadcast joins for ad-hoc plans.
-pub fn compiled_plan_with(
-    workload: &dyn Workload,
-    stats: &Statistics,
-    options: orchestra_optimizer::PlannerOptions,
-) -> Result<PhysicalPlan> {
-    orchestra_optimizer::compile_with(&workload.logical(), stats, options)
 }
 
 /// An empty `nodes`-node balanced cluster: replication factor 3, capped
@@ -319,7 +301,8 @@ mod tests {
             orchestra_engine::EngineConfig::default(),
         );
         for w in all {
-            let report = exec.execute(&w.reference_plan(), epoch, NodeId(0)).unwrap();
+            let plan = compiled_plan(w, &storage, epoch).unwrap();
+            let report = exec.execute(&plan, epoch, NodeId(0)).unwrap();
             assert_eq!(report.rows, w.reference(), "{} answer", w.name());
         }
     }
@@ -388,7 +371,8 @@ mod tests {
             &storage,
             orchestra_engine::EngineConfig::default(),
         );
-        let report = exec.execute(&w.reference_plan(), epoch, NodeId(0)).unwrap();
+        let plan = compiled_plan(&w, &storage, epoch).unwrap();
+        let report = exec.execute(&plan, epoch, NodeId(0)).unwrap();
         assert_eq!(report.rows, w.reference());
     }
 
@@ -445,18 +429,5 @@ mod tests {
             "observed widths must tighten the estimate: \
              base {est_base:.0}, enriched {est_enriched:.0}, measured {measured:.0}"
         );
-    }
-
-    #[test]
-    fn compiled_plans_execute_like_the_hand_built_oracles() {
-        let w = ConcatenateScenario { seed: 3, rows: 30 };
-        let (storage, epoch) = deploy(&w, 4).unwrap();
-        let plan = compiled_plan(&w, &storage, epoch).unwrap();
-        let exec = orchestra_engine::QueryExecutor::new(
-            &storage,
-            orchestra_engine::EngineConfig::default(),
-        );
-        let report = exec.execute(&plan, epoch, NodeId(0)).unwrap();
-        assert_eq!(report.rows, w.reference());
     }
 }

@@ -13,7 +13,6 @@
 
 use crate::{generated_relation, generated_relation_wide, Workload};
 use orchestra_common::{ColumnType, Relation, Schema};
-use orchestra_engine::{PhysicalPlan, PlanBuilder, ScalarExpr};
 use orchestra_optimizer::{LogicalExpr, LogicalQuery};
 use orchestra_storage::UpdateBatch;
 
@@ -55,13 +54,6 @@ impl Workload for CopyScenario {
         let src = q.relation("st_source");
         q.select(vec![LogicalExpr::col(src, 0), LogicalExpr::col(src, 1)]);
         q
-    }
-
-    fn reference_plan(&self) -> PhysicalPlan {
-        let mut b = PlanBuilder::new();
-        let scan = b.scan("st_source", 2, None);
-        let ship = b.ship(scan);
-        b.output(ship)
     }
 }
 
@@ -115,26 +107,6 @@ impl Workload for ConcatenateScenario {
         ]);
         q
     }
-
-    fn reference_plan(&self) -> PhysicalPlan {
-        let mut b = PlanBuilder::new();
-        let scan = b.scan("st_parts", 4, None);
-        let glued = b.compute(
-            scan,
-            vec![
-                ScalarExpr::col(0),
-                ScalarExpr::Concat(vec![
-                    ScalarExpr::col(1),
-                    ScalarExpr::lit(CONCAT_SEPARATOR),
-                    ScalarExpr::col(2),
-                    ScalarExpr::lit(CONCAT_SEPARATOR),
-                    ScalarExpr::col(3),
-                ]),
-            ],
-        );
-        let ship = b.ship(glued);
-        b.output(ship)
-    }
 }
 
 #[cfg(test)]
@@ -147,15 +119,15 @@ mod tests {
     fn run(workload: &dyn Workload, nodes: u16) -> Vec<Tuple> {
         let (storage, epoch) = deploy(workload, nodes).unwrap();
         assert_eq!(epoch, Epoch(0));
+        let plan = crate::compiled_plan(workload, &storage, epoch).unwrap();
         QueryExecutor::new(&storage, EngineConfig::default())
-            .execute(&workload.reference_plan(), epoch, NodeId(0))
+            .execute(&plan, epoch, NodeId(0))
             .unwrap()
             .rows
     }
 
     /// Both scenarios' logical queries compile to plans that reproduce
-    /// the reference answer — the optimizer path and the hand-built path
-    /// agree.
+    /// the reference answer on five nodes.
     #[test]
     fn compiled_scenarios_match_their_references() {
         let copy = CopyScenario { seed: 11, rows: 60 };

@@ -1,4 +1,4 @@
-//! Scaled-down TPC-H-style relations and the Q1/Q3/Q6 physical plans
+//! Scaled-down TPC-H-style relations and the Q1/Q3/Q6 logical queries
 //! (paper Section VI-C).
 //!
 //! [`TpchDataset`] generates deterministic `lineitem`, `orders` and
@@ -11,19 +11,19 @@
 //! out in "cent-percent" units: `extendedprice * (100 - discount)` for
 //! Q1/Q3 and `extendedprice * discount` for Q6.
 //!
-//! The three queries exercise the three plan shapes of the paper's OLAP
-//! evaluation:
+//! The three queries exercise the three query shapes of the paper's OLAP
+//! evaluation; the optimizer places their exchanges and aggregations:
 //!
-//! * **Q1** — sargable scan, compute-function, distributed two-phase
-//!   aggregation (`Partial` per node, `Final` at the initiator);
-//! * **Q3** — two pipelined hash joins over rehashed inputs, then
-//!   two-phase aggregation;
-//! * **Q6** — sargable scan, compute-function, single-shot aggregation
-//!   at the initiator.
+//! * **Q1** — sargable scan, a computed discounted-price term, grouped
+//!   aggregation;
+//! * **Q3** — `customer ⋈ orders ⋈ lineitem` as two equi-joins, then
+//!   grouped aggregation;
+//! * **Q6** — sargable triple-predicate scan, a computed revenue term,
+//!   one ungrouped sum.
 
 use crate::Workload;
 use orchestra_common::{rng, ColumnType, Relation, Schema, Tuple, Value};
-use orchestra_engine::{AggFunc, AggMode, CmpOp, PhysicalPlan, PlanBuilder, Predicate, ScalarExpr};
+use orchestra_engine::{AggFunc, CmpOp, Predicate};
 use orchestra_optimizer::{col, LogicalExpr, LogicalQuery};
 use orchestra_storage::UpdateBatch;
 
@@ -221,47 +221,6 @@ impl TpchDataset {
         q
     }
 
-    /// Hand-built Q1 plan (the optimizer oracle): scan with the sargable
-    /// shipdate predicate, compute the discounted-price term, then
-    /// distributed two-phase aggregation grouped on
-    /// `(l_returnflag, l_linestatus)`.
-    pub fn q1_plan(&self) -> PhysicalPlan {
-        let mut b = PlanBuilder::new();
-        let scan = b.scan(
-            "lineitem",
-            9,
-            Some(Predicate::cmp(8, CmpOp::Le, Q1_SHIPDATE_CUTOFF)),
-        );
-        let terms = b.compute(
-            scan,
-            vec![
-                ScalarExpr::col(6),
-                ScalarExpr::col(7),
-                ScalarExpr::col(2),
-                ScalarExpr::col(3),
-                ScalarExpr::Mul(
-                    Box::new(ScalarExpr::col(3)),
-                    Box::new(ScalarExpr::Sub(
-                        Box::new(ScalarExpr::lit(100i64)),
-                        Box::new(ScalarExpr::col(4)),
-                    )),
-                ),
-            ],
-        );
-        let agg = b.two_phase_aggregate(
-            terms,
-            vec![0, 1],
-            vec![
-                (AggFunc::Sum, 2),
-                (AggFunc::Sum, 3),
-                (AggFunc::Sum, 4),
-                (AggFunc::Avg, 2),
-                (AggFunc::Count, 2),
-            ],
-        );
-        b.output(agg)
-    }
-
     // ------------------------------------------------------------------
     // Q3: shipping priority
     // ------------------------------------------------------------------
@@ -296,54 +255,6 @@ impl TpchDataset {
         q
     }
 
-    /// Hand-built Q3 plan (the optimizer oracle): `customer ⋈ orders ⋈
-    /// lineitem` as two pipelined hash joins over rehashed inputs, then
-    /// two-phase aggregation grouped on `(o_orderkey, o_orderdate,
-    /// o_shippriority)`.
-    pub fn q3_plan(&self) -> PhysicalPlan {
-        let mut b = PlanBuilder::new();
-        let customer = b.scan(
-            "customer",
-            2,
-            Some(Predicate::cmp(1, CmpOp::Eq, Q3_SEGMENT)),
-        );
-        let orders = b.scan(
-            "orders",
-            4,
-            Some(Predicate::cmp(2, CmpOp::Lt, Q3_PIVOT_DATE)),
-        );
-        let customer_re = b.rehash(customer, vec![0]);
-        let orders_re = b.rehash(orders, vec![1]);
-        // (c_custkey, c_mktsegment, o_orderkey, o_custkey, o_orderdate,
-        //  o_shippriority)
-        let cust_orders = b.hash_join(customer_re, orders_re, vec![0], vec![1]);
-        let lineitem = b.scan(
-            "lineitem",
-            9,
-            Some(Predicate::cmp(8, CmpOp::Gt, Q3_PIVOT_DATE)),
-        );
-        let cust_orders_re = b.rehash(cust_orders, vec![2]);
-        let lineitem_re = b.rehash(lineitem, vec![1]);
-        let joined = b.hash_join(cust_orders_re, lineitem_re, vec![2], vec![1]);
-        let terms = b.compute(
-            joined,
-            vec![
-                ScalarExpr::col(2),
-                ScalarExpr::col(4),
-                ScalarExpr::col(5),
-                ScalarExpr::Mul(
-                    Box::new(ScalarExpr::col(9)),
-                    Box::new(ScalarExpr::Sub(
-                        Box::new(ScalarExpr::lit(100i64)),
-                        Box::new(ScalarExpr::col(10)),
-                    )),
-                ),
-            ],
-        );
-        let agg = b.two_phase_aggregate(terms, vec![0, 1, 2], vec![(AggFunc::Sum, 3)]);
-        b.output(agg)
-    }
-
     // ------------------------------------------------------------------
     // Q6: forecasting revenue change
     // ------------------------------------------------------------------
@@ -360,24 +271,6 @@ impl TpchDataset {
             )])
             .aggregate(vec![], vec![(AggFunc::Sum, 0)]);
         q
-    }
-
-    /// Hand-built Q6 plan (the optimizer oracle): sargable
-    /// triple-predicate scan, compute the revenue term, ship to the
-    /// initiator, single-shot ungrouped aggregation there.
-    pub fn q6_plan(&self) -> PhysicalPlan {
-        let mut b = PlanBuilder::new();
-        let scan = b.scan("lineitem", 9, Some(q6_predicate()));
-        let term = b.compute(
-            scan,
-            vec![ScalarExpr::Mul(
-                Box::new(ScalarExpr::col(3)),
-                Box::new(ScalarExpr::col(4)),
-            )],
-        );
-        let ship = b.ship(term);
-        let agg = b.aggregate(ship, vec![], vec![(AggFunc::Sum, 0)], AggMode::Single);
-        b.output(agg)
     }
 }
 
@@ -460,20 +353,12 @@ impl Workload for TpchWorkload {
             TpchQuery::Q6 => self.dataset.q6_logical(),
         }
     }
-
-    fn reference_plan(&self) -> PhysicalPlan {
-        match self.query {
-            TpchQuery::Q1 => self.dataset.q1_plan(),
-            TpchQuery::Q3 => self.dataset.q3_plan(),
-            TpchQuery::Q6 => self.dataset.q6_plan(),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::deploy;
+    use crate::{compiled_plan, deploy};
     use orchestra_common::NodeId;
     use orchestra_engine::{EngineConfig, QueryExecutor};
 
@@ -494,21 +379,12 @@ mod tests {
     }
 
     #[test]
-    fn plans_have_the_expected_shapes() {
-        let d = TpchDataset::scaled(1, 40);
-        assert_eq!(d.q1_plan().rehash_count(), 0);
-        assert_eq!(d.q3_plan().rehash_count(), 4);
-        assert_eq!(d.q6_plan().rehash_count(), 0);
-        assert_eq!(d.q3_plan().scans().len(), 3);
-        assert!(d.q6_plan().render().contains("Aggregate"));
-    }
-
-    #[test]
     fn q1_distributed_answer_matches_reference() {
         let w = TpchWorkload::scaled(TpchQuery::Q1, 7, 300);
         let (storage, epoch) = deploy(&w, 6).unwrap();
+        let plan = compiled_plan(&w, &storage, epoch).unwrap();
         let report = QueryExecutor::new(&storage, EngineConfig::default())
-            .execute(&w.reference_plan(), epoch, NodeId(0))
+            .execute(&plan, epoch, NodeId(0))
             .unwrap();
         let expected = w.reference();
         assert_eq!(expected.len(), 6, "3 flags × 2 statuses");

@@ -12,8 +12,10 @@
 //! The optimizer compiles it; the plan runs failure-free from an
 //! initiator that rotates with the seed, then with a random
 //! non-initiator victim killed at random instants under both recovery
-//! strategies.  Every answer must equal [`evaluate`] over the generated
-//! rows.  `cargo test` runs the first 32 seeds; the `#[ignore]`d sweep
+//! strategies.  Every other plan of the query's plan space
+//! ([`plan_space`]) runs failure-free from the same initiator, and none
+//! may be estimated cheaper than the compiled one.  Every answer must
+//! equal [`evaluate`] over the generated rows.  `cargo test` runs the first 32 seeds; the `#[ignore]`d sweep
 //! runs 400, and CI runs it in release mode.
 
 use orchestra_common::rng::{self, StdRng};
@@ -21,7 +23,9 @@ use orchestra_common::{ColumnType, NodeId, Relation};
 use orchestra_engine::{
     AggFunc, CmpOp, EngineConfig, FailureSpec, Predicate, QueryExecutor, RecoveryStrategy,
 };
-use orchestra_optimizer::{col, compile, LogicalExpr, LogicalQuery, Statistics};
+use orchestra_optimizer::{
+    col, compile, estimate_plan_cost, plan_space, LogicalExpr, LogicalQuery, Statistics,
+};
 use orchestra_simnet::SimTime;
 use orchestra_workloads::oracle::evaluate;
 use orchestra_workloads::{
@@ -140,7 +144,7 @@ fn sweep(seeds: std::ops::Range<u64>) {
     let tables = tables_of(&data.batch());
     let (storage, epoch) = deploy(&data, NODES).unwrap();
     let stats = Statistics::collect(&storage, epoch);
-    let (mut runs, mut nonempty, mut unrecovered) = (0, 0, 0);
+    let (mut runs, mut nonempty, mut unrecovered, mut plans) = (0, 0, 0, 0);
     let mut mismatches = Vec::new();
     for seed in seeds {
         let query = draw(seed, &tables);
@@ -156,6 +160,42 @@ fn sweep(seeds: std::ops::Range<u64>) {
         };
         let mut r = rng::seeded_stream(seed, "random-query-failures");
         let initiator = NodeId(seed as u16 % NODES);
+        let space = match plan_space(&query, &stats) {
+            Ok(space) => space,
+            Err(err) => {
+                mismatches.push(format!("{case}: has no plan space: {err}"));
+                continue;
+            }
+        };
+        plans += space.len();
+        let estimate = |plan| estimate_plan_cost(plan, &stats).unwrap().total();
+        let compiled_estimate = estimate(&plan);
+        if !space.contains(&plan) {
+            mismatches.push(format!("{case}: the compiled plan is not in its space"));
+        }
+        for other in space.iter().filter(|other| **other != plan) {
+            let run = format!(
+                "{case}: from {initiator}, the space's plan\n{}",
+                other.render()
+            );
+            let other_estimate = estimate(other);
+            if other_estimate < compiled_estimate {
+                mismatches.push(format!(
+                    "{run} is estimated at {other_estimate} bytes, below the compiled \
+                     {compiled_estimate}"
+                ));
+            }
+            runs += 1;
+            match QueryExecutor::new(&storage, EngineConfig::default())
+                .execute(other, epoch, initiator)
+            {
+                Ok(report) if report.rows != expected => {
+                    mismatches.push(format!("{run}\nreturned {} rows", report.rows.len()))
+                }
+                Ok(_) => {}
+                Err(err) => mismatches.push(format!("{run}\nfailed: {err}")),
+            }
+        }
         runs += 1;
         let baseline = match QueryExecutor::new(&storage, EngineConfig::default())
             .execute(&plan, epoch, initiator)
@@ -205,7 +245,7 @@ fn sweep(seeds: std::ops::Range<u64>) {
         eprintln!("MISMATCH {line}");
     }
     eprintln!(
-        "{runs} runs, {nonempty} non-empty answers, \
+        "{runs} runs, {plans} plans, {nonempty} non-empty answers, \
          {unrecovered} failure runs without a recovery round"
     );
     assert!(
@@ -221,7 +261,7 @@ fn thirty_two_random_queries_match_the_oracle() {
 }
 
 #[test]
-#[ignore = "400 seeds, about 10,000 runs; CI runs it in release mode"]
+#[ignore = "400 seeds, about 12,000 runs; CI runs it in release mode"]
 fn four_hundred_random_queries_match_the_oracle() {
     sweep(0..400);
 }

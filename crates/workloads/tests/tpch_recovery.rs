@@ -2,15 +2,19 @@
 //! failures: the distributed answer — with one node killed mid-query and
 //! recovered under both Section V-D strategies — must equal a
 //! straightforward single-node computation over the generated relations,
-//! tuple for tuple, for the hand-built plan and the optimizer-compiled
-//! one alike.  Two `#[ignore]`d sweeps, which CI runs in release mode,
-//! widen the check: one kills every victim every 11 µs of every
-//! catalogue workload at a few hundred rows, the other kills at half
-//! time at the sizes where a wrong answer once hid (5k–100k rows).
+//! tuple for tuple, for the optimizer-compiled plan and for the costliest
+//! plan of its plan space alike.  Two `#[ignore]`d sweeps, which CI runs
+//! in release mode, widen the check: one kills every victim every 11 µs
+//! of every catalogue workload at a few hundred rows, the other kills at
+//! half time at the sizes where a wrong answer once hid (5k–100k rows).
 
-use orchestra_common::NodeId;
-use orchestra_engine::{EngineConfig, FailureSpec, QueryExecutor, QueryReport, RecoveryStrategy};
+use orchestra_common::{Epoch, NodeId};
+use orchestra_engine::{
+    EngineConfig, FailureSpec, PhysicalPlan, QueryExecutor, QueryReport, RecoveryStrategy,
+};
+use orchestra_optimizer::{estimate_plan_cost, plan_space, Statistics};
 use orchestra_simnet::SimTime;
+use orchestra_storage::DistributedStorage;
 use orchestra_workloads::{compiled_plan, deploy, mixed_stream, TpchQuery, TpchWorkload, Workload};
 
 const INITIATOR: NodeId = NodeId(0);
@@ -18,7 +22,7 @@ const BOTH: [RecoveryStrategy; 2] = [RecoveryStrategy::Restart, RecoveryStrategy
 
 /// What [`run_against_reference`] found.
 struct Checked {
-    /// The hand-built plan's failure-free report from the first initiator.
+    /// The compiled plan's failure-free report from the first initiator.
     baseline: QueryReport,
     /// Runs made, failure-free and failure runs together.
     runs: usize,
@@ -57,11 +61,34 @@ fn every(step: u64) -> impl Fn(SimTime) -> Vec<SimTime> {
     }
 }
 
+/// The plans a sweep runs: the compiled plan, then — when the plan space
+/// holds another — the space's plan with the largest estimated cost, the
+/// first in space order on ties.
+fn compiled_and_contrast(
+    workload: &dyn Workload,
+    storage: &DistributedStorage,
+    epoch: Epoch,
+) -> Vec<(&'static str, PhysicalPlan)> {
+    let compiled = compiled_plan(workload, storage, epoch).unwrap();
+    let stats = Statistics::collect(storage, epoch);
+    let mut contrast: Option<(f64, PhysicalPlan)> = None;
+    for plan in plan_space(&workload.logical(), &stats).unwrap() {
+        let cost = estimate_plan_cost(&plan, &stats).unwrap().total();
+        if plan != compiled && contrast.as_ref().is_none_or(|(most, _)| cost > *most) {
+            contrast = Some((cost, plan));
+        }
+    }
+    let mut plans = vec![("compiled", compiled)];
+    plans.extend(contrast.map(|(_, plan)| ("costliest", plan)));
+    plans
+}
+
 /// Deploy `workload` (its generator parameters spelled out in `data`, for
-/// the messages) on `nodes` nodes and run both of its plans
-/// failure-free from every initiator, then — from the first initiator —
-/// once per victim, failure instant and strategy, `instants` drawing the
-/// instants from that plan's failure-free running time.
+/// the messages) on `nodes` nodes and run its compiled and contrast plans
+/// ([`compiled_and_contrast`]) failure-free from every initiator, then —
+/// from the first initiator — once per victim, failure instant and
+/// strategy, `instants` drawing the instants from that plan's
+/// failure-free running time.
 fn run_against_reference(
     data: &str,
     workload: &dyn Workload,
@@ -78,13 +105,7 @@ fn run_against_reference(
         !expected.is_empty(),
         "{case}: the reference answer must not be vacuous"
     );
-    let plans = [
-        ("hand-built", workload.reference_plan()),
-        (
-            "compiled",
-            compiled_plan(workload, &storage, epoch).unwrap(),
-        ),
-    ];
+    let plans = compiled_and_contrast(workload, &storage, epoch);
     let mut runs = 0;
     let mut mismatches = Vec::new();
     let mut unrecovered = Vec::new();
@@ -157,7 +178,7 @@ fn run_against_reference(
 /// [`run_against_reference`] for a TPC-H query over `rows` lineitems
 /// generated from `seed`, queried from node 0 with each victim killed at
 /// `instants`; panics on any mismatch or error and on a failure that did
-/// not bite, and returns the hand-built plan's failure-free report.
+/// not bite, and returns the compiled plan's failure-free report.
 fn assert_matches_reference_under_failures(
     query: TpchQuery,
     rows: usize,
@@ -226,8 +247,9 @@ fn q3_recovered_answer_is_complete_at_ten_thousand_rows() {
 /// A single late failure used to stall Q3 with "stalled with no failed
 /// node": the scheduler read the failed set at the current instant, but
 /// n2's last sends had been refused at a CPU-ready instant past its
-/// failure, which the clock never reached.  n2 dies where the hand-built
-/// plan stalled (5,742 µs) and where the compiled one did (5,753 µs).
+/// failure, which the clock never reached.  n2 dies at the first instant
+/// where that read stalls the compiled plan (5,753 µs) and the space's
+/// costliest plan (5,758 µs).
 #[test]
 fn q3_recovers_from_a_failure_the_clock_has_not_reached() {
     assert_matches_reference_under_failures(
@@ -236,7 +258,7 @@ fn q3_recovers_from_a_failure_the_clock_has_not_reached() {
         3,
         42,
         &[NodeId(2)],
-        &at(&[5_742, 5_753]),
+        &at(&[5_753, 5_758]),
     );
 }
 
@@ -264,13 +286,14 @@ fn every_instant_of_one_configuration_per_workload() {
 }
 
 /// Fail every instant, at small scale: every catalogue workload at 300
-/// and 600 rows on 3, 4 and 5 nodes, both plans, every non-initiator
-/// victim killed every 11 µs from 0 to past the end of the failure-free
-/// run, under both strategies.  Every answer must equal the reference; a
+/// and 600 rows on 3, 4 and 5 nodes, its compiled and contrast plans
+/// ([`compiled_and_contrast`]), every non-initiator victim killed every
+/// 11 µs from 0 to past the end of the failure-free run, under both
+/// strategies.  Every answer must equal the reference; a
 /// failure that does not bite is counted, not asserted.  Prints every
 /// mismatch before failing.
 #[test]
-#[ignore = "about 150,000 runs; CI runs it in release mode"]
+#[ignore = "about 125,000 runs; CI runs it in release mode"]
 fn every_instant_at_small_scale() {
     let (mut runs, mut unrecovered, mut mismatches) = (0, 0, Vec::new());
     for rows in [300, 600] {
@@ -311,7 +334,7 @@ fn every_instant_at_small_scale() {
 /// the host benchmark's scratch oracle first reported.  Prints every
 /// mismatch before failing.
 #[test]
-#[ignore = "1,418 runs at 5k-100k rows; CI runs it in release mode"]
+#[ignore = "1,394 runs at 5k-100k rows; CI runs it in release mode"]
 fn answers_match_the_reference_at_scale() {
     let mut mismatches = Vec::new();
     let mut runs = 0;
@@ -364,6 +387,7 @@ fn answers_match_the_reference_at_scale() {
         let q3 = TpchWorkload::scaled(TpchQuery::Q3, seed, rows);
         check(rows, seed, &q3, 8, &[INITIATOR], &[NodeId(victim)]);
     }
+    eprintln!("{runs} runs");
     assert!(
         mismatches.is_empty(),
         "{} of {runs} runs differ from the reference",
