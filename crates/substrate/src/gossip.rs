@@ -40,15 +40,23 @@
 //!
 //! ## Cost
 //!
-//! A round costs O(live nodes + messages), not O(live × universe).  A view
-//! is a dense table indexed by node id — 16 bytes × universe per view, an
-//! `(incarnation, state)` record per id, empty until first heard of — next
-//! to the ascending list of the ids it believes alive, which
-//! [`MemberView::apply`] keeps current.  So `state_of` is an index, the
-//! *i*-th peer of a node is the *i*-th id of that list stepping over the
-//! node's own (no peer vector is built per round), one fan-out's rumor
-//! batch is a single allocation shared by its destinations, and
-//! convergence compares each view's alive list with the truth's.  A send
+//! A round costs O(live nodes + messages), not O(live × universe), and the
+//! cluster's state is the truth plus Σ lag plus the alive lists, not views
+//! × universe.  The ground truth, an `(incarnation, state)` record per id,
+//! is one snapshot shared by every live view.  A view stores only its
+//! *lag* — the `(id, record)` pairs where it believes otherwise, sorted by
+//! id — next to the ascending list of the ids it believes alive.  An
+//! injected change builds the new truth once and pins each view's old
+//! record of the changed id into its lag; [`MemberView::apply`] drops a
+//! lag entry once it matches the truth.  So a view that has heard
+//! everything stores no record, `state_of` searches a short lag,
+//! convergence and staleness read the lags alone, and a view's records as
+//! rumors (a full-state push, a derived membership) are the truth and the
+//! lag walked side by side in one pass.  The *i*-th peer of a node is the
+//! *i*-th id of its alive list stepping over the node's own (no peer
+//! vector is built per round).  A round appends its rumor batches, each
+//! once, to one arena the [`Gossip`] keeps, and a message carries its
+//! batch's offset and length, so a fan-out allocates nothing.  A send
 //! costs a push onto the simulator's event heap: the simulator counts the
 //! run's bytes and messages and keeps no per-link table, which at a
 //! thousand nodes would grow towards 10⁶ links.
@@ -58,8 +66,8 @@
 //! the list, and indexing the shortened list would pick other peers: a
 //! different, equally valid protocol, but every simulated membership
 //! figure (rounds, rumor bytes, dropped messages) is pinned to this one by
-//! `tests/gossip_fingerprint.rs`.  Only the rare evicting probe pays for a
-//! copy of the list.
+//! `tests/gossip_fingerprint.rs`.  Only the rare evicting probe copies the
+//! list, into one buffer the round reuses.
 //!
 //! ## Derived membership
 //!
@@ -129,19 +137,37 @@ impl Rumor {
     }
 }
 
+/// A view's record of one node: the latest accepted `(incarnation,
+/// state)`, `None` for a node never heard about.
+type Record = Option<(u64, PeerState)>;
+
+/// Is `record` an `Alive` one?
+fn is_alive(record: Record) -> bool {
+    matches!(record, Some((_, PeerState::Alive)))
+}
+
 /// One node's local, versioned view of the membership.
 ///
 /// Holds the most recent `(incarnation, state)` record accepted for every
 /// node it has ever heard about, the set of still-hot rumors it is
 /// mongering, and the ordered log of accepted changes (the derived
 /// [`Membership::history`]).
+///
+/// The records are a snapshot of the ground truth, shared by every view
+/// of a [`Gossip`], plus the view's *lag*: the ids where what the view
+/// believes differs from that snapshot.  A view that has heard everything
+/// lags nowhere and stores no record of its own.
 #[derive(Clone, Debug)]
 pub struct MemberView {
-    /// Indexed by node id; `None` for a node never heard about.  Grown
-    /// when a rumor names an id beyond the end.
-    records: Vec<Option<(u64, PeerState)>>,
+    /// The ground truth this view is based on, indexed by node id; an id
+    /// past the end has no record.
+    truth: Arc<[Record]>,
+    /// `(subject, record)` for every id whose record differs from
+    /// `truth`'s, ascending by subject — kept by [`MemberView::apply`] and
+    /// [`MemberView::rebase`], the only writers of either.
+    lag: Vec<(NodeId, Record)>,
     /// The ids whose record says `Alive`, ascending — kept current by
-    /// [`MemberView::apply`], the only writer of `records`.
+    /// [`MemberView::apply`], the only call that changes a record.
     alive: Vec<NodeId>,
     /// Rumors this node is still retransmitting, with remaining rounds.
     hot: Vec<(Rumor, u32)>,
@@ -156,68 +182,112 @@ impl MemberView {
         let mut alive: Vec<NodeId> = alive.into_iter().collect();
         alive.sort_unstable();
         alive.dedup();
-        let mut records = vec![None; alive.last().map_or(0, |n| n.index() + 1)];
+        let mut truth = vec![None; alive.last().map_or(0, |n| n.index() + 1)];
         for n in &alive {
-            records[n.index()] = Some((1, PeerState::Alive));
+            truth[n.index()] = Some((1, PeerState::Alive));
         }
-        MemberView {
-            records,
-            alive,
+        MemberView::based_on(truth.into(), Vec::new())
+    }
+
+    /// A fresh view holding `truth`'s records except where `lag` (sorted
+    /// by subject, each entry differing from `truth`) says otherwise.
+    fn based_on(truth: Arc<[Record]>, lag: Vec<(NodeId, Record)>) -> MemberView {
+        let mut view = MemberView {
+            truth,
+            lag,
+            alive: Vec::new(),
             hot: Vec::new(),
             history: Vec::new(),
             version: 0,
+        };
+        view.alive = view
+            .rumors()
+            .filter(|r| r.state == PeerState::Alive)
+            .map(|r| r.subject)
+            .collect();
+        view
+    }
+
+    /// Re-base the view onto `truth`, which differs from the current
+    /// snapshot at `changed` only.  What the view believes does not
+    /// change: its old record of `changed` is pinned into the lag, unless
+    /// it already matches the new truth.
+    fn rebase(&mut self, truth: &Arc<[Record]>, changed: NodeId) {
+        let now = truth.get(changed.index()).copied().flatten();
+        match self.lag.binary_search_by_key(&changed, |(n, _)| *n) {
+            Ok(at) if self.lag[at].1 == now => {
+                self.lag.remove(at);
+            }
+            Ok(_) => {}
+            Err(at) => {
+                let held = self.truth_of(changed);
+                if held != now {
+                    self.lag.insert(at, (changed, held));
+                }
+            }
         }
+        self.truth = Arc::clone(truth);
     }
 
     /// Merge a rumor into the view.  Returns `true` if it carried news
     /// (and is now hot for `budget` more rounds); stale and duplicate
     /// rumors are ignored.
     pub fn apply(&mut self, rumor: Rumor, budget: u32) -> bool {
-        let slot = rumor.subject.index();
-        if slot >= self.records.len() {
-            self.records.resize(slot + 1, None);
-        }
-        let was_alive = match self.records[slot] {
-            Some((inc, state)) if !rumor.supersedes(inc, state) => return false,
-            record => matches!(record, Some((_, PeerState::Alive))),
+        let subject = rumor.subject;
+        let lagged = self.lag.binary_search_by_key(&subject, |(n, _)| *n);
+        let held = match lagged {
+            Ok(at) => self.lag[at].1,
+            Err(_) => self.truth_of(subject),
         };
-        self.records[slot] = Some((rumor.incarnation, rumor.state));
-        if was_alive != (rumor.state == PeerState::Alive) {
-            // `alive` mirrors `records`: the subject is listed iff it was
-            // alive, so the search says which way it crosses.
-            match self.alive.binary_search(&rumor.subject) {
+        if let Some((inc, state)) = held {
+            if !rumor.supersedes(inc, state) {
+                return false;
+            }
+        }
+        let record = Some((rumor.incarnation, rumor.state));
+        match lagged {
+            // Caught up with the truth: the view stores nothing for it.
+            Ok(at) if record == self.truth_of(subject) => {
+                self.lag.remove(at);
+            }
+            Ok(at) => self.lag[at].1 = record,
+            // `held` was the truth's record and `record` supersedes it,
+            // so the two differ.
+            Err(at) => self.lag.insert(at, (subject, record)),
+        }
+        if is_alive(held) != is_alive(record) {
+            // `alive` mirrors the records: the subject is listed iff it
+            // was alive, so the search says which way it crosses.
+            match self.alive.binary_search(&subject) {
                 Ok(at) => {
                     self.alive.remove(at);
                 }
-                Err(at) => self.alive.insert(at, rumor.subject),
+                Err(at) => self.alive.insert(at, subject),
             }
         }
         // A newer assertion refutes any older hot rumor about the subject.
-        self.hot.retain(|(r, _)| r.subject != rumor.subject);
+        self.hot.retain(|(r, _)| r.subject != subject);
         if budget > 0 {
             self.hot.push((rumor, budget));
         }
         self.history.push(match rumor.state {
-            PeerState::Alive => MembershipChange::Joined(rumor.subject),
-            PeerState::Left => MembershipChange::Left(rumor.subject),
-            PeerState::Failed => MembershipChange::Failed(rumor.subject),
+            PeerState::Alive => MembershipChange::Joined(subject),
+            PeerState::Left => MembershipChange::Left(subject),
+            PeerState::Failed => MembershipChange::Failed(subject),
         });
         self.version += 1;
         true
     }
 
-    /// The rumors to push this round.  Each hot rumor's budget drops by
-    /// one; exhausted rumors go cold (they stay in `records`, they just
-    /// stop being retransmitted).  The batch is built in one allocation —
-    /// made even when nothing is hot — and is shared by every destination
-    /// of the fan-out.
-    pub fn take_hot(&mut self) -> Arc<[Rumor]> {
-        let out: Arc<[Rumor]> = self.hot.iter().map(|(r, _)| *r).collect();
+    /// Append the rumors to push this round to `arena`.  Each hot
+    /// rumor's budget drops by one; exhausted rumors go cold (their
+    /// records stay, they just stop being retransmitted).
+    fn take_hot(&mut self, arena: &mut Vec<Rumor>) {
+        arena.extend(self.hot.iter().map(|(r, _)| *r));
         for entry in &mut self.hot {
             entry.1 -= 1;
         }
         self.hot.retain(|(_, b)| *b > 0);
-        out
     }
 
     /// Every record of this view as a rumor, ascending by subject — the
@@ -227,10 +297,20 @@ impl MemberView {
         self.rumors().collect()
     }
 
-    /// Every record as a rumor, ascending by subject.
+    /// Every record as a rumor, ascending by subject: the truth and the
+    /// lag walked side by side.
     fn rumors(&self) -> impl Iterator<Item = Rumor> + '_ {
-        self.records.iter().enumerate().filter_map(|(id, record)| {
-            let (incarnation, state) = (*record)?;
+        let end = self
+            .truth
+            .len()
+            .max(self.lag.last().map_or(0, |(n, _)| n.index() + 1));
+        let mut lag = self.lag.iter().peekable();
+        (0..end).filter_map(move |id| {
+            let record = match lag.next_if(|(n, _)| n.index() == id) {
+                Some((_, held)) => *held,
+                None => self.truth.get(id).copied().flatten(),
+            };
+            let (incarnation, state) = record?;
             Some(Rumor {
                 subject: NodeId(id as u16),
                 incarnation,
@@ -247,17 +327,53 @@ impl MemberView {
 
     /// The latest accepted record about `node`, if any.
     pub fn state_of(&self, node: NodeId) -> Option<(u64, PeerState)> {
-        self.records.get(node.index()).copied().flatten()
+        match self.lag.binary_search_by_key(&node, |(n, _)| *n) {
+            Ok(at) => self.lag[at].1,
+            Err(_) => self.truth_of(node),
+        }
+    }
+
+    /// The truth's record of `node`.
+    fn truth_of(&self, node: NodeId) -> Record {
+        self.truth.get(node.index()).copied().flatten()
     }
 
     /// Does this view believe `node` is currently alive?
     pub fn believes_alive(&self, node: NodeId) -> bool {
-        matches!(self.state_of(node), Some((_, PeerState::Alive)))
+        is_alive(self.state_of(node))
     }
 
     /// All nodes this view believes alive, sorted by id.
     pub fn alive_nodes(&self) -> Vec<NodeId> {
         self.alive.clone()
+    }
+
+    /// Does this view believe alive exactly the ids its truth says are?
+    /// Only the lag can differ.
+    fn alive_matches_truth(&self) -> bool {
+        self.lag
+            .iter()
+            .all(|(node, held)| is_alive(*held) == is_alive(self.truth_of(*node)))
+    }
+
+    /// How many of this view's records lag its truth: ids the truth holds
+    /// a record of that the view has not heard or that supersedes the
+    /// view's.  Only the lag can.
+    fn staleness(&self) -> usize {
+        self.lag
+            .iter()
+            .filter(|(node, held)| {
+                let Some((incarnation, state)) = self.truth_of(*node) else {
+                    return false;
+                };
+                let truth = Rumor {
+                    subject: *node,
+                    incarnation,
+                    state,
+                };
+                held.is_none_or(|(vi, vs)| truth.supersedes(vi, vs))
+            })
+            .count()
     }
 
     /// Derive a [`Membership`] from this view: the believed-alive set,
@@ -311,14 +427,17 @@ impl Default for GossipConfig {
 pub struct Gossip {
     cfg: GossipConfig,
     push_budget: u32,
-    /// One fan-out's rumor batch is one allocation shared by every
-    /// destination.
-    sim: Simulator<Arc<[Rumor]>>,
+    /// A message carries its rumor batch as `(offset, len)` in `arena`.
+    sim: Simulator<(usize, usize)>,
+    /// The rumors of the current round: each fan-out's batch once, back
+    /// to back.  Cleared when a round starts; its capacity is kept.
+    arena: Vec<Rumor>,
     /// `Some` iff the node currently participates in gossip.
     views: Vec<Option<MemberView>>,
     /// Ground truth: the latest incarnation and state of every node that
-    /// was ever a member (`None` = never joined).
-    truth: Vec<Option<(u64, PeerState)>>,
+    /// was ever a member (`None` = never joined).  Every live view is
+    /// based on this very snapshot.
+    truth: Arc<[Record]>,
     rounds_run: u64,
     messages_sent: u64,
 }
@@ -340,15 +459,17 @@ impl Gossip {
         );
         assert!(universe <= u16::MAX as usize, "node ids are u16");
         let push_budget = (universe.max(2) as f64).log2().ceil() as u32 + 2;
-        let settled = MemberView::seeded((0..initial as u16).map(NodeId));
+        let truth: Arc<[Record]> = (0..universe)
+            .map(|id| (id < initial).then_some((1, PeerState::Alive)))
+            .collect();
+        let settled = MemberView::based_on(Arc::clone(&truth), Vec::new());
         let mut views = vec![None; universe];
         views[..initial].fill(Some(settled));
-        let mut truth = vec![None; universe];
-        truth[..initial].fill(Some((1, PeerState::Alive)));
         Gossip {
             cfg,
             push_budget,
             sim: Simulator::new(universe, profile),
+            arena: Vec::new(),
             views,
             truth,
             rounds_run: 0,
@@ -376,18 +497,25 @@ impl Gossip {
                     )));
                 }
                 let inc = self.truth[x.index()].map_or(1, |(i, _)| i + 1);
-                self.truth[x.index()] = Some((inc, PeerState::Alive));
+                self.set_truth(x, (inc, PeerState::Alive));
                 self.sim.revive_node(x);
                 let rumor = Rumor {
                     subject: x,
                     incarnation: inc,
                     state: PeerState::Alive,
                 };
-                // A contact is live, so it has a view to copy.
+                // A contact is live, so it has a view to copy; without
+                // one the joiner has heard of nobody.
                 let mut view = self
                     .contact(x)
                     .and_then(|c| self.views[c.index()].clone())
-                    .unwrap_or_else(|| MemberView::seeded([]));
+                    .unwrap_or_else(|| {
+                        let unheard = (0..self.truth.len())
+                            .filter(|id| self.truth[*id].is_some())
+                            .map(|id| (NodeId(id as u16), None))
+                            .collect();
+                        MemberView::based_on(Arc::clone(&self.truth), unheard)
+                    });
                 view.apply(rumor, self.push_budget);
                 self.views[x.index()] = Some(view);
                 if let Some(c) = self.contact(x) {
@@ -400,8 +528,8 @@ impl Gossip {
                         "node {x} was never a member"
                     )));
                 };
-                self.truth[x.index()] = Some((inc, PeerState::Left));
                 self.views[x.index()] = None;
+                self.set_truth(x, (inc, PeerState::Left));
                 self.sim.fail_node(x, now);
                 let rumor = Rumor {
                     subject: x,
@@ -418,8 +546,8 @@ impl Gossip {
                         "node {x} was never a member"
                     )));
                 };
-                self.truth[x.index()] = Some((inc, PeerState::Failed));
                 self.views[x.index()] = None;
+                self.set_truth(x, (inc, PeerState::Failed));
                 self.sim.fail_node(x, now);
                 let rumor = Rumor {
                     subject: x,
@@ -432,6 +560,21 @@ impl Gossip {
             }
         }
         Ok(())
+    }
+
+    /// Make `record` the ground truth's record of `x`: build the new
+    /// snapshot once and re-base every live view onto it.
+    fn set_truth(&mut self, x: NodeId, record: (u64, PeerState)) {
+        let truth: Arc<[Record]> = self
+            .truth
+            .iter()
+            .enumerate()
+            .map(|(id, held)| if id == x.index() { Some(record) } else { *held })
+            .collect();
+        for view in self.views.iter_mut().flatten() {
+            view.rebase(&truth, x);
+        }
+        self.truth = truth;
     }
 
     /// Run one gossip round: every live node probes one believed-alive
@@ -459,11 +602,13 @@ impl Gossip {
     fn round(&mut self, full_sync: bool) {
         let start = SimTime::from_millis(self.rounds_run * ROUND_MS);
         self.sim.advance_to(start);
+        self.arena.clear();
         // Peer selection draws from a stream derived per round, so the
         // choices are independent of how callers interleave inject() with
         // run_round() — determinism depends only on the event sequence.
         let mut rng = self.round_rng();
         let mut chosen: Vec<NodeId> = Vec::with_capacity(FANOUT);
+        let mut before_probe: Vec<NodeId> = Vec::new();
         for id in 0..self.views.len() {
             let node = NodeId(id as u16);
             let Some(view) = self.views[id].as_mut() else {
@@ -488,10 +633,11 @@ impl Gossip {
             // The fan-out below draws from the peers as they stood before
             // the probe, so the rare probe that evicts its target keeps a
             // copy of that list.
-            let mut before_probe: Option<Vec<NodeId>> = None;
+            let mut evicted = false;
             if let Some((incarnation, state)) = self.truth[probe.index()] {
                 if state != PeerState::Alive {
-                    before_probe = Some(view.alive.clone());
+                    before_probe.clone_from(&view.alive);
+                    evicted = true;
                     view.apply(
                         Rumor {
                             subject: probe,
@@ -502,20 +648,21 @@ impl Gossip {
                     );
                 }
             }
-            let rumors: Arc<[Rumor]> = if full_sync {
-                view.all_rumors().into()
+            let offset = self.arena.len();
+            if full_sync {
+                self.arena.extend(view.rumors());
             } else if view.hot.is_empty() {
-                // Most views have nothing hot most rounds: skip them
-                // before `take_hot` allocates an empty batch.
+                // Most views have nothing hot most rounds.
                 continue;
             } else {
-                view.take_hot()
-            };
-            if rumors.is_empty() {
+                view.take_hot(&mut self.arena);
+            }
+            let len = self.arena.len() - offset;
+            if len == 0 {
                 continue;
             }
-            let bytes = GOSSIP_HEADER_BYTES + RUMOR_WIRE_BYTES * rumors.len();
-            let peers = before_probe.as_deref().unwrap_or(&view.alive);
+            let bytes = GOSSIP_HEADER_BYTES + RUMOR_WIRE_BYTES * len;
+            let peers = if evicted { &before_probe } else { &view.alive };
             let k = FANOUT.min(peer_count);
             chosen.clear();
             while chosen.len() < k {
@@ -527,7 +674,7 @@ impl Gossip {
             for dst in &chosen {
                 if self
                     .sim
-                    .send(node, *dst, bytes, start, Arc::clone(&rumors))
+                    .send(node, *dst, bytes, start, (offset, len))
                     .is_some()
                 {
                     self.messages_sent += 1;
@@ -536,7 +683,8 @@ impl Gossip {
         }
         while let Some(d) = self.sim.next() {
             if let Some(view) = self.views[d.to.index()].as_mut() {
-                for rumor in d.payload.iter() {
+                let (offset, len) = d.payload;
+                for rumor in &self.arena[offset..offset + len] {
                     view.apply(*rumor, self.push_budget);
                 }
             }
@@ -576,36 +724,20 @@ impl Gossip {
     }
 
     /// Do all live views agree with the ground truth about who is alive?
+    /// Every live view is based on the truth, so only their lags are read.
     pub fn converged(&self) -> bool {
-        let truth_alive = self.live_nodes();
-        self.views
-            .iter()
-            .flatten()
-            .all(|view| view.alive == truth_alive)
+        self.views.iter().flatten().all(|view| {
+            debug_assert!(Arc::ptr_eq(&view.truth, &self.truth));
+            view.alive_matches_truth()
+        })
     }
 
     /// How many of `viewer`'s records lag the ground truth — the
     /// staleness a query planned at `viewer` right now would embed.
     pub fn staleness_of(&self, viewer: NodeId) -> usize {
-        let Some(view) = self.views[viewer.index()].as_ref() else {
-            return 0;
-        };
-        self.truth
-            .iter()
-            .enumerate()
-            .filter(|(u, t)| {
-                let Some((inc, state)) = t else { return false };
-                let truth = Rumor {
-                    subject: NodeId(*u as u16),
-                    incarnation: *inc,
-                    state: *state,
-                };
-                match view.state_of(truth.subject) {
-                    Some((vi, vs)) => truth.supersedes(vi, vs),
-                    None => true,
-                }
-            })
-            .count()
+        self.views[viewer.index()]
+            .as_ref()
+            .map_or(0, MemberView::staleness)
     }
 
     /// The local view of `node`, if it is participating.
@@ -682,7 +814,11 @@ impl Gossip {
 }
 
 #[cfg(test)]
+mod lag_equivalence;
+
+#[cfg(test)]
 mod tests {
+    use super::lag_equivalence::{assert_lag_is_minimal, changed_truth};
     use super::*;
 
     fn cluster(n: usize) -> Gossip {
@@ -781,7 +917,13 @@ mod tests {
     fn stale_failure_rumor_arriving_after_rejoin_is_discarded() {
         // Direct view-level check of the satellite requirement: a Failed
         // rumor about incarnation 1 reaching a view that already accepted
-        // Alive at incarnation 2 is a no-op.
+        // Alive at incarnation 2 is a no-op — whether the view holds the
+        // rejoin in its lag or its truth has caught up with it.
+        let stale = Rumor {
+            subject: NodeId(1),
+            incarnation: 1,
+            state: PeerState::Failed,
+        };
         let mut view = MemberView::seeded([NodeId(0), NodeId(1)]);
         assert!(view.apply(
             Rumor {
@@ -791,17 +933,19 @@ mod tests {
             },
             3,
         ));
+        assert_eq!(view.lag, [(NodeId(1), Some((2, PeerState::Alive)))]);
         let version = view.version();
-        assert!(!view.apply(
-            Rumor {
-                subject: NodeId(1),
-                incarnation: 1,
-                state: PeerState::Failed,
-            },
-            3,
-        ));
+        assert!(!view.apply(stale, 3));
         assert_eq!(view.version(), version);
         assert!(view.believes_alive(NodeId(1)));
+
+        let truth = changed_truth(&view.truth, NodeId(1), Some((2, PeerState::Alive)));
+        view.rebase(&truth, NodeId(1));
+        assert!(view.lag.is_empty());
+        assert!(!view.apply(stale, 3));
+        assert_eq!(view.version(), version);
+        assert!(view.believes_alive(NodeId(1)));
+        assert_eq!(view.staleness(), 0);
     }
 
     #[test]
@@ -936,14 +1080,25 @@ mod tests {
         let mut r = rng::seeded(0xa11e);
         let mut view = MemberView::seeded((0..12).map(NodeId));
         let mut accepted = 0;
-        for _ in 0..2_000 {
+        let random_state = |r: &mut StdRng| {
+            [PeerState::Alive, PeerState::Left, PeerState::Failed][r.random_range(0..3usize)]
+        };
+        for step in 0..2_000 {
             let rumor = Rumor {
                 subject: NodeId(r.random_range(0..UNIVERSE)),
                 incarnation: r.random_range(1..6u64),
-                state: [PeerState::Alive, PeerState::Left, PeerState::Failed]
-                    [r.random_range(0..3usize)],
+                state: random_state(&mut r),
             };
             accepted += u64::from(view.apply(rumor, r.random_range(0..3u32)));
+            if step % 5 == 0 {
+                // Move the truth under the view: what it believes stays.
+                let changed = NodeId(r.random_range(0..UNIVERSE));
+                let record = Some((r.random_range(1..6u64), random_state(&mut r)));
+                let before = (view.all_rumors(), view.alive_nodes());
+                view.rebase(&changed_truth(&view.truth, changed, record), changed);
+                assert_eq!((view.all_rumors(), view.alive_nodes()), before);
+            }
+            assert_lag_is_minimal(&view);
             assert_eq!(view.alive_nodes(), alive_by_records(&view, UNIVERSE));
         }
         assert_eq!(view.version(), accepted);
@@ -975,6 +1130,11 @@ mod tests {
         assert_eq!(view.state_of(NodeId(1)), None);
         assert_eq!(view.state_of(NodeId(10)), None);
         assert!(MemberView::seeded([]).alive_nodes().is_empty());
+        // A seeded view is its own truth: it lags nowhere.
+        assert_eq!(view.truth.len(), 10);
+        assert!(view.lag.is_empty());
+        assert_eq!(view.staleness(), 0);
+        assert!(view.alive_matches_truth());
     }
 
     #[test]

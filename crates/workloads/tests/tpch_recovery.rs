@@ -22,12 +22,15 @@ const BOTH: [RecoveryStrategy; 2] = [RecoveryStrategy::Restart, RecoveryStrategy
 
 /// What [`run_against_reference`] found.
 struct Checked {
-    /// The compiled plan's failure-free report from the first initiator.
-    baseline: QueryReport,
+    /// The compiled plan's failure-free report from the first initiator,
+    /// `None` if that run returned an error.
+    baseline: Option<QueryReport>,
     /// Runs made, failure-free and failure runs together.
     runs: usize,
     /// One line per answer that differs from the single-node reference,
-    /// and per run that returned an error.
+    /// per run that returned an error, and per plan whose failure sweep
+    /// was skipped because its failure-free run from the first initiator
+    /// returned one.
     mismatches: Vec<String>,
     /// One line per failure run that completed without a recovery round
     /// (the victim had nothing left to send when it died).
@@ -88,7 +91,10 @@ fn compiled_and_contrast(
 /// ([`compiled_and_contrast`]) failure-free from every initiator, then —
 /// from the first initiator — once per victim, failure instant and
 /// strategy, `instants` drawing the instants from that plan's
-/// failure-free running time.
+/// failure-free running time.  A run that returns an error is listed with
+/// the mismatches; without a failure-free run from the first initiator a
+/// plan has no running time to draw instants from, and its failure sweep
+/// is skipped and listed too.
 fn run_against_reference(
     data: &str,
     workload: &dyn Workload,
@@ -112,20 +118,31 @@ fn run_against_reference(
     let mut baselines = Vec::new();
     for (label, plan) in &plans {
         let exec = QueryExecutor::new(&storage, EngineConfig::default());
-        let mut failure_free: Vec<QueryReport> = initiators
-            .iter()
-            .map(|i| exec.execute(plan, epoch, *i).unwrap())
-            .collect();
-        runs += initiators.len();
-        for (initiator, report) in initiators.iter().zip(&failure_free) {
-            if report.rows != expected {
-                mismatches.push(format!(
-                    "{case}, {label} plan from {initiator}, failure-free: {} rows",
-                    report.rows.len()
-                ));
+        let mut failure_free = Vec::new();
+        for &initiator in initiators {
+            let run = format!("{case}, {label} plan from {initiator}, failure-free");
+            runs += 1;
+            match exec.execute(plan, epoch, initiator) {
+                Ok(report) => {
+                    if report.rows != expected {
+                        mismatches.push(format!("{run}: {} rows", report.rows.len()));
+                    }
+                    failure_free.push(Some(report));
+                }
+                Err(err) => {
+                    mismatches.push(format!("{run}: {err}"));
+                    failure_free.push(None);
+                }
             }
         }
-        let baseline = failure_free.swap_remove(0);
+        let Some(baseline) = failure_free.swap_remove(0) else {
+            mismatches.push(format!(
+                "{case}, {label} plan: failure sweep skipped, no failure-free run from {}",
+                initiators[0]
+            ));
+            baselines.push(None);
+            continue;
+        };
         for &victim in victims {
             for killed_at in instants(baseline.running_time) {
                 let failure = FailureSpec::at_time(victim, killed_at);
@@ -165,7 +182,7 @@ fn run_against_reference(
                 }
             }
         }
-        baselines.push(baseline);
+        baselines.push(Some(baseline));
     }
     Checked {
         baseline: baselines.swap_remove(0),
@@ -208,7 +225,9 @@ fn assert_matches_reference_under_failures(
         "the failure must actually bite: {}",
         checked.unrecovered.join("\n")
     );
-    checked.baseline
+    checked
+        .baseline
+        .expect("without mismatches the compiled plan ran failure-free")
 }
 
 #[test]
@@ -393,4 +412,41 @@ fn answers_match_the_reference_at_scale() {
         "{} of {runs} runs differ from the reference",
         mismatches.len()
     );
+}
+
+/// An engine error lists the run instead of panicking the sweep: a plan
+/// run from an initiator outside the cluster fails failure-free, and with
+/// no running time to draw instants from its failure sweep is skipped and
+/// listed.
+#[test]
+fn an_engine_error_is_listed_with_the_mismatches() {
+    let workload = TpchWorkload::scaled(TpchQuery::Q3, 21, 300);
+    let outsider = NodeId(9);
+    let checked = run_against_reference(
+        "300 rows, seed 21",
+        &workload,
+        3,
+        &[outsider, INITIATOR],
+        &[NodeId(2)],
+        &halfway,
+        &BOTH,
+    );
+    assert!(checked.baseline.is_none());
+    let plans = checked
+        .mismatches
+        .iter()
+        .filter(|line| line.contains("failure sweep skipped"))
+        .count();
+    assert!(plans >= 1, "{}", checked.mismatches.join("\n"));
+    assert_eq!(
+        checked.mismatches.len(),
+        2 * plans,
+        "{}",
+        checked.mismatches.join("\n")
+    );
+    assert!(checked
+        .mismatches
+        .iter()
+        .any(|line| line.contains("from n9, failure-free: ")));
+    assert_eq!(checked.runs, 2 * plans);
 }
