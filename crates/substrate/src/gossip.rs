@@ -208,6 +208,16 @@ impl MemberView {
         view
     }
 
+    /// A view based on `truth` that has heard of nobody: every id the
+    /// truth holds a record of lags as unheard.
+    fn unaware(truth: Arc<[Record]>) -> MemberView {
+        let unheard = (0..truth.len())
+            .filter(|id| truth[*id].is_some())
+            .map(|id| (NodeId(id as u16), None))
+            .collect();
+        MemberView::based_on(truth, unheard)
+    }
+
     /// Re-base the view onto `truth`, which differs from the current
     /// snapshot at `changed` only.  What the view believes does not
     /// change: its old record of `changed` is pinned into the lag, unless
@@ -509,13 +519,7 @@ impl Gossip {
                 let mut view = self
                     .contact(x)
                     .and_then(|c| self.views[c.index()].clone())
-                    .unwrap_or_else(|| {
-                        let unheard = (0..self.truth.len())
-                            .filter(|id| self.truth[*id].is_some())
-                            .map(|id| (NodeId(id as u16), None))
-                            .collect();
-                        MemberView::based_on(Arc::clone(&self.truth), unheard)
-                    });
+                    .unwrap_or_else(|| MemberView::unaware(Arc::clone(&self.truth)));
                 view.apply(rumor, self.push_budget);
                 self.views[x.index()] = Some(view);
                 if let Some(c) = self.contact(x) {

@@ -213,11 +213,7 @@ fn a_lagging_view_reads_what_the_dense_view_read() {
                         .then(|| (rng.random_range(1..4u64), random_state(&mut rng)))
                 })
                 .collect();
-            let unheard = (0..truth.len())
-                .filter(|id| truth[*id].is_some())
-                .map(|id| (NodeId(id as u16), None))
-                .collect();
-            (MemberView::based_on(truth, unheard), DenseView::seeded([]))
+            (MemberView::unaware(truth), DenseView::seeded([]))
         } else {
             (
                 MemberView::seeded(seeds.iter().copied()),
