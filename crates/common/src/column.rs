@@ -67,8 +67,9 @@ use std::sync::Arc;
 /// and every [`Value::Str`] it came from or was read back as
 /// ([`StringPool::intern_shared`], [`StringPool::get_shared`]): cloning
 /// a pool, moving a string from one batch to the next, or turning a cell
-/// back into a row value bumps a reference count.  A pool never
-/// allocates a string.
+/// back into a row value bumps a reference count.  A pool allocates a
+/// string only when a computed one new to it is interned by content
+/// ([`StringPool::intern_str`]).
 #[derive(Clone, Debug, Default)]
 pub struct StringPool {
     strings: Vec<Arc<str>>,
@@ -127,6 +128,16 @@ impl StringPool {
         match self.index.get(&**s) {
             Some(id) => *id,
             None => self.push_new(s),
+        }
+    }
+
+    /// Intern the content of `s` — a string computed into a buffer —
+    /// returning its id.  Only a string new to the pool is allocated, as
+    /// the one `Arc<str>` every later reader shares.
+    pub fn intern_str(&mut self, s: &str) -> u32 {
+        match self.index.get(s) {
+            Some(id) => *id,
+            None => self.push_new(&Arc::from(s)),
         }
     }
 
@@ -269,6 +280,13 @@ pub struct Column {
     acct: RefCell<Option<Accounting>>,
 }
 
+impl Default for Column {
+    /// An empty column, its type not yet fixed.
+    fn default() -> Column {
+        Column::new()
+    }
+}
+
 impl Column {
     fn new() -> Column {
         // Until the first cell arrives the variant is undetermined; an
@@ -400,9 +418,9 @@ impl Column {
     }
 
     /// Materialize the cell at `row` as a [`Value`], its string one of
-    /// `strings` (a pool's, by id).
-    fn value_at(&self, row: usize, strings: &[Arc<str>]) -> Value {
-        self.data.value_at(row, strings)
+    /// `pool`'s (the pool of the batch the column belongs to).
+    pub fn value_at(&self, row: usize, pool: &StringPool) -> Value {
+        self.data.value_at(row, &pool.strings)
     }
 
     /// Serialized size of the cell at `row`.
@@ -533,6 +551,15 @@ impl Column {
         col
     }
 
+    /// A column of the cells `data` holds, built whole by a typed loop
+    /// (its strings ids into the pool of the batch it joins).
+    pub fn from_data(data: ColumnData) -> Column {
+        Column {
+            data,
+            acct: RefCell::new(None),
+        }
+    }
+
     /// The typed cell storage.
     pub fn data(&self) -> &ColumnData {
         &self.data
@@ -609,10 +636,10 @@ impl ColumnarBatch {
     /// Assemble a batch from prebuilt columns whose string cells are ids
     /// into `pool`, plus parallel tag vectors.  This is how vectorized
     /// operators that mix passthrough and computed columns (e.g.
-    /// compute-function) build their output: passthrough columns are
-    /// cloned wholesale — cells, dictionary accounting and all — against a
-    /// clone of the input pool, and only freshly computed columns pay
-    /// per-cell construction ([`Column::from_values`]).
+    /// compute-function) build their output: passthrough columns, the
+    /// pool and the tags are moved out of an input the operator holds
+    /// alone ([`Self::into_parts`]) or cloned from a shared one, and only
+    /// the computed columns are built ([`Column::from_data`]).
     pub fn from_parts(
         pool: StringPool,
         columns: Vec<Column>,
@@ -633,6 +660,20 @@ impl ColumnarBatch {
             provenance,
             phases,
         }
+    }
+
+    /// Take the batch apart into what [`Self::from_parts`] assembles:
+    /// the pool, the columns and the sign, provenance and phase columns.
+    /// An operator that holds a batch alone builds its output from these
+    /// by moving them, not copying.
+    pub fn into_parts(self) -> (StringPool, Vec<Column>, Vec<i8>, Vec<NodeSet>, Vec<u32>) {
+        (
+            self.pool,
+            self.columns,
+            self.signs,
+            self.provenance,
+            self.phases,
+        )
     }
 
     /// Number of columns.
@@ -797,7 +838,7 @@ impl ColumnarBatch {
                     cells.push(self.pool.intern_shared(other.pool.get_shared(v[row])));
                 }
                 _ => {
-                    col.push(src.value_at(row, &other.pool.strings), &mut self.pool);
+                    col.push(src.value_at(row, &other.pool), &mut self.pool);
                     continue;
                 }
             }
@@ -849,6 +890,27 @@ impl ColumnarBatch {
         self.append_rows(other, &all);
     }
 
+    /// [`Self::project`] of a batch no one else holds: the named columns,
+    /// the pool and the tags are moved into the result, and nothing is
+    /// copied.  A column named twice takes [`Self::project`]'s copying
+    /// path.
+    pub fn into_projection(self, columns: &[usize]) -> ColumnarBatch {
+        if (1..columns.len()).any(|i| columns[..i].contains(&columns[i])) {
+            return self.project(columns);
+        }
+        let mut all = self.columns;
+        ColumnarBatch {
+            columns: columns
+                .iter()
+                .map(|c| std::mem::take(&mut all[*c]))
+                .collect(),
+            pool: self.pool,
+            signs: self.signs,
+            provenance: self.provenance,
+            phases: self.phases,
+        }
+    }
+
     /// Project onto the given column indices (tags carried through
     /// unchanged).  The string pool is cloned whole, so ids stay valid.
     pub fn project(&self, columns: &[usize]) -> ColumnarBatch {
@@ -863,7 +925,7 @@ impl ColumnarBatch {
 
     /// Materialize the cell at (`row`, `col`).
     pub fn value_at(&self, row: usize, col: usize) -> Value {
-        self.columns[col].value_at(row, &self.pool.strings)
+        self.columns[col].value_at(row, &self.pool)
     }
 
     /// Materialize the row at `row` as a [`Tuple`].
@@ -904,6 +966,11 @@ impl ColumnarBatch {
     /// The column at `col`.
     pub fn column(&self, col: usize) -> &Column {
         &self.columns[col]
+    }
+
+    /// Every column, in order.
+    pub fn columns(&self) -> &[Column] {
+        &self.columns
     }
 
     /// The batch's interned-string pool.

@@ -95,6 +95,8 @@
 //! * `report` — [`QueryReport`] assembly and per-link traffic
 //!   accounting (`RunStats`).
 
+#[cfg(test)]
+mod answer_equivalence;
 pub mod cache;
 mod exchange;
 pub mod ivm;

@@ -15,7 +15,10 @@
 //! reach the same table: `scan` feeds rows in at the leaves, `exchange`
 //! fills an instance's per-destination buffers and moves the bytes,
 //! `recovery` walks every instance to purge and re-transmit, and
-//! `report::RunStats` accumulates the measurements.
+//! `report::RunStats` accumulates the measurements.  The answer is the
+//! list of batches delivered to the initiator's `Output`
+//! (`Runtime::output`), kept as they arrived; the report is the one place
+//! that turns it into rows.
 
 use super::exchange::{buffer_batch, rehash_routes, Payload, EOS_BYTES};
 use super::ivm::ScanOverrides;
@@ -23,13 +26,11 @@ use super::report::RunStats;
 use super::scheduler::Submission;
 use super::session::{node_slots, SessionSim};
 use super::EngineConfig;
-use crate::expr::ScalarExpr;
+use crate::expr::compute;
 use crate::ops::{AggState, JoinState, RehashState};
 use crate::plan::{AggMode, OpId, OperatorKind, PhysicalPlan, Segment};
 use crate::provenance::Phase;
-use orchestra_common::{
-    Column, ColumnarBatch, Epoch, KeyRange, NodeId, NodeSet, OrchestraError, Result,
-};
+use orchestra_common::{ColumnarBatch, Epoch, KeyRange, NodeId, NodeSet, OrchestraError, Result};
 use orchestra_simnet::{Delivery, SimTime};
 use orchestra_storage::StorageView;
 use orchestra_substrate::RoutingTable;
@@ -215,9 +216,11 @@ pub(super) struct Runtime<'a> {
     /// only; incremental recovery re-uses the survivors' earlier scans).
     pub(super) scan_replicated: bool,
 
-    /// Rows collected at the initiator's `Output`, kept columnar until
-    /// the report materializes them.
-    pub(super) output: ColumnarBatch,
+    /// The batches delivered to the initiator's `Output`, in arrival
+    /// order and as they arrived — a delivered batch is also its sender's
+    /// cache entry, and the answer shares it.  They stay columnar until
+    /// the report sorts and materializes them.
+    pub(super) output: Vec<Rc<ColumnarBatch>>,
     pub(super) done: bool,
     pub(super) finish_time: SimTime,
 
@@ -254,7 +257,7 @@ impl<'a> Runtime<'a> {
             phase: 0,
             nodes,
             scan_replicated: true,
-            output: ColumnarBatch::new(0),
+            output: Vec::new(),
             done: false,
             finish_time: SimTime::ZERO,
             stats: RunStats::default(),
@@ -409,10 +412,12 @@ impl<'a> Runtime<'a> {
     /// Process a batch arriving at operator `op` on `node` via `input`:
     /// charge one `cpu_time(len)` of simulated CPU for the arrival, then
     /// run the operator over the whole batch — operators consume and
-    /// produce typed column vectors, never row objects.  The batch is
-    /// shared (a delivered one is also its sender's cache entry): every
-    /// operator reads it, and only `Select` changes it in place, copying
-    /// it first if it is shared.
+    /// produce typed column vectors, never row objects.  The batch may be
+    /// shared (a delivered one is also its sender's cache entry): `Select`
+    /// changes it in place, copying it first if it is shared; `Project`
+    /// and `ComputeFunction` move what they pass through out of a batch
+    /// they hold alone and copy it from a shared one; `Output` keeps it
+    /// as it is; every other operator only reads it.
     pub(super) fn process_at(
         &mut self,
         node: NodeId,
@@ -456,32 +461,17 @@ impl<'a> Runtime<'a> {
             }
             OperatorKind::Project { columns } => {
                 let wall = Instant::now();
-                let out = batch.project(columns);
+                let out = match Rc::try_unwrap(batch) {
+                    Ok(alone) => alone.into_projection(columns),
+                    Err(shared) => shared.project(columns),
+                };
                 self.record_wall(WC_PROJECT, out.len(), wall);
                 self.push_up(node, op, Rc::new(out), ready)?;
             }
             OperatorKind::ComputeFunction { exprs } => {
                 let wall = Instant::now();
                 let n = batch.len();
-                // Passthrough expressions reuse the input column wholesale
-                // (cells, dictionary accounting and string ids — the pool
-                // is cloned, so ids stay valid); only computed expressions
-                // pay per-cell construction.
-                let mut pool = batch.pool().clone();
-                let cols: Vec<Column> = exprs
-                    .iter()
-                    .map(|e| match e {
-                        ScalarExpr::Column(i) => batch.column(*i).clone(),
-                        _ => Column::from_values(e.eval_column(&batch), &mut pool),
-                    })
-                    .collect();
-                let out = ColumnarBatch::from_parts(
-                    pool,
-                    cols,
-                    batch.sign_column().to_vec(),
-                    batch.provenance_column().to_vec(),
-                    batch.phase_column().to_vec(),
-                );
+                let out = compute(exprs, batch);
                 self.record_wall(WC_COMPUTE, n, wall);
                 self.push_up(node, op, Rc::new(out), ready)?;
             }
@@ -533,8 +523,9 @@ impl<'a> Runtime<'a> {
             OperatorKind::Output => {
                 debug_assert_eq!(node, self.initiator);
                 let wall = Instant::now();
-                self.output.append_batch(&batch);
-                self.record_wall(WC_OUTPUT, batch.len(), wall);
+                let rows = batch.len();
+                self.output.push(batch);
+                self.record_wall(WC_OUTPUT, rows, wall);
                 self.finish_time = self.finish_time.max(ready);
             }
             OperatorKind::DistributedScan { .. }

@@ -15,6 +15,7 @@
 
 use super::pipeline::{OpState, Runtime};
 use super::RecoveryStrategy;
+use crate::ops::purge_batch;
 use crate::plan::OperatorKind;
 use orchestra_common::{ColumnarBatch, NodeId, NodeSet, OrchestraError, Result};
 use orchestra_simnet::SimTime;
@@ -57,7 +58,7 @@ impl Runtime<'_> {
                 for state in &mut self.nodes {
                     state.ops.clear();
                 }
-                self.output = ColumnarBatch::new(0);
+                self.output.clear();
                 for node in &survivors {
                     self.nodes[node.index()].scan_ranges = recovery_table.ranges_of(*node);
                 }
@@ -83,15 +84,7 @@ impl Runtime<'_> {
                         }
                     };
                 }
-                let before = self.output.len();
-                let keep: Vec<bool> = self
-                    .output
-                    .provenance_column()
-                    .iter()
-                    .map(|p| !p.intersects(failed))
-                    .collect();
-                self.output.retain(&keep);
-                purged += before - self.output.len();
+                purged += purge_output(&mut self.output, failed);
                 self.stats.purged += purged;
 
                 // Stage 3 (second half): survivors rescan only the ranges
@@ -147,4 +140,22 @@ impl Runtime<'_> {
         }
         Ok(ready)
     }
+}
+
+/// Recovery stage 2 at the initiator: drop the answer rows tainted by
+/// `failed` from the delivered batches, one batch at a time, and return
+/// how many.  A clean batch is left alone; a tainted one still shared with
+/// its sender's cache is copied before it is cut.  An emptied batch stays
+/// in the list: the answer is as wide as the widest batch that reached it.
+pub(super) fn purge_output(output: &mut [Rc<ColumnarBatch>], failed: &NodeSet) -> usize {
+    output
+        .iter_mut()
+        .filter(|batch| {
+            batch
+                .provenance_column()
+                .iter()
+                .any(|p| p.intersects(failed))
+        })
+        .map(|batch| purge_batch(Rc::make_mut(batch), failed))
+        .sum()
 }

@@ -5,10 +5,18 @@
 //! per-link traffic; `Runtime::into_report` folds both into the
 //! [`QueryReport`] the caller receives — the quantities plotted in the
 //! paper's figures.
+//!
+//! The answer stays a list of the batches delivered to `Output` until
+//! here, the one place that hands out [`Tuple`]s: [`sorted_answer`] sorts
+//! a permutation of `(batch, row)` by comparing typed cells column by
+//! column in exactly `Tuple`'s order, then the sign, and builds each row
+//! once, in sorted order.
 
 use super::pipeline::Runtime;
-use orchestra_common::{NodeId, Tuple};
+use orchestra_common::{ColumnData, ColumnarBatch, NodeId, Tuple, Value};
 use orchestra_simnet::SimTime;
+use std::cmp::Ordering;
+use std::rc::Rc;
 
 /// Executor-side counters of one run, folded into the [`QueryReport`].
 #[derive(Clone, Copy, Debug, Default)]
@@ -120,13 +128,9 @@ impl QueryReport {
 
 impl Runtime<'_> {
     pub(super) fn into_report(self) -> QueryReport {
-        let out = &self.output;
-        let mut signed_rows: Vec<(Tuple, i8)> = (0..out.len())
-            .map(|i| (out.tuple_at(i), out.sign_at(i)))
-            .collect();
-        signed_rows.sort();
+        let signed_rows = sorted_answer(&self.output);
         // Sorted by (tuple, sign), so the projection is already sorted.
-        // Each row was allocated once, by `tuple_at` above; `rows` shares
+        // Each row was allocated once, by `sorted_answer`; `rows` shares
         // them by pointer, as the cache and its hits will after it.
         let rows: Vec<Tuple> = signed_rows.iter().map(|(t, _)| t.clone()).collect();
         let stats = self.sim.stats();
@@ -150,5 +154,69 @@ impl Runtime<'_> {
                 op_nanos: self.stats.op_nanos,
             },
         }
+    }
+}
+
+/// The answer the delivered `batches` hold, as rows with their signs in
+/// `(Tuple, sign)` order.  Every row is as wide as the widest batch, a
+/// narrower batch's rows ending in NULLs.  The sort is stable, over the
+/// rows in arrival order, so rows equal under `Ord` that still differ
+/// (`Int(2)` and `Double(2.0)`) keep the order they arrived in.  It orders
+/// a permutation of `(batch, row)` by comparing typed cells column by
+/// column in [`Value`]'s order, and builds each row once, in sorted order.
+pub(super) fn sorted_answer(batches: &[Rc<ColumnarBatch>]) -> Vec<(Tuple, i8)> {
+    let arity = batches.iter().map(|b| b.arity()).max().unwrap_or(0);
+    let mut order: Vec<(u32, u32)> = Vec::with_capacity(batches.iter().map(|b| b.len()).sum());
+    for (b, batch) in batches.iter().enumerate() {
+        order.extend((0..batch.len() as u32).map(|r| (b as u32, r)));
+    }
+    order.sort_by(|&(xb, xr), &(yb, yr)| {
+        let (x, y) = (&*batches[xb as usize], &*batches[yb as usize]);
+        let (xr, yr) = (xr as usize, yr as usize);
+        (0..arity)
+            .map(|col| compare_cells(x, xr, y, yr, col, xb == yb))
+            .find(|ord| ord.is_ne())
+            .unwrap_or_else(|| x.sign_at(xr).cmp(&y.sign_at(yr)))
+    });
+    order
+        .iter()
+        .map(|&(b, row)| {
+            let (batch, row) = (&*batches[b as usize], row as usize);
+            let tuple = (0..arity).map(|col| cell(batch, row, col)).collect();
+            (tuple, batch.sign_at(row))
+        })
+        .collect()
+}
+
+/// [`Value::cmp`] of cell (`xr`, `col`) of `x` and cell (`yr`, `col`) of
+/// `y` — `same` when they are one batch — read off typed columns where
+/// both sides share a type.
+fn compare_cells(
+    x: &ColumnarBatch,
+    xr: usize,
+    y: &ColumnarBatch,
+    yr: usize,
+    col: usize,
+    same: bool,
+) -> Ordering {
+    let (Some(xc), Some(yc)) = (x.columns().get(col), y.columns().get(col)) else {
+        return cell(x, xr, col).cmp(&cell(y, yr, col));
+    };
+    match (xc.data(), yc.data()) {
+        (ColumnData::Int(a), ColumnData::Int(b)) => a[xr].cmp(&b[yr]),
+        (ColumnData::Double(a), ColumnData::Double(b)) => a[xr].total_cmp(&b[yr]),
+        (ColumnData::Str(a), ColumnData::Str(b)) if same && a[xr] == b[yr] => Ordering::Equal,
+        (ColumnData::Str(a), ColumnData::Str(b)) => x.pool().get(a[xr]).cmp(y.pool().get(b[yr])),
+        (ColumnData::Values(a), ColumnData::Values(b)) => a[xr].cmp(&b[yr]),
+        _ => x.value_at(xr, col).cmp(&y.value_at(yr, col)),
+    }
+}
+
+/// Cell (`row`, `col`) of `batch`, NULL past its last column.
+fn cell(batch: &ColumnarBatch, row: usize, col: usize) -> Value {
+    if col < batch.arity() {
+        batch.value_at(row, col)
+    } else {
+        Value::Null
     }
 }

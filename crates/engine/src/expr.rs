@@ -7,9 +7,22 @@
 //! are expressed over column *indices* of the operator's input, which is
 //! how the physical plan refers to data (names are resolved by the
 //! optimizer).
+//!
+//! Over a batch, predicates evaluate into a mask column by column
+//! ([`Predicate::eval_mask`]), and [`compute`] — the `Compute-function`
+//! operator — builds each output column whole, in the style of
+//! MonetDB/X100's typed primitives: `+`, `-` and `*` over `Int` and
+//! `Double` columns and literals are typed loops with exactly
+//! `Value::{add, sub, mul}`'s promotion and `i64` operators, and a
+//! concatenation renders each row into one buffer and interns it into
+//! the output pool by content.  An operand that is NULL, a string or an
+//! untyped column falls back to [`ScalarExpr::eval`]'s per-`Value`
+//! semantics, a row at a time.
 
-use orchestra_common::{ColumnData, ColumnarBatch, Tuple, Value};
+use orchestra_common::{Column, ColumnData, ColumnarBatch, StringPool, Tuple, Value};
+use std::borrow::Cow;
 use std::cmp::Ordering;
+use std::rc::Rc;
 
 /// Comparison operators usable in predicates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -448,70 +461,305 @@ impl ScalarExpr {
 
     /// Evaluate against a tuple.
     pub fn eval(&self, tuple: &Tuple) -> Value {
+        self.eval_row(&|i| tuple.value(i).clone())
+    }
+
+    /// Evaluate one row whose cells `cell` reads by column index: the
+    /// per-[`Value`] semantics — `Value::{add, sub, mul}` and `Display`
+    /// rendering for concatenation — that every batch path equals.
+    fn eval_row(&self, cell: &impl Fn(usize) -> Value) -> Value {
         match self {
-            ScalarExpr::Column(i) => tuple.value(*i).clone(),
+            ScalarExpr::Column(i) => cell(*i),
             ScalarExpr::Literal(v) => v.clone(),
-            ScalarExpr::Add(a, b) => a.eval(tuple).add(&b.eval(tuple)),
-            ScalarExpr::Sub(a, b) => a.eval(tuple).sub(&b.eval(tuple)),
-            ScalarExpr::Mul(a, b) => a.eval(tuple).mul(&b.eval(tuple)),
+            ScalarExpr::Add(a, b) => a.eval_row(cell).add(&b.eval_row(cell)),
+            ScalarExpr::Sub(a, b) => a.eval_row(cell).sub(&b.eval_row(cell)),
+            ScalarExpr::Mul(a, b) => a.eval_row(cell).mul(&b.eval_row(cell)),
             ScalarExpr::Concat(parts) => {
                 let mut out = String::new();
                 for p in parts {
-                    p.eval(tuple).write_to(&mut out);
+                    p.eval_row(cell).write_to(&mut out);
                 }
                 Value::str(out)
             }
         }
     }
 
-    /// Evaluate the expression for every row of a batch at once, producing
-    /// one output value per row.  Matches [`ScalarExpr::eval`] applied to
-    /// `batch.tuple_at(i)` exactly.
-    pub fn eval_column(&self, batch: &ColumnarBatch) -> Vec<Value> {
+    /// The expression over every row of `columns` as typed numbers, when
+    /// it is arithmetic over `Int` and `Double` columns and literals only;
+    /// `None` when any operand is NULL, a string or an untyped column.
+    fn numbers<'b>(&self, columns: &'b [Column]) -> Option<Numbers<'b>> {
+        let arith = |op: Arith, a: &ScalarExpr, b: &ScalarExpr| {
+            let a = a.numbers(columns)?;
+            Some(op.apply(a, b.numbers(columns)?))
+        };
         match self {
-            ScalarExpr::Column(i) => match batch.column(*i).data() {
-                ColumnData::Int(v) => v.iter().map(|x| Value::Int(*x)).collect(),
-                ColumnData::Double(v) => v.iter().map(|x| Value::Double(*x)).collect(),
-                ColumnData::Str(ids) => ids
-                    .iter()
-                    .map(|id| Value::Str(batch.pool().get_shared(*id).clone()))
-                    .collect(),
-                ColumnData::Values(v) => v.clone(),
+            ScalarExpr::Column(i) => match columns[*i].data() {
+                ColumnData::Int(v) => Some(Numbers::Int(Lane::Each(Cow::Borrowed(v)))),
+                ColumnData::Double(v) => Some(Numbers::Double(Lane::Each(Cow::Borrowed(v)))),
+                ColumnData::Str(_) | ColumnData::Values(_) => None,
             },
-            ScalarExpr::Literal(v) => vec![v.clone(); batch.len()],
-            ScalarExpr::Add(a, b) => binary_column(a, b, batch, Value::add),
-            ScalarExpr::Sub(a, b) => binary_column(a, b, batch, Value::sub),
-            ScalarExpr::Mul(a, b) => binary_column(a, b, batch, Value::mul),
+            ScalarExpr::Literal(Value::Int(x)) => Some(Numbers::Int(Lane::All(*x))),
+            ScalarExpr::Literal(Value::Double(x)) => Some(Numbers::Double(Lane::All(*x))),
+            ScalarExpr::Literal(_) | ScalarExpr::Concat(_) => None,
+            ScalarExpr::Add(a, b) => arith(Arith::Add, a, b),
+            ScalarExpr::Sub(a, b) => arith(Arith::Sub, a, b),
+            ScalarExpr::Mul(a, b) => arith(Arith::Mul, a, b),
+        }
+    }
+
+    /// The expression's column over the `rows` rows of `columns`, whose
+    /// strings are ids into `pool`; strings it computes are interned into
+    /// `pool` too.  Arithmetic over typed numbers runs as typed loops,
+    /// concatenation renders each row into one buffer and interns it by
+    /// content, and anything else — a NULL, string or untyped operand —
+    /// is evaluated a row at a time through [`Value`].
+    fn eval_into(&self, columns: &[Column], pool: &mut StringPool, rows: usize) -> Column {
+        if let Some(numbers) = self.numbers(columns) {
+            return Column::from_data(numbers.into_data(rows));
+        }
+        match self {
             ScalarExpr::Concat(parts) => {
-                let cols: Vec<Vec<Value>> = parts.iter().map(|p| p.eval_column(batch)).collect();
-                // One buffer for the whole batch: every part of a row is
-                // written into it, and the row's one allocation is the
-                // shared string cut from it.
+                let mut rendered = Vec::new();
+                Part::flatten(parts, columns, pool, rows, &mut rendered);
                 let mut out = String::new();
-                (0..batch.len())
-                    .map(|i| {
+                let ids = (0..rows)
+                    .map(|row| {
                         out.clear();
-                        for c in &cols {
-                            c[i].write_to(&mut out);
+                        for part in &rendered {
+                            part.write(row, pool, &mut out);
                         }
-                        Value::str(out.as_str())
+                        pool.intern_str(&out)
                     })
-                    .collect()
+                    .collect();
+                Column::from_data(ColumnData::Str(ids))
             }
+            _ => {
+                let values = self.values(columns, pool, rows);
+                Column::from_values(values, pool)
+            }
+        }
+    }
+
+    /// The expression's value in each of the `rows` rows, one row at a
+    /// time.
+    fn values(&self, columns: &[Column], pool: &StringPool, rows: usize) -> Vec<Value> {
+        (0..rows)
+            .map(|row| self.eval_row(&|i| columns[i].value_at(row, pool)))
+            .collect()
+    }
+}
+
+/// The `Compute-function` operator over a whole batch: one output column
+/// per expression, in order, with the input's tags.  A batch the operator
+/// holds alone is taken apart, and its pool, tags and passed-through
+/// columns move into the output (a column passed through twice is cloned
+/// for all but its last use); a shared batch — a delivered one is also
+/// its sender's cache entry — is copied from.  Only the computed columns
+/// are built.
+pub fn compute(exprs: &[ScalarExpr], batch: Rc<ColumnarBatch>) -> ColumnarBatch {
+    match Rc::try_unwrap(batch) {
+        Ok(batch) => {
+            let (mut pool, mut columns, signs, provenance, phases) = batch.into_parts();
+            let rows = signs.len();
+            let mut out: Vec<Option<Column>> = exprs
+                .iter()
+                .map(|e| match e {
+                    ScalarExpr::Column(_) => None,
+                    _ => Some(e.eval_into(&columns, &mut pool, rows)),
+                })
+                .collect();
+            // Every computed column is built: the inputs can move now.
+            for (j, e) in exprs.iter().enumerate() {
+                if let ScalarExpr::Column(i) = e {
+                    out[j] = Some(if exprs[j + 1..].contains(e) {
+                        columns[*i].clone()
+                    } else {
+                        std::mem::take(&mut columns[*i])
+                    });
+                }
+            }
+            ColumnarBatch::from_parts(
+                pool,
+                out.into_iter().flatten().collect(),
+                signs,
+                provenance,
+                phases,
+            )
+        }
+        Err(shared) => {
+            let mut pool = shared.pool().clone();
+            let columns = shared.columns();
+            let out = exprs
+                .iter()
+                .map(|e| match e {
+                    ScalarExpr::Column(i) => columns[*i].clone(),
+                    _ => e.eval_into(columns, &mut pool, shared.len()),
+                })
+                .collect();
+            ColumnarBatch::from_parts(
+                pool,
+                out,
+                shared.sign_column().to_vec(),
+                shared.provenance_column().to_vec(),
+                shared.phase_column().to_vec(),
+            )
         }
     }
 }
 
-/// Zip two evaluated argument columns through a binary value operation.
-fn binary_column(
-    a: &ScalarExpr,
-    b: &ScalarExpr,
-    batch: &ColumnarBatch,
-    f: fn(&Value, &Value) -> Value,
-) -> Vec<Value> {
-    let left = a.eval_column(batch);
-    let right = b.eval_column(batch);
-    left.iter().zip(&right).map(|(x, y)| f(x, y)).collect()
+/// One operand of a typed arithmetic loop: a cell per row, or one value
+/// for every row (a literal).
+enum Lane<'b, T: Clone> {
+    Each(Cow<'b, [T]>),
+    All(T),
+}
+
+/// A numeric expression evaluated over a whole batch, typed as
+/// [`Value`]'s arithmetic would type each row's result.
+enum Numbers<'b> {
+    Int(Lane<'b, i64>),
+    Double(Lane<'b, f64>),
+}
+
+impl Numbers<'_> {
+    /// The cells of `rows` rows.
+    fn into_data(self, rows: usize) -> ColumnData {
+        fn cells<T: Clone>(lane: Lane<'_, T>, rows: usize) -> Vec<T> {
+            match lane {
+                Lane::Each(cells) => cells.into_owned(),
+                Lane::All(v) => vec![v; rows],
+            }
+        }
+        match self {
+            Numbers::Int(lane) => ColumnData::Int(cells(lane, rows)),
+            Numbers::Double(lane) => ColumnData::Double(cells(lane, rows)),
+        }
+    }
+
+    /// Append the `Display` rendering of row `row`'s number to `out`.
+    fn write(&self, row: usize, out: &mut String) {
+        fn at<T: Copy>(lane: &Lane<'_, T>, row: usize) -> T {
+            match lane {
+                Lane::Each(cells) => cells[row],
+                Lane::All(v) => *v,
+            }
+        }
+        match self {
+            Numbers::Int(lane) => Value::Int(at(lane, row)).write_to(out),
+            Numbers::Double(lane) => Value::Double(at(lane, row)).write_to(out),
+        }
+    }
+}
+
+/// The three arithmetic operators, typed exactly as `Value::{add, sub,
+/// mul}` type them: `Int` with `Int` stays `Int` under `i64`'s own
+/// operator, anything else is `Double` over the operands `as f64`.
+#[derive(Clone, Copy)]
+enum Arith {
+    Add,
+    Sub,
+    Mul,
+}
+
+impl Arith {
+    fn apply<'b>(self, a: Numbers<'b>, b: Numbers<'b>) -> Numbers<'b> {
+        match self {
+            Arith::Add => arith(a, b, |x, y| x + y, |x, y| x + y),
+            Arith::Sub => arith(a, b, |x, y| x - y, |x, y| x - y),
+            Arith::Mul => arith(a, b, |x, y| x * y, |x, y| x * y),
+        }
+    }
+}
+
+/// `a` combined with `b` row by row: by `int` when both are `Int`, by
+/// `double` over the operands widened to `f64` otherwise.
+fn arith<'b>(
+    a: Numbers<'b>,
+    b: Numbers<'b>,
+    int: impl Fn(i64, i64) -> i64,
+    double: impl Fn(f64, f64) -> f64,
+) -> Numbers<'b> {
+    match (a, b) {
+        (Numbers::Int(x), Numbers::Int(y)) => Numbers::Int(zip(x, y, int)),
+        (Numbers::Int(x), Numbers::Double(y)) => {
+            Numbers::Double(zip(x, y, |p, q| double(p as f64, q)))
+        }
+        (Numbers::Double(x), Numbers::Int(y)) => {
+            Numbers::Double(zip(x, y, |p, q| double(p, q as f64)))
+        }
+        (Numbers::Double(x), Numbers::Double(y)) => Numbers::Double(zip(x, y, double)),
+    }
+}
+
+/// One typed loop over two lanes.
+fn zip<'b, A: Copy, B: Copy, R: Clone>(
+    a: Lane<'_, A>,
+    b: Lane<'_, B>,
+    f: impl Fn(A, B) -> R,
+) -> Lane<'b, R> {
+    let each = |cells: Vec<R>| Lane::Each(Cow::Owned(cells));
+    match (a, b) {
+        (Lane::All(x), Lane::All(y)) => Lane::All(f(x, y)),
+        (Lane::Each(xs), Lane::All(y)) => each(xs.iter().map(|x| f(*x, y)).collect()),
+        (Lane::All(x), Lane::Each(ys)) => each(ys.iter().map(|y| f(x, *y)).collect()),
+        (Lane::Each(xs), Lane::Each(ys)) => {
+            each(xs.iter().zip(ys.iter()).map(|(x, y)| f(*x, *y)).collect())
+        }
+    }
+}
+
+/// One part of a concatenation, ready to render row by row.
+enum Part<'b> {
+    /// A column's cells, strings by id into the pool.
+    Cells(&'b ColumnData),
+    /// A literal, the same in every row.
+    Const(&'b Value),
+    /// Typed arithmetic.
+    Numbers(Numbers<'b>),
+    /// Anything else, evaluated a row at a time.
+    Values(Vec<Value>),
+}
+
+impl<'b> Part<'b> {
+    /// The parts of `parts` in rendering order, a nested concatenation's
+    /// spliced in (its string is its parts' renderings, one after the
+    /// other).
+    fn flatten(
+        parts: &'b [ScalarExpr],
+        columns: &'b [Column],
+        pool: &StringPool,
+        rows: usize,
+        out: &mut Vec<Part<'b>>,
+    ) {
+        for p in parts {
+            let part = match p {
+                ScalarExpr::Column(i) => Part::Cells(columns[*i].data()),
+                ScalarExpr::Literal(v) => Part::Const(v),
+                ScalarExpr::Concat(nested) => {
+                    Part::flatten(nested, columns, pool, rows, out);
+                    continue;
+                }
+                _ => match p.numbers(columns) {
+                    Some(numbers) => Part::Numbers(numbers),
+                    None => Part::Values(p.values(columns, pool, rows)),
+                },
+            };
+            out.push(part);
+        }
+    }
+
+    /// Append row `row`'s rendering to `out`.
+    fn write(&self, row: usize, pool: &StringPool, out: &mut String) {
+        match self {
+            Part::Cells(ColumnData::Int(v)) => Value::Int(v[row]).write_to(out),
+            Part::Cells(ColumnData::Double(v)) => Value::Double(v[row]).write_to(out),
+            Part::Cells(ColumnData::Str(ids)) => out.push_str(pool.get(ids[row])),
+            Part::Cells(ColumnData::Values(v)) => v[row].write_to(out),
+            Part::Const(v) => v.write_to(out),
+            Part::Numbers(numbers) => numbers.write(row, out),
+            Part::Values(v) => v[row].write_to(out),
+        }
+    }
 }
 
 /// SQL aggregate functions supported by the aggregation operator.
@@ -771,8 +1019,9 @@ mod tests {
                 ScalarExpr::col(3),
             ]),
         ];
-        for e in &exprs {
-            let col = e.eval_column(&batch);
+        let computed = compute(&exprs, std::rc::Rc::new(batch));
+        for (c, e) in exprs.iter().enumerate() {
+            let col: Vec<Value> = (0..rows.len()).map(|r| computed.value_at(r, c)).collect();
             let oracle: Vec<Value> = rows.iter().map(|r| e.eval(r)).collect();
             assert_eq!(col, oracle, "column diverged for {e:?}");
         }

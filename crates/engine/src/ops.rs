@@ -1207,7 +1207,7 @@ impl RehashState {
 }
 
 /// Drop `batch`'s rows tainted by `failed`; returns how many.
-fn purge_batch(batch: &mut ColumnarBatch, failed: &NodeSet) -> usize {
+pub(crate) fn purge_batch(batch: &mut ColumnarBatch, failed: &NodeSet) -> usize {
     let keep: Vec<bool> = batch
         .provenance_column()
         .iter()

@@ -83,7 +83,7 @@
 use crate::allocation::AllocationScheme;
 use crate::membership::{Membership, MembershipChange};
 use crate::replication::ReplicationPolicy;
-use crate::routing::RoutingSnapshot;
+use crate::routing::{RoutingSnapshot, RoutingTable};
 use orchestra_common::rng::{self, StdRng};
 use orchestra_common::{NodeId, OrchestraError, Result};
 use orchestra_simnet::{ClusterProfile, SimTime, Simulator};
@@ -403,15 +403,25 @@ impl MemberView {
         )
     }
 
-    /// Derive a routing snapshot a query initiator would plan against.
+    /// Derive a routing snapshot a query initiator would plan against:
+    /// the routing table of the nodes this view believes alive, built
+    /// straight from its alive list (no [`Membership`], so no copy of the
+    /// accepted history).  An empty view is an error.
     pub fn snapshot(
         &self,
         scheme: AllocationScheme,
         policy: ReplicationPolicy,
     ) -> Result<RoutingSnapshot> {
-        Ok(RoutingSnapshot::new(
-            self.membership(scheme, policy).routing_table()?,
-        ))
+        if self.alive.is_empty() {
+            return Err(OrchestraError::Substrate(
+                "cannot build a routing table with no live nodes".into(),
+            ));
+        }
+        Ok(RoutingSnapshot::new(RoutingTable::build_with_policy(
+            &self.alive,
+            scheme,
+            policy,
+        )))
     }
 }
 
@@ -1014,6 +1024,19 @@ mod tests {
             .unwrap();
         assert!(!snap.contains_node(NodeId(1)));
         assert_eq!(snap.node_count(), 7);
+        // Built from the alive list, it is the table the membership builds,
+        // and an empty view errs as an empty membership does.
+        let policy = ReplicationPolicy::PercentageOfNodes(0.5);
+        let direct = view.snapshot(AllocationScheme::Balanced, policy).unwrap();
+        let derived = view.membership(AllocationScheme::Balanced, policy);
+        assert_eq!(*direct, derived.routing_table().unwrap());
+        let empty = MemberView::seeded([]);
+        let err = empty.snapshot(AllocationScheme::Balanced, policy);
+        let expected = empty.membership(AllocationScheme::Balanced, policy);
+        assert_eq!(
+            err.unwrap_err().to_string(),
+            expected.routing_table().unwrap_err().to_string()
+        );
     }
 
     #[test]
