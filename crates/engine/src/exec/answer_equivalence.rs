@@ -19,15 +19,16 @@
 //!   row;
 //! * [`sorted_answer`] must return the reference's rows, `Debug`-equal
 //!   (so variants and order match), before and after a purge, and
-//!   [`purge_output`] must purge as many rows as the reference did and
-//!   leave a batch it shares with a sender's cache untouched.
+//!   [`purge_shared`], recovery's purge of the delivered batches, must
+//!   drop as many rows as the reference did and leave a batch it shares
+//!   with a sender's cache untouched.
 //!
 //! `cargo test` runs 20 random cases in a debug build; a release build
 //! runs all 300.
 
-use super::recovery::purge_output;
 use super::report::sorted_answer;
 use crate::expr::{compute, ScalarExpr};
+use crate::ops::purge_shared;
 use orchestra_common::rng::{seeded, StdRng};
 use orchestra_common::{Column, ColumnData, ColumnarBatch, NodeId, NodeSet, Tuple, Value};
 use std::rc::Rc;
@@ -314,7 +315,7 @@ fn an_answer_built_from_batches_equals_the_appended_tuple_sort() {
         let (dropped, expected) = reference_purge(&delivered, &failed);
         let caches: Vec<Rc<ColumnarBatch>> = delivered.iter().step_by(2).cloned().collect();
         let before: Vec<String> = caches.iter().map(|b| observable(b)).collect();
-        assert_eq!(purge_output(&mut delivered, &failed), dropped, "{what}");
+        assert_eq!(purge_shared(&mut delivered, &failed), dropped, "{what}");
         let after: Vec<String> = caches.iter().map(|b| observable(b)).collect();
         assert_eq!(after, before, "{what}: a cache entry was cut");
         let answer = sorted_answer(&delivered);

@@ -15,7 +15,7 @@
 
 use super::pipeline::{OpState, Runtime};
 use super::RecoveryStrategy;
-use crate::ops::purge_batch;
+use crate::ops::purge_shared;
 use crate::plan::OperatorKind;
 use orchestra_common::{ColumnarBatch, NodeId, NodeSet, OrchestraError, Result};
 use orchestra_simnet::SimTime;
@@ -84,7 +84,10 @@ impl Runtime<'_> {
                         }
                     };
                 }
-                purged += purge_output(&mut self.output, failed);
+                // The answer's delivered batches too.  An emptied batch
+                // stays: the answer is as wide as the widest batch that
+                // reached it.
+                purged += purge_shared(&mut self.output, failed);
                 self.stats.purged += purged;
 
                 // Stage 3 (second half): survivors rescan only the ranges
@@ -140,22 +143,4 @@ impl Runtime<'_> {
         }
         Ok(ready)
     }
-}
-
-/// Recovery stage 2 at the initiator: drop the answer rows tainted by
-/// `failed` from the delivered batches, one batch at a time, and return
-/// how many.  A clean batch is left alone; a tainted one still shared with
-/// its sender's cache is copied before it is cut.  An emptied batch stays
-/// in the list: the answer is as wide as the widest batch that reached it.
-pub(super) fn purge_output(output: &mut [Rc<ColumnarBatch>], failed: &NodeSet) -> usize {
-    output
-        .iter_mut()
-        .filter(|batch| {
-            batch
-                .provenance_column()
-                .iter()
-                .any(|p| p.intersects(failed))
-        })
-        .map(|batch| purge_batch(Rc::make_mut(batch), failed))
-        .sum()
 }

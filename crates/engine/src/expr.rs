@@ -488,10 +488,6 @@ impl ScalarExpr {
     /// it is arithmetic over `Int` and `Double` columns and literals only;
     /// `None` when any operand is NULL, a string or an untyped column.
     fn numbers<'b>(&self, columns: &'b [Column]) -> Option<Numbers<'b>> {
-        let arith = |op: Arith, a: &ScalarExpr, b: &ScalarExpr| {
-            let a = a.numbers(columns)?;
-            Some(op.apply(a, b.numbers(columns)?))
-        };
         match self {
             ScalarExpr::Column(i) => match columns[*i].data() {
                 ColumnData::Int(v) => Some(Numbers::Int(Lane::Each(Cow::Borrowed(v)))),
@@ -501,9 +497,24 @@ impl ScalarExpr {
             ScalarExpr::Literal(Value::Int(x)) => Some(Numbers::Int(Lane::All(*x))),
             ScalarExpr::Literal(Value::Double(x)) => Some(Numbers::Double(Lane::All(*x))),
             ScalarExpr::Literal(_) | ScalarExpr::Concat(_) => None,
-            ScalarExpr::Add(a, b) => arith(Arith::Add, a, b),
-            ScalarExpr::Sub(a, b) => arith(Arith::Sub, a, b),
-            ScalarExpr::Mul(a, b) => arith(Arith::Mul, a, b),
+            ScalarExpr::Add(a, b) => Some(arith(
+                a.numbers(columns)?,
+                b.numbers(columns)?,
+                |x, y| x + y,
+                |x, y| x + y,
+            )),
+            ScalarExpr::Sub(a, b) => Some(arith(
+                a.numbers(columns)?,
+                b.numbers(columns)?,
+                |x, y| x - y,
+                |x, y| x - y,
+            )),
+            ScalarExpr::Mul(a, b) => Some(arith(
+                a.numbers(columns)?,
+                b.numbers(columns)?,
+                |x, y| x * y,
+                |x, y| x * y,
+            )),
         }
     }
 
@@ -534,18 +545,12 @@ impl ScalarExpr {
                 Column::from_data(ColumnData::Str(ids))
             }
             _ => {
-                let values = self.values(columns, pool, rows);
+                let values = (0..rows)
+                    .map(|row| self.eval_row(&|i| columns[i].value_at(row, pool)))
+                    .collect();
                 Column::from_values(values, pool)
             }
         }
-    }
-
-    /// The expression's value in each of the `rows` rows, one row at a
-    /// time.
-    fn values(&self, columns: &[Column], pool: &StringPool, rows: usize) -> Vec<Value> {
-        (0..rows)
-            .map(|row| self.eval_row(&|i| columns[i].value_at(row, pool)))
-            .collect()
     }
 }
 
@@ -635,44 +640,11 @@ impl Numbers<'_> {
             Numbers::Double(lane) => ColumnData::Double(cells(lane, rows)),
         }
     }
-
-    /// Append the `Display` rendering of row `row`'s number to `out`.
-    fn write(&self, row: usize, out: &mut String) {
-        fn at<T: Copy>(lane: &Lane<'_, T>, row: usize) -> T {
-            match lane {
-                Lane::Each(cells) => cells[row],
-                Lane::All(v) => *v,
-            }
-        }
-        match self {
-            Numbers::Int(lane) => Value::Int(at(lane, row)).write_to(out),
-            Numbers::Double(lane) => Value::Double(at(lane, row)).write_to(out),
-        }
-    }
 }
 
-/// The three arithmetic operators, typed exactly as `Value::{add, sub,
-/// mul}` type them: `Int` with `Int` stays `Int` under `i64`'s own
-/// operator, anything else is `Double` over the operands `as f64`.
-#[derive(Clone, Copy)]
-enum Arith {
-    Add,
-    Sub,
-    Mul,
-}
-
-impl Arith {
-    fn apply<'b>(self, a: Numbers<'b>, b: Numbers<'b>) -> Numbers<'b> {
-        match self {
-            Arith::Add => arith(a, b, |x, y| x + y, |x, y| x + y),
-            Arith::Sub => arith(a, b, |x, y| x - y, |x, y| x - y),
-            Arith::Mul => arith(a, b, |x, y| x * y, |x, y| x * y),
-        }
-    }
-}
-
-/// `a` combined with `b` row by row: by `int` when both are `Int`, by
-/// `double` over the operands widened to `f64` otherwise.
+/// `a` combined with `b` row by row, typed exactly as `Value::{add, sub,
+/// mul}` type it: by `int` — `i64`'s own operator — when both are `Int`,
+/// by `double` over the operands `as f64` otherwise.
 fn arith<'b>(
     a: Numbers<'b>,
     b: Numbers<'b>,
@@ -710,14 +682,11 @@ fn zip<'b, A: Copy, B: Copy, R: Clone>(
 
 /// One part of a concatenation, ready to render row by row.
 enum Part<'b> {
-    /// A column's cells, strings by id into the pool.
-    Cells(&'b ColumnData),
     /// A literal, the same in every row.
     Const(&'b Value),
-    /// Typed arithmetic.
-    Numbers(Numbers<'b>),
-    /// Anything else, evaluated a row at a time.
-    Values(Vec<Value>),
+    /// A column's cells, strings by id into the pool: an input column's,
+    /// or an arithmetic part's, computed whole.
+    Cells(Cow<'b, ColumnData>),
 }
 
 impl<'b> Part<'b> {
@@ -727,22 +696,19 @@ impl<'b> Part<'b> {
     fn flatten(
         parts: &'b [ScalarExpr],
         columns: &'b [Column],
-        pool: &StringPool,
+        pool: &mut StringPool,
         rows: usize,
         out: &mut Vec<Part<'b>>,
     ) {
         for p in parts {
             let part = match p {
-                ScalarExpr::Column(i) => Part::Cells(columns[*i].data()),
                 ScalarExpr::Literal(v) => Part::Const(v),
+                ScalarExpr::Column(i) => Part::Cells(Cow::Borrowed(columns[*i].data())),
                 ScalarExpr::Concat(nested) => {
                     Part::flatten(nested, columns, pool, rows, out);
                     continue;
                 }
-                _ => match p.numbers(columns) {
-                    Some(numbers) => Part::Numbers(numbers),
-                    None => Part::Values(p.values(columns, pool, rows)),
-                },
+                _ => Part::Cells(Cow::Owned(p.eval_into(columns, pool, rows).into_data())),
             };
             out.push(part);
         }
@@ -751,13 +717,13 @@ impl<'b> Part<'b> {
     /// Append row `row`'s rendering to `out`.
     fn write(&self, row: usize, pool: &StringPool, out: &mut String) {
         match self {
-            Part::Cells(ColumnData::Int(v)) => Value::Int(v[row]).write_to(out),
-            Part::Cells(ColumnData::Double(v)) => Value::Double(v[row]).write_to(out),
-            Part::Cells(ColumnData::Str(ids)) => out.push_str(pool.get(ids[row])),
-            Part::Cells(ColumnData::Values(v)) => v[row].write_to(out),
             Part::Const(v) => v.write_to(out),
-            Part::Numbers(numbers) => numbers.write(row, out),
-            Part::Values(v) => v[row].write_to(out),
+            Part::Cells(cells) => match &**cells {
+                ColumnData::Int(v) => Value::Int(v[row]).write_to(out),
+                ColumnData::Double(v) => Value::Double(v[row]).write_to(out),
+                ColumnData::Str(ids) => out.push_str(pool.get(ids[row])),
+                ColumnData::Values(v) => v[row].write_to(out),
+            },
         }
     }
 }

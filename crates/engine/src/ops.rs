@@ -1179,17 +1179,7 @@ impl RehashState {
     pub fn purge_tainted(&mut self, failed: &NodeSet) -> usize {
         let mut dropped = 0;
         for batches in self.cache.values_mut() {
-            for batch in batches.iter_mut() {
-                // A clean entry is left alone; one still shared with a
-                // payload in flight is copied before it is cut.
-                if batch
-                    .provenance_column()
-                    .iter()
-                    .any(|p| p.intersects(failed))
-                {
-                    dropped += purge_batch(Rc::make_mut(batch), failed);
-                }
-            }
+            dropped += purge_shared(batches, failed);
             batches.retain(|b| !b.is_empty());
         }
         self.cache.retain(|_, batches| !batches.is_empty());
@@ -1206,8 +1196,25 @@ impl RehashState {
     }
 }
 
+/// Drop the rows tainted by `failed` from `batches`, one batch at a time;
+/// returns how many.  A clean batch is left alone; a tainted one still
+/// shared — a sent batch is also the payload in flight and, delivered to
+/// `Output`, the answer — is copied before it is cut.
+pub(crate) fn purge_shared(batches: &mut [Rc<ColumnarBatch>], failed: &NodeSet) -> usize {
+    batches
+        .iter_mut()
+        .filter(|batch| {
+            batch
+                .provenance_column()
+                .iter()
+                .any(|p| p.intersects(failed))
+        })
+        .map(|batch| purge_batch(Rc::make_mut(batch), failed))
+        .sum()
+}
+
 /// Drop `batch`'s rows tainted by `failed`; returns how many.
-pub(crate) fn purge_batch(batch: &mut ColumnarBatch, failed: &NodeSet) -> usize {
+fn purge_batch(batch: &mut ColumnarBatch, failed: &NodeSet) -> usize {
     let keep: Vec<bool> = batch
         .provenance_column()
         .iter()
