@@ -215,8 +215,8 @@ impl Ord for Value {
             (Value::Int(a), Value::Int(b)) => a.cmp(b),
             (Value::Str(a), Value::Str(b)) => a.cmp(b),
             (Value::Double(a), Value::Double(b)) => a.total_cmp(b),
-            (Value::Int(a), Value::Double(b)) => (*a as f64).total_cmp(b),
-            (Value::Double(a), Value::Int(b)) => a.total_cmp(&(*b as f64)),
+            (Value::Int(a), Value::Double(b)) => cmp_int_double(*a, *b),
+            (Value::Double(a), Value::Int(b)) => cmp_int_double(*b, *a).reverse(),
             _ => self.type_rank().cmp(&other.type_rank()),
         }
     }
@@ -257,10 +257,42 @@ impl Hash for Value {
     }
 }
 
+/// Compare an `Int` with a `Double` exactly, as [`Value`]'s order does: by
+/// their values, not by the double nearest the integer, so that `==` is
+/// transitive past 2^53.  Where `i as f64` is exact (|i| ≤ 2^53) this is
+/// `(i as f64).total_cmp(&d)`, so the double's side keeps `total_cmp`'s
+/// order: a NaN below every integer when its sign is negative and above
+/// when positive, and `-0.0` just below `0`.
+#[inline]
+pub fn cmp_int_double(i: i64, d: f64) -> Ordering {
+    // 2^63, the first double past `i64::MAX`.
+    const END: f64 = 9_223_372_036_854_775_808.0;
+    if i.unsigned_abs() <= 1 << 53 {
+        return (i as f64).total_cmp(&d);
+    }
+    if d.is_nan() {
+        return if d.is_sign_negative() {
+            Ordering::Greater
+        } else {
+            Ordering::Less
+        };
+    }
+    if d >= END {
+        Ordering::Less
+    } else if d < -END {
+        Ordering::Greater
+    } else {
+        // A double past 2^53 is integral and `i` is past it, so truncating
+        // `d` (exact in `-2^63..2^63`) decides.
+        i.cmp(&(d as i64))
+    }
+}
+
 /// The integer a double stands for where both numeric types must agree —
 /// hashing ([`Hash`] for [`Value`]) and ring keys: the double's value if
 /// it is finite, integral and within `i64`'s range (`2^63`, just past it,
-/// saturates to `i64::MAX`, which compares equal to it).
+/// saturates to `i64::MAX`, with which it hashes and routes, though it
+/// compares above it: sharing a hash needs no equality).
 pub fn integral(v: f64) -> Option<i64> {
     (v.fract() == 0.0 && v.is_finite() && v >= i64::MIN as f64 && v <= i64::MAX as f64)
         .then_some(v as i64)
@@ -361,5 +393,92 @@ mod tests {
         assert_eq!(Value::str("x").as_str(), Some("x"));
         assert!(Value::Null.is_null());
         assert_eq!(Value::str("x").as_int(), None);
+    }
+
+    /// Numbers at the edges of exactness: around ±2^53, where `i64` stops
+    /// being exact in a double, and ±2^63, where it ends; NaNs of both
+    /// signs, both zeros, infinities, fractions and integral doubles.
+    fn edge_values() -> Vec<Value> {
+        let p53 = 1i64 << 53;
+        let mut ints = vec![0, 1, -1, 2, i64::MAX, i64::MAX - 1, i64::MIN, i64::MIN + 1];
+        for base in [p53, -p53, 1 << 62, -(1 << 62)] {
+            ints.extend([base - 2, base - 1, base, base + 1, base + 2]);
+        }
+        let p53 = p53 as f64;
+        let p63 = 9_223_372_036_854_775_808.0;
+        let mut doubles = vec![
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            1.0,
+            -1.0,
+            2.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            p63,
+            -p63,
+            2.0 * p63,
+            -2.0 * p63,
+            4_611_686_018_427_387_904.0,
+            -4_611_686_018_427_387_904.0,
+        ];
+        for base in [p53, -p53] {
+            doubles.extend([base - 2.0, base - 1.0, base, base + 2.0, base + 4.0]);
+        }
+        let mut values: Vec<Value> = ints.into_iter().map(Value::Int).collect();
+        values.extend(doubles.into_iter().map(Value::Double));
+        values.extend([Value::Null, Value::str("x")]);
+        values
+    }
+
+    #[test]
+    fn int_and_double_compare_exactly_and_consistently() {
+        let values = edge_values();
+        for a in &values {
+            for b in &values {
+                let order = a.cmp(b);
+                assert_eq!(a == b, order == Ordering::Equal, "{a:?} == {b:?}");
+                assert_eq!(b.cmp(a), order.reverse(), "{a:?} against {b:?}");
+                if a == b {
+                    assert_eq!(hash_of(a), hash_of(b), "{a:?} and {b:?} hash alike");
+                }
+                // Where the integer is a double exactly, the old rule.
+                if let (Value::Int(i), Value::Double(d)) = (a, b) {
+                    if i.unsigned_abs() <= 1 << 53 {
+                        assert_eq!(order, (*i as f64).total_cmp(d), "{i} against {d}");
+                    }
+                }
+                for c in &values {
+                    if a == b && b == c {
+                        assert_eq!(a, c, "{a:?} == {b:?} == {c:?}");
+                    }
+                    if a <= b && b <= c {
+                        assert!(a <= c, "{a:?} <= {b:?} <= {c:?}");
+                    }
+                }
+            }
+        }
+        // A sort orders every pair, whatever order it starts from.
+        for start in [values.clone(), values.iter().rev().cloned().collect()] {
+            let mut sorted = start;
+            sorted.sort();
+            for (i, a) in sorted.iter().enumerate() {
+                assert!(sorted[i..].iter().all(|b| a <= b), "{a:?} sorted too late");
+            }
+        }
+        // 2^53 + 1 is no double: it is not the double nearest it.
+        let (big, near) = (
+            Value::Int((1 << 53) + 1),
+            Value::Double((1u64 << 53) as f64),
+        );
+        assert!(big != near && big > near);
+        assert!(Value::Int(i64::MAX) < Value::Double(9_223_372_036_854_775_808.0));
+        assert_eq!(
+            Value::Int(i64::MIN),
+            Value::Double(-9_223_372_036_854_775_808.0)
+        );
     }
 }

@@ -171,9 +171,11 @@ impl<'a> Runtime<'a> {
             }
             let page = self.view.lookup_index_page(descriptor)?;
             pages += 1;
-            for entry in &page.entries {
-                if ranges.iter().any(|r| r.contains(entry.position)) {
-                    out.push(&entry.id.key[..]);
+            for window in page.entries.windows() {
+                for entry in window {
+                    if ranges.iter().any(|r| r.contains(entry.position)) {
+                        out.push(&entry.id.key[..]);
+                    }
                 }
             }
         }

@@ -353,17 +353,17 @@ fn walk_delta<'a>(
             continue;
         }
         pages += usize::from(before.is_some()) + usize::from(after.is_some());
-        let listed = |d: Option<&PageDescriptor>| -> Result<&'a [PageEntry]> {
+        let listed = |d: Option<&PageDescriptor>| -> Result<Vec<&'a PageEntry>> {
             Ok(match d {
-                Some(d) => &view.lookup_index_page(d)?.entries,
-                None => &[],
+                Some(d) => view.lookup_index_page(d)?.entries.iter().collect(),
+                None => Vec::new(),
             })
         };
         let (before, after) = (listed(before)?, listed(after)?);
-        let only = |ours: &'a [PageEntry], theirs: &'a [PageEntry]| {
-            let mut t = theirs.iter().peekable();
+        let only = |ours: &[&'a PageEntry], theirs: &[&'a PageEntry]| {
+            let mut t = theirs.iter().copied().peekable();
             let mut mine = Vec::new();
-            for entry in ours {
+            for &entry in ours {
                 while t.next_if(|e| e.id < entry.id).is_some() {}
                 match t.peek() {
                     Some(e) if e.id == entry.id => {
@@ -374,8 +374,8 @@ fn walk_delta<'a>(
             }
             mine
         };
-        entries.extend(only(before, after).into_iter().map(|e| (e, -1)));
-        entries.extend(only(after, before).into_iter().map(|e| (e, 1)));
+        entries.extend(only(&before, &after).into_iter().map(|e| (e, -1)));
+        entries.extend(only(&after, &before).into_iter().map(|e| (e, 1)));
     }
     walk(view, relation, entries, pages, node, ranges)
 }

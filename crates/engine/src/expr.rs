@@ -19,6 +19,7 @@
 //! untyped column falls back to [`ScalarExpr::eval`]'s per-`Value`
 //! semantics, a row at a time.
 
+use orchestra_common::value::cmp_int_double;
 use orchestra_common::{Column, ColumnData, ColumnarBatch, StringPool, Tuple, Value};
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -290,11 +291,10 @@ fn compare_const(
     match (batch.column(column).data(), value) {
         (ColumnData::Int(cells), Value::Int(c)) => and_ordered(mask, cells, op, |x| x.cmp(c)),
         (ColumnData::Int(cells), Value::Double(c)) => {
-            and_ordered(mask, cells, op, |x| (x as f64).total_cmp(c))
+            and_ordered(mask, cells, op, |x| cmp_int_double(x, *c))
         }
         (ColumnData::Double(cells), Value::Int(c)) => {
-            let c = *c as f64;
-            and_ordered(mask, cells, op, |x| x.total_cmp(&c))
+            and_ordered(mask, cells, op, |x| cmp_int_double(*c, x).reverse())
         }
         (ColumnData::Double(cells), Value::Double(c)) => {
             and_ordered(mask, cells, op, |x| x.total_cmp(c))
@@ -385,14 +385,14 @@ fn compare_columns(batch: &ColumnarBatch, left: usize, op: CmpOp, right: usize, 
         (ColumnData::Int(a), ColumnData::Double(b)) => {
             for (i, m) in mask.iter_mut().enumerate() {
                 if *m {
-                    *m = op.eval_ord((a[i] as f64).total_cmp(&b[i]));
+                    *m = op.eval_ord(cmp_int_double(a[i], b[i]));
                 }
             }
         }
         (ColumnData::Double(a), ColumnData::Int(b)) => {
             for (i, m) in mask.iter_mut().enumerate() {
                 if *m {
-                    *m = op.eval_ord(a[i].total_cmp(&(b[i] as f64)));
+                    *m = op.eval_ord(cmp_int_double(b[i], a[i]).reverse());
                 }
             }
         }
@@ -760,6 +760,55 @@ mod tests {
 
     fn t(vals: Vec<Value>) -> Tuple {
         Tuple::new(vals)
+    }
+
+    #[test]
+    fn typed_int_and_double_comparisons_follow_value_order() {
+        let (ints, doubles) = crate::ops::tests::edge_numbers();
+        let rows: Vec<Tuple> = (ints.iter())
+            .flat_map(|&i| {
+                doubles
+                    .iter()
+                    .map(move |&d| t(vec![Value::Int(i), Value::Double(d)]))
+            })
+            .collect();
+        let batch = ColumnarBatch::from_tuples(2, &rows, 1, orchestra_common::NodeSet::empty(), 0);
+        assert!(matches!(batch.column(0).data(), ColumnData::Int(_)));
+        assert!(matches!(batch.column(1).data(), ColumnData::Double(_)));
+        let ops = [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ];
+        let constants =
+            (ints.iter().map(|&i| Value::Int(i))).chain(doubles.iter().map(|&d| Value::Double(d)));
+        let mut predicates = Vec::new();
+        for op in ops {
+            predicates.push(Predicate::CompareColumns {
+                left: 0,
+                op,
+                right: 1,
+            });
+            predicates.push(Predicate::CompareColumns {
+                left: 1,
+                op,
+                right: 0,
+            });
+            for c in constants.clone() {
+                predicates.push(Predicate::cmp(0, op, c.clone()));
+                predicates.push(Predicate::cmp(1, op, c));
+            }
+        }
+        let mut mask = Vec::new();
+        for predicate in &predicates {
+            predicate.eval_mask(&batch, &mut mask);
+            for (row, kept) in rows.iter().zip(&mask) {
+                assert_eq!(*kept, predicate.eval(row), "{predicate:?} on {row:?}");
+            }
+        }
     }
 
     #[test]

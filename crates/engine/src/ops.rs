@@ -56,7 +56,7 @@
 
 use crate::expr::AggFunc;
 use crate::provenance::Phase;
-use orchestra_common::value::integral;
+use orchestra_common::value::{cmp_int_double, integral};
 use orchestra_common::{
     ColumnData, ColumnarBatch, NodeId, NodeSet, OrchestraError, Result, Tuple, Value,
 };
@@ -197,8 +197,8 @@ impl KeyHashes {
 fn cell_equals(batch: &ColumnarBatch, col: usize, row: usize, value: &Value) -> bool {
     match (batch.column(col).data(), value) {
         (ColumnData::Int(v), Value::Int(x)) => v[row] == *x,
-        (ColumnData::Int(v), Value::Double(x)) => (v[row] as f64).total_cmp(x).is_eq(),
-        (ColumnData::Double(v), Value::Int(x)) => v[row].total_cmp(&(*x as f64)).is_eq(),
+        (ColumnData::Int(v), Value::Double(x)) => cmp_int_double(v[row], *x).is_eq(),
+        (ColumnData::Double(v), Value::Int(x)) => cmp_int_double(*x, v[row]).is_eq(),
         (ColumnData::Double(v), Value::Double(x)) => v[row].total_cmp(x).is_eq(),
         (ColumnData::Str(v), Value::Str(x)) => batch.pool().get_shared(v[row]) == x,
         (ColumnData::Values(v), x) => v[row] == *x,
@@ -215,12 +215,8 @@ fn cells_equal(
 ) -> bool {
     match (a.column(a_col).data(), b.column(b_col).data()) {
         (ColumnData::Int(x), ColumnData::Int(y)) => x[a_row] == y[b_row],
-        (ColumnData::Int(x), ColumnData::Double(y)) => {
-            (x[a_row] as f64).total_cmp(&y[b_row]).is_eq()
-        }
-        (ColumnData::Double(x), ColumnData::Int(y)) => {
-            x[a_row].total_cmp(&(y[b_row] as f64)).is_eq()
-        }
+        (ColumnData::Int(x), ColumnData::Double(y)) => cmp_int_double(x[a_row], y[b_row]).is_eq(),
+        (ColumnData::Double(x), ColumnData::Int(y)) => cmp_int_double(y[b_row], x[a_row]).is_eq(),
         (ColumnData::Double(x), ColumnData::Double(y)) => x[a_row].total_cmp(&y[b_row]).is_eq(),
         (ColumnData::Str(x), ColumnData::Str(y)) => {
             a.pool().get_shared(x[a_row]) == b.pool().get_shared(y[b_row])
@@ -1226,7 +1222,7 @@ fn purge_batch(batch: &mut ColumnarBatch, failed: &NodeSet) -> usize {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use orchestra_common::Value;
 
@@ -1241,6 +1237,74 @@ mod tests {
     /// [`one_tagged`] as a scan at `node` emits it: `+1`, phase 0.
     fn one(vals: Vec<Value>, node: u16) -> ColumnarBatch {
         one_tagged(vals, node, 1, 0)
+    }
+
+    /// Integers and doubles at the edges of exactness (±2^53, ±2^63), with
+    /// NaNs, both zeros and a fraction.
+    pub(crate) fn edge_numbers() -> (Vec<i64>, Vec<f64>) {
+        let p53 = 1i64 << 53;
+        let mut ints = vec![0, 1, -1, i64::MAX, i64::MIN];
+        for base in [p53, -p53] {
+            ints.extend([base - 1, base, base + 1, base + 2]);
+        }
+        let (f53, f63) = (p53 as f64, 9_223_372_036_854_775_808.0);
+        let doubles = vec![
+            0.0,
+            -0.0,
+            0.5,
+            1.0,
+            f53,
+            f53 + 2.0,
+            -f53,
+            -f53 - 2.0,
+            f63,
+            -f63,
+            f64::INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        (ints, doubles)
+    }
+
+    #[test]
+    fn typed_int_and_double_cells_compare_as_values_do() {
+        let (ints, doubles) = edge_numbers();
+        let mut batch = ColumnarBatch::new(2);
+        for &i in &ints {
+            for &d in &doubles {
+                batch.push_row_owned(
+                    vec![Value::Int(i), Value::Double(d)],
+                    1,
+                    NodeSet::empty(),
+                    0,
+                );
+            }
+        }
+        assert!(matches!(batch.column(0).data(), ColumnData::Int(_)));
+        assert!(matches!(batch.column(1).data(), ColumnData::Double(_)));
+        for row in 0..batch.len() {
+            let (i, d) = (batch.value_at(row, 0), batch.value_at(row, 1));
+            assert_eq!(
+                cells_equal((&batch, 0, row), (&batch, 1, row)),
+                i == d,
+                "{i:?} {d:?}"
+            );
+            assert_eq!(
+                cells_equal((&batch, 1, row), (&batch, 0, row)),
+                i == d,
+                "{d:?} {i:?}"
+            );
+            assert_eq!(
+                cell_equals(&batch, 0, row, &d),
+                i == d,
+                "{i:?} against {d:?}"
+            );
+            assert_eq!(
+                cell_equals(&batch, 1, row, &i),
+                i == d,
+                "{d:?} against {i:?}"
+            );
+        }
     }
 
     /// Buffer the whole of `batch` for `dest` with the executor's flush

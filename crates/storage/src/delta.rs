@@ -25,7 +25,7 @@
 //!   network.  A modification appears as its `-old`/`+new` pair.
 
 use crate::distributed::{DistributedStorage, PartitionScan, StorageView};
-use crate::page::PageDescriptor;
+use crate::page::{PageDescriptor, PageEntries};
 use crate::run::StoredRow;
 use orchestra_common::{Epoch, KeyRange, NodeId, OrchestraError, PageEntry, Result, Tuple};
 use std::cell::{Cell, RefCell};
@@ -106,33 +106,60 @@ struct PartitionChange {
     added: Vec<PageEntry>,
 }
 
-/// Diff two ID-sorted entry lists in one two-pointer walk: the entries
+/// Diff two page versions' entries in one two-pointer walk: the entries
 /// only in `old` and the entries only in `new`, each still sorted.
 /// Copies of an ID pair up one to one: a page that lists an ID twice (a
 /// batch touched the key twice) hands both copies to its next version or
-/// neither ([`IndexPage::next_version`]), so versions never disagree on
-/// the count.
-fn diff_sorted(old: &[PageEntry], new: &[PageEntry]) -> (Vec<PageEntry>, Vec<PageEntry>) {
+/// neither ([`crate::IndexPage::next_version`]), so versions never
+/// disagree on the count.  The walk goes a window at a time, and a window
+/// both versions reference at the same point of the walk lists the same
+/// entries on both sides, so it is skipped whole: a diff costs the windows
+/// the interval rewrote, not the page.
+pub(crate) fn diff_windows(
+    old: &PageEntries,
+    new: &PageEntries,
+) -> (Vec<PageEntry>, Vec<PageEntry>) {
     let (mut removed, mut added) = (Vec::new(), Vec::new());
-    let (mut o, mut n) = (0, 0);
-    while o < old.len() && n < new.len() {
-        match old[o].id.cmp(&new[n].id) {
-            Ordering::Less => {
-                removed.push(old[o].clone());
-                o += 1;
-            }
-            Ordering::Greater => {
-                added.push(new[n].clone());
-                n += 1;
-            }
-            Ordering::Equal => {
-                o += 1;
-                n += 1;
+    let (mut olds, mut news) = (old.windows(), new.windows());
+    // What is left of each side's current window.
+    let (mut o, mut n): (&[PageEntry], &[PageEntry]) = (&[], &[]);
+    loop {
+        while o.is_empty() {
+            let Some(window) = olds.next() else { break };
+            o = window;
+        }
+        while n.is_empty() {
+            let Some(window) = news.next() else { break };
+            n = window;
+        }
+        if o.is_empty() || n.is_empty() {
+            break;
+        }
+        if std::ptr::eq(o, n) {
+            (o, n) = (&[], &[]);
+            continue;
+        }
+        let (mut i, mut j) = (0, 0);
+        while let (Some(old), Some(new)) = (o.get(i), n.get(j)) {
+            match old.id.cmp(&new.id) {
+                Ordering::Less => {
+                    removed.push(old.clone());
+                    i += 1;
+                }
+                Ordering::Greater => {
+                    added.push(new.clone());
+                    j += 1;
+                }
+                Ordering::Equal => {
+                    i += 1;
+                    j += 1;
+                }
             }
         }
+        (o, n) = (&o[i..], &n[j..]);
     }
-    removed.extend_from_slice(&old[o..]);
-    added.extend_from_slice(&new[n..]);
+    removed.extend(o.iter().chain(olds.flatten()).cloned());
+    added.extend(n.iter().chain(news.flatten()).cloned());
     (removed, added)
 }
 
@@ -289,7 +316,8 @@ impl<'a> StorageView<'a> {
 
     /// The un-memoized derivation behind [`Self::changed_partitions`]:
     /// partitions whose page ID is identical in both versions are shared
-    /// and skipped; the rest are diffed entry list against entry list.
+    /// and skipped; the rest are diffed entry list against entry list,
+    /// skipping the windows both versions share ([`diff_windows`]).
     /// Both descriptor lists are ordered by partition and both entry
     /// lists by ID, so everything is a two-pointer walk over borrowed
     /// slices.  Returns the changed partitions in partition order plus
@@ -304,6 +332,7 @@ impl<'a> StorageView<'a> {
         let new_pages = self.pages_at(relation, to)?;
         let mut shared = 0;
         let mut changes = Vec::new();
+        let none = PageEntries::default();
         let (mut o, mut n) = (0, 0);
         loop {
             // The next partition on either side: both descriptors when
@@ -327,13 +356,13 @@ impl<'a> StorageView<'a> {
                 shared += 1;
                 continue;
             }
-            let entries_of = |desc: Option<&PageDescriptor>| -> Result<&[PageEntry]> {
+            let entries_of = |desc: Option<&PageDescriptor>| -> Result<&PageEntries> {
                 Ok(match desc {
                     Some(d) => &self.lookup_index_page(d)?.entries,
-                    None => &[],
+                    None => &none,
                 })
             };
-            let (removed, added) = diff_sorted(entries_of(old_desc)?, entries_of(new_desc)?);
+            let (removed, added) = diff_windows(entries_of(old_desc)?, entries_of(new_desc)?);
             changes.push(PartitionChange {
                 partition,
                 pages_read: usize::from(old_desc.is_some()) + usize::from(new_desc.is_some()),

@@ -74,7 +74,7 @@
 use crate::coordinator::{CoordinatorKey, RelationVersion};
 use crate::node_store::Holders;
 use crate::node_store::SlotSet;
-use crate::page::{partition_of, partition_range, IndexPage, PageDescriptor, PageId};
+use crate::page::{partition_of, partition_range, IndexPage, PageDescriptor, PageId, PageWriter};
 use crate::run::{StoredRow, TupleRun};
 use crate::update::{Update, UpdateBatch};
 use crate::version_log::{Kind, RelationLog, Run};
@@ -443,6 +443,16 @@ impl DistributedStorage {
                 u32::MAX
             )));
         }
+        // And room in each new page version's entry buffer, which windows
+        // index with a `u32`: a version writes at most the entries its
+        // previous version lists and one per update.
+        let listed = prev_pages.iter().flatten().map(|page| page.len()).max();
+        if u32::try_from(listed.unwrap_or(0) + updates.len()).is_err() {
+            return Err(OrchestraError::StorageInvalid(format!(
+                "a page of {name} would list more than {} entries",
+                u32::MAX
+            )));
+        }
         Ok(Staged {
             name,
             key_len,
@@ -495,22 +505,30 @@ impl DistributedStorage {
             .map(|&o| first[Kind::Tuple as usize] + o as u32);
         let mut numbered = fresh.iter().zip(slots);
 
-        let touched = updates.chunk_by(|a, b| a.0 == b.0).zip(&staged.prev_pages);
+        let touched = || updates.chunk_by(|a, b| a.0 == b.0).zip(&staged.prev_pages);
+        // Each touched page removes at most the versions its modifies and
+        // deletes supersede and adds one per insert or modify.
+        let changes = |ups: &[(u32, &Update, Key160)]| {
+            let removes = ups.iter().filter(|(_, up, _)| !up.is_insert()).count();
+            let adds = ups
+                .iter()
+                .filter(|(_, up, _)| !matches!(up, Update::Delete(_)));
+            (removes, adds.count())
+        };
+        let mut writer = PageWriter::for_pages(touched().map(|(ups, prev_page)| {
+            let (removes, adds) = changes(ups);
+            (prev_page.as_deref().map(|p| &p.entries), removes, adds)
+        }));
         let mut pages = Vec::with_capacity(staged.prev_pages.len());
-        for (ups, prev_page) in touched {
+        for (ups, prev_page) in touched() {
             let partition = ups[0].0;
             // The superseded versions are found in (and borrowed from) the
             // key-sorted previous page by binary search.
-            let mut removes: Vec<&TupleId> = Vec::with_capacity(ups.len());
-            let mut creates = 0;
-            for (_, up, _) in ups {
-                if !up.is_insert() {
-                    let key = up.key(key_len);
-                    if let Some(prev) = prev_page.as_ref().and_then(|p| p.current_version_of(key)) {
-                        removes.push(&prev.id);
-                    }
+            for (_, up, _) in ups.iter().filter(|(_, up, _)| !up.is_insert()) {
+                let key = up.key(key_len);
+                if let Some(prev) = prev_page.as_ref().and_then(|p| p.current_version_of(key)) {
+                    writer.remove.push(&prev.id);
                 }
-                creates += usize::from(!matches!(up, Update::Delete(_)));
             }
             // The page's copies of the IDs — strings copied too, so the
             // store owns them — are made after every body of the epoch, so
@@ -523,22 +541,16 @@ impl DistributedStorage {
                 Value::Str(s) => Value::str(&**s),
                 number_or_null => number_or_null.clone(),
             };
-            let adds: Vec<PageEntry> = numbered
-                .by_ref()
-                .take(creates)
-                .map(|((position, tuple), slot)| {
-                    let key: Arc<[Value]> = tuple.key(key_len).iter().map(own).collect();
-                    PageEntry::new(TupleId::new(key, epoch), *position, slot)
-                })
-                .collect();
-
-            let new_page = match prev_page {
-                Some(p) => p.next_version(epoch, removes, adds),
-                None => IndexPage::new(
-                    PageId::new(Arc::clone(&relation), epoch, partition),
-                    partition_range(partition, parts),
-                    adds,
-                ),
+            let adds = numbered.by_ref().take(changes(ups).1);
+            writer.add.extend(adds.map(|((position, tuple), slot)| {
+                let key: Arc<[Value]> = tuple.key(key_len).iter().map(own).collect();
+                PageEntry::new(TupleId::new(key, epoch), *position, slot)
+            }));
+            let prev_page = prev_page.as_deref();
+            let new_page = IndexPage {
+                id: PageId::new(Arc::clone(&relation), epoch, partition),
+                range: prev_page.map_or_else(|| partition_range(partition, parts), |p| p.range),
+                entries: writer.write(prev_page.map(|p| &p.entries)),
             };
             // The run's pages continue the log's slots in partition order.
             let slot = first[Kind::Page as usize] + pages.len() as u32;
@@ -683,26 +695,28 @@ impl DistributedStorage {
             result.messages.push((requester, index_node, 96));
             let page = view.lookup_index_page(descriptor)?;
             result.pages_scanned += 1;
-            for entry in &page.entries {
-                if !filter(&entry.id.key) {
-                    continue;
-                }
-                let data_node = view
-                    .live_replicas(entry.position)
-                    .next()
-                    .unwrap_or(index_node);
-                if data_node != index_node {
-                    // The tuple ID crosses the network only when the index
-                    // page and the data are not co-located (Example 4.2).
+            for window in page.entries.windows() {
+                for entry in window {
+                    if !filter(&entry.id.key) {
+                        continue;
+                    }
+                    let data_node = view
+                        .live_replicas(entry.position)
+                        .next()
+                        .unwrap_or(index_node);
+                    if data_node != index_node {
+                        // The tuple ID crosses the network only when the index
+                        // page and the data are not co-located (Example 4.2).
+                        result
+                            .messages
+                            .push((index_node, data_node, entry.id.serialized_size()));
+                    }
+                    let (row, _) = view.lookup_tuple(relation, entry, Some(data_node))?;
                     result
                         .messages
-                        .push((index_node, data_node, entry.id.serialized_size()));
+                        .push((data_node, requester, row.serialized_size()));
+                    result.tuples.push(row.tuple());
                 }
-                let (row, _) = view.lookup_tuple(relation, entry, Some(data_node))?;
-                result
-                    .messages
-                    .push((data_node, requester, row.serialized_size()));
-                result.tuples.push(row.tuple());
             }
         }
         Ok(result)
@@ -990,10 +1004,12 @@ impl<'a> StorageView<'a> {
             }
             let page = self.lookup_index_page(descriptor)?;
             scan.pages_read += 1;
-            for entry in &page.entries {
-                if ranges.iter().any(|r| r.contains(entry.position)) {
-                    let tuple = self.scan_tuple(&mut scan, local, relation, entry, node)?;
-                    scan.tuples.push(tuple);
+            for window in page.entries.windows() {
+                for entry in window {
+                    if ranges.iter().any(|r| r.contains(entry.position)) {
+                        let tuple = self.scan_tuple(&mut scan, local, relation, entry, node)?;
+                        scan.tuples.push(tuple);
+                    }
                 }
             }
         }
@@ -1219,7 +1235,7 @@ mod tests {
         // The page lists its entries in ID order, positions intact.
         let version = s.view().version_record("R", e1).unwrap().unwrap();
         let page = s.view().lookup_index_page(&version.pages[0]).unwrap();
-        assert!(page.entries.is_sorted());
+        assert!(page.entries.iter().is_sorted());
         assert!(page.entries.iter().all(|e| e.position == e.id.hash_key()));
     }
 

@@ -85,7 +85,7 @@ pub use distributed::{
     DistributedStorage, PartitionScan, RetrievalResult, StorageConfig, StorageView,
 };
 pub use node_store::SlotSet;
-pub use page::{IndexPage, PageDescriptor, PageId};
+pub use page::{IndexPage, PageDescriptor, PageEntries, PageId};
 pub use replication::{anti_entropy, ReplicationReport};
 pub use run::{gather, StoredRow, TupleRun};
 pub use update::{Update, UpdateBatch};

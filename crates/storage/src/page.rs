@@ -33,13 +33,33 @@
 //! search ([`IndexPage::current_version_of`]) and the next version a
 //! sorted merge.
 //!
-//! ## A new page version costs what changed
+//! ## A new page version keeps only what its publication changed
 //!
-//! Carrying an entry forward copies its position and a pointer: the key
-//! is an `Arc<[Value]>` ([`TupleId`]), allocated once when the version is
-//! published and shared by every page version that lists it after that.
-//! Rewriting a page of `n` entries for `m` changes therefore allocates
-//! the entry list and the `m` new keys — nothing per surviving entry.
+//! A page's entries are a list of *windows* ([`PageEntries`]): stretches
+//! of at most [`LEAF`] entries, each in the entry buffer of the page
+//! version that wrote it, an `Arc<[PageEntry]>`.
+//! [`IndexPage::next_version`] keeps every window that no remove or add
+//! touches by reference: it copies no entry of it and bumps no key's
+//! count, only the buffer's.  The windows a change touches are merged
+//! with the change in one sorted pass and the result is cut into new
+//! windows of the new version's buffer.  Rewriting a page of `n` entries
+//! for `m` changes therefore costs a list of about `n / LEAF` window
+//! references and at most `LEAF` entries per change; an entry that is
+//! rewritten shares its key, an `Arc<[Value]>` ([`TupleId`]) allocated
+//! once when the version was published, by pointer.  The copy-on-write
+//! B-tree does the same with its leaves (Rodeh, *B-trees, Shadowing, and
+//! Clones*, ACM TOS 2008).  A page version allocates its buffer, its
+//! window list and its `Arc`, and the publication that writes it a few
+//! lists for all its pages, whatever the size of the
+//! relation.
+//!
+//! The buffer is the version's own, not one per run: one allocation of a
+//! bulk load's every entry (3.4 MB for 60k rows) left the host
+//! benchmark's `adhoc_read`, which builds and drops its store several
+//! times, a 2–3 MiB larger resident set than page-sized buffers, which
+//! the allocator reuses.  A buffer lives while any window points into
+//! it, so a page version no record reaches any more keeps the entries
+//! alive that later versions' windows kept.
 
 use orchestra_common::{Epoch, Key160, KeyRange, PageEntry, TupleId, Value};
 use std::fmt;
@@ -117,6 +137,129 @@ impl PageDescriptor {
     }
 }
 
+/// The most entries one window of a page holds.  On the host benchmark's
+/// `publish_write` (a bulk load of three TPC-H relations, then sixteen
+/// churn epochs of 1,000 updates, seed 42, on a 2-core x86-64 box), peak
+/// resident memory read 102.9–103.2 MiB at 4 entries, 104.4–106.2 at 8
+/// and 109.6–110.7 at 16 (140.0 with every page copied whole): a larger
+/// window copies more entries an update did not change.  At 4 every page's
+/// window list doubles (6 bytes of reference an entry instead of 3), which
+/// a store that is mostly read, as on `adhoc_read`, pays without the
+/// saving, and readers walk slices half as long.
+pub const LEAF: usize = 8;
+
+/// A stretch of at most [`LEAF`] entries, never none, of the entry buffer
+/// of the page version that wrote them.
+#[derive(Clone)]
+struct Window {
+    buffer: Arc<[PageEntry]>,
+    start: u32,
+    end: u32,
+}
+
+impl Window {
+    fn entries(&self) -> &[PageEntry] {
+        &self.buffer[self.start as usize..self.end as usize]
+    }
+}
+
+/// A page version's entries, sorted by tuple ID, as windows into the entry
+/// buffers of the page versions that wrote them.  Iterating a `&PageEntries` yields
+/// every entry in order; [`Self::windows`] yields them a slice at a time,
+/// and two page versions that share a window yield the very same slice
+/// for it (`std::ptr::eq`).
+#[derive(Clone, Default)]
+pub struct PageEntries {
+    windows: Vec<Window>,
+    len: usize,
+}
+
+impl PageEntries {
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Are there no entries?
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Every entry, in ID order.
+    pub fn iter(&self) -> Iter<'_> {
+        Iter {
+            windows: self.windows.iter(),
+            window: [].iter(),
+            left: self.len,
+        }
+    }
+
+    /// The entries window by window, in ID order, each a slice of the
+    /// buffer of the page version that wrote it.
+    pub fn windows(&self) -> impl Iterator<Item = &[PageEntry]> {
+        self.windows.iter().map(Window::entries)
+    }
+
+    /// The first entry for which `before` does not hold, where it holds for
+    /// a prefix of the entries: a binary search of the windows by their
+    /// last entries, then of one window.
+    fn first_not(&self, before: impl Fn(&PageEntry) -> bool) -> Option<&PageEntry> {
+        let at = (self.windows).partition_point(|w| w.entries().last().is_some_and(&before));
+        let window = self.windows.get(at)?.entries();
+        window.get(window.partition_point(&before))
+    }
+}
+
+impl PartialEq for PageEntries {
+    fn eq(&self, other: &PageEntries) -> bool {
+        self.len == other.len && self.iter().eq(other)
+    }
+}
+
+impl Eq for PageEntries {}
+
+impl fmt::Debug for PageEntries {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self).finish()
+    }
+}
+
+impl<'a> IntoIterator for &'a PageEntries {
+    type Item = &'a PageEntry;
+    type IntoIter = Iter<'a>;
+
+    fn into_iter(self) -> Iter<'a> {
+        self.iter()
+    }
+}
+
+/// The entries of a [`PageEntries`], in ID order.
+pub struct Iter<'a> {
+    windows: std::slice::Iter<'a, Window>,
+    window: std::slice::Iter<'a, PageEntry>,
+    left: usize,
+}
+
+impl<'a> Iterator for Iter<'a> {
+    type Item = &'a PageEntry;
+
+    fn next(&mut self) -> Option<&'a PageEntry> {
+        loop {
+            if let Some(entry) = self.window.next() {
+                self.left -= 1;
+                return Some(entry);
+            }
+            self.window = self.windows.next()?.entries().iter();
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Iter<'_> {}
+
 /// The body of one page version: the tuple IDs present in the partition,
 /// each with its cached ring position.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -126,15 +269,21 @@ pub struct IndexPage {
     /// The tuple-key hash range the partition covers.
     pub range: KeyRange,
     /// The tuple versions in the partition for this version, sorted by
-    /// tuple ID for deterministic iteration and binary-search lookups.
-    pub entries: Vec<PageEntry>,
+    /// tuple ID for deterministic iteration and binary-search lookups, as
+    /// windows into the entry buffers of the page versions that wrote them.
+    pub entries: PageEntries,
 }
 
 impl IndexPage {
-    /// Create a page body, sorting the entries.
-    pub fn new(id: PageId, range: KeyRange, mut entries: Vec<PageEntry>) -> IndexPage {
-        entries.sort();
-        IndexPage { id, range, entries }
+    /// Create a page body, sorting the entries, in a buffer of its own.
+    pub fn new(id: PageId, range: KeyRange, entries: Vec<PageEntry>) -> IndexPage {
+        let mut writer = PageWriter::for_pages([(None, 0, entries.len())]);
+        writer.add = entries;
+        IndexPage {
+            id,
+            range,
+            entries: writer.write(None),
+        }
     }
 
     /// Number of tuple IDs listed.
@@ -149,14 +298,13 @@ impl IndexPage {
 
     /// Does the page list this exact tuple version?
     pub fn contains(&self, id: &TupleId) -> bool {
-        self.entries.binary_search_by(|e| e.id.cmp(id)).is_ok()
+        (self.entries.first_not(|e| e.id < *id)).is_some_and(|e| e.id == *id)
     }
 
     /// The (oldest) version of the tuple with key `key` this page lists,
     /// found by binary search: entries order by key first.
     pub fn current_version_of(&self, key: &[Value]) -> Option<&PageEntry> {
-        let at = self.entries.partition_point(|e| *e.id.key < *key);
-        self.entries.get(at).filter(|e| *e.id.key == *key)
+        (self.entries.first_not(|e| *e.id.key < *key)).filter(|e| *e.id.key == *key)
     }
 
     /// The descriptor summarising this page version, stored at page slot
@@ -165,53 +313,202 @@ impl IndexPage {
         PageDescriptor::new(self.id.clone(), self.range, slot, self.entries.len())
     }
 
-    /// Derive the next version of this page at `epoch`: drop the IDs in
-    /// `remove` (superseded or deleted versions) and list the entries in
-    /// `add`.  Both are sorted, then merged with this page's sorted
-    /// entries in one pass; surviving entries are carried forward with
-    /// the positions they were published with and their keys shared by
-    /// pointer, so no key is hashed or copied.
+    /// Derive the next version of this page at `epoch`, in a buffer of its
+    /// own: drop the IDs in `remove` (superseded or deleted versions) and
+    /// list the entries in `add`.  Both are sorted, then every window no
+    /// remove names and no add falls in is kept by reference, and each
+    /// stretch of touched windows is merged with its changes in one sorted
+    /// pass: surviving entries are carried forward with the positions they
+    /// were published with and their keys shared by pointer, so no key is
+    /// hashed or copied.  Publication writes the pages of one run into one
+    /// buffer the same way.
     pub fn next_version(
         &self,
         epoch: Epoch,
-        mut remove: Vec<&TupleId>,
-        mut add: Vec<PageEntry>,
+        remove: Vec<&TupleId>,
+        add: Vec<PageEntry>,
     ) -> IndexPage {
-        remove.sort_unstable();
-        add.sort();
-        let mut entries = Vec::with_capacity(self.entries.len() + add.len());
-        let mut remove = remove.into_iter().peekable();
-        let mut add = add.into_iter().peekable();
-        for entry in &self.entries {
-            // A remove that names nothing here is skipped, not an error.
-            // A matching remove is left in place: it drops *every* entry
-            // equal to it (a batch touching one key twice lists the same
-            // ID twice), and may itself be listed more than once.
-            while remove.next_if(|r| **r < entry.id).is_some() {}
-            if remove.peek().is_some_and(|r| **r == entry.id) {
-                continue;
-            }
-            while let Some(new) = add.next_if(|a| a.id < entry.id) {
-                entries.push(new);
-            }
-            entries.push(entry.clone());
-        }
-        entries.extend(add);
+        let mut writer = PageWriter::for_pages([(Some(&self.entries), remove.len(), add.len())]);
+        (writer.remove, writer.add) = (remove, add);
         IndexPage {
             id: PageId::new(Arc::clone(&self.id.relation), epoch, self.id.partition),
             range: self.range,
-            entries,
+            entries: writer.write(Some(&self.entries)),
         }
     }
 
     /// Approximate wire size of the page body (what an index node ships
     /// when asked for the page's tuple IDs).
     pub fn serialized_size(&self) -> usize {
-        64 + self
-            .entries
-            .iter()
-            .map(|e| e.id.serialized_size())
+        let windows = self.entries.windows();
+        64 + windows
+            .map(|w| w.iter().map(|e| e.id.serialized_size()).sum::<usize>())
             .sum::<usize>()
+    }
+}
+
+/// Where a page version's entries are while it is being written: a
+/// stretch of the previous version's windows, kept, or a stretch of the
+/// entries written.
+enum Piece {
+    Kept(u32, u32),
+    Written(u32, u32),
+}
+
+/// Writes the page versions of one run.  Its lists are scratch space for
+/// one page version at a time, sized up front for the largest, so writing
+/// a run allocates them once and each page version its buffer, its window
+/// list and nothing more, whatever the size of the pages it carries
+/// forward.
+pub(crate) struct PageWriter<'p> {
+    /// The IDs the next page version drops, filled by the caller.
+    pub(crate) remove: Vec<&'p TupleId>,
+    /// The entries the next page version lists besides, filled by the
+    /// caller.
+    pub(crate) add: Vec<PageEntry>,
+    written: Vec<PageEntry>,
+    pieces: Vec<Piece>,
+}
+
+impl<'p> PageWriter<'p> {
+    /// A writer with room for each page version `pages` lists: its previous
+    /// version, if it has one, and at most how many entries it removes and
+    /// how many it adds.
+    pub(crate) fn for_pages<'q>(
+        pages: impl IntoIterator<Item = (Option<&'q PageEntries>, usize, usize)>,
+    ) -> PageWriter<'p> {
+        let mut room = [0; 4];
+        for (prev, removes, adds) in pages {
+            let (listed, windows) = prev.map_or((0, 0), |p| (p.len, p.windows.len()));
+            // An add touches one window and a remove at most two (an ID
+            // listed at the end of one and the start of the next), and a
+            // touched window writes at most `LEAF` entries back.
+            let touched = windows.min(adds + 2 * removes);
+            // A stretch of touched windows is cut into at most one window
+            // more than it held, plus one per `LEAF` adds, and stretches
+            // kept lie between them.
+            let pieces = 3 * touched + adds.div_ceil(LEAF) + 2;
+            let page = [removes, adds, listed.min(LEAF * touched) + adds, pieces];
+            room = std::array::from_fn(|at| room[at].max(page[at]));
+        }
+        PageWriter {
+            remove: Vec::with_capacity(room[0]),
+            add: Vec::with_capacity(room[1]),
+            written: Vec::with_capacity(room[2]),
+            pieces: Vec::with_capacity(room[3]),
+        }
+    }
+
+    /// Write the next page version: `prev`'s entries (none when `None`)
+    /// without the IDs in [`Self::remove`], with the entries in
+    /// [`Self::add`], both of which it empties.  Both are sorted, then each
+    /// window of `prev` that no remove names and no add falls in (sorts
+    /// before the next window's first entry) is kept as it is.  Each
+    /// stretch of touched windows is merged with its removes and adds in
+    /// one pass, as a flat sorted merge would — a remove drops every entry
+    /// equal to it and may name nothing — and the merged entries are moved
+    /// into the version's buffer, one allocation, and cut into windows.
+    pub(crate) fn write(&mut self, prev: Option<&PageEntries>) -> PageEntries {
+        self.remove.sort_unstable();
+        self.add.sort();
+        let mut remove = self.remove.drain(..).peekable();
+        let mut add = self.add.drain(..).peekable();
+        let windows = prev.map_or(&[][..], |p| &p.windows);
+        // Where the stretch being kept starts among the windows, or the
+        // one being written among the entries written, if one is.
+        let (mut kept, mut stretch) = (None, None);
+        for (at, window) in windows.iter().enumerate() {
+            let entries = window.entries();
+            let (Some(first), Some(last)) = (entries.first(), entries.last()) else {
+                continue;
+            };
+            let next = windows.get(at + 1).and_then(|w| w.entries().first());
+            let before_next = |a: &PageEntry| next.is_none_or(|n| a.id < n.id);
+            while remove.next_if(|r| **r < first.id).is_some() {}
+            let touched = remove.peek().is_some_and(|r| **r <= last.id)
+                || add.peek().is_some_and(before_next);
+            if !touched {
+                cut(&mut self.pieces, stretch.take(), self.written.len());
+                kept.get_or_insert(at);
+                continue;
+            }
+            if let Some(from) = kept.take() {
+                // A page's windows number fewer than its entries, which a
+                // buffer indexes with a `u32`.
+                self.pieces.push(Piece::Kept(from as u32, at as u32));
+            }
+            stretch.get_or_insert(self.written.len());
+            for entry in entries {
+                // A matching remove is left in place: it drops every entry
+                // equal to it (a batch touching one key twice lists the
+                // same ID twice), and may itself be listed more than once.
+                while remove.next_if(|r| **r < entry.id).is_some() {}
+                if remove.peek().is_some_and(|r| **r == entry.id) {
+                    continue;
+                }
+                while let Some(new) = add.next_if(|a| a.id < entry.id) {
+                    self.written.push(new);
+                }
+                self.written.push(entry.clone());
+            }
+            while let Some(new) = add.next_if(before_next) {
+                self.written.push(new);
+            }
+        }
+        if let Some(from) = kept {
+            self.pieces
+                .push(Piece::Kept(from as u32, windows.len() as u32));
+        }
+        if windows.is_empty() {
+            stretch = Some(self.written.len());
+            self.written.extend(add);
+        }
+        cut(&mut self.pieces, stretch, self.written.len());
+
+        // One allocation, of exactly the entries written (`Drain` knows
+        // its length), and none for a version that wrote nothing.
+        let buffer: Option<Arc<[PageEntry]>> =
+            (!self.written.is_empty()).then(|| self.written.drain(..).collect());
+        let count = self.pieces.iter().map(|piece| match piece {
+            Piece::Kept(from, to) => (to - from) as usize,
+            Piece::Written(..) => 1,
+        });
+        let mut entries = PageEntries {
+            windows: Vec::with_capacity(count.sum()),
+            len: 0,
+        };
+        for piece in self.pieces.drain(..) {
+            match piece {
+                Piece::Kept(from, to) => {
+                    entries
+                        .windows
+                        .extend_from_slice(&windows[from as usize..to as usize]);
+                }
+                // Only a version that wrote entries has written pieces.
+                Piece::Written(start, end) => {
+                    if let Some(buffer) = &buffer {
+                        let buffer = Arc::clone(buffer);
+                        entries.windows.push(Window { buffer, start, end });
+                    }
+                }
+            }
+        }
+        entries.len = entries
+            .windows
+            .iter()
+            .map(|w| (w.end - w.start) as usize)
+            .sum();
+        entries
+    }
+}
+
+/// Cut the entries written from `start`, if a stretch is open, to `end`
+/// into windows of `LEAF` entries and a last of the rest.
+fn cut(pieces: &mut Vec<Piece>, start: Option<usize>, end: usize) {
+    for at in (start.unwrap_or(end)..end).step_by(LEAF) {
+        // A page version's buffer fits a `u32` index: publication checks
+        // that before it writes (`DistributedStorage::publish`).
+        pieces.push(Piece::Written(at as u32, (at + LEAF).min(end) as u32));
     }
 }
 
@@ -258,6 +555,9 @@ pub fn partition_of(hash: Key160, partitions: u32) -> u32 {
     }
     lo
 }
+
+#[cfg(test)]
+mod page_equivalence;
 
 #[cfg(test)]
 mod tests {
@@ -323,7 +623,7 @@ mod tests {
             .chain(add)
             .collect();
         expected.sort();
-        assert_eq!(next.entries, expected);
+        assert_eq!(next.entries.iter().cloned().collect::<Vec<_>>(), expected);
         assert_eq!(next.len(), 10 - 2 + 4);
         assert!(next.entries.iter().all(|e| e.position == e.id.hash_key()));
 
@@ -350,7 +650,8 @@ mod tests {
         );
         let (one, three) = (tid(1, 0), tid(3, 0));
         let next = page.next_version(Epoch(1), vec![&three, &one, &three], vec![entry(1, 1)]);
-        assert_eq!(next.entries, vec![entry(1, 1), entry(2, 0)]);
+        let listed: Vec<PageEntry> = next.entries.iter().cloned().collect();
+        assert_eq!(listed, vec![entry(1, 1), entry(2, 0)]);
     }
 
     #[test]
