@@ -97,14 +97,6 @@ impl Json {
         }
     }
 
-    /// The string value of a `Str`.
-    pub fn as_str_val(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
     /// The elements of an `Array`.
     pub fn items(&self) -> Option<&[Json]> {
         match self {
@@ -442,7 +434,7 @@ mod tests {
         assert_eq!(parsed.render(), text, "render∘parse∘render is stable");
         assert_eq!(parsed.get("count").unwrap().as_f64(), Some(1.8e10));
         assert_eq!(parsed.get("delta").unwrap().as_f64(), Some(-3.0));
-        assert_eq!(parsed.get("name").unwrap().as_str_val(), Some("q\"3\"\n"));
+        assert_eq!(parsed.get("name"), Some(&Json::str("q\"3\"\n")));
         assert_eq!(parsed.get("points").unwrap().items().unwrap().len(), 3);
     }
 
@@ -472,13 +464,13 @@ mod tests {
     fn parse_accepts_whitespace_and_escapes() {
         let parsed =
             Json::parse(" { \"a\" : [ 1 , -2.5e1 ] , \"s\" : \"\\u0041\\u00e9\" } ").unwrap();
-        assert_eq!(parsed.get("s").unwrap().as_str_val(), Some("Aé"));
+        assert_eq!(parsed.get("s"), Some(&Json::str("Aé")));
         let items = parsed.get("a").unwrap().items().unwrap();
         assert_eq!(items[0].as_f64(), Some(1.0));
         assert_eq!(items[1].as_f64(), Some(-25.0));
         // Surrogate pairs combine into one scalar.
         let emoji = Json::parse("\"\\ud83d\\ude00\"").unwrap();
-        assert_eq!(emoji.as_str_val(), Some("😀"));
+        assert_eq!(emoji, Json::str("😀"));
     }
 
     #[test]

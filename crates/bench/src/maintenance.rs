@@ -356,7 +356,10 @@ mod tests {
             .items()
             .unwrap()
             .iter()
-            .map(|p| p.get("decision").unwrap().as_str_val().unwrap())
+            .map(|p| match p.get("decision") {
+                Some(Json::Str(decision)) => decision.as_str(),
+                other => panic!("decision: {other:?}"),
+            })
             .collect()
     }
 

@@ -17,9 +17,9 @@ fn names(contract: &Json, list: &str) -> Vec<String> {
     entries
         .unwrap_or_else(|| panic!("BENCHMARK.json has no {list} list"))
         .iter()
-        .map(|entry| {
-            let name = entry.get("name").and_then(Json::as_str_val);
-            name.expect("every entry is named").to_string()
+        .map(|entry| match entry.get("name") {
+            Some(Json::Str(name)) => name.clone(),
+            other => panic!("every entry is named, not {other:?}"),
         })
         .collect()
 }
@@ -35,11 +35,15 @@ fn every_record_covers_the_benchmark_contract() {
     let records = trajectory.items().expect("BENCH_HOST.json is an array");
     assert!(records.len() >= 2, "a parent and a change at least");
     for record in records {
-        let label = record.get("label").and_then(Json::as_str_val);
-        let label = label.expect("a record has a label");
+        let Some(Json::Str(label)) = record.get("label") else {
+            panic!("a record has a label");
+        };
         assert!(!label.is_empty());
-        let commit = record.get("commit").and_then(Json::as_str_val);
-        assert!(commit.is_some_and(|c| c.len() >= 7), "{label}: commit");
+        let commit = record.get("commit");
+        assert!(
+            matches!(commit, Some(Json::Str(c)) if c.len() >= 7),
+            "{label}: commit"
+        );
         assert!(record.get("seed").and_then(Json::as_f64).is_some());
         let runs = record.get("runs").and_then(Json::as_f64);
         assert!(runs.is_some_and(|n| n >= 1.0), "{label}: runs");

@@ -581,11 +581,6 @@ impl Column {
     pub fn dict_bytes(&self, pool: &StringPool) -> usize {
         self.acct(pool).dict_bytes
     }
-
-    /// Number of distinct cells.
-    pub fn distinct_count(&self, pool: &StringPool) -> usize {
-        self.acct(pool).distinct
-    }
 }
 
 /// A block of tuples stored column-wise, with interned strings and
@@ -1270,7 +1265,7 @@ mod tests {
         assert!(matches!(b.value_at(1, 0), Value::Double(_)));
         assert!(b.value_at(2, 0).is_null());
         // Distinctness under Value equality: Int(2) == Double(2.0).
-        assert_eq!(b.column(0).distinct_count(b.pool()), 3);
+        assert_eq!(b.column(0).acct(b.pool()).distinct, 3);
     }
 
     /// Check every column's accounting against the row path's oracle:
@@ -1292,7 +1287,7 @@ mod tests {
             assert_eq!(b.column(col).plain_bytes(b.pool()), plain, "col {col}");
             assert_eq!(b.column(col).dict_bytes(b.pool()), dict, "col {col}");
             assert_eq!(
-                b.column(col).distinct_count(b.pool()),
+                b.column(col).acct(b.pool()).distinct,
                 seen.len(),
                 "col {col}"
             );
@@ -1363,8 +1358,8 @@ mod tests {
         let b = batch_of(&numbers);
         assert!(matches!(b.column(0).data(), ColumnData::Int(_)));
         assert!(matches!(b.column(1).data(), ColumnData::Double(_)));
-        assert_eq!(b.column(0).distinct_count(b.pool()), 5);
-        assert_eq!(b.column(1).distinct_count(b.pool()), 4);
+        assert_eq!(b.column(0).acct(b.pool()).distinct, 5);
+        assert_eq!(b.column(1).acct(b.pool()).distinct, 4);
         assert_accounting(&b, &numbers);
 
         // The untyped fallback: `Int(2)` and `Double(2.0)` are one value.
@@ -1403,8 +1398,8 @@ mod tests {
         assert!(b.sign_column().iter().all(|s| *s == 1));
         // Accounting reflects the surviving cells only.
         assert_eq!(b.column(0).plain_bytes(b.pool()), 3 * 9);
-        assert_eq!(b.column(0).distinct_count(b.pool()), 3);
-        assert_eq!(b.column(1).distinct_count(b.pool()), 2);
+        assert_eq!(b.column(0).acct(b.pool()).distinct, 3);
+        assert_eq!(b.column(1).acct(b.pool()).distinct, 2);
     }
 
     #[test]
@@ -1461,7 +1456,7 @@ mod tests {
                     variant,
                     col.plain_bytes(b.pool()),
                     col.dict_bytes(b.pool()),
-                    col.distinct_count(b.pool()),
+                    col.acct(b.pool()).distinct,
                 )
             })
             .collect();

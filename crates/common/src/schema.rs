@@ -9,7 +9,6 @@
 //! and `region`, a flag saying the relation is replicated at every node
 //! rather than partitioned.
 
-use crate::value::Value;
 use std::fmt;
 use std::sync::Arc;
 
@@ -22,20 +21,6 @@ pub enum ColumnType {
     Double,
     /// Variable-length string.
     Str,
-}
-
-impl ColumnType {
-    /// Does `value` inhabit this type (NULL inhabits every type)?
-    pub fn admits(&self, value: &Value) -> bool {
-        matches!(
-            (self, value),
-            (_, Value::Null)
-                | (ColumnType::Int, Value::Int(_))
-                | (ColumnType::Double, Value::Double(_))
-                | (ColumnType::Double, Value::Int(_))
-                | (ColumnType::Str, Value::Str(_))
-        )
-    }
 }
 
 /// The schema of a relation: named, typed columns plus the number of
@@ -88,25 +73,6 @@ impl Schema {
     /// Type of column `i`.
     pub fn column_type(&self, i: usize) -> ColumnType {
         self.columns[i].1
-    }
-
-    /// Name of column `i`.
-    pub fn column_name(&self, i: usize) -> &str {
-        &self.columns[i].0
-    }
-
-    /// Index of the column called `name`, if any.
-    pub fn column_index(&self, name: &str) -> Option<usize> {
-        self.columns.iter().position(|(n, _)| n == name)
-    }
-
-    /// Does a row of `values` satisfy this schema (arity and types)?
-    pub fn admits_row(&self, values: &[Value]) -> bool {
-        values.len() == self.arity()
-            && values
-                .iter()
-                .zip(self.columns.iter())
-                .all(|(v, (_, t))| t.admits(v))
     }
 }
 
@@ -185,21 +151,8 @@ mod tests {
         let s = sample();
         assert_eq!(s.arity(), 3);
         assert_eq!(s.key_len(), 1);
-        assert_eq!(s.column_name(1), "y");
+        assert_eq!(s.column_names().collect::<Vec<_>>(), ["x", "y", "z"]);
         assert_eq!(s.column_type(2), ColumnType::Double);
-        assert_eq!(s.column_index("z"), Some(2));
-        assert_eq!(s.column_index("nope"), None);
-    }
-
-    #[test]
-    fn row_admission_checks_arity_and_types() {
-        let s = sample();
-        assert!(s.admits_row(&[Value::Int(1), Value::str("a"), Value::Double(2.0)]));
-        // Ints are admitted into Double columns (numeric widening).
-        assert!(s.admits_row(&[Value::Int(1), Value::str("a"), Value::Int(2)]));
-        assert!(s.admits_row(&[Value::Null, Value::Null, Value::Null]));
-        assert!(!s.admits_row(&[Value::Int(1), Value::Int(2), Value::Double(2.0)]));
-        assert!(!s.admits_row(&[Value::Int(1), Value::str("a")]));
     }
 
     #[test]

@@ -116,14 +116,6 @@ impl QueryReport {
     pub fn output_rows(&self) -> usize {
         self.rows.len()
     }
-
-    /// Measured rows processed per operator class (slot order
-    /// [`WallClock::NAMES`]).  Unlike the nanosecond timings beside
-    /// them, these counts are a function of the data alone and are
-    /// deterministic across runs.
-    pub fn operator_rows(&self) -> &[u64; 8] {
-        &self.wall_clock.op_rows
-    }
 }
 
 impl Runtime<'_> {

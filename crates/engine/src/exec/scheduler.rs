@@ -309,22 +309,7 @@ impl SessionScheduler {
         engine: &EngineConfig,
         sessions: &[QuerySession],
     ) -> Result<WorkloadReport> {
-        self.run_inner(storage.view(), engine, &borrowed(sessions), &[], None)
-    }
-
-    /// Run `sessions` while killing `failure.node` at `failure.at` on the
-    /// shared network — every in-flight session is hit at once.  Each
-    /// stalled session recovers under `engine.strategy` through its own
-    /// view of the storage, which stops reading the failed node.
-    pub fn run_with_failure(
-        &self,
-        storage: &DistributedStorage,
-        engine: &EngineConfig,
-        sessions: &[QuerySession],
-        failure: FailureSpec,
-    ) -> Result<WorkloadReport> {
-        let view = storage.view();
-        self.run_inner(view, engine, &borrowed(sessions), &[failure], None)
+        self.run_with(storage, engine, sessions, &[], None)
     }
 
     /// Run `sessions` with `cache` consulted at every arrival and filled
@@ -338,23 +323,25 @@ impl SessionScheduler {
         sessions: &[QuerySession],
         cache: &mut ResultCache,
     ) -> Result<WorkloadReport> {
-        let view = storage.view();
-        self.run_inner(view, engine, &borrowed(sessions), &[], Some(cache))
+        self.run_with(storage, engine, sessions, &[], Some(cache))
     }
 
-    /// The serving configuration with a node failure injected — cached
-    /// answers keep being served while in-flight executions recover, and
-    /// only *completed* (post-recovery) answers fill the cache.
-    pub fn run_serving_with_failure(
+    /// Run `sessions` over `storage`, killing each `failures` node at its
+    /// instant on the shared network — every in-flight session is hit at
+    /// once, and each stalled one recovers under `engine.strategy`
+    /// through its own view of the storage, which stops reading the
+    /// failed node.  With a `cache`, cached answers keep being served
+    /// while in-flight executions recover, and only *completed*
+    /// (post-recovery) answers fill it.
+    pub fn run_with(
         &self,
         storage: &DistributedStorage,
         engine: &EngineConfig,
         sessions: &[QuerySession],
-        failure: FailureSpec,
-        cache: &mut ResultCache,
+        failures: &[FailureSpec],
+        cache: Option<&mut ResultCache>,
     ) -> Result<WorkloadReport> {
-        let view = storage.view();
-        self.run_inner(view, engine, &borrowed(sessions), &[failure], Some(cache))
+        self.run_inner(storage.view(), engine, &borrowed(sessions), failures, cache)
     }
 
     /// The engine's one event loop: every run — a scheduled workload, a

@@ -300,11 +300,11 @@ fn operator_row_counts_are_a_function_of_the_data_alone() {
         .unwrap();
     // Every row passes the scan, the ship exchange and the output once;
     // no other operator class runs.
-    for (name, rows) in WallClock::NAMES.iter().zip(a.operator_rows()) {
+    for (name, rows) in WallClock::NAMES.iter().zip(&a.wall_clock.op_rows) {
         let expected = u64::from(matches!(*name, "scan" | "exchange" | "output")) * 80;
         assert_eq!(*rows, expected, "{name}");
     }
-    assert_eq!(a.operator_rows(), b.operator_rows());
+    assert_eq!(&a.wall_clock.op_rows, &b.wall_clock.op_rows);
 }
 
 #[test]
@@ -610,7 +610,10 @@ fn assert_same_figures(a: &QueryReport, b: &QueryReport, what: &str) {
     assert_eq!(a.remote_lookups, b.remote_lookups, "{what}: remote_lookups");
     assert_eq!(a.purged, b.purged, "{what}: purged");
     assert_eq!(a.retransmitted, b.retransmitted, "{what}: retransmitted");
-    assert_eq!(a.operator_rows(), b.operator_rows(), "{what}: op rows");
+    assert_eq!(
+        &a.wall_clock.op_rows, &b.wall_clock.op_rows,
+        "{what}: op rows"
+    );
 }
 
 #[test]
@@ -648,7 +651,7 @@ fn single_session_workload_matches_the_stand_alone_executor() {
             .unwrap();
         assert!(stand_alone.recovered, "{strategy:?}");
         let workload = scheduler
-            .run_with_failure(&s, &config, &sessions, failure)
+            .run_with(&s, &config, &sessions, &[failure], None)
             .unwrap();
         let what = format!("{strategy:?}");
         assert_same_figures(&workload.sessions[0].report, &stand_alone, &what);
@@ -735,11 +738,12 @@ fn a_stall_error_names_the_session() {
         .unwrap_err();
     assert_eq!(err.message(), "session \"query\" lost its initiator n0");
     let err = SessionScheduler::new(SchedulerConfig::default())
-        .run_with_failure(
+        .run_with(
             &s,
             &config,
             &[session("named", scan_ship_plan(), Epoch(0), 1.0)],
-            failure,
+            &[failure],
+            None,
         )
         .unwrap_err();
     assert_eq!(err.message(), "session \"named\" lost its initiator n0");
@@ -801,7 +805,7 @@ fn concurrent_sessions_share_the_network_and_keep_their_answers() {
             ..EngineConfig::default()
         };
         let failed = scheduler
-            .run_with_failure(&s, &config, &sessions, failure)
+            .run_with(&s, &config, &sessions, &[failure], None)
             .unwrap();
         let what = format!("{strategy:?}");
         for (i, sr) in failed.sessions.iter().enumerate() {
@@ -1053,7 +1057,7 @@ fn cache_fill_survives_a_mid_query_failure_and_serves_the_recovered_answer() {
 
     let mut cache = ResultCache::new(8, EvictionPolicy::Lru);
     let failed_run = scheduler
-        .run_serving_with_failure(&s, &config, &[q.clone()], failure, &mut cache)
+        .run_with(&s, &config, &[q.clone()], &[failure], Some(&mut cache))
         .unwrap();
     assert!(failed_run.sessions[0].report.recovered);
     assert_eq!(failed_run.sessions[0].report.rows, expected);
@@ -1176,7 +1180,7 @@ fn failure_during_concurrent_sessions_recovers_each_one() {
             max_concurrent: 3,
             ..SchedulerConfig::default()
         })
-        .run_with_failure(
+        .run_with(
             &s,
             &run_config,
             &[
@@ -1184,7 +1188,8 @@ fn failure_during_concurrent_sessions_recovers_each_one() {
                 session("join", join_plan(), Epoch(1), 2.0),
                 session("agg", agg_plan(), Epoch(1), 3.0),
             ],
-            failure,
+            &[failure],
+            None,
         )
         .unwrap();
         let recovered = workload

@@ -804,11 +804,6 @@ impl AggState {
         AggState::default()
     }
 
-    /// Number of sub-groups currently held.
-    pub fn subgroup_count(&self) -> usize {
-        self.subgroups.iter().filter(|g| g.alive).count()
-    }
-
     /// Fold a whole columnar batch of raw input rows (modes `Single` and
     /// `Partial`) in order, honouring each row's delta sign — a
     /// retraction inverts its contribution.  A batch that would retract
@@ -1185,11 +1180,6 @@ impl RehashState {
         self.buffers.retain(|_, b| !b.is_empty());
         dropped
     }
-
-    /// Number of rows currently cached.
-    pub fn cache_len(&self) -> usize {
-        self.cache.values().flatten().map(|b| b.len()).sum()
-    }
 }
 
 /// Drop the rows tainted by `failed` from `batches`, one batch at a time;
@@ -1225,6 +1215,16 @@ fn purge_batch(batch: &mut ColumnarBatch, failed: &NodeSet) -> usize {
 pub(crate) mod tests {
     use super::*;
     use orchestra_common::Value;
+
+    /// Number of sub-groups `agg` currently holds.
+    pub(crate) fn subgroup_count(agg: &AggState) -> usize {
+        agg.subgroups.iter().filter(|g| g.alive).count()
+    }
+
+    /// Number of rows `r` currently caches.
+    fn cache_len(r: &RehashState) -> usize {
+        r.cache.values().flatten().map(|b| b.len()).sum()
+    }
 
     /// `vals` as a one-row batch carrying the given tags, so a test can
     /// drive the batch entry points one row at a time.
@@ -1515,7 +1515,7 @@ pub(crate) mod tests {
         assert!(agg
             .update_partial_batch(&retracting, &[0], &partial)
             .is_err());
-        assert_eq!(agg.subgroup_count(), 1);
+        assert_eq!(subgroup_count(&agg), 1);
         assert_eq!(
             agg.collapsed_final(&aggs),
             vec![Tuple::new(vec![
@@ -1555,7 +1555,7 @@ pub(crate) mod tests {
             .unwrap();
         agg.update_raw_batch(&one(vec![Value::str("g"), Value::Int(5)], 1), &[0], &aggs)
             .unwrap();
-        assert_eq!(agg.subgroup_count(), 2);
+        assert_eq!(subgroup_count(&agg), 2);
         let emitted = agg.emit_unemitted(true, NodeId(7), 0);
         assert_eq!(emitted.len(), 2);
         // Nothing new to emit on a second close.
@@ -1618,7 +1618,7 @@ pub(crate) mod tests {
         agg.update_raw_batch(&one(vec![Value::str("b")], 3), &[0], &aggs)
             .unwrap();
         assert_eq!(agg.purge_tainted(&NodeSet::singleton(NodeId(3))), 1);
-        assert_eq!(agg.subgroup_count(), 1);
+        assert_eq!(subgroup_count(&agg), 1);
     }
 
     #[test]
@@ -1690,7 +1690,7 @@ pub(crate) mod tests {
             fast.update_raw_batch(&typed, &[0, 1], &aggs).unwrap();
             fallback.update_raw_batch(&untyped, &[0, 1], &aggs).unwrap();
         }
-        assert_eq!(fast.subgroup_count(), fallback.subgroup_count());
+        assert_eq!(subgroup_count(&fast), subgroup_count(&fallback));
         assert_eq!(fast.collapsed_final(&aggs), fallback.collapsed_final(&aggs));
         assert_eq!(
             rows_of(&fast.emit_unemitted(true, NodeId(7), 0)),
@@ -1716,10 +1716,10 @@ pub(crate) mod tests {
         buffer_all(&mut r, NodeId(2), &one(vec![Value::Int(99)], 3));
         assert_eq!(r.pending_destinations(), vec![NodeId(1), NodeId(2)]);
         // A row is cached when it is sent, not while it waits.
-        assert_eq!(r.cache_len(), 0);
+        assert_eq!(cache_len(&r), 0);
         assert_eq!(flush_sizes(&mut r), vec![(NodeId(1), 5), (NodeId(2), 1)]);
         assert!(r.flush_pending().is_empty());
-        assert_eq!(r.cache_len(), 6);
+        assert_eq!(cache_len(&r), 6);
 
         // Stage-4 retransmission: cached rows for a failed destination,
         // excluding tainted ones.
@@ -1730,9 +1730,9 @@ pub(crate) mod tests {
         assert_eq!(resend.len(), 5);
         // The consumed entries are gone; the tainted n2 row remains until
         // purged.
-        assert_eq!(r.cache_len(), 1);
+        assert_eq!(cache_len(&r), 1);
         assert_eq!(r.purge_tainted(&failed), 1);
-        assert_eq!(r.cache_len(), 0);
+        assert_eq!(cache_len(&r), 0);
     }
 
     #[test]
@@ -1740,7 +1740,7 @@ pub(crate) mod tests {
         let mut r = RehashState::new(false);
         buffer_all(&mut r, NodeId(1), &one(vec![Value::Int(1)], 0));
         assert_eq!(flush_sizes(&mut r), vec![(NodeId(1), 1)]);
-        assert_eq!(r.cache_len(), 0);
+        assert_eq!(cache_len(&r), 0);
     }
 
     #[test]
@@ -1840,7 +1840,7 @@ pub(crate) mod tests {
         r.buffer_rows(NodeId(1), &mixed, &[0, 1], 8);
         let (_, in_flight) = r.flush_pending().remove(0);
         assert_eq!(r.purge_tainted(&NodeSet::singleton(NodeId(4))), 1);
-        assert_eq!((in_flight.len(), r.cache_len()), (2, 1));
+        assert_eq!((in_flight.len(), cache_len(&r)), (2, 1));
     }
 
     #[test]
@@ -1854,7 +1854,7 @@ pub(crate) mod tests {
         buffer_all(&mut r, NodeId(1), &one(vec![Value::Int(3)], 0));
         let failed = NodeSet::singleton(NodeId(7));
         assert_eq!(r.purge_tainted(&failed), 2);
-        assert_eq!(r.cache_len(), 0);
+        assert_eq!(cache_len(&r), 0);
         assert_eq!(flush_sizes(&mut r), vec![(NodeId(1), 1)]);
 
         // Without a cache, pending-buffer drops are what gets counted.
@@ -1957,7 +1957,7 @@ pub(crate) mod tests {
                 .buffer_rows(NodeId(dest as u16), &batch, &routed, 4)
                 .is_empty());
         }
-        assert_eq!(r.cache_len(), 0);
+        assert_eq!(cache_len(&r), 0);
         // Three rows are pending for node 0; five more fill the buffer at
         // source row 0, again at source row 4, and leave none pending.
         let filled = r.buffer_rows(NodeId(0), &batch, &[0, 1, 2, 3, 4], 4);
@@ -1967,7 +1967,7 @@ pub(crate) mod tests {
             sent,
             vec![(0, pick(&[0, 2, 4, 0])), (4, pick(&[1, 2, 3, 4]))]
         );
-        assert_eq!(r.cache_len(), 8);
+        assert_eq!(cache_len(&r), 8);
         assert_eq!(r.pending_destinations(), vec![NodeId(1)]);
         let pending = r.flush_pending();
         assert_eq!(rows_of(&pending[0].1), pick(&[1, 3, 5]));

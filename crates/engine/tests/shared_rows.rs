@@ -111,7 +111,7 @@ fn a_string_is_one_allocation_from_the_store_to_the_cache_hit() {
             &EngineConfig::default(),
             &[
                 session("first", SimTime::ZERO),
-                session("again", SimTime::from_secs(60)),
+                session("again", SimTime::from_millis(60_000)),
             ],
             &mut cache,
         )

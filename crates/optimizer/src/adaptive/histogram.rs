@@ -74,11 +74,6 @@ impl EquiDepthHistogram {
         self.total
     }
 
-    /// Is the histogram still answering from exact per-value counts?
-    pub fn is_exact(&self) -> bool {
-        matches!(self.shape, Shape::Exact(_))
-    }
-
     /// Fold one value with a delta sign (`+1` insert, `-1` delete).
     pub fn update(&mut self, value: &Value, sign: i64) {
         if value.is_null() {
@@ -315,7 +310,7 @@ mod tests {
         for r in &rows {
             h.update(&Value::Int(*r), 1);
         }
-        assert!(h.is_exact());
+        assert!(matches!(h.shape, Shape::Exact(_)));
         for op in [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Ge] {
             for v in 0..6 {
                 assert_eq!(
@@ -351,7 +346,10 @@ mod tests {
         for r in &rows {
             h.update(&Value::Int(*r), 1);
         }
-        assert!(!h.is_exact(), "3000 skewed values must overflow the cap");
+        assert!(
+            !matches!(h.shape, Shape::Exact(_)),
+            "3000 skewed values must overflow the cap"
+        );
         for v in [50, 200, 500, 900] {
             let est = h.fraction(CmpOp::Lt, &Value::Int(v)).unwrap();
             let exact = exact_fraction(&rows, CmpOp::Lt, v);

@@ -21,11 +21,13 @@
 //!   CostFeedback::observe_* ◀── measured QueryReport bytes & rows
 //! ```
 //!
-//! [`AdaptiveStats::absorb`] folds the **same signed deltas** the IVM
-//! path derives — it reads [`DistributedStorage::delta`], which memoizes
-//! per `(relation, from, to)` interval, so statistics maintenance after a
-//! registry refresh is a memo hit, never a second derivation and never a
-//! base-relation rescan.
+//! [`AdaptiveStats::absorb`] folds the **same signed rows** the IVM
+//! path's delta scans read, in the same order — it walks
+//! [`DistributedStorage::delta`]'s rows, the memoized change set of the
+//! `(relation, from, to)` interval, each changed partition's removed
+//! versions at `-1` and then its added ones at `+1`.  Statistics
+//! maintenance after a registry refresh is a memo hit, never a second
+//! derivation and never a base-relation rescan.
 
 pub mod drift;
 pub mod feedback;
@@ -97,10 +99,13 @@ impl AdaptiveStats {
     }
 
     /// Fold the signed delta of every relation that changed in
-    /// `(from, to]` into the maintained summaries.  Reads the storage
-    /// layer's memoized delta derivation, so absorbing after a registry
-    /// refresh of the same interval derives nothing new.  Returns the
-    /// total signed rows folded.
+    /// `(from, to]` into the maintained summaries, row by row in the order
+    /// [`orchestra_storage::RelationDelta::rows`] gives: per changed
+    /// partition, the versions the interval removed at `-1`, then the ones
+    /// it added at `+1`.  A histogram's bucket splits and merges depend on
+    /// that order.  Reads the storage layer's memoized delta derivation,
+    /// so absorbing after a registry refresh of the same interval derives
+    /// nothing new.  Returns the total signed rows folded.
     pub fn absorb(
         &mut self,
         storage: &DistributedStorage,
@@ -112,25 +117,17 @@ impl AdaptiveStats {
             let delta = storage.delta(&relation, from, to)?;
             let signed_rows = delta.signed_row_count();
             folded += signed_rows;
-            let ewma = self.delta_ewma.entry(relation.clone()).or_insert(0.0);
+            let columns = self.relations.entry(relation.clone()).or_default();
+            for row in delta.rows() {
+                let (row, sign) = row?;
+                fold_tuple(columns, &row.tuple(), i64::from(sign));
+            }
+            let ewma = self.delta_ewma.entry(relation).or_insert(0.0);
             *ewma = if *ewma == 0.0 {
                 signed_rows as f64
             } else {
                 (1.0 - DELTA_EWMA_ALPHA) * *ewma + DELTA_EWMA_ALPHA * signed_rows as f64
             };
-            let columns = self.relations.entry(relation).or_default();
-            for partition in &delta.partitions {
-                for tuple in &partition.inserts {
-                    fold_tuple(columns, tuple, 1);
-                }
-                for tuple in &partition.deletes {
-                    fold_tuple(columns, tuple, -1);
-                }
-                for (old, new) in &partition.modifies {
-                    fold_tuple(columns, old, -1);
-                    fold_tuple(columns, new, 1);
-                }
-            }
         }
         Ok(folded)
     }

@@ -107,11 +107,6 @@ impl KmvSketch {
         let h_k = (largest as f64 + 1.0) / (u64::MAX as f64 + 1.0);
         ((tracked as f64 - 1.0) / h_k).max(tracked as f64)
     }
-
-    /// Has the sketch ever rejected or evicted a hash (estimate mode)?
-    pub fn is_saturated(&self) -> bool {
-        self.saturated
-    }
 }
 
 #[cfg(test)]
@@ -209,7 +204,7 @@ mod tests {
                 update_without_early_out(&mut reference, &value, sign);
                 assert_eq!(fast, reference, "k = {k}, step {step}");
             }
-            assert!(fast.is_saturated(), "k = {k}");
+            assert!(fast.saturated, "k = {k}");
         }
     }
 
@@ -220,7 +215,7 @@ mod tests {
             s.update(&Value::Int(i), 1);
             s.update(&Value::Int(i), 1); // duplicates do not inflate
         }
-        assert!(!s.is_saturated());
+        assert!(!s.saturated);
         assert_eq!(s.distinct(), 50.0);
     }
 
@@ -249,7 +244,7 @@ mod tests {
             for i in 0..n {
                 s.update(&Value::Int(i), 1);
             }
-            assert!(s.is_saturated());
+            assert!(s.saturated);
             let est = s.distinct();
             let err = (est - n as f64).abs() / n as f64;
             assert!(err < 0.35, "n={n}: estimate {est:.0}, error {err:.3}");

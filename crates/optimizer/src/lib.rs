@@ -83,59 +83,3 @@ pub use maintenance::{
 };
 pub use planner::{compile, compile_with, plan_space, PlannerOptions};
 pub use stats::{column_width_bytes, Statistics, TableStats};
-
-use orchestra_engine::Predicate;
-
-/// Estimate the number of rows surviving `predicate` over an input of
-/// `input_cardinality` rows — the elementary step of the cost model.
-///
-/// Saturates at the representable extremes instead of rounding through
-/// `f64` arithmetic: inputs too large for `f64` to hold exactly come
-/// back unchanged under a selectivity of 1.0, and no estimate ever
-/// exceeds the input cardinality or `usize::MAX`.
-pub fn estimated_output_cardinality(input_cardinality: usize, predicate: &Predicate) -> usize {
-    let selectivity = predicate.estimated_selectivity();
-    if selectivity >= 1.0 {
-        return input_cardinality;
-    }
-    let estimate = input_cardinality as f64 * selectivity;
-    if estimate >= usize::MAX as f64 {
-        usize::MAX
-    } else {
-        (estimate.round() as usize).min(input_cardinality)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use orchestra_engine::CmpOp;
-
-    #[test]
-    fn selectivity_scales_cardinality() {
-        assert_eq!(estimated_output_cardinality(1000, &Predicate::True), 1000);
-        let eq = Predicate::cmp(0, CmpOp::Eq, 7i64);
-        assert_eq!(estimated_output_cardinality(1000, &eq), 100);
-        assert_eq!(estimated_output_cardinality(0, &eq), 0);
-    }
-
-    #[test]
-    fn huge_inputs_saturate_instead_of_rounding_through_f64() {
-        // usize::MAX is not representable in f64; a selectivity of 1.0
-        // must return the input unchanged rather than the rounded 2^64.
-        assert_eq!(
-            estimated_output_cardinality(usize::MAX, &Predicate::True),
-            usize::MAX
-        );
-        // Near-1.0 selectivities on huge inputs stay within bounds.
-        let ne = Predicate::cmp(0, CmpOp::Ne, 7i64);
-        let est = estimated_output_cardinality(usize::MAX, &ne);
-        assert!(est > usize::MAX / 2);
-        assert!(est < usize::MAX);
-        // One below a power of two: f64 rounding used to overshoot the
-        // input; the estimate is now clamped to it.
-        let big = (1usize << 53) + 1;
-        assert!(estimated_output_cardinality(big, &Predicate::True) == big);
-        assert!(estimated_output_cardinality(big, &ne) <= big);
-    }
-}

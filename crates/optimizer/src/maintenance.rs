@@ -123,8 +123,9 @@ pub struct MaintenanceChoice {
 /// * `stats_old` / `stats_new` — statistics snapshots at the view's
 ///   current epoch and at the published epoch;
 /// * `delta_rows` — signed delta row count per relation
-///   (`RelationDelta::signed_row_count`); relations absent or at zero
-///   are unchanged and contribute no leg.
+///   (`RelationDelta::signed_row_count`: the versions the interval
+///   removed plus the ones it added, counted without reading a tuple);
+///   relations absent or at zero are unchanged and contribute no leg.
 pub fn choose_maintenance(
     plan: &PhysicalPlan,
     legs: &[MaintenanceLeg],

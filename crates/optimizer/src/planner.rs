@@ -1049,8 +1049,7 @@ mod tests {
         let names = ["r0", "r1", "r2", "r3", "r4", "r5"];
         let tables = names
             .iter()
-            .map(|n| table(n, vec![("k", ColumnType::Int), ("f", ColumnType::Int)], 50))
-            .collect();
+            .map(|n| table(n, vec![("k", ColumnType::Int), ("f", ColumnType::Int)], 50));
         let stats = Statistics::from_tables(4, tables);
         let mut q = LogicalQuery::new();
         let slots: Vec<usize> = names.iter().map(|n| q.relation(*n)).collect();

@@ -85,11 +85,6 @@ impl TableStats {
         TUPLE_OVERHEAD_BYTES + self.column_widths.iter().sum::<f64>()
     }
 
-    /// Estimated wire bytes of one key-only row (covering index scans).
-    pub fn key_bytes(&self) -> f64 {
-        TUPLE_OVERHEAD_BYTES + self.column_widths[..self.key_len].iter().sum::<f64>()
-    }
-
     /// Estimated selectivity of `predicate` over this relation: the
     /// per-column histogram answers when it can, distinct counts size
     /// equality predicates when only they exist, and everything else
@@ -166,26 +161,22 @@ pub struct Statistics {
 impl Statistics {
     /// Snapshot the statistics of every registered relation at `epoch`.
     pub fn collect(storage: &DistributedStorage, epoch: Epoch) -> Statistics {
-        let mut tables = BTreeMap::new();
-        for relation in storage.relations() {
+        let tables = storage.relations().map(|relation| {
             let cardinality = storage.relation_cardinality(relation.name(), epoch);
-            tables.insert(
-                relation.name().to_string(),
-                TableStats::from_relation(relation, cardinality),
-            );
-        }
-        Statistics {
-            nodes: storage.routing().node_count(),
-            tables,
-        }
+            TableStats::from_relation(relation, cardinality)
+        });
+        Statistics::from_tables(storage.routing().node_count(), tables)
     }
 
-    /// Build a statistics snapshot directly from table stats (tests,
-    /// what-if planning).
-    pub fn from_tables(nodes: usize, tables: Vec<TableStats>) -> Statistics {
+    /// Build a statistics snapshot directly from table stats.
+    pub fn from_tables(nodes: usize, tables: impl IntoIterator<Item = TableStats>) -> Statistics {
+        let mut by_name = BTreeMap::new();
+        for table in tables {
+            by_name.insert(table.name.clone(), table);
+        }
         Statistics {
             nodes,
-            tables: tables.into_iter().map(|t| (t.name.clone(), t)).collect(),
+            tables: by_name,
         }
     }
 
@@ -243,7 +234,6 @@ mod tests {
         assert_eq!(t.key_len, 1);
         assert!(!t.replicated);
         assert_eq!(t.row_bytes(), 2.0 + 9.0 + 30.0);
-        assert_eq!(t.key_bytes(), 2.0 + 9.0);
         assert_eq!(t.histograms, vec![None, None]);
         assert_eq!(t.distinct_counts, vec![None, None]);
     }

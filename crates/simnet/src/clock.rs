@@ -16,11 +16,6 @@ impl SimTime {
     /// Time zero — the start of every simulation.
     pub const ZERO: SimTime = SimTime(0);
 
-    /// Build from whole seconds.
-    pub fn from_secs(secs: u64) -> SimTime {
-        SimTime(secs * 1_000_000)
-    }
-
     /// Build from fractional seconds (rounded to the nearest microsecond).
     pub fn from_secs_f64(secs: f64) -> SimTime {
         assert!(secs >= 0.0 && secs.is_finite(), "negative or NaN duration");
@@ -90,7 +85,6 @@ mod tests {
 
     #[test]
     fn conversions_round_trip() {
-        assert_eq!(SimTime::from_secs(2).as_micros(), 2_000_000);
         assert_eq!(SimTime::from_millis(5).as_micros(), 5_000);
         assert!((SimTime::from_secs_f64(1.5).as_secs_f64() - 1.5).abs() < 1e-9);
     }

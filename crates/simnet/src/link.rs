@@ -53,12 +53,6 @@ impl LinkState {
         done
     }
 
-    /// Total time this node's links have spent transferring bytes, both
-    /// directions combined — the numerator of a utilization figure.
-    pub fn busy_time(&self) -> SimTime {
-        self.uplink_busy + self.downlink_busy
-    }
-
     /// Reserve the downlink for a transfer of `bytes` whose first byte
     /// arrives at `arrival_start`; returns the time the last byte has been
     /// received.
@@ -88,7 +82,7 @@ mod tests {
         let d1 = link.reserve_uplink(SimTime::ZERO, 500_000, &profile);
         let d2 = link.reserve_uplink(SimTime::ZERO, 500_000, &profile);
         assert_eq!(d1, SimTime::from_secs_f64(0.5));
-        assert_eq!(d2, SimTime::from_secs(1));
+        assert_eq!(d2, SimTime::from_millis(1_000));
     }
 
     #[test]
@@ -98,8 +92,8 @@ mod tests {
         link.reserve_uplink(SimTime::ZERO, 1000, &profile);
         // A much later send starts when it is ready, not when the link
         // became free.
-        let done = link.reserve_uplink(SimTime::from_secs(10), 1000, &profile);
-        assert_eq!(done, SimTime::from_secs(10) + SimTime::from_millis(1));
+        let done = link.reserve_uplink(SimTime::from_millis(10_000), 1000, &profile);
+        assert_eq!(done, SimTime::from_millis(10_000) + SimTime::from_millis(1));
     }
 
     #[test]
@@ -107,11 +101,10 @@ mod tests {
         let profile = ClusterProfile::wan(1000.0, 0.0); // 1 MB/s
         let mut link = LinkState::idle();
         link.reserve_uplink(SimTime::ZERO, 1000, &profile); // 1 ms
-        link.reserve_uplink(SimTime::from_secs(5), 1000, &profile); // 1 ms, after a gap
-        link.reserve_downlink(SimTime::from_secs(7), 2000, &profile); // 2 ms
+        link.reserve_uplink(SimTime::from_millis(5_000), 1000, &profile); // 1 ms, after a gap
+        link.reserve_downlink(SimTime::from_millis(7_000), 2000, &profile); // 2 ms
         assert_eq!(link.uplink_busy, SimTime::from_millis(2));
         assert_eq!(link.downlink_busy, SimTime::from_millis(2));
-        assert_eq!(link.busy_time(), SimTime::from_millis(4));
     }
 
     #[test]
@@ -120,7 +113,7 @@ mod tests {
         let mut link = LinkState::idle();
         let r1 = link.reserve_downlink(SimTime::ZERO, 1_000_000, &profile);
         let r2 = link.reserve_downlink(SimTime::ZERO, 1_000_000, &profile);
-        assert_eq!(r1, SimTime::from_secs(1));
-        assert_eq!(r2, SimTime::from_secs(2));
+        assert_eq!(r1, SimTime::from_millis(1_000));
+        assert_eq!(r2, SimTime::from_millis(2_000));
     }
 }

@@ -166,7 +166,7 @@ mod tests {
         assert!((wan.bandwidth_bytes_per_sec - 400_000.0).abs() < 1e-6);
         assert!((wan.latency_seconds - 0.05).abs() < 1e-9);
         // 400 KB at 400 KB/s takes one second.
-        assert_eq!(wan.transfer_time(400_000), SimTime::from_secs(1));
+        assert_eq!(wan.transfer_time(400_000), SimTime::from_millis(1_000));
     }
 
     #[test]

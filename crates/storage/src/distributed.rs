@@ -301,13 +301,6 @@ impl DistributedStorage {
         self.logs.get(relation)?.holders(kind).of(node)
     }
 
-    /// How many items of `kind` `node` holds, over every relation.
-    pub fn held_count(&self, node: NodeId, kind: Kind) -> usize {
-        let logs = self.logs.values();
-        let held = logs.filter_map(|log| log.holders(kind).of(node));
-        held.map(SlotSet::len).sum()
-    }
-
     /// Drop everything `node` holds — the permanent loss of its local
     /// storage.  A relation's log that a clone still shares, and that the
     /// node holds something of, is unshared first: its run pointers and
@@ -587,15 +580,6 @@ impl DistributedStorage {
     pub fn version_at(&self, relation: &str, epoch: Epoch) -> Option<Epoch> {
         let log = self.logs.get(relation)?;
         Some(log.record(log.record_at(epoch)?)?.key.epoch)
-    }
-
-    /// All epochs at which `relation` changed, in order.
-    pub fn version_history(&self, relation: &str) -> impl Iterator<Item = Epoch> + '_ {
-        let records = self
-            .log(relation)
-            .into_iter()
-            .flat_map(RelationLog::records);
-        records.map(|record| record.key.epoch)
     }
 
     /// Cardinality of `relation` at `epoch` (from coordinator metadata —
@@ -1052,6 +1036,18 @@ mod tests {
     use orchestra_common::{ColumnType, Schema, Value};
     use orchestra_substrate::AllocationScheme;
 
+    /// How many items of `kind` `node` holds, over every relation.
+    fn held_count(s: &DistributedStorage, node: NodeId, kind: Kind) -> usize {
+        let held = s.relations().filter_map(|r| s.held(node, r.name(), kind));
+        held.map(SlotSet::len).sum()
+    }
+
+    /// Every epoch at which `relation` changed, in order.
+    fn version_history(s: &DistributedStorage, relation: &str) -> Vec<Epoch> {
+        let records = s.log(relation).into_iter().flat_map(RelationLog::records);
+        records.map(|record| record.key.epoch).collect()
+    }
+
     fn schema() -> Schema {
         Schema::keyed_on_first(vec![("x", ColumnType::Str), ("y", ColumnType::Str)])
     }
@@ -1280,14 +1276,21 @@ mod tests {
         assert_eq!(slots, [2, 2]);
 
         // The deltas see both copies change together.
-        let d = s.delta("R", e0, e1).unwrap();
-        assert_eq!(d.partitions.len(), 1);
-        let both = vec![(a2.clone(), a4.clone()); 2];
-        assert_eq!(d.partitions[0].modifies, both);
-        assert_eq!(d.signed_row_count(), 4);
-        let d = s.delta("R", e0, e2).unwrap();
-        assert_eq!(d.partitions[0].deletes, vec![a2.clone(), a2.clone()]);
-        assert_eq!(d.signed_row_count(), 2);
+        let signed = |from, to| {
+            let d = s.delta("R", from, to).unwrap();
+            assert_eq!(d.pages_diffed, 1);
+            let rows = d
+                .rows()
+                .map(|row| row.map(|(row, sign)| (row.tuple(), sign)));
+            (
+                rows.collect::<Result<Vec<_>>>().unwrap(),
+                d.signed_row_count(),
+            )
+        };
+        let (old, new) = ((a2.clone(), -1), (a4.clone(), 1));
+        let both = vec![old.clone(), old.clone(), new.clone(), new];
+        assert_eq!(signed(e0, e1), (both, 4));
+        assert_eq!(signed(e0, e2), (vec![old.clone(), old], 2));
 
         // So do partition scans and delta scans, on every node, and on a
         // node that joins after the fact once anti-entropy has placed its
@@ -1324,7 +1327,7 @@ mod tests {
             s.set_routing(RoutingTable::build(&nodes, AllocationScheme::Balanced, 3));
             crate::replication::anti_entropy(&mut s).unwrap();
             assert!(
-                s.held_count(NodeId(3), Kind::Tuple) > 0,
+                held_count(&s, NodeId(3), Kind::Tuple) > 0,
                 "the joiner holds its share"
             );
             s
@@ -1365,7 +1368,7 @@ mod tests {
 
         let snapshot = |s: &DistributedStorage| {
             let counts: Vec<[usize; 3]> = (0..3)
-                .map(|n| Kind::ALL.map(|kind| s.held_count(NodeId(n), kind)))
+                .map(|n| Kind::ALL.map(|kind| held_count(s, NodeId(n), kind)))
                 .collect();
             let full = [KeyRange::full()];
             let scan = s.scan_partition("R", e0, NodeId(0), &full).unwrap();
@@ -1373,7 +1376,7 @@ mod tests {
                 counts,
                 scan.tuples,
                 s.latest_epoch(),
-                s.version_history("R").collect::<Vec<_>>(),
+                version_history(s, "R"),
             )
         };
         let before = snapshot(&s);
@@ -1447,7 +1450,10 @@ mod tests {
         let e1 = s.publish(&b1).unwrap();
         assert_eq!(e1, Epoch(1));
         for relation in ["R", "S"] {
-            assert!(s.version_history(relation).eq([Epoch(0), e1]), "{relation}");
+            assert!(
+                version_history(&s, relation) == [Epoch(0), e1],
+                "{relation}"
+            );
         }
         let now = s.retrieve("R", e1, NodeId(0), &|key| key[0] == Value::str("a"));
         assert_eq!(now.unwrap().tuples, [r("a", "1")]);
@@ -1473,9 +1479,12 @@ mod tests {
         let err = s.publish(&b).unwrap_err();
         assert!(matches!(err, OrchestraError::StorageInvalid(_)), "{err}");
         assert_eq!(s.latest_epoch(), None);
-        assert_eq!(s.version_history("R").count(), 0);
+        assert_eq!(version_history(&s, "R").len(), 0);
         for n in 0..3 {
-            assert_eq!(Kind::ALL.map(|kind| s.held_count(NodeId(n), kind)), [0; 3]);
+            assert_eq!(
+                Kind::ALL.map(|kind| held_count(&s, NodeId(n), kind)),
+                [0; 3]
+            );
         }
         // A batch with nothing in it needs no page: it still publishes.
         assert_eq!(s.publish(&UpdateBatch::new()).unwrap(), Epoch(0));
@@ -1502,7 +1511,7 @@ mod tests {
         assert_eq!(s.version_at("S", Epoch(0)), None);
         assert_eq!(s.relation_cardinality("R", Epoch(1)), 1);
         assert_eq!(s.relation_cardinality("S", Epoch(1)), 1);
-        assert!(s.version_history("R").eq([Epoch(0)]));
+        assert!(version_history(&s, "R") == [Epoch(0)]);
     }
 
     #[test]
@@ -1524,7 +1533,7 @@ mod tests {
             }
             s.publish(&b).unwrap();
         }
-        let history = s.version_history("R").collect::<Vec<_>>();
+        let history = version_history(&s, "R");
         assert_eq!(history.len(), 20);
         for probe in 0..62u64 {
             let epoch = Epoch(probe);

@@ -32,7 +32,9 @@
 //! hands out [`StoredRow`]s and the engine gathers them into a batch a
 //! column at a time ([`gather`]), and a row is built as a
 //! [`orchestra_common::Tuple`] only where a caller asks for one
-//! (retrieval, deltas, the owning [`DistributedStorage::scan_partition`]).
+//! (retrieval, the owning [`DistributedStorage::scan_partition`], a
+//! caller of [`StoredRow::tuple`] such as adaptive statistics folding a
+//! [`RelationDelta`]'s rows).
 //!
 //! The paper also places *inverse nodes*, which map a tuple's position
 //! back to the page that currently lists it, for rewriting that page on
@@ -80,7 +82,7 @@ pub mod update;
 pub mod version_log;
 
 pub use coordinator::{CoordinatorKey, RelationVersion};
-pub use delta::{PartitionDelta, RelationDelta};
+pub use delta::RelationDelta;
 pub use distributed::{
     DistributedStorage, PartitionScan, RetrievalResult, StorageConfig, StorageView,
 };

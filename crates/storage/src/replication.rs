@@ -282,10 +282,13 @@ mod tests {
             3,
         );
         s.set_routing(routing);
-        assert_eq!(s.held_count(NodeId(6), Kind::Tuple), 0);
+        assert_eq!(
+            s.held(NodeId(6), "R", Kind::Tuple).map_or(0, SlotSet::len),
+            0
+        );
         let report = anti_entropy(&mut s).unwrap();
         assert!(report.tuples_copied > 0);
-        assert!(s.held_count(NodeId(6), Kind::Tuple) > 0);
+        assert!(s.held(NodeId(6), "R", Kind::Tuple).map_or(0, SlotSet::len) > 0);
         // All data remains reachable at the new placement.
         let result = s.retrieve("R", Epoch(0), NodeId(6), &|_| true).unwrap();
         assert_eq!(result.tuples.len(), 150);
@@ -306,9 +309,12 @@ mod tests {
         ));
         let down = NodeId(4);
         s.mark_failed(down);
-        let held_by_down = s.held_count(down, Kind::Tuple);
+        let held_by_down = s.held(down, "R", Kind::Tuple).map_or(0, SlotSet::len);
         assert!(anti_entropy(&mut s).unwrap().tuples_copied > 0);
-        assert_eq!(s.held_count(down, Kind::Tuple), held_by_down);
+        assert_eq!(
+            s.held(down, "R", Kind::Tuple).map_or(0, SlotSet::len),
+            held_by_down
+        );
         let mut checked = 0;
         for src in nodes.iter().filter(|n| **n != down) {
             for (relation, slot, position) in held_versions(&s, *src) {

@@ -7,7 +7,7 @@
 //! participant, which the storage layer applies atomically as one new
 //! epoch.
 
-use orchestra_common::{NodeId, Tuple, Value};
+use orchestra_common::{Tuple, Value};
 use std::collections::BTreeMap;
 
 /// A single change to a relation.
@@ -43,8 +43,6 @@ impl Update {
 /// One participant's published log of updates, grouped by relation.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct UpdateBatch {
-    /// The participant that published the batch.
-    pub publisher: Option<NodeId>,
     updates: BTreeMap<String, Vec<Update>>,
 }
 
@@ -52,14 +50,6 @@ impl UpdateBatch {
     /// An empty batch from an anonymous publisher.
     pub fn new() -> UpdateBatch {
         UpdateBatch::default()
-    }
-
-    /// An empty batch published by `node`.
-    pub fn from_publisher(node: NodeId) -> UpdateBatch {
-        UpdateBatch {
-            publisher: Some(node),
-            updates: BTreeMap::new(),
-        }
     }
 
     /// Add an insertion of `tuple` into `relation`.
@@ -127,7 +117,7 @@ mod tests {
 
     #[test]
     fn batch_builder_groups_by_relation() {
-        let mut b = UpdateBatch::from_publisher(NodeId(2));
+        let mut b = UpdateBatch::new();
         b.insert("R", Tuple::new(vec![Value::Int(1), Value::str("a")]))
             .insert("R", Tuple::new(vec![Value::Int(2), Value::str("b")]))
             .modify("S", Tuple::new(vec![Value::Int(9), Value::str("z")]))
@@ -137,7 +127,6 @@ mod tests {
         assert_eq!(b.updates_for("R").len(), 3);
         assert_eq!(b.updates_for("S").len(), 1);
         assert_eq!(b.updates_for("T").len(), 0);
-        assert_eq!(b.publisher, Some(NodeId(2)));
         assert!(!b.is_empty());
     }
 

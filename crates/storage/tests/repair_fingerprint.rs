@@ -16,7 +16,7 @@ mod common;
 
 use common::{routing_over, seeded_store, NODES};
 use orchestra_common::{Key160, NodeId, NodeSet, PageEntry, TupleId};
-use orchestra_storage::{anti_entropy, DistributedStorage, Kind, ReplicationReport};
+use orchestra_storage::{anti_entropy, DistributedStorage, Kind, ReplicationReport, SlotSet};
 use orchestra_substrate::{AllocationScheme, ReplicationPolicy, RoutingTable};
 use std::collections::HashMap;
 
@@ -34,7 +34,12 @@ fn ids(nodes: impl IntoIterator<Item = u16>) -> Vec<NodeId> {
 fn holdings(s: &DistributedStorage) -> Vec<Triple> {
     (0..STORES)
         .map(|n| {
-            let held = |kind| s.held_count(NodeId(n), kind);
+            let held = |kind| {
+                let held = s
+                    .relations()
+                    .filter_map(|r| s.held(NodeId(n), r.name(), kind));
+                held.map(SlotSet::len).sum::<usize>()
+            };
             (held(Kind::Tuple), held(Kind::Page), held(Kind::Record))
         })
         .collect()

@@ -71,17 +71,17 @@
 //!
 //! ## Derived membership
 //!
-//! Nothing here is authoritative.  A node's [`MemberView`] *derives* a
-//! [`Membership`] (and from it a `RoutingSnapshot`) on demand — two nodes
-//! may derive different memberships at the same instant, and a query
-//! planned against one node's snapshot may reference peers that are
-//! already gone.  That staleness is deliberate: the engine's existing
+//! Nothing here is authoritative.  A node's [`MemberView`] *is* its
+//! membership, and it derives a `RoutingSnapshot` from its alive list on
+//! demand — two nodes may hold different views at the same instant, and
+//! a query planned against one node's snapshot may reference peers that
+//! are already gone.  That staleness is deliberate: the engine's existing
 //! Restart/Incremental recovery absorbs it (see
 //! `QueryExecutor::execute_with_stale_snapshot`), so membership agreement
 //! is needed only *eventually*, not per-query.
 
 use crate::allocation::AllocationScheme;
-use crate::membership::{Membership, MembershipChange};
+use crate::membership::MembershipChange;
 use crate::replication::ReplicationPolicy;
 use crate::routing::{RoutingSnapshot, RoutingTable};
 use orchestra_common::rng::{self, StdRng};
@@ -150,8 +150,8 @@ fn is_alive(record: Record) -> bool {
 ///
 /// Holds the most recent `(incarnation, state)` record accepted for every
 /// node it has ever heard about, the set of still-hot rumors it is
-/// mongering, and the ordered log of accepted changes (the derived
-/// [`Membership::history`]).
+/// mongering, and the ordered log of accepted changes
+/// ([`MemberView::history`]).
 ///
 /// The records are a snapshot of the ground truth, shared by every view
 /// of a [`Gossip`], plus the view's *lag*: the ids where what the view
@@ -300,15 +300,9 @@ impl MemberView {
         self.hot.retain(|(_, b)| *b > 0);
     }
 
-    /// Every record of this view as a rumor, ascending by subject — the
-    /// payload of a full-state anti-entropy push
-    /// ([`Gossip::run_sync_round`]).
-    pub fn all_rumors(&self) -> Vec<Rumor> {
-        self.rumors().collect()
-    }
-
     /// Every record as a rumor, ascending by subject: the truth and the
-    /// lag walked side by side.
+    /// lag walked side by side — the payload of a full-state anti-entropy
+    /// push ([`Gossip::run_sync_round`]).
     fn rumors(&self) -> impl Iterator<Item = Rumor> + '_ {
         let end = self
             .truth
@@ -348,14 +342,9 @@ impl MemberView {
         self.truth.get(node.index()).copied().flatten()
     }
 
-    /// Does this view believe `node` is currently alive?
-    pub fn believes_alive(&self, node: NodeId) -> bool {
-        is_alive(self.state_of(node))
-    }
-
     /// All nodes this view believes alive, sorted by id.
-    pub fn alive_nodes(&self) -> Vec<NodeId> {
-        self.alive.clone()
+    pub fn alive_nodes(&self) -> &[NodeId] {
+        &self.alive
     }
 
     /// Does this view believe alive exactly the ids its truth says are?
@@ -386,41 +375,28 @@ impl MemberView {
             .count()
     }
 
-    /// Derive a [`Membership`] from this view: the believed-alive set,
-    /// the believed-failed set, and the accepted-change log.  Possibly
-    /// stale by construction.
-    pub fn membership(&self, scheme: AllocationScheme, policy: ReplicationPolicy) -> Membership {
-        let failed = self
-            .rumors()
-            .filter(|r| r.state == PeerState::Failed)
-            .map(|r| r.subject);
-        Membership::derived(
-            self.alive_nodes(),
-            failed,
-            self.history.clone(),
-            scheme,
-            policy,
-        )
+    /// The changes this view accepted, oldest first: one per rumor that
+    /// changed one of its records.
+    pub fn history(&self) -> &[MembershipChange] {
+        &self.history
     }
 
     /// Derive a routing snapshot a query initiator would plan against:
     /// the routing table of the nodes this view believes alive, built
-    /// straight from its alive list (no [`Membership`], so no copy of the
-    /// accepted history).  An empty view is an error.
+    /// straight from its alive list.  An empty view is an error.
     pub fn snapshot(
         &self,
         scheme: AllocationScheme,
         policy: ReplicationPolicy,
     ) -> Result<RoutingSnapshot> {
-        if self.alive.is_empty() {
+        let alive = self.alive_nodes();
+        if alive.is_empty() {
             return Err(OrchestraError::Substrate(
                 "cannot build a routing table with no live nodes".into(),
             ));
         }
         Ok(RoutingSnapshot::new(RoutingTable::build_with_policy(
-            &self.alive,
-            scheme,
-            policy,
+            alive, scheme, policy,
         )))
     }
 }
@@ -886,7 +862,7 @@ mod tests {
         assert!(rounds > 0);
         for n in g.live_nodes() {
             assert!(
-                g.view(n).unwrap().believes_alive(NodeId(20)),
+                is_alive(g.view(n).unwrap().state_of(NodeId(20))),
                 "{n} missed the join"
             );
         }
@@ -900,7 +876,7 @@ mod tests {
         g.inject(MembershipChange::Failed(NodeId(3))).unwrap();
         g.run_until_converged(64).unwrap();
         for n in g.live_nodes() {
-            assert!(!g.view(n).unwrap().believes_alive(NodeId(3)));
+            assert!(!is_alive(g.view(n).unwrap().state_of(NodeId(3))));
         }
         // The crashed node itself no longer participates.
         assert!(g.view(NodeId(3)).is_none());
@@ -951,14 +927,14 @@ mod tests {
         let version = view.version();
         assert!(!view.apply(stale, 3));
         assert_eq!(view.version(), version);
-        assert!(view.believes_alive(NodeId(1)));
+        assert!(is_alive(view.state_of(NodeId(1))));
 
         let truth = changed_truth(&view.truth, NodeId(1), Some((2, PeerState::Alive)));
         view.rebase(&truth, NodeId(1));
         assert!(view.lag.is_empty());
         assert!(!view.apply(stale, 3));
         assert_eq!(view.version(), version);
-        assert!(view.believes_alive(NodeId(1)));
+        assert!(is_alive(view.state_of(NodeId(1))));
         assert_eq!(view.staleness(), 0);
     }
 
@@ -1009,13 +985,9 @@ mod tests {
         g.inject(MembershipChange::Failed(NodeId(1))).unwrap();
         g.run_until_converged(64).unwrap();
         let view = g.view(NodeId(0)).unwrap();
-        let m = view.membership(
-            AllocationScheme::Balanced,
-            ReplicationPolicy::FixedFactor(3),
-        );
-        assert_eq!(m.len(), 7);
-        assert_eq!(m.failed_ids(), &[NodeId(1)]);
-        assert!(!m.history().is_empty());
+        assert_eq!(view.alive_nodes().len(), 7);
+        assert_eq!(view.state_of(NodeId(1)).unwrap().1, PeerState::Failed);
+        assert!(!view.history().is_empty());
         let snap = view
             .snapshot(
                 AllocationScheme::Balanced,
@@ -1024,19 +996,16 @@ mod tests {
             .unwrap();
         assert!(!snap.contains_node(NodeId(1)));
         assert_eq!(snap.node_count(), 7);
-        // Built from the alive list, it is the table the membership builds,
-        // and an empty view errs as an empty membership does.
+        // Built from the alive list, it is the table those nodes build,
+        // and an empty view errs.
         let policy = ReplicationPolicy::PercentageOfNodes(0.5);
         let direct = view.snapshot(AllocationScheme::Balanced, policy).unwrap();
-        let derived = view.membership(AllocationScheme::Balanced, policy);
-        assert_eq!(*direct, derived.routing_table().unwrap());
+        let alive = view.alive_nodes();
+        let expected = RoutingTable::build_with_policy(alive, AllocationScheme::Balanced, policy);
+        assert_eq!(*direct, expected);
         let empty = MemberView::seeded([]);
         let err = empty.snapshot(AllocationScheme::Balanced, policy);
-        let expected = empty.membership(AllocationScheme::Balanced, policy);
-        assert_eq!(
-            err.unwrap_err().to_string(),
-            expected.routing_table().unwrap_err().to_string()
-        );
+        assert!(err.unwrap_err().to_string().contains("no live nodes"));
     }
 
     #[test]
@@ -1062,7 +1031,7 @@ mod tests {
         g.inject(MembershipChange::Failed(NodeId(4))).unwrap();
         for n in g.live_nodes() {
             assert!(
-                g.view(n).unwrap().believes_alive(NodeId(3)),
+                is_alive(g.view(n).unwrap().state_of(NodeId(3))),
                 "{n} should not yet know about 3's crash"
             );
         }
@@ -1070,8 +1039,8 @@ mod tests {
         g.run_until_converged(64).unwrap();
         for n in g.live_nodes() {
             let view = g.view(n).unwrap();
-            assert!(!view.believes_alive(NodeId(3)));
-            assert!(!view.believes_alive(NodeId(4)));
+            assert!(!is_alive(view.state_of(NodeId(3))));
+            assert!(!is_alive(view.state_of(NodeId(4))));
         }
     }
 
@@ -1121,16 +1090,25 @@ mod tests {
                 // Move the truth under the view: what it believes stays.
                 let changed = NodeId(r.random_range(0..UNIVERSE));
                 let record = Some((r.random_range(1..6u64), random_state(&mut r)));
-                let before = (view.all_rumors(), view.alive_nodes());
+                let before = (
+                    view.rumors().collect::<Vec<_>>(),
+                    view.alive_nodes().to_vec(),
+                );
                 view.rebase(&changed_truth(&view.truth, changed, record), changed);
-                assert_eq!((view.all_rumors(), view.alive_nodes()), before);
+                assert_eq!(
+                    (
+                        view.rumors().collect::<Vec<_>>(),
+                        view.alive_nodes().to_vec()
+                    ),
+                    before
+                );
             }
             assert_lag_is_minimal(&view);
             assert_eq!(view.alive_nodes(), alive_by_records(&view, UNIVERSE));
         }
         assert_eq!(view.version(), accepted);
         assert!(accepted > 100, "only {accepted} rumors carried news");
-        let all = view.all_rumors();
+        let all = view.rumors().collect::<Vec<_>>();
         assert!(all.windows(2).all(|w| w[0].subject < w[1].subject));
         for rumor in &all {
             assert_eq!(
@@ -1145,14 +1123,14 @@ mod tests {
                 .count()
         );
         assert_eq!(view.state_of(NodeId(UNIVERSE)), None);
-        assert!(!view.believes_alive(NodeId(u16::MAX)));
+        assert!(!is_alive(view.state_of(NodeId(u16::MAX))));
     }
 
     #[test]
     fn seeded_accepts_unsorted_and_duplicate_ids() {
         let view = MemberView::seeded([7, 2, 9, 2, 0, 7].map(NodeId));
         assert_eq!(view.alive_nodes(), [0, 2, 7, 9].map(NodeId));
-        assert_eq!(view.all_rumors().len(), 4);
+        assert_eq!(view.rumors().collect::<Vec<_>>().len(), 4);
         assert_eq!(view.state_of(NodeId(2)), Some((1, PeerState::Alive)));
         assert_eq!(view.state_of(NodeId(1)), None);
         assert_eq!(view.state_of(NodeId(10)), None);
@@ -1170,7 +1148,8 @@ mod tests {
             let truth = g.live_nodes();
             g.live_nodes().iter().all(|viewer| {
                 (0..g.views.len() as u16).all(|u| {
-                    g.view(*viewer).unwrap().believes_alive(NodeId(u)) == truth.contains(&NodeId(u))
+                    is_alive(g.view(*viewer).unwrap().state_of(NodeId(u)))
+                        == truth.contains(&NodeId(u))
                 })
             })
         };
@@ -1207,10 +1186,8 @@ mod tests {
         // The detector of 50,000 is found by wrapping past id 65,535.
         g.inject(MembershipChange::Failed(NodeId(50_000))).unwrap();
         g.run_until_converged(64).unwrap();
-        assert!(!g
-            .view(NodeId(20_000))
-            .unwrap()
-            .believes_alive(NodeId(50_000)));
+        let view = g.view(NodeId(20_000)).unwrap();
+        assert!(!is_alive(view.state_of(NodeId(50_000))));
     }
 
     #[test]

@@ -33,10 +33,11 @@
 //!
 //! Beyond the paper's stable-membership assumption, [`gossip`] adds
 //! epidemic membership dissemination: nodes exchange incarnation-versioned
-//! rumors in fanout-k rounds over the simulated network, and each node
-//! *derives* its own possibly-stale [`membership::Membership`] from its
-//! local rumor view, which is what makes sustained churn at
-//! hundreds-to-thousands of nodes tractable.
+//! rumors in fanout-k rounds over the simulated network, and each node's
+//! possibly-stale [`gossip::MemberView`] is its membership: what it
+//! believes alive, the changes it accepted, and the routing snapshot it
+//! derives.  That is what makes sustained churn at hundreds-to-thousands
+//! of nodes tractable.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
@@ -51,7 +52,7 @@ pub mod routing;
 
 pub use allocation::AllocationScheme;
 pub use gossip::{Gossip, GossipConfig, MemberView, PeerState, Rumor};
-pub use membership::{Membership, MembershipChange};
+pub use membership::MembershipChange;
 pub use metrics::AllocationStats;
 pub use replication::{zone_of, ReplicationPolicy};
 pub use ring::{node_position, RingNode};

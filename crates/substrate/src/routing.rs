@@ -34,7 +34,7 @@ pub struct RangeAssignment {
 /// A complete assignment of the key ring to live nodes.
 ///
 /// Immutable once built; membership changes produce *new* tables (see
-/// [`crate::membership::Membership`]).
+/// [`crate::MemberView::snapshot`]).
 ///
 /// Every key of one entry has the same owner and so the same replica
 /// set, and storage asks for a replica set on every write and every

@@ -42,10 +42,9 @@ impl Workload for CopyScenario {
     }
 
     fn batch(&self) -> UpdateBatch {
+        let rows = generated_relation(self.seed, "st_source", self.rows);
         let mut batch = UpdateBatch::new();
-        for row in generated_relation(self.seed, "st_source", self.rows) {
-            batch.insert("st_source", row);
-        }
+        batch.insert_all("st_source", rows);
         batch
     }
 
@@ -85,10 +84,9 @@ impl Workload for ConcatenateScenario {
     }
 
     fn batch(&self) -> UpdateBatch {
+        let rows = generated_relation_wide(self.seed, "st_parts", self.rows, 3);
         let mut batch = UpdateBatch::new();
-        for row in generated_relation_wide(self.seed, "st_parts", self.rows, 3) {
-            batch.insert("st_parts", row);
-        }
+        batch.insert_all("st_parts", rows);
         batch
     }
 

@@ -172,15 +172,10 @@ impl TpchDataset {
     /// All rows as one publishable batch.
     pub fn batch(&self) -> UpdateBatch {
         let mut batch = UpdateBatch::new();
-        for row in self.customer_rows() {
-            batch.insert("customer", row);
-        }
-        for row in self.order_rows() {
-            batch.insert("orders", row);
-        }
-        for row in self.lineitem_rows() {
-            batch.insert("lineitem", row);
-        }
+        batch
+            .insert_all("customer", self.customer_rows())
+            .insert_all("orders", self.order_rows())
+            .insert_all("lineitem", self.lineitem_rows());
         batch
     }
 

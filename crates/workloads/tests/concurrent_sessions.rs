@@ -93,7 +93,7 @@ fn three_concurrent_sessions_recover_to_their_references_under_both_strategies()
             SimTime::from_micros(baseline.makespan.as_micros() / 2),
         );
         let workload = scheduler
-            .run_with_failure(&storage, &config, &sessions, failure)
+            .run_with(&storage, &config, &sessions, &[failure], None)
             .unwrap();
         let recovered = workload
             .sessions

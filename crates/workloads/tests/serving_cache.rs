@@ -219,7 +219,7 @@ fn a_hit_after_a_mid_query_failure_returns_the_recovered_answer() {
 
     let mut cache = ResultCache::new(2, EvictionPolicy::Lru);
     let failed = scheduler
-        .run_serving_with_failure(&storage, &config, &sessions, failure, &mut cache)
+        .run_with(&storage, &config, &sessions, &[failure], Some(&mut cache))
         .unwrap();
     assert!(
         failed.sessions[0].report.recovered,
