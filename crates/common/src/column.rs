@@ -1034,8 +1034,23 @@ impl ColumnarBatch {
     /// (strings, the untyped fallback, more columns) streams its cells'
     /// encodings through the hasher.
     pub fn hash_columns(&self, cols: &[usize], keys: &mut Vec<Key160>) {
+        self.hash_rows(cols, 0..self.len(), keys);
+    }
+
+    /// [`Self::hash_columns`] of the rows `rows` only, in their order.
+    pub fn hash_columns_at(&self, cols: &[usize], rows: &[u32], keys: &mut Vec<Key160>) {
+        self.hash_rows(cols, rows.iter().map(|r| *r as usize), keys);
+    }
+
+    #[inline(always)]
+    fn hash_rows(
+        &self,
+        cols: &[usize],
+        rows: impl ExactSizeIterator<Item = usize>,
+        keys: &mut Vec<Key160>,
+    ) {
         keys.clear();
-        keys.reserve(self.len());
+        keys.reserve(rows.len());
         let numbers: Option<Vec<Numbers>> = cols
             .iter()
             .map(|c| Numbers::of(&self.columns[*c].data))
@@ -1043,7 +1058,7 @@ impl ColumnarBatch {
         match numbers {
             Some(numbers) if 9 * numbers.len() <= ONE_BLOCK_MAX => {
                 let len = 9 * numbers.len();
-                keys.extend((0..self.len()).map(|row| {
+                keys.extend(rows.map(|row| {
                     let mut block = [0u8; 64];
                     for (cell, column) in block.chunks_exact_mut(9).zip(&numbers) {
                         let (tag, bits) = column.key_cell(row);
@@ -1053,7 +1068,7 @@ impl ColumnarBatch {
                     Key160::from_words(digest_one_block(block, len))
                 }));
             }
-            _ => keys.extend((0..self.len()).map(|row| {
+            _ => keys.extend(rows.map(|row| {
                 let mut hasher = Sha1::new();
                 for &c in cols {
                     self.columns[c].encode_key_cell(row, &self.pool, |bytes| hasher.update(bytes));
@@ -1616,7 +1631,8 @@ mod tests {
         assert!(!Arc::ptr_eq(&find(&out, "shared"), &find(&src, "shared")));
     }
 
-    /// `hash_columns` over a batch must give, row for row, the key
+    /// `hash_columns` over a batch (and `hash_columns_at` over a selection
+    /// of its rows) must give, row for row, the key
     /// [`Tuple::hash_columns`] gives over the row: random batches whose
     /// columns are typed `Int`, `Double` or `Str`, or untyped (NULLs or a
     /// mix of types), drawn from the edge cases of every type, with keys
@@ -1701,6 +1717,15 @@ mod tests {
             let mut keys = vec![Key160::ZERO; 3];
             b.hash_columns(&cols, &mut keys);
             assert_eq!(keys.len(), rows.len(), "case {case}");
+            // A selection of rows, in its own order, gets the same keys.
+            let picked: Vec<u32> = (0..rows.len() as u32).rev().step_by(2).collect();
+            let mut at = vec![Key160::ZERO; 5];
+            b.hash_columns_at(&cols, &picked, &mut at);
+            let expected = picked.iter().map(|r| keys[*r as usize]);
+            assert!(
+                at.iter().copied().eq(expected),
+                "case {case}: rows {picked:?}"
+            );
             for (i, r) in rows.iter().enumerate() {
                 let t = Tuple::new(r.clone());
                 assert_eq!(

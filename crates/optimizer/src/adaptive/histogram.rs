@@ -8,7 +8,12 @@
 //! update that would push the map past its cap converts a *numeric*
 //! column into **bucket mode**: a bounded list of equi-depth `[lo, hi]`
 //! buckets with split/merge maintenance, answering range fractions by
-//! linear interpolation inside the straddling bucket.  A high-cardinality
+//! linear interpolation inside the straddling bucket.  The buckets are
+//! kept sorted, each ending where the next starts or before, so a point
+//! finds its bucket by binary search; a NaN bound (or a split whose
+//! midpoint overflows) breaks that order, and the histogram then finds the
+//! bucket by a scan, which lands the point where the search would have
+//! over sorted buckets.  A high-cardinality
 //! *string* column goes **opaque** instead — the histogram keeps only its
 //! signed row total and declines to answer, so the caller falls back to
 //! the engine's textbook constants rather than trusting a bucket layout
@@ -27,10 +32,10 @@ pub const DEFAULT_BUCKETS: usize = 32;
 
 /// One equi-depth bucket over a numeric domain (inclusive bounds).
 #[derive(Clone, Debug, PartialEq)]
-struct Bucket {
-    lo: f64,
-    hi: f64,
-    count: i64,
+pub(super) struct Bucket {
+    pub(super) lo: f64,
+    pub(super) hi: f64,
+    pub(super) count: i64,
 }
 
 /// The shape the histogram currently holds.
@@ -38,8 +43,9 @@ struct Bucket {
 enum Shape {
     /// Per-value counts, exact while distinct values stay under the cap.
     Exact(BTreeMap<Value, i64>),
-    /// Equi-depth buckets over a numeric domain.
-    Buckets(Vec<Bucket>),
+    /// Equi-depth buckets over a numeric domain, and whether they are in
+    /// order ([`in_order`]), which every update keeps track of.
+    Buckets { buckets: Vec<Bucket>, ordered: bool },
     /// High-cardinality non-numeric column: totals only, no answers.
     Opaque,
 }
@@ -89,15 +95,17 @@ impl EquiDepthHistogram {
                 }
                 if counts.len() > self.max_buckets {
                     self.shape = if counts.keys().all(|v| v.as_f64().is_some()) {
-                        Shape::Buckets(buckets_from_exact(counts, self.max_buckets))
+                        let buckets = buckets_from_exact(counts, self.max_buckets);
+                        let ordered = in_order(&buckets);
+                        Shape::Buckets { buckets, ordered }
                     } else {
                         Shape::Opaque
                     };
                 }
             }
-            Shape::Buckets(buckets) => {
+            Shape::Buckets { buckets, ordered } => {
                 if let Some(x) = value.as_f64() {
-                    bucket_update(buckets, x, sign, self.max_buckets, self.total);
+                    bucket_update(buckets, ordered, x, sign, self.max_buckets, self.total);
                 }
             }
             Shape::Opaque => {}
@@ -122,7 +130,7 @@ impl EquiDepthHistogram {
                     .sum();
                 Some((matching as f64 / total).clamp(0.0, 1.0))
             }
-            Shape::Buckets(buckets) => {
+            Shape::Buckets { buckets, .. } => {
                 let x = value.as_f64()?;
                 let below = rows_below(buckets, x);
                 match op {
@@ -151,7 +159,7 @@ impl EquiDepthHistogram {
                     .sum();
                 Some((matching as f64 / total).clamp(0.0, 1.0))
             }
-            Shape::Buckets(buckets) => {
+            Shape::Buckets { buckets, .. } => {
                 let (lo, hi) = (low.as_f64()?, high.as_f64()?);
                 if hi < lo {
                     return Some(0.0);
@@ -167,7 +175,7 @@ impl EquiDepthHistogram {
 /// Build an equi-depth bucket list from exact per-value counts: sorted
 /// values are greedily packed so every bucket holds roughly `total /
 /// max_buckets` rows.
-fn buckets_from_exact(counts: &BTreeMap<Value, i64>, max_buckets: usize) -> Vec<Bucket> {
+pub(super) fn buckets_from_exact(counts: &BTreeMap<Value, i64>, max_buckets: usize) -> Vec<Bucket> {
     let mut points: Vec<(f64, i64)> = counts
         .iter()
         .filter_map(|(v, c)| v.as_f64().map(|x| (x, *c)))
@@ -193,9 +201,34 @@ fn buckets_from_exact(counts: &BTreeMap<Value, i64>, max_buckets: usize) -> Vec<
     buckets
 }
 
+/// Are `buckets` in order: each bucket's bounds ordered (`lo <= hi`), and
+/// each bucket ending where the next starts or before (`hi <= lo` of the
+/// next)?  A NaN bound is in no order.  Buckets built from sorted points
+/// are in order unless a point is NaN (`total_cmp` sorts it to an end),
+/// extending an end bucket and merging two keep the order, and a split
+/// keeps it while its midpoint lies between the bounds (it does not when
+/// the sum of the bounds overflows, or is NaN for `-inf` and `inf`).
+pub(super) fn in_order(buckets: &[Bucket]) -> bool {
+    buckets.iter().all(|b| b.lo <= b.hi) && buckets.windows(2).all(|w| w[0].hi <= w[1].lo)
+}
+
 /// Fold one numeric point into the bucket list, splitting an overfull
 /// bucket and merging the lightest adjacent pair when the bound is hit.
-fn bucket_update(buckets: &mut Vec<Bucket>, x: f64, sign: i64, max_buckets: usize, total: i64) {
+/// `ordered` says whether the buckets are [`in_order`]; the update keeps
+/// it true only while they stay so.
+///
+/// The point lands in the first bucket holding it, or else in the first
+/// bucket after the gap it falls in (in the first bucket for NaN).  Over
+/// buckets in order that is the first bucket ending at or after the point,
+/// found by binary search; otherwise by a scan.
+pub(super) fn bucket_update(
+    buckets: &mut Vec<Bucket>,
+    ordered: &mut bool,
+    x: f64,
+    sign: i64,
+    max_buckets: usize,
+    total: i64,
+) {
     if buckets.is_empty() {
         if sign > 0 {
             buckets.push(Bucket {
@@ -203,6 +236,7 @@ fn bucket_update(buckets: &mut Vec<Bucket>, x: f64, sign: i64, max_buckets: usiz
                 hi: x,
                 count: sign,
             });
+            *ordered = !x.is_nan();
         }
         return;
     }
@@ -219,6 +253,9 @@ fn bucket_update(buckets: &mut Vec<Bucket>, x: f64, sign: i64, max_buckets: usiz
             buckets[last].hi = x;
         }
         last
+    } else if *ordered {
+        debug_assert!(in_order(buckets), "{buckets:?}");
+        buckets.partition_point(|b| b.hi < x)
     } else {
         buckets
             .iter()
@@ -237,6 +274,7 @@ fn bucket_update(buckets: &mut Vec<Bucket>, x: f64, sign: i64, max_buckets: usiz
     if buckets[idx].count > 2 * depth && buckets[idx].hi > buckets[idx].lo {
         let b = buckets[idx].clone();
         let mid = (b.lo + b.hi) / 2.0;
+        *ordered &= b.lo <= mid && mid <= b.hi;
         let half = b.count / 2;
         buckets[idx] = Bucket {
             lo: b.lo,
@@ -407,7 +445,7 @@ mod tests {
         for i in 0..5000 {
             h.update(&Value::Int((i * 37) % 4001), 1);
         }
-        if let Shape::Buckets(b) = &h.shape {
+        if let Shape::Buckets { buckets: b, .. } = &h.shape {
             assert!(b.len() <= 8, "bucket bound violated: {}", b.len());
         } else {
             panic!("expected bucket mode");

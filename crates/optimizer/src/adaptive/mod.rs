@@ -28,6 +28,17 @@
 //! versions at `-1` and then its added ones at `+1`.  Statistics
 //! maintenance after a registry refresh is a memo hit, never a second
 //! derivation and never a base-relation rescan.
+//!
+//! It folds **a column at a time**.  The delta's rows are gathered from
+//! the stored columnar runs into one batch ([`orchestra_storage::gather`],
+//! the scan's gather), and each column's summaries are fed from its typed
+//! cells, no row built.  A sketch needs each distinct value's hash once,
+//! so a column hashes each of its distinct values once per delta
+//! (`ColumnarBatch::hash_columns_at`, one SHA-1 block for a number) and
+//! folds its cells' hashes in row order.  The key column of a relation
+//! keyed on one column hashes nothing: a value's sketch hash is the top
+//! of its one-value ring key, which is the ring position the row's page
+//! entry cached when the version was published.
 
 pub mod drift;
 pub mod feedback;
@@ -40,9 +51,10 @@ pub use histogram::EquiDepthHistogram;
 pub use sketch::KmvSketch;
 
 use crate::stats::Statistics;
-use orchestra_common::{Epoch, Result, Tuple};
-use orchestra_storage::DistributedStorage;
+use orchestra_common::{ColumnData, ColumnarBatch, Epoch, Key160, NodeSet, Result, Value};
+use orchestra_storage::{gather, DistributedStorage, StoredRow};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// EWMA smoothing factor for per-relation delta-size estimates.
 const DELTA_EWMA_ALPHA: f64 = 0.3;
@@ -68,11 +80,77 @@ impl ColumnObs {
         }
     }
 
-    fn fold(&mut self, value: &orchestra_common::Value, sign: i64) {
+    /// Fold one cell with a delta sign.  `hash` is the value's sketch hash
+    /// when the caller has it, or `None` to have the sketch hash it.
+    fn fold(&mut self, value: &Value, hash: Option<u64>, sign: i64) {
         self.histogram.update(value, sign);
-        self.sketch.update(value, sign);
+        match hash {
+            Some(h) if !value.is_null() => self.sketch.update_hash(h, sign),
+            Some(_) => {}
+            None => self.sketch.update(value, sign),
+        }
         self.width_sum += sign as f64 * value.serialized_size() as f64;
         self.width_rows += sign;
+    }
+
+    /// Fold column `c` of `batch`, the gathered `rows` of one delta, cell
+    /// by cell in row order, each row with its sign; a cell past its row's
+    /// published arity is padding and is not folded.  `key` says the column
+    /// is its relation's whole key, whose hashes are the rows' positions.
+    fn fold_column(
+        &mut self,
+        batch: &ColumnarBatch,
+        c: usize,
+        rows: &[(StoredRow<'_>, i8, Key160)],
+        key: bool,
+        scratch: &mut Scratch,
+    ) {
+        let data = batch.column(c).data();
+        if key {
+            scratch.hashes.clear();
+            (scratch.hashes).extend(rows.iter().map(|(_, _, position)| position.top64()));
+        } else {
+            match data {
+                ColumnData::Int(v) => scratch.hash_distinct(batch, c, v.iter().map(|x| *x as u64)),
+                ColumnData::Double(v) => {
+                    scratch.hash_distinct(batch, c, v.iter().map(|x| x.to_bits()))
+                }
+                ColumnData::Str(v) => {
+                    scratch.hash_distinct(batch, c, v.iter().map(|id| u64::from(*id)))
+                }
+                ColumnData::Values(_) => {}
+            }
+        }
+        let (hashes, signs) = (&scratch.hashes, batch.sign_column());
+        let cells = hashes
+            .iter()
+            .zip(signs)
+            .map(|(h, s)| (Some(*h), i64::from(*s)));
+        match data {
+            ColumnData::Int(v) => {
+                for (x, (h, sign)) in v.iter().zip(cells) {
+                    self.fold(&Value::Int(*x), h, sign);
+                }
+            }
+            ColumnData::Double(v) => {
+                for (x, (h, sign)) in v.iter().zip(cells) {
+                    self.fold(&Value::Double(*x), h, sign);
+                }
+            }
+            ColumnData::Str(v) => {
+                let pool = batch.pool();
+                for (id, (h, sign)) in v.iter().zip(cells) {
+                    self.fold(&Value::Str(Arc::clone(pool.get_shared(*id))), h, sign);
+                }
+            }
+            ColumnData::Values(v) => {
+                for (r, (value, (row, sign, _))) in v.iter().zip(rows).enumerate() {
+                    if c < row.arity() {
+                        self.fold(value, key.then(|| hashes[r]), i64::from(*sign));
+                    }
+                }
+            }
+        }
     }
 
     fn mean_width(&self) -> Option<f64> {
@@ -99,13 +177,17 @@ impl AdaptiveStats {
     }
 
     /// Fold the signed delta of every relation that changed in
-    /// `(from, to]` into the maintained summaries, row by row in the order
+    /// `(from, to]` into the maintained summaries, in the order
     /// [`orchestra_storage::RelationDelta::rows`] gives: per changed
     /// partition, the versions the interval removed at `-1`, then the ones
     /// it added at `+1`.  A histogram's bucket splits and merges depend on
-    /// that order.  Reads the storage layer's memoized delta derivation,
-    /// so absorbing after a registry refresh of the same interval derives
-    /// nothing new.  Returns the total signed rows folded.
+    /// that order, and each column sees its cells in it: the delta is
+    /// gathered into one batch and folded a column at a time, each
+    /// distinct value hashed once per column (the key column of a relation
+    /// keyed on one column not at all).  Reads the storage layer's memoized
+    /// delta derivation, so absorbing after a registry refresh of the same
+    /// interval derives nothing new.  Allocates per relation and column,
+    /// not per row.  Returns the total signed rows folded.
     pub fn absorb(
         &mut self,
         storage: &DistributedStorage,
@@ -113,16 +195,35 @@ impl AdaptiveStats {
         to: Epoch,
     ) -> Result<usize> {
         let mut folded = 0;
-        for relation in storage.changed_relations(from, to) {
-            let delta = storage.delta(&relation, from, to)?;
+        let relations = storage.changed_relations(from, to);
+        // Scratch space for every relation and column.
+        let mut rows = Vec::new();
+        let mut scratch = Scratch::default();
+        for relation in &relations {
+            let delta = storage.delta(relation, from, to)?;
             let signed_rows = delta.signed_row_count();
             folded += signed_rows;
-            let columns = self.relations.entry(relation.clone()).or_default();
+            rows.clear();
+            rows.reserve(signed_rows);
             for row in delta.rows() {
-                let (row, sign) = row?;
-                fold_tuple(columns, &row.tuple(), i64::from(sign));
+                rows.push(row?);
             }
-            let ewma = self.delta_ewma.entry(relation).or_insert(0.0);
+            let width = rows.iter().map(|(row, ..)| row.arity()).max().unwrap_or(0);
+            let columns = self.relations.entry(relation.clone()).or_default();
+            if columns.len() < width {
+                columns.resize_with(width, ColumnObs::new);
+            }
+            if width > 0 {
+                let cols: Vec<usize> = (0..width).collect();
+                let signed = rows.iter().map(|(row, sign, _)| (*row, *sign));
+                let batch = gather(signed, &cols, NodeSet::default(), 0);
+                let key_len = storage.relation(relation).map(|r| r.schema().key_len());
+                for (c, obs) in columns.iter_mut().enumerate().take(width) {
+                    let key = c == 0 && key_len == Some(1);
+                    obs.fold_column(&batch, c, &rows, key, &mut scratch);
+                }
+            }
+            let ewma = self.delta_ewma.entry(relation.clone()).or_insert(0.0);
             *ewma = if *ewma == 0.0 {
                 signed_rows as f64
             } else {
@@ -179,21 +280,51 @@ impl AdaptiveStats {
     }
 }
 
-/// Fold one signed tuple into the per-column summaries, growing the
-/// column list to the tuple's arity on first contact.
-fn fold_tuple(columns: &mut Vec<ColumnObs>, tuple: &Tuple, sign: i64) {
-    while columns.len() < tuple.arity() {
-        columns.push(ColumnObs::new());
-    }
-    for (i, obs) in columns.iter_mut().enumerate().take(tuple.arity()) {
-        obs.fold(tuple.value(i), sign);
+/// The lists [`ColumnObs::fold_column`] works in, kept from one column and
+/// relation to the next.
+#[derive(Default)]
+struct Scratch {
+    /// A column's cells as (bits, row), sorted: equal values side by side.
+    sorted: Vec<(u64, u32)>,
+    /// The first row of each distinct value, in sorted order.
+    firsts: Vec<u32>,
+    keys: Vec<Key160>,
+    /// Each row's sketch hash.
+    hashes: Vec<u64>,
+}
+
+impl Scratch {
+    /// Fill [`Self::hashes`] with the sketch hash of each cell of typed
+    /// column `c` of `batch`, whose cells `bits` gives in row order (equal
+    /// bits for equal values: a number's bits, a string's pool id),
+    /// hashing each distinct value once.
+    fn hash_distinct(&mut self, batch: &ColumnarBatch, c: usize, bits: impl Iterator<Item = u64>) {
+        self.sorted.clear();
+        // A batch's rows number fewer than `u32::MAX`, as its ids do.
+        (self.sorted).extend(bits.enumerate().map(|(row, b)| (b, row as u32)));
+        self.sorted.sort_unstable();
+        let distinct = || self.sorted.chunk_by(|a, b| a.0 == b.0);
+        self.firsts.clear();
+        self.firsts.reserve(self.sorted.len());
+        self.firsts.extend(distinct().map(|same| same[0].1));
+        batch.hash_columns_at(&[c], &self.firsts, &mut self.keys);
+        self.hashes.clear();
+        self.hashes.resize(self.sorted.len(), 0);
+        for (same, key) in distinct().zip(&self.keys) {
+            for (_, row) in same {
+                self.hashes[*row as usize] = key.top64();
+            }
+        }
     }
 }
 
 #[cfg(test)]
+mod absorb_equivalence;
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use orchestra_common::{ColumnType, NodeId, Relation, Schema, Value};
+    use orchestra_common::{ColumnType, NodeId, Relation, Schema, Tuple};
     use orchestra_storage::{StorageConfig, UpdateBatch};
     use orchestra_substrate::{AllocationScheme, RoutingTable};
 

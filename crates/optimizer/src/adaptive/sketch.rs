@@ -16,7 +16,12 @@
 //! count once), so the sketch is deterministic across runs and platforms
 //! — a hard requirement for the byte-exact determinism gates.  The value
 //! is hashed as a one-value ring key ([`hash_values`]), never written to
-//! a heap buffer.
+//! a heap buffer.  The hash depends on the value alone, so a caller that
+//! folds a column of cells hashes each distinct value once (adaptive
+//! statistics hash a delta's distinct values a batch at a time with
+//! `ColumnarBatch::hash_columns_at`, and read a one-column key's hash off
+//! the ring position its page entry cached) and hands the sketch the
+//! hash.
 
 use orchestra_common::tuple::hash_values;
 use orchestra_common::Value;
@@ -64,7 +69,13 @@ impl KmvSketch {
         if value.is_null() {
             return;
         }
-        let h = hash_value(value);
+        self.update_hash(hash_value(value), sign);
+    }
+
+    /// [`Self::update`] of a non-NULL value whose hash the caller has: the
+    /// top 64 bits of the value's ring key.  A caller folding many cells
+    /// hashes each distinct value once and folds its cells in their order.
+    pub(crate) fn update_hash(&mut self, h: u64, sign: i64) {
         // In a full sketch, a hash above the largest tracked one is not
         // tracked and would not be admitted: only the saturation mark can
         // change, and the map is not consulted.

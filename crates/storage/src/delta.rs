@@ -20,7 +20,8 @@
 //! * [`DistributedStorage::delta`] — the whole relation's
 //!   [`RelationDelta`]: its signed row count, which reads no tuple (what
 //!   the maintenance cost model sizes its decision on), and its signed
-//!   rows, each read from a live replica (what adaptive statistics fold);
+//!   rows, each read from a live replica with its key's cached ring
+//!   position (what adaptive statistics gather and fold);
 //! * [`StorageView::delta_partition_ref`] — the executor path: the signed
 //!   rows restricted to one node's hash ranges, with the same
 //!   replica-fetch accounting as a full partition scan so the simulation
@@ -29,7 +30,7 @@
 use crate::distributed::{DistributedStorage, PartitionScan, StorageView};
 use crate::page::{PageDescriptor, PageEntries};
 use crate::run::StoredRow;
-use orchestra_common::{Epoch, KeyRange, NodeId, OrchestraError, PageEntry, Result};
+use orchestra_common::{Epoch, Key160, KeyRange, NodeId, OrchestraError, PageEntry, Result};
 use std::cell::{Cell, RefCell};
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -63,13 +64,15 @@ impl<'a> RelationDelta<'a> {
     /// The signed rows, per changed partition the removed versions at `-1`
     /// and then the added ones at `+1`, each read when the iterator
     /// reaches it from a live replica that holds it, or looked up the
-    /// whole way.
-    pub fn rows(&self) -> impl Iterator<Item = Result<(StoredRow<'a>, i8)>> + '_ {
+    /// whole way, and each with the ring position of its key, which its
+    /// page entry caches (`hash_values` of the key, computed once when the
+    /// version was published).
+    pub fn rows(&self) -> impl Iterator<Item = Result<(StoredRow<'a>, i8, Key160)>> + '_ {
         let lookup = self.view.tuple_lookup(self.relation);
         let changes = self.changes.partitions.iter();
         let signed = changes.flat_map(PartitionChange::signed);
         let entries = signed.flat_map(|(entries, sign)| entries.iter().map(move |e| (e, sign)));
-        entries.map(move |(entry, sign)| Ok((lookup(entry)?, sign)))
+        entries.map(move |(entry, sign)| Ok((lookup(entry)?, sign, entry.position)))
     }
 }
 
@@ -400,9 +403,11 @@ mod tests {
 
     /// Every signed row of `delta`, as the row it reads back as.
     fn signed_tuples(delta: &RelationDelta<'_>) -> Vec<(Tuple, i8)> {
-        let rows = delta
-            .rows()
-            .map(|row| row.map(|(row, sign)| (row.tuple(), sign)));
+        let rows = (delta.rows()).map(|row| {
+            let (row, sign, position) = row?;
+            assert_eq!(position, row.tuple().hash_key(1), "{row:?}");
+            Ok((row.tuple(), sign))
+        });
         rows.collect::<Result<_>>().unwrap()
     }
 
@@ -443,7 +448,8 @@ mod tests {
             // scanned on its behalf by node 0.
             let mut counts: HashMap<(StoredRow<'_>, i8), i32> = HashMap::new();
             for row in delta.rows() {
-                *counts.entry(row.unwrap()).or_default() += 1;
+                let (row, sign, _) = row.unwrap();
+                *counts.entry((row, sign)).or_default() += 1;
             }
             let view = store.view();
             for node in store.routing().nodes() {

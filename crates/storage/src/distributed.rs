@@ -344,7 +344,10 @@ impl DistributedStorage {
     /// and stored once, as one run appended to the relation's log, and
     /// their owners and replicas under the current routing table set their
     /// bits; a page lists each version with its slot, and a record each
-    /// page with its slot.
+    /// page with its slot.  A touched page's next version is one merge of
+    /// its previous version with the batch's changes to it, which drops the
+    /// version each modify and delete supersedes as the walk meets its key:
+    /// no version is looked up before the merge.
     ///
     /// Everything that can fail is resolved for the whole batch before the
     /// first write, so a batch that fails — an unregistered relation, a
@@ -458,7 +461,9 @@ impl DistributedStorage {
 
     /// Build the run publishing one relation's share of a batch, `staged`,
     /// as `epoch` creates: nothing here can fail.  Its slots continue the
-    /// relation's log.
+    /// relation's log.  Each touched page is written by one writer for the
+    /// run, handed the keys the page's modifies and deletes name and the
+    /// entries of the versions it adds ([`PageWriter::write`]).
     fn run(&self, staged: &Staged<'_>, epoch: Epoch) -> Run {
         let (name, key_len, updates) = (staged.name, staged.key_len, &staged.updates);
         let log = self.logs.get(name);
@@ -515,14 +520,11 @@ impl DistributedStorage {
         let mut pages = Vec::with_capacity(staged.prev_pages.len());
         for (ups, prev_page) in touched() {
             let partition = ups[0].0;
-            // The superseded versions are found in (and borrowed from) the
-            // key-sorted previous page by binary search.
-            for (_, up, _) in ups.iter().filter(|(_, up, _)| !up.is_insert()) {
-                let key = up.key(key_len);
-                if let Some(prev) = prev_page.as_ref().and_then(|p| p.current_version_of(key)) {
-                    writer.remove.push(&prev.id);
-                }
-            }
+            // A modify or a delete supersedes the oldest version its key has
+            // in the previous page, which the writer finds as its merge walks
+            // by.
+            let superseded = ups.iter().filter(|(_, up, _)| !up.is_insert());
+            (writer.remove).extend(superseded.map(|(_, up, _)| up.key(key_len)));
             // The page's copies of the IDs — strings copied too, so the
             // store owns them — are made after every body of the epoch, so
             // their keys sit together on the heap.  A walk that reads keys
@@ -1174,8 +1176,8 @@ mod tests {
     #[test]
     fn many_modifies_and_deletes_landing_in_one_page() {
         // One partition, so every update of the batch rewrites the same
-        // page: superseded versions are found by binary search and dropped
-        // in one merge with the new entries.
+        // page: superseded versions are found by key and dropped in one
+        // merge with the new entries.
         let routing = RoutingTable::build(
             &(0..3).map(NodeId).collect::<Vec<_>>(),
             AllocationScheme::Balanced,
@@ -1281,7 +1283,7 @@ mod tests {
             assert_eq!(d.pages_diffed, 1);
             let rows = d
                 .rows()
-                .map(|row| row.map(|(row, sign)| (row.tuple(), sign)));
+                .map(|row| row.map(|(row, sign, _)| (row.tuple(), sign)));
             (
                 rows.collect::<Result<Vec<_>>>().unwrap(),
                 d.signed_row_count(),

@@ -33,14 +33,16 @@
 //! column at a time ([`gather`]), and a row is built as a
 //! [`orchestra_common::Tuple`] only where a caller asks for one
 //! (retrieval, the owning [`DistributedStorage::scan_partition`], a
-//! caller of [`StoredRow::tuple`] such as adaptive statistics folding a
-//! [`RelationDelta`]'s rows).
+//! caller of [`StoredRow::tuple`]).  Adaptive statistics gather a
+//! [`RelationDelta`]'s rows into a batch too, and fold it a column at a
+//! time.
 //!
 //! The paper also places *inverse nodes*, which map a tuple's position
 //! back to the page that currently lists it, for rewriting that page on
 //! an update.  None are kept here: publication rewrites a partition's page
 //! from the previous version's, which it finds through the previous
-//! coordinator record's descriptors, and looks up the tuple there by key.
+//! coordinator record's descriptors, and drops the superseded version by
+//! its key as it merges the page with the batch's changes.
 //!
 //! All of this state is replicated with the substrate's neighbour scheme
 //! (⌊r/2⌋ clockwise + counter-clockwise), so the failure of a node is

@@ -29,17 +29,17 @@
 //! An entry also carries its version's tuple slot in the relation's log:
 //! reading the tuple an entry lists is a test of a node's bit for that
 //! slot and a search of the log's runs.  Entries are sorted by tuple ID (key
-//! first), which makes "the version of key `k` listed here" a binary
-//! search ([`IndexPage::current_version_of`]) and the next version a
-//! sorted merge.
+//! first), which puts every version of a key together, its oldest first,
+//! and makes the next version a sorted merge that finds the versions a
+//! publication supersedes by key as it goes.
 //!
 //! ## A new page version keeps only what its publication changed
 //!
 //! A page's entries are a list of *windows* ([`PageEntries`]): stretches
 //! of at most [`LEAF`] entries, each in the entry buffer of the page
 //! version that wrote it, an `Arc<[PageEntry]>`.
-//! [`IndexPage::next_version`] keeps every window that no remove or add
-//! touches by reference: it copies no entry of it and bumps no key's
+//! [`IndexPage::next_version`] keeps every window that no removed version
+//! or add touches by reference: it copies no entry of it and bumps no key's
 //! count, only the buffer's.  The windows a change touches are merged
 //! with the change in one sorted pass and the result is cut into new
 //! windows of the new version's buffer.  Rewriting a page of `n` entries
@@ -301,12 +301,6 @@ impl IndexPage {
         (self.entries.first_not(|e| e.id < *id)).is_some_and(|e| e.id == *id)
     }
 
-    /// The (oldest) version of the tuple with key `key` this page lists,
-    /// found by binary search: entries order by key first.
-    pub fn current_version_of(&self, key: &[Value]) -> Option<&PageEntry> {
-        (self.entries.first_not(|e| *e.id.key < *key)).filter(|e| *e.id.key == *key)
-    }
-
     /// The descriptor summarising this page version, stored at page slot
     /// `slot` of its relation's log.
     pub fn descriptor(&self, slot: u32) -> PageDescriptor {
@@ -314,18 +308,19 @@ impl IndexPage {
     }
 
     /// Derive the next version of this page at `epoch`, in a buffer of its
-    /// own: drop the IDs in `remove` (superseded or deleted versions) and
-    /// list the entries in `add`.  Both are sorted, then every window no
-    /// remove names and no add falls in is kept by reference, and each
-    /// stretch of touched windows is merged with its changes in one sorted
-    /// pass: surviving entries are carried forward with the positions they
-    /// were published with and their keys shared by pointer, so no key is
-    /// hashed or copied.  Publication writes the pages of one run into one
-    /// buffer the same way.
+    /// own: drop the oldest version listed of each key in `remove` (the
+    /// version a modify or a delete supersedes) and list the entries in
+    /// `add`.  Both are sorted, then every window that holds no dropped
+    /// version and no add falls in is kept by reference, and each stretch
+    /// of touched windows is merged with its changes in one sorted pass:
+    /// surviving entries are carried forward with the positions they were
+    /// published with and their keys shared by pointer, so no key is
+    /// hashed or copied.  Publication writes the pages of one run the same
+    /// way.
     pub fn next_version(
         &self,
         epoch: Epoch,
-        remove: Vec<&TupleId>,
+        remove: Vec<&[Value]>,
         add: Vec<PageEntry>,
     ) -> IndexPage {
         let mut writer = PageWriter::for_pages([(Some(&self.entries), remove.len(), add.len())]);
@@ -361,8 +356,9 @@ enum Piece {
 /// list and nothing more, whatever the size of the pages it carries
 /// forward.
 pub(crate) struct PageWriter<'p> {
-    /// The IDs the next page version drops, filled by the caller.
-    pub(crate) remove: Vec<&'p TupleId>,
+    /// The keys whose oldest listed version the next page version drops,
+    /// filled by the caller.
+    pub(crate) remove: Vec<&'p [Value]>,
     /// The entries the next page version lists besides, filled by the
     /// caller.
     pub(crate) add: Vec<PageEntry>,
@@ -400,20 +396,27 @@ impl<'p> PageWriter<'p> {
     }
 
     /// Write the next page version: `prev`'s entries (none when `None`)
-    /// without the IDs in [`Self::remove`], with the entries in
-    /// [`Self::add`], both of which it empties.  Both are sorted, then each
-    /// window of `prev` that no remove names and no add falls in (sorts
-    /// before the next window's first entry) is kept as it is.  Each
-    /// stretch of touched windows is merged with its removes and adds in
-    /// one pass, as a flat sorted merge would — a remove drops every entry
-    /// equal to it and may name nothing — and the merged entries are moved
-    /// into the version's buffer, one allocation, and cut into windows.
+    /// without the oldest version listed of each key in [`Self::remove`],
+    /// with the entries in [`Self::add`], both of which it empties.  Both
+    /// are sorted, then each window of `prev` that holds no dropped version
+    /// and that no add falls in (sorts before the next window's first
+    /// entry) is kept as it is.  A key's oldest version is the first entry
+    /// of that key in the walk, so it is found in the window the walk
+    /// meets it in: a key that window does not list is listed nowhere, and
+    /// the dropped version's copies (a batch that inserts one key twice
+    /// lists its ID twice) may run on into the next window.  Each stretch
+    /// of touched windows is merged with its adds in one pass, and the
+    /// merged entries are moved into the version's buffer, one allocation,
+    /// and cut into windows.  A key may be named twice and may name
+    /// nothing.
     pub(crate) fn write(&mut self, prev: Option<&PageEntries>) -> PageEntries {
         self.remove.sort_unstable();
         self.add.sort();
         let mut remove = self.remove.drain(..).peekable();
         let mut add = self.add.drain(..).peekable();
         let windows = prev.map_or(&[][..], |p| &p.windows);
+        // The version being dropped, once its key's first entry is met.
+        let mut dropped: Option<&TupleId> = None;
         // Where the stretch being kept starts among the windows, or the
         // one being written among the entries written, if one is.
         let (mut kept, mut stretch) = (None, None);
@@ -424,8 +427,18 @@ impl<'p> PageWriter<'p> {
             };
             let next = windows.get(at + 1).and_then(|w| w.entries().first());
             let before_next = |a: &PageEntry| next.is_none_or(|n| a.id < n.id);
-            while remove.next_if(|r| **r < first.id).is_some() {}
-            let touched = remove.peek().is_some_and(|r| **r <= last.id)
+            // Copies of one ID are adjacent: the dropped version goes on
+            // into this window or is behind the walk.
+            dropped = dropped.filter(|id| **id == first.id);
+            // A key this window's span holds but the window does not list
+            // (or one before the span) is listed nowhere.
+            let lists = |key: &[Value]| entries.iter().any(|e| *e.id.key == *key);
+            while remove
+                .next_if(|key| **key < *first.id.key || **key <= *last.id.key && !lists(key))
+                .is_some()
+            {}
+            let touched = dropped.is_some()
+                || remove.peek().is_some_and(|key| **key <= *last.id.key)
                 || add.peek().is_some_and(before_next);
             if !touched {
                 cut(&mut self.pieces, stretch.take(), self.written.len());
@@ -439,13 +452,18 @@ impl<'p> PageWriter<'p> {
             }
             stretch.get_or_insert(self.written.len());
             for entry in entries {
-                // A matching remove is left in place: it drops every entry
-                // equal to it (a batch touching one key twice lists the
-                // same ID twice), and may itself be listed more than once.
-                while remove.next_if(|r| **r < entry.id).is_some() {}
-                if remove.peek().is_some_and(|r| **r == entry.id) {
+                let key = &*entry.id.key;
+                while remove.next_if(|k| **k < *key).is_some() {}
+                // The key's first entry is its oldest version: every naming
+                // of the key drops that version, and only that one.
+                if remove.peek().is_some_and(|k| **k == *key) {
+                    while remove.next_if(|k| **k == *key).is_some() {}
+                    dropped = Some(&entry.id);
+                }
+                if dropped.is_some_and(|id| *id == entry.id) {
                     continue;
                 }
+                dropped = None;
                 while let Some(new) = add.next_if(|a| a.id < entry.id) {
                     self.written.push(new);
                 }
@@ -561,6 +579,7 @@ mod page_equivalence;
 
 #[cfg(test)]
 mod tests {
+    use super::page_equivalence::current_version_of;
     use super::*;
     use orchestra_common::{rng, Value};
 
@@ -590,7 +609,8 @@ mod tests {
         assert!(!page.contains(&tid(1, 1)));
 
         // Epoch 1 replaces tuple 1 with a new version and adds tuple 3.
-        let next = page.next_version(Epoch(1), vec![&tid(1, 0)], vec![entry(1, 1), entry(3, 1)]);
+        let one = [Value::Int(1)];
+        let next = page.next_version(Epoch(1), vec![&one], vec![entry(1, 1), entry(3, 1)]);
         assert_eq!(next.id, PageId::new("R", Epoch(1), 0));
         assert_eq!(next.len(), 3);
         assert!(next.contains(&tid(1, 1)));
@@ -608,11 +628,14 @@ mod tests {
             range,
             (0..20).step_by(2).map(|k| entry(k, 0)).collect(),
         );
-        // Drop three versions (one of them not listed at all), add new
-        // versions before, between and after the survivors — unsorted.
-        let (gone_a, gone_b, absent) = (tid(4, 0), tid(10, 0), tid(11, 0));
+        // Drop the versions of three keys (one of them not listed at all),
+        // add new versions before, between and after the survivors —
+        // unsorted.
+        let (gone_a, gone_b) = (tid(4, 0), tid(10, 0));
+        let keys = [4, 10, 11].map(|k| [Value::Int(k)]);
+        let remove = vec![&keys[2][..], &keys[1], &keys[0]];
         let add = vec![entry(25, 3), entry(4, 3), entry(-1, 3), entry(7, 3)];
-        let next = page.next_version(Epoch(3), vec![&absent, &gone_b, &gone_a], add.clone());
+        let next = page.next_version(Epoch(3), remove, add.clone());
 
         // Same contents as the definition: filter, extend, sort.
         let mut expected: Vec<PageEntry> = page
@@ -627,31 +650,34 @@ mod tests {
         assert_eq!(next.len(), 10 - 2 + 4);
         assert!(next.entries.iter().all(|e| e.position == e.id.hash_key()));
 
-        assert_eq!(
-            next.current_version_of(&[Value::Int(4)]).unwrap().id,
-            tid(4, 3)
-        );
-        assert_eq!(
-            next.current_version_of(&[Value::Int(6)]).unwrap().id,
-            tid(6, 0)
-        );
-        assert!(next.current_version_of(&[Value::Int(10)]).is_none());
-        assert!(next.current_version_of(&[Value::Int(99)]).is_none());
+        let version_of = |k| current_version_of(&next, &[Value::Int(k)]);
+        assert_eq!(version_of(4).unwrap().id, tid(4, 3));
+        assert_eq!(version_of(6).unwrap().id, tid(6, 0));
+        assert!(version_of(10).is_none());
+        assert!(version_of(99).is_none());
     }
 
     #[test]
     fn next_version_drops_every_copy_of_a_removed_id() {
-        // A page can list one ID twice, and a remove list can name one ID
-        // twice; either way every copy goes and nothing else does.
+        // A page can list one ID twice, and a remove list can name one key
+        // twice; either way every copy of the key's oldest version goes and
+        // nothing else does, not even a newer version of the key.
         let page = IndexPage::new(
             PageId::new("R", Epoch(0), 0),
             partition_range(0, 1),
-            vec![entry(1, 0), entry(1, 0), entry(2, 0), entry(3, 0)],
+            vec![
+                entry(1, 0),
+                entry(1, 0),
+                entry(2, 0),
+                entry(2, 1),
+                entry(3, 0),
+            ],
         );
-        let (one, three) = (tid(1, 0), tid(3, 0));
-        let next = page.next_version(Epoch(1), vec![&three, &one, &three], vec![entry(1, 1)]);
+        let keys = [1, 2, 3].map(|k| [Value::Int(k)]);
+        let remove = vec![&keys[2][..], &keys[0], &keys[1], &keys[2]];
+        let next = page.next_version(Epoch(2), remove, vec![entry(1, 2)]);
         let listed: Vec<PageEntry> = next.entries.iter().cloned().collect();
-        assert_eq!(listed, vec![entry(1, 1), entry(2, 0)]);
+        assert_eq!(listed, vec![entry(1, 2), entry(2, 1)]);
     }
 
     #[test]

@@ -1,16 +1,22 @@
 //! A page version as windows into the entry buffers of the versions that
-//! wrote them; the flat entry list it replaced is the reference.
+//! wrote them, dropping superseded versions by key as it merges; the flat
+//! entry list it replaced is the reference.
 //!
-//! [`flat_next_version`] is `IndexPage::next_version` as it was: one
-//! sorted merge of the whole entry list with the removes and adds into a
-//! new `Vec`.  [`diff_sorted`] is the delta's diff as it was: one
-//! two-pointer walk over two flat lists.  Over random pages (an empty one
-//! among them, some listing an ID twice) and chains of 1–40 versions —
-//! each step writing one to three pages with one run's writer, with
-//! removes that repeat an ID or name one the page does not list, and adds
-//! before, between and after the entries — every version must read like
-//! the flat list: its entries, `current_version_of` and `contains` of
-//! every key and ID drawn, and `serialized_size`; and the windowed diff of
+//! [`flat_next_version`] is `IndexPage::next_version` as it was: each
+//! removed key resolved to the version it supersedes by binary search
+//! ([`current_version_of`], which publication called before the merge),
+//! then one sorted merge of the whole entry list with those IDs and the
+//! adds into a new `Vec`.  [`diff_sorted`] is the delta's diff as it was:
+//! one two-pointer walk over two flat lists.  Over random pages (an empty
+//! one among them, some listing an ID twice, some keys in two versions)
+//! and chains of 1–40 versions — each step writing one to three pages with
+//! one run's writer, with removed keys that the page does not list, that
+//! are named twice, that have two versions listed and that sit at the ends
+//! of windows, and adds before, between and after the entries — every
+//! version must read like the flat list: its entries, the version
+//! [`current_version_of`] finds and `contains` of every key and ID drawn,
+//! and `serialized_size`; the writer must keep by pointer exactly the
+//! windows that dropping the resolved IDs keeps; and the windowed diff of
 //! any two versions of a page must equal the flat diff.
 //!
 //! `cargo test` runs 20 random cases in a debug build; a release build
@@ -21,7 +27,21 @@ use crate::delta::diff_windows;
 use orchestra_common::rng::{seeded, StdRng};
 use std::cmp::Ordering;
 
-/// The next version of `entries` as one flat sorted merge.
+/// The (oldest) version of the tuple with key `key` that `page` lists,
+/// found by binary search: entries order by key first.
+pub(super) fn current_version_of<'p>(page: &'p IndexPage, key: &[Value]) -> Option<&'p PageEntry> {
+    (page.entries.first_not(|e| *e.id.key < *key)).filter(|e| *e.id.key == *key)
+}
+
+/// The versions of `page` that removing `keys` supersedes: each key's
+/// oldest listed version, if the page lists the key.
+fn resolve<'p>(page: &'p IndexPage, keys: &[Vec<Value>]) -> Vec<&'p TupleId> {
+    let versions = keys.iter().map(|key| current_version_of(page, key));
+    versions.flatten().map(|entry| &entry.id).collect()
+}
+
+/// The next version of `entries` as one flat sorted merge, dropping every
+/// entry equal to an ID of `remove`.
 fn flat_next_version(
     entries: &[PageEntry],
     mut remove: Vec<&TupleId>,
@@ -109,25 +129,32 @@ fn random_entries(rng: &mut StdRng) -> Vec<PageEntry> {
     entries
 }
 
-/// The removes and adds of one publication at `epoch` to a page listing
-/// `entries`: IDs it lists (some twice), IDs it does not, and new entries
+/// The removes and adds of one publication at `epoch` to `page`, which
+/// lists `entries`: keys it lists (some twice, some at the end of a
+/// window, some in two versions), keys it does not, and new entries
 /// before, between and after its own, some of one ID twice.
 fn random_change(
     rng: &mut StdRng,
+    page: &IndexPage,
     entries: &[PageEntry],
     epoch: u64,
-) -> (Vec<TupleId>, Vec<PageEntry>) {
-    let mut remove = Vec::new();
+) -> (Vec<Vec<Value>>, Vec<PageEntry>) {
+    let ends: Vec<&PageEntry> = (page.entries.windows())
+        .flat_map(|w| [&w[0], &w[w.len() - 1]])
+        .collect();
+    let mut remove: Vec<Vec<Value>> = Vec::new();
     for _ in 0..rng.random_range(0..=6u32) {
-        if !entries.is_empty() && rng.random_bool(0.7) {
-            let listed = entries[rng.random_range(0..entries.len())].id.clone();
-            if rng.random_bool(0.2) {
-                remove.push(listed.clone());
+        let key = match rng.random_range(0..10u32) {
+            0..=4 if !entries.is_empty() => {
+                entries[rng.random_range(0..entries.len())].id.key.to_vec()
             }
-            remove.push(listed);
-        } else {
-            remove.push(id(key(rng, 0, KEYS), rng.random_range(0..=epoch)));
+            5..=6 if !ends.is_empty() => ends[rng.random_range(0..ends.len())].id.key.to_vec(),
+            _ => vec![Value::Int(key(rng, -2, KEYS + 2))],
+        };
+        if rng.random_bool(0.2) {
+            remove.push(key.clone());
         }
+        remove.push(key);
     }
     let mut add = Vec::new();
     for _ in 0..rng.random_range(0..=2 * LEAF as u32) {
@@ -152,6 +179,31 @@ fn random_change(
     (remove, add)
 }
 
+/// The windows of `prev` that a writer dropping the IDs `remove` and adding
+/// `add` keeps: those that hold no removed ID and in whose stretch (from
+/// its first entry, or from the start for the first window, to the next
+/// window's first entry) no add falls.
+fn kept_windows<'p>(
+    prev: &'p IndexPage,
+    remove: &[&TupleId],
+    add: &[PageEntry],
+) -> Vec<&'p [PageEntry]> {
+    let windows: Vec<&[PageEntry]> = prev.entries.windows().collect();
+    let untouched = |at: usize| {
+        let (first, last) = (&windows[at][0].id, &windows[at][windows[at].len() - 1].id);
+        let next = windows.get(at + 1).map(|w| &w[0].id);
+        let removed = remove.iter().any(|r| first <= *r && *r <= last);
+        let added = add
+            .iter()
+            .any(|a| (at == 0 || *first <= a.id) && next.is_none_or(|n| a.id < *n));
+        !removed && !added
+    };
+    (0..windows.len())
+        .filter(|at| untouched(*at))
+        .map(|at| windows[at])
+        .collect()
+}
+
 /// `page` must read like `flat`.
 fn assert_reads_like(at: &str, page: &IndexPage, flat: &[PageEntry], rng: &mut StdRng) {
     let listed: Vec<&PageEntry> = page.entries.iter().collect();
@@ -174,7 +226,7 @@ fn assert_reads_like(at: &str, page: &IndexPage, flat: &[PageEntry], rng: &mut S
         let key = [Value::Int(key)];
         let expected = flat.iter().find(|e| *e.id.key == key);
         assert_eq!(
-            page.current_version_of(&key),
+            current_version_of(page, &key),
             expected,
             "{at}: version of {key:?}"
         );
@@ -234,7 +286,10 @@ fn windowed_pages_read_what_flat_pages_read() {
         }
         for epoch in 1..rng.random_range(1..=40u64) {
             let changes: Vec<_> = (chains.iter())
-                .map(|chain| random_change(&mut rng, &chain[chain.len() - 1].1, epoch))
+                .map(|chain| {
+                    let (page, flat) = &chain[chain.len() - 1];
+                    random_change(&mut rng, page, flat, epoch)
+                })
                 .collect();
             let prevs = chains.iter().map(|chain| &chain[chain.len() - 1].0);
             let mut writer = PageWriter::for_pages(
@@ -251,7 +306,7 @@ fn windowed_pages_read_what_flat_pages_read() {
             let mut versions = Vec::with_capacity(width);
             for (partition, (chain, (remove, add))) in chains.iter().zip(&changes).enumerate() {
                 let (prev, prev_flat) = &chain[chain.len() - 1];
-                writer.remove.extend(remove);
+                writer.remove.extend(remove.iter().map(Vec::as_slice));
                 writer.add.extend(add.iter().cloned());
                 let page = IndexPage {
                     id: PageId::new("R", Epoch(epoch), partition as u32),
@@ -263,21 +318,32 @@ fn windowed_pages_read_what_flat_pages_read() {
                     before,
                     "case {case}, epoch {epoch}: the writer's room was short"
                 );
-                let flat = flat_next_version(prev_flat, remove.iter().collect(), add.clone());
+                let resolved = resolve(prev, remove);
+                let flat = flat_next_version(prev_flat, resolved.clone(), add.clone());
                 let at = format!("case {case}, page {partition}, version {epoch}");
                 assert_reads_like(&at, &page, &flat, &mut rng);
                 // The standalone derivation writes the same entries.
+                let keys = remove.iter().map(Vec::as_slice).collect();
                 assert_eq!(
-                    prev.next_version(Epoch(epoch), remove.iter().collect(), add.clone())
-                        .entries,
+                    prev.next_version(Epoch(epoch), keys, add.clone()).entries,
                     page.entries,
                     "{at}: next_version"
                 );
-                let kept_here = (page.entries.windows())
-                    .filter(|w| prev.entries.windows().any(|p| std::ptr::eq(*w, p)))
-                    .count();
-                kept += kept_here;
-                written += page.entries.windows().count() - kept_here;
+                // The writer keeps what dropping the resolved IDs keeps.
+                let shared: Vec<&[PageEntry]> = (prev.entries.windows())
+                    .filter(|p| page.entries.windows().any(|w| std::ptr::eq(w, *p)))
+                    .collect();
+                let expected = kept_windows(prev, &resolved, add);
+                assert!(
+                    shared.len() == expected.len()
+                        && shared
+                            .iter()
+                            .zip(&expected)
+                            .all(|(a, b)| std::ptr::eq(*a, *b)),
+                    "{at}: windows kept"
+                );
+                kept += shared.len();
+                written += page.entries.windows().count() - shared.len();
                 assert_diff_like(&at, prev, &page, prev_flat, &flat);
                 let (older, older_flat) = &chain[rng.random_range(0..chain.len())];
                 assert_diff_like(

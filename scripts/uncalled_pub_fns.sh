@@ -2,11 +2,11 @@
 # Public functions that no product code calls.
 #
 # Product code is every `.rs` file under `crates/*/src` and `benchmark/src`,
-# each read down to its first `#[cfg(test)]` item, without the six files
+# each read down to its first `#[cfg(test)]` item, without the seven files
 # that are test modules of their parent (`exec/tests.rs`,
 # `exec/answer_equivalence.rs`, `exec/scan_by_gather.rs`,
-# `ops/join_agg_by_batch.rs`, `gossip/lag_equivalence.rs` and
-# `page/page_equivalence.rs`).  A `#[cfg(test)]` over a one-line
+# `ops/join_agg_by_batch.rs`, `gossip/lag_equivalence.rs`,
+# `page/page_equivalence.rs` and `adaptive/absorb_equivalence.rs`).  A `#[cfg(test)]` over a one-line
 # `mod name;` only declares such a file, so reading goes on past it:
 # `ops.rs` and `exec/mod.rs` declare theirs above their own product code.
 #
@@ -35,7 +35,8 @@ equivalence_workloads the workloads tests/columnar_equivalence.rs pins and examp
 files=$(find crates/*/src benchmark/src -name '*.rs' |
     grep -v -e '/exec/tests\.rs$' -e '/exec/answer_equivalence\.rs$' \
         -e '/exec/scan_by_gather\.rs$' -e '/ops/join_agg_by_batch\.rs$' \
-        -e '/gossip/lag_equivalence\.rs$' -e '/page/page_equivalence\.rs$' |
+        -e '/gossip/lag_equivalence\.rs$' -e '/page/page_equivalence\.rs$' \
+        -e '/adaptive/absorb_equivalence\.rs$' |
     sort)
 if [ -z "$files" ]; then
     echo "uncalled_pub_fns.sh: no product sources found" >&2
