@@ -49,15 +49,37 @@
 //! [`ColumnarBatch::tuple_at`]) is lossless: the row seams that remain
 //! in the engine (operator unit tests, the report boundary, the
 //! materialized-view fold) reconstruct exactly the values that went in.
+//!
+//! **One order and one arithmetic over typed cells.**  Every typed path
+//! of the engine — a select's mask, join and group key equality, the
+//! report's sort, a compute's `+ - *` and SUM's fold — reads cells as the
+//! [`Value`]s they hold without building them, and takes the answer
+//! `Value` would give from here, where each rule is written once.
+//! [`ColumnData::cmp_value`] and [`ColumnData::cmp_cells`] compare cells
+//! with a value or with another column's cells (another pool's strings
+//! too) in [`Value::cmp`]'s order: one `match` over the pair of types,
+//! each arm one typed loop over the rows the caller hands in.
+//! [`Arith::apply`] combines two numbers as [`Value::add`],
+//! [`Value::sub`] and [`Value::mul`] do — they call it: `Int` with `Int`
+//! by `i64`'s operator, any other pair by `f64`'s on the operands `as
+//! f64` — and [`Arith::numbers`] calls it for every row of a typed loop
+//! over [`Numbers`], a column or a literal.  A scalar comparison is the
+//! one-row case ([`ColumnData::cmp_value_at`],
+//! [`ColumnData::cmp_cell_at`]), so a change to either rule is a change
+//! to one function: [`Value::cmp`] (with [`cmp_int_double`]) for the
+//! order, [`Arith::apply`] for the arithmetic.
 
 use crate::key::Key160;
 use crate::node::NodeSet;
 use crate::sha1::{digest_one_block, Sha1, ONE_BLOCK_MAX};
 use crate::tuple::Tuple;
-use crate::value::{integral, Value};
+use crate::value::{cmp_int_double, integral, Value};
+use std::borrow::Cow;
 use std::cell::RefCell;
+use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::{Add, Mul, Range, Sub};
 use std::sync::Arc;
 
 /// An interned-string pool: every distinct string is stored once and
@@ -73,42 +95,46 @@ use std::sync::Arc;
 #[derive(Clone, Debug, Default)]
 pub struct StringPool {
     strings: Vec<Arc<str>>,
-    index: HashMap<Arc<str>, u32, BuildHasherDefault<PoolHasher>>,
+    index: HashMap<Arc<str>, u32, BuildHasherDefault<WordHasher>>,
 }
 
-/// The hash of a pool's content index: a word at a time, multiplied in
-/// (the rotate-xor-multiply of rustc's `FxHasher`).  A pool's strings are
-/// data, not an adversary's, and interning sits on every scan of a string
-/// column; ids are handed out in interning order whatever the hash.
+/// The hash of the maps keyed by data — a pool's content index and the
+/// engine's key-hash indexes: a word at a time, multiplied in (the
+/// rotate-xor-multiply of rustc's `FxHasher`).  Their keys are data, not
+/// an adversary's, and one of them is looked up per string of every scan;
+/// nothing a reader sees depends on the hash (pool ids are handed out in
+/// interning order, and the indexes are only looked up and filtered).
 #[derive(Clone, Copy, Debug, Default)]
-struct PoolHasher(u64);
+pub struct WordHasher(u64);
 
-impl PoolHasher {
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-impl Hasher for PoolHasher {
+impl Hasher for WordHasher {
+    #[inline]
     fn write(&mut self, bytes: &[u8]) {
         let mut words = bytes.chunks_exact(8);
         for word in &mut words {
             let mut w = [0u8; 8];
             w.copy_from_slice(word);
-            self.add(u64::from_le_bytes(w));
+            self.write_u64(u64::from_le_bytes(w));
         }
         let tail = words.remainder();
         if !tail.is_empty() {
             let mut w = [0u8; 8];
             w[..tail.len()].copy_from_slice(tail);
-            self.add(u64::from_le_bytes(w));
+            self.write_u64(u64::from_le_bytes(w));
         }
     }
 
+    #[inline]
     fn write_u8(&mut self, byte: u8) {
-        self.add(u64::from(byte));
+        self.write_u64(u64::from(byte));
     }
 
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    #[inline]
     fn finish(&self) -> u64 {
         self.0
     }
@@ -158,12 +184,14 @@ impl StringPool {
     }
 
     /// The string behind `id`.
+    #[inline]
     pub fn get(&self, id: u32) -> &str {
         &self.strings[id as usize]
     }
 
     /// The shared allocation behind `id`, for [`Self::intern_shared`] and
     /// for reading a cell back as a [`Value::Str`].
+    #[inline]
     pub fn get_shared(&self, id: u32) -> &Arc<str> {
         &self.strings[id as usize]
     }
@@ -250,6 +278,392 @@ impl ColumnData {
             ColumnData::Double(v) => Value::Double(v[row]),
             ColumnData::Str(v) => Value::Str(Arc::clone(&strings[v[row] as usize])),
             ColumnData::Values(v) => v[row].clone(),
+        }
+    }
+
+    /// [`Value::cmp`] of the cell at each row of `rows` against `value`,
+    /// handed to `f` with the row, in order; `pool` holds the column's
+    /// strings.  One typed loop per pair of types, and no cell built.
+    #[inline]
+    pub fn cmp_value(
+        &self,
+        pool: &StringPool,
+        rows: Range<usize>,
+        value: &Value,
+        mut f: impl FnMut(usize, Ordering),
+    ) {
+        let at = rows.start;
+        match (self, value) {
+            (ColumnData::Int(v), Value::Int(c)) => each(at, &v[rows], f, |x| x.cmp(c)),
+            (ColumnData::Int(v), Value::Double(c)) => {
+                each(at, &v[rows], f, |x| cmp_int_double(*x, *c))
+            }
+            (ColumnData::Double(v), Value::Int(c)) => {
+                each(at, &v[rows], f, |x| cmp_int_double(*c, *x).reverse())
+            }
+            (ColumnData::Double(v), Value::Double(c)) => each(at, &v[rows], f, |x| x.total_cmp(c)),
+            (ColumnData::Str(v), Value::Str(c)) => {
+                each(at, &v[rows], f, |id| cmp_strings(pool.get_shared(*id), c))
+            }
+            (ColumnData::Values(v), c) => each(at, &v[rows], f, |x| x.cmp(c)),
+            // A typed column against a value of another type: the types'
+            // ranks decide, for every row alike.  A number is above NULL
+            // and below a string; no string is built to ask.
+            (ColumnData::Int(_) | ColumnData::Double(_), c) => {
+                let ord = Value::Int(0).cmp(c);
+                rows.for_each(|r| f(r, ord))
+            }
+            (ColumnData::Str(_), _) => rows.for_each(|r| f(r, Ordering::Greater)),
+        }
+    }
+
+    /// [`Value::cmp`] of the cell at each row `x` of `rows` in this column
+    /// against the cell at the row as far into `other_rows` in `other`,
+    /// handed to `f` with `x`, in order; `pool` and `other_pool` hold the
+    /// two columns' strings (one pool, or two).  One typed loop per pair
+    /// of types, and no cell built but where two typed columns differ in
+    /// type.
+    #[inline]
+    pub fn cmp_cells(
+        &self,
+        pool: &StringPool,
+        rows: Range<usize>,
+        other: &ColumnData,
+        other_pool: &StringPool,
+        other_rows: Range<usize>,
+        f: impl FnMut(usize, Ordering),
+    ) {
+        let pairs = rows.zip(other_rows);
+        match (self, other) {
+            (ColumnData::Int(a), ColumnData::Int(b)) => each_pair(pairs, f, |x, y| a[x].cmp(&b[y])),
+            (ColumnData::Int(a), ColumnData::Double(b)) => {
+                each_pair(pairs, f, |x, y| cmp_int_double(a[x], b[y]))
+            }
+            (ColumnData::Double(a), ColumnData::Int(b)) => {
+                each_pair(pairs, f, |x, y| cmp_int_double(b[y], a[x]).reverse())
+            }
+            (ColumnData::Double(a), ColumnData::Double(b)) => {
+                each_pair(pairs, f, |x, y| a[x].total_cmp(&b[y]))
+            }
+            (ColumnData::Str(a), ColumnData::Str(b)) => each_pair(pairs, f, |x, y| {
+                cmp_strings(pool.get_shared(a[x]), other_pool.get_shared(b[y]))
+            }),
+            (_, ColumnData::Values(b)) => {
+                each_pair(pairs, f, |x, y| self.cmp_value_at(pool, x, &b[y]))
+            }
+            _ => each_pair(pairs, f, |x, y| {
+                self.cmp_value_at(pool, x, &other.value_at(y, &other_pool.strings))
+            }),
+        }
+    }
+
+    /// [`Self::cmp_value`] of the one cell at `row`.
+    #[inline]
+    pub fn cmp_value_at(&self, pool: &StringPool, row: usize, value: &Value) -> Ordering {
+        let mut ord = Ordering::Equal;
+        self.cmp_value(pool, row..row + 1, value, |_, o| ord = o);
+        ord
+    }
+
+    /// [`Self::cmp_cells`] of the one pair of cells at `x` and `y`.
+    #[inline]
+    pub fn cmp_cell_at(
+        &self,
+        pool: &StringPool,
+        x: usize,
+        other: &ColumnData,
+        other_pool: &StringPool,
+        y: usize,
+    ) -> Ordering {
+        let mut ord = Ordering::Equal;
+        self.cmp_cells(pool, x..x + 1, other, other_pool, y..y + 1, |_, o| ord = o);
+        ord
+    }
+}
+
+/// Two strings in [`Value`]'s order.  One allocation is one string: two
+/// equal ids of one pool, or a string two pools or a pool and a value
+/// share, are equal without reading it.
+#[inline(always)]
+fn cmp_strings(s: &Arc<str>, t: &Arc<str>) -> Ordering {
+    if Arc::ptr_eq(s, t) {
+        Ordering::Equal
+    } else {
+        s.cmp(t)
+    }
+}
+
+/// Hand `f` the ordering `ord` gives each of `cells`, with its row, the
+/// first row being `at`: the loop of every typed comparison.
+///
+/// One counter indexes both the cells and the rows, so that a caller
+/// indexing a slice of its own by the row it is handed (a select's mask,
+/// as long as the cells) keeps no bounds check in the loop: an iterator
+/// beside a counter made a select's mask loop about twice as slow.
+#[inline(always)]
+#[allow(clippy::needless_range_loop)]
+fn each<T>(
+    at: usize,
+    cells: &[T],
+    mut f: impl FnMut(usize, Ordering),
+    ord: impl Fn(&T) -> Ordering,
+) {
+    for i in 0..cells.len() {
+        f(at + i, ord(&cells[i]));
+    }
+}
+
+/// Hand `f` each pair of rows of `pairs` with the ordering `ord` gives
+/// it: the loop of a comparison of two columns.
+#[inline(always)]
+fn each_pair(
+    pairs: impl Iterator<Item = (usize, usize)>,
+    mut f: impl FnMut(usize, Ordering),
+    ord: impl Fn(usize, usize) -> Ordering,
+) {
+    pairs.for_each(|(x, y)| f(x, ord(x, y)));
+}
+
+/// `+`, `-` or `*` over numbers: what [`Value::add`], [`Value::sub`] and
+/// [`Value::mul`] compute, and every typed arithmetic loop with them.
+#[derive(Clone, Copy, Debug)]
+pub enum Arith {
+    /// Addition.
+    Add,
+    /// Subtraction.
+    Sub,
+    /// Multiplication.
+    Mul,
+}
+
+impl Arith {
+    /// `a op b` — the typing rule of [`Value`]'s arithmetic, the one place
+    /// it is written: `Int` with `Int` by `i64`'s own operator, any other
+    /// pair by `f64`'s over the operands `as f64`.
+    #[inline(always)]
+    pub fn apply(self, a: Number, b: Number) -> Number {
+        match (a, b) {
+            (Number::Int(x), Number::Int(y)) => Number::Int(self.on(x, y)),
+            _ => Number::Double(self.on(a.as_f64(), b.as_f64())),
+        }
+    }
+
+    /// The operator itself, over two numbers of one type.
+    #[inline(always)]
+    fn on<T: Add<Output = T> + Sub<Output = T> + Mul<Output = T>>(self, x: T, y: T) -> T {
+        match self {
+            Arith::Add => x + y,
+            Arith::Sub => x - y,
+            Arith::Mul => x * y,
+        }
+    }
+
+    /// `a op b`, row by row, each row by the rule of [`Self::apply`] in a
+    /// typed loop.
+    #[inline]
+    pub fn numbers<'a>(self, a: Numbers<'a>, b: Numbers<'a>) -> Numbers<'a> {
+        // A loop per operator, so that no row asks which operator it is.
+        match self {
+            Arith::Add => lanes(a, b, |x, y| Arith::Add.apply(x, y)),
+            Arith::Sub => lanes(a, b, |x, y| Arith::Sub.apply(x, y)),
+            Arith::Mul => lanes(a, b, |x, y| Arith::Mul.apply(x, y)),
+        }
+    }
+
+    /// `a op b` for two values: two numbers by the rule of
+    /// [`Self::apply`].  A NULL addend yields the other operand (SQL
+    /// aggregates skip NULLs); any other NULL or string operand yields
+    /// NULL.
+    #[inline]
+    pub(crate) fn values(self, a: &Value, b: &Value) -> Value {
+        match (Number::of(a), Number::of(b)) {
+            (Some(x), Some(y)) => self.apply(x, y).into(),
+            _ => match (self, a, b) {
+                (Arith::Add, Value::Null, v) | (Arith::Add, v, Value::Null) => v.clone(),
+                _ => Value::Null,
+            },
+        }
+    }
+}
+
+/// A number of one of [`Value`]'s two numeric types: what [`Arith`]
+/// combines.
+#[derive(Clone, Copy, Debug)]
+pub enum Number {
+    /// An `Int`.
+    Int(i64),
+    /// A `Double`.
+    Double(f64),
+}
+
+impl Number {
+    /// `value` as a number; `None` for NULL or a string.
+    #[inline(always)]
+    pub fn of(value: &Value) -> Option<Number> {
+        match value {
+            Value::Int(x) => Some(Number::Int(*x)),
+            Value::Double(x) => Some(Number::Double(*x)),
+            Value::Null | Value::Str(_) => None,
+        }
+    }
+
+    #[inline(always)]
+    fn as_f64(self) -> f64 {
+        match self {
+            Number::Int(x) => x as f64,
+            Number::Double(x) => x,
+        }
+    }
+
+    /// An `Int`'s value (a double's, truncated, where the rule made none).
+    #[inline(always)]
+    fn as_i64(self) -> i64 {
+        match self {
+            Number::Int(x) => x,
+            Number::Double(x) => x as i64,
+        }
+    }
+}
+
+impl From<Number> for Value {
+    #[inline(always)]
+    fn from(x: Number) -> Value {
+        match x {
+            Number::Int(v) => Value::Int(v),
+            Number::Double(v) => Value::Double(v),
+        }
+    }
+}
+
+impl From<i64> for Number {
+    #[inline(always)]
+    fn from(x: i64) -> Number {
+        Number::Int(x)
+    }
+}
+
+impl From<f64> for Number {
+    #[inline(always)]
+    fn from(x: f64) -> Number {
+        Number::Double(x)
+    }
+}
+
+/// [`Arith::numbers`] for one operator, `apply`.
+#[inline(always)]
+fn lanes<'a>(
+    a: Numbers<'a>,
+    b: Numbers<'a>,
+    apply: impl Fn(Number, Number) -> Number + Copy,
+) -> Numbers<'a> {
+    match (a, b) {
+        (Numbers::Int(x), Numbers::Int(y)) => zip_numbers(x, y, apply),
+        (Numbers::Int(x), Numbers::Double(y)) => zip_numbers(x, y, apply),
+        (Numbers::Double(x), Numbers::Int(y)) => zip_numbers(x, y, apply),
+        (Numbers::Double(x), Numbers::Double(y)) => zip_numbers(x, y, apply),
+    }
+}
+
+/// Two lanes combined row by row by `apply`, an operator's
+/// [`Arith::apply`]: the result is typed as the rule types operands of
+/// these two types, which it shows for a pair of zeros.
+#[inline(always)]
+fn zip_numbers<'a, A, B>(
+    a: Lane<'_, A>,
+    b: Lane<'_, B>,
+    apply: impl Fn(Number, Number) -> Number + Copy,
+) -> Numbers<'a>
+where
+    A: Copy + Default + Into<Number>,
+    B: Copy + Default + Into<Number>,
+{
+    match apply(A::default().into(), B::default().into()) {
+        Number::Int(_) => Numbers::Int(zip(a, b, |x, y| apply(x.into(), y.into()).as_i64())),
+        Number::Double(_) => Numbers::Double(zip(a, b, |x, y| apply(x.into(), y.into()).as_f64())),
+    }
+}
+
+/// One typed loop over two lanes.
+#[inline(always)]
+fn zip<'a, A: Copy, B: Copy, R: Clone>(
+    a: Lane<'_, A>,
+    b: Lane<'_, B>,
+    f: impl Fn(A, B) -> R,
+) -> Lane<'a, R> {
+    let each = |cells: Vec<R>| Lane::Each(Cow::Owned(cells));
+    match (a, b) {
+        (Lane::All(x), Lane::All(y)) => Lane::All(f(x, y)),
+        (Lane::Each(xs), Lane::All(y)) => each(xs.iter().map(|x| f(*x, y)).collect()),
+        (Lane::All(x), Lane::Each(ys)) => each(ys.iter().map(|y| f(x, *y)).collect()),
+        (Lane::Each(xs), Lane::Each(ys)) => {
+            each(xs.iter().zip(ys.iter()).map(|(x, y)| f(*x, *y)).collect())
+        }
+    }
+}
+
+/// One operand of a typed arithmetic loop: a cell per row, or one value
+/// for every row (a literal).
+#[derive(Clone, Debug)]
+pub enum Lane<'a, T: Clone> {
+    /// One cell per row.
+    Each(Cow<'a, [T]>),
+    /// The same value in every row.
+    All(T),
+}
+
+impl<T: Copy> Lane<'_, T> {
+    /// The value in row `row`.
+    #[inline(always)]
+    fn at(&self, row: usize) -> T {
+        match self {
+            Lane::Each(cells) => cells[row],
+            Lane::All(v) => *v,
+        }
+    }
+}
+
+/// Numbers of one of [`Value`]'s two numeric types, by row: an operand
+/// or a result of [`Arith`].
+#[derive(Clone, Debug)]
+pub enum Numbers<'a> {
+    /// `Int` cells.
+    Int(Lane<'a, i64>),
+    /// `Double` cells.
+    Double(Lane<'a, f64>),
+}
+
+impl<'a> Numbers<'a> {
+    /// The cells of a typed number column; `None` for a string or untyped
+    /// one.
+    pub fn of(data: &'a ColumnData) -> Option<Numbers<'a>> {
+        match data {
+            ColumnData::Int(v) => Some(Numbers::Int(Lane::Each(Cow::Borrowed(v)))),
+            ColumnData::Double(v) => Some(Numbers::Double(Lane::Each(Cow::Borrowed(v)))),
+            ColumnData::Str(_) | ColumnData::Values(_) => None,
+        }
+    }
+
+    /// A number, the same in every row; `None` for NULL or a string.
+    #[inline]
+    pub fn of_value(value: &Value) -> Option<Numbers<'a>> {
+        match value {
+            Value::Int(x) => Some(Numbers::Int(Lane::All(*x))),
+            Value::Double(x) => Some(Numbers::Double(Lane::All(*x))),
+            Value::Null | Value::Str(_) => None,
+        }
+    }
+
+    /// The cells of `rows` rows.
+    pub fn into_data(self, rows: usize) -> ColumnData {
+        fn cells<T: Clone>(lane: Lane<'_, T>, rows: usize) -> Vec<T> {
+            match lane {
+                Lane::Each(cells) => cells.into_owned(),
+                Lane::All(v) => vec![v; rows],
+            }
+        }
+        match self {
+            Numbers::Int(lane) => ColumnData::Int(cells(lane, rows)),
+            Numbers::Double(lane) => ColumnData::Double(cells(lane, rows)),
         }
     }
 }
@@ -449,28 +863,11 @@ impl Column {
     }
 
     fn retain(&mut self, mask: &[bool]) {
-        let mut i = 0;
         match &mut self.data {
-            ColumnData::Int(v) => v.retain(|_| {
-                let keep = mask[i];
-                i += 1;
-                keep
-            }),
-            ColumnData::Double(v) => v.retain(|_| {
-                let keep = mask[i];
-                i += 1;
-                keep
-            }),
-            ColumnData::Str(v) => v.retain(|_| {
-                let keep = mask[i];
-                i += 1;
-                keep
-            }),
-            ColumnData::Values(v) => v.retain(|_| {
-                let keep = mask[i];
-                i += 1;
-                keep
-            }),
+            ColumnData::Int(v) => retain_masked(v, mask),
+            ColumnData::Double(v) => retain_masked(v, mask),
+            ColumnData::Str(v) => retain_masked(v, mask),
+            ColumnData::Values(v) => retain_masked(v, mask),
         }
         self.invalidate();
     }
@@ -1002,29 +1399,14 @@ impl ColumnarBatch {
         for col in &mut self.columns {
             col.retain(mask);
         }
-        let mut i = 0;
-        self.signs.retain(|_| {
-            let keep = mask[i];
-            i += 1;
-            keep
-        });
-        let mut i = 0;
-        self.provenance.retain(|_| {
-            let keep = mask[i];
-            i += 1;
-            keep
-        });
-        let mut i = 0;
-        self.phases.retain(|_| {
-            let keep = mask[i];
-            i += 1;
-            keep
-        });
+        retain_masked(&mut self.signs, mask);
+        retain_masked(&mut self.provenance, mask);
+        retain_masked(&mut self.phases, mask);
     }
 
     /// Replace the contents of `keys` with the ring key of every row's
     /// cells in `cols`, in row order: for each row the key
-    /// [`Tuple::hash_columns`] computes over it.
+    /// [`hash_values`](crate::tuple::hash_values) computes over them.
     ///
     /// A key of `Int` and `Double` columns only, at most six of them, is
     /// the common case (integer join keys), and each row's is written
@@ -1077,6 +1459,12 @@ impl ColumnarBatch {
             })),
         }
     }
+}
+
+/// Keep the items of `cells` whose entry in `mask` is `true`, in order.
+fn retain_masked<T>(cells: &mut Vec<T>, mask: &[bool]) {
+    let mut keep = mask.iter();
+    cells.retain(|_| keep.next() == Some(&true));
 }
 
 /// Row numbers to append a column at a time, with — when a selection is
@@ -1197,32 +1585,17 @@ impl BitsTable {
     }
 }
 
-/// A typed numeric column as ring keys read it.
-#[derive(Clone, Copy)]
-enum Numbers<'a> {
-    Int(&'a [i64]),
-    Double(&'a [f64]),
-}
-
 impl Numbers<'_> {
-    fn of(data: &ColumnData) -> Option<Numbers<'_>> {
-        match data {
-            ColumnData::Int(v) => Some(Numbers::Int(v)),
-            ColumnData::Double(v) => Some(Numbers::Double(v)),
-            ColumnData::Str(_) | ColumnData::Values(_) => None,
-        }
-    }
-
     /// The type tag and the eight big-endian bytes' worth of the cell at
     /// `row` in its key encoding: an integral double keys as the `Int` it
     /// equals.
     #[inline(always)]
-    fn key_cell(self, row: usize) -> (u8, u64) {
+    fn key_cell(&self, row: usize) -> (u8, u64) {
         match self {
-            Numbers::Int(v) => (1, v[row] as u64),
-            Numbers::Double(v) => match integral(v[row]) {
+            Numbers::Int(v) => (1, v.at(row) as u64),
+            Numbers::Double(v) => match integral(v.at(row)) {
                 Some(i) => (1, i as u64),
-                None => (2, v[row].to_bits()),
+                None => (2, v.at(row).to_bits()),
             },
         }
     }
@@ -1232,6 +1605,7 @@ impl Numbers<'_> {
 mod tests {
     use super::*;
     use crate::node::NodeId;
+    use crate::tuple::hash_values;
 
     fn tags() -> (i8, NodeSet, u32) {
         (1, NodeSet::singleton(NodeId(3)), 0)
@@ -1633,7 +2007,7 @@ mod tests {
 
     /// `hash_columns` over a batch (and `hash_columns_at` over a selection
     /// of its rows) must give, row for row, the key
-    /// [`Tuple::hash_columns`] gives over the row: random batches whose
+    /// [`hash_values`] gives over the row's cells: random batches whose
     /// columns are typed `Int`, `Double` or `Str`, or untyped (NULLs or a
     /// mix of types), drawn from the edge cases of every type, with keys
     /// of one to seven columns whose encodings fall either side of one
@@ -1727,10 +2101,9 @@ mod tests {
                 "case {case}: rows {picked:?}"
             );
             for (i, r) in rows.iter().enumerate() {
-                let t = Tuple::new(r.clone());
                 assert_eq!(
                     keys[i],
-                    t.hash_columns(&cols),
+                    hash_values(cols.iter().map(|c| &r[*c])),
                     "case {case} row {i} cols {cols:?}"
                 );
                 let bytes: usize = cols.iter().map(|c| r[*c].serialized_size()).sum();
@@ -1793,5 +2166,279 @@ mod tests {
         let mut b = ColumnarBatch::new(2);
         let (sign, prov, phase) = tags();
         b.push_row(&[Value::Int(1)], sign, prov, phase);
+    }
+
+    /// The kind of a column's storage, or of a value: `Int`, `Double`,
+    /// `Str`, or the untyped fallback (a NULL, for a value).
+    fn variant(data: &ColumnData) -> u8 {
+        match data {
+            ColumnData::Int(_) => 0,
+            ColumnData::Double(_) => 1,
+            ColumnData::Str(_) => 2,
+            ColumnData::Values(_) => 3,
+        }
+    }
+
+    fn value_variant(v: &Value) -> u8 {
+        match v {
+            Value::Int(_) => 0,
+            Value::Double(_) => 1,
+            Value::Str(_) => 2,
+            Value::Null => 3,
+        }
+    }
+
+    /// A random cell of the given kind (`variant`'s numbering; 3 is any
+    /// type or NULL), drawn from the edges of `Value`'s order
+    /// ([`crate::value::tests::edge_values`]: around ±2^53 and ±2^63, NaNs
+    /// of both signs, both zeros, the infinities) and from random bits, or
+    /// from `strings`.
+    fn random_cell(rng: &mut crate::rng::StdRng, kind: u8, strings: &[Value]) -> Value {
+        let edges = crate::value::tests::edge_values();
+        let edge = |rng: &mut crate::rng::StdRng, pick: fn(&Value) -> bool| loop {
+            let v = &edges[rng.random_range(0..edges.len())];
+            if pick(v) {
+                return v.clone();
+            }
+        };
+        match kind {
+            0 if rng.random_bool(0.5) => edge(rng, |v| matches!(v, Value::Int(_))),
+            0 => Value::Int(rng.next_u64() as i64 >> rng.random_range(0u32..64)),
+            1 if rng.random_bool(0.5) => edge(rng, |v| matches!(v, Value::Double(_))),
+            1 if rng.random_bool(0.5) => Value::Double(rng.random_range(0u32..8) as f64 - 4.0),
+            1 => Value::Double(f64::from_bits(rng.next_u64())),
+            2 => strings[rng.random_range(0..strings.len())].clone(),
+            _ => match rng.random_range(0u8..4) {
+                3 => Value::Null,
+                kind => random_cell(rng, kind, strings),
+            },
+        }
+    }
+
+    /// A batch of one column of each kind and two more of random kinds,
+    /// `rows` rows (at least one), its strings drawn from `strings`; the
+    /// untyped columns start with a NULL, so they stay untyped.
+    fn random_batch(rng: &mut crate::rng::StdRng, strings: &[Value]) -> ColumnarBatch {
+        let kinds: Vec<u8> = (0..4)
+            .chain((0..2).map(|_| rng.random_range(0u8..4)))
+            .collect();
+        let mut b = ColumnarBatch::new(kinds.len());
+        for row in 0..rng.random_range(1usize..10) {
+            let cells: Vec<Value> = (kinds.iter())
+                .map(|k| match (k, row) {
+                    (3, 0) => Value::Null,
+                    _ => random_cell(rng, *k, strings),
+                })
+                .collect();
+            b.push_row(&cells, 1, NodeSet::empty(), 0);
+        }
+        for (c, k) in kinds.iter().enumerate() {
+            assert_eq!(variant(b.column(c).data()), *k);
+        }
+        b
+    }
+
+    /// `len` consecutive rows of a batch of `rows` rows, at random: what a
+    /// comparison is handed.
+    fn random_rows(rng: &mut crate::rng::StdRng, rows: usize, len: usize) -> Range<usize> {
+        let start = rng.random_range(0..=rows - len);
+        start..start + len
+    }
+
+    /// The typed order is `Value::cmp`: every column kind against every
+    /// value kind, and against every column kind of the same batch (one
+    /// pool) and of another (two pools, sharing some strings by pointer
+    /// and holding others as copies), through both loops and their
+    /// one-row forms, over the edges of the order.  A debug build runs 20
+    /// random cases on every `cargo test`; CI runs 300 in release mode.
+    #[test]
+    fn typed_equivalence_of_order() {
+        let cases = if cfg!(debug_assertions) { 20 } else { 300 };
+        let mut rng = crate::rng::seeded(0x0dde_0c0e);
+        let mut seen = HashSet::new();
+        for case in 0..cases {
+            let texts = ["", "a", "ab", "b", "ba", "abc"];
+            let shared: Vec<Value> = texts.iter().map(|t| Value::str(*t)).collect();
+            let a = random_batch(&mut rng, &shared);
+            // The other batch holds some of the same allocations and some
+            // equal strings of its own.
+            let own: Vec<Value> = (texts.iter().map(|t| Value::str(*t)))
+                .chain(shared.iter().cloned())
+                .collect();
+            let b = random_batch(&mut rng, &own);
+            let mut probes = crate::value::tests::edge_values();
+            probes.extend(own.iter().cloned());
+            for batch in [&a, &b] {
+                for col in 0..batch.arity() {
+                    let data = batch.column(col).data();
+                    for v in &probes {
+                        let len = rng.random_range(0..=batch.len());
+                        let rows = random_rows(&mut rng, batch.len(), len);
+                        let want: Vec<(usize, Ordering)> = rows
+                            .clone()
+                            .map(|r| (r, batch.value_at(r, col).cmp(v)))
+                            .collect();
+                        let mut got = Vec::new();
+                        data.cmp_value(batch.pool(), rows, v, |r, o| got.push((r, o)));
+                        assert_eq!(got, want, "case {case}: column {col} against {v:?}");
+                        for (r, o) in &want {
+                            assert_eq!(data.cmp_value_at(batch.pool(), *r, v), *o);
+                        }
+                        seen.insert((variant(data), value_variant(v), true));
+                    }
+                }
+            }
+            for (x, y) in [(&a, &a), (&a, &b), (&b, &a)] {
+                let one_pool = std::ptr::eq(x, y);
+                for (cx, cy) in (0..x.arity()).flat_map(|c| (0..y.arity()).map(move |d| (c, d))) {
+                    let (dx, dy) = (x.column(cx).data(), y.column(cy).data());
+                    let len = rng.random_range(0..=x.len().min(y.len()));
+                    let (xs, ys) = (
+                        random_rows(&mut rng, x.len(), len),
+                        random_rows(&mut rng, y.len(), len),
+                    );
+                    let pairs: Vec<(usize, usize)> = xs.clone().zip(ys.clone()).collect();
+                    let want: Vec<(usize, Ordering)> = (pairs.iter())
+                        .map(|&(r, s)| (r, x.value_at(r, cx).cmp(&y.value_at(s, cy))))
+                        .collect();
+                    let mut got = Vec::new();
+                    dx.cmp_cells(x.pool(), xs, dy, y.pool(), ys, |r, o| got.push((r, o)));
+                    assert_eq!(got, want, "case {case}: columns {cx} and {cy}");
+                    for ((r, s), (_, o)) in pairs.iter().zip(&want) {
+                        assert_eq!(dx.cmp_cell_at(x.pool(), *r, dy, y.pool(), *s), *o);
+                    }
+                    seen.insert((variant(dx), variant(dy), one_pool));
+                }
+            }
+        }
+        // Every pair of kinds, columns in one pool and in two.
+        for (p, q) in (0..4).flat_map(|p| (0..4).map(move |q| (p, q))) {
+            for one_pool in [true, false] {
+                assert!(seen.contains(&(p, q, one_pool)), "{p} {q} {one_pool}");
+            }
+        }
+    }
+
+    /// Bits of a number, to compare doubles the sign of zero included.
+    /// Every NaN is one: Rust leaves the sign and payload of a NaN that
+    /// arithmetic produces unspecified (RFC 3514), and an optimizer may
+    /// swap the operands of a commutative operation.
+    fn bits(v: &Value) -> (u8, u64) {
+        match v {
+            Value::Int(x) => (0, *x as u64),
+            Value::Double(x) if x.is_nan() => (1, f64::NAN.to_bits()),
+            Value::Double(x) => (1, x.to_bits()),
+            other => panic!("not a number: {other:?}"),
+        }
+    }
+
+    /// An operand of a lane test, read a row at a time.
+    enum Operand<'a> {
+        Cells(&'a ColumnData),
+        Literal(&'a Value),
+    }
+
+    impl Operand<'_> {
+        fn at(&self, row: usize) -> Value {
+            match self {
+                Operand::Cells(data) => data.value_at(row, &[]),
+                Operand::Literal(v) => (*v).clone(),
+            }
+        }
+    }
+
+    /// `x op y` spelled out with the native operators: `Int` with `Int` by
+    /// `i64`'s, any other pair of numbers by `f64`'s.
+    fn by_hand(op: Arith, x: &Value, y: &Value) -> Value {
+        if let (Value::Int(p), Value::Int(q)) = (x, y) {
+            return Value::Int(match op {
+                Arith::Add => p + q,
+                Arith::Sub => p - q,
+                Arith::Mul => p * q,
+            });
+        }
+        let (p, q) = (x.as_f64().expect("number"), y.as_f64().expect("number"));
+        Value::Double(match op {
+            Arith::Add => p + q,
+            Arith::Sub => p - q,
+            Arith::Mul => p * q,
+        })
+    }
+
+    /// Every typed arithmetic lane — an `Int` or `Double` column or
+    /// literal against another, for `+`, `-` and `*` — computes row by
+    /// row, type and bits, what `Value::{add, sub, mul}` compute over the
+    /// rows' values, and both what the native operators compute
+    /// ([`by_hand`]), integers past 2^53 included.  20 random cases in
+    /// `cargo test`, 300 in CI's release step.
+    #[test]
+    fn typed_equivalence_of_arithmetic() {
+        let cases = if cfg!(debug_assertions) { 20 } else { 300 };
+        let mut rng = crate::rng::seeded(0xa217_4e71);
+        for case in 0..cases {
+            let rows = rng.random_range(1usize..8);
+            for op in [Arith::Add, Arith::Sub, Arith::Mul] {
+                // Integers no pair of which overflows under `op` (sums stay
+                // below 2^57, products below 2^62), many of them or their
+                // results past 2^53, where no `f64` holds every integer.
+                let low: u32 = if matches!(op, Arith::Mul) { 33 } else { 8 };
+                let mut int = || {
+                    let widest = if rng.random_bool(0.5) { 3 } else { 30 };
+                    Value::Int((rng.next_u64() as i64) >> rng.random_range(low..low + widest))
+                };
+                let int_cells =
+                    ColumnData::Int((0..rows).map(|_| int().as_int().expect("int")).collect());
+                let int_literal = int();
+                let mut double = || random_cell(&mut rng, 1, &[]);
+                let double_cells = ColumnData::Double(
+                    (0..rows)
+                        .map(|_| double().as_f64().expect("number"))
+                        .collect(),
+                );
+                let double_literal = double();
+                // Each operand as a lane and as each row's value.
+                let operands = || {
+                    let column = |data| {
+                        (
+                            Numbers::of(data).expect("a number column"),
+                            Operand::Cells(data),
+                        )
+                    };
+                    let literal =
+                        |v| (Numbers::of_value(v).expect("a number"), Operand::Literal(v));
+                    [
+                        column(&int_cells),
+                        column(&double_cells),
+                        literal(&int_literal),
+                        literal(&double_literal),
+                    ]
+                };
+                for (i, (a, a_at)) in operands().into_iter().enumerate() {
+                    for (j, (b, b_at)) in operands().into_iter().enumerate() {
+                        let want = (0..rows).map(|r| {
+                            let (x, y) = (a_at.at(r), b_at.at(r));
+                            let of_value = match op {
+                                Arith::Add => x.add(&y),
+                                Arith::Sub => x.sub(&y),
+                                Arith::Mul => x.mul(&y),
+                            };
+                            assert_eq!(bits(&of_value), bits(&by_hand(op, &x, &y)), "{x:?} {y:?}");
+                            of_value
+                        });
+                        let got =
+                            Column::from_data(op.numbers(a.clone(), b.clone()).into_data(rows));
+                        assert_eq!(got.len(), rows);
+                        for (r, w) in want.enumerate() {
+                            let cell = got.data().value_at(r, &[]);
+                            assert_eq!(
+                                bits(&cell),
+                                bits(&w),
+                                "case {case}: {op:?} {i} {j} row {r}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

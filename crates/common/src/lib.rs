@@ -47,7 +47,7 @@ pub mod sha1;
 pub mod tuple;
 pub mod value;
 
-pub use column::{Column, ColumnData, ColumnarBatch, PoolMemo, StringPool};
+pub use column::{Arith, Column, ColumnData, ColumnarBatch, Number, Numbers, PoolMemo, StringPool};
 pub use error::{OrchestraError, Result};
 pub use fingerprint::QueryFingerprint;
 pub use key::{Key160, KeyRange};

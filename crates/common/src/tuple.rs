@@ -11,7 +11,8 @@
 //! * [`TupleId`] — `(key attribute values, epoch of last modification)`,
 //!   e.g. `⟨f, 1⟩` in the paper's running example, and
 //! * [`Tuple`] — a row of [`Value`]s carried through storage and the query
-//!   engine, with serialized-size accounting and key/hash extraction.
+//!   engine, with serialized-size accounting and key extraction
+//!   ([`hash_values`] places a key on the ring).
 
 use crate::key::Key160;
 use crate::sha1::Sha1;
@@ -197,34 +198,6 @@ impl Tuple {
         &self.values[..key_len]
     }
 
-    /// Ring position of the tuple given its key length.
-    pub fn hash_key(&self, key_len: usize) -> Key160 {
-        hash_values(self.key(key_len))
-    }
-
-    /// Ring position computed over an arbitrary subset of columns; used by
-    /// the rehash operator, which partitions "by hashing on some subset of
-    /// the tuples' attributes".
-    pub fn hash_columns(&self, columns: &[usize]) -> Key160 {
-        hash_values(columns.iter().map(|c| &self.values[*c]))
-    }
-
-    /// Tuple ID for this tuple at `epoch`, with the first `key_len`
-    /// columns as the key.
-    pub fn id(&self, key_len: usize, epoch: Epoch) -> TupleId {
-        TupleId::new(self.key(key_len), epoch)
-    }
-
-    /// Project the tuple onto the given column indices.
-    pub fn project(&self, columns: &[usize]) -> Tuple {
-        columns.iter().map(|c| self.values[*c].clone()).collect()
-    }
-
-    /// Concatenate two tuples (used by joins to form output rows).
-    pub fn concat(&self, other: &Tuple) -> Tuple {
-        self.values.iter().chain(&*other.values).cloned().collect()
-    }
-
     /// Wire size of the tuple in the engine's batch format: a 2-byte
     /// column count plus each value's encoding.  This is what the
     /// network-traffic figures count.
@@ -278,6 +251,7 @@ impl FromIterator<Value> for Tuple {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ColumnarBatch, NodeSet};
 
     fn t(vals: Vec<Value>) -> Tuple {
         Tuple::new(vals)
@@ -305,24 +279,21 @@ mod tests {
     #[test]
     fn tuple_hash_matches_id_hash() {
         let tup = t(vec![Value::str("f"), Value::str("a")]);
-        let id = tup.id(1, Epoch(1));
-        assert_eq!(tup.hash_key(1), id.hash_key());
-    }
-
-    #[test]
-    fn projection_and_concat() {
-        let a = t(vec![Value::Int(1), Value::str("x"), Value::Int(3)]);
-        let b = t(vec![Value::str("y")]);
-        assert_eq!(a.project(&[2, 0]).values(), &[Value::Int(3), Value::Int(1)]);
-        assert_eq!(a.concat(&b).arity(), 4);
-        assert_eq!(a.concat(&b).value(3), &Value::str("y"));
+        let id = TupleId::new(tup.key(1), Epoch(1));
+        assert_eq!(hash_values(tup.key(1)), id.hash_key());
     }
 
     #[test]
     fn hash_columns_matches_projection_hash() {
         let a = t(vec![Value::Int(1), Value::str("x"), Value::Int(3)]);
-        assert_eq!(a.hash_columns(&[1]), hash_values(&[Value::str("x")]));
-        assert_ne!(a.hash_columns(&[0]), a.hash_columns(&[2]));
+        let batch = ColumnarBatch::from_tuples(3, [&a], 1, NodeSet::empty(), 0);
+        let hash = |cols: &[usize]| {
+            let mut keys = Vec::new();
+            batch.hash_columns(cols, &mut keys);
+            keys
+        };
+        assert_eq!(hash(&[1]), [hash_values(&[Value::str("x")])]);
+        assert_ne!(hash(&[0]), hash(&[2]));
     }
 
     #[test]

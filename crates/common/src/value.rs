@@ -11,6 +11,7 @@
 //! * the scalar operations the `Compute-function` operator and the
 //!   aggregate operator need (concatenation, arithmetic, min/max/sum).
 
+use crate::column::Arith;
 use std::cmp::Ordering;
 use std::fmt::{self, Write};
 use std::hash::{Hash, Hasher};
@@ -132,54 +133,30 @@ impl Value {
 
     /// Addition for numeric values (used by SUM); any NULL operand yields
     /// the other operand, matching SQL aggregate semantics of ignoring
-    /// NULLs.
+    /// NULLs.  [`Arith`] types the result.
+    #[inline]
     pub fn add(&self, other: &Value) -> Value {
-        match (self, other) {
-            (Value::Null, v) | (v, Value::Null) => v.clone(),
-            (Value::Int(a), Value::Int(b)) => Value::Int(a + b),
-            (a, b) => match (a.as_f64(), b.as_f64()) {
-                (Some(x), Some(y)) => Value::Double(x + y),
-                _ => Value::Null,
-            },
-        }
+        Arith::Add.values(self, other)
     }
 
     /// Multiplication for numeric values (used by compute-function
     /// expressions such as `extendedprice * (1 - discount)`).
+    #[inline]
     pub fn mul(&self, other: &Value) -> Value {
-        match (self.as_f64(), other.as_f64()) {
-            (Some(x), Some(y)) => match (self, other) {
-                (Value::Int(a), Value::Int(b)) => Value::Int(a * b),
-                _ => Value::Double(x * y),
-            },
-            _ => Value::Null,
-        }
+        Arith::Mul.values(self, other)
     }
 
     /// Subtraction for numeric values.
+    #[inline]
     pub fn sub(&self, other: &Value) -> Value {
-        match (self.as_f64(), other.as_f64()) {
-            (Some(x), Some(y)) => match (self, other) {
-                (Value::Int(a), Value::Int(b)) => Value::Int(a - b),
-                _ => Value::Double(x - y),
-            },
-            _ => Value::Null,
-        }
-    }
-
-    /// String concatenation (the STBenchmark "Concatenate" scenario glues
-    /// three attributes together); non-string operands are rendered with
-    /// `Display`.
-    pub fn concat(&self, other: &Value) -> Value {
-        let mut out = String::new();
-        self.write_to(&mut out);
-        other.write_to(&mut out);
-        Value::str(out)
+        Arith::Sub.values(self, other)
     }
 
     /// Append this value's `Display` rendering to `out` without a
     /// temporary: a string is `push_str`ed, a number formatted in place.
-    /// Concatenation renders every part of a row into one buffer with it.
+    /// Concatenation (the STBenchmark "Concatenate" scenario glues three
+    /// attributes together) renders every part of a row into one buffer
+    /// with it.
     pub fn write_to(&self, out: &mut String) {
         match self {
             Value::Str(s) => out.push_str(s),
@@ -334,7 +311,7 @@ impl From<String> for Value {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::collections::hash_map::DefaultHasher;
 
@@ -381,9 +358,38 @@ mod tests {
         assert_eq!(Value::Int(2).add(&Value::Int(3)), Value::Int(5));
         assert_eq!(Value::Int(2).mul(&Value::Double(1.5)), Value::Double(3.0));
         assert_eq!(Value::Int(7).sub(&Value::Int(2)), Value::Int(5));
-        assert_eq!(Value::str("a").concat(&Value::Int(1)), Value::str("a1"));
+        let mut concatenated = String::new();
+        Value::str("a").write_to(&mut concatenated);
+        Value::Int(1).write_to(&mut concatenated);
+        assert_eq!(concatenated, "a1");
         // NULL behaves as the identity for add (SQL aggregates skip NULLs).
         assert_eq!(Value::Null.add(&Value::Int(3)), Value::Int(3));
+    }
+
+    #[test]
+    fn null_and_string_operands_in_arithmetic() {
+        let (null, two, half, s) = (
+            Value::Null,
+            Value::Int(2),
+            Value::Double(0.5),
+            Value::str("s"),
+        );
+        // A NULL addend yields the other operand, whatever it is.
+        assert_eq!(null.add(&half), half);
+        assert_eq!(s.add(&null), s);
+        assert!(null.add(&null).is_null());
+        // A NULL factor or subtrahend, or a string anywhere else, is NULL.
+        for v in [&two, &half, &s] {
+            assert!(null.sub(v).is_null() && v.sub(&null).is_null());
+            assert!(null.mul(v).is_null() && v.mul(&null).is_null());
+        }
+        for v in [&two, &half] {
+            assert!(s.add(v).is_null() && v.sub(&s).is_null() && s.mul(v).is_null());
+        }
+        // `Int` with `Int` stays `Int`; any other pair is `Double`.
+        assert!(matches!(two.mul(&two), Value::Int(4)));
+        assert!(matches!(two.sub(&Value::Double(2.0)), Value::Double(z) if z == 0.0));
+        assert!(matches!(half.add(&two), Value::Double(x) if x == 2.5));
     }
 
     #[test]
@@ -398,7 +404,7 @@ mod tests {
     /// Numbers at the edges of exactness: around ±2^53, where `i64` stops
     /// being exact in a double, and ±2^63, where it ends; NaNs of both
     /// signs, both zeros, infinities, fractions and integral doubles.
-    fn edge_values() -> Vec<Value> {
+    pub(crate) fn edge_values() -> Vec<Value> {
         let p53 = 1i64 << 53;
         let mut ints = vec![0, 1, -1, 2, i64::MAX, i64::MAX - 1, i64::MIN, i64::MIN + 1];
         for base in [p53, -p53, 1 << 62, -(1 << 62)] {

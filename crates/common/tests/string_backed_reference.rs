@@ -229,7 +229,8 @@ fn values_order_hash_encode_and_render_as_the_string_backed_ones_did() {
         let mut out = String::from("|");
         v.write_to(&mut out);
         assert_eq!(out, format!("|{r}"));
-        assert_eq!(v.concat(v), Value::str(format!("{r}{r}")));
+        v.write_to(&mut out);
+        assert_eq!(out, format!("|{r}{r}"));
     }
     // All million ordered pairs.
     let mut equal_across_types = 0;
@@ -295,7 +296,6 @@ fn tuples_compare_hash_and_route_as_the_vec_backed_ones_did() {
         let mut key = Vec::new();
         rt.values.iter().for_each(|v| v.key_encode_to(&mut key));
         assert_eq!(hash_values(t.values()), Key160::hash(&key), "{t}");
-        assert_eq!(t.hash_key(t.arity()), Key160::hash(&key));
     }
     let mut equal = 0;
     for (a, ra) in tuples.iter().zip(&references) {
@@ -305,8 +305,8 @@ fn tuples_compare_hash_and_route_as_the_vec_backed_ones_did() {
             if a == b {
                 // Equal rows route to one node.
                 assert_eq!(
-                    a.hash_key(a.arity()),
-                    b.hash_key(b.arity()),
+                    hash_values(a.values()),
+                    hash_values(b.values()),
                     "{a} equals {b}"
                 );
             }

@@ -9,11 +9,12 @@
 //! The answer stays a list of the batches delivered to `Output` until
 //! here, the one place that hands out [`Tuple`]s: [`sorted_answer`] sorts
 //! a permutation of `(batch, row)` by comparing typed cells column by
-//! column in exactly `Tuple`'s order, then the sign, and builds each row
-//! once, in sorted order.
+//! column in exactly `Tuple`'s order — `orchestra_common`'s one typed
+//! order, [`ColumnData::cmp_cell_at`](orchestra_common::ColumnData::cmp_cell_at)
+//! — then the sign, and builds each row once, in sorted order.
 
 use super::pipeline::Runtime;
-use orchestra_common::{ColumnData, ColumnarBatch, NodeId, Tuple, Value};
+use orchestra_common::{ColumnarBatch, NodeId, Tuple, Value};
 use orchestra_simnet::SimTime;
 use std::cmp::Ordering;
 use std::rc::Rc;
@@ -155,7 +156,10 @@ impl Runtime<'_> {
 /// rows in arrival order, so rows equal under `Ord` that still differ
 /// (`Int(2)` and `Double(2.0)`) keep the order they arrived in.  It orders
 /// a permutation of `(batch, row)` by comparing typed cells column by
-/// column in [`Value`]'s order, and builds each row once, in sorted order.
+/// column in [`Value`]'s order, as `orchestra_common`'s typed order
+/// reads it off the columns (two strings that are one allocation, as
+/// equal ids of one batch's pool are, equal without being read), and
+/// builds each row once, in sorted order.
 pub(super) fn sorted_answer(batches: &[Rc<ColumnarBatch>]) -> Vec<(Tuple, i8)> {
     let arity = batches.iter().map(|b| b.arity()).max().unwrap_or(0);
     let mut order: Vec<(u32, u32)> = Vec::with_capacity(batches.iter().map(|b| b.len()).sum());
@@ -166,7 +170,7 @@ pub(super) fn sorted_answer(batches: &[Rc<ColumnarBatch>]) -> Vec<(Tuple, i8)> {
         let (x, y) = (&*batches[xb as usize], &*batches[yb as usize]);
         let (xr, yr) = (xr as usize, yr as usize);
         (0..arity)
-            .map(|col| compare_cells(x, xr, y, yr, col, xb == yb))
+            .map(|col| compare_cells(x, xr, y, yr, col))
             .find(|ord| ord.is_ne())
             .unwrap_or_else(|| x.sign_at(xr).cmp(&y.sign_at(yr)))
     });
@@ -181,26 +185,19 @@ pub(super) fn sorted_answer(batches: &[Rc<ColumnarBatch>]) -> Vec<(Tuple, i8)> {
 }
 
 /// [`Value::cmp`] of cell (`xr`, `col`) of `x` and cell (`yr`, `col`) of
-/// `y` — `same` when they are one batch — read off typed columns where
-/// both sides share a type.
+/// `y`, a cell past a batch's last column NULL.
 fn compare_cells(
     x: &ColumnarBatch,
     xr: usize,
     y: &ColumnarBatch,
     yr: usize,
     col: usize,
-    same: bool,
 ) -> Ordering {
-    let (Some(xc), Some(yc)) = (x.columns().get(col), y.columns().get(col)) else {
-        return cell(x, xr, col).cmp(&cell(y, yr, col));
-    };
-    match (xc.data(), yc.data()) {
-        (ColumnData::Int(a), ColumnData::Int(b)) => a[xr].cmp(&b[yr]),
-        (ColumnData::Double(a), ColumnData::Double(b)) => a[xr].total_cmp(&b[yr]),
-        (ColumnData::Str(a), ColumnData::Str(b)) if same && a[xr] == b[yr] => Ordering::Equal,
-        (ColumnData::Str(a), ColumnData::Str(b)) => x.pool().get(a[xr]).cmp(y.pool().get(b[yr])),
-        (ColumnData::Values(a), ColumnData::Values(b)) => a[xr].cmp(&b[yr]),
-        _ => x.value_at(xr, col).cmp(&y.value_at(yr, col)),
+    match (x.columns().get(col), y.columns().get(col)) {
+        (Some(a), Some(b)) => a.data().cmp_cell_at(x.pool(), xr, b.data(), y.pool(), yr),
+        (Some(a), None) => a.data().cmp_value_at(x.pool(), xr, &Value::Null),
+        (None, Some(b)) => b.data().cmp_value_at(y.pool(), yr, &Value::Null).reverse(),
+        (None, None) => Ordering::Equal,
     }
 }
 

@@ -5,6 +5,7 @@
 use super::*;
 use crate::expr::{AggFunc, CmpOp, Predicate};
 use crate::plan::PlanBuilder;
+use orchestra_common::tuple::hash_values;
 use orchestra_common::{ColumnType, Relation, Schema, Tuple, Value};
 use orchestra_storage::{StorageConfig, UpdateBatch};
 use orchestra_substrate::{AllocationScheme, RoutingTable};
@@ -2023,7 +2024,9 @@ pub(crate) mod exchange_by_batch {
             match &like.plan.op(op).kind {
                 OperatorKind::Rehash { columns } => {
                     for r in 0..batch.len() {
-                        let dest = like.table.owner_of(batch.tuple_at(r).hash_columns(columns));
+                        let row = batch.tuple_at(r);
+                        let key = hash_values(columns.iter().map(|c| row.value(*c)));
+                        let dest = like.table.owner_of(key);
                         self.buffer_exchange_from(node, op, dest, batch, r, ready);
                     }
                 }

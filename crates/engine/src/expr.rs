@@ -12,15 +12,19 @@
 //! ([`Predicate::eval_mask`]), and [`compute`] — the `Compute-function`
 //! operator — builds each output column whole, in the style of
 //! MonetDB/X100's typed primitives: `+`, `-` and `*` over `Int` and
-//! `Double` columns and literals are typed loops with exactly
-//! `Value::{add, sub, mul}`'s promotion and `i64` operators, and a
+//! `Double` columns and literals are typed loops of
+//! `orchestra_common`'s [`Arith`] — the arithmetic `Value::{add, sub,
+//! mul}` call, so their promotion is `Value`'s by construction — and a
 //! concatenation renders each row into one buffer and interns it into
 //! the output pool by content.  An operand that is NULL, a string or an
 //! untyped column falls back to [`ScalarExpr::eval`]'s per-`Value`
-//! semantics, a row at a time.
+//! semantics, a row at a time.  A predicate compares typed cells by the
+//! one typed order, [`ColumnData::cmp_value`] and
+//! [`ColumnData::cmp_cells`], a column at a time.
 
-use orchestra_common::value::cmp_int_double;
-use orchestra_common::{Column, ColumnData, ColumnarBatch, StringPool, Tuple, Value};
+use orchestra_common::{
+    Arith, Column, ColumnData, ColumnarBatch, Numbers, StringPool, Tuple, Value,
+};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::rc::Rc;
@@ -46,18 +50,11 @@ impl CmpOp {
     /// Apply the comparison to two values (using the total order on
     /// [`Value`]).
     pub fn eval(&self, left: &Value, right: &Value) -> bool {
-        match self {
-            CmpOp::Eq => left == right,
-            CmpOp::Ne => left != right,
-            CmpOp::Lt => left < right,
-            CmpOp::Le => left <= right,
-            CmpOp::Gt => left > right,
-            CmpOp::Ge => left >= right,
-        }
+        self.eval_ord(left.cmp(right))
     }
 
-    /// Apply the comparison to a precomputed ordering (the column-wise
-    /// paths compare typed cells directly and feed the ordering here).
+    /// Apply the comparison to an ordering (the column-wise paths compare
+    /// typed cells directly and feed the ordering here).
     fn eval_ord(&self, ord: Ordering) -> bool {
         match self {
             CmpOp::Eq => ord == Ordering::Equal,
@@ -273,7 +270,8 @@ impl Predicate {
     }
 }
 
-/// Column-vs-constant comparison, AND-ed into `mask`.
+/// Column-vs-constant comparison, AND-ed into `mask`.  A cell past the
+/// batch's last column is NULL.
 fn compare_const(
     batch: &ColumnarBatch,
     column: usize,
@@ -281,152 +279,39 @@ fn compare_const(
     value: &Value,
     mask: &mut [bool],
 ) {
-    if column >= batch.arity() {
-        // Every cell past the batch's end is NULL.
-        if !op.eval(&Value::Null, value) {
-            mask.fill(false);
-        }
-        return;
-    }
-    match (batch.column(column).data(), value) {
-        (ColumnData::Int(cells), Value::Int(c)) => and_ordered(mask, cells, op, |x| x.cmp(c)),
-        (ColumnData::Int(cells), Value::Double(c)) => {
-            and_ordered(mask, cells, op, |x| cmp_int_double(x, *c))
-        }
-        (ColumnData::Double(cells), Value::Int(c)) => {
-            and_ordered(mask, cells, op, |x| cmp_int_double(*c, x).reverse())
-        }
-        (ColumnData::Double(cells), Value::Double(c)) => {
-            and_ordered(mask, cells, op, |x| x.total_cmp(c))
-        }
-        (ColumnData::Str(ids), Value::Str(s)) => {
-            let pool = batch.pool();
-            for (m, id) in mask.iter_mut().zip(ids) {
-                if *m {
-                    *m = op.eval_ord(pool.get(*id).cmp(s));
-                }
+    match batch.columns().get(column) {
+        // One closure per operator, so that no row asks which operator it
+        // is: that keeps the typed loop free of branches.
+        Some(cells) => {
+            let (d, p, rows) = (cells.data(), batch.pool(), 0..mask.len());
+            match op {
+                CmpOp::Eq => d.cmp_value(p, rows, value, |r, o| mask[r] &= o.is_eq()),
+                CmpOp::Ne => d.cmp_value(p, rows, value, |r, o| mask[r] &= o.is_ne()),
+                CmpOp::Lt => d.cmp_value(p, rows, value, |r, o| mask[r] &= o.is_lt()),
+                CmpOp::Le => d.cmp_value(p, rows, value, |r, o| mask[r] &= o.is_le()),
+                CmpOp::Gt => d.cmp_value(p, rows, value, |r, o| mask[r] &= o.is_gt()),
+                CmpOp::Ge => d.cmp_value(p, rows, value, |r, o| mask[r] &= o.is_ge()),
             }
         }
-        (ColumnData::Values(cells), c) => {
-            for (m, v) in mask.iter_mut().zip(cells) {
-                if *m {
-                    *m = op.eval(v, c);
-                }
-            }
-        }
-        // Remaining combinations pit a uniformly-typed column against a
-        // constant of a different type rank: the ordering is decided by
-        // rank alone and is the same for every row.
-        (ColumnData::Int(_) | ColumnData::Double(_), c) => uniform(op, Value::Int(0).cmp(c), mask),
-        // A string outranks every constant that is not one (NULL and the
-        // numbers); no representative `Value::Str` is allocated to ask.
-        (ColumnData::Str(_), _) => uniform(op, Ordering::Greater, mask),
+        None if !op.eval(&Value::Null, value) => mask.fill(false),
+        None => {}
     }
 }
 
-/// AND `op` over each number's ordering `ord` into `mask`, for every cell
-/// alike: a row already out stays out, and comparing a number costs less
-/// than testing whether to — the loop has no branch, one per operator.
-fn and_ordered<T: Copy>(mask: &mut [bool], cells: &[T], op: CmpOp, ord: impl Fn(T) -> Ordering) {
-    fn each<T: Copy>(
-        mask: &mut [bool],
-        cells: &[T],
-        ord: impl Fn(T) -> Ordering,
-        keep: impl Fn(Ordering) -> bool,
-    ) {
-        for (m, x) in mask.iter_mut().zip(cells) {
-            *m &= keep(ord(*x));
-        }
-    }
-    match op {
-        CmpOp::Eq => each(mask, cells, ord, Ordering::is_eq),
-        CmpOp::Ne => each(mask, cells, ord, Ordering::is_ne),
-        CmpOp::Lt => each(mask, cells, ord, Ordering::is_lt),
-        CmpOp::Le => each(mask, cells, ord, Ordering::is_le),
-        CmpOp::Gt => each(mask, cells, ord, Ordering::is_gt),
-        CmpOp::Ge => each(mask, cells, ord, Ordering::is_ge),
-    }
-}
-
-/// AND a row-independent comparison result into the whole mask.
-fn uniform(op: CmpOp, ord: Ordering, mask: &mut [bool]) {
-    if !op.eval_ord(ord) {
-        mask.fill(false);
-    }
-}
-
-/// Column-vs-column comparison, AND-ed into `mask`.
+/// Column-vs-column comparison, AND-ed into `mask`.  A cell past the
+/// batch's last column is NULL.
 fn compare_columns(batch: &ColumnarBatch, left: usize, op: CmpOp, right: usize, mask: &mut [bool]) {
-    if left.max(right) >= batch.arity() {
-        // A cell past the batch's end is NULL; the other side is read
-        // row by row.
-        let cell = |row, c| {
-            if c < batch.arity() {
-                batch.value_at(row, c)
-            } else {
-                Value::Null
-            }
-        };
-        for (row, m) in mask.iter_mut().enumerate() {
-            if *m {
-                *m = op.eval(&cell(row, left), &cell(row, right));
-            }
-        }
-        return;
-    }
-    match (batch.column(left).data(), batch.column(right).data()) {
-        (ColumnData::Int(a), ColumnData::Int(b)) => {
-            for (i, m) in mask.iter_mut().enumerate() {
-                if *m {
-                    *m = op.eval_ord(a[i].cmp(&b[i]));
-                }
-            }
-        }
-        (ColumnData::Int(a), ColumnData::Double(b)) => {
-            for (i, m) in mask.iter_mut().enumerate() {
-                if *m {
-                    *m = op.eval_ord(cmp_int_double(a[i], b[i]));
-                }
-            }
-        }
-        (ColumnData::Double(a), ColumnData::Int(b)) => {
-            for (i, m) in mask.iter_mut().enumerate() {
-                if *m {
-                    *m = op.eval_ord(cmp_int_double(b[i], a[i]).reverse());
-                }
-            }
-        }
-        (ColumnData::Double(a), ColumnData::Double(b)) => {
-            for (i, m) in mask.iter_mut().enumerate() {
-                if *m {
-                    *m = op.eval_ord(a[i].total_cmp(&b[i]));
-                }
-            }
-        }
-        (ColumnData::Str(a), ColumnData::Str(b)) => {
-            // Both columns intern into the batch's single pool, so equal
-            // ids mean equal strings and distinct ids mean distinct
-            // strings; only ordering comparisons must read the text.
-            let pool = batch.pool();
-            for (i, m) in mask.iter_mut().enumerate() {
-                if *m {
-                    *m = match op {
-                        CmpOp::Eq => a[i] == b[i],
-                        CmpOp::Ne => a[i] != b[i],
-                        _ => op.eval_ord(pool.get(a[i]).cmp(pool.get(b[i]))),
-                    };
-                }
-            }
-        }
-        _ => {
-            // Mixed-variant fallback (at least one side demoted to
-            // untyped cells): compare materialized values row by row.
-            for (i, m) in mask.iter_mut().enumerate() {
-                if *m {
-                    *m = op.eval(&batch.value_at(i, left), &batch.value_at(i, right));
-                }
-            }
-        }
+    let (pool, rows) = (batch.pool(), 0..mask.len());
+    let mut and = |row, ord| mask[row] &= op.eval_ord(ord);
+    match (batch.columns().get(left), batch.columns().get(right)) {
+        (Some(a), Some(b)) => a
+            .data()
+            .cmp_cells(pool, rows.clone(), b.data(), pool, rows, and),
+        (Some(a), None) => a.data().cmp_value(pool, rows, &Value::Null, and),
+        (None, Some(b)) => b
+            .data()
+            .cmp_value(pool, rows, &Value::Null, |row, ord| and(row, ord.reverse())),
+        (None, None) => rows.for_each(|row| and(row, Ordering::Equal)),
     }
 }
 
@@ -488,34 +373,15 @@ impl ScalarExpr {
     /// it is arithmetic over `Int` and `Double` columns and literals only;
     /// `None` when any operand is NULL, a string or an untyped column.
     fn numbers<'b>(&self, columns: &'b [Column]) -> Option<Numbers<'b>> {
-        match self {
-            ScalarExpr::Column(i) => match columns[*i].data() {
-                ColumnData::Int(v) => Some(Numbers::Int(Lane::Each(Cow::Borrowed(v)))),
-                ColumnData::Double(v) => Some(Numbers::Double(Lane::Each(Cow::Borrowed(v)))),
-                ColumnData::Str(_) | ColumnData::Values(_) => None,
-            },
-            ScalarExpr::Literal(Value::Int(x)) => Some(Numbers::Int(Lane::All(*x))),
-            ScalarExpr::Literal(Value::Double(x)) => Some(Numbers::Double(Lane::All(*x))),
-            ScalarExpr::Literal(_) | ScalarExpr::Concat(_) => None,
-            ScalarExpr::Add(a, b) => Some(arith(
-                a.numbers(columns)?,
-                b.numbers(columns)?,
-                |x, y| x + y,
-                |x, y| x + y,
-            )),
-            ScalarExpr::Sub(a, b) => Some(arith(
-                a.numbers(columns)?,
-                b.numbers(columns)?,
-                |x, y| x - y,
-                |x, y| x - y,
-            )),
-            ScalarExpr::Mul(a, b) => Some(arith(
-                a.numbers(columns)?,
-                b.numbers(columns)?,
-                |x, y| x * y,
-                |x, y| x * y,
-            )),
-        }
+        let (op, a, b) = match self {
+            ScalarExpr::Column(i) => return Numbers::of(columns[*i].data()),
+            ScalarExpr::Literal(v) => return Numbers::of_value(v),
+            ScalarExpr::Concat(_) => return None,
+            ScalarExpr::Add(a, b) => (Arith::Add, a, b),
+            ScalarExpr::Sub(a, b) => (Arith::Sub, a, b),
+            ScalarExpr::Mul(a, b) => (Arith::Mul, a, b),
+        };
+        Some(op.numbers(a.numbers(columns)?, b.numbers(columns)?))
     }
 
     /// The expression's column over the `rows` rows of `columns`, whose
@@ -612,74 +478,6 @@ pub fn compute(exprs: &[ScalarExpr], batch: Rc<ColumnarBatch>) -> ColumnarBatch 
     }
 }
 
-/// One operand of a typed arithmetic loop: a cell per row, or one value
-/// for every row (a literal).
-enum Lane<'b, T: Clone> {
-    Each(Cow<'b, [T]>),
-    All(T),
-}
-
-/// A numeric expression evaluated over a whole batch, typed as
-/// [`Value`]'s arithmetic would type each row's result.
-enum Numbers<'b> {
-    Int(Lane<'b, i64>),
-    Double(Lane<'b, f64>),
-}
-
-impl Numbers<'_> {
-    /// The cells of `rows` rows.
-    fn into_data(self, rows: usize) -> ColumnData {
-        fn cells<T: Clone>(lane: Lane<'_, T>, rows: usize) -> Vec<T> {
-            match lane {
-                Lane::Each(cells) => cells.into_owned(),
-                Lane::All(v) => vec![v; rows],
-            }
-        }
-        match self {
-            Numbers::Int(lane) => ColumnData::Int(cells(lane, rows)),
-            Numbers::Double(lane) => ColumnData::Double(cells(lane, rows)),
-        }
-    }
-}
-
-/// `a` combined with `b` row by row, typed exactly as `Value::{add, sub,
-/// mul}` type it: by `int` — `i64`'s own operator — when both are `Int`,
-/// by `double` over the operands `as f64` otherwise.
-fn arith<'b>(
-    a: Numbers<'b>,
-    b: Numbers<'b>,
-    int: impl Fn(i64, i64) -> i64,
-    double: impl Fn(f64, f64) -> f64,
-) -> Numbers<'b> {
-    match (a, b) {
-        (Numbers::Int(x), Numbers::Int(y)) => Numbers::Int(zip(x, y, int)),
-        (Numbers::Int(x), Numbers::Double(y)) => {
-            Numbers::Double(zip(x, y, |p, q| double(p as f64, q)))
-        }
-        (Numbers::Double(x), Numbers::Int(y)) => {
-            Numbers::Double(zip(x, y, |p, q| double(p, q as f64)))
-        }
-        (Numbers::Double(x), Numbers::Double(y)) => Numbers::Double(zip(x, y, double)),
-    }
-}
-
-/// One typed loop over two lanes.
-fn zip<'b, A: Copy, B: Copy, R: Clone>(
-    a: Lane<'_, A>,
-    b: Lane<'_, B>,
-    f: impl Fn(A, B) -> R,
-) -> Lane<'b, R> {
-    let each = |cells: Vec<R>| Lane::Each(Cow::Owned(cells));
-    match (a, b) {
-        (Lane::All(x), Lane::All(y)) => Lane::All(f(x, y)),
-        (Lane::Each(xs), Lane::All(y)) => each(xs.iter().map(|x| f(*x, y)).collect()),
-        (Lane::All(x), Lane::Each(ys)) => each(ys.iter().map(|y| f(x, *y)).collect()),
-        (Lane::Each(xs), Lane::Each(ys)) => {
-            each(xs.iter().zip(ys.iter()).map(|(x, y)| f(*x, *y)).collect())
-        }
-    }
-}
-
 /// One part of a concatenation, ready to render row by row.
 enum Part<'b> {
     /// A literal, the same in every row.
@@ -760,55 +558,6 @@ mod tests {
 
     fn t(vals: Vec<Value>) -> Tuple {
         Tuple::new(vals)
-    }
-
-    #[test]
-    fn typed_int_and_double_comparisons_follow_value_order() {
-        let (ints, doubles) = crate::ops::tests::edge_numbers();
-        let rows: Vec<Tuple> = (ints.iter())
-            .flat_map(|&i| {
-                doubles
-                    .iter()
-                    .map(move |&d| t(vec![Value::Int(i), Value::Double(d)]))
-            })
-            .collect();
-        let batch = ColumnarBatch::from_tuples(2, &rows, 1, orchestra_common::NodeSet::empty(), 0);
-        assert!(matches!(batch.column(0).data(), ColumnData::Int(_)));
-        assert!(matches!(batch.column(1).data(), ColumnData::Double(_)));
-        let ops = [
-            CmpOp::Eq,
-            CmpOp::Ne,
-            CmpOp::Lt,
-            CmpOp::Le,
-            CmpOp::Gt,
-            CmpOp::Ge,
-        ];
-        let constants =
-            (ints.iter().map(|&i| Value::Int(i))).chain(doubles.iter().map(|&d| Value::Double(d)));
-        let mut predicates = Vec::new();
-        for op in ops {
-            predicates.push(Predicate::CompareColumns {
-                left: 0,
-                op,
-                right: 1,
-            });
-            predicates.push(Predicate::CompareColumns {
-                left: 1,
-                op,
-                right: 0,
-            });
-            for c in constants.clone() {
-                predicates.push(Predicate::cmp(0, op, c.clone()));
-                predicates.push(Predicate::cmp(1, op, c));
-            }
-        }
-        let mut mask = Vec::new();
-        for predicate in &predicates {
-            predicate.eval_mask(&batch, &mut mask);
-            for (row, kept) in rows.iter().zip(&mask) {
-                assert_eq!(*kept, predicate.eval(row), "{predicate:?} on {row:?}");
-            }
-        }
     }
 
     #[test]

@@ -26,7 +26,10 @@
 //!   the join hashes it; then each aggregate folds its column into the
 //!   rows' sub-groups in row order — SUM, COUNT and AVG over `Int` and
 //!   `Double` columns in typed loops with `Value`'s arithmetic, MIN, MAX
-//!   and untyped columns through [`Accumulator`]'s `Value` path.
+//!   and untyped columns through [`Accumulator`]'s `Value` path.  Key
+//!   cells are compared, and sums formed, by the one typed order and the
+//!   one arithmetic of `orchestra_common` (`ColumnData::cmp_value_at`,
+//!   `ColumnData::cmp_cell_at`, `Arith::apply`).
 //! * [`RehashState`] — per-destination output buffers plus the output
 //!   cache used by recovery stage 4 ("re-create data that was sent to the
 //!   failed nodes' hash key space ranges").  Buffers are
@@ -56,13 +59,14 @@
 
 use crate::expr::AggFunc;
 use crate::provenance::Phase;
-use orchestra_common::value::{cmp_int_double, integral};
+use orchestra_common::column::WordHasher;
+use orchestra_common::value::integral;
 use orchestra_common::{
-    ColumnData, ColumnarBatch, NodeId, NodeSet, OrchestraError, Result, Tuple, Value,
+    Arith, ColumnData, ColumnarBatch, NodeId, NodeSet, Number, OrchestraError, Result, Tuple, Value,
 };
 use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
-use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault};
 use std::rc::Rc;
 
 #[cfg(test)]
@@ -90,32 +94,8 @@ fn mix(h: u64) -> u64 {
     h ^ (h >> 33)
 }
 
-/// The hasher of the operators' indexes, whose keys are seeded key
-/// hashes (with a sub-group's tags): FxHash's rotate-multiply per word,
-/// finished by [`mix`].
-#[derive(Default)]
-struct FoldHasher(u64);
-
-impl Hasher for FoldHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
-        }
-    }
-
-    fn write_u64(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-
-    fn finish(&self) -> u64 {
-        mix(self.0)
-    }
-}
-
 /// A map keyed by key hashes.
-type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<FoldHasher>>;
+type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
 
 /// A key cell as a row hash folds it — the canonical form `Value`'s
 /// `Hash` uses: an integer is itself and so is an integral double (both
@@ -192,39 +172,21 @@ impl KeyHashes {
 }
 
 /// Is the cell at (`row`, `col`) of `batch` equal to `value` as `Value`s
-/// compare (`Value::cmp`)?  Typed cells compare typed, as `expr`'s
-/// column comparisons do, without being materialized.
+/// compare?  The typed order of `orchestra_common`
+/// ([`ColumnData::cmp_value_at`]) decides, without building the cell.
 fn cell_equals(batch: &ColumnarBatch, col: usize, row: usize, value: &Value) -> bool {
-    match (batch.column(col).data(), value) {
-        (ColumnData::Int(v), Value::Int(x)) => v[row] == *x,
-        (ColumnData::Int(v), Value::Double(x)) => cmp_int_double(v[row], *x).is_eq(),
-        (ColumnData::Double(v), Value::Int(x)) => cmp_int_double(*x, v[row]).is_eq(),
-        (ColumnData::Double(v), Value::Double(x)) => v[row].total_cmp(x).is_eq(),
-        (ColumnData::Str(v), Value::Str(x)) => batch.pool().get_shared(v[row]) == x,
-        (ColumnData::Values(v), x) => v[row] == *x,
-        // A typed cell against a value of another type rank.
-        _ => false,
-    }
+    let cells = batch.column(col).data();
+    cells.cmp_value_at(batch.pool(), row, value).is_eq()
 }
 
 /// Are the cells at (`a_row`, `a_col`) of `a` and (`b_row`, `b_col`) of
-/// `b` equal as `Value`s?
+/// `b` equal as `Value`s?  [`ColumnData::cmp_cell_at`] decides.
 fn cells_equal(
     (a, a_col, a_row): (&ColumnarBatch, usize, usize),
     (b, b_col, b_row): (&ColumnarBatch, usize, usize),
 ) -> bool {
-    match (a.column(a_col).data(), b.column(b_col).data()) {
-        (ColumnData::Int(x), ColumnData::Int(y)) => x[a_row] == y[b_row],
-        (ColumnData::Int(x), ColumnData::Double(y)) => cmp_int_double(x[a_row], y[b_row]).is_eq(),
-        (ColumnData::Double(x), ColumnData::Int(y)) => cmp_int_double(y[b_row], x[a_row]).is_eq(),
-        (ColumnData::Double(x), ColumnData::Double(y)) => x[a_row].total_cmp(&y[b_row]).is_eq(),
-        (ColumnData::Str(x), ColumnData::Str(y)) => {
-            a.pool().get_shared(x[a_row]) == b.pool().get_shared(y[b_row])
-        }
-        (ColumnData::Values(x), _) => cell_equals(b, b_col, b_row, &x[a_row]),
-        (_, ColumnData::Values(y)) => cell_equals(a, a_col, a_row, &y[b_row]),
-        _ => false,
-    }
+    let (x, y) = (a.column(a_col).data(), b.column(b_col).data());
+    x.cmp_cell_at(a.pool(), a_row, y, b.pool(), b_row).is_eq()
 }
 
 // ---------------------------------------------------------------------------
@@ -441,11 +403,7 @@ impl Accumulator {
     pub fn update_signed(&mut self, value: &Value, sign: i64) {
         match self {
             Accumulator::Count(c) => *c += sign,
-            Accumulator::Sum(s) => {
-                if !value.is_null() {
-                    *s = s.add(&signed_value(value, sign));
-                }
-            }
+            Accumulator::Sum(s) => add_signed_value(s, value, sign),
             Accumulator::Min(m) => {
                 debug_assert!(
                     sign > 0,
@@ -466,7 +424,7 @@ impl Accumulator {
             }
             Accumulator::Avg(s, c) => {
                 if !value.is_null() {
-                    *s = s.add(&signed_value(value, sign));
+                    add_signed_value(s, value, sign);
                     *c += sign;
                 }
             }
@@ -484,34 +442,13 @@ impl Accumulator {
     pub fn merge_partial_signed(&mut self, state: &[Value], sign: i64) {
         match self {
             Accumulator::Count(c) => *c += sign * state[0].as_int().unwrap_or(0),
-            Accumulator::Sum(s) => {
-                if !state[0].is_null() {
-                    *s = s.add(&signed_value(&state[0], sign));
-                }
-            }
-            Accumulator::Min(m) => {
-                debug_assert!(
-                    sign > 0,
-                    "MIN cannot fold a retraction; callers refuse them"
-                );
-                if !state[0].is_null() && m.as_ref().map(|cur| &state[0] < cur).unwrap_or(true) {
-                    *m = Some(state[0].clone());
-                }
-            }
-            Accumulator::Max(m) => {
-                debug_assert!(
-                    sign > 0,
-                    "MAX cannot fold a retraction; callers refuse them"
-                );
-                if !state[0].is_null() && m.as_ref().map(|cur| &state[0] > cur).unwrap_or(true) {
-                    *m = Some(state[0].clone());
-                }
-            }
             Accumulator::Avg(s, c) => {
-                if !state[0].is_null() {
-                    *s = s.add(&signed_value(&state[0], sign));
-                }
+                add_signed_value(s, &state[0], sign);
                 *c += sign * state[1].as_int().unwrap_or(0);
+            }
+            // A SUM, MIN or MAX state is one value, folded as a raw one.
+            Accumulator::Sum(_) | Accumulator::Min(_) | Accumulator::Max(_) => {
+                self.update_signed(&state[0], sign)
             }
         }
     }
@@ -544,13 +481,33 @@ impl Accumulator {
     }
 }
 
-/// A numeric value scaled by a delta sign (`-1` negates, `+1` is the
-/// identity).  `Int(0).sub` keeps integers integer and promotes doubles.
-fn signed_value(value: &Value, sign: i64) -> Value {
-    if sign >= 0 {
-        value.clone()
-    } else {
-        Value::Int(0).sub(value)
+/// Fold the number `term` into the running `sum` of a SUM or AVG with a
+/// delta sign: `sum + term`, or `sum + (0 - term)` for a retraction
+/// (`Int(0) - x` keeps an integer integer and makes a double `0.0 - x`),
+/// by `Value`'s arithmetic, [`Arith`] — the one fold of [`AggState`]'s
+/// typed loops and, through [`add_signed_value`], of the row-at-a-time
+/// [`Accumulator`].  A sum that is no number yet (NULL before the first
+/// term) takes `Value::add`.
+#[inline]
+fn add_signed(sum: &mut Value, term: Number, sign: i64) {
+    let term = match sign {
+        0.. => term,
+        _ => Arith::Sub.apply(Number::Int(0), term),
+    };
+    *sum = match Number::of(sum) {
+        Some(s) => Arith::Add.apply(s, term).into(),
+        None => sum.add(&term.into()),
+    };
+}
+
+/// [`add_signed`] of a cell of any type: a NULL or string term is signed
+/// and added by `Value::sub` and `Value::add` whole, so a NULL leaves the
+/// sum as it was.
+fn add_signed_value(sum: &mut Value, term: &Value, sign: i64) {
+    match Number::of(term) {
+        Some(t) => add_signed(sum, t, sign),
+        None if sign >= 0 => *sum = sum.add(term),
+        None => *sum = sum.add(&Value::Int(0).sub(term)),
     }
 }
 
@@ -727,31 +684,6 @@ pub struct AggState {
     groups: Vec<u32>,
 }
 
-/// `*sum = sum.add(&signed_value(&Value::Int(x), sign))` without building
-/// either `Value`: the `Null` start takes the term, `Int + Int` stays an
-/// `Int` (plain `+`), and a retraction is `0 - x`, as `Int(0).sub` has it.
-fn add_signed_int(sum: &mut Value, x: i64, sign: i64) {
-    let x = if sign >= 0 { x } else { 0 - x };
-    *sum = match *sum {
-        Value::Null => Value::Int(x),
-        Value::Int(a) => Value::Int(a + x),
-        Value::Double(a) => Value::Double(a + x as f64),
-        Value::Str(_) => Value::Null,
-    };
-}
-
-/// [`add_signed_int`] for a double: a retraction is `0.0 - x`, as
-/// `Int(0).sub` has it, and any sum becomes a `Double`.
-fn add_signed_double(sum: &mut Value, x: f64, sign: i64) {
-    let x = if sign >= 0 { x } else { 0.0 - x };
-    *sum = match *sum {
-        Value::Null => Value::Double(x),
-        Value::Int(a) => Value::Double(a as f64 + x),
-        Value::Double(a) => Value::Double(a + x),
-        Value::Str(_) => Value::Null,
-    };
-}
-
 /// `Value::as_int` of a cell, or 0: how a partial state's count is read.
 fn int_or_zero(cells: &ColumnData, row: usize) -> i64 {
     match cells {
@@ -902,10 +834,10 @@ impl AggState {
     /// Fold column `col` of `batch` — in `Final` mode the first column of
     /// the aggregate's partial state — into the `j`-th accumulator of
     /// every row's sub-group, in row order.  SUM, COUNT and AVG over
-    /// `Int` and `Double` cells take typed loops that compute what
-    /// [`Accumulator::update_signed`] and
-    /// [`Accumulator::merge_partial_signed`] would, bit for bit;
-    /// everything else goes through them.
+    /// `Int` and `Double` cells take typed loops, which fold each cell by
+    /// the `add_signed` that [`Accumulator::update_signed`] and
+    /// [`Accumulator::merge_partial_signed`] call; everything else goes
+    /// through them.
     fn fold(&mut self, j: usize, func: AggFunc, batch: &ColumnarBatch, col: usize, partial: bool) {
         let rows = RowAccumulators {
             subgroups: &mut self.subgroups,
@@ -926,12 +858,13 @@ impl AggState {
                     };
                 }
             }),
-            (AggFunc::Sum | AggFunc::Avg, ColumnData::Int(v)) => {
-                rows.sums(counts, |sum, row, sign| add_signed_int(sum, v[row], sign))
-            }
+            (AggFunc::Sum | AggFunc::Avg, ColumnData::Int(v)) => rows
+                .sums(counts, |sum, row, sign| {
+                    add_signed(sum, Number::Int(v[row]), sign)
+                }),
             (AggFunc::Sum | AggFunc::Avg, ColumnData::Double(v)) => rows
                 .sums(counts, |sum, row, sign| {
-                    add_signed_double(sum, v[row], sign)
+                    add_signed(sum, Number::Double(v[row]), sign)
                 }),
             _ => rows.each(|acc, row, sign| {
                 if partial {
@@ -1239,74 +1172,6 @@ pub(crate) mod tests {
         one_tagged(vals, node, 1, 0)
     }
 
-    /// Integers and doubles at the edges of exactness (±2^53, ±2^63), with
-    /// NaNs, both zeros and a fraction.
-    pub(crate) fn edge_numbers() -> (Vec<i64>, Vec<f64>) {
-        let p53 = 1i64 << 53;
-        let mut ints = vec![0, 1, -1, i64::MAX, i64::MIN];
-        for base in [p53, -p53] {
-            ints.extend([base - 1, base, base + 1, base + 2]);
-        }
-        let (f53, f63) = (p53 as f64, 9_223_372_036_854_775_808.0);
-        let doubles = vec![
-            0.0,
-            -0.0,
-            0.5,
-            1.0,
-            f53,
-            f53 + 2.0,
-            -f53,
-            -f53 - 2.0,
-            f63,
-            -f63,
-            f64::INFINITY,
-            f64::NAN,
-            -f64::NAN,
-        ];
-        (ints, doubles)
-    }
-
-    #[test]
-    fn typed_int_and_double_cells_compare_as_values_do() {
-        let (ints, doubles) = edge_numbers();
-        let mut batch = ColumnarBatch::new(2);
-        for &i in &ints {
-            for &d in &doubles {
-                batch.push_row_owned(
-                    vec![Value::Int(i), Value::Double(d)],
-                    1,
-                    NodeSet::empty(),
-                    0,
-                );
-            }
-        }
-        assert!(matches!(batch.column(0).data(), ColumnData::Int(_)));
-        assert!(matches!(batch.column(1).data(), ColumnData::Double(_)));
-        for row in 0..batch.len() {
-            let (i, d) = (batch.value_at(row, 0), batch.value_at(row, 1));
-            assert_eq!(
-                cells_equal((&batch, 0, row), (&batch, 1, row)),
-                i == d,
-                "{i:?} {d:?}"
-            );
-            assert_eq!(
-                cells_equal((&batch, 1, row), (&batch, 0, row)),
-                i == d,
-                "{d:?} {i:?}"
-            );
-            assert_eq!(
-                cell_equals(&batch, 0, row, &d),
-                i == d,
-                "{i:?} against {d:?}"
-            );
-            assert_eq!(
-                cell_equals(&batch, 1, row, &i),
-                i == d,
-                "{d:?} against {i:?}"
-            );
-        }
-    }
-
     /// Buffer the whole of `batch` for `dest` with the executor's flush
     /// size out of reach; returns the pending length afterwards.
     fn buffer_all(r: &mut RehashState, dest: NodeId, batch: &ColumnarBatch) -> usize {
@@ -1327,6 +1192,109 @@ pub(crate) mod tests {
                 )
             })
             .collect()
+    }
+
+    /// A number's type and bits, every NaN one: Rust leaves the sign and
+    /// payload of a NaN that arithmetic makes unspecified.
+    fn bits(v: &Value) -> (u8, u64) {
+        match v {
+            Value::Int(x) => (0, *x as u64),
+            Value::Double(x) if x.is_nan() => (1, f64::NAN.to_bits()),
+            Value::Double(x) => (1, x.to_bits()),
+            other => panic!("not a number: {other:?}"),
+        }
+    }
+
+    /// SUM and AVG over typed `Int` and `Double` cells — raw rows and
+    /// partial states, assertions and retractions — fold in [`AggState`]'s
+    /// typed loops to what the row-at-a-time [`Accumulator`] folds, type
+    /// and bits, and both to the sum `Value::add` and `Value::sub` spell
+    /// out.  20 random cases in `cargo test`; CI runs 300 in release mode.
+    #[test]
+    fn typed_equivalence_of_the_sum_fold() {
+        let cases = if cfg!(debug_assertions) { 20 } else { 300 };
+        let mut rng = orchestra_common::rng::seeded(0x5e3d_f01d);
+        let specials = [
+            0.0,
+            -0.0,
+            0.1,
+            -2.5,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for case in 0..cases {
+            // A quarter of the cases fold a few zeros only, so that the
+            // sign of a zero sum shows how a retraction was negated.
+            let zeros = rng.random_bool(0.25);
+            let rows = rng.random_range(1usize..if zeros { 4 } else { 24 });
+            let doubles = zeros || rng.random_bool(0.5);
+            let mut cell = || match (doubles, rng.random_range(0u8..3)) {
+                (false, _) => Value::Int(rng.next_u64() as i64 >> 24),
+                _ if zeros => Value::Double(specials[rng.random_range(0usize..2)]),
+                (true, 0) => Value::Double(specials[rng.random_range(0..specials.len())]),
+                (true, _) => Value::Double(f64::from_bits(rng.next_u64() >> 2)),
+            };
+            let cells: Vec<Value> = (0..rows).map(|_| cell()).collect();
+            let counts: Vec<i64> = (0..rows)
+                .map(|_| rng.random_range(0u64..5) as i64)
+                .collect();
+            let signs: Vec<i8> = (0..rows)
+                .map(|_| if rng.random_bool(0.3) { -1 } else { 1 })
+                .collect();
+            let mut batch = ColumnarBatch::new(2);
+            for r in 0..rows {
+                let row = [cells[r].clone(), Value::Int(counts[r])];
+                batch.push_row(&row, signs[r], NodeSet::empty(), 0);
+            }
+            let aggs = [(AggFunc::Sum, 0), (AggFunc::Avg, 0)];
+            for partial in [false, true] {
+                let mut typed = AggState::new();
+                match partial {
+                    false => typed.update_raw_batch(&batch, &[], &aggs),
+                    true => typed.update_partial_batch(&batch, &[], &aggs),
+                }
+                .unwrap();
+                let mut by_row = aggs.map(|(f, _)| Accumulator::new(f));
+                let (mut sum, mut count) = (Value::Null, 0);
+                for r in 0..rows {
+                    let (cell, sign) = (&cells[r], i64::from(signs[r]));
+                    if partial {
+                        by_row[0].merge_partial_signed(std::slice::from_ref(cell), sign);
+                        by_row[1]
+                            .merge_partial_signed(&[cell.clone(), Value::Int(counts[r])], sign);
+                        count += sign * counts[r];
+                    } else {
+                        by_row
+                            .iter_mut()
+                            .for_each(|acc| acc.update_signed(cell, sign));
+                        count += sign;
+                    }
+                    let term = match sign {
+                        1 => cell.clone(),
+                        _ => Value::Int(0).sub(cell),
+                    };
+                    sum = sum.add(&term);
+                }
+                let states = |accs: &[Accumulator]| -> Vec<Vec<(u8, u64)>> {
+                    let numbers =
+                        |acc: &Accumulator| acc.partial_values().iter().map(bits).collect();
+                    accs.iter().map(numbers).collect()
+                };
+                let want = vec![vec![bits(&sum)], vec![bits(&sum), bits(&Value::Int(count))]];
+                assert_eq!(
+                    states(&by_row),
+                    want,
+                    "case {case}, partial {partial}: by row"
+                );
+                let folded = &typed.subgroups[0].accumulators;
+                assert_eq!(
+                    states(folded),
+                    want,
+                    "case {case}, partial {partial}: typed"
+                );
+            }
+        }
     }
 
     #[test]

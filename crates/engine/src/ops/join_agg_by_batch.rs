@@ -115,15 +115,16 @@ impl RowLoopJoin {
                     if out.arity() == 0 {
                         out.pad_to_arity(batch.arity() + other.rows.arity());
                     }
-                    let cells = if input == 0 {
-                        batch.tuple_at(r).concat(&other.rows.tuple_at(m))
+                    let (left, right) = if input == 0 {
+                        (batch.tuple_at(r), other.rows.tuple_at(m))
                     } else {
-                        other.rows.tuple_at(m).concat(&batch.tuple_at(r))
+                        (other.rows.tuple_at(m), batch.tuple_at(r))
                     };
+                    let cells = [left.values(), right.values()].concat();
                     let mut provenance = batch.provenance_at(r).union(&other.rows.provenance_at(m));
                     provenance.insert(node);
                     out.push_row(
-                        cells.values(),
+                        &cells,
                         batch.sign_at(r) * other.rows.sign_at(m),
                         provenance,
                         batch.phase_at(r).max(other.rows.phase_at(m)),

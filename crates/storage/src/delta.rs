@@ -375,6 +375,7 @@ mod tests {
     use super::*;
     use crate::distributed::StorageConfig;
     use crate::update::UpdateBatch;
+    use orchestra_common::tuple::hash_values;
     use orchestra_common::{ColumnType, NodeId, NodeSet, Relation, Schema, Tuple, Value};
     use orchestra_substrate::{AllocationScheme, RoutingTable};
 
@@ -405,7 +406,7 @@ mod tests {
     fn signed_tuples(delta: &RelationDelta<'_>) -> Vec<(Tuple, i8)> {
         let rows = (delta.rows()).map(|row| {
             let (row, sign, position) = row?;
-            assert_eq!(position, row.tuple().hash_key(1), "{row:?}");
+            assert_eq!(position, hash_values(row.tuple().key(1)), "{row:?}");
             Ok((row.tuple(), sign))
         });
         rows.collect::<Result<_>>().unwrap()

@@ -209,11 +209,12 @@ mod tests {
     use super::*;
     use crate::coordinator::CoordinatorKey;
     use crate::page::PageId;
+    use orchestra_common::tuple::hash_values;
     use orchestra_common::{KeyRange, Tuple, Value};
 
     fn version(k: i64) -> (Key160, Tuple) {
         let tuple = Tuple::new(vec![Value::Int(k), Value::str(format!("v{k}"))]);
-        (tuple.hash_key(1), tuple)
+        (hash_values(tuple.key(1)), tuple)
     }
 
     fn sorted_run(keys: impl IntoIterator<Item = i64>) -> Vec<(Key160, Tuple)> {

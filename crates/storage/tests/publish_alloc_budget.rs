@@ -18,6 +18,7 @@
 //! pays for it) to check that, and checks the sharing itself with
 //! `Arc::ptr_eq`.
 
+use orchestra_common::tuple::hash_values;
 use orchestra_common::{ColumnType, Epoch, NodeId, Relation, Schema, Tuple, Value};
 use orchestra_storage::page::{partition_of, LEAF};
 use orchestra_storage::{
@@ -352,7 +353,7 @@ fn publish_to_a_shared_store_bytes(rows: i64) -> (u64, usize) {
     let (mut storage, _) = store_of(rows);
     let log = storage.log("R").expect("published");
     let slots = Kind::ALL.map(|kind| log.len(kind)).iter().sum();
-    let partition = |k: i64| partition_of(row(k, 2).hash_key(1), 64);
+    let partition = |k: i64| partition_of(hash_values(row(k, 2).key(1)), 64);
     let mut batch = UpdateBatch::new();
     for k in (0..).filter(|k| partition(*k) == partition(0)).take(10) {
         batch.modify("R", row(k, 2));
