@@ -561,6 +561,55 @@ mod tests {
     }
 
     #[test]
+    fn typed_int_and_double_comparisons_follow_value_order() {
+        let (ints, doubles) = crate::ops::tests::edge_numbers();
+        let rows: Vec<Tuple> = (ints.iter())
+            .flat_map(|&i| {
+                doubles
+                    .iter()
+                    .map(move |&d| t(vec![Value::Int(i), Value::Double(d)]))
+            })
+            .collect();
+        let batch = ColumnarBatch::from_tuples(2, &rows, 1, orchestra_common::NodeSet::empty(), 0);
+        assert!(matches!(batch.column(0).data(), ColumnData::Int(_)));
+        assert!(matches!(batch.column(1).data(), ColumnData::Double(_)));
+        let ops = [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ];
+        let constants =
+            (ints.iter().map(|&i| Value::Int(i))).chain(doubles.iter().map(|&d| Value::Double(d)));
+        let mut predicates = Vec::new();
+        for op in ops {
+            predicates.push(Predicate::CompareColumns {
+                left: 0,
+                op,
+                right: 1,
+            });
+            predicates.push(Predicate::CompareColumns {
+                left: 1,
+                op,
+                right: 0,
+            });
+            for c in constants.clone() {
+                predicates.push(Predicate::cmp(0, op, c.clone()));
+                predicates.push(Predicate::cmp(1, op, c));
+            }
+        }
+        let mut mask = Vec::new();
+        for predicate in &predicates {
+            predicate.eval_mask(&batch, &mut mask);
+            for (row, kept) in rows.iter().zip(&mask) {
+                assert_eq!(*kept, predicate.eval(row), "{predicate:?} on {row:?}");
+            }
+        }
+    }
+
+    #[test]
     fn comparisons_follow_value_order() {
         assert!(CmpOp::Lt.eval(&Value::Int(1), &Value::Int(2)));
         assert!(CmpOp::Ge.eval(&Value::Double(2.0), &Value::Int(2)));

@@ -1172,6 +1172,74 @@ pub(crate) mod tests {
         one_tagged(vals, node, 1, 0)
     }
 
+    /// Integers and doubles at the edges of exactness (±2^53, ±2^63), with
+    /// NaNs, both zeros and a fraction.
+    pub(crate) fn edge_numbers() -> (Vec<i64>, Vec<f64>) {
+        let p53 = 1i64 << 53;
+        let mut ints = vec![0, 1, -1, i64::MAX, i64::MIN];
+        for base in [p53, -p53] {
+            ints.extend([base - 1, base, base + 1, base + 2]);
+        }
+        let (f53, f63) = (p53 as f64, 9_223_372_036_854_775_808.0);
+        let doubles = vec![
+            0.0,
+            -0.0,
+            0.5,
+            1.0,
+            f53,
+            f53 + 2.0,
+            -f53,
+            -f53 - 2.0,
+            f63,
+            -f63,
+            f64::INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        (ints, doubles)
+    }
+
+    #[test]
+    fn typed_int_and_double_cells_compare_as_values_do() {
+        let (ints, doubles) = edge_numbers();
+        let mut batch = ColumnarBatch::new(2);
+        for &i in &ints {
+            for &d in &doubles {
+                batch.push_row_owned(
+                    vec![Value::Int(i), Value::Double(d)],
+                    1,
+                    NodeSet::empty(),
+                    0,
+                );
+            }
+        }
+        assert!(matches!(batch.column(0).data(), ColumnData::Int(_)));
+        assert!(matches!(batch.column(1).data(), ColumnData::Double(_)));
+        for row in 0..batch.len() {
+            let (i, d) = (batch.value_at(row, 0), batch.value_at(row, 1));
+            assert_eq!(
+                cells_equal((&batch, 0, row), (&batch, 1, row)),
+                i == d,
+                "{i:?} {d:?}"
+            );
+            assert_eq!(
+                cells_equal((&batch, 1, row), (&batch, 0, row)),
+                i == d,
+                "{d:?} {i:?}"
+            );
+            assert_eq!(
+                cell_equals(&batch, 0, row, &d),
+                i == d,
+                "{i:?} against {d:?}"
+            );
+            assert_eq!(
+                cell_equals(&batch, 1, row, &i),
+                i == d,
+                "{d:?} against {i:?}"
+            );
+        }
+    }
+
     /// Buffer the whole of `batch` for `dest` with the executor's flush
     /// size out of reach; returns the pending length afterwards.
     fn buffer_all(r: &mut RehashState, dest: NodeId, batch: &ColumnarBatch) -> usize {
